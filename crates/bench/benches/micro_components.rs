@@ -10,7 +10,7 @@ use bamboo_bench::harness::{bench, bench_with_setup, MicroResult};
 use bamboo_bench::{banner, save_json};
 use bamboo_core::{RecordKind, RunOptions, SegmentLog, SimRunner, VerifyPool};
 use bamboo_crypto::{sha256, BatchVerifier, KeyPair};
-use bamboo_forest::BlockForest;
+use bamboo_forest::{BlockForest, Ledger, Snapshot};
 use bamboo_mempool::Mempool;
 use bamboo_sim::{EventQueue, SimRng};
 use bamboo_types::{
@@ -339,6 +339,41 @@ fn bench_storage(results: &mut Vec<MicroResult>) {
     }));
 }
 
+/// One checkpoint cut — encode the chunk for the last 16 committed blocks and
+/// install it into the log — at two ledger lengths. The pair is the flatness
+/// probe: a checkpoint costs O(interval), so `bench_diff` should see the
+/// 1024-block cut stay level with the 64-block one.
+fn bench_checkpoint(results: &mut Vec<MicroResult>) {
+    const INTERVAL: usize = 16;
+    for (name, len) in [("checkpoint_cut_64", 64), ("checkpoint_cut_1024", 1_024)] {
+        let mut forest = BlockForest::new();
+        let mut ledger = Ledger::new();
+        for block in chain_blocks(len, 4) {
+            let id = block.id;
+            forest.insert(block).unwrap();
+            let newly = forest.commit(id).unwrap();
+            ledger.append(newly, View(len), SimTime::ZERO);
+            forest.prune_to_committed();
+        }
+        let base = Snapshot::encode(&forest, &Ledger::new());
+        results.push(bench_with_setup(
+            name,
+            || {
+                // A fresh log per iteration, so the stored image does not
+                // grow with the iteration count.
+                let mut log = SegmentLog::in_memory(1 << 20, 8);
+                log.install_checkpoint(0, &base);
+                log
+            },
+            |mut log| {
+                let chunk = Snapshot::encode_chunk(&forest, &ledger, ledger.len() - INTERVAL);
+                log.install_checkpoint(len, &chunk);
+                log
+            },
+        ));
+    }
+}
+
 /// The event queue under a simulator-shaped schedule: 64k events pushed as a
 /// mix of near-future deliveries (µs-scale deltas), same-instant ties and
 /// far-out timers, interleaved with pops — the access pattern of one
@@ -440,6 +475,7 @@ fn main() {
     bench_quorum(&mut results);
     bench_mempool(&mut results);
     bench_storage(&mut results);
+    bench_checkpoint(&mut results);
     bench_event_queue(&mut results);
     bench_sim_engine(&mut results);
     save_json("micro_components", &results);

@@ -234,6 +234,11 @@ fn summarise(samples: &[f64]) -> LatencyStats {
 pub struct RecoveryReport {
     /// Checkpoints taken across all replicas.
     pub checkpoints_taken: u64,
+    /// Checkpoint chunk bytes encoded and stored across all replicas.
+    pub checkpoint_bytes_written: u64,
+    /// The largest single checkpoint chunk any replica wrote — O(interval),
+    /// not O(ledger), unless a replica re-based after adopting a snapshot.
+    pub checkpoint_max_write_bytes: u64,
     /// State-transfer requests sent.
     pub sync_requests: u64,
     /// State-transfer responses served.
@@ -272,6 +277,8 @@ impl Default for RecoveryReport {
     fn default() -> Self {
         Self {
             checkpoints_taken: 0,
+            checkpoint_bytes_written: 0,
+            checkpoint_max_write_bytes: 0,
             sync_requests: 0,
             sync_responses: 0,
             sync_bytes: 0,
@@ -293,6 +300,14 @@ impl ToJson for RecoveryReport {
     fn to_json(&self) -> Json {
         Json::obj([
             ("checkpoints_taken", Json::from(self.checkpoints_taken)),
+            (
+                "checkpoint_bytes_written",
+                Json::from(self.checkpoint_bytes_written),
+            ),
+            (
+                "checkpoint_max_write_bytes",
+                Json::from(self.checkpoint_max_write_bytes),
+            ),
             ("sync_requests", Json::from(self.sync_requests)),
             ("sync_responses", Json::from(self.sync_responses)),
             ("sync_bytes", Json::from(self.sync_bytes)),

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use bamboo_crypto::KeyPair;
 use bamboo_forest::{
-    decode_committed_record, decode_qc_record, encode_committed_record, encode_qc_record,
+    chunks, decode_committed_record, decode_qc_record, encode_committed_record, encode_qc_record,
     BlockForest, ForestError, Ledger, Snapshot,
 };
 use bamboo_mempool::{Mempool, MempoolStats};
@@ -127,6 +127,11 @@ pub struct ReplicaOptions {
 /// request/response rounds rather than in one unboundedly large message.
 const SYNC_BATCH: usize = 256;
 
+/// Cap on the snapshot part of one [`SyncResponse`], counted in whole
+/// checkpoint chunks (at least one is always sent): far below the transport's
+/// 64 MiB frame cap, and the requester re-requests the rest.
+const SYNC_SNAPSHOT_BYTES: usize = 8 << 20;
+
 /// Counters and timestamps describing checkpointing and state transfer on one
 /// replica. Exposed to the runners so crash-recovery experiments can report
 /// how long catch-up took and what it cost.
@@ -134,6 +139,11 @@ const SYNC_BATCH: usize = 256;
 pub struct RecoveryStats {
     /// Checkpoints taken by this replica.
     pub checkpoints_taken: u64,
+    /// Total checkpoint chunk bytes this replica encoded and stored.
+    pub checkpoint_bytes_written: u64,
+    /// The largest single checkpoint chunk — flat in the ledger length
+    /// unless the replica had to re-base.
+    pub checkpoint_max_write_bytes: u64,
     /// Sync requests this replica sent while catching up.
     pub sync_requests_sent: u64,
     /// Sync responses this replica served to lagging peers.
@@ -187,10 +197,12 @@ pub struct Replica {
     deferred_proposal: Option<View>,
     /// Conflicting-commit events observed (must stay zero in a correct run).
     safety_violations: u64,
-    /// Serialized snapshot from the last checkpoint — the only state that
-    /// survives an amnesia restart (it models the durable disk image).
-    latest_checkpoint: Option<Bytes>,
-    /// Committed ledger length at the time of the last checkpoint.
+    /// The checkpoint chunks of a replica *without* a durable log — the only
+    /// state that survives an amnesia restart (it models the disk image).
+    /// With a log mounted this stays empty: the backend holds the one copy.
+    checkpoint_chunks: Vec<Bytes>,
+    /// Committed ledger length the stored chunks cover; the next checkpoint
+    /// encodes the entries above it. Zero means the next one re-bases.
     checkpoint_height: u64,
     /// True while this replica is actively state-transferring. A syncing
     /// replica neither votes nor proposes: it cannot evaluate the safety
@@ -250,7 +262,7 @@ impl Replica {
             pending_qcs: HashMap::new(),
             deferred_proposal: None,
             safety_violations: 0,
-            latest_checkpoint: None,
+            checkpoint_chunks: Vec::new(),
             checkpoint_height: 0,
             syncing: false,
             sync_timer_armed: false,
@@ -335,11 +347,6 @@ impl Replica {
     /// proposing are suspended).
     pub fn is_syncing(&self) -> bool {
         self.syncing
-    }
-
-    /// The serialized snapshot from the most recent checkpoint, if any.
-    pub fn latest_checkpoint(&self) -> Option<&Bytes> {
-        self.latest_checkpoint.as_ref()
     }
 
     /// Replaces the durable storage backend. The threaded cluster points
@@ -819,8 +826,10 @@ impl Replica {
     // ---- checkpointing and state transfer ------------------------------
 
     /// Takes a checkpoint when the committed ledger has grown by at least
-    /// `checkpoint_interval` blocks since the last one. Off (`None`) by
-    /// default, so runs without the knob are byte-identical to before.
+    /// `checkpoint_interval` blocks since the last one: encodes one chunk —
+    /// the entries committed since, plus the current head — and appends it to
+    /// the stored image. Off (`None`) by default, so runs without the knob
+    /// are byte-identical to before.
     fn maybe_checkpoint(&mut self, out: &mut HandleResult) {
         let Some(interval) = self.config.checkpoint_interval else {
             return;
@@ -829,17 +838,60 @@ impl Replica {
         if len < self.checkpoint_height + interval {
             return;
         }
-        let bytes = Snapshot::encode(&self.forest, &self.ledger);
-        out.cpu += self.cpu.snapshot(bytes.len());
+        let rebase = self.checkpoint_height == 0;
+        let chunk =
+            Snapshot::encode_chunk(&self.forest, &self.ledger, self.checkpoint_height as usize);
+        out.cpu += self.cpu.snapshot(chunk.len());
         self.checkpoint_height = len;
         self.recovery.checkpoints_taken += 1;
-        if let Some(log) = self.storage.as_mut() {
-            // Persist the image and cut the log over to it: older segments
-            // are subsumed and pruned.
-            let written = log.install_checkpoint(len, &bytes);
-            out.cpu += self.cpu.disk_io(written as usize);
+        self.recovery.checkpoint_bytes_written += chunk.len() as u64;
+        self.recovery.checkpoint_max_write_bytes =
+            (self.recovery.checkpoint_max_write_bytes).max(chunk.len() as u64);
+        match self.storage.as_mut() {
+            Some(log) => {
+                // Persist the chunk and cut the log over to it: older
+                // segments are subsumed and pruned.
+                let written = log.install_checkpoint(len, &chunk);
+                out.cpu += self.cpu.disk_io(written as usize);
+            }
+            None => {
+                if rebase {
+                    self.checkpoint_chunks.clear();
+                }
+                self.checkpoint_chunks.push(Bytes::from(chunk));
+            }
         }
-        self.latest_checkpoint = Some(Bytes::from(bytes));
+    }
+
+    /// The stored checkpoint image: read back from the log's backend when one
+    /// is mounted (its only holder), the in-memory chunk list otherwise.
+    /// Empty when no checkpoint was taken. O(image) — restart and serve only.
+    fn checkpoint_image(&self) -> Vec<u8> {
+        match &self.storage {
+            Some(log) => log.checkpoint().map_or_else(Vec::new, |(_, image)| image),
+            None => self.checkpoint_chunks.concat(),
+        }
+    }
+
+    /// The stored checkpoint chunks that carry ledger entries at or above
+    /// `start`, as one stream capped at [`SYNC_SNAPSHOT_BYTES`], with the
+    /// ledger length it brings the requester to.
+    fn checkpoint_suffix(&self, start: u64) -> Option<(Bytes, u64)> {
+        let image = self.checkpoint_image();
+        let mut stream = Vec::new();
+        let mut to = start;
+        for chunk in chunks(&image) {
+            let chunk = chunk.ok()?;
+            if chunk.to <= start {
+                continue;
+            }
+            if !stream.is_empty() && stream.len() + chunk.bytes.len() > SYNC_SNAPSHOT_BYTES {
+                break;
+            }
+            stream.extend_from_slice(chunk.bytes);
+            to = chunk.to;
+        }
+        (!stream.is_empty()).then(|| (Bytes::from(stream), to))
     }
 
     /// Debounce/retry timer. If the gap healed through live traffic before
@@ -908,8 +960,10 @@ impl Replica {
 
     /// Serves a state-transfer request from local state. If the requester is
     /// behind our latest checkpoint (or on a chain we do not recognise), the
-    /// response leads with the snapshot; the committed suffix above it and the
-    /// uncommitted main path follow, capped at [`SYNC_BATCH`] blocks.
+    /// response leads with the checkpoint chunks above its height — all of
+    /// them for an unrecognised chain — capped at [`SYNC_SNAPSHOT_BYTES`];
+    /// the committed suffix above those and the uncommitted main path follow,
+    /// capped at [`SYNC_BATCH`] blocks.
     fn on_sync_request(&mut self, req: SyncRequest, out: &mut HandleResult) {
         out.cpu += self.cpu.verify(1);
         if req.requester == self.id {
@@ -923,11 +977,11 @@ impl Replica {
                 && self.ledger.get(claimed - 1).map(|c| c.block.id) == Some(req.head));
         let mut start = if on_our_chain { claimed } else { 0 };
         let mut snapshot = None;
-        if let Some(bytes) = &self.latest_checkpoint {
-            if (start as u64) < self.checkpoint_height {
+        if (start as u64) < self.checkpoint_height {
+            if let Some((bytes, to)) = self.checkpoint_suffix(start as u64) {
                 out.cpu += self.cpu.snapshot(bytes.len());
-                snapshot = Some(bytes.clone());
-                start = self.checkpoint_height as usize;
+                snapshot = Some(bytes);
+                start = to as usize;
             }
         }
         let mut blocks: Vec<SharedBlock> = self
@@ -958,7 +1012,8 @@ impl Replica {
         );
     }
 
-    /// Installs a state-transfer response: adopt the snapshot if it is ahead
+    /// Installs a state-transfer response: adopt the snapshot chunks (decoded
+    /// onto our own ledger — they may start inside it) if they take us ahead
     /// of everything we have, then replay the block suffix through the normal
     /// insert/QC path so commits fire through the protocol's own commit rule.
     fn on_sync_response(&mut self, resp: SyncResponse, now: SimTime, out: &mut HandleResult) {
@@ -969,13 +1024,17 @@ impl Replica {
         self.recovery.sync_bytes_received += resp.wire_size() as u64;
         if let Some(bytes) = &resp.snapshot {
             out.cpu += self.cpu.snapshot(bytes.len());
-            if let Ok(snap) = Snapshot::decode(bytes) {
+            if let Ok(snap) = Snapshot::decode_onto(&self.ledger, bytes) {
                 if snap.ledger.len() > self.ledger.len() {
                     self.forest = snap.forest;
                     self.ledger = snap.ledger;
                     self.pending_qcs.clear();
                     self.deferred_proposal = None;
                     self.recovery.snapshots_installed += 1;
+                    // Our stored chunks describe the state we just left: the
+                    // next checkpoint re-bases (`from == 0`) and supersedes
+                    // them.
+                    self.checkpoint_height = 0;
                 }
             }
         }
@@ -1007,15 +1066,12 @@ impl Replica {
     /// for the history lost since the checkpoint.
     pub fn amnesia_restart(&mut self, now: SimTime) -> HandleResult {
         let mut out = HandleResult::default();
-        let restored = self
-            .latest_checkpoint
-            .as_ref()
-            .and_then(|bytes| {
-                out.cpu += self.cpu.snapshot(bytes.len());
-                Snapshot::decode(bytes).ok()
-            })
-            .map(|snap| (snap.forest, snap.ledger));
-        let (forest, ledger) = restored.unwrap_or_else(|| (BlockForest::new(), Ledger::new()));
+        let image = self.checkpoint_image();
+        if !image.is_empty() {
+            out.cpu += self.cpu.snapshot(image.len());
+        }
+        let restored = Snapshot::decode(&image).map(|snap| (snap.forest, snap.ledger));
+        let (forest, ledger) = restored.unwrap_or_else(|_| (BlockForest::new(), Ledger::new()));
         self.forest = forest;
         self.ledger = ledger;
         self.checkpoint_height = self.ledger.len() as u64;
@@ -1074,7 +1130,6 @@ impl Replica {
         // everything below is then rebuilt from the local durable image.
         self.forest = BlockForest::new();
         self.ledger = Ledger::new();
-        self.latest_checkpoint = None;
         self.checkpoint_height = 0;
         let strategy = if self.config.is_byzantine(self.id) {
             self.config.byzantine_strategy
@@ -1109,7 +1164,6 @@ impl Replica {
                 self.forest = snap.forest;
                 self.ledger = snap.ledger;
                 self.checkpoint_height = self.ledger.len() as u64;
-                self.latest_checkpoint = Some(Bytes::from(image.clone()));
             }
         }
 
@@ -1246,10 +1300,20 @@ mod tests {
             .collect()
     }
 
-    /// Drives a 4-replica in-memory cluster with zero network delay by
-    /// delivering every outbound message immediately, for `steps` rounds.
     fn drive(protocol: ProtocolKind, views: u64) -> Vec<Replica> {
-        let cfg = config(4);
+        drive_with(config(4), protocol, views, |_| {})
+    }
+
+    /// Drives a 4-replica in-memory cluster with zero network delay by
+    /// delivering every outbound message immediately, until every replica
+    /// reached `views`. `after_step` sees each replica right after each event
+    /// it handled.
+    fn drive_with(
+        cfg: Config,
+        protocol: ProtocolKind,
+        views: u64,
+        mut after_step: impl FnMut(&Replica),
+    ) -> Vec<Replica> {
         let mut replicas: Vec<Replica> = (0..4)
             .map(|i| Replica::new(NodeId(i), protocol, cfg.clone(), ReplicaOptions::default()))
             .collect();
@@ -1306,6 +1370,7 @@ mod tests {
             let batch = std::mem::take(&mut inbox);
             for (to, event) in batch {
                 let result = replicas[to.index()].handle(event, now);
+                after_step(&replicas[to.index()]);
                 route(to, result, &mut inbox);
             }
             if replicas.iter().all(|r| r.current_view().as_u64() >= views) {
@@ -1313,6 +1378,121 @@ mod tests {
             }
         }
         replicas
+    }
+
+    fn checkpointing(interval: u64, durable_log: bool) -> Config {
+        Config::builder()
+            .nodes(4)
+            .block_size(10)
+            .seed(1)
+            .checkpoint_interval(interval)
+            .durable_log(durable_log)
+            .build()
+            .unwrap()
+    }
+
+    /// The highest vote watermark the durable log would restore.
+    fn durable_voted_view(replica: &Replica) -> View {
+        let replay = replica.storage().expect("durable log").replay();
+        (replay.records.iter())
+            .filter(|(kind, _)| *kind == RecordKind::SafetyRecord)
+            .map(|(_, payload)| storage::decode_safety_record(payload).unwrap().0)
+            .fold(View::GENESIS, View::max)
+    }
+
+    #[test]
+    fn vote_watermark_survives_every_checkpoint_cut() {
+        // A cut prunes every older segment, the newest SafetyRecord with
+        // them; Streamlet commits from `on_vote`, so no vote follows in the
+        // same step to rewrite it. Whatever the protocol, a crash right after
+        // any cut must still restore the live watermark.
+        for protocol in [
+            ProtocolKind::HotStuff,
+            ProtocolKind::TwoChainHotStuff,
+            ProtocolKind::Streamlet,
+            ProtocolKind::FastHotStuff,
+            ProtocolKind::Lbft,
+            ProtocolKind::OriginalHotStuff,
+        ] {
+            let mut cuts = [0u64; 4];
+            let mut checked = 0;
+            drive_with(checkpointing(2, true), protocol, 24, |replica| {
+                let taken = replica.recovery_stats().checkpoints_taken;
+                if taken > std::mem::replace(&mut cuts[replica.id().index()], taken) {
+                    assert_eq!(
+                        durable_voted_view(replica),
+                        replica.safety.voted_view(),
+                        "{protocol:?}: watermark lost at checkpoint {taken}"
+                    );
+                    checked += 1;
+                }
+            });
+            assert!(checked > 8, "{protocol:?}: only {checked} cuts checked");
+        }
+    }
+
+    /// One state-transfer round: `lagging` asks `server` and installs the
+    /// reply.
+    fn sync_round(lagging: &mut Replica, server: &mut Replica, now: SimTime) {
+        let mut out = HandleResult::default();
+        lagging.send_sync_request(now, &mut out);
+        for request in out.outbound {
+            let from = lagging.id();
+            let message = request.message;
+            let served = server.handle(ReplicaEvent::Message { from, message }, now);
+            for reply in served.outbound {
+                let from = server.id();
+                let message = reply.message;
+                lagging.handle(ReplicaEvent::Message { from, message }, now);
+            }
+        }
+    }
+
+    #[test]
+    fn adopting_a_peer_snapshot_rebases_and_discards_stale_chunks() {
+        for durable_log in [false, true] {
+            let cfg = checkpointing(4, durable_log);
+            // The same deterministic run, stopped early and late: replica 3
+            // of the short run is a lagging copy of the long run's.
+            let mut lagging = drive_with(cfg.clone(), ProtocolKind::HotStuff, 44, |_| {}).remove(3);
+            let mut server = drive_with(cfg, ProtocolKind::HotStuff, 60, |_| {}).remove(1);
+            let stale = lagging.checkpoint_image();
+            let behind = lagging.ledger().len() as u64;
+            assert!(chunks(&stale).count() >= 2, "lagging replica cut chunks");
+            assert!(
+                server.checkpoint_height >= behind + 8,
+                "two checkpoints behind"
+            );
+            let full_image = Snapshot::encode(server.forest(), server.ledger()).len() as u64;
+
+            let now = SimTime(1_000_000_000);
+            sync_round(&mut lagging, &mut server, now);
+            let stats = lagging.recovery_stats();
+            assert_eq!(stats.snapshots_installed, 1);
+            // Bounded transfer: only the chunks above our height came over.
+            assert!(stats.sync_bytes_received < full_image, "suffix, not image");
+            assert!(lagging.ledger().consistent_with(server.ledger()));
+            assert!(lagging.ledger().len() as u64 >= server.checkpoint_height);
+
+            // The next checkpoint re-bases: one `from == 0` chunk replaces
+            // everything stored before the adoption.
+            while lagging.checkpoint_height == 0 {
+                sync_round(&mut lagging, &mut server, now);
+                lagging.maybe_checkpoint(&mut HandleResult::default());
+            }
+            let image = lagging.checkpoint_image();
+            let stored: Vec<_> = chunks(&image).map(Result::unwrap).collect();
+            assert_eq!(stored.len(), 1, "stale chunks discarded");
+            // With a log mounted its backend holds the only copy.
+            assert_eq!(lagging.checkpoint_chunks.is_empty(), durable_log);
+            assert_eq!(
+                (stored[0].from, stored[0].to),
+                (0, lagging.checkpoint_height)
+            );
+            let restored = Snapshot::decode(&image).expect("re-based image decodes");
+            assert!(restored.ledger.consistent_with(server.ledger()));
+            assert_eq!(restored.ledger.len() as u64, lagging.checkpoint_height);
+        }
     }
 
     #[test]

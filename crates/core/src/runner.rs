@@ -1439,6 +1439,9 @@ impl SimRunner {
             let replica = host.replica();
             let stats = replica.recovery_stats();
             recovery.checkpoints_taken += stats.checkpoints_taken;
+            recovery.checkpoint_bytes_written += stats.checkpoint_bytes_written;
+            recovery.checkpoint_max_write_bytes =
+                (recovery.checkpoint_max_write_bytes).max(stats.checkpoint_max_write_bytes);
             recovery.sync_requests += stats.sync_requests_sent;
             recovery.sync_responses += stats.sync_responses_served;
             recovery.sync_bytes += stats.sync_bytes_received;

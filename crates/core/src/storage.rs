@@ -1,5 +1,5 @@
-//! Durable storage: an append-only segment log plus persisted checkpoint
-//! images (DESIGN.md §8).
+//! Durable storage: an append-only segment log plus a persisted, append-only
+//! list of checkpoint chunks (DESIGN.md §8).
 //!
 //! The log is the replica's write-ahead record of everything it must not
 //! forget across process death: committed blocks, the QCs that drove them,
@@ -8,7 +8,9 @@
 //! leaves the process. On restart the replica replays the latest checkpoint
 //! image plus the log tail to rebuild its forest/ledger and restore the
 //! safety state, falling back to network sync only for whatever it missed
-//! while down.
+//! while down. The backend is the only holder of the checkpoint bytes: a
+//! replica with a log mounted keeps no second copy and serves state transfer
+//! from [`SegmentLog::checkpoint`].
 //!
 //! ## Record framing
 //!
@@ -33,7 +35,8 @@ use std::fs;
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
-use bamboo_forest::{decode_qc_record, encode_qc_record, SnapshotError};
+use bamboo_forest::{chunks, decode_qc_record, encode_qc_record, SnapshotError};
+use bamboo_types::wire::crc32_update;
 use bamboo_types::{QuorumCert, View};
 
 /// Frame overhead per record: `[u32 len][u32 crc][u8 kind]`.
@@ -44,46 +47,10 @@ pub const RECORD_HEADER_BYTES: usize = 9;
 /// magnitude smaller.
 const MAX_PAYLOAD_BYTES: u32 = 64 << 20;
 
-// ---- CRC-32 (IEEE 802.3, reflected) -----------------------------------------
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-const CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC-32 (IEEE) over `bytes` — the integrity check framing every log record.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
+pub use bamboo_types::wire::crc32;
 
 fn crc_of(kind: u8, payload: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    c = CRC_TABLE[((c ^ kind as u32) & 0xFF) as usize] ^ (c >> 8);
-    for &b in payload {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    !crc32_update(crc32_update(!0, &[kind]), payload)
 }
 
 // ---- records ----------------------------------------------------------------
@@ -278,9 +245,9 @@ pub enum StorageFault {
 // ---- backends ----------------------------------------------------------------
 
 /// Byte-level storage for the segment log: numbered append-only segments plus
-/// one checkpoint image slot. Implementations distinguish *buffered* writes
-/// (lost on crash) from *durable* ones (survive crash) so fsync semantics are
-/// explicit.
+/// an append-only list of checkpoint chunks. Implementations distinguish
+/// *buffered* writes (lost on crash) from *durable* ones (survive crash) so
+/// fsync semantics are explicit.
 pub trait SegmentBackend: Send {
     /// Buffers `bytes` at the tail of `segment`, creating it on demand.
     fn append(&mut self, segment: u64, bytes: &[u8]);
@@ -298,10 +265,36 @@ pub trait SegmentBackend: Send {
     fn set_segment(&mut self, segment: u64, bytes: Vec<u8>);
     /// Drops every segment with an index below `segment` (prune).
     fn drop_below(&mut self, segment: u64);
-    /// Stages the checkpoint image for `height` (durable after [`Self::sync`]).
+    /// Appends the checkpoint chunk cut at `height` to the stored image
+    /// (durable after [`Self::sync`]). Anything but a continuation chunk
+    /// (`from > 0`) replaces every chunk stored before it.
     fn put_checkpoint(&mut self, height: u64, bytes: &[u8]);
-    /// The durable checkpoint image, if any.
+    /// The durable image — every stored chunk, concatenated — and the height
+    /// of its newest chunk, if any. O(image): paid once per restart or
+    /// served state transfer, never on the commit path.
     fn checkpoint(&self) -> Option<(u64, Vec<u8>)>;
+}
+
+/// Whether a checkpoint write supersedes the stored image instead of
+/// extending it: true for everything except a well-formed continuation chunk
+/// (`from > 0`), so a whole image — or an opaque blob — still replaces.
+fn rebases(chunk: &[u8]) -> bool {
+    !matches!(chunks(chunk).next(), Some(Ok(first)) if first.from > 0)
+}
+
+/// Folds stored `(height, chunk)` pairs, oldest first, into the image they
+/// form, honouring the supersede rule.
+fn concat_image<B: AsRef<[u8]>>(
+    stored: impl IntoIterator<Item = (u64, B)>,
+) -> Option<(u64, Vec<u8>)> {
+    stored.into_iter().fold(None, |image, (height, chunk)| {
+        let mut bytes = match image {
+            Some((_, bytes)) if !rebases(chunk.as_ref()) => bytes,
+            _ => Vec::new(),
+        };
+        bytes.extend_from_slice(chunk.as_ref());
+        Some((height, bytes))
+    })
 }
 
 #[derive(Clone, Debug, Default)]
@@ -316,8 +309,8 @@ struct SegmentBuf {
 #[derive(Debug, Default)]
 pub struct MemoryBackend {
     segments: BTreeMap<u64, SegmentBuf>,
-    checkpoint_durable: Option<(u64, Vec<u8>)>,
-    checkpoint_buffered: Option<(u64, Vec<u8>)>,
+    checkpoint_durable: Vec<(u64, Vec<u8>)>,
+    checkpoint_buffered: Vec<(u64, Vec<u8>)>,
 }
 
 impl MemoryBackend {
@@ -341,8 +334,11 @@ impl SegmentBackend for MemoryBackend {
             let pending = std::mem::take(&mut buf.buffered);
             buf.durable.extend_from_slice(&pending);
         }
-        if let Some(cp) = self.checkpoint_buffered.take() {
-            self.checkpoint_durable = Some(cp);
+        for (height, chunk) in self.checkpoint_buffered.drain(..) {
+            if rebases(&chunk) {
+                self.checkpoint_durable.clear();
+            }
+            self.checkpoint_durable.push((height, chunk));
         }
     }
 
@@ -354,7 +350,7 @@ impl SegmentBackend for MemoryBackend {
 
     fn crash(&mut self) {
         self.drop_buffered();
-        self.checkpoint_buffered = None;
+        self.checkpoint_buffered.clear();
         self.segments.retain(|_, buf| !buf.durable.is_empty());
     }
 
@@ -375,17 +371,18 @@ impl SegmentBackend for MemoryBackend {
     }
 
     fn put_checkpoint(&mut self, height: u64, bytes: &[u8]) {
-        self.checkpoint_buffered = Some((height, bytes.to_vec()));
+        self.checkpoint_buffered.push((height, bytes.to_vec()));
     }
 
     fn checkpoint(&self) -> Option<(u64, Vec<u8>)> {
-        self.checkpoint_durable.clone()
+        concat_image(self.checkpoint_durable.iter().map(|(h, chunk)| (*h, chunk)))
     }
 }
 
 /// Real-file backend used by the threaded cluster: `segment-NNNNNNNN.log`
-/// files plus a `checkpoint-HEIGHT.bsnp` image in one directory, with
-/// `File::sync_data` behind [`SegmentBackend::sync`].
+/// files plus one `checkpoint-HEIGHT.bsnp` file per checkpoint chunk (written
+/// once, never rewritten) in one directory, with `File::sync_data` behind
+/// [`SegmentBackend::sync`].
 ///
 /// Process death inside the *same* OS instance keeps page-cache writes, so
 /// un-fsynced-byte loss (and [`StorageFault::DropFsync`]) cannot be modeled
@@ -414,7 +411,8 @@ impl FileBackend {
         self.dir.join(format!("segment-{segment:08}.log"))
     }
 
-    fn segment_files(&self) -> Vec<(u64, PathBuf)> {
+    /// The `<prefix><number><suffix>` files of the directory, by number.
+    fn numbered_files(&self, prefix: &str, suffix: &str) -> Vec<(u64, PathBuf)> {
         let mut out = Vec::new();
         let Ok(entries) = fs::read_dir(&self.dir) else {
             return out;
@@ -422,36 +420,24 @@ impl FileBackend {
         for entry in entries.flatten() {
             let name = entry.file_name();
             let name = name.to_string_lossy();
-            if let Some(idx) = name
-                .strip_prefix("segment-")
-                .and_then(|rest| rest.strip_suffix(".log"))
+            if let Some(number) = name
+                .strip_prefix(prefix)
+                .and_then(|rest| rest.strip_suffix(suffix))
                 .and_then(|digits| digits.parse::<u64>().ok())
             {
-                out.push((idx, entry.path()));
+                out.push((number, entry.path()));
             }
         }
-        out.sort_unstable_by_key(|(idx, _)| *idx);
+        out.sort_unstable_by_key(|(number, _)| *number);
         out
     }
 
+    fn segment_files(&self) -> Vec<(u64, PathBuf)> {
+        self.numbered_files("segment-", ".log")
+    }
+
     fn checkpoint_files(&self) -> Vec<(u64, PathBuf)> {
-        let mut out = Vec::new();
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return out;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(height) = name
-                .strip_prefix("checkpoint-")
-                .and_then(|rest| rest.strip_suffix(".bsnp"))
-                .and_then(|digits| digits.parse::<u64>().ok())
-            {
-                out.push((height, entry.path()));
-            }
-        }
-        out.sort_unstable_by_key(|(height, _)| *height);
-        out
+        self.numbered_files("checkpoint-", ".bsnp")
     }
 }
 
@@ -510,20 +496,30 @@ impl SegmentBackend for FileBackend {
     }
 
     fn put_checkpoint(&mut self, height: u64, bytes: &[u8]) {
+        // The log segments this chunk subsumes are pruned right after, so it
+        // must be on the platter — file contents, then the directory entry —
+        // before this returns.
         let tmp = self.dir.join("checkpoint.tmp");
-        fs::write(&tmp, bytes).expect("write checkpoint image");
+        let mut file = fs::File::create(&tmp).expect("create checkpoint chunk");
+        file.write_all(bytes).expect("write checkpoint chunk");
+        file.sync_data().expect("fsync checkpoint chunk");
         let path = self.dir.join(format!("checkpoint-{height:016}.bsnp"));
-        fs::rename(&tmp, &path).expect("publish checkpoint image");
-        for (h, old) in self.checkpoint_files() {
-            if h != height {
-                let _ = fs::remove_file(old);
+        fs::rename(&tmp, &path).expect("publish checkpoint chunk");
+        fs::File::open(&self.dir)
+            .and_then(|dir| dir.sync_all())
+            .expect("fsync storage directory");
+        if rebases(bytes) {
+            for (h, stale) in self.checkpoint_files() {
+                if h != height {
+                    let _ = fs::remove_file(stale);
+                }
             }
         }
     }
 
     fn checkpoint(&self) -> Option<(u64, Vec<u8>)> {
-        let (height, path) = self.checkpoint_files().pop()?;
-        fs::read(path).ok().map(|bytes| (height, bytes))
+        let files = self.checkpoint_files().into_iter();
+        concat_image(files.filter_map(|(height, path)| Some((height, fs::read(path).ok()?))))
     }
 }
 
@@ -532,7 +528,8 @@ impl SegmentBackend for FileBackend {
 /// Everything a replay recovered from durable storage.
 #[derive(Clone, Debug, Default)]
 pub struct ReplayResult {
-    /// The durable checkpoint image `(committed_height, BSNP bytes)`, if any.
+    /// The durable checkpoint image `(committed_height, BSNP chunk stream)`,
+    /// if any.
     pub checkpoint: Option<(u64, Vec<u8>)>,
     /// The longest valid prefix of log records, in append order.
     pub records: Vec<(RecordKind, Vec<u8>)>,
@@ -557,6 +554,9 @@ pub struct SegmentLog {
     unsynced_records: usize,
     pending_fault: Option<StorageFault>,
     syncs: u64,
+    /// Payload of the newest [`RecordKind::SafetyRecord`] in the log — the
+    /// watermark [`SegmentLog::install_checkpoint`] carries across the cut.
+    watermark: Option<Vec<u8>>,
 }
 
 impl std::fmt::Debug for SegmentLog {
@@ -589,6 +589,7 @@ impl SegmentLog {
             unsynced_records: 0,
             pending_fault: None,
             syncs: 0,
+            watermark: None,
         };
         // Resume appending after any existing durable content (fresh
         // backends scan nothing).
@@ -641,6 +642,9 @@ impl SegmentLog {
     }
 
     fn append_record(&mut self, kind: RecordKind, payload: &[u8]) -> u64 {
+        if kind == RecordKind::SafetyRecord {
+            self.watermark = Some(payload.to_vec());
+        }
         let frame = frame(kind, payload);
         if self.active_len > 0 && self.active_len + frame.len() > self.segment_bytes {
             self.active += 1;
@@ -675,20 +679,30 @@ impl SegmentLog {
         self.syncs += 1;
     }
 
-    /// Persists a checkpoint image and cuts the log over to it: flush,
-    /// publish the image, rotate to a fresh segment whose first record is the
-    /// [`RecordKind::CheckpointMarker`], and prune every older segment.
-    /// Returns the bytes written (image + marker) for the disk-cost model.
-    pub fn install_checkpoint(&mut self, height: u64, snapshot: &[u8]) -> u64 {
+    /// Persists a checkpoint chunk and cuts the log over to it: flush, append
+    /// the chunk to the stored image, rotate to a fresh segment that opens
+    /// with the [`RecordKind::CheckpointMarker`] and a copy of the newest
+    /// [`RecordKind::SafetyRecord`] (the vote watermark lives only in the log,
+    /// so it must cross the cut), flush again, and only then prune every
+    /// older segment. Returns the bytes written for the disk-cost model.
+    pub fn install_checkpoint(&mut self, height: u64, chunk: &[u8]) -> u64 {
         self.sync();
-        self.backend.put_checkpoint(height, snapshot);
+        self.backend.put_checkpoint(height, chunk);
         self.active += 1;
         self.active_len = 0;
-        self.backend.drop_below(self.active);
         let marker = encode_checkpoint_marker(height);
-        let marker_bytes = self.append_record(RecordKind::CheckpointMarker, &marker);
+        let mut written = self.append_record(RecordKind::CheckpointMarker, &marker);
+        if let Some(watermark) = self.watermark.take() {
+            written += self.append_record(RecordKind::SafetyRecord, &watermark);
+        }
         self.sync();
-        marker_bytes + snapshot.len() as u64
+        self.backend.drop_below(self.active);
+        written + chunk.len() as u64
+    }
+
+    /// The durable checkpoint image (see [`SegmentBackend::checkpoint`]).
+    pub fn checkpoint(&self) -> Option<(u64, Vec<u8>)> {
+        self.backend.checkpoint()
     }
 
     /// Arms a crash-point fault. [`StorageFault::DropFsync`] fires at the
@@ -781,10 +795,16 @@ impl SegmentLog {
     fn reset_from_durable(&mut self) {
         let segments = self.backend.segments();
         self.unsynced_records = 0;
-        self.records_appended = segments
-            .iter()
-            .map(|(_, bytes)| decode_records(bytes).records.len() as u64)
-            .sum();
+        self.records_appended = 0;
+        self.watermark = None;
+        for (_, bytes) in &segments {
+            let mut records = decode_records(bytes).records;
+            self.records_appended += records.len() as u64;
+            records.retain(|(kind, _)| *kind == RecordKind::SafetyRecord);
+            if let Some((_, payload)) = records.pop() {
+                self.watermark = Some(payload);
+            }
+        }
         match segments.last() {
             Some((seg, bytes)) => {
                 self.active = *seg;
@@ -798,8 +818,8 @@ impl SegmentLog {
         }
     }
 
-    /// Replays durable state: the checkpoint image plus the longest valid
-    /// prefix of log records.
+    /// Replays durable state: the checkpoint image (every stored chunk,
+    /// concatenated) plus the longest valid prefix of log records.
     pub fn replay(&self) -> ReplayResult {
         let mut result = ReplayResult {
             checkpoint: self.backend.checkpoint(),
@@ -1053,11 +1073,19 @@ mod tests {
         assert_eq!(log.replay().records, records);
     }
 
+    /// The newest safety record among `records` — what a cut carries over.
+    fn watermark_of(records: &[(RecordKind, Vec<u8>)]) -> Vec<(RecordKind, Vec<u8>)> {
+        let newest = records.iter().rev();
+        let mut safety = newest.filter(|(kind, _)| *kind == RecordKind::SafetyRecord);
+        safety.next().cloned().into_iter().collect()
+    }
+
     #[test]
-    fn checkpoint_prunes_older_segments() {
+    fn checkpoint_prunes_older_segments_and_carries_the_watermark() {
         let mut log = SegmentLog::in_memory(256, 1);
-        for (kind, payload) in random_records(41, 30) {
-            log.append(kind, &payload);
+        let pre = random_records(41, 30);
+        for (kind, payload) in &pre {
+            log.append(*kind, payload);
         }
         let image = b"BSNP-image-stand-in".to_vec();
         log.install_checkpoint(30, &image);
@@ -1069,9 +1097,69 @@ mod tests {
         log.crash();
         let replay = log.replay();
         assert_eq!(replay.checkpoint, Some((30, image)));
+        // Everything before the cut is pruned except the newest safety
+        // record, re-appended right behind the marker.
         let mut expected = vec![(RecordKind::CheckpointMarker, encode_checkpoint_marker(30))];
+        expected.extend(watermark_of(&pre));
+        assert_eq!(expected.len(), 2, "the seed logs a safety record");
         expected.extend(post);
         assert_eq!(replay.records, expected, "pre-checkpoint records pruned");
+        // The watermark is re-derived from the durable log, so it crosses a
+        // restart and the next cut too.
+        log.install_checkpoint(31, b"second");
+        log.crash();
+        assert_eq!(log.replay().records[1..], watermark_of(&expected));
+    }
+
+    /// A stand-in continuation chunk: a real header with `from > 0`, so the
+    /// backends append it instead of re-basing.
+    fn continuation_chunk(from: u64, filler: u8) -> Vec<u8> {
+        let mut body = from.to_be_bytes().to_vec();
+        body.extend_from_slice(&[0, 0, 0, 1, filler]);
+        let mut chunk = b"BSNP\x00\x02".to_vec();
+        chunk.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        chunk.extend_from_slice(&crc32(&body).to_be_bytes());
+        chunk.extend_from_slice(&body);
+        assert!(!rebases(&chunk));
+        chunk
+    }
+
+    #[test]
+    fn chunks_append_and_a_rebase_supersedes() {
+        let mut log = SegmentLog::in_memory(1 << 20, 1);
+        let (base, second, third) = (
+            b"opaque base image".to_vec(),
+            continuation_chunk(8, 2),
+            continuation_chunk(9, 3),
+        );
+        log.install_checkpoint(8, &base);
+        log.install_checkpoint(9, &second);
+        log.install_checkpoint(10, &third);
+        let image = [&base[..], &second, &third].concat();
+        assert_eq!(log.checkpoint(), Some((10, image)));
+        log.install_checkpoint(20, &base);
+        assert_eq!(log.checkpoint(), Some((20, base)), "stale chunks discarded");
+    }
+
+    #[test]
+    fn crash_with_the_newest_chunk_buffered_keeps_the_previous_one_and_the_log() {
+        let mut log = SegmentLog::in_memory(256, 1);
+        let base = b"opaque base image".to_vec();
+        log.install_checkpoint(8, &base);
+        let post = random_records(53, 12);
+        for (kind, payload) in &post {
+            log.append(*kind, payload);
+        }
+        // The first half of a cut: the chunk is staged, the process dies
+        // before the flush that would make it durable. Nothing it subsumes
+        // may have been pruned yet.
+        log.sync();
+        log.backend.put_checkpoint(9, &continuation_chunk(8, 2));
+        log.crash();
+        let replay = log.replay();
+        assert_eq!(replay.checkpoint, Some((8, base)));
+        assert_eq!(replay.records[0].0, RecordKind::CheckpointMarker);
+        assert_eq!(replay.records[1..], post);
     }
 
     #[test]
@@ -1112,12 +1200,28 @@ mod tests {
             log.sync();
         }
         // A brand-new log over the same directory resumes from the files.
-        let log = SegmentLog::on_disk(&dir, 512, 3).expect("reopen");
+        let mut log = SegmentLog::on_disk(&dir, 512, 3).expect("reopen");
         let replay = log.replay();
         assert_eq!(replay.checkpoint, Some((25, b"image".to_vec())));
-        assert_eq!(replay.records.len(), 6, "marker + 5 post-checkpoint");
-        assert_eq!(replay.records[1..].to_vec(), records[..5].to_vec());
-        assert_eq!(log.records_appended(), 6);
+        assert_eq!(replay.records.len(), 7, "marker + watermark + 5 post");
+        assert_eq!(replay.records[1..2], watermark_of(&records));
+        assert_eq!(replay.records[2..].to_vec(), records[..5].to_vec());
+        assert_eq!(log.records_appended(), 7);
+        // One file per chunk, concatenated on read; a re-base removes them.
+        let chunk = continuation_chunk(25, 7);
+        log.install_checkpoint(26, &chunk);
+        let files = |dir: &Path| {
+            let names = std::fs::read_dir(dir).expect("list").flatten();
+            names
+                .filter(|e| e.file_name().to_string_lossy().ends_with(".bsnp"))
+                .count()
+        };
+        assert_eq!(files(&dir), 2);
+        let image = [&b"image"[..], &chunk].concat();
+        assert_eq!(log.checkpoint(), Some((26, image)));
+        log.install_checkpoint(40, b"rebased");
+        assert_eq!(files(&dir), 1);
+        assert_eq!(log.checkpoint(), Some((40, b"rebased".to_vec())));
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

@@ -25,6 +25,6 @@ pub mod snapshot;
 pub use forest::{BlockForest, ForestError, ForestStats};
 pub use ledger::{CommittedBlock, Ledger};
 pub use snapshot::{
-    decode_committed_record, decode_qc_record, encode_committed_record, encode_qc_record, Snapshot,
-    SnapshotError,
+    chunks, decode_committed_record, decode_qc_record, encode_committed_record, encode_qc_record,
+    Chunk, Snapshot, SnapshotError,
 };

@@ -2,7 +2,24 @@
 //! consensus state — the committed [`Ledger`] plus the uncommitted
 //! [`BlockForest`] subtree above it.
 //!
-//! The forest part uses a flattened-tree encoding: vertices are emitted in
+//! An image is an **append-only sequence of self-delimiting chunks**. Each
+//! chunk carries the ledger entries `[from, to)` committed since the chunk
+//! before it plus a small *head*: the uncommitted subtree, root/high QC and
+//! forest counters at the time it was cut. Taking a checkpoint therefore
+//! costs O(entries since the last one), never O(ledger). A decoder reads the
+//! chunks in order and keeps only the newest head; a chunk with `from == 0`
+//! supersedes everything before it (the re-base after adopting a peer's
+//! state). The one-shot image of [`Snapshot::encode`] is simply the single
+//! chunk with `from == 0`.
+//!
+//! ```text
+//! chunk := "BSNP" | u16 version | u32 body_len | u32 crc32(body) | body
+//! body  := u64 from | u32 count | count x (block, u64 commit view, u64 commit time)
+//!          | u64 committed | u64 forked | opt root QC | u32 root children
+//!          | u32 entries | entries x (block, opt QC, u32 children) | high QC
+//! ```
+//!
+//! The head uses a flattened-tree encoding: vertices are emitted in
 //! pre-order as `(block, optional QC, child count)` entries, and the decoder
 //! rebuilds the tree with an explicit stack of `(parent, remaining children)`
 //! frames — no recursion, O(n) both ways. The ledger part is the flat
@@ -12,13 +29,14 @@
 //!
 //! The format is deliberately binary (length-prefixed, big-endian, version
 //! tagged): digests and signatures are 32 raw bytes, which the in-tree JSON
-//! value (f64 numbers) cannot hold losslessly. Every block id is re-derived
-//! from the decoded header and payload and compared against the encoded id,
-//! so a corrupted or tampered snapshot fails decoding instead of poisoning
-//! the forest.
+//! value (f64 numbers) cannot hold losslessly. Every chunk body is covered by
+//! a CRC-32, every block id is re-derived from the decoded header and payload
+//! and compared against the encoded id, and the ledger must link parent to
+//! child across chunk borders, so a corrupted or tampered snapshot fails
+//! decoding instead of poisoning the forest.
 
 use bamboo_types::wire::{
-    decode_block, decode_opt_qc, decode_qc, encode_block, encode_opt_qc, encode_qc, put_u16,
+    crc32, decode_block, decode_opt_qc, decode_qc, encode_block, encode_opt_qc, encode_qc, put_u16,
     put_u32, put_u64,
 };
 use bamboo_types::{Block, BlockId, Height, QuorumCert, SharedBlock, SimTime, View, WireCursor};
@@ -29,7 +47,12 @@ use crate::ledger::{CommittedBlock, Ledger};
 /// Format magic + version. Bump the version for any layout change; decoders
 /// reject unknown versions instead of misparsing.
 const MAGIC: &[u8; 4] = b"BSNP";
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
+/// Bytes in front of a chunk body: magic, version, body length, CRC.
+const CHUNK_HEADER_BYTES: usize = 14;
+/// Lower bound on one encoded ledger entry; bounds what a declared entry
+/// count may reserve before the entries themselves have been read.
+const MIN_ENTRY_BYTES: usize = 64;
 
 /// Why a snapshot failed to decode.
 ///
@@ -48,32 +71,90 @@ pub struct Snapshot {
     pub forest: BlockForest,
 }
 
+/// One chunk of a checkpoint stream, located by its header alone (the body
+/// is neither checksummed nor parsed until [`Snapshot::decode`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Chunk<'a> {
+    /// Ledger index of the first entry the chunk carries.
+    pub from: u64,
+    /// Ledger length once the chunk is applied.
+    pub to: u64,
+    /// The whole chunk, header included.
+    pub bytes: &'a [u8],
+}
+
+/// Splits a checkpoint stream at its chunk borders. A malformed header
+/// yields one `Err` and ends the walk.
+pub fn chunks(mut rest: &[u8]) -> impl Iterator<Item = Result<Chunk<'_>, SnapshotError>> {
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let chunk = next_chunk(rest);
+        rest = chunk.as_ref().map_or(&[], |c| &rest[c.bytes.len()..]);
+        Some(chunk)
+    })
+}
+
+fn next_chunk(stream: &[u8]) -> Result<Chunk<'_>, SnapshotError> {
+    let mut cur = WireCursor::new(stream);
+    if cur.take(4)? != MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    let version = cur.u16()?;
+    if version != VERSION {
+        return Err(SnapshotError::UnsupportedVersion(version));
+    }
+    let body_len = cur.u32()? as usize;
+    let _crc = cur.u32()?;
+    let mut body = WireCursor::new(cur.take(body_len)?);
+    let from = body.u64()?;
+    let to = from
+        .checked_add(body.u32()? as u64)
+        .ok_or(SnapshotError::Corrupt("chunk range overflows"))?;
+    Ok(Chunk {
+        from,
+        to,
+        bytes: &stream[..CHUNK_HEADER_BYTES + body_len],
+    })
+}
+
 impl Snapshot {
     /// Height of the committed head the snapshot was taken at.
     pub fn committed_height(&self) -> Height {
         self.forest.committed_head().height
     }
 
-    /// Encodes `forest` + `ledger` into the versioned binary form.
+    /// Encodes `forest` + the whole `ledger` as a one-chunk image.
+    pub fn encode(forest: &BlockForest, ledger: &Ledger) -> Vec<u8> {
+        Self::encode_chunk(forest, ledger, 0)
+    }
+
+    /// Encodes one chunk: the ledger entries `[from, ledger.len())` plus the
+    /// current head. Appended to chunks covering `[0, from)` it completes the
+    /// image; with `from == 0` it is the whole image.
     ///
     /// Only the subtree reachable from the committed head is captured:
     /// orphans (unresolvable by definition) and fork remnants disconnected
     /// by pruning are not part of the durable state.
-    pub fn encode(forest: &BlockForest, ledger: &Ledger) -> Vec<u8> {
+    pub fn encode_chunk(forest: &BlockForest, ledger: &Ledger, from: usize) -> Vec<u8> {
+        let from = from.min(ledger.len());
         let mut out = Vec::with_capacity(1024);
         out.extend_from_slice(MAGIC);
         put_u16(&mut out, VERSION);
-        let stats = forest.stats();
-        put_u64(&mut out, stats.committed_blocks);
-        put_u64(&mut out, stats.forked_blocks);
+        out.extend_from_slice(&[0; 8]); // body length + CRC, patched below
 
-        put_u32(&mut out, ledger.len() as u32);
-        for committed in ledger.iter() {
+        put_u64(&mut out, from as u64);
+        put_u32(&mut out, (ledger.len() - from) as u32);
+        for committed in ledger.iter().skip(from) {
             encode_block(&mut out, &committed.block);
             put_u64(&mut out, committed.committed_in_view.as_u64());
             put_u64(&mut out, committed.committed_at.as_nanos());
         }
 
+        let stats = forest.stats();
+        put_u64(&mut out, stats.committed_blocks);
+        put_u64(&mut out, stats.forked_blocks);
         // Flattened pre-order of the uncommitted subtree. The root (committed
         // head) block itself lives in the ledger (or is genesis), so only its
         // QC and child count are emitted here.
@@ -94,47 +175,78 @@ impl Snapshot {
         }
         put_u32(&mut out, count);
         out.extend_from_slice(&entries);
-
         encode_qc(&mut out, forest.high_qc());
+
+        let body_len = (out.len() - CHUNK_HEADER_BYTES) as u32;
+        let crc = crc32(&out[CHUNK_HEADER_BYTES..]);
+        out[6..10].copy_from_slice(&body_len.to_be_bytes());
+        out[10..14].copy_from_slice(&crc.to_be_bytes());
         out
     }
 
-    /// Decodes a snapshot, verifying every block id and the committed chain
-    /// linkage along the way.
+    /// Decodes an image: one or more consecutive chunks starting at
+    /// `from == 0`.
     ///
     /// # Errors
     ///
     /// Returns the [`SnapshotError`] describing the first structural or
     /// integrity violation.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        let mut cur = WireCursor::new(bytes);
-        if cur.take(4)? != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = cur.u16()?;
-        if version != VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let committed_count = cur.u64()?;
-        let forked_count = cur.u64()?;
+        Self::decode_onto(&Ledger::new(), bytes)
+    }
 
-        let ledger_len = cur.u32()? as usize;
-        let mut committed = Vec::with_capacity(ledger_len.min(65_536));
-        for _ in 0..ledger_len {
-            let block = SharedBlock::new(decode_block(&mut cur)?);
-            let committed_in_view = View(cur.u64()?);
-            let committed_at = SimTime(cur.u64()?);
-            committed.push(CommittedBlock {
-                block,
-                committed_in_view,
-                committed_at,
-            });
+    /// Decodes a chunk stream whose first chunk may start inside `base` (a
+    /// state-transfer suffix): entries of `base` below that chunk's `from`
+    /// are kept, everything above comes from the stream. Verifies every
+    /// chunk's CRC and block ids, that each later chunk starts at the running
+    /// length (or re-bases at 0), and parent linkage across chunk borders.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`SnapshotError`] describing the first structural or
+    /// integrity violation.
+    pub fn decode_onto(base: &Ledger, bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
+        let mut committed: Vec<CommittedBlock> = Vec::new();
+        let mut head = None;
+        for (index, chunk) in chunks(bytes).enumerate() {
+            let chunk = chunk?;
+            let body = &chunk.bytes[CHUNK_HEADER_BYTES..];
+            let crc = u32::from_be_bytes(chunk.bytes[10..14].try_into().expect("4 bytes"));
+            if crc32(body) != crc {
+                return Err(SnapshotError::Corrupt("chunk checksum mismatch"));
+            }
+            let from = chunk.from as usize;
+            if from == 0 {
+                committed.clear();
+            } else if index == 0 && from <= base.len() {
+                committed.extend(base.iter().take(from).cloned());
+            } else if from != committed.len() {
+                return Err(SnapshotError::Corrupt("chunk does not start at ledger end"));
+            }
+            let mut cur = WireCursor::new(&body[12..]);
+            let count = (chunk.to - chunk.from) as usize;
+            committed.reserve(count.min(body.len() / MIN_ENTRY_BYTES));
+            for _ in 0..count {
+                let block = SharedBlock::new(decode_block(&mut cur)?);
+                let committed_in_view = View(cur.u64()?);
+                let committed_at = SimTime(cur.u64()?);
+                committed.push(CommittedBlock {
+                    block,
+                    committed_in_view,
+                    committed_at,
+                });
+            }
+            // Only the newest head counts; older ones are skipped unparsed.
+            head = Some(cur);
         }
+        let mut cur = head.ok_or(SnapshotError::Truncated)?;
         let ledger = Ledger::restore(committed);
         if !ledger.verify_chain() {
             return Err(SnapshotError::Corrupt("ledger is not a linked chain"));
         }
 
+        let committed_count = cur.u64()?;
+        let forked_count = cur.u64()?;
         let root: SharedBlock = match ledger.len() {
             0 => SharedBlock::new(Block::genesis()),
             n => ledger.get(n - 1).expect("n > 0").block.clone(),
@@ -185,6 +297,9 @@ impl Snapshot {
         }
 
         forest.observe_qc(decode_qc(&mut cur)?);
+        if !cur.done() {
+            return Err(SnapshotError::Corrupt("trailing bytes after head"));
+        }
         Ok(Snapshot { ledger, forest })
     }
 }
@@ -393,29 +508,126 @@ mod tests {
         }
     }
 
+    /// Commits a chain one block at a time, cutting a chunk whenever the
+    /// ledger reaches one of `cuts` and a final one (with a live uncommitted
+    /// subtree) at `total`. Returns the chunk stream and the final state.
+    fn chunk_stream(cuts: &[u64], total: u64) -> (Vec<u8>, BlockForest, Ledger) {
+        let mut forest = BlockForest::new();
+        let mut ledger = Ledger::new();
+        let mut head = BlockId::GENESIS;
+        let mut stream = Vec::new();
+        let mut from = 0usize;
+        for view in 1..=total {
+            let block = child_of(&forest, head, view, 3);
+            head = block.id;
+            forest.insert(block).unwrap();
+            certify(&mut forest, head, view);
+            let newly = forest.commit(head).unwrap();
+            ledger.append(newly, View(view + 2), SimTime(view * 1000));
+            forest.prune_to_committed();
+            if cuts.contains(&view) {
+                stream.extend(Snapshot::encode_chunk(&forest, &ledger, from));
+                from = ledger.len();
+            }
+        }
+        let a = child_of(&forest, head, total + 1, 2);
+        let a_id = a.id;
+        forest.insert(a).unwrap();
+        let fork = child_of(&forest, head, total + 2, 1);
+        forest.insert(fork).unwrap();
+        certify(&mut forest, a_id, total + 1);
+        stream.extend(Snapshot::encode_chunk(&forest, &ledger, from));
+        (stream, forest, ledger)
+    }
+
     #[test]
-    fn truncation_and_corruption_are_rejected() {
-        let (forest, ledger) = replica_state(3);
-        let bytes = Snapshot::encode(&forest, &ledger);
-        // Every strict prefix fails cleanly (never panics, never half-parses
-        // into an Ok).
-        for cut in 0..bytes.len() {
-            assert!(
-                Snapshot::decode(&bytes[..cut]).is_err(),
-                "prefix of {cut} bytes decoded"
+    fn chunk_sequences_decode_to_the_one_shot_image() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for trial in 0..12u64 {
+            let total = 8 + trial * 3;
+            let cuts: Vec<u64> = (1..total)
+                .filter(|_| {
+                    rng = rng
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(trial + 1);
+                    (rng >> 60) < 4
+                })
+                .collect();
+            let (stream, forest, ledger) = chunk_stream(&cuts, total);
+            assert_eq!(chunks(&stream).count(), cuts.len() + 1);
+            let chunked = Snapshot::decode(&stream)
+                .unwrap_or_else(|e| panic!("trial {trial} cuts {cuts:?}: {e}"));
+            let whole = Snapshot::decode(&Snapshot::encode(&forest, &ledger)).unwrap();
+            assert_eq!(chunked.ledger.fingerprint(), ledger.fingerprint());
+            assert_eq!(chunked.ledger.fingerprint(), whole.ledger.fingerprint());
+            assert_eq!(chunked.forest.stats(), whole.forest.stats());
+            assert_eq!(chunked.forest.high_qc(), whole.forest.high_qc());
+            // Same forest shape: re-encoding either as one chunk is identical.
+            assert_eq!(
+                Snapshot::encode(&chunked.forest, &chunked.ledger),
+                Snapshot::encode(&whole.forest, &whole.ledger)
             );
         }
-        // Flip a byte inside the first committed block's id (right after the
-        // 30-byte header: magic, version, two counters, ledger length): the id
-        // re-derivation must catch it. Signature bytes are deliberately *not*
-        // integrity-checked here — a forged signature fails verification
-        // downstream instead.
-        let mut tampered = bytes.clone();
-        tampered[30] ^= 0xff;
-        assert!(
-            Snapshot::decode(&tampered).is_err(),
-            "tampered block id decoded"
+    }
+
+    #[test]
+    fn suffix_decodes_onto_a_base_and_a_rebase_supersedes() {
+        let (stream, _, ledger) = chunk_stream(&[4, 9], 14);
+        let parts: Vec<Chunk<'_>> = chunks(&stream).map(Result::unwrap).collect();
+        assert_eq!(
+            parts.iter().map(|c| (c.from, c.to)).collect::<Vec<_>>(),
+            [(0, 4), (4, 9), (9, 14)]
         );
+        // A requester at height 6 holds chunk 0 and part of chunk 1.
+        let base = Ledger::restore(ledger.iter().take(6).cloned().collect());
+        let suffix = &stream[parts[0].bytes.len()..];
+        let snap = Snapshot::decode_onto(&base, suffix).expect("suffix onto base");
+        assert_eq!(snap.ledger.fingerprint(), ledger.fingerprint());
+        // The same suffix has no base to stand on at height 3, or alone.
+        let short = Ledger::restore(ledger.iter().take(3).cloned().collect());
+        assert!(Snapshot::decode_onto(&short, suffix).is_err());
+        assert!(Snapshot::decode(suffix).is_err());
+        // A gap between chunks is rejected; a `from == 0` chunk re-bases.
+        let gap = [parts[0].bytes, parts[2].bytes].concat();
+        assert!(Snapshot::decode(&gap).is_err());
+        let (rebase, _, other) = chunk_stream(&[], 5);
+        let mixed = [&stream[..], &rebase[..]].concat();
+        let snap = Snapshot::decode(&mixed).expect("re-based stream");
+        assert_eq!(snap.ledger.fingerprint(), other.fingerprint());
+    }
+
+    #[test]
+    fn truncation_and_corruption_are_rejected() {
+        let (bytes, _, _) = chunk_stream(&[2, 5], 7);
+        let borders: Vec<usize> = chunks(&bytes)
+            .scan(0, |end, c| {
+                *end += c.unwrap().bytes.len();
+                Some(*end)
+            })
+            .collect();
+        // A cut at a chunk border is a shorter, older image (what a crash
+        // before the newest chunk was durable leaves behind); every other
+        // strict prefix fails cleanly — never panics, never half-parses.
+        for cut in 0..bytes.len() {
+            match Snapshot::decode(&bytes[..cut]) {
+                Ok(snap) => {
+                    assert!(borders.contains(&cut), "prefix of {cut} bytes decoded");
+                    assert!(snap.ledger.len() < 7);
+                }
+                Err(_) => assert!(!borders.contains(&cut)),
+            }
+        }
+        // Every single-byte flip anywhere in the stream is caught: by the
+        // header checks, or by the CRC that also covers signature bytes and
+        // superseded heads the id re-derivation never sees.
+        for offset in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[offset] ^= 0x01;
+            assert!(
+                Snapshot::decode(&flipped).is_err(),
+                "flip at {offset} decoded"
+            );
+        }
         // Wrong magic and unknown version are typed errors.
         let mut bad_magic = bytes.clone();
         bad_magic[0] = b'X';
@@ -429,5 +641,20 @@ mod tests {
             Snapshot::decode(&bad_version),
             Err(SnapshotError::UnsupportedVersion(_))
         ));
+    }
+
+    #[test]
+    fn forged_entry_count_cannot_force_an_allocation() {
+        // A chunk that checksums correctly but declares 2^32 - 1 entries in a
+        // few dozen bytes: the reservation is bounded by the body length, and
+        // decoding runs off the end of the body.
+        let mut forged = Snapshot::encode(&BlockForest::new(), &Ledger::new());
+        forged[22..26].copy_from_slice(&u32::MAX.to_be_bytes());
+        let crc = crc32(&forged[CHUNK_HEADER_BYTES..]);
+        forged[10..14].copy_from_slice(&crc.to_be_bytes());
+        assert_eq!(
+            Snapshot::decode(&forged).err(),
+            Some(SnapshotError::Truncated)
+        );
     }
 }

@@ -82,8 +82,10 @@ impl CpuModel {
 
     /// Cost of encoding, decoding or integrity-checking `bytes` of checkpoint
     /// snapshot: one crypto-op-equivalent per 4 KiB (hashing dominates both
-    /// directions), minimum one. Charged when a replica takes a checkpoint,
-    /// serves its snapshot to a syncing peer, or installs a received one.
+    /// directions), minimum one. Charged on the bytes actually handled: the
+    /// one chunk a replica encodes when it takes a checkpoint, the chunks it
+    /// serves to a syncing peer, the chunks a peer installs, and the whole
+    /// image once when a restart decodes it.
     pub fn snapshot(&self, bytes: usize) -> SimDuration {
         let chunks = (bytes as u64).div_ceil(4096).max(1);
         SimDuration::from_nanos(self.crypto_op.as_nanos() * chunks)

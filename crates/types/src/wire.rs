@@ -156,6 +156,45 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_be_bytes());
 }
 
+// ---- CRC-32 (IEEE 802.3, reflected) -----------------------------------------
+
+const fn crc_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+}
+
+const CRC_TABLE: [u32; 256] = crc_table();
+
+/// Folds `bytes` into a running CRC-32 register (start from `!0`, finish by
+/// inverting) — for checksums spanning several slices.
+pub fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        crc = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    crc
+}
+
+/// CRC-32 (IEEE) over `bytes` — the integrity check framing every durable
+/// log record and every checkpoint chunk.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(!0, bytes)
+}
+
 // ---- consensus structures ---------------------------------------------------
 
 /// Encodes a block: id, header fields, justify QC, then the length-prefixed
