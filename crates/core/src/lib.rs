@@ -52,6 +52,7 @@
 #![warn(missing_docs)]
 
 pub mod benchmark;
+pub mod live;
 pub mod metrics;
 pub mod parallel;
 pub mod quorum;
@@ -66,6 +67,7 @@ pub mod workload;
 
 pub use bamboo_sim::{DelayDist, FluctuationWindow, LinkFault, Topology};
 pub use benchmark::{Benchmarker, CurvePoint, SweepOptions};
+pub use live::ClusterReport;
 pub use metrics::{
     LatencyStats, MempoolTotals, Metrics, RecoveryReport, RunReport, ThroughputSample,
 };
@@ -81,6 +83,6 @@ pub use storage::{
     DecodedStream, FileBackend, MemoryBackend, RecordKind, ReplayResult, SegmentBackend,
     SegmentLog, StorageFault,
 };
-pub use threaded::{ClusterReport, ThreadedCluster, DEFAULT_VERIFY_WORKERS};
+pub use threaded::{ThreadedCluster, DEFAULT_VERIFY_WORKERS};
 pub use verify::{VerifyHandle, VerifyPool};
 pub use workload::{Arrival, ClosedLoopWorkload, OpenLoopWorkload, Workload, CLIENT_ID_BASE};

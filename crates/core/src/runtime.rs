@@ -1,38 +1,37 @@
-//! The shared runtime spine of both deployment modes.
+//! The shared runtime spine of every deployment mode.
 //!
 //! A [`crate::Replica`] is a pure state machine: it consumes
 //! [`ReplicaEvent`]s and returns a [`HandleResult`] describing messages to
 //! send, timers to arm and delayed proposals to schedule. Everything that
-//! differs between the deterministic simulator and the live threaded cluster
-//! is *how* those effects are realised — which is exactly what the
-//! [`Transport`] trait captures:
+//! differs between the deterministic simulator and the live backends is *how*
+//! those effects are realised — which is exactly what the [`Transport`] trait
+//! captures. There are two implementations:
 //!
 //! * the simulator buffers the effects (via [`BufferedTransport`]) and maps
 //!   them onto its discrete-event queue with modelled latency, NIC and CPU
 //!   delays,
-//! * the threaded runtime pushes messages straight into per-replica channels
-//!   and keeps timer deadlines in a thread-local list checked against the
-//!   wall clock.
+//! * the live backends (threaded cluster, TCP) share one: the driver in
+//!   [`crate::live`] keeps the deadlines in a per-node list checked against
+//!   the wall clock and sends messages through the backend's
+//!   [`crate::live::Link`].
 //!
 //! The [`NodeHost`] is the common driver: it owns the replica, feeds events
 //! into it, routes every effect into the backend's `Transport`, and hands the
 //! backend a [`StepReport`] (CPU time consumed plus newly committed blocks)
-//! for accounting. Future backends — sharded, async, networked — implement
-//! `Transport` and reuse the host unchanged.
+//! for accounting.
 //!
 //! The host is also the **authenticated ingress stage**: every
-//! [`ReplicaEvent::Message`] fed through [`NodeHost::handle`] (or its
-//! shared-envelope sibling [`NodeHost::handle_shared`]) is cryptographically
-//! verified (signatures, certificate thresholds, block ids) by an
-//! [`Authenticator`] *before* the replica state machine sees it; forgeries
-//! are dropped and counted. Backends that verify elsewhere — the threaded
-//! runtime's [`crate::verify::VerifyPool`] checks messages on worker threads
-//! so crypto pipelines with consensus, and the simulator verifies each unique
-//! envelope once when it is absorbed and fans the verdict out — hand the
-//! resulting [`VerifiedMessage`] proof token to [`NodeHost::handle_verified`]
-//! (or book the failure via [`NodeHost::reject_forged`]), which skips the
-//! duplicate check. Either way, no unchecked signature can reach
-//! [`Replica::handle`].
+//! [`ReplicaEvent::Message`] fed through [`NodeHost::handle`] is
+//! cryptographically verified (signatures, certificate thresholds, block
+//! ids) by an [`Authenticator`] *before* the replica state machine sees it;
+//! forgeries are dropped and counted. Backends that verify elsewhere — the
+//! live backends' [`crate::verify::VerifyPool`]s check messages on worker
+//! threads so crypto pipelines with consensus, and the simulator verifies
+//! each unique envelope once when it is absorbed and fans the verdict out —
+//! hand the resulting [`VerifiedMessage`] proof token to
+//! [`NodeHost::handle_verified`] (or book the failure via
+//! [`NodeHost::reject_forged`]), which skips the duplicate check. Either way,
+//! no unchecked signature can reach [`Replica::handle`].
 
 use bamboo_sim::CpuModel;
 use bamboo_types::{
@@ -47,8 +46,8 @@ use crate::replica::{Destination, HandleResult, Replica, ReplicaEvent, ReplicaOp
 /// All methods are invoked while the replica handles one event; the backend
 /// decides delivery timing (immediate for live channels, modelled for the
 /// simulator). `deadline`/`at` are absolute times on the backend's clock —
-/// simulated time for the simulator, nanoseconds since cluster start for the
-/// threaded runtime.
+/// simulated time for the simulator, nanoseconds since start for the live
+/// backends.
 pub trait Transport {
     /// Deliver `message` to a single replica.
     fn unicast(&mut self, to: NodeId, message: Message);
@@ -84,8 +83,8 @@ pub struct StepReport {
 /// The shared node-host driver: one replica plus the logic that routes its
 /// effects into a [`Transport`].
 ///
-/// Both [`crate::SimRunner`] and [`crate::threaded::ThreadedCluster`] drive
-/// their replicas exclusively through this type, so the two runtimes cannot
+/// [`crate::SimRunner`] and the live driver ([`crate::live::run_live_node`])
+/// drive their replicas exclusively through this type, so the runtimes cannot
 /// drift apart in how replica output is interpreted.
 pub struct NodeHost {
     replica: Replica,
@@ -234,27 +233,9 @@ impl NodeHost {
         report
     }
 
-    /// Feeds a shared envelope into the replica, verifying it inline first —
-    /// [`NodeHost::handle`] for backends that deliver [`SharedMessage`]
-    /// handles (the threaded runtime's channels). The sole remaining holder
-    /// recovers the owned message without a copy.
-    pub fn handle_shared(
-        &mut self,
-        from: NodeId,
-        message: SharedMessage,
-        now: SimTime,
-        transport: &mut dyn Transport,
-    ) -> StepReport {
-        let cost = verification_cost(&self.cpu, self.authenticator.signed_clients(), &message);
-        match self.authenticator.authenticate_shared(from, message) {
-            Ok(verified) => self.handle_verified(verified, now, transport),
-            Err(_) => self.reject(cost),
-        }
-    }
-
     /// Feeds an already-verified message into the replica, skipping the
-    /// inline check. Backends that verify elsewhere — the threaded runtime's
-    /// verify pool, the simulator's verify-once broadcast fan-out — use this;
+    /// inline check. Backends that verify elsewhere — the live backends'
+    /// verify pools, the simulator's verify-once broadcast fan-out — use this;
     /// the [`VerifiedMessage`] token can only be minted by an
     /// [`Authenticator`], so the no-unchecked-input invariant holds by
     /// construction.

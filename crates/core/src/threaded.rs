@@ -6,219 +6,52 @@
 //! its own OS thread, messages travel over `std::sync::mpsc` channels, and
 //! time is the real wall clock.
 //!
-//! The threaded cluster is a thin backend over the shared runtime layer
-//! ([`crate::runtime`]): the same [`NodeHost`] drives the same replica state
-//! machine as the simulator, and all backend-specific behaviour lives in
-//! the (private) `ThreadTransport` — immediate channel delivery plus a list
-//! of armed view timers checked against the wall clock. Because the timers
+//! The threaded cluster is a thin backend over the shared live driver
+//! ([`crate::live`]): every replica thread runs [`run_live_node`] — the same
+//! loop, deadline book and commit accounting as the TCP backend — and the
+//! only backend-specific code is the (private) `PoolLink`, which hands
+//! outbound messages to the cluster's verify pool. Because the view timers
 //! are real, a stalled or silenced leader cannot hang the cluster: every
 //! replica times out, broadcasts its timeout vote, and the view advances
 //! without requiring any message traffic to keep the loop turning.
 //!
-//! Inbound consensus messages are authenticated before they reach a replica.
-//! By default they flow through a cluster-level [`VerifyPool`]: transports
-//! submit raw messages, the pool's workers check every signature off the
-//! consensus threads, and replicas only ever receive
-//! [`bamboo_types::VerifiedMessage`] proof tokens (a broadcast is verified
-//! once, not once per recipient). A cluster spawned with zero verify workers
-//! falls back to inline verification inside [`NodeHost::handle`] on each
-//! replica thread — same guarantee, serialised onto the consensus thread.
+//! Inbound consensus messages are authenticated before they reach a replica:
+//! links submit raw messages to a cluster-level [`VerifyPool`], the pool's
+//! workers check every signature off the consensus threads, and replicas only
+//! ever receive [`bamboo_types::VerifiedMessage`] proof tokens (a broadcast is
+//! verified once, not once per recipient).
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bamboo_crypto::KeyPair;
-use bamboo_types::{
-    ClientRequest, Config, Message, NodeId, ProtocolKind, SharedMessage, SimTime, Transaction,
-    VerifiedMessage, View,
-};
+use bamboo_types::{ClientRequest, Config, Message, NodeId, ProtocolKind, SimTime, Transaction};
 
-use crate::replica::{ReplicaEvent, ReplicaOptions};
-use crate::runtime::{NodeHost, StepReport, Transport};
-use crate::storage::{SegmentLog, StorageFault};
+use crate::live::{
+    cluster_report, run_live_node, ClusterReport, ClusterStorage, Link, LiveEvent, LiveStatus,
+    RecoverMode, RoundRobinLoad,
+};
+use crate::runtime::NodeHost;
+use crate::storage::StorageFault;
 use crate::verify::{VerifyHandle, VerifyPool};
 
-/// Distinguishes the storage directories of clusters spawned by the same
-/// process (tests spawn several), on top of the per-process component.
-static CLUSTER_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Summary of one threaded run.
-#[derive(Clone, Debug)]
-pub struct ClusterReport {
-    /// Committed blocks per replica (indexed by node id).
-    pub committed_blocks: Vec<usize>,
-    /// Committed transactions observed at replica 0.
-    pub committed_txs: u64,
-    /// Highest view reached across replicas.
-    pub max_view: u64,
-    /// Whether all honest ledgers were pairwise consistent at shutdown.
-    pub ledgers_consistent: bool,
-    /// Conflicting-commit events observed across all replicas (must be 0).
-    pub safety_violations: u64,
-    /// Timeout-driven view changes summed across replicas.
-    pub timeout_view_changes: u64,
-    /// Messages rejected by the authentication stage (verify pool plus
-    /// inline ingress) as forged or malformed.
-    pub auth_rejections: u64,
-    /// Signed client requests rejected at the replica edge as forged
-    /// (signed-client mode only; always 0 otherwise).
-    pub client_auth_rejections: u64,
-}
-
-enum ThreadEvent {
-    /// A raw inbound message (inline-verification mode: the receiving
-    /// replica's `NodeHost` authenticates it). Delivered as the shared
-    /// envelope, so a broadcast pushes n − 1 pointer bumps into the peer
-    /// channels instead of n − 1 envelope copies.
-    Inbound {
-        from: NodeId,
-        message: SharedMessage,
-    },
-    /// A message the verify pool already authenticated.
-    Verified(VerifiedMessage),
-    /// A batch of client requests; the receiving host runs the edge
-    /// verification stage (signature check and strip, in signed-client mode)
-    /// before the transactions reach the replica's mempool.
-    Client(Vec<ClientRequest>),
-    /// Fault injection: the replica stops processing everything (messages,
-    /// timers, client traffic) until a `Recover` arrives.
-    Crash,
-    /// Fault injection: the replica resumes. With `durable` it restarts from
-    /// its durable segment log (optionally after `storage_fault` mangled the
-    /// log at the crash point); with `amnesia` it restarts from its latest
-    /// volatile checkpoint and state-transfers the lost history back;
-    /// otherwise it simply resumes from its pre-crash in-memory state.
-    Recover {
-        amnesia: bool,
-        durable: bool,
-        storage_fault: Option<StorageFault>,
-    },
-    Shutdown,
-}
-
-/// The threaded backend's [`Transport`]: messages go straight into the peer
-/// channels; timers and delayed proposals are kept thread-local and fired by
-/// the replica thread's own loop when the wall clock passes their deadline.
-struct ThreadTransport {
+/// The threaded backend's [`Link`]: outbound messages go to the cluster's
+/// verification pool, which delivers proof tokens into the peer channels.
+struct PoolLink {
     id: NodeId,
-    peers: Vec<Sender<ThreadEvent>>,
-    /// When present, outbound messages are routed through the cluster's
-    /// verification pool instead of straight into the peer channels.
-    verify: Option<VerifyHandle>,
-    /// Armed view timers: `(view, absolute deadline)`.
-    timers: Vec<(View, SimTime)>,
-    /// Scheduled delayed proposals: `(view, absolute time)`.
-    proposals: Vec<(View, SimTime)>,
-    /// Armed sync timers (state-transfer debounce/retry deadlines).
-    sync_timers: Vec<SimTime>,
+    verify: VerifyHandle,
 }
 
-impl ThreadTransport {
-    fn new(id: NodeId, peers: Vec<Sender<ThreadEvent>>, verify: Option<VerifyHandle>) -> Self {
-        Self {
-            id,
-            peers,
-            verify,
-            timers: Vec::new(),
-            proposals: Vec::new(),
-            sync_timers: Vec::new(),
-        }
-    }
-
-    /// Earliest pending deadline among timers, delayed proposals and sync
-    /// timers.
-    fn next_deadline(&self) -> Option<SimTime> {
-        let timer = self.timers.iter().map(|&(_, d)| d).min();
-        let proposal = self.proposals.iter().map(|&(_, d)| d).min();
-        let sync = self.sync_timers.iter().copied().min();
-        [timer, proposal, sync].into_iter().flatten().min()
-    }
-
-    /// Removes and returns one timer whose deadline has passed.
-    fn due_timer(&mut self, now: SimTime) -> Option<View> {
-        let index = self.timers.iter().position(|&(_, d)| d <= now)?;
-        Some(self.timers.swap_remove(index).0)
-    }
-
-    /// Removes and returns one delayed proposal whose time has come.
-    fn due_proposal(&mut self, now: SimTime) -> Option<View> {
-        let index = self.proposals.iter().position(|&(_, d)| d <= now)?;
-        Some(self.proposals.swap_remove(index).0)
-    }
-
-    /// Removes one sync timer whose deadline has passed, if any.
-    fn due_sync_timer(&mut self, now: SimTime) -> bool {
-        match self.sync_timers.iter().position(|&d| d <= now) {
-            Some(index) => {
-                self.sync_timers.swap_remove(index);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Drops timers and proposals for views the replica has already left, so
-    /// the pending lists stay bounded over long runs. Sync timers are
-    /// view-less and self-consume on firing, so they are left alone.
-    fn prune_stale(&mut self, current_view: View) {
-        self.timers.retain(|&(view, _)| view >= current_view);
-        self.proposals.retain(|&(view, _)| view >= current_view);
-    }
-
-    /// Drops every armed deadline — an amnesia restart invalidates timers
-    /// armed for pre-crash views.
-    fn clear_deadlines(&mut self) {
-        self.timers.clear();
-        self.proposals.clear();
-        self.sync_timers.clear();
-    }
-}
-
-impl Transport for ThreadTransport {
+impl Link for PoolLink {
     fn unicast(&mut self, to: NodeId, message: Message) {
-        if let Some(verify) = &self.verify {
-            verify.submit_unicast(self.id, to, message);
-        } else if let Some(sender) = self.peers.get(to.index()) {
-            let _ = sender.send(ThreadEvent::Inbound {
-                from: self.id,
-                message: SharedMessage::new(message),
-            });
-        }
+        self.verify.submit_unicast(self.id, to, message);
     }
 
     fn broadcast(&mut self, message: Message) {
-        if let Some(verify) = &self.verify {
-            // One submission: the pool verifies once and fans the proof token
-            // out to every peer, instead of n - 1 redundant verifications.
-            verify.submit_broadcast(self.id, message);
-            return;
-        }
-        // Wrap the envelope once; each peer channel gets a pointer bump.
-        let message = SharedMessage::new(message);
-        for (index, sender) in self.peers.iter().enumerate() {
-            if index != self.id.index() {
-                let _ = sender.send(ThreadEvent::Inbound {
-                    from: self.id,
-                    message: message.clone(),
-                });
-            }
-        }
-    }
-
-    fn arm_timer(&mut self, view: View, deadline: SimTime) {
-        self.timers.push((view, deadline));
-    }
-
-    fn schedule_proposal(&mut self, view: View, at: SimTime) {
-        self.proposals.push((view, at));
-    }
-
-    fn arm_sync_timer(&mut self, deadline: SimTime) {
-        self.sync_timers.push(deadline);
+        // One submission: the pool verifies once and fans the proof token
+        // out to every peer, instead of n - 1 redundant verifications.
+        self.verify.submit_broadcast(self.id, message);
     }
 }
 
@@ -230,14 +63,15 @@ pub const DEFAULT_VERIFY_WORKERS: usize = 2;
 /// A running in-process cluster of replica threads.
 pub struct ThreadedCluster {
     config: Config,
-    senders: Vec<Sender<ThreadEvent>>,
+    senders: Vec<Sender<LiveEvent>>,
     handles: Vec<JoinHandle<NodeHost>>,
-    verify_pool: Option<VerifyPool>,
+    verify_pool: VerifyPool,
     started_at: Instant,
-    committed_txs: Arc<Mutex<u64>>,
-    /// Root of the per-node durable-log directories; removed at shutdown.
-    /// `None` unless [`Config::durable_log`] is set.
-    storage_dir: Option<PathBuf>,
+    /// Per-replica commit progress, published by the replica threads.
+    statuses: Vec<Arc<LiveStatus>>,
+    load: RoundRobinLoad,
+    /// Per-node durable-log directories; removed when the cluster is dropped.
+    _storage: ClusterStorage,
 }
 
 impl ThreadedCluster {
@@ -247,65 +81,54 @@ impl ThreadedCluster {
         Self::spawn_with_verify_workers(config, protocol, DEFAULT_VERIFY_WORKERS)
     }
 
-    /// Spawns the cluster with an explicit verification-pool size. Zero
-    /// workers selects inline verification: each replica thread authenticates
-    /// its own inbound messages on the consensus thread (the configuration
-    /// the `verify_pool_throughput` micro-bench compares against).
+    /// Spawns the cluster with an explicit verification-pool size (at least
+    /// one worker, the same rule as the TCP backend's per-node pools).
     pub fn spawn_with_verify_workers(
         config: Config,
         protocol: ProtocolKind,
         verify_workers: usize,
     ) -> Self {
         let nodes = config.nodes;
-        let mut senders: Vec<Sender<ThreadEvent>> = Vec::with_capacity(nodes);
-        let mut receivers: Vec<Receiver<ThreadEvent>> = Vec::with_capacity(nodes);
-        for _ in 0..nodes {
-            let (tx, rx) = channel();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let verify_pool = (verify_workers > 0).then(|| {
-            let peers = senders.clone();
-            VerifyPool::new(nodes, verify_workers, move |to, verified| {
-                if let Some(sender) = peers.get(to.index()) {
-                    let _ = sender.send(ThreadEvent::Verified(verified));
-                }
-            })
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..nodes).map(|_| channel()).unzip();
+        let peers: Vec<Sender<LiveEvent>> = senders.clone();
+        let verify_pool = VerifyPool::new(nodes, verify_workers.max(1), move |to, verified| {
+            if let Some(sender) = peers.get(to.index()) {
+                let _ = sender.send(LiveEvent::Verified(verified));
+            }
         });
         let started_at = Instant::now();
-        let committed_txs = Arc::new(Mutex::new(0u64));
-        // Durable-log mode: each replica gets its own directory of real
-        // segment files under a unique per-cluster root, mirroring a process
-        // with a local disk. Removed at shutdown.
-        let storage_dir = config.durable_log.then(|| {
-            let seq = CLUSTER_SEQ.fetch_add(1, Ordering::Relaxed);
-            std::env::temp_dir().join(format!("bamboo-cluster-{}-{seq}", std::process::id()))
-        });
-        let mut handles = Vec::with_capacity(nodes);
-        for (index, receiver) in receivers.into_iter().enumerate() {
-            let id = NodeId(index as u64);
-            let config = config.clone();
-            let peers = senders.clone();
-            let committed = Arc::clone(&committed_txs);
-            let verify = verify_pool.as_ref().map(VerifyPool::handle);
-            let node_dir = storage_dir
-                .as_ref()
-                .map(|dir| dir.join(format!("node-{index}")));
-            let handle = std::thread::spawn(move || {
-                run_replica_thread(
-                    id, protocol, config, receiver, peers, verify, started_at, committed, node_dir,
-                )
-            });
-            handles.push(handle);
-        }
+        let storage = ClusterStorage::for_config(&config);
+        let statuses: Vec<Arc<LiveStatus>> = (0..nodes).map(|_| Arc::default()).collect();
+        let handles = receivers
+            .into_iter()
+            .zip(&statuses)
+            .enumerate()
+            .map(|(index, (receiver, status))| {
+                let id = NodeId(index as u64);
+                let host = storage.boot_host(id, protocol, config.clone());
+                let verify = verify_pool.handle();
+                let status = Arc::clone(status);
+                std::thread::spawn(move || {
+                    let mut link = PoolLink { id, verify };
+                    run_live_node(host, &mut link, &receiver, started_at, &status)
+                })
+            })
+            .collect();
         Self {
+            load: RoundRobinLoad::new(nodes, config.signed_requests),
             config,
             senders,
             handles,
             verify_pool,
             started_at,
-            committed_txs,
-            storage_dir,
+            statuses,
+            _storage: storage,
+        }
+    }
+
+    fn send(&self, replica: NodeId, event: LiveEvent) {
+        if let Some(sender) = self.senders.get(replica.index()) {
+            let _ = sender.send(event);
         }
     }
 
@@ -322,17 +145,13 @@ impl ThreadedCluster {
 
     /// Submits a batch of client requests (signed or not) to a replica.
     pub fn submit_requests(&self, replica: NodeId, requests: Vec<ClientRequest>) {
-        if let Some(sender) = self.senders.get(replica.index()) {
-            let _ = sender.send(ThreadEvent::Client(requests));
-        }
+        self.send(replica, LiveEvent::Client(requests));
     }
 
     /// Crashes a replica: it stops processing messages, timers and client
     /// traffic until [`ThreadedCluster::recover`] is called for it.
     pub fn crash(&self, replica: NodeId) {
-        if let Some(sender) = self.senders.get(replica.index()) {
-            let _ = sender.send(ThreadEvent::Crash);
-        }
+        self.send(replica, LiveEvent::Crash);
     }
 
     /// Recovers a crashed replica. With `amnesia` the replica discards its
@@ -340,13 +159,12 @@ impl ThreadedCluster {
     /// state-transfers the missing history from its peers; without, it
     /// resumes from the state it crashed with.
     pub fn recover(&self, replica: NodeId, amnesia: bool) {
-        if let Some(sender) = self.senders.get(replica.index()) {
-            let _ = sender.send(ThreadEvent::Recover {
-                amnesia,
-                durable: false,
-                storage_fault: None,
-            });
-        }
+        let mode = if amnesia {
+            RecoverMode::Amnesia
+        } else {
+            RecoverMode::Resume
+        };
+        self.send(replica, LiveEvent::Recover(mode));
     }
 
     /// Recovers a crashed replica from its own durable segment log: the
@@ -355,40 +173,40 @@ impl ThreadedCluster {
     /// and state-transfers only the tail. Requires the cluster to run with
     /// [`Config::durable_log`]; without it, the restart degrades to amnesia.
     pub fn recover_durable(&self, replica: NodeId, storage_fault: Option<StorageFault>) {
-        if let Some(sender) = self.senders.get(replica.index()) {
-            let _ = sender.send(ThreadEvent::Recover {
-                amnesia: false,
-                durable: true,
-                storage_fault,
-            });
-        }
+        let mode = RecoverMode::Durable(storage_fault);
+        self.send(replica, LiveEvent::Recover(mode));
     }
 
     /// Convenience: submits `count` transactions of `payload` bytes
-    /// round-robin across all replicas. In signed-client mode each request is
-    /// signed with the issuing client's derived key, so the batches pass the
-    /// edge check.
+    /// round-robin across all replicas, continuing the sequence numbers of
+    /// earlier calls. In signed-client mode each request is signed with the
+    /// issuing client's derived key, so the batches pass the edge check.
     pub fn submit_round_robin(&self, count: u64, payload: usize) {
         let now = SimTime(self.started_at.elapsed().as_nanos() as u64);
-        let client = NodeId(999);
-        let keypair = self
-            .config
-            .signed_requests
-            .then(|| KeyPair::client_from_seed(client.as_u64()));
-        for seq in 0..count {
-            let replica = NodeId(seq % self.config.nodes as u64);
-            let tx = Transaction::new(client, seq, payload, now);
-            let request = match &keypair {
-                Some(keypair) => ClientRequest::signed(tx, keypair),
-                None => ClientRequest::unsigned(tx),
-            };
-            self.submit_requests(replica, vec![request]);
+        for (seat, request) in self.load.next_requests(count, payload, now, |_| true) {
+            self.submit_requests(NodeId(seat as u64), vec![request]);
         }
     }
 
     /// Committed transactions observed so far (at replica 0).
     pub fn committed_txs(&self) -> u64 {
-        *self.committed_txs.lock().expect("counter lock poisoned")
+        self.statuses[0].committed_txs()
+    }
+
+    /// The live prefix oracle: every honest replica's fingerprint of the
+    /// shortest committed prefix among them, compared without stopping the
+    /// cluster. Returns the agreed prefix length, or the first replica that
+    /// disagrees with its predecessor.
+    pub fn check_prefix_agreement(&self) -> Result<u64, NodeId> {
+        let is_honest = |&index: &usize| !self.config.is_byzantine(NodeId(index as u64));
+        let honest: Vec<usize> = (0..self.statuses.len()).filter(is_honest).collect();
+        let blocks = |&index: &usize| self.statuses[index].committed_blocks();
+        let shared = honest.iter().map(blocks).min().unwrap_or(0);
+        let prefix = |index: usize| self.statuses[index].chain_prefix(shared);
+        match honest.windows(2).find(|w| prefix(w[0]) != prefix(w[1])) {
+            Some(pair) => Err(NodeId(pair[1] as u64)),
+            None => Ok(shared),
+        }
     }
 
     /// Lets the cluster run for `duration` of wall-clock time.
@@ -426,209 +244,21 @@ impl ThreadedCluster {
     /// summary report carries.
     pub fn shutdown_with_hosts(self) -> (ClusterReport, Vec<NodeHost>) {
         for sender in &self.senders {
-            let _ = sender.send(ThreadEvent::Shutdown);
+            let _ = sender.send(LiveEvent::Shutdown);
         }
         let hosts: Vec<NodeHost> = self
             .handles
             .into_iter()
             .map(|h| h.join().expect("replica thread panicked"))
             .collect();
-        // Replica threads are gone, so every transport-held pool handle is
-        // dropped and the workers can drain and exit; the rejection total is
-        // sampled by `shutdown` only after the drain, so forgeries still
-        // queued in the pool when the replicas stopped are counted too.
-        let mut auth_rejections: u64 = hosts.iter().map(NodeHost::auth_rejections).sum();
-        let client_auth_rejections: u64 = hosts.iter().map(NodeHost::client_auth_rejections).sum();
-        if let Some(pool) = self.verify_pool {
-            let (_accepted, rejected) = pool.shutdown();
-            auth_rejections += rejected;
-        }
-        let replicas: Vec<&crate::Replica> = hosts.iter().map(NodeHost::replica).collect();
-        let committed_blocks: Vec<usize> = replicas.iter().map(|r| r.ledger().len()).collect();
-        let max_view = replicas
-            .iter()
-            .map(|r| r.current_view().as_u64())
-            .max()
-            .unwrap_or(0);
-        let mut safety_violations: u64 = replicas.iter().map(|r| r.safety_violations()).sum();
-        let timeout_view_changes: u64 = replicas.iter().map(|r| r.timeout_view_changes()).sum();
-        let honest: Vec<&&crate::Replica> = replicas
-            .iter()
-            .filter(|r| !self.config.is_byzantine(r.id()))
-            .collect();
-        let mut consistent = true;
-        for pair in honest.windows(2) {
-            if !pair[0].ledger().consistent_with(pair[1].ledger()) {
-                consistent = false;
-                safety_violations += 1;
-            }
-        }
-        let report = ClusterReport {
-            committed_blocks,
-            committed_txs: *self.committed_txs.lock().expect("counter lock poisoned"),
-            max_view,
-            ledgers_consistent: consistent,
-            safety_violations,
-            timeout_view_changes,
-            auth_rejections,
-            client_auth_rejections,
-        };
-        if let Some(dir) = &self.storage_dir {
-            let _ = std::fs::remove_dir_all(dir);
-        }
+        // Replica threads are gone, so every link-held pool handle is dropped
+        // and the workers can drain and exit; the rejection total is sampled
+        // only after the drain, so forgeries still queued in the pool when
+        // the replicas stopped are counted too.
+        let (_accepted, rejected) = self.verify_pool.shutdown();
+        let report = cluster_report(&self.config, hosts.iter().map(Some), rejected);
         (report, hosts)
     }
-}
-
-/// Upper bound on how long a replica thread sleeps when it has nothing armed;
-/// keeps shutdown latency bounded even if no timer is pending.
-const IDLE_WAIT: Duration = Duration::from_millis(20);
-
-#[allow(clippy::too_many_arguments)]
-fn run_replica_thread(
-    id: NodeId,
-    protocol: ProtocolKind,
-    config: Config,
-    receiver: Receiver<ThreadEvent>,
-    peers: Vec<Sender<ThreadEvent>>,
-    verify: Option<VerifyHandle>,
-    started_at: Instant,
-    committed_txs: Arc<Mutex<u64>>,
-    storage_dir: Option<PathBuf>,
-) -> NodeHost {
-    let (segment_bytes, fsync_interval) = (config.segment_bytes, config.fsync_interval);
-    let mut host = NodeHost::new(id, protocol, config, ReplicaOptions::default());
-    if let Some(dir) = storage_dir {
-        // Swap the default in-memory log for real files in this node's own
-        // directory; an existing directory (a restarted cluster) resumes at
-        // its durable append position.
-        let log = SegmentLog::on_disk(&dir, segment_bytes, fsync_interval)
-            .expect("create durable-log directory");
-        host.replica_mut().set_storage(log);
-    }
-    let mut transport = ThreadTransport::new(id, peers, verify);
-    let now = || SimTime(started_at.elapsed().as_nanos() as u64);
-
-    // Replica 0 is the designated observer for the cluster-wide commit
-    // counter, mirroring the simulator's single-observer accounting.
-    let account = |report: &StepReport| {
-        if id == NodeId(0) {
-            let newly: u64 = report
-                .committed
-                .iter()
-                .map(|b| b.payload.len() as u64)
-                .sum();
-            if newly > 0 {
-                *committed_txs.lock().expect("counter lock poisoned") += newly;
-            }
-        }
-    };
-
-    let report = host.start(now(), &mut transport);
-    account(&report);
-    // While crashed, the replica processes nothing: inbound traffic is
-    // dropped on the floor and armed deadlines do not fire. Only `Recover`
-    // and `Shutdown` are honoured.
-    let mut crashed = false;
-
-    loop {
-        let current = now();
-
-        if !crashed {
-            // Fire one expired view timer: this is what keeps a live cluster
-            // moving when a leader is silent — no message traffic is needed
-            // for the view change to happen.
-            if let Some(view) = transport.due_timer(current) {
-                let report =
-                    host.handle(ReplicaEvent::TimerFired { view }, current, &mut transport);
-                account(&report);
-                transport.prune_stale(host.replica().current_view());
-                continue;
-            }
-
-            // Fire one due delayed proposal (the non-responsive Fig. 15 mode).
-            if let Some(view) = transport.due_proposal(current) {
-                let report =
-                    host.handle(ReplicaEvent::ProposeNow { view }, current, &mut transport);
-                account(&report);
-                continue;
-            }
-
-            // Fire one due sync timer (state-transfer debounce/retry).
-            if transport.due_sync_timer(current) {
-                let report = host.handle(ReplicaEvent::SyncTimer, current, &mut transport);
-                account(&report);
-                continue;
-            }
-        }
-
-        // Block on the channel, but never sleep past the next armed deadline.
-        let wait = match transport.next_deadline() {
-            Some(deadline) if !crashed => {
-                Duration::from_nanos(deadline.as_nanos().saturating_sub(current.as_nanos()))
-                    .min(IDLE_WAIT)
-            }
-            _ => IDLE_WAIT,
-        };
-        match receiver.recv_timeout(wait) {
-            Ok(ThreadEvent::Shutdown) => break,
-            Ok(ThreadEvent::Crash) => {
-                crashed = true;
-            }
-            Ok(ThreadEvent::Recover {
-                amnesia,
-                durable,
-                storage_fault,
-            }) => {
-                if crashed {
-                    crashed = false;
-                    if durable {
-                        // The process comes back with only what its segment
-                        // log and persisted checkpoint survived (less whatever
-                        // the crash-point fault destroyed); pre-crash
-                        // deadlines refer to views that no longer exist.
-                        transport.clear_deadlines();
-                        let report = host.restart_durable(now(), storage_fault, &mut transport);
-                        account(&report);
-                    } else if amnesia {
-                        // The process comes back with nothing but its durable
-                        // checkpoint; pre-crash deadlines refer to views that
-                        // no longer exist for it.
-                        transport.clear_deadlines();
-                        let report = host.restart_with_amnesia(now(), &mut transport);
-                        account(&report);
-                    }
-                }
-            }
-            Ok(_) if crashed => {
-                // A crashed replica hears nothing.
-            }
-            Ok(ThreadEvent::Inbound { from, message }) => {
-                // Inline-verification mode: `handle_shared` authenticates
-                // before the replica sees the message; the last recipient of
-                // a broadcast recovers the owned envelope without a copy.
-                let report = host.handle_shared(from, message, now(), &mut transport);
-                account(&report);
-                transport.prune_stale(host.replica().current_view());
-            }
-            Ok(ThreadEvent::Verified(verified)) => {
-                // The verify pool already authenticated this message off the
-                // consensus thread; the proof token skips the inline check.
-                let report = host.handle_verified(verified, now(), &mut transport);
-                account(&report);
-                transport.prune_stale(host.replica().current_view());
-            }
-            Ok(ThreadEvent::Client(requests)) => {
-                // Same edge-verification stage as the simulator: forged
-                // requests are dropped and counted, honest ones admitted.
-                let report = host.handle_client_batch(requests, now(), &mut transport);
-                account(&report);
-            }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    host
 }
 
 #[cfg(test)]

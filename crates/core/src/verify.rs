@@ -1,4 +1,4 @@
-//! The verification worker pool of the threaded runtime.
+//! The verification worker pool of the live backends.
 //!
 //! Signature checking is the dominant CPU cost of a chained-BFT replica (the
 //! paper's `t_CPU` term), and doing it on the consensus thread serialises
@@ -102,8 +102,8 @@ impl VerifyPool {
     ///
     /// # Panics
     ///
-    /// Panics if `workers` is zero (a cluster that wants inline verification
-    /// simply does not construct a pool).
+    /// Panics if `workers` is zero (both live backends clamp their pool size
+    /// to at least one before calling this).
     pub fn new<F>(nodes: usize, workers: usize, deliver: F) -> Self
     where
         F: Fn(NodeId, VerifiedMessage) + Send + Sync + 'static,

@@ -6,7 +6,7 @@
 //! metadata needed by the chain-growth-rate and block-interval metrics.
 
 use bamboo_crypto::{Digest, Sha256};
-use bamboo_types::{BlockId, SharedBlock, SimTime, View};
+use bamboo_types::{Block, BlockId, SharedBlock, SimTime, View};
 
 /// A committed block plus commit metadata.
 #[derive(Clone, Debug, PartialEq)]
@@ -27,6 +27,44 @@ impl CommittedBlock {
         self.committed_in_view
             .as_u64()
             .saturating_sub(self.block.view.as_u64())
+    }
+}
+
+/// The running form of [`Ledger::chain_fingerprint_prefix`]: absorb committed
+/// blocks oldest-first and [`ChainFingerprint::digest`] after any of them is
+/// the fingerprint of the prefix absorbed so far. An observer that follows a
+/// growing ledger keeps one of these instead of re-hashing from genesis per
+/// block, so a whole prefix history costs O(chain), not O(chain²).
+#[derive(Clone, Debug)]
+pub struct ChainFingerprint(Sha256);
+
+impl ChainFingerprint {
+    /// The fingerprint of the empty prefix.
+    pub fn new() -> Self {
+        let mut hasher = Sha256::new();
+        hasher.update(b"bamboo-ledger-chain-v1");
+        Self(hasher)
+    }
+
+    /// Extends the prefix by one committed block.
+    pub fn absorb(&mut self, block: &Block) {
+        self.0.update(block.id.0.as_bytes());
+        self.0.update(&block.view.as_u64().to_be_bytes());
+        for tx in &block.payload {
+            self.0.update(tx.id.0.as_bytes());
+        }
+    }
+
+    /// The fingerprint of the blocks absorbed so far (the running state is
+    /// left untouched, so absorbing can continue).
+    pub fn digest(&self) -> Digest {
+        Digest::from_bytes(self.0.clone().finalize())
+    }
+}
+
+impl Default for ChainFingerprint {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -157,16 +195,11 @@ impl Ledger {
     /// replicas whose prefixes chain-fingerprint equal committed the same
     /// blocks carrying the same transactions in the same order.
     pub fn chain_fingerprint_prefix(&self, len: usize) -> Digest {
-        let mut hasher = Sha256::new();
-        hasher.update(b"bamboo-ledger-chain-v1");
+        let mut running = ChainFingerprint::new();
         for committed in self.blocks.iter().take(len) {
-            hasher.update(committed.block.id.0.as_bytes());
-            hasher.update(&committed.block.view.as_u64().to_be_bytes());
-            for tx in &committed.block.payload {
-                hasher.update(tx.id.0.as_bytes());
-            }
+            running.absorb(&committed.block);
         }
-        Digest::from_bytes(hasher.finalize())
+        running.digest()
     }
 
     /// [`Ledger::chain_fingerprint_prefix`] over the whole ledger.
@@ -197,7 +230,7 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bamboo_types::{Block, Height, NodeId, QuorumCert, Transaction};
+    use bamboo_types::{Height, NodeId, QuorumCert, Transaction};
 
     fn chain(len: u64) -> Vec<Block> {
         let mut blocks = Vec::new();

@@ -10,10 +10,9 @@
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
+use bamboo_core::live::{cluster_report, ClusterReport, ClusterStorage, RoundRobinLoad};
 use bamboo_core::runtime::NodeHost;
-use bamboo_core::threaded::ClusterReport;
-use bamboo_crypto::KeyPair;
-use bamboo_types::{ClientRequest, Config, NodeId, ProtocolKind, SimTime, Transaction};
+use bamboo_types::{Config, NodeId, ProtocolKind, SimTime};
 
 use crate::node::{NodeNetStats, TcpNode, DEFAULT_NODE_VERIFY_WORKERS};
 use crate::peer::BackoffPolicy;
@@ -55,9 +54,12 @@ pub struct TcpCluster {
     addrs: Vec<SocketAddr>,
     retired: Vec<NodeNetStats>,
     started_at: Instant,
-    next_seq: u64,
+    load: RoundRobinLoad,
     verify_workers: usize,
     backoff: BackoffPolicy,
+    /// Per-node durable-log directories ([`Config::durable_log`]): they
+    /// outlive a killed node, so its replacement restarts from its own log.
+    storage: ClusterStorage,
 }
 
 impl TcpCluster {
@@ -93,34 +95,39 @@ impl TcpCluster {
             .iter()
             .map(TcpListener::local_addr)
             .collect::<std::io::Result<_>>()?;
-        let peer_addrs: Vec<Option<SocketAddr>> = addrs.iter().copied().map(Some).collect();
-        let nodes = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(index, listener)| {
-                TcpNode::spawn(
-                    NodeId(index as u64),
-                    protocol,
-                    config.clone(),
-                    listener,
-                    peer_addrs.clone(),
-                    verify_workers,
-                    backoff,
-                )
-                .map(Some)
-            })
-            .collect::<std::io::Result<_>>()?;
-        Ok(Self {
+        let mut cluster = Self {
+            load: RoundRobinLoad::new(config.nodes, config.signed_requests),
+            storage: ClusterStorage::for_config(&config),
             config,
             protocol,
-            nodes,
+            nodes: Vec::with_capacity(addrs.len()),
             addrs,
             retired: Vec::new(),
             started_at: Instant::now(),
-            next_seq: 0,
             verify_workers,
             backoff,
-        })
+        };
+        for (index, listener) in listeners.into_iter().enumerate() {
+            let node = cluster.spawn_node(NodeId(index as u64), listener)?;
+            cluster.nodes.push(Some(node));
+        }
+        Ok(cluster)
+    }
+
+    /// Boots seat `id` on `listener` with the current address table. A seat
+    /// whose durable-log directory already holds a log restarts from it.
+    fn spawn_node(&self, id: NodeId, listener: TcpListener) -> std::io::Result<TcpNode> {
+        let host = self
+            .storage
+            .boot_host(id, self.protocol, self.config.clone());
+        let peer_addrs = self.addrs.iter().copied().map(Some).collect();
+        TcpNode::spawn(
+            host,
+            listener,
+            peer_addrs,
+            self.verify_workers,
+            self.backoff,
+        )
     }
 
     /// The listener addresses, indexed by replica.
@@ -134,25 +141,9 @@ impl TcpCluster {
     /// signature so it passes the edge check.
     pub fn submit_round_robin(&mut self, count: u64, payload: usize) {
         let now = SimTime(self.started_at.elapsed().as_nanos() as u64);
-        let client = NodeId(999);
-        let keypair = self
-            .config
-            .signed_requests
-            .then(|| KeyPair::client_from_seed(client.as_u64()));
-        for _ in 0..count {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let tx = Transaction::new(client, seq, payload, now);
-            let request = match &keypair {
-                Some(keypair) => ClientRequest::signed(tx, keypair),
-                None => ClientRequest::unsigned(tx),
-            };
-            let target = seq % self.config.nodes as u64;
-            // Skew to the next live node if the round-robin target is down.
-            let node = (0..self.config.nodes)
-                .map(|offset| (target as usize + offset) % self.config.nodes)
-                .find_map(|index| self.nodes[index].as_ref());
-            if let Some(node) = node {
+        let is_live = |seat: usize| self.nodes[seat].is_some();
+        for (seat, request) in self.load.next_requests(count, payload, now, is_live) {
+            if let Some(node) = &self.nodes[seat] {
                 node.submit(vec![request]);
             }
         }
@@ -203,8 +194,9 @@ impl TcpCluster {
     /// Replaces a killed replica with a fresh one on a **new** port (the
     /// standard library exposes no `SO_REUSEADDR`, so rebinding the old
     /// address races with the kernel's TIME_WAIT) and tells every live peer
-    /// the new address. The replacement starts from genesis and catches up
-    /// through the sync protocol.
+    /// the new address. The replacement restarts from its own durable log when
+    /// the cluster runs with [`Config::durable_log`], from genesis otherwise,
+    /// and catches up on the rest through the sync protocol.
     ///
     /// # Errors
     /// Fails if the new listener cannot bind or the node cannot spawn.
@@ -216,16 +208,7 @@ impl TcpCluster {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         self.addrs[id.index()] = addr;
-        let peer_addrs: Vec<Option<SocketAddr>> = self.addrs.iter().copied().map(Some).collect();
-        let node = TcpNode::spawn(
-            id,
-            self.protocol,
-            self.config.clone(),
-            listener,
-            peer_addrs,
-            self.verify_workers,
-            self.backoff,
-        )?;
+        let node = self.spawn_node(id, listener)?;
         for peer in self.nodes.iter().flatten() {
             peer.update_peer(id, addr);
         }
@@ -254,47 +237,12 @@ impl TcpCluster {
                 None => hosts.push(None),
             }
         }
-        let live: Vec<&NodeHost> = hosts.iter().flatten().collect();
-        let auth_rejections: u64 = live.iter().map(|h| h.auth_rejections()).sum();
-        let client_auth_rejections: u64 = live.iter().map(|h| h.client_auth_rejections()).sum();
-        let replicas: Vec<_> = live.iter().map(|h| h.replica()).collect();
-        let committed_blocks: Vec<usize> = hosts
-            .iter()
-            .map(|h| h.as_ref().map_or(0, |h| h.replica().ledger().len()))
-            .collect();
-        let committed_txs = replicas
-            .iter()
-            .map(|r| r.ledger().committed_txs())
-            .max()
-            .unwrap_or(0);
-        let max_view = replicas
-            .iter()
-            .map(|r| r.current_view().as_u64())
-            .max()
-            .unwrap_or(0);
-        let mut safety_violations: u64 = replicas.iter().map(|r| r.safety_violations()).sum();
-        let timeout_view_changes: u64 = replicas.iter().map(|r| r.timeout_view_changes()).sum();
-        let honest: Vec<_> = replicas
-            .iter()
-            .filter(|r| !self.config.is_byzantine(r.id()))
-            .collect();
-        let mut consistent = true;
-        for pair in honest.windows(2) {
-            if !pair[0].ledger().consistent_with(pair[1].ledger()) {
-                consistent = false;
-                safety_violations += 1;
-            }
-        }
-        let cluster = ClusterReport {
-            committed_blocks,
-            committed_txs,
-            max_view,
-            ledgers_consistent: consistent,
-            safety_violations,
-            timeout_view_changes,
-            auth_rejections,
-            client_auth_rejections,
-        };
+        let pool_rejections = stats.iter().map(|node| node.verify_rejected).sum();
+        let cluster = cluster_report(
+            &self.config,
+            hosts.iter().map(Option::as_ref),
+            pool_rejections,
+        );
         (
             TcpClusterReport {
                 cluster,

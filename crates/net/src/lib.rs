@@ -20,9 +20,10 @@
 //!   While a peer is down its frames are dropped and counted, never
 //!   buffered unboundedly — chained BFT tolerates loss by design (timeouts
 //!   and the sync protocol), so the queue models a real NIC, not a log.
-//! * [`node`] — one replica: listener, readers, verify pool, consensus
-//!   loop, and the [`bamboo_core::runtime::Transport`] impl that turns
-//!   protocol effects into frames.
+//! * [`node`] — one replica: listener, readers, verify pool, the shared
+//!   live driver ([`bamboo_core::live::run_live_node`]) as its consensus
+//!   thread, and the [`bamboo_core::live::Link`] impl that turns sends into
+//!   frames.
 //! * [`cluster`] — same-process loopback cluster (every node in one
 //!   process, real sockets between them); the agreement tests' harness.
 //! * [`process`] — one process per replica: spec via environment variable,

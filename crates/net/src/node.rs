@@ -12,10 +12,11 @@
 //!   tokens, exactly like the threaded backend;
 //! * **writers** (one per peer, owned by [`PeerSender`]) drain bounded
 //!   queues of pre-encoded frames and own all connect/reconnect logic;
-//! * the **consensus thread** runs the same [`NodeHost`] event loop as the
-//!   threaded cluster — due timers, due proposals, sync timers, then the
-//!   event channel — with the `NetTransport` realising effects as frame
-//!   enqueues.
+//! * the **consensus thread** runs [`run_live_node`], the one live driver it
+//!   shares with the threaded cluster — deadlines, crash/recover, start-up
+//!   gate and commit accounting included; the only code of its own is the
+//!   `SocketLink`, which realises sends as frame enqueues and knows which
+//!   peer addresses are still missing.
 //!
 //! Unlike the in-process backends, verification here is per-*node*, not
 //! per-cluster: a broadcast is verified once per receiving replica (each
@@ -25,18 +26,16 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bamboo_core::replica::{ReplicaEvent, ReplicaOptions};
-use bamboo_core::runtime::{NodeHost, StepReport, Transport};
+use bamboo_core::live::{run_live_node, Link, LiveEvent, LiveStatus};
+use bamboo_core::runtime::NodeHost;
 use bamboo_core::verify::{VerifyHandle, VerifyPool};
 use bamboo_types::wire::encode_message;
-use bamboo_types::{
-    ClientRequest, Config, Message, NodeId, ProtocolKind, SimTime, VerifiedMessage, View,
-};
+use bamboo_types::{ClientRequest, Message, NodeId};
 
 use crate::frame::{
     decode_client_batch, decode_hello, decode_peer_table, decode_status, encode_frame,
@@ -91,150 +90,68 @@ pub struct TcpNodeReport {
     pub stats: NodeNetStats,
 }
 
-/// Commit progress shared between the consensus loop (writer) and reader
-/// threads answering status probes.
-struct NetStatus {
-    committed_txs: AtomicU64,
-    committed_blocks: AtomicU64,
-    view: AtomicU64,
-    /// `chain[l]` is the chain fingerprint of the first `l` committed
-    /// blocks, maintained by the consensus thread as commits land; readers
-    /// answer prefix probes from it without touching the ledger.
-    chain: Mutex<Vec<[u8; 32]>>,
-}
-
-impl NetStatus {
-    fn new() -> Self {
-        Self {
-            committed_txs: AtomicU64::new(0),
-            committed_blocks: AtomicU64::new(0),
-            view: AtomicU64::new(0),
-            chain: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// `prefix_len` of 0 means "the full chain as of now". Before the first
-    /// commit lands the fingerprint is all-zeroes.
-    fn reply(&self, token: u64, prefix_len: u64) -> StatusReply {
-        let blocks = self.committed_blocks.load(Ordering::Acquire);
-        let want = if prefix_len == 0 {
-            blocks
-        } else {
-            prefix_len.min(blocks)
-        };
-        let chain = self.chain.lock().expect("fingerprint lock poisoned");
-        StatusReply {
-            token,
-            committed_txs: self.committed_txs.load(Ordering::Acquire),
-            committed_blocks: blocks,
-            view: self.view.load(Ordering::Acquire),
-            chain_fingerprint: chain.get(want as usize).copied().unwrap_or([0u8; 32]),
-        }
+/// Answers a status probe from the node's published progress. `prefix_len`
+/// of 0 means "the full chain as of now"; a longer prefix than the node has
+/// committed is clamped to its chain.
+fn status_reply(status: &LiveStatus, token: u64, prefix_len: u64) -> StatusReply {
+    let blocks = status.committed_blocks();
+    let want = if prefix_len == 0 {
+        blocks
+    } else {
+        prefix_len.min(blocks)
+    };
+    StatusReply {
+        token,
+        committed_txs: status.committed_txs(),
+        committed_blocks: blocks,
+        view: status.view(),
+        chain_fingerprint: status.chain_prefix(want).unwrap_or_default(),
     }
 }
 
-/// Events delivered to the consensus thread.
-enum NodeEvent {
-    /// A message this node's verify pool already authenticated.
-    Verified(VerifiedMessage),
-    /// A batch of client requests (edge-verified by the host).
-    Client(Vec<ClientRequest>),
-    /// Peer listen addresses learned from the driver (multi-process mode) or
-    /// a cluster-side restart notification.
-    PeerTable(Vec<(u64, SocketAddr)>),
-    Shutdown,
-}
-
-/// The TCP backend's [`Transport`]: effects become pre-encoded frames in the
-/// per-peer outbound queues; timers stay thread-local exactly as in the
-/// threaded backend.
-struct NetTransport {
-    id: NodeId,
+/// The TCP backend's [`Link`]: sends become pre-encoded frames in the
+/// per-peer outbound queues, and the node is ready once every peer's listen
+/// address is known.
+struct SocketLink {
     peers: Arc<Vec<Option<PeerSender>>>,
-    timers: Vec<(View, SimTime)>,
-    proposals: Vec<(View, SimTime)>,
-    sync_timers: Vec<SimTime>,
+    known: Vec<bool>,
 }
 
-impl NetTransport {
-    fn new(id: NodeId, peers: Arc<Vec<Option<PeerSender>>>) -> Self {
-        Self {
-            id,
-            peers,
-            timers: Vec::new(),
-            proposals: Vec::new(),
-            sync_timers: Vec::new(),
-        }
-    }
-
-    fn next_deadline(&self) -> Option<SimTime> {
-        let timer = self.timers.iter().map(|&(_, d)| d).min();
-        let proposal = self.proposals.iter().map(|&(_, d)| d).min();
-        let sync = self.sync_timers.iter().copied().min();
-        [timer, proposal, sync].into_iter().flatten().min()
-    }
-
-    fn due_timer(&mut self, now: SimTime) -> Option<View> {
-        let index = self.timers.iter().position(|&(_, d)| d <= now)?;
-        Some(self.timers.swap_remove(index).0)
-    }
-
-    fn due_proposal(&mut self, now: SimTime) -> Option<View> {
-        let index = self.proposals.iter().position(|&(_, d)| d <= now)?;
-        Some(self.proposals.swap_remove(index).0)
-    }
-
-    fn due_sync_timer(&mut self, now: SimTime) -> bool {
-        match self.sync_timers.iter().position(|&d| d <= now) {
-            Some(index) => {
-                self.sync_timers.swap_remove(index);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn prune_stale(&mut self, current_view: View) {
-        self.timers.retain(|&(view, _)| view >= current_view);
-        self.proposals.retain(|&(view, _)| view >= current_view);
-    }
+fn message_frame(message: &Message) -> Arc<[u8]> {
+    encode_frame(FrameKind::Msg, &encode_message(message)).into()
 }
 
-impl Transport for NetTransport {
+impl Link for SocketLink {
     fn unicast(&mut self, to: NodeId, message: Message) {
         // Unicasts to non-replica destinations (client responses) have no
         // socket here; a real deployment would route them to the client's
         // connection, the loopback harness measures commits via status
         // probes instead.
         if let Some(Some(peer)) = self.peers.get(to.index()) {
-            let frame: Arc<[u8]> = encode_frame(FrameKind::Msg, &encode_message(&message)).into();
-            peer.send(frame);
+            peer.send(message_frame(&message));
         }
     }
 
     fn broadcast(&mut self, message: Message) {
         // Encode once; every peer queue gets a pointer bump of the same
-        // frame allocation.
-        let frame: Arc<[u8]> = encode_frame(FrameKind::Msg, &encode_message(&message)).into();
-        for (index, peer) in self.peers.iter().enumerate() {
-            if index != self.id.index() {
-                if let Some(peer) = peer {
-                    peer.send(Arc::clone(&frame));
-                }
-            }
+        // frame allocation (this node's own slot is empty).
+        let frame = message_frame(&message);
+        for peer in self.peers.iter().flatten() {
+            peer.send(Arc::clone(&frame));
         }
     }
 
-    fn arm_timer(&mut self, view: View, deadline: SimTime) {
-        self.timers.push((view, deadline));
+    fn ready(&self) -> bool {
+        self.known.iter().all(|&known| known)
     }
 
-    fn schedule_proposal(&mut self, view: View, at: SimTime) {
-        self.proposals.push((view, at));
-    }
-
-    fn arm_sync_timer(&mut self, deadline: SimTime) {
-        self.sync_timers.push(deadline);
+    fn set_peers(&mut self, table: &[(u64, SocketAddr)]) {
+        for &(peer, addr) in table {
+            if let Some(Some(link)) = self.peers.get(peer as usize) {
+                link.set_addr(addr);
+                self.known[peer as usize] = true;
+            }
+        }
     }
 }
 
@@ -242,33 +159,29 @@ impl Transport for NetTransport {
 pub struct TcpNode {
     id: NodeId,
     local_addr: SocketAddr,
-    events: Sender<NodeEvent>,
+    events: Sender<LiveEvent>,
     replica: Option<JoinHandle<NodeHost>>,
     accept: Option<JoinHandle<()>>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     stop: Arc<AtomicBool>,
     peers: Arc<Vec<Option<PeerSender>>>,
     verify: Option<VerifyPool>,
-    status: Arc<NetStatus>,
+    status: Arc<LiveStatus>,
     accepted: Arc<AtomicU64>,
 }
 
 /// Poll interval of the (non-blocking) accept loop and the readers' receive
 /// timeout; bounds shutdown latency.
 const POLL_TICK: Duration = Duration::from_millis(20);
-/// Consensus-loop idle wait, mirroring the threaded backend.
-const IDLE_WAIT: Duration = Duration::from_millis(20);
 
 impl TcpNode {
-    /// Spawns a replica on a pre-bound listener. `peer_addrs[i]` is replica
-    /// `i`'s listen address when already known (same-process clusters know
-    /// all of them upfront; multi-process replicas start with none and learn
-    /// them from the driver's peer table). Consensus starts once every peer
-    /// address is known.
+    /// Spawns `host` as a replica on a pre-bound listener. `peer_addrs[i]` is
+    /// replica `i`'s listen address when already known (same-process
+    /// clusters know all of them upfront; multi-process replicas start with
+    /// none and learn them from the driver's peer table). Consensus starts
+    /// once every peer address is known.
     pub fn spawn(
-        id: NodeId,
-        protocol: ProtocolKind,
-        config: Config,
+        host: NodeHost,
         listener: TcpListener,
         peer_addrs: Vec<Option<SocketAddr>>,
         verify_workers: usize,
@@ -276,9 +189,10 @@ impl TcpNode {
     ) -> std::io::Result<Self> {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let nodes = config.nodes;
+        let id = host.replica().id();
+        let nodes = host.replica().config().nodes;
         assert_eq!(peer_addrs.len(), nodes, "one address slot per replica");
-        let (events, receiver) = channel::<NodeEvent>();
+        let (events, receiver) = channel::<LiveEvent>();
         let peers: Arc<Vec<Option<PeerSender>>> = Arc::new(
             (0..nodes)
                 .map(|index| {
@@ -287,7 +201,7 @@ impl TcpNode {
                 })
                 .collect(),
         );
-        let status = Arc::new(NetStatus::new());
+        let status = Arc::new(LiveStatus::default());
         let stop = Arc::new(AtomicBool::new(false));
         let accepted = Arc::new(AtomicU64::new(0));
         let readers = Arc::new(Mutex::new(Vec::new()));
@@ -295,7 +209,7 @@ impl TcpNode {
         let deliver_events = events.clone();
         let verify = VerifyPool::new(nodes, verify_workers.max(1), move |_to, verified| {
             // `_to` is always this node: readers submit unicast-to-self.
-            let _ = deliver_events.send(NodeEvent::Verified(verified));
+            let _ = deliver_events.send(LiveEvent::Verified(verified));
         });
 
         let accept = {
@@ -311,13 +225,14 @@ impl TcpNode {
         };
 
         let replica = {
-            let known: Vec<bool> = (0..nodes)
+            let known = (0..nodes)
                 .map(|index| index == id.index() || peer_addrs[index].is_some())
                 .collect();
-            let transport = NetTransport::new(id, Arc::clone(&peers));
+            let peers = Arc::clone(&peers);
             let status = Arc::clone(&status);
             std::thread::spawn(move || {
-                run_consensus_loop(id, protocol, config, receiver, transport, status, known)
+                let mut link = SocketLink { peers, known };
+                run_live_node(host, &mut link, &receiver, Instant::now(), &status)
             })
         };
 
@@ -349,12 +264,12 @@ impl TcpNode {
     /// Submits a batch of client requests directly (same-process path; the
     /// multi-process driver sends [`FrameKind::ClientBatch`] frames instead).
     pub fn submit(&self, requests: Vec<ClientRequest>) {
-        let _ = self.events.send(NodeEvent::Client(requests));
+        let _ = self.events.send(LiveEvent::Client(requests));
     }
 
     /// Transactions this replica has committed.
     pub fn committed_txs(&self) -> u64 {
-        self.status.committed_txs.load(Ordering::Acquire)
+        self.status.committed_txs()
     }
 
     /// Points this node's outbound link for `peer` at a new address (a
@@ -362,12 +277,12 @@ impl TcpNode {
     pub fn update_peer(&self, peer: NodeId, addr: SocketAddr) {
         let _ = self
             .events
-            .send(NodeEvent::PeerTable(vec![(peer.as_u64(), addr)]));
+            .send(LiveEvent::Peers(vec![(peer.as_u64(), addr)]));
     }
 
     /// Asks the consensus loop to stop (idempotent; `join` also sends it).
     pub fn request_shutdown(&self) {
-        let _ = self.events.send(NodeEvent::Shutdown);
+        let _ = self.events.send(LiveEvent::Shutdown);
     }
 
     /// Stops every thread (consensus, acceptor, readers, writers, verify
@@ -386,7 +301,7 @@ impl TcpNode {
 
     fn finish(mut self, request_shutdown: bool) -> TcpNodeReport {
         if request_shutdown {
-            let _ = self.events.send(NodeEvent::Shutdown);
+            let _ = self.events.send(LiveEvent::Shutdown);
         }
         let host = self
             .replica
@@ -424,10 +339,10 @@ impl TcpNode {
 #[allow(clippy::too_many_arguments)]
 fn run_acceptor(
     listener: TcpListener,
-    events: Sender<NodeEvent>,
+    events: Sender<LiveEvent>,
     verify: VerifyHandle,
     stop: Arc<AtomicBool>,
-    status: Arc<NetStatus>,
+    status: Arc<LiveStatus>,
     accepted: Arc<AtomicU64>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
@@ -456,10 +371,10 @@ fn run_acceptor(
 /// writer reconnects on its backoff schedule).
 fn run_reader(
     mut stream: TcpStream,
-    events: Sender<NodeEvent>,
+    events: Sender<LiveEvent>,
     verify: VerifyHandle,
     stop: Arc<AtomicBool>,
-    status: Arc<NetStatus>,
+    status: Arc<LiveStatus>,
 ) {
     let _ = stream.set_read_timeout(Some(POLL_TICK));
     let _ = stream.set_nodelay(true);
@@ -502,7 +417,7 @@ fn run_reader(
                 }
                 (FrameKind::ClientBatch, Some(_)) => match decode_client_batch(&frame.payload) {
                     Ok(requests) => {
-                        let _ = events.send(NodeEvent::Client(requests));
+                        let _ = events.send(LiveEvent::Client(requests));
                     }
                     Err(_) => break 'conn,
                 },
@@ -513,7 +428,7 @@ fn run_reader(
                     }
                     match decode_peer_table(&frame.payload) {
                         Ok(table) => {
-                            let _ = events.send(NodeEvent::PeerTable(table));
+                            let _ = events.send(LiveEvent::Peers(table));
                         }
                         Err(_) => break 'conn,
                     }
@@ -522,7 +437,7 @@ fn run_reader(
                     Ok((token, prefix_len)) => {
                         let reply = encode_frame(
                             FrameKind::StatusReply,
-                            &encode_status_reply(&status.reply(token, prefix_len)),
+                            &encode_status_reply(&status_reply(&status, token, prefix_len)),
                         );
                         if stream.write_all(&reply).is_err() {
                             break 'conn;
@@ -534,124 +449,9 @@ fn run_reader(
                     // Replicas probe nobody; stray replies are ignored.
                 }
                 (FrameKind::Shutdown, Some(_)) => {
-                    let _ = events.send(NodeEvent::Shutdown);
+                    let _ = events.send(LiveEvent::Shutdown);
                 }
             }
         }
     }
-}
-
-/// The consensus thread: the threaded backend's event loop, with a gate that
-/// holds the replica back until every peer address is known (multi-process
-/// replicas boot before the driver has collected all ports).
-fn run_consensus_loop(
-    id: NodeId,
-    protocol: ProtocolKind,
-    config: Config,
-    receiver: Receiver<NodeEvent>,
-    mut transport: NetTransport,
-    status: Arc<NetStatus>,
-    mut known: Vec<bool>,
-) -> NodeHost {
-    let mut host = NodeHost::new(id, protocol, config, ReplicaOptions::default());
-    let started_at = Instant::now();
-    let now = || SimTime(started_at.elapsed().as_nanos() as u64);
-    let mut started = false;
-
-    macro_rules! account {
-        ($report:expr) => {{
-            let report: StepReport = $report;
-            let newly: u64 = report
-                .committed
-                .iter()
-                .map(|b| b.payload.len() as u64)
-                .sum();
-            if newly > 0 {
-                status.committed_txs.fetch_add(newly, Ordering::Release);
-            }
-            let replica = host.replica();
-            status
-                .view
-                .store(replica.current_view().as_u64(), Ordering::Release);
-            if !report.committed.is_empty() {
-                let ledger = replica.ledger();
-                let new_len = ledger.len();
-                {
-                    // Extend the prefix-fingerprint history through the new
-                    // length (the recompute per prefix is the canonical
-                    // ledger hash — quadratic in chain length, fine at
-                    // loopback test scale).
-                    let mut chain = status.chain.lock().expect("fingerprint lock poisoned");
-                    while chain.len() <= new_len {
-                        let l = chain.len();
-                        chain.push(*ledger.chain_fingerprint_prefix(l).as_bytes());
-                    }
-                }
-                status
-                    .committed_blocks
-                    .store(new_len as u64, Ordering::Release);
-            }
-        }};
-    }
-
-    if known.iter().all(|&k| k) {
-        started = true;
-        account!(host.start(now(), &mut transport));
-    }
-
-    loop {
-        let current = now();
-
-        if started {
-            if let Some(view) = transport.due_timer(current) {
-                account!(host.handle(ReplicaEvent::TimerFired { view }, current, &mut transport));
-                transport.prune_stale(host.replica().current_view());
-                continue;
-            }
-            if let Some(view) = transport.due_proposal(current) {
-                account!(host.handle(ReplicaEvent::ProposeNow { view }, current, &mut transport));
-                continue;
-            }
-            if transport.due_sync_timer(current) {
-                account!(host.handle(ReplicaEvent::SyncTimer, current, &mut transport));
-                continue;
-            }
-        }
-
-        let wait = match transport.next_deadline() {
-            Some(deadline) if started => {
-                Duration::from_nanos(deadline.as_nanos().saturating_sub(current.as_nanos()))
-                    .min(IDLE_WAIT)
-            }
-            _ => IDLE_WAIT,
-        };
-        match receiver.recv_timeout(wait) {
-            Ok(NodeEvent::Shutdown) => break,
-            Ok(NodeEvent::Verified(verified)) => {
-                account!(host.handle_verified(verified, now(), &mut transport));
-                transport.prune_stale(host.replica().current_view());
-            }
-            Ok(NodeEvent::Client(requests)) => {
-                account!(host.handle_client_batch(requests, now(), &mut transport));
-            }
-            Ok(NodeEvent::PeerTable(table)) => {
-                for (peer, addr) in table {
-                    let index = peer as usize;
-                    if peer != id.as_u64() && index < transport.peers.len() {
-                        if let Some(Some(link)) = transport.peers.get(index) {
-                            link.set_addr(addr);
-                        }
-                        known[index] = true;
-                    }
-                }
-                if !started && known.iter().all(|&k| k) {
-                    started = true;
-                    account!(host.start(now(), &mut transport));
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    host
 }

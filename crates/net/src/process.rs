@@ -24,10 +24,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use bamboo_crypto::KeyPair;
-use bamboo_types::{
-    ClientRequest, Config, Json, NodeId, ProtocolKind, SimDuration, SimTime, Transaction,
-};
+use bamboo_core::live::RoundRobinLoad;
+use bamboo_core::replica::ReplicaOptions;
+use bamboo_core::runtime::NodeHost;
+use bamboo_types::{Config, Json, NodeId, ProtocolKind, SimDuration, SimTime};
 
 use crate::frame::{
     decode_status_reply, encode_client_batch, encode_frame, encode_hello, encode_peer_table,
@@ -204,10 +204,14 @@ fn run_replica(spec: &ReplicaSpec) -> std::io::Result<()> {
         .cluster
         .config()
         .unwrap_or_else(|e| panic!("invalid cluster spec: {e}"));
-    let node = TcpNode::spawn(
+    let host = NodeHost::new(
         NodeId(spec.id),
         spec.cluster.protocol,
         config,
+        ReplicaOptions::default(),
+    );
+    let node = TcpNode::spawn(
+        host,
         listener,
         vec![None; spec.cluster.nodes],
         spec.cluster.verify_workers,
@@ -348,7 +352,7 @@ pub struct ProcessCluster {
     spec: ClusterSpec,
     seats: Vec<Option<ProcessSeat>>,
     conns: Vec<Option<DriverConn>>,
-    next_seq: u64,
+    load: RoundRobinLoad,
     next_token: u64,
 }
 
@@ -370,7 +374,7 @@ impl ProcessCluster {
             spec,
             seats,
             conns: (0..spec.nodes).map(|_| None).collect(),
-            next_seq: 0,
+            load: RoundRobinLoad::new(spec.nodes, spec.signed_requests),
             next_token: 0,
         };
         for id in 0..spec.nodes {
@@ -406,28 +410,12 @@ impl ProcessCluster {
     /// # Errors
     /// Fails if a batch cannot be written to a live replica's connection.
     pub fn submit_round_robin(&mut self, count: u64, payload: usize) -> std::io::Result<()> {
-        let client = NodeId(999);
-        let keypair = self
-            .spec
-            .signed_requests
-            .then(|| KeyPair::client_from_seed(client.as_u64()));
-        for _ in 0..count {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let tx = Transaction::new(client, seq, payload, SimTime(0));
-            let request = match &keypair {
-                Some(keypair) => ClientRequest::signed(tx, keypair),
-                None => ClientRequest::unsigned(tx),
-            };
-            let target = (seq % self.spec.nodes as u64) as usize;
-            let conn = (0..self.spec.nodes)
-                .map(|offset| (target + offset) % self.spec.nodes)
-                .find(|&index| self.conns[index].is_some());
-            if let Some(index) = conn {
-                let payload = encode_client_batch(&[request]);
-                if let Some(conn) = self.conns[index].as_mut() {
-                    conn.send(FrameKind::ClientBatch, &payload)?;
-                }
+        let conns = &mut self.conns;
+        let is_live = |seat: usize| conns[seat].is_some();
+        let requests = self.load.next_requests(count, payload, SimTime(0), is_live);
+        for (seat, request) in requests {
+            if let Some(conn) = conns[seat].as_mut() {
+                conn.send(FrameKind::ClientBatch, &encode_client_batch(&[request]))?;
             }
         }
         Ok(())

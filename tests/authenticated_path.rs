@@ -2,17 +2,16 @@
 //!
 //! A Byzantine replica floods forged votes / forged quorum certificates at
 //! the cluster, on both deployment backends. Every forgery must die at the
-//! ingress stage (the `Authenticator` in `NodeHost` for the simulator and
-//! the inline threaded mode, the `VerifyPool` workers for the default
-//! threaded mode), honest ledgers must stay consistent, and commit
-//! throughput must stay within tolerance of the honest baseline — the
-//! attack buys the adversary nothing but wasted bandwidth.
+//! ingress stage (the `Authenticator` in `NodeHost` for the simulator, the
+//! `VerifyPool` workers for the threaded cluster), honest ledgers must stay
+//! consistent, and commit throughput must stay within tolerance of the honest
+//! baseline — the attack buys the adversary nothing but wasted bandwidth.
 
 use std::time::Duration;
 
 use bamboo_core::{
     BufferedTransport, NodeHost, ReplicaEvent, ReplicaOptions, RunOptions, SimRunner,
-    ThreadedCluster,
+    ThreadedCluster, DEFAULT_VERIFY_WORKERS,
 };
 use bamboo_crypto::{AggregateSignature, KeyPair};
 use bamboo_types::{
@@ -117,39 +116,29 @@ fn threaded_config() -> Config {
 
 #[test]
 fn threaded_pool_rejects_forged_vote_flood() {
-    let cluster = ThreadedCluster::spawn(threaded_config(), ProtocolKind::HotStuff);
-    cluster.submit_round_robin(400, 16);
-    assert!(
-        cluster.run_until_committed(40, Duration::from_secs(20)),
-        "cluster committed {} txs before the deadline",
-        cluster.committed_txs()
-    );
-    let report = cluster.shutdown();
-    assert!(
-        report.auth_rejections > 0,
-        "the verify pool must observe and reject the flood"
-    );
-    assert!(report.ledgers_consistent);
-    assert_eq!(report.safety_violations, 0);
-}
-
-#[test]
-fn threaded_inline_mode_rejects_forged_vote_flood() {
-    // Zero verify workers: each replica thread authenticates inbound
-    // messages inline on the consensus thread — same guarantee, different
-    // placement of the work.
-    let cluster =
-        ThreadedCluster::spawn_with_verify_workers(threaded_config(), ProtocolKind::HotStuff, 0);
-    cluster.submit_round_robin(400, 16);
-    assert!(
-        cluster.run_until_committed(40, Duration::from_secs(20)),
-        "cluster committed {} txs before the deadline",
-        cluster.committed_txs()
-    );
-    let report = cluster.shutdown();
-    assert!(report.auth_rejections > 0, "inline ingress must reject");
-    assert!(report.ledgers_consistent);
-    assert_eq!(report.safety_violations, 0);
+    // Every live cluster verifies off the consensus threads; asking for zero
+    // workers clamps to one (the same rule as the TCP backend's node pools)
+    // instead of selecting a separate inline mode.
+    for verify_workers in [DEFAULT_VERIFY_WORKERS, 0] {
+        let cluster = ThreadedCluster::spawn_with_verify_workers(
+            threaded_config(),
+            ProtocolKind::HotStuff,
+            verify_workers,
+        );
+        cluster.submit_round_robin(400, 16);
+        assert!(
+            cluster.run_until_committed(40, Duration::from_secs(20)),
+            "cluster committed {} txs before the deadline",
+            cluster.committed_txs()
+        );
+        let report = cluster.shutdown();
+        assert!(
+            report.auth_rejections > 0,
+            "the verify pool must observe and reject the flood"
+        );
+        assert!(report.ledgers_consistent);
+        assert_eq!(report.safety_violations, 0);
+    }
 }
 
 #[test]

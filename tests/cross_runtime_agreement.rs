@@ -66,6 +66,14 @@ fn every_protocol_is_safe_on_the_threaded_cluster() {
             "{protocol} committed only {} txs before the deadline",
             cluster.committed_txs()
         );
+        // The live prefix oracle (the status history the shared driver
+        // publishes): agreement is checked while the replicas still run, not
+        // only on the ledgers they hand back at shutdown.
+        let agreed = cluster.check_prefix_agreement();
+        assert!(
+            agreed.is_ok(),
+            "{protocol}: replica {agreed:?} disagrees on the committed prefix while running"
+        );
         let report = cluster.shutdown();
         assert_eq!(
             report.safety_violations, 0,

@@ -278,3 +278,71 @@ fn threaded_cluster_durable_restart_restores_the_vote_watermark() {
         "recovered replica's chain prefix diverged from the reference"
     );
 }
+
+/// `recover_durable` on a cluster spawned without `Config::durable_log` has no
+/// log to replay: the restart degrades to amnesia — checkpoint plus state
+/// transfer — exactly as its doc comment promises.
+#[test]
+fn threaded_durable_recovery_without_a_log_degrades_to_amnesia() {
+    let config = Config::builder()
+        .nodes(4)
+        .block_size(50)
+        .payload_size(16)
+        .timeout(SimDuration::from_millis(50))
+        .runtime(SimDuration::from_millis(300))
+        .checkpoint_interval(4)
+        .seed(2027)
+        .build()
+        .expect("valid config");
+    let victim = NodeId(2);
+
+    let cluster = ThreadedCluster::spawn(config, ProtocolKind::HotStuff);
+    cluster.submit_round_robin(600, 16);
+    assert!(
+        cluster.run_until_committed(50, Duration::from_secs(20)),
+        "cluster never got off the ground ({} txs)",
+        cluster.committed_txs()
+    );
+    cluster.crash(victim);
+    let at_crash = cluster.committed_txs();
+    cluster.submit_round_robin(600, 16);
+    assert!(
+        cluster.run_until_committed(at_crash + 100, Duration::from_secs(20)),
+        "survivors stalled after the crash ({} txs)",
+        cluster.committed_txs()
+    );
+    cluster.recover_durable(victim, None);
+    cluster.submit_round_robin(600, 16);
+    let at_recovery = cluster.committed_txs();
+    assert!(
+        cluster.run_until_committed(at_recovery + 100, Duration::from_secs(20)),
+        "cluster stalled after the recovery ({} txs)",
+        cluster.committed_txs()
+    );
+    cluster.run_for(Duration::from_millis(500));
+
+    let (report, hosts) = cluster.shutdown_with_hosts();
+    assert_eq!(report.safety_violations, 0);
+    assert!(report.ledgers_consistent, "honest ledgers diverged");
+
+    let recovered = hosts[victim.index()].replica();
+    let stats = recovered.recovery_stats();
+    assert!(recovered.storage().is_none(), "no log was configured");
+    assert!(stats.restarted_at.is_some(), "the victim never restarted");
+    assert_eq!(stats.durable_restarts, 0, "{stats:?}");
+    assert_eq!(stats.records_replayed, 0, "{stats:?}");
+    assert!(recovered.restored_voted_view().is_none());
+    assert!(
+        stats.sync_requests_sent > 0,
+        "an amnesia restart state-transfers the lost history: {stats:?}"
+    );
+
+    let reference = hosts[0].replica().ledger();
+    let shared = recovered.ledger().len().min(reference.len());
+    assert!(shared > 0, "the recovered replica rebuilt nothing");
+    assert_eq!(
+        recovered.ledger().chain_fingerprint_prefix(shared),
+        reference.chain_fingerprint_prefix(shared),
+        "recovered replica's chain prefix diverged from the reference"
+    );
+}

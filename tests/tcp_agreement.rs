@@ -158,6 +158,82 @@ fn killed_peer_reconnects_with_backoff_and_catches_up() {
     );
 }
 
+/// The payoff of sharing the live driver with the threaded cluster: under
+/// `Config::durable_log` every TCP node writes real segment files, and a
+/// killed node's replacement boots from its own log instead of from genesis.
+#[test]
+fn killed_peer_restarts_from_its_durable_log_over_tcp() {
+    let config = Config::builder()
+        .nodes(4)
+        .block_size(50)
+        .payload_size(16)
+        .timeout(SimDuration::from_millis(50))
+        .runtime(SimDuration::from_millis(300))
+        .checkpoint_interval(4)
+        .durable_log(true)
+        .fsync_interval(4)
+        .seed(2026)
+        .build()
+        .expect("valid config");
+    let mut cluster = TcpCluster::spawn_with(ProtocolKind::HotStuff, config, 1, fast_backoff())
+        .expect("cluster spawns on loopback");
+    cluster.submit_round_robin(300, 16);
+    assert!(
+        cluster.run_until_committed(50, Duration::from_secs(30)),
+        "cluster never reached the pre-kill target"
+    );
+
+    // The victim's threads and sockets go away; its segment files stay. The
+    // survivors are a quorum, so its log is genuinely stale on restart.
+    let victim = NodeId(2);
+    cluster.kill(victim);
+    cluster.submit_round_robin(300, 16);
+    assert!(
+        cluster.run_until_committed(150, Duration::from_secs(30)),
+        "survivors stopped committing after the kill"
+    );
+
+    cluster.restart(victim).expect("replacement spawns");
+    cluster.submit_round_robin(300, 16);
+    assert!(
+        cluster.run_until_committed(250, Duration::from_secs(60)),
+        "restarted replica never caught up (floor {})",
+        cluster.committed_txs_floor()
+    );
+
+    let (report, hosts) = cluster.shutdown_with_hosts();
+    assert_eq!(report.cluster.safety_violations, 0, "safety violated");
+    assert!(report.cluster.ledgers_consistent, "ledgers diverged");
+
+    let recovered = hosts[victim.index()]
+        .as_ref()
+        .expect("restarted replica reports")
+        .replica();
+    let stats = recovered.recovery_stats();
+    assert_eq!(stats.durable_restarts, 1, "{stats:?}");
+    assert!(
+        stats.records_replayed > 0,
+        "the on-disk log replayed nothing: {stats:?}"
+    );
+    assert!(
+        recovered.restored_voted_view().is_some(),
+        "no vote watermark was restored: {stats:?}"
+    );
+
+    let reference = hosts[0]
+        .as_ref()
+        .expect("never-killed replica reports")
+        .replica()
+        .ledger();
+    let shared = recovered.ledger().len().min(reference.len());
+    assert!(shared > 0, "the recovered replica rebuilt nothing");
+    assert_eq!(
+        recovered.ledger().chain_fingerprint_prefix(shared),
+        reference.chain_fingerprint_prefix(shared),
+        "recovered replica's chain prefix diverged from the reference"
+    );
+}
+
 #[test]
 fn signed_clients_commit_over_tcp() {
     let config = Config::builder()
