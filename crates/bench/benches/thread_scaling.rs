@@ -12,11 +12,16 @@
 //! latest snapshot — never across thread counts, since those measure
 //! different parallelism, not a regression.
 //!
-//! The absolute speedup is machine-dependent: on a single-core runner the
-//! 2- and 4-shard points measure barrier overhead (expect ~1x or below);
-//! the >= 3x headline materialises on the multi-core CI runners. The
-//! `host_cpus` field records what the measurement ran on so readers can
-//! interpret the ratios.
+//! No speed-up has been observed yet. Snapshots up to BENCH_pr9.json ran on
+//! a 1-CPU host, where the 2- and 4-shard points can only measure barrier
+//! overhead (~0.9x). On the 2-core host of BENCH_pr15.json, ten alternating
+//! runs of this configuration read 107k / 98k / 93k events/s at 1 / 2 / 4
+//! shards before PR 15's single window loop and 110k / 106k / 96k after it
+//! (medians; run-to-run spread about ±15%) — the sharded side is still
+//! slower than one shard. For the sharded engine to earn its keep, a host
+//! with at least four cores must show the 4-shard point at 1.5x or more of
+//! the 1-shard point (DESIGN.md §5.3). The `host_cpus` field records what
+//! the measurement ran on so readers can interpret the ratios.
 
 use std::time::Instant;
 

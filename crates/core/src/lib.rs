@@ -77,7 +77,7 @@ pub use replica::{
     Destination, HandleResult, Outbound, RecoveryStats, Replica, ReplicaEvent, ReplicaOptions,
 };
 pub use runner::{FaultTrigger, NodeFault, RunOptions, SimRunner};
-pub use runtime::{BufferedTransport, NodeHost, StepReport, Transport};
+pub use runtime::{BufferedTransport, NodeHost, RecoverMode, StepReport, Transport};
 pub use scenario::{Expectations, Scenario, ScenarioReport, ScenarioRun, ScenarioTransport};
 pub use storage::{
     DecodedStream, FileBackend, MemoryBackend, RecordKind, ReplayResult, SegmentBackend,

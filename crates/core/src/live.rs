@@ -37,8 +37,8 @@ use bamboo_types::{
 };
 
 use crate::replica::{Replica, ReplicaEvent, ReplicaOptions};
-use crate::runtime::{NodeHost, Transport};
-use crate::storage::{SegmentLog, StorageFault};
+use crate::runtime::{NodeHost, RecoverMode, Transport};
+use crate::storage::SegmentLog;
 
 /// The backend-specific send half of a live node.
 pub trait Link {
@@ -58,20 +58,6 @@ pub trait Link {
     /// Applies a [`LiveEvent::Peers`] update. In-process links have no
     /// addresses and ignore it.
     fn set_peers(&mut self, _table: &[(u64, SocketAddr)]) {}
-}
-
-/// How a crashed node comes back.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecoverMode {
-    /// Resume from the in-memory state the node crashed with.
-    Resume,
-    /// Discard in-memory state, restart from the latest checkpoint and
-    /// state-transfer the lost history back.
-    Amnesia,
-    /// Restart from the node's own durable segment log, optionally after a
-    /// crash-point fault mangled it. Without a log this degrades to
-    /// [`RecoverMode::Amnesia`].
-    Durable(Option<StorageFault>),
 }
 
 /// Events delivered to a running node's loop.
@@ -258,7 +244,7 @@ const IDLE_WAIT: Duration = Duration::from_millis(20);
 ///
 /// The node boots once `link.ready()`: through `NodeHost::start`, or — when
 /// its mounted durable log already holds state, i.e. this is a process
-/// coming back — through `NodeHost::restart_durable`. While crashed it
+/// coming back — through a durable `NodeHost::restart`. While crashed it
 /// processes nothing: inbound traffic is dropped on the floor and armed
 /// deadlines do not fire.
 pub fn run_live_node(
@@ -284,7 +270,7 @@ pub fn run_live_node(
             started = true;
             let log = host.replica().storage();
             if log.is_some_and(|log| log.records_appended() > 0 || log.checkpoint().is_some()) {
-                host.restart_durable(current, None, &mut transport);
+                host.restart(RecoverMode::Durable(None), current, &mut transport);
             } else {
                 host.start(current, &mut transport);
             }
@@ -306,16 +292,9 @@ pub fn run_live_node(
                     crashed = false;
                     // A restart invalidates deadlines armed for pre-crash
                     // views; a resume keeps them.
-                    match mode {
-                        RecoverMode::Resume => {}
-                        RecoverMode::Amnesia => {
-                            transport.deadlines.clear();
-                            host.restart_with_amnesia(now(), &mut transport);
-                        }
-                        RecoverMode::Durable(fault) => {
-                            transport.deadlines.clear();
-                            host.restart_durable(now(), fault, &mut transport);
-                        }
+                    if mode != RecoverMode::Resume {
+                        transport.deadlines.clear();
+                        host.restart(mode, now(), &mut transport);
                     }
                 }
                 // A crashed node hears nothing; a running one cannot recover.

@@ -1067,42 +1067,11 @@ impl Replica {
     pub fn amnesia_restart(&mut self, now: SimTime) -> HandleResult {
         let mut out = HandleResult::default();
         let image = self.checkpoint_image();
+        self.reset_volatile(now);
         if !image.is_empty() {
-            out.cpu += self.cpu.snapshot(image.len());
+            self.install_image(&image, &mut out);
         }
-        let restored = Snapshot::decode(&image).map(|snap| (snap.forest, snap.ledger));
-        let (forest, ledger) = restored.unwrap_or_else(|_| (BlockForest::new(), Ledger::new()));
-        self.forest = forest;
-        self.ledger = ledger;
-        self.checkpoint_height = self.ledger.len() as u64;
-        let strategy = if self.config.is_byzantine(self.id) {
-            self.config.byzantine_strategy
-        } else {
-            bamboo_types::ByzantineStrategy::Honest
-        };
-        self.safety = make_safety(self.protocol, strategy, self.config.nodes);
-        self.mempool = Mempool::with_shards(self.config.mempool_size, self.config.mempool_shards);
-        self.pacemaker = Pacemaker::new(self.id, self.config.nodes, self.config.timeout);
-        self.quorum = QuorumTracker::new(self.config.nodes);
-        self.proposed_in_view = View::GENESIS;
-        self.pending_qcs.clear();
-        self.deferred_proposal = None;
-        self.syncing = false;
-        self.sync_timer_armed = false;
-        self.sync_attempts = 0;
-        self.recovery.restarted_at = Some(now);
-        self.recovery.caught_up_at = None;
-        // Ask for the missing history first (this marks us as syncing, which
-        // suppresses proposing from stale state), then arm the view timer.
-        self.send_sync_request(now, &mut out);
-        let startup = self.start(now);
-        out.cpu += startup.cpu;
-        out.outbound.extend(startup.outbound);
-        out.timers.extend(startup.timers);
-        out.delayed_proposals.extend(startup.delayed_proposals);
-        out.sync_timers.extend(startup.sync_timers);
-        out.committed.extend(startup.committed);
-        out
+        self.rejoin(now, out)
     }
 
     /// Restarts this replica from its own durable storage: process death is
@@ -1114,40 +1083,18 @@ impl Replica {
     /// only the tail missed while down. A replica without storage degrades to
     /// [`Replica::amnesia_restart`].
     pub fn durable_restart(&mut self, now: SimTime, fault: Option<StorageFault>) -> HandleResult {
-        if self.storage.is_none() {
+        let Some(log) = self.storage.as_mut() else {
             return self.amnesia_restart(now);
-        }
-        let replay = {
-            let log = self.storage.as_mut().expect("checked above");
-            if let Some(fault) = fault {
-                log.schedule_fault(fault);
-            }
-            log.crash();
-            log.replay()
         };
+        if let Some(fault) = fault {
+            log.schedule_fault(fault);
+        }
+        log.crash();
+        let replay = log.replay();
 
         // Fresh volatile state, exactly as in an amnesia restart — but
         // everything below is then rebuilt from the local durable image.
-        self.forest = BlockForest::new();
-        self.ledger = Ledger::new();
-        self.checkpoint_height = 0;
-        let strategy = if self.config.is_byzantine(self.id) {
-            self.config.byzantine_strategy
-        } else {
-            bamboo_types::ByzantineStrategy::Honest
-        };
-        self.safety = make_safety(self.protocol, strategy, self.config.nodes);
-        self.mempool = Mempool::with_shards(self.config.mempool_size, self.config.mempool_shards);
-        self.pacemaker = Pacemaker::new(self.id, self.config.nodes, self.config.timeout);
-        self.quorum = QuorumTracker::new(self.config.nodes);
-        self.proposed_in_view = View::GENESIS;
-        self.pending_qcs.clear();
-        self.deferred_proposal = None;
-        self.syncing = false;
-        self.sync_timer_armed = false;
-        self.sync_attempts = 0;
-        self.recovery.restarted_at = Some(now);
-        self.recovery.caught_up_at = None;
+        self.reset_volatile(now);
         self.recovery.durable_restarts += 1;
 
         let mut out = HandleResult::default();
@@ -1159,12 +1106,7 @@ impl Replica {
         self.recovery.corrupt_records_discarded += replay.corrupt_records_discarded;
 
         if let Some((_, image)) = &replay.checkpoint {
-            out.cpu += self.cpu.snapshot(image.len());
-            if let Ok(snap) = Snapshot::decode(image) {
-                self.forest = snap.forest;
-                self.ledger = snap.ledger;
-                self.checkpoint_height = self.ledger.len() as u64;
-            }
+            self.install_image(image, &mut out);
         }
 
         let mut voted = View::GENESIS;
@@ -1217,8 +1159,53 @@ impl Replica {
         self.safety.restore_voted_view(voted);
         self.restored_voted_view = Some(self.safety.voted_view());
 
-        // Fall back to network sync for the tail missed while down, then
-        // rejoin live consensus.
+        self.rejoin(now, out)
+    }
+
+    /// Discards every in-memory structure a process death loses — forest and
+    /// ledger back to genesis, fresh safety rules, mempool, pacemaker, quorum
+    /// tracker and sync state — and stamps the restart for the recovery
+    /// audit. Both restart flavours rebuild from here.
+    fn reset_volatile(&mut self, now: SimTime) {
+        self.forest = BlockForest::new();
+        self.ledger = Ledger::new();
+        self.checkpoint_height = 0;
+        let strategy = if self.config.is_byzantine(self.id) {
+            self.config.byzantine_strategy
+        } else {
+            bamboo_types::ByzantineStrategy::Honest
+        };
+        self.safety = make_safety(self.protocol, strategy, self.config.nodes);
+        self.mempool = Mempool::with_shards(self.config.mempool_size, self.config.mempool_shards);
+        self.pacemaker = Pacemaker::new(self.id, self.config.nodes, self.config.timeout);
+        self.quorum = QuorumTracker::new(self.config.nodes);
+        self.proposed_in_view = View::GENESIS;
+        self.pending_qcs.clear();
+        self.deferred_proposal = None;
+        self.syncing = false;
+        self.sync_timer_armed = false;
+        self.sync_attempts = 0;
+        self.recovery.restarted_at = Some(now);
+        self.recovery.caught_up_at = None;
+    }
+
+    /// Rebuilds forest and ledger from a checkpoint `image`, charging the
+    /// modeled decode cost. An undecodable image leaves the genesis state in
+    /// place.
+    fn install_image(&mut self, image: &[u8], out: &mut HandleResult) {
+        out.cpu += self.cpu.snapshot(image.len());
+        if let Ok(snap) = Snapshot::decode(image) {
+            self.forest = snap.forest;
+            self.ledger = snap.ledger;
+            self.checkpoint_height = self.ledger.len() as u64;
+        }
+    }
+
+    /// The tail both restart flavours share: ask for the missing history
+    /// first (this marks us as syncing, which suppresses proposing from stale
+    /// state), then arm the view timer and fold the start-up effects into
+    /// `out`.
+    fn rejoin(&mut self, now: SimTime, mut out: HandleResult) -> HandleResult {
         self.send_sync_request(now, &mut out);
         let startup = self.start(now);
         out.cpu += startup.cpu;

@@ -1,5 +1,5 @@
 //! The discrete-event simulation runner: a deterministic window-barrier
-//! engine that shards replicas across worker threads.
+//! engine that shards replicas across threads.
 //!
 //! [`SimRunner`] wires `N` replicas (each behind a [`NodeHost`]), a workload
 //! generator, and the network / NIC / CPU models of `bamboo-sim` into one
@@ -21,6 +21,19 @@
 //! delayed proposals) are inserted into a shard's own queue mid-window, which
 //! is safe because they never leave the shard.
 //!
+//! # One loop
+//!
+//! The runner owns every shard between windows, and one coordinator loop
+//! (`SimRunner::coordinate`) serves every thread count. At each barrier it
+//! reads the shards' commit logs, outboxes, view high-water marks and queue
+//! heads in place, sorts the merged deliveries canonically, deals them into
+//! the owning shards' inboxes, and runs the window on every shard: shard 0
+//! on the coordinator's own thread, every further shard lent (boxed, so a
+//! pointer move) to a persistent scoped worker and taken back when its
+//! window is done. With one shard there are no workers and what remains is a
+//! plain sequential event loop; nothing else depends on the shard count, so
+//! there is no second code path to keep in step.
+//!
 //! Determinism across thread counts falls out of three invariants:
 //!
 //! * **per-replica RNG streams** — replica `r` draws all of its latency
@@ -30,7 +43,7 @@
 //!   replica landed on;
 //! * **canonical barrier order** — the coordinator merges all shard outboxes
 //!   plus freshly generated client batches and sorts them by
-//!   `(deliver_at, origin, per-origin sequence)` before injecting, so every
+//!   `(deliver_at, origin, per-origin sequence)` before dealing, so every
 //!   shard queue receives its events in a layout-invariant order (same-time
 //!   ties in a queue pop in insertion order);
 //! * **phase-aligned global state** — view-triggered faults resolve at
@@ -41,8 +54,7 @@
 //! data dependency (each touches only its own host, RNG and busy-server
 //! state; outputs are canonicalised as above), so pop-order ties between
 //! replicas sharing a queue are semantically neutral and every thread count
-//! — including the inline `threads = 1` path, which runs the identical
-//! windowed code — produces the same ledgers, event counts and metrics.
+//! produces the same ledgers, event counts and metrics.
 //!
 //! The runner is a *backend* of the shared runtime layer
 //! ([`crate::runtime`]): replica effects are collected through a
@@ -59,9 +71,10 @@
 //! recipient whose link delivers, in the sender's shard — with the
 //! [`VerifiedMessage`] token fanned out (forged envelopes are delivered as
 //! rejections so every recipient still books the modeled cost). Each shard
-//! reuses one [`BufferedTransport`], its slab-backed
-//! [`EventQueue`] and its workload buckets across windows, so steady-state
-//! execution is allocation-light.
+//! reuses one [`BufferedTransport`], its slab-backed [`EventQueue`], its
+//! outbox and its inbox across windows, and the coordinator reuses its merge
+//! buffer and workload buckets, so steady-state execution is allocation-light
+//! at every thread count.
 
 use std::sync::mpsc;
 
@@ -75,8 +88,7 @@ use bamboo_types::{
 
 use crate::metrics::{Metrics, RecoveryReport, RunReport};
 use crate::replica::{Replica, ReplicaEvent, ReplicaOptions};
-use crate::runtime::{BufferedTransport, NodeHost, StepReport};
-use crate::storage::StorageFault;
+use crate::runtime::{BufferedTransport, NodeHost, RecoverMode, StepReport};
 use crate::workload::{Arrival, ClosedLoopWorkload, OpenLoopWorkload, Workload};
 
 /// RNG stream label of the coordinator's workload generator. Replica `r`
@@ -98,19 +110,9 @@ pub enum FaultTrigger {
 ///
 /// A crashed node is blacked out at the network layer: events addressed to
 /// it are discarded and — since it therefore never handles anything — it
-/// sends nothing. Its internal timers are suspended too.
-///
-/// Recovery comes in three flavours. Without `amnesia` the node rejoins
-/// passively with its pre-crash heap intact and catches up through the QCs
-/// embedded in the traffic it starts receiving again — a network blip, not a
-/// process death. With `amnesia` the node restarts from its latest checkpoint
-/// (whatever [`bamboo_types::Config::checkpoint_interval`] last persisted, or
-/// genesis), discards everything else it knew, and state-transfers the lost
-/// history back from its peers — a machine that actually rebooted. With
-/// `durable` (requires [`bamboo_types::Config::durable_log`]) the node
-/// restarts from its own durable segment log and persisted checkpoint image,
-/// optionally after a crash-point [`StorageFault`] mangled the log, and falls
-/// back to state transfer only for whatever the log did not cover.
+/// sends nothing. Its internal timers are suspended too. How it comes back —
+/// resuming its pre-crash heap, restarting from its latest checkpoint, or
+/// replaying its own durable log — is the fault's [`RecoverMode`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodeFault {
     /// The replica to crash.
@@ -119,30 +121,8 @@ pub struct NodeFault {
     pub crash: FaultTrigger,
     /// When the node recovers; `None` means it stays down.
     pub recover: Option<FaultTrigger>,
-    /// Whether recovery loses all in-memory state (restart from checkpoint
-    /// plus state transfer) instead of resuming the pre-crash heap.
-    pub amnesia: bool,
-    /// Whether recovery replays the replica's durable segment log (checkpoint
-    /// image plus record replay) before falling back to state transfer.
-    /// Takes precedence over `amnesia`.
-    pub durable: bool,
-    /// A crash-point storage fault applied to the durable log at the crash,
-    /// exercising the torn-tail/corruption recovery paths. Only meaningful
-    /// with `durable`.
-    pub storage_fault: Option<StorageFault>,
-}
-
-/// How a recovered node rebuilds its state, resolved from the [`NodeFault`]
-/// flags once and plumbed through the crash-flip machinery.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum RecoverMode {
-    /// Pre-crash heap intact: a network blip.
-    Resume,
-    /// Restart from the volatile checkpoint, state-transfer the rest.
-    Amnesia,
-    /// Replay the durable segment log (after an optional crash-point fault),
-    /// state-transfer only the tail.
-    Durable(Option<StorageFault>),
+    /// How the node rebuilds its state when it recovers.
+    pub mode: RecoverMode,
 }
 
 /// Run-level options that are not part of the shared Table-I [`Config`].
@@ -171,14 +151,14 @@ pub struct RunOptions {
     /// The replica whose ledger is used for reporting; defaults to the
     /// highest-id (always honest) replica.
     pub observer: Option<NodeId>,
-    /// Safety cap on the number of simulation events processed. The sharded
-    /// engine checks the cap at window barriers, so a run may overshoot it
-    /// by up to one window's worth of events.
+    /// Safety cap on the number of simulation events processed. The engine
+    /// checks the cap at window barriers, so a run may overshoot it by up to
+    /// one window's worth of events.
     pub max_events: u64,
-    /// Number of engine shards (worker threads). `1` (the default) runs the
-    /// windowed engine inline on the calling thread; higher values partition
-    /// replicas round-robin across that many OS threads. Clamped to the
-    /// node count. Every thread count produces identical results.
+    /// Number of engine shards, each on its own OS thread (the calling
+    /// thread runs the first). `1` (the default) is a sequential event loop;
+    /// higher values partition replicas round-robin. Clamped to the node
+    /// count. Every thread count produces identical results.
     pub threads: usize,
 }
 
@@ -201,8 +181,15 @@ impl Default for RunOptions {
     }
 }
 
-/// A shard-local simulation event.
-enum SimEvent {
+/// A simulation event addressed to one replica. Events live in the queue of
+/// the shard that owns `node`.
+struct SimEvent {
+    node: NodeId,
+    kind: EventKind,
+}
+
+/// What a [`SimEvent`] asks its replica's host to do.
+enum EventKind {
     /// A message that passed ingress verification, delivered as the shared
     /// proof token. The sender's shard verifies each unique envelope **once**
     /// when it is absorbed and fans the `Arc`-backed token out, so a
@@ -212,112 +199,59 @@ enum SimEvent {
     /// sharing it across recipients changes nothing observable; each
     /// recipient is still charged its own modeled verification CPU by the
     /// replica as before.
-    Deliver {
-        to: NodeId,
-        token: VerifiedMessage,
-    },
+    Deliver(VerifiedMessage),
     /// A message that failed ingress verification. It is still delivered —
     /// each recipient books the rejection and is charged the modeled CPU cost
     /// of the verification work that exposed the forgery at its own busy
     /// server, exactly as with inline verification.
-    DeliverForged {
-        to: NodeId,
-        message: SharedMessage,
-    },
-    Timer {
-        node: NodeId,
-        view: View,
-    },
-    ProposeNow {
-        node: NodeId,
-        view: View,
-    },
-    /// A batch of client requests arriving at a replica's edge. The host
+    DeliverForged(SharedMessage),
+    Timer(View),
+    ProposeNow(View),
+    /// A batch of client requests arriving at the replica's edge. The host
     /// verifies the batch (4-wide, in signed-client mode), strips the
     /// signatures, and admits the transactions into the mempool.
-    ClientBatch {
-        to: NodeId,
-        requests: Vec<ClientRequest>,
-    },
+    ClientBatch(Vec<ClientRequest>),
     /// A state-transfer debounce/retry deadline armed by the replica.
-    SyncTimer {
-        node: NodeId,
-    },
-    /// A time-triggered node fault boundary: crash (`true`) or recover
-    /// (`false`) the node, scheduled into the owning shard's queue.
-    /// View-triggered boundaries are resolved by the coordinator at window
-    /// barriers from the globally highest observed view. `mode` applies to
-    /// recoveries only and selects how the node rebuilds its state.
+    SyncTimer,
+    /// A time-triggered node fault boundary, scheduled into the owning
+    /// shard's queue: crash the node, or bring it back in `mode` (which
+    /// applies to recoveries only). View-triggered boundaries are resolved by
+    /// the coordinator at window barriers from the globally highest observed
+    /// view.
     SetCrashed {
-        node: NodeId,
         crashed: bool,
         mode: RecoverMode,
     },
 }
 
-/// The payload of a cross-shard delivery staged at a window barrier.
-enum InjectionKind {
-    /// A verified replica-to-replica message (the fanned-out proof token).
-    Verified(VerifiedMessage),
-    /// A forged replica-to-replica message, delivered for cost accounting.
-    Forged(SharedMessage),
-    /// A client arrival batch generated by the coordinator's workload tick.
-    ClientBatch(Vec<ClientRequest>),
-}
-
-/// One event crossing a window barrier, with the canonical ordering key
-/// `(deliver_at, origin, seq)` that makes injection order independent of the
-/// shard layout: `origin` is the sending replica (or [`WORKLOAD_STREAM`] for
-/// client batches) and `seq` its own send counter, both of which depend only
-/// on that origin's execution order.
+/// One event crossing a window barrier — a replica-to-replica delivery or a
+/// client batch from the coordinator's workload tick — with the canonical
+/// ordering key `(deliver_at, origin, seq)` that makes injection order
+/// independent of the shard layout: `origin` is the sending replica (or
+/// [`WORKLOAD_STREAM`] for client batches) and `seq` its own send counter,
+/// both of which depend only on that origin's execution order.
 struct Injection {
     deliver_at: SimTime,
     origin: u64,
     seq: u64,
-    to: NodeId,
-    kind: InjectionKind,
+    event: SimEvent,
 }
 
-/// What one shard hands back to the coordinator after executing a window.
-struct WindowResult {
-    shard: usize,
-    /// Deliveries produced during the window, for other (or this) shard's
-    /// next windows.
-    outbox: Vec<Injection>,
-    /// Transactions the observer replica committed, in commit order, so the
-    /// coordinator can feed closed-loop clients.
-    commits: Vec<(TxId, SimTime)>,
-    /// Highest view any replica of this shard has reached.
-    max_view: View,
-    /// Events popped during the window.
-    processed: u64,
-    /// Timestamp of the shard's earliest still-pending event.
-    next_event: Option<SimTime>,
-}
-
-/// A command sent to a shard worker.
-enum ShardCmd {
-    /// Boot every replica of the shard at time zero.
-    Boot,
-    /// Execute one window: apply crash flips, inject barrier deliveries,
-    /// then drain the queue up to `limit` (exclusive).
-    Window {
-        limit: SimTime,
-        window_start: SimTime,
-        window_end: SimTime,
-        injections: Vec<Injection>,
-        /// `(node, crashed, mode)` — view-triggered fault boundaries
-        /// resolved by the coordinator, applied at the window's opening edge.
-        flips: Vec<(NodeId, bool, RecoverMode)>,
-    },
-    /// Stop and hand the shard state back for reporting.
-    Finish,
+/// One lock-step time window `[start, end)`. `limit` is `end` clipped to the
+/// instant after the run's last: events at or beyond it stay queued.
+#[derive(Clone, Copy)]
+struct Window {
+    start: SimTime,
+    end: SimTime,
+    limit: SimTime,
 }
 
 /// The per-shard slice of the simulation: the shard's replicas (round-robin
 /// `node % threads`), their RNG streams and busy servers, a private event
 /// queue, clones of the network models, its own ingress verifier and metrics
-/// accumulator. Everything a window needs, with no sharing.
+/// accumulator. Everything a window needs, with no sharing. At a barrier the
+/// coordinator deals into `inbox` and `flips` and reads `outbox`, `commits`,
+/// `max_view`, `processed` and the queue head in place.
 struct ShardState {
     shard: usize,
     shards_total: usize,
@@ -330,7 +264,7 @@ struct ShardState {
     busy_until: Vec<SimTime>,
     /// Per-replica outbox sequence counters (the canonical-order tiebreak).
     send_seq: Vec<u64>,
-    /// Crash state, global-indexed; only this shard's entries are consulted.
+    /// Crash state, global-indexed; only this shard's entries are used.
     crashed: Vec<bool>,
     queue: EventQueue<SimEvent>,
     latency: LatencyModel,
@@ -339,13 +273,30 @@ struct ShardState {
     metrics: Metrics,
     /// Reused across every event of every window (cleared, capacity kept).
     effects: BufferedTransport,
+    /// This barrier's deliveries for the shard's replicas, in canonical
+    /// order; scheduled into the queue when the window opens.
+    inbox: Vec<Injection>,
+    /// `(node, crashed, mode)` — view-triggered fault boundaries of this
+    /// shard's replicas, applied at the window's opening edge.
+    flips: Vec<(NodeId, bool, RecoverMode)>,
+    /// Deliveries produced during the window, for the next barrier.
     outbox: Vec<Injection>,
+    /// Transactions the observer replica committed during the window, in
+    /// commit order, so the coordinator can feed closed-loop clients.
     commits: Vec<(TxId, SimTime)>,
+    /// Highest view any replica of this shard has reached.
     max_view: View,
+    /// Events popped so far, over all windows.
+    processed: u64,
     /// End of the window currently executing; staged deliveries must land at
     /// or beyond it (the conservative-lookahead invariant).
     window_end: SimTime,
 }
+
+/// All shards of a run, in shard order. Boxed so that lending a shard to its
+/// worker moves a pointer, not the state.
+#[allow(clippy::vec_box)]
+type Shards = Vec<Box<ShardState>>;
 
 /// Resolves the verify-once verdict for an outbound envelope, memoising it in
 /// `verdict` so a broadcast checks the signature once and fans the result
@@ -355,14 +306,14 @@ fn delivery_for(
     auth: &mut Authenticator,
     sender: NodeId,
     message: &SharedMessage,
-) -> InjectionKind {
+) -> EventKind {
     let verdict = verdict.get_or_insert_with(|| {
         auth.authenticate_shared(sender, message.clone())
             .map_err(|_| message.clone())
     });
     match verdict {
-        Ok(token) => InjectionKind::Verified(token.clone()),
-        Err(forged) => InjectionKind::Forged(forged.clone()),
+        Ok(token) => EventKind::Deliver(token.clone()),
+        Err(forged) => EventKind::DeliverForged(forged.clone()),
     }
 }
 
@@ -378,231 +329,113 @@ impl ShardState {
 
     /// Boots every replica of this shard at time zero, staging boot-time
     /// sends (the view-1 leader's proposal) into the outbox.
-    fn boot(&mut self) -> WindowResult {
-        self.boot_in_place();
-        self.result(0)
-    }
-
-    /// [`ShardState::boot`] without packaging a [`WindowResult`]: the
-    /// sequential coordinator reads the outbox and commit log in place.
-    fn boot_in_place(&mut self) {
-        self.window_end = SimTime::ZERO;
+    fn boot(&mut self) {
         for local in 0..self.hosts.len() {
             let node = self.node_at(local);
-            let mut effects = std::mem::take(&mut self.effects);
-            effects.clear();
-            let report = self.hosts[local].start(SimTime::ZERO, &mut effects);
-            self.absorb(node, report, &mut effects, SimTime::ZERO);
-            self.effects = effects;
+            self.step(node, SimTime::ZERO, |host, start, effects| {
+                host.start(start, effects)
+            });
         }
     }
 
-    /// Executes one window: applies view-trigger crash flips, injects the
-    /// barrier's canonical delivery batch, then drains the queue up to
-    /// `limit` (exclusive).
-    fn run_window(
-        &mut self,
-        limit: SimTime,
-        window_start: SimTime,
-        window_end: SimTime,
-        mut injections: Vec<Injection>,
-        flips: &[(NodeId, bool, RecoverMode)],
-    ) -> WindowResult {
-        let processed =
-            self.run_window_in_place(limit, window_start, window_end, &mut injections, flips);
-        self.result(processed)
-    }
-
-    /// [`ShardState::run_window`] draining a caller-owned injection buffer
-    /// and leaving the outbox/commit log in place. The sequential
-    /// (`threads = 1`) coordinator calls this directly so its steady state
-    /// moves no buffers and allocates nothing; the sharded drivers wrap it in
-    /// [`ShardState::run_window`]. Both paths execute the identical window
-    /// code, which is what keeps every thread count bit-identical.
-    fn run_window_in_place(
-        &mut self,
-        limit: SimTime,
-        window_start: SimTime,
-        window_end: SimTime,
-        injections: &mut Vec<Injection>,
-        flips: &[(NodeId, bool, RecoverMode)],
-    ) -> u64 {
-        self.window_end = window_end;
-        for &(node, crashed, mode) in flips {
-            let was = self.crashed[node.index()];
-            self.crashed[node.index()] = crashed;
-            // View-triggered recovery: the owning shard restarts the replica
-            // at the window's opening edge — a barrier-aligned,
-            // layout-invariant instant, so every thread count restarts it at
-            // the same simulated time.
-            if was && !crashed && node.index() % self.shards_total == self.shard {
-                match mode {
-                    RecoverMode::Resume => {}
-                    RecoverMode::Amnesia => self.amnesia_restart(node, window_start),
-                    RecoverMode::Durable(fault) => self.durable_restart(node, window_start, fault),
+    /// Executes one window: applies the view-trigger crash flips at its
+    /// opening edge, schedules the barrier's canonical delivery batch, then
+    /// drains the queue up to `window.limit` (exclusive).
+    fn run_window(&mut self, window: Window) {
+        self.window_end = window.end;
+        // The opening edge is a barrier-aligned, layout-invariant instant, so
+        // every thread count restarts a view-recovered replica at the same
+        // simulated time.
+        for index in 0..self.flips.len() {
+            let (node, crashed, mode) = self.flips[index];
+            self.set_crashed(node, crashed, mode, window.start);
+        }
+        self.flips.clear();
+        for injection in self.inbox.drain(..) {
+            self.queue.schedule(injection.deliver_at, injection.event);
+        }
+        while let Some((time, SimEvent { node, kind })) = self.queue.pop_if_before(window.limit) {
+            self.processed += 1;
+            match kind {
+                // The envelope was verified once in the sender's shard; the
+                // token hands it to the replica with no further wall-clock
+                // crypto (modeled costs are charged by the replica).
+                EventKind::Deliver(token) => self.step(node, time, |host, start, effects| {
+                    host.handle_verified(token, start, effects)
+                }),
+                // Book the rejection at the recipient's busy server with the
+                // modeled cost of discovering the forgery.
+                EventKind::DeliverForged(message) => {
+                    self.step(node, time, |host, _, _| host.reject_forged(&message))
+                }
+                // The edge verification stage lives in the host: in
+                // signed-client mode the batch is checked 4-wide (and charged
+                // as such) before the stripped transactions are admitted to
+                // the mempool.
+                EventKind::ClientBatch(requests) => {
+                    self.step(node, time, |host, start, effects| {
+                        host.handle_client_batch(requests, start, effects)
+                    })
+                }
+                EventKind::Timer(view) => {
+                    self.dispatch(node, ReplicaEvent::TimerFired { view }, time)
+                }
+                EventKind::ProposeNow(view) => {
+                    self.dispatch(node, ReplicaEvent::ProposeNow { view }, time)
+                }
+                EventKind::SyncTimer => self.dispatch(node, ReplicaEvent::SyncTimer, time),
+                EventKind::SetCrashed { crashed, mode } => {
+                    self.set_crashed(node, crashed, mode, time)
                 }
             }
-        }
-        for injection in injections.drain(..) {
-            let event = match injection.kind {
-                InjectionKind::Verified(token) => SimEvent::Deliver {
-                    to: injection.to,
-                    token,
-                },
-                InjectionKind::Forged(message) => SimEvent::DeliverForged {
-                    to: injection.to,
-                    message,
-                },
-                InjectionKind::ClientBatch(requests) => SimEvent::ClientBatch {
-                    to: injection.to,
-                    requests,
-                },
-            };
-            self.queue.schedule(injection.deliver_at, event);
-        }
-        let mut processed: u64 = 0;
-        while let Some((time, event)) = self.queue.pop_if_before(limit) {
-            processed += 1;
-            match event {
-                SimEvent::Deliver { to, token } => {
-                    if self.crashed[to.index()] {
-                        continue;
-                    }
-                    // The envelope was verified once in the sender's shard;
-                    // the token hands it to the replica with no further
-                    // wall-clock crypto (modeled costs are charged by the
-                    // replica).
-                    let local = self.local_index(to);
-                    let start = time.max(self.busy_until[local]);
-                    let mut effects = std::mem::take(&mut self.effects);
-                    effects.clear();
-                    let report = self.hosts[local].handle_verified(token, start, &mut effects);
-                    self.absorb(to, report, &mut effects, start);
-                    self.effects = effects;
-                }
-                SimEvent::DeliverForged { to, message } => {
-                    if self.crashed[to.index()] {
-                        continue;
-                    }
-                    // Book the rejection at the recipient's busy server with
-                    // the modeled cost of discovering the forgery.
-                    let local = self.local_index(to);
-                    let start = time.max(self.busy_until[local]);
-                    let report = self.hosts[local].reject_forged(&message);
-                    let mut effects = std::mem::take(&mut self.effects);
-                    effects.clear();
-                    self.absorb(to, report, &mut effects, start);
-                    self.effects = effects;
-                }
-                SimEvent::Timer { node, view } => {
-                    if self.crashed[node.index()] {
-                        continue;
-                    }
-                    self.dispatch(node, ReplicaEvent::TimerFired { view }, time);
-                }
-                SimEvent::ProposeNow { node, view } => {
-                    if self.crashed[node.index()] {
-                        continue;
-                    }
-                    self.dispatch(node, ReplicaEvent::ProposeNow { view }, time);
-                }
-                SimEvent::ClientBatch { to, requests } => {
-                    if self.crashed[to.index()] {
-                        continue;
-                    }
-                    // The edge verification stage lives in the host: in
-                    // signed-client mode the batch is checked 4-wide (and
-                    // charged as such) before the stripped transactions are
-                    // admitted to the mempool.
-                    let local = self.local_index(to);
-                    let start = time.max(self.busy_until[local]);
-                    let mut effects = std::mem::take(&mut self.effects);
-                    effects.clear();
-                    let report =
-                        self.hosts[local].handle_client_batch(requests, start, &mut effects);
-                    self.absorb(to, report, &mut effects, start);
-                    self.effects = effects;
-                }
-                SimEvent::SyncTimer { node } => {
-                    if self.crashed[node.index()] {
-                        continue;
-                    }
-                    self.dispatch(node, ReplicaEvent::SyncTimer, time);
-                }
-                SimEvent::SetCrashed {
-                    node,
-                    crashed,
-                    mode,
-                } => {
-                    let was = self.crashed[node.index()];
-                    self.crashed[node.index()] = crashed;
-                    if was && !crashed {
-                        // Time-triggered recovery (always fires in the owning
-                        // shard's queue).
-                        match mode {
-                            RecoverMode::Resume => {}
-                            RecoverMode::Amnesia => self.amnesia_restart(node, time),
-                            RecoverMode::Durable(fault) => self.durable_restart(node, time, fault),
-                        }
-                    }
-                }
-            }
-        }
-        processed
-    }
-
-    fn result(&mut self, processed: u64) -> WindowResult {
-        WindowResult {
-            shard: self.shard,
-            outbox: std::mem::take(&mut self.outbox),
-            commits: std::mem::take(&mut self.commits),
-            max_view: self.max_view,
-            processed,
-            next_event: self.queue.peek_time(),
         }
     }
 
     fn dispatch(&mut self, node: NodeId, event: ReplicaEvent, time: SimTime) {
-        // Model the replica as a single busy server: processing starts when
-        // both the event has arrived and the CPU is free.
+        self.step(node, time, |host, start, effects| {
+            host.handle(event, start, effects)
+        });
+    }
+
+    /// Runs one host step of `node` for an event arriving at `time` and
+    /// absorbs its effects, unless the node is crashed (a crashed node hears
+    /// nothing). The replica is a single busy server: processing starts when
+    /// both the event has arrived and the CPU is free.
+    fn step(
+        &mut self,
+        node: NodeId,
+        time: SimTime,
+        run: impl FnOnce(&mut NodeHost, SimTime, &mut BufferedTransport) -> StepReport,
+    ) {
+        if self.crashed[node.index()] {
+            return;
+        }
         let local = self.local_index(node);
         let start = time.max(self.busy_until[local]);
         let mut effects = std::mem::take(&mut self.effects);
         effects.clear();
-        let report = self.hosts[local].handle(event, start, &mut effects);
+        let report = run(&mut self.hosts[local], start, &mut effects);
         self.absorb(node, report, &mut effects, start);
         self.effects = effects;
     }
 
-    /// Restarts `node` with amnesia at `time`: the replica rebuilds itself
-    /// from its latest checkpoint and its restart effects (view timer, the
-    /// immediate state-transfer request) flow through the same absorb path —
-    /// and thus the same canonical barrier ordering — as any other step.
-    fn amnesia_restart(&mut self, node: NodeId, time: SimTime) {
-        let local = self.local_index(node);
-        // A rebooted process starts with an idle CPU; whatever the busy
-        // server was doing pre-crash died with it.
-        self.busy_until[local] = time;
-        let mut effects = std::mem::take(&mut self.effects);
-        effects.clear();
-        let report = self.hosts[local].restart_with_amnesia(time, &mut effects);
-        self.absorb(node, report, &mut effects, time);
-        self.effects = effects;
-    }
-
-    /// Restarts `node` from its durable segment log at `time`: the armed
-    /// crash-point `fault` (if any) mangles the log first, then the replica
-    /// replays checkpoint image plus surviving records and state-transfers
-    /// only the tail. Degrades to an amnesia restart when the run has no
-    /// durable log configured.
-    fn durable_restart(&mut self, node: NodeId, time: SimTime, fault: Option<StorageFault>) {
-        let local = self.local_index(node);
-        self.busy_until[local] = time;
-        let mut effects = std::mem::take(&mut self.effects);
-        effects.clear();
-        let report = self.hosts[local].restart_durable(time, fault, &mut effects);
-        self.absorb(node, report, &mut effects, time);
-        self.effects = effects;
+    /// Crashes `node` or brings it back at `time`. A recovery in any mode but
+    /// [`RecoverMode::Resume`] restarts the replica — from its checkpoint or
+    /// its durable log, after the armed crash-point fault mangled it — and
+    /// the restart effects (view timer, the immediate state-transfer request)
+    /// flow through the same absorb path, and thus the same canonical barrier
+    /// ordering, as any other step.
+    fn set_crashed(&mut self, node: NodeId, crashed: bool, mode: RecoverMode, time: SimTime) {
+        let was = std::mem::replace(&mut self.crashed[node.index()], crashed);
+        if was && !crashed && mode != RecoverMode::Resume {
+            // A rebooted process starts with an idle CPU; whatever the busy
+            // server was doing pre-crash died with it.
+            let local = self.local_index(node);
+            self.busy_until[local] = time;
+            self.step(node, time, |host, start, effects| {
+                host.restart(mode, start, effects)
+            });
+        }
     }
 
     /// Maps one step's effects onto the simulated substrate: commits into
@@ -653,14 +486,16 @@ impl ShardState {
         // stay in this shard's queue and may even fire within the current
         // window.
         for (view, deadline) in effects.timers.drain(..) {
-            self.queue
-                .schedule(deadline, SimEvent::Timer { node, view });
+            let kind = EventKind::Timer(view);
+            self.queue.schedule(deadline, SimEvent { node, kind });
         }
         for (view, at) in effects.proposals.drain(..) {
-            self.queue.schedule(at, SimEvent::ProposeNow { node, view });
+            let kind = EventKind::ProposeNow(view);
+            self.queue.schedule(at, SimEvent { node, kind });
         }
         for deadline in effects.sync_timers.drain(..) {
-            self.queue.schedule(deadline, SimEvent::SyncTimer { node });
+            let kind = EventKind::SyncTimer;
+            self.queue.schedule(deadline, SimEvent { node, kind });
         }
 
         // Outbound messages leave the sender once its CPU is done. Each
@@ -714,7 +549,7 @@ impl ShardState {
         local: usize,
         to: NodeId,
         deliver_at: SimTime,
-        kind: InjectionKind,
+        kind: EventKind,
     ) {
         debug_assert!(
             deliver_at >= self.window_end,
@@ -727,140 +562,51 @@ impl ShardState {
             deliver_at,
             origin: node.0,
             seq,
-            to,
-            kind,
+            event: SimEvent { node: to, kind },
         });
     }
 }
 
-/// How the coordinator drives its shards over channels to scoped worker
-/// threads. Single-shard (`threads = 1`) runs bypass the driver machinery:
-/// [`SimRunner::coordinate_single`] drives one [`ShardState`] in place,
-/// through the same window code.
-trait ShardDriver {
-    fn boot(&mut self) -> Vec<WindowResult>;
-    fn run_window(
-        &mut self,
-        limit: SimTime,
-        window_start: SimTime,
-        window_end: SimTime,
-        injections: Vec<Vec<Injection>>,
-        flips: &[(NodeId, bool, RecoverMode)],
-    ) -> Vec<WindowResult>;
-    fn finish(self) -> Vec<ShardState>;
+/// A persistent scoped worker thread: the coordinator lends it one shard per
+/// window and takes the shard back at the barrier. A worker that panics drops
+/// its channel ends, so the coordinator's next `recv` fails loudly instead of
+/// waiting forever; the scope (held by [`SimRunner::run`]) joins the workers
+/// once the coordinator has dropped their lending ends.
+struct Worker {
+    lend: mpsc::Sender<(Box<ShardState>, Window)>,
+    back: mpsc::Receiver<Box<ShardState>>,
 }
 
-/// Runs each shard on its own scoped worker thread, exchanging commands and
-/// window results over channels. The scope (held by the caller) joins the
-/// workers after [`ShardDriver::finish`] collects their states.
-struct ThreadShards {
-    commands: Vec<mpsc::Sender<ShardCmd>>,
-    results: mpsc::Receiver<WindowResult>,
-    states: mpsc::Receiver<ShardState>,
-}
-
-impl ThreadShards {
-    fn spawn<'scope>(
-        scope: &'scope std::thread::Scope<'scope, '_>,
-        shards: Vec<ShardState>,
-    ) -> Self {
-        let (result_tx, results) = mpsc::channel();
-        let (state_tx, states) = mpsc::channel();
-        let mut commands = Vec::with_capacity(shards.len());
-        for mut shard in shards {
-            let (command_tx, command_rx) = mpsc::channel::<ShardCmd>();
-            let result_tx = result_tx.clone();
-            let state_tx = state_tx.clone();
-            scope.spawn(move || {
-                while let Ok(command) = command_rx.recv() {
-                    match command {
-                        ShardCmd::Boot => {
-                            if result_tx.send(shard.boot()).is_err() {
-                                return;
-                            }
-                        }
-                        ShardCmd::Window {
-                            limit,
-                            window_start,
-                            window_end,
-                            injections,
-                            flips,
-                        } => {
-                            let result = shard.run_window(
-                                limit,
-                                window_start,
-                                window_end,
-                                injections,
-                                &flips,
-                            );
-                            if result_tx.send(result).is_err() {
-                                return;
-                            }
-                        }
-                        ShardCmd::Finish => {
-                            let _ = state_tx.send(shard);
-                            return;
-                        }
-                    }
+impl Worker {
+    fn spawn<'scope>(scope: &'scope std::thread::Scope<'scope, '_>) -> Self {
+        let (lend, lent) = mpsc::channel::<(Box<ShardState>, Window)>();
+        let (give_back, back) = mpsc::channel();
+        scope.spawn(move || {
+            for (mut shard, window) in lent {
+                shard.run_window(window);
+                if give_back.send(shard).is_err() {
+                    return;
                 }
-            });
-            commands.push(command_tx);
-        }
-        Self {
-            commands,
-            results,
-            states,
-        }
-    }
-
-    fn collect_results(&self) -> Vec<WindowResult> {
-        let mut results: Vec<WindowResult> = (0..self.commands.len())
-            .map(|_| self.results.recv().expect("shard worker alive"))
-            .collect();
-        results.sort_by_key(|result| result.shard);
-        results
+            }
+        });
+        Self { lend, back }
     }
 }
 
-impl ShardDriver for ThreadShards {
-    fn boot(&mut self) -> Vec<WindowResult> {
-        for command in &self.commands {
-            command.send(ShardCmd::Boot).expect("shard worker alive");
-        }
-        self.collect_results()
+/// Runs `window` on every shard: shard 0 on the calling thread, shard `i > 0`
+/// on `workers[i − 1]`. With one shard there are no workers and this is a
+/// direct call.
+fn run_shards(shards: &mut Shards, workers: &[Worker], window: Window) {
+    debug_assert_eq!(shards.len(), workers.len() + 1);
+    for (worker, shard) in workers.iter().zip(shards.drain(1..)) {
+        worker
+            .lend
+            .send((shard, window))
+            .expect("shard worker alive");
     }
-
-    fn run_window(
-        &mut self,
-        limit: SimTime,
-        window_start: SimTime,
-        window_end: SimTime,
-        injections: Vec<Vec<Injection>>,
-        flips: &[(NodeId, bool, RecoverMode)],
-    ) -> Vec<WindowResult> {
-        for (command, batch) in self.commands.iter().zip(injections) {
-            command
-                .send(ShardCmd::Window {
-                    limit,
-                    window_start,
-                    window_end,
-                    injections: batch,
-                    flips: flips.to_vec(),
-                })
-                .expect("shard worker alive");
-        }
-        self.collect_results()
-    }
-
-    fn finish(self) -> Vec<ShardState> {
-        for command in &self.commands {
-            command.send(ShardCmd::Finish).expect("shard worker alive");
-        }
-        let mut states: Vec<ShardState> = (0..self.commands.len())
-            .map(|_| self.states.recv().expect("shard worker alive"))
-            .collect();
-        states.sort_by_key(|state| state.shard);
-        states
+    shards[0].run_window(window);
+    for worker in workers {
+        shards.push(worker.back.recv().expect("shard worker alive"));
     }
 }
 
@@ -981,55 +727,52 @@ impl SimRunner {
         let window_nanos = self.latency.lookahead().as_nanos().max(1);
         let shard_count = self.options.threads.max(1).min(self.config.nodes);
         let mut shards = self.build_shards(shard_count);
-        let (processed, ticks, states) = if shard_count == 1 {
-            // Single-shard runs skip the barrier-exchange machinery entirely:
-            // the sequential coordinator drives the one shard in place, with
-            // no window-result packaging and no buffer shuffling.
-            let mut shard = shards.pop().expect("one shard");
-            let (processed, ticks) = self.coordinate_single(&mut shard, end, window_nanos);
-            (processed, ticks, vec![shard])
-        } else {
-            std::thread::scope(|scope| {
-                let driver = ThreadShards::spawn(scope, shards);
-                self.coordinate(driver, end, window_nanos)
-            })
-        };
-        self.report(runtime, processed, ticks, states, shard_count)
+        let ticks = std::thread::scope(|scope| {
+            // Shard 0 runs on this thread; every further shard gets a worker.
+            let workers: Vec<Worker> = (1..shard_count).map(|_| Worker::spawn(scope)).collect();
+            self.coordinate(&mut shards, &workers, end, window_nanos)
+        });
+        self.report(runtime, ticks, shards)
     }
 
     /// Partitions the replicas round-robin into `shard_count` shard states
     /// and registers the node-fault schedule: time triggers become queue
     /// events in the owning shard, view triggers stay with the coordinator.
-    fn build_shards(&mut self, shard_count: usize) -> Vec<ShardState> {
+    fn build_shards(&mut self, shard_count: usize) -> Shards {
         let nodes = self.config.nodes;
         let observer = self.observer();
         let seed_rng = SimRng::new(self.config.seed);
         let signed_clients = self.config.signed_requests;
-        let mut shards: Vec<ShardState> = (0..shard_count)
-            .map(|shard| ShardState {
-                shard,
-                shards_total: shard_count,
-                nodes_total: nodes,
-                observer,
-                hosts: Vec::new(),
-                rngs: Vec::new(),
-                busy_until: Vec::new(),
-                send_seq: Vec::new(),
-                crashed: vec![false; nodes],
-                queue: EventQueue::new(),
-                latency: self.latency.clone(),
-                nic: self.nic,
-                auth: {
-                    let mut auth = Authenticator::for_nodes(nodes);
-                    auth.set_signed_clients(signed_clients);
-                    auth
-                },
-                metrics: Metrics::new(self.options.series_bucket),
-                effects: BufferedTransport::new(),
-                outbox: Vec::new(),
-                commits: Vec::new(),
-                max_view: View::GENESIS,
-                window_end: SimTime::ZERO,
+        let mut shards: Shards = (0..shard_count)
+            .map(|shard| {
+                Box::new(ShardState {
+                    shard,
+                    shards_total: shard_count,
+                    nodes_total: nodes,
+                    observer,
+                    hosts: Vec::new(),
+                    rngs: Vec::new(),
+                    busy_until: Vec::new(),
+                    send_seq: Vec::new(),
+                    crashed: vec![false; nodes],
+                    queue: EventQueue::new(),
+                    latency: self.latency.clone(),
+                    nic: self.nic,
+                    auth: {
+                        let mut auth = Authenticator::for_nodes(nodes);
+                        auth.set_signed_clients(signed_clients);
+                        auth
+                    },
+                    metrics: Metrics::new(self.options.series_bucket),
+                    effects: BufferedTransport::new(),
+                    inbox: Vec::new(),
+                    flips: Vec::new(),
+                    outbox: Vec::new(),
+                    commits: Vec::new(),
+                    max_view: View::GENESIS,
+                    processed: 0,
+                    window_end: SimTime::ZERO,
+                })
             })
             .collect();
         for (index, host) in std::mem::take(&mut self.hosts).into_iter().enumerate() {
@@ -1039,229 +782,120 @@ impl SimRunner {
             shard.busy_until.push(SimTime::ZERO);
             shard.send_seq.push(0);
         }
-        for fault in self.options.node_faults.clone() {
-            let owner = fault.node.index() % shard_count;
-            let mode = if fault.durable {
-                RecoverMode::Durable(fault.storage_fault)
-            } else if fault.amnesia {
-                RecoverMode::Amnesia
-            } else {
-                RecoverMode::Resume
-            };
-            match fault.crash {
-                FaultTrigger::At(at) => shards[owner].queue.schedule(
-                    at,
-                    SimEvent::SetCrashed {
-                        node: fault.node,
-                        crashed: true,
-                        mode: RecoverMode::Resume,
-                    },
-                ),
-                FaultTrigger::AtView(view) => {
-                    self.view_triggers
-                        .push((fault.node, view, true, RecoverMode::Resume));
+        for fault in &self.options.node_faults {
+            let node = fault.node;
+            let boundaries = [
+                (Some(fault.crash), true, RecoverMode::Resume),
+                (fault.recover, false, fault.mode),
+            ];
+            for (trigger, crashed, mode) in boundaries {
+                match trigger {
+                    Some(FaultTrigger::At(at)) => {
+                        let kind = EventKind::SetCrashed { crashed, mode };
+                        let queue = &mut shards[node.index() % shard_count].queue;
+                        queue.schedule(at, SimEvent { node, kind });
+                    }
+                    Some(FaultTrigger::AtView(view)) => {
+                        self.view_triggers.push((node, view, crashed, mode));
+                    }
+                    None => {}
                 }
-            }
-            match fault.recover {
-                Some(FaultTrigger::At(at)) => shards[owner].queue.schedule(
-                    at,
-                    SimEvent::SetCrashed {
-                        node: fault.node,
-                        crashed: false,
-                        mode,
-                    },
-                ),
-                Some(FaultTrigger::AtView(view)) => {
-                    self.view_triggers.push((fault.node, view, false, mode));
-                }
-                None => {}
             }
         }
         shards
     }
 
-    /// The barrier loop: boots the shards, then repeatedly picks the next
+    /// The barrier loop, the same at every shard count: boots the shards,
+    /// then repeatedly reads their window output in place, picks the next
     /// non-empty window (skipping empty ones), generates the workload ticks
-    /// that fall inside it, exchanges the canonical delivery batch, and runs
-    /// every shard through the window. Returns the total events processed by
-    /// shards, the ticks generated, and the final shard states.
-    fn coordinate<D: ShardDriver>(
+    /// that fall inside it, deals the canonical delivery batch into the
+    /// shards' inboxes, and runs every shard through the window. Windows are
+    /// the ordering epochs that make same-nanosecond ties resolve identically
+    /// whatever the layout, so the single-shard run keeps them too. Returns
+    /// the number of workload ticks generated.
+    fn coordinate(
         &mut self,
-        mut driver: D,
+        shards: &mut Shards,
+        workers: &[Worker],
         end: SimTime,
         window_nanos: u64,
-    ) -> (u64, u64, Vec<ShardState>) {
-        let mut results = driver.boot();
-        let shard_count = results.len();
-        let mut processed: u64 = 0;
+    ) -> u64 {
+        let shard_count = shards.len();
+        for shard in shards.iter_mut() {
+            shard.boot();
+        }
         let mut ticks: u64 = 0;
         let mut next_tick = SimTime::ZERO;
         let mut client_seq: u64 = 0;
+        // The barrier's merge buffer; every window drains it into the
+        // inboxes, so its capacity is reused.
+        let mut injections: Vec<Injection> = Vec::new();
         loop {
-            // Replay the observer's commit log (in commit order; only its
-            // shard produces entries) so closed-loop clients can reissue.
-            for result in &mut results {
-                for (tx, at) in result.commits.drain(..) {
+            let mut processed: u64 = 0;
+            let mut global_view = View::GENESIS;
+            for shard in shards.iter_mut() {
+                // Replay the observer's commit log (in commit order; only its
+                // shard produces entries) so closed-loop clients can reissue.
+                for (tx, at) in shard.commits.drain(..) {
                     self.workload.on_commit(tx, at);
                 }
+                injections.append(&mut shard.outbox);
+                processed += shard.processed;
+                global_view = global_view.max(shard.max_view);
             }
             // Resolve view-triggered fault boundaries from the globally
-            // highest view; the flips take effect at the window about to run.
-            let mut flips: Vec<(NodeId, bool, RecoverMode)> = Vec::new();
-            let global_view = results
-                .iter()
-                .map(|result| result.max_view)
-                .max()
-                .unwrap_or(View::GENESIS);
+            // highest view; the flips take effect, in the owning shard, at
+            // the opening edge of the window about to run.
             if global_view > self.max_view_seen {
                 self.max_view_seen = global_view;
-                let triggers = &mut self.view_triggers;
-                triggers.retain(|&(node, view, crash, mode)| {
-                    if view <= global_view {
-                        flips.push((node, crash, mode));
-                        false
-                    } else {
-                        true
+                self.view_triggers.retain(|&(node, view, crashed, mode)| {
+                    if view > global_view {
+                        return true;
                     }
+                    shards[node.index() % shard_count]
+                        .flips
+                        .push((node, crashed, mode));
+                    false
                 });
-            }
-            let mut injections: Vec<Injection> = Vec::new();
-            for result in &mut results {
-                injections.append(&mut result.outbox);
             }
             if processed + ticks > self.options.max_events {
                 break;
             }
             // Skip straight to the window holding the earliest pending work.
-            let mut earliest: Option<SimTime> = None;
-            let mut fold = |t: SimTime| {
-                earliest = Some(earliest.map_or(t, |e| e.min(t)));
-            };
-            for result in &results {
-                if let Some(t) = result.next_event {
-                    fold(t);
-                }
-            }
-            for injection in &injections {
-                fold(injection.deliver_at);
-            }
-            if next_tick <= end {
-                fold(next_tick);
-            }
-            let Some(earliest) = earliest else {
+            let earliest = shards
+                .iter()
+                .filter_map(|shard| shard.queue.peek_time())
+                .chain(injections.iter().map(|injection| injection.deliver_at))
+                .chain((next_tick <= end).then_some(next_tick))
+                .min();
+            let Some(earliest) = earliest.filter(|&earliest| earliest <= end) else {
                 break;
             };
-            if earliest > end {
-                break;
-            }
-            let window_index = earliest.0 / window_nanos;
-            let window_start = SimTime(window_index.saturating_mul(window_nanos));
-            let window_end = SimTime((window_index + 1).saturating_mul(window_nanos));
-            let limit = SimTime(window_end.0.min(end.0.saturating_add(1)));
+            let index = earliest.0 / window_nanos;
+            let window_end = SimTime((index + 1).saturating_mul(window_nanos));
+            let window = Window {
+                start: SimTime(index.saturating_mul(window_nanos)),
+                end: window_end,
+                limit: SimTime(window_end.0.min(end.0.saturating_add(1))),
+            };
             // Workload ticks falling inside this window generate their
             // client batches now; their deliveries land at or beyond the
             // barrier (client links obey the same lookahead floor).
-            while next_tick <= end && next_tick < window_end {
+            while next_tick <= end && next_tick < window.end {
                 self.generate_tick(next_tick, &mut injections, &mut client_seq);
                 ticks += 1;
                 next_tick += self.options.workload_tick;
             }
             // Canonical barrier order: layout-invariant regardless of which
             // shard produced which entry.
-            injections.sort_unstable_by(|a, b| {
-                (a.deliver_at, a.origin, a.seq).cmp(&(b.deliver_at, b.origin, b.seq))
-            });
-            let mut per_shard: Vec<Vec<Injection>> = (0..shard_count).map(|_| Vec::new()).collect();
-            for injection in injections {
-                let owner = injection.to.index() % shard_count;
-                per_shard[owner].push(injection);
+            injections.sort_unstable_by_key(|i| (i.deliver_at, i.origin, i.seq));
+            for injection in injections.drain(..) {
+                let owner = injection.event.node.index() % shard_count;
+                shards[owner].inbox.push(injection);
             }
-            results = driver.run_window(limit, window_start, window_end, per_shard, &flips);
-            processed += results.iter().map(|result| result.processed).sum::<u64>();
+            run_shards(shards, workers, window);
         }
-        (processed, ticks, driver.finish())
-    }
-
-    /// The sequential (`threads = 1`) twin of [`SimRunner::coordinate`]: one
-    /// shard, driven in place on the calling thread. Windows still exist —
-    /// they are the ordering epochs that make same-nanosecond ties resolve
-    /// identically across every thread count — but all of the barrier
-    /// machinery falls away: no window-result packaging, no per-shard
-    /// partitioning, no flip cloning, and the injection buffer swaps with the
-    /// shard's outbox, so the steady state allocates nothing.
-    fn coordinate_single(
-        &mut self,
-        shard: &mut ShardState,
-        end: SimTime,
-        window_nanos: u64,
-    ) -> (u64, u64) {
-        shard.boot_in_place();
-        let mut processed: u64 = 0;
-        let mut ticks: u64 = 0;
-        let mut next_tick = SimTime::ZERO;
-        let mut client_seq: u64 = 0;
-        let mut injections: Vec<Injection> = Vec::new();
-        let mut flips: Vec<(NodeId, bool, RecoverMode)> = Vec::new();
-        loop {
-            for (tx, at) in shard.commits.drain(..) {
-                self.workload.on_commit(tx, at);
-            }
-            flips.clear();
-            let global_view = shard.max_view;
-            if global_view > self.max_view_seen {
-                self.max_view_seen = global_view;
-                let pending = &mut flips;
-                self.view_triggers.retain(|&(node, view, crash, mode)| {
-                    if view <= global_view {
-                        pending.push((node, crash, mode));
-                        false
-                    } else {
-                        true
-                    }
-                });
-            }
-            // The previous window drained `injections`; reuse its capacity
-            // for the outbox and vice versa.
-            debug_assert!(injections.is_empty());
-            std::mem::swap(&mut injections, &mut shard.outbox);
-            if processed + ticks > self.options.max_events {
-                break;
-            }
-            let mut earliest: Option<SimTime> = None;
-            let mut fold = |t: SimTime| {
-                earliest = Some(earliest.map_or(t, |e| e.min(t)));
-            };
-            if let Some(t) = shard.queue.peek_time() {
-                fold(t);
-            }
-            for injection in &injections {
-                fold(injection.deliver_at);
-            }
-            if next_tick <= end {
-                fold(next_tick);
-            }
-            let Some(earliest) = earliest else {
-                break;
-            };
-            if earliest > end {
-                break;
-            }
-            let window_index = earliest.0 / window_nanos;
-            let window_start = SimTime(window_index.saturating_mul(window_nanos));
-            let window_end = SimTime((window_index + 1).saturating_mul(window_nanos));
-            let limit = SimTime(window_end.0.min(end.0.saturating_add(1)));
-            while next_tick <= end && next_tick < window_end {
-                self.generate_tick(next_tick, &mut injections, &mut client_seq);
-                ticks += 1;
-                next_tick += self.options.workload_tick;
-            }
-            injections.sort_unstable_by(|a, b| {
-                (a.deliver_at, a.origin, a.seq).cmp(&(b.deliver_at, b.origin, b.seq))
-            });
-            processed +=
-                shard.run_window_in_place(limit, window_start, window_end, &mut injections, &flips);
-        }
-        (processed, ticks)
+        ticks
     }
 
     /// Generates the client arrivals of one workload tick, grouping them into
@@ -1315,40 +949,39 @@ impl SimRunner {
                 deliver_at,
                 origin: WORKLOAD_STREAM,
                 seq: *client_seq,
-                to: replica,
-                kind: InjectionKind::ClientBatch(requests),
+                event: SimEvent {
+                    node: replica,
+                    kind: EventKind::ClientBatch(requests),
+                },
             });
             *client_seq += 1;
         }
     }
 
-    fn report(
-        self,
-        runtime: SimDuration,
-        processed: u64,
-        ticks: u64,
-        states: Vec<ShardState>,
-        threads: usize,
-    ) -> RunReport {
+    fn report(self, runtime: SimDuration, ticks: u64, shards: Shards) -> RunReport {
         let nodes = self.config.nodes;
+        let threads = shards.len();
         // Reassemble hosts in node order and fold the per-shard metrics and
         // queue statistics. Ticks are generated at the coordinator and never
         // occupy a queue slot, but they count as engine events for continuity
         // with the event-queued tick of earlier engines.
         let mut metrics = Metrics::new(self.options.series_bucket);
         let mut events_scheduled: u64 = ticks;
+        let mut processed: u64 = 0;
         let mut queue_peak: u64 = 0;
         let mut max_shard_peak: u64 = 0;
         let mut slots: Vec<Option<NodeHost>> = (0..nodes).map(|_| None).collect();
-        for state in states {
+        for state in shards {
             let ShardState {
                 shard,
                 shards_total,
                 hosts,
                 queue,
                 metrics: shard_metrics,
+                processed: shard_processed,
                 ..
-            } = state;
+            } = *state;
+            processed += shard_processed;
             events_scheduled += queue.total_scheduled();
             let peak = queue.live_high_water() as u64;
             queue_peak += peak;
@@ -1640,9 +1273,7 @@ mod tests {
                 node: NodeId(0),
                 crash: FaultTrigger::At(SimTime(100_000_000)),
                 recover: Some(FaultTrigger::At(SimTime(250_000_000))),
-                amnesia: false,
-                durable: false,
-                storage_fault: None,
+                mode: RecoverMode::Resume,
             }],
             ..RunOptions::default()
         };
@@ -1670,9 +1301,7 @@ mod tests {
                 node: NodeId(1),
                 crash: FaultTrigger::AtView(View(4)),
                 recover: None,
-                amnesia: false,
-                durable: false,
-                storage_fault: None,
+                mode: RecoverMode::Resume,
             }],
             ..RunOptions::default()
         };
@@ -1694,9 +1323,7 @@ mod tests {
                     node: NodeId(1),
                     crash: FaultTrigger::AtView(View(4)),
                     recover: None,
-                    amnesia: false,
-                    durable: false,
-                    storage_fault: None,
+                    mode: RecoverMode::Resume,
                 }],
                 threads,
                 ..RunOptions::default()

@@ -40,6 +40,7 @@ use bamboo_types::{
 };
 
 use crate::replica::{Destination, HandleResult, Replica, ReplicaEvent, ReplicaOptions};
+use crate::storage::StorageFault;
 
 /// Backend-provided effect sink for a single replica.
 ///
@@ -67,6 +68,27 @@ pub trait Transport {
     /// Unlike view timers these carry no view: the replica decides on firing
     /// whether anything is still missing.
     fn arm_sync_timer(&mut self, deadline: SimTime);
+}
+
+/// How a crashed node comes back — the one spelling of the recovery mode
+/// shared by the simulator's fault schedule ([`crate::NodeFault`]), scenario
+/// specs and the live backends ([`crate::live::LiveEvent::Recover`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RecoverMode {
+    /// Resume from the in-memory state the node crashed with: a network
+    /// blip, not a process death. The node catches up through the QCs
+    /// embedded in the traffic it starts receiving again.
+    Resume,
+    /// Discard in-memory state, restart from the latest checkpoint (whatever
+    /// [`Config::checkpoint_interval`] last persisted, or genesis) and
+    /// state-transfer the lost history back: a machine that rebooted.
+    Amnesia,
+    /// Restart from the node's own durable segment log and persisted
+    /// checkpoint image ([`Config::durable_log`]), optionally after a
+    /// crash-point [`StorageFault`] mangled the log, and state-transfer only
+    /// what the log did not cover. Without a log this degrades to
+    /// [`RecoverMode::Amnesia`].
+    Durable(Option<StorageFault>),
 }
 
 /// What one event step produced, after all effects were routed into the
@@ -252,31 +274,22 @@ impl NodeHost {
         route(result, transport)
     }
 
-    /// Restarts the hosted replica with amnesia (see
-    /// [`Replica::amnesia_restart`]) and routes the restart effects — the
-    /// fresh view timer and the immediate state-transfer request — into the
-    /// backend's transport like any other step.
-    pub fn restart_with_amnesia(
+    /// Brings the hosted replica back from a crash in the given `mode` and
+    /// routes the restart effects — the fresh view timer and the immediate
+    /// state-transfer request — into the backend's transport like any other
+    /// step. [`RecoverMode::Resume`] restarts nothing: the replica carries on
+    /// with the state it crashed with and the report is empty.
+    pub fn restart(
         &mut self,
+        mode: RecoverMode,
         now: SimTime,
         transport: &mut dyn Transport,
     ) -> StepReport {
-        let result = self.replica.amnesia_restart(now);
-        route(result, transport)
-    }
-
-    /// Restarts the hosted replica from its own durable storage (segment log
-    /// plus persisted checkpoint), optionally injecting a crash-point
-    /// storage fault first, and routes the recovery effects — the fresh view
-    /// timer and the tail-catch-up sync request — into the backend's
-    /// transport.
-    pub fn restart_durable(
-        &mut self,
-        now: SimTime,
-        fault: Option<crate::storage::StorageFault>,
-        transport: &mut dyn Transport,
-    ) -> StepReport {
-        let result = self.replica.durable_restart(now, fault);
+        let result = match mode {
+            RecoverMode::Resume => return StepReport::default(),
+            RecoverMode::Amnesia => self.replica.amnesia_restart(now),
+            RecoverMode::Durable(fault) => self.replica.durable_restart(now, fault),
+        };
         route(result, transport)
     }
 

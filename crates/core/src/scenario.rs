@@ -39,6 +39,7 @@ use bamboo_types::{
 
 use crate::metrics::RunReport;
 use crate::runner::{FaultTrigger, NodeFault, RunOptions, SimRunner};
+use crate::runtime::RecoverMode;
 use crate::storage::StorageFault;
 
 /// When a spec-level fault boundary fires: at a (scalable) time or a view.
@@ -53,19 +54,16 @@ enum TriggerSpec {
 /// One entry of the spec's fault schedule, before tier-specific compilation.
 #[derive(Clone, Debug)]
 enum FaultSpec {
-    /// Crash `node` (optionally recovering later). With `amnesia` the node
-    /// loses all volatile state at recovery and must restart from its latest
-    /// checkpoint plus state transfer. With `durable` (spec kinds
-    /// `"durable_restart"` and `"torn_log"`) it instead replays its durable
-    /// segment log — optionally after `storage_fault` mangled the log at the
-    /// crash point — and state-transfers only the tail.
+    /// Crash `node` (optionally recovering later) and bring it back in
+    /// `mode`: `"amnesia": true` selects [`RecoverMode::Amnesia`], the spec
+    /// kinds `"durable_restart"` and `"torn_log"` select
+    /// [`RecoverMode::Durable`] with the crash-point fault their `"fault"`
+    /// label names.
     Crash {
         node: NodeId,
         at: TriggerSpec,
         recover: Option<TriggerSpec>,
-        amnesia: bool,
-        durable: bool,
-        storage_fault: Option<StorageFault>,
+        mode: RecoverMode,
     },
     /// Rolling leader failure: starting at `from`, crash replica
     /// `i mod nodes` during the `i`-th window of `period`, until `until` —
@@ -448,13 +446,16 @@ fn parse_fault(obj: &Json, name: &str) -> Result<FaultSpec, String> {
                     "{context}: amnesia without a recovery trigger never restarts the node"
                 ));
             }
+            let mode = if amnesia {
+                RecoverMode::Amnesia
+            } else {
+                RecoverMode::Resume
+            };
             Ok(FaultSpec::Crash {
                 node,
                 at,
                 recover,
-                amnesia,
-                durable: false,
-                storage_fault: None,
+                mode,
             })
         }
         "durable_restart" | "torn_log" => {
@@ -468,9 +469,7 @@ fn parse_fault(obj: &Json, name: &str) -> Result<FaultSpec, String> {
                 node,
                 at,
                 recover,
-                amnesia: false,
-                durable: true,
-                storage_fault: parse_storage_fault(obj, kind, &context)?,
+                mode: RecoverMode::Durable(parse_storage_fault(obj, kind, &context)?),
             })
         }
         "rolling_leader" => {
@@ -741,9 +740,15 @@ impl Scenario {
         // A durable restart without a durable log would silently degrade to
         // an amnesia restart; make the spec say what it means.
         if !base.durable_log
-            && faults
-                .iter()
-                .any(|f| matches!(f, FaultSpec::Crash { durable: true, .. }))
+            && faults.iter().any(|f| {
+                matches!(
+                    f,
+                    FaultSpec::Crash {
+                        mode: RecoverMode::Durable(_),
+                        ..
+                    }
+                )
+            })
         {
             return Err(format!(
                 "{name}: durable_restart/torn_log faults require \"durable_log\": true"
@@ -876,17 +881,13 @@ impl Scenario {
                     node,
                     at: start,
                     recover,
-                    amnesia,
-                    durable,
-                    storage_fault,
+                    mode,
                 } => {
                     options.node_faults.push(NodeFault {
                         node: *node,
                         crash: trigger(*start),
                         recover: recover.map(trigger),
-                        amnesia: *amnesia,
-                        durable: *durable,
-                        storage_fault: *storage_fault,
+                        mode: *mode,
                     });
                 }
                 FaultSpec::RollingLeader {
@@ -905,9 +906,7 @@ impl Scenario {
                             node: NodeId(index % config.nodes as u64),
                             crash: FaultTrigger::At(at(start)),
                             recover: Some(FaultTrigger::At(at(end))),
-                            amnesia: false,
-                            durable: false,
-                            storage_fault: None,
+                            mode: RecoverMode::Resume,
                         });
                         index += 1;
                     }
@@ -1282,7 +1281,7 @@ mod tests {
         let (config, options) = scenario.build(false);
         assert_eq!(config.checkpoint_interval, Some(16));
         assert_eq!(options.node_faults.len(), 1);
-        assert!(options.node_faults[0].amnesia);
+        assert_eq!(options.node_faults[0].mode, RecoverMode::Amnesia);
 
         // Amnesia without a recovery trigger can never restart the node —
         // the spec is a contradiction and must not parse.
@@ -1313,21 +1312,17 @@ mod tests {
         assert_eq!(scenario.base.segment_bytes, 8192);
         let (_, options) = scenario.build(false);
         assert_eq!(options.node_faults.len(), 4);
-        assert!(options.node_faults.iter().all(|f| f.durable && !f.amnesia));
         // A clean durable restart arms no fault; torn_log defaults to a torn
         // tail; explicit labels carry their parameters.
-        assert_eq!(options.node_faults[0].storage_fault, None);
+        let modes: Vec<RecoverMode> = options.node_faults.iter().map(|f| f.mode).collect();
         assert_eq!(
-            options.node_faults[1].storage_fault,
-            Some(StorageFault::TornTail)
-        );
-        assert_eq!(
-            options.node_faults[2].storage_fault,
-            Some(StorageFault::CorruptCrc { record: 3 })
-        );
-        assert_eq!(
-            options.node_faults[3].storage_fault,
-            Some(StorageFault::DropFsync { index: 5 })
+            modes,
+            [
+                RecoverMode::Durable(None),
+                RecoverMode::Durable(Some(StorageFault::TornTail)),
+                RecoverMode::Durable(Some(StorageFault::CorruptCrc { record: 3 })),
+                RecoverMode::Durable(Some(StorageFault::DropFsync { index: 5 })),
+            ]
         );
     }
 

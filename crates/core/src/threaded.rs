@@ -30,10 +30,9 @@ use bamboo_types::{ClientRequest, Config, Message, NodeId, ProtocolKind, SimTime
 
 use crate::live::{
     cluster_report, run_live_node, ClusterReport, ClusterStorage, Link, LiveEvent, LiveStatus,
-    RecoverMode, RoundRobinLoad,
+    RoundRobinLoad,
 };
-use crate::runtime::NodeHost;
-use crate::storage::StorageFault;
+use crate::runtime::{NodeHost, RecoverMode};
 use crate::verify::{VerifyHandle, VerifyPool};
 
 /// The threaded backend's [`Link`]: outbound messages go to the cluster's
@@ -154,26 +153,11 @@ impl ThreadedCluster {
         self.send(replica, LiveEvent::Crash);
     }
 
-    /// Recovers a crashed replica. With `amnesia` the replica discards its
-    /// in-memory state, restarts from its latest checkpoint and
-    /// state-transfers the missing history from its peers; without, it
-    /// resumes from the state it crashed with.
-    pub fn recover(&self, replica: NodeId, amnesia: bool) {
-        let mode = if amnesia {
-            RecoverMode::Amnesia
-        } else {
-            RecoverMode::Resume
-        };
-        self.send(replica, LiveEvent::Recover(mode));
-    }
-
-    /// Recovers a crashed replica from its own durable segment log: the
-    /// optional crash-point `storage_fault` mangles the log first, then the
-    /// replica replays its persisted checkpoint image plus surviving records
-    /// and state-transfers only the tail. Requires the cluster to run with
-    /// [`Config::durable_log`]; without it, the restart degrades to amnesia.
-    pub fn recover_durable(&self, replica: NodeId, storage_fault: Option<StorageFault>) {
-        let mode = RecoverMode::Durable(storage_fault);
+    /// Recovers a crashed replica in the given `mode`: resuming from the
+    /// state it crashed with, restarting from its latest checkpoint plus
+    /// state transfer, or replaying its own durable segment log (which needs
+    /// [`Config::durable_log`]; without it the restart degrades to amnesia).
+    pub fn recover(&self, replica: NodeId, mode: RecoverMode) {
         self.send(replica, LiveEvent::Recover(mode));
     }
 

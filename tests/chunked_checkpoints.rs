@@ -6,7 +6,7 @@
 //! hold that property through the `RunReport` counters, and check that a
 //! restart from a many-chunk image still re-joins the honest chain.
 
-use bamboo::core::{FaultTrigger, NodeFault, RunOptions, RunReport, SimRunner};
+use bamboo::core::{FaultTrigger, NodeFault, RecoverMode, RunOptions, RunReport, SimRunner};
 use bamboo::types::{Config, NodeId, ProtocolKind, SimDuration, SimTime};
 
 const INTERVAL: u64 = 8;
@@ -61,15 +61,14 @@ fn checkpoint_cost_is_flat_in_the_ledger_length() {
 
 #[test]
 fn restart_from_a_many_chunk_image_rejoins_the_chain() {
-    for (amnesia, durable) in [(true, false), (false, true)] {
+    for mode in [RecoverMode::Amnesia, RecoverMode::Durable(None)] {
         let fault = NodeFault {
             node: NodeId(2),
             crash: FaultTrigger::At(SimTime(150_000_000)),
             recover: Some(FaultTrigger::At(SimTime(300_000_000))),
-            amnesia,
-            durable,
-            storage_fault: None,
+            mode,
         };
+        let durable = mode != RecoverMode::Amnesia;
         let report = run(8, 400, durable, vec![fault]);
         assert_eq!(report.safety_violations, 0);
         let recovery = report.recovery;

@@ -26,7 +26,8 @@
 use std::time::Duration;
 
 use bamboo::core::{
-    FaultTrigger, NodeFault, RunOptions, RunReport, SimRunner, StorageFault, ThreadedCluster,
+    FaultTrigger, NodeFault, RecoverMode, RunOptions, RunReport, SimRunner, StorageFault,
+    ThreadedCluster,
 };
 use bamboo::types::{Config, NodeId, ProtocolKind, SimDuration, SimTime};
 
@@ -59,9 +60,7 @@ fn durable_fault(
         node: NodeId(node),
         crash: FaultTrigger::At(SimTime(crash_ms * 1_000_000)),
         recover: Some(FaultTrigger::At(SimTime(recover_ms * 1_000_000))),
-        amnesia: false,
-        durable: true,
-        storage_fault,
+        mode: RecoverMode::Durable(storage_fault),
     }
 }
 
@@ -230,7 +229,7 @@ fn threaded_cluster_durable_restart_restores_the_vote_watermark() {
         cluster.committed_txs()
     );
 
-    cluster.recover_durable(victim, None);
+    cluster.recover(victim, RecoverMode::Durable(None));
     cluster.submit_round_robin(600, 16);
     let at_recovery = cluster.committed_txs();
     assert!(
@@ -279,7 +278,7 @@ fn threaded_cluster_durable_restart_restores_the_vote_watermark() {
     );
 }
 
-/// `recover_durable` on a cluster spawned without `Config::durable_log` has no
+/// A durable `recover` on a cluster spawned without `Config::durable_log` has no
 /// log to replay: the restart degrades to amnesia — checkpoint plus state
 /// transfer — exactly as its doc comment promises.
 #[test]
@@ -311,7 +310,7 @@ fn threaded_durable_recovery_without_a_log_degrades_to_amnesia() {
         "survivors stalled after the crash ({} txs)",
         cluster.committed_txs()
     );
-    cluster.recover_durable(victim, None);
+    cluster.recover(victim, RecoverMode::Durable(None));
     cluster.submit_round_robin(600, 16);
     let at_recovery = cluster.committed_txs();
     assert!(

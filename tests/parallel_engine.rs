@@ -17,9 +17,9 @@
 //! high-water marks depend on how replicas are partitioned, so its sum is
 //! layout-dependent by construction (the report documents this).
 
-use bamboo::core::{RunOptions, RunReport, SimRunner};
+use bamboo::core::{FaultTrigger, NodeFault, RecoverMode, RunOptions, RunReport, SimRunner};
 use bamboo::sim::{DelayDist, Topology};
-use bamboo::types::{Config, NodeId, ProtocolKind, SimDuration};
+use bamboo::types::{Config, NodeId, ProtocolKind, SimDuration, SimTime, View};
 
 const PROTOCOLS: [ProtocolKind; 6] = [
     ProtocolKind::HotStuff,
@@ -77,7 +77,7 @@ fn run(protocol: ProtocolKind, seed: u64, geo: bool, threads: usize) -> RunRepor
     SimRunner::new(config(seed), protocol, options).run()
 }
 
-fn assert_layout_invariant(base: &RunReport, sharded: &RunReport, label: &str) {
+fn assert_layout_invariant(base: &RunReport, sharded: &RunReport, requested: usize, label: &str) {
     assert_eq!(
         base.ledger_fingerprint, sharded.ledger_fingerprint,
         "{label}: ledger diverged"
@@ -96,7 +96,7 @@ fn assert_layout_invariant(base: &RunReport, sharded: &RunReport, label: &str) {
         sharded.latency.mean_ms
     );
     assert_eq!(base.safety_violations, 0, "{label}");
-    assert_eq!(sharded.threads, sharded.threads.max(1), "{label}");
+    assert_eq!(sharded.threads, requested.min(sharded.nodes), "{label}");
 }
 
 fn sweep(geo: bool) {
@@ -111,7 +111,7 @@ fn sweep(geo: bool) {
             for threads in [2usize, 4, 8] {
                 let sharded = run(protocol, seed, geo, threads);
                 let label = format!("{protocol} seed={seed} geo={geo} threads={threads}");
-                assert_layout_invariant(&base, &sharded, &label);
+                assert_layout_invariant(&base, &sharded, threads, &label);
             }
         }
     }
@@ -132,16 +132,11 @@ fn geo_wan_runs_are_identical_across_thread_counts() {
 /// configurations must stay layout-invariant as well.
 #[test]
 fn crash_faulted_runs_are_identical_across_thread_counts() {
-    use bamboo::core::{FaultTrigger, NodeFault};
-    use bamboo::types::SimTime;
-
     let faults = vec![NodeFault {
         node: NodeId(2),
         crash: FaultTrigger::At(SimTime(30_000_000)),
         recover: Some(FaultTrigger::At(SimTime(70_000_000))),
-        amnesia: false,
-        durable: false,
-        storage_fault: None,
+        mode: RecoverMode::Resume,
     }];
     let mut cfg = config(7);
     cfg.timeout = SimDuration::from_millis(20);
@@ -165,6 +160,57 @@ fn crash_faulted_runs_are_identical_across_thread_counts() {
             },
         )
         .run();
-        assert_layout_invariant(&base, &sharded, &format!("crash-fault threads={threads}"));
+        let label = format!("crash-fault threads={threads}");
+        assert_layout_invariant(&base, &sharded, threads, &label);
+    }
+}
+
+/// A thread count beyond the node count clamps to one shard per replica.
+#[test]
+fn oversized_thread_counts_clamp_to_the_node_count() {
+    let base = run(ProtocolKind::HotStuff, 7, false, 1);
+    let clamped = run(ProtocolKind::HotStuff, 7, false, 64);
+    assert_eq!(clamped.threads, 8);
+    assert_layout_invariant(&base, &clamped, 64, "threads=64 on n=8");
+}
+
+/// A *view-triggered* recovery restarts the replica at the opening edge of
+/// the window after the barrier that saw the view — a different code path
+/// from the time-triggered restarts every other recovery test schedules. It
+/// must bring the victim back (from its checkpoint, or from its durable log)
+/// at the same simulated instant whatever the layout.
+#[test]
+fn view_triggered_restarts_are_identical_across_thread_counts() {
+    for mode in [RecoverMode::Amnesia, RecoverMode::Durable(None)] {
+        let durable = mode != RecoverMode::Amnesia;
+        let mut cfg = config(7);
+        cfg.timeout = SimDuration::from_millis(20);
+        cfg.checkpoint_interval = Some(8);
+        cfg.durable_log = durable;
+        let options = |threads| RunOptions {
+            node_faults: vec![NodeFault {
+                node: NodeId(2),
+                crash: FaultTrigger::AtView(View(5)),
+                recover: Some(FaultTrigger::AtView(View(12))),
+                mode,
+            }],
+            threads,
+            ..RunOptions::default()
+        };
+        let base = SimRunner::new(cfg.clone(), ProtocolKind::HotStuff, options(1)).run();
+        assert_eq!(base.recovery.amnesia_recoveries, 1, "{mode:?}: no restart");
+        assert_eq!(
+            base.recovery.durable_restarts,
+            u64::from(durable),
+            "{mode:?}"
+        );
+        assert!(base.recovery.recovered_caught_up, "{mode:?}: {base:?}");
+        for threads in [2usize, 4] {
+            let sharded =
+                SimRunner::new(cfg.clone(), ProtocolKind::HotStuff, options(threads)).run();
+            let label = format!("view-triggered {mode:?} threads={threads}");
+            assert_layout_invariant(&base, &sharded, threads, &label);
+            assert_eq!(base.recovery, sharded.recovery, "{label}");
+        }
     }
 }

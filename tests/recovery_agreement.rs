@@ -18,7 +18,9 @@
 
 use std::time::Duration;
 
-use bamboo::core::{FaultTrigger, NodeFault, RunOptions, RunReport, SimRunner, ThreadedCluster};
+use bamboo::core::{
+    FaultTrigger, NodeFault, RecoverMode, RunOptions, RunReport, SimRunner, ThreadedCluster,
+};
 use bamboo::types::{Config, NodeId, ProtocolKind, SimDuration, SimTime};
 
 /// An 8-node cluster with checkpointing every 8 blocks — small enough that a
@@ -41,9 +43,7 @@ fn amnesia_fault(node: u64, crash_ms: u64, recover_ms: u64) -> NodeFault {
         node: NodeId(node),
         crash: FaultTrigger::At(SimTime(crash_ms * 1_000_000)),
         recover: Some(FaultTrigger::At(SimTime(recover_ms * 1_000_000))),
-        amnesia: true,
-        durable: false,
-        storage_fault: None,
+        mode: RecoverMode::Amnesia,
     }
 }
 
@@ -186,7 +186,7 @@ fn threaded_cluster_amnesia_recovery_rejoins_with_a_matching_prefix() {
         cluster.committed_txs()
     );
 
-    cluster.recover(victim, true);
+    cluster.recover(victim, RecoverMode::Amnesia);
     cluster.submit_round_robin(600, 16);
     let at_recovery = cluster.committed_txs();
     assert!(
