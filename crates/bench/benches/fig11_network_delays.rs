@@ -7,14 +7,14 @@
 //! message echoing.
 
 use bamboo_bench::{
-    banner, eval_config, evaluated_protocols, print_curve, save_json, sweep, LabelledCurve,
+    banner, bench_rows, eval_config, evaluated_protocols, record_curve, save_rows, sweep,
 };
 use bamboo_core::SweepOptions;
 use bamboo_types::SimDuration;
 
 fn main() {
     banner("Figure 11: throughput vs latency, added network delay 0/5/10 ms");
-    let mut curves = Vec::new();
+    let mut out = bench_rows("fig11_network_delays");
     for (delay_ms, jitter_ms) in [(0u64, 0u64), (5, 1), (10, 2)] {
         let mut config = eval_config(4, 400, 128, 600);
         config.extra_delay = SimDuration::from_millis(delay_ms);
@@ -31,11 +31,10 @@ fn main() {
         for protocol in evaluated_protocols() {
             let label = format!("{}-d{delay_ms}", protocol.label());
             let points = sweep(protocol, &config, sweep_opts.clone());
-            print_curve(&label, &points);
-            curves.push(LabelledCurve { label, points });
+            record_curve(&mut out, &label, &points);
         }
     }
-    save_json("fig11_network_delays", &curves);
+    save_rows(&out);
     println!(
         "\nExpected shape (paper): all protocols degrade with added delay; the Streamlet\nvs 2CHS gap closes at 10 ms because propagation dominates message echoing."
     );

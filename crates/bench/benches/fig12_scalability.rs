@@ -6,40 +6,12 @@
 //! degrades fastest and its large-n points are of limited meaning due to its
 //! cubic message complexity (the paper makes the same caveat for n > 64).
 
-use bamboo_bench::{banner, eval_config, evaluated_protocols, save_json, Json, ToJson};
+use bamboo_bench::stats::mean_std;
+use bamboo_bench::{
+    banner, bench_rows, eval_config, evaluated_protocols, save_rows, Higher, Lower, Sim,
+};
 use bamboo_core::{Benchmarker, RunOptions};
 use bamboo_types::ProtocolKind;
-
-struct ScalePoint {
-    protocol: String,
-    nodes: usize,
-    mean_throughput_tx_per_sec: f64,
-    std_throughput: f64,
-    mean_latency_ms: f64,
-    std_latency_ms: f64,
-}
-
-impl ToJson for ScalePoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("protocol", Json::from(self.protocol.as_str())),
-            ("nodes", Json::from(self.nodes)),
-            (
-                "mean_throughput_tx_per_sec",
-                Json::from(self.mean_throughput_tx_per_sec),
-            ),
-            ("std_throughput", Json::from(self.std_throughput)),
-            ("mean_latency_ms", Json::from(self.mean_latency_ms)),
-            ("std_latency_ms", Json::from(self.std_latency_ms)),
-        ])
-    }
-}
-
-fn mean_std(values: &[f64]) -> (f64, f64) {
-    let mean = values.iter().sum::<f64>() / values.len() as f64;
-    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / values.len() as f64;
-    (mean, var.sqrt())
-}
 
 fn main() {
     banner("Figure 12: scalability, 4..64 nodes (block 400, payload 128 B)");
@@ -75,32 +47,25 @@ fn main() {
     }
     let reports = Benchmarker::run_all(jobs);
 
-    let mut points = Vec::new();
+    let mut out = bench_rows("fig12_scalability");
     for (index, (protocol, nodes)) in grid.into_iter().enumerate() {
         let runs = &reports[index * seeds.len()..(index + 1) * seeds.len()];
         let throughputs: Vec<f64> = runs.iter().map(|r| r.throughput_tx_per_sec).collect();
         let latencies: Vec<f64> = runs.iter().map(|r| r.latency.mean_ms).collect();
         let (mean_tput, std_tput) = mean_std(&throughputs);
         let (mean_lat, std_lat) = mean_std(&latencies);
-        println!(
-            "{:<5} n={:<3} throughput = {:>9.0} ± {:>7.0} tx/s   latency = {:>8.2} ± {:>6.2} ms",
-            protocol.label(),
-            nodes,
-            mean_tput,
-            std_tput,
-            mean_lat,
-            std_lat
+        out.point(
+            Sim,
+            &format!("{}/n{nodes}", protocol.label()),
+            &[
+                ("throughput_mean", mean_tput, "tx/s", Higher),
+                ("throughput_std", std_tput, "tx/s", Lower),
+                ("latency_mean", mean_lat, "ms", Lower),
+                ("latency_std", std_lat, "ms", Lower),
+            ],
         );
-        points.push(ScalePoint {
-            protocol: protocol.label().to_string(),
-            nodes,
-            mean_throughput_tx_per_sec: mean_tput,
-            std_throughput: std_tput,
-            mean_latency_ms: mean_lat,
-            std_latency_ms: std_lat,
-        });
     }
-    save_json("fig12_scalability", &points);
+    save_rows(&out);
     println!(
         "\nExpected shape (paper): throughput drops and latency grows with n; HS and 2CHS\nremain comparable; Streamlet scales worst."
     );

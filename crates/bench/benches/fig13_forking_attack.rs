@@ -6,38 +6,15 @@
 //! block instead of two; block intervals start at 2 (2CHS) and 3 (HS); HS
 //! latency grows fastest because forked transactions are re-queued.
 
-use bamboo_bench::{banner, eval_config, evaluated_protocols, save_json, Json, ToJson};
+use bamboo_bench::{
+    banner, bench_rows, eval_config, evaluated_protocols, save_rows, Higher, Lower, Sim,
+};
 use bamboo_core::{Benchmarker, RunOptions};
 use bamboo_types::{ByzantineStrategy, ProtocolKind};
 
-struct AttackPoint {
-    protocol: String,
-    byz_nodes: usize,
-    throughput_tx_per_sec: f64,
-    latency_ms: f64,
-    chain_growth_rate: f64,
-    block_interval: f64,
-}
-
-impl ToJson for AttackPoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("protocol", Json::from(self.protocol.as_str())),
-            ("byz_nodes", Json::from(self.byz_nodes)),
-            (
-                "throughput_tx_per_sec",
-                Json::from(self.throughput_tx_per_sec),
-            ),
-            ("latency_ms", Json::from(self.latency_ms)),
-            ("chain_growth_rate", Json::from(self.chain_growth_rate)),
-            ("block_interval", Json::from(self.block_interval)),
-        ])
-    }
-}
-
 fn main() {
     banner("Figure 13: forking attack, 32 nodes, 0..10 Byzantine");
-    let mut points = Vec::new();
+    let mut out = bench_rows("fig13_forking_attack");
     for protocol in evaluated_protocols() {
         for byz in [0usize, 2, 4, 6, 8, 10] {
             let runtime_ms = if protocol == ProtocolKind::Streamlet {
@@ -49,27 +26,21 @@ fn main() {
             config.byzantine_strategy = ByzantineStrategy::Forking;
             config.byz_nodes = byz;
             let report = Benchmarker::new(config, protocol, RunOptions::default()).run_at(20_000.0);
-            println!(
-                "{:<5} byz={:<2} throughput={:>9.0} tx/s  latency={:>8.2} ms  CGR={:>5.2}  BI={:>5.2}",
-                protocol.label(),
-                byz,
-                report.throughput_tx_per_sec,
-                report.latency.mean_ms,
-                report.chain_growth_rate,
-                report.block_interval
-            );
             assert_eq!(report.safety_violations, 0, "forking attack broke safety");
-            points.push(AttackPoint {
-                protocol: protocol.label().to_string(),
-                byz_nodes: byz,
-                throughput_tx_per_sec: report.throughput_tx_per_sec,
-                latency_ms: report.latency.mean_ms,
-                chain_growth_rate: report.chain_growth_rate,
-                block_interval: report.block_interval,
-            });
+            let cgr = report.chain_growth_rate;
+            out.point(
+                Sim,
+                &format!("{}/byz{byz}", protocol.label()),
+                &[
+                    ("throughput", report.throughput_tx_per_sec, "tx/s", Higher),
+                    ("latency", report.latency.mean_ms, "ms", Lower),
+                    ("chain_growth_rate", cgr, "ratio", Higher),
+                    ("block_interval", report.block_interval, "views", Lower),
+                ],
+            );
         }
     }
-    save_json("fig13_forking_attack", &points);
+    save_rows(&out);
     println!(
         "\nExpected shape (paper): Streamlet flat (immune); 2CHS degrades less than HS;\nBI starts at 2 (2CHS) vs 3 (HS); CGR and throughput fall as Byzantine count grows."
     );

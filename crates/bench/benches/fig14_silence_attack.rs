@@ -6,43 +6,15 @@
 //! the last block); Streamlet's CGR stays at 1 (no forks) and it degrades
 //! gracefully; block intervals are higher than under the forking attack.
 
-use bamboo_bench::{banner, eval_config, evaluated_protocols, save_json, Json, ToJson};
+use bamboo_bench::{
+    banner, bench_rows, eval_config, evaluated_protocols, save_rows, Higher, Lower, Sim,
+};
 use bamboo_core::{Benchmarker, RunOptions};
 use bamboo_types::{ByzantineStrategy, ProtocolKind, SimDuration};
 
-struct AttackPoint {
-    protocol: String,
-    byz_nodes: usize,
-    throughput_tx_per_sec: f64,
-    latency_ms: f64,
-    chain_growth_rate: f64,
-    block_interval: f64,
-    timeout_view_changes: u64,
-}
-
-impl ToJson for AttackPoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("protocol", Json::from(self.protocol.as_str())),
-            ("byz_nodes", Json::from(self.byz_nodes)),
-            (
-                "throughput_tx_per_sec",
-                Json::from(self.throughput_tx_per_sec),
-            ),
-            ("latency_ms", Json::from(self.latency_ms)),
-            ("chain_growth_rate", Json::from(self.chain_growth_rate)),
-            ("block_interval", Json::from(self.block_interval)),
-            (
-                "timeout_view_changes",
-                Json::from(self.timeout_view_changes),
-            ),
-        ])
-    }
-}
-
 fn main() {
     banner("Figure 14: silence attack, 32 nodes, 0..10 Byzantine, 50 ms timeout");
-    let mut points = Vec::new();
+    let mut out = bench_rows("fig14_silence_attack");
     for protocol in evaluated_protocols() {
         for byz in [0usize, 2, 4, 6, 8, 10] {
             let runtime_ms = if protocol == ProtocolKind::Streamlet {
@@ -55,29 +27,22 @@ fn main() {
             config.byz_nodes = byz;
             config.timeout = SimDuration::from_millis(50);
             let report = Benchmarker::new(config, protocol, RunOptions::default()).run_at(20_000.0);
-            println!(
-                "{:<5} byz={:<2} throughput={:>9.0} tx/s  latency={:>8.2} ms  CGR={:>5.2}  BI={:>5.2}  timeouts={}",
-                protocol.label(),
-                byz,
-                report.throughput_tx_per_sec,
-                report.latency.mean_ms,
-                report.chain_growth_rate,
-                report.block_interval,
-                report.timeout_view_changes
-            );
             assert_eq!(report.safety_violations, 0, "silence attack broke safety");
-            points.push(AttackPoint {
-                protocol: protocol.label().to_string(),
-                byz_nodes: byz,
-                throughput_tx_per_sec: report.throughput_tx_per_sec,
-                latency_ms: report.latency.mean_ms,
-                chain_growth_rate: report.chain_growth_rate,
-                block_interval: report.block_interval,
-                timeout_view_changes: report.timeout_view_changes,
-            });
+            let (cgr, timeouts) = (report.chain_growth_rate, report.timeout_view_changes as f64);
+            out.point(
+                Sim,
+                &format!("{}/byz{byz}", protocol.label()),
+                &[
+                    ("throughput", report.throughput_tx_per_sec, "tx/s", Higher),
+                    ("latency", report.latency.mean_ms, "ms", Lower),
+                    ("chain_growth_rate", cgr, "ratio", Higher),
+                    ("block_interval", report.block_interval, "views", Lower),
+                    ("timeout_view_changes", timeouts, "count", Lower),
+                ],
+            );
         }
     }
-    save_json("fig14_silence_attack", &points);
+    save_rows(&out);
     println!(
         "\nExpected shape (paper): throughput drops with more silent proposers for all\nprotocols; Streamlet CGR stays at 1 and degrades gracefully; BI grows faster than\nunder the forking attack."
     );

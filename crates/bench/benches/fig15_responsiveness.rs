@@ -11,27 +11,9 @@
 //! (and may stall entirely once the crashed node's views come around). With
 //! t=100 ms all protocols retain liveness but at much lower throughput.
 
-use bamboo_bench::{banner, eval_config, evaluated_protocols, save_json, Json, ToJson};
-use bamboo_core::{FluctuationWindow, RunOptions, SimRunner, ThroughputSample};
+use bamboo_bench::{banner, bench_rows, eval_config, evaluated_protocols, save_rows, Higher, Sim};
+use bamboo_core::{FluctuationWindow, RunOptions, SimRunner};
 use bamboo_types::{NodeId, SimDuration, SimTime};
-
-struct Series {
-    protocol: String,
-    timeout_ms: u64,
-    series: Vec<ThroughputSample>,
-    total_committed: u64,
-}
-
-impl ToJson for Series {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("protocol", Json::from(self.protocol.as_str())),
-            ("timeout_ms", Json::from(self.timeout_ms)),
-            ("series", self.series.to_json()),
-            ("total_committed", Json::from(self.total_committed)),
-        ])
-    }
-}
 
 fn main() {
     banner("Figure 15: responsiveness under network fluctuation + crash (t10 vs t100)");
@@ -48,7 +30,7 @@ fn main() {
     };
     let crash_at = SimTime::ZERO + SimDuration::from_secs(10);
 
-    let mut all = Vec::new();
+    let mut out = bench_rows("fig15_responsiveness");
     for timeout_ms in [10u64, 100] {
         for protocol in evaluated_protocols() {
             let mut config = eval_config(4, 400, 128, 14_000);
@@ -75,20 +57,22 @@ fn main() {
                 report.committed_txs,
                 report.timeout_view_changes
             );
+            // One row per 500 ms bucket, keyed by the bucket's start, plus
+            // the run's total.
+            let key = format!("{}-t{timeout_ms}", protocol.label());
             print!("  tput (ktx/s per 500 ms): ");
             for sample in &report.throughput_series {
                 print!("{:.0} ", sample.tx_per_sec / 1_000.0);
+                let at_ms = sample.at.as_nanos() / 1_000_000;
+                let name = format!("{key}/at{at_ms:05}ms/throughput");
+                out.push(Sim, name, sample.tx_per_sec, "tx/s", Higher);
             }
             println!();
-            all.push(Series {
-                protocol: protocol.label().to_string(),
-                timeout_ms,
-                series: report.throughput_series.clone(),
-                total_committed: report.committed_txs,
-            });
+            let committed = report.committed_txs as f64;
+            out.point(Sim, &key, &[("total_committed", committed, "tx", Higher)]);
         }
     }
-    save_json("fig15_responsiveness", &all);
+    save_rows(&out);
     println!(
         "\nExpected shape (paper): all protocols stall during the fluctuation window with\nt=10 ms; HotStuff (responsive) resumes immediately afterwards and rides out the\ncrash with periodic dips; non-responsive protocols recover more slowly or stall.\nWith t=100 ms everything stays live but at lower throughput."
     );

@@ -5,40 +5,15 @@
 //! measured latency next to the model's Eq. (3) prediction, which is how the
 //! paper validates the implementation.
 
-use bamboo_bench::{banner, eval_config, evaluated_protocols, model_for, save_json, Json, ToJson};
+use bamboo_bench::{
+    banner, bench_rows, eval_config, evaluated_protocols, model_for, save_rows, Higher, Lower, Sim,
+};
 use bamboo_core::{Benchmarker, RunOptions};
-
-struct Point {
-    protocol: String,
-    nodes: usize,
-    block_size: usize,
-    offered_tx_per_sec: f64,
-    measured_throughput_tx_per_sec: f64,
-    measured_latency_ms: f64,
-    model_latency_ms: f64,
-}
-
-impl ToJson for Point {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("protocol", Json::from(self.protocol.as_str())),
-            ("nodes", Json::from(self.nodes)),
-            ("block_size", Json::from(self.block_size)),
-            ("offered_tx_per_sec", Json::from(self.offered_tx_per_sec)),
-            (
-                "measured_throughput_tx_per_sec",
-                Json::from(self.measured_throughput_tx_per_sec),
-            ),
-            ("measured_latency_ms", Json::from(self.measured_latency_ms)),
-            ("model_latency_ms", Json::from(self.model_latency_ms)),
-        ])
-    }
-}
 
 fn main() {
     banner("Figure 8: model vs implementation (HS, 2CHS, SL)");
     let configs = [(4usize, 100usize), (8, 100), (4, 400), (8, 400)];
-    let mut points = Vec::new();
+    let mut out = bench_rows("fig8_model_vs_impl");
 
     for (nodes, bsize) in configs {
         println!("\n--- configuration {nodes}/{bsize} (nodes/block size) ---");
@@ -53,27 +28,27 @@ fn main() {
                 let rate = saturation * fraction;
                 let report = bench.run_at(rate);
                 let predicted_ms = model.latency(rate) * 1_000.0;
-                println!(
-                    "{:<5} {nodes}/{bsize} offered={:>9.0} tx/s  measured: {:>8.1} tx/s @ {:>7.2} ms   model: {:>7.2} ms",
+                // Keyed by the share of the modelled saturation rate, which
+                // is what the ladder fixes; the rate itself is a model output.
+                let key = format!(
+                    "{}/n{nodes}/b{bsize}/f{:.0}",
                     protocol.label(),
-                    rate,
-                    report.throughput_tx_per_sec,
-                    report.latency.mean_ms,
-                    predicted_ms
+                    fraction * 100.0
                 );
-                points.push(Point {
-                    protocol: protocol.label().to_string(),
-                    nodes,
-                    block_size: bsize,
-                    offered_tx_per_sec: rate,
-                    measured_throughput_tx_per_sec: report.throughput_tx_per_sec,
-                    measured_latency_ms: report.latency.mean_ms,
-                    model_latency_ms: predicted_ms,
-                });
+                out.point(
+                    Sim,
+                    &key,
+                    &[
+                        ("offered", rate, "tx/s", Higher),
+                        ("throughput", report.throughput_tx_per_sec, "tx/s", Higher),
+                        ("latency", report.latency.mean_ms, "ms", Lower),
+                        ("model_latency", predicted_ms, "ms", Lower),
+                    ],
+                );
             }
         }
     }
-    save_json("fig8_model_vs_impl", &points);
+    save_rows(&out);
     println!(
         "\nExpected shape (paper): model and implementation curves track each other;\n2CHS sits below HS in latency, Streamlet saturates earlier."
     );

@@ -8,21 +8,20 @@
 //! size.
 
 use bamboo_bench::{
-    banner, default_sweep, eval_config, evaluated_protocols, print_curve, save_json, sweep,
-    LabelledCurve,
+    banner, bench_rows, default_sweep, eval_config, evaluated_protocols, record_curve, save_rows,
+    sweep,
 };
 use bamboo_types::ProtocolKind;
 
 fn main() {
     banner("Figure 9: throughput vs latency, block sizes 100/400/800 (+ OHS baseline)");
-    let mut curves = Vec::new();
+    let mut out = bench_rows("fig9_block_sizes");
     for bsize in [100usize, 400, 800] {
         let config = eval_config(4, bsize, 0, 500);
         for protocol in evaluated_protocols() {
             let label = format!("{}-b{bsize}", protocol.label());
             let points = sweep(protocol, &config, default_sweep());
-            print_curve(&label, &points);
-            curves.push(LabelledCurve { label, points });
+            record_curve(&mut out, &label, &points);
         }
     }
     // The paper only shows the OHS baseline at block sizes 100 and 800.
@@ -30,10 +29,9 @@ fn main() {
         let config = eval_config(4, bsize, 0, 500);
         let label = format!("OHS-b{bsize}");
         let points = sweep(ProtocolKind::OriginalHotStuff, &config, default_sweep());
-        print_curve(&label, &points);
-        curves.push(LabelledCurve { label, points });
+        record_curve(&mut out, &label, &points);
     }
-    save_json("fig9_block_sizes", &curves);
+    save_rows(&out);
     println!(
         "\nExpected shape (paper): large gain from b100 to b400, small gain beyond;\nOHS comparable to Bamboo-HS; Streamlet lowest throughput."
     );

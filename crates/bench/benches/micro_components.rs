@@ -4,10 +4,11 @@
 //! Covers: SHA-256 hashing, signing/verification, block-forest insertion and
 //! chain predicates, quorum accumulation, and mempool batching. Uses the
 //! wall-clock harness from `bamboo_bench::harness` (no external bench
-//! framework) and saves a JSON artifact for trend tracking.
+//! framework): the suite runs in passes, and every micro is the set of its
+//! per-pass samples under one row name.
 
-use bamboo_bench::harness::{bench, bench_with_setup, MicroResult};
-use bamboo_bench::{banner, save_json};
+use bamboo_bench::harness::{bench, bench_with_setup, PASSES};
+use bamboo_bench::{banner, bench_rows, save_rows, Higher, RowFile, Wall};
 use bamboo_core::{RecordKind, RunOptions, SegmentLog, SimRunner, VerifyPool};
 use bamboo_crypto::{sha256, BatchVerifier, KeyPair};
 use bamboo_forest::{BlockForest, Ledger, Snapshot};
@@ -41,25 +42,26 @@ fn chain_blocks(len: u64, txs_per_block: u64) -> Vec<Block> {
     blocks
 }
 
-fn bench_crypto(results: &mut Vec<MicroResult>) {
+fn bench_crypto(out: &mut RowFile) {
     let data = vec![0xa5u8; 1024];
-    results.push(bench("sha256_1k", || sha256(&data)));
+    out.rows.push(bench("sha256_1k", || sha256(&data)));
 
     let kp = KeyPair::from_seed(1);
-    results.push(bench("sign", || kp.sign(&data)));
+    out.rows.push(bench("sign", || kp.sign(&data)));
     let sig = kp.sign(&data);
-    results.push(bench("verify", || kp.public_key().verify(&data, &sig)));
+    out.rows
+        .push(bench("verify", || kp.public_key().verify(&data, &sig)));
 
     // The consensus hot path signs and verifies 40-byte vote messages, not
     // kilobyte payloads — these are the numbers the cost model's `t_CPU`
     // stands in for.
     let block = BlockId(bamboo_crypto::Digest::of(b"bench-vote"));
-    results.push(bench("sign_vote", || {
+    out.rows.push(bench("sign_vote", || {
         Vote::new(block, View(7), NodeId(1), &kp)
     }));
     let vote = Vote::new(block, View(7), NodeId(1), &kp);
     let pk = kp.public_key();
-    results.push(bench("verify_vote", || vote.verify(&pk)));
+    out.rows.push(bench("verify_vote", || vote.verify(&pk)));
 
     // Batched verification of 64 votes over one reused arena vs. 64
     // individual checks (each of which allocates its signing-bytes buffer).
@@ -70,7 +72,7 @@ fn bench_crypto(results: &mut Vec<MicroResult>) {
         .map(|(i, k)| Vote::new(block, View(7), NodeId(i as u64), k))
         .collect();
     let mut batch = BatchVerifier::with_capacity(64);
-    results.push(bench("batch_verify_64", || {
+    out.rows.push(bench("batch_verify_64", || {
         for (vote, key) in votes.iter().zip(&keys) {
             batch.push(
                 key.public_key(),
@@ -80,7 +82,7 @@ fn bench_crypto(results: &mut Vec<MicroResult>) {
         }
         batch.verify_all()
     }));
-    results.push(bench("verify_64_individual", || {
+    out.rows.push(bench("verify_64_individual", || {
         votes
             .iter()
             .zip(&keys)
@@ -98,7 +100,7 @@ fn bench_crypto(results: &mut Vec<MicroResult>) {
 ///
 /// The pool wins on redundancy elimination alone (31x less signature work
 /// per broadcast), before any thread-level parallelism is counted.
-fn bench_verify_stage(results: &mut Vec<MicroResult>) {
+fn bench_verify_stage(out: &mut RowFile) {
     const NODES: usize = 32;
     const MSGS_PER_ITER: u64 = 4;
     let keys: Vec<KeyPair> = (0..NODES as u64).map(KeyPair::from_seed).collect();
@@ -124,7 +126,7 @@ fn bench_verify_stage(results: &mut Vec<MicroResult>) {
         .collect();
 
     let mut auth = Authenticator::for_nodes(NODES);
-    results.push(bench("verify_inline_throughput", || {
+    out.rows.push(bench("verify_inline_throughput", || {
         let mut accepted = 0u32;
         for message in &messages {
             // Every one of the 31 recipients re-verifies the same broadcast.
@@ -140,7 +142,7 @@ fn bench_verify_stage(results: &mut Vec<MicroResult>) {
     let pool = VerifyPool::new(NODES, 2, |_to, _verified| {});
     let handle = pool.handle();
     let mut submitted = 0u64;
-    results.push(bench("verify_pool_throughput", || {
+    out.rows.push(bench("verify_pool_throughput", || {
         for message in &messages {
             handle.submit_broadcast(NodeId(0), message.clone());
         }
@@ -155,12 +157,12 @@ fn bench_verify_stage(results: &mut Vec<MicroResult>) {
     pool.shutdown();
 }
 
-fn bench_forest(results: &mut Vec<MicroResult>) {
+fn bench_forest(out: &mut RowFile) {
     let blocks = chain_blocks(200, 10);
     // Insert the shared handles the way the replica does with blocks received
     // off the wire: each insert is a pointer bump, never a payload copy.
     let shared: Vec<SharedBlock> = blocks.iter().cloned().map(SharedBlock::new).collect();
-    results.push(bench_with_setup(
+    out.rows.push(bench_with_setup(
         "forest_insert_200_blocks",
         BlockForest::new,
         |mut forest| {
@@ -183,10 +185,10 @@ fn bench_forest(results: &mut Vec<MicroResult>) {
             .unwrap();
     }
     let tip = blocks.last().unwrap().id;
-    results.push(bench("forest_certified_chain_length", || {
+    out.rows.push(bench("forest_certified_chain_length", || {
         forest.certified_chain_length(tip)
     }));
-    results.push(bench("forest_extends_deep", || {
+    out.rows.push(bench("forest_extends_deep", || {
         forest.extends(tip, BlockId::GENESIS)
     }));
 
@@ -206,7 +208,7 @@ fn bench_forest(results: &mut Vec<MicroResult>) {
             signatures: Default::default(),
         })
         .collect();
-    results.push(bench_with_setup(
+    out.rows.push(bench_with_setup(
         "forest_register_qc_1k",
         || uncertified.clone(),
         |mut forest| {
@@ -218,7 +220,7 @@ fn bench_forest(results: &mut Vec<MicroResult>) {
     ));
 }
 
-fn bench_broadcast(results: &mut Vec<MicroResult>) {
+fn bench_broadcast(out: &mut RowFile) {
     // A 400-transaction proposal fanned out to 32 peers — the hot path of
     // every view at n = 32. The message holds the block behind a shared
     // handle, so each per-peer clone is a pointer bump, not a payload copy.
@@ -233,28 +235,17 @@ fn bench_broadcast(results: &mut Vec<MicroResult>) {
         QuorumCert::genesis(),
         payload,
     );
-    let message = Message::Proposal(SharedBlock::new(block.clone()));
-    results.push(bench("broadcast_fanout_32_peers", || {
+    let message = Message::Proposal(SharedBlock::new(block));
+    out.rows.push(bench("broadcast_fanout_32_peers", || {
         let mut outbox: Vec<Message> = Vec::with_capacity(32);
         for _ in 0..32 {
             outbox.push(message.clone());
         }
         outbox
     }));
-
-    // Reference point: what the same fan-out costs when every peer gets a
-    // deep copy of the block (the pre-zero-copy behaviour). Kept in the
-    // artifact so the speedup stays visible in the bench trajectory.
-    results.push(bench("broadcast_fanout_32_peers_deepcopy", || {
-        let mut outbox: Vec<Message> = Vec::with_capacity(32);
-        for _ in 0..32 {
-            outbox.push(Message::Proposal(SharedBlock::new(block.clone())));
-        }
-        outbox
-    }));
 }
 
-fn bench_quorum(results: &mut Vec<MicroResult>) {
+fn bench_quorum(out: &mut RowFile) {
     let keys: Vec<KeyPair> = (0..32).map(KeyPair::from_seed).collect();
     let block = BlockId(bamboo_crypto::Digest::of(b"bench"));
     let votes: Vec<Vote> = keys
@@ -262,7 +253,7 @@ fn bench_quorum(results: &mut Vec<MicroResult>) {
         .enumerate()
         .map(|(i, kp)| Vote::new(block, View(5), NodeId(i as u64), kp))
         .collect();
-    results.push(bench_with_setup(
+    out.rows.push(bench_with_setup(
         "quorum_accumulate_32_votes",
         || bamboo_core::QuorumTracker::new(32),
         |mut tracker| {
@@ -274,11 +265,11 @@ fn bench_quorum(results: &mut Vec<MicroResult>) {
     ));
 }
 
-fn bench_mempool(results: &mut Vec<MicroResult>) {
+fn bench_mempool(out: &mut RowFile) {
     let txs: Vec<Transaction> = (0..4_000)
         .map(|i| Transaction::new(NodeId(1), i, 128, SimTime::ZERO))
         .collect();
-    results.push(bench_with_setup(
+    out.rows.push(bench_with_setup(
         "mempool_push_4000_batch_400",
         || Mempool::new(10_000),
         |mut pool| {
@@ -297,11 +288,11 @@ fn bench_mempool(results: &mut Vec<MicroResult>) {
 /// pre-vote safety record takes in durable-log mode, and the replay path a
 /// restarting replica walks. In-memory backend, so the micro times the
 /// framing/CRC/rotation machinery rather than the disk.
-fn bench_storage(results: &mut Vec<MicroResult>) {
+fn bench_storage(out: &mut RowFile) {
     const RECORDS: u64 = 1_024;
     // Payload shaped like a small committed-block record.
     let payload = vec![0xb7u8; 256];
-    let append = bench_with_setup(
+    out.rows.push(bench_with_setup(
         "log_append_1k",
         || SegmentLog::in_memory(1 << 20, 8),
         |mut log| {
@@ -311,19 +302,7 @@ fn bench_storage(results: &mut Vec<MicroResult>) {
             log.sync();
             log
         },
-    );
-    let records_per_sec = RECORDS as f64 / (append.value / 1e9);
-    println!(
-        "{:<36} {records_per_sec:>14.0} records/s",
-        "log_append_throughput"
-    );
-    results.push(MicroResult {
-        name: "log_append_throughput".to_string(),
-        value: records_per_sec,
-        iters: append.iters,
-        unit: "records_per_sec",
-    });
-    results.push(append);
+    ));
 
     // Replay of a 1k-record log (what a durable restart pays before it can
     // rejoin), decoded across several rotated segments.
@@ -332,7 +311,7 @@ fn bench_storage(results: &mut Vec<MicroResult>) {
         log.append(RecordKind::CommittedBlock, &payload);
     }
     log.sync();
-    results.push(bench("log_replay_1k", || {
+    out.rows.push(bench("log_replay_1k", || {
         let replayed = log.replay();
         assert_eq!(replayed.records.len(), 1_000);
         replayed
@@ -343,7 +322,7 @@ fn bench_storage(results: &mut Vec<MicroResult>) {
 /// install it into the log — at two ledger lengths. The pair is the flatness
 /// probe: a checkpoint costs O(interval), so `bench_diff` should see the
 /// 1024-block cut stay level with the 64-block one.
-fn bench_checkpoint(results: &mut Vec<MicroResult>) {
+fn bench_checkpoint(out: &mut RowFile) {
     const INTERVAL: usize = 16;
     for (name, len) in [("checkpoint_cut_64", 64), ("checkpoint_cut_1024", 1_024)] {
         let mut forest = BlockForest::new();
@@ -356,7 +335,7 @@ fn bench_checkpoint(results: &mut Vec<MicroResult>) {
             forest.prune_to_committed();
         }
         let base = Snapshot::encode(&forest, &Ledger::new());
-        results.push(bench_with_setup(
+        out.rows.push(bench_with_setup(
             name,
             || {
                 // A fresh log per iteration, so the stored image does not
@@ -378,7 +357,7 @@ fn bench_checkpoint(results: &mut Vec<MicroResult>) {
 /// mix of near-future deliveries (µs-scale deltas), same-instant ties and
 /// far-out timers, interleaved with pops — the access pattern of one
 /// `SimRunner` run compressed into a micro.
-fn bench_event_queue(results: &mut Vec<MicroResult>) {
+fn bench_event_queue(out: &mut RowFile) {
     const EVENTS: u64 = 65_536;
     let mut rng = SimRng::new(42);
     // Pre-generate the schedule so the micro times the queue, not the RNG.
@@ -393,7 +372,7 @@ fn bench_event_queue(results: &mut Vec<MicroResult>) {
             _ => 50_000 + rng.choose_index(400_000) as u64,
         });
     }
-    results.push(bench("event_queue_schedule_pop_64k", || {
+    out.rows.push(bench("event_queue_schedule_pop_64k", || {
         let mut queue: EventQueue<u64> = EventQueue::new();
         let mut now = SimTime::ZERO;
         let mut last = SimTime::ZERO;
@@ -421,9 +400,9 @@ fn bench_event_queue(results: &mut Vec<MicroResult>) {
 }
 
 /// End-to-end engine throughput: a broadcast-heavy n = 64 HotStuff run,
-/// reported both as wall-clock per run and as simulation events per second
-/// (the engine's headline speed metric; higher is better).
-fn bench_sim_engine(results: &mut Vec<MicroResult>) {
+/// reported as simulation events per wall-clock second (the engine's
+/// headline speed metric; higher is better).
+fn bench_sim_engine(out: &mut RowFile) {
     let config = Config::builder()
         .nodes(64)
         .block_size(400)
@@ -431,52 +410,46 @@ fn bench_sim_engine(results: &mut Vec<MicroResult>) {
         .runtime(SimDuration::from_millis(100))
         .arrival_rate(30_000.0)
         .timeout(SimDuration::from_millis(100))
-        .seed(2021)
+        .seed(bamboo_bench::EVAL_SEED)
         .build()
         .expect("valid benchmark configuration");
-    // The run is deterministic, so the event count is a constant of the
-    // configuration; take it from one untimed run.
-    let events = SimRunner::new(
-        config.clone(),
-        ProtocolKind::HotStuff,
-        RunOptions::default(),
-    )
-    .run()
-    .events_processed;
-    let run = bench("sim_run_n64_hotstuff", || {
+    let run = || {
         SimRunner::new(
             config.clone(),
             ProtocolKind::HotStuff,
             RunOptions::default(),
         )
         .run()
-    });
-    let events_per_sec = events as f64 / (run.value / 1e9);
+    };
+    // The run is deterministic, so the event count is a constant of the
+    // configuration; take it from one untimed run.
+    let events = run().events_processed as f64;
+    let pass = bench("sim_events_per_sec_n64", run);
+    let events_per_sec = events / (pass.value / 1e9);
     println!(
         "{:<36} {events_per_sec:>14.0} events/s  ({events} events per run)",
-        "sim_events_per_sec_n64"
+        ""
     );
-    results.push(MicroResult {
-        name: "sim_events_per_sec_n64".to_string(),
-        value: events_per_sec,
-        iters: run.iters,
-        unit: "events_per_sec",
-    });
-    results.push(run);
+    out.push(Wall, pass.name, events_per_sec, "events_per_sec", Higher);
 }
 
 fn main() {
     banner("Micro-benchmarks: component costs inside a replica");
-    let mut results = Vec::new();
-    bench_crypto(&mut results);
-    bench_verify_stage(&mut results);
-    bench_forest(&mut results);
-    bench_broadcast(&mut results);
-    bench_quorum(&mut results);
-    bench_mempool(&mut results);
-    bench_storage(&mut results);
-    bench_checkpoint(&mut results);
-    bench_event_queue(&mut results);
-    bench_sim_engine(&mut results);
-    save_json("micro_components", &results);
+    let mut out = bench_rows("micro_components");
+    // Every pass visits every micro once, so the samples of one micro are
+    // seconds apart (see `harness::PASSES`).
+    for pass in 1..=PASSES {
+        println!("\n--- pass {pass} of {PASSES} ---");
+        bench_crypto(&mut out);
+        bench_verify_stage(&mut out);
+        bench_forest(&mut out);
+        bench_broadcast(&mut out);
+        bench_quorum(&mut out);
+        bench_mempool(&mut out);
+        bench_storage(&mut out);
+        bench_checkpoint(&mut out);
+        bench_event_queue(&mut out);
+        bench_sim_engine(&mut out);
+    }
+    save_rows(&out);
 }

@@ -2,11 +2,12 @@
 //! n ∈ {16, 64, 128, 256} — the figure-class experiment the pre-PR-4 engine
 //! was too slow to run routinely. All points execute as one parallel batch
 //! on the bounded sweep pool (`Benchmarker::run_all`); results come back in
-//! input order, so the JSON artifact is byte-stable across worker counts.
+//! input order, so every simulator-clock row is stable across worker counts.
 //!
-//! Beyond throughput/latency, each point records the *engine's* speed
-//! (simulation events per wall-clock second) and the event-queue memory
-//! high-water mark, so the scalability of the simulator itself is tracked
+//! Beyond throughput/latency, each point records the events it processed and
+//! the event-queue memory high-water mark, and the sweep as a whole records
+//! the *engine's* speed (simulation events per wall-clock second — the one
+//! wall-clock row), so the scalability of the simulator itself is tracked
 //! alongside the scalability of the protocols.
 //!
 //! Expected shape (paper, Fig. 12 extended): throughput falls and latency
@@ -17,46 +18,15 @@
 
 use std::time::Instant;
 
-use bamboo_bench::{banner, eval_config, save_json, Json, ToJson};
+use bamboo_bench::{banner, bench_rows, eval_config, save_rows, Higher, Lower, Sim, Wall};
 use bamboo_core::{Benchmarker, RunOptions};
 use bamboo_types::{Config, ProtocolKind};
-
-struct ScalePoint {
-    protocol: String,
-    nodes: usize,
-    threads: usize,
-    throughput_tx_per_sec: f64,
-    latency_ms: f64,
-    committed_blocks: u64,
-    events_processed: u64,
-    queue_peak_len: u64,
-    safety_violations: u64,
-}
-
-impl ToJson for ScalePoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("protocol", Json::from(self.protocol.as_str())),
-            ("nodes", Json::from(self.nodes)),
-            ("threads", Json::from(self.threads)),
-            (
-                "throughput_tx_per_sec",
-                Json::from(self.throughput_tx_per_sec),
-            ),
-            ("latency_ms", Json::from(self.latency_ms)),
-            ("committed_blocks", Json::from(self.committed_blocks)),
-            ("events_processed", Json::from(self.events_processed)),
-            ("queue_peak_len", Json::from(self.queue_peak_len)),
-            ("safety_violations", Json::from(self.safety_violations)),
-        ])
-    }
-}
 
 /// Measurement window per point. Streamlet's O(n^3) vote echoing means a
 /// *single view* at n = 256 is ~16M message deliveries, so its two largest
 /// windows are deliberately shorter than one commit latency: those points
-/// measure the engine driving the cubic storm deterministically (events and
-/// queue peak in the artifact), not protocol throughput — the paper makes
+/// measure the engine driving the cubic storm deterministically (the events
+/// and queue-peak rows), not protocol throughput — the paper makes
 /// the same "of limited meaning" caveat for Streamlet beyond n = 64.
 fn runtime_ms(protocol: ProtocolKind, nodes: usize) -> u64 {
     match (protocol, nodes) {
@@ -95,49 +65,33 @@ fn main() {
     let wall = started.elapsed();
     let total_events: u64 = reports.iter().map(|r| r.events_processed).sum();
     let events_per_sec = total_events as f64 / wall.as_secs_f64();
+    let points = reports.len();
 
-    let mut out = Vec::new();
+    let mut out = bench_rows("scalability_large_n");
     for ((protocol, nodes), report) in grid.into_iter().zip(reports) {
-        println!(
-            "{:<5} n={:<4} throughput = {:>9.0} tx/s   latency = {:>8.2} ms   blocks = {:>4}   events = {:>9}   queue peak = {:>7}",
-            protocol.label(),
-            nodes,
-            report.throughput_tx_per_sec,
-            report.latency.mean_ms,
-            report.committed_blocks,
-            report.events_processed,
-            report.queue_peak_len,
-        );
         assert_eq!(
             report.safety_violations, 0,
             "{protocol} n={nodes} violated safety"
         );
-        out.push(ScalePoint {
-            protocol: protocol.label().to_string(),
-            nodes,
-            threads: report.threads,
-            throughput_tx_per_sec: report.throughput_tx_per_sec,
-            latency_ms: report.latency.mean_ms,
-            committed_blocks: report.committed_blocks,
-            events_processed: report.events_processed,
-            queue_peak_len: report.queue_peak_len,
-            safety_violations: report.safety_violations,
-        });
+        out.point(
+            Sim,
+            &format!("{}/n{nodes}", protocol.label()),
+            &[
+                ("throughput", report.throughput_tx_per_sec, "tx/s", Higher),
+                ("latency", report.latency.mean_ms, "ms", Lower),
+                ("blocks", report.committed_blocks as f64, "count", Higher),
+                ("events", report.events_processed as f64, "count", Lower),
+                ("queue_peak", report.queue_peak_len as f64, "count", Lower),
+            ],
+        );
     }
-    // The artifact separates the deterministic sweep points from the
-    // (wall-clock, machine-dependent) engine-rate numbers so `bench_diff`
-    // can compare both: per-point throughput regresses downward, and so
-    // does the aggregate events/s of the engine itself.
-    let artifact = Json::obj([
-        ("points", out.to_json()),
-        ("total_events", Json::from(total_events)),
-        ("wall_secs", Json::from(wall.as_secs_f64())),
-        ("events_per_sec", Json::from(events_per_sec)),
-    ]);
-    save_json("scalability_large_n", &artifact);
+    // One draw per sweep: the differ can print its delta but never resolves
+    // a direction from it.
+    let rate = ("events_per_sec", events_per_sec, "events/s", Higher);
+    out.point(Wall, "engine", &[rate]);
+    save_rows(&out);
     println!(
-        "\n{} points, {total_events} simulation events in {:.1} s wall ({events_per_sec:.0} events/s end-to-end)",
-        out.len(),
+        "\n{points} points, {total_events} simulation events in {:.1} s wall ({events_per_sec:.0} events/s end-to-end)",
         wall.as_secs_f64(),
     );
 }

@@ -7,34 +7,9 @@
 //! scaled to the simulator's capacity, the tracking behaviour is the result
 //! under test).
 
-use bamboo_bench::{banner, eval_config, save_json, Json, ToJson};
+use bamboo_bench::{banner, bench_rows, eval_config, save_rows, Higher, Lower, Sim};
 use bamboo_core::{Benchmarker, RunOptions};
 use bamboo_types::ProtocolKind;
-
-struct Row {
-    arrival_rate_tx_per_sec: f64,
-    throughput_tx_per_sec: f64,
-    tracking_error_percent: f64,
-}
-
-impl ToJson for Row {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "arrival_rate_tx_per_sec",
-                Json::from(self.arrival_rate_tx_per_sec),
-            ),
-            (
-                "throughput_tx_per_sec",
-                Json::from(self.throughput_tx_per_sec),
-            ),
-            (
-                "tracking_error_percent",
-                Json::from(self.tracking_error_percent),
-            ),
-        ])
-    }
-}
 
 fn main() {
     banner("Table II: arrival rate vs throughput (HotStuff, bsize=400, 4 replicas)");
@@ -47,25 +22,19 @@ fn main() {
     let rates = [
         10_000.0, 20_000.0, 40_000.0, 60_000.0, 80_000.0, 100_000.0, 120_000.0,
     ];
-    let mut rows = Vec::new();
-    println!(
-        "{:>22} | {:>22} | {:>10}",
-        "Arrival rate (Tx/s)", "Throughput (Tx/s)", "error %"
-    );
-    println!("{:-<62}", "");
+    let mut out = bench_rows("table2_arrival_vs_throughput");
     for &rate in &rates {
         let report = bench.run_at(rate);
         let error = 100.0 * (report.throughput_tx_per_sec - rate).abs() / rate;
-        println!(
-            "{:>22.0} | {:>22.0} | {:>9.1}%",
-            rate, report.throughput_tx_per_sec, error
+        out.point(
+            Sim,
+            &format!("HS/a{rate:.0}"),
+            &[
+                ("throughput", report.throughput_tx_per_sec, "tx/s", Higher),
+                ("tracking_error", error, "%", Lower),
+            ],
         );
-        rows.push(Row {
-            arrival_rate_tx_per_sec: rate,
-            throughput_tx_per_sec: report.throughput_tx_per_sec,
-            tracking_error_percent: error,
-        });
     }
-    save_json("table2_arrival_vs_throughput", &rows);
+    save_rows(&out);
     println!("\nExpected shape (paper): throughput ≈ arrival rate until the system saturates.");
 }

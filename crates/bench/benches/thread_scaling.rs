@@ -5,12 +5,11 @@
 //! count commits the **identical ledger fingerprint** — the speedup claim is
 //! only meaningful because the answer is bit-for-bit the same.
 //!
-//! The artifact (`target/bamboo-bench/thread_scaling.json`) records, per
-//! thread count: events processed, wall seconds, events/s, the fingerprint,
-//! and the queue statistics (summed and per-shard peak). `bench_diff`
-//! compares events/s per `threads` key against the matching key of the
-//! latest snapshot — never across thread counts, since those measure
-//! different parallelism, not a regression.
+//! The rows record, per thread count (`HS/n256/tT/…`): wall-clock events/s,
+//! and the events processed and queue statistics (summed and per-shard
+//! peak) of the run. Thread counts are different row names, so `bench_diff`
+//! never compares across them — they measure different parallelism, not a
+//! regression.
 //!
 //! No speed-up has been observed yet. Snapshots up to BENCH_pr9.json ran on
 //! a 1-CPU host, where the 2- and 4-shard points can only measure barrier
@@ -20,52 +19,25 @@
 //! (medians; run-to-run spread about ±15%) — the sharded side is still
 //! slower than one shard. For the sharded engine to earn its keep, a host
 //! with at least four cores must show the 4-shard point at 1.5x or more of
-//! the 1-shard point (DESIGN.md §5.3). The `host_cpus` field records what
-//! the measurement ran on so readers can interpret the ratios.
+//! the 1-shard point (DESIGN.md §5.3). The file header's `host_cpus` records
+//! what the measurement ran on so readers can interpret the ratios.
 
 use std::time::Instant;
 
-use bamboo_bench::{banner, eval_config, save_json, Json, ToJson};
+use bamboo_bench::{banner, bench_rows, eval_config, save_rows, Higher, Lower, Sim, Wall};
 use bamboo_core::{RunOptions, SimRunner};
 use bamboo_types::ProtocolKind;
 
-struct ScalingPoint {
-    threads: usize,
-    events_processed: u64,
-    wall_secs: f64,
-    events_per_sec: f64,
-    fingerprint: String,
-    queue_peak_len: u64,
-    max_shard_queue_peak: u64,
-}
-
-impl ToJson for ScalingPoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("threads", Json::from(self.threads)),
-            ("events_processed", Json::from(self.events_processed)),
-            ("wall_secs", Json::from(self.wall_secs)),
-            ("events_per_sec", Json::from(self.events_per_sec)),
-            ("fingerprint", Json::from(self.fingerprint.as_str())),
-            ("queue_peak_len", Json::from(self.queue_peak_len)),
-            (
-                "max_shard_queue_peak",
-                Json::from(self.max_shard_queue_peak),
-            ),
-        ])
-    }
-}
-
 fn main() {
     let nodes = 256usize;
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let mut out = bench_rows("thread_scaling");
+    let host_cpus = out.host_cpus;
     banner(&format!(
         "Thread scaling: HS at n = {nodes}, threads = 1 / 2 / 4 ({host_cpus} host cpu(s))"
     ));
 
-    let mut points: Vec<ScalingPoint> = Vec::new();
+    let mut rates: Vec<f64> = Vec::new();
+    let mut single_thread_fp: Option<String> = None;
     for threads in [1usize, 2, 4] {
         // A longer window than the scalability sweep's n = 256 point so the
         // rate is dominated by steady-state window execution, not by the
@@ -82,44 +54,36 @@ fn main() {
         assert_eq!(report.safety_violations, 0, "threads={threads}");
         let events_per_sec = report.events_processed as f64 / wall;
         println!(
-            "threads={threads}   events = {:>10}   wall = {:>6.2} s   rate = {:>10.0} events/s   fp {}",
-            report.events_processed,
-            wall,
-            events_per_sec,
-            &report.ledger_fingerprint[..16],
+            "threads={threads}   wall = {wall:>6.2} s   rate = {events_per_sec:>10.0} events/s"
         );
-        points.push(ScalingPoint {
-            threads,
-            events_processed: report.events_processed,
-            wall_secs: wall,
-            events_per_sec,
-            fingerprint: report.ledger_fingerprint,
-            queue_peak_len: report.queue_peak_len,
-            max_shard_queue_peak: report.max_shard_queue_peak,
-        });
-    }
-
-    // The determinism contract is part of the bench: a speedup that changes
-    // the answer is not a speedup.
-    let base_fp = points[0].fingerprint.clone();
-    for point in &points[1..] {
+        // The determinism contract is part of the bench: a speedup that
+        // changes the answer is not a speedup.
+        let fingerprint = &report.ledger_fingerprint;
         assert_eq!(
-            point.fingerprint, base_fp,
-            "threads={} diverged from the single-thread ledger",
-            point.threads
+            fingerprint,
+            single_thread_fp.get_or_insert_with(|| fingerprint.clone()),
+            "threads={threads} diverged from the single-thread ledger"
         );
+        let shard_peak = report.max_shard_queue_peak as f64;
+        let fp32 = u32::from_str_radix(&fingerprint[..8], 16).expect("hex fingerprint");
+        let key = format!("HS/n{nodes}/t{threads}");
+        let rate = ("events_per_sec", events_per_sec, "events/s", Higher);
+        out.point(Wall, &key, &[rate]);
+        out.point(
+            Sim,
+            &key,
+            &[
+                ("events", report.events_processed as f64, "count", Lower),
+                ("ledger_fp32", f64::from(fp32), "u32", Lower),
+                // Layout-dependent by design: compared per thread count only.
+                ("queue_peak", report.queue_peak_len as f64, "count", Lower),
+                ("max_shard_queue_peak", shard_peak, "count", Lower),
+            ],
+        );
+        rates.push(events_per_sec);
     }
-    let speedup =
-        points.last().map(|p| p.events_per_sec).unwrap_or(0.0) / points[0].events_per_sec.max(1e-9);
-
-    let artifact = Json::obj([
-        ("protocol", Json::from("HS")),
-        ("nodes", Json::from(nodes)),
-        ("host_cpus", Json::from(host_cpus)),
-        ("points", points.to_json()),
-        ("speedup_4_vs_1", Json::from(speedup)),
-    ]);
-    save_json("thread_scaling", &artifact);
+    let speedup = rates[2] / rates[0].max(1e-9);
+    save_rows(&out);
     println!(
         "\nspeedup (4 threads vs 1) = {speedup:.2}x on {host_cpus} host cpu(s); \
          all fingerprints identical"

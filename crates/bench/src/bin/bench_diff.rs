@@ -1,791 +1,138 @@
-//! Compares fresh bench artifacts against the latest committed
-//! `BENCH_*.json` snapshot and annotates regressions.
+//! Compares the fresh row files under `target/bamboo-bench/` against the
+//! newest committed `BENCH_pr<N>.json` snapshot.
 //!
-//! Two artifacts are diffed when present under `target/bamboo-bench/`:
+//! Every `*.rows.json` a producer left behind is loaded through
+//! [`rows::load`], written back out as one array to
+//! `target/bamboo-bench/snapshot.json` (copy that file to `BENCH_prN.json`
+//! to commit a new snapshot — nothing is assembled by hand), and diffed by
+//! [`compare::diff`]: files pair on `(bench, tier)`, rows on name and unit;
+//! simulator-clock rows compare exactly, wall-clock rows by median against
+//! one bound with a spread check (see [`compare::judge`]).
 //!
-//! * `micro_components.json` — per-micro values; rate-style micros (unit
-//!   ending in `per_sec`) regress *downwards*, everything else (ns/iter)
-//!   upwards;
-//! * `scalability_large_n.json` — per-point committed throughput keyed by
-//!   `protocol/nodes` (with a `/tN` suffix for parallel-engine points, so a
-//!   multi-thread run is only ever compared against a baseline measured at
-//!   the *same* thread count), plus the engine's aggregate events/s; both
-//!   regress downwards;
-//! * `thread_scaling.json` — the parallel engine's events/s per thread
-//!   count, keyed `protocol/nN/tT`. Thread counts are never cross-compared;
-//!   a multi-thread point whose artifact carries no ledger fingerprint is
-//!   flagged, since without one the speedup is unaccompanied by its
-//!   determinism proof;
-//! * `saturation.json` — the open-loop client-pipeline sweep: per load
-//!   point (keyed `protocol/nN/oRATE`, never cross-compared) committed
-//!   goodput regresses *downwards* and client-observed p99 latency
-//!   *upwards*;
-//! * `scenario_reports.json` — the recovery series: per-run
-//!   `recovery_time_ms` (worst-case amnesia catch-up) keyed by
-//!   `scenario/protocol`, for runs that actually scheduled amnesia
-//!   recoveries, plus `log_replay_ms` (worst-case durable-log replay,
-//!   keyed `scenario/protocol log_replay`) for runs with durable
-//!   restarts. Both are latencies, so they regress *upwards*;
-//! * `tcp_smoke.json` — the loopback multi-process TCP run, keyed
-//!   `protocol/nN/mode` so unlike points never cross-compare: committed
-//!   throughput regresses *downwards*, status-probe round-trip latency
-//!   (p50/p99) *upwards*, and reconnect counts *upwards* (a healthy
-//!   loopback run never reconnects, so the comparison is absolute, not a
-//!   ratio).
+//! Numbers never fail the run: a `worse` row prints a GitHub `::warning::`
+//! annotation and the exit code stays 0. A row file or snapshot that does not
+//! load is a broken artifact, not a number — that exits 1.
 //!
-//! Non-gating by design: shared-runner numbers are noisy, so the tool always
-//! exits 0 — it prints aligned diff tables and emits GitHub `::warning::`
-//! annotations for entries that regressed by more than 20%, making drifts
-//! visible on the PR without blocking it. Artifacts that exist but cannot
-//! be compared — unparsable JSON, a recognized file whose shape yields no
-//! rows, or a file no differ knows about — are never skipped silently: each
-//! gets a `::notice::` annotation naming the file.
-//!
-//! Usage: `cargo run --release -p bamboo-bench --bin bench_diff`
-//! (after `cargo bench -p bamboo-bench --bench micro_components` and/or
-//! `--bench scalability_large_n`).
+//! Usage: `cargo run --release -p bamboo-bench --bin bench_diff` after any
+//! subset of the producers; takes no arguments.
 
-use std::path::{Path, PathBuf};
+use std::collections::BTreeMap;
+use std::path::PathBuf;
+use std::process::ExitCode;
 
-use bamboo_bench::{results_dir, Json};
+use bamboo_bench::compare::{self, Line, Verdict, BOUND};
+use bamboo_bench::rows::{self, Clock, RowFile};
+use bamboo_bench::{results_dir, write_artifact};
 
-/// Regression threshold: fraction of the snapshot value.
-const THRESHOLD: f64 = 0.20;
-
-/// Every artifact filename the differs below know how to read. Anything
-/// else under `target/bamboo-bench/` gets a `::notice::` instead of being
-/// silently ignored.
-const KNOWN_ARTIFACTS: [&str; 6] = [
-    "micro_components.json",
-    "scalability_large_n.json",
-    "thread_scaling.json",
-    "saturation.json",
-    "scenario_reports.json",
-    "tcp_smoke.json",
-];
-
-/// `::notice::` annotation naming a skipped artifact. A silently dropped
-/// file reads as "diffed clean" on the PR when it was never compared at
-/// all; the notice makes the gap visible without failing anything.
-fn notice_skipped(path: &Path, reason: &str) {
-    println!("::notice::bench-diff skipped {}: {reason}", path.display());
-}
-
-/// Surfaces every `*.json` in the results directory that no differ reads.
-fn notice_unknown_artifacts() {
-    let Ok(entries) = std::fs::read_dir(results_dir()) else {
-        return;
-    };
-    let mut unknown: Vec<PathBuf> = entries
-        .filter_map(|entry| entry.ok())
-        .map(|entry| entry.path())
-        .filter(|path| path.extension().is_some_and(|e| e == "json"))
-        .filter(|path| {
-            !path.file_name().and_then(|n| n.to_str()).is_some_and(|n| {
-                // Paper-reproduction figures/tables are point-in-time
-                // artifacts, deliberately outside the regression diff.
-                KNOWN_ARTIFACTS.contains(&n) || n.starts_with("fig") || n.starts_with("table")
-            })
-        })
-        .collect();
-    unknown.sort();
-    for path in unknown {
-        notice_skipped(&path, "no differ recognizes this artifact");
-    }
-}
-
-/// `(value, unit)` of one micro entry. The value's JSON key is its unit;
-/// entries without a `unit` field are legacy `ns_per_iter` measurements.
-fn entry_value(entry: &Json) -> Option<(f64, String)> {
-    let unit = entry
-        .get("unit")
-        .and_then(Json::as_str)
-        .unwrap_or("ns_per_iter")
-        .to_string();
-    let value = entry
-        .get(&unit)
-        .or_else(|| entry.get("ns_per_iter"))
-        .and_then(Json::as_f64)?;
-    Some((value, unit))
-}
-
-fn micro_entries(doc: &Json, nested: bool) -> Vec<(String, f64, String)> {
-    let array = if nested {
-        doc.get("benches")
-            .and_then(|b| b.get("micro_components"))
-            .and_then(Json::as_array)
-    } else {
-        doc.as_array()
-    };
-    array
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|entry| {
-            let name = entry.get("name")?.as_str()?.to_string();
-            let (value, unit) = entry_value(entry)?;
-            Some((name, value, unit))
-        })
-        .collect()
-}
-
-/// Orders snapshots oldest-first: `BENCH_baseline` before `BENCH_pr2` before
-/// `BENCH_pr10` (numeric PR order, not lexicographic).
-fn snapshot_rank(path: &Path) -> u64 {
-    let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-    stem.strip_prefix("BENCH_pr")
-        .and_then(|n| n.parse::<u64>().ok())
-        .map(|n| n + 1)
-        .unwrap_or(0)
-}
-
-fn latest_snapshot(root: &Path) -> Option<PathBuf> {
-    let mut snapshots: Vec<PathBuf> = std::fs::read_dir(root)
-        .ok()?
-        .filter_map(|entry| entry.ok())
-        .map(|entry| entry.path())
-        .filter(|path| {
-            path.extension().is_some_and(|e| e == "json")
-                && path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("BENCH_"))
-        })
-        .collect();
-    snapshots.sort_by_key(|p| snapshot_rank(p));
-    snapshots.pop()
-}
-
-/// `(key, throughput, events_per_sec?)` rows of a scalability artifact.
-/// Accepts both the flat-array shape of older snapshots and the
-/// `{points, events_per_sec}` object shape newer artifacts use.
-fn scalability_entries(doc: &Json) -> (Vec<(String, f64)>, Option<f64>) {
-    let (points, rate) = match doc.get("points") {
-        Some(points) => (
-            points.as_array(),
-            doc.get("events_per_sec").and_then(Json::as_f64),
-        ),
-        None => (doc.as_array(), None),
-    };
-    let rows = points
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|point| {
-            let protocol = point.get("protocol")?.as_str()?;
-            let nodes = point.get("nodes")?.as_f64()?;
-            let throughput = point.get("throughput_tx_per_sec")?.as_f64()?;
-            // Parallel-engine points carry a `/tN` suffix so they only match
-            // a baseline measured at the same thread count; single-thread
-            // points keep the bare key older snapshots recorded.
-            let threads = point.get("threads").and_then(Json::as_f64).unwrap_or(1.0) as u64;
-            let suffix = if threads > 1 {
-                format!("/t{threads}")
-            } else {
-                String::new()
-            };
-            Some((format!("{protocol}/n{nodes:.0}{suffix}"), throughput))
-        })
-        .collect();
-    (rows, rate)
-}
-
-/// `(key, events_per_sec, has_fingerprint, threads)` rows of a
-/// thread-scaling artifact.
-fn thread_scaling_entries(doc: &Json) -> Vec<(String, f64, bool, u64)> {
-    let protocol = doc
-        .get("protocol")
-        .and_then(Json::as_str)
-        .unwrap_or("?")
-        .to_string();
-    let nodes = doc.get("nodes").and_then(Json::as_f64).unwrap_or(0.0);
-    doc.get("points")
-        .and_then(Json::as_array)
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|point| {
-            let threads = point.get("threads")?.as_f64()? as u64;
-            let rate = point.get("events_per_sec")?.as_f64()?;
-            let has_fp = point
-                .get("fingerprint")
-                .and_then(Json::as_str)
-                .is_some_and(|fp| !fp.is_empty());
-            Some((
-                format!("{protocol}/n{nodes:.0}/t{threads}"),
-                rate,
-                has_fp,
-                threads,
-            ))
-        })
-        .collect()
-}
-
-fn diff_thread_scaling(snapshot: &Json, snapshot_name: &str) -> usize {
-    let fresh_path = results_dir().join("thread_scaling.json");
-    let Ok(fresh_text) = std::fs::read_to_string(&fresh_path) else {
-        println!("\nbench-diff: no fresh thread_scaling artifact; skipping that diff");
-        return 0;
-    };
-    let Ok(fresh) = Json::parse(&fresh_text) else {
-        notice_skipped(&fresh_path, "unparsable JSON");
-        return 0;
-    };
-    let fresh_rows = thread_scaling_entries(&fresh);
-    if fresh_rows.is_empty() {
-        notice_skipped(&fresh_path, "unrecognized shape (no thread-scaling rows)");
-        return 0;
-    }
-    // The speedup claim is only as good as its determinism proof: flag any
-    // parallel point shipped without the ledger fingerprint that ties it to
-    // the single-thread run.
-    for (key, _, has_fp, threads) in &fresh_rows {
-        if *threads > 1 && !has_fp {
-            println!(
-                "::warning::thread-scaling point '{key}' has no ledger fingerprint — \
-                 parallel speedup without its determinism proof"
-            );
+/// Every `*.rows.json` under the results directory, in name order, and the
+/// message of each file that did not load.
+fn fresh_files() -> (Vec<RowFile>, Vec<String>) {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(results_dir())
+        .map(|entries| entries.flatten().map(|entry| entry.path()).collect())
+        .unwrap_or_default();
+    paths.retain(|path| path.to_string_lossy().ends_with(".rows.json"));
+    paths.sort();
+    let (mut files, mut errors) = (Vec::new(), Vec::new());
+    for path in paths {
+        match rows::load(&path) {
+            Ok(loaded) => files.extend(loaded),
+            Err(err) => errors.push(err),
         }
     }
-    let base_rows: Vec<(String, f64, bool, u64)> = snapshot
-        .get("benches")
-        .and_then(|b| b.get("thread_scaling"))
-        .map(thread_scaling_entries)
-        .unwrap_or_default();
-    println!(
-        "\nbench-diff: thread_scaling vs {snapshot_name} ({} baseline points)",
-        base_rows.len()
-    );
-    println!(
-        "{:<36} {:>14} {:>14} {:>9}",
-        "point (engine events/s)", "baseline", "fresh", "delta"
-    );
-    let mut regressions = 0usize;
-    for (key, value, _, _) in &fresh_rows {
-        // Same-key comparison only: a t4 point diffs against the snapshot's
-        // t4 point, never against t1 — thread counts measure different
-        // parallelism, not a regression.
-        let Some((_, base, _, _)) = base_rows.iter().find(|(k, _, _, _)| k == key) else {
-            println!("{key:<36} {:>14} {value:>14.1} {:>9}", "(new)", "-");
-            continue;
-        };
-        regressions += diff_rate_row(key, *base, *value, "events/s", snapshot_name);
-    }
-    regressions
+    (files, errors)
 }
 
-/// Prints one comparison row and emits the `::warning::` annotation when a
-/// lower `value` than `base` crosses the threshold. Returns 1 on regression.
-fn diff_rate_row(label: &str, base: f64, value: f64, unit: &str, snapshot: &str) -> usize {
-    if base <= 0.0 {
-        // A zero baseline (e.g. the deliberately sub-commit-latency
-        // Streamlet windows) has no meaningful ratio.
-        println!("{label:<36} {base:>14.1} {value:>14.1} {:>9}", "-");
-        return 0;
-    }
-    let delta = (value - base) / base;
-    let regressed = delta < -THRESHOLD;
-    let marker = if regressed { "  <-- regression" } else { "" };
+fn print_line(file: &RowFile, line: &Line) {
+    // One decimal for the big wall-clock numbers, four for the small
+    // simulator ones a `changed` row has to show a difference in.
+    let cell = |value: Option<f64>| match value {
+        Some(v) if v.abs() >= 1_000.0 => format!("{v:.1}"),
+        Some(v) => format!("{v:.4}"),
+        None => "-".to_string(),
+    };
+    let delta = match (line.base, line.fresh) {
+        (Some(base), Some(fresh)) if base != 0.0 => {
+            format!("{:+.1}%", (fresh / base - 1.0) * 100.0)
+        }
+        _ => "-".to_string(),
+    };
+    let (base, fresh, unit) = (cell(line.base), cell(line.fresh), &line.unit);
     println!(
-        "{label:<36} {base:>14.1} {value:>14.1} {:>+8.1}%{marker}",
-        delta * 100.0
+        "  {:<44} {base:>14} {fresh:>14} {delta:>9} {:>7.1}%  {} [{unit}]",
+        line.name,
+        line.spread * 100.0,
+        line.verdict.label()
     );
-    if regressed {
+    if line.verdict == Verdict::Worse {
+        // GitHub Actions annotation; inert when run locally.
         println!(
-            "::warning::'{label}' regressed {:+.1}% vs {snapshot} ({base:.1} -> {value:.1} {unit})",
-            delta * 100.0
+            "::warning::{} ({}) '{}' is worse: {base} -> {fresh} {unit} ({delta}, bound {:.0}%)",
+            file.bench,
+            file.tier.label(),
+            line.name,
+            BOUND * 100.0
         );
-        1
-    } else {
-        0
     }
 }
 
-/// `(key, goodput, client_p99_ms)` rows of a saturation artifact, keyed
-/// `protocol/nN/oRATE` so a load point only ever diffs against the same
-/// offered load of the same cluster size.
-fn saturation_entries(doc: &Json) -> Vec<(String, f64, f64)> {
-    let nodes = doc.get("nodes").and_then(Json::as_f64).unwrap_or(0.0);
-    doc.get("sweeps")
-        .and_then(Json::as_array)
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|sweep| {
-            let protocol = sweep.get("protocol")?.as_str()?.to_string();
-            let points = sweep.get("points")?.as_array()?;
-            Some((protocol, points))
-        })
-        .flat_map(|(protocol, points)| {
-            points
-                .iter()
-                .filter_map(move |point| {
-                    let offered = point.get("offered_tx_per_sec")?.as_f64()?;
-                    let goodput = point.get("goodput_tx_per_sec")?.as_f64()?;
-                    let p99 = point.get("client_p99_ms")?.as_f64()?;
-                    Some((
-                        format!("{protocol}/n{nodes:.0}/o{offered:.0}"),
-                        goodput,
-                        p99,
-                    ))
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect()
-}
+fn main() -> ExitCode {
+    let (fresh, mut errors) = fresh_files();
+    write_artifact("snapshot.json", &rows::render(&fresh));
 
-fn diff_saturation(snapshot: &Json, snapshot_name: &str) -> usize {
-    let fresh_path = results_dir().join("saturation.json");
-    let Ok(fresh_text) = std::fs::read_to_string(&fresh_path) else {
-        println!("\nbench-diff: no fresh saturation artifact; skipping that diff");
-        return 0;
-    };
-    let Ok(fresh) = Json::parse(&fresh_text) else {
-        notice_skipped(&fresh_path, "unparsable JSON");
-        return 0;
-    };
-    let fresh_rows = saturation_entries(&fresh);
-    if fresh_rows.is_empty() {
-        notice_skipped(
-            &fresh_path,
-            "unrecognized shape (no saturation load points)",
-        );
-        return 0;
-    }
-    let base_rows: Vec<(String, f64, f64)> = snapshot
-        .get("benches")
-        .and_then(|b| b.get("saturation"))
-        .map(saturation_entries)
-        .unwrap_or_default();
-    println!(
-        "\nbench-diff: saturation vs {snapshot_name} ({} baseline points)",
-        base_rows.len()
-    );
-    println!(
-        "{:<36} {:>14} {:>14} {:>9}",
-        "point (goodput tx/s | p99 ms)", "baseline", "fresh", "delta"
-    );
-    let mut regressions = 0usize;
-    for (key, goodput, p99) in &fresh_rows {
-        let Some((_, base_goodput, base_p99)) = base_rows.iter().find(|(k, _, _)| k == key) else {
-            println!("{key:<36} {:>14} {goodput:>14.1} {:>9}", "(new)", "-");
-            continue;
-        };
-        // Goodput is a rate: losing it is the regression.
-        regressions += diff_rate_row(key, *base_goodput, *goodput, "tx/s", snapshot_name);
-        // Client p99 is a latency: growing it is the regression.
-        if *base_p99 > 0.0 {
-            let delta = (p99 - base_p99) / base_p99;
-            let regressed = delta > THRESHOLD;
-            let label = format!("{key} p99");
-            let marker = if regressed { "  <-- regression" } else { "" };
-            println!(
-                "{label:<36} {base_p99:>14.1} {p99:>14.1} {:>+8.1}%{marker}",
-                delta * 100.0
-            );
-            if regressed {
-                println!(
-                    "::warning::saturation '{label}' regressed {:+.1}% vs {snapshot_name} \
-                     ({base_p99:.1} -> {p99:.1} ms)",
-                    delta * 100.0
-                );
-                regressions += 1;
-            }
-        }
-    }
-    regressions
-}
-
-/// Recovery-latency rows of a scenario-reports artifact. Each run that
-/// scheduled at least one recovery contributes its worst-case catch-up time
-/// (`recovery_time_ms`); runs with durable restarts additionally contribute
-/// the worst-case log-replay time (`… log_replay` rows). Runs without any
-/// recovery have vacuous zeros that would only add noise, so they are
-/// skipped. Both metrics are latencies: growing is the regression.
-fn recovery_entries(doc: &Json) -> Vec<(String, f64)> {
-    doc.as_array()
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|scenario| {
-            let name = scenario.get("name")?.as_str()?;
-            let runs = scenario.get("runs")?.as_array()?;
-            Some((name.to_string(), runs))
-        })
-        .flat_map(|(name, runs)| {
-            runs.iter()
-                .filter_map(move |run| {
-                    let protocol = run.get("protocol")?.as_str()?;
-                    let recovery = run.get("report")?.get("recovery")?;
-                    let recoveries = recovery.get("amnesia_recoveries")?.as_f64()?;
-                    if recoveries <= 0.0 {
-                        return None;
-                    }
-                    let time = recovery.get("recovery_time_ms")?.as_f64()?;
-                    let mut rows = vec![(format!("{name}/{protocol}"), time)];
-                    let durable = recovery
-                        .get("durable_restarts")
-                        .and_then(Json::as_f64)
-                        .unwrap_or(0.0);
-                    if durable > 0.0 {
-                        if let Some(replay) = recovery.get("log_replay_ms").and_then(Json::as_f64) {
-                            rows.push((format!("{name}/{protocol} log_replay"), replay));
-                        }
-                    }
-                    Some(rows)
-                })
-                .flatten()
-                .collect::<Vec<_>>()
-        })
-        .collect()
-}
-
-fn diff_recovery(snapshot: &Json, snapshot_name: &str) -> usize {
-    let fresh_path = results_dir().join("scenario_reports.json");
-    let Ok(fresh_text) = std::fs::read_to_string(&fresh_path) else {
-        println!("\nbench-diff: no fresh scenario_reports artifact; skipping the recovery diff");
-        return 0;
-    };
-    let Ok(fresh) = Json::parse(&fresh_text) else {
-        notice_skipped(&fresh_path, "unparsable JSON");
-        return 0;
-    };
-    if fresh.as_array().is_none() {
-        notice_skipped(
-            &fresh_path,
-            "unrecognized shape (not a scenario-report array)",
-        );
-        return 0;
-    }
-    let fresh_rows = recovery_entries(&fresh);
-    if fresh_rows.is_empty() {
-        // Zero rows from a well-shaped report array just means no run
-        // scheduled an amnesia recovery — expected for most suites.
-        println!("\nbench-diff: no amnesia recoveries in the fresh scenario reports; skipping");
-        return 0;
-    }
-    let base_rows: Vec<(String, f64)> = snapshot
-        .get("benches")
-        .and_then(|b| b.get("scenario_reports"))
-        .map(recovery_entries)
-        .unwrap_or_default();
-    println!(
-        "\nbench-diff: recovery latencies vs {snapshot_name} ({} baseline points)",
-        base_rows.len()
-    );
-    println!(
-        "{:<36} {:>14} {:>14} {:>9}",
-        "run (recovery / log-replay ms)", "baseline", "fresh", "delta"
-    );
-    let mut regressions = 0usize;
-    for (key, value) in &fresh_rows {
-        let Some((_, base)) = base_rows.iter().find(|(k, _)| k == key) else {
-            println!("{key:<36} {:>14} {value:>14.1} {:>9}", "(new)", "-");
-            continue;
-        };
-        if *base <= 0.0 {
-            println!("{key:<36} {base:>14.1} {value:>14.1} {:>9}", "-");
-            continue;
-        }
-        // Catch-up time is a latency: slower recovery is the regression.
-        let delta = (value - base) / base;
-        let regressed = delta > THRESHOLD;
-        let marker = if regressed { "  <-- regression" } else { "" };
-        println!(
-            "{key:<36} {base:>14.1} {value:>14.1} {:>+8.1}%{marker}",
-            delta * 100.0
-        );
-        if regressed {
-            println!(
-                "::warning::recovery '{key}' regressed {:+.1}% vs {snapshot_name} \
-                 ({base:.1} -> {value:.1} ms)",
-                delta * 100.0
-            );
-            regressions += 1;
-        }
-    }
-    regressions
-}
-
-fn diff_scalability(snapshot: &Json, snapshot_name: &str) -> usize {
-    let fresh_path = results_dir().join("scalability_large_n.json");
-    let Ok(fresh_text) = std::fs::read_to_string(&fresh_path) else {
-        println!("\nbench-diff: no fresh scalability_large_n artifact; skipping that diff");
-        return 0;
-    };
-    let Ok(fresh) = Json::parse(&fresh_text) else {
-        notice_skipped(&fresh_path, "unparsable JSON");
-        return 0;
-    };
-    let Some(snapshot_doc) = snapshot
-        .get("benches")
-        .and_then(|b| b.get("scalability_large_n"))
-    else {
-        println!("\nbench-diff: {snapshot_name} has no scalability_large_n section; skipping");
-        return 0;
-    };
-    let (base_rows, base_rate) = scalability_entries(snapshot_doc);
-    let (fresh_rows, fresh_rate) = scalability_entries(&fresh);
-    if fresh_rows.is_empty() && fresh_rate.is_none() {
-        notice_skipped(&fresh_path, "unrecognized shape (no scalability points)");
-        return 0;
-    }
-    println!(
-        "\nbench-diff: scalability_large_n vs {snapshot_name} ({} baseline points)",
-        base_rows.len()
-    );
-    println!(
-        "{:<36} {:>14} {:>14} {:>9}",
-        "point (throughput tx/s)", "baseline", "fresh", "delta"
-    );
-    let mut regressions = 0usize;
-    for (key, value) in &fresh_rows {
-        let Some((_, base)) = base_rows.iter().find(|(k, _)| k == key) else {
-            println!("{key:<36} {:>14} {value:>14.1} {:>9}", "(new)", "-");
-            continue;
-        };
-        regressions += diff_rate_row(key, *base, *value, "tx/s", snapshot_name);
-    }
-    match (base_rate, fresh_rate) {
-        (Some(base), Some(fresh)) => {
-            regressions += diff_rate_row(
-                "engine events_per_sec",
-                base,
-                fresh,
-                "events/s",
-                snapshot_name,
-            );
-        }
-        (None, Some(fresh)) => {
-            println!(
-                "{:<36} {:>14} {fresh:>14.1} {:>9}",
-                "engine events_per_sec", "(new)", "-"
-            );
-        }
-        _ => {}
-    }
-    regressions
-}
-
-/// `(key, throughput, rtt_p50_us, rtt_p99_us, reconnects)` rows of a
-/// tcp_smoke artifact, keyed `protocol/nN/mode` so a loopback process-mode
-/// point only ever diffs against the same protocol, cluster size, and mode.
-/// Accepts a single run object or an array of them.
-fn tcp_smoke_entries(doc: &Json) -> Vec<(String, f64, f64, f64, f64)> {
-    let runs: Vec<&Json> = match doc.as_array() {
-        Some(items) => items.iter().collect(),
-        None => vec![doc],
-    };
-    runs.into_iter()
-        .filter_map(|run| {
-            let protocol = run.get("protocol")?.as_str()?;
-            let nodes = run.get("nodes")?.as_f64()?;
-            let mode = run.get("mode")?.as_str()?;
-            let throughput = run.get("throughput_tx_per_sec")?.as_f64()?;
-            let rtt = run.get("status_rtt_us")?;
-            let p50 = rtt.get("p50")?.as_f64()?;
-            let p99 = rtt.get("p99")?.as_f64()?;
-            let reconnects = run.get("reconnects")?.as_f64()?;
-            Some((
-                format!("{protocol}/n{nodes:.0}/{mode}"),
-                throughput,
-                p50,
-                p99,
-                reconnects,
-            ))
-        })
-        .collect()
-}
-
-fn diff_tcp_smoke(snapshot: &Json, snapshot_name: &str) -> usize {
-    let fresh_path = results_dir().join("tcp_smoke.json");
-    let Ok(fresh_text) = std::fs::read_to_string(&fresh_path) else {
-        println!("\nbench-diff: no fresh tcp_smoke artifact; skipping that diff");
-        return 0;
-    };
-    let Ok(fresh) = Json::parse(&fresh_text) else {
-        notice_skipped(&fresh_path, "unparsable JSON");
-        return 0;
-    };
-    let fresh_rows = tcp_smoke_entries(&fresh);
-    if fresh_rows.is_empty() {
-        notice_skipped(&fresh_path, "unrecognized shape (no tcp_smoke runs)");
-        return 0;
-    }
-    let base_rows: Vec<(String, f64, f64, f64, f64)> = snapshot
-        .get("benches")
-        .and_then(|b| b.get("tcp_smoke"))
-        .map(tcp_smoke_entries)
-        .unwrap_or_default();
-    println!(
-        "\nbench-diff: tcp_smoke vs {snapshot_name} ({} baseline points)",
-        base_rows.len()
-    );
-    println!(
-        "{:<36} {:>14} {:>14} {:>9}",
-        "point (tx/s | rtt us | reconnects)", "baseline", "fresh", "delta"
-    );
-    let mut regressions = 0usize;
-    for (key, throughput, p50, p99, reconnects) in &fresh_rows {
-        let Some((_, base_tp, base_p50, base_p99, base_rc)) =
-            base_rows.iter().find(|(k, ..)| k == key)
-        else {
-            println!("{key:<36} {:>14} {throughput:>14.1} {:>9}", "(new)", "-");
-            continue;
-        };
-        // Committed throughput is a rate: losing it is the regression.
-        regressions += diff_rate_row(key, *base_tp, *throughput, "tx/s", snapshot_name);
-        // Status round trips are latencies: growing is the regression.
-        for (metric, base, value) in [("rtt_p50", base_p50, p50), ("rtt_p99", base_p99, p99)] {
-            if *base <= 0.0 {
-                continue;
-            }
-            let delta = (value - base) / base;
-            let regressed = delta > THRESHOLD;
-            let label = format!("{key} {metric}");
-            let marker = if regressed { "  <-- regression" } else { "" };
-            println!(
-                "{label:<36} {base:>14.1} {value:>14.1} {:>+8.1}%{marker}",
-                delta * 100.0
-            );
-            if regressed {
-                println!(
-                    "::warning::tcp_smoke '{label}' regressed {:+.1}% vs {snapshot_name} \
-                     ({base:.1} -> {value:.1} us)",
-                    delta * 100.0
-                );
-                regressions += 1;
-            }
-        }
-        // Reconnects on healthy loopback are zero, so a ratio is
-        // meaningless: any count above the baseline means links flapped.
-        let label = format!("{key} reconnects");
-        let regressed = reconnects > base_rc;
-        let marker = if regressed { "  <-- regression" } else { "" };
-        println!(
-            "{label:<36} {base_rc:>14.1} {reconnects:>14.1} {:>9}{marker}",
-            "-"
-        );
-        if regressed {
-            println!(
-                "::warning::tcp_smoke '{label}' rose vs {snapshot_name} \
-                 ({base_rc:.0} -> {reconnects:.0} reconnects)"
-            );
-            regressions += 1;
-        }
-    }
-    regressions
-}
-
-fn main() {
-    let fresh_path = results_dir().join("micro_components.json");
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let Some(snapshot_path) = latest_snapshot(&root) else {
-        println!("bench-diff: no BENCH_*.json snapshot found; nothing to compare");
-        return;
-    };
-    let snapshot_text = match std::fs::read_to_string(&snapshot_path) {
-        Ok(text) => text,
-        Err(err) => {
-            println!("bench-diff: cannot read {}: {err}", snapshot_path.display());
-            return;
-        }
-    };
-    let Ok(snapshot) = Json::parse(&snapshot_text) else {
-        println!(
-            "bench-diff: unparsable snapshot {}",
-            snapshot_path.display()
-        );
-        return;
-    };
-    let snapshot_name = snapshot_path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("?")
-        .to_string();
-
-    let Ok(fresh_text) = std::fs::read_to_string(&fresh_path) else {
-        println!(
-            "bench-diff: no fresh artifact at {} (run the micro_components bench first)",
-            fresh_path.display()
-        );
-        // The sweep artifacts may still exist (nightly runs).
-        diff_scalability(&snapshot, &snapshot_name);
-        diff_thread_scaling(&snapshot, &snapshot_name);
-        diff_saturation(&snapshot, &snapshot_name);
-        diff_recovery(&snapshot, &snapshot_name);
-        diff_tcp_smoke(&snapshot, &snapshot_name);
-        notice_unknown_artifacts();
-        return;
-    };
-    let Ok(fresh) = Json::parse(&fresh_text) else {
-        notice_skipped(&fresh_path, "unparsable JSON");
-        return;
-    };
-
-    let baseline = micro_entries(&snapshot, true);
+    let snapshot = compare::latest_snapshot(&root);
+    let base = snapshot.as_ref().map_or_else(Vec::new, |path| {
+        rows::load(path).unwrap_or_else(|err| {
+            errors.push(err);
+            Vec::new()
+        })
+    });
     println!(
-        "bench-diff: fresh run vs {snapshot_name} ({} baseline micros)",
-        baseline.len()
-    );
-    println!(
-        "{:<36} {:>14} {:>14} {:>9}",
-        "name", "baseline", "fresh", "delta"
+        "bench-diff: {} fresh row file(s) vs {} (wall-clock bound {:.0}%)",
+        fresh.len(),
+        snapshot
+            .as_deref()
+            .and_then(|path| path.file_name()?.to_str())
+            .unwrap_or("no BENCH_pr<N>.json"),
+        BOUND * 100.0
     );
 
-    let mut regressions = 0usize;
-    for (name, value, unit) in micro_entries(&fresh, false) {
-        let Some((base, base_unit)) = baseline
-            .iter()
-            .find(|(n, _, _)| *n == name)
-            .map(|(_, v, u)| (*v, u.clone()))
-        else {
-            println!("{name:<36} {:>14} {value:>14.1} {:>9}", "(new)", "-");
-            continue;
-        };
-        if base_unit != unit {
-            // A micro that changed unit between snapshots cannot be compared
-            // numerically; treat it like a new entry rather than computing a
-            // meaningless cross-unit ratio.
-            println!(
-                "{name:<36} {:>14} {value:>14.1} {:>9}  (unit changed: {base_unit} -> {unit})",
-                "(unit)", "-"
-            );
-            continue;
+    let (mut worse, mut changed) = (0, 0);
+    for (file, lines) in compare::diff(&base, &fresh) {
+        let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+        for line in &lines {
+            *counts.entry(line.verdict.label()).or_default() += 1;
         }
-        let delta = (value - base) / base;
-        let higher_is_better = unit.ends_with("per_sec");
-        let regressed = if higher_is_better {
-            delta < -THRESHOLD
-        } else {
-            delta > THRESHOLD
-        };
-        let marker = if regressed { "  <-- regression" } else { "" };
+        let summary: Vec<String> = counts.iter().map(|(v, n)| format!("{n} {v}")).collect();
         println!(
-            "{name:<36} {base:>14.1} {value:>14.1} {:>+8.1}%{marker}",
-            delta * 100.0
+            "\n{} ({}, {} cpu(s)): {}",
+            file.bench,
+            file.tier.label(),
+            file.host_cpus,
+            summary.join(", ")
         );
-        if regressed {
-            regressions += 1;
-            // GitHub Actions annotation; inert when run locally.
-            println!(
-                "::warning::micro '{name}' regressed {:+.1}% vs {snapshot_name} ({base:.1} -> {value:.1} {unit})",
-                delta * 100.0,
-            );
+        println!(
+            "  {:<44} {:>14} {:>14} {:>9} {:>8}  verdict [unit]",
+            "name", "baseline", "fresh", "delta", "spread"
+        );
+        // Wall-clock rows always print (the delta is the trajectory); the
+        // hundreds of exact simulator rows only when they are not `same`.
+        for line in &lines {
+            if line.clock == Clock::Wall || line.verdict != Verdict::Same {
+                print_line(file, line);
+            }
         }
+        let count = |verdict| lines.iter().filter(|l| l.verdict == verdict).count();
+        worse += count(Verdict::Worse);
+        changed += count(Verdict::Changed);
     }
-
-    regressions += diff_scalability(&snapshot, &snapshot_name);
-    regressions += diff_thread_scaling(&snapshot, &snapshot_name);
-    regressions += diff_saturation(&snapshot, &snapshot_name);
-    regressions += diff_recovery(&snapshot, &snapshot_name);
-    regressions += diff_tcp_smoke(&snapshot, &snapshot_name);
-    notice_unknown_artifacts();
-
-    if regressions == 0 {
-        println!(
-            "bench-diff: no regressions beyond {:.0}%",
-            THRESHOLD * 100.0
-        );
+    println!("\nbench-diff: {worse} worse (non-gating), {changed} simulator row(s) changed");
+    for err in &errors {
+        println!("::error::bench-diff: {err}");
+    }
+    if errors.is_empty() {
+        ExitCode::SUCCESS
     } else {
-        println!(
-            "bench-diff: {regressions} entr(y/ies) regressed beyond {:.0}% (non-gating)",
-            THRESHOLD * 100.0
-        );
+        ExitCode::FAILURE
     }
 }

@@ -21,11 +21,12 @@
 //!   under/at/over saturation (gating CI smoke: the pipeline end to end in
 //!   a few seconds).
 //!
-//! Artifact: `target/bamboo-bench/saturation.json`, diffed by `bench_diff`
-//! (goodput regresses downward, client p99 upward, per `protocol/nN/oRATE`
-//! key — offered loads are never cross-compared).
+//! Rows: `target/bamboo-bench/saturation.rows.json`, one `protocol/nN/oRATE/…`
+//! group per load point (offered loads are different names, so `bench_diff`
+//! never cross-compares them) plus the knee per protocol. All simulator
+//! clock: a run of the same tree reproduces the file byte for byte.
 
-use bamboo_bench::{banner, eval_config, save_json, Json, ToJson};
+use bamboo_bench::{banner, eval_config, save_rows, Higher, Lower, RowFile, Sim, Tier, EVAL_SEED};
 use bamboo_core::{run_ordered, RunOptions, RunReport, SimRunner};
 use bamboo_types::{Config, ProtocolKind};
 
@@ -33,59 +34,6 @@ use bamboo_types::{Config, ProtocolKind};
 /// so client keys must be derived lazily (the run would otherwise hold a
 /// million-entry key table).
 const POPULATION: u64 = 1_000_000;
-
-struct LoadPoint {
-    offered_tx_per_sec: f64,
-    goodput_tx_per_sec: f64,
-    client_p50_ms: f64,
-    client_p99_ms: f64,
-    committed_txs: u64,
-    admission_rejected: u64,
-    client_auth_rejections: u64,
-}
-
-impl ToJson for LoadPoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("offered_tx_per_sec", Json::from(self.offered_tx_per_sec)),
-            ("goodput_tx_per_sec", Json::from(self.goodput_tx_per_sec)),
-            ("client_p50_ms", Json::from(self.client_p50_ms)),
-            ("client_p99_ms", Json::from(self.client_p99_ms)),
-            ("committed_txs", Json::from(self.committed_txs)),
-            ("admission_rejected", Json::from(self.admission_rejected)),
-            (
-                "client_auth_rejections",
-                Json::from(self.client_auth_rejections),
-            ),
-        ])
-    }
-}
-
-struct ProtocolSweep {
-    protocol: ProtocolKind,
-    points: Vec<LoadPoint>,
-    peak_goodput_tx_per_sec: f64,
-    saturation_offered_tx_per_sec: f64,
-    collapsed: bool,
-}
-
-impl ToJson for ProtocolSweep {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("protocol", Json::from(self.protocol.label())),
-            ("points", self.points.to_json()),
-            (
-                "peak_goodput_tx_per_sec",
-                Json::from(self.peak_goodput_tx_per_sec),
-            ),
-            (
-                "saturation_offered_tx_per_sec",
-                Json::from(self.saturation_offered_tx_per_sec),
-            ),
-            ("collapsed", Json::from(self.collapsed)),
-        ])
-    }
-}
 
 /// The full-pipeline configuration of one load point.
 fn point_config(nodes: usize, runtime_ms: u64, rate: f64) -> Config {
@@ -104,69 +52,76 @@ fn point_config(nodes: usize, runtime_ms: u64, rate: f64) -> Config {
     config
 }
 
-fn measure(protocol: ProtocolKind, nodes: usize, runtime_ms: u64, rate: f64) -> LoadPoint {
+fn measure(protocol: ProtocolKind, nodes: usize, runtime_ms: u64, rate: f64) -> RunReport {
     let config = point_config(nodes, runtime_ms, rate);
-    let runtime_secs = config.runtime.as_secs_f64();
-    let report: RunReport = SimRunner::new(config, protocol, RunOptions::default()).run();
+    let report = SimRunner::new(config, protocol, RunOptions::default()).run();
     assert_eq!(report.safety_violations, 0, "{protocol} @ {rate} tx/s");
-    LoadPoint {
-        offered_tx_per_sec: rate,
-        goodput_tx_per_sec: report.committed_txs as f64 / runtime_secs,
-        client_p50_ms: report.client_latency.p50_ms,
-        client_p99_ms: report.client_latency.p99_ms,
-        committed_txs: report.committed_txs,
-        admission_rejected: report.mempool.rejected,
-        client_auth_rejections: report.client_auth_rejections,
-    }
+    report
 }
 
-/// A sweep flattens into collapse when doubling the offered load stops
-/// buying goodput (< 5% gain) — from that knee on, extra load only queues.
-fn analyse(protocol: ProtocolKind, points: Vec<LoadPoint>) -> ProtocolSweep {
-    let peak = points
-        .iter()
-        .map(|p| p.goodput_tx_per_sec)
-        .fold(0.0f64, f64::max);
-    let knee = points
-        .windows(2)
-        .find(|pair| pair[1].goodput_tx_per_sec < pair[0].goodput_tx_per_sec * 1.05)
-        .map(|pair| pair[1].offered_tx_per_sec);
-    let collapsed = knee.is_some();
-    ProtocolSweep {
-        protocol,
-        saturation_offered_tx_per_sec: knee
-            .unwrap_or_else(|| points.last().map(|p| p.offered_tx_per_sec).unwrap_or(0.0)),
-        peak_goodput_tx_per_sec: peak,
-        points,
-        collapsed,
-    }
-}
-
+/// Runs the ladder for one protocol, records every load point and the knee,
+/// and asserts the sweep is evidence of saturation.
 fn sweep(
+    out: &mut RowFile,
     protocol: ProtocolKind,
     nodes: usize,
     runtime_ms: u64,
     ladder: &[f64],
     workers: usize,
-) -> ProtocolSweep {
+) {
     let jobs: Vec<_> = ladder
         .iter()
         .map(|&rate| move || measure(protocol, nodes, runtime_ms, rate))
         .collect();
-    let points = run_ordered(jobs, workers);
-    for point in &points {
-        println!(
-            "{:<5} offered = {:>8.0} tx/s   goodput = {:>8.0} tx/s   client p50 = {:>8.2} ms   \
-             p99 = {:>8.2} ms   rejected = {}",
-            protocol.label(),
-            point.offered_tx_per_sec,
-            point.goodput_tx_per_sec,
-            point.client_p50_ms,
-            point.client_p99_ms,
-            point.admission_rejected,
+    let reports = run_ordered(jobs, workers);
+    let label = protocol.label();
+    let key = format!("{label}/n{nodes}");
+    let mut goodputs = Vec::new();
+    for (&offered, report) in ladder.iter().zip(&reports) {
+        let goodput = report.committed_txs as f64 / (runtime_ms as f64 / 1_000.0);
+        let (p50, p99) = (report.client_latency.p50_ms, report.client_latency.p99_ms);
+        let rejected = report.mempool.rejected;
+        out.point(
+            Sim,
+            &format!("{key}/o{offered:.0}"),
+            &[
+                ("goodput", goodput, "tx/s", Higher),
+                ("client_p50", p50, "ms", Lower),
+                ("client_p99", p99, "ms", Lower),
+                ("admission_rejected", rejected as f64, "tx", Lower),
+            ],
         );
+        goodputs.push(goodput);
     }
-    analyse(protocol, points)
+
+    // A sweep flattens into collapse when doubling the offered load stops
+    // buying goodput (< 5% gain) — from that knee on, extra load only queues.
+    // The sweep is only evidence of saturation if the ladder actually crossed
+    // the knee; a ladder that never saturates measures nothing.
+    let peak = goodputs.iter().copied().fold(0.0f64, f64::max);
+    let knee = goodputs
+        .windows(2)
+        .position(|pair| pair[1] < pair[0] * 1.05)
+        .map(|at| ladder[at + 1])
+        .unwrap_or_else(|| {
+            panic!("{label}: offered-load ladder never reached collapse — extend the ladder")
+        });
+    // Past the knee, surplus load must surface as counted admission
+    // rejections, never as silent loss.
+    let top = reports.last().expect("ladder is non-empty");
+    assert!(
+        top.mempool.rejected > 0,
+        "{label}: overload must produce counted admission rejections"
+    );
+    assert_eq!(top.client_auth_rejections, 0, "honest clients only");
+    out.point(
+        Sim,
+        &key,
+        &[
+            ("peak_goodput", peak, "tx/s", Higher),
+            ("saturation_offered", knee, "tx/s", Higher),
+        ],
+    );
 }
 
 fn main() {
@@ -207,47 +162,9 @@ fn main() {
         if quick { "quick" } else { "full" },
     ));
 
-    let sweeps: Vec<ProtocolSweep> = protocols
-        .iter()
-        .map(|&protocol| sweep(protocol, nodes, runtime_ms, &ladder, workers))
-        .collect();
-
-    for s in &sweeps {
-        println!(
-            "{:<5} peak goodput = {:>8.0} tx/s   saturation at offered = {:>8.0} tx/s{}",
-            s.protocol.label(),
-            s.peak_goodput_tx_per_sec,
-            s.saturation_offered_tx_per_sec,
-            if s.collapsed {
-                ""
-            } else {
-                "   (no collapse inside the ladder)"
-            }
-        );
-        // The sweep is only evidence of saturation if the ladder actually
-        // crossed the knee; a ladder that never saturates measures nothing.
-        assert!(
-            s.collapsed,
-            "{}: offered-load ladder never reached collapse — extend the ladder",
-            s.protocol.label()
-        );
-        // Past the knee, surplus load must surface as counted admission
-        // rejections, never as silent loss.
-        let top = s.points.last().expect("ladder is non-empty");
-        assert!(
-            top.admission_rejected > 0,
-            "{}: overload must produce counted admission rejections",
-            s.protocol.label()
-        );
-        assert_eq!(top.client_auth_rejections, 0, "honest clients only");
+    let mut out = RowFile::new("saturation", Tier::from_quick(quick), EVAL_SEED);
+    for &protocol in &protocols {
+        sweep(&mut out, protocol, nodes, runtime_ms, &ladder, workers);
     }
-
-    let artifact = Json::obj([
-        ("nodes", Json::from(nodes)),
-        ("runtime_ms", Json::from(runtime_ms)),
-        ("population", Json::from(POPULATION)),
-        ("quick", Json::from(quick)),
-        ("sweeps", sweeps.to_json()),
-    ]);
-    save_json("saturation", &artifact);
+    save_rows(&out);
 }

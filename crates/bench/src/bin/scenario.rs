@@ -20,7 +20,11 @@
 //! pool (the second run proves the replay is deterministic) and the
 //! assembled [`ScenarioReport`]s are written to
 //! `target/bamboo-bench/scenario_reports.json` — a byte-stable artifact:
-//! two invocations on the same tree produce identical bytes.
+//! two invocations on the same tree produce identical bytes. The recovery
+//! latencies `bench_diff` tracks are written next to it as
+//! `scenario.rows.json` (`<scenario>/<protocol>/recovery_time_ms` for runs
+//! that scheduled amnesia recoveries, `…/log_replay_ms` for durable
+//! restarts), under the tier the suite ran at.
 //!
 //! The process exits non-zero on any failure: a safety violation or forked
 //! ledger, a fingerprint mismatch between the paired runs, an unmet spec
@@ -31,11 +35,11 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use bamboo_bench::{banner, save_json};
+use bamboo_bench::{banner, save_rows, write_artifact, Lower, RowFile, Sim, Tier};
 use bamboo_core::parallel::{default_workers, run_ordered};
 use bamboo_core::{Scenario, ScenarioReport, ScenarioRun, ScenarioTransport};
 use bamboo_net::TcpCluster;
-use bamboo_types::ProtocolKind;
+use bamboo_types::{ProtocolKind, ToJson};
 
 /// The shipped scenario library: `scenarios/` at the workspace root.
 fn default_dir() -> PathBuf {
@@ -231,6 +235,7 @@ fn main() -> ExitCode {
 
     let mut failures = parse_failures;
     let mut total_events: u64 = 0;
+    let mut rows = RowFile::new("scenario", Tier::from_quick(quick), 0);
     for report in &reports {
         println!(
             "\n{} — {}",
@@ -252,6 +257,18 @@ fn main() -> ExitCode {
                 if run.deterministic { "ok" } else { "MISMATCH" },
                 &run.report.ledger_fingerprint[..16.min(run.report.ledger_fingerprint.len())],
             );
+            // Runs without a recovery have vacuous zeros; only the runs that
+            // scheduled one contribute a row.
+            let r = &run.report.recovery;
+            for (restarts, metric, ms) in [
+                (r.amnesia_recoveries, "recovery_time_ms", r.recovery_time_ms),
+                (r.durable_restarts, "log_replay_ms", r.log_replay_ms),
+            ] {
+                if restarts > 0 {
+                    let key = format!("{}/{}", report.name, run.protocol.label());
+                    rows.point(Sim, &key, &[(metric, ms, "ms", Lower)]);
+                }
+            }
         }
         for failure in &report.failures {
             println!("  FAIL: {failure}");
@@ -259,7 +276,8 @@ fn main() -> ExitCode {
         }
     }
 
-    save_json("scenario_reports", &reports);
+    write_artifact("scenario_reports.json", &reports.to_json().render_pretty());
+    save_rows(&rows);
     println!(
         "\n{} scenario(s), {} run pair(s), {total_events} simulation events in {:.1} s wall",
         reports.len(),

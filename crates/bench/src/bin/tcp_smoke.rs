@@ -16,27 +16,23 @@
 //! propagation delay, so the interesting numbers are the status-probe
 //! round-trip latency (a full driver→replica→driver socket round trip
 //! through the frame codec), reconnect counts (zero on a healthy run), and
-//! dropped outbound frames (startup races only). The artifact
-//! `target/bamboo-bench/tcp_smoke.json` feeds `bench_diff`, which flags
-//! round-trip latency or reconnects moving up and throughput moving down.
+//! dropped outbound frames (startup races only). The rows
+//! (`target/bamboo-bench/tcp_smoke.rows.json`, keyed `protocol/nN/process/…`)
+//! feed `bench_diff`; the round trips are emitted as four sample sets so a
+//! move in them can resolve against their own spread.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use bamboo_bench::{banner, save_json, Json};
+use bamboo_bench::{banner, save_rows, stats, Higher, Lower, RowFile, Tier, Wall};
 use bamboo_net::{ClusterSpec, ProcessCluster};
+use bamboo_types::Json;
 use bamboo_types::ProtocolKind;
 
-/// Probe round-trips measured against replica 0 after the commit target.
+/// Probe round-trips measured against replica 0 after the commit target,
+/// reported as [`RTT_SAMPLES`] consecutive sets of p50/p99.
 const RTT_PROBES: usize = 200;
-
-fn percentile_us(sorted: &[Duration], pct: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((sorted.len() as f64 - 1.0) * pct / 100.0).round() as usize;
-    sorted[rank.min(sorted.len() - 1)].as_secs_f64() * 1e6
-}
+const RTT_SAMPLES: usize = 4;
 
 fn sum_report(reports: &[Json], key: &str) -> u64 {
     reports
@@ -45,7 +41,7 @@ fn sum_report(reports: &[Json], key: &str) -> u64 {
         .sum::<f64>() as u64
 }
 
-fn run() -> Result<Json, String> {
+fn run() -> Result<RowFile, String> {
     let mut quick = false;
     let mut protocol = ProtocolKind::HotStuff;
     let mut nodes: usize = 4;
@@ -71,13 +67,14 @@ fn run() -> Result<Json, String> {
 
     let target: u64 = if quick { 200 } else { 1000 };
     let window = Duration::from_secs(if quick { 30 } else { 120 });
+    let spec_seed = 2024;
     let spec = ClusterSpec {
         nodes,
         protocol,
         block_size: 50,
         payload_size: 16,
         timeout_ms: 50,
-        seed: 2024,
+        seed: spec_seed,
         verify_workers: 1,
         checkpoint_interval: 0,
         signed_requests: false,
@@ -109,17 +106,14 @@ fn run() -> Result<Json, String> {
 
     // Status round-trip latency against replica 0: a full socket round trip
     // through the frame codec, answered by the replica's reader thread.
-    let mut rtts = Vec::with_capacity(RTT_PROBES);
+    let mut rtts_us = Vec::with_capacity(RTT_PROBES);
     for _ in 0..RTT_PROBES {
         let probe_started = Instant::now();
         cluster
             .probe(0, 0)
             .map_err(|e| format!("status probe failed: {e}"))?;
-        rtts.push(probe_started.elapsed());
+        rtts_us.push(probe_started.elapsed().as_secs_f64() * 1e6);
     }
-    rtts.sort();
-    let p50 = percentile_us(&rtts, 50.0);
-    let p99 = percentile_us(&rtts, 99.0);
 
     let agreed = cluster
         .check_prefix_agreement()
@@ -150,28 +144,32 @@ fn run() -> Result<Json, String> {
         protocol.label(),
         elapsed.as_secs_f64()
     );
-    println!(
-        "  status RTT p50 {p50:.0} us  p99 {p99:.0} us  reconnects {reconnects}  \
-         dropped {dropped}  {bytes_sent} bytes sent"
-    );
+    println!("  {bytes_sent} bytes sent");
 
-    Ok(Json::obj([
-        ("mode", Json::Str("process".into())),
-        ("nodes", Json::Num(nodes as f64)),
-        ("protocol", Json::Str(protocol.label().into())),
-        ("quick", Json::Bool(quick)),
-        ("elapsed_s", Json::Num(elapsed.as_secs_f64())),
-        ("committed_txs", Json::Num(committed as f64)),
-        ("throughput_tx_per_sec", Json::Num(throughput)),
-        (
-            "status_rtt_us",
-            Json::obj([("p50", Json::Num(p50)), ("p99", Json::Num(p99))]),
-        ),
-        ("agreed_prefix_blocks", Json::Num(agreed as f64)),
-        ("reconnects", Json::Num(reconnects as f64)),
-        ("bytes_sent", Json::Num(bytes_sent as f64)),
-        ("send_queue_dropped", Json::Num(dropped as f64)),
-    ]))
+    let mut out = RowFile::new("tcp_smoke", Tier::from_quick(quick), spec_seed);
+    let key = format!("{}/n{nodes}/process", protocol.label());
+    out.point(Wall, &key, &[("throughput", throughput, "tx/s", Higher)]);
+    for set in rtts_us.chunks(RTT_PROBES / RTT_SAMPLES) {
+        let rtt = |q| stats::percentile(set, q).expect("non-empty set");
+        let (p50, p99) = (rtt(0.50), rtt(0.99));
+        out.point(
+            Wall,
+            &key,
+            &[
+                ("rtt_p50_us", p50, "us", Lower),
+                ("rtt_p99_us", p99, "us", Lower),
+            ],
+        );
+    }
+    out.point(
+        Wall,
+        &key,
+        &[
+            ("reconnects", reconnects as f64, "count", Lower),
+            ("send_queue_dropped", dropped as f64, "count", Lower),
+        ],
+    );
+    Ok(out)
 }
 
 fn main() -> ExitCode {
@@ -180,8 +178,8 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     match run() {
-        Ok(artifact) => {
-            save_json("tcp_smoke", &artifact);
+        Ok(rows) => {
+            save_rows(&rows);
             ExitCode::SUCCESS
         }
         Err(err) => {

@@ -2,77 +2,39 @@
 //!
 //! Replaces the external `criterion` dependency for the component
 //! micro-benches: auto-calibrating warm-up, a fixed measurement budget, and
-//! nanoseconds-per-iteration output that can be saved as a JSON artifact.
+//! one nanoseconds-per-iteration row per call. The budget of a micro is
+//! spent over [`PASSES`] calls, one per pass the suite makes over all its
+//! micros, so the row name repeats and the differ sees a sample set.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use bamboo_types::{Json, ToJson};
-
-/// One micro-benchmark measurement.
-#[derive(Clone, Debug)]
-pub struct MicroResult {
-    /// Benchmark name.
-    pub name: String,
-    /// The measured value, in `unit`. For the default `"ns_per_iter"` unit
-    /// this is mean wall-clock nanoseconds per iteration (lower is better);
-    /// rate-style units such as `"events_per_sec"` invert the direction
-    /// (higher is better) — the bench-diff tool uses `unit` to orient its
-    /// regression check.
-    pub value: f64,
-    /// Number of measured iterations.
-    pub iters: u64,
-    /// Unit of `value`; serialised both as the value's JSON key and as a
-    /// `unit` field so older snapshots (implicitly `ns_per_iter`) still diff.
-    pub unit: &'static str,
-}
-
-impl MicroResult {
-    /// Whether a larger `value` means better performance for this unit.
-    pub fn higher_is_better(&self) -> bool {
-        self.unit.ends_with("per_sec")
-    }
-}
-
-impl ToJson for MicroResult {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::from(self.name.as_str())),
-            (self.unit, Json::from(self.value)),
-            ("iters", Json::from(self.iters)),
-            ("unit", Json::from(self.unit)),
-        ])
-    }
-}
+use crate::rows::{Better, Clock, Row};
+use crate::stats;
 
 const WARMUP: Duration = Duration::from_millis(50);
 const MEASURE: Duration = Duration::from_millis(300);
+/// Passes a suite makes over its micros; each call below spends one
+/// `PASSES`-th of the per-micro budget. A micro's samples are then spread
+/// over the whole suite run (seconds) instead of one 300 ms window, so their
+/// spread also sees a shared host changing speed between windows — which is
+/// what made single draws cry wolf. Ten, because the exclusive quartiles of
+/// ten samples shrug off two stragglers a side; with five, a host that
+/// flips speed every few seconds still produced 1 false `worse` in 3 runs.
+pub const PASSES: u32 = 10;
 
-/// Measures `op` and prints one aligned result line.
-pub fn bench<R>(name: &str, mut op: impl FnMut() -> R) -> MicroResult {
-    // Warm-up: let caches, branch predictors and allocator settle.
-    let warmup_end = Instant::now() + WARMUP;
-    while Instant::now() < warmup_end {
-        black_box(op());
-    }
-    // Measurement: batch iterations between clock reads to amortise timer
-    // overhead for very fast operations.
-    let mut iters: u64 = 0;
-    let mut batch: u64 = 1;
-    let mut elapsed = Duration::ZERO;
-    while elapsed < MEASURE {
+/// Measures `op` for one pass, prints one aligned result line, and returns
+/// the pass's `ns_per_iter` sample.
+pub fn bench<R>(name: &str, mut op: impl FnMut() -> R) -> Row {
+    // Batch iterations between clock reads to amortise timer overhead for
+    // very fast operations.
+    measure(name, true, |batch| {
         let start = Instant::now();
         for _ in 0..batch {
             black_box(op());
         }
-        elapsed += start.elapsed();
-        iters += batch;
-        // Grow the batch until one batch costs about a millisecond.
-        if start.elapsed() < Duration::from_millis(1) && batch < (1 << 20) {
-            batch *= 2;
-        }
-    }
-    finish(name, elapsed, iters)
+        start.elapsed()
+    })
 }
 
 /// Measures `routine` applied to a fresh value from `setup` per iteration;
@@ -81,33 +43,49 @@ pub fn bench_with_setup<S, R>(
     name: &str,
     mut setup: impl FnMut() -> S,
     mut routine: impl FnMut(S) -> R,
-) -> MicroResult {
-    let warmup_end = Instant::now() + WARMUP;
-    while Instant::now() < warmup_end {
-        let input = setup();
-        black_box(routine(input));
-    }
-    let mut iters: u64 = 0;
-    let mut elapsed = Duration::ZERO;
-    while elapsed < MEASURE {
+) -> Row {
+    measure(name, false, |_| {
         let input = setup();
         let start = Instant::now();
         let output = routine(input);
-        elapsed += start.elapsed();
+        let took = start.elapsed();
         black_box(output);
-        iters += 1;
-    }
-    finish(name, elapsed, iters)
+        took
+    })
 }
 
-fn finish(name: &str, elapsed: Duration, iters: u64) -> MicroResult {
-    let ns_per_iter = elapsed.as_nanos() as f64 / iters.max(1) as f64;
-    println!("{name:<36} {:>14.1} ns/iter   ({iters} iters)", ns_per_iter);
-    MicroResult {
+/// Runs `timed(batch)` — which executes `batch` iterations and returns the
+/// time they took — through one pass's warm-up and measurement.
+fn measure(name: &str, batched: bool, mut timed: impl FnMut(u64) -> Duration) -> Row {
+    // Warm-up: let caches, branch predictors and allocator settle.
+    let warmup_end = Instant::now() + WARMUP / PASSES;
+    while Instant::now() < warmup_end {
+        timed(1);
+    }
+    let (mut iters, mut batch) = (0u64, 1u64);
+    let mut elapsed = Duration::ZERO;
+    let mut per_iter: Vec<f64> = Vec::new();
+    while elapsed < MEASURE / PASSES {
+        let took = timed(batch);
+        elapsed += took;
+        iters += batch;
+        per_iter.push(took.as_nanos() as f64 / batch as f64);
+        // Grow the batch until one batch costs about a millisecond.
+        if batched && took < Duration::from_millis(1) && batch < (1 << 20) {
+            batch *= 2;
+        }
+    }
+    // The typical batch, not the mean: on a shared host a preempted batch
+    // runs many times too long (a single 60 ms stall was seen to turn a
+    // 65 µs sample into 38 ms), and the median drops it.
+    let ns_per_iter = stats::median(&per_iter).expect("at least one batch was timed");
+    println!("{name:<36} {ns_per_iter:>14.1} ns/iter   ({iters} iters)");
+    Row {
         name: name.to_string(),
         value: ns_per_iter,
-        iters,
-        unit: "ns_per_iter",
+        unit: "ns_per_iter".to_string(),
+        better: Better::Lower,
+        clock: Clock::Wall,
     }
 }
 
@@ -116,33 +94,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_measures_something_positive() {
-        let result = bench("noop_add", || std::hint::black_box(1u64) + 1);
-        assert!(result.value > 0.0);
-        assert!(result.iters > 0);
-        assert!(!result.higher_is_better(), "ns_per_iter: lower is better");
+    fn bench_returns_a_positive_wall_clock_sample() {
+        let row = bench("noop_add", || std::hint::black_box(1u64) + 1);
+        assert!(row.value > 0.0);
+        assert_eq!(
+            (row.name.as_str(), row.unit.as_str()),
+            ("noop_add", "ns_per_iter")
+        );
+        assert_eq!((row.better, row.clock), (Better::Lower, Clock::Wall));
     }
 
     #[test]
     fn bench_with_setup_times_only_the_routine() {
-        let result = bench_with_setup("sum_vec", || vec![1u64; 64], |v| v.iter().sum::<u64>());
-        assert!(result.value > 0.0);
+        let row = bench_with_setup("sum_vec", || vec![1u64; 64], |v| v.iter().sum::<u64>());
         // Summing 64 integers is far below a microsecond; if setup were
         // included the per-iteration cost would be dominated by the allocation.
-        assert!(result.value < 100_000.0);
-    }
-
-    #[test]
-    fn rate_units_flip_the_regression_direction() {
-        let rate = MicroResult {
-            name: "x_per_sec".into(),
-            value: 10.0,
-            iters: 1,
-            unit: "events_per_sec",
-        };
-        assert!(rate.higher_is_better());
-        let json = rate.to_json().render_pretty();
-        assert!(json.contains("\"events_per_sec\": 10"));
-        assert!(json.contains("\"unit\": \"events_per_sec\""));
+        assert!(row.value > 0.0 && row.value < 100_000.0);
     }
 }

@@ -2,20 +2,22 @@
 //!
 //! Every bench target in `benches/` regenerates one table or figure of
 //! *Dissecting the Performance of Chained-BFT*: it prints the same rows /
-//! series the paper reports (as aligned text and CSV) and writes a JSON
-//! artifact under `target/bamboo-bench/` so EXPERIMENTS.md can reference
-//! machine-readable results.
+//! series the paper reports and records every number as a
+//! `{name, value, unit, better, clock}` row in
+//! `target/bamboo-bench/<bench>.rows.json`. [`rows`] is the only owner of
+//! that format; [`compare`] is the one comparison `bench_diff` runs over it.
 //!
 //! The crate also provides the wall-clock micro-benchmark harness
-//! ([`harness`]) the `micro_components` bench is built on. The JSON document
-//! model the artifacts are written with lives in `bamboo_types::json` (it is
-//! shared with the scenario engine) and is re-exported here as [`Json`] /
-//! [`ToJson`] for the bench targets.
+//! ([`harness`]) the `micro_components` bench is built on, and the order
+//! statistics ([`stats`]) every target shares.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod compare;
 pub mod harness;
+pub mod rows;
+pub mod stats;
 
 use std::fs;
 use std::path::PathBuf;
@@ -24,7 +26,9 @@ use bamboo_core::{Benchmarker, CurvePoint, RunOptions, SweepOptions};
 use bamboo_model::{ModelParams, PerfModel};
 use bamboo_types::{Block, Config, ProtocolKind, SimDuration, Transaction};
 
-pub use bamboo_types::{Json, ToJson};
+pub use rows::Better::{Higher, Lower};
+pub use rows::Clock::{Sim, Wall};
+pub use rows::{save_rows, RowFile, Tier};
 
 /// Directory where benches drop their JSON artifacts: the workspace
 /// `target/bamboo-bench/`, independent of the working directory cargo runs
@@ -44,15 +48,15 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// Serialises `value` as pretty JSON under `target/bamboo-bench/<name>.json`.
-pub fn save_json<T: ToJson + ?Sized>(name: &str, value: &T) {
-    let path = results_dir().join(format!("{name}.json"));
-    let json = value.to_json().render_pretty();
-    if let Err(err) = fs::write(&path, json) {
-        eprintln!("warning: could not write {}: {err}", path.display());
-    } else {
-        println!("# artifact: {}", path.display());
+/// Writes `text` to `target/bamboo-bench/<file_name>`; exits non-zero when
+/// that fails, so a lost artifact stops the pipeline that wanted it.
+pub fn write_artifact(file_name: &str, text: &str) {
+    let path = results_dir().join(file_name);
+    if let Err(err) = fs::write(&path, text) {
+        eprintln!("error: could not write {}: {err}", path.display());
+        std::process::exit(1);
     }
+    println!("# artifact: {}", path.display());
 }
 
 /// Prints a figure/table banner.
@@ -61,6 +65,14 @@ pub fn banner(title: &str) {
     println!("==============================================================");
     println!("{title}");
     println!("==============================================================");
+}
+
+/// Seed of [`eval_config`], stamped on every bench's row file.
+pub const EVAL_SEED: u64 = 2021;
+
+/// The row file of a bench target: full tier, the evaluation seed.
+pub fn bench_rows(bench: &str) -> RowFile {
+    RowFile::new(bench, Tier::Full, EVAL_SEED)
 }
 
 /// The standard evaluation configuration used across the figures: the Table-I
@@ -73,7 +85,7 @@ pub fn eval_config(nodes: usize, block_size: usize, payload: usize, runtime_ms: 
         .payload_size(payload)
         .runtime(SimDuration::from_millis(runtime_ms))
         .timeout(SimDuration::from_millis(100))
-        .seed(2021)
+        .seed(EVAL_SEED)
         .build()
         .expect("valid benchmark configuration")
 }
@@ -118,45 +130,24 @@ pub fn default_sweep() -> SweepOptions {
     }
 }
 
-/// Prints a latency/throughput curve as CSV rows: `label, offered, tput, latency`.
-pub fn print_curve(label: &str, points: &[CurvePoint]) {
+/// Records (and prints) a latency/throughput curve: per offered load, the
+/// committed throughput and mean latency as `<label>/o<offered>/…` rows.
+pub fn record_curve(out: &mut RowFile, label: &str, points: &[CurvePoint]) {
     for point in points {
-        println!(
-            "{label}, offered={:.0} tx/s, throughput={:.1} ktx/s, latency={:.2} ms (p99 {:.2} ms)",
-            point.offered_tx_per_sec,
-            point.throughput_tx_per_sec / 1_000.0,
-            point.latency_ms,
-            point.p99_latency_ms
+        out.point(
+            Sim,
+            &format!("{label}/o{:.0}", point.offered_tx_per_sec),
+            &[
+                ("throughput", point.throughput_tx_per_sec, "tx/s", Higher),
+                ("latency", point.latency_ms, "ms", Lower),
+            ],
         );
     }
-}
-
-/// A serialisable labelled curve, shared by several artifacts.
-pub struct LabelledCurve {
-    /// Series label (e.g. "HS-b400").
-    pub label: String,
-    /// Curve points.
-    pub points: Vec<CurvePoint>,
 }
 
 /// The three protocols compared throughout the evaluation.
 pub fn evaluated_protocols() -> [ProtocolKind; 3] {
     ProtocolKind::evaluated()
-}
-
-// ---- JSON views -----------------------------------------------------------
-//
-// The report types (`RunReport`, `LatencyStats`, `ThroughputSample`,
-// `CurvePoint`, the scenario reports) implement `ToJson` in `bamboo-core`,
-// next to their definitions; only bench-local types are rendered here.
-
-impl ToJson for LabelledCurve {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("label", Json::from(self.label.as_str())),
-            ("points", self.points.to_json()),
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -188,16 +179,5 @@ mod tests {
     fn results_dir_is_creatable() {
         let dir = results_dir();
         assert!(dir.ends_with("bamboo-bench"));
-    }
-
-    #[test]
-    fn labelled_curve_serialises_to_json() {
-        let curve = LabelledCurve {
-            label: "HS-b400".to_string(),
-            points: Vec::new(),
-        };
-        let rendered = curve.to_json().render_pretty();
-        assert!(rendered.contains("\"label\": \"HS-b400\""));
-        assert!(rendered.contains("\"points\": []"));
     }
 }
