@@ -3,22 +3,18 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p bamboo-bench --bin scenario -- [--quick] [--dir DIR] [--threads N] [FILE...]
+//! cargo run --release -p bamboo-bench --bin scenario -- [--quick] [--dir DIR] [FILE...]
 //! ```
 //!
 //! * with no arguments, every `*.json` under `scenarios/` (workspace root)
 //!   runs at the full tier;
 //! * `--quick` switches to the shortened gating tier: each scenario's
 //!   `quick_runtime_ms` window with proportionally scaled fault schedules;
-//! * `--threads N` overrides every spec's engine shard count. The audit
-//!   replay still runs single-threaded, so with `N > 1` every pair also
-//!   proves the parallel engine reproduces the sequential fingerprints —
-//!   the CI quick tier runs once with `--threads 2` for exactly that;
 //! * explicit `FILE` arguments replace the directory scan.
 //!
 //! Every `(scenario, protocol)` pair executes twice on the parallel sweep
-//! pool (the second run proves the replay is deterministic) and the
-//! assembled [`ScenarioReport`]s are written to
+//! pool (the second run must reproduce the first's fingerprint, counters
+//! and recovery report) and the assembled [`ScenarioReport`]s are written to
 //! `target/bamboo-bench/scenario_reports.json` — a byte-stable artifact:
 //! two invocations on the same tree produce identical bytes. The recovery
 //! latencies `bench_diff` tracks are written next to it as
@@ -27,7 +23,7 @@
 //! restarts), under the tier the suite ran at.
 //!
 //! The process exits non-zero on any failure: a safety violation or forked
-//! ledger, a fingerprint mismatch between the paired runs, an unmet spec
+//! ledger, a mismatch between the paired runs, an unmet spec
 //! expectation, or an unparsable spec. This is the CI gate for the scenario
 //! suite.
 
@@ -135,7 +131,6 @@ fn run_tcp_scenario(scenario: &Scenario, quick: bool) -> ScenarioReport {
 fn main() -> ExitCode {
     let mut quick = false;
     let mut dir = default_dir();
-    let mut threads: Option<usize> = None;
     let mut explicit: Vec<PathBuf> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -148,13 +143,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--threads" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => threads = Some(n),
-                _ => {
-                    eprintln!("--threads needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
             other => explicit.push(PathBuf::from(other)),
         }
     }
@@ -164,11 +152,8 @@ fn main() -> ExitCode {
         explicit
     };
     banner(&format!(
-        "Scenario suite ({} tier{}): {} spec(s) from {}",
+        "Scenario suite ({} tier): {} spec(s) from {}",
         if quick { "quick" } else { "full" },
-        threads
-            .map(|n| format!(", {n} engine threads"))
-            .unwrap_or_default(),
         files.len(),
         dir.display()
     ));
@@ -213,7 +198,7 @@ fn main() -> ExitCode {
         .iter()
         .map(|&(index, protocol)| {
             let scenario = scenarios[index].clone();
-            move || scenario.run_protocol_with_threads(protocol, quick, threads)
+            move || scenario.run_protocol(protocol, quick)
         })
         .collect();
     let runs = run_ordered(jobs, default_workers());

@@ -183,29 +183,6 @@ impl Metrics {
     pub fn network_counters(&self) -> (u64, u64) {
         (self.messages_sent, self.bytes_sent)
     }
-
-    /// Folds another accumulator into this one — the sharded engine keeps one
-    /// accumulator per shard and merges them at the end of the run. Latency
-    /// samples concatenate (the summary sorts internally, so sample order is
-    /// irrelevant), time-series buckets add elementwise, counters add.
-    pub fn merge(&mut self, other: Metrics) {
-        self.latencies_ms.extend(other.latencies_ms);
-        self.client_latencies_ms.extend(other.client_latencies_ms);
-        self.committed_txs += other.committed_txs;
-        self.committed_blocks += other.committed_blocks;
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (bucket, count) in self.buckets.iter_mut().zip(&other.buckets) {
-            *bucket += count;
-        }
-        self.messages_sent += other.messages_sent;
-        self.bytes_sent += other.bytes_sent;
-        self.mempool.accepted += other.mempool.accepted;
-        self.mempool.rejected += other.mempool.rejected;
-        self.mempool.requeued += other.mempool.requeued;
-        self.mempool.dispatched += other.mempool.dispatched;
-    }
 }
 
 /// Sorts a copy of the samples and summarises count/mean/p50/p99/max.
@@ -384,19 +361,11 @@ pub struct RunReport {
     pub events_processed: u64,
     /// Total events ever scheduled on the event queue.
     pub events_scheduled: u64,
-    /// Highest number of simultaneously pending events — the engine's memory
-    /// high-water mark, so sweep memory use is observable per run. Under the
-    /// sharded engine this is the **sum** of the per-shard queue high-water
-    /// marks (at `threads = 1` there is one shard, so the value keeps its
-    /// single-queue meaning; workload ticks are generated at the barrier and
-    /// no longer occupy a queue slot).
+    /// Highest number of simultaneously pending events in the engine's queue
+    /// — its memory high-water mark, so sweep memory use is observable per
+    /// run. Workload ticks are generated at window boundaries and occupy no
+    /// queue slot.
     pub queue_peak_len: u64,
-    /// Largest single-shard queue high-water mark. Equal to
-    /// [`RunReport::queue_peak_len`] at `threads = 1`; under sharding it
-    /// exposes the worst per-worker memory footprint.
-    pub max_shard_queue_peak: u64,
-    /// Number of engine shards (worker threads) the run executed on.
-    pub threads: usize,
     /// Hex fingerprint of the observer replica's committed ledger (every
     /// block id, view and payload transaction id, in order). Two runs with
     /// the same configuration must produce identical fingerprints — the
@@ -408,6 +377,27 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Everything a second execution of the same `(Config, RunOptions)` must
+    /// reproduce exactly: the observer's ledger, what the engine counted and
+    /// the recovery report. Comparing the whole key, not the fingerprint
+    /// alone, catches a nondeterminism that spares the observer's ledger.
+    pub(crate) fn replay_key(&self) -> (&str, [u64; 8], RecoveryReport) {
+        (
+            &self.ledger_fingerprint,
+            [
+                self.committed_txs,
+                self.committed_blocks,
+                self.events_processed,
+                self.events_scheduled,
+                self.messages_sent,
+                self.bytes_sent,
+                self.views_advanced,
+                self.queue_peak_len,
+            ],
+            self.recovery,
+        )
+    }
+
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         format!(
@@ -482,11 +472,6 @@ impl ToJson for RunReport {
             ("events_scheduled", Json::from(self.events_scheduled)),
             ("queue_peak_len", Json::from(self.queue_peak_len)),
             (
-                "max_shard_queue_peak",
-                Json::from(self.max_shard_queue_peak),
-            ),
-            ("threads", Json::from(self.threads)),
-            (
                 "ledger_fingerprint",
                 Json::from(self.ledger_fingerprint.as_str()),
             ),
@@ -549,58 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_folds_samples_buckets_and_counters() {
-        let mut a = Metrics::new(SimDuration::from_secs(1));
-        a.record_commit(SimTime::ZERO, SimTime(450_000_000), SimTime(500_000_000));
-        a.record_block();
-        a.record_message(100);
-        a.record_mempool(&MempoolStats {
-            pending: 3,
-            accepted: 10,
-            rejected: 2,
-            requeued: 1,
-            dispatched: 7,
-        });
-        let mut b = Metrics::new(SimDuration::from_secs(1));
-        b.record_commit(
-            SimTime::ZERO,
-            SimTime(1_400_000_000),
-            SimTime(1_500_000_000),
-        );
-        b.record_commit(
-            SimTime::ZERO,
-            SimTime(1_500_000_000),
-            SimTime(1_600_000_000),
-        );
-        b.record_message(50);
-        b.record_mempool(&MempoolStats {
-            pending: 0,
-            accepted: 5,
-            rejected: 1,
-            requeued: 0,
-            dispatched: 5,
-        });
-        a.merge(b);
-        assert_eq!(a.committed_txs(), 3);
-        assert_eq!(a.latency().count, 3);
-        assert_eq!(a.client_latency().count, 3);
-        assert_eq!(a.network_counters(), (2, 150));
-        assert_eq!(
-            a.mempool_totals(),
-            MempoolTotals {
-                accepted: 15,
-                rejected: 3,
-                requeued: 1,
-                dispatched: 12,
-            }
-        );
-        let series = a.throughput_series();
-        assert_eq!(series.len(), 2);
-        assert!((series[0].tx_per_sec - 1.0).abs() < 1e-9);
-        assert!((series[1].tx_per_sec - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn network_counters_accumulate() {
         let mut m = Metrics::new(SimDuration::from_secs(1));
         m.record_message(100);
@@ -635,8 +568,6 @@ mod tests {
             events_processed: 0,
             events_scheduled: 0,
             queue_peak_len: 0,
-            max_shard_queue_peak: 0,
-            threads: 1,
             ledger_fingerprint: String::new(),
             recovery: RecoveryReport::default(),
         };

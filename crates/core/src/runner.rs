@@ -1,60 +1,47 @@
-//! The discrete-event simulation runner: a deterministic window-barrier
-//! engine that shards replicas across threads.
+//! The discrete-event simulation runner: one deterministic, sequential
+//! event loop that advances in ordering epochs.
 //!
 //! [`SimRunner`] wires `N` replicas (each behind a [`NodeHost`]), a workload
 //! generator, and the network / NIC / CPU models of `bamboo-sim` into one
 //! deterministic simulation. One run corresponds to one benchmark
 //! configuration in the paper (one point of a figure); the sweep logic lives
-//! in [`crate::Benchmarker`].
+//! in [`crate::Benchmarker`], and sweeps use every core by running whole
+//! simulations side by side ([`crate::parallel::run_ordered`]) — a single
+//! run is single-threaded (DESIGN.md §5 records why).
 //!
-//! # Conservative-lookahead sharding
+//! # Ordering epochs
 //!
-//! The engine partitions replicas round-robin across `threads` shards
-//! (`shard = node % threads`) and advances all shards in lock-step time
-//! windows of width `W = LatencyModel::lookahead()` — the minimum possible
-//! replica-to-replica delivery delay over every link class of the topology.
-//! Because a message absorbed at time `t` inside window `k` is delivered no
-//! earlier than `t + W ≥ (k + 1)·W`, **every** replica-to-replica delivery
-//! crosses a window barrier: shards execute a window's events entirely
-//! independently, stage outbound deliveries in an outbox, and the coordinator
-//! exchanges the outboxes at the barrier. Only self-events (view timers,
-//! delayed proposals) are inserted into a shard's own queue mid-window, which
-//! is safe because they never leave the shard.
-//!
-//! # One loop
-//!
-//! The runner owns every shard between windows, and one coordinator loop
-//! (`SimRunner::coordinate`) serves every thread count. At each barrier it
-//! reads the shards' commit logs, outboxes, view high-water marks and queue
-//! heads in place, sorts the merged deliveries canonically, deals them into
-//! the owning shards' inboxes, and runs the window on every shard: shard 0
-//! on the coordinator's own thread, every further shard lent (boxed, so a
-//! pointer move) to a persistent scoped worker and taken back when its
-//! window is done. With one shard there are no workers and what remains is a
-//! plain sequential event loop; nothing else depends on the shard count, so
-//! there is no second code path to keep in step.
-//!
-//! Determinism across thread counts falls out of three invariants:
+//! Simulated time is cut into windows of width
+//! `W = LatencyModel::lookahead()` — the minimum possible replica-to-replica
+//! delivery delay over every link class of the topology. A message absorbed
+//! at time `t` inside window `k` is delivered no earlier than
+//! `t + W ≥ (k + 1)·W`, so **every** replica-to-replica delivery crosses a
+//! window boundary. The engine uses that to fix the order of same-instant
+//! events independently of execution order: deliveries produced during a
+//! window are staged, and at the boundary — together with the client
+//! batches of the workload ticks that fall inside the next window — sorted
+//! by the canonical key `(deliver_at, origin, per-origin sequence)` before
+//! they enter the event queue (same-time ties in the queue pop in insertion
+//! order). Only self-events (view timers, delayed proposals, sync timers)
+//! are inserted mid-window. Three rules make a run a pure function of
+//! `(Config, RunOptions)`:
 //!
 //! * **per-replica RNG streams** — replica `r` draws all of its latency
 //!   samples (including the observer's client-response delays) from
 //!   `SimRng::new(seed).derive(r)`, and the workload generator owns its own
-//!   stream, so randomness consumption never depends on which shard a
-//!   replica landed on;
-//! * **canonical barrier order** — the coordinator merges all shard outboxes
-//!   plus freshly generated client batches and sorts them by
-//!   `(deliver_at, origin, per-origin sequence)` before dealing, so every
-//!   shard queue receives its events in a layout-invariant order (same-time
-//!   ties in a queue pop in insertion order);
-//! * **phase-aligned global state** — view-triggered faults resolve at
-//!   barriers from the maximum view across all shards, and workload ticks
-//!   are generated at the barrier that opens their window.
+//!   stream, so no replica's randomness depends on what another replica did
+//!   in the same window;
+//! * **canonical boundary order** — as above; `origin` is the sending
+//!   replica (or `WORKLOAD_STREAM` for client batches) and the sequence
+//!   its own send counter;
+//! * **boundary-aligned global state** — view-triggered faults resolve at
+//!   boundaries from the highest view any replica has reached and take
+//!   effect at the opening edge of the next window; workload ticks are
+//!   generated at the boundary that opens their window.
 //!
-//! Events at different replicas within one window carry no cross-replica
-//! data dependency (each touches only its own host, RNG and busy-server
-//! state; outputs are canonicalised as above), so pop-order ties between
-//! replicas sharing a queue are semantically neutral and every thread count
-//! produces the same ledgers, event counts and metrics.
+//! The recorded golden ledgers (`tests/engine_replay.rs`,
+//! `tests/scenario_replay.rs`) pin exactly this order; folding the epochs
+//! into a queue tie-break would be simpler but re-pins all of them.
 //!
 //! The runner is a *backend* of the shared runtime layer
 //! ([`crate::runtime`]): replica effects are collected through a
@@ -68,22 +55,18 @@
 //! envelopes are `Arc`-backed ([`bamboo_types::SharedMessage`]), so a
 //! broadcast *stages* n − 1 pointer bumps, and each unique envelope is
 //! cryptographically verified **at most once** — lazily, on the first
-//! recipient whose link delivers, in the sender's shard — with the
-//! [`VerifiedMessage`] token fanned out (forged envelopes are delivered as
-//! rejections so every recipient still books the modeled cost). Each shard
-//! reuses one [`BufferedTransport`], its slab-backed [`EventQueue`], its
-//! outbox and its inbox across windows, and the coordinator reuses its merge
-//! buffer and workload buckets, so steady-state execution is allocation-light
-//! at every thread count.
-
-use std::sync::mpsc;
+//! recipient whose link delivers — with the [`VerifiedMessage`] token fanned
+//! out (forged envelopes are delivered as rejections so every recipient
+//! still books the modeled cost). One [`BufferedTransport`], the slab-backed
+//! [`EventQueue`], the two boundary buffers and the workload buckets are
+//! reused across windows, so steady-state execution is allocation-light.
 
 use bamboo_sim::{
     EventQueue, FluctuationWindow, LatencyModel, LinkFault, NicModel, SimRng, Topology,
 };
 use bamboo_types::{
     Authenticator, ClientRequest, Config, NodeId, ProtocolKind, SharedMessage, SimDuration,
-    SimTime, TxId, VerifiedMessage, View,
+    SimTime, VerifiedMessage, View,
 };
 
 use crate::metrics::{Metrics, RecoveryReport, RunReport};
@@ -91,10 +74,13 @@ use crate::replica::{Replica, ReplicaEvent, ReplicaOptions};
 use crate::runtime::{BufferedTransport, NodeHost, RecoverMode, StepReport};
 use crate::workload::{Arrival, ClosedLoopWorkload, OpenLoopWorkload, Workload};
 
-/// RNG stream label of the coordinator's workload generator. Replica `r`
-/// uses stream `r`; no simulation has 2^64 − 1 replicas, so the label can
-/// never collide with a replica stream.
+/// RNG stream label of the workload generator. Replica `r` uses stream `r`;
+/// no simulation has 2^64 − 1 replicas, so the label can never collide with
+/// a replica stream.
 const WORKLOAD_STREAM: u64 = u64::MAX;
+
+/// Width of one workload generation tick: 1 ms.
+const WORKLOAD_TICK: SimDuration = SimDuration(1_000_000);
 
 /// When a scheduled node fault begins or ends: at an absolute simulated time,
 /// or when the cluster (any honest replica) first reaches a view.
@@ -144,21 +130,19 @@ pub struct RunOptions {
     pub topology: Option<Topology>,
     /// Per-replica `t_CPU` overrides (heterogeneous-CPU deployments).
     pub cpu_overrides: Vec<(NodeId, SimDuration)>,
-    /// Width of the workload generation window.
-    pub workload_tick: SimDuration,
     /// Bucket width of the committed-throughput time series.
     pub series_bucket: SimDuration,
     /// The replica whose ledger is used for reporting; defaults to the
     /// highest-id (always honest) replica.
     pub observer: Option<NodeId>,
     /// Safety cap on the number of simulation events processed. The engine
-    /// checks the cap at window barriers, so a run may overshoot it by up to
-    /// one window's worth of events.
+    /// checks the cap at window boundaries, so a run may overshoot it by up
+    /// to one window's worth of events.
     pub max_events: u64,
-    /// Number of engine shards, each on its own OS thread (the calling
-    /// thread runs the first). `1` (the default) is a sequential event loop;
-    /// higher values partition replicas round-robin. Clamped to the node
-    /// count. Every thread count produces identical results.
+    /// Ignored: the engine is sequential and never reads this field. It is
+    /// kept only because the frozen `benchmark/` package assigns it
+    /// (`benchmark/src/probes.rs`, the `sim.threads2_speedup` row) and must
+    /// keep compiling; drop it together with that row.
     pub threads: usize,
 }
 
@@ -172,7 +156,6 @@ impl Default for RunOptions {
             node_faults: Vec::new(),
             topology: None,
             cpu_overrides: Vec::new(),
-            workload_tick: SimDuration::from_millis(1),
             series_bucket: SimDuration::from_millis(500),
             observer: None,
             max_events: 200_000_000,
@@ -181,8 +164,7 @@ impl Default for RunOptions {
     }
 }
 
-/// A simulation event addressed to one replica. Events live in the queue of
-/// the shard that owns `node`.
+/// A simulation event addressed to one replica.
 struct SimEvent {
     node: NodeId,
     kind: EventKind,
@@ -191,11 +173,11 @@ struct SimEvent {
 /// What a [`SimEvent`] asks its replica's host to do.
 enum EventKind {
     /// A message that passed ingress verification, delivered as the shared
-    /// proof token. The sender's shard verifies each unique envelope **once**
-    /// when it is absorbed and fans the `Arc`-backed token out, so a
-    /// broadcast to `n − 1` recipients stages pointer bumps — the simulator
-    /// counterpart of the verify pool's verify-once-fan-out trick. The
-    /// verdict is a pure function of the (immutable) message bytes, so
+    /// proof token. Each unique envelope is verified **once**, when its
+    /// sender's step is absorbed, and the `Arc`-backed token is fanned out,
+    /// so a broadcast to `n − 1` recipients stages pointer bumps — the
+    /// simulator counterpart of the verify pool's verify-once-fan-out trick.
+    /// The verdict is a pure function of the (immutable) message bytes, so
     /// sharing it across recipients changes nothing observable; each
     /// recipient is still charged its own modeled verification CPU by the
     /// replica as before.
@@ -213,23 +195,22 @@ enum EventKind {
     ClientBatch(Vec<ClientRequest>),
     /// A state-transfer debounce/retry deadline armed by the replica.
     SyncTimer,
-    /// A time-triggered node fault boundary, scheduled into the owning
-    /// shard's queue: crash the node, or bring it back in `mode` (which
-    /// applies to recoveries only). View-triggered boundaries are resolved by
-    /// the coordinator at window barriers from the globally highest observed
-    /// view.
+    /// A time-triggered node fault boundary: crash the node, or bring it
+    /// back in `mode` (which applies to recoveries only). View-triggered
+    /// boundaries never enter the queue; they resolve at window boundaries
+    /// from the highest observed view.
     SetCrashed {
         crashed: bool,
         mode: RecoverMode,
     },
 }
 
-/// One event crossing a window barrier — a replica-to-replica delivery or a
-/// client batch from the coordinator's workload tick — with the canonical
-/// ordering key `(deliver_at, origin, seq)` that makes injection order
-/// independent of the shard layout: `origin` is the sending replica (or
-/// [`WORKLOAD_STREAM`] for client batches) and `seq` its own send counter,
-/// both of which depend only on that origin's execution order.
+/// One event crossing a window boundary — a replica-to-replica delivery or a
+/// client batch from a workload tick — with the canonical ordering key
+/// `(deliver_at, origin, seq)` that makes queue insertion order independent
+/// of the order replicas happened to execute in: `origin` is the sending
+/// replica (or [`WORKLOAD_STREAM`] for client batches) and `seq` its own send
+/// counter, both of which depend only on that origin's execution order.
 struct Injection {
     deliver_at: SimTime,
     origin: u64,
@@ -237,7 +218,7 @@ struct Injection {
     event: SimEvent,
 }
 
-/// One lock-step time window `[start, end)`. `limit` is `end` clipped to the
+/// One ordering epoch `[start, end)`. `limit` is `end` clipped to the
 /// instant after the run's last: events at or beyond it stay queued.
 #[derive(Clone, Copy)]
 struct Window {
@@ -245,58 +226,6 @@ struct Window {
     end: SimTime,
     limit: SimTime,
 }
-
-/// The per-shard slice of the simulation: the shard's replicas (round-robin
-/// `node % threads`), their RNG streams and busy servers, a private event
-/// queue, clones of the network models, its own ingress verifier and metrics
-/// accumulator. Everything a window needs, with no sharing. At a barrier the
-/// coordinator deals into `inbox` and `flips` and reads `outbox`, `commits`,
-/// `max_view`, `processed` and the queue head in place.
-struct ShardState {
-    shard: usize,
-    shards_total: usize,
-    nodes_total: usize,
-    observer: NodeId,
-    /// Hosts at local index `l` own node `shard + l · shards_total`.
-    hosts: Vec<NodeHost>,
-    /// Per-replica latency RNG streams (`derive(node)` of the run seed).
-    rngs: Vec<SimRng>,
-    busy_until: Vec<SimTime>,
-    /// Per-replica outbox sequence counters (the canonical-order tiebreak).
-    send_seq: Vec<u64>,
-    /// Crash state, global-indexed; only this shard's entries are used.
-    crashed: Vec<bool>,
-    queue: EventQueue<SimEvent>,
-    latency: LatencyModel,
-    nic: NicModel,
-    auth: Authenticator,
-    metrics: Metrics,
-    /// Reused across every event of every window (cleared, capacity kept).
-    effects: BufferedTransport,
-    /// This barrier's deliveries for the shard's replicas, in canonical
-    /// order; scheduled into the queue when the window opens.
-    inbox: Vec<Injection>,
-    /// `(node, crashed, mode)` — view-triggered fault boundaries of this
-    /// shard's replicas, applied at the window's opening edge.
-    flips: Vec<(NodeId, bool, RecoverMode)>,
-    /// Deliveries produced during the window, for the next barrier.
-    outbox: Vec<Injection>,
-    /// Transactions the observer replica committed during the window, in
-    /// commit order, so the coordinator can feed closed-loop clients.
-    commits: Vec<(TxId, SimTime)>,
-    /// Highest view any replica of this shard has reached.
-    max_view: View,
-    /// Events popped so far, over all windows.
-    processed: u64,
-    /// End of the window currently executing; staged deliveries must land at
-    /// or beyond it (the conservative-lookahead invariant).
-    window_end: SimTime,
-}
-
-/// All shards of a run, in shard order. Boxed so that lending a shard to its
-/// worker moves a pointer, not the state.
-#[allow(clippy::vec_box)]
-type Shards = Vec<Box<ShardState>>;
 
 /// Resolves the verify-once verdict for an outbound envelope, memoising it in
 /// `verdict` so a broadcast checks the signature once and fans the result
@@ -317,313 +246,35 @@ fn delivery_for(
     }
 }
 
-impl ShardState {
-    fn local_index(&self, node: NodeId) -> usize {
-        debug_assert_eq!(node.index() % self.shards_total, self.shard);
-        node.index() / self.shards_total
-    }
-
-    fn node_at(&self, local: usize) -> NodeId {
-        NodeId((self.shard + local * self.shards_total) as u64)
-    }
-
-    /// Boots every replica of this shard at time zero, staging boot-time
-    /// sends (the view-1 leader's proposal) into the outbox.
-    fn boot(&mut self) {
-        for local in 0..self.hosts.len() {
-            let node = self.node_at(local);
-            self.step(node, SimTime::ZERO, |host, start, effects| {
-                host.start(start, effects)
-            });
-        }
-    }
-
-    /// Executes one window: applies the view-trigger crash flips at its
-    /// opening edge, schedules the barrier's canonical delivery batch, then
-    /// drains the queue up to `window.limit` (exclusive).
-    fn run_window(&mut self, window: Window) {
-        self.window_end = window.end;
-        // The opening edge is a barrier-aligned, layout-invariant instant, so
-        // every thread count restarts a view-recovered replica at the same
-        // simulated time.
-        for index in 0..self.flips.len() {
-            let (node, crashed, mode) = self.flips[index];
-            self.set_crashed(node, crashed, mode, window.start);
-        }
-        self.flips.clear();
-        for injection in self.inbox.drain(..) {
-            self.queue.schedule(injection.deliver_at, injection.event);
-        }
-        while let Some((time, SimEvent { node, kind })) = self.queue.pop_if_before(window.limit) {
-            self.processed += 1;
-            match kind {
-                // The envelope was verified once in the sender's shard; the
-                // token hands it to the replica with no further wall-clock
-                // crypto (modeled costs are charged by the replica).
-                EventKind::Deliver(token) => self.step(node, time, |host, start, effects| {
-                    host.handle_verified(token, start, effects)
-                }),
-                // Book the rejection at the recipient's busy server with the
-                // modeled cost of discovering the forgery.
-                EventKind::DeliverForged(message) => {
-                    self.step(node, time, |host, _, _| host.reject_forged(&message))
-                }
-                // The edge verification stage lives in the host: in
-                // signed-client mode the batch is checked 4-wide (and charged
-                // as such) before the stripped transactions are admitted to
-                // the mempool.
-                EventKind::ClientBatch(requests) => {
-                    self.step(node, time, |host, start, effects| {
-                        host.handle_client_batch(requests, start, effects)
-                    })
-                }
-                EventKind::Timer(view) => {
-                    self.dispatch(node, ReplicaEvent::TimerFired { view }, time)
-                }
-                EventKind::ProposeNow(view) => {
-                    self.dispatch(node, ReplicaEvent::ProposeNow { view }, time)
-                }
-                EventKind::SyncTimer => self.dispatch(node, ReplicaEvent::SyncTimer, time),
-                EventKind::SetCrashed { crashed, mode } => {
-                    self.set_crashed(node, crashed, mode, time)
-                }
-            }
-        }
-    }
-
-    fn dispatch(&mut self, node: NodeId, event: ReplicaEvent, time: SimTime) {
-        self.step(node, time, |host, start, effects| {
-            host.handle(event, start, effects)
-        });
-    }
-
-    /// Runs one host step of `node` for an event arriving at `time` and
-    /// absorbs its effects, unless the node is crashed (a crashed node hears
-    /// nothing). The replica is a single busy server: processing starts when
-    /// both the event has arrived and the CPU is free.
-    fn step(
-        &mut self,
-        node: NodeId,
-        time: SimTime,
-        run: impl FnOnce(&mut NodeHost, SimTime, &mut BufferedTransport) -> StepReport,
-    ) {
-        if self.crashed[node.index()] {
-            return;
-        }
-        let local = self.local_index(node);
-        let start = time.max(self.busy_until[local]);
-        let mut effects = std::mem::take(&mut self.effects);
-        effects.clear();
-        let report = run(&mut self.hosts[local], start, &mut effects);
-        self.absorb(node, report, &mut effects, start);
-        self.effects = effects;
-    }
-
-    /// Crashes `node` or brings it back at `time`. A recovery in any mode but
-    /// [`RecoverMode::Resume`] restarts the replica — from its checkpoint or
-    /// its durable log, after the armed crash-point fault mangled it — and
-    /// the restart effects (view timer, the immediate state-transfer request)
-    /// flow through the same absorb path, and thus the same canonical barrier
-    /// ordering, as any other step.
-    fn set_crashed(&mut self, node: NodeId, crashed: bool, mode: RecoverMode, time: SimTime) {
-        let was = std::mem::replace(&mut self.crashed[node.index()], crashed);
-        if was && !crashed && mode != RecoverMode::Resume {
-            // A rebooted process starts with an idle CPU; whatever the busy
-            // server was doing pre-crash died with it.
-            let local = self.local_index(node);
-            self.busy_until[local] = time;
-            self.step(node, time, |host, start, effects| {
-                host.restart(mode, start, effects)
-            });
-        }
-    }
-
-    /// Maps one step's effects onto the simulated substrate: commits into
-    /// metrics (and the barrier commit log), timers and proposals onto the
-    /// shard's own queue, outbound messages into the outbox.
-    fn absorb(
-        &mut self,
-        node: NodeId,
-        report: StepReport,
-        effects: &mut BufferedTransport,
-        start: SimTime,
-    ) {
-        let local = self.local_index(node);
-        let finish = start + report.cpu;
-        self.busy_until[local] = finish;
-
-        // Track the shard-local view high-water mark; the coordinator
-        // resolves view-triggered fault boundaries from the global maximum
-        // at the next barrier.
-        let view = self.hosts[local].replica().current_view();
-        if view > self.max_view {
-            self.max_view = view;
-        }
-
-        // Commits: record metrics at the observer replica only, so every
-        // transaction is counted exactly once. The client-response delay is
-        // drawn from the observer's own stream; the coordinator replays the
-        // commit log into the workload at the barrier.
-        if node == self.observer {
-            for block in &report.committed {
-                self.metrics.record_block();
-                for tx in &block.payload {
-                    let response_delay = self
-                        .latency
-                        .sample(&mut self.rngs[local], node, NodeId(u64::MAX), finish)
-                        .unwrap_or(SimDuration::ZERO);
-                    let confirmed = finish + response_delay;
-                    // `finish` is the commit instant the client's
-                    // submit→commit latency is measured against; `confirmed`
-                    // adds the response leg (the paper's `t_L` term).
-                    self.metrics.record_commit(tx.issued_at, finish, confirmed);
-                    self.commits.push((tx.id, confirmed));
-                }
-            }
-        }
-
-        // Timers, delayed proposals and sync timers are self-events: they
-        // stay in this shard's queue and may even fire within the current
-        // window.
-        for (view, deadline) in effects.timers.drain(..) {
-            let kind = EventKind::Timer(view);
-            self.queue.schedule(deadline, SimEvent { node, kind });
-        }
-        for (view, at) in effects.proposals.drain(..) {
-            let kind = EventKind::ProposeNow(view);
-            self.queue.schedule(at, SimEvent { node, kind });
-        }
-        for deadline in effects.sync_timers.drain(..) {
-            let kind = EventKind::SyncTimer;
-            self.queue.schedule(deadline, SimEvent { node, kind });
-        }
-
-        // Outbound messages leave the sender once its CPU is done. Each
-        // unique envelope is verified at most once — lazily, on the first
-        // recipient whose link actually delivers, so messages dropped by
-        // partitions or dead links cost no wall-clock crypto — and every
-        // further recipient gets an `Arc`-backed clone of the proof token (or
-        // of the forged envelope): a broadcast stages n − 1 pointer bumps
-        // instead of n − 1 envelope deep-copies and n − 1 redundant
-        // signature checks. Deliveries go to the outbox for the barrier
-        // exchange; the conservative lookahead guarantees they land at or
-        // beyond the window end.
-        for (dest, message) in effects.sends.drain(..) {
-            let bytes = message.wire_size();
-            let nic_delay = self.nic.transfer(bytes);
-            let mut verdict: Option<Result<VerifiedMessage, SharedMessage>> = None;
-            match dest {
-                Some(to) => {
-                    self.metrics.record_message(bytes);
-                    if let Some(delay) =
-                        self.latency.sample(&mut self.rngs[local], node, to, finish)
-                    {
-                        let kind = delivery_for(&mut verdict, &mut self.auth, node, &message);
-                        self.stage(node, local, to, finish + nic_delay + delay, kind);
-                    }
-                }
-                None => {
-                    for to in 0..self.nodes_total as u64 {
-                        let to = NodeId(to);
-                        if to == node {
-                            continue;
-                        }
-                        self.metrics.record_message(bytes);
-                        if let Some(delay) =
-                            self.latency.sample(&mut self.rngs[local], node, to, finish)
-                        {
-                            let kind = delivery_for(&mut verdict, &mut self.auth, node, &message);
-                            self.stage(node, local, to, finish + nic_delay + delay, kind);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Stages one delivery in the outbox under the sender's canonical
-    /// sequence number.
-    fn stage(
-        &mut self,
-        node: NodeId,
-        local: usize,
-        to: NodeId,
-        deliver_at: SimTime,
-        kind: EventKind,
-    ) {
-        debug_assert!(
-            deliver_at >= self.window_end,
-            "delivery at {deliver_at:?} undercuts the window barrier {:?} — lookahead violated",
-            self.window_end
-        );
-        let seq = self.send_seq[local];
-        self.send_seq[local] += 1;
-        self.outbox.push(Injection {
-            deliver_at,
-            origin: node.0,
-            seq,
-            event: SimEvent { node: to, kind },
-        });
-    }
-}
-
-/// A persistent scoped worker thread: the coordinator lends it one shard per
-/// window and takes the shard back at the barrier. A worker that panics drops
-/// its channel ends, so the coordinator's next `recv` fails loudly instead of
-/// waiting forever; the scope (held by [`SimRunner::run`]) joins the workers
-/// once the coordinator has dropped their lending ends.
-struct Worker {
-    lend: mpsc::Sender<(Box<ShardState>, Window)>,
-    back: mpsc::Receiver<Box<ShardState>>,
-}
-
-impl Worker {
-    fn spawn<'scope>(scope: &'scope std::thread::Scope<'scope, '_>) -> Self {
-        let (lend, lent) = mpsc::channel::<(Box<ShardState>, Window)>();
-        let (give_back, back) = mpsc::channel();
-        scope.spawn(move || {
-            for (mut shard, window) in lent {
-                shard.run_window(window);
-                if give_back.send(shard).is_err() {
-                    return;
-                }
-            }
-        });
-        Self { lend, back }
-    }
-}
-
-/// Runs `window` on every shard: shard 0 on the calling thread, shard `i > 0`
-/// on `workers[i − 1]`. With one shard there are no workers and this is a
-/// direct call.
-fn run_shards(shards: &mut Shards, workers: &[Worker], window: Window) {
-    debug_assert_eq!(shards.len(), workers.len() + 1);
-    for (worker, shard) in workers.iter().zip(shards.drain(1..)) {
-        worker
-            .lend
-            .send((shard, window))
-            .expect("shard worker alive");
-    }
-    shards[0].run_window(window);
-    for worker in workers {
-        shards.push(worker.back.recv().expect("shard worker alive"));
-    }
-}
-
-/// A deterministic discrete-event simulation of one Bamboo deployment.
+/// A deterministic discrete-event simulation of one Bamboo deployment. All
+/// per-replica state is indexed by node id.
 pub struct SimRunner {
     config: Config,
     protocol: ProtocolKind,
     options: RunOptions,
     hosts: Vec<NodeHost>,
-    /// Template latency model; cloned per shard, and used directly by the
-    /// coordinator for client-link delays.
+    /// Per-replica latency RNG streams (`derive(node)` of the run seed).
+    rngs: Vec<SimRng>,
+    busy_until: Vec<SimTime>,
+    /// Per-replica send counters (the canonical-order tiebreak).
+    send_seq: Vec<u64>,
+    crashed: Vec<bool>,
+    queue: EventQueue<SimEvent>,
     latency: LatencyModel,
     nic: NicModel,
+    auth: Authenticator,
+    metrics: Metrics,
+    /// Reused across every event of every window (cleared, capacity kept).
+    effects: BufferedTransport,
+    /// Deliveries and client batches produced since the last window
+    /// boundary; sorted canonically and scheduled when the next window opens.
+    staged: Vec<Injection>,
     workload: Box<dyn Workload>,
     /// The workload generator's own RNG stream, independent of every
     /// replica's.
     workload_rng: SimRng,
+    /// Sequence counter of client batches (their canonical-order tiebreak).
+    client_seq: u64,
     /// Reusable arrival buffer handed to the workload each tick (cleared,
     /// capacity kept — arrival generation allocates nothing in steady state).
     tick_arrivals: Vec<Arrival>,
@@ -634,8 +285,13 @@ pub struct SimRunner {
     /// Unresolved view-triggered fault boundaries:
     /// `(node, view, crash?, recover mode)`.
     view_triggers: Vec<(NodeId, View, bool, RecoverMode)>,
-    /// Highest view observed across all shards (drives view triggers).
-    max_view_seen: View,
+    /// Highest view any replica has reached (drives view triggers).
+    max_view: View,
+    /// Events popped so far, over all windows.
+    processed: u64,
+    /// End of the window currently executing; staged deliveries must land at
+    /// or beyond it (the lookahead invariant the ordering epochs rest on).
+    window_end: SimTime,
 }
 
 impl SimRunner {
@@ -694,21 +350,61 @@ impl SimRunner {
             )),
         };
 
+        // Register the node-fault schedule: time triggers become queue
+        // events, view triggers wait for a window boundary to see their view.
+        let mut queue = EventQueue::new();
+        let mut view_triggers = Vec::new();
+        for fault in &options.node_faults {
+            let node = fault.node;
+            let boundaries = [
+                (Some(fault.crash), true, RecoverMode::Resume),
+                (fault.recover, false, fault.mode),
+            ];
+            for (trigger, crashed, mode) in boundaries {
+                match trigger {
+                    Some(FaultTrigger::At(at)) => {
+                        let kind = EventKind::SetCrashed { crashed, mode };
+                        queue.schedule(at, SimEvent { node, kind });
+                    }
+                    Some(FaultTrigger::AtView(view)) => {
+                        view_triggers.push((node, view, crashed, mode));
+                    }
+                    None => {}
+                }
+            }
+        }
+
         let nodes = config.nodes;
-        let workload_rng = SimRng::new(config.seed).derive(WORKLOAD_STREAM);
+        let seed_rng = SimRng::new(config.seed);
+        let mut auth = Authenticator::for_nodes(nodes);
+        auth.set_signed_clients(config.signed_requests);
         Self {
             protocol,
-            options,
             hosts,
+            rngs: (0..nodes as u64)
+                .map(|node| seed_rng.derive(node))
+                .collect(),
+            busy_until: vec![SimTime::ZERO; nodes],
+            send_seq: vec![0; nodes],
+            crashed: vec![false; nodes],
+            queue,
             latency,
             nic,
+            auth,
+            metrics: Metrics::new(options.series_bucket),
+            effects: BufferedTransport::new(),
+            staged: Vec::new(),
             workload,
-            workload_rng,
+            workload_rng: seed_rng.derive(WORKLOAD_STREAM),
+            client_seq: 0,
             tick_arrivals: Vec::new(),
             tick_txs: vec![Vec::new(); nodes],
             tick_latest: vec![SimTime::ZERO; nodes],
-            view_triggers: Vec::new(),
-            max_view_seen: View::GENESIS,
+            view_triggers,
+            max_view: View::GENESIS,
+            processed: 0,
+            window_end: SimTime::ZERO,
+            options,
             config,
         }
     }
@@ -721,151 +417,33 @@ impl SimRunner {
     }
 
     /// Runs the simulation to completion and produces the report.
+    ///
+    /// Boots every replica at time zero, then loops over window boundaries:
+    /// check the event cap, pick the next non-empty window (skipping empty
+    /// ones), generate the workload ticks that fall inside it, sort the
+    /// staged batch canonically, and run the window.
     pub fn run(mut self) -> RunReport {
-        let runtime = self.config.runtime;
-        let end = SimTime::ZERO + runtime;
+        let end = SimTime::ZERO + self.config.runtime;
         let window_nanos = self.latency.lookahead().as_nanos().max(1);
-        let shard_count = self.options.threads.max(1).min(self.config.nodes);
-        let mut shards = self.build_shards(shard_count);
-        let ticks = std::thread::scope(|scope| {
-            // Shard 0 runs on this thread; every further shard gets a worker.
-            let workers: Vec<Worker> = (1..shard_count).map(|_| Worker::spawn(scope)).collect();
-            self.coordinate(&mut shards, &workers, end, window_nanos)
-        });
-        self.report(runtime, ticks, shards)
-    }
-
-    /// Partitions the replicas round-robin into `shard_count` shard states
-    /// and registers the node-fault schedule: time triggers become queue
-    /// events in the owning shard, view triggers stay with the coordinator.
-    fn build_shards(&mut self, shard_count: usize) -> Shards {
-        let nodes = self.config.nodes;
-        let observer = self.observer();
-        let seed_rng = SimRng::new(self.config.seed);
-        let signed_clients = self.config.signed_requests;
-        let mut shards: Shards = (0..shard_count)
-            .map(|shard| {
-                Box::new(ShardState {
-                    shard,
-                    shards_total: shard_count,
-                    nodes_total: nodes,
-                    observer,
-                    hosts: Vec::new(),
-                    rngs: Vec::new(),
-                    busy_until: Vec::new(),
-                    send_seq: Vec::new(),
-                    crashed: vec![false; nodes],
-                    queue: EventQueue::new(),
-                    latency: self.latency.clone(),
-                    nic: self.nic,
-                    auth: {
-                        let mut auth = Authenticator::for_nodes(nodes);
-                        auth.set_signed_clients(signed_clients);
-                        auth
-                    },
-                    metrics: Metrics::new(self.options.series_bucket),
-                    effects: BufferedTransport::new(),
-                    inbox: Vec::new(),
-                    flips: Vec::new(),
-                    outbox: Vec::new(),
-                    commits: Vec::new(),
-                    max_view: View::GENESIS,
-                    processed: 0,
-                    window_end: SimTime::ZERO,
-                })
-            })
-            .collect();
-        for (index, host) in std::mem::take(&mut self.hosts).into_iter().enumerate() {
-            let shard = &mut shards[index % shard_count];
-            shard.hosts.push(host);
-            shard.rngs.push(seed_rng.derive(index as u64));
-            shard.busy_until.push(SimTime::ZERO);
-            shard.send_seq.push(0);
-        }
-        for fault in &self.options.node_faults {
-            let node = fault.node;
-            let boundaries = [
-                (Some(fault.crash), true, RecoverMode::Resume),
-                (fault.recover, false, fault.mode),
-            ];
-            for (trigger, crashed, mode) in boundaries {
-                match trigger {
-                    Some(FaultTrigger::At(at)) => {
-                        let kind = EventKind::SetCrashed { crashed, mode };
-                        let queue = &mut shards[node.index() % shard_count].queue;
-                        queue.schedule(at, SimEvent { node, kind });
-                    }
-                    Some(FaultTrigger::AtView(view)) => {
-                        self.view_triggers.push((node, view, crashed, mode));
-                    }
-                    None => {}
-                }
-            }
-        }
-        shards
-    }
-
-    /// The barrier loop, the same at every shard count: boots the shards,
-    /// then repeatedly reads their window output in place, picks the next
-    /// non-empty window (skipping empty ones), generates the workload ticks
-    /// that fall inside it, deals the canonical delivery batch into the
-    /// shards' inboxes, and runs every shard through the window. Windows are
-    /// the ordering epochs that make same-nanosecond ties resolve identically
-    /// whatever the layout, so the single-shard run keeps them too. Returns
-    /// the number of workload ticks generated.
-    fn coordinate(
-        &mut self,
-        shards: &mut Shards,
-        workers: &[Worker],
-        end: SimTime,
-        window_nanos: u64,
-    ) -> u64 {
-        let shard_count = shards.len();
-        for shard in shards.iter_mut() {
-            shard.boot();
+        // Boot-time sends (the view-1 leader's proposal) are staged like any
+        // other delivery.
+        for node in 0..self.config.nodes as u64 {
+            self.step(NodeId(node), SimTime::ZERO, |host, start, effects| {
+                host.start(start, effects)
+            });
         }
         let mut ticks: u64 = 0;
         let mut next_tick = SimTime::ZERO;
-        let mut client_seq: u64 = 0;
-        // The barrier's merge buffer; every window drains it into the
-        // inboxes, so its capacity is reused.
-        let mut injections: Vec<Injection> = Vec::new();
+        // The batch of the window about to run; swapped with `staged` at
+        // every boundary and drained by the window, so both keep capacity.
+        let mut due: Vec<Injection> = Vec::new();
         loop {
-            let mut processed: u64 = 0;
-            let mut global_view = View::GENESIS;
-            for shard in shards.iter_mut() {
-                // Replay the observer's commit log (in commit order; only its
-                // shard produces entries) so closed-loop clients can reissue.
-                for (tx, at) in shard.commits.drain(..) {
-                    self.workload.on_commit(tx, at);
-                }
-                injections.append(&mut shard.outbox);
-                processed += shard.processed;
-                global_view = global_view.max(shard.max_view);
-            }
-            // Resolve view-triggered fault boundaries from the globally
-            // highest view; the flips take effect, in the owning shard, at
-            // the opening edge of the window about to run.
-            if global_view > self.max_view_seen {
-                self.max_view_seen = global_view;
-                self.view_triggers.retain(|&(node, view, crashed, mode)| {
-                    if view > global_view {
-                        return true;
-                    }
-                    shards[node.index() % shard_count]
-                        .flips
-                        .push((node, crashed, mode));
-                    false
-                });
-            }
-            if processed + ticks > self.options.max_events {
+            if self.processed + ticks > self.options.max_events {
                 break;
             }
             // Skip straight to the window holding the earliest pending work.
-            let earliest = shards
-                .iter()
-                .filter_map(|shard| shard.queue.peek_time())
-                .chain(injections.iter().map(|injection| injection.deliver_at))
+            let earliest = (self.queue.peek_time().into_iter())
+                .chain(self.staged.iter().map(|injection| injection.deliver_at))
                 .chain((next_tick <= end).then_some(next_tick))
                 .min();
             let Some(earliest) = earliest.filter(|&earliest| earliest <= end) else {
@@ -880,34 +458,237 @@ impl SimRunner {
             };
             // Workload ticks falling inside this window generate their
             // client batches now; their deliveries land at or beyond the
-            // barrier (client links obey the same lookahead floor).
+            // boundary (client links obey the same lookahead floor).
             while next_tick <= end && next_tick < window.end {
-                self.generate_tick(next_tick, &mut injections, &mut client_seq);
+                self.generate_tick(next_tick);
                 ticks += 1;
-                next_tick += self.options.workload_tick;
+                next_tick += WORKLOAD_TICK;
             }
-            // Canonical barrier order: layout-invariant regardless of which
-            // shard produced which entry.
-            injections.sort_unstable_by_key(|i| (i.deliver_at, i.origin, i.seq));
-            for injection in injections.drain(..) {
-                let owner = injection.event.node.index() % shard_count;
-                shards[owner].inbox.push(injection);
-            }
-            run_shards(shards, workers, window);
+            // Canonical boundary order: independent of which replica's step
+            // ran first inside the previous window.
+            self.staged
+                .sort_unstable_by_key(|i| (i.deliver_at, i.origin, i.seq));
+            std::mem::swap(&mut self.staged, &mut due);
+            self.run_window(window, &mut due);
         }
-        ticks
+        self.report(ticks)
     }
 
-    /// Generates the client arrivals of one workload tick, grouping them into
-    /// per-replica batches exactly like the event-queued tick of the
-    /// single-queue engine did.
-    fn generate_tick(
+    /// Executes one window: applies the view-triggered crash flips that
+    /// resolved at the boundary, schedules the boundary's canonical batch,
+    /// then drains the queue up to `window.limit` (exclusive).
+    fn run_window(&mut self, window: Window, due: &mut Vec<Injection>) {
+        self.window_end = window.end;
+        // The opening edge is a boundary-aligned instant that depends only on
+        // simulated state, so a view-recovered replica restarts at the same
+        // simulated time in every execution. Restart effects are staged for
+        // the *next* boundary, like any other step's.
+        let reached = self.max_view;
+        let mut index = 0;
+        while index < self.view_triggers.len() {
+            let (node, view, crashed, mode) = self.view_triggers[index];
+            if view <= reached {
+                self.view_triggers.remove(index);
+                self.set_crashed(node, crashed, mode, window.start);
+            } else {
+                index += 1;
+            }
+        }
+        for injection in due.drain(..) {
+            self.queue.schedule(injection.deliver_at, injection.event);
+        }
+        while let Some((time, SimEvent { node, kind })) = self.queue.pop_if_before(window.limit) {
+            self.processed += 1;
+            match kind {
+                // The envelope was verified once when it was sent; the token
+                // hands it to the replica with no further wall-clock crypto
+                // (modeled costs are charged by the replica).
+                EventKind::Deliver(token) => self.step(node, time, |host, start, effects| {
+                    host.handle_verified(token, start, effects)
+                }),
+                // Book the rejection at the recipient's busy server with the
+                // modeled cost of discovering the forgery.
+                EventKind::DeliverForged(message) => {
+                    self.step(node, time, |host, _, _| host.reject_forged(&message))
+                }
+                // The edge verification stage lives in the host: in
+                // signed-client mode the batch is checked 4-wide (and charged
+                // as such) before the stripped transactions are admitted to
+                // the mempool.
+                EventKind::ClientBatch(requests) => {
+                    self.step(node, time, |host, start, effects| {
+                        host.handle_client_batch(requests, start, effects)
+                    })
+                }
+                EventKind::Timer(view) => {
+                    self.dispatch(node, ReplicaEvent::TimerFired { view }, time)
+                }
+                EventKind::ProposeNow(view) => {
+                    self.dispatch(node, ReplicaEvent::ProposeNow { view }, time)
+                }
+                EventKind::SyncTimer => self.dispatch(node, ReplicaEvent::SyncTimer, time),
+                EventKind::SetCrashed { crashed, mode } => {
+                    self.set_crashed(node, crashed, mode, time)
+                }
+            }
+        }
+    }
+
+    fn dispatch(&mut self, node: NodeId, event: ReplicaEvent, time: SimTime) {
+        self.step(node, time, |host, start, effects| {
+            host.handle(event, start, effects)
+        });
+    }
+
+    /// Runs one host step of `node` for an event arriving at `time` and
+    /// absorbs its effects, unless the node is crashed (a crashed node hears
+    /// nothing). The replica is a single busy server: processing starts when
+    /// both the event has arrived and the CPU is free.
+    fn step(
         &mut self,
-        now: SimTime,
-        injections: &mut Vec<Injection>,
-        client_seq: &mut u64,
+        node: NodeId,
+        time: SimTime,
+        run: impl FnOnce(&mut NodeHost, SimTime, &mut BufferedTransport) -> StepReport,
     ) {
-        let window_end = now + self.options.workload_tick;
+        if self.crashed[node.index()] {
+            return;
+        }
+        let start = time.max(self.busy_until[node.index()]);
+        let mut effects = std::mem::take(&mut self.effects);
+        effects.clear();
+        let report = run(&mut self.hosts[node.index()], start, &mut effects);
+        self.absorb(node, report, &mut effects, start);
+        self.effects = effects;
+    }
+
+    /// Crashes `node` or brings it back at `time`. A recovery in any mode but
+    /// [`RecoverMode::Resume`] restarts the replica — from its checkpoint or
+    /// its durable log, after the armed crash-point fault mangled it — and
+    /// the restart effects (view timer, the immediate state-transfer request)
+    /// flow through the same absorb path, and thus the same canonical
+    /// boundary ordering, as any other step.
+    fn set_crashed(&mut self, node: NodeId, crashed: bool, mode: RecoverMode, time: SimTime) {
+        let was = std::mem::replace(&mut self.crashed[node.index()], crashed);
+        if was && !crashed && mode != RecoverMode::Resume {
+            // A rebooted process starts with an idle CPU; whatever the busy
+            // server was doing pre-crash died with it.
+            self.busy_until[node.index()] = time;
+            self.step(node, time, |host, start, effects| {
+                host.restart(mode, start, effects)
+            });
+        }
+    }
+
+    /// Maps one step's effects onto the simulated substrate: commits into
+    /// metrics and the workload, timers and proposals onto the queue,
+    /// outbound messages into the staged batch.
+    fn absorb(
+        &mut self,
+        node: NodeId,
+        report: StepReport,
+        effects: &mut BufferedTransport,
+        start: SimTime,
+    ) {
+        let index = node.index();
+        let finish = start + report.cpu;
+        self.busy_until[index] = finish;
+
+        // Track the view high-water mark; view-triggered fault boundaries
+        // resolve from it at the next window boundary.
+        self.max_view = self
+            .max_view
+            .max(self.hosts[index].replica().current_view());
+
+        // Commits: record metrics at the observer replica only, so every
+        // transaction is counted exactly once. The client-response delay is
+        // drawn from the observer's own stream. Closed-loop clients hear of
+        // the commit here; the workload is next consulted at a boundary.
+        if node == self.observer() {
+            for block in &report.committed {
+                self.metrics.record_block();
+                for tx in &block.payload {
+                    let response_delay = self
+                        .latency
+                        .sample(&mut self.rngs[index], node, NodeId(u64::MAX), finish)
+                        .unwrap_or(SimDuration::ZERO);
+                    let confirmed = finish + response_delay;
+                    // `finish` is the commit instant the client's
+                    // submit→commit latency is measured against; `confirmed`
+                    // adds the response leg (the paper's `t_L` term).
+                    self.metrics.record_commit(tx.issued_at, finish, confirmed);
+                    self.workload.on_commit(tx.id, confirmed);
+                }
+            }
+        }
+
+        // Timers, delayed proposals and sync timers are self-events: they go
+        // straight into the queue and may even fire within the current
+        // window.
+        for (view, deadline) in effects.timers.drain(..) {
+            let kind = EventKind::Timer(view);
+            self.queue.schedule(deadline, SimEvent { node, kind });
+        }
+        for (view, at) in effects.proposals.drain(..) {
+            let kind = EventKind::ProposeNow(view);
+            self.queue.schedule(at, SimEvent { node, kind });
+        }
+        for deadline in effects.sync_timers.drain(..) {
+            let kind = EventKind::SyncTimer;
+            self.queue.schedule(deadline, SimEvent { node, kind });
+        }
+
+        // Outbound messages leave the sender once its CPU is done. Each
+        // unique envelope is verified at most once — lazily, on the first
+        // recipient whose link actually delivers, so messages dropped by
+        // partitions or dead links cost no wall-clock crypto — and every
+        // further recipient gets an `Arc`-backed clone of the proof token (or
+        // of the forged envelope): a broadcast stages n − 1 pointer bumps
+        // instead of n − 1 envelope deep-copies and n − 1 redundant
+        // signature checks. Deliveries are staged for the next boundary; the
+        // lookahead guarantees they land at or beyond the window end.
+        for (dest, message) in effects.sends.drain(..) {
+            let bytes = message.wire_size();
+            let nic_delay = self.nic.transfer(bytes);
+            let mut verdict: Option<Result<VerifiedMessage, SharedMessage>> = None;
+            let recipients = match dest {
+                Some(to) => to.0..to.0 + 1,
+                None => 0..self.config.nodes as u64,
+            };
+            for to in recipients.map(NodeId) {
+                // A broadcast skips its sender.
+                if dest.is_none() && to == node {
+                    continue;
+                }
+                self.metrics.record_message(bytes);
+                if let Some(delay) = self.latency.sample(&mut self.rngs[index], node, to, finish) {
+                    let kind = delivery_for(&mut verdict, &mut self.auth, node, &message);
+                    self.stage(node, to, finish + nic_delay + delay, kind);
+                }
+            }
+        }
+    }
+
+    /// Stages one delivery under the sender's canonical sequence number.
+    fn stage(&mut self, node: NodeId, to: NodeId, deliver_at: SimTime, kind: EventKind) {
+        debug_assert!(
+            deliver_at >= self.window_end,
+            "delivery at {deliver_at:?} undercuts the window end {:?} — lookahead violated",
+            self.window_end
+        );
+        let seq = &mut self.send_seq[node.index()];
+        self.staged.push(Injection {
+            deliver_at,
+            origin: node.0,
+            seq: *seq,
+            event: SimEvent { node: to, kind },
+        });
+        *seq += 1;
+    }
+
+    /// Generates the client arrivals of one workload tick, grouped into
+    /// per-replica batches, and stages them for the window about to open.
+    fn generate_tick(&mut self, now: SimTime) {
+        let window_end = now + WORKLOAD_TICK;
         let mut arrivals = std::mem::take(&mut self.tick_arrivals);
         arrivals.clear();
         self.workload
@@ -945,64 +726,29 @@ impl SimRunner {
                 .unwrap_or(SimDuration::ZERO);
             let deliver_at = self.tick_latest[index] + delay;
             let requests = std::mem::take(&mut self.tick_txs[index]);
-            injections.push(Injection {
+            self.staged.push(Injection {
                 deliver_at,
                 origin: WORKLOAD_STREAM,
-                seq: *client_seq,
+                seq: self.client_seq,
                 event: SimEvent {
                     node: replica,
                     kind: EventKind::ClientBatch(requests),
                 },
             });
-            *client_seq += 1;
+            self.client_seq += 1;
         }
     }
 
-    fn report(self, runtime: SimDuration, ticks: u64, shards: Shards) -> RunReport {
-        let nodes = self.config.nodes;
-        let threads = shards.len();
-        // Reassemble hosts in node order and fold the per-shard metrics and
-        // queue statistics. Ticks are generated at the coordinator and never
-        // occupy a queue slot, but they count as engine events for continuity
-        // with the event-queued tick of earlier engines.
-        let mut metrics = Metrics::new(self.options.series_bucket);
-        let mut events_scheduled: u64 = ticks;
-        let mut processed: u64 = 0;
-        let mut queue_peak: u64 = 0;
-        let mut max_shard_peak: u64 = 0;
-        let mut slots: Vec<Option<NodeHost>> = (0..nodes).map(|_| None).collect();
-        for state in shards {
-            let ShardState {
-                shard,
-                shards_total,
-                hosts,
-                queue,
-                metrics: shard_metrics,
-                processed: shard_processed,
-                ..
-            } = *state;
-            processed += shard_processed;
-            events_scheduled += queue.total_scheduled();
-            let peak = queue.live_high_water() as u64;
-            queue_peak += peak;
-            max_shard_peak = max_shard_peak.max(peak);
-            metrics.merge(shard_metrics);
-            for (local, host) in hosts.into_iter().enumerate() {
-                slots[shard + local * shards_total] = Some(host);
-            }
-        }
-        let hosts: Vec<NodeHost> = slots
-            .into_iter()
-            .map(|slot| slot.expect("every node is owned by exactly one shard"))
-            .collect();
+    fn report(&mut self, ticks: u64) -> RunReport {
         // Fold the per-replica mempool admission counters into the run
         // metrics so backpressure (shard-full rejections) is never silent.
-        for host in &hosts {
-            metrics.record_mempool(&host.replica().mempool_stats());
+        for host in &self.hosts {
+            self.metrics.record_mempool(&host.replica().mempool_stats());
         }
+        let (hosts, metrics) = (&self.hosts, &self.metrics);
 
         let observer = hosts[self.observer().index()].replica();
-        let duration_secs = runtime.as_secs_f64();
+        let duration_secs = self.config.runtime.as_secs_f64();
         let committed_txs = metrics.committed_txs();
         let committed_blocks = observer.ledger().len() as u64;
         let views_advanced = observer.current_view().as_u64().saturating_sub(1).max(1);
@@ -1023,8 +769,6 @@ impl SimRunner {
                 safety_violations += 1;
             }
         }
-
-        let recovery = self.recovery_report(&hosts);
 
         RunReport {
             protocol: self.protocol,
@@ -1048,20 +792,22 @@ impl SimRunner {
             client_auth_rejections: hosts.iter().map(NodeHost::client_auth_rejections).sum(),
             mempool: metrics.mempool_totals(),
             pending_txs: self.workload.total_issued().saturating_sub(committed_txs),
-            events_processed: processed + ticks,
-            events_scheduled,
-            queue_peak_len: queue_peak,
-            max_shard_queue_peak: max_shard_peak,
-            threads,
+            // Ticks are generated at window boundaries and never occupy a
+            // queue slot, but they count as engine events for continuity
+            // with the event-queued tick of earlier engines.
+            events_processed: self.processed + ticks,
+            events_scheduled: self.queue.total_scheduled() + ticks,
+            queue_peak_len: self.queue.live_high_water() as u64,
             ledger_fingerprint: observer.ledger().fingerprint().to_hex(),
-            recovery,
+            recovery: self.recovery_report(),
         }
     }
 
     /// Fold the per-replica recovery counters and audit catch-up: every
     /// amnesia-recovered replica must end the run with a committed prefix
     /// matching the chain the never-crashed honest majority agrees on.
-    fn recovery_report(&self, hosts: &[NodeHost]) -> RecoveryReport {
+    fn recovery_report(&self) -> RecoveryReport {
+        let hosts = &self.hosts;
         let mut recovery = RecoveryReport::default();
         let crashed: Vec<NodeId> = self.options.node_faults.iter().map(|f| f.node).collect();
         // The reference chain is the shortest committed ledger among honest
@@ -1189,36 +935,52 @@ mod tests {
         assert!((a.latency.mean_ms - b.latency.mean_ms).abs() < 1e-9);
     }
 
+    /// `RunOptions::threads` survives only for the frozen benchmark package;
+    /// whatever it holds, the run is the same.
     #[test]
-    fn sharded_runs_match_the_single_thread_engine() {
-        let single = SimRunner::new(
+    fn the_vestigial_threads_field_changes_nothing() {
+        let run = |threads| {
+            let options = RunOptions {
+                threads,
+                ..RunOptions::default()
+            };
+            SimRunner::new(base_config(4, 3_000.0), ProtocolKind::HotStuff, options).run()
+        };
+        let one = run(1);
+        assert!(one.committed_txs > 0, "the comparison would be vacuous");
+        for threads in [2usize, 64] {
+            assert_eq!(
+                one.replay_key(),
+                run(threads).replay_key(),
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_small_event_cap_ends_the_run_early_with_a_well_formed_report() {
+        let full = SimRunner::new(
             base_config(4, 3_000.0),
             ProtocolKind::HotStuff,
             RunOptions::default(),
         )
         .run();
-        // 3 shards gives uneven shard sizes (2/1/1); 4 puts every replica on
-        // its own thread; 8 exercises the clamp to the node count.
-        for threads in [2usize, 3, 4, 8] {
-            let sharded = SimRunner::new(
-                base_config(4, 3_000.0),
-                ProtocolKind::HotStuff,
-                RunOptions {
-                    threads,
-                    ..RunOptions::default()
-                },
-            )
-            .run();
-            assert_eq!(
-                single.ledger_fingerprint, sharded.ledger_fingerprint,
-                "threads={threads} diverged"
-            );
-            assert_eq!(single.committed_txs, sharded.committed_txs);
-            assert_eq!(single.events_processed, sharded.events_processed);
-            assert_eq!(single.events_scheduled, sharded.events_scheduled);
-            assert_eq!(single.messages_sent, sharded.messages_sent);
-            assert!((single.latency.mean_ms - sharded.latency.mean_ms).abs() < 1e-12);
-        }
+        let cap = full.events_processed / 4;
+        let options = RunOptions {
+            max_events: cap,
+            ..RunOptions::default()
+        };
+        let capped = SimRunner::new(base_config(4, 3_000.0), ProtocolKind::HotStuff, options).run();
+        // The cap is checked at window boundaries, so the run overshoots it
+        // by less than one window's events and stops well short of the end.
+        assert!(capped.events_processed > cap);
+        assert!(capped.events_processed < full.events_processed / 2);
+        assert!(capped.committed_txs > 0 && capped.committed_txs < full.committed_txs);
+        assert_eq!(capped.safety_violations, 0);
+        assert_eq!(capped.latency.count, capped.committed_txs);
+        assert!(capped.pending_txs > 0, "issued work was cut off mid-flight");
+        assert!(capped.events_scheduled >= capped.events_processed);
+        assert_eq!(capped.duration_secs, full.duration_secs);
     }
 
     #[test]
@@ -1305,35 +1067,17 @@ mod tests {
             }],
             ..RunOptions::default()
         };
-        let report = SimRunner::new(cfg, ProtocolKind::HotStuff, options).run();
+        let report = SimRunner::new(cfg.clone(), ProtocolKind::HotStuff, options.clone()).run();
         assert_eq!(report.safety_violations, 0);
         assert!(report.committed_txs > 0);
         assert!(
             report.timeout_view_changes > 0,
             "node 1's unrecovered crash must cost its leader views"
         );
-        // Determinism with view-triggered faults, across thread counts: the
-        // trigger resolves at a window barrier from the global maximum view,
-        // which is layout-invariant.
-        for threads in [1usize, 2, 4] {
-            let mut cfg2 = base_config(4, 2_000.0);
-            cfg2.timeout = SimDuration::from_millis(20);
-            let options2 = RunOptions {
-                node_faults: vec![NodeFault {
-                    node: NodeId(1),
-                    crash: FaultTrigger::AtView(View(4)),
-                    recover: None,
-                    mode: RecoverMode::Resume,
-                }],
-                threads,
-                ..RunOptions::default()
-            };
-            let again = SimRunner::new(cfg2, ProtocolKind::HotStuff, options2).run();
-            assert_eq!(
-                report.ledger_fingerprint, again.ledger_fingerprint,
-                "threads={threads}"
-            );
-        }
+        // The trigger resolves at a window boundary from simulated state
+        // alone, so a second execution fires it at the same instant.
+        let again = SimRunner::new(cfg, ProtocolKind::HotStuff, options).run();
+        assert_eq!(report.replay_key(), again.replay_key());
     }
 
     #[test]

@@ -398,8 +398,8 @@ impl BufferedTransport {
     }
 
     /// Empties the buffer, keeping its allocations. Backends that absorb one
-    /// event at a time (the sharded simulator) keep a single transport per
-    /// shard and clear it between events instead of reallocating.
+    /// event at a time (the simulator) keep a single transport and clear it
+    /// between events instead of reallocating.
     pub fn clear(&mut self) {
         self.sends.clear();
         self.timers.clear();

@@ -13,15 +13,14 @@
 //! * the **Byzantine strategy** and a **fault schedule** — crash/recover at
 //!   a time or view, rolling leader failure, (oscillating) partitions,
 //!   fluctuation windows, slow nodes, heterogeneous per-node CPU,
-//! * the run length, seed, engine `threads` (simulation shards) and a set
-//!   of declarative **expectations**.
+//! * the run length, seed and a set of declarative **expectations**.
 //!
 //! Executing a scenario compiles the spec into `(Config, RunOptions)` pairs
 //! — one per protocol — runs them through [`SimRunner`] (twice, to prove the
 //! replay is deterministic), and produces a [`ScenarioReport`]: throughput,
 //! latency percentiles, chain growth, auth rejections and the ledger
 //! fingerprint per protocol, plus a list of failures (safety violations,
-//! fork/fingerprint mismatches, unmet expectations). The `scenario` bench
+//! fork/replay mismatches, unmet expectations). The `scenario` bench
 //! binary runs a whole directory of specs on the parallel sweep pool and
 //! exits non-zero on any failure — the CI gate.
 //!
@@ -152,8 +151,6 @@ pub struct Scenario {
     base: Config,
     transport: ScenarioTransport,
     quick_runtime: SimDuration,
-    /// Engine shards per run (the spec's `"threads"`; defaults to 1).
-    threads: usize,
     topology: Option<Topology>,
     faults: Vec<FaultSpec>,
     cpu_overrides: Vec<(NodeId, SimDuration)>,
@@ -168,7 +165,9 @@ pub struct ScenarioRun {
     pub protocol: ProtocolKind,
     /// The full simulator report.
     pub report: RunReport,
-    /// Whether an independent second run reproduced the ledger fingerprint.
+    /// Whether an independent second run reproduced the ledger fingerprint,
+    /// the commit, event, message and view counts, the queue peak and the
+    /// recovery report.
     pub deterministic: bool,
 }
 
@@ -188,7 +187,7 @@ pub struct ScenarioReport {
 }
 
 impl ScenarioReport {
-    /// True when no safety violation, fork, fingerprint mismatch or unmet
+    /// True when no safety violation, fork, replay mismatch or unmet
     /// expectation was recorded.
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
@@ -769,12 +768,6 @@ impl Scenario {
             .map(duration_ms)
             .unwrap_or_else(|| base.runtime.min(SimDuration::from_millis(500)));
 
-        let threads = match opt_f64(doc, "threads") {
-            None => 1,
-            Some(v) if v >= 1.0 => v as usize,
-            Some(v) => return Err(format!("{name}: threads must be >= 1, got {v}")),
-        };
-
         let transport = match doc.get("transport") {
             None => ScenarioTransport::Sim,
             Some(Json::Str(label)) if label == "sim" => ScenarioTransport::Sim,
@@ -809,7 +802,6 @@ impl Scenario {
             base,
             transport,
             quick_runtime,
-            threads,
             topology,
             faults,
             cpu_overrides,
@@ -869,7 +861,6 @@ impl Scenario {
         let mut options = RunOptions {
             topology: self.topology.clone(),
             cpu_overrides: self.cpu_overrides.clone(),
-            threads: self.threads,
             ..RunOptions::default()
         };
         options.replica.wait_for_timeout_on_view_change = self.wait_for_timeout_on_view_change;
@@ -985,39 +976,17 @@ impl Scenario {
         (config, options)
     }
 
-    /// Runs one protocol of the scenario twice (to prove determinism) and
-    /// returns the run.
-    ///
-    /// When the spec asks for more than one engine thread, the audit replay
-    /// runs at `threads = 1`: the determinism check then proves the parallel
-    /// run is bit-identical to the sequential engine, not merely repeatable.
+    /// Runs one protocol of the scenario twice and returns the first run;
+    /// [`ScenarioRun::deterministic`] says whether the second execution
+    /// reproduced it.
     pub fn run_protocol(&self, protocol: ProtocolKind, quick: bool) -> ScenarioRun {
-        self.run_protocol_with_threads(protocol, quick, None)
-    }
-
-    /// [`Scenario::run_protocol`] with the spec's `threads` overridden
-    /// (`None` keeps the spec value). The CI quick tier uses this to force a
-    /// 2-shard run of a 1-thread spec and assert fingerprint equality.
-    pub fn run_protocol_with_threads(
-        &self,
-        protocol: ProtocolKind,
-        quick: bool,
-        threads: Option<usize>,
-    ) -> ScenarioRun {
-        let (config, mut options) = self.build(quick);
-        if let Some(threads) = threads {
-            options.threads = threads.max(1);
-        }
+        let (config, options) = self.build(quick);
         let report = SimRunner::new(config.clone(), protocol, options.clone()).run();
-        if options.threads > 1 {
-            options.threads = 1;
-        }
         let replay = SimRunner::new(config, protocol, options).run();
-        let deterministic = replay.ledger_fingerprint == report.ledger_fingerprint;
         ScenarioRun {
             protocol,
+            deterministic: replay.replay_key() == report.replay_key(),
             report,
-            deterministic,
         }
     }
 
@@ -1049,8 +1018,8 @@ impl Scenario {
             }
             if !run.deterministic {
                 failures.push(format!(
-                    "{}/{label}: fingerprint mismatch — the audit replay (single-thread \
-                     reference engine) diverged",
+                    "{}/{label}: replay mismatch — a second run of the same spec diverged \
+                     (ledger fingerprint, engine counters or recovery report)",
                     self.name
                 ));
             }
@@ -1480,6 +1449,22 @@ mod tests {
         assert_eq!(options.node_faults.len(), 6);
         let nodes: Vec<u64> = options.node_faults.iter().map(|f| f.node.0).collect();
         assert_eq!(nodes, vec![0, 1, 2, 3, 0, 1], "round-robin rotation");
+    }
+
+    /// The benchmark's frozen workload files still carry the key of the
+    /// removed sharded engine; it must stay an ignored unknown key.
+    #[test]
+    fn a_leftover_threads_key_is_ignored() {
+        let plain = Scenario::parse(&minimal_spec()).unwrap();
+        let keyed = minimal_spec().replacen('{', r#"{"threads": 4,"#, 1);
+        assert!(keyed.contains(r#""threads": 4"#));
+        let keyed = Scenario::parse(&keyed).unwrap();
+        for quick in [false, true] {
+            assert_eq!(
+                format!("{:?}", keyed.build(quick)),
+                format!("{:?}", plain.build(quick))
+            );
+        }
     }
 
     #[test]

@@ -26,9 +26,8 @@
 //! The [`SegmentBackend`] trait splits the byte-shuffling from the framing
 //! policy. The simulator uses [`MemoryBackend`], whose explicit
 //! durable/buffered split models fsync semantics deterministically (and lets
-//! [`StorageFault`]s maul the durable image byte-for-byte reproducibly at
-//! every shard count); the threaded cluster uses [`FileBackend`] over real
-//! temp-dir files.
+//! [`StorageFault`]s maul the durable image byte-for-byte reproducibly);
+//! the threaded cluster uses [`FileBackend`] over real temp-dir files.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -158,7 +157,7 @@ pub struct DecodedStream {
     /// Records lost past the first failure: the failed record itself plus
     /// every later record whose framing is still walkable (CRC corruption
     /// leaves length fields intact; a torn tail does not). Deterministic, so
-    /// recovery counters fingerprint identically at every shard count.
+    /// a replayed run reproduces the recovery counters exactly.
     pub discarded: u64,
     /// Whether the stream ended exactly on a record boundary with every
     /// check passing.
@@ -305,7 +304,7 @@ struct SegmentBuf {
 
 /// Deterministic in-memory backend used by the simulator. The
 /// durable/buffered split makes fsync — and its injected failures —
-/// reproducible at every shard count.
+/// reproducible.
 #[derive(Debug, Default)]
 pub struct MemoryBackend {
     segments: BTreeMap<u64, SegmentBuf>,

@@ -96,7 +96,7 @@ impl CpuModel {
     /// cheaper per byte than the hash-dominated snapshot path, but it is not
     /// free — fsync batching and log replay after a durable restart must
     /// show up in the simulated clock so recovery latency is a measurable,
-    /// deterministic output at every shard count.
+    /// deterministic output.
     pub fn disk_io(&self, bytes: usize) -> SimDuration {
         let chunks = (bytes as u64).div_ceil(16 * 1024).max(1);
         SimDuration::from_nanos(self.crypto_op.as_nanos() * chunks)

@@ -9,7 +9,7 @@
 //! with `link_floor = max(floor, mean/4, mean − 3σ)` per link class — a
 //! statistically invisible clamp (≤0.13% of draws) that gives every class a
 //! positive minimum delay, from which [`LatencyModel::lookahead`] derives the
-//! parallel engine's conservative synchronization window.
+//! width of the engine's ordering epochs.
 //!
 //! where `link` is the per-pair delay distribution resolved by the
 //! [`Topology`] — regions with intra/inter-region distributions and exact
@@ -180,8 +180,9 @@ impl LatencyModel {
     /// The hard minimum of one link class's base propagation delay: the
     /// model floor, a quarter of the class mean, or `mean − 3σ`, whichever
     /// is largest. The 3σ clamp trims ~0.13% of normal draws — statistically
-    /// invisible — while giving the parallel engine a per-class lower bound
-    /// that scales with the link instead of the global 1 µs floor.
+    /// invisible — while giving the engine's ordering epochs a per-class
+    /// lower bound that scales with the link instead of the global 1 µs
+    /// floor.
     fn link_floor(&self, dist: DelayDist) -> SimDuration {
         let mean = dist.mean.as_nanos();
         let three_sigma = mean.saturating_sub(3 * dist.std.as_nanos());
@@ -196,10 +197,10 @@ impl LatencyModel {
     /// (`max(0, extra − jitter)`). Fluctuation windows and slow-node faults
     /// only ever *add* delay, so they never shrink the bound.
     ///
-    /// This is the parallel engine's lookahead: a message sent at time `t`
-    /// cannot be delivered to another replica before `t + lookahead()`, so
-    /// shards advancing in lock-step windows of this width never miss a
-    /// cross-shard delivery.
+    /// This is the width of the engine's ordering epochs: a message sent at
+    /// time `t` cannot be delivered to another replica before
+    /// `t + lookahead()`, so every delivery produced inside a window of this
+    /// width lands at or beyond the window's end.
     pub fn lookahead(&self) -> SimDuration {
         let extra_min = SimDuration::from_nanos(
             self.extra

@@ -160,8 +160,8 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event if it fires strictly before
     /// `limit`; otherwise leaves the queue untouched and returns `None`.
     ///
-    /// This is the windowed-execution primitive: a shard drains its queue up
-    /// to a barrier without paying the O(bucket scan) of a separate
+    /// This is the windowed-execution primitive: the engine drains its queue
+    /// up to a window boundary without paying the O(bucket scan) of a separate
     /// [`EventQueue::peek_time`] before every pop.
     pub fn pop_if_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         self.pop_bounded(Some(limit))

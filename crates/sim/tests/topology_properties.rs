@@ -77,7 +77,7 @@ fn uniform_topology_matches_the_scalar_reference_model() {
     // The reference implementation of the scalar model:
     // delay = max(link_floor, Normal(mean, std)) with
     // link_floor = max(1us, mean/4, mean - 3*std) — the per-class clamp the
-    // parallel engine's lookahead window is derived from — and the global
+    // engine's lookahead window is derived from — and the global
     // floor for self-delivery.
     for seed in [3u64, 11, 99, 4096] {
         let mean = us(250 + 10 * (seed % 7));

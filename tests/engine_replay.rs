@@ -1,18 +1,17 @@
 //! Golden-replay determinism tests for the simulation engine.
 //!
-//! The fingerprints below were recorded from the window-barrier sharded
-//! engine (PR 6), which replaced the single-queue global-RNG engine: latency
-//! draws moved to **per-replica RNG streams** (`derive(node)` of the run
-//! seed) so randomness consumption is independent of shard layout, and all
-//! replica-to-replica deliveries are exchanged at conservative-lookahead
-//! window barriers in a canonical `(deliver_at, origin, seq)` order. That
-//! re-pin was a one-time, deliberate break from the PR 3 fingerprints —
-//! byte-reproducing a global RNG stream across thread counts is impossible.
-//! From here on every engine change must again commit **byte-identical
-//! ledgers** for the same seeds at *every* thread count: every block id,
-//! proposal view, commit view, commit time and payload transaction id,
-//! across all six protocol kinds. Any divergence in event ordering, RNG call
-//! order or delivery timing changes the fingerprint and fails the test.
+//! The fingerprints below were recorded from the window-epoch engine of
+//! PR 6, which replaced the single-queue global-RNG engine: latency draws
+//! moved to **per-replica RNG streams** (`derive(node)` of the run seed),
+//! and all replica-to-replica deliveries enter the queue at lookahead-wide
+//! window boundaries in a canonical `(deliver_at, origin, seq)` order
+//! (DESIGN.md §5). That re-pin was a one-time, deliberate break from the
+//! PR 3 fingerprints. The engine has since lost its sharded side (PR 18)
+//! without moving a pin, and every further engine change must again commit
+//! **byte-identical ledgers** for the same seeds: every block id, proposal
+//! view, commit view, commit time and payload transaction id, across all six
+//! protocol kinds. Any divergence in event ordering, RNG call order or
+//! delivery timing changes the fingerprint and fails the test.
 //!
 //! To re-record after an *intentional* behaviour change, run:
 //! `GOLDEN_DUMP=1 cargo test --test engine_replay -- --nocapture`
@@ -34,9 +33,8 @@ fn run(protocol: ProtocolKind, nodes: usize, runtime_ms: u64, rate: f64, seed: u
 }
 
 /// `(protocol, nodes, runtime_ms, rate, seed, committed_txs, fingerprint)`
-/// recorded from the window-barrier sharded engine at `threads = 1`.
-/// Higher thread counts must reproduce the same values (see
-/// `tests/parallel_engine.rs`).
+/// recorded from the PR 6 window-epoch engine, which the sequential engine
+/// reproduces bit for bit.
 const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
     (
         ProtocolKind::HotStuff,

@@ -7,8 +7,8 @@
 //! engine, protocol or spec change that shifts scheduling shows up here
 //! first (update the constants deliberately when the change is intended; to
 //! re-record run `GOLDEN_DUMP=1 cargo test --test scenario_replay -- --nocapture`).
-//! The pins were recorded from the window-barrier sharded engine (PR 6) at
-//! `threads = 1`; every other thread count reproduces them bit-for-bit.
+//! The pins were recorded from the PR 6 window-epoch engine; the sequential
+//! engine that remains of it reproduces them bit-for-bit.
 //! The same configurations are also driven through the live threaded
 //! cluster, which must stay safe on the heterogeneous-WAN workload too.
 //!
