@@ -10,10 +10,39 @@
 //! after it ends, while the non-responsive protocols recover only via timeouts
 //! (and may stall entirely once the crashed node's views come around). With
 //! t=100 ms all protocols retain liveness but at much lower throughput.
+//!
+//! Whether a run flushes its backlog when the fluctuation ends is **bimodal
+//! per seed**: a leader that waits one timeout after a TC proposes at the
+//! instant its followers' timers fire, and any perturbation — a seed as much
+//! as a tie order — decides that race (EXPERIMENTS.md). The time series is
+//! therefore one draw (seed 2021, as in every figure), and next to it each
+//! `(protocol, timeout)` gets a `recovered_share` over a grid of eight seeds:
+//! the share of runs that commit at least half the offered load in the two
+//! seconds after the window closes. Assert on the share, never the series.
 
-use bamboo_bench::{banner, bench_rows, eval_config, evaluated_protocols, save_rows, Higher, Sim};
-use bamboo_core::{FluctuationWindow, RunOptions, SimRunner};
+use bamboo_bench::{
+    banner, bench_rows, eval_config, evaluated_protocols, save_rows, Higher, Sim, EVAL_SEED,
+};
+use bamboo_core::{Benchmarker, FluctuationWindow, RunOptions, RunReport};
 use bamboo_types::{NodeId, SimDuration, SimTime};
+
+/// Offered load of every run.
+const OFFERED_TX_PER_SEC: f64 = 30_000.0;
+/// The seed grid of `recovered_share`; its first seed supplies the series.
+const SEEDS: [u64; 8] = [EVAL_SEED, 1, 2, 3, 4, 5, 6, 7];
+/// How long after the fluctuation a run has to show it recovered.
+const RECOVERY_SECS: u64 = 2;
+
+/// True when the run committed at least half the offered load in the
+/// `RECOVERY_SECS` after `from`.
+fn recovered(report: &RunReport, from: SimTime, bucket: SimDuration) -> bool {
+    let until = from + SimDuration::from_secs(RECOVERY_SECS);
+    let committed: f64 = (report.throughput_series.iter())
+        .filter(|sample| sample.at >= from && sample.at < until)
+        .map(|sample| sample.tx_per_sec * bucket.as_secs_f64())
+        .sum();
+    committed >= 0.5 * OFFERED_TX_PER_SEC * RECOVERY_SECS as f64
+}
 
 fn main() {
     banner("Figure 15: responsiveness under network fluctuation + crash (t10 vs t100)");
@@ -30,13 +59,21 @@ fn main() {
     };
     let crash_at = SimTime::ZERO + SimDuration::from_secs(10);
 
-    let mut out = bench_rows("fig15_responsiveness");
-    for timeout_ms in [10u64, 100] {
-        for protocol in evaluated_protocols() {
+    let bucket = SimDuration::from_millis(500);
+
+    // One batch on the sweep pool: per (timeout, protocol) the eight seeds.
+    let settings: Vec<_> = [10u64, 100]
+        .into_iter()
+        .flat_map(|timeout_ms| evaluated_protocols().map(|protocol| (timeout_ms, protocol)))
+        .collect();
+    let mut points = Vec::new();
+    for &(timeout_ms, protocol) in &settings {
+        for seed in SEEDS {
             let mut config = eval_config(4, 400, 128, 14_000);
+            config.seed = seed;
             config.runtime = total;
             config.timeout = SimDuration::from_millis(timeout_ms);
-            config.arrival_rate = Some(30_000.0);
+            config.arrival_rate = Some(OFFERED_TX_PER_SEC);
             let options = RunOptions {
                 fluctuations: vec![fluctuation],
                 silence_node_from: Some((NodeId(0), crash_at)),
@@ -47,33 +84,51 @@ fn main() {
                     wait_for_timeout_on_view_change: timeout_ms >= 100,
                     ..Default::default()
                 },
-                series_bucket: SimDuration::from_millis(500),
+                series_bucket: bucket,
                 ..Default::default()
             };
-            let report = SimRunner::new(config, protocol, options).run();
-            println!(
-                "\n{}-t{timeout_ms}: total committed {} txs, timeout view changes {}",
-                protocol.label(),
-                report.committed_txs,
-                report.timeout_view_changes
-            );
-            // One row per 500 ms bucket, keyed by the bucket's start, plus
-            // the run's total.
-            let key = format!("{}-t{timeout_ms}", protocol.label());
-            print!("  tput (ktx/s per 500 ms): ");
-            for sample in &report.throughput_series {
-                print!("{:.0} ", sample.tx_per_sec / 1_000.0);
-                let at_ms = sample.at.as_nanos() / 1_000_000;
-                let name = format!("{key}/at{at_ms:05}ms/throughput");
-                out.push(Sim, name, sample.tx_per_sec, "tx/s", Higher);
-            }
-            println!();
-            let committed = report.committed_txs as f64;
-            out.point(Sim, &key, &[("total_committed", committed, "tx", Higher)]);
+            points.push((config, protocol, options));
         }
+    }
+    let reports = Benchmarker::run_all(points);
+
+    let mut out = bench_rows("fig15_responsiveness");
+    for (&(timeout_ms, protocol), grid) in settings.iter().zip(reports.chunks(SEEDS.len())) {
+        let report = &grid[0];
+        println!(
+            "\n{}-t{timeout_ms}: total committed {} txs, timeout view changes {}",
+            protocol.label(),
+            report.committed_txs,
+            report.timeout_view_changes
+        );
+        // One row per 500 ms bucket, keyed by the bucket's start, plus the
+        // run's total and the grid's recovered share.
+        let key = format!("{}-t{timeout_ms}", protocol.label());
+        print!("  tput (ktx/s per 500 ms): ");
+        for sample in &report.throughput_series {
+            print!("{:.0} ", sample.tx_per_sec / 1_000.0);
+            let at_ms = sample.at.as_nanos() / 1_000_000;
+            let name = format!("{key}/at{at_ms:05}ms/throughput");
+            out.push(Sim, name, sample.tx_per_sec, "tx/s", Higher);
+        }
+        println!();
+        let committed = report.committed_txs as f64;
+        let flushed = grid
+            .iter()
+            .filter(|report| recovered(report, fluctuation.end, bucket))
+            .count();
+        let share = flushed as f64 / SEEDS.len() as f64;
+        out.point(
+            Sim,
+            &key,
+            &[
+                ("total_committed", committed, "tx", Higher),
+                ("recovered_share", share, "ratio", Higher),
+            ],
+        );
     }
     save_rows(&out);
     println!(
-        "\nExpected shape (paper): all protocols stall during the fluctuation window with\nt=10 ms; HotStuff (responsive) resumes immediately afterwards and rides out the\ncrash with periodic dips; non-responsive protocols recover more slowly or stall.\nWith t=100 ms everything stays live but at lower throughput."
+        "\nExpected shape (paper): all protocols stall during the fluctuation window with\nt=10 ms; HotStuff (responsive) resumes immediately afterwards and rides out the\ncrash with periodic dips; non-responsive protocols recover more slowly or stall.\nWith t=100 ms everything stays live but at lower throughput. The series is one\nseed of a bimodal outcome: read recovered_share (eight seeds) for the claim."
     );
 }

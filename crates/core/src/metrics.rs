@@ -363,8 +363,8 @@ pub struct RunReport {
     pub events_scheduled: u64,
     /// Highest number of simultaneously pending events in the engine's queue
     /// — its memory high-water mark, so sweep memory use is observable per
-    /// run. Workload ticks are generated at window boundaries and occupy no
-    /// queue slot.
+    /// run. An in-flight delivery counts from the instant it is sent;
+    /// workload ticks occupy no queue slot.
     pub queue_peak_len: u64,
     /// Hex fingerprint of the observer replica's committed ledger (every
     /// block id, view and payload transaction id, in order). Two runs with

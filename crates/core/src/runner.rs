@@ -1,5 +1,5 @@
 //! The discrete-event simulation runner: one deterministic, sequential
-//! event loop that advances in ordering epochs.
+//! event loop.
 //!
 //! [`SimRunner`] wires `N` replicas (each behind a [`NodeHost`]), a workload
 //! generator, and the network / NIC / CPU models of `bamboo-sim` into one
@@ -9,39 +9,27 @@
 //! simulations side by side ([`crate::parallel::run_ordered`]) — a single
 //! run is single-threaded (DESIGN.md §5 records why).
 //!
-//! # Ordering epochs
+//! # Event order
 //!
-//! Simulated time is cut into windows of width
-//! `W = LatencyModel::lookahead()` — the minimum possible replica-to-replica
-//! delivery delay over every link class of the topology. A message absorbed
-//! at time `t` inside window `k` is delivered no earlier than
-//! `t + W ≥ (k + 1)·W`, so **every** replica-to-replica delivery crosses a
-//! window boundary. The engine uses that to fix the order of same-instant
-//! events independently of execution order: deliveries produced during a
-//! window are staged, and at the boundary — together with the client
-//! batches of the workload ticks that fall inside the next window — sorted
-//! by the canonical key `(deliver_at, origin, per-origin sequence)` before
-//! they enter the event queue (same-time ties in the queue pop in insertion
-//! order). Only self-events (view timers, delayed proposals, sync timers)
-//! are inserted mid-window. Three rules make a run a pure function of
-//! `(Config, RunOptions)`:
+//! [`SimRunner::run`] is the textbook loop: pop the earliest event, step the
+//! replica it addresses, schedule what the step produced. The queue's
+//! `(time, insertion)` order is the only order — same-instant events pop in
+//! the order they were scheduled — and three rules make a run a pure
+//! function of `(Config, RunOptions)`:
 //!
 //! * **per-replica RNG streams** — replica `r` draws all of its latency
 //!   samples (including the observer's client-response delays) from
 //!   `SimRng::new(seed).derive(r)`, and the workload generator owns its own
-//!   stream, so no replica's randomness depends on what another replica did
-//!   in the same window;
-//! * **canonical boundary order** — as above; `origin` is the sending
-//!   replica (or `WORKLOAD_STREAM` for client batches) and the sequence
-//!   its own send counter;
-//! * **boundary-aligned global state** — view-triggered faults resolve at
-//!   boundaries from the highest view any replica has reached and take
-//!   effect at the opening edge of the next window; workload ticks are
-//!   generated at the boundary that opens their window.
+//!   stream, so a replica's randomness depends only on its own history;
+//! * **ticks run at their own instant** — the workload tick of every
+//!   millisecond in `[0, runtime)` fires before any event queued for that
+//!   same instant;
+//! * **view triggers fire where they say** — a view-triggered fault boundary
+//!   takes effect at the instant of the event that lifted the highest view
+//!   any replica has reached to its view, right after that event.
 //!
 //! The recorded golden ledgers (`tests/engine_replay.rs`,
-//! `tests/scenario_replay.rs`) pin exactly this order; folding the epochs
-//! into a queue tie-break would be simpler but re-pins all of them.
+//! `tests/scenario_replay.rs`) pin exactly this order.
 //!
 //! The runner is a *backend* of the shared runtime layer
 //! ([`crate::runtime`]): replica effects are collected through a
@@ -53,13 +41,13 @@
 //!
 //! The engine keeps allocation and crypto off its hot path: outbound
 //! envelopes are `Arc`-backed ([`bamboo_types::SharedMessage`]), so a
-//! broadcast *stages* n − 1 pointer bumps, and each unique envelope is
+//! broadcast *schedules* n − 1 pointer bumps, and each unique envelope is
 //! cryptographically verified **at most once** — lazily, on the first
 //! recipient whose link delivers — with the [`VerifiedMessage`] token fanned
 //! out (forged envelopes are delivered as rejections so every recipient
 //! still books the modeled cost). One [`BufferedTransport`], the slab-backed
-//! [`EventQueue`], the two boundary buffers and the workload buckets are
-//! reused across windows, so steady-state execution is allocation-light.
+//! [`EventQueue`] and the workload buckets are reused across events, so
+//! steady-state execution is allocation-light.
 
 use bamboo_sim::{
     EventQueue, FluctuationWindow, LatencyModel, LinkFault, NicModel, SimRng, Topology,
@@ -135,9 +123,8 @@ pub struct RunOptions {
     /// The replica whose ledger is used for reporting; defaults to the
     /// highest-id (always honest) replica.
     pub observer: Option<NodeId>,
-    /// Safety cap on the number of simulation events processed. The engine
-    /// checks the cap at window boundaries, so a run may overshoot it by up
-    /// to one window's worth of events.
+    /// Safety cap on the number of simulation events processed (workload
+    /// ticks included), checked before every event.
     pub max_events: u64,
     /// Ignored: the engine is sequential and never reads this field. It is
     /// kept only because the frozen `benchmark/` package assigns it
@@ -175,7 +162,7 @@ enum EventKind {
     /// A message that passed ingress verification, delivered as the shared
     /// proof token. Each unique envelope is verified **once**, when its
     /// sender's step is absorbed, and the `Arc`-backed token is fanned out,
-    /// so a broadcast to `n − 1` recipients stages pointer bumps — the
+    /// so a broadcast to `n − 1` recipients schedules pointer bumps — the
     /// simulator counterpart of the verify pool's verify-once-fan-out trick.
     /// The verdict is a pure function of the (immutable) message bytes, so
     /// sharing it across recipients changes nothing observable; each
@@ -197,34 +184,12 @@ enum EventKind {
     SyncTimer,
     /// A time-triggered node fault boundary: crash the node, or bring it
     /// back in `mode` (which applies to recoveries only). View-triggered
-    /// boundaries never enter the queue; they resolve at window boundaries
-    /// from the highest observed view.
+    /// boundaries never enter the queue; they fire right after the event
+    /// that lifted the highest observed view to theirs.
     SetCrashed {
         crashed: bool,
         mode: RecoverMode,
     },
-}
-
-/// One event crossing a window boundary — a replica-to-replica delivery or a
-/// client batch from a workload tick — with the canonical ordering key
-/// `(deliver_at, origin, seq)` that makes queue insertion order independent
-/// of the order replicas happened to execute in: `origin` is the sending
-/// replica (or [`WORKLOAD_STREAM`] for client batches) and `seq` its own send
-/// counter, both of which depend only on that origin's execution order.
-struct Injection {
-    deliver_at: SimTime,
-    origin: u64,
-    seq: u64,
-    event: SimEvent,
-}
-
-/// One ordering epoch `[start, end)`. `limit` is `end` clipped to the
-/// instant after the run's last: events at or beyond it stay queued.
-#[derive(Clone, Copy)]
-struct Window {
-    start: SimTime,
-    end: SimTime,
-    limit: SimTime,
 }
 
 /// Resolves the verify-once verdict for an outbound envelope, memoising it in
@@ -256,42 +221,31 @@ pub struct SimRunner {
     /// Per-replica latency RNG streams (`derive(node)` of the run seed).
     rngs: Vec<SimRng>,
     busy_until: Vec<SimTime>,
-    /// Per-replica send counters (the canonical-order tiebreak).
-    send_seq: Vec<u64>,
     crashed: Vec<bool>,
     queue: EventQueue<SimEvent>,
     latency: LatencyModel,
     nic: NicModel,
     auth: Authenticator,
     metrics: Metrics,
-    /// Reused across every event of every window (cleared, capacity kept).
+    /// Reused across every event (cleared, capacity kept).
     effects: BufferedTransport,
-    /// Deliveries and client batches produced since the last window
-    /// boundary; sorted canonically and scheduled when the next window opens.
-    staged: Vec<Injection>,
     workload: Box<dyn Workload>,
     /// The workload generator's own RNG stream, independent of every
     /// replica's.
     workload_rng: SimRng,
-    /// Sequence counter of client batches (their canonical-order tiebreak).
-    client_seq: u64,
     /// Reusable arrival buffer handed to the workload each tick (cleared,
     /// capacity kept — arrival generation allocates nothing in steady state).
     tick_arrivals: Vec<Arrival>,
     /// Reusable per-replica workload buckets (indexed by node id): arrivals
     /// of one tick are grouped here without allocating per-tick maps.
     tick_txs: Vec<Vec<ClientRequest>>,
-    tick_latest: Vec<SimTime>,
     /// Unresolved view-triggered fault boundaries:
     /// `(node, view, crash?, recover mode)`.
     view_triggers: Vec<(NodeId, View, bool, RecoverMode)>,
     /// Highest view any replica has reached (drives view triggers).
     max_view: View,
-    /// Events popped so far, over all windows.
+    /// Events popped so far.
     processed: u64,
-    /// End of the window currently executing; staged deliveries must land at
-    /// or beyond it (the lookahead invariant the ordering epochs rest on).
-    window_end: SimTime,
 }
 
 impl SimRunner {
@@ -351,7 +305,7 @@ impl SimRunner {
         };
 
         // Register the node-fault schedule: time triggers become queue
-        // events, view triggers wait for a window boundary to see their view.
+        // events, view triggers wait for the cluster to reach their view.
         let mut queue = EventQueue::new();
         let mut view_triggers = Vec::new();
         for fault in &options.node_faults {
@@ -385,7 +339,6 @@ impl SimRunner {
                 .map(|node| seed_rng.derive(node))
                 .collect(),
             busy_until: vec![SimTime::ZERO; nodes],
-            send_seq: vec![0; nodes],
             crashed: vec![false; nodes],
             queue,
             latency,
@@ -393,17 +346,13 @@ impl SimRunner {
             auth,
             metrics: Metrics::new(options.series_bucket),
             effects: BufferedTransport::new(),
-            staged: Vec::new(),
             workload,
             workload_rng: seed_rng.derive(WORKLOAD_STREAM),
-            client_seq: 0,
             tick_arrivals: Vec::new(),
             tick_txs: vec![Vec::new(); nodes],
-            tick_latest: vec![SimTime::ZERO; nodes],
             view_triggers,
             max_view: View::GENESIS,
             processed: 0,
-            window_end: SimTime::ZERO,
             options,
             config,
         }
@@ -418,120 +367,88 @@ impl SimRunner {
 
     /// Runs the simulation to completion and produces the report.
     ///
-    /// Boots every replica at time zero, then loops over window boundaries:
-    /// check the event cap, pick the next non-empty window (skipping empty
-    /// ones), generate the workload ticks that fall inside it, sort the
-    /// staged batch canonically, and run the window.
+    /// Boots every replica at time zero, then loops: pop the earliest event
+    /// strictly before the next workload tick (before the instant after the
+    /// run's last once ticks are exhausted), else fire the tick, else stop.
     pub fn run(mut self) -> RunReport {
         let end = SimTime::ZERO + self.config.runtime;
-        let window_nanos = self.latency.lookahead().as_nanos().max(1);
-        // Boot-time sends (the view-1 leader's proposal) are staged like any
-        // other delivery.
+        // Events at or beyond the instant after the run's last stay queued.
+        let stop = end + SimDuration::from_nanos(1);
         for node in 0..self.config.nodes as u64 {
             self.step(NodeId(node), SimTime::ZERO, |host, start, effects| {
                 host.start(start, effects)
             });
         }
         let mut ticks: u64 = 0;
+        // Ticks cover `[0, runtime)`: one at `runtime` would issue a
+        // millisecond of arrivals the run never simulates.
         let mut next_tick = SimTime::ZERO;
-        // The batch of the window about to run; swapped with `staged` at
-        // every boundary and drained by the window, so both keep capacity.
-        let mut due: Vec<Injection> = Vec::new();
-        loop {
-            if self.processed + ticks > self.options.max_events {
-                break;
-            }
-            // Skip straight to the window holding the earliest pending work.
-            let earliest = (self.queue.peek_time().into_iter())
-                .chain(self.staged.iter().map(|injection| injection.deliver_at))
-                .chain((next_tick <= end).then_some(next_tick))
-                .min();
-            let Some(earliest) = earliest.filter(|&earliest| earliest <= end) else {
-                break;
-            };
-            let index = earliest.0 / window_nanos;
-            let window_end = SimTime((index + 1).saturating_mul(window_nanos));
-            let window = Window {
-                start: SimTime(index.saturating_mul(window_nanos)),
-                end: window_end,
-                limit: SimTime(window_end.0.min(end.0.saturating_add(1))),
-            };
-            // Workload ticks falling inside this window generate their
-            // client batches now; their deliveries land at or beyond the
-            // boundary (client links obey the same lookahead floor).
-            while next_tick <= end && next_tick < window.end {
+        while self.processed + ticks <= self.options.max_events {
+            let tick_due = next_tick < end;
+            let limit = if tick_due { next_tick } else { stop };
+            if let Some((time, event)) = self.queue.pop_if_before(limit) {
+                self.processed += 1;
+                self.fire(time, event);
+                self.fire_view_triggers(time);
+            } else if tick_due {
                 self.generate_tick(next_tick);
                 ticks += 1;
                 next_tick += WORKLOAD_TICK;
+            } else {
+                break;
             }
-            // Canonical boundary order: independent of which replica's step
-            // ran first inside the previous window.
-            self.staged
-                .sort_unstable_by_key(|i| (i.deliver_at, i.origin, i.seq));
-            std::mem::swap(&mut self.staged, &mut due);
-            self.run_window(window, &mut due);
         }
         self.report(ticks)
     }
 
-    /// Executes one window: applies the view-triggered crash flips that
-    /// resolved at the boundary, schedules the boundary's canonical batch,
-    /// then drains the queue up to `window.limit` (exclusive).
-    fn run_window(&mut self, window: Window, due: &mut Vec<Injection>) {
-        self.window_end = window.end;
-        // The opening edge is a boundary-aligned instant that depends only on
-        // simulated state, so a view-recovered replica restarts at the same
-        // simulated time in every execution. Restart effects are staged for
-        // the *next* boundary, like any other step's.
-        let reached = self.max_view;
-        let mut index = 0;
-        while index < self.view_triggers.len() {
-            let (node, view, crashed, mode) = self.view_triggers[index];
-            if view <= reached {
-                self.view_triggers.remove(index);
-                self.set_crashed(node, crashed, mode, window.start);
-            } else {
-                index += 1;
+    /// Hands one popped event to the replica it addresses.
+    fn fire(&mut self, time: SimTime, SimEvent { node, kind }: SimEvent) {
+        match kind {
+            // The envelope was verified once when it was sent; the token
+            // hands it to the replica with no further wall-clock crypto
+            // (modeled costs are charged by the replica).
+            EventKind::Deliver(token) => self.step(node, time, |host, start, effects| {
+                host.handle_verified(token, start, effects)
+            }),
+            // Book the rejection at the recipient's busy server with the
+            // modeled cost of discovering the forgery.
+            EventKind::DeliverForged(message) => {
+                self.step(node, time, |host, _, _| host.reject_forged(&message))
             }
-        }
-        for injection in due.drain(..) {
-            self.queue.schedule(injection.deliver_at, injection.event);
-        }
-        while let Some((time, SimEvent { node, kind })) = self.queue.pop_if_before(window.limit) {
-            self.processed += 1;
-            match kind {
-                // The envelope was verified once when it was sent; the token
-                // hands it to the replica with no further wall-clock crypto
-                // (modeled costs are charged by the replica).
-                EventKind::Deliver(token) => self.step(node, time, |host, start, effects| {
-                    host.handle_verified(token, start, effects)
-                }),
-                // Book the rejection at the recipient's busy server with the
-                // modeled cost of discovering the forgery.
-                EventKind::DeliverForged(message) => {
-                    self.step(node, time, |host, _, _| host.reject_forged(&message))
-                }
-                // The edge verification stage lives in the host: in
-                // signed-client mode the batch is checked 4-wide (and charged
-                // as such) before the stripped transactions are admitted to
-                // the mempool.
-                EventKind::ClientBatch(requests) => {
-                    self.step(node, time, |host, start, effects| {
-                        host.handle_client_batch(requests, start, effects)
-                    })
-                }
-                EventKind::Timer(view) => {
-                    self.dispatch(node, ReplicaEvent::TimerFired { view }, time)
-                }
-                EventKind::ProposeNow(view) => {
-                    self.dispatch(node, ReplicaEvent::ProposeNow { view }, time)
-                }
-                EventKind::SyncTimer => self.dispatch(node, ReplicaEvent::SyncTimer, time),
-                EventKind::SetCrashed { crashed, mode } => {
-                    self.set_crashed(node, crashed, mode, time)
-                }
+            // The edge verification stage lives in the host: in
+            // signed-client mode the batch is checked 4-wide (and charged
+            // as such) before the stripped transactions are admitted to
+            // the mempool.
+            EventKind::ClientBatch(requests) => self.step(node, time, |host, start, effects| {
+                host.handle_client_batch(requests, start, effects)
+            }),
+            EventKind::Timer(view) => self.dispatch(node, ReplicaEvent::TimerFired { view }, time),
+            EventKind::ProposeNow(view) => {
+                self.dispatch(node, ReplicaEvent::ProposeNow { view }, time)
             }
+            EventKind::SyncTimer => self.dispatch(node, ReplicaEvent::SyncTimer, time),
+            EventKind::SetCrashed { crashed, mode } => self.set_crashed(node, crashed, mode, time),
         }
+    }
+
+    /// Fires, at `time`, every view-triggered fault boundary whose view the
+    /// cluster's high-water mark has reached. The mark is re-read per
+    /// boundary: a restart it causes is a step like any other.
+    fn fire_view_triggers(&mut self, time: SimTime) {
+        while let Some(index) =
+            (self.view_triggers.iter()).position(|&(_, view, _, _)| view <= self.max_view)
+        {
+            let (node, _, crashed, mode) = self.view_triggers.remove(index);
+            self.set_crashed(node, crashed, mode, time);
+        }
+    }
+
+    /// Puts one event on the queue. The engine never schedules into the
+    /// simulated past: `at` is at or after `now`, the instant being
+    /// processed.
+    fn schedule(&mut self, now: SimTime, at: SimTime, node: NodeId, kind: EventKind) {
+        debug_assert!(at >= now, "event at {at:?} scheduled from {now:?}");
+        self.queue.schedule(at, SimEvent { node, kind });
     }
 
     fn dispatch(&mut self, node: NodeId, event: ReplicaEvent, time: SimTime) {
@@ -565,8 +482,7 @@ impl SimRunner {
     /// [`RecoverMode::Resume`] restarts the replica — from its checkpoint or
     /// its durable log, after the armed crash-point fault mangled it — and
     /// the restart effects (view timer, the immediate state-transfer request)
-    /// flow through the same absorb path, and thus the same canonical
-    /// boundary ordering, as any other step.
+    /// flow through the same absorb path as any other step's.
     fn set_crashed(&mut self, node: NodeId, crashed: bool, mode: RecoverMode, time: SimTime) {
         let was = std::mem::replace(&mut self.crashed[node.index()], crashed);
         if was && !crashed && mode != RecoverMode::Resume {
@@ -580,8 +496,8 @@ impl SimRunner {
     }
 
     /// Maps one step's effects onto the simulated substrate: commits into
-    /// metrics and the workload, timers and proposals onto the queue,
-    /// outbound messages into the staged batch.
+    /// metrics and the workload, timers, proposals and outbound messages
+    /// onto the queue.
     fn absorb(
         &mut self,
         node: NodeId,
@@ -594,7 +510,7 @@ impl SimRunner {
         self.busy_until[index] = finish;
 
         // Track the view high-water mark; view-triggered fault boundaries
-        // resolve from it at the next window boundary.
+        // resolve from it once this event is done.
         self.max_view = self
             .max_view
             .max(self.hosts[index].replica().current_view());
@@ -602,7 +518,7 @@ impl SimRunner {
         // Commits: record metrics at the observer replica only, so every
         // transaction is counted exactly once. The client-response delay is
         // drawn from the observer's own stream. Closed-loop clients hear of
-        // the commit here; the workload is next consulted at a boundary.
+        // the commit here; the workload is next consulted at its next tick.
         if node == self.observer() {
             for block in &report.committed {
                 self.metrics.record_block();
@@ -621,20 +537,15 @@ impl SimRunner {
             }
         }
 
-        // Timers, delayed proposals and sync timers are self-events: they go
-        // straight into the queue and may even fire within the current
-        // window.
+        // Timers, delayed proposals and sync timers are self-events.
         for (view, deadline) in effects.timers.drain(..) {
-            let kind = EventKind::Timer(view);
-            self.queue.schedule(deadline, SimEvent { node, kind });
+            self.schedule(start, deadline, node, EventKind::Timer(view));
         }
         for (view, at) in effects.proposals.drain(..) {
-            let kind = EventKind::ProposeNow(view);
-            self.queue.schedule(at, SimEvent { node, kind });
+            self.schedule(start, at, node, EventKind::ProposeNow(view));
         }
         for deadline in effects.sync_timers.drain(..) {
-            let kind = EventKind::SyncTimer;
-            self.queue.schedule(deadline, SimEvent { node, kind });
+            self.schedule(start, deadline, node, EventKind::SyncTimer);
         }
 
         // Outbound messages leave the sender once its CPU is done. Each
@@ -642,10 +553,9 @@ impl SimRunner {
         // recipient whose link actually delivers, so messages dropped by
         // partitions or dead links cost no wall-clock crypto — and every
         // further recipient gets an `Arc`-backed clone of the proof token (or
-        // of the forged envelope): a broadcast stages n − 1 pointer bumps
+        // of the forged envelope): a broadcast schedules n − 1 pointer bumps
         // instead of n − 1 envelope deep-copies and n − 1 redundant
-        // signature checks. Deliveries are staged for the next boundary; the
-        // lookahead guarantees they land at or beyond the window end.
+        // signature checks.
         for (dest, message) in effects.sends.drain(..) {
             let bytes = message.wire_size();
             let nic_delay = self.nic.transfer(bytes);
@@ -662,37 +572,19 @@ impl SimRunner {
                 self.metrics.record_message(bytes);
                 if let Some(delay) = self.latency.sample(&mut self.rngs[index], node, to, finish) {
                     let kind = delivery_for(&mut verdict, &mut self.auth, node, &message);
-                    self.stage(node, to, finish + nic_delay + delay, kind);
+                    self.schedule(start, finish + nic_delay + delay, to, kind);
                 }
             }
         }
     }
 
-    /// Stages one delivery under the sender's canonical sequence number.
-    fn stage(&mut self, node: NodeId, to: NodeId, deliver_at: SimTime, kind: EventKind) {
-        debug_assert!(
-            deliver_at >= self.window_end,
-            "delivery at {deliver_at:?} undercuts the window end {:?} — lookahead violated",
-            self.window_end
-        );
-        let seq = &mut self.send_seq[node.index()];
-        self.staged.push(Injection {
-            deliver_at,
-            origin: node.0,
-            seq: *seq,
-            event: SimEvent { node: to, kind },
-        });
-        *seq += 1;
-    }
-
-    /// Generates the client arrivals of one workload tick, grouped into
-    /// per-replica batches, and stages them for the window about to open.
+    /// Generates the client arrivals of the workload tick at `now`, grouped
+    /// into per-replica batches, and schedules their deliveries.
     fn generate_tick(&mut self, now: SimTime) {
-        let window_end = now + WORKLOAD_TICK;
         let mut arrivals = std::mem::take(&mut self.tick_arrivals);
         arrivals.clear();
-        self.workload
-            .arrivals(now, window_end, &mut self.workload_rng, &mut arrivals);
+        let rng = &mut self.workload_rng;
+        (self.workload).arrivals(now, now + WORKLOAD_TICK, rng, &mut arrivals);
         if arrivals.is_empty() {
             self.tick_arrivals = arrivals;
             return;
@@ -703,15 +595,7 @@ impl SimRunner {
         // deterministic order.
         for arrival in arrivals.drain(..) {
             let index = arrival.replica.index();
-            let issued_at = arrival.issued_at;
-            let latest = &mut self.tick_latest[index];
-            let bucket = &mut self.tick_txs[index];
-            if bucket.is_empty() {
-                *latest = issued_at;
-            } else {
-                *latest = (*latest).max(issued_at);
-            }
-            bucket.push(arrival.into_request());
+            self.tick_txs[index].push(arrival.into_request());
         }
         self.tick_arrivals = arrivals;
         for index in 0..self.tick_txs.len() {
@@ -724,18 +608,13 @@ impl SimRunner {
                 .latency
                 .sample(&mut self.workload_rng, NodeId(u64::MAX), replica, now)
                 .unwrap_or(SimDuration::ZERO);
-            let deliver_at = self.tick_latest[index] + delay;
-            let requests = std::mem::take(&mut self.tick_txs[index]);
-            self.staged.push(Injection {
-                deliver_at,
-                origin: WORKLOAD_STREAM,
-                seq: self.client_seq,
-                event: SimEvent {
-                    node: replica,
-                    kind: EventKind::ClientBatch(requests),
-                },
-            });
-            self.client_seq += 1;
+            let batch = std::mem::take(&mut self.tick_txs[index]);
+            // A batch leaves its client when its last request is issued, and
+            // never before the tick: a closed-loop follow-up is stamped with
+            // its predecessor's confirmation time, which lies before the
+            // tick that hands it over.
+            let leaves = (batch.iter().map(|r| r.transaction.issued_at)).fold(now, SimTime::max);
+            self.schedule(now, leaves + delay, replica, EventKind::ClientBatch(batch));
         }
     }
 
@@ -792,9 +671,9 @@ impl SimRunner {
             client_auth_rejections: hosts.iter().map(NodeHost::client_auth_rejections).sum(),
             mempool: metrics.mempool_totals(),
             pending_txs: self.workload.total_issued().saturating_sub(committed_txs),
-            // Ticks are generated at window boundaries and never occupy a
-            // queue slot, but they count as engine events for continuity
-            // with the event-queued tick of earlier engines.
+            // Ticks never occupy a queue slot, but they count as engine
+            // events for continuity with the event-queued tick of earlier
+            // engines.
             events_processed: self.processed + ticks,
             events_scheduled: self.queue.total_scheduled() + ticks,
             queue_peak_len: self.queue.live_high_water() as u64,
@@ -971,16 +850,46 @@ mod tests {
             ..RunOptions::default()
         };
         let capped = SimRunner::new(base_config(4, 3_000.0), ProtocolKind::HotStuff, options).run();
-        // The cap is checked at window boundaries, so the run overshoots it
-        // by less than one window's events and stops well short of the end.
-        assert!(capped.events_processed > cap);
-        assert!(capped.events_processed < full.events_processed / 2);
+        // The cap is checked before every event: the run stops on the first
+        // one past it.
+        assert_eq!(capped.events_processed, cap + 1);
         assert!(capped.committed_txs > 0 && capped.committed_txs < full.committed_txs);
         assert_eq!(capped.safety_violations, 0);
         assert_eq!(capped.latency.count, capped.committed_txs);
         assert!(capped.pending_txs > 0, "issued work was cut off mid-flight");
         assert!(capped.events_scheduled >= capped.events_processed);
         assert_eq!(capped.duration_secs, full.duration_secs);
+    }
+
+    /// "Offered = committed + pending": the run issues exactly the arrivals
+    /// of `[0, runtime)`, none for a tick at `runtime` it never simulates.
+    #[test]
+    fn an_open_loop_run_offers_exactly_the_arrivals_of_its_runtime() {
+        let (config, options) = (base_config(4, 3_000.0), RunOptions::default());
+        let report = SimRunner::new(config.clone(), ProtocolKind::HotStuff, options).run();
+        // Replay the workload's own stream the way the engine consumes it:
+        // per tick, the arrivals, then one client → replica delay per
+        // replica that received any, in ascending node order.
+        let mut rng = SimRng::new(config.seed).derive(WORKLOAD_STREAM);
+        let mut workload = OpenLoopWorkload::new(3_000.0, config.payload_size, config.nodes);
+        let latency = LatencyModel::new(config.link_latency_mean, config.link_latency_std);
+        let mut arrivals = Vec::new();
+        let mut offered = 0;
+        let mut tick = SimTime::ZERO;
+        while tick < SimTime::ZERO + config.runtime {
+            arrivals.clear();
+            workload.arrivals(tick, tick + WORKLOAD_TICK, &mut rng, &mut arrivals);
+            offered += arrivals.len() as u64;
+            let mut replicas: Vec<NodeId> = arrivals.iter().map(|a| a.replica).collect();
+            replicas.sort_unstable();
+            replicas.dedup();
+            for replica in replicas {
+                latency.sample(&mut rng, NodeId(u64::MAX), replica, tick);
+            }
+            tick += WORKLOAD_TICK;
+        }
+        assert!(report.pending_txs > 0, "the comparison would be vacuous");
+        assert_eq!(report.committed_txs + report.pending_txs, offered);
     }
 
     #[test]
@@ -1074,8 +983,8 @@ mod tests {
             report.timeout_view_changes > 0,
             "node 1's unrecovered crash must cost its leader views"
         );
-        // The trigger resolves at a window boundary from simulated state
-        // alone, so a second execution fires it at the same instant.
+        // The trigger resolves from simulated state alone, so a second
+        // execution fires it at the same instant.
         let again = SimRunner::new(cfg, ProtocolKind::HotStuff, options).run();
         assert_eq!(report.replay_key(), again.replay_key());
     }

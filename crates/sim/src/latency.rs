@@ -3,17 +3,14 @@
 //! One-way message delay from `from` to `to` is sampled as
 //!
 //! ```text
-//! delay = max(link_floor, Normal(link.mean, link.std)) + extra ± jitter + fluctuation(t) + slow(node)
+//! delay = max(1 µs, Normal(link.mean, link.std)) + extra ± jitter + fluctuation(t) + slow(node)
 //! ```
 //!
-//! with `link_floor = max(floor, mean/4, mean − 3σ)` per link class — a
-//! statistically invisible clamp (≤0.13% of draws) that gives every class a
-//! positive minimum delay, from which [`LatencyModel::lookahead`] derives the
-//! width of the engine's ordering epochs.
-//!
-//! where `link` is the per-pair delay distribution resolved by the
-//! [`Topology`] — regions with intra/inter-region distributions and exact
-//! (possibly asymmetric) per-link overrides. A [`Topology::uniform`]
+//! where the 1 µs clamp is the causality floor (no message arrives before it
+//! was sent; the Normal's left tail is otherwise untouched) and `link` is
+//! the per-pair delay distribution resolved by the [`Topology`] — regions
+//! with intra/inter-region distributions and exact (possibly asymmetric)
+//! per-link overrides. A [`Topology::uniform`]
 //! topology reduces to the paper's assumption that the RTT between any two
 //! nodes follows one normal distribution (§V-A2) and consumes the RNG
 //! identically to the pre-topology scalar model. On top of the base draw sit
@@ -24,7 +21,7 @@
 use bamboo_types::{NodeId, SimDuration, SimTime};
 
 use crate::rng::SimRng;
-use crate::topology::{DelayDist, Topology};
+use crate::topology::Topology;
 
 /// A time window during which every link experiences additional, uniformly
 /// distributed delay in `[min_extra, max_extra]` — the paper's "network
@@ -113,13 +110,16 @@ impl LinkFault {
     }
 }
 
+/// The minimum possible one-way delay: the causality floor of the base draw
+/// and the cost of a self-delivery.
+const FLOOR: SimDuration = SimDuration(1_000);
+
 /// Samples one-way network delays and applies injected faults.
 #[derive(Clone, Debug)]
 pub struct LatencyModel {
     topology: Topology,
     extra: SimDuration,
     extra_jitter: SimDuration,
-    floor: SimDuration,
     fluctuations: Vec<FluctuationWindow>,
     faults: Vec<LinkFault>,
 }
@@ -138,7 +138,6 @@ impl LatencyModel {
             topology,
             extra: SimDuration::ZERO,
             extra_jitter: SimDuration::ZERO,
-            floor: SimDuration::from_micros(1),
             fluctuations: Vec::new(),
             faults: Vec::new(),
         }
@@ -148,12 +147,6 @@ impl LatencyModel {
     pub fn with_extra_delay(mut self, extra: SimDuration, jitter: SimDuration) -> Self {
         self.extra = extra;
         self.extra_jitter = jitter;
-        self
-    }
-
-    /// Sets the minimum possible one-way delay.
-    pub fn with_floor(mut self, floor: SimDuration) -> Self {
-        self.floor = floor;
         self
     }
 
@@ -175,44 +168,6 @@ impl LatencyModel {
     /// The per-link topology the base delays are drawn from.
     pub fn topology(&self) -> &Topology {
         &self.topology
-    }
-
-    /// The hard minimum of one link class's base propagation delay: the
-    /// model floor, a quarter of the class mean, or `mean − 3σ`, whichever
-    /// is largest. The 3σ clamp trims ~0.13% of normal draws — statistically
-    /// invisible — while giving the engine's ordering epochs a per-class
-    /// lower bound that scales with the link instead of the global 1 µs
-    /// floor.
-    fn link_floor(&self, dist: DelayDist) -> SimDuration {
-        let mean = dist.mean.as_nanos();
-        let three_sigma = mean.saturating_sub(3 * dist.std.as_nanos());
-        SimDuration::from_nanos(self.floor.as_nanos().max(mean / 4).max(three_sigma))
-    }
-
-    /// A conservative lower bound on the one-way delay of **every**
-    /// replica-to-replica message the model can produce: the minimum over
-    /// all link classes of that class's floor (`max(model floor, mean/4,
-    /// mean − 3σ)` — see `link_floor`), plus the
-    /// smallest possible contribution of the constant extra delay
-    /// (`max(0, extra − jitter)`). Fluctuation windows and slow-node faults
-    /// only ever *add* delay, so they never shrink the bound.
-    ///
-    /// This is the width of the engine's ordering epochs: a message sent at
-    /// time `t` cannot be delivered to another replica before
-    /// `t + lookahead()`, so every delivery produced inside a window of this
-    /// width lands at or beyond the window's end.
-    pub fn lookahead(&self) -> SimDuration {
-        let extra_min = SimDuration::from_nanos(
-            self.extra
-                .as_nanos()
-                .saturating_sub(self.extra_jitter.as_nanos()),
-        );
-        self.topology
-            .link_classes()
-            .map(|class| self.link_floor(class))
-            .min()
-            .unwrap_or(self.floor)
-            + extra_min
     }
 
     /// Returns `None` if the message is dropped (partition), otherwise the
@@ -260,11 +215,11 @@ impl LatencyModel {
         }
 
         // Base normally distributed propagation delay of this link class,
-        // clamped at the per-class floor so the lookahead bound holds.
+        // clamped at the causality floor only.
         let dist = self.topology.dist(from, to);
         let base_ns = rng
             .normal(dist.mean.as_nanos() as f64, dist.std.as_nanos() as f64)
-            .max(self.link_floor(dist).as_nanos() as f64);
+            .max(FLOOR.as_nanos() as f64);
         let mut total = SimDuration::from_nanos(base_ns as u64);
 
         // Constant extra delay with uniform jitter in [-jitter, +jitter].
@@ -305,7 +260,7 @@ impl LatencyModel {
 
         // Local delivery is cheap but not free.
         if from == to {
-            return Some(self.floor);
+            return Some(FLOOR);
         }
         Some(total)
     }
@@ -319,20 +274,21 @@ mod tests {
         SimDuration::from_millis(v)
     }
 
+    /// `n` draws of the link 0 → 1 at time zero.
+    fn draws(model: &LatencyModel, seed: u64, n: usize) -> Vec<SimDuration> {
+        let mut rng = SimRng::new(seed);
+        let draw = |_| model.sample(&mut rng, NodeId(0), NodeId(1), SimTime::ZERO);
+        (0..n).map(draw).collect::<Option<_>>().unwrap()
+    }
+
+    fn mean_ms(draws: &[SimDuration]) -> f64 {
+        draws.iter().map(|d| d.as_millis_f64()).sum::<f64>() / draws.len() as f64
+    }
+
     #[test]
     fn base_delay_matches_distribution() {
         let model = LatencyModel::new(ms(5), SimDuration::from_micros(500));
-        let mut rng = SimRng::new(1);
-        let n = 5_000;
-        let mean: f64 = (0..n)
-            .map(|_| {
-                model
-                    .sample(&mut rng, NodeId(0), NodeId(1), SimTime::ZERO)
-                    .unwrap()
-                    .as_millis_f64()
-            })
-            .sum::<f64>()
-            / n as f64;
+        let mean = mean_ms(&draws(&model, 1, 5_000));
         assert!((mean - 5.0).abs() < 0.1, "mean {mean}");
     }
 
@@ -340,31 +296,14 @@ mod tests {
     fn extra_delay_shifts_the_mean() {
         let model =
             LatencyModel::new(ms(1), SimDuration::from_micros(100)).with_extra_delay(ms(10), ms(2));
-        let mut rng = SimRng::new(2);
-        let n = 5_000;
-        let mean: f64 = (0..n)
-            .map(|_| {
-                model
-                    .sample(&mut rng, NodeId(0), NodeId(1), SimTime::ZERO)
-                    .unwrap()
-                    .as_millis_f64()
-            })
-            .sum::<f64>()
-            / n as f64;
+        let mean = mean_ms(&draws(&model, 2, 5_000));
         assert!((mean - 11.0).abs() < 0.2, "mean {mean}");
     }
 
     #[test]
     fn delay_never_goes_below_floor() {
-        let model = LatencyModel::new(SimDuration::from_nanos(10), ms(50))
-            .with_floor(SimDuration::from_micros(3));
-        let mut rng = SimRng::new(3);
-        for _ in 0..1000 {
-            let d = model
-                .sample(&mut rng, NodeId(0), NodeId(1), SimTime::ZERO)
-                .unwrap();
-            assert!(d >= SimDuration::from_micros(3));
-        }
+        let model = LatencyModel::new(SimDuration::from_nanos(10), ms(50));
+        assert!(draws(&model, 3, 1_000).iter().all(|&d| d >= FLOOR));
     }
 
     #[test]
@@ -501,43 +440,16 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_is_the_min_link_floor_plus_min_extra() {
-        // Default-config class: mean 250 µs, σ 50 µs. link_floor =
-        // max(1 µs, 62.5 µs, 250 − 150 µs) = 100 µs.
+    fn the_left_tail_of_the_normal_is_not_truncated() {
+        // The paper's network (§V-A2) is a plain Normal: about 0.13 % of the
+        // draws of a 250 µs ± 50 µs link fall below mean − 3σ = 100 µs.
         let us = SimDuration::from_micros;
-        let model = LatencyModel::new(us(250), us(50));
-        assert_eq!(model.lookahead(), us(100));
-        // The constant extra delay raises the bound by max(0, extra−jitter).
-        let with_extra = LatencyModel::new(us(250), us(50)).with_extra_delay(us(30), us(10));
-        assert_eq!(with_extra.lookahead(), us(120));
-        let jitter_swallows = LatencyModel::new(us(250), us(50)).with_extra_delay(us(5), us(10));
-        assert_eq!(jitter_swallows.lookahead(), us(100));
-        // Heterogeneous topology: the fastest class bounds the window.
-        let mut topo = crate::topology::Topology::uniform(ms(40), ms(4));
-        topo.add_region(
-            "lan",
-            [0, 1],
-            crate::topology::DelayDist::new(us(200), us(20)),
+        let draws = draws(&LatencyModel::new(us(250), us(50)), 11, 200_000);
+        let share = draws.iter().filter(|&&d| d < us(100)).count() as f64 / draws.len() as f64;
+        assert!(
+            (0.0005..=0.003).contains(&share),
+            "share below mean − 3σ: {share}"
         );
-        let hetero = LatencyModel::with_topology(topo);
-        // lan intra class: max(1 µs, 50 µs, 200 − 60 µs) = 140 µs.
-        assert_eq!(hetero.lookahead(), us(140));
-    }
-
-    #[test]
-    fn sampled_delays_never_undercut_the_lookahead() {
-        let us = SimDuration::from_micros;
-        // A noisy class (σ close to mean) exercises the 3σ/quarter-mean
-        // clamp: even deep-left-tail draws respect the published bound.
-        let model = LatencyModel::new(us(100), us(80)).with_extra_delay(us(20), us(50));
-        let bound = model.lookahead();
-        let mut rng = SimRng::new(11);
-        for i in 0..20_000u64 {
-            let d = model
-                .sample(&mut rng, NodeId(i % 4), NodeId((i + 1) % 4), SimTime::ZERO)
-                .unwrap();
-            assert!(d >= bound, "draw {d:?} below lookahead {bound:?}");
-        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A simulation schedule is sharply bimodal: the bulk of events are
 //! *near-future* deliveries (NIC + link latency, tens to hundreds of
 //! microseconds out) while a thin tail of *far* timers (pacemaker view
-//! timeouts, workload windows) sits orders of magnitude later. A single
+//! timeouts, scheduled faults) sits orders of magnitude later. A single
 //! binary heap pays `O(log n)` comparisons **and** moves whole entries on
 //! every operation; the [`EventQueue`] here instead uses a slab-backed
 //! two-level structure:
@@ -19,10 +19,12 @@
 //!   so timers neither bloat the wheel nor break ordering.
 //!
 //! Events scheduled for the same instant are delivered in insertion order
-//! (FIFO), exactly like the previous heap-based queue — the property tests
-//! in `tests/queue_properties.rs` pin pop-order equality against a reference
-//! binary heap over randomised schedules with ties, and the golden-replay
-//! suite pins whole-simulation equality.
+//! (FIFO), exactly like the previous heap-based queue, and that
+//! `(time, insertion)` order is the simulator's only event order. The
+//! property tests in `tests/queue_properties.rs` pin pop-order equality
+//! against a reference binary heap over randomised schedules with ties —
+//! for plain pops and for the bounded pops the engine drains with — and the
+//! golden-replay suite pins whole-simulation equality.
 //!
 //! # Example
 //!
@@ -160,9 +162,11 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event if it fires strictly before
     /// `limit`; otherwise leaves the queue untouched and returns `None`.
     ///
-    /// This is the windowed-execution primitive: the engine drains its queue
-    /// up to a window boundary without paying the O(bucket scan) of a separate
-    /// [`EventQueue::peek_time`] before every pop.
+    /// This is the only pop the engine uses: it drains the queue up to the
+    /// next workload tick (or the end of the run) without a separate peek.
+    /// A refused pop may still advance the wheel cursor to the refused
+    /// event's bucket; anything scheduled earlier afterwards is parked in
+    /// that bucket and pops by its own `(time, seq)` key.
     pub fn pop_if_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         self.pop_bounded(Some(limit))
     }
@@ -247,30 +251,6 @@ impl<E> EventQueue<E> {
         (entry.time, entry.seq)
     }
 
-    /// The timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let mut best: Option<(SimTime, u64)> = None;
-        if self.wheel_live > 0 {
-            // Non-mutating scan: find the first non-empty bucket from the
-            // cursor and take its minimum key.
-            for offset in 0..NUM_BUCKETS {
-                let index = ((self.cursor + offset) % NUM_BUCKETS) as usize;
-                if self.wheel[index].is_empty() {
-                    continue;
-                }
-                best = self.wheel[index].iter().map(|&s| self.key_of(s)).min();
-                break;
-            }
-        }
-        if let Some(Reverse((time, seq, _))) = self.overflow.peek() {
-            let key = (*time, *seq);
-            if best.map_or(true, |b| key < b) {
-                best = Some(key);
-            }
-        }
-        best.map(|(time, _)| time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -322,19 +302,10 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(7), "x");
-        assert_eq!(q.peek_time(), Some(SimTime(7)));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.total_scheduled(), 1);
-    }
-
-    #[test]
     fn empty_queue_behaviour() {
         let mut q: EventQueue<u8> = EventQueue::new();
         assert!(q.pop().is_none());
-        assert!(q.peek_time().is_none());
+        assert!(q.pop_if_before(SimTime(u64::MAX)).is_none());
         assert_eq!(q.len(), 0);
     }
 
@@ -420,7 +391,7 @@ mod tests {
     }
 
     #[test]
-    fn pop_if_before_respects_the_window_boundary() {
+    fn pop_if_before_respects_its_exclusive_limit() {
         let mut q = EventQueue::new();
         q.schedule(SimTime(10), "a");
         q.schedule(SimTime(20), "b");
@@ -430,7 +401,7 @@ mod tests {
         assert_eq!(q.pop_if_before(SimTime(20)), None);
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop_if_before(SimTime(21)), Some((SimTime(20), "b")));
-        // Far events stay put until a window reaches them, then drain.
+        // Far events stay put until the limit passes them, then drain.
         assert_eq!(q.pop_if_before(SimTime(50_000_000)), None);
         assert_eq!(
             q.pop_if_before(SimTime(200_000_000)),

@@ -219,19 +219,6 @@ impl Topology {
         self.regions.is_empty() && self.overrides.is_empty()
     }
 
-    /// Every delay class an ordered link may resolve to: the default
-    /// distribution, all region-matrix entries and all per-link overrides.
-    ///
-    /// This is a conservative superset — matrix entries between regions no
-    /// node pair actually crosses are included — which is exactly what a
-    /// lookahead bound wants: minimising over extra classes can only shrink
-    /// the window, never break its safety.
-    pub fn link_classes(&self) -> impl Iterator<Item = DelayDist> + '_ {
-        std::iter::once(self.default)
-            .chain(self.matrix.iter().copied())
-            .chain(self.overrides.iter().map(|(_, _, d)| *d))
-    }
-
     /// The delay distribution of the ordered link `from → to`.
     pub fn dist(&self, from: NodeId, to: NodeId) -> DelayDist {
         for (f, t, dist) in &self.overrides {

@@ -100,28 +100,73 @@ fn pop_order_matches_reference_heap_over_randomised_schedules() {
 }
 
 #[test]
-fn peek_time_always_matches_the_next_pop() {
-    let mut rng = SimRng::new(99);
-    let mut queue: EventQueue<u64> = EventQueue::new();
-    let mut now = SimTime::ZERO;
-    let mut last = SimTime::ZERO;
-    for i in 0..2_000u64 {
-        let time = next_time(&mut rng, now, last);
-        last = time;
-        queue.schedule(time, i);
-        if i % 3 == 0 {
-            let peeked = queue.peek_time().expect("queue is non-empty");
-            let (popped, _) = queue.pop().expect("queue is non-empty");
-            assert_eq!(peeked, popped);
-            now = popped;
+fn bounded_pops_match_the_reference_heap_under_random_limits() {
+    // `pop_if_before` is the only pop the engine uses. Limits land below, at
+    // and above the current minimum; a refused pop may leave the wheel cursor
+    // on the refused event's bucket, and events scheduled earlier than that
+    // afterwards are parked there — they must still pop by their own key.
+    for seed in 0u64..20 {
+        let mut rng = SimRng::new(seed * 104_729 + 17);
+        let mut queue: EventQueue<u64> = EventQueue::new();
+        let mut reference = ReferenceHeap::default();
+        let mut now = SimTime::ZERO;
+        let mut last_scheduled = SimTime::ZERO;
+        let mut event_id = 0u64;
+        let mut schedule =
+            |queue: &mut EventQueue<u64>, reference: &mut ReferenceHeap, time: SimTime| {
+                queue.schedule(time, event_id);
+                reference.schedule(time, event_id);
+                event_id += 1;
+            };
+        let mut refusals = 0u32;
+        let mut parked = 0u32;
+
+        for _ in 0..5_000 {
+            if reference.heap.len() < 5 || rng.choose_index(2) == 0 {
+                let time = next_time(&mut rng, now, last_scheduled);
+                last_scheduled = time;
+                schedule(&mut queue, &mut reference, time);
+                continue;
+            }
+            let min = reference.heap.peek().expect("non-empty").0 .0;
+            let limit = match rng.choose_index(4) {
+                // Below the minimum (never below `now`).
+                0 => SimTime(now.0 + rng.choose_index((min.0 - now.0) as usize + 1) as u64),
+                // Exactly at it: the limit is exclusive, so the pop is refused.
+                1 => min,
+                // Just above, and far above.
+                2 => SimTime(min.0 + 1),
+                _ => SimTime(min.0 + 1 + rng.choose_index(50_000_000) as u64),
+            };
+            let got = queue.pop_if_before(limit);
+            let want = if min < limit { reference.pop() } else { None };
+            assert_eq!(got, want, "seed {seed}: limit {limit:?}, minimum {min:?}");
+            match got {
+                Some((time, _)) => {
+                    assert!(time >= now, "seed {seed}: time went backwards");
+                    now = time;
+                }
+                None => {
+                    refusals += 1;
+                    // What a workload tick does after a refusal: schedule
+                    // ahead of the event the queue just declined to pop.
+                    if min > now && rng.choose_index(2) == 0 {
+                        let earlier = now.0 + rng.choose_index((min.0 - now.0) as usize) as u64;
+                        schedule(&mut queue, &mut reference, SimTime(earlier));
+                        parked += 1;
+                    }
+                }
+            }
         }
-    }
-    let mut prev = SimTime::ZERO;
-    while let Some(peeked) = queue.peek_time() {
-        let (popped, _) = queue.pop().unwrap();
-        assert_eq!(peeked, popped);
-        assert!(popped >= prev);
-        prev = popped;
+        assert!(refusals > 100 && parked > 50, "seed {seed}: vacuous grid");
+        loop {
+            let got = queue.pop_if_before(SimTime(u64::MAX));
+            assert_eq!(got, reference.pop(), "seed {seed}: drain pop diverged");
+            if got.is_none() {
+                break;
+            }
+        }
+        assert!(queue.is_empty());
     }
 }
 

@@ -75,10 +75,8 @@ fn same_seed_gives_identical_delay_streams() {
 #[test]
 fn uniform_topology_matches_the_scalar_reference_model() {
     // The reference implementation of the scalar model:
-    // delay = max(link_floor, Normal(mean, std)) with
-    // link_floor = max(1us, mean/4, mean - 3*std) — the per-class clamp the
-    // engine's lookahead window is derived from — and the global
-    // floor for self-delivery.
+    // delay = max(1us, Normal(mean, std)), and the same 1 us floor for
+    // self-delivery.
     for seed in [3u64, 11, 99, 4096] {
         let mean = us(250 + 10 * (seed % 7));
         let std = us(50);
@@ -86,10 +84,6 @@ fn uniform_topology_matches_the_scalar_reference_model() {
         let mut model_rng = SimRng::new(seed);
         let mut reference_rng = SimRng::new(seed);
         let mut schedule = SimRng::new(seed ^ 1);
-        let link_floor = us(1)
-            .as_nanos()
-            .max(mean.as_nanos() / 4)
-            .max(mean.as_nanos().saturating_sub(3 * std.as_nanos()));
         for i in 0..2_000 {
             let from = NodeId(schedule.uniform_range(0, 8));
             let to = NodeId(schedule.uniform_range(0, 8));
@@ -98,7 +92,7 @@ fn uniform_topology_matches_the_scalar_reference_model() {
                 .expect("no faults configured");
             let base = reference_rng
                 .normal(mean.as_nanos() as f64, std.as_nanos() as f64)
-                .max(link_floor as f64);
+                .max(us(1).as_nanos() as f64);
             let expected = if from == to {
                 us(1)
             } else {

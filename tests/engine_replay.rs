@@ -1,13 +1,19 @@
 //! Golden-replay determinism tests for the simulation engine.
 //!
-//! The fingerprints below were recorded from the window-epoch engine of
-//! PR 6, which replaced the single-queue global-RNG engine: latency draws
-//! moved to **per-replica RNG streams** (`derive(node)` of the run seed),
-//! and all replica-to-replica deliveries enter the queue at lookahead-wide
-//! window boundaries in a canonical `(deliver_at, origin, seq)` order
-//! (DESIGN.md §5). That re-pin was a one-time, deliberate break from the
-//! PR 3 fingerprints. The engine has since lost its sharded side (PR 18)
-//! without moving a pin, and every further engine change must again commit
+//! The fingerprints below were recorded from the plain event loop of PR 19
+//! and are the **second deliberate engine re-pin**. The first (PR 6) moved
+//! latency draws to per-replica RNG streams (`derive(node)` of the run seed)
+//! and cut time into lookahead-wide ordering epochs; PR 18 dropped the
+//! sharded side of that engine without moving a pin. PR 19 removed the
+//! epochs themselves (DESIGN.md §5 has the audit), which changed three
+//! things on purpose: same-instant events pop in the order they were
+//! scheduled instead of a `(deliver_at, origin, seq)` key sorted at window
+//! boundaries; workload ticks and view-triggered faults fire at their own
+//! instant instead of the next boundary; and the base latency draw is
+//! clamped at the 1 µs causality floor only, so the ~0.13 % of Normal draws
+//! below `mean − 3σ` are no longer lifted (the clamp existed only to make
+//! the lookahead positive). The run also stopped generating the phantom
+//! tick at `t = runtime`. Every further engine change must again commit
 //! **byte-identical ledgers** for the same seeds: every block id, proposal
 //! view, commit view, commit time and payload transaction id, across all six
 //! protocol kinds. Any divergence in event ordering, RNG call order or
@@ -33,8 +39,7 @@ fn run(protocol: ProtocolKind, nodes: usize, runtime_ms: u64, rate: f64, seed: u
 }
 
 /// `(protocol, nodes, runtime_ms, rate, seed, committed_txs, fingerprint)`
-/// recorded from the PR 6 window-epoch engine, which the sequential engine
-/// reproduces bit for bit.
+/// recorded from the PR 19 plain event loop.
 const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
     (
         ProtocolKind::HotStuff,
@@ -43,7 +48,7 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         3_000.0,
         7,
         917,
-        "11874219f970ca87dba47d9aaf29b373cb71cb351eab7a751ac4d798d95301db",
+        "8b77b8f6022a22c2edcf098b94b3d0e4a6d34871a333b3fe50b7fa570c8e521b",
     ),
     (
         ProtocolKind::TwoChainHotStuff,
@@ -52,7 +57,7 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         3_000.0,
         7,
         919,
-        "ec80c17c8b665c42b25379b006eb390f45c193f9876c9fd2c1ae06ead6906765",
+        "ceb220d30ad5a44f5f14e8d279508549d75ac19903bb899560c652a878bd7aa4",
     ),
     (
         ProtocolKind::Streamlet,
@@ -60,8 +65,8 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         300,
         3_000.0,
         7,
-        918,
-        "777544340b112d8d822a23ebad4353cfec959d4870ed5e20e22e6a546d0e15de",
+        920,
+        "b89cfef21d7cde33ac7544da16035f080be8c036962d4c7c4d108f79c2bf3790",
     ),
     (
         ProtocolKind::FastHotStuff,
@@ -70,7 +75,7 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         3_000.0,
         7,
         919,
-        "ec80c17c8b665c42b25379b006eb390f45c193f9876c9fd2c1ae06ead6906765",
+        "ceb220d30ad5a44f5f14e8d279508549d75ac19903bb899560c652a878bd7aa4",
     ),
     (
         ProtocolKind::Lbft,
@@ -79,7 +84,7 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         3_000.0,
         7,
         920,
-        "339645a97413adc287a66d1db6f1f028d741f22682ed8450ec885dc803c88879",
+        "c4a85586661dea0631a062e64075ef800e86b4beb796ac744d4573864678b8fc",
     ),
     (
         ProtocolKind::OriginalHotStuff,
@@ -88,10 +93,10 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         3_000.0,
         7,
         917,
-        "11874219f970ca87dba47d9aaf29b373cb71cb351eab7a751ac4d798d95301db",
+        "8b77b8f6022a22c2edcf098b94b3d0e4a6d34871a333b3fe50b7fa570c8e521b",
     ),
     // A broadcast-heavy mid-size run: covers the shared-envelope fan-out,
-    // bucket-wheel and barrier-exchange paths under real event pressure.
+    // and bucket-wheel paths under real event pressure.
     (
         ProtocolKind::HotStuff,
         16,
@@ -99,7 +104,7 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         8_000.0,
         2021,
         726,
-        "7a02f354eb7313c7f36881e5d40826244bf7c6e06c01b89ea87dc37192629287",
+        "da5671e459f8174d6c1aade8d2de73280a4b9b2db7f58d9e534c5911bb44a622",
     ),
 ];
 
