@@ -185,8 +185,8 @@ fn bench_forest(out: &mut RowFile) {
             .unwrap();
     }
     let tip = blocks.last().unwrap().id;
-    out.rows.push(bench("forest_certified_chain_length", || {
-        forest.certified_chain_length(tip)
+    out.rows.push(bench("forest_certified_chain_k3", || {
+        forest.certified_chain(tip, 3, false).map(|head| head.id)
     }));
     out.rows.push(bench("forest_extends_deep", || {
         forest.extends(tip, BlockId::GENESIS)

@@ -270,7 +270,7 @@ pub fn run_live_node(
             started = true;
             let log = host.replica().storage();
             if log.is_some_and(|log| log.records_appended() > 0 || log.checkpoint().is_some()) {
-                host.restart(RecoverMode::Durable(None), current, &mut transport);
+                host.restart(RecoverMode::Restart(None), current, &mut transport);
             } else {
                 host.start(current, &mut transport);
             }

@@ -17,7 +17,7 @@ use bamboo_forest::{
 };
 use bamboo_mempool::{Mempool, MempoolStats};
 use bamboo_pacemaker::{LeaderElection, Pacemaker, PacemakerAction};
-use bamboo_protocols::{make_safety, ProposalInput, Safety, VoteDestination};
+use bamboo_protocols::{make_protocol, Attack, ProposalInput, Safety, VoteDestination};
 use bamboo_sim::CpuModel;
 use bamboo_types::{
     BlockId, Bytes, Config, Height, Message, NodeId, ProtocolKind, QuorumCert, SharedBlock,
@@ -25,7 +25,7 @@ use bamboo_types::{
 };
 
 use crate::quorum::QuorumTracker;
-use crate::storage::{self, RecordKind, SegmentLog, StorageFault};
+use crate::storage::{self, RecordKind, ReplayResult, SegmentLog, StorageFault};
 
 /// Where an outbound message should be delivered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -183,7 +183,12 @@ pub struct Replica {
     forest: BlockForest,
     mempool: Mempool,
     pacemaker: Pacemaker,
+    /// The honest protocol rules — every replica runs them, attackers too.
     safety: Box<dyn Safety>,
+    /// What a Byzantine replica does instead on the two surfaces an attacker
+    /// controls: the proposal it makes and the votes it puts on the wire
+    /// (DESIGN.md §2.4). The identity for honest replicas.
+    attack: Attack,
     quorum: QuorumTracker,
     ledger: Ledger,
     cpu: CpuModel,
@@ -227,7 +232,8 @@ pub struct Replica {
 
 impl Replica {
     /// Creates a replica. Byzantine behaviour is selected from the config: if
-    /// `config.is_byzantine(id)` the configured strategy wraps the protocol.
+    /// `config.is_byzantine(id)` the configured strategy attacks beside the
+    /// protocol.
     pub fn new(
         id: NodeId,
         protocol: ProtocolKind,
@@ -239,7 +245,6 @@ impl Replica {
         } else {
             bamboo_types::ByzantineStrategy::Honest
         };
-        let safety = make_safety(protocol, strategy, config.nodes);
         let election = LeaderElection::new(config.nodes, config.leader_policy);
         let cpu_delay = options.cpu_delay_override.unwrap_or(config.cpu_delay);
         let cpu = CpuModel::new(cpu_delay).with_per_tx(SimDuration::from_nanos(400));
@@ -254,7 +259,8 @@ impl Replica {
             forest: BlockForest::new(),
             mempool: Mempool::with_shards(config.mempool_size, config.mempool_shards),
             pacemaker: Pacemaker::new(id, config.nodes, config.timeout),
-            safety,
+            safety: make_protocol(protocol),
+            attack: Attack::new(strategy, config.nodes),
             quorum: QuorumTracker::new(config.nodes),
             ledger: Ledger::new(),
             cpu,
@@ -341,12 +347,6 @@ impl Replica {
     /// Checkpoint and state-transfer counters for the metrics layer.
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.recovery
-    }
-
-    /// True while the replica is catching up via state transfer (voting and
-    /// proposing are suspended).
-    pub fn is_syncing(&self) -> bool {
-        self.syncing
     }
 
     /// Replaces the durable storage backend. The threaded cluster points
@@ -540,41 +540,28 @@ impl Replica {
             }
             out.cpu += self.cpu.sign();
             let vote = Vote::new(block_id, block_view, self.id, &self.keypair);
-            // A signature-forging attacker replaces its outbound votes; the
-            // honest vote is still processed locally either way, so forging
-            // can only corrupt what goes on the wire — where the receivers'
-            // ingress verification catches it.
-            let outbound = self.safety.forged_votes(&vote);
-            match self.safety.vote_destination() {
+            // Where the vote goes, and whether it also counts here: a vote
+            // to the next leader is ours only if we are that leader (then
+            // nothing leaves the process); a broadcast vote always is.
+            let next_leader = self.election.leader_of(block_view.next());
+            let (to, ours) = match self.safety.vote_destination() {
                 VoteDestination::NextLeader => {
-                    let next_leader = self.election.leader_of(block_view.next());
-                    if next_leader == self.id {
-                        self.on_vote(vote, true, now, out);
-                    } else {
-                        match outbound {
-                            Some(forged) => {
-                                for fake in forged {
-                                    out.send(Destination::Node(next_leader), Message::Vote(fake));
-                                }
-                            }
-                            None => out.send(Destination::Node(next_leader), Message::Vote(vote)),
-                        }
-                    }
+                    (Destination::Node(next_leader), next_leader == self.id)
                 }
-                VoteDestination::Broadcast => {
-                    match outbound {
-                        Some(forged) => {
-                            for fake in forged {
-                                out.send(Destination::AllReplicas, Message::Vote(fake));
-                            }
-                        }
-                        None => {
-                            out.send(Destination::AllReplicas, Message::Vote(vote.clone()));
-                        }
-                    }
-                    // Count our own (honest) vote locally.
-                    self.on_vote(vote, true, now, out);
+                VoteDestination::Broadcast => (Destination::AllReplicas, true),
+            };
+            // The wire is the attacker's second surface: a vote forger sends
+            // a flood in place of the honest vote. The honest vote is still
+            // the one counted locally, so forging can only corrupt what goes
+            // on the wire — where the receivers' ingress verification catches
+            // it.
+            if to != Destination::Node(self.id) {
+                for wire in self.attack.wire_votes(&vote) {
+                    out.send(to, Message::Vote(wire));
                 }
+            }
+            if ours {
+                self.on_vote(vote, true, now, out);
             }
         }
 
@@ -740,7 +727,7 @@ impl Replica {
             proposer: self.id,
             payload,
         };
-        match self.safety.propose(&input, &self.forest) {
+        match self.attack.propose(&*self.safety, &input, &self.forest) {
             Some(block) => {
                 out.cpu += self.cpu.assemble_block(payload_len);
                 // Wrap the block in its shared handle exactly once; the
@@ -1058,124 +1045,143 @@ impl Replica {
         }
     }
 
-    /// Restarts this replica with amnesia: every in-memory structure is
-    /// discarded and rebuilt from the latest checkpoint (or from genesis when
-    /// none was taken) — modelling a crashed process that comes back with
-    /// only its durable disk image. Returns the combined effects of the
-    /// restart: the fresh view timer, and an immediate state-transfer request
-    /// for the history lost since the checkpoint.
-    pub fn amnesia_restart(&mut self, now: SimTime) -> HandleResult {
+    /// Restarts this replica after a process death: every in-memory structure
+    /// is discarded and rebuilt from what the disk kept.
+    ///
+    /// With a durable log mounted ([`Config::durable_log`]) the death is
+    /// simulated against it — buffered writes lost, the optional crash-point
+    /// `fault` mauling the durable image — and the replica replays its
+    /// persisted checkpoint image plus the log's longest valid record prefix,
+    /// then restores the voted-view/locked-QC safety state from **every**
+    /// intact safety record so it can never double-vote. Without a log the
+    /// disk is the checkpoint chunk list alone (empty: restart from genesis)
+    /// and the same replay runs over no records.
+    ///
+    /// Either way the replica then asks the network for the history its disk
+    /// did not cover — *before* arming the view timer, so the syncing flag
+    /// suppresses proposing from stale state — and the combined effects are
+    /// returned.
+    pub fn restart(&mut self, now: SimTime, fault: Option<StorageFault>) -> HandleResult {
         let mut out = HandleResult::default();
-        let image = self.checkpoint_image();
-        self.reset_volatile(now);
-        if !image.is_empty() {
-            self.install_image(&image, &mut out);
-        }
-        self.rejoin(now, out)
-    }
-
-    /// Restarts this replica from its own durable storage: process death is
-    /// simulated against the segment log (buffered writes lost, the optional
-    /// crash-point `fault` mauling the durable image), then forest and ledger
-    /// are rebuilt from the persisted checkpoint plus the log's longest valid
-    /// record prefix, and the voted-view/locked-QC safety state is restored
-    /// so the recovered replica can never double-vote. Network sync covers
-    /// only the tail missed while down. A replica without storage degrades to
-    /// [`Replica::amnesia_restart`].
-    pub fn durable_restart(&mut self, now: SimTime, fault: Option<StorageFault>) -> HandleResult {
-        let Some(log) = self.storage.as_mut() else {
-            return self.amnesia_restart(now);
+        let replay = match self.storage.as_mut() {
+            Some(log) => {
+                if let Some(fault) = fault {
+                    log.schedule_fault(fault);
+                }
+                log.crash();
+                let replay = log.replay();
+                self.recovery.durable_restarts += 1;
+                // The modeled disk read: replay cost scales with bytes
+                // scanned, so recovery latency is a deterministic simulator
+                // output.
+                let replay_cost = self.cpu.disk_io(replay.bytes_read as usize);
+                out.cpu += replay_cost;
+                self.recovery.log_replay_nanos += replay_cost.as_nanos();
+                replay
+            }
+            None => {
+                let image = self.checkpoint_image();
+                ReplayResult {
+                    checkpoint: (!image.is_empty()).then_some((self.checkpoint_height, image)),
+                    ..ReplayResult::default()
+                }
+            }
         };
-        if let Some(fault) = fault {
-            log.schedule_fault(fault);
-        }
-        log.crash();
-        let replay = log.replay();
-
-        // Fresh volatile state, exactly as in an amnesia restart — but
-        // everything below is then rebuilt from the local durable image.
         self.reset_volatile(now);
-        self.recovery.durable_restarts += 1;
-
-        let mut out = HandleResult::default();
-        // The modeled disk read: replay cost scales with bytes scanned, so
-        // recovery latency is a deterministic simulator output.
-        let replay_cost = self.cpu.disk_io(replay.bytes_read as usize);
-        out.cpu += replay_cost;
-        self.recovery.log_replay_nanos += replay_cost.as_nanos();
-        self.recovery.corrupt_records_discarded += replay.corrupt_records_discarded;
 
         if let Some((_, image)) = &replay.checkpoint {
-            self.install_image(image, &mut out);
+            // An undecodable image leaves the genesis state in place.
+            out.cpu += self.cpu.snapshot(image.len());
+            if let Ok(snap) = Snapshot::decode(image) {
+                self.forest = snap.forest;
+                self.ledger = snap.ledger;
+                self.checkpoint_height = self.ledger.len() as u64;
+            }
         }
 
+        // The vote watermark is the maximum over every intact safety record,
+        // wherever it sits: the WAL rule made each one true when it was
+        // written, and nothing that broke around it makes it less so.
         let mut voted = View::GENESIS;
         let mut locked_qc: Option<QuorumCert> = None;
-        let mut replayed = 0u64;
+        let mut restore = |payload: &[u8]| match storage::decode_safety_record(payload) {
+            Ok((view, qc)) => {
+                voted = voted.max(view);
+                if qc.is_some() {
+                    locked_qc = qc;
+                }
+                true
+            }
+            Err(_) => false,
+        };
+        // Blocks and QCs keep the longest-valid-prefix rule: the first record
+        // that frames but does not apply — a decode failure, or a chain gap
+        // left by a dropped fsync — ends their replay, and everything after
+        // it counts as discarded (safety records too, though the watermark
+        // they carry is kept).
+        self.recovery.corrupt_records_discarded += replay.corrupt_records_discarded;
         let mut broken = false;
         for (kind, payload) in &replay.records {
+            let applied = match kind {
+                RecordKind::SafetyRecord => restore(payload),
+                _ if broken => false,
+                RecordKind::CommittedBlock => self.replay_committed(payload),
+                RecordKind::Qc => decode_qc_record(payload)
+                    .map(|qc| self.replay_qc(qc))
+                    .is_ok(),
+                RecordKind::CheckpointMarker => storage::decode_checkpoint_marker(payload).is_ok(),
+            };
+            broken |= !applied;
             if broken {
                 self.recovery.corrupt_records_discarded += 1;
-                continue;
-            }
-            let applied = match kind {
-                RecordKind::CommittedBlock => self.replay_committed(payload),
-                RecordKind::Qc => match decode_qc_record(payload) {
-                    Ok(qc) => {
-                        self.replay_qc(qc);
-                        true
-                    }
-                    Err(_) => false,
-                },
-                RecordKind::CheckpointMarker => storage::decode_checkpoint_marker(payload).is_ok(),
-                RecordKind::SafetyRecord => match storage::decode_safety_record(payload) {
-                    Ok((view, qc)) => {
-                        voted = voted.max(view);
-                        if qc.is_some() {
-                            locked_qc = qc;
-                        }
-                        true
-                    }
-                    Err(_) => false,
-                },
-            };
-            if applied {
-                replayed += 1;
             } else {
-                // A record that frames but does not apply — decode failure,
-                // or a chain gap left by a dropped fsync — ends replay:
-                // everything after it is off the recovered chain.
-                broken = true;
-                self.recovery.corrupt_records_discarded += 1;
+                self.recovery.records_replayed += 1;
             }
         }
-        self.recovery.records_replayed += replayed;
+        for payload in &replay.stray_safety_records {
+            restore(payload);
+        }
 
         // Restore the safety-critical state: re-derive the lock through the
         // protocol's own state-updating rule, then clamp the vote watermark.
         if let Some(qc) = locked_qc {
             self.replay_qc(qc);
         }
-        self.safety.restore_voted_view(voted);
-        self.restored_voted_view = Some(self.safety.voted_view());
+        if self.storage.is_some() {
+            self.safety.restore_voted_view(voted);
+            self.restored_voted_view = Some(self.safety.voted_view());
+        }
 
-        self.rejoin(now, out)
+        self.send_sync_request(now, &mut out);
+        let startup = self.start(now);
+        out.cpu += startup.cpu;
+        out.outbound.extend(startup.outbound);
+        out.timers.extend(startup.timers);
+        out.delayed_proposals.extend(startup.delayed_proposals);
+        out.sync_timers.extend(startup.sync_timers);
+        out.committed.extend(startup.committed);
+        out
+    }
+
+    /// Arms a crash-point fault on the mounted log ahead of the crash it
+    /// belongs to (a no-op without a log). [`StorageFault::DropFsync`] needs
+    /// this: the fsync it fails happens while the replica is still writing,
+    /// long before the restart that exposes the hole.
+    pub fn arm_storage_fault(&mut self, fault: StorageFault) {
+        if let Some(log) = self.storage.as_mut() {
+            log.schedule_fault(fault);
+        }
     }
 
     /// Discards every in-memory structure a process death loses — forest and
     /// ledger back to genesis, fresh safety rules, mempool, pacemaker, quorum
     /// tracker and sync state — and stamps the restart for the recovery
-    /// audit. Both restart flavours rebuild from here.
+    /// audit. What an attacker did so far is a counter and survives.
     fn reset_volatile(&mut self, now: SimTime) {
         self.forest = BlockForest::new();
         self.ledger = Ledger::new();
         self.checkpoint_height = 0;
-        let strategy = if self.config.is_byzantine(self.id) {
-            self.config.byzantine_strategy
-        } else {
-            bamboo_types::ByzantineStrategy::Honest
-        };
-        self.safety = make_safety(self.protocol, strategy, self.config.nodes);
+        self.safety = make_protocol(self.protocol);
         self.mempool = Mempool::with_shards(self.config.mempool_size, self.config.mempool_shards);
         self.pacemaker = Pacemaker::new(self.id, self.config.nodes, self.config.timeout);
         self.quorum = QuorumTracker::new(self.config.nodes);
@@ -1187,34 +1193,6 @@ impl Replica {
         self.sync_attempts = 0;
         self.recovery.restarted_at = Some(now);
         self.recovery.caught_up_at = None;
-    }
-
-    /// Rebuilds forest and ledger from a checkpoint `image`, charging the
-    /// modeled decode cost. An undecodable image leaves the genesis state in
-    /// place.
-    fn install_image(&mut self, image: &[u8], out: &mut HandleResult) {
-        out.cpu += self.cpu.snapshot(image.len());
-        if let Ok(snap) = Snapshot::decode(image) {
-            self.forest = snap.forest;
-            self.ledger = snap.ledger;
-            self.checkpoint_height = self.ledger.len() as u64;
-        }
-    }
-
-    /// The tail both restart flavours share: ask for the missing history
-    /// first (this marks us as syncing, which suppresses proposing from stale
-    /// state), then arm the view timer and fold the start-up effects into
-    /// `out`.
-    fn rejoin(&mut self, now: SimTime, mut out: HandleResult) -> HandleResult {
-        self.send_sync_request(now, &mut out);
-        let startup = self.start(now);
-        out.cpu += startup.cpu;
-        out.outbound.extend(startup.outbound);
-        out.timers.extend(startup.timers);
-        out.delayed_proposals.extend(startup.delayed_proposals);
-        out.sync_timers.extend(startup.sync_timers);
-        out.committed.extend(startup.committed);
-        out
     }
 
     /// Re-applies one durable committed-block record. Returns false when the
@@ -1299,11 +1277,22 @@ mod tests {
         cfg: Config,
         protocol: ProtocolKind,
         views: u64,
+        after_step: impl FnMut(&Replica),
+    ) -> Vec<Replica> {
+        drive_cluster(cluster(cfg, protocol), views, after_step)
+    }
+
+    fn cluster(cfg: Config, protocol: ProtocolKind) -> Vec<Replica> {
+        (0..4)
+            .map(|i| Replica::new(NodeId(i), protocol, cfg.clone(), ReplicaOptions::default()))
+            .collect()
+    }
+
+    fn drive_cluster(
+        mut replicas: Vec<Replica>,
+        views: u64,
         mut after_step: impl FnMut(&Replica),
     ) -> Vec<Replica> {
-        let mut replicas: Vec<Replica> = (0..4)
-            .map(|i| Replica::new(NodeId(i), protocol, cfg.clone(), ReplicaOptions::default()))
-            .collect();
         // Seed every replica's mempool.
         for (i, replica) in replicas.iter_mut().enumerate() {
             replica.handle(
@@ -1378,6 +1367,15 @@ mod tests {
             .unwrap()
     }
 
+    const ALL_PROTOCOLS: [ProtocolKind; 6] = [
+        ProtocolKind::HotStuff,
+        ProtocolKind::TwoChainHotStuff,
+        ProtocolKind::Streamlet,
+        ProtocolKind::FastHotStuff,
+        ProtocolKind::Lbft,
+        ProtocolKind::OriginalHotStuff,
+    ];
+
     /// The highest vote watermark the durable log would restore.
     fn durable_voted_view(replica: &Replica) -> View {
         let replay = replica.storage().expect("durable log").replay();
@@ -1393,14 +1391,7 @@ mod tests {
         // them; Streamlet commits from `on_vote`, so no vote follows in the
         // same step to rewrite it. Whatever the protocol, a crash right after
         // any cut must still restore the live watermark.
-        for protocol in [
-            ProtocolKind::HotStuff,
-            ProtocolKind::TwoChainHotStuff,
-            ProtocolKind::Streamlet,
-            ProtocolKind::FastHotStuff,
-            ProtocolKind::Lbft,
-            ProtocolKind::OriginalHotStuff,
-        ] {
+        for protocol in ALL_PROTOCOLS {
             let mut cuts = [0u64; 4];
             let mut checked = 0;
             drive_with(checkpointing(2, true), protocol, 24, |replica| {
@@ -1415,6 +1406,58 @@ mod tests {
                 }
             });
             assert!(checked > 8, "{protocol:?}: only {checked} cuts checked");
+        }
+    }
+
+    /// DESIGN §8.3's invariant is "the durable watermark is ≥ any vote ever
+    /// sent" — and it is only worth something if the *reader* returns it. An
+    /// early CRC flip or an early record-aligned hole ends block/QC replay
+    /// within the first few records; the newest safety record, intact further
+    /// down the log, must still be the watermark the restart restores.
+    #[test]
+    fn restart_restores_the_newest_intact_watermark_past_a_break() {
+        let cfg = Config::builder()
+            .nodes(4)
+            .block_size(10)
+            .seed(1)
+            .durable_log(true)
+            .fsync_interval(4)
+            .build()
+            .unwrap();
+        for protocol in ALL_PROTOCOLS {
+            for (label, hole, flip) in [
+                (
+                    "early hole",
+                    Some(StorageFault::DropFsync { index: 5 }),
+                    None,
+                ),
+                (
+                    "early CRC flip",
+                    None,
+                    Some(StorageFault::CorruptCrc { record: 3 }),
+                ),
+            ] {
+                let mut replicas = cluster(cfg.clone(), protocol);
+                if let Some(hole) = hole {
+                    replicas[2].arm_storage_fault(hole);
+                }
+                let mut victim = drive_cluster(replicas, 30, |_| {}).remove(2);
+                // Every vote was preceded by a flushed safety record, so the
+                // live watermark is the highest one on disk.
+                let on_disk = victim.safety.voted_view();
+                assert!(on_disk >= View(20), "{protocol:?}: ran to {on_disk:?}");
+                victim.restart(SimTime(1_000_000_000), flip);
+                let stats = victim.recovery_stats();
+                assert!(
+                    stats.corrupt_records_discarded > stats.records_replayed,
+                    "{protocol:?} {label}: the break was not early: {stats:?}"
+                );
+                assert_eq!(
+                    victim.restored_voted_view(),
+                    Some(on_disk),
+                    "{protocol:?} {label}: a vote intact on disk was forgotten"
+                );
+            }
         }
     }
 

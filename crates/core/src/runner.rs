@@ -60,6 +60,7 @@ use bamboo_types::{
 use crate::metrics::{Metrics, RecoveryReport, RunReport};
 use crate::replica::{Replica, ReplicaEvent, ReplicaOptions};
 use crate::runtime::{BufferedTransport, NodeHost, RecoverMode, StepReport};
+use crate::storage::StorageFault;
 use crate::workload::{Arrival, ClosedLoopWorkload, OpenLoopWorkload, Workload};
 
 /// RNG stream label of the workload generator. Replica `r` uses stream `r`;
@@ -85,8 +86,8 @@ pub enum FaultTrigger {
 /// A crashed node is blacked out at the network layer: events addressed to
 /// it are discarded and — since it therefore never handles anything — it
 /// sends nothing. Its internal timers are suspended too. How it comes back —
-/// resuming its pre-crash heap, restarting from its latest checkpoint, or
-/// replaying its own durable log — is the fault's [`RecoverMode`].
+/// resuming its pre-crash heap, or restarting from whatever its disk kept —
+/// is the fault's [`RecoverMode`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodeFault {
     /// The replica to crash.
@@ -270,7 +271,7 @@ impl SimRunner {
         }
         let nic = NicModel::new(config.bandwidth_bytes_per_sec);
 
-        let hosts: Vec<NodeHost> = (0..config.nodes as u64)
+        let mut hosts: Vec<NodeHost> = (0..config.nodes as u64)
             .map(|i| {
                 let mut replica_options = options.replica;
                 if let Some((node, from)) = options.silence_node_from {
@@ -310,6 +311,13 @@ impl SimRunner {
         let mut view_triggers = Vec::new();
         for fault in &options.node_faults {
             let node = fault.node;
+            if let RecoverMode::Restart(Some(dropped @ StorageFault::DropFsync { .. })) = fault.mode
+            {
+                // The fsync that fails does so while the victim is still
+                // writing, long before the crash that exposes the hole: arm
+                // it now. (The byte-mauling faults fire at the crash.)
+                hosts[node.index()].replica_mut().arm_storage_fault(dropped);
+            }
             let boundaries = [
                 (Some(fault.crash), true, RecoverMode::Resume),
                 (fault.recover, false, fault.mode),
@@ -478,11 +486,11 @@ impl SimRunner {
         self.effects = effects;
     }
 
-    /// Crashes `node` or brings it back at `time`. A recovery in any mode but
-    /// [`RecoverMode::Resume`] restarts the replica — from its checkpoint or
-    /// its durable log, after the armed crash-point fault mangled it — and
-    /// the restart effects (view timer, the immediate state-transfer request)
-    /// flow through the same absorb path as any other step's.
+    /// Crashes `node` or brings it back at `time`. A [`RecoverMode::Restart`]
+    /// recovery restarts the replica from what its disk kept, after the
+    /// crash-point fault mangled it, and the restart effects (view timer, the
+    /// immediate state-transfer request) flow through the same absorb path as
+    /// any other step's.
     fn set_crashed(&mut self, node: NodeId, crashed: bool, mode: RecoverMode, time: SimTime) {
         let was = std::mem::replace(&mut self.crashed[node.index()], crashed);
         if was && !crashed && mode != RecoverMode::Resume {

@@ -79,16 +79,16 @@ pub enum RecoverMode {
     /// blip, not a process death. The node catches up through the QCs
     /// embedded in the traffic it starts receiving again.
     Resume,
-    /// Discard in-memory state, restart from the latest checkpoint (whatever
-    /// [`Config::checkpoint_interval`] last persisted, or genesis) and
-    /// state-transfer the lost history back: a machine that rebooted.
-    Amnesia,
-    /// Restart from the node's own durable segment log and persisted
-    /// checkpoint image ([`Config::durable_log`]), optionally after a
-    /// crash-point [`StorageFault`] mangled the log, and state-transfer only
-    /// what the log did not cover. Without a log this degrades to
-    /// [`RecoverMode::Amnesia`].
-    Durable(Option<StorageFault>),
+    /// Discard in-memory state and restart from what the node's disk kept
+    /// ([`Replica::restart`]): a machine that rebooted. With
+    /// [`Config::durable_log`] that is the segment log plus the persisted
+    /// checkpoint image — optionally after a crash-point [`StorageFault`]
+    /// mangled the log — and only what the log did not cover is
+    /// state-transferred back. Without a log the disk is the checkpoint
+    /// chunks alone (whatever [`Config::checkpoint_interval`] last persisted,
+    /// or nothing: genesis), the fault has nothing to maul, and the whole
+    /// lost history comes back over the network.
+    Restart(Option<StorageFault>),
 }
 
 /// What one event step produced, after all effects were routed into the
@@ -161,11 +161,6 @@ impl NodeHost {
     /// such as timeout changes).
     pub fn replica_mut(&mut self) -> &mut Replica {
         &mut self.replica
-    }
-
-    /// Consumes the host and returns the replica (used at shutdown).
-    pub fn into_replica(self) -> Replica {
-        self.replica
     }
 
     /// Messages dropped at the ingress stage so far.
@@ -285,12 +280,10 @@ impl NodeHost {
         now: SimTime,
         transport: &mut dyn Transport,
     ) -> StepReport {
-        let result = match mode {
-            RecoverMode::Resume => return StepReport::default(),
-            RecoverMode::Amnesia => self.replica.amnesia_restart(now),
-            RecoverMode::Durable(fault) => self.replica.durable_restart(now, fault),
-        };
-        route(result, transport)
+        match mode {
+            RecoverMode::Resume => StepReport::default(),
+            RecoverMode::Restart(fault) => route(self.replica.restart(now, fault), transport),
+        }
     }
 
     /// Books a message that failed verification elsewhere (the simulator

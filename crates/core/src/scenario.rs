@@ -54,10 +54,10 @@ enum TriggerSpec {
 #[derive(Clone, Debug)]
 enum FaultSpec {
     /// Crash `node` (optionally recovering later) and bring it back in
-    /// `mode`: `"amnesia": true` selects [`RecoverMode::Amnesia`], the spec
-    /// kinds `"durable_restart"` and `"torn_log"` select
-    /// [`RecoverMode::Durable`] with the crash-point fault their `"fault"`
-    /// label names.
+    /// `mode`: `"amnesia": true` and the spec kinds `"durable_restart"` and
+    /// `"torn_log"` all select [`RecoverMode::Restart`], the latter two with
+    /// the crash-point fault their `"fault"` label names (and only with
+    /// `"durable_log": true`).
     Crash {
         node: NodeId,
         at: TriggerSpec,
@@ -216,8 +216,27 @@ fn field_str<'j>(obj: &'j Json, key: &str, context: &str) -> Result<&'j str, Str
         .ok_or_else(|| format!("{context}: missing or non-string field {key:?}"))
 }
 
+/// Reads an unsigned integer — a node id, count, view, index or size. JSON
+/// numbers are `f64`s and an `as u64` cast saturates, so `-1` would read as
+/// 0 and `4.9` as 4: anything negative, fractional or above 2^53 (where `f64`
+/// stops being exact) is rejected instead.
+fn uint(value: &Json, what: &str, context: &str) -> Result<u64, String> {
+    match value.as_f64() {
+        Some(v) if v >= 0.0 && v.fract() == 0.0 && v <= (1u64 << 53) as f64 => Ok(v as u64),
+        _ => Err(format!("{context}: {what} must be a non-negative integer")),
+    }
+}
+
+fn opt_uint(obj: &Json, key: &str, context: &str) -> Result<Option<u64>, String> {
+    obj.get(key).map(|v| uint(v, key, context)).transpose()
+}
+
+fn field_uint(obj: &Json, key: &str, context: &str) -> Result<u64, String> {
+    opt_uint(obj, key, context)?.ok_or_else(|| format!("{context}: missing field {key:?}"))
+}
+
 fn field_node(obj: &Json, key: &str, context: &str) -> Result<NodeId, String> {
-    Ok(NodeId(field_f64(obj, key, context)? as u64))
+    Ok(NodeId(field_uint(obj, key, context)?))
 }
 
 /// `[from_ms, until_ms)` window shared by several fault kinds.
@@ -237,9 +256,7 @@ fn group_mask(obj: &Json, context: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("{context}: missing \"group\" array"))?;
     let mut ids = Vec::with_capacity(nodes.len());
     for node in nodes {
-        let id = node
-            .as_f64()
-            .ok_or_else(|| format!("{context}: non-numeric group member"))? as u64;
+        let id = uint(node, "a group member", context)?;
         if id >= 64 {
             return Err(format!("{context}: group members must have id < 64"));
         }
@@ -284,20 +301,12 @@ fn parse_topology(spec: &Json, name: &str, cluster: u64) -> Result<Topology, Str
             let ids: Vec<u64> = if let Some(entries) = nodes.as_array() {
                 entries
                     .iter()
-                    .map(|n| {
-                        n.as_f64()
-                            .map(|v| v as u64)
-                            .ok_or_else(|| format!("{context}: non-numeric node id"))
-                            .and_then(&check)
-                    })
+                    .map(|n| uint(n, "a region node id", &context).and_then(&check))
                     .collect::<Result<_, _>>()?
             } else if let Some(range) = nodes.get("range").and_then(Json::as_array) {
-                let bound = |i: usize| {
-                    range
-                        .get(i)
-                        .and_then(Json::as_f64)
-                        .map(|v| v as u64)
-                        .ok_or_else(|| format!("{context}: range needs [start, end]"))
+                let bound = |i: usize| match range.get(i) {
+                    Some(bound) => uint(bound, "a range bound", &context),
+                    None => Err(format!("{context}: range needs [start, end]")),
                 };
                 let (start, end) = (bound(0)?, bound(1)?);
                 if start >= end {
@@ -355,12 +364,12 @@ fn parse_trigger(
     view_key: &str,
     context: &str,
 ) -> Result<Option<TriggerSpec>, String> {
-    match (opt_f64(obj, at_key), opt_f64(obj, view_key)) {
+    match (opt_f64(obj, at_key), opt_uint(obj, view_key, context)?) {
         (Some(_), Some(_)) => Err(format!(
             "{context}: {at_key:?} and {view_key:?} are mutually exclusive"
         )),
         (Some(ms), None) => Ok(Some(TriggerSpec::At(duration_ms(ms)))),
-        (None, Some(view)) => Ok(Some(TriggerSpec::AtView(View(view as u64)))),
+        (None, Some(view)) => Ok(Some(TriggerSpec::AtView(View(view)))),
         (None, None) => Ok(None),
     }
 }
@@ -424,16 +433,16 @@ fn parse_storage_fault(
         "torn_tail" => Ok(Some(StorageFault::TornTail)),
         "truncate_segment" => Ok(Some(StorageFault::TruncateSegment)),
         "corrupt_crc" => Ok(Some(StorageFault::CorruptCrc {
-            record: opt_f64(obj, "record").unwrap_or(0.0) as u64,
+            record: opt_uint(obj, "record", context)?.unwrap_or(0),
         })),
         "drop_fsync" => Ok(Some(StorageFault::DropFsync {
-            index: opt_f64(obj, "index").unwrap_or(0.0) as u64,
+            index: opt_uint(obj, "index", context)?.unwrap_or(0),
         })),
         other => Err(format!("{context}: unknown storage fault {other:?}")),
     }
 }
 
-fn parse_fault(obj: &Json, name: &str) -> Result<FaultSpec, String> {
+fn parse_fault(obj: &Json, name: &str, durable_log: bool) -> Result<FaultSpec, String> {
     let context = format!("{name}/faults");
     let kind = field_str(obj, "kind", &context)?;
     match kind {
@@ -446,7 +455,7 @@ fn parse_fault(obj: &Json, name: &str) -> Result<FaultSpec, String> {
                 ));
             }
             let mode = if amnesia {
-                RecoverMode::Amnesia
+                RecoverMode::Restart(None)
             } else {
                 RecoverMode::Resume
             };
@@ -464,11 +473,16 @@ fn parse_fault(obj: &Json, name: &str) -> Result<FaultSpec, String> {
                     "{context}: {kind} without a recovery trigger never restarts the node"
                 ));
             }
+            // Without the log there is nothing to replay and nothing for a
+            // storage fault to maul; make the spec say what it means.
+            if !durable_log {
+                return Err(format!("{context}: {kind} requires \"durable_log\": true"));
+            }
             Ok(FaultSpec::Crash {
                 node,
                 at,
                 recover,
-                mode: RecoverMode::Durable(parse_storage_fault(obj, kind, &context)?),
+                mode: RecoverMode::Restart(parse_storage_fault(obj, kind, &context)?),
             })
         }
         "rolling_leader" => {
@@ -535,8 +549,8 @@ fn parse_expectations(spec: &Json, name: &str) -> Result<Expectations, String> {
         min_throughput_tx_per_sec: opt_f64(obj, "min_throughput_tx_per_sec"),
         max_p99_latency_ms: opt_f64(obj, "max_p99_latency_ms"),
         min_chain_growth_rate: opt_f64(obj, "min_chain_growth_rate"),
-        min_auth_rejections: opt_f64(obj, "min_auth_rejections").map(|v| v as u64),
-        min_admission_rejections: opt_f64(obj, "min_admission_rejections").map(|v| v as u64),
+        min_auth_rejections: opt_uint(obj, "min_auth_rejections", &context)?,
+        min_admission_rejections: opt_uint(obj, "min_admission_rejections", &context)?,
         commit_latency_ordering: Vec::new(),
     };
     if let Some(pairs) = obj.get("commit_latency_ordering").and_then(Json::as_array) {
@@ -604,24 +618,25 @@ impl Scenario {
         }
 
         let mut base = Config {
-            nodes: field_f64(doc, "nodes", &name)? as usize,
+            nodes: field_uint(doc, "nodes", &name)? as usize,
             runtime: duration_ms(field_f64(doc, "runtime_ms", &name)?),
             ..Config::default()
         };
-        if let Some(v) = opt_f64(doc, "block_size") {
+        let count = |key: &str| opt_uint(doc, key, &name);
+        if let Some(v) = count("block_size")? {
             base.block_size = v as usize;
         }
-        if let Some(v) = opt_f64(doc, "payload_size") {
+        if let Some(v) = count("payload_size")? {
             base.payload_size = v as usize;
         }
-        if let Some(v) = opt_f64(doc, "mempool_size") {
+        if let Some(v) = count("mempool_size")? {
             base.mempool_size = v as usize;
         }
-        if let Some(v) = opt_f64(doc, "mempool_shards") {
+        if let Some(v) = count("mempool_shards")? {
             base.mempool_shards = v as usize;
         }
-        if let Some(v) = opt_f64(doc, "client_population") {
-            base.client_population = Some(v as u64);
+        if let Some(v) = count("client_population")? {
+            base.client_population = Some(v);
         }
         if matches!(doc.get("signed_requests"), Some(Json::Bool(true))) {
             base.signed_requests = true;
@@ -629,25 +644,25 @@ impl Scenario {
         if let Some(v) = opt_f64(doc, "timeout_ms") {
             base.timeout = duration_ms(v);
         }
-        if let Some(v) = opt_f64(doc, "seed") {
-            base.seed = v as u64;
+        if let Some(v) = count("seed")? {
+            base.seed = v;
         }
         if let Some(v) = opt_f64(doc, "cpu_us") {
             base.cpu_delay = SimDuration::from_nanos((v * 1_000.0) as u64);
         }
-        if let Some(v) = opt_f64(doc, "bandwidth_bytes_per_sec") {
-            base.bandwidth_bytes_per_sec = v as u64;
+        if let Some(v) = count("bandwidth_bytes_per_sec")? {
+            base.bandwidth_bytes_per_sec = v;
         }
-        if let Some(v) = opt_f64(doc, "checkpoint_interval_blocks") {
-            base.checkpoint_interval = Some(v as u64);
+        if let Some(v) = count("checkpoint_interval_blocks")? {
+            base.checkpoint_interval = Some(v);
         }
         if matches!(doc.get("durable_log"), Some(Json::Bool(true))) {
             base.durable_log = true;
         }
-        if let Some(v) = opt_f64(doc, "fsync_interval") {
+        if let Some(v) = count("fsync_interval")? {
             base.fsync_interval = v as usize;
         }
-        if let Some(v) = opt_f64(doc, "segment_bytes") {
+        if let Some(v) = count("segment_bytes")? {
             base.segment_bytes = v as usize;
         }
         match doc.get("leader") {
@@ -673,7 +688,7 @@ impl Scenario {
             .ok_or_else(|| format!("{name}: missing \"workload\""))?;
         if let Some(rate) = opt_f64(workload, "open_loop_tx_per_sec") {
             base.arrival_rate = Some(rate);
-        } else if let Some(clients) = opt_f64(workload, "closed_loop_clients") {
+        } else if let Some(clients) = opt_uint(workload, "closed_loop_clients", &name)? {
             base.arrival_rate = None;
             base.concurrency = clients as usize;
         } else {
@@ -686,7 +701,7 @@ impl Scenario {
             let strategy = field_str(byz, "strategy", &name)?;
             base.byzantine_strategy = ByzantineStrategy::from_label(strategy)
                 .ok_or_else(|| format!("{name}: unknown byzantine strategy {strategy:?}"))?;
-            base.byz_nodes = field_f64(byz, "count", &name)? as usize;
+            base.byz_nodes = field_uint(byz, "count", &name)? as usize;
         }
 
         let cluster = base.nodes as u64;
@@ -718,7 +733,7 @@ impl Scenario {
         let mut faults = Vec::new();
         if let Some(entries) = doc.get("faults").and_then(Json::as_array) {
             for entry in entries {
-                let fault = parse_fault(entry, &name)?;
+                let fault = parse_fault(entry, &name, base.durable_log)?;
                 match &fault {
                     FaultSpec::Crash { node, .. } => check_node(*node, "a crash fault")?,
                     FaultSpec::SlowNode { node, .. } => check_node(*node, "a slow_node fault")?,
@@ -735,23 +750,6 @@ impl Scenario {
                 }
                 faults.push(fault);
             }
-        }
-        // A durable restart without a durable log would silently degrade to
-        // an amnesia restart; make the spec say what it means.
-        if !base.durable_log
-            && faults.iter().any(|f| {
-                matches!(
-                    f,
-                    FaultSpec::Crash {
-                        mode: RecoverMode::Durable(_),
-                        ..
-                    }
-                )
-            })
-        {
-            return Err(format!(
-                "{name}: durable_restart/torn_log faults require \"durable_log\": true"
-            ));
         }
 
         let mut cpu_overrides = Vec::new();
@@ -1211,6 +1209,71 @@ mod tests {
         assert!(Scenario::parse(&link).is_err(), "link override bound");
     }
 
+    /// Ids, counts, views and indices are integers: a saturating `as u64`
+    /// used to read `-1` as node 0 and `4.9` as a 4-node cluster.
+    #[test]
+    fn rejects_negative_and_fractional_integers() {
+        let spec = |nodes: &str, extra: &str| {
+            format!(
+                r#"{{"name":"x","protocols":["HS"],"nodes":{nodes},"runtime_ms":100,
+                    "workload":{{"open_loop_tx_per_sec":1}}{extra}}}"#
+            )
+        };
+        assert!(Scenario::parse(&spec("4", "")).is_ok());
+        assert!(Scenario::parse(&spec("4.0", r#","block_size":1e2"#)).is_ok());
+        for (what, bad) in [
+            (
+                "negative node and view",
+                spec(
+                    "4",
+                    r#","faults":[{"kind":"crash","node":-1,"at_view":-7}]"#,
+                ),
+            ),
+            (
+                "negative view",
+                spec("4", r#","faults":[{"kind":"crash","node":1,"at_view":-7}]"#),
+            ),
+            ("fractional cluster size", spec("4.9", "")),
+            (
+                "negative byzantine count",
+                spec("4", r#","byzantine":{"strategy":"silence","count":-3}"#),
+            ),
+            (
+                "partition group",
+                spec(
+                    "4",
+                    r#","faults":[{"kind":"partition","group":[-2,1.7],"from_ms":0,"until_ms":9}]"#,
+                ),
+            ),
+            (
+                "region member",
+                spec(
+                    "4",
+                    r#","topology":{"regions":[{"name":"a","nodes":[0,1.5],"mean_ms":1}]}"#,
+                ),
+            ),
+            (
+                "range bound",
+                spec(
+                    "4",
+                    r#","topology":{"regions":[{"name":"a","nodes":{"range":[-1,2]},"mean_ms":1}]}"#,
+                ),
+            ),
+            (
+                "fault index",
+                spec(
+                    "4",
+                    r#","durable_log":true,"faults":[{"kind":"torn_log","node":0,"at_ms":1,"recover_at_ms":2,"fault":"drop_fsync","index":0.5}]"#,
+                ),
+            ),
+            ("size above 2^53", spec("4", r#","segment_bytes":1e17"#)),
+            ("non-numeric count", spec("4", r#","block_size":"400""#)),
+        ] {
+            let err = Scenario::parse(&bad).expect_err(what);
+            assert!(err.contains("non-negative integer"), "{what}: {err}");
+        }
+    }
+
     #[test]
     fn rejects_recovery_scheduled_before_the_crash() {
         let spec = r#"{"name":"x","protocols":["HS"],"nodes":4,"runtime_ms":100,
@@ -1250,7 +1313,7 @@ mod tests {
         let (config, options) = scenario.build(false);
         assert_eq!(config.checkpoint_interval, Some(16));
         assert_eq!(options.node_faults.len(), 1);
-        assert_eq!(options.node_faults[0].mode, RecoverMode::Amnesia);
+        assert_eq!(options.node_faults[0].mode, RecoverMode::Restart(None));
 
         // Amnesia without a recovery trigger can never restart the node —
         // the spec is a contradiction and must not parse.
@@ -1287,10 +1350,10 @@ mod tests {
         assert_eq!(
             modes,
             [
-                RecoverMode::Durable(None),
-                RecoverMode::Durable(Some(StorageFault::TornTail)),
-                RecoverMode::Durable(Some(StorageFault::CorruptCrc { record: 3 })),
-                RecoverMode::Durable(Some(StorageFault::DropFsync { index: 5 })),
+                RecoverMode::Restart(None),
+                RecoverMode::Restart(Some(StorageFault::TornTail)),
+                RecoverMode::Restart(Some(StorageFault::CorruptCrc { record: 3 })),
+                RecoverMode::Restart(Some(StorageFault::DropFsync { index: 5 })),
             ]
         );
     }
@@ -1303,8 +1366,8 @@ mod tests {
                              "workload":{"open_loop_tx_per_sec":1},
                              "faults":[{"kind":"durable_restart","node":0,"at_ms":20}]}"#;
         assert!(Scenario::parse(never_back).is_err());
-        // Without the durable log there is nothing to replay — the restart
-        // would silently degrade to amnesia, so the spec must not parse.
+        // Without the durable log there is nothing to replay (or to maul):
+        // the spec asks for something it did not configure and must not parse.
         let no_log = r#"{"name":"x","protocols":["HS"],"nodes":4,"runtime_ms":100,
                          "workload":{"open_loop_tx_per_sec":1},
                          "faults":[{"kind":"durable_restart","node":0,"at_ms":20,

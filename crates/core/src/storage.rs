@@ -19,7 +19,10 @@
 //! byte followed by the payload. The decoder recovers the **longest valid
 //! prefix**: the first record that fails the length, kind, or CRC check ends
 //! replay — a torn tail is indistinguishable from a crash mid-write, which is
-//! exactly what it is.
+//! exactly what it is. The one exception is the vote watermark: a
+//! [`RecordKind::SafetyRecord`] that still frames and passes its CRC *after*
+//! the break is reported too (as a stray), because "never vote at or below
+//! this view again" is true on its own, whatever order was lost around it.
 //!
 //! ## Backends and determinism
 //!
@@ -154,6 +157,9 @@ pub fn decode_checkpoint_marker(bytes: &[u8]) -> Result<u64, SnapshotError> {
 pub struct DecodedStream {
     /// The longest valid prefix of records, in append order.
     pub records: Vec<(RecordKind, Vec<u8>)>,
+    /// Payloads of the CRC-valid [`RecordKind::SafetyRecord`]s found *past*
+    /// the first failure, in append order (they also count as `discarded`).
+    pub stray_safety_records: Vec<Vec<u8>>,
     /// Records lost past the first failure: the failed record itself plus
     /// every later record whose framing is still walkable (CRC corruption
     /// leaves length fields intact; a torn tail does not). Deterministic, so
@@ -198,12 +204,13 @@ pub fn decode_records(bytes: &[u8]) -> DecodedStream {
             break;
         };
         let payload = &bytes[pos + RECORD_HEADER_BYTES..pos + RECORD_HEADER_BYTES + len];
-        let valid = RecordKind::from_tag(kind_tag)
-            .filter(|_| crc_of(kind_tag, payload) == crc)
-            .filter(|_| !broken);
+        let valid = RecordKind::from_tag(kind_tag).filter(|_| crc_of(kind_tag, payload) == crc);
         match valid {
-            Some(kind) => out.records.push((kind, payload.to_vec())),
-            None => {
+            Some(kind) if !broken => out.records.push((kind, payload.to_vec())),
+            _ => {
+                if valid == Some(RecordKind::SafetyRecord) {
+                    out.stray_safety_records.push(payload.to_vec());
+                }
                 broken = true;
                 out.clean = false;
                 out.discarded += 1;
@@ -212,6 +219,12 @@ pub fn decode_records(bytes: &[u8]) -> DecodedStream {
         pos += RECORD_HEADER_BYTES + len;
     }
     out
+}
+
+/// The payloads of the safety records among `records`, in order.
+fn safety_payloads(records: Vec<(RecordKind, Vec<u8>)>) -> impl Iterator<Item = Vec<u8>> {
+    let safety = |(kind, payload)| (kind == RecordKind::SafetyRecord).then_some(payload);
+    records.into_iter().filter_map(safety)
 }
 
 // ---- fault injection ---------------------------------------------------------
@@ -532,6 +545,10 @@ pub struct ReplayResult {
     pub checkpoint: Option<(u64, Vec<u8>)>,
     /// The longest valid prefix of log records, in append order.
     pub records: Vec<(RecordKind, Vec<u8>)>,
+    /// Payloads of every CRC-valid [`RecordKind::SafetyRecord`] *outside*
+    /// that prefix, in append order — the vote watermark survives a break
+    /// in the records around it. Empty for a clean log.
+    pub stray_safety_records: Vec<Vec<u8>>,
     /// Records lost to corruption: the record that failed its check plus
     /// every later record (even well-framed ones — ordering is broken past
     /// the first failure).
@@ -705,7 +722,10 @@ impl SegmentLog {
     }
 
     /// Arms a crash-point fault. [`StorageFault::DropFsync`] fires at the
-    /// matching [`SegmentLog::sync`]; the others maul the durable image when
+    /// [`SegmentLog::sync`] whose batch holds its append index, so it must be
+    /// armed before that batch is written — the simulator does so when the
+    /// run's fault schedule is registered; armed at the crash it finds
+    /// nothing left to drop. The others maul the durable image when
     /// [`SegmentLog::crash`] runs.
     pub fn schedule_fault(&mut self, fault: StorageFault) {
         self.pending_fault = Some(fault);
@@ -797,11 +817,13 @@ impl SegmentLog {
         self.records_appended = 0;
         self.watermark = None;
         for (_, bytes) in &segments {
-            let mut records = decode_records(bytes).records;
-            self.records_appended += records.len() as u64;
-            records.retain(|(kind, _)| *kind == RecordKind::SafetyRecord);
-            if let Some((_, payload)) = records.pop() {
-                self.watermark = Some(payload);
+            // The newest intact safety record, inside the valid prefix or
+            // stray behind a break: the watermark a cut must carry over.
+            let decoded = decode_records(bytes);
+            self.records_appended += decoded.records.len() as u64;
+            let intact = safety_payloads(decoded.records).chain(decoded.stray_safety_records);
+            if let Some(newest) = intact.last() {
+                self.watermark = Some(newest);
             }
         }
         match segments.last() {
@@ -818,7 +840,8 @@ impl SegmentLog {
     }
 
     /// Replays durable state: the checkpoint image (every stored chunk,
-    /// concatenated) plus the longest valid prefix of log records.
+    /// concatenated), the longest valid prefix of log records, and the intact
+    /// safety records stranded outside that prefix.
     pub fn replay(&self) -> ReplayResult {
         let mut result = ReplayResult {
             checkpoint: self.backend.checkpoint(),
@@ -831,16 +854,20 @@ impl SegmentLog {
         for (_, bytes) in self.backend.segments() {
             result.bytes_read += bytes.len() as u64;
             let decoded = decode_records(&bytes);
+            result.corrupt_records_discarded += decoded.discarded;
             if broken {
                 // Ordering is broken past the first failure: well-framed
-                // records in later segments are unusable.
-                result.corrupt_records_discarded +=
-                    decoded.records.len() as u64 + decoded.discarded;
-                continue;
+                // records in later segments are unusable — except for the
+                // vote watermark they carry.
+                result.corrupt_records_discarded += decoded.records.len() as u64;
+                let stray = &mut result.stray_safety_records;
+                stray.extend(safety_payloads(decoded.records));
+            } else {
+                result.records.extend(decoded.records);
+                broken = !decoded.clean;
             }
-            result.records.extend(decoded.records);
-            result.corrupt_records_discarded += decoded.discarded;
-            broken = !decoded.clean;
+            let stray = &mut result.stray_safety_records;
+            stray.extend(decoded.stray_safety_records);
         }
         result
     }
@@ -1029,17 +1056,33 @@ mod tests {
 
     #[test]
     fn corrupt_crc_fault_stops_replay_at_the_record() {
-        let records = random_records(29, 10);
-        let mut log = SegmentLog::in_memory(1 << 20, 1);
-        for (kind, payload) in &records {
-            log.append(*kind, payload);
+        // One segment, then segments small enough that the break and the
+        // records behind it sit in different ones.
+        for segment_bytes in [1 << 20, 256] {
+            let records = random_records(29, 10);
+            let mut log = SegmentLog::in_memory(segment_bytes, 1);
+            for (kind, payload) in &records {
+                log.append(*kind, payload);
+            }
+            log.schedule_fault(StorageFault::CorruptCrc { record: 4 });
+            log.crash();
+            let replay = log.replay();
+            assert_eq!(replay.records, records[..4].to_vec());
+            // The mauled record plus the five well-framed ones after it.
+            assert_eq!(replay.corrupt_records_discarded, 6);
+            // The vote watermark is the exception to the prefix rule: the
+            // intact safety records behind the break are still reported...
+            let stray: Vec<_> = safety_payloads(records[5..].to_vec()).collect();
+            assert!(!stray.is_empty(), "the seed logs one behind the break");
+            assert_eq!(replay.stray_safety_records, stray);
+            // ...and the newest of them is what the next cut carries over.
+            log.install_checkpoint(10, b"image");
+            let carried = &log.replay().records[1];
+            assert_eq!(
+                carried,
+                &(RecordKind::SafetyRecord, stray[stray.len() - 1].clone())
+            );
         }
-        log.schedule_fault(StorageFault::CorruptCrc { record: 4 });
-        log.crash();
-        let replay = log.replay();
-        assert_eq!(replay.records, records[..4].to_vec());
-        // The mauled record plus the five well-framed ones after it.
-        assert_eq!(replay.corrupt_records_discarded, 6);
     }
 
     #[test]

@@ -154,9 +154,9 @@ impl ThreadedCluster {
     }
 
     /// Recovers a crashed replica in the given `mode`: resuming from the
-    /// state it crashed with, restarting from its latest checkpoint plus
-    /// state transfer, or replaying its own durable segment log (which needs
-    /// [`Config::durable_log`]; without it the restart degrades to amnesia).
+    /// state it crashed with, or restarting from what its disk kept — its
+    /// own durable segment log under [`Config::durable_log`], its checkpoint
+    /// chunks otherwise — plus state transfer for the rest.
     pub fn recover(&self, replica: NodeId, mode: RecoverMode) {
         self.send(replica, LiveEvent::Recover(mode));
     }

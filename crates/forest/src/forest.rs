@@ -104,10 +104,9 @@ pub struct BlockForest {
     vertices: HashMap<BlockId, Vertex>,
     by_height: BTreeMap<u64, Vec<BlockId>>,
     /// Blocks whose parent has not arrived yet, keyed by the missing parent.
-    /// Bounded by `orphan_cap`: a Byzantine peer flooding unresolvable
+    /// Bounded by `ORPHAN_CAP`: a Byzantine peer flooding unresolvable
     /// orphans evicts its own flood, not the replica's memory.
     orphans: HashMap<BlockId, Vec<SharedBlock>>,
-    orphan_cap: usize,
     orphans_evicted: u64,
     /// Highest QC observed so far (`hQC` in the paper's state variables).
     high_qc: QuorumCert,
@@ -125,10 +124,10 @@ impl Default for BlockForest {
     }
 }
 
-/// Default bound on buffered orphan blocks. Generous for any honest
-/// reordering window (a few in-flight proposals) while capping what a
-/// Byzantine orphan flood can pin in memory.
-pub const DEFAULT_ORPHAN_CAP: usize = 1024;
+/// Bound on buffered orphan blocks. Generous for any honest reordering
+/// window (a few in-flight proposals) while capping what a Byzantine orphan
+/// flood can pin in memory.
+const ORPHAN_CAP: usize = 1024;
 
 impl BlockForest {
     /// Creates a forest containing only the genesis block (which is committed
@@ -151,7 +150,6 @@ impl BlockForest {
             vertices,
             by_height,
             orphans: HashMap::new(),
-            orphan_cap: DEFAULT_ORPHAN_CAP,
             orphans_evicted: 0,
             high_qc: QuorumCert::genesis(),
             highest_certified: genesis_id,
@@ -203,7 +201,6 @@ impl BlockForest {
             vertices,
             by_height,
             orphans: HashMap::new(),
-            orphan_cap: DEFAULT_ORPHAN_CAP,
             orphans_evicted: 0,
             high_qc: QuorumCert::genesis(),
             highest_certified: root_id,
@@ -212,11 +209,6 @@ impl BlockForest {
             forked_count,
             prune_horizon: root_height,
         }
-    }
-
-    /// Overrides the orphan-buffer capacity (tests and tuning).
-    pub fn set_orphan_cap(&mut self, cap: usize) {
-        self.orphan_cap = cap.max(1);
     }
 
     /// Number of orphan blocks currently buffered.
@@ -239,7 +231,7 @@ impl BlockForest {
     /// id): the most speculative block, and the deterministic choice every
     /// replay reproduces.
     fn enforce_orphan_cap(&mut self) {
-        while self.orphan_count() > self.orphan_cap {
+        while self.orphan_count() > ORPHAN_CAP {
             let Some(victim) = self
                 .orphans
                 .values()
@@ -302,11 +294,6 @@ impl BlockForest {
 
     /// The certified block of greatest height (ties broken by view).
     pub fn highest_certified_block(&self) -> &Block {
-        &self.vertices[&self.highest_certified].block
-    }
-
-    /// Shared handle to the certified block of greatest height.
-    pub fn highest_certified_shared(&self) -> &SharedBlock {
         &self.vertices[&self.highest_certified].block
     }
 
@@ -504,52 +491,32 @@ impl BlockForest {
         }
     }
 
-    /// HotStuff-style chain predicate: starting at `tip` and walking parent
-    /// links, counts how many consecutive blocks (including `tip`) are
-    /// certified *and* connected by direct parent links. A return value of
-    /// `k >= 3` means `tip` closes a three-chain whose head is
-    /// `self.ancestor(tip, k - 1)`.
-    pub fn certified_chain_length(&self, tip: BlockId) -> usize {
-        let mut length = 0usize;
-        let mut cursor = tip;
-        loop {
-            match self.vertices.get(&cursor) {
-                Some(v) if v.qc.is_some() => {
-                    length += 1;
-                    if v.block.is_genesis() {
-                        return length;
-                    }
-                    cursor = v.block.parent;
-                }
-                _ => return length,
-            }
-        }
-    }
-
-    /// Streamlet-style predicate: returns the head of a chain of `k` blocks
-    /// ending at `tip` that are certified, connected by direct parent links
-    /// *and* were proposed in consecutive views. Returns `None` if no such
-    /// chain exists.
-    pub fn consecutive_view_chain(&self, tip: BlockId, k: usize) -> Option<&Block> {
-        if k == 0 {
-            return None;
-        }
-        let mut blocks = Vec::with_capacity(k);
-        let mut cursor = tip;
-        for _ in 0..k {
-            let vertex = self.vertices.get(&cursor)?;
-            vertex.qc.as_ref()?;
-            blocks.push(&vertex.block);
-            cursor = vertex.block.parent;
-        }
-        for pair in blocks.windows(2) {
-            let child = pair[0];
-            let parent = pair[1];
-            if child.view.as_u64() != parent.view.as_u64() + 1 {
+    /// The chain predicate every commit and lock rule is built from: the head
+    /// of the `k`-chain ending at `tip` — `k` blocks (including `tip`), each
+    /// certified and each the direct parent of the next. HotStuff's
+    /// one-/two-/three-chains are `k` = 1, 2, 3; with `consecutive_views` the
+    /// blocks must also have been proposed in adjacent views (Streamlet's
+    /// commit rule). Genesis is certified by convention and may close a
+    /// chain, but nothing lies below it. `None` if no such chain exists.
+    pub fn certified_chain(
+        &self,
+        tip: BlockId,
+        k: usize,
+        consecutive_views: bool,
+    ) -> Option<&Block> {
+        let certified = |id: BlockId| self.vertices.get(&id).filter(|v| v.qc.is_some());
+        let mut head = certified(tip).filter(|_| k > 0)?;
+        for _ in 1..k {
+            if head.block.is_genesis() {
                 return None;
             }
+            let parent = certified(head.block.parent)?;
+            if consecutive_views && head.block.view.as_u64() != parent.block.view.as_u64() + 1 {
+                return None;
+            }
+            head = parent;
         }
-        Some(blocks[k - 1])
+        Some(&head.block)
     }
 
     /// Commits `id` and its uncommitted ancestors. Returns shared handles to
@@ -818,18 +785,26 @@ mod tests {
     }
 
     #[test]
-    fn certified_chain_length_counts_direct_certified_ancestry() {
+    fn certified_chain_needs_k_directly_linked_certified_blocks() {
         let mut forest = BlockForest::new();
         let a = add_child(&mut forest, BlockId::GENESIS, 1);
         let b = add_child(&mut forest, a, 2);
         let c = add_child(&mut forest, b, 3);
-        assert_eq!(forest.certified_chain_length(c), 0);
+        assert!(forest.certified_chain(c, 1, false).is_none());
         certify(&mut forest, a, 1);
         certify(&mut forest, b, 2);
-        assert_eq!(forest.certified_chain_length(b), 3, "genesis + a + b");
-        assert_eq!(forest.certified_chain_length(c), 0, "c not certified");
+        let head = |tip, k| forest.certified_chain(tip, k, false).map(|h| h.id);
+        assert_eq!(head(b, 2), Some(a));
+        assert_eq!(head(b, 3), Some(BlockId::GENESIS), "genesis + a + b");
+        assert_eq!(head(b, 4), None, "nothing lies below genesis");
+        assert_eq!(head(c, 1), None, "c not certified");
+        assert_eq!(head(b, 0), None);
         certify(&mut forest, c, 3);
-        assert_eq!(forest.certified_chain_length(c), 4);
+        assert_eq!(
+            forest.certified_chain(c, 3, false).map(|h| h.id),
+            Some(a),
+            "a three-chain's head"
+        );
     }
 
     #[test]
@@ -841,14 +816,14 @@ mod tests {
         certify(&mut forest, a, 1);
         certify(&mut forest, b, 2);
         certify(&mut forest, c, 4);
-        assert!(forest.consecutive_view_chain(b, 2).is_some());
-        assert_eq!(
-            forest.consecutive_view_chain(b, 2).unwrap().id,
-            a,
-            "head of the 2-chain is a"
+        let head = |tip, k| forest.certified_chain(tip, k, true).map(|h| h.id);
+        assert_eq!(head(b, 2), Some(a), "head of the 2-chain is a");
+        assert_eq!(head(c, 2), None, "view gap");
+        assert_eq!(head(c, 1), Some(c));
+        assert!(
+            forest.certified_chain(c, 2, false).is_some(),
+            "linked anyway"
         );
-        assert!(forest.consecutive_view_chain(c, 2).is_none(), "view gap");
-        assert!(forest.consecutive_view_chain(c, 1).is_some());
     }
 
     #[test]

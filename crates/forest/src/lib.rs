@@ -9,11 +9,11 @@
 //! * a *main chain* of committed blocks is always maintained, and a
 //!   consistency check across replicas is a hash comparison at equal height.
 //!
-//! On top of raw storage the crate provides the chain predicates the safety
-//! rules need: direct-descendant certified chains (one-chain / two-chain /
-//! three-chain in HotStuff's sense, [`BlockForest::certified_chain_length`])
-//! and consecutive-view chains (Streamlet's commit rule,
-//! [`BlockForest::consecutive_view_chain`]).
+//! On top of raw storage the crate provides the one chain predicate the
+//! safety rules need, [`BlockForest::certified_chain`]: direct-descendant
+//! certified `k`-chains (one-chain / two-chain / three-chain in HotStuff's
+//! sense), optionally restricted to consecutive views (Streamlet's commit
+//! rule).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -88,25 +88,46 @@ fn extends_is_reflexive_and_transitive() {
     }
 }
 
-/// The certified-chain-length predicate never exceeds the block's height+1
-/// and is monotone along parent links of certified blocks.
+/// The `k`-chain predicate agrees with a brute-force walk over parent links
+/// for k = 1..=4, with and without view adjacency, from every block.
 #[test]
-fn certified_chain_length_is_bounded() {
+fn certified_chain_matches_a_brute_force_walk() {
+    let brute = |forest: &BlockForest, tip: BlockId, k: usize, adjacent: bool| {
+        let mut chain = vec![forest.get(tip).unwrap()];
+        while chain.len() < k {
+            let last = chain[chain.len() - 1];
+            if last.is_genesis() {
+                return None;
+            }
+            chain.push(forest.get(last.parent).unwrap());
+        }
+        let linked = chain.iter().all(|b| forest.is_certified(b.id))
+            && chain
+                .windows(2)
+                .all(|pair| !adjacent || pair[0].view.as_u64() == pair[1].view.as_u64() + 1);
+        linked.then(|| chain[k - 1].id)
+    };
+    let mut hits = [0usize; 2];
     for (seed, steps) in cases() {
         let (forest, ids) = build_random_forest(seed, steps);
         for id in &ids {
-            let block = forest.get(*id).unwrap();
-            let len = forest.certified_chain_length(*id);
-            assert!(len as u64 <= block.height.as_u64() + 1, "seed {seed}");
-            if len > 1 {
-                assert_eq!(
-                    forest.certified_chain_length(block.parent),
-                    len - 1,
-                    "seed {seed}"
-                );
+            for k in 1..=4 {
+                for adjacent in [false, true] {
+                    let got = forest.certified_chain(*id, k, adjacent).map(|b| b.id);
+                    assert_eq!(
+                        got,
+                        brute(&forest, *id, k, adjacent),
+                        "seed {seed} k {k} adjacent {adjacent}"
+                    );
+                    hits[usize::from(adjacent)] += usize::from(got.is_some() && k > 1);
+                }
             }
         }
     }
+    assert!(
+        hits[0] > hits[1] && hits[1] > 0,
+        "both variants exercised: {hits:?}"
+    );
 }
 
 /// Committing the deepest certified block and pruning preserves exactly the

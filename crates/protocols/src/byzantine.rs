@@ -1,360 +1,154 @@
-//! Byzantine strategies: the two performance attacks of §IV-A plus two
-//! signature-forgery attacks exercising the authenticated message path.
+//! Byzantine behaviour: the two performance attacks of §IV-A plus two
+//! signature-forgery attacks exercising the authenticated message path, as
+//! one [`Attack`] value a replica holds *beside* its honest protocol.
 //!
 //! The paper's pair are "challenging to detect as the attackers are not
 //! violating the protocol from an outsider's view, but could damage
-//! performance", and both are implemented — exactly as the paper describes —
-//! by modifying only the Proposing rule of an otherwise honest protocol:
+//! performance", and both change only the Proposing rule of an otherwise
+//! honest protocol:
 //!
-//! * [`ForkingSafety`] proposes on an older ancestor so that previously
-//!   proposed (but uncommitted) blocks get overwritten,
-//! * [`SilenceSafety`] withholds the proposal entirely, forcing the other
-//!   replicas to time out and breaking the commit rule for the tail blocks.
+//! * **forking** proposes on an older ancestor so that previously proposed
+//!   (but uncommitted) blocks get overwritten (Fig. 5),
+//! * **silence** withholds the proposal entirely, forcing the other replicas
+//!   to time out and breaking the commit rule for the tail blocks (Fig. 6).
 //!
 //! The forgery pair *does* violate the protocol from an outsider's view and
-//! therefore tests a different layer: the cryptographic ingress stage
+//! therefore tests a different layer — the cryptographic ingress stage
 //! (`bamboo_types::Authenticator`) rather than the consensus rules:
 //!
-//! * [`ForgedVoteSafety`] replaces each outbound vote with a flood of votes
+//! * **forged-vote** replaces each outbound vote with a flood of votes
 //!   carrying invalid signatures, one minted in every replica's name — the
 //!   fake quorum would certify instantly if any replica skipped verification,
-//! * [`ForgedQcSafety`] proposes blocks whose justify QC claims quorum
+//! * **forged-qc** proposes blocks whose justify QC claims quorum
 //!   certification with fabricated signatures. The block id stays valid (it
 //!   binds the QC's block and view, not its signature bytes), so only
 //!   per-signer verification of the aggregate catches the forgery.
+//!
+//! An [`Attack`] has one entry point per surface an attacker controls:
+//! [`Attack::propose`] sees the honest protocol only through `&dyn Safety`
+//! (whose voting, state-updating and commit rules all need `&mut`), and
+//! [`Attack::wire_votes`] only the vote about to leave. "Attackers keep the
+//! honest voting, state and commit rules" is a property of the type.
 
 use bamboo_crypto::{AggregateSignature, KeyPair};
 use bamboo_forest::BlockForest;
-use bamboo_types::{Block, BlockId, NodeId, ProtocolKind, QuorumCert, View, Vote};
+use bamboo_types::{Block, ByzantineStrategy, NodeId, QuorumCert, Vote};
 
-use crate::safety::{build_block, ProposalInput, Safety, VoteDestination};
+use crate::safety::{propose_on_certified, ProposalInput, Safety};
 
-/// A Byzantine proposer that launches the forking attack: it builds its block
-/// on the deepest ancestor the wrapped protocol's voting rule still accepts,
-/// overwriting the uncommitted blocks in between (Fig. 5).
-///
-/// All other rules (voting, state updating, commit) are delegated unchanged to
-/// the wrapped protocol, so the attacker looks honest to every other replica.
-pub struct ForkingSafety {
-    inner: Box<dyn Safety>,
-    /// Number of forking proposals actually produced (for metrics/tests).
-    forks_attempted: u64,
+/// One replica's Byzantine strategy plus the counters of what it did.
+/// [`ByzantineStrategy::Honest`] is the identity on both surfaces.
+#[derive(Clone, Debug)]
+pub struct Attack {
+    strategy: ByzantineStrategy,
+    nodes: usize,
+    /// A key outside the validator set (ids are < nodes), so nothing it signs
+    /// can verify under any validator's public key.
+    junk: KeyPair,
+    /// Forking proposals actually produced.
+    pub forks_attempted: u64,
+    /// Proposals withheld by the silence attack.
+    pub withheld: u64,
+    /// Forged votes put on the wire, or forged-QC proposals produced.
+    pub forged: u64,
 }
 
-impl ForkingSafety {
-    /// Wraps `inner` with the forking strategy.
-    pub fn new(inner: Box<dyn Safety>) -> Self {
+impl Attack {
+    /// The attack a replica running `strategy` mounts in a system of `nodes`
+    /// replicas (the vote forger mints one vote in every replica's name).
+    pub fn new(strategy: ByzantineStrategy, nodes: usize) -> Self {
         Self {
-            inner,
+            strategy,
+            nodes,
+            junk: KeyPair::from_seed(u64::MAX),
             forks_attempted: 0,
+            withheld: 0,
+            forged: 0,
         }
     }
 
-    /// How many forking proposals this attacker has made.
-    pub fn forks_attempted(&self) -> u64 {
-        self.forks_attempted
-    }
-}
-
-impl Safety for ForkingSafety {
-    fn kind(&self) -> ProtocolKind {
-        self.inner.kind()
-    }
-    fn voted_view(&self) -> View {
-        self.inner.voted_view()
-    }
-    fn restore_voted_view(&mut self, view: View) {
-        self.inner.restore_voted_view(view);
-    }
-    fn vote_destination(&self) -> VoteDestination {
-        self.inner.vote_destination()
-    }
-    fn echo_messages(&self) -> bool {
-        self.inner.echo_messages()
-    }
-    fn is_responsive(&self) -> bool {
-        self.inner.is_responsive()
-    }
-
-    fn epoch_based(&self) -> bool {
-        self.inner.epoch_based()
-    }
-
-    fn propose(&mut self, input: &ProposalInput, forest: &BlockForest) -> Option<Block> {
-        // Ask the wrapped protocol how deep a fork its own voting rule would
-        // still accept; fall back to honest proposing when there is no room
-        // (e.g. Streamlet, or right after genesis).
-        if let Some(target) = self.inner.fork_parent(forest) {
-            if target != forest.high_qc().block {
-                let justify = forest
-                    .qc_of(target)
-                    .cloned()
-                    .unwrap_or_else(QuorumCert::genesis);
-                if let Some(block) = build_block(input, forest, target, justify) {
-                    self.forks_attempted += 1;
-                    return Some(block);
-                }
+    /// The Proposing rule as the attacker plays it; `None` withholds the
+    /// proposal. Everything but forking, silence and QC forgery proposes
+    /// honestly.
+    pub fn propose(
+        &mut self,
+        honest: &dyn Safety,
+        input: &ProposalInput,
+        forest: &BlockForest,
+    ) -> Option<Block> {
+        match self.strategy {
+            ByzantineStrategy::Forking => {
+                // Ask the honest protocol how deep a fork its own voting rule
+                // would still accept; fall back to honest proposing when
+                // there is no room (e.g. Streamlet, or right after genesis).
+                let room = honest.fork_parent(forest);
+                let fork = room
+                    .filter(|target| *target != forest.high_qc().block)
+                    .and_then(|target| propose_on_certified(input, forest, target));
+                self.forks_attempted += u64::from(fork.is_some());
+                fork.or_else(|| honest.propose(input, forest))
+            }
+            ByzantineStrategy::Silence => {
+                self.withheld += 1;
+                None
+            }
+            ByzantineStrategy::ForgedQc => {
+                let block = honest.propose(input, forest)?;
+                Some(self.forge_justify(block))
+            }
+            ByzantineStrategy::Honest | ByzantineStrategy::ForgedVote => {
+                honest.propose(input, forest)
             }
         }
-        self.inner.propose(input, forest)
     }
 
-    fn should_vote(&mut self, block: &Block, forest: &BlockForest) -> bool {
-        self.inner.should_vote(block, forest)
-    }
-    fn update_state(&mut self, qc: &QuorumCert, forest: &BlockForest) {
-        self.inner.update_state(qc, forest)
-    }
-    fn try_commit(&mut self, qc: &QuorumCert, forest: &BlockForest) -> Option<BlockId> {
-        self.inner.try_commit(qc, forest)
-    }
-    fn fork_parent(&self, forest: &BlockForest) -> Option<BlockId> {
-        self.inner.fork_parent(forest)
-    }
-}
-
-/// A Byzantine proposer that launches the silence attack: whenever it is the
-/// leader it simply withholds the proposal until the end of the view, breaking
-/// the commit rule and triggering timeouts at every honest replica (Fig. 6).
-pub struct SilenceSafety {
-    inner: Box<dyn Safety>,
-    /// Number of proposals withheld.
-    withheld: u64,
-}
-
-impl SilenceSafety {
-    /// Wraps `inner` with the silence strategy.
-    pub fn new(inner: Box<dyn Safety>) -> Self {
-        Self { inner, withheld: 0 }
-    }
-
-    /// How many proposals this attacker has withheld.
-    pub fn withheld(&self) -> u64 {
-        self.withheld
-    }
-}
-
-impl Safety for SilenceSafety {
-    fn kind(&self) -> ProtocolKind {
-        self.inner.kind()
-    }
-    fn voted_view(&self) -> View {
-        self.inner.voted_view()
-    }
-    fn restore_voted_view(&mut self, view: View) {
-        self.inner.restore_voted_view(view);
-    }
-    fn vote_destination(&self) -> VoteDestination {
-        self.inner.vote_destination()
-    }
-    fn echo_messages(&self) -> bool {
-        self.inner.echo_messages()
-    }
-    fn is_responsive(&self) -> bool {
-        self.inner.is_responsive()
-    }
-
-    fn epoch_based(&self) -> bool {
-        self.inner.epoch_based()
-    }
-
-    fn propose(&mut self, _input: &ProposalInput, _forest: &BlockForest) -> Option<Block> {
-        self.withheld += 1;
-        None
-    }
-
-    fn should_vote(&mut self, block: &Block, forest: &BlockForest) -> bool {
-        // The attacker still votes like an honest replica; only its leadership
-        // turns are wasted.
-        self.inner.should_vote(block, forest)
-    }
-    fn update_state(&mut self, qc: &QuorumCert, forest: &BlockForest) {
-        self.inner.update_state(qc, forest)
-    }
-    fn try_commit(&mut self, qc: &QuorumCert, forest: &BlockForest) -> Option<BlockId> {
-        self.inner.try_commit(qc, forest)
-    }
-}
-
-/// A Byzantine voter that floods forged votes: whenever it would send one
-/// honest vote, it instead sends `n` votes for the same block, one minted in
-/// every replica's name, all carrying signatures produced with a key that
-/// belongs to nobody. If any honest replica accepted unverified votes, the
-/// fake quorum would certify (and commit) the block instantly; with the
-/// authenticated ingress stage every one of them dies at the door and the
-/// attacker has merely withheld its own vote.
-pub struct ForgedVoteSafety {
-    inner: Box<dyn Safety>,
-    nodes: usize,
-    junk: KeyPair,
-    /// Forged votes put on the wire so far (for metrics/tests).
-    forged: u64,
-}
-
-impl ForgedVoteSafety {
-    /// Wraps `inner` with the vote-forging strategy in a system of `nodes`
-    /// replicas.
-    pub fn new(inner: Box<dyn Safety>, nodes: usize) -> Self {
-        Self {
-            inner,
-            nodes,
-            // A key outside the validator set (ids are < nodes), so nothing it
-            // signs can verify under any validator's public key.
-            junk: KeyPair::from_seed(u64::MAX),
-            forged: 0,
-        }
-    }
-
-    /// How many forged votes this attacker has emitted.
-    pub fn forged(&self) -> u64 {
-        self.forged
-    }
-}
-
-impl Safety for ForgedVoteSafety {
-    fn kind(&self) -> ProtocolKind {
-        self.inner.kind()
-    }
-    fn voted_view(&self) -> View {
-        self.inner.voted_view()
-    }
-    fn restore_voted_view(&mut self, view: View) {
-        self.inner.restore_voted_view(view);
-    }
-    fn vote_destination(&self) -> VoteDestination {
-        self.inner.vote_destination()
-    }
-    fn echo_messages(&self) -> bool {
-        self.inner.echo_messages()
-    }
-    fn is_responsive(&self) -> bool {
-        self.inner.is_responsive()
-    }
-
-    fn epoch_based(&self) -> bool {
-        self.inner.epoch_based()
-    }
-
-    fn propose(&mut self, input: &ProposalInput, forest: &BlockForest) -> Option<Block> {
-        self.inner.propose(input, forest)
-    }
-    fn should_vote(&mut self, block: &Block, forest: &BlockForest) -> bool {
-        self.inner.should_vote(block, forest)
-    }
-    fn update_state(&mut self, qc: &QuorumCert, forest: &BlockForest) {
-        self.inner.update_state(qc, forest)
-    }
-    fn try_commit(&mut self, qc: &QuorumCert, forest: &BlockForest) -> Option<BlockId> {
-        self.inner.try_commit(qc, forest)
-    }
-
-    fn forged_votes(&mut self, vote: &Vote) -> Option<Vec<Vote>> {
-        let flood: Vec<Vote> = (0..self.nodes as u64)
-            .map(|voter| Vote {
-                block: vote.block,
-                view: vote.view,
-                voter: NodeId(voter),
-                signature: self.junk.sign(&Vote::signing_bytes(vote.block, vote.view)),
-            })
-            .collect();
-        self.forged += flood.len() as u64;
-        Some(flood)
-    }
-}
-
-/// A Byzantine proposer that attaches forged quorum certificates: its blocks
-/// claim quorum certification of their parent via signatures minted with a
-/// key outside the validator set. A replica that only counted signers would
-/// accept and vote; per-signer aggregate verification rejects the proposal at
-/// ingress, so the attacker's leadership views time out like a silent
-/// leader's — but only *because* verification is real.
-pub struct ForgedQcSafety {
-    inner: Box<dyn Safety>,
-    junk: KeyPair,
-    /// Forged-QC proposals produced so far (for metrics/tests).
-    forged: u64,
-}
-
-impl ForgedQcSafety {
-    /// Wraps `inner` with the QC-forging strategy.
-    pub fn new(inner: Box<dyn Safety>) -> Self {
-        Self {
-            inner,
-            junk: KeyPair::from_seed(u64::MAX),
-            forged: 0,
-        }
-    }
-
-    /// How many forged-QC proposals this attacker has made.
-    pub fn forged(&self) -> u64 {
-        self.forged
-    }
-}
-
-impl Safety for ForgedQcSafety {
-    fn kind(&self) -> ProtocolKind {
-        self.inner.kind()
-    }
-    fn voted_view(&self) -> View {
-        self.inner.voted_view()
-    }
-    fn restore_voted_view(&mut self, view: View) {
-        self.inner.restore_voted_view(view);
-    }
-    fn vote_destination(&self) -> VoteDestination {
-        self.inner.vote_destination()
-    }
-    fn echo_messages(&self) -> bool {
-        self.inner.echo_messages()
-    }
-    fn is_responsive(&self) -> bool {
-        self.inner.is_responsive()
-    }
-
-    fn epoch_based(&self) -> bool {
-        self.inner.epoch_based()
-    }
-
-    fn propose(&mut self, input: &ProposalInput, forest: &BlockForest) -> Option<Block> {
-        let block = self.inner.propose(input, forest)?;
+    /// Re-issues `block` with fabricated signatures under its justify QC: the
+    /// same claim (block, view) and signer indices as the honest certificate,
+    /// signed with the junk key. The block keeps its id because the id binds
+    /// the justify's block and view only. Nothing is forged over the trusted
+    /// genesis certificate — the slot is not wasted on it.
+    fn forge_justify(&mut self, block: Block) -> Block {
         if block.justify.is_genesis() {
-            // Nothing to forge over the trusted genesis certificate; propose
-            // honestly rather than waste the slot.
-            return Some(block);
+            return block;
         }
-        // Same claim (block, view) as the honest certificate, fabricated
-        // signatures over the matching signing bytes under the real signer
-        // indices. The rebuilt block keeps the honest id because the id binds
-        // the justify's block and view only.
         let msg = Vote::signing_bytes(block.justify.block, block.justify.view);
         let mut signatures = AggregateSignature::new();
         for signer in block.justify.signatures.signers() {
             signatures.add(signer, self.junk.sign(&msg));
         }
-        let forged_justify = QuorumCert {
-            block: block.justify.block,
-            view: block.justify.view,
+        let justify = QuorumCert {
             signatures,
+            ..block.justify
         };
         self.forged += 1;
-        Some(Block::new(
+        Block::new(
             block.view,
             block.height,
             block.parent,
             block.proposer,
-            forged_justify,
+            justify,
             block.payload,
-        ))
+        )
     }
 
-    fn should_vote(&mut self, block: &Block, forest: &BlockForest) -> bool {
-        self.inner.should_vote(block, forest)
-    }
-    fn update_state(&mut self, qc: &QuorumCert, forest: &BlockForest) {
-        self.inner.update_state(qc, forest)
-    }
-    fn try_commit(&mut self, qc: &QuorumCert, forest: &BlockForest) -> Option<BlockId> {
-        self.inner.try_commit(qc, forest)
+    /// The votes that leave the process in place of the honest `vote` (which
+    /// the replica still counts locally). The vote forger sends one per
+    /// replica, minted in its name with the junk key: a replica that skipped
+    /// verification would see an instant quorum; with authenticated ingress
+    /// they all die at the door and the attacker merely withheld its vote.
+    pub fn wire_votes(&mut self, vote: &Vote) -> Vec<Vote> {
+        if self.strategy != ByzantineStrategy::ForgedVote {
+            return vec![vote.clone()];
+        }
+        self.forged += self.nodes as u64;
+        let signature = self.junk.sign(&Vote::signing_bytes(vote.block, vote.view));
+        (0..self.nodes as u64)
+            .map(|voter| Vote {
+                voter: NodeId(voter),
+                signature,
+                ..vote.clone()
+            })
+            .collect()
     }
 }
 
@@ -362,26 +156,93 @@ impl Safety for ForgedQcSafety {
 mod tests {
     use super::*;
     use crate::hotstuff::HotStuffSafety;
+    use crate::make_protocol;
     use crate::safety::testutil::*;
     use crate::streamlet::StreamletSafety;
     use crate::twochain::TwoChainHotStuffSafety;
+    use bamboo_types::{BlockId, ProtocolKind, View};
 
-    /// Builds a certified chain g <- a <- b <- c and returns (forest, [a,b,c]).
-    fn chain3() -> (bamboo_forest::BlockForest, Vec<BlockId>) {
-        let mut forest = bamboo_forest::BlockForest::new();
-        let (a, _) = extend_certified(&mut forest, BlockId::GENESIS, 1);
-        let (b, _) = extend_certified(&mut forest, a, 2);
-        let (c, _) = extend_certified(&mut forest, b, 3);
-        (forest, vec![a, b, c])
+    const STRATEGIES: [ByzantineStrategy; 5] = [
+        ByzantineStrategy::Honest,
+        ByzantineStrategy::Forking,
+        ByzantineStrategy::Silence,
+        ByzantineStrategy::ForgedVote,
+        ByzantineStrategy::ForgedQc,
+    ];
+
+    const KINDS: [ProtocolKind; 6] = [
+        ProtocolKind::HotStuff,
+        ProtocolKind::TwoChainHotStuff,
+        ProtocolKind::Streamlet,
+        ProtocolKind::FastHotStuff,
+        ProtocolKind::Lbft,
+        ProtocolKind::OriginalHotStuff,
+    ];
+
+    /// Whatever the strategy, an attacker's voting, state-updating and commit
+    /// decisions are the honest protocol's: over a generated forest — which
+    /// the attacker's own proposals fork — a protocol instance paired with an
+    /// [`Attack`] and one without take identical decisions at every step.
+    #[test]
+    fn every_attack_keeps_the_honest_voting_state_and_commit_rules() {
+        for (strategy, kind) in STRATEGIES.iter().flat_map(|s| KINDS.map(|k| (*s, k))) {
+            let (mut votes, mut commits) = (0, 0);
+            for seed in 0..8u64 {
+                let mut forest = BlockForest::new();
+                let (mut honest, mut attacker) = (make_protocol(kind), make_protocol(kind));
+                let mut attack = Attack::new(strategy, 4);
+                for view in 1..=40u64 {
+                    let label = format!("{strategy} {kind:?} seed {seed} view {view}");
+                    let draw = roll(seed, view);
+                    let inp = input(view, view % 4);
+                    // The attacker leads roughly every third view.
+                    let proposal = if draw % 3 == 0 {
+                        attack.propose(&*attacker, &inp, &forest)
+                    } else {
+                        honest.propose(&inp, &forest)
+                    };
+                    let Some(block) = proposal else {
+                        assert_eq!(strategy, ByzantineStrategy::Silence, "{label}");
+                        continue;
+                    };
+                    forest.insert(block.clone()).expect("insert");
+                    let vote = honest.should_vote(&block, &forest);
+                    assert_eq!(attacker.should_vote(&block, &forest), vote, "{label}");
+                    assert_eq!(attacker.voted_view(), honest.voted_view(), "{label}");
+                    votes += u64::from(vote);
+                    // Most blocks get certified; the rest leave gaps.
+                    if (draw >> 8) % 5 != 0 {
+                        let qc = qc_for(block.id, block.view);
+                        forest.register_qc(qc.clone()).expect("certify");
+                        honest.update_state(&qc, &forest);
+                        attacker.update_state(&qc, &forest);
+                        let commit = honest.try_commit(&qc, &forest);
+                        assert_eq!(attacker.try_commit(&qc, &forest), commit, "{label}");
+                        commits += u64::from(commit.is_some());
+                    }
+                    assert_eq!(
+                        attacker.fork_parent(&forest),
+                        honest.fork_parent(&forest),
+                        "{label}"
+                    );
+                }
+            }
+            assert!(
+                votes > 40 && commits > 20,
+                "{strategy} {kind:?}: vacuous ({votes} votes, {commits} commits)"
+            );
+        }
     }
 
     #[test]
     fn forking_hotstuff_builds_on_grandparent_and_honest_replicas_accept() {
         let (mut forest, ids) = chain3();
-        let mut attacker = ForkingSafety::new(Box::new(HotStuffSafety::new()));
-        let proposal = attacker.propose(&input(4, 0), &forest).expect("proposal");
+        let mut attack = Attack::new(ByzantineStrategy::Forking, 4);
+        let proposal = attack
+            .propose(&HotStuffSafety::new(), &input(4, 0), &forest)
+            .expect("proposal");
         assert_eq!(proposal.parent, ids[0], "built on a, overwriting b and c");
-        assert_eq!(attacker.forks_attempted(), 1);
+        assert_eq!(attack.forks_attempted, 1);
 
         // An honest HotStuff replica has only seen QCs carried inside blocks:
         // the newest QC it knows certifies `b` (it arrived inside `c`), so its
@@ -396,91 +257,82 @@ mod tests {
     }
 
     #[test]
-    fn forking_two_chain_overwrites_only_one_block() {
+    fn fork_target_follows_the_protocols_lock_depth() {
         let (forest, ids) = chain3();
-        let mut attacker = ForkingSafety::new(Box::new(TwoChainHotStuffSafety::new()));
-        let proposal = attacker.propose(&input(4, 0), &forest).expect("proposal");
-        assert_eq!(proposal.parent, ids[1], "built on b, overwriting only c");
+        let mut attack = Attack::new(ByzantineStrategy::Forking, 4);
+        let two_chain = attack
+            .propose(&TwoChainHotStuffSafety::new(), &input(4, 0), &forest)
+            .expect("proposal");
+        assert_eq!(two_chain.parent, ids[1], "built on b, overwriting only c");
+        assert_eq!(attack.forks_attempted, 1);
+        // Streamlet leaves no room: the attacker proposes honestly.
+        let streamlet = attack
+            .propose(&StreamletSafety::new(), &input(4, 0), &forest)
+            .expect("proposal");
+        assert_eq!(streamlet.parent, ids[2], "no fork target exists");
+        assert_eq!(attack.forks_attempted, 1);
     }
 
     #[test]
-    fn forking_streamlet_degenerates_to_honest_proposal() {
-        let (forest, ids) = chain3();
-        let mut attacker = ForkingSafety::new(Box::new(StreamletSafety::new()));
-        let proposal = attacker.propose(&input(4, 0), &forest).expect("proposal");
-        assert_eq!(
-            proposal.parent, ids[2],
-            "no fork target exists, attacker proposes honestly"
-        );
-        assert_eq!(attacker.forks_attempted(), 0);
-    }
-
-    #[test]
-    fn silence_attacker_never_proposes_but_still_votes() {
-        let (forest, ids) = chain3();
-        let mut attacker = SilenceSafety::new(Box::new(HotStuffSafety::new()));
-        assert!(attacker.propose(&input(4, 0), &forest).is_none());
-        assert!(attacker.propose(&input(5, 0), &forest).is_none());
-        assert_eq!(attacker.withheld(), 2);
-
-        let mut forest = forest;
-        let qc_c = forest.qc_of(ids[2]).cloned().unwrap();
-        let honest_block = build_block(&input(6, 1), &forest, ids[2], qc_c).unwrap();
-        forest.insert(honest_block.clone()).unwrap();
-        assert!(attacker.should_vote(&honest_block, &forest));
+    fn silence_attacker_never_proposes() {
+        let (forest, _) = chain3();
+        let mut attack = Attack::new(ByzantineStrategy::Silence, 4);
+        let honest = HotStuffSafety::new();
+        assert!(attack.propose(&honest, &input(4, 0), &forest).is_none());
+        assert!(attack.propose(&honest, &input(5, 0), &forest).is_none());
+        assert_eq!(attack.withheld, 2);
     }
 
     #[test]
     fn forged_vote_flood_covers_every_replica_and_never_verifies() {
-        use bamboo_crypto::KeyPair;
-        let (forest, ids) = chain3();
-        let _ = &forest;
-        let mut attacker = ForgedVoteSafety::new(Box::new(HotStuffSafety::new()), 4);
-        let honest = Vote::new(
-            ids[2],
-            bamboo_types::View(3),
-            NodeId(0),
-            &KeyPair::from_seed(0),
-        );
-        let flood = attacker.forged_votes(&honest).expect("attacker forges");
+        let vote = Vote::new(BlockId::GENESIS, View(3), NodeId(0), &KeyPair::from_seed(0));
+        let mut attack = Attack::new(ByzantineStrategy::ForgedVote, 4);
+        let flood = attack.wire_votes(&vote);
         assert_eq!(flood.len(), 4, "one forged vote per replica");
-        assert_eq!(attacker.forged(), 4);
-        for vote in &flood {
-            let claimed_key = KeyPair::from_seed(vote.voter.as_u64()).public_key();
+        assert_eq!(attack.forged, 4);
+        for forged in &flood {
+            assert_eq!((forged.block, forged.view), (vote.block, vote.view));
+            let claimed_key = KeyPair::from_seed(forged.voter.as_u64()).public_key();
             assert!(
-                !vote.verify(&claimed_key),
+                !forged.verify(&claimed_key),
                 "forged vote in {}'s name must not verify",
-                vote.voter
+                forged.voter
             );
         }
-    }
-
-    #[test]
-    fn honest_protocols_do_not_forge_votes() {
-        use bamboo_crypto::KeyPair;
-        let mut honest = HotStuffSafety::new();
-        let vote = Vote::new(
-            BlockId::GENESIS,
-            bamboo_types::View(1),
-            NodeId(0),
-            &KeyPair::from_seed(0),
-        );
-        assert!(honest.forged_votes(&vote).is_none());
+        // Every other strategy puts exactly the honest vote on the wire.
+        for strategy in STRATEGIES {
+            if strategy != ByzantineStrategy::ForgedVote {
+                let mut attack = Attack::new(strategy, 4);
+                assert_eq!(
+                    attack.wire_votes(&vote),
+                    std::slice::from_ref(&vote),
+                    "{strategy}"
+                );
+                assert_eq!(attack.forged, 0);
+            }
+        }
     }
 
     #[test]
     fn forged_qc_proposal_keeps_valid_id_but_fails_aggregate_verification() {
         let (forest, _ids) = chain3();
-        let mut attacker = ForgedQcSafety::new(Box::new(HotStuffSafety::new()));
-        let proposal = attacker.propose(&input(4, 0), &forest).expect("proposal");
-        assert_eq!(attacker.forged(), 1);
+        let mut attack = Attack::new(ByzantineStrategy::ForgedQc, 4);
+        let honest = HotStuffSafety::new();
+        let proposal = attack
+            .propose(&honest, &input(4, 0), &forest)
+            .expect("proposal");
+        assert_eq!(attack.forged, 1);
         assert!(
             proposal.verify_id(),
             "id binds the QC's block/view, not its signatures"
         );
+        assert_eq!(
+            proposal.id,
+            honest.propose(&input(4, 0), &forest).unwrap().id,
+            "same claim as the honest proposal"
+        );
         assert!(!proposal.justify.is_genesis());
-        let keys: Vec<bamboo_crypto::KeyPair> =
-            (0..4).map(bamboo_crypto::KeyPair::from_seed).collect();
+        let keys: Vec<KeyPair> = (0..4).map(KeyPair::from_seed).collect();
         assert!(
             !proposal
                 .justify
@@ -491,23 +343,14 @@ mod tests {
 
     #[test]
     fn forged_qc_degenerates_to_honest_over_genesis() {
-        let mut forest = bamboo_forest::BlockForest::new();
-        // Only genesis exists: the inner protocol justifies with the genesis
+        // Only genesis exists: the honest protocol justifies with the genesis
         // QC, which cannot be meaningfully forged.
-        let _ = &mut forest;
-        let mut attacker = ForgedQcSafety::new(Box::new(HotStuffSafety::new()));
-        let proposal = attacker.propose(&input(1, 0), &forest).expect("proposal");
+        let forest = BlockForest::new();
+        let mut attack = Attack::new(ByzantineStrategy::ForgedQc, 4);
+        let proposal = attack
+            .propose(&HotStuffSafety::new(), &input(1, 0), &forest)
+            .expect("proposal");
         assert!(proposal.justify.is_genesis());
-        assert_eq!(attacker.forged(), 0);
-    }
-
-    #[test]
-    fn wrappers_delegate_commit_rules() {
-        let (forest, ids) = chain3();
-        let qc_c = forest.qc_of(ids[2]).cloned().unwrap();
-        let mut forking = ForkingSafety::new(Box::new(HotStuffSafety::new()));
-        let mut silence = SilenceSafety::new(Box::new(HotStuffSafety::new()));
-        assert_eq!(forking.try_commit(&qc_c, &forest), Some(ids[0]));
-        assert_eq!(silence.try_commit(&qc_c, &forest), Some(ids[0]));
+        assert_eq!(attack.forged, 0);
     }
 }

@@ -15,43 +15,47 @@
 //! pacemaker's timeout certificates.
 
 use bamboo_forest::BlockForest;
-use bamboo_types::{Block, BlockId, Height, ProtocolKind, QuorumCert, View};
+use bamboo_types::{Block, BlockId, QuorumCert, View};
 
-use crate::safety::{build_block, ProposalInput, Safety, VoteDestination};
+use crate::safety::{commit_head, propose_on_high_qc, vote_once, ProposalInput, Safety};
 
 /// Fast-HotStuff safety rules.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FastHotStuffSafety {
     last_voted_view: View,
-    locked: BlockId,
-    locked_height: Height,
-}
-
-impl Default for FastHotStuffSafety {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl FastHotStuffSafety {
     /// Creates the initial state.
     pub fn new() -> Self {
-        Self {
-            last_voted_view: View::GENESIS,
-            locked: BlockId::GENESIS,
-            locked_height: Height::GENESIS,
-        }
-    }
-
-    /// The currently locked block.
-    pub fn locked_block(&self) -> BlockId {
-        self.locked
+        Self::default()
     }
 }
 
 impl Safety for FastHotStuffSafety {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::FastHotStuff
+    fn is_responsive(&self) -> bool {
+        true
+    }
+
+    fn propose(&self, input: &ProposalInput, forest: &BlockForest) -> Option<Block> {
+        propose_on_high_qc(input, forest)
+    }
+
+    fn should_vote(&mut self, block: &Block, forest: &BlockForest) -> bool {
+        // The parent must be exactly the block certified by the proposal's own
+        // QC — a proposal built on an older ancestor is rejected, which is the
+        // rule-level source of Fast-HotStuff's forking resistance (and why
+        // `fork_parent` keeps the trait's "no room" default).
+        vote_once(&mut self.last_voted_view, block.view, || {
+            block.parent == block.justify.block && forest.contains(block.parent)
+        })
+    }
+
+    // The voting rule consults only the proposal's own QC: there is no lock.
+    fn update_state(&mut self, _qc: &QuorumCert, _forest: &BlockForest) {}
+
+    fn try_commit(&mut self, qc: &QuorumCert, forest: &BlockForest) -> Option<BlockId> {
+        commit_head(qc, forest, 2, false)
     }
 
     fn voted_view(&self) -> View {
@@ -61,66 +65,12 @@ impl Safety for FastHotStuffSafety {
     fn restore_voted_view(&mut self, view: View) {
         self.last_voted_view = self.last_voted_view.max(view);
     }
-
-    fn vote_destination(&self) -> VoteDestination {
-        VoteDestination::NextLeader
-    }
-
-    fn is_responsive(&self) -> bool {
-        true
-    }
-
-    fn propose(&mut self, input: &ProposalInput, forest: &BlockForest) -> Option<Block> {
-        let high_qc = forest.high_qc().clone();
-        build_block(input, forest, high_qc.block, high_qc)
-    }
-
-    fn should_vote(&mut self, block: &Block, forest: &BlockForest) -> bool {
-        if block.view <= self.last_voted_view {
-            return false;
-        }
-        // The parent must be exactly the block certified by the proposal's own
-        // QC — a proposal built on an older ancestor is rejected, which is the
-        // rule-level source of Fast-HotStuff's forking resistance.
-        if block.parent != block.justify.block {
-            return false;
-        }
-        if !forest.contains(block.parent) {
-            return false;
-        }
-        self.last_voted_view = block.view;
-        true
-    }
-
-    fn update_state(&mut self, qc: &QuorumCert, forest: &BlockForest) {
-        if let Some(certified) = forest.get(qc.block) {
-            if certified.height > self.locked_height {
-                self.locked = certified.id;
-                self.locked_height = certified.height;
-            }
-        }
-    }
-
-    fn try_commit(&mut self, qc: &QuorumCert, forest: &BlockForest) -> Option<BlockId> {
-        let tip = forest.get(qc.block)?;
-        let parent = forest.get(tip.parent)?;
-        if forest.is_certified(tip.id) && forest.is_certified(parent.id) && !parent.is_genesis() {
-            Some(parent.id)
-        } else {
-            None
-        }
-    }
-
-    fn fork_parent(&self, _forest: &BlockForest) -> Option<BlockId> {
-        // The strict parent-equals-justify voting rule means an unjustified
-        // fork never collects votes.
-        None
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::safety::build_block;
     use crate::safety::testutil::*;
 
     #[test]
@@ -148,14 +98,5 @@ mod tests {
         assert_eq!(fhs.try_commit(&qc_b, &forest), Some(a));
         assert!(fhs.is_responsive());
         assert!(fhs.fork_parent(&forest).is_none());
-    }
-
-    #[test]
-    fn lock_follows_certified_tip() {
-        let mut forest = bamboo_forest::BlockForest::new();
-        let (a, qc_a) = extend_certified(&mut forest, BlockId::GENESIS, 1);
-        let mut fhs = FastHotStuffSafety::new();
-        fhs.update_state(&qc_a, &forest);
-        assert_eq!(fhs.locked_block(), a);
     }
 }

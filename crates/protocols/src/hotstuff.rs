@@ -16,58 +16,63 @@
 //!   commits its head.
 
 use bamboo_forest::BlockForest;
-use bamboo_types::{Block, BlockId, Height, ProtocolKind, QuorumCert, View};
+use bamboo_types::{Block, BlockId, QuorumCert, View};
 
-use crate::safety::{build_block, ProposalInput, Safety, VoteDestination};
+use crate::safety::{
+    commit_head, fork_target, propose_on_high_qc, vote_once, Lock, ProposalInput, Safety,
+};
 
 /// Chained HotStuff safety rules.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct HotStuffSafety {
-    locked: BlockId,
-    locked_height: Height,
-    locked_view: View,
+    lock: Lock,
     last_voted_view: View,
-}
-
-impl Default for HotStuffSafety {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl HotStuffSafety {
     /// Creates the initial state: locked on genesis, nothing voted yet.
     pub fn new() -> Self {
-        Self {
-            locked: BlockId::GENESIS,
-            locked_height: Height::GENESIS,
-            locked_view: View::GENESIS,
-            last_voted_view: View::GENESIS,
-        }
+        Self::default()
     }
 
     /// The currently locked block (exposed for tests and metrics).
     pub fn locked_block(&self) -> BlockId {
-        self.locked
-    }
-
-    /// The last view this replica voted in.
-    pub fn last_voted_view(&self) -> View {
-        self.last_voted_view
-    }
-
-    fn update_lock(&mut self, id: BlockId, height: Height, view: View) {
-        if height > self.locked_height {
-            self.locked = id;
-            self.locked_height = height;
-            self.locked_view = view;
-        }
+        self.lock.block()
     }
 }
 
 impl Safety for HotStuffSafety {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::HotStuff
+    fn is_responsive(&self) -> bool {
+        true
+    }
+
+    fn propose(&self, input: &ProposalInput, forest: &BlockForest) -> Option<Block> {
+        propose_on_high_qc(input, forest)
+    }
+
+    fn should_vote(&mut self, block: &Block, forest: &BlockForest) -> bool {
+        vote_once(&mut self.last_voted_view, block.view, || {
+            self.lock.admits(block, forest)
+        })
+    }
+
+    fn update_state(&mut self, qc: &QuorumCert, forest: &BlockForest) {
+        // The newly certified block and its certified direct parent form a
+        // two-chain; its head (the parent) becomes the lock.
+        self.lock.update(qc, forest, 2);
+    }
+
+    fn try_commit(&mut self, qc: &QuorumCert, forest: &BlockForest) -> Option<BlockId> {
+        // A three-chain ending at the newly certified block commits its head.
+        commit_head(qc, forest, 3, false)
+    }
+
+    fn fork_parent(&self, forest: &BlockForest) -> Option<BlockId> {
+        // The attacker overwrites the two uncommitted tail blocks: it builds on
+        // the grandparent of the certified tip, which is (at least) the honest
+        // replicas' locked block, so the proposal still passes the voting
+        // rule (Fig. 5 of the paper).
+        fork_target(forest, 2)
     }
 
     fn voted_view(&self) -> View {
@@ -77,94 +82,20 @@ impl Safety for HotStuffSafety {
     fn restore_voted_view(&mut self, view: View) {
         self.last_voted_view = self.last_voted_view.max(view);
     }
-
-    fn vote_destination(&self) -> VoteDestination {
-        VoteDestination::NextLeader
-    }
-
-    fn is_responsive(&self) -> bool {
-        true
-    }
-
-    fn propose(&mut self, input: &ProposalInput, forest: &BlockForest) -> Option<Block> {
-        let high_qc = forest.high_qc().clone();
-        build_block(input, forest, high_qc.block, high_qc)
-    }
-
-    fn should_vote(&mut self, block: &Block, forest: &BlockForest) -> bool {
-        if block.view <= self.last_voted_view {
-            return false;
-        }
-        let extends_lock = forest.extends(block.parent, self.locked);
-        let parent_view = forest
-            .get(block.parent)
-            .map(|p| p.view)
-            .unwrap_or(block.justify.view);
-        let higher_view = parent_view > self.locked_view;
-        if extends_lock || higher_view {
-            self.last_voted_view = block.view;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn update_state(&mut self, qc: &QuorumCert, forest: &BlockForest) {
-        // The newly certified block together with its certified direct parent
-        // forms a two-chain; its head (the parent) becomes the lock.
-        let Some(certified) = forest.get(qc.block) else {
-            return;
-        };
-        if let Some(parent) = forest.get(certified.parent) {
-            if forest.is_certified(parent.id) {
-                let (id, height, view) = (parent.id, parent.height, parent.view);
-                self.update_lock(id, height, view);
-            }
-        }
-    }
-
-    fn try_commit(&mut self, qc: &QuorumCert, forest: &BlockForest) -> Option<BlockId> {
-        // A three-chain ending at the newly certified block commits its head.
-        let tip = forest.get(qc.block)?;
-        let parent = forest.get(tip.parent)?;
-        let grandparent = forest.get(parent.parent)?;
-        if forest.is_certified(tip.id)
-            && forest.is_certified(parent.id)
-            && forest.is_certified(grandparent.id)
-            && !grandparent.is_genesis()
-        {
-            Some(grandparent.id)
-        } else {
-            None
-        }
-    }
-
-    fn fork_parent(&self, forest: &BlockForest) -> Option<BlockId> {
-        // The attacker overwrites the two uncommitted tail blocks: it builds on
-        // the grandparent of the certified tip, which is (at least) the honest
-        // replicas' locked block, so the proposal still passes the voting
-        // rule (Fig. 5 of the paper).
-        let tip = forest.highest_certified_block();
-        let target = forest.ancestor(tip.id, 2)?;
-        if forest.is_certified(target.id) {
-            Some(target.id)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::safety::testutil::*;
+    use crate::safety::{build_block, VoteDestination};
 
     #[test]
     fn proposes_on_high_qc() {
         let mut forest = bamboo_forest::BlockForest::new();
         let (a, _) = extend_certified(&mut forest, BlockId::GENESIS, 1);
         let (b, qc_b) = extend_certified(&mut forest, a, 2);
-        let mut hs = HotStuffSafety::new();
+        let hs = HotStuffSafety::new();
         let block = hs.propose(&input(3, 3), &forest).expect("proposal");
         assert_eq!(block.parent, b);
         assert_eq!(block.justify, qc_b);
@@ -179,7 +110,7 @@ mod tests {
         let block = build_block(&input(2, 2), &forest, a, qc_a).unwrap();
         forest.insert(block.clone()).unwrap();
         assert!(hs.should_vote(&block, &forest));
-        assert_eq!(hs.last_voted_view(), View(2));
+        assert_eq!(hs.voted_view(), View(2));
         assert!(!hs.should_vote(&block, &forest), "no double voting");
     }
 

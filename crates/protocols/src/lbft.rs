@@ -10,34 +10,45 @@
 //! we document it as an approximation in DESIGN.md.
 
 use bamboo_forest::BlockForest;
-use bamboo_types::{Block, BlockId, ProtocolKind, QuorumCert, View};
+use bamboo_types::{Block, BlockId, QuorumCert, View};
 
-use crate::safety::{build_block, ProposalInput, Safety, VoteDestination};
+use crate::safety::{
+    commit_head, extends_longest_notarized, propose_on_certified, vote_once, ProposalInput, Safety,
+    VoteDestination,
+};
 
 /// LBFT-style safety rules: broadcast votes + two-chain commit.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LbftSafety {
     last_voted_view: View,
-}
-
-impl Default for LbftSafety {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl LbftSafety {
     /// Creates the initial state.
     pub fn new() -> Self {
-        Self {
-            last_voted_view: View::GENESIS,
-        }
+        Self::default()
     }
 }
 
 impl Safety for LbftSafety {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Lbft
+    fn vote_destination(&self) -> VoteDestination {
+        VoteDestination::Broadcast
+    }
+
+    fn propose(&self, input: &ProposalInput, forest: &BlockForest) -> Option<Block> {
+        propose_on_certified(input, forest, forest.highest_certified_block().id)
+    }
+
+    fn should_vote(&mut self, block: &Block, forest: &BlockForest) -> bool {
+        vote_once(&mut self.last_voted_view, block.view, || {
+            extends_longest_notarized(block, forest)
+        })
+    }
+
+    fn update_state(&mut self, _qc: &QuorumCert, _forest: &BlockForest) {}
+
+    fn try_commit(&mut self, qc: &QuorumCert, forest: &BlockForest) -> Option<BlockId> {
+        commit_head(qc, forest, 2, false)
     }
 
     fn voted_view(&self) -> View {
@@ -47,61 +58,12 @@ impl Safety for LbftSafety {
     fn restore_voted_view(&mut self, view: View) {
         self.last_voted_view = self.last_voted_view.max(view);
     }
-
-    fn vote_destination(&self) -> VoteDestination {
-        VoteDestination::Broadcast
-    }
-
-    fn echo_messages(&self) -> bool {
-        false
-    }
-
-    fn is_responsive(&self) -> bool {
-        false
-    }
-
-    fn propose(&mut self, input: &ProposalInput, forest: &BlockForest) -> Option<Block> {
-        let tip = forest.highest_certified_block().id;
-        let justify = forest
-            .qc_of(tip)
-            .cloned()
-            .unwrap_or_else(QuorumCert::genesis);
-        build_block(input, forest, tip, justify)
-    }
-
-    fn should_vote(&mut self, block: &Block, forest: &BlockForest) -> bool {
-        if block.view <= self.last_voted_view {
-            return false;
-        }
-        let Some(parent) = forest.get(block.parent) else {
-            return false;
-        };
-        if !forest.is_certified(parent.id) {
-            return false;
-        }
-        if parent.height < forest.highest_certified_block().height {
-            return false;
-        }
-        self.last_voted_view = block.view;
-        true
-    }
-
-    fn update_state(&mut self, _qc: &QuorumCert, _forest: &BlockForest) {}
-
-    fn try_commit(&mut self, qc: &QuorumCert, forest: &BlockForest) -> Option<BlockId> {
-        let tip = forest.get(qc.block)?;
-        let parent = forest.get(tip.parent)?;
-        if forest.is_certified(tip.id) && forest.is_certified(parent.id) && !parent.is_genesis() {
-            Some(parent.id)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::safety::build_block;
     use crate::safety::testutil::*;
 
     #[test]
@@ -137,7 +99,7 @@ mod tests {
     fn proposes_on_certified_tip() {
         let mut forest = bamboo_forest::BlockForest::new();
         let (a, _) = extend_certified(&mut forest, BlockId::GENESIS, 1);
-        let mut lbft = LbftSafety::new();
+        let lbft = LbftSafety::new();
         let block = lbft.propose(&input(2, 1), &forest).unwrap();
         assert_eq!(block.parent, a);
     }

@@ -12,9 +12,9 @@
 //! the paper cites as the source of the (small) performance gap.
 
 use bamboo_forest::BlockForest;
-use bamboo_types::{Block, BlockId, Height, ProtocolKind, QuorumCert, View};
+use bamboo_types::{Block, BlockId, Height, QuorumCert, View};
 
-use crate::safety::{build_block, ProposalInput, Safety, VoteDestination};
+use crate::safety::{build_block, fork_target, ProposalInput, Safety};
 
 /// Baseline HotStuff implementation structured after libhotstuff.
 #[derive(Clone, Debug)]
@@ -86,10 +86,6 @@ impl OhsSafety {
 }
 
 impl Safety for OhsSafety {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::OriginalHotStuff
-    }
-
     // OHS votes by height, not view: `vheight` is the watermark. It is
     // mapped into the view slot of the durable `SafetyRecord` — the
     // double-vote guarantee (never vote at or below the watermark again)
@@ -102,15 +98,11 @@ impl Safety for OhsSafety {
         self.vheight = self.vheight.max(Height(view.as_u64()));
     }
 
-    fn vote_destination(&self) -> VoteDestination {
-        VoteDestination::NextLeader
-    }
-
     fn is_responsive(&self) -> bool {
         true
     }
 
-    fn propose(&mut self, input: &ProposalInput, forest: &BlockForest) -> Option<Block> {
+    fn propose(&self, input: &ProposalInput, forest: &BlockForest) -> Option<Block> {
         let high_qc = forest.high_qc().clone();
         build_block(input, forest, high_qc.block, high_qc)
     }
@@ -158,9 +150,7 @@ impl Safety for OhsSafety {
     }
 
     fn fork_parent(&self, forest: &BlockForest) -> Option<BlockId> {
-        let tip = forest.highest_certified_block();
-        let target = forest.ancestor(tip.id, 2)?;
-        forest.is_certified(target.id).then_some(target.id)
+        fork_target(forest, 2)
     }
 }
 

@@ -1,8 +1,18 @@
-//! The `Safety` trait: the paper's Proposing / Voting / State-Updating /
-//! Commit rules behind a single interface.
+//! The `Safety` trait — the paper's Proposing / Voting / State-Updating /
+//! Commit rules behind a single interface — and the rule kit the built-in
+//! protocols assemble those rules from.
+//!
+//! The kit is the shared vocabulary of §II: a [`Lock`] that only moves up and
+//! admits a proposal that "extends the lock or is newer", the two honest
+//! proposing rules ([`propose_on_high_qc`], [`propose_on_certified`]), the
+//! longest-notarized-chain voting rule ([`extends_longest_notarized`]), the
+//! one-vote-per-view watermark ([`vote_once`]) and the `k`-chain commit rule
+//! ([`commit_head`], over [`BlockForest::certified_chain`]). A protocol file
+//! keeps only what differs: which block locks, `k`, where votes go, and
+//! whether the protocol is responsive.
 
 use bamboo_forest::BlockForest;
-use bamboo_types::{Block, BlockId, NodeId, ProtocolKind, QuorumCert, Transaction, View, Vote};
+use bamboo_types::{Block, BlockId, Height, NodeId, QuorumCert, Transaction, View};
 
 /// Where a replica sends its vote after accepting a proposal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,14 +36,10 @@ pub struct ProposalInput {
 
 /// The four protocol-specific rules of a chained-BFT protocol.
 ///
-/// Implementations are deliberately small (a few hundred lines each, matching
-/// the paper's "each protocol is around 300 LoC" observation) because all the
-/// heavy machinery lives in the shared modules.
+/// Implementations are deliberately small (well under the paper's "each
+/// protocol is around 300 LoC") because the heavy machinery lives in the
+/// shared modules and the rules themselves come from the kit below.
 pub trait Safety: Send {
-    /// Which protocol this is (used for labeling and protocol-specific runner
-    /// behaviour such as wait-for-timeout after view changes).
-    fn kind(&self) -> ProtocolKind;
-
     /// Where votes are sent.
     fn vote_destination(&self) -> VoteDestination {
         VoteDestination::NextLeader
@@ -63,9 +69,11 @@ pub trait Safety: Send {
         false
     }
 
-    /// **Proposing rule** — build the block for `input.view`. Returns `None`
-    /// if the proposer declines to propose (the silence attack does this).
-    fn propose(&mut self, input: &ProposalInput, forest: &BlockForest) -> Option<Block>;
+    /// **Proposing rule** — build the block for `input.view`, or `None` when
+    /// no proposal is possible (the parent is not in the forest). Read-only:
+    /// it is the one rule an attacker replaces (`crate::Attack`), and an
+    /// attacker holding `&dyn Safety` cannot touch the voting state.
+    fn propose(&self, input: &ProposalInput, forest: &BlockForest) -> Option<Block>;
 
     /// **Voting rule** — decide whether to vote for `block`. Implementations
     /// must also maintain whatever "last voted view" state they need; the
@@ -103,22 +111,107 @@ pub trait Safety: Send {
     /// height-voting protocols). Implementations take the max with their
     /// current watermark — restoring can only tighten the rule.
     fn restore_voted_view(&mut self, view: View);
+}
 
-    /// Hook used by signature-forging attackers: given the honest vote the
-    /// replica just produced, returns the votes to put on the wire *instead*.
-    /// `None` (the default, and every honest protocol) sends the honest vote
-    /// unchanged. The replica keeps processing its own honest vote locally
-    /// either way, so the hook can only corrupt outbound traffic — which is
-    /// exactly the surface the authenticated ingress stage must cover.
-    fn forged_votes(&mut self, vote: &Vote) -> Option<Vec<Vote>> {
-        let _ = vote;
-        None
+// ---- the rule kit -----------------------------------------------------------
+
+/// The locked block (`lBlock`): what a replica refuses to vote against.
+/// Starts on genesis and only ever moves up.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Lock {
+    block: BlockId,
+    height: Height,
+    view: View,
+}
+
+impl Lock {
+    /// The locked block.
+    pub fn block(&self) -> BlockId {
+        self.block
+    }
+
+    /// State-updating rule: the head of the `depth`-chain the newly certified
+    /// block closes becomes the lock, if it is higher than the current one.
+    pub fn update(&mut self, qc: &QuorumCert, forest: &BlockForest, depth: usize) {
+        match forest.certified_chain(qc.block, depth, false) {
+            Some(head) if head.height > self.height => {
+                (self.block, self.height, self.view) = (head.id, head.height, head.view);
+            }
+            _ => {}
+        }
+    }
+
+    /// Voting rule of the HotStuff family: `block` extends the locked block,
+    /// *or* its parent is newer (carries a higher view) than the lock.
+    pub fn admits(&self, block: &Block, forest: &BlockForest) -> bool {
+        let parent = forest.get(block.parent);
+        forest.extends(block.parent, self.block)
+            || parent.map_or(block.justify.view, |p| p.view) > self.view
     }
 }
 
-/// Shared helper implementing the common happy-path Proposing rule: build a
-/// block on top of `parent`, carrying `justify` (normally the QC certifying
-/// the parent) and the given payload.
+/// The vote watermark (`lvView`): a replica votes at most once per view, and
+/// only when the protocol's own rule `admits` the proposal.
+pub fn vote_once(last_voted: &mut View, view: View, admits: impl FnOnce() -> bool) -> bool {
+    let vote = view > *last_voted && admits();
+    if vote {
+        *last_voted = view;
+    }
+    vote
+}
+
+/// Voting rule of the longest-chain family (Streamlet, LBFT): the parent must
+/// be notarized and at least as high as the highest notarized block.
+pub fn extends_longest_notarized(block: &Block, forest: &BlockForest) -> bool {
+    forest.get(block.parent).is_some_and(|parent| {
+        forest.is_certified(parent.id) && parent.height >= forest.highest_certified_block().height
+    })
+}
+
+/// Proposing rule of the HotStuff family: extend the block certified by the
+/// highest QC (`hQC`), carrying that QC.
+pub fn propose_on_high_qc(input: &ProposalInput, forest: &BlockForest) -> Option<Block> {
+    let high_qc = forest.high_qc().clone();
+    build_block(input, forest, high_qc.block, high_qc)
+}
+
+/// Proposing rule over a certified `parent`, justified by the parent's own
+/// QC: the longest-chain family passes the tip of the longest notarized
+/// chain, the forking attack an older ancestor.
+pub fn propose_on_certified(
+    input: &ProposalInput,
+    forest: &BlockForest,
+    parent: BlockId,
+) -> Option<Block> {
+    let justify = forest.qc_of(parent).cloned();
+    let justify = justify.unwrap_or_else(QuorumCert::genesis);
+    build_block(input, forest, parent, justify)
+}
+
+/// Commit rule: the head of the `k`-chain the newly certified block closes
+/// (see [`BlockForest::certified_chain`]). Genesis is certified only by
+/// convention, so a chain that reaches down to it commits nothing.
+pub fn commit_head(
+    qc: &QuorumCert,
+    forest: &BlockForest,
+    k: usize,
+    consecutive_views: bool,
+) -> Option<BlockId> {
+    let head = forest.certified_chain(qc.block, k, consecutive_views)?;
+    (!head.is_genesis()).then_some(head.id)
+}
+
+/// Forking room: the certified ancestor `depth` blocks below the certified
+/// tip — what [`Safety::fork_parent`] returns for a protocol whose lock
+/// trails the tip by `depth` blocks.
+pub fn fork_target(forest: &BlockForest, depth: usize) -> Option<BlockId> {
+    let target = forest.ancestor(forest.highest_certified_block().id, depth)?;
+    forest.is_certified(target.id).then_some(target.id)
+}
+
+/// The block-assembly step every proposing rule ends in: a block on top of
+/// `parent`, carrying `justify` (normally the QC certifying the parent) and
+/// the given payload.
 ///
 /// Returns `None` if `parent` is not in the forest.
 pub fn build_block(
@@ -185,6 +278,24 @@ pub(crate) mod testutil {
         let qc = qc_for(id, View(view));
         forest.register_qc(qc.clone()).expect("register qc");
         (id, qc)
+    }
+
+    /// Builds a certified chain g <- a <- b <- c and returns (forest, [a,b,c]).
+    pub fn chain3() -> (BlockForest, Vec<BlockId>) {
+        let mut forest = BlockForest::new();
+        let (a, _) = extend_certified(&mut forest, BlockId::GENESIS, 1);
+        let (b, _) = extend_certified(&mut forest, a, 2);
+        let (c, _) = extend_certified(&mut forest, b, 3);
+        (forest, vec![a, b, c])
+    }
+
+    /// The `n`-th draw of a deterministic stream keyed by `seed` (splitmix64),
+    /// so generated cases are reproducible from the printed seed.
+    pub fn roll(seed: u64, n: u64) -> u64 {
+        let mut z = seed ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
     }
 
     /// A standard proposal input.

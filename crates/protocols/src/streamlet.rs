@@ -16,49 +16,27 @@
 //! while making the comparison fair.
 
 use bamboo_forest::BlockForest;
-use bamboo_types::{Block, BlockId, ProtocolKind, QuorumCert, View};
+use bamboo_types::{Block, BlockId, QuorumCert, View};
 
-use crate::safety::{build_block, ProposalInput, Safety, VoteDestination};
+use crate::safety::{
+    commit_head, extends_longest_notarized, propose_on_certified, vote_once, ProposalInput, Safety,
+    VoteDestination,
+};
 
 /// Streamlet safety rules.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct StreamletSafety {
     last_voted_view: View,
-}
-
-impl Default for StreamletSafety {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl StreamletSafety {
     /// Creates the initial state.
     pub fn new() -> Self {
-        Self {
-            last_voted_view: View::GENESIS,
-        }
-    }
-
-    /// The last view this replica voted in.
-    pub fn last_voted_view(&self) -> View {
-        self.last_voted_view
+        Self::default()
     }
 }
 
 impl Safety for StreamletSafety {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Streamlet
-    }
-
-    fn voted_view(&self) -> View {
-        self.last_voted_view
-    }
-
-    fn restore_voted_view(&mut self, view: View) {
-        self.last_voted_view = self.last_voted_view.max(view);
-    }
-
     fn vote_destination(&self) -> VoteDestination {
         VoteDestination::Broadcast
     }
@@ -67,11 +45,8 @@ impl Safety for StreamletSafety {
         true
     }
 
-    fn is_responsive(&self) -> bool {
-        // Streamlet still relies on timeouts to guarantee liveness even though
-        // it has a three-chain-style commit rule (§II-D).
-        false
-    }
+    // Not responsive (the trait default): Streamlet still relies on timeouts
+    // for liveness even though its commit rule is three-chain-shaped (§II-D).
 
     fn epoch_based(&self) -> bool {
         // Streamlet's rounds are synchronized epochs of fixed duration; a
@@ -79,36 +54,20 @@ impl Safety for StreamletSafety {
         true
     }
 
-    fn propose(&mut self, input: &ProposalInput, forest: &BlockForest) -> Option<Block> {
-        // Build on the tip of the longest notarized chain. Only the tip's id
-        // is needed — cloning the whole block would copy its payload.
-        let tip = forest.highest_certified_block().id;
-        let justify = forest
-            .qc_of(tip)
-            .cloned()
-            .unwrap_or_else(QuorumCert::genesis);
-        build_block(input, forest, tip, justify)
+    fn propose(&self, input: &ProposalInput, forest: &BlockForest) -> Option<Block> {
+        // Build on the tip of the longest notarized chain.
+        propose_on_certified(input, forest, forest.highest_certified_block().id)
     }
 
     fn should_vote(&mut self, block: &Block, forest: &BlockForest) -> bool {
-        if block.view <= self.last_voted_view {
-            return false;
-        }
-        // Only vote for proposals extending the longest notarized chain the
-        // replica has seen: the parent must be notarized and at least as high
-        // as the highest notarized block.
-        let Some(parent) = forest.get(block.parent) else {
-            return false;
-        };
-        if !forest.is_certified(parent.id) {
-            return false;
-        }
-        let longest = forest.highest_certified_block();
-        if parent.height < longest.height {
-            return false;
-        }
-        self.last_voted_view = block.view;
-        true
+        // Honest replicas only vote for blocks extending the longest
+        // notarized chain, so no ancestor both forks the chain and still
+        // collects votes: Streamlet is immune to the forking attack in a
+        // synchronous network (§IV-A1) and `fork_parent` keeps the trait's
+        // "no room" default.
+        vote_once(&mut self.last_voted_view, block.view, || {
+            extends_longest_notarized(block, forest)
+        })
     }
 
     fn update_state(&mut self, _qc: &QuorumCert, _forest: &BlockForest) {
@@ -120,29 +79,23 @@ impl Safety for StreamletSafety {
         // Three notarized blocks in consecutive views commit the first two of
         // the three: committing the middle block commits it and every
         // ancestor, which is exactly "the first two out of the three".
-        let tip = forest.get(qc.block)?;
-        let head = forest.consecutive_view_chain(tip.id, 3)?;
-        if head.is_genesis() {
-            // The chain is g <- b1 <- b2 where genesis counts as certified but
-            // has no real view; require three real blocks.
-            return None;
-        }
-        let middle = forest.get(tip.parent)?;
-        Some(middle.id)
+        commit_head(qc, forest, 3, true)?;
+        forest.get(qc.block).map(|tip| tip.parent)
     }
 
-    fn fork_parent(&self, _forest: &BlockForest) -> Option<BlockId> {
-        // Honest replicas only vote for blocks extending the longest notarized
-        // chain, so there is no ancestor the attacker can build on that both
-        // forks the chain and still collects votes: Streamlet is immune to the
-        // forking attack in a synchronous network (§IV-A1).
-        None
+    fn voted_view(&self) -> View {
+        self.last_voted_view
+    }
+
+    fn restore_voted_view(&mut self, view: View) {
+        self.last_voted_view = self.last_voted_view.max(view);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::safety::build_block;
     use crate::safety::testutil::*;
 
     #[test]
@@ -153,7 +106,7 @@ mod tests {
         // A longer but uncertified fork must be ignored.
         let f1 = extend(&mut forest, a, 3);
         let _f2 = extend(&mut forest, f1, 4);
-        let mut sl = StreamletSafety::new();
+        let sl = StreamletSafety::new();
         let block = sl.propose(&input(5, 1), &forest).expect("proposal");
         assert_eq!(
             block.parent, b,

@@ -10,113 +10,50 @@
 //! network delay (like Tendermint / Casper).
 
 use bamboo_forest::BlockForest;
-use bamboo_types::{Block, BlockId, Height, ProtocolKind, QuorumCert, View};
+use bamboo_types::{Block, BlockId, QuorumCert, View};
 
-use crate::safety::{build_block, ProposalInput, Safety, VoteDestination};
+use crate::safety::{
+    commit_head, fork_target, propose_on_high_qc, vote_once, Lock, ProposalInput, Safety,
+};
 
 /// Two-chain HotStuff safety rules.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct TwoChainHotStuffSafety {
-    locked: BlockId,
-    locked_height: Height,
-    locked_view: View,
+    lock: Lock,
     last_voted_view: View,
-}
-
-impl Default for TwoChainHotStuffSafety {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl TwoChainHotStuffSafety {
     /// Creates the initial state: locked on genesis, nothing voted yet.
     pub fn new() -> Self {
-        Self {
-            locked: BlockId::GENESIS,
-            locked_height: Height::GENESIS,
-            locked_view: View::GENESIS,
-            last_voted_view: View::GENESIS,
-        }
+        Self::default()
     }
 
     /// The currently locked block.
     pub fn locked_block(&self) -> BlockId {
-        self.locked
-    }
-
-    /// The last view this replica voted in.
-    pub fn last_voted_view(&self) -> View {
-        self.last_voted_view
+        self.lock.block()
     }
 }
 
 impl Safety for TwoChainHotStuffSafety {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::TwoChainHotStuff
-    }
-
-    fn voted_view(&self) -> View {
-        self.last_voted_view
-    }
-
-    fn restore_voted_view(&mut self, view: View) {
-        self.last_voted_view = self.last_voted_view.max(view);
-    }
-
-    fn vote_destination(&self) -> VoteDestination {
-        VoteDestination::NextLeader
-    }
-
-    fn is_responsive(&self) -> bool {
-        // Locking on the one-chain means the protocol must wait for the
-        // maximal network delay after a view change (§II-C).
-        false
-    }
-
-    fn propose(&mut self, input: &ProposalInput, forest: &BlockForest) -> Option<Block> {
-        let high_qc = forest.high_qc().clone();
-        build_block(input, forest, high_qc.block, high_qc)
+    fn propose(&self, input: &ProposalInput, forest: &BlockForest) -> Option<Block> {
+        propose_on_high_qc(input, forest)
     }
 
     fn should_vote(&mut self, block: &Block, forest: &BlockForest) -> bool {
-        if block.view <= self.last_voted_view {
-            return false;
-        }
-        let extends_lock = forest.extends(block.parent, self.locked);
-        let parent_view = forest
-            .get(block.parent)
-            .map(|p| p.view)
-            .unwrap_or(block.justify.view);
-        let higher_view = parent_view > self.locked_view;
-        if extends_lock || higher_view {
-            self.last_voted_view = block.view;
-            true
-        } else {
-            false
-        }
+        vote_once(&mut self.last_voted_view, block.view, || {
+            self.lock.admits(block, forest)
+        })
     }
 
     fn update_state(&mut self, qc: &QuorumCert, forest: &BlockForest) {
         // The lock is on the one-chain: the newly certified block itself.
-        if let Some(certified) = forest.get(qc.block) {
-            if certified.height > self.locked_height {
-                self.locked = certified.id;
-                self.locked_height = certified.height;
-                self.locked_view = certified.view;
-            }
-        }
+        self.lock.update(qc, forest, 1);
     }
 
     fn try_commit(&mut self, qc: &QuorumCert, forest: &BlockForest) -> Option<BlockId> {
         // A two-chain ending at the newly certified block commits its head.
-        let tip = forest.get(qc.block)?;
-        let parent = forest.get(tip.parent)?;
-        if forest.is_certified(tip.id) && forest.is_certified(parent.id) && !parent.is_genesis() {
-            Some(parent.id)
-        } else {
-            None
-        }
+        commit_head(qc, forest, 2, false)
     }
 
     fn fork_parent(&self, forest: &BlockForest) -> Option<BlockId> {
@@ -126,19 +63,22 @@ impl Safety for TwoChainHotStuffSafety {
         // than the honest lock only when the tip QC has not been seen by the
         // voters yet; in practice this overwrites at most one block, as the
         // paper observes).
-        let tip = forest.highest_certified_block();
-        let target = forest.ancestor(tip.id, 1)?;
-        if forest.is_certified(target.id) {
-            Some(target.id)
-        } else {
-            None
-        }
+        fork_target(forest, 1)
+    }
+
+    fn voted_view(&self) -> View {
+        self.last_voted_view
+    }
+
+    fn restore_voted_view(&mut self, view: View) {
+        self.last_voted_view = self.last_voted_view.max(view);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::safety::build_block;
     use crate::safety::testutil::*;
 
     #[test]

@@ -67,11 +67,6 @@ impl SimRng {
         result
     }
 
-    /// The next raw 32-bit value.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in `[0, 1)`.
     pub fn uniform(&mut self) -> f64 {
         // 53 uniform mantissa bits.

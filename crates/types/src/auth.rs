@@ -139,12 +139,6 @@ impl VerifiedMessage {
         let message = SharedMessage::try_unwrap(self.message).unwrap_or_else(|arc| (*arc).clone());
         (self.from, message)
     }
-
-    /// Consumes the token and returns `(sender, shared message)` without
-    /// touching the envelope.
-    pub fn into_shared_parts(self) -> (NodeId, SharedMessage) {
-        (self.from, self.message)
-    }
 }
 
 /// Verifies inbound messages against the validator set's public keys.

@@ -421,13 +421,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Sets the base one-way link latency distribution.
-    pub fn link_latency(mut self, mean: SimDuration, std: SimDuration) -> Self {
-        self.config.link_latency_mean = mean;
-        self.config.link_latency_std = std;
-        self
-    }
-
     /// Sets the NIC bandwidth in bytes per second.
     pub fn bandwidth(mut self, bytes_per_sec: u64) -> Self {
         self.config.bandwidth_bytes_per_sec = bytes_per_sec;

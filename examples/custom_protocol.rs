@@ -6,70 +6,52 @@
 //! block commits as soon as it is certified. That is unsafe against Byzantine
 //! leaders (which is exactly what the output demonstrates under a forking
 //! attack), but it shows that a new protocol is nothing more than a `Safety`
-//! implementation plus ~100 lines.
+//! implementation whose four rules are one line each on the shared rule kit:
+//! what to propose on, when to vote, what to lock, and the `k` of its
+//! `k`-chain commit rule.
 //!
 //! ```bash
 //! cargo run --release --example custom_protocol
 //! ```
 
 use bamboo::forest::BlockForest;
-use bamboo::protocols::{build_block, ProposalInput, Safety, VoteDestination};
-use bamboo::types::{Block, BlockId, ProtocolKind, QuorumCert, View};
+use bamboo::protocols::safety::{commit_head, propose_on_high_qc, vote_once};
+use bamboo::protocols::{ProposalInput, Safety};
+use bamboo::types::{Block, BlockId, QuorumCert, View};
 
 /// A deliberately aggressive protocol: commit on a one-chain.
+#[derive(Default)]
 struct EagerChain {
     last_voted_view: View,
 }
 
-impl EagerChain {
-    fn new() -> Self {
-        Self {
-            last_voted_view: View::GENESIS,
-        }
-    }
-}
-
 impl Safety for EagerChain {
-    fn kind(&self) -> ProtocolKind {
-        // Reuse an existing label for reporting purposes; a production
-        // protocol would extend the enum.
-        ProtocolKind::TwoChainHotStuff
-    }
-
-    fn vote_destination(&self) -> VoteDestination {
-        VoteDestination::NextLeader
-    }
-
     // Proposing rule: extend the block certified by the highest QC.
-    fn propose(&mut self, input: &ProposalInput, forest: &BlockForest) -> Option<Block> {
-        let high_qc = forest.high_qc().clone();
-        build_block(input, forest, high_qc.block, high_qc)
+    fn propose(&self, input: &ProposalInput, forest: &BlockForest) -> Option<Block> {
+        propose_on_high_qc(input, forest)
     }
 
     // Voting rule: vote for anything newer than the last voted view.
     fn should_vote(&mut self, block: &Block, _forest: &BlockForest) -> bool {
-        if block.view <= self.last_voted_view {
-            return false;
-        }
-        self.last_voted_view = block.view;
-        true
+        vote_once(&mut self.last_voted_view, block.view, || true)
     }
 
+    // State-updating rule: no lock at all.
     fn update_state(&mut self, _qc: &QuorumCert, _forest: &BlockForest) {}
 
-    // Durable-restart hooks: expose the vote watermark so a replica running
-    // this protocol could persist and restore it across a crash.
+    // Commit rule: a certified block commits immediately (one-chain!).
+    fn try_commit(&mut self, qc: &QuorumCert, forest: &BlockForest) -> Option<BlockId> {
+        commit_head(qc, forest, 1, false)
+    }
+
+    // The vote watermark a replica persists before each vote and restores
+    // after a restart, so it never votes twice in a view.
     fn voted_view(&self) -> View {
         self.last_voted_view
     }
 
     fn restore_voted_view(&mut self, view: View) {
         self.last_voted_view = self.last_voted_view.max(view);
-    }
-
-    // Commit rule: a certified block commits immediately (one-chain!).
-    fn try_commit(&mut self, qc: &QuorumCert, forest: &BlockForest) -> Option<BlockId> {
-        forest.get(qc.block).map(|b| b.id)
     }
 }
 
@@ -78,7 +60,7 @@ fn main() {
     // exactly the way the built-in protocols are unit-tested: build a chain,
     // certify blocks, and watch the commit rule fire.
     let mut forest = BlockForest::new();
-    let mut protocol = EagerChain::new();
+    let mut protocol = EagerChain::default();
 
     println!("EagerChain: a custom one-chain-commit protocol built on the framework\n");
     let mut parent = BlockId::GENESIS;

@@ -11,10 +11,10 @@
 //! |---|---|---|
 //! | [`types`] | `bamboo-types` | blocks, QCs, messages, Table-I configuration |
 //! | [`crypto`] | `bamboo-crypto` | SHA-256, simulated signatures, aggregation |
-//! | [`forest`] | `bamboo-forest` | block forest, chain predicates, ledger |
+//! | [`forest`] | `bamboo-forest` | block forest, the `k`-chain predicate, ledger |
 //! | [`mempool`] | `bamboo-mempool` | bidirectional-queue memory pool |
 //! | [`pacemaker`] | `bamboo-pacemaker` | view synchronisation, leader election |
-//! | [`protocols`] | `bamboo-protocols` | Safety rules: HotStuff, 2CHS, Streamlet, … + attacks |
+//! | [`protocols`] | `bamboo-protocols` | Safety rules on one rule kit: HotStuff, 2CHS, Streamlet, …; the `Attack` type |
 //! | [`sim`] | `bamboo-sim` | discrete-event engine, latency/NIC/CPU models |
 //! | [`core`] | `bamboo-core` | replica, quorum, workload, runner, benchmarker, threaded cluster |
 //! | [`net`] | `bamboo-net` | TCP transport: framing, reconnecting peers, loopback clusters |

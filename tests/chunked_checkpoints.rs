@@ -61,14 +61,13 @@ fn checkpoint_cost_is_flat_in_the_ledger_length() {
 
 #[test]
 fn restart_from_a_many_chunk_image_rejoins_the_chain() {
-    for mode in [RecoverMode::Amnesia, RecoverMode::Durable(None)] {
+    for durable in [false, true] {
         let fault = NodeFault {
             node: NodeId(2),
             crash: FaultTrigger::At(SimTime(150_000_000)),
             recover: Some(FaultTrigger::At(SimTime(300_000_000))),
-            mode,
+            mode: RecoverMode::Restart(None),
         };
-        let durable = mode != RecoverMode::Amnesia;
         let report = run(8, 400, durable, vec![fault]);
         assert_eq!(report.safety_violations, 0);
         let recovery = report.recovery;

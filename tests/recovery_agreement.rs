@@ -43,7 +43,7 @@ fn amnesia_fault(node: u64, crash_ms: u64, recover_ms: u64) -> NodeFault {
         node: NodeId(node),
         crash: FaultTrigger::At(SimTime(crash_ms * 1_000_000)),
         recover: Some(FaultTrigger::At(SimTime(recover_ms * 1_000_000))),
-        mode: RecoverMode::Amnesia,
+        mode: RecoverMode::Restart(None),
     }
 }
 
@@ -137,8 +137,7 @@ fn amnesia_recovery_is_deterministic_at_every_thread_count() {
 /// must bring the victim back, from its checkpoint or from its durable log.
 #[test]
 fn view_triggered_restarts_rejoin_the_honest_chain() {
-    for mode in [RecoverMode::Amnesia, RecoverMode::Durable(None)] {
-        let durable = mode != RecoverMode::Amnesia;
+    for durable in [false, true] {
         let mut cfg = config(7);
         cfg.runtime = SimDuration::from_millis(100);
         cfg.durable_log = durable;
@@ -146,14 +145,20 @@ fn view_triggered_restarts_rejoin_the_honest_chain() {
             node: NodeId(2),
             crash: FaultTrigger::AtView(View(5)),
             recover: Some(FaultTrigger::AtView(View(12))),
-            mode,
+            mode: RecoverMode::Restart(None),
         };
         let report = run_config(cfg, vec![fault]);
-        assert_eq!(report.safety_violations, 0, "{mode:?}");
+        assert_eq!(report.safety_violations, 0, "durable={durable}");
         let recovery = report.recovery;
-        assert_eq!(recovery.amnesia_recoveries, 1, "{mode:?}: no restart");
-        assert_eq!(recovery.durable_restarts, u64::from(durable), "{mode:?}");
-        assert!(recovery.recovered_caught_up, "{mode:?}: {report:?}");
+        assert_eq!(
+            recovery.amnesia_recoveries, 1,
+            "durable={durable}: no restart"
+        );
+        assert_eq!(recovery.durable_restarts, u64::from(durable));
+        assert!(
+            recovery.recovered_caught_up,
+            "durable={durable}: {report:?}"
+        );
     }
 }
 
@@ -208,7 +213,7 @@ fn threaded_cluster_amnesia_recovery_rejoins_with_a_matching_prefix() {
         cluster.committed_txs()
     );
 
-    cluster.recover(victim, RecoverMode::Amnesia);
+    cluster.recover(victim, RecoverMode::Restart(None));
     cluster.submit_round_robin(600, 16);
     let at_recovery = cluster.committed_txs();
     assert!(
