@@ -9,7 +9,7 @@
 
 use bamboo_bench::harness::{bench, bench_with_setup, PASSES};
 use bamboo_bench::{banner, bench_rows, save_rows, Higher, RowFile, Wall};
-use bamboo_core::{RecordKind, RunOptions, SegmentLog, SimRunner, VerifyPool};
+use bamboo_core::{Metrics, RecordKind, RunOptions, SegmentLog, SimRunner, VerifyPool};
 use bamboo_crypto::{sha256, BatchVerifier, KeyPair};
 use bamboo_forest::{BlockForest, Ledger, Snapshot};
 use bamboo_mempool::Mempool;
@@ -265,6 +265,43 @@ fn bench_quorum(out: &mut RowFile) {
     ));
 }
 
+/// What a certificate and a commit sample cost to keep: a QC is cloned at
+/// least three times per delivered proposal (a reference-count bump at any
+/// quorum size), built once per view from unordered votes, and every
+/// committed transaction is recorded into the latency histograms.
+fn bench_bookkeeping(out: &mut RowFile) {
+    let block = BlockId(bamboo_crypto::Digest::of(b"bench-qc"));
+    let votes: Vec<Vote> = (0..667u64)
+        .map(|i| (i * 389 + 17) % 667)
+        .map(|i| Vote::new(block, View(7), NodeId(i), &KeyPair::from_seed(i)))
+        .collect();
+    let qc_22 = QuorumCert::from_votes(block, View(7), &votes[..22]);
+    let qc_667 = QuorumCert::from_votes(block, View(7), &votes);
+    out.rows
+        .push(bench("qc_clone_22_signers", || qc_22.clone()));
+    out.rows
+        .push(bench("qc_clone_667_signers", || qc_667.clone()));
+    out.rows.push(bench("qc_from_votes_667", || {
+        QuorumCert::from_votes(block, View(7), &votes)
+    }));
+
+    // Latencies spread over 1-50 ms, as in the tx-heavy benchmark run.
+    let mut rng = SimRng::new(21);
+    let latencies: Vec<u64> = (0..1_000_000)
+        .map(|_| rng.uniform_range(1_000_000, 50_000_000))
+        .collect();
+    out.rows.push(bench_with_setup(
+        "metrics_record_commit_1m",
+        || Metrics::new(SimDuration::from_secs(1)),
+        |mut metrics| {
+            for &ns in &latencies {
+                metrics.record_commit(SimTime::ZERO, SimTime(ns / 2), SimTime(ns));
+            }
+            (metrics.latency(), metrics.client_latency())
+        },
+    ));
+}
+
 fn bench_mempool(out: &mut RowFile) {
     let txs: Vec<Transaction> = (0..4_000)
         .map(|i| Transaction::new(NodeId(1), i, 128, SimTime::ZERO))
@@ -445,6 +482,7 @@ fn main() {
         bench_forest(&mut out);
         bench_broadcast(&mut out);
         bench_quorum(&mut out);
+        bench_bookkeeping(&mut out);
         bench_mempool(&mut out);
         bench_storage(&mut out);
         bench_checkpoint(&mut out);

@@ -5,11 +5,15 @@
 //! [`AggregateSignature`] collects `(signer index, signature)` pairs over the
 //! same message and can be verified against a set of public keys.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::keys::{PublicKey, Signature};
 
 /// A multi-signature over a single message, keyed by signer index.
+///
+/// The entries are kept sorted by signer in one exact-size shared slice: a
+/// clone is a reference-count bump, and [`AggregateSignature::add`] copies
+/// the slice first, so it is never visible through another clone.
 ///
 /// # Example
 ///
@@ -26,9 +30,34 @@ use crate::keys::{PublicKey, Signature};
 /// let pks: Vec<_> = keys.iter().map(|k| k.public_key()).collect();
 /// assert!(agg.verify(msg, |i| pks.get(i as usize).copied()));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AggregateSignature {
-    signatures: BTreeMap<u64, Signature>,
+    /// Strictly ascending by signer.
+    entries: Arc<[(u64, Signature)]>,
+}
+
+// Not derived: `Arc<[T]>: Default` is newer than the workspace's MSRV.
+impl Default for AggregateSignature {
+    fn default() -> Self {
+        Self {
+            entries: Arc::from([]),
+        }
+    }
+}
+
+/// Collects `(signer, signature)` pairs with one sort into one exact-size
+/// allocation. Of several entries for one signer the first is kept, as with
+/// repeated [`AggregateSignature::add`].
+impl FromIterator<(u64, Signature)> for AggregateSignature {
+    fn from_iter<I: IntoIterator<Item = (u64, Signature)>>(iter: I) -> Self {
+        let mut entries: Vec<(u64, Signature)> = iter.into_iter().collect();
+        // Stable, so a signer's first entry stays first; linear if sorted.
+        entries.sort_by_key(|e| e.0);
+        entries.dedup_by_key(|e| e.0);
+        Self {
+            entries: Arc::from(entries),
+        }
+    }
 }
 
 impl AggregateSignature {
@@ -37,42 +66,49 @@ impl AggregateSignature {
         Self::default()
     }
 
+    fn position(&self, index: u64) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&index, |e| e.0)
+    }
+
     /// Adds a signature from signer `index`. Returns `false` if the signer was
     /// already present (the signature is not replaced).
+    ///
+    /// Copies the entries (O(len)); build a whole certificate with
+    /// [`FromIterator`] instead.
     pub fn add(&mut self, index: u64, signature: Signature) -> bool {
-        match self.signatures.entry(index) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(signature);
-                true
-            }
-            std::collections::btree_map::Entry::Occupied(_) => false,
-        }
+        let Err(at) = self.position(index) else {
+            return false;
+        };
+        let mut entries = self.entries.to_vec();
+        entries.insert(at, (index, signature));
+        self.entries = Arc::from(entries);
+        true
     }
 
     /// Number of distinct signers.
     pub fn len(&self) -> usize {
-        self.signatures.len()
+        self.entries.len()
     }
 
     /// Returns true if no signer has contributed yet.
     pub fn is_empty(&self) -> bool {
-        self.signatures.is_empty()
+        self.entries.is_empty()
     }
 
     /// Returns true if signer `index` has contributed.
     pub fn contains(&self, index: u64) -> bool {
-        self.signatures.contains_key(&index)
+        self.position(index).is_ok()
     }
 
     /// Iterates over the signer indices in ascending order.
     pub fn signers(&self) -> impl Iterator<Item = u64> + '_ {
-        self.signatures.keys().copied()
+        self.entries.iter().map(|(index, _)| *index)
     }
 
     /// Iterates over `(signer index, signature)` pairs in ascending signer
     /// order (used to stage certificates into a [`crate::BatchVerifier`]).
     pub fn entries(&self) -> impl Iterator<Item = (u64, Signature)> + '_ {
-        self.signatures.iter().map(|(index, sig)| (*index, *sig))
+        self.entries.iter().copied()
     }
 
     /// Verifies every contained signature over `msg`, looking public keys up
@@ -82,7 +118,7 @@ impl AggregateSignature {
     where
         F: Fn(u64) -> Option<PublicKey>,
     {
-        self.signatures.iter().all(|(index, sig)| {
+        self.entries.iter().all(|(index, sig)| {
             key_of(*index)
                 .map(|pk| pk.verify(msg, sig))
                 .unwrap_or(false)
@@ -91,7 +127,7 @@ impl AggregateSignature {
 
     /// Approximate wire size in bytes (one signature plus index per signer).
     pub fn wire_size(&self) -> usize {
-        self.signatures.len() * (32 + 8)
+        self.entries.len() * (32 + 8)
     }
 }
 
@@ -157,6 +193,68 @@ mod tests {
             agg.add(i as u64, kp.sign(b"m"));
         }
         assert_eq!(agg.wire_size(), 5 * 40);
+    }
+
+    #[test]
+    fn contents_are_independent_of_insertion_order() {
+        let kps = keys(22);
+        let entry = |i: u64| (i, kps[i as usize].sign(b"m"));
+        let sorted: AggregateSignature = (0..22).map(entry).collect();
+        assert_eq!(
+            sorted.signers().collect::<Vec<_>>(),
+            (0..22).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            sorted.entries().collect::<Vec<_>>(),
+            (0..22).map(entry).collect::<Vec<_>>()
+        );
+        for stride in [3u64, 5, 7, 13] {
+            let order = (0..22).map(|i| (i * stride + 1) % 22);
+            let collected: AggregateSignature = order.clone().map(entry).collect();
+            let mut added = AggregateSignature::new();
+            for i in order {
+                let (index, sig) = entry(i);
+                assert!(added.add(index, sig));
+            }
+            assert_eq!(collected, sorted, "stride {stride}");
+            assert_eq!(added, sorted, "stride {stride}");
+            assert_eq!(
+                added.entries().collect::<Vec<_>>(),
+                sorted.entries().collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    fn collecting_keeps_the_first_signature_of_a_signer() {
+        let kps = keys(2);
+        let first = kps[0].sign(b"first");
+        let agg: AggregateSignature = [
+            (4, first),
+            (1, kps[1].sign(b"m")),
+            (4, kps[0].sign(b"second")),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(agg.len(), 2);
+        assert_eq!(agg.entries().last(), Some((4, first)));
+    }
+
+    #[test]
+    fn a_clone_shares_storage_until_add_and_add_is_copy_on_write() {
+        let kps = keys(4);
+        let original: AggregateSignature =
+            (0..3).map(|i| (i, kps[i as usize].sign(b"m"))).collect();
+        let mut clone = original.clone();
+        assert!(Arc::ptr_eq(&original.entries, &clone.entries));
+        // A rejected add writes nothing, so it does not unshare either.
+        assert!(!clone.add(1, kps[1].sign(b"m")));
+        assert!(Arc::ptr_eq(&original.entries, &clone.entries));
+        assert!(clone.add(3, kps[3].sign(b"m")));
+        assert!(!Arc::ptr_eq(&original.entries, &clone.entries));
+        assert_eq!(original.len(), 3);
+        assert!(!original.contains(3));
+        assert_eq!(clone.signers().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
     }
 
     #[test]

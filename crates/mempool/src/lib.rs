@@ -8,7 +8,9 @@
 //! The pool enforces a capacity bound (`memsize` from Table I); when full it
 //! rejects new arrivals (back-pressure), which is how the open-loop saturation
 //! sweep drives the system past collapse — every rejection is counted and
-//! surfaced as an admission-control statistic, never a silent drop.
+//! surfaced as an admission-control statistic, never a silent drop. The bound
+//! limits admission only: memory is sized by what the pool holds, and an
+//! unused pool holds no heap at all.
 //!
 //! # Sharding
 //!
@@ -58,13 +60,15 @@ struct Shard {
 }
 
 impl Shard {
+    /// An empty shard allocates nothing: `capacity` is an admission bound,
+    /// not a size. A replica holds only what its own clients sent it between
+    /// two of its leader turns, usually far below the bound, so the queue
+    /// and id set grow with use (amortised doubling; [`Mempool::push_batch`]
+    /// reserves for its batch up front).
     fn new(capacity: usize) -> Self {
-        // Pre-size both the queue and the id set: the pool runs at or near
-        // capacity under saturation, and growing a HashSet re-hashes every id.
-        let hint = capacity.min(4096);
         Self {
-            queue: VecDeque::with_capacity(hint),
-            in_queue: HashSet::with_capacity(hint),
+            queue: VecDeque::new(),
+            in_queue: HashSet::new(),
             capacity,
         }
     }
@@ -421,6 +425,30 @@ mod tests {
                 .map(|t| t.seq)
                 .collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn the_admission_bound_holds_with_no_pre_size() {
+        for capacity in [1usize, 100, 5000] {
+            let fresh = Mempool::new(capacity);
+            let shard = &fresh.shards[0];
+            assert_eq!((shard.queue.capacity(), shard.in_queue.capacity()), (0, 0));
+            for batched in [false, true] {
+                let mut pool = Mempool::new(capacity);
+                let txs = (0..capacity as u64).map(tx);
+                if batched {
+                    assert_eq!(pool.push_batch(txs), capacity);
+                } else {
+                    assert!(txs.into_iter().all(|t| pool.push(t)));
+                }
+                assert!(pool.is_full());
+                assert!(!pool.push(tx(capacity as u64)), "capacity={capacity}");
+                assert_eq!(pool.stats().rejected, 1);
+                assert_eq!(pool.stats().accepted, capacity as u64);
+                let drained: Vec<u64> = pool.next_batch(usize::MAX).iter().map(|t| t.seq).collect();
+                assert_eq!(drained, (0..capacity as u64).collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! [`Attack::wire_votes`] only the vote about to leave. "Attackers keep the
 //! honest voting, state and commit rules" is a property of the type.
 
-use bamboo_crypto::{AggregateSignature, KeyPair};
+use bamboo_crypto::KeyPair;
 use bamboo_forest::BlockForest;
 use bamboo_types::{Block, ByzantineStrategy, NodeId, QuorumCert, Vote};
 
@@ -112,10 +112,9 @@ impl Attack {
             return block;
         }
         let msg = Vote::signing_bytes(block.justify.block, block.justify.view);
-        let mut signatures = AggregateSignature::new();
-        for signer in block.justify.signatures.signers() {
-            signatures.add(signer, self.junk.sign(&msg));
-        }
+        let signatures = (block.justify.signatures.signers())
+            .map(|signer| (signer, self.junk.sign(&msg)))
+            .collect();
         let justify = QuorumCert {
             signatures,
             ..block.justify
@@ -136,19 +135,20 @@ impl Attack {
     /// replica, minted in its name with the junk key: a replica that skipped
     /// verification would see an instant quorum; with authenticated ingress
     /// they all die at the door and the attacker merely withheld its vote.
-    pub fn wire_votes(&mut self, vote: &Vote) -> Vec<Vote> {
-        if self.strategy != ByzantineStrategy::ForgedVote {
-            return vec![vote.clone()];
-        }
-        self.forged += self.nodes as u64;
-        let signature = self.junk.sign(&Vote::signing_bytes(vote.block, vote.view));
-        (0..self.nodes as u64)
-            .map(|voter| Vote {
-                voter: NodeId(voter),
-                signature,
-                ..vote.clone()
-            })
-            .collect()
+    pub fn wire_votes<'a>(&mut self, vote: &'a Vote) -> impl Iterator<Item = Vote> + 'a {
+        let own = vote.voter.as_u64();
+        let (voters, signature) = if self.strategy == ByzantineStrategy::ForgedVote {
+            self.forged += self.nodes as u64;
+            let junk = self.junk.sign(&Vote::signing_bytes(vote.block, vote.view));
+            (0..self.nodes as u64, junk)
+        } else {
+            (own..own + 1, vote.signature)
+        };
+        voters.map(move |voter| Vote {
+            voter: NodeId(voter),
+            signature,
+            ..vote.clone()
+        })
     }
 }
 
@@ -287,7 +287,7 @@ mod tests {
     fn forged_vote_flood_covers_every_replica_and_never_verifies() {
         let vote = Vote::new(BlockId::GENESIS, View(3), NodeId(0), &KeyPair::from_seed(0));
         let mut attack = Attack::new(ByzantineStrategy::ForgedVote, 4);
-        let flood = attack.wire_votes(&vote);
+        let flood: Vec<Vote> = attack.wire_votes(&vote).collect();
         assert_eq!(flood.len(), 4, "one forged vote per replica");
         assert_eq!(attack.forged, 4);
         for forged in &flood {
@@ -304,7 +304,7 @@ mod tests {
             if strategy != ByzantineStrategy::ForgedVote {
                 let mut attack = Attack::new(strategy, 4);
                 assert_eq!(
-                    attack.wire_votes(&vote),
+                    attack.wire_votes(&vote).collect::<Vec<_>>(),
                     std::slice::from_ref(&vote),
                     "{strategy}"
                 );

@@ -82,16 +82,14 @@ impl QuorumCert {
     /// Builds a certificate from collected votes. The caller (the Quorum
     /// component) is responsible for checking the threshold.
     pub fn from_votes(block: BlockId, view: View, votes: &[Vote]) -> Self {
-        let mut signatures = AggregateSignature::new();
-        for vote in votes {
-            debug_assert_eq!(vote.block, block);
-            debug_assert_eq!(vote.view, view);
-            signatures.add(vote.voter.as_u64(), vote.signature);
-        }
+        debug_assert!(votes.iter().all(|v| v.block == block && v.view == view));
         Self {
             block,
             view,
-            signatures,
+            signatures: votes
+                .iter()
+                .map(|vote| (vote.voter.as_u64(), vote.signature))
+                .collect(),
         }
     }
 
@@ -213,18 +211,19 @@ impl TimeoutCert {
     /// Builds a timeout certificate from collected timeout votes; the highest
     /// contained QC (by view) is retained.
     pub fn from_votes(view: View, votes: &[TimeoutVote]) -> Self {
-        let mut signatures = AggregateSignature::new();
+        debug_assert!(votes.iter().all(|v| v.view == view));
         let mut high_qc = QuorumCert::genesis();
         for vote in votes {
-            debug_assert_eq!(vote.view, view);
-            signatures.add(vote.voter.as_u64(), vote.signature);
             if vote.high_qc.view > high_qc.view {
                 high_qc = vote.high_qc.clone();
             }
         }
         Self {
             view,
-            signatures,
+            signatures: votes
+                .iter()
+                .map(|vote| (vote.voter.as_u64(), vote.signature))
+                .collect(),
             high_qc,
         }
     }
@@ -330,6 +329,26 @@ mod tests {
         assert_ne!(qc_a.digest(), qc_b.digest());
         let qc_a_fewer = QuorumCert::from_votes(block_id(1), View(2), &votes_a[..2]);
         assert_ne!(qc_a.digest(), qc_a_fewer.digest());
+    }
+
+    #[test]
+    fn a_certificate_is_independent_of_vote_arrival_order() {
+        let kps = keys(22);
+        let bid = block_id(3);
+        let vote = |i: u64| Vote::new(bid, View(4), NodeId(i), &kps[i as usize]);
+        let in_order: Vec<Vote> = (0..22).map(vote).collect();
+        let reference = QuorumCert::from_votes(bid, View(4), &in_order);
+        let mut reference_bytes = Vec::new();
+        crate::wire::encode_qc(&mut reference_bytes, &reference);
+        for stride in [3u64, 5, 7, 13] {
+            let shuffled: Vec<Vote> = (0..22).map(|i| vote((i * stride + 1) % 22)).collect();
+            let qc = QuorumCert::from_votes(bid, View(4), &shuffled);
+            assert_eq!(qc, reference, "stride {stride}");
+            assert_eq!(qc.digest(), reference.digest(), "stride {stride}");
+            let mut bytes = Vec::new();
+            crate::wire::encode_qc(&mut bytes, &qc);
+            assert_eq!(bytes, reference_bytes, "stride {stride}");
+        }
     }
 
     #[test]

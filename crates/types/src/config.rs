@@ -151,8 +151,14 @@ pub struct Config {
     pub byz_nodes: usize,
     /// Maximum number of transactions per block (`bsize`, default 400).
     pub block_size: usize,
-    /// Capacity of the memory pool (`memsize`, default 1000). The simulator
-    /// uses it as a back-pressure bound on buffered transactions per replica.
+    /// Admission bound of the memory pool (`memsize`): the most transactions
+    /// a replica buffers before it rejects new arrivals. Defaults to 100 000,
+    /// not Table I's 1000: the bound only limits admission (the pool's memory
+    /// follows what it holds), and the figure runs offer open-loop load up to
+    /// their knee, where a 1000-transaction bound would reject below
+    /// saturation and put back-pressure into every curve. Runs that study
+    /// back-pressure (`saturation`, `signed_saturation.json`) set it low
+    /// themselves.
     pub mempool_size: usize,
     /// Transaction payload size in bytes (`psize`, default 0).
     pub payload_size: usize,

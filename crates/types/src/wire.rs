@@ -275,7 +275,7 @@ pub fn encode_qc(out: &mut Vec<u8>, qc: &QuorumCert) {
 /// # Errors
 ///
 /// Returns [`WireError::Truncated`] on short input and
-/// [`WireError::Corrupt`] on duplicate signers.
+/// [`WireError::Corrupt`] on duplicate or unsorted signers.
 pub fn decode_qc(cur: &mut WireCursor<'_>) -> Result<QuorumCert, WireError> {
     let block = BlockId(bamboo_crypto::Digest::from_bytes(cur.digest32()?));
     let view = View(cur.u64()?);
@@ -320,17 +320,24 @@ fn encode_aggregate(out: &mut Vec<u8>, signatures: &AggregateSignature) {
     }
 }
 
+/// Accepts only strictly ascending signers — the order `encode_aggregate`
+/// emits and part of the format — so a hostile frame costs one linear pass.
 fn decode_aggregate(cur: &mut WireCursor<'_>) -> Result<AggregateSignature, WireError> {
+    const ENTRY_BYTES: usize = 8 + 32;
     let signers = cur.u32()? as usize;
-    let mut signatures = AggregateSignature::new();
+    let mut entries = Vec::with_capacity(signers.min(cur.remaining() / ENTRY_BYTES));
+    let mut last = None;
     for _ in 0..signers {
         let signer = cur.u64()?;
-        let signature = Signature::from_bytes(cur.digest32()?);
-        if !signatures.add(signer, signature) {
-            return Err(WireError::Corrupt("duplicate aggregate signer"));
+        if last >= Some(signer) {
+            return Err(WireError::Corrupt(
+                "aggregate signers not strictly ascending",
+            ));
         }
+        last = Some(signer);
+        entries.push((signer, Signature::from_bytes(cur.digest32()?)));
     }
-    Ok(signatures)
+    Ok(entries.into_iter().collect())
 }
 
 fn encode_vote(out: &mut Vec<u8>, vote: &Vote) {
@@ -736,22 +743,80 @@ mod tests {
         assert!(decode_message(&tampered).is_err());
     }
 
-    #[test]
-    fn duplicate_aggregate_signer_is_rejected() {
-        let kp = KeyPair::from_seed(0);
+    /// A QC frame for `sample_block(0)` carrying `signers` as given (any
+    /// order, any repeats) under a declared entry count of `declared`.
+    fn raw_qc(declared: u32, signers: impl IntoIterator<Item = u64>) -> Vec<u8> {
         let block = sample_block(0);
-        let vote = Vote::new(block.id, block.view, NodeId(1), &kp);
-        let qc = QuorumCert::from_votes(block.id, block.view, std::slice::from_ref(&vote));
+        let signature = KeyPair::from_seed(0).sign(b"any");
         let mut bytes = Vec::new();
-        encode_qc(&mut bytes, &qc);
-        // Append the same signer entry again and bump the count.
-        let entry = bytes[44..].to_vec();
-        bytes.extend_from_slice(&entry);
-        bytes[40..44].copy_from_slice(&2u32.to_be_bytes());
-        let mut cur = WireCursor::new(&bytes);
+        bytes.extend_from_slice(block.id.0.as_bytes());
+        put_u64(&mut bytes, block.view.as_u64());
+        put_u32(&mut bytes, declared);
+        for signer in signers {
+            put_u64(&mut bytes, signer);
+            bytes.extend_from_slice(signature.as_bytes());
+        }
+        bytes
+    }
+
+    #[test]
+    fn qc_round_trips_at_every_quorum_size() {
+        let block = sample_block(0);
+        for signers in [1u64, 22, 667] {
+            // Votes arrive in no particular order.
+            let votes: Vec<Vote> = (0..signers)
+                .map(|i| (i * 389 + 17) % signers)
+                .map(|i| Vote::new(block.id, block.view, NodeId(i), &KeyPair::from_seed(i)))
+                .collect();
+            let qc = QuorumCert::from_votes(block.id, block.view, &votes);
+            assert_eq!(qc.signer_count() as u64, signers);
+            let mut bytes = Vec::new();
+            encode_qc(&mut bytes, &qc);
+            assert_eq!(bytes.len(), qc.wire_size() + 4);
+            let mut cur = WireCursor::new(&bytes);
+            assert_eq!(decode_qc(&mut cur).as_ref(), Ok(&qc), "{signers} signers");
+            assert!(cur.done());
+        }
+    }
+
+    #[test]
+    fn aggregate_signers_must_be_strictly_ascending() {
+        const UNSORTED: WireError = WireError::Corrupt("aggregate signers not strictly ascending");
+        let decode = |bytes: &[u8]| decode_qc(&mut WireCursor::new(bytes)).err();
+        assert_eq!(decode(&raw_qc(3, [1, 2, 5])), None);
+        for bad in [
+            vec![1, 1],
+            vec![1, 2, 2],
+            vec![2, 1],
+            vec![1, 5, 3],
+            vec![0, 7, 0],
+        ] {
+            assert_eq!(
+                decode(&raw_qc(bad.len() as u32, bad.iter().copied())),
+                Some(UNSORTED),
+                "{bad:?}"
+            );
+        }
+        // A hostile 100k-entry descending list is refused at its second entry:
+        // the decoder never does more than one pass, and never sorts input.
+        let hostile = raw_qc(100_000, (0..100_000u64).rev());
+        let mut cur = WireCursor::new(&hostile);
+        assert_eq!(decode_qc(&mut cur).err(), Some(UNSORTED));
+        assert_eq!(hostile.len() - cur.remaining(), 44 + 40 + 8);
+    }
+
+    #[test]
+    fn declared_aggregate_count_cannot_outrun_the_input() {
+        // Four billion declared entries over three present: the allocation is
+        // sized by the bytes that are there, and the fourth read falls short.
+        let bytes = raw_qc(u32::MAX, [1, 2, 3]);
         assert_eq!(
-            decode_qc(&mut cur).err(),
-            Some(WireError::Corrupt("duplicate aggregate signer"))
+            decode_qc(&mut WireCursor::new(&bytes)).err(),
+            Some(WireError::Truncated)
+        );
+        assert_eq!(
+            decode_qc(&mut WireCursor::new(&raw_qc(u32::MAX, []))).err(),
+            Some(WireError::Truncated)
         );
     }
 
