@@ -10,7 +10,7 @@
 use bamboo_bench::harness::{bench, bench_with_setup, PASSES};
 use bamboo_bench::{banner, bench_rows, save_rows, Higher, RowFile, Wall};
 use bamboo_core::{Metrics, RecordKind, RunOptions, SegmentLog, SimRunner, VerifyPool};
-use bamboo_crypto::{sha256, BatchVerifier, KeyPair};
+use bamboo_crypto::{sha256, BatchVerifier, KeyPair, Sha256};
 use bamboo_forest::{BlockForest, Ledger, Snapshot};
 use bamboo_mempool::Mempool;
 use bamboo_sim::{EventQueue, SimRng};
@@ -45,6 +45,13 @@ fn chain_blocks(len: u64, txs_per_block: u64) -> Vec<Block> {
 fn bench_crypto(out: &mut RowFile) {
     let data = vec![0xa5u8; 1024];
     out.rows.push(bench("sha256_1k", || sha256(&data)));
+    // The fallback rounds on the same host: the ratio of the two rows is the
+    // SHA-NI kernel's gain, and a ratio near 1 says the host has no `sha_ni`.
+    out.rows.push(bench("sha256_1k_portable", || {
+        let mut hasher = Sha256::portable();
+        hasher.update(&data);
+        hasher.finalize()
+    }));
 
     let kp = KeyPair::from_seed(1);
     out.rows.push(bench("sign", || kp.sign(&data)));
@@ -319,6 +326,17 @@ fn bench_mempool(out: &mut RowFile) {
             pool
         },
     ));
+
+    // What every replica does for every committed block it did not propose:
+    // probe its pool for a block's worth of ids, none of which it holds.
+    let mut pool = Mempool::new(10_000);
+    pool.push_batch(txs.iter().cloned());
+    let elsewhere: Vec<Transaction> = (0..400)
+        .map(|i| Transaction::new(NodeId(2), i, 128, SimTime::ZERO))
+        .collect();
+    out.rows.push(bench("txid_set_lookup_miss", || {
+        pool.remove_committed(elsewhere.iter().map(|tx| &tx.id))
+    }));
 }
 
 /// The durable segment log: the write-ahead path every committed block and

@@ -6,18 +6,16 @@
 //! deduplicates voters, and emits a [`QuorumCert`] exactly once when the
 //! threshold is reached.
 
-use std::collections::HashMap;
-
-use bamboo_types::{ids::quorum_threshold, BlockId, QuorumCert, View, Vote};
+use bamboo_types::{ids::quorum_threshold, BlockId, DigestMap, QuorumCert, View, Vote};
 
 /// Collects votes and forms quorum certificates.
 #[derive(Debug, Clone)]
 pub struct QuorumTracker {
     nodes: usize,
     /// Pending votes per block.
-    votes: HashMap<BlockId, Vec<Vote>>,
+    votes: DigestMap<BlockId, Vec<Vote>>,
     /// Blocks for which a QC has already been produced.
-    certified: HashMap<BlockId, View>,
+    certified: DigestMap<BlockId, View>,
     /// Total votes accepted (for metrics).
     accepted: u64,
     /// Votes dropped as duplicates or stale.
@@ -29,8 +27,8 @@ impl QuorumTracker {
     pub fn new(nodes: usize) -> Self {
         Self {
             nodes,
-            votes: HashMap::new(),
-            certified: HashMap::new(),
+            votes: DigestMap::default(),
+            certified: DigestMap::default(),
             accepted: 0,
             dropped: 0,
         }

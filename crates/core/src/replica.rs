@@ -8,9 +8,7 @@
 //! same replica code usable both on the deterministic simulator and on the
 //! threaded runtime.
 
-use std::collections::HashMap;
-
-use bamboo_crypto::KeyPair;
+use bamboo_crypto::{DigestMap, KeyPair};
 use bamboo_forest::{
     chunks, decode_committed_record, decode_qc_record, encode_committed_record, encode_qc_record,
     BlockForest, ForestError, Ledger, Snapshot,
@@ -195,7 +193,7 @@ pub struct Replica {
     /// Last view in which this replica proposed (guards double proposing).
     proposed_in_view: View,
     /// QCs whose block has not arrived yet.
-    pending_qcs: HashMap<BlockId, QuorumCert>,
+    pending_qcs: DigestMap<BlockId, QuorumCert>,
     /// A leader's proposal waiting for the block of a pending QC: entering a
     /// view off votes alone (they can outrun the proposal broadcast on slow
     /// or heterogeneous links) must not fork from a stale high-QC.
@@ -265,7 +263,7 @@ impl Replica {
             ledger: Ledger::new(),
             cpu,
             proposed_in_view: View::GENESIS,
-            pending_qcs: HashMap::new(),
+            pending_qcs: DigestMap::default(),
             deferred_proposal: None,
             safety_violations: 0,
             checkpoint_chunks: Vec::new(),
@@ -523,7 +521,7 @@ impl Replica {
             // strictly above whatever the durable restart restored.
             debug_assert!(
                 self.restored_voted_view
-                    .map_or(true, |restored| self.safety.voted_view() > restored),
+                    .is_none_or(|restored| self.safety.voted_view() > restored),
                 "vote at or below the restored voted-view watermark"
             );
             if let Some(log) = self.storage.as_mut() {

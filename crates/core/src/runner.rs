@@ -178,7 +178,7 @@ enum EventKind {
     Timer(View),
     ProposeNow(View),
     /// A batch of client requests arriving at the replica's edge. The host
-    /// verifies the batch (4-wide, in signed-client mode), strips the
+    /// verifies the batch (in signed-client mode), strips the
     /// signatures, and admits the transactions into the mempool.
     ClientBatch(Vec<ClientRequest>),
     /// A state-transfer debounce/retry deadline armed by the replica.
@@ -424,9 +424,9 @@ impl SimRunner {
                 self.step(node, time, |host, _, _| host.reject_forged(&message))
             }
             // The edge verification stage lives in the host: in
-            // signed-client mode the batch is checked 4-wide (and charged
-            // as such) before the stripped transactions are admitted to
-            // the mempool.
+            // signed-client mode the batch is checked (and charged as
+            // `CpuModel::verify_batch` models it) before the stripped
+            // transactions are admitted to the mempool.
             EventKind::ClientBatch(requests) => self.step(node, time, |host, start, effects| {
                 host.handle_client_batch(requests, start, effects)
             }),

@@ -211,10 +211,9 @@ impl NodeHost {
     /// and into the replica's mempool.
     ///
     /// In unsigned mode the requests are stripped and forwarded as-is. In
-    /// signed-client mode the whole batch is first verified through the
-    /// 4-wide interleaved path (all client requests sign the same
-    /// fixed-length tuple, so the batch runs in `⌈n/4⌉` quad-hash passes,
-    /// charged as [`CpuModel::verify_batch`]); if the all-or-nothing batch
+    /// signed-client mode the whole batch is first verified in one batched
+    /// pass (the simulated clock is charged what the CPU model says a batch
+    /// costs, [`CpuModel::verify_batch`]); if the all-or-nothing batch
     /// check fails, the requests are re-verified one by one — charged as a
     /// second, sequential pass — so forgeries are isolated, dropped and
     /// counted while the honest remainder is still admitted.

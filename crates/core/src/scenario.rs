@@ -923,7 +923,7 @@ impl Scenario {
                         if start >= *until {
                             break;
                         }
-                        if index % 2 == 0 {
+                        if index.is_multiple_of(2) {
                             let end = (*until).min(start + *period);
                             options.link_faults.push(LinkFault::GroupPartition {
                                 members: *members,

@@ -19,7 +19,7 @@
 //!   `concurrency`), each with one outstanding request: a client issues its
 //!   next transaction only after the previous one commits.
 
-use bamboo_crypto::{KeyPair, Signature};
+use bamboo_crypto::{DigestMap, KeyPair, Signature};
 use bamboo_sim::SimRng;
 use bamboo_types::{Bytes, ClientRequest, NodeId, SimDuration, SimTime, Transaction, TxId};
 
@@ -186,7 +186,7 @@ pub struct ClosedLoopWorkload {
     /// not been handed to the runner yet.
     ready: Vec<Arrival>,
     /// Maps in-flight transaction ids to the issuing client slot.
-    in_flight: std::collections::HashMap<TxId, usize>,
+    in_flight: DigestMap<TxId, usize>,
 }
 
 impl ClosedLoopWorkload {
@@ -199,7 +199,7 @@ impl ClosedLoopWorkload {
             next_seq: 0,
             started: false,
             ready: Vec::new(),
-            in_flight: std::collections::HashMap::new(),
+            in_flight: DigestMap::default(),
         }
     }
 

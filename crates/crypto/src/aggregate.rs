@@ -30,19 +30,10 @@ use crate::keys::{PublicKey, Signature};
 /// let pks: Vec<_> = keys.iter().map(|k| k.public_key()).collect();
 /// assert!(agg.verify(msg, |i| pks.get(i as usize).copied()));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AggregateSignature {
     /// Strictly ascending by signer.
     entries: Arc<[(u64, Signature)]>,
-}
-
-// Not derived: `Arc<[T]>: Default` is newer than the workspace's MSRV.
-impl Default for AggregateSignature {
-    fn default() -> Self {
-        Self {
-            entries: Arc::from([]),
-        }
-    }
 }
 
 /// Collects `(signer, signature)` pairs with one sort into one exact-size

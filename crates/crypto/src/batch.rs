@@ -14,7 +14,7 @@
 //! individually invalid (there are no false accepts introduced by batching).
 
 use crate::aggregate::AggregateSignature;
-use crate::keys::{signature_matches, signature_matches_quad, PublicKey, Signature};
+use crate::keys::{signature_matches, PublicKey, Signature};
 
 /// Verifies many `(public key, message, signature)` tuples in one pass.
 ///
@@ -50,8 +50,6 @@ pub struct BatchVerifier {
     arena: Vec<u8>,
     /// Reusable signing-bytes buffer shared by every check in the pass.
     scratch: Vec<u8>,
-    /// Per-lane signing-bytes buffers for the 4-wide interleaved passes.
-    quad_scratch: [Vec<u8>; 4],
 }
 
 impl BatchVerifier {
@@ -68,7 +66,6 @@ impl BatchVerifier {
             ends: Vec::with_capacity(items),
             arena: Vec::with_capacity(items * 48),
             scratch: Vec::new(),
-            quad_scratch: Default::default(),
         }
     }
 
@@ -127,55 +124,17 @@ impl BatchVerifier {
     /// Verifies every staged tuple, then clears the batch. Returns `false`
     /// if any tuple is invalid. An empty batch verifies trivially.
     ///
-    /// Four consecutive tuples whose messages have equal length — the common
-    /// case, since a quorum certificate stages `2f + 1` checks over the same
-    /// message — are verified in one 4-wide interleaved SHA-256 pass;
-    /// stragglers and mixed-length runs fall back to the scalar path. The
-    /// verdict is identical either way: the batch fails exactly when at
-    /// least one tuple is individually invalid.
+    /// One loop over one hashing path: every tuple costs one signing-buffer
+    /// hash through [`crate::Sha256`], whatever the lengths of its
+    /// neighbours, so the verdict is per item by construction — the batch
+    /// fails exactly when at least one tuple is individually invalid.
     pub fn verify_all(&mut self) -> bool {
-        let mut ok = true;
         let mut start = 0usize;
-        let mut index = 0usize;
-        let total = self.keys.len();
-        while index < total {
-            if index + 4 <= total {
-                let first_len = self.ends[index] - start;
-                let ends: [usize; 4] = self.ends[index..index + 4]
-                    .try_into()
-                    .expect("four end offsets");
-                if ends[1] - ends[0] == first_len
-                    && ends[2] - ends[1] == first_len
-                    && ends[3] - ends[2] == first_len
-                {
-                    let msgs = [
-                        &self.arena[start..ends[0]],
-                        &self.arena[ends[0]..ends[1]],
-                        &self.arena[ends[1]..ends[2]],
-                        &self.arena[ends[2]..ends[3]],
-                    ];
-                    let keys: [&PublicKey; 4] =
-                        std::array::from_fn(|lane| &self.keys[index + lane]);
-                    let sigs: [&Signature; 4] =
-                        std::array::from_fn(|lane| &self.sigs[index + lane]);
-                    if !signature_matches_quad(&mut self.quad_scratch, keys, msgs, sigs) {
-                        ok = false;
-                        break;
-                    }
-                    start = ends[3];
-                    index += 4;
-                    continue;
-                }
-            }
-            let end = self.ends[index];
+        let ok = (self.keys.iter().zip(&self.sigs).zip(&self.ends)).all(|((key, sig), &end)| {
             let msg = &self.arena[start..end];
-            if !signature_matches(&mut self.scratch, &self.keys[index], msg, &self.sigs[index]) {
-                ok = false;
-                break;
-            }
             start = end;
-            index += 1;
-        }
+            signature_matches(&mut self.scratch, key, msg, sig)
+        });
         self.clear();
         ok
     }
@@ -245,27 +204,28 @@ mod tests {
     }
 
     #[test]
-    fn quad_path_verdicts_match_scalar_for_every_layout() {
-        // Sweep batch sizes across the 4-wide chunk boundary and message
-        // layouts that force every combination of quad and scalar segments,
-        // with and without a planted bad tuple at every position.
+    fn batch_verdicts_match_per_item_verify_for_every_layout() {
+        // Batch sizes 1..=9, equal and mixed message lengths, and a forgery
+        // planted at every position (or nowhere): the batch verdict is the
+        // conjunction of the per-item `PublicKey::verify` verdicts.
         let kps = keys(16);
         for size in 1usize..=9 {
-            for bad in [None, Some(0), Some(size / 2), Some(size - 1)] {
+            for bad in std::iter::once(None).chain((0..size).map(Some)) {
                 for mixed in [false, true] {
                     let mut batch = BatchVerifier::new();
+                    let mut per_item = true;
                     for i in 0..size {
-                        // Mixed lengths break lockstep mid-batch; equal
-                        // lengths exercise the quad path end to end.
                         let len = if mixed && i % 3 == 1 { 40 } else { 24 };
                         let msg = vec![i as u8; len];
                         let signer = if bad == Some(i) { 15 - i } else { i };
-                        batch.push(kps[i].public_key(), &msg, kps[signer].sign(&msg));
+                        let sig = kps[signer].sign(&msg);
+                        per_item &= kps[i].public_key().verify(&msg, &sig);
+                        batch.push(kps[i].public_key(), &msg, sig);
                     }
-                    let expect = bad.is_none();
+                    assert_eq!(per_item, bad.is_none());
                     assert_eq!(
                         batch.verify_all(),
-                        expect,
+                        per_item,
                         "size {size} bad {bad:?} mixed {mixed}"
                     );
                 }

@@ -107,28 +107,6 @@ pub(crate) fn signature_matches(
     Signature::create_with_scratch(scratch, pk, msg) == *sig
 }
 
-/// Checks four signature tuples whose messages have **equal length** in one
-/// 4-wide interleaved SHA-256 pass ([`crate::sha256::sha256_quad`]). The tag
-/// and public key prefixes are fixed-size, so equal message lengths give
-/// equal signing-buffer lengths — the lockstep precondition of the quad
-/// hasher. `lanes` are caller-owned reusable signing-bytes buffers.
-pub(crate) fn signature_matches_quad(
-    lanes: &mut [Vec<u8>; 4],
-    keys: [&PublicKey; 4],
-    msgs: [&[u8]; 4],
-    sigs: [&Signature; 4],
-) -> bool {
-    for lane in 0..4 {
-        let buffer = &mut lanes[lane];
-        buffer.clear();
-        buffer.extend_from_slice(SIGN_TAG);
-        buffer.extend_from_slice(keys[lane].as_bytes());
-        buffer.extend_from_slice(msgs[lane]);
-    }
-    let digests = crate::sha256::sha256_quad([&lanes[0], &lanes[1], &lanes[2], &lanes[3]]);
-    (0..4).all(|lane| sigs[lane].as_bytes() == &digests[lane])
-}
-
 /// A signing key pair for one replica.
 ///
 /// # Example

@@ -6,7 +6,9 @@
 //! paper's analytical model), not its hardness, so this crate provides:
 //!
 //! * a from-scratch [`mod@sha256`] implementation used for block ids and
-//!   chaining,
+//!   chaining — one compression function that runs on the CPU's SHA
+//!   extensions where they exist and on portable rounds elsewhere, with
+//!   identical digests,
 //! * a deterministic, simulated signature scheme ([`KeyPair`], [`Signature`])
 //!   whose verification is honest-majority sound inside the simulation,
 //! * quorum aggregation helpers ([`AggregateSignature`]), and
@@ -30,7 +32,10 @@
 //! assert!(kp.public_key().verify(digest.as_bytes(), &sig));
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid` as in every other crate of the workspace: the call into
+// the SHA-NI kernel in `sha256.rs` is the workspace's one `unsafe` block and
+// is allowed there by name.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aggregate;
@@ -41,6 +46,6 @@ pub mod sha256;
 
 pub use aggregate::AggregateSignature;
 pub use batch::BatchVerifier;
-pub use hash::{hash_bytes, hash_two, Digest};
+pub use hash::{hash_bytes, hash_two, Digest, DigestBuildHasher, DigestMap, DigestSet};
 pub use keys::{KeyPair, PublicKey, SecretKey, Signature};
-pub use sha256::{sha256, sha256_quad, Sha256};
+pub use sha256::{sha256, Sha256};

@@ -2,7 +2,7 @@
 //!
 //! Implemented locally so the workspace carries no external cryptography
 //! dependency; correctness is checked against the published NIST test vectors
-//! in the unit tests below.
+//! in the unit tests below, on the hardware path and on the portable one.
 
 /// Initial hash values: first 32 bits of the fractional parts of the square
 /// roots of the first 8 primes.
@@ -118,6 +118,8 @@ pub struct Sha256 {
     buffer_len: usize,
     /// Total number of message bytes processed so far.
     total_len: u64,
+    /// Never take the hardware path ([`Sha256::portable`]).
+    portable: bool,
 }
 
 impl Default for Sha256 {
@@ -134,6 +136,17 @@ impl Sha256 {
             buffer: [0u8; 64],
             buffer_len: 0,
             total_len: 0,
+            portable: false,
+        }
+    }
+
+    /// A hasher that stays on the portable rounds even where the CPU has SHA
+    /// extensions. Digests are identical to [`Sha256::new`]'s; this is the
+    /// reference the hardware path is tested and timed against.
+    pub fn portable() -> Self {
+        Self {
+            portable: true,
+            ..Self::new()
         }
     }
 
@@ -149,18 +162,18 @@ impl Sha256 {
             self.buffer_len += take;
             input = &input[take..];
             if self.buffer_len == 64 {
-                compress(&mut self.state, &self.buffer);
+                compress(&mut self.state, &self.buffer, self.portable);
                 self.buffer_len = 0;
             }
         }
 
         // Compress full blocks straight from the input slice — no staging
-        // copy into a temporary array.
-        let mut blocks = input.chunks_exact(64);
-        for block in &mut blocks {
-            compress(&mut self.state, block.try_into().expect("64-byte chunk"));
+        // copy into a temporary array, one call for the whole run.
+        let (blocks, rest) = input.split_at(input.len() - input.len() % 64);
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks, self.portable);
         }
-        input = blocks.remainder();
+        input = rest;
 
         // Buffer the remainder.
         if !input.is_empty() {
@@ -201,170 +214,133 @@ impl Sha256 {
     }
 }
 
-/// Computes four SHA-256 digests of **equal-length** inputs in one
-/// interleaved pass.
+/// Compresses every 64-byte block of `blocks` into `state` — the one
+/// compression function behind every digest in the workspace. It runs on the
+/// CPU's SHA extensions when the host has them and on the portable rounds
+/// otherwise (or when `portable` asks for them); the two paths are the same
+/// function of their inputs, so no digest depends on the host.
 ///
-/// Equal lengths mean the four messages share an identical block count and
-/// padding layout, so all four hash states advance in perfect lockstep
-/// through the interleaved compression loop — including the final padded block(s). The
-/// lane-major inner loops are written so LLVM can auto-vectorise the four
-/// independent word streams (the crate is `forbid(unsafe_code)`, so no
-/// explicit SIMD intrinsics are used).
-///
-/// This is the batched-verification primitive: a quorum certificate checks
-/// `2f + 1` signatures over the *same* message, so its signing buffers all
-/// have the same length and verify four at a time.
-///
-/// # Panics
-///
-/// Panics if the four messages do not all have the same length.
-///
-/// # Example
-///
-/// ```
-/// use bamboo_crypto::{sha256, sha256_quad};
-///
-/// let digests = sha256_quad([b"aaaa", b"bbbb", b"cccc", b"dddd"]);
-/// assert_eq!(digests[2], sha256(b"cccc"));
-/// ```
-pub fn sha256_quad(msgs: [&[u8]; 4]) -> [[u8; 32]; 4] {
-    let len = msgs[0].len();
-    assert!(
-        msgs.iter().all(|m| m.len() == len),
-        "sha256_quad requires four equal-length messages"
-    );
-    let mut states = [H0; 4];
-
-    // Full 64-byte blocks, straight from the input slices.
-    let full = len / 64;
-    for block in 0..full {
-        let offset = block * 64;
-        let blocks: [&[u8; 64]; 4] = std::array::from_fn(|lane| {
-            msgs[lane][offset..offset + 64]
-                .try_into()
-                .expect("64-byte chunk")
-        });
-        compress4(&mut states, blocks);
+/// A free function (rather than a method) so callers can borrow the hasher's
+/// buffer and state disjointly and compress without staging a copy. The
+/// feature test is one cached-flag load per call, and a call covers every
+/// whole block of an `update`, not one block.
+#[allow(unsafe_code)]
+fn compress(state: &mut [u32; 8], blocks: &[u8], portable: bool) {
+    #[cfg(target_arch = "x86_64")]
+    if !portable
+        && std::arch::is_x86_feature_detected!("sha")
+        && std::arch::is_x86_feature_detected!("sse2")
+        && std::arch::is_x86_feature_detected!("ssse3")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: `compress_sha_ni` is a safe function whose only requirement
+        // is that the CPU supports the `sha`, `sse2`, `ssse3` and `sse4.1`
+        // target features it is compiled with, and the four
+        // `is_x86_feature_detected!` tests on this same path have just
+        // confirmed each of them. It takes no pointers.
+        unsafe { compress_sha_ni(state, blocks) };
+        return;
     }
-
-    // The padded tail: identical shape in every lane (equal lengths), one or
-    // two blocks depending on whether terminator + length marker fit.
-    let rem = len % 64;
-    let tail_blocks = if rem < 56 { 1 } else { 2 };
-    let bit_len = (len as u64).wrapping_mul(8);
-    let mut tails = [[0u8; 128]; 4];
-    for (lane, tail) in tails.iter_mut().enumerate() {
-        tail[..rem].copy_from_slice(&msgs[lane][len - rem..]);
-        tail[rem] = 0x80;
-        tail[tail_blocks * 64 - 8..tail_blocks * 64].copy_from_slice(&bit_len.to_be_bytes());
-    }
-    for block in 0..tail_blocks {
-        let offset = block * 64;
-        let blocks: [&[u8; 64]; 4] = std::array::from_fn(|lane| {
-            tails[lane][offset..offset + 64]
-                .try_into()
-                .expect("64-byte chunk")
-        });
-        compress4(&mut states, blocks);
-    }
-
-    let mut out = [[0u8; 32]; 4];
-    for (lane, state) in states.iter().enumerate() {
-        for (i, word) in state.iter().enumerate() {
-            out[lane][i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-    }
-    out
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = portable;
+    compress_portable(state, blocks);
 }
 
-/// Four independent SHA-256 compressions advanced in lockstep: the message
-/// schedule and working variables are `[u32; 4]` lane arrays so every round
-/// performs the same operation on four independent words — the shape LLVM's
-/// auto-vectoriser turns into 128-bit SIMD.
-fn compress4(states: &mut [[u32; 8]; 4], blocks: [&[u8; 64]; 4]) {
-    let mut w = [[0u32; 4]; 64];
-    for (i, word) in w.iter_mut().take(16).enumerate() {
-        for lane in 0..4 {
-            let offset = i * 4;
-            word[lane] = u32::from_be_bytes(
-                blocks[lane][offset..offset + 4]
-                    .try_into()
-                    .expect("4-byte word"),
-            );
-        }
-    }
-    for i in 16..64 {
-        let mut word = [0u32; 4];
-        for (lane, out) in word.iter_mut().enumerate() {
-            let x = w[i - 15][lane];
-            let y = w[i - 2][lane];
-            let s0 = x.rotate_right(7) ^ x.rotate_right(18) ^ (x >> 3);
-            let s1 = y.rotate_right(17) ^ y.rotate_right(19) ^ (y >> 10);
-            *out = w[i - 16][lane]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7][lane])
-                .wrapping_add(s1);
-        }
-        w[i] = word;
-    }
+/// The hardware path: two rounds per `sha256rnds2`, message schedule by
+/// `sha256msg1`/`sha256msg2`. Written with the pointer-free intrinsics only —
+/// words enter through `u32::from_be_bytes` and leave through
+/// `_mm_extract_epi32` — so the body is safe code; calling it is `unsafe`
+/// only because the CPU must have the features (see [`compress`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+fn compress_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
+    use std::arch::x86_64::*;
 
-    let lane_of = |states: &[[u32; 8]; 4], j: usize| -> [u32; 4] {
-        [states[0][j], states[1][j], states[2][j], states[3][j]]
-    };
-    let mut a = lane_of(states, 0);
-    let mut b = lane_of(states, 1);
-    let mut c = lane_of(states, 2);
-    let mut d = lane_of(states, 3);
-    let mut e = lane_of(states, 4);
-    let mut f = lane_of(states, 5);
-    let mut g = lane_of(states, 6);
-    let mut h = lane_of(states, 7);
+    // Four words into one register, lane 0 first.
+    macro_rules! lanes {
+        ($w:expr, $at:expr) => {
+            _mm_set_epi32(
+                $w[$at + 3] as i32,
+                $w[$at + 2] as i32,
+                $w[$at + 1] as i32,
+                $w[$at] as i32,
+            )
+        };
+    }
+    // The instruction's register layout: (f, e, b, a) and (h, g, d, c).
+    let [a, b, c, d, e, f, g, h] = *state;
+    let mut abef = lanes!([f, e, b, a], 0);
+    let mut cdgh = lanes!([h, g, d, c], 0);
 
-    for i in 0..64 {
-        let mut temp1 = [0u32; 4];
-        let mut temp2 = [0u32; 4];
-        for lane in 0..4 {
-            let s1 = e[lane].rotate_right(6) ^ e[lane].rotate_right(11) ^ e[lane].rotate_right(25);
-            let ch = (e[lane] & f[lane]) ^ ((!e[lane]) & g[lane]);
-            temp1[lane] = h[lane]
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i][lane]);
-            let s0 = a[lane].rotate_right(2) ^ a[lane].rotate_right(13) ^ a[lane].rotate_right(22);
-            let maj = (a[lane] & b[lane]) ^ (a[lane] & c[lane]) ^ (b[lane] & c[lane]);
-            temp2[lane] = s0.wrapping_add(maj);
-        }
-        h = g;
-        g = f;
-        f = e;
-        for lane in 0..4 {
-            e[lane] = d[lane].wrapping_add(temp1[lane]);
-        }
-        d = c;
-        c = b;
-        b = a;
-        for lane in 0..4 {
-            a[lane] = temp1[lane].wrapping_add(temp2[lane]);
-        }
+    // Rounds 4i..4i+4 over schedule words `$w`.
+    macro_rules! rounds4 {
+        ($w:expr, $i:expr) => {
+            let wk = _mm_add_epi32($w, lanes!(K, 4 * $i));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+        };
+    }
+    // The next four schedule words from the last sixteen:
+    // W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16].
+    macro_rules! schedule {
+        ($w0:expr, $w1:expr, $w2:expr, $w3:expr) => {
+            _mm_sha256msg2_epu32(
+                _mm_add_epi32(_mm_sha256msg1_epu32($w0, $w1), _mm_alignr_epi8($w3, $w2, 4)),
+                $w3,
+            )
+        };
     }
 
-    for lane in 0..4 {
-        states[lane][0] = states[lane][0].wrapping_add(a[lane]);
-        states[lane][1] = states[lane][1].wrapping_add(b[lane]);
-        states[lane][2] = states[lane][2].wrapping_add(c[lane]);
-        states[lane][3] = states[lane][3].wrapping_add(d[lane]);
-        states[lane][4] = states[lane][4].wrapping_add(e[lane]);
-        states[lane][5] = states[lane][5].wrapping_add(f[lane]);
-        states[lane][6] = states[lane][6].wrapping_add(g[lane]);
-        states[lane][7] = states[lane][7].wrapping_add(h[lane]);
+    for block in blocks.chunks_exact(64) {
+        let (abef_in, cdgh_in) = (abef, cdgh);
+        let mut words = [0u32; 16];
+        for (word, bytes) in words.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+        }
+        let mut w0 = lanes!(words, 0);
+        let mut w1 = lanes!(words, 4);
+        let mut w2 = lanes!(words, 8);
+        let mut w3 = lanes!(words, 12);
+        rounds4!(w0, 0);
+        rounds4!(w1, 1);
+        rounds4!(w2, 2);
+        rounds4!(w3, 3);
+        for i in [4, 8, 12] {
+            w0 = schedule!(w0, w1, w2, w3);
+            rounds4!(w0, i);
+            w1 = schedule!(w1, w2, w3, w0);
+            rounds4!(w1, i + 1);
+            w2 = schedule!(w2, w3, w0, w1);
+            rounds4!(w2, i + 2);
+            w3 = schedule!(w3, w0, w1, w2);
+            rounds4!(w3, i + 3);
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+
+    *state = [
+        _mm_extract_epi32(abef, 3) as u32,
+        _mm_extract_epi32(abef, 2) as u32,
+        _mm_extract_epi32(cdgh, 3) as u32,
+        _mm_extract_epi32(cdgh, 2) as u32,
+        _mm_extract_epi32(abef, 1) as u32,
+        _mm_extract_epi32(abef, 0) as u32,
+        _mm_extract_epi32(cdgh, 1) as u32,
+        _mm_extract_epi32(cdgh, 0) as u32,
+    ];
+}
+
+/// The portable path (FIPS 180-4 §6.2.2 as written), one block at a time:
+/// the only path on a CPU without SHA extensions, and the reference the
+/// hardware path is tested against.
+pub(crate) fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
+        compress_block_portable(state, block);
     }
 }
 
-/// One SHA-256 compression round over a single 64-byte block. A free function
-/// (rather than a method) so callers can borrow the hasher's buffer and state
-/// disjointly and compress without staging the block in a temporary copy.
-fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+fn compress_block_portable(state: &mut [u32; 8], block: &[u8]) {
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -473,31 +449,89 @@ mod tests {
         assert_eq!(hasher.finalize(), expected);
     }
 
-    #[test]
-    fn quad_matches_scalar_across_padding_boundaries() {
-        // Cover both tail shapes (rem < 56 → one padded block, rem >= 56 →
-        // two) and multi-block bodies.
-        for len in [
-            0usize, 1, 31, 55, 56, 57, 63, 64, 65, 119, 120, 127, 128, 129, 1_000,
-        ] {
-            let lanes: Vec<Vec<u8>> = (0..4u8)
-                .map(|lane| {
-                    (0..len)
-                        .map(|i| lane ^ (i as u8).wrapping_mul(37))
-                        .collect()
-                })
-                .collect();
-            let digests = sha256_quad([&lanes[0], &lanes[1], &lanes[2], &lanes[3]]);
-            for (lane, digest) in digests.iter().enumerate() {
-                assert_eq!(*digest, sha256(&lanes[lane]), "len {len} lane {lane}");
-            }
-        }
+    /// One-shot digest on the portable rounds only.
+    fn sha256_portable(data: &[u8]) -> [u8; 32] {
+        let mut hasher = Sha256::portable();
+        hasher.update(data);
+        hasher.finalize()
     }
 
     #[test]
-    #[should_panic(expected = "equal-length")]
-    fn quad_rejects_mixed_lengths() {
-        sha256_quad([b"aa", b"aa", b"aa", b"a"]);
+    fn hardware_and_portable_paths_give_equal_digests() {
+        #[cfg(target_arch = "x86_64")]
+        let hardware = std::arch::is_x86_feature_detected!("sha");
+        #[cfg(not(target_arch = "x86_64"))]
+        let hardware = false;
+        // Said out loud (`--nocapture`) so a green run on a SHA-less host is
+        // not read as a check of the kernel.
+        if hardware {
+            println!("sha256: comparing the SHA-NI kernel with the portable rounds");
+        } else {
+            println!("sha256: no SHA extensions on this host — only the portable path ran");
+        }
+
+        // The dispatching `compress` against `compress_portable`, block by
+        // block, from a state that is not the initial one.
+        let block: Vec<u8> = (0..192u32).map(|i| (i * 151 + 17) as u8).collect();
+        let (mut dispatched, mut reference) = (H0, H0);
+        for blocks in [&block[..64], &block[..], &block[64..]] {
+            compress(&mut dispatched, blocks, false);
+            compress_portable(&mut reference, blocks);
+            assert_eq!(dispatched, reference);
+        }
+
+        // The four NIST vectors on the portable path (the tests above hold
+        // the dispatching path to the same four).
+        let million_a = vec![b'a'; 1_000_000];
+        for (message, digest) in [
+            (
+                &b""[..],
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ] {
+            assert_eq!(hex(&sha256_portable(message)), digest);
+        }
+
+        // Every length across four blocks and every padding shape.
+        let data: Vec<u8> = (0..257u32).map(|i| (i * 89 + 3) as u8).collect();
+        for len in 0..=257 {
+            assert_eq!(
+                sha256(&data[..len]),
+                sha256_portable(&data[..len]),
+                "len {len}"
+            );
+        }
+
+        // 1 MiB streamed in pseudo-random split sizes (xorshift, fixed seed)
+        // against the portable one-shot.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let stream: Vec<u8> = (0..1 << 20).map(|_| next() as u8).collect();
+        let mut hasher = Sha256::new();
+        let mut rest = &stream[..];
+        while !rest.is_empty() {
+            let take = (next() % 300) as usize % rest.len() + 1;
+            hasher.update(&rest[..take]);
+            rest = &rest[take..];
+        }
+        assert_eq!(hasher.finalize(), sha256_portable(&stream));
     }
 
     #[test]

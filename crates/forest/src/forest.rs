@@ -1,9 +1,9 @@
 //! The block forest data structure.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use bamboo_types::{Block, BlockId, Height, QuorumCert, SharedBlock};
+use bamboo_types::{Block, BlockId, DigestMap, Height, QuorumCert, SharedBlock};
 
 /// Errors returned by [`BlockForest`] operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -101,12 +101,12 @@ struct Vertex {
 /// the mempool all move `Arc` pointers instead of copying payloads.
 #[derive(Clone, Debug)]
 pub struct BlockForest {
-    vertices: HashMap<BlockId, Vertex>,
+    vertices: DigestMap<BlockId, Vertex>,
     by_height: BTreeMap<u64, Vec<BlockId>>,
     /// Blocks whose parent has not arrived yet, keyed by the missing parent.
     /// Bounded by `ORPHAN_CAP`: a Byzantine peer flooding unresolvable
     /// orphans evicts its own flood, not the replica's memory.
-    orphans: HashMap<BlockId, Vec<SharedBlock>>,
+    orphans: DigestMap<BlockId, Vec<SharedBlock>>,
     orphans_evicted: u64,
     /// Highest QC observed so far (`hQC` in the paper's state variables).
     high_qc: QuorumCert,
@@ -129,13 +129,22 @@ impl Default for BlockForest {
 /// flood can pin in memory.
 const ORPHAN_CAP: usize = 1024;
 
+/// Drops `child` from `parent`'s child list, if `parent` is still stored.
+/// Pruning calls it for every vertex it removes: only a surviving parent can
+/// be left holding a dangling link.
+fn unlink_child(vertices: &mut DigestMap<BlockId, Vertex>, parent: BlockId, child: BlockId) {
+    if let Some(vertex) = vertices.get_mut(&parent) {
+        vertex.children.retain(|c| *c != child);
+    }
+}
+
 impl BlockForest {
     /// Creates a forest containing only the genesis block (which is committed
     /// and certified by convention).
     pub fn new() -> Self {
         let genesis = SharedBlock::new(Block::genesis());
         let genesis_id = genesis.id;
-        let mut vertices = HashMap::new();
+        let mut vertices = DigestMap::default();
         vertices.insert(
             genesis_id,
             Vertex {
@@ -149,7 +158,7 @@ impl BlockForest {
         Self {
             vertices,
             by_height,
-            orphans: HashMap::new(),
+            orphans: DigestMap::default(),
             orphans_evicted: 0,
             high_qc: QuorumCert::genesis(),
             highest_certified: genesis_id,
@@ -174,7 +183,7 @@ impl BlockForest {
         }
         let root_id = root.id;
         let root_height = root.height;
-        let mut vertices = HashMap::new();
+        let mut vertices = DigestMap::default();
         // Pruning always spares the genesis vertex (it anchors genesis-view
         // QCs), so a restored forest carries it too — disconnected from the
         // root, exactly like a long-running forest after deep pruning.
@@ -200,7 +209,7 @@ impl BlockForest {
         Self {
             vertices,
             by_height,
-            orphans: HashMap::new(),
+            orphans: DigestMap::default(),
             orphans_evicted: 0,
             high_qc: QuorumCert::genesis(),
             highest_certified: root_id,
@@ -422,7 +431,7 @@ impl BlockForest {
     /// update happens incrementally in [`BlockForest::register_qc`].
     fn rescan_highest_certified(&mut self) {
         // The id is part of the key so ties on (height, view) resolve
-        // deterministically instead of following HashMap iteration order —
+        // deterministically instead of following the table's iteration order —
         // replays of the same seed must reproduce the same tip.
         if let Some((id, _)) = self
             .vertices
@@ -561,43 +570,44 @@ impl BlockForest {
         if height <= self.prune_horizon {
             return Vec::new();
         }
+        let cut = height.as_u64();
+        let head = self.committed_head;
         let mut forked = Vec::new();
-        // `(removed id, its parent)` pairs for the child-link surgery below.
-        let mut removed: Vec<(BlockId, BlockId)> = Vec::new();
-        let cut: Vec<u64> = self
-            .by_height
-            .range(..height.as_u64())
-            .map(|(h, _)| *h)
-            .collect();
-        for h in cut {
-            let Some(ids) = self.by_height.remove(&h) else {
-                continue;
-            };
-            for id in ids {
-                // Keep blocks on the committed path reachable until their
-                // height is passed by the committed head, then drop them too;
-                // the ledger owns the committed history.
-                let on_committed_path = self.extends(self.committed_head, id);
-                if id != self.committed_head && !id.is_genesis() {
-                    if let Some(vertex) = self.vertices.remove(&id) {
-                        removed.push((id, vertex.block.parent));
-                        if !on_committed_path && !vertex.block.is_genesis() {
-                            forked.push(vertex.block);
-                        }
-                    }
-                } else {
-                    // Re-index blocks we keep so later prunes revisit them.
-                    self.by_height.entry(h).or_default().push(id);
+        // Genesis (height 0) is never pruned, so only heights in `1..cut`
+        // can lose a block; when the index has none there is nothing to cut.
+        if self.by_height.range(1..cut).next().is_some() {
+            let kept = self.by_height.split_off(&cut);
+            let below = std::mem::replace(&mut self.by_height, kept);
+            // The committed path first, in one walk down from the head: its
+            // blocks below the cut go without being reported (the ledger owns
+            // the committed history). Whatever the index still lists below
+            // the cut afterwards was overwritten by the committed chain.
+            let mut cursor = self.vertices[&head].block.parent;
+            while let Some(vertex) = self.vertices.get(&cursor) {
+                if vertex.block.is_genesis() {
+                    break;
                 }
+                let parent = vertex.block.parent;
+                if vertex.block.height.as_u64() < cut {
+                    self.vertices.remove(&cursor);
+                    unlink_child(&mut self.vertices, parent, cursor);
+                }
+                cursor = parent;
             }
-        }
-        // Child-link surgery: only parents of removed vertices can hold a
-        // dangling reference, so touch exactly those instead of rebuilding a
-        // live-set and filtering every vertex in the forest.
-        for (id, parent) in removed {
-            if let Some(parent_vertex) = self.vertices.get_mut(&parent) {
-                if let Some(pos) = parent_vertex.children.iter().position(|c| *c == id) {
-                    parent_vertex.children.remove(pos);
+            for (h, mut ids) in below {
+                ids.retain(|&id| {
+                    if id == head || id.is_genesis() {
+                        // Stays indexed, so a later prune revisits it.
+                        return true;
+                    }
+                    if let Some(vertex) = self.vertices.remove(&id) {
+                        unlink_child(&mut self.vertices, vertex.block.parent, id);
+                        forked.push(vertex.block);
+                    }
+                    false
+                });
+                if !ids.is_empty() {
+                    self.by_height.insert(h, ids);
                 }
             }
         }

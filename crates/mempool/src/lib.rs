@@ -30,9 +30,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
-use bamboo_types::{Transaction, TxId};
+use bamboo_types::{DigestSet, Transaction, TxId};
 
 /// Statistics about mempool activity, used by the benchmarker.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -55,7 +55,7 @@ pub struct MempoolStats {
 struct Shard {
     queue: VecDeque<Transaction>,
     /// Ids currently in this shard's queue, to drop duplicate re-submissions.
-    in_queue: HashSet<TxId>,
+    in_queue: DigestSet<TxId>,
     capacity: usize,
 }
 
@@ -68,7 +68,7 @@ impl Shard {
     fn new(capacity: usize) -> Self {
         Self {
             queue: VecDeque::new(),
-            in_queue: HashSet::new(),
+            in_queue: DigestSet::default(),
             capacity,
         }
     }
@@ -265,20 +265,17 @@ impl Mempool {
     pub fn remove_committed<'a>(&mut self, ids: impl IntoIterator<Item = &'a TxId>) -> usize {
         // Single pass over the ids: each shard's `in_queue` mirrors its queue
         // membership, so removing from the set both counts the victims and
-        // marks them — one retain sweep per *touched* shard then keeps
-        // exactly the ids still in its set.
-        let mut removed_in: Vec<usize> = vec![0; self.shards.len()];
+        // marks them — a shard was touched exactly when its set is now
+        // shorter than its queue, and one retain sweep per such shard keeps
+        // the ids still in its set.
         let mut removed = 0usize;
         for id in ids {
             let shard_index = self.shard_of(id);
-            if self.shards[shard_index].in_queue.remove(id) {
-                removed_in[shard_index] += 1;
-                removed += 1;
-            }
+            removed += usize::from(self.shards[shard_index].in_queue.remove(id));
         }
         if removed > 0 {
-            for (shard, &hits) in self.shards.iter_mut().zip(&removed_in) {
-                if hits > 0 {
+            for shard in &mut self.shards {
+                if shard.in_queue.len() < shard.queue.len() {
                     shard.queue.retain(|tx| shard.in_queue.contains(&tx.id));
                 }
             }

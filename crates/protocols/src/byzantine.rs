@@ -196,7 +196,7 @@ mod tests {
                     let draw = roll(seed, view);
                     let inp = input(view, view % 4);
                     // The attacker leads roughly every third view.
-                    let proposal = if draw % 3 == 0 {
+                    let proposal = if draw.is_multiple_of(3) {
                         attack.propose(&*attacker, &inp, &forest)
                     } else {
                         honest.propose(&inp, &forest)
@@ -211,7 +211,7 @@ mod tests {
                     assert_eq!(attacker.voted_view(), honest.voted_view(), "{label}");
                     votes += u64::from(vote);
                     // Most blocks get certified; the rest leave gaps.
-                    if (draw >> 8) % 5 != 0 {
+                    if !(draw >> 8).is_multiple_of(5) {
                         let qc = qc_for(block.id, block.view);
                         forest.register_qc(qc.clone()).expect("certify");
                         honest.update_state(&qc, &forest);

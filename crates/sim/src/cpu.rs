@@ -64,11 +64,11 @@ impl CpuModel {
     }
 
     /// Cost of verifying a batch of `signatures` client-request signatures at
-    /// the replica edge: one crypto op per 4-wide interleaved pass
-    /// (`⌈n/4⌉ · t_CPU`). Client requests all sign the same fixed-length
-    /// tuple, so the whole batch runs through the quad hasher — this is the
-    /// amortisation the charge models, and what makes authenticated ingress
-    /// affordable at millions of arrivals.
+    /// the replica edge: `⌈n/4⌉ · t_CPU`, one crypto op per four requests.
+    /// This is a model — the modelled replica verifies same-length client
+    /// tuples four to a pass, which is what makes authenticated ingress
+    /// affordable at millions of arrivals — and a part of every pinned
+    /// number; it does not describe how the host checks the batch.
     pub fn verify_batch(&self, signatures: usize) -> SimDuration {
         let passes = (signatures as u64).div_ceil(4);
         SimDuration::from_nanos(self.crypto_op.as_nanos() * passes)

@@ -30,7 +30,7 @@
 //! [`crate::Config::signed_requests`]) changes that for requests: each one
 //! must carry the issuing client's signature over a fixed 40-byte tuple, the
 //! client's public key is re-derived lazily from its id (no O(clients) key
-//! table), and whole arrival batches are checked through the same 4-wide
+//! table), and whole arrival batches are checked through the same
 //! batched pass as quorum certificates
 //! ([`Authenticator::verify_client_batch`]).
 
@@ -306,10 +306,11 @@ impl Authenticator {
 
     /// Verifies a whole client arrival batch in one batched pass.
     ///
-    /// Every request signs the same fixed-length 40-byte tuple, so the staged
-    /// checks run 4-wide through the interleaved SHA-256 path — the amortised
-    /// edge-ingress cost the modeled CPU charge
-    /// (`CpuModel::verify_batch`) accounts for. All-or-nothing: `true` iff
+    /// Every request signs the same fixed-length 40-byte tuple; the staged
+    /// checks share one arena and one scratch buffer and cost one
+    /// signing-buffer hash each. (The modeled charge for the batch,
+    /// `CpuModel::verify_batch`, is a parameter of the simulated CPU, not a
+    /// description of this loop.) All-or-nothing: `true` iff
     /// every request is signed and verifies. Callers that need to salvage the
     /// honest majority of a failing batch fall back to
     /// [`Authenticator::verify_client_request`] per item.
@@ -715,10 +716,10 @@ mod tests {
     }
 
     #[test]
-    fn client_batches_verify_four_wide_and_fail_on_one_forgery() {
+    fn client_batches_verify_and_fail_on_one_forgery() {
         let mut auth = Authenticator::for_nodes(4);
         auth.set_signed_clients(true);
-        // 11 requests: two quad chunks plus three stragglers.
+        // 11 requests.
         let mut batch: Vec<ClientRequest> = (0..11u64)
             .map(|i| {
                 let client = NodeId(1_000_000 + i);

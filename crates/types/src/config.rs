@@ -203,7 +203,7 @@ pub struct Config {
     /// id — memory stays O(1) in the population size.
     pub client_population: Option<u64>,
     /// When true, every client request is signed by the issuing client and
-    /// verified at the replica edge through the batched 4-wide path, with the
+    /// verified at the replica edge in one batched pass, with the
     /// modeled CPU charged per arrival batch. Defaults to false (the paper's
     /// unauthenticated-client setting).
     pub signed_requests: bool,

@@ -38,6 +38,8 @@ pub mod transaction;
 pub mod wire;
 
 pub use auth::{AuthError, Authenticator, VerifiedMessage};
+// Tables keyed by a `TxId` or `BlockId` hash with the digest hasher.
+pub use bamboo_crypto::{DigestBuildHasher, DigestMap, DigestSet};
 pub use block::{Block, BlockId, SharedBlock};
 pub use bytes::Bytes;
 pub use certificate::{QuorumCert, TimeoutCert, TimeoutVote, Vote};

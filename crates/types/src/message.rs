@@ -32,9 +32,8 @@ pub type SharedMessage = Arc<Message>;
 /// Requests are optionally signed by the issuing client
 /// ([`crate::Config::signed_requests`]): the signature covers the fixed-size
 /// `(tx id, issued_at)` tuple, so every request signs (and verifies) a
-/// 40-byte message — which is exactly the equal-length precondition the
-/// 4-wide batched verifier needs to check an arrival batch in `⌈n/4⌉`
-/// interleaved SHA-256 passes. The signature authenticates ingress only: the
+/// 40-byte message and an arrival batch is checked in one batched pass. The
+/// signature authenticates ingress only: the
 /// replica edge verifies and strips it, and only the bare [`Transaction`]
 /// enters the mempool, blocks, and checkpoints.
 #[derive(Clone, PartialEq, Eq, Debug)]

@@ -189,7 +189,7 @@ fn forged_client_requests_die_at_the_sim_edge() {
         "edge verification costs modeled CPU"
     );
 
-    // An all-genuine batch takes the 4-wide fast path and rejects nothing.
+    // An all-genuine batch passes the batched check and rejects nothing.
     let clean: Vec<ClientRequest> = (0..8u64)
         .map(|seq| {
             ClientRequest::signed(
