@@ -5,9 +5,9 @@
 //! provides the benchmark facilities of the paper:
 //!
 //! * [`Replica`] — the event-driven replica node: a pure state machine that
-//!   consumes [`ReplicaEvent`]s and emits [`Outbound`] messages plus CPU-cost
-//!   accounting, so the same code runs on the deterministic simulator and on
-//!   the threaded runtime.
+//!   consumes [`ReplicaEvent`]s, writes its effects into the host's
+//!   [`Transport`] and returns CPU-cost accounting, so the same code runs on
+//!   the deterministic simulator and on the live backends.
 //! * [`QuorumTracker`] — the Quorum component (`voted()` / `certified()`).
 //! * [`SimRunner`] — the discrete-event simulation runner: network latency,
 //!   NIC and CPU models, workload generation, fault injection, metric
@@ -52,6 +52,7 @@
 #![warn(missing_docs)]
 
 pub mod benchmark;
+mod durability;
 pub mod live;
 pub mod metrics;
 pub mod parallel;
@@ -61,6 +62,7 @@ pub mod runner;
 pub mod runtime;
 pub mod scenario;
 pub mod storage;
+mod sync;
 pub mod threaded;
 pub mod verify;
 pub mod workload;
@@ -69,15 +71,14 @@ pub use bamboo_sim::{DelayDist, FluctuationWindow, LinkFault, Topology};
 pub use benchmark::{Benchmarker, CurvePoint, SweepOptions};
 pub use live::ClusterReport;
 pub use metrics::{
-    LatencyStats, MempoolTotals, Metrics, RecoveryReport, RunReport, ThroughputSample,
+    LatencyStats, MempoolTotals, Metrics, RecoveryReport, RecoveryStats, RunReport,
+    ThroughputSample,
 };
 pub use parallel::run_ordered;
 pub use quorum::QuorumTracker;
-pub use replica::{
-    Destination, HandleResult, Outbound, RecoveryStats, Replica, ReplicaEvent, ReplicaOptions,
-};
+pub use replica::{Replica, ReplicaOptions};
 pub use runner::{FaultTrigger, NodeFault, RunOptions, SimRunner};
-pub use runtime::{BufferedTransport, NodeHost, RecoverMode, StepReport, Transport};
+pub use runtime::{BufferedTransport, NodeHost, RecoverMode, ReplicaEvent, StepReport, Transport};
 pub use scenario::{Expectations, Scenario, ScenarioReport, ScenarioRun, ScenarioTransport};
 pub use storage::{
     DecodedStream, FileBackend, MemoryBackend, RecordKind, ReplayResult, SegmentBackend,

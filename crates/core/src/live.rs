@@ -36,8 +36,8 @@ use bamboo_types::{
     View,
 };
 
-use crate::replica::{Replica, ReplicaEvent, ReplicaOptions};
-use crate::runtime::{NodeHost, RecoverMode, Transport};
+use crate::replica::{Replica, ReplicaOptions};
+use crate::runtime::{NodeHost, RecoverMode, ReplicaEvent, Transport};
 use crate::storage::SegmentLog;
 
 /// The backend-specific send half of a live node.

@@ -265,6 +265,46 @@ impl Histogram {
     }
 }
 
+/// Counters and timestamps describing checkpointing and state transfer on one
+/// replica. Exposed to the runners so crash-recovery experiments can report
+/// how long catch-up took and what it cost.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RecoveryStats {
+    /// Checkpoints taken by this replica.
+    pub checkpoints_taken: u64,
+    /// Total checkpoint chunk bytes this replica encoded and stored.
+    pub checkpoint_bytes_written: u64,
+    /// The largest single checkpoint chunk — flat in the ledger length
+    /// unless the replica had to re-base.
+    pub checkpoint_max_write_bytes: u64,
+    /// Sync requests this replica sent while catching up.
+    pub sync_requests_sent: u64,
+    /// Sync responses this replica served to lagging peers.
+    pub sync_responses_served: u64,
+    /// Total wire bytes of sync responses this replica received.
+    pub sync_bytes_received: u64,
+    /// Snapshots installed wholesale (replacing local forest + ledger).
+    pub snapshots_installed: u64,
+    /// Blocks received through state transfer (excludes snapshot contents).
+    pub blocks_synced: u64,
+    /// When this replica last restarted with amnesia, if ever.
+    pub restarted_at: Option<SimTime>,
+    /// When the last catch-up episode finished (orphan-free after a sync
+    /// install). Cleared whenever a new episode begins, so after the run it
+    /// marks the end of the final episode.
+    pub caught_up_at: Option<SimTime>,
+    /// Durable restarts this replica performed (replaying its own log).
+    pub durable_restarts: u64,
+    /// Log records successfully replayed across durable restarts.
+    pub records_replayed: u64,
+    /// Log records discarded as corrupt (torn, CRC-failed, or off the
+    /// recovered chain) across durable restarts.
+    pub corrupt_records_discarded: u64,
+    /// Modeled time spent replaying the durable log, in nanoseconds (an
+    /// integer so the stats stay `Eq` and fingerprint-comparable).
+    pub log_replay_nanos: u64,
+}
+
 /// Checkpoint, state-transfer and crash-recovery metrics of one run, summed
 /// across all replicas (durations are worst-case over the recovered ones).
 #[derive(Clone, Copy, Debug, PartialEq)]

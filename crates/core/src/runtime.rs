@@ -1,11 +1,12 @@
 //! The shared runtime spine of every deployment mode.
 //!
 //! A [`crate::Replica`] is a pure state machine: it consumes
-//! [`ReplicaEvent`]s and returns a [`HandleResult`] describing messages to
-//! send, timers to arm and delayed proposals to schedule. Everything that
-//! differs between the deterministic simulator and the live backends is *how*
-//! those effects are realised — which is exactly what the [`Transport`] trait
-//! captures. There are two implementations:
+//! [`ReplicaEvent`]s and writes each effect — a message to send, a timer to
+//! arm, a delayed proposal to schedule — into the [`Transport`] its host
+//! hands it, the moment it decides on it. Everything that differs between the
+//! deterministic simulator and the live backends is *how* those effects are
+//! realised — which is exactly what the trait captures. There are two
+//! implementations:
 //!
 //! * the simulator buffers the effects (via [`BufferedTransport`]) and maps
 //!   them onto its discrete-event queue with modelled latency, NIC and CPU
@@ -16,9 +17,9 @@
 //!   [`crate::live::Link`].
 //!
 //! The [`NodeHost`] is the common driver: it owns the replica, feeds events
-//! into it, routes every effect into the backend's `Transport`, and hands the
-//! backend a [`StepReport`] (CPU time consumed plus newly committed blocks)
-//! for accounting.
+//! and the backend's `Transport` into it, and hands the backend the step's
+//! [`StepReport`] (CPU time consumed plus newly committed blocks) for
+//! accounting.
 //!
 //! The host is also the **authenticated ingress stage**: every
 //! [`ReplicaEvent::Message`] fed through [`NodeHost::handle`] is
@@ -39,8 +40,36 @@ use bamboo_types::{
     SharedMessage, SimDuration, SimTime, Transaction, VerifiedMessage, View,
 };
 
-use crate::replica::{Destination, HandleResult, Replica, ReplicaEvent, ReplicaOptions};
+use crate::replica::{Replica, ReplicaOptions};
 use crate::storage::StorageFault;
+
+/// Events consumed by a replica.
+#[derive(Clone, Debug)]
+pub enum ReplicaEvent {
+    /// A message delivered by the network.
+    Message {
+        /// The sending node.
+        from: NodeId,
+        /// The delivered message.
+        message: Message,
+    },
+    /// A previously armed view timer fired.
+    TimerFired {
+        /// The view the timer was armed for.
+        view: View,
+    },
+    /// A delayed proposal slot arrived (used when the protocol waits for the
+    /// timeout after a view change, Fig. 15's second setting).
+    ProposeNow {
+        /// The view the proposal was scheduled for.
+        view: View,
+    },
+    /// A batch of client transactions arrived at this replica.
+    ClientRequests(Vec<Transaction>),
+    /// A previously armed sync timer fired (gap-detection debounce or a
+    /// retry deadline for an outstanding state-transfer request).
+    SyncTimer,
+}
 
 /// Backend-provided effect sink for a single replica.
 ///
@@ -91,7 +120,7 @@ pub enum RecoverMode {
     Restart(Option<StorageFault>),
 }
 
-/// What one event step produced, after all effects were routed into the
+/// What one event step produced, beside the effects it wrote into the
 /// backend's [`Transport`].
 #[derive(Debug, Default)]
 pub struct StepReport {
@@ -102,8 +131,39 @@ pub struct StepReport {
     pub committed: Vec<SharedBlock>,
 }
 
-/// The shared node-host driver: one replica plus the logic that routes its
-/// effects into a [`Transport`].
+/// One step in progress: the instant it runs at, the effect sink the host
+/// handed in, and the account the host gets back. Every replica handler takes
+/// one, so an effect has exactly one spelling — a [`Transport`] call.
+pub(crate) struct Step<'a> {
+    pub now: SimTime,
+    pub transport: &'a mut dyn Transport,
+    /// What the replica's work costs; `cpu` is the bill so far.
+    pub model: CpuModel,
+    pub cpu: SimDuration,
+    pub committed: Vec<SharedBlock>,
+}
+
+impl<'a> Step<'a> {
+    pub fn new(now: SimTime, transport: &'a mut dyn Transport, model: CpuModel) -> Self {
+        Self {
+            now,
+            transport,
+            model,
+            cpu: SimDuration::ZERO,
+            committed: Vec::new(),
+        }
+    }
+
+    pub fn finish(self) -> StepReport {
+        StepReport {
+            cpu: self.cpu,
+            committed: self.committed,
+        }
+    }
+}
+
+/// The shared node-host driver: one replica behind the authenticated ingress
+/// stage.
 ///
 /// [`crate::SimRunner`] and the live driver ([`crate::live::run_live_node`])
 /// drive their replicas exclusively through this type, so the runtimes cannot
@@ -176,11 +236,10 @@ impl NodeHost {
     /// Boots the replica: arms the first view timer and, if it leads the
     /// first view, proposes.
     pub fn start(&mut self, now: SimTime, transport: &mut dyn Transport) -> StepReport {
-        let result = self.replica.start(now);
-        route(result, transport)
+        self.replica.start(now, transport)
     }
 
-    /// Feeds one event into the replica and routes the produced effects.
+    /// Feeds one event into the replica.
     ///
     /// Message events pass through the ingress verifier first: a forged vote,
     /// QC, timeout or tampered block is dropped here — the replica never sees
@@ -203,8 +262,7 @@ impl NodeHost {
             }
             other => other,
         };
-        let result = self.replica.handle(event, now);
-        route(result, transport)
+        self.replica.handle(event, now, transport)
     }
 
     /// Feeds a batch of client requests through the edge verification stage
@@ -243,8 +301,8 @@ impl NodeHost {
         } else {
             txs.extend(requests.into_iter().map(|r| r.transaction));
         }
-        let result = self.replica.handle(ReplicaEvent::ClientRequests(txs), now);
-        let mut report = route(result, transport);
+        let event = ReplicaEvent::ClientRequests(txs);
+        let mut report = self.replica.handle(event, now, transport);
         report.cpu += edge_cpu;
         report
     }
@@ -262,17 +320,15 @@ impl NodeHost {
         transport: &mut dyn Transport,
     ) -> StepReport {
         let (from, message) = verified.into_parts();
-        let result = self
-            .replica
-            .handle(ReplicaEvent::Message { from, message }, now);
-        route(result, transport)
+        let event = ReplicaEvent::Message { from, message };
+        self.replica.handle(event, now, transport)
     }
 
-    /// Brings the hosted replica back from a crash in the given `mode` and
-    /// routes the restart effects — the fresh view timer and the immediate
-    /// state-transfer request — into the backend's transport like any other
-    /// step. [`RecoverMode::Resume`] restarts nothing: the replica carries on
-    /// with the state it crashed with and the report is empty.
+    /// Brings the hosted replica back from a crash in the given `mode`; the
+    /// restart effects — the immediate state-transfer request and the fresh
+    /// view timer — reach the backend's transport like any other step's.
+    /// [`RecoverMode::Resume`] restarts nothing: the replica carries on with
+    /// the state it crashed with and the report is empty.
     pub fn restart(
         &mut self,
         mode: RecoverMode,
@@ -281,7 +337,7 @@ impl NodeHost {
     ) -> StepReport {
         match mode {
             RecoverMode::Resume => StepReport::default(),
-            RecoverMode::Restart(fault) => route(self.replica.restart(now, fault), transport),
+            RecoverMode::Restart(fault) => self.replica.restart(now, fault, transport),
         }
     }
 
@@ -332,35 +388,6 @@ fn verification_cost(cpu: &CpuModel, signed_clients: bool, message: &Message) ->
         Message::SyncResponse(resp) => 2 * resp.blocks.len() + resp.high_qc.signer_count().max(1),
     };
     cpu.verify(signatures)
-}
-
-/// Routes a raw [`HandleResult`] into a transport and condenses the
-/// accounting part into a [`StepReport`].
-fn route(result: HandleResult, transport: &mut dyn Transport) -> StepReport {
-    let HandleResult {
-        outbound,
-        timers,
-        delayed_proposals,
-        sync_timers,
-        cpu,
-        committed,
-    } = result;
-    for (view, deadline) in timers {
-        transport.arm_timer(view, deadline);
-    }
-    for (view, at) in delayed_proposals {
-        transport.schedule_proposal(view, at);
-    }
-    for deadline in sync_timers {
-        transport.arm_sync_timer(deadline);
-    }
-    for out in outbound {
-        match out.to {
-            Destination::Node(to) => transport.unicast(to, out.message),
-            Destination::AllReplicas => transport.broadcast(out.message),
-        }
-    }
-    StepReport { cpu, committed }
 }
 
 /// A [`Transport`] that simply records every effect, in order.

@@ -123,9 +123,8 @@ impl ReplicaSpec {
         let doc = Json::parse(text)?;
         let num = |key: &str| -> Result<u64, String> {
             doc.get(key)
-                .and_then(Json::as_f64)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("missing numeric field `{key}`"))
+                .and_then(Json::as_uint)
+                .ok_or_else(|| format!("field `{key}` must be a non-negative integer"))
         };
         let protocol_label = doc
             .get("protocol")
@@ -645,6 +644,16 @@ mod tests {
         assert_eq!(parsed.cluster.verify_workers, 1);
         assert_eq!(parsed.cluster.checkpoint_interval, 5);
         assert!(parsed.cluster.signed_requests);
+
+        // Integers are read strictly: `-1` is not replica 0, `4.9` not 4 nodes.
+        for (good, bad) in [
+            ("\"id\": 2", "\"id\": -1"),
+            ("\"nodes\": 4", "\"nodes\": 4.9"),
+        ] {
+            let text = spec.to_json().replace(good, bad);
+            assert!(text.contains(bad), "{text}");
+            assert!(ReplicaSpec::from_json(&text).is_err(), "{bad} parsed");
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl Safety for FastHotStuffSafety {
     fn update_state(&mut self, _qc: &QuorumCert, _forest: &BlockForest) {}
 
     fn try_commit(&mut self, qc: &QuorumCert, forest: &BlockForest) -> Option<BlockId> {
-        commit_head(qc, forest, 2, false)
+        commit_head(qc, forest, 2)
     }
 
     fn voted_view(&self) -> View {

@@ -12,8 +12,8 @@
 //!   than the locked block.
 //! * **State updating**: on a new QC, the head of the highest two-chain
 //!   becomes the locked block.
-//! * **Commit**: a three-chain (three consecutively linked certified blocks)
-//!   commits its head.
+//! * **Commit**: a three-chain — three certified blocks, each the direct
+//!   parent of the next, proposed in adjacent views — commits its head.
 
 use bamboo_forest::BlockForest;
 use bamboo_types::{Block, BlockId, QuorumCert, View};
@@ -63,8 +63,9 @@ impl Safety for HotStuffSafety {
     }
 
     fn try_commit(&mut self, qc: &QuorumCert, forest: &BlockForest) -> Option<BlockId> {
-        // A three-chain ending at the newly certified block commits its head.
-        commit_head(qc, forest, 3, false)
+        // A three-chain in adjacent views ending at the newly certified block
+        // commits its head.
+        commit_head(qc, forest, 3)
     }
 
     fn fork_parent(&self, forest: &BlockForest) -> Option<BlockId> {

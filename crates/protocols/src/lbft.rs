@@ -48,7 +48,7 @@ impl Safety for LbftSafety {
     fn update_state(&mut self, _qc: &QuorumCert, _forest: &BlockForest) {}
 
     fn try_commit(&mut self, qc: &QuorumCert, forest: &BlockForest) -> Option<BlockId> {
-        commit_head(qc, forest, 2, false)
+        commit_head(qc, forest, 2)
     }
 
     fn voted_view(&self) -> View {

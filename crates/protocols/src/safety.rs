@@ -12,7 +12,7 @@
 //! whether the protocol is responsive.
 
 use bamboo_forest::BlockForest;
-use bamboo_types::{Block, BlockId, Height, NodeId, QuorumCert, Transaction, View};
+use bamboo_types::{Block, BlockId, NodeId, QuorumCert, Transaction, View};
 
 /// Where a replica sends its vote after accepting a proposal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,11 +116,11 @@ pub trait Safety: Send {
 // ---- the rule kit -----------------------------------------------------------
 
 /// The locked block (`lBlock`): what a replica refuses to vote against.
-/// Starts on genesis and only ever moves up.
+/// Starts on genesis and only ever moves up — in *view*, the order
+/// [`Lock::admits`] compares against.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Lock {
     block: BlockId,
-    height: Height,
     view: View,
 }
 
@@ -131,12 +131,15 @@ impl Lock {
     }
 
     /// State-updating rule: the head of the `depth`-chain the newly certified
-    /// block closes becomes the lock, if it is higher than the current one.
+    /// block closes becomes the lock, if it is newer (proposed in a higher
+    /// view) than the current one. Newer, not taller: once views are lost the
+    /// chain forks, and a lock that waited for a *taller* block would sit on a
+    /// stale branch with an old view — which `admits` then lets any newer
+    /// conflicting proposal past. Unlike a commit, a lock may sit below a view
+    /// gap.
     pub fn update(&mut self, qc: &QuorumCert, forest: &BlockForest, depth: usize) {
         match forest.certified_chain(qc.block, depth, false) {
-            Some(head) if head.height > self.height => {
-                (self.block, self.height, self.view) = (head.id, head.height, head.view);
-            }
+            Some(head) if head.view > self.view => (self.block, self.view) = (head.id, head.view),
             _ => {}
         }
     }
@@ -188,16 +191,17 @@ pub fn propose_on_certified(
     build_block(input, forest, parent, justify)
 }
 
-/// Commit rule: the head of the `k`-chain the newly certified block closes
-/// (see [`BlockForest::certified_chain`]). Genesis is certified only by
-/// convention, so a chain that reaches down to it commits nothing.
-pub fn commit_head(
-    qc: &QuorumCert,
-    forest: &BlockForest,
-    k: usize,
-    consecutive_views: bool,
-) -> Option<BlockId> {
-    let head = forest.certified_chain(qc.block, k, consecutive_views)?;
+/// Commit rule: the head of the `k`-chain the newly certified block closes —
+/// `k` certified blocks, each the direct parent of the next **and proposed in
+/// adjacent views** (see [`BlockForest::certified_chain`]). The chain keeps
+/// no dummy block for a view that produced none, so "direct parent" alone
+/// would accept a chain with a view gap, and a competing block certified
+/// inside the gap can then be committed by other honest replicas: with a
+/// timeout below the link delay that is thousands of conflicting commits.
+/// Genesis is certified only by convention, so a chain that reaches down to
+/// it commits nothing.
+pub fn commit_head(qc: &QuorumCert, forest: &BlockForest, k: usize) -> Option<BlockId> {
+    let head = forest.certified_chain(qc.block, k, true)?;
     (!head.is_genesis()).then_some(head.id)
 }
 
@@ -325,6 +329,21 @@ mod tests {
         assert_eq!(block.justify, qc_a);
         assert_eq!(block.view, View(2));
         assert_eq!(block.payload.len(), 1);
+    }
+
+    #[test]
+    fn a_lock_follows_the_newer_branch_of_a_fork_not_the_taller_one() {
+        // g <- a (view 1) <- b (view 2), and a fork g <- c proposed in view 3
+        // after two views were lost: c is newer than b but not taller.
+        let mut forest = BlockForest::new();
+        let (a, qc_a) = extend_certified(&mut forest, BlockId::GENESIS, 1);
+        let (b, qc_b) = extend_certified(&mut forest, a, 2);
+        let (c, qc_c) = extend_certified(&mut forest, BlockId::GENESIS, 3);
+        let mut lock = Lock::default();
+        for (qc, expected) in [(&qc_a, a), (&qc_b, b), (&qc_c, c), (&qc_b, c)] {
+            lock.update(qc, &forest, 1);
+            assert_eq!(lock.block(), expected);
+        }
     }
 
     #[test]

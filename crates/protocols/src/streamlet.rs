@@ -79,7 +79,7 @@ impl Safety for StreamletSafety {
         // Three notarized blocks in consecutive views commit the first two of
         // the three: committing the middle block commits it and every
         // ancestor, which is exactly "the first two out of the three".
-        commit_head(qc, forest, 3, true)?;
+        commit_head(qc, forest, 3)?;
         forest.get(qc.block).map(|tip| tip.parent)
     }
 

@@ -3,7 +3,7 @@
 //! Identical to HotStuff except that:
 //! * the locked block is the head of the highest *one*-chain (the most
 //!   recently certified block itself), and
-//! * the commit rule needs only a two-chain,
+//! * the commit rule needs only a two-chain (in adjacent views),
 //!
 //! which saves one round of voting at the price of losing optimistic
 //! responsiveness: after a view change the leader must wait for the maximal
@@ -52,8 +52,9 @@ impl Safety for TwoChainHotStuffSafety {
     }
 
     fn try_commit(&mut self, qc: &QuorumCert, forest: &BlockForest) -> Option<BlockId> {
-        // A two-chain ending at the newly certified block commits its head.
-        commit_head(qc, forest, 2, false)
+        // A two-chain in adjacent views ending at the newly certified block
+        // commits its head.
+        commit_head(qc, forest, 2)
     }
 
     fn fork_parent(&self, forest: &BlockForest) -> Option<BlockId> {

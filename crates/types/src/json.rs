@@ -76,6 +76,17 @@ impl Json {
         }
     }
 
+    /// The value as an unsigned integer — an id, count, view, index or size.
+    /// JSON numbers are `f64`s and an `as u64` cast saturates, so `-1` would
+    /// read as 0 and `4.9` as 4: anything negative, fractional, non-finite or
+    /// above 2^53 (where `f64` stops being exact) is `None`.
+    pub fn as_uint(&self) -> Option<u64> {
+        match self.as_f64() {
+            Some(v) if v >= 0.0 && v.fract() == 0.0 && v <= (1u64 << 53) as f64 => Some(v as u64),
+            _ => None,
+        }
+    }
+
     /// The string value, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -41,7 +41,7 @@ impl Safety for EagerChain {
 
     // Commit rule: a certified block commits immediately (one-chain!).
     fn try_commit(&mut self, qc: &QuorumCert, forest: &BlockForest) -> Option<BlockId> {
-        commit_head(qc, forest, 1, false)
+        commit_head(qc, forest, 1)
     }
 
     // The vote watermark a replica persists before each vote and restores

@@ -226,7 +226,12 @@ fn threaded_cluster_durable_restart_restores_the_vote_watermark() {
         .expect("valid config");
     let victim = NodeId(2);
 
-    let cluster = ThreadedCluster::spawn(config, ProtocolKind::HotStuff);
+    // Two-chain HotStuff, not chained HotStuff: with one of four seats down the
+    // survivors must keep committing, and a three-chain in adjacent views
+    // needs four consecutive live leaders (three proposals plus the collector
+    // of the third QC) — round-robin over three live seats of four never has
+    // them, so HS correctly stalls until the victim is back.
+    let cluster = ThreadedCluster::spawn(config, ProtocolKind::TwoChainHotStuff);
     cluster.submit_round_robin(600, 16);
     assert!(
         cluster.run_until_committed(50, Duration::from_secs(20)),
@@ -311,7 +316,12 @@ fn threaded_durable_recovery_without_a_log_degrades_to_amnesia() {
         .expect("valid config");
     let victim = NodeId(2);
 
-    let cluster = ThreadedCluster::spawn(config, ProtocolKind::HotStuff);
+    // Two-chain HotStuff, not chained HotStuff: with one of four seats down the
+    // survivors must keep committing, and a three-chain in adjacent views
+    // needs four consecutive live leaders (three proposals plus the collector
+    // of the third QC) — round-robin over three live seats of four never has
+    // them, so HS correctly stalls until the victim is back.
+    let cluster = ThreadedCluster::spawn(config, ProtocolKind::TwoChainHotStuff);
     cluster.submit_round_robin(600, 16);
     assert!(
         cluster.run_until_committed(50, Duration::from_secs(20)),

@@ -194,7 +194,12 @@ fn threaded_cluster_amnesia_recovery_rejoins_with_a_matching_prefix() {
         .expect("valid config");
     let victim = NodeId(2);
 
-    let cluster = ThreadedCluster::spawn(config, ProtocolKind::HotStuff);
+    // Two-chain HotStuff, not chained HotStuff: with one of four seats down the
+    // survivors must keep committing, and a three-chain in adjacent views
+    // needs four consecutive live leaders (three proposals plus the collector
+    // of the third QC) — round-robin over three live seats of four never has
+    // them, so HS correctly stalls until the victim is back.
+    let cluster = ThreadedCluster::spawn(config, ProtocolKind::TwoChainHotStuff);
     cluster.submit_round_robin(600, 16);
     assert!(
         cluster.run_until_committed(50, Duration::from_secs(20)),

@@ -1,8 +1,10 @@
 //! End-to-end safety and liveness tests across the three evaluated protocols,
 //! run on the deterministic simulator.
 
-use bamboo::core::{RunOptions, SimRunner};
-use bamboo::types::{ByzantineStrategy, Config, ProtocolKind, SimDuration};
+use bamboo::core::{
+    FaultTrigger, FluctuationWindow, NodeFault, RecoverMode, RunOptions, SimRunner,
+};
+use bamboo::types::{ByzantineStrategy, Config, NodeId, ProtocolKind, SimDuration, SimTime};
 
 fn config(nodes: usize) -> Config {
     Config::builder()
@@ -135,4 +137,127 @@ fn two_chain_is_more_forking_resilient_than_three_chain() {
         two.chain_growth_rate,
         hs.chain_growth_rate
     );
+}
+
+const ALL_PROTOCOLS: [ProtocolKind; 6] = [
+    ProtocolKind::HotStuff,
+    ProtocolKind::TwoChainHotStuff,
+    ProtocolKind::FastHotStuff,
+    ProtocolKind::Lbft,
+    ProtocolKind::Streamlet,
+    ProtocolKind::OriginalHotStuff,
+];
+
+/// A view timeout below the link delay is not a deployment anyone wants, but
+/// it must cost liveness only: views then end before their proposal arrives,
+/// the certified chain is full of view gaps, and a commit rule that accepts a
+/// `k`-chain across such a gap lets honest replicas commit conflicting
+/// blocks. Every hand-written scenario keeps the timeout 10× above the delay,
+/// so this is the only place the regime is exercised.
+#[test]
+fn a_timeout_below_the_link_delay_costs_liveness_never_safety() {
+    for protocol in ALL_PROTOCOLS {
+        // The LAN link mean is 250 µs: three timeouts below it, one above.
+        for timeout_us in [0, 50, 200, 500] {
+            for seed in 1..=4 {
+                let mut config = Config::builder()
+                    .nodes(4)
+                    .block_size(100)
+                    .runtime(SimDuration::from_millis(200))
+                    .arrival_rate(1_000.0)
+                    .seed(seed)
+                    .build()
+                    .expect("valid config");
+                config.timeout = SimDuration::from_micros(timeout_us);
+                let report = SimRunner::new(config, protocol, RunOptions::default()).run();
+                assert_eq!(
+                    report.safety_violations, 0,
+                    "{protocol}, {timeout_us} µs timeout, seed {seed}"
+                );
+            }
+        }
+    }
+}
+
+/// What the adjacent-view commit rule costs: chained HotStuff commits on three
+/// consecutive proposals plus the collector of the third QC — four live
+/// leaders in a row. Round-robin over four seats with one down never has
+/// them, so HS stalls at n = 4 and runs at n = 5; the two-chain protocols and
+/// Streamlet need at most three and run at both sizes.
+#[test]
+fn a_crashed_seat_stalls_hotstuff_only_when_no_four_live_leaders_are_consecutive() {
+    for protocol in ALL_PROTOCOLS {
+        for nodes in [4, 5] {
+            let config = Config::builder()
+                .nodes(nodes)
+                .block_size(100)
+                .runtime(SimDuration::from_millis(1_000))
+                .timeout(SimDuration::from_millis(20))
+                .arrival_rate(2_000.0)
+                .seed(7)
+                .build()
+                .expect("valid config");
+            let options = RunOptions {
+                node_faults: vec![NodeFault {
+                    node: NodeId(0),
+                    crash: FaultTrigger::At(SimTime::ZERO),
+                    recover: None,
+                    mode: RecoverMode::Resume,
+                }],
+                ..RunOptions::default()
+            };
+            let report = SimRunner::new(config, protocol, options).run();
+            assert_eq!(report.safety_violations, 0, "{protocol}, n = {nodes}");
+            let stalls = protocol == ProtocolKind::HotStuff && nodes == 4;
+            // OHS (the Fig. 9 reference) votes once per height and stalls at
+            // either size once a view is lost: safety is all it is held to.
+            if protocol != ProtocolKind::OriginalHotStuff {
+                assert_eq!(
+                    report.committed_txs == 0,
+                    stalls,
+                    "{protocol}, n = {nodes}: {} txs committed",
+                    report.committed_txs
+                );
+            }
+        }
+    }
+}
+
+/// The harsher relative of the short-timeout grid: Fig. 15's t = 10 ms
+/// setting, where a fluctuation window adds 10–100 ms to every link for four
+/// seconds. Views are lost in runs, the chain forks, and a lock that moved
+/// only to a *taller* block stayed on a stale branch with an old view, which
+/// the voting rule then let newer conflicting proposals past: this exact run
+/// (the figure's seed 6) had two-chain HotStuff replicas commit conflicting
+/// blocks until the lock moved by view.
+#[test]
+fn lost_views_fork_the_chain_but_never_the_ledger() {
+    let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
+    let config = Config::builder()
+        .nodes(4)
+        .block_size(400)
+        .payload_size(128)
+        .runtime(SimDuration::from_millis(8_200))
+        .timeout(SimDuration::from_millis(10))
+        .arrival_rate(30_000.0)
+        .seed(6)
+        .build()
+        .expect("valid config");
+    let options = RunOptions {
+        fluctuations: vec![FluctuationWindow {
+            start: at(4_000),
+            end: at(8_000),
+            min_extra: SimDuration::from_millis(10),
+            max_extra: SimDuration::from_millis(100),
+        }],
+        // The figure's crash comes after this window closes; naming the node
+        // keeps the observer, and so the run, the figure's own.
+        silence_node_from: Some((NodeId(0), at(10_000))),
+        ..RunOptions::default()
+    };
+    // (The `fig15_responsiveness` bench holds all 48 of its runs to the same
+    // assertion; one run is what a debug-build test can afford.)
+    let report = SimRunner::new(config, ProtocolKind::TwoChainHotStuff, options).run();
+    assert_eq!(report.safety_violations, 0);
+    assert!(report.committed_txs > 0);
 }

@@ -91,9 +91,14 @@ fn every_protocol_reaches_prefix_agreement_over_loopback_tcp() {
 
 #[test]
 fn killed_peer_reconnects_with_backoff_and_catches_up() {
-    let mut cluster =
-        TcpCluster::spawn_with(ProtocolKind::HotStuff, shared_config(), 1, fast_backoff())
-            .expect("cluster spawns on loopback");
+    // Two-chain HotStuff, not chained HotStuff: with one of four seats down the
+    // survivors must keep committing, and a three-chain in adjacent views
+    // needs four consecutive live leaders (three proposals plus the collector
+    // of the third QC) — round-robin over three live seats of four never has
+    // them, so HS correctly stalls until the victim is back.
+    let protocol = ProtocolKind::TwoChainHotStuff;
+    let mut cluster = TcpCluster::spawn_with(protocol, shared_config(), 1, fast_backoff())
+        .expect("cluster spawns on loopback");
     cluster.submit_round_robin(300, 16);
     assert!(
         cluster.run_until_committed(50, Duration::from_secs(30)),
@@ -175,7 +180,10 @@ fn killed_peer_restarts_from_its_durable_log_over_tcp() {
         .seed(2026)
         .build()
         .expect("valid config");
-    let mut cluster = TcpCluster::spawn_with(ProtocolKind::HotStuff, config, 1, fast_backoff())
+    // 2CHS for the reason given in the test above: HS at n = 4 commits nothing
+    // while a seat is down.
+    let protocol = ProtocolKind::TwoChainHotStuff;
+    let mut cluster = TcpCluster::spawn_with(protocol, config, 1, fast_backoff())
         .expect("cluster spawns on loopback");
     cluster.submit_round_robin(300, 16);
     assert!(
