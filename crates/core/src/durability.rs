@@ -12,7 +12,7 @@
 
 use bamboo_forest::{
     chunks, decode_committed_record, decode_qc_record, encode_committed_record, encode_qc_record,
-    BlockForest, ForestError, Ledger, Snapshot,
+    BlockForest, Cut, ForestError, Ledger, Snapshot,
 };
 use bamboo_protocols::{make_protocol, Safety};
 use bamboo_types::{Bytes, Config, ProtocolKind, QuorumCert, View};
@@ -27,9 +27,9 @@ pub(crate) struct Disk {
     /// in-memory backend; the live backends mount real files.
     log: Option<SegmentLog>,
     /// The checkpoint chunks of a replica *without* a log — the only state
-    /// that survives its restarts. With a log mounted this stays empty: the
-    /// backend holds the one copy.
-    chunks: Vec<Bytes>,
+    /// that survives its restarts — as cuts, laid out only when read. With a
+    /// log mounted this stays empty: the backend holds the one copy.
+    chunks: Vec<Cut>,
     /// Committed ledger length the stored chunks cover; the next checkpoint
     /// encodes the entries above it. Zero means the next one re-bases.
     checkpoint_height: u64,
@@ -126,10 +126,11 @@ impl Disk {
     }
 
     /// Takes a checkpoint when the committed ledger has grown by at least
-    /// `interval` blocks since the last one: encodes one chunk — the entries
+    /// `interval` blocks since the last one: cuts one chunk — the entries
     /// committed since, plus the current head — and appends it to the stored
     /// image. With a log the chunk is persisted there and the log cut over to
-    /// it: older segments are subsumed and pruned.
+    /// it: older segments are subsumed and pruned. The step is charged for
+    /// the bytes the chunk encodes to; nothing is encoded until it is read.
     pub fn checkpoint(
         &mut self,
         interval: Option<u64>,
@@ -143,22 +144,23 @@ impl Disk {
             return;
         }
         let rebase = self.checkpoint_height == 0;
-        let chunk = Snapshot::encode_chunk(forest, ledger, self.checkpoint_height as usize);
-        out.cpu += out.model.snapshot(chunk.len());
+        let cut = Snapshot::cut(forest, ledger, self.checkpoint_height as usize);
+        let bytes = cut.len() as u64;
+        out.cpu += out.model.snapshot(cut.len());
         self.checkpoint_height = len;
         stats.checkpoints_taken += 1;
-        stats.checkpoint_bytes_written += chunk.len() as u64;
-        stats.checkpoint_max_write_bytes = stats.checkpoint_max_write_bytes.max(chunk.len() as u64);
+        stats.checkpoint_bytes_written += bytes;
+        stats.checkpoint_max_write_bytes = stats.checkpoint_max_write_bytes.max(bytes);
         match self.log.as_mut() {
             Some(log) => {
-                let written = log.install_checkpoint(len, &chunk);
+                let written = log.install_cut(len, cut);
                 out.cpu += out.model.disk_io(written as usize);
             }
             None => {
                 if rebase {
                     self.chunks.clear();
                 }
-                self.chunks.push(Bytes::from(chunk));
+                self.chunks.push(cut);
             }
         }
     }
@@ -170,12 +172,19 @@ impl Disk {
     }
 
     /// The stored checkpoint image: read back from the log's backend when one
-    /// is mounted (its only holder), the in-memory chunk list otherwise.
-    /// Empty when no checkpoint was taken. O(image) — restart and serve only.
+    /// is mounted (its only holder), encoded from the in-memory cuts
+    /// otherwise. Empty when no checkpoint was taken. O(image) — restart and
+    /// serve only.
     pub fn image(&self) -> Vec<u8> {
         match &self.log {
             Some(log) => log.checkpoint().map_or_else(Vec::new, |(_, image)| image),
-            None => self.chunks.concat(),
+            None => {
+                let mut image = Vec::with_capacity(self.chunks.iter().map(Cut::len).sum());
+                for cut in &self.chunks {
+                    cut.encode_into(&mut image);
+                }
+                image
+            }
         }
     }
 
@@ -373,7 +382,16 @@ pub(crate) mod testutil {
 
     use super::*;
     use bamboo_crypto::KeyPair;
-    use bamboo_types::{Block, Height, NodeId, SimTime, Transaction, Vote};
+    use bamboo_types::{Block, BlockId, Height, NodeId, SimTime, Transaction, Vote};
+
+    /// Registers a three-of-four QC for stored block `id` in `view`.
+    fn certify(forest: &mut BlockForest, id: BlockId, view: View) {
+        let votes: Vec<Vote> = (0..3)
+            .map(|i| Vote::new(id, view, NodeId(i), &KeyPair::from_seed(i)))
+            .collect();
+        let qc = QuorumCert::from_votes(id, view, &votes);
+        forest.register_qc(qc).expect("block is stored");
+    }
 
     /// Extends the committed chain by one certified block carrying one
     /// transaction of `tx_bytes`, proposed and committed in adjacent views.
@@ -390,14 +408,41 @@ pub(crate) mod testutil {
         );
         let id = block.id;
         forest.insert(block).expect("extends the committed head");
-        let votes: Vec<Vote> = (0..3)
-            .map(|i| Vote::new(id, View(height), NodeId(i), &KeyPair::from_seed(i)))
-            .collect();
-        let qc = QuorumCert::from_votes(id, View(height), &votes);
-        forest.register_qc(qc).expect("block is stored");
+        certify(forest, id, View(height));
         let newly = forest.commit(id).expect("extends the committed head");
         ledger.append(newly, View(height + 1), SimTime(height * 1_000));
         forest.prune_to_committed();
+    }
+
+    /// Hangs `blocks` uncommitted blocks above the committed head, each on
+    /// a pseudo-random earlier one (so the head forks), every other one
+    /// certified. The same `seed` hangs the same blocks.
+    pub fn sprout(forest: &mut BlockForest, blocks: u64, seed: u64) {
+        let mut ids = vec![forest.committed_head().id];
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        for i in 0..blocks {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let parent = ids[(state % ids.len() as u64) as usize];
+            let height = forest.get(parent).expect("stored").height.next();
+            let view = View(1_000_000 + seed * 1_000 + i);
+            let tx = Transaction::new(NodeId(8), view.as_u64(), (i % 3) as usize * 7, SimTime(i));
+            let block = Block::new(
+                view,
+                height,
+                parent,
+                NodeId(i % 4),
+                QuorumCert::genesis(),
+                vec![tx],
+            );
+            let id = block.id;
+            forest.insert(block).expect("parent is stored");
+            if i % 2 == 0 {
+                certify(forest, id, view);
+            }
+            ids.push(id);
+        }
     }
 
     /// A chain of `len` blocks.
@@ -503,6 +548,53 @@ mod tests {
             (stats.records_replayed, stats.corrupt_records_discarded),
             (6, 3)
         );
+    }
+
+    #[test]
+    fn a_cut_is_exactly_the_bytes_it_encodes_to() {
+        for (trial, len) in [0usize, 1, 3, 8].into_iter().enumerate() {
+            for head in [0u64, 1, 6] {
+                let (mut forest, ledger) = chain(len, 8 + trial * 5);
+                sprout(&mut forest, head, trial as u64 * 7 + head);
+                for from in 0..=len {
+                    let cut = Snapshot::cut(&forest, &ledger, from);
+                    let bytes = cut.encode();
+                    let at = format!("len {len}, head {head}, from {from}");
+                    assert_eq!(cut.len(), bytes.len(), "{at}");
+                    assert_eq!((cut.from(), cut.to()), (from as u64, len as u64), "{at}");
+                    let snap = Snapshot::decode_onto(&ledger, &bytes).expect(&at);
+                    assert_eq!(snap.ledger.fingerprint(), ledger.fingerprint(), "{at}");
+                    let again = Snapshot::encode_chunk(&snap.forest, &snap.ledger, from);
+                    assert_eq!(again, bytes, "{at}: the decoded state cuts back to it");
+                }
+            }
+        }
+        // A re-base: state adopted from a peer's image cuts to that image.
+        let (mut forest, ledger) = chain(5, 8);
+        sprout(&mut forest, 4, 3);
+        let image = Snapshot::encode(&forest, &ledger);
+        let adopted = Snapshot::decode(&image).expect("own image decodes");
+        let cut = Snapshot::cut(&adopted.forest, &adopted.ledger, 0);
+        assert_eq!((cut.len(), cut.encode()), (image.len(), image));
+    }
+
+    #[test]
+    fn a_cut_encodes_what_an_eager_encode_wrote_at_cut_time() {
+        for from in [0usize, 2, 4] {
+            let (mut forest, mut ledger) = chain(4, 16);
+            sprout(&mut forest, 5, from as u64 + 1);
+            let cut = Snapshot::cut(&forest, &ledger, from);
+            let eager = Snapshot::encode_chunk(&forest, &ledger, from);
+            let held: Vec<_> = forest.iter().map(|block| block.id).collect();
+            // The chain moves on past the cut: commits prune the forks it
+            // holds, and new ones sprout.
+            for round in 0..3 {
+                grow(&mut forest, &mut ledger, 8);
+                sprout(&mut forest, 3, 100 + round);
+            }
+            assert!(held.iter().any(|id| !forest.contains(*id)), "pruned");
+            assert_eq!(cut.encode(), eager, "from {from}");
+        }
     }
 
     #[test]

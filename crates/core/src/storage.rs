@@ -8,9 +8,10 @@
 //! leaves the process. On restart the replica replays the latest checkpoint
 //! image plus the log tail to rebuild its forest/ledger and restore the
 //! safety state, falling back to network sync only for whatever it missed
-//! while down. The backend is the only holder of the checkpoint bytes: a
-//! replica with a log mounted keeps no second copy and serves state transfer
-//! from [`SegmentLog::checkpoint`].
+//! while down. The backend is the only holder of the checkpoint: a replica
+//! with a log mounted keeps no second copy and serves state transfer from
+//! [`SegmentLog::checkpoint`]. The in-memory backend holds the replica's
+//! chunks as [`Cut`]s and lays them out only when the image is read.
 //!
 //! ## Record framing
 //!
@@ -32,12 +33,13 @@
 //! [`StorageFault`]s maul the durable image byte-for-byte reproducibly);
 //! the threaded cluster uses [`FileBackend`] over real temp-dir files.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
-use bamboo_forest::{chunks, decode_qc_record, encode_qc_record, SnapshotError};
+use bamboo_forest::{chunks, decode_qc_record, encode_qc_record, Cut, SnapshotError};
 use bamboo_types::wire::crc32_update;
 use bamboo_types::{QuorumCert, View};
 
@@ -285,6 +287,13 @@ pub trait SegmentBackend: Send {
     /// of its newest chunk, if any. O(image): paid once per restart or
     /// served state transfer, never on the commit path.
     fn checkpoint(&self) -> Option<(u64, Vec<u8>)>;
+    /// Appends a chunk that is cut but not yet laid out, with the semantics
+    /// of [`Self::put_checkpoint`]. The default lays it out and writes the
+    /// bytes; a backend that can keep the cut itself encodes it only when
+    /// [`Self::checkpoint`] reads it.
+    fn put_cut(&mut self, height: u64, cut: Cut) {
+        self.put_checkpoint(height, &cut.encode());
+    }
 }
 
 /// Whether a checkpoint write supersedes the stored image instead of
@@ -294,17 +303,42 @@ fn rebases(chunk: &[u8]) -> bool {
     !matches!(chunks(chunk).next(), Some(Ok(first)) if first.from > 0)
 }
 
+/// One stored checkpoint chunk: the cut a replica handed over, or the bytes
+/// a raw [`SegmentBackend::put_checkpoint`] wrote.
+#[derive(Debug)]
+enum StoredChunk {
+    Cut(Cut),
+    Bytes(Vec<u8>),
+}
+
+impl StoredChunk {
+    fn rebases(&self) -> bool {
+        match self {
+            StoredChunk::Cut(cut) => cut.from() == 0,
+            StoredChunk::Bytes(bytes) => rebases(bytes),
+        }
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            StoredChunk::Cut(cut) => cut.encode_into(out),
+            StoredChunk::Bytes(bytes) => out.extend_from_slice(bytes),
+        }
+    }
+}
+
 /// Folds stored `(height, chunk)` pairs, oldest first, into the image they
 /// form, honouring the supersede rule.
-fn concat_image<B: AsRef<[u8]>>(
-    stored: impl IntoIterator<Item = (u64, B)>,
+fn concat_image<C: Borrow<StoredChunk>>(
+    stored: impl IntoIterator<Item = (u64, C)>,
 ) -> Option<(u64, Vec<u8>)> {
     stored.into_iter().fold(None, |image, (height, chunk)| {
+        let chunk = chunk.borrow();
         let mut bytes = match image {
-            Some((_, bytes)) if !rebases(chunk.as_ref()) => bytes,
+            Some((_, bytes)) if !chunk.rebases() => bytes,
             _ => Vec::new(),
         };
-        bytes.extend_from_slice(chunk.as_ref());
+        chunk.encode_into(&mut bytes);
         Some((height, bytes))
     })
 }
@@ -317,12 +351,14 @@ struct SegmentBuf {
 
 /// Deterministic in-memory backend used by the simulator. The
 /// durable/buffered split makes fsync — and its injected failures —
-/// reproducible.
+/// reproducible. A chunk handed over as a [`Cut`] is kept as one: the
+/// blocks it names stay the ledger's shared handles, and its bytes exist
+/// only while [`SegmentBackend::checkpoint`] reads them.
 #[derive(Debug, Default)]
 pub struct MemoryBackend {
     segments: BTreeMap<u64, SegmentBuf>,
-    checkpoint_durable: Vec<(u64, Vec<u8>)>,
-    checkpoint_buffered: Vec<(u64, Vec<u8>)>,
+    checkpoint_durable: Vec<(u64, StoredChunk)>,
+    checkpoint_buffered: Vec<(u64, StoredChunk)>,
 }
 
 impl MemoryBackend {
@@ -347,7 +383,7 @@ impl SegmentBackend for MemoryBackend {
             buf.durable.extend_from_slice(&pending);
         }
         for (height, chunk) in self.checkpoint_buffered.drain(..) {
-            if rebases(&chunk) {
+            if chunk.rebases() {
                 self.checkpoint_durable.clear();
             }
             self.checkpoint_durable.push((height, chunk));
@@ -383,11 +419,17 @@ impl SegmentBackend for MemoryBackend {
     }
 
     fn put_checkpoint(&mut self, height: u64, bytes: &[u8]) {
-        self.checkpoint_buffered.push((height, bytes.to_vec()));
+        let chunk = StoredChunk::Bytes(bytes.to_vec());
+        self.checkpoint_buffered.push((height, chunk));
     }
 
     fn checkpoint(&self) -> Option<(u64, Vec<u8>)> {
         concat_image(self.checkpoint_durable.iter().map(|(h, chunk)| (*h, chunk)))
+    }
+
+    fn put_cut(&mut self, height: u64, cut: Cut) {
+        self.checkpoint_buffered
+            .push((height, StoredChunk::Cut(cut)));
     }
 }
 
@@ -531,7 +573,10 @@ impl SegmentBackend for FileBackend {
 
     fn checkpoint(&self) -> Option<(u64, Vec<u8>)> {
         let files = self.checkpoint_files().into_iter();
-        concat_image(files.filter_map(|(height, path)| Some((height, fs::read(path).ok()?))))
+        let read = |(height, path): (u64, PathBuf)| {
+            Some((height, StoredChunk::Bytes(fs::read(path).ok()?)))
+        };
+        concat_image(files.filter_map(read))
     }
 }
 
@@ -702,8 +747,29 @@ impl SegmentLog {
     /// so it must cross the cut), flush again, and only then prune every
     /// older segment. Returns the bytes written for the disk-cost model.
     pub fn install_checkpoint(&mut self, height: u64, chunk: &[u8]) -> u64 {
+        self.cut_over(chunk.len(), height, |backend| {
+            backend.put_checkpoint(height, chunk);
+        })
+    }
+
+    /// [`Self::install_checkpoint`] for a chunk that is cut but not laid
+    /// out; the backend decides when it becomes bytes
+    /// ([`SegmentBackend::put_cut`]). Writes and charges exactly what
+    /// installing `cut.encode()` would.
+    pub fn install_cut(&mut self, height: u64, cut: Cut) -> u64 {
+        self.cut_over(cut.len(), height, |backend| backend.put_cut(height, cut))
+    }
+
+    /// The one cut-over sequence behind both installs; `put` stores the
+    /// chunk of `chunk_len` bytes.
+    fn cut_over(
+        &mut self,
+        chunk_len: usize,
+        height: u64,
+        put: impl FnOnce(&mut dyn SegmentBackend),
+    ) -> u64 {
         self.sync();
-        self.backend.put_checkpoint(height, chunk);
+        put(self.backend.as_mut());
         self.active += 1;
         self.active_len = 0;
         let marker = encode_checkpoint_marker(height);
@@ -713,7 +779,7 @@ impl SegmentLog {
         }
         self.sync();
         self.backend.drop_below(self.active);
-        written + chunk.len() as u64
+        written + chunk_len as u64
     }
 
     /// The durable checkpoint image (see [`SegmentBackend::checkpoint`]).
@@ -1202,6 +1268,65 @@ mod tests {
         assert_eq!(replay.checkpoint, Some((8, base)));
         assert_eq!(replay.records[0].0, RecordKind::CheckpointMarker);
         assert_eq!(replay.records[1..], post);
+    }
+
+    /// Asserts two logs read back the same durable state.
+    fn assert_same_replay(kept: &SegmentLog, bytes: &SegmentLog, at: &str) {
+        let (kept, bytes) = (kept.replay(), bytes.replay());
+        assert_eq!(kept.checkpoint, bytes.checkpoint, "{at}: image");
+        assert_eq!(kept.records, bytes.records, "{at}: records");
+        assert_eq!(kept.stray_safety_records, bytes.stray_safety_records);
+        let counters = |r: &ReplayResult| (r.corrupt_records_discarded, r.bytes_read);
+        assert_eq!(counters(&kept), counters(&bytes), "{at}");
+    }
+
+    #[test]
+    fn a_backend_that_keeps_cuts_reads_back_the_bytes_of_one_that_encodes() {
+        use crate::durability::testutil::{chain, grow, sprout};
+        use bamboo_forest::Snapshot;
+
+        // `kept` is fed the cut, `bytes` its encoding, under one script.
+        let mut kept = SegmentLog::in_memory(512, 3);
+        let mut bytes = SegmentLog::in_memory(512, 3);
+        let (mut forest, mut ledger) = chain(2, 8);
+        let mut records = random_records(61, 60).into_iter();
+        let mut from = 0;
+        for step in 0..10u64 {
+            grow(&mut forest, &mut ledger, 8);
+            grow(&mut forest, &mut ledger, 24);
+            sprout(&mut forest, step % 4, step);
+            for (kind, payload) in records.by_ref().take(5) {
+                kept.append(kind, &payload);
+                bytes.append(kind, &payload);
+            }
+            if step == 6 {
+                from = 0; // adopted a peer's state: the next cut re-bases
+            }
+            let cut = Snapshot::cut(&forest, &ledger, from);
+            let height = ledger.len() as u64;
+            if step == 4 {
+                // Crash with the newest chunk staged but never flushed.
+                bytes.backend.put_checkpoint(height, &cut.encode());
+                kept.backend.put_cut(height, cut);
+                kept.crash();
+                bytes.crash();
+                assert_same_replay(&kept, &bytes, "crash with a staged chunk");
+                continue;
+            }
+            let written = bytes.install_checkpoint(height, &cut.encode());
+            assert_eq!(kept.install_cut(height, cut), written, "step {step}");
+            from = ledger.len();
+            // A served sync reads the image.
+            let image = kept.checkpoint().expect("a chunk is stored").1;
+            assert_eq!(Some(&image), bytes.checkpoint().map(|(_, b)| b).as_ref());
+            let snap = Snapshot::decode(&image).expect("the image decodes");
+            assert_eq!(snap.ledger.fingerprint(), ledger.fingerprint());
+            if step % 3 == 2 {
+                kept.crash();
+                bytes.crash();
+            }
+            assert_same_replay(&kept, &bytes, &format!("step {step}"));
+        }
     }
 
     #[test]

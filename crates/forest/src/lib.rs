@@ -26,5 +26,5 @@ pub use forest::{BlockForest, ForestError, ForestStats};
 pub use ledger::{ChainFingerprint, CommittedBlock, Ledger};
 pub use snapshot::{
     chunks, decode_committed_record, decode_qc_record, encode_committed_record, encode_qc_record,
-    Chunk, Snapshot, SnapshotError,
+    Chunk, Cut, Snapshot, SnapshotError,
 };

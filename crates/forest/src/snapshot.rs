@@ -12,6 +12,13 @@
 //! state). The one-shot image of [`Snapshot::encode`] is simply the single
 //! chunk with `from == 0`.
 //!
+//! Taking a checkpoint and laying it out are two steps. [`Snapshot::cut`]
+//! captures a chunk's contents as shared handles — the ledger entries are
+//! the ledger's own `Arc`s, the head a pre-order list of the forest's — plus
+//! the exact length the chunk will encode to, without writing a byte.
+//! [`Cut::encode_into`] is the one place a chunk is laid out; a holder that
+//! keeps the cut pays for the bytes only when someone reads them.
+//!
 //! ```text
 //! chunk := "BSNP" | u16 version | u32 body_len | u32 crc32(body) | body
 //! body  := u64 from | u32 count | count x (block, u64 commit view, u64 commit time)
@@ -36,8 +43,8 @@
 //! decoding instead of poisoning the forest.
 
 use bamboo_types::wire::{
-    crc32, decode_block, decode_opt_qc, decode_qc, encode_block, encode_opt_qc, encode_qc, put_u16,
-    put_u32, put_u64,
+    block_encoded_len, crc32, decode_block, decode_opt_qc, decode_qc, encode_block, encode_opt_qc,
+    encode_qc, opt_qc_encoded_len, put_u16, put_u32, put_u64, qc_encoded_len,
 };
 use bamboo_types::{Block, BlockId, Height, QuorumCert, SharedBlock, SimTime, View, WireCursor};
 
@@ -69,6 +76,84 @@ pub struct Snapshot {
     pub ledger: Ledger,
     /// The forest rooted at the committed head, uncommitted subtree attached.
     pub forest: BlockForest,
+}
+
+/// One checkpoint chunk, cut but not laid out: everything the chunk's bytes
+/// say, held as shared handles (see the module docs). Cloning one bumps
+/// reference counts; [`Cut::encode`] produces the bytes
+/// [`Snapshot::encode_chunk`] would have produced when the cut was taken,
+/// however the replica's state has moved on since.
+#[derive(Clone, Debug)]
+pub struct Cut {
+    from: u64,
+    entries: Vec<CommittedBlock>,
+    committed_blocks: u64,
+    forked_blocks: u64,
+    root_qc: Option<QuorumCert>,
+    root_children: u32,
+    /// The uncommitted subtree in pre-order: block, its QC, child count.
+    head: Vec<(SharedBlock, Option<QuorumCert>, u32)>,
+    high_qc: QuorumCert,
+    len: usize,
+}
+
+// A chunk always carries its header, so a zero length never occurs.
+#[allow(clippy::len_without_is_empty)]
+impl Cut {
+    /// Ledger index of the first entry the chunk carries; 0 re-bases.
+    pub fn from(&self) -> u64 {
+        self.from
+    }
+
+    /// Ledger length once the chunk is applied.
+    pub fn to(&self) -> u64 {
+        self.from + self.entries.len() as u64
+    }
+
+    /// Exactly the bytes [`Cut::encode_into`] appends, header included.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Lays the chunk out at the end of `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.reserve(self.len);
+        out.extend_from_slice(MAGIC);
+        put_u16(out, VERSION);
+        put_u32(out, (self.len - CHUNK_HEADER_BYTES) as u32);
+        out.extend_from_slice(&[0; 4]); // CRC, patched below
+
+        put_u64(out, self.from);
+        put_u32(out, self.entries.len() as u32);
+        for committed in &self.entries {
+            encode_block(out, &committed.block);
+            put_u64(out, committed.committed_in_view.as_u64());
+            put_u64(out, committed.committed_at.as_nanos());
+        }
+        put_u64(out, self.committed_blocks);
+        put_u64(out, self.forked_blocks);
+        encode_opt_qc(out, self.root_qc.as_ref());
+        put_u32(out, self.root_children);
+        put_u32(out, self.head.len() as u32);
+        for (block, qc, children) in &self.head {
+            encode_block(out, block);
+            encode_opt_qc(out, qc.as_ref());
+            put_u32(out, *children);
+        }
+        encode_qc(out, &self.high_qc);
+
+        let crc = crc32(&out[start + CHUNK_HEADER_BYTES..]);
+        out[start + 10..start + CHUNK_HEADER_BYTES].copy_from_slice(&crc.to_be_bytes());
+        debug_assert_eq!(out.len() - start, self.len, "cut length is exact");
+    }
+
+    /// The chunk's bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len);
+        self.encode_into(&mut out);
+        out
+    }
 }
 
 /// One chunk of a checkpoint stream, located by its header alone (the body
@@ -127,61 +212,72 @@ impl Snapshot {
 
     /// Encodes `forest` + the whole `ledger` as a one-chunk image.
     pub fn encode(forest: &BlockForest, ledger: &Ledger) -> Vec<u8> {
-        Self::encode_chunk(forest, ledger, 0)
+        Self::cut(forest, ledger, 0).encode()
     }
 
-    /// Encodes one chunk: the ledger entries `[from, ledger.len())` plus the
+    /// Encodes one chunk (see [`Snapshot::cut`]).
+    pub fn encode_chunk(forest: &BlockForest, ledger: &Ledger, from: usize) -> Vec<u8> {
+        Self::cut(forest, ledger, from).encode()
+    }
+
+    /// Cuts one chunk: the ledger entries `[from, ledger.len())` plus the
     /// current head. Appended to chunks covering `[0, from)` it completes the
     /// image; with `from == 0` it is the whole image.
     ///
     /// Only the subtree reachable from the committed head is captured:
     /// orphans (unresolvable by definition) and fork remnants disconnected
     /// by pruning are not part of the durable state.
-    pub fn encode_chunk(forest: &BlockForest, ledger: &Ledger, from: usize) -> Vec<u8> {
+    pub fn cut(forest: &BlockForest, ledger: &Ledger, from: usize) -> Cut {
         let from = from.min(ledger.len());
-        let mut out = Vec::with_capacity(1024);
-        out.extend_from_slice(MAGIC);
-        put_u16(&mut out, VERSION);
-        out.extend_from_slice(&[0; 8]); // body length + CRC, patched below
-
-        put_u64(&mut out, from as u64);
-        put_u32(&mut out, (ledger.len() - from) as u32);
-        for committed in ledger.iter().skip(from) {
-            encode_block(&mut out, &committed.block);
-            put_u64(&mut out, committed.committed_in_view.as_u64());
-            put_u64(&mut out, committed.committed_at.as_nanos());
-        }
-
+        let entries: Vec<CommittedBlock> = ledger.iter().skip(from).cloned().collect();
         let stats = forest.stats();
-        put_u64(&mut out, stats.committed_blocks);
-        put_u64(&mut out, stats.forked_blocks);
         // Flattened pre-order of the uncommitted subtree. The root (committed
         // head) block itself lives in the ledger (or is genesis), so only its
-        // QC and child count are emitted here.
+        // QC and child count are recorded.
         let root = forest.committed_head().id;
-        encode_opt_qc(&mut out, forest.qc_of(root));
-        let mut entries: Vec<u8> = Vec::new();
-        let mut count = 0u32;
-        let mut stack: Vec<BlockId> = Vec::new();
-        put_u32(&mut out, forest.children(root).len() as u32);
-        stack.extend(forest.children(root).iter().rev());
+        let mut head = Vec::new();
+        let mut stack: Vec<BlockId> = forest.children(root).iter().rev().copied().collect();
         while let Some(id) = stack.pop() {
             let block = forest.get_shared(id).expect("child links are internal");
-            encode_block(&mut entries, block);
-            encode_opt_qc(&mut entries, forest.qc_of(id));
-            put_u32(&mut entries, forest.children(id).len() as u32);
-            count += 1;
-            stack.extend(forest.children(id).iter().rev());
+            let children = forest.children(id);
+            head.push((
+                block.clone(),
+                forest.qc_of(id).cloned(),
+                children.len() as u32,
+            ));
+            stack.extend(children.iter().rev());
         }
-        put_u32(&mut out, count);
-        out.extend_from_slice(&entries);
-        encode_qc(&mut out, forest.high_qc());
+        let root_qc = forest.qc_of(root).cloned();
+        let high_qc = forest.high_qc().clone();
 
-        let body_len = (out.len() - CHUNK_HEADER_BYTES) as u32;
-        let crc = crc32(&out[CHUNK_HEADER_BYTES..]);
-        out[6..10].copy_from_slice(&body_len.to_be_bytes());
-        out[10..14].copy_from_slice(&crc.to_be_bytes());
-        out
+        let entry_bytes: usize = (entries.iter())
+            .map(|committed| block_encoded_len(&committed.block) + 8 + 8)
+            .sum();
+        let head_bytes: usize = (head.iter())
+            .map(|(block, qc, _)| block_encoded_len(block) + opt_qc_encoded_len(qc.as_ref()) + 4)
+            .sum();
+        let len = CHUNK_HEADER_BYTES
+            + 8
+            + 4
+            + entry_bytes
+            + 8
+            + 8
+            + opt_qc_encoded_len(root_qc.as_ref())
+            + 4
+            + 4
+            + head_bytes
+            + qc_encoded_len(&high_qc);
+        Cut {
+            from: from as u64,
+            entries,
+            committed_blocks: stats.committed_blocks,
+            forked_blocks: stats.forked_blocks,
+            root_qc,
+            root_children: forest.children(root).len() as u32,
+            head,
+            high_qc,
+            len,
+        }
     }
 
     /// Decodes an image: one or more consecutive chunks starting at

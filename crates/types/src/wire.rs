@@ -197,6 +197,14 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 // ---- consensus structures ---------------------------------------------------
 
+/// Exactly the bytes [`encode_block`] appends for `block`.
+pub fn block_encoded_len(block: &Block) -> usize {
+    let txs: usize = (block.payload.iter())
+        .map(|tx| 8 + 8 + 8 + 4 + tx.payload.len())
+        .sum();
+    Block::HEADER_BYTES + qc_encoded_len(&block.justify) + 4 + txs
+}
+
 /// Encodes a block: id, header fields, justify QC, then the length-prefixed
 /// transaction payload.
 pub fn encode_block(out: &mut Vec<u8>, block: &Block) {
@@ -262,6 +270,11 @@ pub fn decode_transaction(cur: &mut WireCursor<'_>) -> Result<Transaction, WireE
     Ok(Transaction::with_payload(client, seq, bytes, issued_at))
 }
 
+/// Exactly the bytes [`encode_qc`] appends for `qc`.
+pub fn qc_encoded_len(qc: &QuorumCert) -> usize {
+    32 + 8 + 4 + qc.signatures.len() * (8 + 32)
+}
+
 /// Encodes a quorum certificate: block id, view, then the aggregate
 /// signature as `(signer, signature)` entries in signer order.
 pub fn encode_qc(out: &mut Vec<u8>, qc: &QuorumCert) {
@@ -285,6 +298,11 @@ pub fn decode_qc(cur: &mut WireCursor<'_>) -> Result<QuorumCert, WireError> {
         view,
         signatures,
     })
+}
+
+/// Exactly the bytes [`encode_opt_qc`] appends for `qc`.
+pub fn opt_qc_encoded_len(qc: Option<&QuorumCert>) -> usize {
+    1 + qc.map_or(0, qc_encoded_len)
 }
 
 /// Encodes an optional QC behind a one-byte presence tag.
@@ -818,6 +836,26 @@ mod tests {
             decode_qc(&mut WireCursor::new(&raw_qc(u32::MAX, []))).err(),
             Some(WireError::Truncated)
         );
+    }
+
+    #[test]
+    fn encoded_lengths_are_exact() {
+        for txs in [0, 1, 5] {
+            let mut block = sample_block(txs);
+            block.justify = sample_qc();
+            let mut bytes = Vec::new();
+            encode_block(&mut bytes, &block);
+            assert_eq!(bytes.len(), block_encoded_len(&block), "{txs} txs");
+        }
+        let qc = sample_qc();
+        for opt in [None, Some(&qc)] {
+            let mut bytes = Vec::new();
+            encode_opt_qc(&mut bytes, opt);
+            assert_eq!(bytes.len(), opt_qc_encoded_len(opt));
+        }
+        let mut bytes = Vec::new();
+        encode_qc(&mut bytes, &qc);
+        assert_eq!(bytes.len(), qc_encoded_len(&qc));
     }
 
     #[test]
