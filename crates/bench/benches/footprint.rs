@@ -1,5 +1,5 @@
 //! What one simulation costs the host: peak resident memory and wall time of
-//! two fixed points, each run in a child process of its own so the kernel's
+//! three fixed points, each run in a child process of its own so the kernel's
 //! high-water mark (`VmHWM`) belongs to that point alone.
 //!
 //! * `hs_n32_lan_50ktx` — the tx-heavy shape of the repo benchmark's
@@ -9,6 +9,11 @@
 //! * `hs_n1000_geo` — `scenarios/nightly/geo_wan_n1000.json`: 1000 replicas
 //!   in four regions. Memory and time here are per-replica and per-certificate
 //!   bookkeeping (a quorum is 667 signers).
+//! * `sl_n32_geo_crash` — the repo benchmark's own
+//!   `benchmark/workloads/sim-sl-n32-geo-crash.json`, read as a scenario
+//!   spec: Streamlet, n = 32 in four regions, a durable log with a
+//!   checkpoint every 16 blocks, one crash and durable restart. Memory here
+//!   is what the simulated disks hold.
 //!
 //! Usage: `cargo bench -p bamboo-bench --bench footprint [-- --quick]`. The
 //! rows (`<point>/peak_rss_mib`, `<point>/wall_s`, one sample per child, and
@@ -23,24 +28,34 @@ use bamboo_bench::{banner, eval_config, save_rows, Lower, RowFile, Sim, Tier, Wa
 use bamboo_core::{RunOptions, Scenario, SimRunner};
 use bamboo_types::{Config, ProtocolKind};
 
-const POINTS: [&str; 2] = ["hs_n32_lan_50ktx", "hs_n1000_geo"];
+const POINTS: [&str; 3] = ["hs_n32_lan_50ktx", "hs_n1000_geo", "sl_n32_geo_crash"];
 /// Child runs per point: the wall and memory rows are sample sets.
 const SAMPLES: usize = 3;
 
-fn inputs(point: &str, quick: bool) -> (Config, RunOptions) {
+/// A committed spec's first protocol, at the spec's own tier.
+fn from_spec(spec: &str, quick: bool) -> (Config, RunOptions, ProtocolKind) {
+    let scenario = Scenario::parse(spec).expect("the committed spec parses");
+    let (config, options) = scenario.build(quick);
+    (config, options, scenario.protocols[0])
+}
+
+fn inputs(point: &str, quick: bool) -> (Config, RunOptions, ProtocolKind) {
     match point {
         "hs_n32_lan_50ktx" => {
             let mut config = eval_config(32, 400, 128, if quick { 2_000 } else { 15_000 });
             config.arrival_rate = Some(50_000.0);
             config.client_population = Some(100_000);
             config.signed_requests = true;
-            (config, RunOptions::default())
+            (config, RunOptions::default(), ProtocolKind::HotStuff)
         }
-        "hs_n1000_geo" => {
-            let spec = include_str!("../../../scenarios/nightly/geo_wan_n1000.json");
-            let scenario = Scenario::parse(spec).expect("the committed spec parses");
-            scenario.build(quick)
-        }
+        "hs_n1000_geo" => from_spec(
+            include_str!("../../../scenarios/nightly/geo_wan_n1000.json"),
+            quick,
+        ),
+        "sl_n32_geo_crash" => from_spec(
+            include_str!("../../../benchmark/workloads/sim-sl-n32-geo-crash.json"),
+            quick,
+        ),
         other => panic!("unknown point {other:?}"),
     }
 }
@@ -54,9 +69,9 @@ fn peak_rss_kib() -> Option<u64> {
 
 /// The child: one run of `point`, reported as `wall_s fp32 [rss_kib]`.
 fn run_point(point: &str, quick: bool) {
-    let (config, options) = inputs(point, quick);
+    let (config, options, protocol) = inputs(point, quick);
     let started = Instant::now();
-    let report = SimRunner::new(config, ProtocolKind::HotStuff, options).run();
+    let report = SimRunner::new(config, protocol, options).run();
     let wall = started.elapsed().as_secs_f64();
     assert_eq!(report.safety_violations, 0, "{point} violated safety");
     let fp32 = u32::from_str_radix(&report.ledger_fingerprint[..8], 16).expect("hex fingerprint");

@@ -373,21 +373,29 @@ fn bench_storage(out: &mut RowFile) {
     }));
 }
 
-/// One checkpoint cut — encode the chunk for the last 16 committed blocks and
-/// install it into the log — at two ledger lengths. The pair is the flatness
-/// probe: a checkpoint costs O(interval), so `bench_diff` should see the
-/// 1024-block cut stay level with the 64-block one.
+/// One checkpoint cut — cut the chunk for the last 16 committed blocks and
+/// install it into the log, the replica's path — at two ledger lengths. The
+/// pair is the flatness probe: a checkpoint costs O(interval), so
+/// `bench_diff` should see the 1024-block cut stay level with the 64-block
+/// one. `checkpoint_image_1024` is the cost the cut defers: laying out a
+/// 1024-block image stored as 64 cuts, which a restart or a served state
+/// transfer pays once.
 fn bench_checkpoint(out: &mut RowFile) {
     const INTERVAL: usize = 16;
     for (name, len) in [("checkpoint_cut_64", 64), ("checkpoint_cut_1024", 1_024)] {
         let mut forest = BlockForest::new();
         let mut ledger = Ledger::new();
+        let mut stored = SegmentLog::in_memory(1 << 20, 8);
         for block in chain_blocks(len, 4) {
             let id = block.id;
             forest.insert(block).unwrap();
             let newly = forest.commit(id).unwrap();
             ledger.append(newly, View(len), SimTime::ZERO);
             forest.prune_to_committed();
+            if ledger.len().is_multiple_of(INTERVAL) {
+                let cut = Snapshot::cut(&forest, &ledger, ledger.len() - INTERVAL);
+                stored.install_cut(ledger.len() as u64, cut);
+            }
         }
         let base = Snapshot::encode(&forest, &Ledger::new());
         out.rows.push(bench_with_setup(
@@ -400,11 +408,17 @@ fn bench_checkpoint(out: &mut RowFile) {
                 log
             },
             |mut log| {
-                let chunk = Snapshot::encode_chunk(&forest, &ledger, ledger.len() - INTERVAL);
-                log.install_checkpoint(len, &chunk);
+                let cut = Snapshot::cut(&forest, &ledger, ledger.len() - INTERVAL);
+                log.install_cut(len, cut);
                 log
             },
         ));
+        if len == 1_024 {
+            out.rows.push(bench("checkpoint_image_1024", || {
+                let (_, image) = stored.checkpoint().expect("64 cuts stored");
+                image
+            }));
+        }
     }
 }
 
