@@ -798,12 +798,11 @@ mod tests {
             .unwrap()
     }
 
-    const ALL_PROTOCOLS: [ProtocolKind; 6] = [
+    const ALL_PROTOCOLS: [ProtocolKind; 5] = [
         ProtocolKind::HotStuff,
         ProtocolKind::TwoChainHotStuff,
         ProtocolKind::Streamlet,
         ProtocolKind::FastHotStuff,
-        ProtocolKind::Lbft,
         ProtocolKind::OriginalHotStuff,
     ];
 

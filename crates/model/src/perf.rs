@@ -93,8 +93,7 @@ impl PerfModel {
             ProtocolKind::HotStuff | ProtocolKind::OriginalHotStuff => 2.0 * ts,
             ProtocolKind::TwoChainHotStuff
             | ProtocolKind::Streamlet
-            | ProtocolKind::FastHotStuff
-            | ProtocolKind::Lbft => ts,
+            | ProtocolKind::FastHotStuff => ts,
         }
     }
 

@@ -170,12 +170,11 @@ mod tests {
         ByzantineStrategy::ForgedQc,
     ];
 
-    const KINDS: [ProtocolKind; 6] = [
+    const KINDS: [ProtocolKind; 5] = [
         ProtocolKind::HotStuff,
         ProtocolKind::TwoChainHotStuff,
         ProtocolKind::Streamlet,
         ProtocolKind::FastHotStuff,
-        ProtocolKind::Lbft,
         ProtocolKind::OriginalHotStuff,
     ];
 

@@ -18,7 +18,6 @@
 //!   the consecutive-view commit rule,
 //! * [`FastHotStuffSafety`] — Fast-HotStuff-style two-chain commit with
 //!   aggregated-QC view changes (framework extension),
-//! * [`LbftSafety`] — an LBFT-style variant (framework extension),
 //! * [`OhsSafety`] — an independent HotStuff implementation used as the
 //!   "original HotStuff" baseline of Fig. 9 (deliberately *not* built on the
 //!   kit: it is the reference the kit-built HotStuff is compared against).
@@ -33,7 +32,6 @@
 pub mod byzantine;
 pub mod fasthotstuff;
 pub mod hotstuff;
-pub mod lbft;
 pub mod ohs;
 pub mod safety;
 pub mod streamlet;
@@ -42,7 +40,6 @@ pub mod twochain;
 pub use byzantine::Attack;
 pub use fasthotstuff::FastHotStuffSafety;
 pub use hotstuff::HotStuffSafety;
-pub use lbft::LbftSafety;
 pub use ohs::OhsSafety;
 pub use safety::{build_block, ProposalInput, Safety, VoteDestination};
 pub use streamlet::StreamletSafety;
@@ -57,7 +54,6 @@ pub fn make_protocol(kind: ProtocolKind) -> Box<dyn Safety> {
         ProtocolKind::TwoChainHotStuff => Box::new(TwoChainHotStuffSafety::new()),
         ProtocolKind::Streamlet => Box::new(StreamletSafety::new()),
         ProtocolKind::FastHotStuff => Box::new(FastHotStuffSafety::new()),
-        ProtocolKind::Lbft => Box::new(LbftSafety::new()),
         ProtocolKind::OriginalHotStuff => Box::new(OhsSafety::new()),
     }
 }
@@ -86,7 +82,6 @@ mod tests {
             ),
             (ProtocolKind::Streamlet, Broadcast, true, false, ids[1]),
             (ProtocolKind::FastHotStuff, NextLeader, false, true, ids[1]),
-            (ProtocolKind::Lbft, Broadcast, false, false, ids[1]),
             (
                 ProtocolKind::OriginalHotStuff,
                 NextLeader,

@@ -163,7 +163,7 @@ pub fn vote_once(last_voted: &mut View, view: View, admits: impl FnOnce() -> boo
     vote
 }
 
-/// Voting rule of the longest-chain family (Streamlet, LBFT): the parent must
+/// Voting rule of the longest-chain family (Streamlet): the parent must
 /// be notarized and at least as high as the highest notarized block.
 pub fn extends_longest_notarized(block: &Block, forest: &BlockForest) -> bool {
     forest.get(block.parent).is_some_and(|parent| {

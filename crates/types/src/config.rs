@@ -19,10 +19,6 @@ pub enum ProtocolKind {
     Streamlet,
     /// Fast-HotStuff (two-chain commit with aggregated-QC view change).
     FastHotStuff,
-    /// LBFT-style leaderless rotation variant built on the framework
-    /// (provided as a framework extension; not part of the paper's headline
-    /// evaluation).
-    Lbft,
     /// The independent "original HotStuff" baseline used in Fig. 9.
     OriginalHotStuff,
 }
@@ -36,7 +32,6 @@ impl ProtocolKind {
             ProtocolKind::TwoChainHotStuff => "2CHS",
             ProtocolKind::Streamlet => "SL",
             ProtocolKind::FastHotStuff => "FHS",
-            ProtocolKind::Lbft => "LBFT",
             ProtocolKind::OriginalHotStuff => "OHS",
         }
     }
@@ -58,7 +53,6 @@ impl ProtocolKind {
             "2CHS" => Some(ProtocolKind::TwoChainHotStuff),
             "SL" => Some(ProtocolKind::Streamlet),
             "FHS" => Some(ProtocolKind::FastHotStuff),
-            "LBFT" => Some(ProtocolKind::Lbft),
             "OHS" => Some(ProtocolKind::OriginalHotStuff),
             _ => None,
         }
@@ -637,7 +631,6 @@ mod tests {
             ProtocolKind::TwoChainHotStuff,
             ProtocolKind::Streamlet,
             ProtocolKind::FastHotStuff,
-            ProtocolKind::Lbft,
             ProtocolKind::OriginalHotStuff,
         ] {
             assert_eq!(ProtocolKind::from_label(kind.label()), Some(kind));

@@ -16,12 +16,11 @@ use bamboo::types::{
     Config, Message, NodeId, ProtocolKind, SharedBlock, SimDuration, SimTime, Transaction,
 };
 
-const ALL_PROTOCOLS: [ProtocolKind; 6] = [
+const ALL_PROTOCOLS: [ProtocolKind; 5] = [
     ProtocolKind::HotStuff,
     ProtocolKind::TwoChainHotStuff,
     ProtocolKind::Streamlet,
     ProtocolKind::FastHotStuff,
-    ProtocolKind::Lbft,
     ProtocolKind::OriginalHotStuff,
 ];
 

@@ -15,7 +15,7 @@
 //! the lookahead positive). The run also stopped generating the phantom
 //! tick at `t = runtime`. Every further engine change must again commit
 //! **byte-identical ledgers** for the same seeds: every block id, proposal
-//! view, commit view, commit time and payload transaction id, across all six
+//! view, commit view, commit time and payload transaction id, across all five
 //! protocol kinds. Any divergence in event ordering, RNG call order or
 //! delivery timing changes the fingerprint and fails the test.
 //!
@@ -76,15 +76,6 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         7,
         919,
         "ceb220d30ad5a44f5f14e8d279508549d75ac19903bb899560c652a878bd7aa4",
-    ),
-    (
-        ProtocolKind::Lbft,
-        4,
-        300,
-        3_000.0,
-        7,
-        920,
-        "c4a85586661dea0631a062e64075ef800e86b4beb796ac744d4573864678b8fc",
     ),
     (
         ProtocolKind::OriginalHotStuff,

@@ -1,5 +1,5 @@
 //! Tests of the framework extension surface: the additional protocols built on
-//! the Safety trait (Fast-HotStuff, LBFT, the OHS baseline) and the
+//! the Safety trait (Fast-HotStuff, the OHS baseline) and the
 //! leader-election / configuration options beyond the headline evaluation.
 
 use bamboo::core::{RunOptions, SimRunner};
@@ -19,11 +19,7 @@ fn config(nodes: usize) -> Config {
 
 #[test]
 fn extension_protocols_commit_without_safety_violations() {
-    for protocol in [
-        ProtocolKind::FastHotStuff,
-        ProtocolKind::Lbft,
-        ProtocolKind::OriginalHotStuff,
-    ] {
+    for protocol in [ProtocolKind::FastHotStuff, ProtocolKind::OriginalHotStuff] {
         let report = SimRunner::new(config(4), protocol, RunOptions::default()).run();
         assert_eq!(report.safety_violations, 0, "{protocol}");
         assert!(

@@ -139,11 +139,10 @@ fn two_chain_is_more_forking_resilient_than_three_chain() {
     );
 }
 
-const ALL_PROTOCOLS: [ProtocolKind; 6] = [
+const ALL_PROTOCOLS: [ProtocolKind; 5] = [
     ProtocolKind::HotStuff,
     ProtocolKind::TwoChainHotStuff,
     ProtocolKind::FastHotStuff,
-    ProtocolKind::Lbft,
     ProtocolKind::Streamlet,
     ProtocolKind::OriginalHotStuff,
 ];

@@ -16,12 +16,11 @@ use std::time::Duration;
 use bamboo::net::{BackoffPolicy, ClusterSpec, ProcessCluster, TcpCluster};
 use bamboo::types::{Config, NodeId, ProtocolKind, SimDuration};
 
-const ALL_PROTOCOLS: [ProtocolKind; 6] = [
+const ALL_PROTOCOLS: [ProtocolKind; 5] = [
     ProtocolKind::HotStuff,
     ProtocolKind::TwoChainHotStuff,
     ProtocolKind::Streamlet,
     ProtocolKind::FastHotStuff,
-    ProtocolKind::Lbft,
     ProtocolKind::OriginalHotStuff,
 ];
 
