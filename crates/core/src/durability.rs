@@ -561,7 +561,7 @@ mod tests {
                     let bytes = cut.encode();
                     let at = format!("len {len}, head {head}, from {from}");
                     assert_eq!(cut.len(), bytes.len(), "{at}");
-                    assert_eq!((cut.from(), cut.to()), (from as u64, len as u64), "{at}");
+                    assert_eq!(cut.from(), from as u64, "{at}");
                     let snap = Snapshot::decode_onto(&ledger, &bytes).expect(&at);
                     assert_eq!(snap.ledger.fingerprint(), ledger.fingerprint(), "{at}");
                     let again = Snapshot::encode_chunk(&snap.forest, &snap.ledger, from);

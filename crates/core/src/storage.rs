@@ -39,8 +39,8 @@ use std::fs;
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
-use bamboo_forest::{chunks, decode_qc_record, encode_qc_record, Cut, SnapshotError};
-use bamboo_types::wire::crc32_update;
+use bamboo_forest::{chunks, decode_qc_record, Cut, SnapshotError};
+use bamboo_types::wire::{crc32_update, encode_opt_qc, opt_qc_encoded_len};
 use bamboo_types::{QuorumCert, View};
 
 /// Frame overhead per record: `[u32 len][u32 crc][u8 kind]`.
@@ -107,15 +107,9 @@ fn frame(kind: RecordKind, payload: &[u8]) -> Vec<u8> {
 
 /// Encodes the pre-vote safety state: `[u64 voted_view][u8 tag][qc…]`.
 pub fn encode_safety_record(voted_view: View, locked_qc: Option<&QuorumCert>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(128);
+    let mut out = Vec::with_capacity(8 + opt_qc_encoded_len(locked_qc));
     out.extend_from_slice(&voted_view.as_u64().to_be_bytes());
-    match locked_qc {
-        Some(qc) => {
-            out.push(1);
-            out.extend_from_slice(&encode_qc_record(qc));
-        }
-        None => out.push(0),
-    }
+    encode_opt_qc(&mut out, locked_qc);
     out
 }
 
@@ -379,8 +373,7 @@ impl SegmentBackend for MemoryBackend {
 
     fn sync(&mut self) {
         for buf in self.segments.values_mut() {
-            let pending = std::mem::take(&mut buf.buffered);
-            buf.durable.extend_from_slice(&pending);
+            buf.durable.append(&mut buf.buffered);
         }
         for (height, chunk) in self.checkpoint_buffered.drain(..) {
             if chunk.rebases() {

@@ -105,11 +105,6 @@ impl Cut {
         self.from
     }
 
-    /// Ledger length once the chunk is applied.
-    pub fn to(&self) -> u64 {
-        self.from + self.entries.len() as u64
-    }
-
     /// Exactly the bytes [`Cut::encode_into`] appends, header included.
     pub fn len(&self) -> usize {
         self.len
@@ -410,7 +405,7 @@ impl Snapshot {
 /// Encodes one committed-ledger entry (block + commit metadata) as a
 /// standalone log-record payload.
 pub fn encode_committed_record(committed: &CommittedBlock) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
+    let mut out = Vec::with_capacity(block_encoded_len(&committed.block) + 8 + 8);
     encode_block(&mut out, &committed.block);
     put_u64(&mut out, committed.committed_in_view.as_u64());
     put_u64(&mut out, committed.committed_at.as_nanos());
@@ -441,7 +436,7 @@ pub fn decode_committed_record(bytes: &[u8]) -> Result<CommittedBlock, SnapshotE
 
 /// Encodes a quorum certificate as a standalone log-record payload.
 pub fn encode_qc_record(qc: &QuorumCert) -> Vec<u8> {
-    let mut out = Vec::with_capacity(128);
+    let mut out = Vec::with_capacity(qc_encoded_len(qc));
     encode_qc(&mut out, qc);
     out
 }
