@@ -7,7 +7,19 @@
 //! configuration in the paper (one point of a figure); the sweep logic lives
 //! in [`crate::Benchmarker`], and sweeps use every core by running whole
 //! simulations side by side ([`crate::parallel::run_ordered`]) — a single
-//! run is single-threaded (DESIGN.md §5 records why).
+//! run has one event loop (DESIGN.md §5 records why).
+//!
+//! # Client ticks
+//!
+//! The client side of a run ([`Clients`]) reads no loop state: a tick's
+//! arrivals, their client → replica delays and the edge check of their
+//! signatures are a function of the workload's own RNG stream and the request
+//! bytes. When the arrivals do not depend on commits either — an open-loop
+//! workload — and there are signatures to check, [`SimRunner::run`] moves
+//! the client side onto one producer thread that stays at most
+//! `TICKS_AHEAD` ticks ahead of the loop; otherwise each tick is generated
+//! inline when it falls due. Both paths run the same tick function and the
+//! loop schedules its output at the same point, so the run is the same.
 //!
 //! # Event order
 //!
@@ -49,12 +61,14 @@
 //! [`EventQueue`] and the workload buckets are reused across events, so
 //! steady-state execution is allocation-light.
 
+use std::sync::mpsc;
+
 use bamboo_sim::{
     EventQueue, FluctuationWindow, LatencyModel, LinkFault, NicModel, SimRng, Topology,
 };
 use bamboo_types::{
     Authenticator, ClientRequest, Config, NodeId, ProtocolKind, SharedMessage, SimDuration,
-    SimTime, VerifiedMessage, View,
+    SimTime, VerifiedMessage, VerifiedRequests, View,
 };
 
 use crate::metrics::{Metrics, RecoveryReport, RunReport};
@@ -70,6 +84,11 @@ const WORKLOAD_STREAM: u64 = u64::MAX;
 
 /// Width of one workload generation tick: 1 ms.
 const WORKLOAD_TICK: SimDuration = SimDuration(1_000_000);
+
+/// How many generated ticks the client producer may hold that the loop has
+/// not taken yet. A few suffice to keep the producer busy; each buffered
+/// tick holds its batches' memory.
+const TICKS_AHEAD: usize = 16;
 
 /// When a scheduled node fault begins or ends: at an absolute simulated time,
 /// or when the cluster (any honest replica) first reaches a view.
@@ -177,10 +196,11 @@ enum EventKind {
     DeliverForged(SharedMessage),
     Timer(View),
     ProposeNow(View),
-    /// A batch of client requests arriving at the replica's edge. The host
-    /// verifies the batch (in signed-client mode), strips the
-    /// signatures, and admits the transactions into the mempool.
-    ClientBatch(Vec<ClientRequest>),
+    /// A batch of client requests arriving at the replica's edge, already
+    /// edge-checked when its tick was generated. The host charges the
+    /// modeled cost of the check and admits the transactions into the
+    /// mempool.
+    ClientBatch(VerifiedRequests),
     /// A state-transfer debounce/retry deadline armed by the replica.
     SyncTimer,
     /// A time-triggered node fault boundary: crash the node, or bring it
@@ -212,6 +232,64 @@ fn delivery_for(
     }
 }
 
+/// One client batch of a workload tick: the replica it goes to, the instant
+/// it arrives there, and its edge-checked requests.
+type ClientBatch = (NodeId, SimTime, VerifiedRequests);
+
+/// The client side of a run: everything a workload tick is made from, and
+/// nothing the event loop writes.
+struct Clients {
+    workload: Box<dyn Workload + Send>,
+    /// The workload generator's own RNG stream, independent of every
+    /// replica's.
+    rng: SimRng,
+    /// A copy of the runner's latency model (it is immutable once the
+    /// runner is built), for the client → replica delays.
+    latency: LatencyModel,
+    /// The edge check of client signatures; it needs no validator keys.
+    edge: Authenticator,
+    /// Reusable arrival buffer handed to the workload each tick (cleared,
+    /// capacity kept — arrival generation allocates nothing in steady state).
+    arrivals: Vec<Arrival>,
+    /// Reusable per-replica buckets (indexed by node id): the arrivals of
+    /// one tick are grouped here without allocating per-tick maps.
+    buckets: Vec<Vec<ClientRequest>>,
+}
+
+impl Clients {
+    /// Generates the client arrivals of the tick at `now`, grouped into
+    /// per-replica batches, each with its delivery instant, edge-checked.
+    fn tick(&mut self, now: SimTime) -> Vec<ClientBatch> {
+        self.arrivals.clear();
+        (self.workload).arrivals(now, now + WORKLOAD_TICK, &mut self.rng, &mut self.arrivals);
+        // Group arrivals per replica to keep the event count manageable.
+        // The buckets are visited in ascending node order, so the workload
+        // stream is consumed in a deterministic order.
+        for arrival in self.arrivals.drain(..) {
+            self.buckets[arrival.replica.index()].push(arrival.into_request());
+        }
+        let mut batches = Vec::new();
+        for (index, bucket) in self.buckets.iter_mut().enumerate() {
+            if bucket.is_empty() {
+                continue;
+            }
+            let replica = NodeId(index as u64);
+            // Client -> replica one-way delay, from the workload's stream.
+            let delay = (self.latency)
+                .sample(&mut self.rng, NodeId(u64::MAX), replica, now)
+                .unwrap_or(SimDuration::ZERO);
+            let batch = std::mem::take(bucket);
+            // A batch leaves its client when its last request is issued, and
+            // never before the tick: a closed-loop follow-up is stamped with
+            // its predecessor's confirmation time, which lies before the
+            // tick that hands it over.
+            let leaves = (batch.iter().map(|r| r.transaction.issued_at)).fold(now, SimTime::max);
+            batches.push((replica, leaves + delay, self.edge.verify_requests(batch)));
+        }
+        batches
+    }
+}
+
 /// A deterministic discrete-event simulation of one Bamboo deployment. All
 /// per-replica state is indexed by node id.
 pub struct SimRunner {
@@ -230,16 +308,11 @@ pub struct SimRunner {
     metrics: Metrics,
     /// Reused across every event (cleared, capacity kept).
     effects: BufferedTransport,
-    workload: Box<dyn Workload>,
-    /// The workload generator's own RNG stream, independent of every
-    /// replica's.
-    workload_rng: SimRng,
-    /// Reusable arrival buffer handed to the workload each tick (cleared,
-    /// capacity kept — arrival generation allocates nothing in steady state).
-    tick_arrivals: Vec<Arrival>,
-    /// Reusable per-replica workload buckets (indexed by node id): arrivals
-    /// of one tick are grouped here without allocating per-tick maps.
-    tick_txs: Vec<Vec<ClientRequest>>,
+    /// The client side; `None` while (and after) it runs on the producer
+    /// thread.
+    clients: Option<Clients>,
+    /// Client requests in the ticks the loop has taken so far.
+    offered: u64,
     /// Unresolved view-triggered fault boundaries:
     /// `(node, view, crash?, recover mode)`.
     view_triggers: Vec<(NodeId, View, bool, RecoverMode)>,
@@ -290,7 +363,7 @@ impl SimRunner {
             })
             .collect();
 
-        let workload: Box<dyn Workload> = match config.arrival_rate {
+        let workload: Box<dyn Workload + Send> = match config.arrival_rate {
             Some(rate) => {
                 let mut open = OpenLoopWorkload::new(rate, config.payload_size, config.nodes);
                 if let Some(clients) = config.client_population {
@@ -340,6 +413,16 @@ impl SimRunner {
         let seed_rng = SimRng::new(config.seed);
         let mut auth = Authenticator::for_nodes(nodes);
         auth.set_signed_clients(config.signed_requests);
+        let mut edge = Authenticator::from_keys(Vec::new());
+        edge.set_signed_clients(config.signed_requests);
+        let clients = Clients {
+            workload,
+            rng: seed_rng.derive(WORKLOAD_STREAM),
+            latency: latency.clone(),
+            edge,
+            arrivals: Vec::new(),
+            buckets: vec![Vec::new(); nodes],
+        };
         Self {
             protocol,
             hosts,
@@ -354,10 +437,8 @@ impl SimRunner {
             auth,
             metrics: Metrics::new(options.series_bucket),
             effects: BufferedTransport::new(),
-            workload,
-            workload_rng: seed_rng.derive(WORKLOAD_STREAM),
-            tick_arrivals: Vec::new(),
-            tick_txs: vec![Vec::new(); nodes],
+            clients: Some(clients),
+            offered: 0,
             view_triggers,
             max_view: View::GENESIS,
             processed: 0,
@@ -375,38 +456,77 @@ impl SimRunner {
 
     /// Runs the simulation to completion and produces the report.
     ///
-    /// Boots every replica at time zero, then loops: pop the earliest event
-    /// strictly before the next workload tick (before the instant after the
-    /// run's last once ticks are exhausted), else fire the tick, else stop.
+    /// Boots every replica at time zero, then runs the event loop. A signed
+    /// open-loop run generates its client ticks on a producer thread that
+    /// runs ahead of the loop (the module docs say why that changes nothing);
+    /// every other run generates each tick inline when it falls due.
     pub fn run(mut self) -> RunReport {
         let end = SimTime::ZERO + self.config.runtime;
-        // Events at or beyond the instant after the run's last stay queued.
-        let stop = end + SimDuration::from_nanos(1);
         for node in 0..self.config.nodes as u64 {
             self.step(NodeId(node), SimTime::ZERO, |host, start, effects| {
                 host.start(start, effects)
             });
         }
+        // Closed-loop arrivals wait on commits, so they cannot run ahead; an
+        // unsigned run has no edge check worth moving.
+        let ahead = self.config.arrival_rate.is_some() && self.config.signed_requests;
+        let ticks = match self.clients.take() {
+            Some(mut clients) if ahead => std::thread::scope(|scope| {
+                let (ticks, taken) = mpsc::sync_channel(TICKS_AHEAD);
+                scope.spawn(move || {
+                    let mut now = SimTime::ZERO;
+                    // A send fails once the loop has stopped and dropped its
+                    // end: the producer exits with it.
+                    while now < end && ticks.send(clients.tick(now)).is_ok() {
+                        now += WORKLOAD_TICK;
+                    }
+                });
+                self.drive(end, |_, _| taken.recv().expect("the client producer died"))
+            }),
+            clients => {
+                self.clients = clients;
+                self.drive(end, |runner, now| {
+                    (runner.clients.as_mut()).map_or_else(Vec::new, |clients| clients.tick(now))
+                })
+            }
+        };
+        self.report(ticks)
+    }
+
+    /// The event loop: pop the earliest event strictly before the next
+    /// workload tick (before the instant after the run's last once ticks are
+    /// exhausted), else take the tick's client batches from `next_tick` and
+    /// schedule them, else stop. Returns the number of ticks taken.
+    fn drive(
+        &mut self,
+        end: SimTime,
+        mut next_tick: impl FnMut(&mut Self, SimTime) -> Vec<ClientBatch>,
+    ) -> u64 {
+        // Events at or beyond the instant after the run's last stay queued.
+        let stop = end + SimDuration::from_nanos(1);
         let mut ticks: u64 = 0;
         // Ticks cover `[0, runtime)`: one at `runtime` would issue a
         // millisecond of arrivals the run never simulates.
-        let mut next_tick = SimTime::ZERO;
+        let mut tick_at = SimTime::ZERO;
         while self.processed + ticks <= self.options.max_events {
-            let tick_due = next_tick < end;
-            let limit = if tick_due { next_tick } else { stop };
+            let tick_due = tick_at < end;
+            let limit = if tick_due { tick_at } else { stop };
             if let Some((time, event)) = self.queue.pop_if_before(limit) {
                 self.processed += 1;
                 self.fire(time, event);
                 self.fire_view_triggers(time);
             } else if tick_due {
-                self.generate_tick(next_tick);
+                for (replica, at, requests) in next_tick(self, tick_at) {
+                    self.offered += requests.offered() as u64;
+                    self.schedule(tick_at, at, replica, EventKind::ClientBatch(requests));
+                }
                 ticks += 1;
-                next_tick += WORKLOAD_TICK;
+                tick_at += WORKLOAD_TICK;
             } else {
                 break;
             }
         }
-        self.report(ticks)
+        ticks
     }
 
     /// Hands one popped event to the replica it addresses.
@@ -423,12 +543,11 @@ impl SimRunner {
             EventKind::DeliverForged(message) => {
                 self.step(node, time, |host, _, _| host.reject_forged(&message))
             }
-            // The edge verification stage lives in the host: in
-            // signed-client mode the batch is checked (and charged as
-            // `CpuModel::verify_batch` models it) before the stripped
-            // transactions are admitted to the mempool.
+            // The batch was edge-checked when its tick was generated; the
+            // host charges the check (as `CpuModel::verify_batch` models it)
+            // and admits the stripped transactions to the mempool.
             EventKind::ClientBatch(requests) => self.step(node, time, |host, start, effects| {
-                host.handle_client_batch(requests, start, effects)
+                host.admit(requests, start, effects)
             }),
             EventKind::Timer(view) => self.dispatch(node, ReplicaEvent::TimerFired { view }, time),
             EventKind::ProposeNow(view) => {
@@ -527,6 +646,8 @@ impl SimRunner {
         // transaction is counted exactly once. The client-response delay is
         // drawn from the observer's own stream. Closed-loop clients hear of
         // the commit here; the workload is next consulted at its next tick.
+        // (An open-loop workload ignores commits, so one on the producer
+        // thread misses nothing.)
         if node == self.observer() {
             for block in &report.committed {
                 self.metrics.record_block();
@@ -540,7 +661,9 @@ impl SimRunner {
                     // submit→commit latency is measured against; `confirmed`
                     // adds the response leg (the paper's `t_L` term).
                     self.metrics.record_commit(tx.issued_at, finish, confirmed);
-                    self.workload.on_commit(tx.id, confirmed);
+                    if let Some(clients) = &mut self.clients {
+                        clients.workload.on_commit(tx.id, confirmed);
+                    }
                 }
             }
         }
@@ -583,46 +706,6 @@ impl SimRunner {
                     self.schedule(start, finish + nic_delay + delay, to, kind);
                 }
             }
-        }
-    }
-
-    /// Generates the client arrivals of the workload tick at `now`, grouped
-    /// into per-replica batches, and schedules their deliveries.
-    fn generate_tick(&mut self, now: SimTime) {
-        let mut arrivals = std::mem::take(&mut self.tick_arrivals);
-        arrivals.clear();
-        let rng = &mut self.workload_rng;
-        (self.workload).arrivals(now, now + WORKLOAD_TICK, rng, &mut arrivals);
-        if arrivals.is_empty() {
-            self.tick_arrivals = arrivals;
-            return;
-        }
-        // Group arrivals per replica to keep the event count manageable.
-        // The buckets are reusable `Vec`s indexed by node id and visited in
-        // ascending node order, so the workload stream is consumed in a
-        // deterministic order.
-        for arrival in arrivals.drain(..) {
-            let index = arrival.replica.index();
-            self.tick_txs[index].push(arrival.into_request());
-        }
-        self.tick_arrivals = arrivals;
-        for index in 0..self.tick_txs.len() {
-            if self.tick_txs[index].is_empty() {
-                continue;
-            }
-            let replica = NodeId(index as u64);
-            // Client -> replica one-way delay, from the workload's stream.
-            let delay = self
-                .latency
-                .sample(&mut self.workload_rng, NodeId(u64::MAX), replica, now)
-                .unwrap_or(SimDuration::ZERO);
-            let batch = std::mem::take(&mut self.tick_txs[index]);
-            // A batch leaves its client when its last request is issued, and
-            // never before the tick: a closed-loop follow-up is stamped with
-            // its predecessor's confirmation time, which lies before the
-            // tick that hands it over.
-            let leaves = (batch.iter().map(|r| r.transaction.issued_at)).fold(now, SimTime::max);
-            self.schedule(now, leaves + delay, replica, EventKind::ClientBatch(batch));
         }
     }
 
@@ -678,7 +761,12 @@ impl SimRunner {
             rejected_messages: hosts.iter().map(NodeHost::auth_rejections).sum(),
             client_auth_rejections: hosts.iter().map(NodeHost::client_auth_rejections).sum(),
             mempool: metrics.mempool_totals(),
-            pending_txs: self.workload.total_issued().saturating_sub(committed_txs),
+            // Issued is what the loop took, never what a producer generated
+            // ahead of it. An inline workload counts for itself: a closed
+            // loop also issues at commits, between ticks.
+            pending_txs: (self.clients.as_ref())
+                .map_or(self.offered, |clients| clients.workload.total_issued())
+                .saturating_sub(committed_txs),
             // Ticks never occupy a queue slot, but they count as engine
             // events for continuity with the event-queued tick of earlier
             // engines.

@@ -37,7 +37,7 @@
 use bamboo_sim::CpuModel;
 use bamboo_types::{
     Authenticator, ClientRequest, Config, Message, NodeId, ProtocolKind, SharedBlock,
-    SharedMessage, SimDuration, SimTime, Transaction, VerifiedMessage, View,
+    SharedMessage, SimDuration, SimTime, Transaction, VerifiedMessage, VerifiedRequests, View,
 };
 
 use crate::replica::{Replica, ReplicaOptions};
@@ -266,42 +266,42 @@ impl NodeHost {
     }
 
     /// Feeds a batch of client requests through the edge verification stage
-    /// and into the replica's mempool.
-    ///
-    /// In unsigned mode the requests are stripped and forwarded as-is. In
-    /// signed-client mode the whole batch is first verified in one batched
-    /// pass (the simulated clock is charged what the CPU model says a batch
-    /// costs, [`CpuModel::verify_batch`]); if the all-or-nothing batch
-    /// check fails, the requests are re-verified one by one — charged as a
-    /// second, sequential pass — so forgeries are isolated, dropped and
-    /// counted while the honest remainder is still admitted.
+    /// ([`Authenticator::verify_requests`]) and into the replica's mempool
+    /// ([`NodeHost::admit`]).
     pub fn handle_client_batch(
         &mut self,
         requests: Vec<ClientRequest>,
         now: SimTime,
         transport: &mut dyn Transport,
     ) -> StepReport {
-        let offered = requests.len();
-        let mut txs: Vec<Transaction> = Vec::with_capacity(offered);
+        let verified = self.authenticator.verify_requests(requests);
+        self.admit(verified, now, transport)
+    }
+
+    /// Admits a client batch that passed the edge check — here or on another
+    /// thread, the simulator's tick producer — into the replica's mempool.
+    ///
+    /// The step is charged the check as if it had run at this replica's own
+    /// busy server: in signed-client mode one batched pass
+    /// ([`CpuModel::verify_batch`]), plus a second, sequential pass
+    /// ([`CpuModel::verify`]) when the all-or-nothing check failed and every
+    /// request was checked on its own. The requests the check dropped are
+    /// counted in [`NodeHost::client_auth_rejections`].
+    pub fn admit(
+        &mut self,
+        requests: VerifiedRequests,
+        now: SimTime,
+        transport: &mut dyn Transport,
+    ) -> StepReport {
         let mut edge_cpu = SimDuration::ZERO;
-        if self.authenticator.signed_clients() {
-            edge_cpu = self.cpu.verify_batch(offered);
-            if self.authenticator.verify_client_batch(&requests) {
-                txs.extend(requests.into_iter().map(|r| r.transaction));
-            } else {
-                edge_cpu += self.cpu.verify(offered);
-                for request in requests {
-                    if self.authenticator.verify_client_request(&request).is_ok() {
-                        txs.push(request.transaction);
-                    } else {
-                        self.client_auth_rejections += 1;
-                    }
-                }
+        if requests.signed() {
+            edge_cpu = self.cpu.verify_batch(requests.offered());
+            if requests.fell_back() {
+                edge_cpu += self.cpu.verify(requests.offered());
             }
-        } else {
-            txs.extend(requests.into_iter().map(|r| r.transaction));
         }
-        let event = ReplicaEvent::ClientRequests(txs);
+        self.client_auth_rejections += requests.rejected() as u64;
+        let event = ReplicaEvent::ClientRequests(requests.into_transactions());
         let mut report = self.replica.handle(event, now, transport);
         report.cpu += edge_cpu;
         report
@@ -503,6 +503,84 @@ mod tests {
             .sends
             .iter()
             .any(|(to, m)| to.is_none() && matches!(**m, Message::Proposal(_))));
+    }
+
+    /// Three requests from one client, the middle one `forged` (signed under
+    /// another client's key) if asked.
+    fn client_requests(forged: bool) -> Vec<ClientRequest> {
+        let client = NodeId(crate::CLIENT_ID_BASE + 3);
+        (0..3u64)
+            .map(|seq| {
+                let signer = if forged && seq == 1 { 4 } else { 3 };
+                let key = bamboo_crypto::KeyPair::client_from_seed(crate::CLIENT_ID_BASE + signer);
+                ClientRequest::signed(Transaction::new(client, seq, 8, SimTime(1_000)), &key)
+            })
+            .collect()
+    }
+
+    /// A host that has not started (node 3 leads no early view), in signed
+    /// or unsigned client mode, and what it charges for the check alone:
+    /// admitting transactions into the mempool costs nothing.
+    fn edge_host(signed: bool) -> (NodeHost, Authenticator, CpuModel) {
+        let mut config = config(4);
+        config.signed_requests = signed;
+        let host = NodeHost::new(
+            NodeId(3),
+            ProtocolKind::HotStuff,
+            config,
+            Default::default(),
+        );
+        let mut edge = Authenticator::from_keys(Vec::new());
+        edge.set_signed_clients(signed);
+        let cpu = host.replica().cpu_model();
+        (host, edge, cpu)
+    }
+
+    #[test]
+    fn verify_requests_admits_an_honest_batch_in_one_batched_pass() {
+        let (mut host, mut edge, cpu) = edge_host(true);
+        let verified = edge.verify_requests(client_requests(false));
+        assert!(verified.signed() && !verified.fell_back());
+        assert_eq!((verified.transactions().len(), verified.rejected()), (3, 0));
+        let report = host.admit(verified, SimTime(2_000), &mut BufferedTransport::new());
+        assert_eq!(report.cpu, cpu.verify_batch(3));
+        assert_eq!(host.replica().mempool_len(), 3);
+        assert_eq!(host.client_auth_rejections(), 0);
+    }
+
+    #[test]
+    fn verify_requests_isolates_one_forgery_of_three_and_both_passes_are_charged() {
+        let (mut host, mut edge, cpu) = edge_host(true);
+        let verified = edge.verify_requests(client_requests(true));
+        assert!(verified.signed() && verified.fell_back());
+        assert_eq!((verified.offered(), verified.rejected()), (3, 1));
+        let seqs: Vec<u64> = verified.transactions().iter().map(|tx| tx.seq).collect();
+        assert_eq!(seqs, [0, 2], "the honest requests survive, in order");
+        let report = host.admit(verified, SimTime(2_000), &mut BufferedTransport::new());
+        assert_eq!(report.cpu, cpu.verify_batch(3) + cpu.verify(3));
+        assert_eq!(host.replica().mempool_len(), 2);
+        assert_eq!(host.client_auth_rejections(), 1);
+        // The all-in-one path charges and counts the same.
+        let (mut inline, _, _) = edge_host(true);
+        let direct = inline.handle_client_batch(
+            client_requests(true),
+            SimTime(2_000),
+            &mut BufferedTransport::new(),
+        );
+        assert_eq!(direct.cpu, report.cpu);
+        assert_eq!(inline.client_auth_rejections(), 1);
+    }
+
+    #[test]
+    fn verify_requests_in_unsigned_mode_passes_everything_for_free() {
+        let (mut host, mut edge, _) = edge_host(false);
+        let verified = edge.verify_requests(client_requests(true));
+        assert!(!verified.signed() && !verified.fell_back());
+        assert_eq!((verified.transactions().len(), verified.rejected()), (3, 0));
+        let report = host.admit(verified, SimTime(2_000), &mut BufferedTransport::new());
+        assert!(report.cpu.is_zero());
+        assert_eq!(host.replica().mempool_len(), 3);
+        assert_eq!(host.client_auth_rejections(), 0);
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //!   constructed by [`Authenticator::authenticate`], so any component whose
 //!   input type is `VerifiedMessage` is statically guaranteed to never see an
 //!   unchecked signature.
+//! * [`VerifiedRequests`] is its client-side twin: a client arrival batch
+//!   that passed the edge check ([`Authenticator::verify_requests`]), so no
+//!   unchecked client signature reaches a mempool either.
 //!
 //! Certificate checks are *signer-count aware*: the quorum threshold is
 //! checked before any signature work, so a sub-quorum certificate is rejected
@@ -42,6 +45,7 @@ use crate::block::Block;
 use crate::certificate::{QuorumCert, TimeoutCert, TimeoutVote, Vote};
 use crate::ids::{quorum_threshold, NodeId, View};
 use crate::message::{ClientRequest, Message, SharedMessage, SyncRequest, SyncResponse};
+use crate::transaction::Transaction;
 
 /// Why an inbound message was rejected at the ingress stage.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -138,6 +142,57 @@ impl VerifiedMessage {
     pub fn into_parts(self) -> (NodeId, Message) {
         let message = SharedMessage::try_unwrap(self.message).unwrap_or_else(|arc| (*arc).clone());
         (self.from, message)
+    }
+}
+
+/// A client arrival batch that has passed the edge check, signatures
+/// stripped.
+///
+/// The only constructor is [`Authenticator::verify_requests`]; holding a
+/// `VerifiedRequests` *is* the proof that every transaction it carries was
+/// checked under its client's key (or that the authenticator runs in
+/// unsigned mode), just as [`VerifiedMessage`] is for replica traffic. The
+/// token also records what the check did — how many requests were offered,
+/// whether the per-item fallback ran — so the host that admits it can charge
+/// the modeled cost of work it did not do itself.
+#[derive(Clone, Debug)]
+pub struct VerifiedRequests {
+    transactions: Vec<Transaction>,
+    offered: usize,
+    signed: bool,
+    fell_back: bool,
+}
+
+impl VerifiedRequests {
+    /// The admitted transactions, in arrival order.
+    pub fn transactions(&self) -> &[Transaction] {
+        &self.transactions
+    }
+
+    /// Consumes the token and returns the admitted transactions.
+    pub fn into_transactions(self) -> Vec<Transaction> {
+        self.transactions
+    }
+
+    /// Requests offered at the edge: the admitted plus the rejected.
+    pub fn offered(&self) -> usize {
+        self.offered
+    }
+
+    /// Requests dropped for a missing or bad signature.
+    pub fn rejected(&self) -> usize {
+        self.offered - self.transactions.len()
+    }
+
+    /// Whether the batch was checked (signed-client mode).
+    pub fn signed(&self) -> bool {
+        self.signed
+    }
+
+    /// Whether the all-or-nothing batch check failed, so every request was
+    /// checked again on its own.
+    pub fn fell_back(&self) -> bool {
+        self.fell_back
     }
 }
 
@@ -333,6 +388,39 @@ impl Authenticator {
             return false;
         }
         self.batch.verify_all()
+    }
+
+    /// The edge check of one client arrival batch, minting the
+    /// [`VerifiedRequests`] token that admission takes.
+    ///
+    /// In unsigned mode the requests pass as they are. In signed mode the
+    /// whole batch is checked in one batched pass
+    /// ([`Authenticator::verify_client_batch`]); if that all-or-nothing check
+    /// fails, every request is checked again on its own
+    /// ([`Authenticator::verify_client_request`]), so forgeries are isolated
+    /// and dropped while the honest remainder is kept. Either way the
+    /// signatures are stripped: blocks carry bare transactions.
+    pub fn verify_requests(&mut self, requests: Vec<ClientRequest>) -> VerifiedRequests {
+        let offered = requests.len();
+        let signed = self.signed_clients;
+        let mut fell_back = false;
+        let mut transactions = Vec::with_capacity(offered);
+        if !signed || self.verify_client_batch(&requests) {
+            transactions.extend(requests.into_iter().map(|r| r.transaction));
+        } else {
+            fell_back = true;
+            for request in requests {
+                if self.verify_client_request(&request).is_ok() {
+                    transactions.push(request.transaction);
+                }
+            }
+        }
+        VerifiedRequests {
+            transactions,
+            offered,
+            signed,
+            fell_back,
+        }
     }
 
     /// Verifies a proposal: the block id must bind the header and payload,

@@ -12,7 +12,8 @@
 //!   transport frames,
 //! * the authenticated ingress stage — [`Authenticator`] verifies every
 //!   inbound message against the validator set and mints [`VerifiedMessage`]
-//!   proof tokens; forgeries are rejected with a typed [`AuthError`],
+//!   proof tokens (and [`VerifiedRequests`] for client arrival batches);
+//!   forgeries are rejected with a typed [`AuthError`],
 //! * simulated time — [`SimTime`], [`SimDuration`],
 //! * the Table-I [`Config`] surface,
 //! * a dependency-free JSON document model — [`Json`] / [`ToJson`] — used by
@@ -37,7 +38,7 @@ pub mod time;
 pub mod transaction;
 pub mod wire;
 
-pub use auth::{AuthError, Authenticator, VerifiedMessage};
+pub use auth::{AuthError, Authenticator, VerifiedMessage, VerifiedRequests};
 // Tables keyed by a `TxId` or `BlockId` hash with the digest hasher.
 pub use bamboo_crypto::{DigestBuildHasher, DigestMap, DigestSet};
 pub use block::{Block, BlockId, SharedBlock};

@@ -123,6 +123,74 @@ fn engine_replays_the_pinned_golden_ledgers_byte_for_byte() {
     }
 }
 
+/// A signed open-loop run: a million-client population whose requests are
+/// signed at generation and checked at the edge — the run whose client ticks
+/// are generated on a producer thread ahead of the event loop.
+fn signed_open_loop(max_events: Option<u64>) -> RunReport {
+    let config = Config::builder()
+        .nodes(16)
+        .block_size(400)
+        .runtime(SimDuration::from_millis(2_000))
+        .arrival_rate(20_000.0)
+        .client_population(1_000_000)
+        .signed_requests(true)
+        .seed(2027)
+        .build()
+        .expect("valid config");
+    let mut options = RunOptions::default();
+    if let Some(cap) = max_events {
+        options.max_events = cap;
+    }
+    SimRunner::new(config, ProtocolKind::HotStuff, options).run()
+}
+
+/// `(max_events, committed_txs, pending_txs, events_processed, fingerprint)`
+/// of [`signed_open_loop`], recorded from the engine that generated every
+/// tick inline: the whole run, and one cut by the event cap a third of the
+/// way in, while the producer still has ticks in hand the loop never takes.
+const SIGNED_GOLDEN: &[(Option<u64>, u64, u64, u64, &str)] = &[
+    (
+        None,
+        39_687,
+        177,
+        144_266,
+        "ab6bcf4f1f03f26a150d16d0158854293b3bcd8c2768903a8f6e54b305623787",
+    ),
+    (
+        Some(48_088),
+        13_325,
+        195,
+        48_089,
+        "43980d727530ab5404af1793a45ec97b9021dbadf2eab29bb103c05d5870913f",
+    ),
+];
+
+#[test]
+fn a_signed_open_loop_run_replays_its_pinned_golden_whole_and_cut() {
+    let dump = std::env::var_os("GOLDEN_DUMP").is_some();
+    for &(cap, txs, pending, events, fingerprint) in SIGNED_GOLDEN {
+        let report = signed_open_loop(cap);
+        if dump {
+            println!(
+                "({cap:?}, {}, {}, {}, \"{}\"),",
+                report.committed_txs,
+                report.pending_txs,
+                report.events_processed,
+                report.ledger_fingerprint
+            );
+            continue;
+        }
+        let label = format!("max_events {cap:?}");
+        assert_eq!(report.ledger_fingerprint, fingerprint, "{label}");
+        assert_eq!(report.committed_txs, txs, "{label}");
+        // Issued counts what the loop took, not what was generated ahead.
+        assert_eq!(report.pending_txs, pending, "{label}");
+        assert_eq!(report.events_processed, events, "{label}");
+        assert_eq!(report.client_auth_rejections, 0, "{label}");
+        assert_eq!(report.safety_violations, 0, "{label}");
+    }
+}
+
 /// Two fresh runs of the rebuilt engine at n = 256 must agree exactly — the
 /// scalability sweep's largest point is deterministic, not just the small
 /// golden configurations.
