@@ -142,13 +142,29 @@ pub struct DigestHasher {
     key: u64,
 }
 
+impl DigestHasher {
+    fn fold(&mut self, word: u64) {
+        let product = u128::from(self.state ^ word) * u128::from(self.key);
+        self.state = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
 impl Hasher for DigestHasher {
+    /// Folds the bytes in little-endian words, the last one zero-padded. A
+    /// digest is four whole words, read as such: no per-chunk length check
+    /// and copy into a scratch word.
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.fold(u64::from_le_bytes(
+                word.try_into().expect("an 8-byte chunk"),
+            ));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
             let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            let product = u128::from(self.state ^ u64::from_le_bytes(word)) * u128::from(self.key);
-            self.state = (product as u64) ^ ((product >> 64) as u64);
+            word[..tail.len()].copy_from_slice(tail);
+            self.fold(u64::from_le_bytes(word));
         }
     }
 
@@ -215,6 +231,35 @@ mod tests {
 
     fn id(n: u32) -> Digest {
         Digest::of(&n.to_be_bytes())
+    }
+
+    /// The fold as first written: one zero-padded word per `chunks(8)`
+    /// chunk. The word-wise `write` must hash every input to the same value.
+    fn byte_chunk_fold(key: u64, bytes: &[u8]) -> u64 {
+        let mut state = key;
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let product = u128::from(state ^ u64::from_le_bytes(word)) * u128::from(key);
+            state = (product as u64) ^ ((product >> 64) as u64);
+        }
+        state
+    }
+
+    #[test]
+    fn the_word_fold_equals_the_byte_chunk_fold_at_every_length() {
+        let bytes: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37) ^ 0xa5).collect();
+        for key in [1, 3, 0x9e37_79b9_7f4a_7c15, u64::MAX] {
+            for len in 0..=64 {
+                let mut hasher = DigestHasher { state: key, key };
+                hasher.write(&bytes[..len]);
+                assert_eq!(
+                    hasher.finish(),
+                    byte_chunk_fold(key, &bytes[..len]),
+                    "key {key:#x}, {len} bytes"
+                );
+            }
+        }
     }
 
     #[test]
