@@ -579,7 +579,7 @@ impl Replica {
                     return;
                 }
                 self.ledger
-                    .append(newly.clone(), committed_in_view, out.now);
+                    .append(newly.iter().cloned(), committed_in_view, out.now);
                 // Drop committed transactions we might still hold, and recover
                 // transactions from forked branches that lost.
                 for block in &newly {
@@ -604,7 +604,11 @@ impl Replica {
                     self.mempool.requeue_front(recovered);
                 }
                 let (forest, ledger, committed_len) = (&self.forest, &self.ledger, newly.len());
-                out.committed.extend(newly);
+                if out.committed.is_empty() {
+                    out.committed = newly;
+                } else {
+                    out.committed.extend(newly);
+                }
                 let (disk, stats) = (&mut self.disk, &mut self.recovery);
                 disk.log_commits(ledger, committed_len, forest.high_qc(), out);
                 disk.checkpoint(self.config.checkpoint_interval, forest, ledger, stats, out);

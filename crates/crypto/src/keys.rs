@@ -13,6 +13,7 @@
 use std::fmt;
 
 use crate::hash::{hash_two, Digest};
+use crate::sha256::Sha256;
 
 const SIGN_TAG: &[u8] = b"bamboo-sim-signature-v1";
 const PK_TAG: &[u8] = b"bamboo-sim-public-key-v1";
@@ -74,9 +75,13 @@ impl Signature {
         Signature(Digest::from_bytes(bytes))
     }
 
+    /// `H(SIGN_TAG || pk || msg)`, streamed into the hasher: no buffer.
     fn create(pk: &PublicKey, msg: &[u8]) -> Self {
-        let mut prefix = Vec::with_capacity(SIGN_TAG.len() + 32);
-        Self::create_with_scratch(&mut prefix, pk, msg)
+        let mut hasher = Sha256::new();
+        hasher.update(SIGN_TAG);
+        hasher.update(pk.as_bytes());
+        hasher.update(msg);
+        Signature(Digest::from_bytes(hasher.finalize()))
     }
 
     /// Builds the signature using a caller-provided signing-bytes buffer, so a

@@ -540,21 +540,25 @@ impl BlockForest {
         if !self.vertices.contains_key(&id) {
             return Err(ForestError::UnknownBlock(id));
         }
-        if !self.extends(id, self.committed_head) {
-            return Err(ForestError::ConflictingCommit {
-                block: id,
-                committed_head: self.committed_head,
-            });
+        // One walk from `id` down to the committed head, newest first; a walk
+        // that leaves the forest (or reaches genesis) never met the head.
+        let mut newly = Vec::new();
+        let mut cursor = id;
+        while cursor != self.committed_head {
+            match self.vertices.get(&cursor) {
+                Some(vertex) if !vertex.block.is_genesis() => {
+                    newly.push(vertex.block.clone());
+                    cursor = vertex.block.parent;
+                }
+                _ => {
+                    return Err(ForestError::ConflictingCommit {
+                        block: id,
+                        committed_head: self.committed_head,
+                    })
+                }
+            }
         }
-        if id == self.committed_head {
-            return Ok(Vec::new());
-        }
-        let newly: Vec<SharedBlock> = self
-            .shared_path_from(self.committed_head, id)
-            .expect("extends() checked above")
-            .into_iter()
-            .cloned()
-            .collect();
+        newly.reverse();
         self.committed_head = id;
         self.committed_count += newly.len() as u64;
         Ok(newly)
