@@ -802,11 +802,10 @@ mod tests {
             .unwrap()
     }
 
-    const ALL_PROTOCOLS: [ProtocolKind; 5] = [
+    const ALL_PROTOCOLS: [ProtocolKind; 4] = [
         ProtocolKind::HotStuff,
         ProtocolKind::TwoChainHotStuff,
         ProtocolKind::Streamlet,
-        ProtocolKind::FastHotStuff,
         ProtocolKind::OriginalHotStuff,
     ];
 

@@ -91,9 +91,7 @@ impl PerfModel {
         let ts = self.params.t_s();
         match self.protocol {
             ProtocolKind::HotStuff | ProtocolKind::OriginalHotStuff => 2.0 * ts,
-            ProtocolKind::TwoChainHotStuff
-            | ProtocolKind::Streamlet
-            | ProtocolKind::FastHotStuff => ts,
+            ProtocolKind::TwoChainHotStuff | ProtocolKind::Streamlet => ts,
         }
     }
 

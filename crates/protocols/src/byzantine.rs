@@ -170,11 +170,10 @@ mod tests {
         ByzantineStrategy::ForgedQc,
     ];
 
-    const KINDS: [ProtocolKind; 5] = [
+    const KINDS: [ProtocolKind; 4] = [
         ProtocolKind::HotStuff,
         ProtocolKind::TwoChainHotStuff,
         ProtocolKind::Streamlet,
-        ProtocolKind::FastHotStuff,
         ProtocolKind::OriginalHotStuff,
     ];
 

@@ -16,13 +16,11 @@
 //! * [`TwoChainHotStuffSafety`] — the two-chain variant (2CHS),
 //! * [`StreamletSafety`] — Streamlet with broadcast votes, message echoing and
 //!   the consecutive-view commit rule,
-//! * [`FastHotStuffSafety`] — Fast-HotStuff-style two-chain commit with
-//!   aggregated-QC view changes (framework extension),
 //! * [`OhsSafety`] — an independent HotStuff implementation used as the
 //!   "original HotStuff" baseline of Fig. 9 (deliberately *not* built on the
 //!   kit: it is the reference the kit-built HotStuff is compared against).
 //!
-//! Byzantine behaviour is not a seventh protocol: an [`Attack`] sits beside
+//! Byzantine behaviour is not a fifth protocol: an [`Attack`] sits beside
 //! the honest rules and can replace only the proposal (forking and silence,
 //! §IV-A; QC forgery) and the votes put on the wire (vote forgery).
 
@@ -30,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod byzantine;
-pub mod fasthotstuff;
 pub mod hotstuff;
 pub mod ohs;
 pub mod safety;
@@ -38,7 +35,6 @@ pub mod streamlet;
 pub mod twochain;
 
 pub use byzantine::Attack;
-pub use fasthotstuff::FastHotStuffSafety;
 pub use hotstuff::HotStuffSafety;
 pub use ohs::OhsSafety;
 pub use safety::{build_block, ProposalInput, Safety, VoteDestination};
@@ -53,7 +49,6 @@ pub fn make_protocol(kind: ProtocolKind) -> Box<dyn Safety> {
         ProtocolKind::HotStuff => Box::new(HotStuffSafety::new()),
         ProtocolKind::TwoChainHotStuff => Box::new(TwoChainHotStuffSafety::new()),
         ProtocolKind::Streamlet => Box::new(StreamletSafety::new()),
-        ProtocolKind::FastHotStuff => Box::new(FastHotStuffSafety::new()),
         ProtocolKind::OriginalHotStuff => Box::new(OhsSafety::new()),
     }
 }
@@ -81,7 +76,6 @@ mod tests {
                 ids[1],
             ),
             (ProtocolKind::Streamlet, Broadcast, true, false, ids[1]),
-            (ProtocolKind::FastHotStuff, NextLeader, false, true, ids[1]),
             (
                 ProtocolKind::OriginalHotStuff,
                 NextLeader,

@@ -17,8 +17,6 @@ pub enum ProtocolKind {
     TwoChainHotStuff,
     /// Streamlet (longest notarized chain, broadcast votes, echoing).
     Streamlet,
-    /// Fast-HotStuff (two-chain commit with aggregated-QC view change).
-    FastHotStuff,
     /// The independent "original HotStuff" baseline used in Fig. 9.
     OriginalHotStuff,
 }
@@ -31,7 +29,6 @@ impl ProtocolKind {
             ProtocolKind::HotStuff => "HS",
             ProtocolKind::TwoChainHotStuff => "2CHS",
             ProtocolKind::Streamlet => "SL",
-            ProtocolKind::FastHotStuff => "FHS",
             ProtocolKind::OriginalHotStuff => "OHS",
         }
     }
@@ -52,7 +49,6 @@ impl ProtocolKind {
             "HS" => Some(ProtocolKind::HotStuff),
             "2CHS" => Some(ProtocolKind::TwoChainHotStuff),
             "SL" => Some(ProtocolKind::Streamlet),
-            "FHS" => Some(ProtocolKind::FastHotStuff),
             "OHS" => Some(ProtocolKind::OriginalHotStuff),
             _ => None,
         }
@@ -630,7 +626,6 @@ mod tests {
             ProtocolKind::HotStuff,
             ProtocolKind::TwoChainHotStuff,
             ProtocolKind::Streamlet,
-            ProtocolKind::FastHotStuff,
             ProtocolKind::OriginalHotStuff,
         ] {
             assert_eq!(ProtocolKind::from_label(kind.label()), Some(kind));

@@ -16,11 +16,10 @@ use bamboo::types::{
     Config, Message, NodeId, ProtocolKind, SharedBlock, SimDuration, SimTime, Transaction,
 };
 
-const ALL_PROTOCOLS: [ProtocolKind; 5] = [
+const ALL_PROTOCOLS: [ProtocolKind; 4] = [
     ProtocolKind::HotStuff,
     ProtocolKind::TwoChainHotStuff,
     ProtocolKind::Streamlet,
-    ProtocolKind::FastHotStuff,
     ProtocolKind::OriginalHotStuff,
 ];
 

@@ -16,11 +16,10 @@ use std::time::Duration;
 use bamboo::net::{BackoffPolicy, ClusterSpec, ProcessCluster, TcpCluster};
 use bamboo::types::{Config, NodeId, ProtocolKind, SimDuration};
 
-const ALL_PROTOCOLS: [ProtocolKind; 5] = [
+const ALL_PROTOCOLS: [ProtocolKind; 4] = [
     ProtocolKind::HotStuff,
     ProtocolKind::TwoChainHotStuff,
     ProtocolKind::Streamlet,
-    ProtocolKind::FastHotStuff,
     ProtocolKind::OriginalHotStuff,
 ];
 
