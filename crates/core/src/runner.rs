@@ -11,7 +11,7 @@
 //!
 //! # Client ticks
 //!
-//! The client side of a run ([`Clients`]) reads no loop state: a tick's
+//! The client side of a run (`Clients`) reads no loop state: a tick's
 //! arrivals, their client → replica delays and the edge check of their
 //! signatures are a function of the workload's own RNG stream and the request
 //! bytes. When the arrivals do not depend on commits either — an open-loop
@@ -470,8 +470,9 @@ impl SimRunner {
         // Closed-loop arrivals wait on commits, so they cannot run ahead; an
         // unsigned run has no edge check worth moving.
         let ahead = self.config.arrival_rate.is_some() && self.config.signed_requests;
-        let ticks = match self.clients.take() {
-            Some(mut clients) if ahead => std::thread::scope(|scope| {
+        let ticks = if ahead {
+            let mut clients = self.clients.take().expect("a run starts with its clients");
+            std::thread::scope(|scope| {
                 let (ticks, taken) = mpsc::sync_channel(TICKS_AHEAD);
                 scope.spawn(move || {
                     let mut now = SimTime::ZERO;
@@ -482,13 +483,15 @@ impl SimRunner {
                     }
                 });
                 self.drive(end, |_, _| taken.recv().expect("the client producer died"))
-            }),
-            clients => {
-                self.clients = clients;
-                self.drive(end, |runner, now| {
-                    (runner.clients.as_mut()).map_or_else(Vec::new, |clients| clients.tick(now))
-                })
-            }
+            })
+        } else {
+            self.drive(end, |runner, now| {
+                let clients = runner
+                    .clients
+                    .as_mut()
+                    .expect("an inline run keeps its clients");
+                clients.tick(now)
+            })
         };
         self.report(ticks)
     }

@@ -155,7 +155,7 @@ impl VerifiedMessage {
 /// token also records what the check did — how many requests were offered,
 /// whether the per-item fallback ran — so the host that admits it can charge
 /// the modeled cost of work it did not do itself.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct VerifiedRequests {
     transactions: Vec<Transaction>,
     offered: usize,

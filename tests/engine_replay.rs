@@ -121,7 +121,7 @@ fn signed_open_loop(max_events: Option<u64>) -> RunReport {
     let config = Config::builder()
         .nodes(16)
         .block_size(400)
-        .runtime(SimDuration::from_millis(2_000))
+        .runtime(SimDuration::from_millis(1_000))
         .arrival_rate(20_000.0)
         .client_population(1_000_000)
         .signed_requests(true)
@@ -142,17 +142,17 @@ fn signed_open_loop(max_events: Option<u64>) -> RunReport {
 const SIGNED_GOLDEN: &[(Option<u64>, u64, u64, u64, &str)] = &[
     (
         None,
-        39_687,
-        177,
-        144_266,
-        "ab6bcf4f1f03f26a150d16d0158854293b3bcd8c2768903a8f6e54b305623787",
+        19_621,
+        180,
+        71_076,
+        "38b77e8125fd5d258e21db3bcfcebf89ed766bc0bd0483705be8797d3736f867",
     ),
     (
-        Some(48_088),
-        13_325,
-        195,
-        48_089,
-        "43980d727530ab5404af1793a45ec97b9021dbadf2eab29bb103c05d5870913f",
+        Some(23_692),
+        6_798,
+        179,
+        23_693,
+        "1e110455fffd90373a2e24841704d06ba2803a43bffd727f5b84d478fc50fe0a",
     ),
 ];
 
