@@ -468,7 +468,8 @@ impl SimRunner {
             });
         }
         // Closed-loop arrivals wait on commits, so they cannot run ahead; an
-        // unsigned run has no edge check worth moving.
+        // unsigned run has no edge check worth moving, and timed on the
+        // producer it ran slower (DESIGN §5, "One stage runs ahead").
         let ahead = self.config.arrival_rate.is_some() && self.config.signed_requests;
         let ticks = if ahead {
             let mut clients = self.clients.take().expect("a run starts with its clients");

@@ -82,8 +82,6 @@ pub struct OpenLoopWorkload {
     /// zeroed payload, so per-arrival payloads are `Arc` clones, not fresh
     /// allocations.
     payload: Bytes,
-    /// Reusable signing-bytes buffer for signed mode.
-    scratch: Vec<u8>,
     next_seq: u64,
     /// Time of the next scheduled arrival (carried across windows).
     next_arrival: Option<SimTime>,
@@ -100,7 +98,6 @@ impl OpenLoopWorkload {
             population: None,
             signing: false,
             payload: Bytes::zeroed(payload_size),
-            scratch: Vec::new(),
             next_seq: 0,
             next_arrival: None,
         }
@@ -147,10 +144,7 @@ impl Workload for OpenLoopWorkload {
                 // Lazy per-client key derivation: two streaming hashes, no
                 // allocation, no O(population) key table.
                 let keypair = KeyPair::client_from_seed(client.as_u64());
-                Some(
-                    keypair
-                        .sign_with_scratch(&mut self.scratch, &ClientRequest::signing_bytes(&tx)),
-                )
+                Some(keypair.sign(&ClientRequest::signing_bytes(&tx)))
             } else {
                 None
             };

@@ -2,19 +2,17 @@
 //!
 //! Verifying a quorum certificate means checking `2f + 1` signatures over the
 //! *same* message, and an ingress stage that authenticates every inbound
-//! message checks long runs of signatures back to back. Done naively (one
-//! [`crate::PublicKey::verify`] call per signature) each check allocates a
-//! fresh signing-bytes buffer. [`BatchVerifier`] amortises that work: tuples
-//! are staged into one reusable arena and verified in a single pass that
-//! reuses one scratch buffer for the signing-bytes construction, so a batch of
-//! `k` checks performs `k` hash evaluations and zero per-item allocations.
+//! message checks long runs of signatures back to back. [`BatchVerifier`]
+//! stages the tuples into one reusable arena and verifies them in a single
+//! pass of [`crate::PublicKey::verify`] calls, so a batch of `k` checks
+//! performs `k` hash evaluations and zero per-item allocations.
 //!
 //! The batch is *sound per item*: the simulated scheme has no aggregate
 //! shortcut, so `verify_all` fails exactly when at least one staged tuple is
 //! individually invalid (there are no false accepts introduced by batching).
 
 use crate::aggregate::AggregateSignature;
-use crate::keys::{signature_matches, PublicKey, Signature};
+use crate::keys::{PublicKey, Signature};
 
 /// Verifies many `(public key, message, signature)` tuples in one pass.
 ///
@@ -48,8 +46,6 @@ pub struct BatchVerifier {
     ends: Vec<usize>,
     /// All staged message bytes, back to back.
     arena: Vec<u8>,
-    /// Reusable signing-bytes buffer shared by every check in the pass.
-    scratch: Vec<u8>,
 }
 
 impl BatchVerifier {
@@ -65,7 +61,6 @@ impl BatchVerifier {
             sigs: Vec::with_capacity(items),
             ends: Vec::with_capacity(items),
             arena: Vec::with_capacity(items * 48),
-            scratch: Vec::new(),
         }
     }
 
@@ -124,16 +119,16 @@ impl BatchVerifier {
     /// Verifies every staged tuple, then clears the batch. Returns `false`
     /// if any tuple is invalid. An empty batch verifies trivially.
     ///
-    /// One loop over one hashing path: every tuple costs one signing-buffer
-    /// hash through [`crate::Sha256`], whatever the lengths of its
-    /// neighbours, so the verdict is per item by construction — the batch
-    /// fails exactly when at least one tuple is individually invalid.
+    /// One loop over one hashing path: every tuple costs one
+    /// [`crate::PublicKey::verify`], whatever the lengths of its neighbours,
+    /// so the verdict is per item by construction — the batch fails exactly
+    /// when at least one tuple is individually invalid.
     pub fn verify_all(&mut self) -> bool {
         let mut start = 0usize;
         let ok = (self.keys.iter().zip(&self.sigs).zip(&self.ends)).all(|((key, sig), &end)| {
             let msg = &self.arena[start..end];
             start = end;
-            signature_matches(&mut self.scratch, key, msg, sig)
+            key.verify(msg, sig)
         });
         self.clear();
         ok

@@ -75,7 +75,8 @@ impl Signature {
         Signature(Digest::from_bytes(bytes))
     }
 
-    /// `H(SIGN_TAG || pk || msg)`, streamed into the hasher: no buffer.
+    /// `H(SIGN_TAG || pk || msg)`, streamed into the hasher: no buffer. The
+    /// one construction behind every sign and verify.
     fn create(pk: &PublicKey, msg: &[u8]) -> Self {
         let mut hasher = Sha256::new();
         hasher.update(SIGN_TAG);
@@ -84,32 +85,10 @@ impl Signature {
         Signature(Digest::from_bytes(hasher.finalize()))
     }
 
-    /// Builds the signature using a caller-provided signing-bytes buffer, so a
-    /// batch of checks performs zero allocations after the first.
-    fn create_with_scratch(scratch: &mut Vec<u8>, pk: &PublicKey, msg: &[u8]) -> Self {
-        scratch.clear();
-        scratch.extend_from_slice(SIGN_TAG);
-        scratch.extend_from_slice(pk.as_bytes());
-        Signature(hash_two(scratch, msg))
-    }
-
     /// Returns the signature bytes.
     pub fn as_bytes(&self) -> &[u8; 32] {
         self.0.as_bytes()
     }
-}
-
-/// Checks `sig` over `msg` under `pk`, reusing `scratch` for the
-/// signing-bytes construction. This is the allocation-free primitive behind
-/// [`crate::BatchVerifier`]; single ad-hoc checks should keep using
-/// [`PublicKey::verify`].
-pub(crate) fn signature_matches(
-    scratch: &mut Vec<u8>,
-    pk: &PublicKey,
-    msg: &[u8],
-    sig: &Signature,
-) -> bool {
-    Signature::create_with_scratch(scratch, pk, msg) == *sig
 }
 
 /// A signing key pair for one replica.
@@ -167,11 +146,11 @@ impl KeyPair {
         Signature::create(&self.public, msg)
     }
 
-    /// Signs `msg` reusing a caller-owned signing-bytes buffer, so a stream of
-    /// signatures (e.g. open-loop client arrival generation) allocates nothing
-    /// after the first call.
-    pub fn sign_with_scratch(&self, scratch: &mut Vec<u8>, msg: &[u8]) -> Signature {
-        Signature::create_with_scratch(scratch, &self.public, msg)
+    /// Same as [`KeyPair::sign`]. Signing streams into the hasher and needs no
+    /// buffer, so `_scratch` is left untouched; the parameter stays for
+    /// callers written against the older buffered signature.
+    pub fn sign_with_scratch(&self, _scratch: &mut Vec<u8>, msg: &[u8]) -> Signature {
+        self.sign(msg)
     }
 }
 

@@ -362,8 +362,8 @@ impl Authenticator {
     /// Verifies a whole client arrival batch in one batched pass.
     ///
     /// Every request signs the same fixed-length 40-byte tuple; the staged
-    /// checks share one arena and one scratch buffer and cost one
-    /// signing-buffer hash each. (The modeled charge for the batch,
+    /// checks share one arena and cost one signature hash each. (The
+    /// modeled charge for the batch,
     /// `CpuModel::verify_batch`, is a parameter of the simulated CPU, not a
     /// description of this loop.) All-or-nothing: `true` iff
     /// every request is signed and verifies. Callers that need to salvage the
