@@ -8,10 +8,10 @@
 //! explodes).
 //!
 //! Sweep points are independent, deterministic simulations, so the batch
-//! entry points ([`Benchmarker::run_at_many`], [`Benchmarker::run_all`])
-//! execute them on a bounded std-thread pool ([`crate::parallel`]) and
-//! collect results in input order — a figure's JSON artifact is byte-stable
-//! regardless of how many workers ran it.
+//! entry point [`Benchmarker::run_all`] executes them on a bounded
+//! std-thread pool ([`crate::parallel`]) and collects results in input
+//! order — a figure's JSON artifact is byte-stable regardless of how many
+//! workers ran it.
 
 use bamboo_types::{Config, Json, ProtocolKind, ToJson};
 
@@ -108,25 +108,6 @@ impl Benchmarker {
         let mut config = self.config.clone();
         config.arrival_rate = Some(rate);
         SimRunner::new(config, self.protocol, self.options.clone()).run()
-    }
-
-    /// Runs one independent simulation per offered load on a bounded thread
-    /// pool and returns the reports in `rates` order. Each point is exactly
-    /// the run [`Benchmarker::run_at`] would produce — runners are
-    /// self-contained and deterministic, so parallelism changes nothing but
-    /// wall-clock time.
-    pub fn run_at_many(&self, rates: &[f64]) -> Vec<RunReport> {
-        let jobs: Vec<_> = rates
-            .iter()
-            .map(|&rate| {
-                let mut config = self.config.clone();
-                config.arrival_rate = Some(rate);
-                let protocol = self.protocol;
-                let options = self.options.clone();
-                move || SimRunner::new(config, protocol, options).run()
-            })
-            .collect();
-        run_ordered(jobs, default_workers())
     }
 
     /// Runs a heterogeneous batch of sweep points — arbitrary
@@ -243,7 +224,16 @@ mod tests {
             RunOptions::default(),
         );
         let rates = [800.0, 1_600.0, 3_200.0];
-        let parallel = bench.run_at_many(&rates);
+        let parallel = Benchmarker::run_all(
+            rates
+                .iter()
+                .map(|&rate| {
+                    let mut config = quick_config();
+                    config.arrival_rate = Some(rate);
+                    (config, ProtocolKind::HotStuff, RunOptions::default())
+                })
+                .collect(),
+        );
         assert_eq!(parallel.len(), rates.len());
         for (&rate, report) in rates.iter().zip(&parallel) {
             let sequential = bench.run_at(rate);

@@ -37,7 +37,7 @@ use bamboo_types::{
 };
 
 use crate::replica::{Replica, ReplicaOptions};
-use crate::runtime::{NodeHost, RecoverMode, ReplicaEvent, Transport};
+use crate::runtime::{ledger_forks, NodeHost, RecoverMode, ReplicaEvent, Transport};
 use crate::storage::SegmentLog;
 
 /// The backend-specific send half of a live node.
@@ -349,14 +349,7 @@ pub fn cluster_report<'a>(
     let hosts: Vec<Option<&NodeHost>> = hosts.into_iter().collect();
     let live = || hosts.iter().flatten();
     let replicas: Vec<&Replica> = live().map(|h| h.replica()).collect();
-    let honest: Vec<&&Replica> = replicas
-        .iter()
-        .filter(|r| !config.is_byzantine(r.id()))
-        .collect();
-    let forks = honest
-        .windows(2)
-        .filter(|pair| !pair[0].ledger().consistent_with(pair[1].ledger()))
-        .count() as u64;
+    let forks = ledger_forks(config, live().copied());
     let ledger_len = |h: &Option<&NodeHost>| h.map_or(0, |h| h.replica().ledger().len());
     ClusterReport {
         committed_blocks: hosts.iter().map(ledger_len).collect(),

@@ -73,7 +73,9 @@ use bamboo_types::{
 
 use crate::metrics::{Metrics, RecoveryReport, RunReport};
 use crate::replica::{Replica, ReplicaOptions};
-use crate::runtime::{BufferedTransport, NodeHost, RecoverMode, ReplicaEvent, StepReport};
+use crate::runtime::{
+    ledger_forks, BufferedTransport, NodeHost, RecoverMode, ReplicaEvent, StepReport,
+};
 use crate::storage::StorageFault;
 use crate::workload::{Arrival, ClosedLoopWorkload, OpenLoopWorkload, Workload};
 
@@ -731,18 +733,11 @@ impl SimRunner {
 
         // Safety audit: per-replica conflicting commits plus pairwise ledger
         // prefix consistency across honest replicas.
-        let mut safety_violations: u64 =
-            hosts.iter().map(|h| h.replica().safety_violations()).sum();
-        let honest: Vec<&Replica> = hosts
+        let safety_violations = hosts
             .iter()
-            .map(NodeHost::replica)
-            .filter(|r| !self.config.is_byzantine(r.id()))
-            .collect();
-        for pair in honest.windows(2) {
-            if !pair[0].ledger().consistent_with(pair[1].ledger()) {
-                safety_violations += 1;
-            }
-        }
+            .map(|h| h.replica().safety_violations())
+            .sum::<u64>()
+            + ledger_forks(&self.config, hosts.iter());
 
         RunReport {
             protocol: self.protocol,

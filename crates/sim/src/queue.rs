@@ -1,30 +1,14 @@
 //! The pending-event queue at the heart of the discrete-event simulator.
 //!
-//! A simulation schedule is sharply bimodal: the bulk of events are
-//! *near-future* deliveries (NIC + link latency, tens to hundreds of
-//! microseconds out) while a thin tail of *far* timers (pacemaker view
-//! timeouts, scheduled faults) sits orders of magnitude later. A single
-//! binary heap pays `O(log n)` comparisons **and** moves whole entries on
-//! every operation; the [`EventQueue`] here instead uses a slab-backed
-//! two-level structure:
+//! [`EventQueue`] stores each event once in a **slab** of recycled slots and
+//! orders them with one binary **heap** of 24-byte `(time, insertion, slot)`
+//! keys, so a sift never moves an event. Nothing sits beside the heap for
+//! near-future deliveries (on message-heavy geo runs most schedules land
+//! milliseconds out), and a heap of whole events was slower (DESIGN.md §3.1).
 //!
-//! * **slab** — every event is stored once in an index-stable arena; the
-//!   ordering structures shuffle 4-byte slot indices, never the events
-//!   themselves,
-//! * **bucket wheel** — near-future events (within ~8 ms) hash into a
-//!   circular array of buckets keyed by `time >> BUCKET_SHIFT`; scheduling is
-//!   O(1) and popping sorts each bucket once when the cursor reaches it,
-//! * **overflow heap** — far events go to a small binary heap of
-//!   `(time, seq, slot)` keys and are compared against the wheel at pop time,
-//!   so timers neither bloat the wheel nor break ordering.
-//!
-//! Events scheduled for the same instant are delivered in insertion order
-//! (FIFO), exactly like the previous heap-based queue, and that
-//! `(time, insertion)` order is the simulator's only event order. The
-//! property tests in `tests/queue_properties.rs` pin pop-order equality
-//! against a reference binary heap over randomised schedules with ties —
-//! for plain pops and for the bounded pops the engine drains with — and the
-//! golden-replay suite pins whole-simulation equality.
+//! Same-instant events pop in insertion order (FIFO); `(time, insertion)` is
+//! the simulator's only event order, pinned against a reference heap by
+//! `tests/queue_properties.rs` and over whole runs by the golden replays.
 //!
 //! # Example
 //!
@@ -47,48 +31,19 @@ use std::collections::BinaryHeap;
 
 use bamboo_types::SimTime;
 
-/// log2 of the bucket width in nanoseconds: 8.192 µs buckets, matching the
-/// microsecond-scale spread of modelled message deliveries.
-const BUCKET_SHIFT: u32 = 13;
-/// Number of wheel buckets (power of two). Together with the bucket width
-/// this covers a ~8.4 ms near-future horizon; anything later overflows to
-/// the far heap.
-const NUM_BUCKETS: u64 = 1024;
-
 /// A time-ordered event queue with same-instant FIFO delivery.
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     /// Index-stable event storage; `free` recycles vacated slots.
-    slab: Vec<Option<Slot<E>>>,
+    slab: Vec<Option<E>>,
     free: Vec<u32>,
-    /// Near-future buckets of slot indices, addressed by absolute bucket
-    /// index modulo `NUM_BUCKETS`.
-    wheel: Vec<Vec<u32>>,
-    /// Live entries currently stored in the wheel.
-    wheel_live: usize,
-    /// Far events as `(time, seq, slot)` keys — entries beyond the wheel
-    /// horizon at schedule time.
-    overflow: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    /// Absolute bucket index the pop cursor is currently draining.
-    cursor: u64,
-    /// Whether the cursor's bucket has been sorted (descending by key, so
-    /// pops are `Vec::pop`). Late arrivals into the sorted bucket are
-    /// binary-inserted.
-    cursor_sorted: bool,
-    seq: u64,
-    /// Total number of events ever scheduled (for diagnostics).
+    /// One key per pending event; insertion numbers are unique, so the slot
+    /// never decides the order.
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// Events ever scheduled; the next event's insertion number.
     scheduled: u64,
-    /// Live entries across wheel and overflow.
-    len: usize,
     /// Highest live length ever observed (for memory diagnostics).
     high_water: usize,
-}
-
-#[derive(Debug, Clone)]
-struct Slot<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -103,60 +58,30 @@ impl<E> EventQueue<E> {
         Self {
             slab: Vec::new(),
             free: Vec::new(),
-            wheel: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
-            wheel_live: 0,
-            overflow: BinaryHeap::new(),
-            cursor: 0,
-            cursor_sorted: false,
-            seq: 0,
+            heap: BinaryHeap::new(),
             scheduled: 0,
-            len: 0,
             high_water: 0,
         }
     }
 
     /// Schedules `event` to fire at `time`.
     pub fn schedule(&mut self, time: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(None);
+            (self.slab.len() - 1) as u32
+        });
+        self.slab[slot as usize] = Some(event);
+        self.heap.push(Reverse((time, self.scheduled, slot)));
         self.scheduled += 1;
-        self.len += 1;
-        self.high_water = self.high_water.max(self.len);
-
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = Some(Slot { time, seq, event });
-                slot
-            }
-            None => {
-                self.slab.push(Some(Slot { time, seq, event }));
-                (self.slab.len() - 1) as u32
-            }
-        };
-
-        // Clamp into the cursor's bucket: the simulator never schedules
-        // before "now", but an event landing inside the bucket currently
-        // being drained must still sort by its (time, seq) key.
-        let bucket = (time.as_nanos() >> BUCKET_SHIFT).max(self.cursor);
-        if bucket >= self.cursor + NUM_BUCKETS {
-            self.overflow.push(Reverse((time, seq, slot)));
-            return;
-        }
-        let index = (bucket % NUM_BUCKETS) as usize;
-        if bucket == self.cursor && self.cursor_sorted {
-            // Keep the drained bucket's descending order intact.
-            let key = (time, seq);
-            let position = self.wheel[index].partition_point(|&s| self.key_of(s) > key);
-            self.wheel[index].insert(position, slot);
-        } else {
-            self.wheel[index].push(slot);
-        }
-        self.wheel_live += 1;
+        self.high_water = self.high_water.max(self.heap.len());
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_bounded(None)
+        let Reverse((time, _, slot)) = self.heap.pop()?;
+        let event = self.slab[slot as usize].take().expect("live slot");
+        self.free.push(slot);
+        Some((time, event))
     }
 
     /// Removes and returns the earliest event if it fires strictly before
@@ -164,101 +89,21 @@ impl<E> EventQueue<E> {
     ///
     /// This is the only pop the engine uses: it drains the queue up to the
     /// next workload tick (or the end of the run) without a separate peek.
-    /// A refused pop may still advance the wheel cursor to the refused
-    /// event's bucket; anything scheduled earlier afterwards is parked in
-    /// that bucket and pops by its own `(time, seq)` key.
     pub fn pop_if_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        self.pop_bounded(Some(limit))
-    }
-
-    fn pop_bounded(&mut self, limit: Option<SimTime>) -> Option<(SimTime, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        let wheel_key = self.advance_to_wheel_min();
-        let overflow_key = self.overflow.peek().map(|Reverse((t, s, _))| (*t, *s));
-
-        let (best, from_wheel) = match (wheel_key, overflow_key) {
-            (Some(w), Some(o)) => {
-                if w < o {
-                    (w, true)
-                } else {
-                    (o, false)
-                }
-            }
-            (Some(w), None) => (w, true),
-            (None, Some(o)) => (o, false),
-            (None, None) => return None,
-        };
-        if limit.is_some_and(|l| best.0 >= l) {
-            return None;
-        }
-        let slot = if from_wheel {
-            let index = (self.cursor % NUM_BUCKETS) as usize;
-            self.wheel_live -= 1;
-            self.wheel[index].pop().expect("bucket is non-empty")
-        } else {
-            let Reverse((_, _, slot)) = self.overflow.pop().expect("overflow is non-empty");
-            slot
-        };
-
-        let Slot { time, event, .. } = self.slab[slot as usize]
-            .take()
-            .expect("slot holds a live event");
-        self.free.push(slot);
-        self.len -= 1;
-
-        // Keep the wheel window anchored at the pop frontier so subsequent
-        // schedules land in the right buckets. Jumping is safe: every live
-        // wheel entry has time >= the popped minimum, hence an equal or later
-        // bucket.
-        let bucket = time.as_nanos() >> BUCKET_SHIFT;
-        if bucket > self.cursor {
-            self.cursor = bucket;
-            self.cursor_sorted = false;
-        }
-        Some((time, event))
-    }
-
-    /// Advances the cursor to the first non-empty wheel bucket and returns
-    /// the minimum `(time, seq)` key stored there, sorting the bucket on
-    /// first touch so subsequent pops are O(1).
-    fn advance_to_wheel_min(&mut self) -> Option<(SimTime, u64)> {
-        if self.wheel_live == 0 {
-            return None;
-        }
-        while self.wheel[(self.cursor % NUM_BUCKETS) as usize].is_empty() {
-            self.cursor += 1;
-            self.cursor_sorted = false;
-        }
-        let index = (self.cursor % NUM_BUCKETS) as usize;
-        if !self.cursor_sorted {
-            let mut bucket = std::mem::take(&mut self.wheel[index]);
-            let slab = &self.slab;
-            bucket.sort_unstable_by_key(|&slot| {
-                let entry = slab[slot as usize].as_ref().expect("live slot");
-                Reverse((entry.time, entry.seq))
-            });
-            self.wheel[index] = bucket;
-            self.cursor_sorted = true;
-        }
-        let last = *self.wheel[index].last().expect("bucket is non-empty");
-        Some(self.key_of(last))
-    }
-
-    fn key_of(&self, slot: u32) -> (SimTime, u64) {
-        let entry = self.slab[slot as usize].as_ref().expect("live slot");
-        (entry.time, entry.seq)
+        self.heap
+            .peek()
+            .filter(|Reverse((time, _, _))| *time < limit)?;
+        self.pop()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Returns true if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Total number of events scheduled over the queue's lifetime.
@@ -267,8 +112,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Highest number of simultaneously pending events ever observed — the
-    /// memory high-water mark of the queue, surfaced in run reports so sweep
-    /// memory use is observable.
+    /// queue's memory high-water mark, surfaced in run reports.
     pub fn live_high_water(&self) -> usize {
         self.high_water
     }
@@ -323,10 +167,10 @@ mod tests {
     }
 
     #[test]
-    fn far_timers_overflow_and_interleave_correctly() {
+    fn a_far_timer_waits_behind_a_stream_of_near_deliveries() {
         let mut q = EventQueue::new();
-        // One far timer (beyond the ~8.4 ms wheel horizon) and a stream of
-        // near deliveries leading up to it.
+        // One view-timeout-scale timer scheduled first, then a stream of
+        // deliveries leading up to it.
         q.schedule(SimTime(100_000_000), u64::MAX);
         for i in 0..100u64 {
             q.schedule(SimTime(i * 900_000), i);
@@ -354,19 +198,19 @@ mod tests {
     }
 
     #[test]
-    fn wheel_wraps_across_many_horizons() {
+    fn order_survives_gaps_far_longer_than_any_delivery() {
         let mut q = EventQueue::new();
-        let horizon = NUM_BUCKETS << BUCKET_SHIFT;
+        // Laps 25 ms apart: gaps far longer than any modelled delivery.
+        let span = 25_000_000u64;
         for lap in 0..5u64 {
             let mut expect = Vec::new();
             for i in 0..10u64 {
-                let t = lap * 3 * horizon + i * 10_000;
+                let t = lap * span + i * 10_000;
                 q.schedule(SimTime(t), (lap, i));
                 expect.push((SimTime(t), (lap, i)));
             }
-            // Drain each lap before scheduling the next, moving the cursor
-            // far past previous window positions; order must survive the
-            // wrap exactly.
+            // Drain each lap before scheduling the next; order must survive
+            // the jump exactly.
             let drained: Vec<_> = (0..10).map(|_| q.pop().unwrap()).collect();
             assert_eq!(drained, expect, "lap {lap}");
         }
@@ -395,7 +239,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(SimTime(10), "a");
         q.schedule(SimTime(20), "b");
-        q.schedule(SimTime(100_000_000), "far"); // overflow-heap entry
+        q.schedule(SimTime(100_000_000), "far"); // a view-timeout-scale timer
         assert_eq!(q.pop_if_before(SimTime(20)), Some((SimTime(10), "a")));
         // The boundary is exclusive: an event at exactly `limit` stays.
         assert_eq!(q.pop_if_before(SimTime(20)), None);

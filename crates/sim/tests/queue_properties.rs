@@ -1,7 +1,7 @@
-//! Property tests for the slab/bucket-wheel [`EventQueue`]: over randomised
+//! Property tests for the slab-plus-key-heap [`EventQueue`]: over randomised
 //! schedules — including same-instant ties, bursts, far timers and
 //! interleaved schedule/pop sequences — the pop order must match a reference
-//! binary-heap implementation exactly. Deterministic seed grid, so every
+//! binary heap of whole events exactly. Deterministic seed grid, so every
 //! failure reproduces from the printed seed.
 
 use std::cmp::Reverse;
@@ -38,13 +38,13 @@ fn next_time(rng: &mut SimRng, now: SimTime, last_scheduled: SimTime) -> SimTime
     match rng.choose_index(10) {
         // Exact tie with the most recently scheduled event.
         0 | 1 => last_scheduled.max(now),
-        // Same-bucket neighbours (sub-microsecond apart).
+        // Near-ties (sub-microsecond apart).
         2 | 3 => SimTime(now.as_nanos() + rng.choose_index(2_000) as u64),
         // Near-future delivery (µs scale).
         4..=7 => SimTime(now.as_nanos() + 1_000 + rng.choose_index(800_000) as u64),
         // Workload-tick scale.
         8 => SimTime(now.as_nanos() + rng.choose_index(2_000_000) as u64),
-        // Far timer, well beyond the wheel horizon.
+        // Far timer, at view-timeout scale.
         _ => SimTime(now.as_nanos() + 20_000_000 + rng.choose_index(500_000_000) as u64),
     }
 }
@@ -102,9 +102,9 @@ fn pop_order_matches_reference_heap_over_randomised_schedules() {
 #[test]
 fn bounded_pops_match_the_reference_heap_under_random_limits() {
     // `pop_if_before` is the only pop the engine uses. Limits land below, at
-    // and above the current minimum; a refused pop may leave the wheel cursor
-    // on the refused event's bucket, and events scheduled earlier than that
-    // afterwards are parked there — they must still pop by their own key.
+    // and above the current minimum; after a refused pop the engine may
+    // schedule ahead of the refused event, and those earlier events must pop
+    // first, by their own key.
     for seed in 0u64..20 {
         let mut rng = SimRng::new(seed * 104_729 + 17);
         let mut queue: EventQueue<u64> = EventQueue::new();
