@@ -29,12 +29,11 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bamboo_bench::{banner, save_rows, write_artifact, Lower, RowFile, Sim, Tier};
 use bamboo_core::parallel::{default_workers, run_ordered};
-use bamboo_core::{Scenario, ScenarioReport, ScenarioRun, ScenarioTransport};
-use bamboo_net::TcpCluster;
+use bamboo_core::{Scenario, ScenarioReport, ScenarioRun};
 use bamboo_types::{ProtocolKind, ToJson};
 
 /// The shipped scenario library: `scenarios/` at the workspace root.
@@ -57,75 +56,6 @@ fn spec_files(dir: &PathBuf) -> Vec<PathBuf> {
         .unwrap_or_default();
     files.sort();
     files
-}
-
-/// Runs a `"transport": "tcp"` scenario: every protocol gets a fresh
-/// loopback [`TcpCluster`], a burst of client load, and a wall-clock window
-/// (the tier's `runtime_ms`) to commit the target on every replica. The
-/// checks are safety and liveness — agreement across the real sockets —
-/// not throughput; TCP runs have no determinism proof and an empty `runs`
-/// list in the report.
-fn run_tcp_scenario(scenario: &Scenario, quick: bool) -> ScenarioReport {
-    let mut failures = Vec::new();
-    let window = Duration::from_nanos(scenario.runtime(quick).as_nanos());
-    let config = scenario.base_config().clone();
-    let target = (config.block_size as u64 * 2).max(20);
-    println!("\n{} — loopback TCP tier", scenario.name);
-    for &protocol in &scenario.protocols {
-        match TcpCluster::spawn(protocol, config.clone()) {
-            Err(err) => failures.push(format!("{}: cluster spawn failed: {err}", protocol.label())),
-            Ok(mut cluster) => {
-                cluster.submit_round_robin(target * 4, config.payload_size);
-                let reached = cluster.run_until_committed(target, window);
-                let floor = cluster.committed_txs_floor();
-                let report = cluster.shutdown();
-                if !reached {
-                    failures.push(format!(
-                        "{}: only {floor} of {target} target txs committed cluster-wide \
-                         within {:.1} s",
-                        protocol.label(),
-                        window.as_secs_f64()
-                    ));
-                }
-                if !report.cluster.ledgers_consistent {
-                    failures.push(format!(
-                        "{}: committed ledgers disagree across replicas",
-                        protocol.label()
-                    ));
-                }
-                if report.cluster.safety_violations > 0 {
-                    failures.push(format!(
-                        "{}: {} safety violation(s) over TCP",
-                        protocol.label(),
-                        report.cluster.safety_violations
-                    ));
-                }
-                println!(
-                    "  {:<5} n={:<3} {:>7} txs   max view {:<4} reconnects {:<3} dropped {:<4} \
-                     {:>9} bytes sent   agreement {}",
-                    protocol.label(),
-                    config.nodes,
-                    report.cluster.committed_txs,
-                    report.cluster.max_view,
-                    report.total_reconnects(),
-                    report.total_dropped(),
-                    report.total_bytes_sent(),
-                    if report.cluster.ledgers_consistent {
-                        "ok"
-                    } else {
-                        "FORKED"
-                    },
-                );
-            }
-        }
-    }
-    ScenarioReport {
-        name: scenario.name.clone(),
-        description: scenario.description.clone(),
-        quick,
-        runs: Vec::new(),
-        failures,
-    }
 }
 
 fn main() -> ExitCode {
@@ -183,14 +113,11 @@ fn main() -> ExitCode {
         }
     }
 
-    // Fan every simulator (scenario, protocol) pair out on the sweep pool;
-    // each job runs the pair twice (determinism proof) via `run_protocol`.
-    // TCP scenarios run sequentially afterwards — each one already spins a
-    // whole cluster's worth of threads and measures wall-clock liveness.
+    // Fan every (scenario, protocol) pair out on the sweep pool; each job
+    // runs the pair twice (determinism proof) via `run_protocol`.
     let pairs: Vec<(usize, ProtocolKind)> = scenarios
         .iter()
         .enumerate()
-        .filter(|(_, s)| s.transport() == ScenarioTransport::Sim)
         .flat_map(|(index, s)| s.protocols.iter().map(move |&p| (index, p)))
         .collect();
     let started = Instant::now();
@@ -212,10 +139,7 @@ fn main() -> ExitCode {
     let reports: Vec<ScenarioReport> = scenarios
         .iter()
         .zip(grouped)
-        .map(|(scenario, runs)| match scenario.transport() {
-            ScenarioTransport::Sim => scenario.evaluate(quick, runs),
-            ScenarioTransport::Tcp => run_tcp_scenario(scenario, quick),
-        })
+        .map(|(scenario, runs)| scenario.evaluate(quick, runs))
         .collect();
 
     let mut failures = parse_failures;

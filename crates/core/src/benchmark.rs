@@ -13,7 +13,7 @@
 //! order — a figure's JSON artifact is byte-stable regardless of how many
 //! workers ran it.
 
-use bamboo_types::{Config, Json, ProtocolKind, ToJson};
+use bamboo_types::{Config, ProtocolKind};
 
 use crate::metrics::RunReport;
 use crate::parallel::{default_workers, run_ordered};
@@ -32,21 +32,6 @@ pub struct CurvePoint {
     pub p99_latency_ms: f64,
     /// The full report for this point.
     pub report: RunReport,
-}
-
-impl ToJson for CurvePoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("offered_tx_per_sec", Json::from(self.offered_tx_per_sec)),
-            (
-                "throughput_tx_per_sec",
-                Json::from(self.throughput_tx_per_sec),
-            ),
-            ("latency_ms", Json::from(self.latency_ms)),
-            ("p99_latency_ms", Json::from(self.p99_latency_ms)),
-            ("report", self.report.to_json()),
-        ])
-    }
 }
 
 /// Options controlling a saturation sweep.

@@ -79,7 +79,7 @@ pub use quorum::QuorumTracker;
 pub use replica::{Replica, ReplicaOptions};
 pub use runner::{FaultTrigger, NodeFault, RunOptions, SimRunner};
 pub use runtime::{BufferedTransport, NodeHost, RecoverMode, ReplicaEvent, StepReport, Transport};
-pub use scenario::{Expectations, Scenario, ScenarioReport, ScenarioRun, ScenarioTransport};
+pub use scenario::{Expectations, Scenario, ScenarioReport, ScenarioRun};
 pub use storage::{
     DecodedStream, FileBackend, MemoryBackend, RecordKind, ReplayResult, SegmentBackend,
     SegmentLog, StorageFault,

@@ -12,15 +12,17 @@
 //!   that gates start-up on multi-process deployments;
 //! * [`LiveEvent`] — what the outside world can tell a running node;
 //! * [`run_live_node`] — the event loop: fire due deadlines, sleep to the next
-//!   one, honour crash/recover, and book every step into a
+//!   one, honour crash/recover, and book every step into the node's
+//!   [`LiveStatus`];
 //! * [`LiveStatus`] — commit progress plus the prefix-fingerprint history,
 //!   readable from any thread while the node runs (the status probe of the
 //!   TCP backend and the prefix oracle of both).
 //!
 //! Cluster-level plumbing that both backends also share lives here too: the
 //! per-cluster durable-log directory ([`ClusterStorage`]), the round-robin
-//! request generator ([`RoundRobinLoad`]) and the assembly of the final
-//! [`ClusterReport`].
+//! request generator ([`RoundRobinLoad`]), the commit poll behind both
+//! clusters' `run_until_committed` ([`poll_commits`]) and the assembly of the
+//! final [`ClusterReport`].
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -315,6 +317,19 @@ pub fn run_live_node(
     host
 }
 
+/// Polls `committed` every 10 ms until it reaches `min_txs` or `max_wait`
+/// elapses; returns whether it did.
+pub fn poll_commits(min_txs: u64, max_wait: Duration, committed: impl Fn() -> u64) -> bool {
+    let deadline = Instant::now() + max_wait;
+    loop {
+        let reached = committed() >= min_txs;
+        if reached || Instant::now() >= deadline {
+            return reached;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 /// Summary of one live run.
 #[derive(Clone, Debug)]
 pub struct ClusterReport {
@@ -519,6 +534,26 @@ mod tests {
         );
         deadlines.clear();
         assert_eq!(deadlines.next_deadline(), None);
+    }
+
+    #[test]
+    fn commit_poll_returns_at_once_when_met_and_false_past_the_deadline() {
+        let started = Instant::now();
+        assert!(poll_commits(5, Duration::from_secs(60), || 5));
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "no wait when met"
+        );
+
+        let reads = std::cell::Cell::new(0);
+        let started = Instant::now();
+        let stalled = || {
+            reads.set(reads.get() + 1);
+            4
+        };
+        assert!(!poll_commits(5, Duration::from_millis(30), stalled));
+        assert!(started.elapsed() >= Duration::from_millis(30));
+        assert!(reads.get() > 1, "the counter is polled, not read once");
     }
 
     #[test]

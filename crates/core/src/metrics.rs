@@ -72,7 +72,6 @@ pub struct Metrics {
     /// [`Metrics::record_commit`]).
     client_latency: Histogram,
     committed_txs: u64,
-    committed_blocks: u64,
     bucket: SimDuration,
     buckets: Vec<u64>,
     /// Messages sent over the network, by coarse count.
@@ -90,7 +89,6 @@ impl Metrics {
             latency: Histogram::new(),
             client_latency: Histogram::new(),
             committed_txs: 0,
-            committed_blocks: 0,
             bucket,
             buckets: Vec::new(),
             messages_sent: 0,
@@ -136,12 +134,6 @@ impl Metrics {
     /// The accumulated mempool admission counters.
     pub fn mempool_totals(&self) -> MempoolTotals {
         self.mempool
-    }
-
-    /// Records a committed block (counted once, at a designated observer
-    /// replica).
-    pub fn record_block(&mut self) {
-        self.committed_blocks += 1;
     }
 
     /// Records a message of `bytes` put on the wire.

@@ -190,16 +190,6 @@ impl Replica {
         self.safety_violations
     }
 
-    /// Changes the pacemaker timeout at run time.
-    pub fn set_timeout(&mut self, timeout: SimDuration) {
-        self.pacemaker.set_timeout(timeout);
-    }
-
-    /// Whether the protocol run by this replica is optimistically responsive.
-    pub fn is_responsive(&self) -> bool {
-        self.safety.is_responsive()
-    }
-
     /// Checkpoint and state-transfer counters for the metrics layer.
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.recovery

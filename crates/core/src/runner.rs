@@ -656,7 +656,6 @@ impl SimRunner {
         // thread misses nothing.)
         if node == self.observer() {
             for block in &report.committed {
-                self.metrics.record_block();
                 for tx in &block.payload {
                     let response_delay = self
                         .latency

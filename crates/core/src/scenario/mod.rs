@@ -45,19 +45,6 @@ use self::schedule::FaultSpec;
 use crate::metrics::RunReport;
 use crate::runner::{RunOptions, SimRunner};
 
-/// Which backend executes a scenario's runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ScenarioTransport {
-    /// The deterministic discrete-event simulator (the default).
-    #[default]
-    Sim,
-    /// Loopback TCP sockets — real threads and real frames, driven by the
-    /// `bamboo-net` crate. Wall-clock execution: no modelled topology, no
-    /// injected faults, no determinism check; the scenario runner only
-    /// asserts safety, agreement and liveness.
-    Tcp,
-}
-
 /// A parsed, executable experiment spec.
 #[derive(Clone, Debug)]
 pub struct Scenario {
@@ -70,7 +57,6 @@ pub struct Scenario {
     /// Expectations evaluated against every run.
     pub expect: Expectations,
     base: Config,
-    transport: ScenarioTransport,
     quick_runtime: SimDuration,
     /// Everything of the run options no tier changes: topology, per-node CPU,
     /// replica switches. [`Scenario::build`] adds the compiled faults.
@@ -139,27 +125,6 @@ impl Scenario {
     /// The cluster size of the scenario.
     pub fn nodes(&self) -> usize {
         self.base.nodes
-    }
-
-    /// The backend this scenario runs on.
-    pub fn transport(&self) -> ScenarioTransport {
-        self.transport
-    }
-
-    /// The base replica configuration (before tier-specific adjustments by
-    /// [`Scenario::build`]). Non-simulator runners use this to construct
-    /// their own clusters.
-    pub fn base_config(&self) -> &Config {
-        &self.base
-    }
-
-    /// The measurement window of the given tier.
-    pub fn runtime(&self, quick: bool) -> SimDuration {
-        if quick {
-            self.quick_runtime
-        } else {
-            self.base.runtime
-        }
     }
 
     /// Compiles the spec into the `(Config, RunOptions)` pair one protocol
@@ -270,8 +235,14 @@ mod tests {
             vec![ProtocolKind::HotStuff, ProtocolKind::TwoChainHotStuff]
         );
         assert_eq!(scenario.nodes(), 4);
-        assert_eq!(scenario.runtime(false), SimDuration::from_millis(400));
-        assert_eq!(scenario.runtime(true), SimDuration::from_millis(200));
+        assert_eq!(
+            scenario.build(false).0.runtime,
+            SimDuration::from_millis(400)
+        );
+        assert_eq!(
+            scenario.build(true).0.runtime,
+            SimDuration::from_millis(200)
+        );
         assert_eq!(
             scenario.expect.commit_latency_ordering,
             vec![(ProtocolKind::TwoChainHotStuff, ProtocolKind::HotStuff)]
@@ -706,19 +677,23 @@ mod tests {
         assert_eq!(nodes, vec![0, 1, 2, 3, 0, 1], "round-robin rotation");
     }
 
-    /// The benchmark's frozen workload files still carry the key of the
-    /// removed sharded engine; it must stay an ignored unknown key.
+    /// The benchmark's frozen workload files still carry the keys of two
+    /// removed modes, the sharded engine's `threads` and the TCP tier's
+    /// `transport`; they must stay ignored unknown keys.
     #[test]
-    fn a_leftover_threads_key_is_ignored() {
+    fn leftover_threads_and_transport_keys_are_ignored() {
         let plain = Scenario::parse(&minimal_spec()).unwrap();
-        let keyed = minimal_spec().replacen('{', r#"{"threads": 4,"#, 1);
-        assert!(keyed.contains(r#""threads": 4"#));
-        let keyed = Scenario::parse(&keyed).unwrap();
-        for quick in [false, true] {
-            assert_eq!(
-                format!("{:?}", keyed.build(quick)),
-                format!("{:?}", plain.build(quick))
-            );
+        for key in [r#""threads": 4"#, r#""transport": "tcp""#] {
+            let keyed = minimal_spec().replacen('{', &format!("{{{key},"), 1);
+            assert!(keyed.contains(key));
+            let keyed = Scenario::parse(&keyed).unwrap();
+            for quick in [false, true] {
+                assert_eq!(
+                    format!("{:?}", keyed.build(quick)),
+                    format!("{:?}", plain.build(quick)),
+                    "{key}"
+                );
+            }
         }
     }
 

@@ -9,7 +9,7 @@ use bamboo_types::{
 
 use super::expect::Expectations;
 use super::schedule::{FaultSpec, TriggerSpec};
-use super::{Scenario, ScenarioTransport};
+use super::Scenario;
 use crate::runner::RunOptions;
 use crate::runtime::RecoverMode;
 use crate::storage::StorageFault;
@@ -571,30 +571,6 @@ pub(super) fn scenario(doc: &Json) -> Result<Scenario, String> {
     let quick_runtime = opt_duration(doc, "quick_runtime_ms", &name, MS, true)?
         .unwrap_or_else(|| base.runtime.min(SimDuration::from_millis(500)));
 
-    let transport = match doc.get("transport") {
-        None => ScenarioTransport::Sim,
-        Some(Json::Str(label)) if label == "sim" => ScenarioTransport::Sim,
-        Some(Json::Str(label)) if label == "tcp" => ScenarioTransport::Tcp,
-        Some(_) => {
-            return Err(format!("{name}: transport must be \"sim\" or \"tcp\""));
-        }
-    };
-    if transport == ScenarioTransport::Tcp {
-        // The TCP backend runs on the real network stack: modelled
-        // topologies and injected faults have no meaning there, so a spec
-        // combining them is a contradiction, not a request.
-        if topology.is_some() {
-            return Err(format!(
-                "{name}: \"transport\": \"tcp\" cannot carry a modelled topology"
-            ));
-        }
-        if !faults.is_empty() {
-            return Err(format!(
-                "{name}: \"transport\": \"tcp\" cannot carry injected faults"
-            ));
-        }
-    }
-
     base.validate().map_err(|e| format!("{name}: {e}"))?;
 
     let mut options = RunOptions {
@@ -610,7 +586,6 @@ pub(super) fn scenario(doc: &Json) -> Result<Scenario, String> {
         description,
         protocols,
         base,
-        transport,
         quick_runtime,
         options,
         faults,

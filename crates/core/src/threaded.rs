@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 use bamboo_types::{ClientRequest, Config, Message, NodeId, ProtocolKind, SimTime, Transaction};
 
 use crate::live::{
-    cluster_report, run_live_node, ClusterReport, ClusterStorage, Link, LiveEvent, LiveStatus,
-    RoundRobinLoad,
+    cluster_report, poll_commits, run_live_node, ClusterReport, ClusterStorage, Link, LiveEvent,
+    LiveStatus, RoundRobinLoad,
 };
 use crate::runtime::{NodeHost, RecoverMode};
 use crate::verify::{VerifyHandle, VerifyPool};
@@ -204,16 +204,7 @@ impl ThreadedCluster {
     /// tests — wall-clock progress depends on scheduler pressure, so a fixed
     /// window flakes on loaded machines while a progress poll does not.
     pub fn run_until_committed(&self, min_txs: u64, max_wait: Duration) -> bool {
-        let deadline = Instant::now() + max_wait;
-        loop {
-            if self.committed_txs() >= min_txs {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return self.committed_txs() >= min_txs;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        poll_commits(min_txs, max_wait, || self.committed_txs())
     }
 
     /// Stops every replica thread (and the verify pool) and returns the

@@ -10,7 +10,9 @@
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
-use bamboo_core::live::{cluster_report, ClusterReport, ClusterStorage, RoundRobinLoad};
+use bamboo_core::live::{
+    cluster_report, poll_commits, ClusterReport, ClusterStorage, RoundRobinLoad,
+};
 use bamboo_core::runtime::NodeHost;
 use bamboo_types::{Config, NodeId, ProtocolKind, SimTime};
 
@@ -130,11 +132,6 @@ impl TcpCluster {
         )
     }
 
-    /// The listener addresses, indexed by replica.
-    pub fn addrs(&self) -> &[SocketAddr] {
-        &self.addrs
-    }
-
     /// Submits `count` transactions of `payload` bytes round-robin across
     /// the live replicas, continuing the sequence numbers of earlier calls.
     /// In signed-client mode each request carries the issuing client's
@@ -166,16 +163,7 @@ impl TcpCluster {
     /// reached. Polling the floor (not a single observer) makes this double
     /// as the catch-up oracle after a restart.
     pub fn run_until_committed(&self, min_txs: u64, max_wait: Duration) -> bool {
-        let deadline = Instant::now() + max_wait;
-        loop {
-            if self.committed_txs_floor() >= min_txs {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return self.committed_txs_floor() >= min_txs;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        poll_commits(min_txs, max_wait, || self.committed_txs_floor())
     }
 
     /// Stops replica `id` and tears down its listener. Peers keep trying to

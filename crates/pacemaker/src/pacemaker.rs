@@ -77,12 +77,6 @@ impl Pacemaker {
         self.timeout
     }
 
-    /// Changes the timeout at run time (used by the responsiveness experiment
-    /// to compare 10 ms and 100 ms settings).
-    pub fn set_timeout(&mut self, timeout: SimDuration) {
-        self.timeout = timeout;
-    }
-
     /// Number of view changes that were caused by timeouts rather than QCs.
     pub fn timeout_view_changes(&self) -> u64 {
         self.timeout_view_changes
@@ -333,17 +327,5 @@ mod tests {
         assert_eq!(pm.current_view(), View(10));
         let vote = TimeoutVote::new(View(3), NodeId(1), QuorumCert::genesis(), &kps[1]);
         assert!(pm.on_timeout_vote(vote, SimTime(0)).is_empty());
-    }
-
-    #[test]
-    fn set_timeout_affects_future_timers() {
-        let mut pm = make(0, 4);
-        pm.set_timeout(SimDuration::from_millis(10));
-        match pm.arm_timer(SimTime::ZERO) {
-            PacemakerAction::ScheduleTimer { deadline, .. } => {
-                assert_eq!(deadline, SimTime::ZERO + SimDuration::from_millis(10));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 }

@@ -15,7 +15,8 @@
 //! `lan` and `crash_f` moved; the three `geo_wan` ledgers came out
 //! byte-identical and keep their PR 6 values.
 //! The same configurations are also driven through the live threaded
-//! cluster, which must stay safe on the heterogeneous-WAN workload too.
+//! cluster, which must stay safe on the heterogeneous-WAN workload too, and
+//! the repo benchmark's frozen workload files must keep parsing.
 //!
 //! The geo-WAN scenario is additionally held to the orderings the paper and
 //! the responsiveness literature predict: 2CHS commits with lower latency
@@ -184,6 +185,39 @@ fn geo_wan_reproduces_the_expected_protocol_ordering() {
         sl_p99 > hs_p99,
         "SL p99 {sl_p99:.1} ms should exceed HS p99 {hs_p99:.1} ms in the WAN"
     );
+}
+
+/// The repo benchmark's workload files are scenario documents frozen with
+/// the benchmark; a schema change that would stop one parsing must fail
+/// here, not only in the benchmark package's own tests. `tcp-hs-n4-sat`
+/// still carries the key of the removed `"transport": "tcp"` tier, which the
+/// parser now ignores like any unknown key.
+#[test]
+fn the_frozen_benchmark_workloads_still_parse() {
+    let workloads = [
+        (
+            "sim-hs-n32-lan",
+            include_str!("../benchmark/workloads/sim-hs-n32-lan.json"),
+        ),
+        (
+            "sim-sl-n32-geo-crash",
+            include_str!("../benchmark/workloads/sim-sl-n32-geo-crash.json"),
+        ),
+        (
+            "threaded-hs-n4-durable",
+            include_str!("../benchmark/workloads/threaded-hs-n4-durable.json"),
+        ),
+        (
+            "tcp-hs-n4-sat",
+            include_str!("../benchmark/workloads/tcp-hs-n4-sat.json"),
+        ),
+    ];
+    for (name, text) in workloads {
+        let scenario = Scenario::parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(scenario.name, name);
+        assert_eq!(scenario.protocols.len(), 1, "{name}");
+    }
+    assert!(workloads[3].1.contains(r#""transport": "tcp""#));
 }
 
 #[test]
