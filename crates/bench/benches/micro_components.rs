@@ -265,7 +265,7 @@ fn bench_quorum(out: &mut RowFile) {
         || bamboo_core::QuorumTracker::new(32),
         |mut tracker| {
             for vote in &votes {
-                let _ = tracker.add_vote(vote.clone());
+                let _ = tracker.add_vote(vote);
             }
             tracker
         },
@@ -425,7 +425,9 @@ fn bench_checkpoint(out: &mut RowFile) {
 /// The event queue under a simulator-shaped schedule: 64k events pushed as a
 /// mix of near-future deliveries (µs-scale deltas), same-instant ties and
 /// far-out timers, interleaved with pops — the access pattern of one
-/// `SimRunner` run compressed into a micro.
+/// `SimRunner` run compressed into a micro — and 64k deliveries as
+/// broadcast fan-outs, the shape most of a message-heavy run's traffic
+/// takes.
 fn bench_event_queue(out: &mut RowFile) {
     const EVENTS: u64 = 65_536;
     let mut rng = SimRng::new(42);
@@ -456,6 +458,34 @@ fn bench_event_queue(out: &mut RowFile) {
             queue.schedule(at, i as u64);
             // Keep roughly half the schedule in flight, like a live run.
             if i % 2 == 1 {
+                let (t, _) = queue.pop().expect("queue is non-empty");
+                now = t;
+                popped += 1;
+            }
+        }
+        while queue.pop().is_some() {
+            popped += 1;
+        }
+        popped
+    }));
+    // The same volume as the deliveries of broadcasts to 31 peers (n = 32):
+    // one fan-out entry per broadcast, every recipient's delay drawn up
+    // front, about half the deliveries in flight.
+    const PEERS: usize = 31;
+    let delays: Vec<u64> = (0..EVENTS)
+        .map(|_| 50_000 + rng.choose_index(400_000) as u64)
+        .collect();
+    out.rows.push(bench("event_queue_fanout_64k", || {
+        let mut queue: EventQueue<u64> = EventQueue::new();
+        let mut deliveries = Vec::with_capacity(PEERS);
+        let mut now = SimTime::ZERO;
+        let mut popped = 0u64;
+        for (broadcast, delays) in delays.chunks(PEERS).enumerate() {
+            deliveries.clear();
+            let to = (0..PEERS as u32).zip(delays);
+            deliveries.extend(to.map(|(to, delay)| (SimTime(now.as_nanos() + delay), to)));
+            queue.schedule_fanout(broadcast as u64, &deliveries);
+            for _ in 0..delays.len() / 2 {
                 let (t, _) = queue.pop().expect("queue is non-empty");
                 now = t;
                 popped += 1;

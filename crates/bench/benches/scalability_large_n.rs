@@ -4,11 +4,12 @@
 //! on the bounded sweep pool (`Benchmarker::run_all`); results come back in
 //! input order, so every simulator-clock row is stable across worker counts.
 //!
-//! Beyond throughput/latency, each point records the events it processed and
-//! the event-queue memory high-water mark, and the sweep as a whole records
-//! the *engine's* speed (simulation events per wall-clock second — the one
-//! wall-clock row), so the scalability of the simulator itself is tracked
-//! alongside the scalability of the protocols.
+//! Beyond throughput/latency, each point records the events it processed,
+//! the event-queue high-water mark in pending deliveries (`queue_peak`) and
+//! in heap entries (`heap_peak`: a broadcast is one entry), and the sweep as
+//! a whole records the *engine's* speed (simulation events per wall-clock
+//! second — the one wall-clock row), so the scalability of the simulator
+//! itself is tracked alongside the scalability of the protocols.
 //!
 //! Expected shape (paper, Fig. 12 extended): throughput falls and latency
 //! rises with n for every protocol; HS and 2CHS stay comparable while
@@ -82,6 +83,7 @@ fn main() {
                 ("blocks", report.committed_blocks as f64, "count", Higher),
                 ("events", report.events_processed as f64, "count", Lower),
                 ("queue_peak", report.queue_peak_len as f64, "count", Lower),
+                ("heap_peak", report.queue_heap_peak as f64, "count", Lower),
             ],
         );
     }

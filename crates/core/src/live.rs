@@ -303,7 +303,7 @@ pub fn run_live_node(
                 Ok(_) if crashed => {}
                 Ok(LiveEvent::Recover(_)) => {}
                 Ok(LiveEvent::Verified(verified)) => {
-                    host.handle_verified(verified, now(), &mut transport);
+                    host.deliver(&verified, now(), &mut transport);
                 }
                 Ok(LiveEvent::Client(requests)) => {
                     host.handle_client_batch(requests, now(), &mut transport);

@@ -458,6 +458,14 @@ pub struct RunReport {
     /// run. An in-flight delivery counts from the instant it is sent;
     /// workload ticks occupy no queue slot.
     pub queue_peak_len: u64,
+    /// Highest number of entries in the engine's queue heap at once — its
+    /// depth, which sets the cost of a pop. A broadcast is one entry however
+    /// many of its deliveries are pending, so this is at most
+    /// [`RunReport::queue_peak_len`]. It is a property of the engine's
+    /// queue, not of the simulated run — another queue could run the same
+    /// simulation at another depth — so it stays out of the replay key and
+    /// the JSON report.
+    pub queue_heap_peak: u64,
     /// Hex fingerprint of the observer replica's committed ledger (every
     /// block id, view and payload transaction id, in order). Two runs with
     /// the same configuration must produce identical fingerprints — the
@@ -767,6 +775,7 @@ mod tests {
             events_processed: 0,
             events_scheduled: 0,
             queue_peak_len: 0,
+            queue_heap_peak: 0,
             ledger_fingerprint: String::new(),
             recovery: RecoveryReport::default(),
         };

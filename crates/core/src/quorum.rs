@@ -39,9 +39,10 @@ impl QuorumTracker {
         quorum_threshold(self.nodes)
     }
 
-    /// `voted()`: registers a vote. Returns `Some(qc)` the moment the block
-    /// reaches the threshold (and never again for the same block).
-    pub fn add_vote(&mut self, vote: Vote) -> Option<QuorumCert> {
+    /// `voted()`: registers a vote, copying it only if it counts. Returns
+    /// `Some(qc)` the moment the block reaches the threshold (and never again
+    /// for the same block).
+    pub fn add_vote(&mut self, vote: &Vote) -> Option<QuorumCert> {
         if self.certified.contains_key(&vote.block) {
             self.dropped += 1;
             return None;
@@ -105,9 +106,9 @@ mod tests {
     fn qc_forms_exactly_at_threshold() {
         let mut q = QuorumTracker::new(4);
         assert_eq!(q.threshold(), 3);
-        assert!(q.add_vote(vote(1, 2, 0)).is_none());
-        assert!(q.add_vote(vote(1, 2, 1)).is_none());
-        let qc = q.add_vote(vote(1, 2, 2)).expect("third vote certifies");
+        assert!(q.add_vote(&vote(1, 2, 0)).is_none());
+        assert!(q.add_vote(&vote(1, 2, 1)).is_none());
+        let qc = q.add_vote(&vote(1, 2, 2)).expect("third vote certifies");
         assert_eq!(qc.signer_count(), 3);
         assert_eq!(qc.view, View(2));
         assert!(q.is_certified(BlockId(Digest::of(&[1]))));
@@ -116,9 +117,9 @@ mod tests {
     #[test]
     fn duplicate_voters_do_not_count() {
         let mut q = QuorumTracker::new(4);
-        assert!(q.add_vote(vote(1, 2, 0)).is_none());
-        assert!(q.add_vote(vote(1, 2, 0)).is_none());
-        assert!(q.add_vote(vote(1, 2, 0)).is_none());
+        assert!(q.add_vote(&vote(1, 2, 0)).is_none());
+        assert!(q.add_vote(&vote(1, 2, 0)).is_none());
+        assert!(q.add_vote(&vote(1, 2, 0)).is_none());
         assert!(!q.is_certified(BlockId(Digest::of(&[1]))));
         assert_eq!(q.counters(), (1, 2));
     }
@@ -126,11 +127,11 @@ mod tests {
     #[test]
     fn votes_after_certification_are_ignored() {
         let mut q = QuorumTracker::new(4);
-        q.add_vote(vote(1, 2, 0));
-        q.add_vote(vote(1, 2, 1));
-        assert!(q.add_vote(vote(1, 2, 2)).is_some());
+        q.add_vote(&vote(1, 2, 0));
+        q.add_vote(&vote(1, 2, 1));
+        assert!(q.add_vote(&vote(1, 2, 2)).is_some());
         assert!(
-            q.add_vote(vote(1, 2, 3)).is_none(),
+            q.add_vote(&vote(1, 2, 3)).is_none(),
             "late vote produces no second QC"
         );
     }
@@ -138,8 +139,8 @@ mod tests {
     #[test]
     fn separate_blocks_are_tracked_independently() {
         let mut q = QuorumTracker::new(4);
-        q.add_vote(vote(1, 2, 0));
-        q.add_vote(vote(2, 2, 0));
+        q.add_vote(&vote(1, 2, 0));
+        q.add_vote(&vote(2, 2, 0));
         assert_eq!(q.pending_votes(BlockId(Digest::of(&[1]))), 1);
         assert_eq!(q.pending_votes(BlockId(Digest::of(&[2]))), 1);
     }
@@ -147,8 +148,8 @@ mod tests {
     #[test]
     fn prune_discards_old_buffers() {
         let mut q = QuorumTracker::new(7);
-        q.add_vote(vote(1, 2, 0));
-        q.add_vote(vote(2, 9, 0));
+        q.add_vote(&vote(1, 2, 0));
+        q.add_vote(&vote(2, 9, 0));
         q.prune_below(View(5));
         assert_eq!(q.pending_votes(BlockId(Digest::of(&[1]))), 0);
         assert_eq!(q.pending_votes(BlockId(Digest::of(&[2]))), 1);
@@ -159,8 +160,8 @@ mod tests {
         let mut q = QuorumTracker::new(32);
         assert_eq!(q.threshold(), 22);
         for voter in 0..21 {
-            assert!(q.add_vote(vote(1, 1, voter)).is_none());
+            assert!(q.add_vote(&vote(1, 1, voter)).is_none());
         }
-        assert!(q.add_vote(vote(1, 1, 21)).is_some());
+        assert!(q.add_vote(&vote(1, 1, 21)).is_some());
     }
 }

@@ -262,44 +262,7 @@ impl Replica {
                     self.propose_or_defer(view, out);
                 }
             }
-            ReplicaEvent::Message { from: _, message } => match message {
-                Message::Proposal(block) => self.on_proposal(block, false, out),
-                Message::ProposalEcho(block) => self.on_proposal(block, true, out),
-                Message::Vote(vote) => self.on_vote(vote, false, out),
-                Message::VoteEcho(vote) => self.on_vote(vote, true, out),
-                Message::Timeout(tv) => {
-                    // One signature for the timeout vote itself plus one per
-                    // signer of the embedded high-QC: the ingress stage really
-                    // checks both, and the paper's cost model charges `t_CPU`
-                    // per signature verified.
-                    out.cpu += self.cpu.verify(1 + tv.high_qc.signer_count());
-                    self.register_qc(tv.high_qc.clone(), out);
-                    let actions = self.pacemaker.on_timeout_vote(tv, out.now);
-                    self.apply_pacemaker_actions(actions, out);
-                }
-                Message::TimeoutCertMsg(tc) => {
-                    // Per-signer cost for the TC aggregate plus the embedded
-                    // high-QC it carries, mirroring the real ingress checks.
-                    let signers = tc.signer_count() + tc.high_qc.signer_count();
-                    out.cpu += self.cpu.verify(signers);
-                    self.register_qc(tc.high_qc.clone(), out);
-                    let actions = self.pacemaker.on_timeout_cert(tc, out.now);
-                    self.apply_pacemaker_actions(actions, out);
-                }
-                Message::NewView(qc) => {
-                    out.cpu += self.cpu.verify(qc.signer_count());
-                    self.register_qc(qc, out);
-                }
-                Message::Request(req) => {
-                    self.mempool.push(req.transaction);
-                }
-                Message::Response(_) => {}
-                Message::SyncRequest(req) => {
-                    let (ledger, forest, stats) = (&self.ledger, &self.forest, &mut self.recovery);
-                    sync::answer(&req, self.id, ledger, forest, &self.disk, stats, out);
-                }
-                Message::SyncResponse(resp) => self.on_sync_response(resp, out),
-            },
+            ReplicaEvent::Message { from: _, message } => self.on_message(&message, out),
             ReplicaEvent::SyncTimer => {
                 if self.sync.timer_fired(&self.forest) {
                     self.send_sync_request(out);
@@ -309,9 +272,63 @@ impl Replica {
         step.finish()
     }
 
+    /// Handles one delivered message by reference, cloning only what the
+    /// replica keeps: a broadcast's recipients share one envelope.
+    pub(crate) fn receive(
+        &mut self,
+        message: &Message,
+        now: SimTime,
+        transport: &mut dyn Transport,
+    ) -> StepReport {
+        let mut step = Step::new(now, transport, self.cpu);
+        self.on_message(message, &mut step);
+        step.finish()
+    }
+
     // ---- internal handlers --------------------------------------------
 
-    fn on_proposal(&mut self, block: SharedBlock, echoed: bool, out: &mut Step<'_>) {
+    fn on_message(&mut self, message: &Message, out: &mut Step<'_>) {
+        match message {
+            Message::Proposal(block) => self.on_proposal(block, false, out),
+            Message::ProposalEcho(block) => self.on_proposal(block, true, out),
+            Message::Vote(vote) => self.on_vote(vote, false, out),
+            Message::VoteEcho(vote) => self.on_vote(vote, true, out),
+            Message::Timeout(tv) => {
+                // One signature for the timeout vote itself plus one per
+                // signer of the embedded high-QC: the ingress stage really
+                // checks both, and the paper's cost model charges `t_CPU`
+                // per signature verified.
+                out.cpu += self.cpu.verify(1 + tv.high_qc.signer_count());
+                self.register_qc(&tv.high_qc, out);
+                let actions = self.pacemaker.on_timeout_vote(tv, out.now);
+                self.apply_pacemaker_actions(actions, out);
+            }
+            Message::TimeoutCertMsg(tc) => {
+                // Per-signer cost for the TC aggregate plus the embedded
+                // high-QC it carries, mirroring the real ingress checks.
+                let signers = tc.signer_count() + tc.high_qc.signer_count();
+                out.cpu += self.cpu.verify(signers);
+                self.register_qc(&tc.high_qc, out);
+                let actions = self.pacemaker.on_timeout_cert(tc, out.now);
+                self.apply_pacemaker_actions(actions, out);
+            }
+            Message::NewView(qc) => {
+                out.cpu += self.cpu.verify(qc.signer_count());
+                self.register_qc(qc, out);
+            }
+            Message::Request(req) => {
+                self.mempool.push(req.transaction.clone());
+            }
+            Message::Response(_) => {}
+            Message::SyncRequest(req) => {
+                let (ledger, forest, stats) = (&self.ledger, &self.forest, &mut self.recovery);
+                sync::answer(req, self.id, ledger, forest, &self.disk, stats, out);
+            }
+            Message::SyncResponse(resp) => self.on_sync_response(resp, out),
+        }
+    }
+
+    fn on_proposal(&mut self, block: &SharedBlock, echoed: bool, out: &mut Step<'_>) {
         // Flat aggregate charge for the justify QC: the happy-path block
         // service time follows the paper's Eq. 4 (see
         // `CpuModel::process_proposal` for the rationale); pacemaker
@@ -322,7 +339,6 @@ impl Replica {
         // before any block reaches this point; re-hashing the full payload
         // here would double the real cost of every delivery.
         debug_assert!(block.verify_id(), "unverified block reached the replica");
-        let justify = block.justify.clone();
         let block_id = block.id;
         let block_view = block.view;
 
@@ -337,14 +353,14 @@ impl Replica {
         // the shared handle keeps the payload un-copied.
         if self.forest.insert(block.clone()).is_ok() {
             if let Some(qc) = self.pending_qcs.remove(&block_id) {
-                self.register_qc(qc, out);
+                self.register_qc(&qc, out);
             }
         }
 
         // The QC carried by the proposal is new information — also when the
         // block itself was a duplicate, an orphan or stale: the pacemaker
         // keeps moving.
-        self.register_qc(justify, out);
+        self.register_qc(&block.justify, out);
 
         // A proposal whose ancestry we cannot resolve now sits in the orphan
         // buffer: let state transfer watch the gap.
@@ -355,7 +371,7 @@ impl Replica {
         // safety rules against ancestry it does not have yet.
         if !self.sync.blocks_voting()
             && self.forest.contains(block_id)
-            && self.safety.should_vote(&block, &self.forest)
+            && self.safety.should_vote(block, &self.forest)
         {
             // `should_vote` just advanced the protocol's watermark to this
             // block; it goes to disk before the vote goes anywhere.
@@ -386,7 +402,7 @@ impl Replica {
                 }
             }
             if ours {
-                self.on_vote(vote, true, out);
+                self.on_vote(&vote, true, out);
             }
         }
 
@@ -397,7 +413,7 @@ impl Replica {
 
     /// `already_local` is true when the vote is our own or an echo — those are
     /// not echoed again.
-    fn on_vote(&mut self, vote: Vote, already_local: bool, out: &mut Step<'_>) {
+    fn on_vote(&mut self, vote: &Vote, already_local: bool, out: &mut Step<'_>) {
         out.cpu += self.cpu.verify(1);
         if self.safety.echo_messages() && !already_local {
             out.transport.broadcast(Message::VoteEcho(vote.clone()));
@@ -407,13 +423,13 @@ impl Replica {
             // (and charged) on arrival is pure aggregation — no additional
             // signature check happens, so no additional `t_CPU` is charged.
             // The seed double-charged here.
-            self.register_qc(qc, out);
+            self.register_qc(&qc, out);
         }
     }
 
     /// Registers a QC everywhere it matters: forest, safety state, commit
     /// rule, pacemaker.
-    fn register_qc(&mut self, qc: QuorumCert, out: &mut Step<'_>) {
+    fn register_qc(&mut self, qc: &QuorumCert, out: &mut Step<'_>) {
         if qc.is_genesis() {
             return;
         }
@@ -421,8 +437,8 @@ impl Replica {
             self.pending_qcs.insert(qc.block, qc.clone());
         }
 
-        self.safety.update_state(&qc, &self.forest);
-        if let Some(commit_id) = self.safety.try_commit(&qc, &self.forest) {
+        self.safety.update_state(qc, &self.forest);
+        if let Some(commit_id) = self.safety.try_commit(qc, &self.forest) {
             // The commit is learned in the view after the certifying QC's view
             // (that is when the QC reaches the replicas), which is the
             // convention behind the paper's block-interval metric.
@@ -430,7 +446,7 @@ impl Replica {
             self.commit(commit_id, learned_in, out);
         }
 
-        let actions = self.pacemaker.on_qc(&qc, out.now);
+        let actions = self.pacemaker.on_qc(qc, out.now);
         self.apply_pacemaker_actions(actions, out);
     }
 
@@ -446,9 +462,9 @@ impl Replica {
                 out.transport.arm_timer(view, deadline);
             }
             PacemakerAction::BroadcastTimeout(tv) => {
-                out.transport.broadcast(Message::Timeout(tv.clone()));
                 // Our own timeout vote counts towards our own TC.
-                let actions = self.pacemaker.on_timeout_vote(tv, out.now);
+                let actions = self.pacemaker.on_timeout_vote(&tv, out.now);
+                out.transport.broadcast(Message::Timeout(tv));
                 self.apply_pacemaker_actions(actions, out);
             }
             PacemakerAction::NewView { new_view, tc } => {
@@ -552,7 +568,7 @@ impl Replica {
                 // broadcast clone and the local store below are pointer bumps.
                 let block = SharedBlock::new(block);
                 out.transport.broadcast(Message::Proposal(block.clone()));
-                self.on_proposal(block, true, out);
+                self.on_proposal(&block, true, out);
             }
             None => {
                 // Silence attack (or no proposal possible): give the batch
@@ -625,9 +641,9 @@ impl Replica {
     /// take us ahead of everything we have, then replay the block suffix
     /// through the normal insert/QC path so commits fire through the
     /// protocol's own commit rule.
-    fn on_sync_response(&mut self, resp: SyncResponse, out: &mut Step<'_>) {
+    fn on_sync_response(&mut self, resp: &SyncResponse, out: &mut Step<'_>) {
         let (forest, ledger, stats) = (&mut self.forest, &mut self.ledger, &mut self.recovery);
-        match (self.sync).install(&resp, forest, ledger, &mut self.disk, stats, out) {
+        match (self.sync).install(resp, forest, ledger, &mut self.disk, stats, out) {
             None => return,
             Some(false) => {}
             Some(true) => {
@@ -635,15 +651,14 @@ impl Replica {
                 self.deferred_proposal = None;
             }
         }
-        for block in resp.blocks {
+        for block in &resp.blocks {
             out.cpu += self.cpu.process_proposal(block.len());
-            let justify = block.justify.clone();
             // Duplicates and orphans are handled inside the forest; either
             // way the carried QC is registered below.
-            let _ = self.forest.insert(block);
-            self.register_qc(justify, out);
+            let _ = self.forest.insert(block.clone());
+            self.register_qc(&block.justify, out);
         }
-        self.register_qc(resp.high_qc, out);
+        self.register_qc(&resp.high_qc, out);
         self.sync.settle(&self.forest, out.now, &mut self.recovery);
     }
 

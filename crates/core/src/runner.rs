@@ -51,20 +51,22 @@
 //! as a per-replica busy server, which is what produces the M/D/1-style
 //! queueing behaviour the analytical model assumes).
 //!
-//! The engine keeps allocation and crypto off its hot path: outbound
-//! envelopes are `Arc`-backed ([`bamboo_types::SharedMessage`]), so a
-//! broadcast *schedules* n − 1 pointer bumps, and each unique envelope is
-//! cryptographically verified **at most once** — lazily, on the first
-//! recipient whose link delivers — with the [`VerifiedMessage`] token fanned
-//! out (forged envelopes are delivered as rejections so every recipient
-//! still books the modeled cost). One [`BufferedTransport`], the slab-backed
-//! [`EventQueue`] and the workload buckets are reused across events, so
-//! steady-state execution is allocation-light.
+//! The engine keeps allocation and crypto off its hot path. A broadcast is
+//! **one queue entry**: every recipient's delay is drawn at send time, and
+//! the [`EventQueue`] holds the envelope once, with the recipients ordered
+//! by their delivery keys, so a broadcast to n − 1 replicas costs one slab
+//! slot and one heap key, not n − 1 of each. Each unique envelope is
+//! cryptographically verified **at most once**, if anyone receives it, and
+//! every recipient reads the one [`VerifiedMessage`] token **by reference**
+//! (a forged envelope is delivered as a rejection so every recipient still
+//! books the modeled cost). One [`BufferedTransport`], the slab-backed
+//! queue with its recycled entries and the workload buckets are reused
+//! across events, so steady-state execution is allocation-light.
 
 use std::sync::mpsc;
 
 use bamboo_sim::{
-    EventQueue, FluctuationWindow, LatencyModel, LinkFault, NicModel, SimRng, Topology,
+    EventQueue, FluctuationWindow, LatencyModel, LinkFault, NicModel, Popped, SimRng, Topology,
 };
 use bamboo_types::{
     Authenticator, ClientRequest, Config, NodeId, ProtocolKind, SharedMessage, SimDuration,
@@ -173,7 +175,9 @@ impl Default for RunOptions {
     }
 }
 
-/// A simulation event addressed to one replica.
+/// A simulation event addressed to one replica. A broadcast's event sits in
+/// the queue once for all its recipients and names its sender; the queue
+/// names each recipient as it pops the delivery.
 struct SimEvent {
     node: NodeId,
     kind: EventKind,
@@ -181,21 +185,8 @@ struct SimEvent {
 
 /// What a [`SimEvent`] asks its replica's host to do.
 enum EventKind {
-    /// A message that passed ingress verification, delivered as the shared
-    /// proof token. Each unique envelope is verified **once**, when its
-    /// sender's step is absorbed, and the `Arc`-backed token is fanned out,
-    /// so a broadcast to `n − 1` recipients schedules pointer bumps — the
-    /// simulator counterpart of the verify pool's verify-once-fan-out trick.
-    /// The verdict is a pure function of the (immutable) message bytes, so
-    /// sharing it across recipients changes nothing observable; each
-    /// recipient is still charged its own modeled verification CPU by the
-    /// replica as before.
-    Deliver(VerifiedMessage),
-    /// A message that failed ingress verification. It is still delivered —
-    /// each recipient books the rejection and is charged the modeled CPU cost
-    /// of the verification work that exposed the forgery at its own busy
-    /// server, exactly as with inline verification.
-    DeliverForged(SharedMessage),
+    /// A message on its way to a recipient.
+    Deliver(Envelope),
     Timer(View),
     ProposeNow(View),
     /// A batch of client requests arriving at the replica's edge, already
@@ -215,22 +206,37 @@ enum EventKind {
     },
 }
 
-/// Resolves the verify-once verdict for an outbound envelope, memoising it in
-/// `verdict` so a broadcast checks the signature once and fans the result
-/// out.
-fn delivery_for(
-    verdict: &mut Option<Result<VerifiedMessage, SharedMessage>>,
-    auth: &mut Authenticator,
-    sender: NodeId,
-    message: &SharedMessage,
-) -> EventKind {
-    let verdict = verdict.get_or_insert_with(|| {
-        auth.authenticate_shared(sender, message.clone())
-            .map_err(|_| message.clone())
-    });
-    match verdict {
-        Ok(token) => EventKind::Deliver(token.clone()),
-        Err(forged) => EventKind::DeliverForged(forged.clone()),
+/// A sent message as its recipients get it. Each unique envelope is
+/// verified **once**, when its sender's step is absorbed, and every
+/// recipient reads the one verdict by reference — the simulator counterpart
+/// of the verify pool's verify-once fan-out. The verdict is a pure function
+/// of the (immutable) message bytes, so sharing it changes nothing
+/// observable; each recipient is still charged its own modeled verification
+/// CPU.
+enum Envelope {
+    /// The message passed ingress verification: the proof token.
+    Verified(VerifiedMessage),
+    /// The message failed it. It is still delivered: each recipient books
+    /// the rejection and is charged the modeled CPU cost of the verification
+    /// work that exposed the forgery at its own busy server, exactly as with
+    /// inline verification.
+    Forged(SharedMessage),
+}
+
+impl Envelope {
+    /// Hands the envelope to one recipient's host, by reference.
+    fn hand_to(
+        &self,
+        host: &mut NodeHost,
+        start: SimTime,
+        effects: &mut BufferedTransport,
+    ) -> StepReport {
+        match self {
+            // No further wall-clock crypto: the replica charges the modeled
+            // cost.
+            Envelope::Verified(token) => host.deliver(token, start, effects),
+            Envelope::Forged(message) => host.reject_forged(message),
+        }
     }
 }
 
@@ -310,6 +316,9 @@ pub struct SimRunner {
     metrics: Metrics,
     /// Reused across every event (cleared, capacity kept).
     effects: BufferedTransport,
+    /// Reused across every send: the `(time, recipient)` of each delivery,
+    /// in ascending node order.
+    deliveries: Vec<(SimTime, u32)>,
     /// The client side; `None` while (and after) it runs on the producer
     /// thread.
     clients: Option<Clients>,
@@ -439,6 +448,7 @@ impl SimRunner {
             auth,
             metrics: Metrics::new(options.series_bucket),
             effects: BufferedTransport::new(),
+            deliveries: Vec::new(),
             clients: Some(clients),
             offered: 0,
             view_triggers,
@@ -517,9 +527,12 @@ impl SimRunner {
         while self.processed + ticks <= self.options.max_events {
             let tick_due = tick_at < end;
             let limit = if tick_due { tick_at } else { stop };
-            if let Some((time, event)) = self.queue.pop_if_before(limit) {
+            if let Some((time, popped)) = self.queue.pop_if_before(limit) {
                 self.processed += 1;
-                self.fire(time, event);
+                match popped {
+                    Popped::Event(event) => self.fire(time, event),
+                    Popped::Delivery { to, slot } => self.deliver(time, NodeId(to.into()), slot),
+                }
                 self.fire_view_triggers(time);
             } else if tick_due {
                 for (replica, at, requests) in next_tick(self, tick_at) {
@@ -538,17 +551,9 @@ impl SimRunner {
     /// Hands one popped event to the replica it addresses.
     fn fire(&mut self, time: SimTime, SimEvent { node, kind }: SimEvent) {
         match kind {
-            // The envelope was verified once when it was sent; the token
-            // hands it to the replica with no further wall-clock crypto
-            // (modeled costs are charged by the replica).
-            EventKind::Deliver(token) => self.step(node, time, |host, start, effects| {
-                host.handle_verified(token, start, effects)
+            EventKind::Deliver(envelope) => self.step(node, time, |host, start, effects| {
+                envelope.hand_to(host, start, effects)
             }),
-            // Book the rejection at the recipient's busy server with the
-            // modeled cost of discovering the forgery.
-            EventKind::DeliverForged(message) => {
-                self.step(node, time, |host, _, _| host.reject_forged(&message))
-            }
             // The batch was edge-checked when its tick was generated; the
             // host charges the check (as `CpuModel::verify_batch` models it)
             // and admits the stripped transactions to the mempool.
@@ -591,24 +596,49 @@ impl SimRunner {
     }
 
     /// Runs one host step of `node` for an event arriving at `time` and
-    /// absorbs its effects, unless the node is crashed (a crashed node hears
-    /// nothing). The replica is a single busy server: processing starts when
-    /// both the event has arrived and the CPU is free.
+    /// absorbs its effects, unless the node is crashed.
     fn step(
         &mut self,
         node: NodeId,
         time: SimTime,
         run: impl FnOnce(&mut NodeHost, SimTime, &mut BufferedTransport) -> StepReport,
     ) {
-        if self.crashed[node.index()] {
+        let Some((start, mut effects)) = self.begin(node, time) else {
             return;
+        };
+        let report = run(&mut self.hosts[node.index()], start, &mut effects);
+        self.absorb(node, report, effects, start);
+    }
+
+    /// One delivery of a broadcast: the envelope stays in the queue's entry
+    /// (at `slot`), and `to` reads it by reference.
+    fn deliver(&mut self, time: SimTime, to: NodeId, slot: u32) {
+        let Some((start, mut effects)) = self.begin(to, time) else {
+            return;
+        };
+        let SimEvent {
+            kind: EventKind::Deliver(envelope),
+            ..
+        } = self.queue.shared(slot)
+        else {
+            unreachable!("only messages are broadcast");
+        };
+        let report = envelope.hand_to(&mut self.hosts[to.index()], start, &mut effects);
+        self.absorb(to, report, effects, start);
+    }
+
+    /// When a step of `node` for an event arriving at `time` starts, and the
+    /// cleared effect buffer it writes into; `None` if the node is crashed
+    /// (a crashed node hears nothing). The replica is a single busy server:
+    /// processing starts when both the event has arrived and the CPU is
+    /// free.
+    fn begin(&mut self, node: NodeId, time: SimTime) -> Option<(SimTime, BufferedTransport)> {
+        if self.crashed[node.index()] {
+            return None;
         }
-        let start = time.max(self.busy_until[node.index()]);
         let mut effects = std::mem::take(&mut self.effects);
         effects.clear();
-        let report = run(&mut self.hosts[node.index()], start, &mut effects);
-        self.absorb(node, report, &mut effects, start);
-        self.effects = effects;
+        Some((time.max(self.busy_until[node.index()]), effects))
     }
 
     /// Crashes `node` or brings it back at `time`. A [`RecoverMode::Restart`]
@@ -630,12 +660,12 @@ impl SimRunner {
 
     /// Maps one step's effects onto the simulated substrate: commits into
     /// metrics and the workload, timers, proposals and outbound messages
-    /// onto the queue.
+    /// onto the queue. The effect buffer is kept for the next step.
     fn absorb(
         &mut self,
         node: NodeId,
         report: StepReport,
-        effects: &mut BufferedTransport,
+        mut effects: BufferedTransport,
         start: SimTime,
     ) {
         let index = node.index();
@@ -684,22 +714,20 @@ impl SimRunner {
             self.schedule(start, deadline, node, EventKind::SyncTimer);
         }
 
-        // Outbound messages leave the sender once its CPU is done. Each
-        // unique envelope is verified at most once — lazily, on the first
-        // recipient whose link actually delivers, so messages dropped by
-        // partitions or dead links cost no wall-clock crypto — and every
-        // further recipient gets an `Arc`-backed clone of the proof token (or
-        // of the forged envelope): a broadcast schedules n − 1 pointer bumps
-        // instead of n − 1 envelope deep-copies and n − 1 redundant
-        // signature checks.
+        // Outbound messages leave the sender once its CPU is done. Every
+        // recipient is booked and its delay drawn now, in ascending node
+        // order; one dropped by a partition or a dead link gets no delivery.
+        // The envelope is verified once if anyone receives it, and a
+        // broadcast becomes one queue entry whose deliveries take the
+        // insertion numbers n − 1 separate schedules would have.
         for (dest, message) in effects.sends.drain(..) {
             let bytes = message.wire_size();
-            let nic_delay = self.nic.transfer(bytes);
-            let mut verdict: Option<Result<VerifiedMessage, SharedMessage>> = None;
+            let leaves = finish + self.nic.transfer(bytes);
             let recipients = match dest {
                 Some(to) => to.0..to.0 + 1,
                 None => 0..self.config.nodes as u64,
             };
+            self.deliveries.clear();
             for to in recipients.map(NodeId) {
                 // A broadcast skips its sender.
                 if dest.is_none() && to == node {
@@ -707,11 +735,25 @@ impl SimRunner {
                 }
                 self.metrics.record_message(bytes);
                 if let Some(delay) = self.latency.sample(&mut self.rngs[index], node, to, finish) {
-                    let kind = delivery_for(&mut verdict, &mut self.auth, node, &message);
-                    self.schedule(start, finish + nic_delay + delay, to, kind);
+                    let to = u32::try_from(to.0).expect("replica ids fit in 32 bits");
+                    self.deliveries.push((leaves + delay, to));
                 }
             }
+            let Some(&(at, to)) = self.deliveries.first() else {
+                continue;
+            };
+            let envelope = match self.auth.authenticate_shared(node, message.clone()) {
+                Ok(token) => Envelope::Verified(token),
+                Err(_) => Envelope::Forged(message),
+            };
+            let kind = EventKind::Deliver(envelope);
+            // A unicast stays a plain event.
+            match dest {
+                Some(_) => self.schedule(start, at, NodeId(to.into()), kind),
+                None => (self.queue).schedule_fanout(SimEvent { node, kind }, &self.deliveries),
+            }
         }
+        self.effects = effects;
     }
 
     fn report(&mut self, ticks: u64) -> RunReport {
@@ -771,6 +813,7 @@ impl SimRunner {
             events_processed: self.processed + ticks,
             events_scheduled: self.queue.total_scheduled() + ticks,
             queue_peak_len: self.queue.live_high_water() as u64,
+            queue_heap_peak: self.queue.heap_high_water() as u64,
             ledger_fingerprint: observer.ledger().fingerprint().to_hex(),
             recovery: self.recovery_report(),
         }

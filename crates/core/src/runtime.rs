@@ -29,8 +29,8 @@
 //! live backends' [`crate::verify::VerifyPool`]s check messages on worker
 //! threads so crypto pipelines with consensus, and the simulator verifies
 //! each unique envelope once when it is absorbed and fans the verdict out —
-//! hand the resulting [`VerifiedMessage`] proof token to
-//! [`NodeHost::handle_verified`] (or book the failure via
+//! hand the resulting [`VerifiedMessage`] proof token by reference to
+//! [`NodeHost::deliver`] (or book the failure via
 //! [`NodeHost::reject_forged`]), which skips the duplicate check. Either way,
 //! no unchecked signature can reach [`Replica::handle`].
 
@@ -307,21 +307,29 @@ impl NodeHost {
         report
     }
 
-    /// Feeds an already-verified message into the replica, skipping the
-    /// inline check. Backends that verify elsewhere — the live backends'
-    /// verify pools, the simulator's verify-once broadcast fan-out — use this;
-    /// the [`VerifiedMessage`] token can only be minted by an
-    /// [`Authenticator`], so the no-unchecked-input invariant holds by
-    /// construction.
+    /// Feeds an already-verified message into the replica by reference,
+    /// skipping the inline check; the replica clones only what it keeps.
+    /// Backends that verify elsewhere — the live backends' verify pools, the
+    /// simulator's verify-once broadcast fan-out — use this; the
+    /// [`VerifiedMessage`] token can only be minted by an [`Authenticator`],
+    /// so the no-unchecked-input invariant holds by construction.
+    pub fn deliver(
+        &mut self,
+        verified: &VerifiedMessage,
+        now: SimTime,
+        transport: &mut dyn Transport,
+    ) -> StepReport {
+        self.replica.receive(verified.message(), now, transport)
+    }
+
+    /// [`NodeHost::deliver`] for a token the caller owns.
     pub fn handle_verified(
         &mut self,
         verified: VerifiedMessage,
         now: SimTime,
         transport: &mut dyn Transport,
     ) -> StepReport {
-        let (from, message) = verified.into_parts();
-        let event = ReplicaEvent::Message { from, message };
-        self.replica.handle(event, now, transport)
+        self.deliver(&verified, now, transport)
     }
 
     /// Brings the hosted replica back from a crash in the given `mode`; the
@@ -410,8 +418,8 @@ fn verification_cost(cpu: &CpuModel, signed_clients: bool, message: &Message) ->
 /// (the simulator charges outbound messages only once the sender's CPU is
 /// free) buffer effects here and map them onto their event queue afterwards.
 /// Each message is wrapped into its [`SharedMessage`] envelope exactly once
-/// here, so a backend fanning a broadcast out to `n − 1` recipients schedules
-/// pointer bumps, not envelope copies. Also convenient in tests.
+/// here, so a backend fanning a broadcast out to `n − 1` recipients shares
+/// one envelope instead of copying it. Also convenient in tests.
 #[derive(Debug, Default)]
 pub struct BufferedTransport {
     /// Buffered sends; `None` destination means broadcast.

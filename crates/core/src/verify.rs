@@ -18,8 +18,8 @@
 //! computing base anyway — the transport — so sharing the verifier weakens
 //! nothing. Since PR 4 the deterministic simulator applies the same
 //! verify-once trick synchronously: each unique envelope is checked when the
-//! runner absorbs it, and recipients receive fanned-out proof tokens, with
-//! modeled per-replica CPU accounting unchanged.
+//! runner absorbs it, and every recipient reads the one proof token by
+//! reference, with modeled per-replica CPU accounting unchanged.
 //!
 //! Jobs are distributed round-robin over per-worker channels (no shared
 //! receiver lock), and a forged message is counted exactly once however many

@@ -115,7 +115,7 @@ impl Pacemaker {
     /// also fed back through this path). When a quorum of timeout votes for
     /// the current (or a later) view accumulates, a TC forms and the replica
     /// advances.
-    pub fn on_timeout_vote(&mut self, vote: TimeoutVote, now: SimTime) -> Vec<PacemakerAction> {
+    pub fn on_timeout_vote(&mut self, vote: &TimeoutVote, now: SimTime) -> Vec<PacemakerAction> {
         if vote.view < self.current_view {
             return Vec::new();
         }
@@ -145,7 +145,7 @@ impl Pacemaker {
 
     /// Handles a timeout certificate received directly (e.g. forwarded by
     /// another replica that formed it first).
-    pub fn on_timeout_cert(&mut self, tc: TimeoutCert, now: SimTime) -> Vec<PacemakerAction> {
+    pub fn on_timeout_cert(&mut self, tc: &TimeoutCert, now: SimTime) -> Vec<PacemakerAction> {
         if tc.view.next() <= self.current_view {
             return Vec::new();
         }
@@ -155,7 +155,7 @@ impl Pacemaker {
             0,
             PacemakerAction::NewView {
                 new_view: tc.view.next(),
-                tc: Some(tc),
+                tc: Some(tc.clone()),
             },
         );
         actions
@@ -239,7 +239,7 @@ mod tests {
         for i in 0..3u64 {
             let vote =
                 TimeoutVote::new(View(1), NodeId(i), QuorumCert::genesis(), &kps[i as usize]);
-            let actions = pm.on_timeout_vote(vote, now);
+            let actions = pm.on_timeout_vote(&vote, now);
             if i < 2 {
                 assert!(actions.is_empty(), "no TC before quorum");
             } else {
@@ -266,9 +266,9 @@ mod tests {
         let kps = keys(4);
         let mut pm = make(0, 4);
         let vote = TimeoutVote::new(View(1), NodeId(1), QuorumCert::genesis(), &kps[1]);
-        assert!(pm.on_timeout_vote(vote.clone(), SimTime(0)).is_empty());
-        assert!(pm.on_timeout_vote(vote.clone(), SimTime(0)).is_empty());
-        assert!(pm.on_timeout_vote(vote, SimTime(0)).is_empty());
+        for _ in 0..3 {
+            assert!(pm.on_timeout_vote(&vote, SimTime(0)).is_empty());
+        }
         assert_eq!(pm.current_view(), View(1), "one voter cannot force a TC");
     }
 
@@ -307,11 +307,11 @@ mod tests {
             .map(|i| TimeoutVote::new(View(5), NodeId(i), QuorumCert::genesis(), &kps[i as usize]))
             .collect();
         let tc = TimeoutCert::from_votes(View(5), &votes);
-        let actions = pm.on_timeout_cert(tc.clone(), SimTime(0));
+        let actions = pm.on_timeout_cert(&tc, SimTime(0));
         assert_eq!(pm.current_view(), View(6));
         assert!(!actions.is_empty());
         // Re-delivering the same TC is a no-op.
-        assert!(pm.on_timeout_cert(tc, SimTime(0)).is_empty());
+        assert!(pm.on_timeout_cert(&tc, SimTime(0)).is_empty());
     }
 
     #[test]
@@ -326,6 +326,6 @@ mod tests {
         pm.on_qc(&qc, SimTime(0));
         assert_eq!(pm.current_view(), View(10));
         let vote = TimeoutVote::new(View(3), NodeId(1), QuorumCert::genesis(), &kps[1]);
-        assert!(pm.on_timeout_vote(vote, SimTime(0)).is_empty());
+        assert!(pm.on_timeout_vote(&vote, SimTime(0)).is_empty());
     }
 }

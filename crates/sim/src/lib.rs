@@ -32,6 +32,6 @@ pub mod topology;
 pub use cpu::CpuModel;
 pub use latency::{FluctuationWindow, LatencyModel, LinkFault};
 pub use nic::NicModel;
-pub use queue::EventQueue;
+pub use queue::{EventQueue, Popped};
 pub use rng::SimRng;
 pub use topology::{DelayDist, Topology};

@@ -114,10 +114,10 @@ impl std::error::Error for AuthError {}
 /// against the validator set.
 ///
 /// The token holds the message behind a [`SharedMessage`] handle, so cloning
-/// it — the verify pool and the simulator both verify a broadcast once and
-/// fan the token out to every recipient — is a pointer bump, never an
-/// envelope copy. The sole remaining holder recovers the owned message for
-/// free via [`VerifiedMessage::into_parts`].
+/// it — the verify pool verifies a broadcast once and fans the token out to
+/// every recipient — is a pointer bump, never an envelope copy. Recipients
+/// read the message by reference ([`VerifiedMessage::message`]) and copy
+/// only what they keep.
 #[derive(Clone, Debug)]
 pub struct VerifiedMessage {
     from: NodeId,
@@ -133,15 +133,6 @@ impl VerifiedMessage {
     /// The verified message.
     pub fn message(&self) -> &Message {
         &self.message
-    }
-
-    /// Consumes the token and returns `(sender, message)`. When this token is
-    /// the last holder of the envelope — every unicast, and the final
-    /// recipient of a broadcast fan-out — the message is moved out without a
-    /// copy; otherwise the envelope is cloned.
-    pub fn into_parts(self) -> (NodeId, Message) {
-        let message = SharedMessage::try_unwrap(self.message).unwrap_or_else(|arc| (*arc).clone());
-        (self.from, message)
     }
 }
 
@@ -768,9 +759,8 @@ mod tests {
             SimTime::ZERO,
         )));
         let verified = auth.authenticate(NodeId(9), request).expect("clients pass");
-        let (from, message) = verified.into_parts();
-        assert_eq!(from, NodeId(9));
-        assert!(matches!(message, Message::Request(_)));
+        assert_eq!(verified.sender(), NodeId(9));
+        assert!(matches!(verified.message(), Message::Request(_)));
     }
 
     #[test]

@@ -18,13 +18,12 @@ use crate::transaction::{Transaction, TxId};
 /// payloads* zero-copy, but votes, timeout votes and certificates carry
 /// signer vectors and aggregate signatures of their own, so cloning a
 /// `Message` envelope per broadcast recipient still allocates O(n). Backends
-/// that fan one envelope out to many recipients (the simulator's event queue,
-/// the threaded runtime's channels, the verify pool's proof tokens) therefore
-/// deliver `SharedMessage` handles: a broadcast costs n − 1 pointer bumps at
-/// schedule time, the sole-owner receiver (every unicast, the last broadcast
-/// recipient) recovers the owned message for free via [`Arc::try_unwrap`],
-/// and other broadcast recipients copy only what they retain. Messages are
-/// immutable once constructed, which is what makes the sharing sound.
+/// that fan one envelope out to many recipients therefore share one
+/// `SharedMessage`: the threaded runtime's channels and the verify pool's
+/// proof tokens move pointer bumps, the simulator keeps a broadcast's
+/// envelope once in its event queue, and recipients read it by reference,
+/// copying only what they retain. Messages are immutable once constructed,
+/// which is what makes the sharing sound.
 pub type SharedMessage = Arc<Message>;
 
 /// A client request carrying one transaction.

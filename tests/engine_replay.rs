@@ -23,8 +23,11 @@
 //! `GOLDEN_DUMP=1 cargo test --test engine_replay -- --nocapture`
 //! and paste the printed table.
 
-use bamboo::core::{RunOptions, RunReport, SimRunner};
-use bamboo::types::{Config, ProtocolKind, SimDuration};
+use bamboo::core::{
+    FaultTrigger, LinkFault, NodeFault, RecoverMode, RecoveryReport, RunOptions, RunReport,
+    SimRunner,
+};
+use bamboo::types::{ByzantineStrategy, Config, NodeId, ProtocolKind, SimDuration, SimTime};
 
 fn run(protocol: ProtocolKind, nodes: usize, runtime_ms: u64, rate: f64, seed: u64) -> RunReport {
     let config = Config::builder()
@@ -77,8 +80,8 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         917,
         "8b77b8f6022a22c2edcf098b94b3d0e4a6d34871a333b3fe50b7fa570c8e521b",
     ),
-    // A broadcast-heavy mid-size run: covers the shared-envelope fan-out,
-    // and bucket-wheel paths under real event pressure.
+    // A broadcast-heavy mid-size run: covers the shared-envelope fan-out
+    // and a deep event queue under real event pressure.
     (
         ProtocolKind::HotStuff,
         16,
@@ -180,6 +183,96 @@ fn a_signed_open_loop_run_replays_its_pinned_golden_whole_and_cut() {
         assert_eq!(report.client_auth_rejections, 0, "{label}");
         assert_eq!(report.safety_violations, 0, "{label}");
     }
+}
+
+/// Streamlet at n = 7 under everything that makes a broadcast's recipients
+/// differ: two vote forgers (their broadcasts fail verification once and
+/// every recipient books the rejection), a one-way link cut and a group
+/// partition (some recipients of a broadcast are dropped, their delays still
+/// drawn), and one replica crashed and resumed (deliveries to it are lost).
+fn forged_partitioned_streamlet() -> RunReport {
+    let config = Config::builder()
+        .nodes(7)
+        .block_size(50)
+        .runtime(SimDuration::from_millis(600))
+        .arrival_rate(3_000.0)
+        .byzantine(ByzantineStrategy::ForgedVote, 2)
+        .timeout(SimDuration::from_millis(20))
+        .seed(2030)
+        .build()
+        .expect("valid config");
+    let ms = |ms: u64| SimTime(ms * 1_000_000);
+    let options = RunOptions {
+        link_faults: vec![
+            LinkFault::Partition {
+                from: Some(NodeId(2)),
+                to: Some(NodeId(4)),
+                start: ms(50),
+                end: ms(250),
+            },
+            LinkFault::GroupPartition {
+                members: 0b000_1001,
+                start: ms(300),
+                end: ms(380),
+            },
+        ],
+        node_faults: vec![NodeFault {
+            node: NodeId(5),
+            crash: FaultTrigger::At(ms(150)),
+            recover: Some(FaultTrigger::At(ms(220))),
+            mode: RecoverMode::Resume,
+        }],
+        ..RunOptions::default()
+    };
+    SimRunner::new(config, ProtocolKind::Streamlet, options).run()
+}
+
+/// What [`forged_partitioned_streamlet`] produced on the engine that gave
+/// every recipient of a broadcast its own queue entry: the fingerprint, the
+/// rejections, and every counter a replay must reproduce.
+const FORGED_PARTITIONED_GOLDEN: (&str, u64, [u64; 8]) = (
+    "d0d6673e7d3018eac6e2ea65abd0103f040a078c4482bb165345cb5651452f56",
+    23_044,
+    [1_713, 276, 95_738, 96_040, 92_802, 16_058_984, 283, 377],
+);
+
+#[test]
+fn forged_and_partitioned_streamlet_replays_its_pinned_golden() {
+    let report = forged_partitioned_streamlet();
+    let counters = [
+        report.committed_txs,
+        report.committed_blocks,
+        report.events_processed,
+        report.events_scheduled,
+        report.messages_sent,
+        report.bytes_sent,
+        report.views_advanced,
+        report.queue_peak_len,
+    ];
+    if std::env::var_os("GOLDEN_DUMP").is_some() {
+        println!(
+            "(\"{}\", {}, {counters:?})\n{:?}",
+            report.ledger_fingerprint, report.rejected_messages, report.recovery
+        );
+        return;
+    }
+    let (fingerprint, rejections, pinned) = FORGED_PARTITIONED_GOLDEN;
+    assert_eq!(report.ledger_fingerprint, fingerprint);
+    assert_eq!(report.rejected_messages, rejections);
+    assert_eq!(
+        counters, pinned,
+        "committed txs/blocks, events processed/scheduled, messages, bytes, views, queue peak"
+    );
+    // The crashed replica resumed behind and caught up over state transfer.
+    let synced = RecoveryReport {
+        sync_requests: 3,
+        sync_responses: 3,
+        sync_bytes: 36_344,
+        blocks_synced: 16,
+        ..RecoveryReport::default()
+    };
+    assert_eq!(report.recovery, synced);
+    assert_eq!(report.safety_violations, 0);
 }
 
 /// Two fresh runs of the rebuilt engine at n = 256 must agree exactly — the
