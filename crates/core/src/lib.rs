@@ -5,9 +5,10 @@
 //! provides the benchmark facilities of the paper:
 //!
 //! * [`Replica`] — the event-driven replica node: a pure state machine that
-//!   consumes [`ReplicaEvent`]s, writes its effects into the host's
-//!   [`Transport`] and returns CPU-cost accounting, so the same code runs on
-//!   the deterministic simulator and on the live backends.
+//!   consumes verified messages, admitted transactions and local deadlines
+//!   ([`ReplicaEvent`]), writes its effects into the host's [`Transport`]
+//!   and returns CPU-cost accounting, so the same code runs on the
+//!   deterministic simulator and on the live backends.
 //! * [`QuorumTracker`] — the Quorum component (`voted()` / `certified()`).
 //! * [`SimRunner`] — the discrete-event simulation runner: network latency,
 //!   NIC and CPU models, workload generation, fault injection, metric
@@ -22,8 +23,9 @@
 //!   compiled into simulator runs and audited into [`ScenarioReport`]s.
 //! * [`runtime`] — the shared runtime spine: the [`Transport`] trait and the
 //!   [`NodeHost`] driver both deployment backends are built on. The host is
-//!   also the authenticated ingress stage: every inbound message is verified
-//!   against the validator set before the replica sees it.
+//!   also the authenticated ingress stage: a message reaches the replica
+//!   only with a `VerifiedMessage` proof token, and a client transaction
+//!   only inside a `VerifiedRequests` token.
 //! * [`verify::VerifyPool`] — the threaded runtime's verification worker
 //!   pool: signature checking runs on dedicated threads and pipelines with
 //!   consensus instead of serialising onto it.

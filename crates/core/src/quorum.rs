@@ -2,20 +2,39 @@
 //!
 //! Bamboo's Quorum component "supports two simple interfaces to collect votes
 //! (via the interface voted()) and generate QCs (via certified())" (§III-E).
-//! [`QuorumTracker`] is that component: it accumulates votes per block,
+//! [`QuorumTracker`] is that component: it keeps one tally per block,
 //! deduplicates voters, and emits a [`QuorumCert`] exactly once when the
 //! threshold is reached.
 
+use bamboo_crypto::Signature;
 use bamboo_types::{ids::quorum_threshold, BlockId, DigestMap, QuorumCert, View, Vote};
+
+/// One block's votes.
+#[derive(Debug, Clone)]
+struct Tally {
+    /// The view of the block's first vote; what [`QuorumTracker::prune_below`]
+    /// compares.
+    view: View,
+    /// The votes so far; `None` once the QC has formed, so a certified block
+    /// keeps nothing else and drops later votes.
+    open: Option<Box<Open>>,
+}
+
+/// The votes of a block whose QC has not formed yet.
+#[derive(Debug, Clone)]
+struct Open {
+    /// One bit per node id: who has voted.
+    voted: Vec<u64>,
+    /// `(voter, signature)` in arrival order, handed to the QC when it forms.
+    signatures: Vec<(u64, Signature)>,
+}
 
 /// Collects votes and forms quorum certificates.
 #[derive(Debug, Clone)]
 pub struct QuorumTracker {
     nodes: usize,
-    /// Pending votes per block.
-    votes: DigestMap<BlockId, Vec<Vote>>,
-    /// Blocks for which a QC has already been produced.
-    certified: DigestMap<BlockId, View>,
+    /// Every block with an unpruned vote, certified or not.
+    tallies: DigestMap<BlockId, Tally>,
     /// Total votes accepted (for metrics).
     accepted: u64,
     /// Votes dropped as duplicates or stale.
@@ -27,8 +46,7 @@ impl QuorumTracker {
     pub fn new(nodes: usize) -> Self {
         Self {
             nodes,
-            votes: DigestMap::default(),
-            certified: DigestMap::default(),
+            tallies: DigestMap::default(),
             accepted: 0,
             dropped: 0,
         }
@@ -39,45 +57,55 @@ impl QuorumTracker {
         quorum_threshold(self.nodes)
     }
 
-    /// `voted()`: registers a vote, copying it only if it counts. Returns
-    /// `Some(qc)` the moment the block reaches the threshold (and never again
-    /// for the same block).
+    /// `voted()`: registers a vote, copying its signature only if it counts.
+    /// Returns `Some(qc)` the moment the block reaches the threshold (and
+    /// never again for the same block).
     pub fn add_vote(&mut self, vote: &Vote) -> Option<QuorumCert> {
-        if self.certified.contains_key(&vote.block) {
-            self.dropped += 1;
-            return None;
-        }
-        let entry = self.votes.entry(vote.block).or_default();
-        if entry.iter().any(|v| v.voter == vote.voter) {
-            self.dropped += 1;
-            return None;
-        }
+        let threshold = quorum_threshold(self.nodes);
+        let words = self.nodes.div_ceil(64);
+        let tally = self.tallies.entry(vote.block).or_insert_with(|| Tally {
+            view: vote.view,
+            open: Some(Box::new(Open {
+                voted: vec![0; words],
+                signatures: Vec::with_capacity(threshold),
+            })),
+        });
+        let (word, bit) = (vote.voter.index() / 64, 1u64 << (vote.voter.index() % 64));
+        // A voter outside the validator set fails ingress; it counts nowhere.
+        let open = match tally.open.as_deref_mut() {
+            Some(open) if open.voted.get(word).is_some_and(|w| w & bit == 0) => open,
+            _ => {
+                self.dropped += 1;
+                return None;
+            }
+        };
+        open.voted[word] |= bit;
+        open.signatures.push((vote.voter.as_u64(), vote.signature));
         self.accepted += 1;
-        entry.push(vote.clone());
-        if entry.len() >= quorum_threshold(self.nodes) {
-            let votes = self.votes.remove(&vote.block).expect("entry exists");
-            self.certified.insert(vote.block, vote.view);
-            return Some(QuorumCert::from_votes(vote.block, vote.view, &votes));
+        if open.signatures.len() < threshold {
+            return None;
         }
-        None
+        let signatures = std::mem::take(&mut open.signatures);
+        tally.open = None;
+        Some(QuorumCert {
+            block: vote.block,
+            view: vote.view,
+            // The aggregate sorts by signer, so arrival order does not matter.
+            signatures: signatures.into_iter().collect(),
+        })
     }
 
     /// `certified()`: returns true if a QC has been produced for `block`.
     pub fn is_certified(&self, block: BlockId) -> bool {
-        self.certified.contains_key(&block)
+        self.tallies
+            .get(&block)
+            .is_some_and(|tally| tally.open.is_none())
     }
 
-    /// Number of votes currently buffered for `block`.
-    pub fn pending_votes(&self, block: BlockId) -> usize {
-        self.votes.get(&block).map(Vec::len).unwrap_or(0)
-    }
-
-    /// Drops buffered votes for blocks proposed before `view`; called after
+    /// Drops the tallies of blocks proposed before `view`; called after
     /// commits to keep memory bounded over long runs.
     pub fn prune_below(&mut self, view: View) {
-        self.votes
-            .retain(|_, votes| votes.first().map(|v| v.view >= view).unwrap_or(false));
-        self.certified.retain(|_, v| *v >= view);
+        self.tallies.retain(|_, tally| tally.view >= view);
     }
 
     /// Total accepted and dropped vote counts.
@@ -115,6 +143,16 @@ mod tests {
     }
 
     #[test]
+    fn the_qc_equals_one_built_from_the_votes() {
+        let mut q = QuorumTracker::new(7);
+        let votes: Vec<Vote> = [5, 0, 3, 6, 1].map(|voter| vote(1, 4, voter)).into();
+        let qc = (votes.iter())
+            .find_map(|v| q.add_vote(v))
+            .expect("five of seven");
+        assert_eq!(qc, QuorumCert::from_votes(votes[0].block, View(4), &votes));
+    }
+
+    #[test]
     fn duplicate_voters_do_not_count() {
         let mut q = QuorumTracker::new(4);
         assert!(q.add_vote(&vote(1, 2, 0)).is_none());
@@ -122,6 +160,16 @@ mod tests {
         assert!(q.add_vote(&vote(1, 2, 0)).is_none());
         assert!(!q.is_certified(BlockId(Digest::of(&[1]))));
         assert_eq!(q.counters(), (1, 2));
+    }
+
+    #[test]
+    fn voters_outside_the_validator_set_do_not_count() {
+        let mut q = QuorumTracker::new(4);
+        assert!(q.add_vote(&vote(1, 2, 0)).is_none());
+        assert!(q.add_vote(&vote(1, 2, 1)).is_none());
+        assert!(q.add_vote(&vote(1, 2, 64)).is_none());
+        assert!(!q.is_certified(BlockId(Digest::of(&[1]))));
+        assert_eq!(q.counters(), (2, 1));
     }
 
     #[test]
@@ -139,20 +187,28 @@ mod tests {
     #[test]
     fn separate_blocks_are_tracked_independently() {
         let mut q = QuorumTracker::new(4);
-        q.add_vote(&vote(1, 2, 0));
-        q.add_vote(&vote(2, 2, 0));
-        assert_eq!(q.pending_votes(BlockId(Digest::of(&[1]))), 1);
-        assert_eq!(q.pending_votes(BlockId(Digest::of(&[2]))), 1);
+        for voter in 0..2 {
+            assert!(q.add_vote(&vote(1, 2, voter)).is_none());
+            assert!(q.add_vote(&vote(2, 2, voter)).is_none());
+        }
+        assert!(q.add_vote(&vote(1, 2, 2)).is_some());
+        assert!(!q.is_certified(BlockId(Digest::of(&[2]))));
     }
 
     #[test]
-    fn prune_discards_old_buffers() {
+    fn prune_discards_old_tallies() {
         let mut q = QuorumTracker::new(7);
         q.add_vote(&vote(1, 2, 0));
         q.add_vote(&vote(2, 9, 0));
         q.prune_below(View(5));
-        assert_eq!(q.pending_votes(BlockId(Digest::of(&[1]))), 0);
-        assert_eq!(q.pending_votes(BlockId(Digest::of(&[2]))), 1);
+        // Block 2 kept voter 0, so four more votes certify it; block 1 lost
+        // it and needs a fifth.
+        for voter in 1..5 {
+            let certified = q.add_vote(&vote(2, 9, voter)).is_some();
+            assert_eq!(certified, voter == 4);
+            assert!(q.add_vote(&vote(1, 2, voter)).is_none());
+        }
+        assert!(q.add_vote(&vote(1, 2, 5)).is_some());
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! The replica node: Bamboo's `Replica` assembled from the shared modules.
 //!
-//! A [`Replica`] is a pure state machine. It consumes [`ReplicaEvent`]s
-//! (delivered messages, timer expirations, client requests), writes what
-//! should happen next — messages to send, timers to arm — into the
-//! [`Transport`] its host hands it, and returns a [`StepReport`]: CPU time
-//! consumed and blocks that became committed. All time, networking and
-//! randomness live in the runner, which is what makes the same replica code
-//! usable both on the deterministic simulator and on the live backends.
+//! A [`Replica`] is a pure state machine. It consumes verified messages and
+//! admitted client transactions — both only through its
+//! [`crate::NodeHost`], which holds the proof tokens — and the local
+//! deadlines of [`ReplicaEvent`], writes what should happen next — messages
+//! to send, timers to arm — into the [`Transport`] its host hands it, and
+//! returns a [`StepReport`]: CPU time consumed and blocks that became
+//! committed. All time, networking and randomness live in the runner, which
+//! is what makes the same replica code usable both on the deterministic
+//! simulator and on the live backends.
 //!
 //! The replica is three machines. This file is the consensus step (proposal,
 //! vote, QC, commit, view change); `sync.rs` is state transfer and
@@ -16,7 +18,7 @@
 use bamboo_crypto::{DigestMap, KeyPair};
 use bamboo_forest::{BlockForest, ForestError, Ledger};
 use bamboo_mempool::{Mempool, MempoolStats};
-use bamboo_pacemaker::{LeaderElection, Pacemaker, PacemakerAction};
+use bamboo_pacemaker::{LeaderElection, Pacemaker};
 use bamboo_protocols::{make_protocol, Attack, ProposalInput, Safety, VoteDestination};
 use bamboo_sim::CpuModel;
 use bamboo_types::{
@@ -230,13 +232,15 @@ impl Replica {
     }
 
     fn boot(&mut self, out: &mut Step<'_>) {
-        self.apply_pacemaker_action(self.pacemaker.arm_timer(out.now), out);
-        if self.election.is_leader(self.id, self.current_view()) {
-            self.do_propose(self.current_view(), out);
+        let view = self.current_view();
+        out.transport
+            .arm_timer(view, out.now + self.pacemaker.timeout());
+        if self.election.is_leader(self.id, view) {
+            self.do_propose(view, out);
         }
     }
 
-    /// Handles one event, writing its effects into `transport`.
+    /// Handles one local deadline, writing its effects into `transport`.
     pub fn handle(
         &mut self,
         event: ReplicaEvent,
@@ -246,14 +250,18 @@ impl Replica {
         let mut step = Step::new(now, transport, self.cpu);
         let out = &mut step;
         match event {
-            ReplicaEvent::ClientRequests(txs) => {
-                self.mempool.push_batch(txs);
-            }
             ReplicaEvent::TimerFired { view } => {
                 let high_qc = self.forest.high_qc().clone();
-                let actions = self.pacemaker.on_timer(view, high_qc, &self.keypair);
+                let vote = self.pacemaker.on_timer(view, high_qc, &self.keypair);
                 out.cpu += self.cpu.sign();
-                self.apply_pacemaker_actions(actions, out);
+                if let Some(vote) = vote {
+                    // Our own timeout vote counts towards our own TC.
+                    let tc = self.pacemaker.on_timeout_vote(&vote);
+                    out.transport.broadcast(Message::Timeout(vote));
+                    if let Some(tc) = tc {
+                        self.enter_view(tc.view.next(), Some(tc), out);
+                    }
+                }
             }
             ReplicaEvent::ProposeNow { view } => {
                 // A paced (epoch/timeout-waited) proposal slot defers on a
@@ -262,7 +270,6 @@ impl Replica {
                     self.propose_or_defer(view, out);
                 }
             }
-            ReplicaEvent::Message { from: _, message } => self.on_message(&message, out),
             ReplicaEvent::SyncTimer => {
                 if self.sync.timer_fired(&self.forest) {
                     self.send_sync_request(out);
@@ -270,6 +277,12 @@ impl Replica {
             }
         }
         step.finish()
+    }
+
+    /// Admits client transactions that passed the edge check into the
+    /// mempool; admitting writes no effect.
+    pub(crate) fn admit(&mut self, txs: Vec<Transaction>) {
+        self.mempool.push_batch(txs);
     }
 
     /// Handles one delivered message by reference, cloning only what the
@@ -300,8 +313,9 @@ impl Replica {
                 // per signature verified.
                 out.cpu += self.cpu.verify(1 + tv.high_qc.signer_count());
                 self.register_qc(&tv.high_qc, out);
-                let actions = self.pacemaker.on_timeout_vote(tv, out.now);
-                self.apply_pacemaker_actions(actions, out);
+                if let Some(tc) = self.pacemaker.on_timeout_vote(tv) {
+                    self.enter_view(tc.view.next(), Some(tc), out);
+                }
             }
             Message::TimeoutCertMsg(tc) => {
                 // Per-signer cost for the TC aggregate plus the embedded
@@ -309,8 +323,9 @@ impl Replica {
                 let signers = tc.signer_count() + tc.high_qc.signer_count();
                 out.cpu += self.cpu.verify(signers);
                 self.register_qc(&tc.high_qc, out);
-                let actions = self.pacemaker.on_timeout_cert(tc, out.now);
-                self.apply_pacemaker_actions(actions, out);
+                if self.pacemaker.on_timeout_cert(tc) {
+                    self.enter_view(tc.view.next(), Some(tc.clone()), out);
+                }
             }
             Message::NewView(qc) => {
                 out.cpu += self.cpu.verify(qc.signer_count());
@@ -446,33 +461,14 @@ impl Replica {
             self.commit(commit_id, learned_in, out);
         }
 
-        let actions = self.pacemaker.on_qc(qc, out.now);
-        self.apply_pacemaker_actions(actions, out);
-    }
-
-    fn apply_pacemaker_actions(&mut self, actions: Vec<PacemakerAction>, out: &mut Step<'_>) {
-        for action in actions {
-            self.apply_pacemaker_action(action, out);
+        if self.pacemaker.on_qc(qc) {
+            self.enter_view(qc.view.next(), None, out);
         }
     }
 
-    fn apply_pacemaker_action(&mut self, action: PacemakerAction, out: &mut Step<'_>) {
-        match action {
-            PacemakerAction::ScheduleTimer { view, deadline } => {
-                out.transport.arm_timer(view, deadline);
-            }
-            PacemakerAction::BroadcastTimeout(tv) => {
-                // Our own timeout vote counts towards our own TC.
-                let actions = self.pacemaker.on_timeout_vote(&tv, out.now);
-                out.transport.broadcast(Message::Timeout(tv));
-                self.apply_pacemaker_actions(actions, out);
-            }
-            PacemakerAction::NewView { new_view, tc } => {
-                self.enter_view(new_view, tc, out);
-            }
-        }
-    }
-
+    /// Acts on the pacemaker having just entered `view` (through `tc`, or a
+    /// QC when `None`): forwards the TC, proposes if we lead, and arms the
+    /// view's timer last.
     fn enter_view(&mut self, view: View, tc: Option<TimeoutCert>, out: &mut Step<'_>) {
         let via_timeout = tc.is_some();
         if let Some(tc) = tc {
@@ -502,6 +498,8 @@ impl Replica {
         if view.as_u64() > 64 {
             self.quorum.prune_below(View(view.as_u64() - 64));
         }
+        out.transport
+            .arm_timer(view, out.now + self.pacemaker.timeout());
     }
 
     /// Proposes for `view` — unless the certification that advanced us refers
@@ -701,6 +699,7 @@ mod tests {
     use super::*;
     use crate::runtime::BufferedTransport;
     use bamboo_forest::{chunks, Snapshot};
+    use bamboo_types::{SharedMessage, TimeoutVote};
 
     fn config(nodes: usize) -> Config {
         Config::builder()
@@ -744,7 +743,7 @@ mod tests {
     fn deliver(
         from: NodeId,
         wire: &mut BufferedTransport,
-        inbox: &mut Vec<(NodeId, ReplicaEvent)>,
+        inbox: &mut Vec<(NodeId, SharedMessage)>,
     ) {
         for (to, message) in wire.sends.drain(..) {
             let recipients = match to {
@@ -753,8 +752,7 @@ mod tests {
             };
             for node in recipients.map(NodeId) {
                 if to.is_some() || node != from {
-                    let message = (*message).clone();
-                    inbox.push((node, ReplicaEvent::Message { from, message }));
+                    inbox.push((node, message.clone()));
                 }
             }
         }
@@ -766,12 +764,11 @@ mod tests {
         mut after_step: impl FnMut(&Replica),
     ) -> Vec<Replica> {
         let mut wire = BufferedTransport::new();
-        let mut inbox: Vec<(NodeId, ReplicaEvent)> = Vec::new();
+        let mut inbox: Vec<(NodeId, SharedMessage)> = Vec::new();
         let mut now = SimTime::ZERO;
         for (i, replica) in replicas.iter_mut().enumerate() {
             // Seed every replica's mempool.
-            let seed = ReplicaEvent::ClientRequests(txs(200, 100 + i as u64));
-            replica.handle(seed, now, &mut wire);
+            replica.admit(txs(200, 100 + i as u64));
         }
         for replica in replicas.iter_mut() {
             replica.start(now, &mut wire);
@@ -784,8 +781,8 @@ mod tests {
             }
             now += bamboo_types::SimDuration::from_micros(100);
             let batch = std::mem::take(&mut inbox);
-            for (to, event) in batch {
-                replicas[to.index()].handle(event, now, &mut wire);
+            for (to, message) in batch {
+                replicas[to.index()].receive(&message, now, &mut wire);
                 after_step(&replicas[to.index()]);
                 deliver(to, &mut wire, &mut inbox);
             }
@@ -906,11 +903,9 @@ mod tests {
         let (mut asked, mut served) = (BufferedTransport::new(), BufferedTransport::new());
         lagging.send_sync_request(&mut Step::new(now, &mut asked, lagging.cpu));
         for (_, request) in std::mem::take(&mut asked.sends) {
-            let (from, message) = (lagging.id(), (*request).clone());
-            server.handle(ReplicaEvent::Message { from, message }, now, &mut served);
+            server.receive(&request, now, &mut served);
             for (_, reply) in served.sends.drain(..) {
-                let (from, message) = (server.id(), (*reply).clone());
-                lagging.handle(ReplicaEvent::Message { from, message }, now, &mut asked);
+                lagging.receive(&reply, now, &mut asked);
             }
         }
     }
@@ -1005,8 +1000,7 @@ mod tests {
             ReplicaOptions::default(),
         );
         let mut wire = BufferedTransport::new();
-        let requests = ReplicaEvent::ClientRequests(txs(25, 7));
-        replica.handle(requests, SimTime::ZERO, &mut wire);
+        replica.admit(txs(25, 7));
         assert_eq!(replica.mempool_len(), 25);
         // Node 1 leads view 1: starting it proposes a block with 10 txs.
         replica.start(SimTime::ZERO, &mut wire);
@@ -1030,10 +1024,39 @@ mod tests {
             ReplicaOptions::default(),
         );
         let mut wire = BufferedTransport::new();
-        replica.start(SimTime::ZERO, &mut wire);
+        replica.start(SimTime(5), &mut wire);
         assert!(wire.sends.is_empty());
-        assert_eq!(wire.timers.len(), 1);
-        assert_eq!(wire.timers[0].0, View(1));
+        assert_eq!(
+            wire.timers,
+            [(View(1), SimTime(5) + replica.config().timeout)]
+        );
+    }
+
+    #[test]
+    fn a_timeout_certificate_enters_the_next_view_and_arms_its_timer() {
+        let cfg = config(4);
+        let mut replica = Replica::new(
+            NodeId(3),
+            ProtocolKind::HotStuff,
+            cfg,
+            ReplicaOptions::default(),
+        );
+        let mut wire = BufferedTransport::new();
+        replica.start(SimTime::ZERO, &mut wire);
+        wire.clear();
+        let now = SimTime(1_000);
+        for voter in 0..3 {
+            let key = KeyPair::from_seed(voter);
+            let vote = TimeoutVote::new(View(1), NodeId(voter), QuorumCert::genesis(), &key);
+            replica.receive(&Message::Timeout(vote), now, &mut wire);
+        }
+        assert_eq!(replica.current_view(), View(2));
+        assert_eq!(replica.timeout_view_changes(), 1);
+        assert_eq!(wire.timers, [(View(2), now + replica.config().timeout)]);
+        // The TC goes on to view 2's leader.
+        let forwarded = (wire.sends.iter())
+            .any(|(to, m)| *to == Some(NodeId(2)) && matches!(**m, Message::TimeoutCertMsg(_)));
+        assert!(forwarded);
     }
 
     #[test]
@@ -1065,8 +1088,7 @@ mod tests {
             },
         );
         let mut wire = BufferedTransport::new();
-        let requests = ReplicaEvent::ClientRequests(txs(25, 7));
-        replica.handle(requests, SimTime::ZERO, &mut wire);
+        replica.admit(txs(25, 7));
         replica.start(SimTime::ZERO, &mut wire);
         assert!(wire.sends.is_empty(), "silenced leader never proposes");
         assert_eq!(replica.mempool_len(), 25, "batch returned to the pool");

@@ -557,9 +557,9 @@ impl SimRunner {
             // The batch was edge-checked when its tick was generated; the
             // host charges the check (as `CpuModel::verify_batch` models it)
             // and admits the stripped transactions to the mempool.
-            EventKind::ClientBatch(requests) => self.step(node, time, |host, start, effects| {
-                host.admit(requests, start, effects)
-            }),
+            EventKind::ClientBatch(requests) => {
+                self.step(node, time, |host, _, _| host.admit(requests))
+            }
             EventKind::Timer(view) => self.dispatch(node, ReplicaEvent::TimerFired { view }, time),
             EventKind::ProposeNow(view) => {
                 self.dispatch(node, ReplicaEvent::ProposeNow { view }, time)
@@ -865,16 +865,17 @@ impl SimRunner {
             // uninterrupted chain to audit against.
             return recovery;
         };
-        let target_len = reference.ledger().len();
-        let target = reference.ledger().chain_fingerprint_prefix(target_len);
+        let target = reference.ledger();
         for host in hosts {
             let replica = host.replica();
             let stats = replica.recovery_stats();
             if stats.restarted_at.is_none() {
                 continue;
             }
-            let caught_up = replica.ledger().len() >= target_len
-                && replica.ledger().chain_fingerprint_prefix(target_len) == target;
+            // Block ids bind each block's view and transactions, so equal ids
+            // over the reference's length are the same committed chain.
+            let caught_up =
+                replica.ledger().len() >= target.len() && replica.ledger().consistent_with(target);
             if !caught_up {
                 recovery.recovered_caught_up = false;
             }

@@ -1,9 +1,10 @@
 //! The shared runtime spine of every deployment mode.
 //!
-//! A [`crate::Replica`] is a pure state machine: it consumes
-//! [`ReplicaEvent`]s and writes each effect — a message to send, a timer to
-//! arm, a delayed proposal to schedule — into the [`Transport`] its host
-//! hands it, the moment it decides on it. Everything that differs between the
+//! A [`crate::Replica`] is a pure state machine: it consumes verified
+//! messages, admitted transactions and [`ReplicaEvent`]s (local deadlines),
+//! and writes each effect — a message to send, a timer to arm, a delayed
+//! proposal to schedule — into the [`Transport`] its host hands it, the
+//! moment it decides on it. Everything that differs between the
 //! deterministic simulator and the live backends is *how* those effects are
 //! realised — which is exactly what the trait captures. There are two
 //! implementations:
@@ -16,43 +17,43 @@
 //!   the wall clock and sends messages through the backend's
 //!   [`crate::live::Link`].
 //!
-//! The [`NodeHost`] is the common driver: it owns the replica, feeds events
+//! The [`NodeHost`] is the common driver: it owns the replica, feeds inputs
 //! and the backend's `Transport` into it, and hands the backend the step's
 //! [`StepReport`] (CPU time consumed plus newly committed blocks) for
 //! accounting.
 //!
-//! The host is also the **authenticated ingress stage**: every
-//! [`ReplicaEvent::Message`] fed through [`NodeHost::handle`] is
-//! cryptographically verified (signatures, certificate thresholds, block
-//! ids) by an [`Authenticator`] *before* the replica state machine sees it;
-//! forgeries are dropped and counted. Backends that verify elsewhere — the
-//! live backends' [`crate::verify::VerifyPool`]s check messages on worker
-//! threads so crypto pipelines with consensus, and the simulator verifies
-//! each unique envelope once when it is absorbed and fans the verdict out —
-//! hand the resulting [`VerifiedMessage`] proof token by reference to
-//! [`NodeHost::deliver`] (or book the failure via
-//! [`NodeHost::reject_forged`]), which skips the duplicate check. Either way,
-//! no unchecked signature can reach [`Replica::handle`].
+//! The host is also the **authenticated ingress stage**, and the replica has
+//! no other door:
+//!
+//! * a message reaches the replica only as a [`VerifiedMessage`], through
+//!   [`NodeHost::deliver`]. Only an [`Authenticator`] mints that proof token
+//!   — on the live backends' [`crate::verify::VerifyPool`] workers, so
+//!   crypto pipelines with consensus, or once per unique envelope in the
+//!   simulator, which fans the verdict out. A forgery is booked through
+//!   [`NodeHost::reject_forged`] instead;
+//! * client transactions reach the mempool only as [`VerifiedRequests`],
+//!   through [`NodeHost::admit`] (or [`NodeHost::handle_client_batch`],
+//!   which runs the edge check first);
+//! * [`NodeHost::handle`] takes a [`ReplicaEvent`], which is nothing but a
+//!   local deadline coming due.
+//!
+//! No unchecked signature can reach the replica, by type.
 
 use bamboo_sim::CpuModel;
 use bamboo_types::{
     Authenticator, ClientRequest, Config, Message, NodeId, ProtocolKind, SharedBlock,
-    SharedMessage, SimDuration, SimTime, Transaction, VerifiedMessage, VerifiedRequests, View,
+    SharedMessage, SimDuration, SimTime, VerifiedMessage, VerifiedRequests, View,
 };
 
 use crate::replica::{Replica, ReplicaOptions};
 use crate::storage::StorageFault;
 
-/// Events consumed by a replica.
+/// The local deadlines a replica consumes: the effects it armed through
+/// [`Transport`] coming due. Messages and client transactions are not events;
+/// they reach the replica only with a proof token, through
+/// [`NodeHost::deliver`] and [`NodeHost::admit`].
 #[derive(Clone, Debug)]
 pub enum ReplicaEvent {
-    /// A message delivered by the network.
-    Message {
-        /// The sending node.
-        from: NodeId,
-        /// The delivered message.
-        message: Message,
-    },
     /// A previously armed view timer fired.
     TimerFired {
         /// The view the timer was armed for.
@@ -64,8 +65,6 @@ pub enum ReplicaEvent {
         /// The view the proposal was scheduled for.
         view: View,
     },
-    /// A batch of client transactions arrived at this replica.
-    ClientRequests(Vec<Transaction>),
     /// A previously armed sync timer fired (gap-detection debounce or a
     /// retry deadline for an outstanding state-transfer request).
     SyncTimer,
@@ -172,9 +171,9 @@ pub struct NodeHost {
     replica: Replica,
     /// The ingress verifier holding the validator set's public keys.
     authenticator: Authenticator,
-    /// Models the CPU cost of *failed* verifications (accepted messages are
-    /// charged by the replica itself, whose modeled costs mirror the real
-    /// checks performed here).
+    /// Models the CPU cost of *failed* verifications and of the client edge
+    /// check (accepted messages are charged by the replica itself, whose
+    /// modeled costs mirror the real checks).
     cpu: CpuModel,
     /// Messages dropped at ingress because a signature, certificate or block
     /// id failed verification.
@@ -239,43 +238,28 @@ impl NodeHost {
         self.replica.start(now, transport)
     }
 
-    /// Feeds one event into the replica.
-    ///
-    /// Message events pass through the ingress verifier first: a forged vote,
-    /// QC, timeout or tampered block is dropped here — the replica never sees
-    /// it — and the step reports only the (modeled) CPU cost of discovering
-    /// the forgery.
+    /// Fires one local deadline at the replica.
     pub fn handle(
         &mut self,
         event: ReplicaEvent,
         now: SimTime,
         transport: &mut dyn Transport,
     ) -> StepReport {
-        let event = match event {
-            ReplicaEvent::Message { from, message } => {
-                let cost =
-                    verification_cost(&self.cpu, self.authenticator.signed_clients(), &message);
-                if self.authenticator.verify_message(&message).is_err() {
-                    return self.reject(cost);
-                }
-                ReplicaEvent::Message { from, message }
-            }
-            other => other,
-        };
         self.replica.handle(event, now, transport)
     }
 
     /// Feeds a batch of client requests through the edge verification stage
     /// ([`Authenticator::verify_requests`]) and into the replica's mempool
-    /// ([`NodeHost::admit`]).
+    /// ([`NodeHost::admit`]). Admitting writes no effect, so `now` and
+    /// `transport` go unused; they keep the shape every entry point shares.
     pub fn handle_client_batch(
         &mut self,
         requests: Vec<ClientRequest>,
-        now: SimTime,
-        transport: &mut dyn Transport,
+        _now: SimTime,
+        _transport: &mut dyn Transport,
     ) -> StepReport {
         let verified = self.authenticator.verify_requests(requests);
-        self.admit(verified, now, transport)
+        self.admit(verified)
     }
 
     /// Admits a client batch that passed the edge check — here or on another
@@ -286,31 +270,28 @@ impl NodeHost {
     /// ([`CpuModel::verify_batch`]), plus a second, sequential pass
     /// ([`CpuModel::verify`]) when the all-or-nothing check failed and every
     /// request was checked on its own. The requests the check dropped are
-    /// counted in [`NodeHost::client_auth_rejections`].
-    pub fn admit(
-        &mut self,
-        requests: VerifiedRequests,
-        now: SimTime,
-        transport: &mut dyn Transport,
-    ) -> StepReport {
-        let mut edge_cpu = SimDuration::ZERO;
+    /// counted in [`NodeHost::client_auth_rejections`]. Admitting costs
+    /// nothing beyond the check and writes no effect.
+    pub fn admit(&mut self, requests: VerifiedRequests) -> StepReport {
+        let mut cpu = SimDuration::ZERO;
         if requests.signed() {
-            edge_cpu = self.cpu.verify_batch(requests.offered());
+            cpu = self.cpu.verify_batch(requests.offered());
             if requests.fell_back() {
-                edge_cpu += self.cpu.verify(requests.offered());
+                cpu += self.cpu.verify(requests.offered());
             }
         }
         self.client_auth_rejections += requests.rejected() as u64;
-        let event = ReplicaEvent::ClientRequests(requests.into_transactions());
-        let mut report = self.replica.handle(event, now, transport);
-        report.cpu += edge_cpu;
-        report
+        self.replica.admit(requests.into_transactions());
+        StepReport {
+            cpu,
+            committed: Vec::new(),
+        }
     }
 
-    /// Feeds an already-verified message into the replica by reference,
-    /// skipping the inline check; the replica clones only what it keeps.
-    /// Backends that verify elsewhere — the live backends' verify pools, the
-    /// simulator's verify-once broadcast fan-out — use this; the
+    /// Feeds a verified message into the replica by reference — the only way
+    /// a message reaches it; the replica clones only what it keeps. Every
+    /// backend verifies before it calls this — the live backends' verify
+    /// pools, the simulator's verify-once broadcast fan-out — and the
     /// [`VerifiedMessage`] token can only be minted by an [`Authenticator`],
     /// so the no-unchecked-input invariant holds by construction.
     pub fn deliver(
@@ -349,24 +330,16 @@ impl NodeHost {
         }
     }
 
-    /// Books a message that failed verification elsewhere (the simulator
-    /// verifies each unique envelope once and fans the verdict out): counts
-    /// the rejection at this replica and charges the modeled cost of the
-    /// verification work that exposed the forgery, exactly as if the check
-    /// had run inline here.
+    /// Books a message that failed verification (the simulator verifies each
+    /// unique envelope once and fans the verdict out): counts the rejection
+    /// at this replica and charges the modeled cost of the verification work
+    /// that exposed the forgery, exactly as if the check had run here (a
+    /// flood of forgeries is not free to fend off — it consumes the target's
+    /// CPU budget, which is exactly how the paper's model would account it).
     pub fn reject_forged(&mut self, message: &Message) -> StepReport {
-        let cost = verification_cost(&self.cpu, self.authenticator.signed_clients(), message);
-        self.reject(cost)
-    }
-
-    /// Books a rejected message: counts it and charges the modeled cost of
-    /// the verification work that exposed the forgery (a flood of forgeries
-    /// is not free to fend off — it consumes the target's CPU budget, which
-    /// is exactly how the paper's model would account it).
-    fn reject(&mut self, cost: SimDuration) -> StepReport {
         self.auth_rejections += 1;
         StepReport {
-            cpu: cost,
+            cpu: verification_cost(&self.cpu, self.authenticator.signed_clients(), message),
             committed: Vec::new(),
         }
     }
@@ -509,15 +482,12 @@ mod tests {
             config(4),
             ReplicaOptions::default(),
         );
-        let txs: Vec<Transaction> = (0..5)
-            .map(|i| Transaction::new(NodeId(9), i, 8, SimTime::ZERO))
+        let requests: Vec<ClientRequest> = (0..5)
+            .map(|i| ClientRequest::unsigned(Transaction::new(NodeId(9), i, 8, SimTime::ZERO)))
             .collect();
         let mut transport = BufferedTransport::new();
-        host.handle(
-            ReplicaEvent::ClientRequests(txs),
-            SimTime::ZERO,
-            &mut transport,
-        );
+        host.handle_client_batch(requests, SimTime::ZERO, &mut transport);
+        assert!(transport.sends.is_empty(), "admitting writes no effect");
         // Node 1 leads view 1.
         let report = host.start(SimTime::ZERO, &mut transport);
         assert!(report.cpu > SimDuration::ZERO, "proposing costs CPU");
@@ -564,7 +534,7 @@ mod tests {
         let verified = edge.verify_requests(client_requests(false));
         assert!(verified.signed() && !verified.fell_back());
         assert_eq!((verified.transactions().len(), verified.rejected()), (3, 0));
-        let report = host.admit(verified, SimTime(2_000), &mut BufferedTransport::new());
+        let report = host.admit(verified);
         assert_eq!(report.cpu, cpu.verify_batch(3));
         assert_eq!(host.replica().mempool_len(), 3);
         assert_eq!(host.client_auth_rejections(), 0);
@@ -578,7 +548,7 @@ mod tests {
         assert_eq!((verified.offered(), verified.rejected()), (3, 1));
         let seqs: Vec<u64> = verified.transactions().iter().map(|tx| tx.seq).collect();
         assert_eq!(seqs, [0, 2], "the honest requests survive, in order");
-        let report = host.admit(verified, SimTime(2_000), &mut BufferedTransport::new());
+        let report = host.admit(verified);
         assert_eq!(report.cpu, cpu.verify_batch(3) + cpu.verify(3));
         assert_eq!(host.replica().mempool_len(), 2);
         assert_eq!(host.client_auth_rejections(), 1);
@@ -599,7 +569,7 @@ mod tests {
         let verified = edge.verify_requests(client_requests(true));
         assert!(!verified.signed() && !verified.fell_back());
         assert_eq!((verified.transactions().len(), verified.rejected()), (3, 0));
-        let report = host.admit(verified, SimTime(2_000), &mut BufferedTransport::new());
+        let report = host.admit(verified);
         assert!(report.cpu.is_zero());
         assert_eq!(host.replica().mempool_len(), 3);
         assert_eq!(host.client_auth_rejections(), 0);

@@ -474,16 +474,9 @@ impl BlockForest {
     }
 
     /// Returns the chain of blocks from `ancestor` (exclusive) down to `id`
-    /// (inclusive), ordered from oldest to newest. Returns `None` if `id` does
-    /// not extend `ancestor`.
-    pub fn path_from(&self, ancestor: BlockId, id: BlockId) -> Option<Vec<&Block>> {
-        self.shared_path_from(ancestor, id)
-            .map(|path| path.into_iter().map(|b| &**b).collect())
-    }
-
-    /// Like [`BlockForest::path_from`] but yields the shared handles, so
-    /// callers (e.g. [`BlockForest::commit`]) can retain the chain without
-    /// copying payloads.
+    /// (inclusive), ordered from oldest to newest, as shared handles so
+    /// callers can retain the chain without copying payloads. Returns `None`
+    /// if `id` does not extend `ancestor`.
     pub fn shared_path_from(&self, ancestor: BlockId, id: BlockId) -> Option<Vec<&SharedBlock>> {
         let mut path = VecDeque::new();
         let mut cursor = id;
@@ -580,8 +573,6 @@ impl BlockForest {
         // Genesis (height 0) is never pruned, so only heights in `1..cut`
         // can lose a block; when the index has none there is nothing to cut.
         if self.by_height.range(1..cut).next().is_some() {
-            let kept = self.by_height.split_off(&cut);
-            let below = std::mem::replace(&mut self.by_height, kept);
             // The committed path first, in one walk down from the head: its
             // blocks below the cut go without being reported (the ledger owns
             // the committed history). Whatever the index still lists below
@@ -598,7 +589,11 @@ impl BlockForest {
                 }
                 cursor = parent;
             }
-            for (h, mut ids) in below {
+            // In place, in ascending height order.
+            self.by_height.retain(|&h, ids| {
+                if h >= cut {
+                    return true;
+                }
                 ids.retain(|&id| {
                     if id == head || id.is_genesis() {
                         // Stays indexed, so a later prune revisits it.
@@ -610,10 +605,8 @@ impl BlockForest {
                     }
                     false
                 });
-                if !ids.is_empty() {
-                    self.by_height.insert(h, ids);
-                }
-            }
+                !ids.is_empty()
+            });
         }
         // The highest certified block normally sits at or above the committed
         // head and survives every prune; if a certified losing fork was the
@@ -635,15 +628,6 @@ impl BlockForest {
     pub fn prune_to_committed(&mut self) -> Vec<SharedBlock> {
         let height = self.committed_head().height;
         self.prune_to(height)
-    }
-
-    /// The block on the committed chain at `height`, if it exists and has not
-    /// been pruned. Cross-replica consistency checks compare these hashes.
-    pub fn committed_block_at(&self, height: Height) -> Option<&Block> {
-        let ids = self.by_height.get(&height.as_u64())?;
-        ids.iter()
-            .map(|id| &*self.vertices[id].block)
-            .find(|b| self.extends(self.committed_head, b.id))
     }
 
     /// Returns forest statistics.
@@ -991,16 +975,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn committed_block_at_height_supports_consistency_checks() {
-        let mut forest = BlockForest::new();
-        let a = add_child(&mut forest, BlockId::GENESIS, 1);
-        let _fork = add_child(&mut forest, BlockId::GENESIS, 2);
-        let b = add_child(&mut forest, a, 3);
-        forest.commit(b).unwrap();
-        assert_eq!(forest.committed_block_at(Height(1)).unwrap().id, a);
-        assert_eq!(forest.committed_block_at(Height(2)).unwrap().id, b);
     }
 }

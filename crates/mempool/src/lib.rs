@@ -129,11 +129,6 @@ impl Mempool {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard a transaction id belongs to: the leading 64 bits of the
     /// digest modulo the shard count. Uniform (the id is a hash) and stable
     /// (same id, same shard — which makes per-shard dedup globally exact).
@@ -290,15 +285,6 @@ impl Mempool {
             pending: self.len,
             ..self.stats
         }
-    }
-
-    /// Peeks at the first `max` transactions in shard order (shard 0 front to
-    /// back, then shard 1, …) without removing them.
-    pub fn peek(&self, max: usize) -> impl Iterator<Item = &Transaction> {
-        self.shards
-            .iter()
-            .flat_map(|shard| shard.queue.iter())
-            .take(max)
     }
 }
 
@@ -466,7 +452,6 @@ mod tests {
     fn sharded_pool_preserves_every_transaction_exactly_once() {
         for shards in [1usize, 2, 4, 7] {
             let mut pool = Mempool::with_shards(1000, shards);
-            assert_eq!(pool.shard_count(), shards);
             for seq in 0..200 {
                 assert!(pool.push(tx(seq)), "shards={shards} seq={seq}");
             }

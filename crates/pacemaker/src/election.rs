@@ -57,21 +57,6 @@ impl LeaderElection {
     pub fn is_leader(&self, node: NodeId, view: View) -> bool {
         self.leader_of(view) == node
     }
-
-    /// The next view after `view` (strictly greater) in which `node` leads;
-    /// useful for workload placement in tests and benches.
-    pub fn next_leadership(&self, node: NodeId, view: View) -> View {
-        let mut candidate = view.next();
-        // For round-robin this terminates within `nodes` steps; for hashed the
-        // expected number of steps is `nodes`, and we bound the scan.
-        for _ in 0..(self.nodes * 64).max(1024) {
-            if self.is_leader(node, candidate) {
-                return candidate;
-            }
-            candidate = candidate.next();
-        }
-        candidate
-    }
 }
 
 #[cfg(test)]
@@ -120,13 +105,6 @@ mod tests {
             seen[election.leader_of(View(v)).index()] = true;
         }
         assert!(seen.iter().all(|s| *s), "hashed election covers all nodes");
-    }
-
-    #[test]
-    fn next_leadership_finds_future_view() {
-        let election = LeaderElection::new(4, LeaderPolicy::RoundRobin);
-        assert_eq!(election.next_leadership(NodeId(2), View(0)), View(2));
-        assert_eq!(election.next_leadership(NodeId(2), View(2)), View(6));
     }
 
     #[test]

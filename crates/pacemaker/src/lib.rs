@@ -12,9 +12,12 @@
 //!   and forwards the TC to the new leader,
 //! * receiving a QC for view `v` also advances the replica to `v + 1`.
 //!
-//! The pacemaker is purely reactive: it never performs I/O and never reads a
-//! clock. The runner owns time and feeds timer expirations in; the pacemaker
-//! answers with [`PacemakerAction`]s.
+//! The pacemaker is purely reactive: it never performs I/O, never reads a
+//! clock and emits no effects. The runner owns time and feeds timer
+//! expirations in; each [`Pacemaker`] method returns what it did — a timeout
+//! vote to broadcast, a TC it formed, whether it entered a new view — and the
+//! replica turns that into its own effects (entering the view, arming the
+//! view's timer).
 //!
 //! Leader election ([`LeaderElection`]) also lives here because it is a pure
 //! function of the view number.
@@ -26,4 +29,4 @@ pub mod election;
 pub mod pacemaker;
 
 pub use election::LeaderElection;
-pub use pacemaker::{Pacemaker, PacemakerAction};
+pub use pacemaker::Pacemaker;

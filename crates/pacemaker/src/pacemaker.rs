@@ -4,37 +4,16 @@ use std::collections::BTreeMap;
 
 use bamboo_crypto::KeyPair;
 use bamboo_types::{
-    ids::quorum_threshold, NodeId, QuorumCert, SimDuration, SimTime, TimeoutCert, TimeoutVote, View,
+    ids::quorum_threshold, NodeId, QuorumCert, SimDuration, TimeoutCert, TimeoutVote, View,
 };
-
-/// Actions the pacemaker asks the replica to perform.
-#[derive(Clone, Debug, PartialEq)]
-pub enum PacemakerAction {
-    /// Broadcast this timeout vote to every replica.
-    BroadcastTimeout(TimeoutVote),
-    /// A timeout certificate formed; enter `new_view` and forward the TC to
-    /// that view's leader.
-    NewView {
-        /// The view to enter.
-        new_view: View,
-        /// The TC that justifies entering it (None when the view advanced
-        /// because of a QC rather than a TC).
-        tc: Option<TimeoutCert>,
-    },
-    /// Re-arm the local view timer: schedule a timer event for `deadline`.
-    ScheduleTimer {
-        /// The view the timer guards.
-        view: View,
-        /// Absolute simulated time at which it fires.
-        deadline: SimTime,
-    },
-}
 
 /// Per-replica pacemaker.
 ///
 /// Drives view advancement from three inputs: local timer expirations,
-/// received timeout votes, and observed QCs/TCs. All outputs are returned as
-/// [`PacemakerAction`]s for the replica to execute.
+/// received timeout votes, and observed QCs/TCs. Each input method says what
+/// it did — the timeout vote to broadcast, the TC it formed, whether it
+/// entered a new view — and the replica acts on that: it enters the view and
+/// arms the view's timer, `now +` [`Pacemaker::timeout`].
 #[derive(Debug)]
 pub struct Pacemaker {
     node: NodeId,
@@ -45,8 +24,6 @@ pub struct Pacemaker {
     last_timeout_broadcast: Option<View>,
     /// Timeout votes collected per view (pruned once the view is passed).
     timeout_votes: BTreeMap<View, Vec<TimeoutVote>>,
-    /// Views for which a TC was already emitted (to avoid duplicates).
-    tc_emitted: BTreeMap<View, bool>,
     /// Number of view changes caused by timeouts (for metrics).
     timeout_view_changes: u64,
 }
@@ -62,7 +39,6 @@ impl Pacemaker {
             current_view: View(1),
             last_timeout_broadcast: None,
             timeout_votes: BTreeMap::new(),
-            tc_emitted: BTreeMap::new(),
             timeout_view_changes: 0,
         }
     }
@@ -82,109 +58,75 @@ impl Pacemaker {
         self.timeout_view_changes
     }
 
-    /// Called when the replica enters a view (at start-up and after every view
-    /// change): returns the timer-arming action.
-    pub fn arm_timer(&self, now: SimTime) -> PacemakerAction {
-        PacemakerAction::ScheduleTimer {
-            view: self.current_view,
-            deadline: now + self.timeout,
-        }
-    }
-
     /// Handles a local timer expiration for `view`. If the replica is still in
-    /// that view, it gives up and broadcasts a timeout vote carrying its
-    /// highest QC; stale timers are ignored.
+    /// that view, it gives up and returns the timeout vote, carrying its
+    /// highest QC, to broadcast; stale and repeated timers return `None`.
     pub fn on_timer(
         &mut self,
         view: View,
         high_qc: QuorumCert,
         keypair: &KeyPair,
-    ) -> Vec<PacemakerAction> {
-        if view != self.current_view {
-            return Vec::new();
-        }
-        if self.last_timeout_broadcast == Some(view) {
-            return Vec::new();
+    ) -> Option<TimeoutVote> {
+        if view != self.current_view || self.last_timeout_broadcast == Some(view) {
+            return None;
         }
         self.last_timeout_broadcast = Some(view);
-        let vote = TimeoutVote::new(view, self.node, high_qc, keypair);
-        vec![PacemakerAction::BroadcastTimeout(vote)]
+        Some(TimeoutVote::new(view, self.node, high_qc, keypair))
     }
 
     /// Handles a timeout vote received from the network (our own broadcast is
     /// also fed back through this path). When a quorum of timeout votes for
-    /// the current (or a later) view accumulates, a TC forms and the replica
-    /// advances.
-    pub fn on_timeout_vote(&mut self, vote: &TimeoutVote, now: SimTime) -> Vec<PacemakerAction> {
+    /// the current (or a later) view accumulates, a TC forms: the pacemaker
+    /// enters the view after it and returns the TC.
+    ///
+    /// A view's TC forms once: entering the next view prunes the view's
+    /// votes, and votes below the current view are refused.
+    pub fn on_timeout_vote(&mut self, vote: &TimeoutVote) -> Option<TimeoutCert> {
         if vote.view < self.current_view {
-            return Vec::new();
+            return None;
         }
         let entry = self.timeout_votes.entry(vote.view).or_default();
         if entry.iter().any(|v| v.voter == vote.voter) {
-            return Vec::new();
+            return None;
         }
         entry.push(vote.clone());
-        if entry.len() >= quorum_threshold(self.nodes)
-            && !self.tc_emitted.get(&vote.view).copied().unwrap_or(false)
-        {
-            self.tc_emitted.insert(vote.view, true);
-            let tc = TimeoutCert::from_votes(vote.view, entry);
-            self.timeout_view_changes += 1;
-            let mut actions = self.enter_view(vote.view.next(), now);
-            actions.insert(
-                0,
-                PacemakerAction::NewView {
-                    new_view: vote.view.next(),
-                    tc: Some(tc),
-                },
-            );
-            return actions;
+        if entry.len() < quorum_threshold(self.nodes) {
+            return None;
         }
-        Vec::new()
+        let tc = TimeoutCert::from_votes(vote.view, entry);
+        self.timeout_view_changes += 1;
+        self.enter_view(vote.view.next());
+        Some(tc)
     }
 
     /// Handles a timeout certificate received directly (e.g. forwarded by
-    /// another replica that formed it first).
-    pub fn on_timeout_cert(&mut self, tc: &TimeoutCert, now: SimTime) -> Vec<PacemakerAction> {
+    /// another replica that formed it first). Returns whether it entered a
+    /// new view.
+    pub fn on_timeout_cert(&mut self, tc: &TimeoutCert) -> bool {
         if tc.view.next() <= self.current_view {
-            return Vec::new();
+            return false;
         }
         self.timeout_view_changes += 1;
-        let mut actions = self.enter_view(tc.view.next(), now);
-        actions.insert(
-            0,
-            PacemakerAction::NewView {
-                new_view: tc.view.next(),
-                tc: Some(tc.clone()),
-            },
-        );
-        actions
+        self.enter_view(tc.view.next());
+        true
     }
 
     /// Handles an observed QC: a QC for view `v` lets the replica advance to
-    /// `v + 1` (the happy-path view change).
-    pub fn on_qc(&mut self, qc: &QuorumCert, now: SimTime) -> Vec<PacemakerAction> {
+    /// `v + 1` (the happy-path view change). Returns whether it entered a new
+    /// view.
+    pub fn on_qc(&mut self, qc: &QuorumCert) -> bool {
         if qc.view.next() <= self.current_view {
-            return Vec::new();
+            return false;
         }
-        let mut actions = self.enter_view(qc.view.next(), now);
-        actions.insert(
-            0,
-            PacemakerAction::NewView {
-                new_view: qc.view.next(),
-                tc: None,
-            },
-        );
-        actions
+        self.enter_view(qc.view.next());
+        true
     }
 
-    fn enter_view(&mut self, view: View, now: SimTime) -> Vec<PacemakerAction> {
+    fn enter_view(&mut self, view: View) {
         debug_assert!(view > self.current_view);
         self.current_view = view;
         // Garbage-collect vote buffers for passed views.
         self.timeout_votes = self.timeout_votes.split_off(&view);
-        self.tc_emitted = self.tc_emitted.split_off(&view);
-        vec![self.arm_timer(now)]
     }
 }
 
@@ -201,63 +143,51 @@ mod tests {
     }
 
     #[test]
-    fn starts_in_view_one_and_arms_timer() {
+    fn starts_in_view_one_with_the_configured_timeout() {
         let pm = make(0, 4);
         assert_eq!(pm.current_view(), View(1));
-        match pm.arm_timer(SimTime(5)) {
-            PacemakerAction::ScheduleTimer { view, deadline } => {
-                assert_eq!(view, View(1));
-                assert_eq!(deadline, SimTime(5) + SimDuration::from_millis(100));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(pm.timeout(), SimDuration::from_millis(100));
     }
 
     #[test]
     fn timer_expiry_broadcasts_timeout_once() {
         let kps = keys(4);
         let mut pm = make(0, 4);
-        let actions = pm.on_timer(View(1), QuorumCert::genesis(), &kps[0]);
-        assert_eq!(actions.len(), 1);
-        assert!(matches!(actions[0], PacemakerAction::BroadcastTimeout(_)));
+        let vote = pm.on_timer(View(1), QuorumCert::genesis(), &kps[0]);
+        assert_eq!(vote.map(|v| (v.view, v.voter)), Some((View(1), NodeId(0))));
         // A duplicate timer for the same view does nothing.
         assert!(pm
             .on_timer(View(1), QuorumCert::genesis(), &kps[0])
-            .is_empty());
+            .is_none());
         // A stale timer for an old view does nothing either.
         assert!(pm
             .on_timer(View(0), QuorumCert::genesis(), &kps[0])
-            .is_empty());
+            .is_none());
     }
 
     #[test]
     fn quorum_of_timeouts_forms_tc_and_advances() {
         let kps = keys(4);
         let mut pm = make(0, 4);
-        let now = SimTime(1_000);
         let mut produced_tc = None;
         for i in 0..3u64 {
             let vote =
                 TimeoutVote::new(View(1), NodeId(i), QuorumCert::genesis(), &kps[i as usize]);
-            let actions = pm.on_timeout_vote(&vote, now);
+            let tc = pm.on_timeout_vote(&vote);
             if i < 2 {
-                assert!(actions.is_empty(), "no TC before quorum");
+                assert!(tc.is_none(), "no TC before quorum");
             } else {
-                assert_eq!(actions.len(), 2);
-                match &actions[0] {
-                    PacemakerAction::NewView { new_view, tc } => {
-                        assert_eq!(*new_view, View(2));
-                        produced_tc = tc.clone();
-                    }
-                    other => panic!("unexpected {other:?}"),
-                }
-                assert!(matches!(actions[1], PacemakerAction::ScheduleTimer { .. }));
+                produced_tc = tc;
             }
         }
         let tc = produced_tc.expect("tc formed");
         assert_eq!(tc.view, View(1));
         assert_eq!(tc.signer_count(), 3);
         assert_eq!(pm.current_view(), View(2));
+        assert_eq!(pm.timeout_view_changes(), 1);
+        // A fourth vote for the view is stale now: no second TC.
+        let late = TimeoutVote::new(View(1), NodeId(3), QuorumCert::genesis(), &kps[3]);
+        assert!(pm.on_timeout_vote(&late).is_none());
         assert_eq!(pm.timeout_view_changes(), 1);
     }
 
@@ -267,35 +197,28 @@ mod tests {
         let mut pm = make(0, 4);
         let vote = TimeoutVote::new(View(1), NodeId(1), QuorumCert::genesis(), &kps[1]);
         for _ in 0..3 {
-            assert!(pm.on_timeout_vote(&vote, SimTime(0)).is_empty());
+            assert!(pm.on_timeout_vote(&vote).is_none());
         }
         assert_eq!(pm.current_view(), View(1), "one voter cannot force a TC");
     }
 
     #[test]
-    fn qc_advances_view_and_rearms_timer() {
+    fn qc_advances_view() {
         let mut pm = make(0, 4);
         let qc = QuorumCert {
             block: Default::default(),
             view: View(3),
             signatures: Default::default(),
         };
-        let actions = pm.on_qc(&qc, SimTime(10));
+        assert!(pm.on_qc(&qc));
         assert_eq!(pm.current_view(), View(4));
-        assert!(matches!(
-            actions[0],
-            PacemakerAction::NewView {
-                new_view: View(4),
-                tc: None
-            }
-        ));
         // An older QC does nothing.
         let old = QuorumCert {
             block: Default::default(),
             view: View(1),
             signatures: Default::default(),
         };
-        assert!(pm.on_qc(&old, SimTime(20)).is_empty());
+        assert!(!pm.on_qc(&old));
         assert_eq!(pm.timeout_view_changes(), 0);
     }
 
@@ -307,11 +230,10 @@ mod tests {
             .map(|i| TimeoutVote::new(View(5), NodeId(i), QuorumCert::genesis(), &kps[i as usize]))
             .collect();
         let tc = TimeoutCert::from_votes(View(5), &votes);
-        let actions = pm.on_timeout_cert(&tc, SimTime(0));
+        assert!(pm.on_timeout_cert(&tc));
         assert_eq!(pm.current_view(), View(6));
-        assert!(!actions.is_empty());
         // Re-delivering the same TC is a no-op.
-        assert!(pm.on_timeout_cert(&tc, SimTime(0)).is_empty());
+        assert!(!pm.on_timeout_cert(&tc));
     }
 
     #[test]
@@ -323,9 +245,9 @@ mod tests {
             view: View(9),
             signatures: Default::default(),
         };
-        pm.on_qc(&qc, SimTime(0));
+        pm.on_qc(&qc);
         assert_eq!(pm.current_view(), View(10));
         let vote = TimeoutVote::new(View(3), NodeId(1), QuorumCert::genesis(), &kps[1]);
-        assert!(pm.on_timeout_vote(&vote, SimTime(0)).is_empty());
+        assert!(pm.on_timeout_vote(&vote).is_none());
     }
 }

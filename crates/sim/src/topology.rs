@@ -96,11 +96,6 @@ impl Topology {
         self.default
     }
 
-    /// Number of declared regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
-
     /// Resolves a region name to its index.
     pub fn region_id(&self, name: &str) -> Option<usize> {
         self.regions.iter().position(|r| r.name == name)
@@ -213,12 +208,6 @@ impl Topology {
         }
     }
 
-    /// True when no regions or overrides are declared — every pair resolves
-    /// to the default distribution.
-    pub fn is_uniform(&self) -> bool {
-        self.regions.is_empty() && self.overrides.is_empty()
-    }
-
     /// The delay distribution of the ordered link `from → to`.
     pub fn dist(&self, from: NodeId, to: NodeId) -> DelayDist {
         for (f, t, dist) in &self.overrides {
@@ -252,7 +241,6 @@ mod tests {
     #[test]
     fn uniform_topology_resolves_every_pair_to_default() {
         let topo = Topology::uniform(us(250), us(50));
-        assert!(topo.is_uniform());
         assert_eq!(topo.dist(NodeId(0), NodeId(1)).mean, us(250));
         assert_eq!(topo.dist(NodeId(7), NodeId(3)).mean, us(250));
         // Client links fall back to the default too.
@@ -317,6 +305,5 @@ mod tests {
         assert_eq!(topo.region_of(NodeId(5)), Some(1));
         assert_eq!(topo.region_of(NodeId(3)), None);
         assert_eq!(topo.region_of(NodeId(u64::MAX)), None);
-        assert_eq!(topo.region_count(), 2);
     }
 }

@@ -262,11 +262,6 @@ impl Config {
         crate::ids::quorum_threshold(self.nodes)
     }
 
-    /// Number of honest nodes.
-    pub fn honest_nodes(&self) -> usize {
-        self.nodes.saturating_sub(self.byz_nodes)
-    }
-
     /// Returns true if `node` is configured to be Byzantine.
     pub fn is_byzantine(&self, node: NodeId) -> bool {
         self.byzantine_strategy != ByzantineStrategy::Honest && (node.index()) < self.byz_nodes
@@ -538,7 +533,6 @@ mod tests {
         assert_eq!(c.arrival_rate, Some(50_000.0));
         assert_eq!(c.seed, 99);
         assert_eq!(c.quorum(), 22);
-        assert_eq!(c.honest_nodes(), 28);
     }
 
     #[test]

@@ -55,11 +55,6 @@ impl View {
     pub fn prev(&self) -> View {
         View(self.0.saturating_sub(1))
     }
-
-    /// Returns `self + n`.
-    pub fn advanced_by(&self, n: u64) -> View {
-        View(self.0 + n)
-    }
 }
 
 impl fmt::Display for View {
@@ -139,7 +134,6 @@ mod tests {
         assert_eq!(v.next(), View(6));
         assert_eq!(v.prev(), View(4));
         assert_eq!(View(0).prev(), View(0));
-        assert_eq!(v.advanced_by(10), View(15));
     }
 
     #[test]

@@ -65,11 +65,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Builds a duration from fractional milliseconds, saturating at zero.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        SimDuration((ms.max(0.0) * 1_000_000.0).round() as u64)
-    }
-
     /// Builds a duration from fractional seconds, saturating at zero.
     pub fn from_secs_f64(s: f64) -> Self {
         SimDuration((s.max(0.0) * 1_000_000_000.0).round() as u64)
@@ -176,10 +171,6 @@ mod tests {
         assert_eq!(SimDuration::from_millis(5), SimDuration::from_micros(5_000));
         assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1_000));
         assert_eq!(
-            SimDuration::from_millis_f64(2.5),
-            SimDuration::from_micros(2_500)
-        );
-        assert_eq!(
             SimDuration::from_secs_f64(0.25),
             SimDuration::from_millis(250)
         );
@@ -187,7 +178,6 @@ mod tests {
 
     #[test]
     fn negative_float_durations_saturate_to_zero() {
-        assert_eq!(SimDuration::from_millis_f64(-3.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
     }
 

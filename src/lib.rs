@@ -40,6 +40,27 @@
 //! assert_eq!(report.safety_violations, 0);
 //! # Ok::<(), bamboo::types::TypeError>(())
 //! ```
+//!
+//! # The replica boundary, by type
+//!
+//! A message reaches a replica only with a `VerifiedMessage` proof token
+//! (`NodeHost::deliver`); a replica event is a local deadline, never a
+//! message:
+//!
+//! ```compile_fail
+//! fn is_message(event: &bamboo::core::ReplicaEvent) -> bool {
+//!     matches!(event, bamboo::core::ReplicaEvent::Message { .. })
+//! }
+//! ```
+//!
+//! The pacemaker says what it did, and the replica spells every effect as a
+//! `Transport` call; there is no second vocabulary of actions:
+//!
+//! ```compile_fail
+//! fn pending() -> Vec<bamboo::pacemaker::PacemakerAction> {
+//!     Vec::new()
+//! }
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

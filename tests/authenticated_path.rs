@@ -10,13 +10,13 @@
 use std::time::Duration;
 
 use bamboo_core::{
-    BufferedTransport, NodeHost, ReplicaEvent, ReplicaOptions, RunOptions, SimRunner,
+    BufferedTransport, NodeHost, ReplicaOptions, RunOptions, SimRunner, StepReport,
     ThreadedCluster, DEFAULT_VERIFY_WORKERS,
 };
 use bamboo_crypto::{AggregateSignature, KeyPair};
 use bamboo_types::{
-    BlockId, ByzantineStrategy, Config, Message, NodeId, ProtocolKind, QuorumCert, SimDuration,
-    SimTime, View, Vote,
+    Authenticator, BlockId, ByzantineStrategy, Config, Message, NodeId, ProtocolKind, QuorumCert,
+    SimDuration, SimTime, View, Vote,
 };
 
 fn sim_config(strategy: ByzantineStrategy, byz: usize) -> Config {
@@ -158,8 +158,24 @@ fn threaded_honest_cluster_rejects_nothing() {
     assert_eq!(report.safety_violations, 0);
 }
 
-/// Transport-level injection: forged messages fed straight into a host never
-/// reach the replica state machine, on any backend that drives `NodeHost`.
+/// The one door a message has into a host: authenticated at ingress and
+/// delivered with its proof token, or booked as a forgery.
+fn ingress(
+    host: &mut NodeHost,
+    auth: &mut Authenticator,
+    message: Message,
+    now: SimTime,
+    transport: &mut BufferedTransport,
+) -> StepReport {
+    match auth.authenticate(NodeId(1), message.clone()) {
+        Ok(verified) => host.deliver(&verified, now, transport),
+        Err(_) => host.reject_forged(&message),
+    }
+}
+
+/// Transport-level injection: a forged message cannot become a proof token,
+/// so it never reaches the replica state machine, on any backend that drives
+/// `NodeHost`; the host books it instead.
 #[test]
 fn transport_level_forgeries_never_reach_the_replica() {
     let config = Config::builder().nodes(4).block_size(10).build().unwrap();
@@ -170,6 +186,7 @@ fn transport_level_forgeries_never_reach_the_replica() {
         config,
         ReplicaOptions::default(),
     );
+    let mut auth = Authenticator::for_nodes(4);
     let mut transport = BufferedTransport::new();
     host.start(SimTime::ZERO, &mut transport);
     assert_eq!(host.replica().current_view(), View(1));
@@ -177,11 +194,10 @@ fn transport_level_forgeries_never_reach_the_replica() {
 
     // 1. A vote carrying a signature minted with the wrong key.
     let forged_vote = Vote::new(block, View(1), NodeId(1), &KeyPair::from_seed(2));
-    let report = host.handle(
-        ReplicaEvent::Message {
-            from: NodeId(1),
-            message: Message::Vote(forged_vote),
-        },
+    let report = ingress(
+        &mut host,
+        &mut auth,
+        Message::Vote(forged_vote),
         SimTime(1_000),
         &mut transport,
     );
@@ -197,11 +213,10 @@ fn transport_level_forgeries_never_reach_the_replica() {
         .map(|i| Vote::new(block, View(5), NodeId(i), &KeyPair::from_seed(i)))
         .collect();
     let sub_quorum = QuorumCert::from_votes(block, View(5), &votes);
-    host.handle(
-        ReplicaEvent::Message {
-            from: NodeId(1),
-            message: Message::NewView(sub_quorum),
-        },
+    ingress(
+        &mut host,
+        &mut auth,
+        Message::NewView(sub_quorum),
         SimTime(2_000),
         &mut transport,
     );
@@ -221,11 +236,10 @@ fn transport_level_forgeries_never_reach_the_replica() {
         view: View(5),
         signatures,
     };
-    host.handle(
-        ReplicaEvent::Message {
-            from: NodeId(1),
-            message: Message::NewView(forged_qc),
-        },
+    ingress(
+        &mut host,
+        &mut auth,
+        Message::NewView(forged_qc),
         SimTime(3_000),
         &mut transport,
     );
@@ -238,11 +252,10 @@ fn transport_level_forgeries_never_reach_the_replica() {
 
     // 4. A genuine vote sails through and does not bump the counter.
     let honest_vote = Vote::new(block, View(1), NodeId(1), &KeyPair::from_seed(1));
-    host.handle(
-        ReplicaEvent::Message {
-            from: NodeId(1),
-            message: Message::Vote(honest_vote),
-        },
+    ingress(
+        &mut host,
+        &mut auth,
+        Message::Vote(honest_vote),
         SimTime(4_000),
         &mut transport,
     );

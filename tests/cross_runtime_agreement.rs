@@ -9,11 +9,11 @@
 use std::time::Duration;
 
 use bamboo::core::{
-    BufferedTransport, NodeHost, ReplicaEvent, ReplicaOptions, RunOptions, SimRunner,
-    ThreadedCluster,
+    BufferedTransport, NodeHost, ReplicaOptions, RunOptions, SimRunner, ThreadedCluster,
 };
 use bamboo::types::{
-    Config, Message, NodeId, ProtocolKind, SharedBlock, SimDuration, SimTime, Transaction,
+    ClientRequest, Config, Message, NodeId, ProtocolKind, SharedBlock, SimDuration, SimTime,
+    Transaction,
 };
 
 const ALL_PROTOCOLS: [ProtocolKind; 4] = [
@@ -166,11 +166,8 @@ fn broadcast_proposal_shares_its_allocation_with_the_forest() {
         .map(|i| Transaction::new(NodeId(9), i, 128, SimTime::ZERO))
         .collect();
     let mut transport = BufferedTransport::new();
-    host.handle(
-        ReplicaEvent::ClientRequests(txs.clone()),
-        SimTime::ZERO,
-        &mut transport,
-    );
+    let requests = txs.iter().cloned().map(ClientRequest::unsigned).collect();
+    host.handle_client_batch(requests, SimTime::ZERO, &mut transport);
     host.start(SimTime::ZERO, &mut transport);
 
     let proposal: &SharedBlock = transport
