@@ -1,7 +1,7 @@
 //! Open-loop saturation sweep over the client-ingress pipeline.
 //!
 //! Drives a fixed offered-load ladder against clusters running the full
-//! client pipeline — a million-client signed population feeding a sharded
+//! client pipeline — a million-client signed population feeding a bounded
 //! mempool with admission control — and records, per load point, the
 //! committed *goodput* and the client-observed (submit → commit) latency
 //! distribution. The ladder deliberately runs past the saturation knee so
@@ -41,7 +41,6 @@ fn point_config(nodes: usize, runtime_ms: u64, rate: f64) -> Config {
     config.arrival_rate = Some(rate);
     config.client_population = Some(POPULATION);
     config.signed_requests = true;
-    config.mempool_shards = 8;
     // A bounded pool (two blocks of headroom per replica) is what makes
     // overload visible: past the commit ceiling a replica's backlog hits the
     // cap within the run and the surplus shows up as counted admission
@@ -156,7 +155,7 @@ fn main() {
     };
 
     banner(&format!(
-        "Open-loop saturation: {} clients, signed requests, sharded mempool, n = {nodes} \
+        "Open-loop saturation: {} clients, signed requests, bounded mempool, n = {nodes} \
          ({} mode, {workers} pool worker(s))",
         POPULATION,
         if quick { "quick" } else { "full" },

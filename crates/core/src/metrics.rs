@@ -37,14 +37,14 @@ pub struct ThroughputSample {
 /// Mempool admission/flow counters of one run, summed across all replicas.
 ///
 /// `rejected` is the admission-control backpressure signal of the client
-/// pipeline (DESIGN.md §7): transactions turned away because the owning
-/// mempool shard was full (or the id was a duplicate). Every offered
-/// transaction is either accepted or rejected — nothing is dropped silently.
+/// pipeline (DESIGN.md §7): transactions turned away because the mempool
+/// was full (or the id was a duplicate). Every offered transaction is either
+/// accepted or rejected — nothing is dropped silently.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MempoolTotals {
     /// Transactions admitted into a mempool.
     pub accepted: u64,
-    /// Transactions rejected at admission (shard full or duplicate).
+    /// Transactions rejected at admission (pool full or duplicate).
     pub rejected: u64,
     /// Transactions re-queued from forked blocks.
     pub requeued: u64,
@@ -444,7 +444,7 @@ pub struct RunReport {
     pub client_auth_rejections: u64,
     /// Mempool admission counters summed across all replicas. The `rejected`
     /// field is the admission-control backpressure counter: transactions
-    /// turned away because the owning mempool shard was full.
+    /// turned away because the mempool was full.
     pub mempool: MempoolTotals,
     /// Transactions still waiting (not committed) at the end of the run.
     pub pending_txs: u64,

@@ -120,7 +120,7 @@ impl Replica {
             keypair: KeyPair::from_seed(id.as_u64()),
             election,
             forest: BlockForest::new(),
-            mempool: Mempool::with_shards(config.mempool_size, config.mempool_shards),
+            mempool: Mempool::new(config.mempool_size),
             pacemaker: Pacemaker::new(id, config.nodes, config.timeout),
             safety: make_protocol(protocol),
             attack: Attack::new(strategy, config.nodes),
@@ -327,14 +327,6 @@ impl Replica {
                     self.enter_view(tc.view.next(), Some(tc.clone()), out);
                 }
             }
-            Message::NewView(qc) => {
-                out.cpu += self.cpu.verify(qc.signer_count());
-                self.register_qc(qc, out);
-            }
-            Message::Request(req) => {
-                self.mempool.push(req.transaction.clone());
-            }
-            Message::Response(_) => {}
             Message::SyncRequest(req) => {
                 let (ledger, forest, stats) = (&self.ledger, &self.forest, &mut self.recovery);
                 sync::answer(req, self.id, ledger, forest, &self.disk, stats, out);

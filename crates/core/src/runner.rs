@@ -758,7 +758,7 @@ impl SimRunner {
 
     fn report(&mut self, ticks: u64) -> RunReport {
         // Fold the per-replica mempool admission counters into the run
-        // metrics so backpressure (shard-full rejections) is never silent.
+        // metrics so backpressure (pool-full rejections) is never silent.
         for host in &self.hosts {
             self.metrics.record_mempool(&host.replica().mempool_stats());
         }

@@ -339,7 +339,7 @@ impl NodeHost {
     pub fn reject_forged(&mut self, message: &Message) -> StepReport {
         self.auth_rejections += 1;
         StepReport {
-            cpu: verification_cost(&self.cpu, self.authenticator.signed_clients(), message),
+            cpu: verification_cost(&self.cpu, message),
             committed: Vec::new(),
         }
     }
@@ -365,18 +365,12 @@ pub(crate) fn ledger_forks<'a>(config: &Config, hosts: impl Iterator<Item = &'a 
 /// charge (Eq. 4, see `CpuModel::process_proposal` for the rationale),
 /// pacemaker certificates are charged per signer. Used for rejected
 /// messages only — the replica's own modeled costs cover accepted ones.
-fn verification_cost(cpu: &CpuModel, signed_clients: bool, message: &Message) -> SimDuration {
+fn verification_cost(cpu: &CpuModel, message: &Message) -> SimDuration {
     let signatures = match message {
         Message::Proposal(_) | Message::ProposalEcho(_) => 2,
         Message::Vote(_) | Message::VoteEcho(_) => 1,
         Message::Timeout(tv) => 1 + tv.high_qc.signer_count(),
         Message::TimeoutCertMsg(tc) => tc.signer_count() + tc.high_qc.signer_count(),
-        Message::NewView(qc) => qc.signer_count().max(1),
-        // A lone network-path client request is checked individually when
-        // clients sign (batched arrivals go through the cheaper
-        // `CpuModel::verify_batch` path in `handle_client_batch`).
-        Message::Request(_) => usize::from(signed_clients),
-        Message::Response(_) => 0,
         Message::SyncRequest(_) => 1,
         // Per-block id/justify checks plus the aggregate high-QC check — the
         // same work the replica is charged for an accepted response.

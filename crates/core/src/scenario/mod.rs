@@ -548,26 +548,18 @@ mod tests {
     #[test]
     fn parses_the_client_pipeline_knobs() {
         let spec = r#"{"name":"x","protocols":["HS"],"nodes":4,"runtime_ms":100,
-                       "mempool_shards": 8,
                        "client_population": 1000000,
                        "signed_requests": true,
                        "workload":{"open_loop_tx_per_sec":1}}"#;
         let scenario = Scenario::parse(spec).unwrap();
-        assert_eq!(scenario.base.mempool_shards, 8);
         assert_eq!(scenario.base.client_population, Some(1_000_000));
         assert!(scenario.base.signed_requests);
 
         // Defaults stay on the legacy path so existing specs keep their
         // recorded fingerprints.
         let plain = Scenario::parse(&minimal_spec()).unwrap();
-        assert_eq!(plain.base.mempool_shards, 1);
         assert_eq!(plain.base.client_population, None);
         assert!(!plain.base.signed_requests);
-
-        let zero_shards = r#"{"name":"x","protocols":["HS"],"nodes":4,"runtime_ms":100,
-                              "mempool_shards": 0,
-                              "workload":{"open_loop_tx_per_sec":1}}"#;
-        assert!(Scenario::parse(zero_shards).is_err(), "validate() gates");
     }
 
     #[test]

@@ -473,7 +473,6 @@ pub(super) fn scenario(doc: &Json) -> Result<Scenario, String> {
     set(&mut base.block_size, size("block_size")?);
     set(&mut base.payload_size, size("payload_size")?);
     set(&mut base.mempool_size, size("mempool_size")?);
-    set(&mut base.mempool_shards, size("mempool_shards")?);
     set(&mut base.fsync_interval, size("fsync_interval")?);
     set(&mut base.segment_bytes, size("segment_bytes")?);
     set(&mut base.seed, count("seed")?);

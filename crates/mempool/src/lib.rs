@@ -12,20 +12,15 @@
 //! limits admission only: memory is sized by what the pool holds, and an
 //! unused pool holds no heap at all.
 //!
-//! # Sharding
+//! # One queue and a count table
 //!
-//! The pool is internally split into `K` independent shards keyed by the
-//! leading bits of the transaction id ([`Mempool::with_shards`]). Because a
-//! transaction id is a digest, the key is uniform; because the same id always
-//! maps to the same shard, per-shard duplicate detection is globally exact.
-//! Each shard owns its queue, id set and a capacity slice of `memsize / K`,
-//! so shards never contend by construction — the single-threaded analogue of
-//! a lock-free sharded pool — and admission control degrades gracefully: one
-//! hot shard rejecting does not stall the other `K − 1`. Draining is a
-//! deterministic round-robin over the shards with a persistent cursor, so a
-//! proposer's batch composition is a pure function of the push history.
-//! `K = 1` (the default) is byte-identical to the historical single
-//! bidirectional queue.
+//! The pool is one queue, one id set and one capacity. Beside them sits a
+//! table of 2,048 counters indexed by eleven bits of the transaction id
+//! (from bytes 8–9; the id is a digest, so any bits are uniform): how many
+//! queued ids fall in each slot. Every replica removes the transactions of
+//! every committed block from its pool, and most of those ids were never in
+//! it — another replica's clients sent them. A zero counter proves an id
+//! absent without hashing it, so the removal sweep skips nearly all of them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,6 +29,15 @@ use std::collections::VecDeque;
 
 use bamboo_types::{DigestSet, Transaction, TxId};
 
+/// Slots in the count table; a power of two, so [`slot`] is a mask.
+const COUNT_SLOTS: usize = 2048;
+
+/// The count-table slot of a transaction id: eleven bits of its bytes 8–9.
+fn slot(id: &TxId) -> usize {
+    let bytes = id.0.as_bytes();
+    usize::from(u16::from_be_bytes([bytes[8], bytes[9]])) & (COUNT_SLOTS - 1)
+}
+
 /// Statistics about mempool activity, used by the benchmarker.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MempoolStats {
@@ -41,8 +45,8 @@ pub struct MempoolStats {
     pub pending: usize,
     /// Total accepted since creation.
     pub accepted: u64,
-    /// Total rejected because the pool (shard) was full or the transaction
-    /// was a duplicate — the admission-control backpressure counter.
+    /// Total rejected because the pool was full or the transaction was a
+    /// duplicate — the admission-control backpressure counter.
     pub rejected: u64,
     /// Total re-queued from forked blocks.
     pub requeued: u64,
@@ -50,32 +54,7 @@ pub struct MempoolStats {
     pub dispatched: u64,
 }
 
-/// One independent slice of the pool: its own queue, id set and capacity.
-#[derive(Clone, Debug)]
-struct Shard {
-    queue: VecDeque<Transaction>,
-    /// Ids currently in this shard's queue, to drop duplicate re-submissions.
-    in_queue: DigestSet<TxId>,
-    capacity: usize,
-}
-
-impl Shard {
-    /// An empty shard allocates nothing: `capacity` is an admission bound,
-    /// not a size. A replica holds only what its own clients sent it between
-    /// two of its leader turns, usually far below the bound, so the queue
-    /// and id set grow with use (amortised doubling; [`Mempool::push_batch`]
-    /// reserves for its batch up front).
-    fn new(capacity: usize) -> Self {
-        Self {
-            queue: VecDeque::new(),
-            in_queue: DigestSet::default(),
-            capacity,
-        }
-    }
-}
-
-/// A bounded, bidirectional transaction queue, internally sharded by
-/// transaction-id bits.
+/// A bounded, bidirectional transaction queue.
 ///
 /// # Example
 ///
@@ -93,94 +72,91 @@ impl Shard {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Mempool {
-    shards: Vec<Shard>,
-    /// Round-robin drain cursor: the shard the next [`Mempool::next_batch`]
-    /// pop starts at. Persistent across calls so consecutive small batches
-    /// drain the shards evenly.
-    cursor: usize,
-    /// Total buffered transactions across all shards (kept incrementally so
-    /// `len` is O(1) regardless of the shard count).
-    len: usize,
+    queue: VecDeque<Transaction>,
+    /// Ids currently in the queue, to drop duplicate re-submissions.
+    in_queue: DigestSet<TxId>,
+    /// Queued ids per [`slot`]; empty until the first insert.
+    counts: Vec<u32>,
+    capacity: usize,
     stats: MempoolStats,
 }
 
 impl Mempool {
-    /// Creates an unsharded pool bounded to `capacity` transactions —
-    /// equivalent to [`Mempool::with_shards`] with one shard.
+    /// Creates a pool bounded to `capacity` transactions. An empty pool
+    /// allocates nothing: `capacity` is an admission bound, not a size. A
+    /// replica holds only what its own clients sent it between two of its
+    /// leader turns, usually far below the bound, so the queue and id set
+    /// grow with use (amortised doubling; [`Mempool::push_batch`] reserves
+    /// for its batch up front).
     pub fn new(capacity: usize) -> Self {
-        Self::with_shards(capacity, 1)
-    }
-
-    /// Creates a pool of `shards` independent slices with a total bound of
-    /// `capacity` transactions; each shard holds at most
-    /// `max(1, capacity / shards)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        assert!(shards > 0, "mempool needs at least one shard");
-        let per_shard = (capacity / shards).max(1);
         Self {
-            shards: (0..shards).map(|_| Shard::new(per_shard)).collect(),
-            cursor: 0,
-            len: 0,
+            queue: VecDeque::new(),
+            in_queue: DigestSet::default(),
+            counts: Vec::new(),
+            capacity,
             stats: MempoolStats::default(),
         }
     }
 
-    /// The shard a transaction id belongs to: the leading 64 bits of the
-    /// digest modulo the shard count. Uniform (the id is a hash) and stable
-    /// (same id, same shard — which makes per-shard dedup globally exact).
-    fn shard_of(&self, id: &TxId) -> usize {
-        if self.shards.len() == 1 {
-            return 0;
-        }
-        let lead: [u8; 8] = id.0.as_bytes()[..8].try_into().expect("digest is 32 bytes");
-        (u64::from_be_bytes(lead) % self.shards.len() as u64) as usize
+    /// [`Mempool::new`], ignoring `_shards`: the pool is one queue. Kept
+    /// only for callers that still pass a shard count.
+    pub fn with_shards(capacity: usize, _shards: usize) -> Self {
+        Self::new(capacity)
     }
 
     /// Number of buffered transactions.
     pub fn len(&self) -> usize {
-        self.len
+        self.queue.len()
     }
 
     /// Returns true if the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.queue.is_empty()
     }
 
-    /// Returns true if every shard is at capacity.
+    /// Returns true if the pool is at capacity.
     pub fn is_full(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|shard| shard.queue.len() >= shard.capacity)
+        self.queue.len() >= self.capacity
     }
 
-    /// Remaining capacity summed over all shards. A push can still be
-    /// rejected with remaining capacity left when its *own* shard is full.
+    /// Fresh transactions the pool can still admit.
     pub fn remaining_capacity(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.capacity.saturating_sub(shard.queue.len()))
-            .sum()
+        self.capacity.saturating_sub(self.queue.len())
     }
 
-    /// Appends a fresh transaction at the back of its shard's queue.
+    /// Records `id` as queued; false if it already was.
+    fn insert_id(&mut self, id: TxId) -> bool {
+        if !self.in_queue.insert(id) {
+            return false;
+        }
+        if self.counts.is_empty() {
+            self.counts = vec![0; COUNT_SLOTS];
+        }
+        self.counts[slot(&id)] += 1;
+        true
+    }
+
+    /// Forgets `id`; false if it was not queued.
+    fn remove_id(&mut self, id: &TxId) -> bool {
+        let removed = self.in_queue.remove(id);
+        if removed {
+            self.counts[slot(id)] -= 1;
+        }
+        removed
+    }
+
+    /// Appends a fresh transaction at the back of the queue.
     ///
     /// Returns `false` (and drops the transaction, counting the rejection) if
-    /// the shard is full or the transaction is already queued.
+    /// the pool is full or the transaction is already queued.
     pub fn push(&mut self, tx: Transaction) -> bool {
-        let shard_index = self.shard_of(&tx.id);
-        let shard = &mut self.shards[shard_index];
         // One hash per push: `insert` already reports duplicates, so a
         // separate `contains` pre-check would just re-hash the id.
-        if shard.queue.len() >= shard.capacity || !shard.in_queue.insert(tx.id) {
+        if self.is_full() || !self.insert_id(tx.id) {
             self.stats.rejected += 1;
             return false;
         }
-        shard.queue.push_back(tx);
-        self.len += 1;
+        self.queue.push_back(tx);
         self.stats.accepted += 1;
         true
     }
@@ -192,64 +168,36 @@ impl Mempool {
     /// by [`Mempool::push`].
     pub fn push_batch(&mut self, txs: impl IntoIterator<Item = Transaction>) -> usize {
         let txs = txs.into_iter();
-        let (hint, _) = txs.size_hint();
-        let room = hint
-            .min(self.remaining_capacity())
-            .div_ceil(self.shards.len());
-        for shard in &mut self.shards {
-            shard.queue.reserve(room);
-            shard.in_queue.reserve(room);
-        }
-        let mut accepted = 0usize;
-        for tx in txs {
-            if self.push(tx) {
-                accepted += 1;
-            }
-        }
-        accepted
+        let room = txs.size_hint().0.min(self.remaining_capacity());
+        self.queue.reserve(room);
+        self.in_queue.reserve(room);
+        txs.map(|tx| usize::from(self.push(tx))).sum()
     }
 
     /// Re-inserts transactions recovered from forked (overwritten) blocks at
-    /// the *front* of their shard's queue so they are re-proposed first,
-    /// exactly as the paper describes. Re-queued transactions bypass the
-    /// capacity bound: they were already accepted once.
+    /// the *front* of the queue so they are re-proposed first, exactly as the
+    /// paper describes. Re-queued transactions bypass the capacity bound:
+    /// they were already accepted once.
     pub fn requeue_front(&mut self, txs: Vec<Transaction>) {
         // Preserve original ordering: push in reverse so the first element of
-        // `txs` ends up at the very front of its shard.
+        // `txs` ends up at the very front.
         for tx in txs.into_iter().rev() {
-            let shard_index = self.shard_of(&tx.id);
-            let shard = &mut self.shards[shard_index];
-            if shard.in_queue.insert(tx.id) {
-                shard.queue.push_front(tx);
-                self.len += 1;
+            if self.insert_id(tx.id) {
+                self.queue.push_front(tx);
                 self.stats.requeued += 1;
             }
         }
     }
 
-    /// Pops up to `max` transactions, round-robin across the shards from the
-    /// persistent cursor — the proposer's batching strategy ("batch all the
-    /// transactions in the memory pool if the amount is less than the target
-    /// block size"), generalised to shards deterministically: the batch
-    /// composition is a pure function of the push history, independent of
-    /// when the shards were drained.
+    /// Pops up to `max` transactions from the front — the proposer's
+    /// batching strategy ("batch all the transactions in the memory pool if
+    /// the amount is less than the target block size").
     pub fn next_batch(&mut self, max: usize) -> Vec<Transaction> {
-        let take = max.min(self.len);
-        let mut batch = Vec::with_capacity(take);
-        let shards = self.shards.len();
-        while batch.len() < take {
-            // Find the next non-empty shard from the cursor. `take ≤ len`
-            // guarantees one exists.
-            while self.shards[self.cursor].queue.is_empty() {
-                self.cursor = (self.cursor + 1) % shards;
-            }
-            let shard = &mut self.shards[self.cursor];
-            let tx = shard.queue.pop_front().expect("shard is non-empty");
-            shard.in_queue.remove(&tx.id);
-            batch.push(tx);
-            self.cursor = (self.cursor + 1) % shards;
+        let take = max.min(self.queue.len());
+        let batch: Vec<Transaction> = self.queue.drain(..take).collect();
+        for tx in &batch {
+            self.remove_id(&tx.id);
         }
-        self.len -= batch.len();
         self.stats.dispatched += batch.len() as u64;
         batch
     }
@@ -258,23 +206,20 @@ impl Mempool {
     /// in a committed block proposed by another replica), preventing
     /// re-proposal. Returns how many were removed.
     pub fn remove_committed<'a>(&mut self, ids: impl IntoIterator<Item = &'a TxId>) -> usize {
-        // Single pass over the ids: each shard's `in_queue` mirrors its queue
-        // membership, so removing from the set both counts the victims and
-        // marks them — a shard was touched exactly when its set is now
-        // shorter than its queue, and one retain sweep per such shard keeps
-        // the ids still in its set.
+        if self.queue.is_empty() {
+            return 0;
+        }
+        // Removing from the set both counts the victims and marks them; one
+        // retain sweep then keeps the transactions whose ids are still in it.
         let mut removed = 0usize;
         for id in ids {
-            let shard_index = self.shard_of(id);
-            removed += usize::from(self.shards[shard_index].in_queue.remove(id));
+            if self.counts[slot(id)] != 0 && self.remove_id(id) {
+                removed += 1;
+            }
         }
         if removed > 0 {
-            for shard in &mut self.shards {
-                if shard.in_queue.len() < shard.queue.len() {
-                    shard.queue.retain(|tx| shard.in_queue.contains(&tx.id));
-                }
-            }
-            self.len -= removed;
+            let in_queue = &self.in_queue;
+            self.queue.retain(|tx| in_queue.contains(&tx.id));
         }
         removed
     }
@@ -282,7 +227,7 @@ impl Mempool {
     /// Returns a snapshot of activity counters.
     pub fn stats(&self) -> MempoolStats {
         MempoolStats {
-            pending: self.len,
+            pending: self.queue.len(),
             ..self.stats
         }
     }
@@ -368,6 +313,7 @@ mod tests {
     #[test]
     fn remove_committed_drops_only_matching_ids() {
         let mut pool = Mempool::new(10);
+        assert_eq!(pool.remove_committed([tx(1).id].iter()), 0, "empty pool");
         for seq in 0..5 {
             pool.push(tx(seq));
         }
@@ -414,8 +360,8 @@ mod tests {
     fn the_admission_bound_holds_with_no_pre_size() {
         for capacity in [1usize, 100, 5000] {
             let fresh = Mempool::new(capacity);
-            let shard = &fresh.shards[0];
-            assert_eq!((shard.queue.capacity(), shard.in_queue.capacity()), (0, 0));
+            let sizes = (fresh.queue.capacity(), fresh.in_queue.capacity());
+            assert_eq!((sizes, fresh.counts.capacity()), ((0, 0), 0));
             for batched in [false, true] {
                 let mut pool = Mempool::new(capacity);
                 let txs = (0..capacity as u64).map(tx);
@@ -449,79 +395,145 @@ mod tests {
     }
 
     #[test]
-    fn sharded_pool_preserves_every_transaction_exactly_once() {
-        for shards in [1usize, 2, 4, 7] {
-            let mut pool = Mempool::with_shards(1000, shards);
-            for seq in 0..200 {
-                assert!(pool.push(tx(seq)), "shards={shards} seq={seq}");
-            }
-            assert_eq!(pool.len(), 200);
-            let mut seen: Vec<u64> = Vec::new();
-            while !pool.is_empty() {
-                seen.extend(pool.next_batch(17).iter().map(|t| t.seq));
-            }
-            seen.sort_unstable();
-            assert_eq!(seen, (0..200).collect::<Vec<u64>>(), "shards={shards}");
-            assert_eq!(pool.stats().dispatched, 200);
+    fn the_shard_count_is_inert() {
+        // The whole capacity is one bound, whatever count the caller passes:
+        // no transaction is turned away while the pool has room.
+        for shards in [1usize, 4, 8] {
+            let mut pool = Mempool::with_shards(40, shards);
+            let accepted = (0..160).filter(|&seq| pool.push(tx(seq))).count();
+            assert_eq!(accepted, 40, "shards={shards}");
+            let drained: Vec<u64> = pool.next_batch(40).iter().map(|t| t.seq).collect();
+            assert_eq!(drained, (0..40).collect::<Vec<_>>(), "shards={shards}");
         }
     }
 
+    /// The pool under test beside a reference: one `VecDeque` searched
+    /// linearly, no id set and no count table.
+    #[derive(Default)]
+    struct Reference {
+        queue: VecDeque<Transaction>,
+        capacity: usize,
+        stats: MempoolStats,
+    }
+
+    impl Reference {
+        fn holds(&self, id: &TxId) -> bool {
+            self.queue.iter().any(|tx| tx.id == *id)
+        }
+
+        fn push(&mut self, tx: Transaction) -> bool {
+            if self.queue.len() >= self.capacity || self.holds(&tx.id) {
+                self.stats.rejected += 1;
+                return false;
+            }
+            self.queue.push_back(tx);
+            self.stats.accepted += 1;
+            true
+        }
+
+        fn requeue_front(&mut self, txs: Vec<Transaction>) {
+            for tx in txs.into_iter().rev() {
+                if !self.holds(&tx.id) {
+                    self.queue.push_front(tx);
+                    self.stats.requeued += 1;
+                }
+            }
+        }
+
+        fn next_batch(&mut self, max: usize) -> Vec<Transaction> {
+            let take = max.min(self.queue.len());
+            self.stats.dispatched += take as u64;
+            self.queue.drain(..take).collect()
+        }
+
+        fn remove_committed(&mut self, ids: &[TxId]) -> usize {
+            let before = self.queue.len();
+            self.queue.retain(|tx| !ids.contains(&tx.id));
+            before - self.queue.len()
+        }
+
+        fn stats(&self) -> MempoolStats {
+            MempoolStats {
+                pending: self.queue.len(),
+                ..self.stats
+            }
+        }
+    }
+
+    /// Transaction `key`, with its id forced into count slot 0x2cd when
+    /// `crowded` (bytes 8–9 overwritten), so one slot holds many ids and a
+    /// counter that drifted would skip a queued one.
+    fn keyed(key: u64, crowded: bool) -> Transaction {
+        let mut tx = tx(key);
+        if crowded {
+            let mut bytes = *tx.id.0.as_bytes();
+            bytes[8..10].copy_from_slice(&[0xaa, 0xcd]);
+            tx.id = TxId(bytes.into());
+        }
+        tx
+    }
+
     #[test]
-    fn sharded_drain_is_deterministic() {
-        let drain = |shards: usize| -> Vec<u64> {
-            let mut pool = Mempool::with_shards(1000, shards);
-            for seq in 0..100 {
-                pool.push(tx(seq));
-            }
-            let mut order = Vec::new();
-            while !pool.is_empty() {
-                order.extend(pool.next_batch(13).iter().map(|t| t.seq));
-            }
-            order
+    fn the_pool_matches_a_linear_reference_over_random_operations() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
         };
-        assert_eq!(drain(4), drain(4));
-        // One shard is the historical FIFO.
-        assert_eq!(drain(1), (0..100).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn sharded_admission_control_counts_every_rejection() {
-        // Per-shard capacity is total / shards; overflow in one shard is
-        // rejected (and counted) even while other shards have room.
-        for shards in [2usize, 4] {
-            let total = 40usize;
-            let mut pool = Mempool::with_shards(total, shards);
-            let offered = 4 * total as u64;
-            for seq in 0..offered {
-                pool.push(tx(seq));
+        let seqs = |batch: &[Transaction]| batch.iter().map(|t| t.seq).collect::<Vec<_>>();
+        for capacity in 1..=64usize {
+            let mut pool = Mempool::new(capacity);
+            let mut reference = Reference {
+                capacity,
+                ..Reference::default()
+            };
+            // Keys from a small universe, so duplicates, removals of queued
+            // ids and removals of absent ids are all frequent.
+            let universe = 2 * capacity as u64 + 8;
+            let pick = |next: &mut dyn FnMut(u64) -> u64| {
+                let key = next(universe);
+                keyed(key, key.is_multiple_of(3))
+            };
+            for step in 0..400 {
+                let label = format!("capacity {capacity}, step {step}");
+                match next(5) {
+                    0 => {
+                        let t = pick(&mut next);
+                        assert_eq!(pool.push(t.clone()), reference.push(t), "{label}");
+                    }
+                    1 => {
+                        let batch: Vec<Transaction> =
+                            (0..next(8)).map(|_| pick(&mut next)).collect();
+                        let expected: usize = (batch.iter())
+                            .map(|t| usize::from(reference.push(t.clone())))
+                            .sum();
+                        assert_eq!(pool.push_batch(batch), expected, "{label}");
+                    }
+                    2 => {
+                        let batch: Vec<Transaction> =
+                            (0..next(4)).map(|_| pick(&mut next)).collect();
+                        pool.requeue_front(batch.clone());
+                        reference.requeue_front(batch);
+                    }
+                    3 => {
+                        let max = next(capacity as u64 + 4) as usize;
+                        let got = pool.next_batch(max);
+                        assert_eq!(seqs(&got), seqs(&reference.next_batch(max)), "{label}");
+                    }
+                    _ => {
+                        let ids: Vec<TxId> = (0..next(12)).map(|_| pick(&mut next).id).collect();
+                        let removed = pool.remove_committed(ids.iter());
+                        assert_eq!(removed, reference.remove_committed(&ids), "{label}");
+                    }
+                }
+                assert_eq!(pool.len(), reference.queue.len(), "{label}");
+                assert_eq!(pool.stats(), reference.stats(), "{label}");
             }
-            let stats = pool.stats();
-            assert_eq!(
-                stats.accepted + stats.rejected,
-                offered,
-                "shards={shards}: every offered tx is accounted"
-            );
-            assert!(stats.rejected > 0, "shards={shards}: overload must reject");
-            assert_eq!(stats.pending as u64, stats.accepted);
-            assert!(pool.len() <= total);
+            let rest = pool.next_batch(usize::MAX);
+            assert_eq!(seqs(&rest), seqs(&reference.next_batch(usize::MAX)));
+            assert!(pool.counts.iter().all(|&c| c == 0), "capacity {capacity}");
         }
-    }
-
-    #[test]
-    fn sharded_dedup_and_removal_stay_exact() {
-        let mut pool = Mempool::with_shards(100, 4);
-        for seq in 0..20 {
-            pool.push(tx(seq));
-        }
-        // Same ids land in the same shards, so duplicates are caught.
-        for seq in 0..20 {
-            assert!(!pool.push(tx(seq)));
-        }
-        let victims: Vec<TxId> = (0..10).map(|seq| tx(seq).id).collect();
-        assert_eq!(pool.remove_committed(victims.iter()), 10);
-        assert_eq!(pool.len(), 10);
-        let mut left: Vec<u64> = pool.next_batch(20).iter().map(|t| t.seq).collect();
-        left.sort_unstable();
-        assert_eq!(left, (10..20).collect::<Vec<u64>>());
     }
 }

@@ -10,7 +10,7 @@
 //! * [`Authenticator`] holds the validator set's public keys and verifies
 //!   every message variant — proposals (block id + justify QC), votes,
 //!   timeout votes (signature + embedded high-QC), timeout certificates and
-//!   NewView QCs — rejecting forgeries with a typed [`AuthError`].
+//!   state transfer — rejecting forgeries with a typed [`AuthError`].
 //! * [`VerifiedMessage`] is the proof-of-verification token: it can only be
 //!   constructed by [`Authenticator::authenticate`], so any component whose
 //!   input type is `VerifiedMessage` is statically guaranteed to never see an
@@ -25,17 +25,16 @@
 //! [`BatchVerifier`], amortising signing-bytes construction across the whole
 //! aggregate.
 //!
-//! Client traffic ([`crate::Message::Request`] / [`crate::Message::Response`])
-//! passes through unchecked by default: clients are not part of the validator
-//! set and transaction authentication is out of scope for the paper's
-//! performance study. The opt-in signed-client mode
-//! ([`Authenticator::set_signed_clients`], driven by
-//! [`crate::Config::signed_requests`]) changes that for requests: each one
-//! must carry the issuing client's signature over a fixed 40-byte tuple, the
+//! Client requests are not messages: they arrive in batches at the edge
+//! check ([`Authenticator::verify_requests`]). By default they pass
+//! unchecked, since clients are not part of the validator set and transaction
+//! authentication is out of scope for the paper's performance study. The
+//! opt-in signed-client mode ([`Authenticator::set_signed_clients`], driven
+//! by [`crate::Config::signed_requests`]) changes that: each request must
+//! carry the issuing client's signature over a fixed 40-byte tuple, the
 //! client's public key is re-derived lazily from its id (no O(clients) key
-//! table), and whole arrival batches are checked through the same
-//! batched pass as quorum certificates
-//! ([`Authenticator::verify_client_batch`]).
+//! table), and whole arrival batches are checked through the same batched
+//! pass as quorum certificates ([`Authenticator::verify_client_batch`]).
 
 use std::fmt;
 
@@ -249,11 +248,6 @@ impl Authenticator {
         self.signed_clients = signed;
     }
 
-    /// Whether client requests are required to carry valid signatures.
-    pub fn signed_clients(&self) -> bool {
-        self.signed_clients
-    }
-
     /// The issuing client's public key, derived lazily from the client id (the
     /// client keyspace is domain-separated from the validator keyspace, see
     /// [`KeyPair::client_from_seed`]). Two streaming hashes, no allocation, no
@@ -316,19 +310,8 @@ impl Authenticator {
             Message::Vote(vote) | Message::VoteEcho(vote) => self.verify_vote(vote),
             Message::Timeout(tv) => self.verify_timeout_vote(tv),
             Message::TimeoutCertMsg(tc) => self.verify_timeout_cert(tc),
-            Message::NewView(qc) => self.verify_qc(qc),
             Message::SyncRequest(req) => self.verify_sync_request(req),
             Message::SyncResponse(resp) => self.verify_sync_response(resp),
-            // Requests are checked only in signed-client mode; responses (sent
-            // by replicas to clients) are never verified here.
-            Message::Request(req) => {
-                if self.signed_clients {
-                    self.verify_client_request(req)
-                } else {
-                    Ok(())
-                }
-            }
-            Message::Response(_) => Ok(()),
         }
     }
 
@@ -750,32 +733,14 @@ mod tests {
     }
 
     #[test]
-    fn client_traffic_passes_through() {
-        let mut auth = Authenticator::for_nodes(4);
-        let request = Message::Request(ClientRequest::unsigned(Transaction::new(
-            NodeId(9),
-            0,
-            8,
-            SimTime::ZERO,
-        )));
-        let verified = auth.authenticate(NodeId(9), request).expect("clients pass");
-        assert_eq!(verified.sender(), NodeId(9));
-        assert!(matches!(verified.message(), Message::Request(_)));
-    }
-
-    #[test]
     fn signed_client_mode_verifies_and_rejects_at_the_edge() {
         let mut auth = Authenticator::for_nodes(4);
         auth.set_signed_clients(true);
-        assert!(auth.signed_clients());
         let client = NodeId(1_000_321);
         let kp = KeyPair::client_from_seed(client.as_u64());
         let tx = Transaction::new(client, 0, 8, SimTime(5));
         let good = ClientRequest::signed(tx.clone(), &kp);
         assert!(auth.verify_client_request(&good).is_ok());
-        assert!(auth
-            .authenticate(client, Message::Request(good.clone()))
-            .is_ok());
 
         // Unsigned requests no longer pass.
         let unsigned = ClientRequest::unsigned(tx.clone());
@@ -790,7 +755,8 @@ mod tests {
             auth.verify_client_request(&forged),
             Err(AuthError::BadClientSignature(client))
         );
-        assert!(auth.authenticate(client, Message::Request(forged)).is_err());
+        let verified = auth.verify_requests(vec![good, unsigned, forged]);
+        assert_eq!((verified.offered(), verified.rejected()), (3, 2));
     }
 
     #[test]

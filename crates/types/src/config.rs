@@ -197,10 +197,9 @@ pub struct Config {
     /// modeled CPU charged per arrival batch. Defaults to false (the paper's
     /// unauthenticated-client setting).
     pub signed_requests: bool,
-    /// Number of independent mempool shards per replica (keyed by transaction
-    /// id bits). `1` (the default) is byte-identical to the historical single
-    /// queue; higher values bound per-shard capacity at `mempool_size /
-    /// shards` and drain round-robin.
+    /// Ignored: each replica's mempool is one queue bounded by
+    /// `mempool_size`. The field is kept for callers that still set it; no
+    /// spec key, builder method or check reads it.
     pub mempool_shards: usize,
 
     // ---- Durable storage (DESIGN.md §8) ---------------------------------
@@ -306,11 +305,6 @@ impl Config {
         if self.client_population == Some(0) {
             return Err(crate::TypeError::InvalidConfig(
                 "client population must be positive when set".into(),
-            ));
-        }
-        if self.mempool_shards == 0 {
-            return Err(crate::TypeError::InvalidConfig(
-                "mempool shards must be positive".into(),
             ));
         }
         if self.fsync_interval == 0 {
@@ -455,12 +449,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Sets the number of mempool shards per replica.
-    pub fn mempool_shards(mut self, shards: usize) -> Self {
-        self.config.mempool_shards = shards;
-        self
-    }
-
     /// Enables the durable segment log and persisted checkpoint images.
     pub fn durable_log(mut self, durable: bool) -> Self {
         self.config.durable_log = durable;
@@ -549,7 +537,6 @@ mod tests {
             .build()
             .is_err());
         assert!(Config::builder().client_population(0).build().is_err());
-        assert!(Config::builder().mempool_shards(0).build().is_err());
     }
 
     #[test]
@@ -557,16 +544,13 @@ mod tests {
         let c = Config::default();
         assert_eq!(c.client_population, None);
         assert!(!c.signed_requests);
-        assert_eq!(c.mempool_shards, 1);
         let tuned = Config::builder()
             .client_population(1_000_000)
             .signed_requests(true)
-            .mempool_shards(8)
             .build()
             .unwrap();
         assert_eq!(tuned.client_population, Some(1_000_000));
         assert!(tuned.signed_requests);
-        assert_eq!(tuned.mempool_shards, 8);
     }
 
     #[test]

@@ -9,8 +9,7 @@ use crate::block::{BlockId, SharedBlock};
 use crate::bytes::Bytes;
 use crate::certificate::{QuorumCert, TimeoutCert, TimeoutVote, Vote};
 use crate::ids::{Height, NodeId, View};
-use crate::time::SimTime;
-use crate::transaction::{Transaction, TxId};
+use crate::transaction::Transaction;
 
 /// A shared, immutable handle to a whole message envelope.
 ///
@@ -86,26 +85,6 @@ impl ClientRequest {
     /// Approximate wire size in bytes.
     pub fn wire_size(&self) -> usize {
         self.transaction.wire_size() + if self.signature.is_some() { 32 } else { 0 }
-    }
-}
-
-/// A client response confirming a committed transaction.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ClientResponse {
-    /// Id of the committed transaction.
-    pub tx: TxId,
-    /// The client that issued it.
-    pub client: NodeId,
-    /// When the transaction was issued (echoed back for latency bookkeeping).
-    pub issued_at: SimTime,
-    /// Simulated time at which the replica committed the transaction.
-    pub committed_at: SimTime,
-}
-
-impl ClientResponse {
-    /// Approximate wire size in bytes.
-    pub fn wire_size(&self) -> usize {
-        32 + 8 + 8 + 8
     }
 }
 
@@ -196,8 +175,10 @@ impl SyncResponse {
 /// Every message type exchanged in the system.
 ///
 /// The enum mirrors Bamboo's message handlers: block proposals, votes, the
-/// pacemaker's timeout votes and timeout certificates, plus the client-facing
-/// request/response pair.
+/// pacemaker's timeout votes and timeout certificates, and state transfer.
+/// It holds only what a replica sends another replica; client transactions
+/// arrive through the edge check as a `VerifiedRequests` batch, never as a
+/// message.
 ///
 /// Proposals carry their block as a [`SharedBlock`], so cloning a `Message`
 /// for per-peer fan-out never copies the transaction payload.
@@ -216,48 +197,13 @@ pub enum Message {
     Timeout(TimeoutVote),
     /// A timeout certificate forwarded to the next leader.
     TimeoutCertMsg(TimeoutCert),
-    /// A standalone QC forwarded to the next leader (used by protocols whose
-    /// votes are collected by the current leader rather than the next one).
-    NewView(QuorumCert),
-    /// A client request.
-    Request(ClientRequest),
-    /// A client response.
-    Response(ClientResponse),
     /// A state-transfer request from a replica that detected it is behind.
     SyncRequest(SyncRequest),
     /// A state-transfer response: snapshot and/or block suffix.
     SyncResponse(SyncResponse),
 }
 
-/// Coarse classification of a message, used by metrics and the network model.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum MessageKind {
-    /// Block proposals (and proposal echoes).
-    Proposal,
-    /// Votes (and vote echoes).
-    Vote,
-    /// Pacemaker messages (timeouts, TCs, new-view).
-    Pacemaker,
-    /// Client traffic.
-    Client,
-    /// State-transfer traffic (sync requests and responses).
-    Sync,
-}
-
 impl Message {
-    /// Returns the coarse kind of the message.
-    pub fn kind(&self) -> MessageKind {
-        match self {
-            Message::Proposal(_) | Message::ProposalEcho(_) => MessageKind::Proposal,
-            Message::Vote(_) | Message::VoteEcho(_) => MessageKind::Vote,
-            Message::Timeout(_) | Message::TimeoutCertMsg(_) | Message::NewView(_) => {
-                MessageKind::Pacemaker
-            }
-            Message::Request(_) | Message::Response(_) => MessageKind::Client,
-            Message::SyncRequest(_) | Message::SyncResponse(_) => MessageKind::Sync,
-        }
-    }
-
     /// Approximate wire size of the message in bytes. The NIC model charges
     /// `2 * size / bandwidth` per hop, following the paper's model (§V-B1).
     pub fn wire_size(&self) -> usize {
@@ -268,9 +214,6 @@ impl Message {
                 Message::Vote(v) | Message::VoteEcho(v) => v.wire_size(),
                 Message::Timeout(t) => t.wire_size(),
                 Message::TimeoutCertMsg(tc) => tc.wire_size(),
-                Message::NewView(qc) => qc.wire_size(),
-                Message::Request(r) => r.wire_size(),
-                Message::Response(r) => r.wire_size(),
                 Message::SyncRequest(r) => r.wire_size(),
                 Message::SyncResponse(r) => r.wire_size(),
             }
@@ -283,8 +226,6 @@ impl Message {
             Message::Vote(v) | Message::VoteEcho(v) => Some(v.view),
             Message::Timeout(t) => Some(t.view),
             Message::TimeoutCertMsg(tc) => Some(tc.view),
-            Message::NewView(qc) => Some(qc.view),
-            Message::Request(_) | Message::Response(_) => None,
             Message::SyncRequest(_) | Message::SyncResponse(_) => None,
         }
     }
@@ -298,9 +239,6 @@ impl Message {
             Message::VoteEcho(_) => "vote-echo",
             Message::Timeout(_) => "timeout",
             Message::TimeoutCertMsg(_) => "timeout-cert",
-            Message::NewView(_) => "new-view",
-            Message::Request(_) => "request",
-            Message::Response(_) => "response",
             Message::SyncRequest(_) => "sync-request",
             Message::SyncResponse(_) => "sync-response",
         }
@@ -320,6 +258,7 @@ impl fmt::Display for Message {
 mod tests {
     use super::*;
     use crate::block::{Block, BlockId};
+    use crate::time::SimTime;
     use bamboo_crypto::KeyPair;
 
     fn sample_block() -> Block {
@@ -333,67 +272,43 @@ mod tests {
         )
     }
 
+    fn sync_request() -> Message {
+        Message::SyncRequest(SyncRequest::new(
+            NodeId(0),
+            BlockId::GENESIS,
+            crate::ids::Height::GENESIS,
+            &KeyPair::from_seed(0),
+        ))
+    }
+
     #[test]
-    fn kinds_cover_all_variants() {
+    fn every_variant_has_a_size_and_its_own_tag() {
         let kp = KeyPair::from_seed(0);
         let block = sample_block();
         let vote = Vote::new(block.id, block.view, NodeId(0), &kp);
         let timeout = TimeoutVote::new(View(2), NodeId(0), QuorumCert::genesis(), &kp);
         let tc = TimeoutCert::from_votes(View(2), std::slice::from_ref(&timeout));
         let block = SharedBlock::new(block);
-        let cases = vec![
-            (Message::Proposal(block.clone()), MessageKind::Proposal),
-            (Message::ProposalEcho(block.clone()), MessageKind::Proposal),
-            (Message::Vote(vote.clone()), MessageKind::Vote),
-            (Message::VoteEcho(vote), MessageKind::Vote),
-            (Message::Timeout(timeout), MessageKind::Pacemaker),
-            (Message::TimeoutCertMsg(tc), MessageKind::Pacemaker),
-            (
-                Message::NewView(QuorumCert::genesis()),
-                MessageKind::Pacemaker,
-            ),
-            (
-                Message::Request(ClientRequest::unsigned(Transaction::new(
-                    NodeId(1),
-                    0,
-                    0,
-                    SimTime::ZERO,
-                ))),
-                MessageKind::Client,
-            ),
-            (
-                Message::Response(ClientResponse {
-                    tx: TxId::default(),
-                    client: NodeId(1),
-                    issued_at: SimTime::ZERO,
-                    committed_at: SimTime(10),
-                }),
-                MessageKind::Client,
-            ),
-            (
-                Message::SyncRequest(SyncRequest::new(
-                    NodeId(0),
-                    BlockId::GENESIS,
-                    crate::ids::Height::GENESIS,
-                    &kp,
-                )),
-                MessageKind::Sync,
-            ),
-            (
-                Message::SyncResponse(SyncResponse {
-                    responder: NodeId(1),
-                    snapshot: Some(Bytes::from(vec![1u8; 64])),
-                    blocks: vec![block],
-                    high_qc: QuorumCert::genesis(),
-                }),
-                MessageKind::Sync,
-            ),
+        let messages = [
+            Message::Proposal(block.clone()),
+            Message::ProposalEcho(block.clone()),
+            Message::Vote(vote.clone()),
+            Message::VoteEcho(vote),
+            Message::Timeout(timeout),
+            Message::TimeoutCertMsg(tc),
+            sync_request(),
+            Message::SyncResponse(SyncResponse {
+                responder: NodeId(1),
+                snapshot: Some(Bytes::from(vec![1u8; 64])),
+                blocks: vec![block],
+                high_qc: QuorumCert::genesis(),
+            }),
         ];
-        for (msg, kind) in cases {
-            assert_eq!(msg.kind(), kind, "{}", msg.tag());
-            assert!(msg.wire_size() > 0);
-            assert!(!msg.tag().is_empty());
-        }
+        let mut tags: Vec<&str> = messages.iter().map(Message::tag).collect();
+        tags.sort_unstable();
+        tags.dedup();
+        assert_eq!(tags.len(), messages.len(), "{tags:?}");
+        assert!(messages.iter().all(|msg| msg.wire_size() > 0));
     }
 
     #[test]
@@ -429,13 +344,7 @@ mod tests {
     fn views_are_exposed() {
         let block = sample_block();
         assert_eq!(Message::Proposal(block.into()).view(), Some(View(2)));
-        let req = Message::Request(ClientRequest::unsigned(Transaction::new(
-            NodeId(1),
-            0,
-            0,
-            SimTime::ZERO,
-        )));
-        assert_eq!(req.view(), None);
+        assert_eq!(sync_request().view(), None);
     }
 
     #[test]
@@ -462,12 +371,6 @@ mod tests {
         let block = sample_block();
         let msg = Message::Proposal(block.into());
         assert_eq!(msg.to_string(), "proposal@v2");
-        let req = Message::Request(ClientRequest::unsigned(Transaction::new(
-            NodeId(1),
-            0,
-            0,
-            SimTime::ZERO,
-        )));
-        assert_eq!(req.to_string(), "request");
+        assert_eq!(sync_request().to_string(), "sync-request");
     }
 }

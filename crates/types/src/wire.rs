@@ -22,9 +22,9 @@ use crate::block::{Block, BlockId, SharedBlock};
 use crate::bytes::Bytes;
 use crate::certificate::{QuorumCert, TimeoutCert, TimeoutVote, Vote};
 use crate::ids::{Height, NodeId, View};
-use crate::message::{ClientRequest, ClientResponse, Message, SyncRequest, SyncResponse};
+use crate::message::{ClientRequest, Message, SyncRequest, SyncResponse};
 use crate::time::SimTime;
-use crate::transaction::{Transaction, TxId};
+use crate::transaction::Transaction;
 
 /// Why a byte stream failed to decode.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -475,26 +475,6 @@ pub fn decode_client_request(cur: &mut WireCursor<'_>) -> Result<ClientRequest, 
     })
 }
 
-fn encode_client_response(out: &mut Vec<u8>, response: &ClientResponse) {
-    out.extend_from_slice(response.tx.0.as_bytes());
-    put_u64(out, response.client.as_u64());
-    put_u64(out, response.issued_at.as_nanos());
-    put_u64(out, response.committed_at.as_nanos());
-}
-
-fn decode_client_response(cur: &mut WireCursor<'_>) -> Result<ClientResponse, WireError> {
-    let tx = TxId(bamboo_crypto::Digest::from_bytes(cur.digest32()?));
-    let client = NodeId(cur.u64()?);
-    let issued_at = SimTime(cur.u64()?);
-    let committed_at = SimTime(cur.u64()?);
-    Ok(ClientResponse {
-        tx,
-        client,
-        issued_at,
-        committed_at,
-    })
-}
-
 fn encode_sync_request(out: &mut Vec<u8>, request: &SyncRequest) {
     put_u64(out, request.requester.as_u64());
     out.extend_from_slice(request.head.0.as_bytes());
@@ -564,9 +544,8 @@ const TAG_VOTE_ECHO: u8 = 3;
 const TAG_PROPOSAL_ECHO: u8 = 4;
 const TAG_TIMEOUT: u8 = 5;
 const TAG_TIMEOUT_CERT: u8 = 6;
-const TAG_NEW_VIEW: u8 = 7;
-const TAG_REQUEST: u8 = 8;
-const TAG_RESPONSE: u8 = 9;
+// Tags 7–9 carried the standalone-QC and client request/response variants;
+// they are retired, not reused, so an old frame is an unknown tag.
 const TAG_SYNC_REQUEST: u8 = 10;
 const TAG_SYNC_RESPONSE: u8 = 11;
 
@@ -597,18 +576,6 @@ pub fn encode_message_into(out: &mut Vec<u8>, message: &Message) {
         Message::TimeoutCertMsg(tc) => {
             out.push(TAG_TIMEOUT_CERT);
             encode_timeout_cert(out, tc);
-        }
-        Message::NewView(qc) => {
-            out.push(TAG_NEW_VIEW);
-            encode_qc(out, qc);
-        }
-        Message::Request(request) => {
-            out.push(TAG_REQUEST);
-            encode_client_request(out, request);
-        }
-        Message::Response(response) => {
-            out.push(TAG_RESPONSE);
-            encode_client_response(out, response);
         }
         Message::SyncRequest(request) => {
             out.push(TAG_SYNC_REQUEST);
@@ -645,9 +612,6 @@ pub fn decode_message(bytes: &[u8]) -> Result<Message, WireError> {
         TAG_PROPOSAL_ECHO => Message::ProposalEcho(SharedBlock::new(decode_block(&mut cur)?)),
         TAG_TIMEOUT => Message::Timeout(decode_timeout_vote(&mut cur)?),
         TAG_TIMEOUT_CERT => Message::TimeoutCertMsg(decode_timeout_cert(&mut cur)?),
-        TAG_NEW_VIEW => Message::NewView(decode_qc(&mut cur)?),
-        TAG_REQUEST => Message::Request(decode_client_request(&mut cur)?),
-        TAG_RESPONSE => Message::Response(decode_client_response(&mut cur)?),
         TAG_SYNC_REQUEST => Message::SyncRequest(decode_sync_request(&mut cur)?),
         TAG_SYNC_RESPONSE => Message::SyncResponse(decode_sync_response(&mut cur)?),
         _ => return Err(WireError::Corrupt("unknown message tag")),
@@ -687,12 +651,10 @@ mod tests {
 
     fn every_message() -> Vec<Message> {
         let kp = KeyPair::from_seed(0);
-        let client = KeyPair::client_from_seed(7);
         let block = SharedBlock::new(sample_block(3));
         let vote = Vote::new(block.id, block.view, NodeId(1), &kp);
         let tv = TimeoutVote::new(View(9), NodeId(2), sample_qc(), &kp);
         let tc = TimeoutCert::from_votes(View(9), std::slice::from_ref(&tv));
-        let tx = Transaction::new(NodeId(1_000_007), 4, 16, SimTime(77));
         vec![
             Message::Proposal(block.clone()),
             Message::Vote(vote.clone()),
@@ -700,15 +662,6 @@ mod tests {
             Message::ProposalEcho(block.clone()),
             Message::Timeout(tv),
             Message::TimeoutCertMsg(tc),
-            Message::NewView(sample_qc()),
-            Message::Request(ClientRequest::unsigned(tx.clone())),
-            Message::Request(ClientRequest::signed(tx.clone(), &client)),
-            Message::Response(ClientResponse {
-                tx: tx.id,
-                client: tx.client,
-                issued_at: SimTime(77),
-                committed_at: SimTime(300),
-            }),
             Message::SyncRequest(SyncRequest::new(
                 NodeId(3),
                 BlockId::GENESIS,
@@ -771,6 +724,42 @@ mod tests {
             Some(WireError::Corrupt("unknown message tag"))
         );
         assert_eq!(decode_message(&[]).err(), Some(WireError::Truncated));
+    }
+
+    #[test]
+    fn retired_tags_are_unknown_whatever_follows() {
+        let mut bodies: Vec<Vec<u8>> = every_message().iter().map(encode_message).collect();
+        bodies.extend([vec![0], vec![0xff; 200]]);
+        for tag in [7u8, 8, 9] {
+            for body in &bodies {
+                let mut bytes = body.clone();
+                bytes[0] = tag;
+                assert_eq!(
+                    decode_message(&bytes).err(),
+                    Some(WireError::Corrupt("unknown message tag")),
+                    "tag {tag}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn client_requests_round_trip_signed_and_unsigned() {
+        let tx = Transaction::new(NodeId(1_000_007), 4, 16, SimTime(77));
+        for request in [
+            ClientRequest::unsigned(tx.clone()),
+            ClientRequest::signed(tx.clone(), &KeyPair::client_from_seed(7)),
+        ] {
+            let mut bytes = Vec::new();
+            encode_client_request(&mut bytes, &request);
+            let mut cur = WireCursor::new(&bytes);
+            assert_eq!(decode_client_request(&mut cur).as_ref(), Ok(&request));
+            assert!(cur.done());
+            for cut in 0..bytes.len() {
+                let mut cur = WireCursor::new(&bytes[..cut]);
+                assert!(decode_client_request(&mut cur).is_err(), "{cut} bytes");
+            }
+        }
     }
 
     #[test]

@@ -53,6 +53,15 @@
 //! }
 //! ```
 //!
+//! A message carries only what one replica sends another; transactions
+//! enter through the edge check (`NodeHost::admit`), never the wire:
+//!
+//! ```compile_fail
+//! fn is_request(message: &bamboo::types::Message) -> bool {
+//!     matches!(message, bamboo::types::Message::Request(_))
+//! }
+//! ```
+//!
 //! The pacemaker says what it did, and the replica spells every effect as a
 //! `Transport` call; there is no second vocabulary of actions:
 //!

@@ -16,7 +16,7 @@ use bamboo_core::{
 use bamboo_crypto::{AggregateSignature, KeyPair};
 use bamboo_types::{
     Authenticator, BlockId, ByzantineStrategy, Config, Message, NodeId, ProtocolKind, QuorumCert,
-    SimDuration, SimTime, View, Vote,
+    SimDuration, SimTime, TimeoutVote, View, Vote,
 };
 
 fn sim_config(strategy: ByzantineStrategy, byz: usize) -> Config {
@@ -207,6 +207,17 @@ fn transport_level_forgeries_never_reach_the_replica() {
         "discovering a forgery costs modeled CPU"
     );
 
+    // Cases 2 and 3 hide a bad QC inside a genuinely signed timeout vote, as
+    // its high-QC: the vote's own signature passes, the certificate must not.
+    let timeout = |high_qc: QuorumCert| {
+        Message::Timeout(TimeoutVote::new(
+            View(5),
+            NodeId(1),
+            high_qc,
+            &KeyPair::from_seed(1),
+        ))
+    };
+
     // 2. A sub-quorum aggregate: two genuine signatures where three are
     // required.
     let votes: Vec<Vote> = (0..2)
@@ -216,7 +227,7 @@ fn transport_level_forgeries_never_reach_the_replica() {
     ingress(
         &mut host,
         &mut auth,
-        Message::NewView(sub_quorum),
+        timeout(sub_quorum),
         SimTime(2_000),
         &mut transport,
     );
@@ -239,7 +250,7 @@ fn transport_level_forgeries_never_reach_the_replica() {
     ingress(
         &mut host,
         &mut auth,
-        Message::NewView(forged_qc),
+        timeout(forged_qc),
         SimTime(3_000),
         &mut transport,
     );

@@ -1,11 +1,11 @@
 //! End-to-end tests of the client-ingress pipeline: signed requests from a
-//! large open-loop client population, edge batch-verification, sharded
-//! mempool admission control, and client-observed latency reporting.
+//! large open-loop client population, edge batch-verification, mempool
+//! admission control, and client-observed latency reporting.
 //!
 //! The pipeline rides the same determinism contract as the rest of the
-//! engine: with population mode, request signing and mempool sharding all
-//! enabled, two identical runs must stay bit-identical and agree on every
-//! admission counter.
+//! engine: with population mode and request signing both enabled, two
+//! identical runs must stay bit-identical and agree on every admission
+//! counter.
 
 use std::time::Duration;
 
@@ -21,7 +21,7 @@ use bamboo_types::{
 const SEEDS: [u64; 3] = [7, 42, 2021];
 
 /// A full-pipeline config: a million-client population issuing signed
-/// requests into a sharded mempool.
+/// requests into each replica's mempool.
 fn pipeline_config(seed: u64) -> Config {
     Config::builder()
         .nodes(8)
@@ -30,7 +30,6 @@ fn pipeline_config(seed: u64) -> Config {
         .arrival_rate(4_000.0)
         .client_population(1_000_000)
         .signed_requests(true)
-        .mempool_shards(4)
         .seed(seed)
         .build()
         .expect("valid config")
@@ -86,7 +85,7 @@ fn signed_population_runs_are_identical_across_thread_counts() {
 fn admission_control_counts_overflow_without_losing_transactions() {
     let tiny = |seed: u64| {
         let mut config = pipeline_config(seed);
-        config.mempool_size = 64;
+        config.mempool_size = 16;
         config.arrival_rate = Some(50_000.0);
         config
     };
