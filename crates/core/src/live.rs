@@ -5,15 +5,13 @@
 //! timers; the only thing that differs is how an outbound message leaves the
 //! node. This module owns everything they have in common:
 //!
-//! * `Deadlines` — the armed view timers, delayed proposals and sync timers
-//!   of one replica, fired by the loop when the wall clock passes them;
 //! * [`Link`] — the backend-specific send half (channel + verify pool, or
 //!   frame enqueue on a socket writer), plus the readiness/peer-table hook
 //!   that gates start-up on multi-process deployments;
 //! * [`LiveEvent`] — what the outside world can tell a running node;
-//! * [`run_live_node`] — the event loop: fire due deadlines, sleep to the next
-//!   one, honour crash/recover, and book every step into the node's
-//!   [`LiveStatus`];
+//! * [`run_live_node`] — the event loop: fire due deadlines (the runtime's
+//!   `Deadlines`), sleep to the next one, honour crash/recover, and book
+//!   every step into the node's [`LiveStatus`];
 //! * [`LiveStatus`] — commit progress plus the prefix-fingerprint history,
 //!   readable from any thread while the node runs (the status probe of the
 //!   TCP backend and the prefix oracle of both).
@@ -39,7 +37,7 @@ use bamboo_types::{
 };
 
 use crate::replica::{Replica, ReplicaOptions};
-use crate::runtime::{ledger_forks, NodeHost, RecoverMode, ReplicaEvent, Transport};
+use crate::runtime::{ledger_forks, Deadlines, NodeHost, RecoverMode, Transport};
 use crate::storage::SegmentLog;
 
 /// The backend-specific send half of a live node.
@@ -79,52 +77,6 @@ pub enum LiveEvent {
     Peers(Vec<(u64, SocketAddr)>),
     /// Stop the loop and hand the host back.
     Shutdown,
-}
-
-/// One replica's armed deadlines, as absolute times on the node's clock.
-#[derive(Default)]
-struct Deadlines {
-    timers: Vec<(View, SimTime)>,
-    proposals: Vec<(View, SimTime)>,
-    sync_timers: Vec<SimTime>,
-}
-
-impl Deadlines {
-    /// Earliest pending deadline of any kind.
-    fn next_deadline(&self) -> Option<SimTime> {
-        let views = self.timers.iter().chain(&self.proposals).map(|&(_, d)| d);
-        views.chain(self.sync_timers.iter().copied()).min()
-    }
-
-    /// Removes one deadline that has passed and returns the event it fires:
-    /// view timers first (they are what keeps a cluster moving when a leader
-    /// is silent), then delayed proposals, then sync timers.
-    fn pop_due(&mut self, now: SimTime) -> Option<ReplicaEvent> {
-        if let Some(index) = self.timers.iter().position(|&(_, d)| d <= now) {
-            let (view, _) = self.timers.swap_remove(index);
-            return Some(ReplicaEvent::TimerFired { view });
-        }
-        if let Some(index) = self.proposals.iter().position(|&(_, d)| d <= now) {
-            let (view, _) = self.proposals.swap_remove(index);
-            return Some(ReplicaEvent::ProposeNow { view });
-        }
-        let index = self.sync_timers.iter().position(|&d| d <= now)?;
-        self.sync_timers.swap_remove(index);
-        Some(ReplicaEvent::SyncTimer)
-    }
-
-    /// Drops timers and proposals for views the replica has already left, so
-    /// the lists stay bounded over long runs. Sync timers are view-less and
-    /// self-consume on firing.
-    fn prune_stale(&mut self, current_view: View) {
-        self.timers.retain(|&(view, _)| view >= current_view);
-        self.proposals.retain(|&(view, _)| view >= current_view);
-    }
-
-    /// Drops every armed deadline.
-    fn clear(&mut self) {
-        *self = Self::default();
-    }
 }
 
 /// The live backends' [`Transport`]: deadlines stay with the loop, messages
@@ -498,43 +450,6 @@ mod tests {
     use bamboo_forest::CommittedBlock;
     use bamboo_types::{Block, BlockId, Height, QuorumCert, SharedBlock, TxId};
     use std::collections::HashSet;
-
-    #[test]
-    fn deadlines_fire_view_timers_before_proposals_before_sync_timers() {
-        let mut deadlines = Deadlines::default();
-        deadlines.sync_timers.push(SimTime(5));
-        deadlines.proposals.push((View(2), SimTime(7)));
-        deadlines.timers.push((View(3), SimTime(30)));
-        deadlines.timers.push((View(2), SimTime(9)));
-        assert_eq!(deadlines.next_deadline(), Some(SimTime(5)));
-        assert!(
-            deadlines.pop_due(SimTime(4)).is_none(),
-            "nothing is due yet"
-        );
-
-        let fired: Vec<ReplicaEvent> =
-            std::iter::from_fn(|| deadlines.pop_due(SimTime(10))).collect();
-        assert!(matches!(
-            fired[..],
-            [
-                ReplicaEvent::TimerFired { view: View(2) },
-                ReplicaEvent::ProposeNow { view: View(2) },
-                ReplicaEvent::SyncTimer
-            ]
-        ));
-        assert_eq!(deadlines.next_deadline(), Some(SimTime(30)));
-
-        deadlines.proposals.push((View(3), SimTime(40)));
-        deadlines.sync_timers.push(SimTime(50));
-        deadlines.prune_stale(View(4));
-        assert_eq!(
-            deadlines.next_deadline(),
-            Some(SimTime(50)),
-            "pruning drops left views but keeps view-less sync timers"
-        );
-        deadlines.clear();
-        assert_eq!(deadlines.next_deadline(), None);
-    }
 
     #[test]
     fn commit_poll_returns_at_once_when_met_and_false_past_the_deadline() {

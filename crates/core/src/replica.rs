@@ -253,8 +253,9 @@ impl Replica {
             ReplicaEvent::TimerFired { view } => {
                 let high_qc = self.forest.high_qc().clone();
                 let vote = self.pacemaker.on_timer(view, high_qc, &self.keypair);
-                out.cpu += self.cpu.sign();
                 if let Some(vote) = vote {
+                    // Only a timer that gives up on its view signs anything.
+                    out.cpu += self.cpu.sign();
                     // Our own timeout vote counts towards our own TC.
                     let tc = self.pacemaker.on_timeout_vote(&vote);
                     out.transport.broadcast(Message::Timeout(vote));
@@ -1063,8 +1064,35 @@ mod tests {
         let mut wire = BufferedTransport::new();
         replica.start(SimTime::ZERO, &mut wire);
         let fired = ReplicaEvent::TimerFired { view: View(1) };
-        replica.handle(fired, SimTime(200_000_000), &mut wire);
+        let report = replica.handle(fired, SimTime(200_000_000), &mut wire);
         assert!((wire.sends.iter()).any(|(_, message)| matches!(**message, Message::Timeout(_))));
+        assert_eq!(report.cpu, replica.cpu.sign(), "the timeout vote is signed");
+    }
+
+    /// A timer for a view the replica has left signs nothing, so it costs
+    /// nothing and writes nothing.
+    #[test]
+    fn a_timer_for_a_left_view_is_free_and_silent() {
+        let mut replica = Replica::new(
+            NodeId(3),
+            ProtocolKind::HotStuff,
+            config(4),
+            ReplicaOptions::default(),
+        );
+        let mut wire = BufferedTransport::new();
+        replica.start(SimTime::ZERO, &mut wire);
+        let qc = QuorumCert {
+            block: Default::default(),
+            view: View(1),
+            signatures: Default::default(),
+        };
+        assert!(replica.pacemaker.on_qc(&qc), "the replica leaves view 1");
+        wire.clear();
+        let fired = ReplicaEvent::TimerFired { view: View(1) };
+        let report = replica.handle(fired, SimTime(200_000_000), &mut wire);
+        assert!(report.cpu.is_zero(), "charged {:?}", report.cpu);
+        assert!(wire.sends.is_empty() && wire.timers.is_empty());
+        assert!(wire.proposals.is_empty() && wire.sync_timers.is_empty());
     }
 
     #[test]

@@ -49,7 +49,8 @@
 //! delay composition (§V) — normally distributed propagation delay, `2·m/b`
 //! NIC serialisation, and a constant CPU cost per crypto operation (modelled
 //! as a per-replica busy server, which is what produces the M/D/1-style
-//! queueing behaviour the analytical model assumes).
+//! queueing behaviour the analytical model assumes). Deadlines go into the
+//! live loop's book, `Deadlines`, fired by one wake-up per replica.
 //!
 //! The engine keeps allocation and crypto off its hot path. A broadcast is
 //! **one queue entry**: every recipient's delay is drawn at send time, and
@@ -76,7 +77,7 @@ use bamboo_types::{
 use crate::metrics::{Metrics, RecoveryReport, RunReport};
 use crate::replica::{Replica, ReplicaOptions};
 use crate::runtime::{
-    ledger_forks, BufferedTransport, NodeHost, RecoverMode, ReplicaEvent, StepReport,
+    ledger_forks, BufferedTransport, Deadlines, NodeHost, RecoverMode, ReplicaEvent, StepReport,
 };
 use crate::storage::StorageFault;
 use crate::workload::{Arrival, ClosedLoopWorkload, OpenLoopWorkload, Workload};
@@ -108,9 +109,9 @@ pub enum FaultTrigger {
 ///
 /// A crashed node is blacked out at the network layer: events addressed to
 /// it are discarded and — since it therefore never handles anything — it
-/// sends nothing. Its internal timers are suspended too. How it comes back —
-/// resuming its pre-crash heap, or restarting from whatever its disk kept —
-/// is the fault's [`RecoverMode`].
+/// sends nothing. Its deadlines do not fire either. How it comes back —
+/// resuming its pre-crash heap and deadlines, or restarting from whatever its
+/// disk kept — is the fault's [`RecoverMode`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodeFault {
     /// The replica to crash.
@@ -187,23 +188,18 @@ struct SimEvent {
 enum EventKind {
     /// A message on its way to a recipient.
     Deliver(Envelope),
-    Timer(View),
-    ProposeNow(View),
+    /// The replica's wake-up: its earliest deadline is due.
+    Wake,
     /// A batch of client requests arriving at the replica's edge, already
     /// edge-checked when its tick was generated. The host charges the
     /// modeled cost of the check and admits the transactions into the
     /// mempool.
     ClientBatch(VerifiedRequests),
-    /// A state-transfer debounce/retry deadline armed by the replica.
-    SyncTimer,
     /// A time-triggered node fault boundary: crash the node, or bring it
     /// back in `mode` (which applies to recoveries only). View-triggered
     /// boundaries never enter the queue; they fire right after the event
     /// that lifted the highest observed view to theirs.
-    SetCrashed {
-        crashed: bool,
-        mode: RecoverMode,
-    },
+    SetCrashed { crashed: bool, mode: RecoverMode },
 }
 
 /// A sent message as its recipients get it. Each unique envelope is
@@ -298,6 +294,14 @@ impl Clients {
     }
 }
 
+/// A replica's deadline book, the view it was pruned at, its queued wake-up.
+#[derive(Default)]
+struct Alarm {
+    book: Deadlines,
+    view: View,
+    wake: Option<SimTime>,
+}
+
 /// A deterministic discrete-event simulation of one Bamboo deployment. All
 /// per-replica state is indexed by node id.
 pub struct SimRunner {
@@ -309,6 +313,7 @@ pub struct SimRunner {
     rngs: Vec<SimRng>,
     busy_until: Vec<SimTime>,
     crashed: Vec<bool>,
+    alarms: Vec<Alarm>,
     queue: EventQueue<SimEvent>,
     latency: LatencyModel,
     nic: NicModel,
@@ -442,6 +447,7 @@ impl SimRunner {
                 .collect(),
             busy_until: vec![SimTime::ZERO; nodes],
             crashed: vec![false; nodes],
+            alarms: (0..nodes).map(|_| Alarm::default()).collect(),
             queue,
             latency,
             nic,
@@ -560,11 +566,7 @@ impl SimRunner {
             EventKind::ClientBatch(requests) => {
                 self.step(node, time, |host, _, _| host.admit(requests))
             }
-            EventKind::Timer(view) => self.dispatch(node, ReplicaEvent::TimerFired { view }, time),
-            EventKind::ProposeNow(view) => {
-                self.dispatch(node, ReplicaEvent::ProposeNow { view }, time)
-            }
-            EventKind::SyncTimer => self.dispatch(node, ReplicaEvent::SyncTimer, time),
+            EventKind::Wake => self.wake(node, time),
             EventKind::SetCrashed { crashed, mode } => self.set_crashed(node, crashed, mode, time),
         }
     }
@@ -589,10 +591,30 @@ impl SimRunner {
         self.queue.schedule(at, SimEvent { node, kind });
     }
 
-    fn dispatch(&mut self, node: NodeId, event: ReplicaEvent, time: SimTime) {
-        self.step(node, time, |host, start, effects| {
-            host.handle(event, start, effects)
-        });
+    /// Fires one due deadline of `node`'s book (live loop order) and queues the
+    /// next wake-up; superseded wake-ups and crashed replicas fire nothing.
+    fn wake(&mut self, node: NodeId, time: SimTime) {
+        let (index, alarm) = (node.index(), &mut self.alarms[node.index()]);
+        if alarm.wake.take_if(|wake| *wake == time).is_none() || self.crashed[index] {
+            return;
+        }
+        if let Some(event) = alarm.book.pop_due(time) {
+            let view = self.hosts[index].replica().current_view();
+            debug_assert!(!matches!(event, ReplicaEvent::TimerFired { view: v } if v != view));
+            self.step(node, time, |host, at, out| host.handle(event, at, out));
+        }
+        self.arm_wake(node, time);
+    }
+
+    /// Queues a wake-up for `node`'s earliest deadline (at `now` if overdue)
+    /// unless one is queued no later.
+    fn arm_wake(&mut self, node: NodeId, now: SimTime) {
+        let alarm = &mut self.alarms[node.index()];
+        let next = alarm.book.next_deadline().map(|due| due.max(now));
+        if let Some(at) = next.filter(|&at| alarm.wake.is_none_or(|wake| at < wake)) {
+            alarm.wake = Some(at);
+            self.schedule(now, at, node, EventKind::Wake);
+        }
     }
 
     /// Runs one host step of `node` for an event arriving at `time` and
@@ -641,17 +663,20 @@ impl SimRunner {
         Some((time.max(self.busy_until[node.index()]), effects))
     }
 
-    /// Crashes `node` or brings it back at `time`. A [`RecoverMode::Restart`]
-    /// recovery restarts the replica from what its disk kept, after the
+    /// Crashes `node` or brings it back at `time`. A [`RecoverMode::Resume`]
+    /// fires an overdue deadline at once; a [`RecoverMode::Restart`] drops
+    /// them and restarts the replica from what its disk kept, after the
     /// crash-point fault mangled it, and the restart effects (view timer, the
-    /// immediate state-transfer request) flow through the same absorb path as
-    /// any other step's.
+    /// immediate state-transfer request) flow through absorb like any step's.
     fn set_crashed(&mut self, node: NodeId, crashed: bool, mode: RecoverMode, time: SimTime) {
         let was = std::mem::replace(&mut self.crashed[node.index()], crashed);
-        if was && !crashed && mode != RecoverMode::Resume {
+        if was && !crashed && mode == RecoverMode::Resume {
+            self.arm_wake(node, time);
+        } else if was && !crashed {
             // A rebooted process starts with an idle CPU; whatever the busy
             // server was doing pre-crash died with it.
             self.busy_until[node.index()] = time;
+            self.alarms[node.index()].book.clear();
             self.step(node, time, |host, start, effects| {
                 host.restart(mode, start, effects)
             });
@@ -674,9 +699,8 @@ impl SimRunner {
 
         // Track the view high-water mark; view-triggered fault boundaries
         // resolve from it once this event is done.
-        self.max_view = self
-            .max_view
-            .max(self.hosts[index].replica().current_view());
+        let view = self.hosts[index].replica().current_view();
+        self.max_view = self.max_view.max(view);
 
         // Commits: record metrics at the observer replica only, so every
         // transaction is counted exactly once. The client-response delay is
@@ -703,15 +727,16 @@ impl SimRunner {
             }
         }
 
-        // Timers, delayed proposals and sync timers are self-events.
-        for (view, deadline) in effects.timers.drain(..) {
-            self.schedule(start, deadline, node, EventKind::Timer(view));
-        }
-        for (view, at) in effects.proposals.drain(..) {
-            self.schedule(start, at, node, EventKind::ProposeNow(view));
-        }
-        for deadline in effects.sync_timers.drain(..) {
-            self.schedule(start, deadline, node, EventKind::SyncTimer);
+        // The book takes the step's deadlines and prunes, unless it armed none in the same view.
+        let alarm = &mut self.alarms[index];
+        let armed = effects.timers.len() + effects.proposals.len() + effects.sync_timers.len();
+        if armed > 0 || view != alarm.view {
+            alarm.book.timers.append(&mut effects.timers);
+            alarm.book.proposals.append(&mut effects.proposals);
+            alarm.book.sync_timers.append(&mut effects.sync_timers);
+            alarm.book.prune_stale(view);
+            alarm.view = view;
+            self.arm_wake(node, start);
         }
 
         // Outbound messages leave the sender once its CPU is done. Every
@@ -1028,6 +1053,70 @@ mod tests {
         }
         assert!(report.pending_txs > 0, "the comparison would be vacuous");
         assert_eq!(report.committed_txs + report.pending_txs, offered);
+    }
+
+    /// A replica keeps one wake-up queued for its deadlines, not one event
+    /// per timer it ever armed, so the queue holds little beside the
+    /// messages in flight.
+    #[test]
+    fn the_queue_holds_a_wake_up_per_replica_not_every_armed_timer() {
+        let options = RunOptions::default();
+        let report =
+            SimRunner::new(base_config(4, 10_000.0), ProtocolKind::HotStuff, options).run();
+        assert!(report.committed_txs > 0, "the bound would be vacuous");
+        assert!(
+            report.queue_peak_len < 64,
+            "queue peak {}",
+            report.queue_peak_len
+        );
+    }
+
+    /// Pops the next event off `runner`'s queue and fires it; returns its
+    /// instant.
+    fn fire_next(runner: &mut SimRunner) -> SimTime {
+        let (time, popped) = runner.queue.pop().expect("an event is queued");
+        let Popped::Event(event) = popped else {
+            panic!("nothing is broadcast before the recovery");
+        };
+        runner.fire(time, event);
+        time
+    }
+
+    /// The live loop's crash rules: a resumed replica fires the deadline
+    /// that fell due while it was down at the recovery instant; a restarted
+    /// one fires nothing it armed before the crash.
+    #[test]
+    fn a_resume_fires_an_overdue_deadline_at_recovery_and_a_restart_drops_it() {
+        let node = NodeId(3);
+        let timeout = SimDuration::from_millis(100);
+        let (crash, recover) = (SimTime(1_000_000), SimTime(150_000_000));
+        for mode in [RecoverMode::Resume, RecoverMode::Restart(None)] {
+            let (config, options) = (base_config(4, 2_000.0), RunOptions::default());
+            let mut runner = SimRunner::new(config, ProtocolKind::HotStuff, options);
+            // Node 3 does not lead view 1: its view timer is its one deadline.
+            runner.step(node, SimTime::ZERO, |host, start, effects| {
+                host.start(start, effects)
+            });
+            runner.set_crashed(node, true, RecoverMode::Resume, crash);
+            // The timer falls due during the crash, and nothing fires.
+            assert_eq!(fire_next(&mut runner), SimTime::ZERO + timeout);
+            assert!(runner.queue.is_empty(), "{mode:?}");
+            assert_eq!(
+                runner.alarms[3].book.timers,
+                [(View(1), SimTime::ZERO + timeout)]
+            );
+
+            runner.set_crashed(node, false, mode, recover);
+            if mode == RecoverMode::Resume {
+                assert_eq!(fire_next(&mut runner), recover, "fired at the recovery");
+                let (messages, _) = runner.metrics.network_counters();
+                assert_eq!(messages, 3, "the overdue timer broadcast a timeout vote");
+            } else {
+                let alarm = &runner.alarms[3];
+                assert!(alarm.wake > Some(recover), "{:?}", alarm.wake);
+                assert_eq!(alarm.book.timers, [(View(1), recover + timeout)]);
+            }
+        }
     }
 
     #[test]

@@ -10,12 +10,12 @@
 //! implementations:
 //!
 //! * the simulator buffers the effects (via [`BufferedTransport`]) and maps
-//!   them onto its discrete-event queue with modelled latency, NIC and CPU
-//!   delays,
+//!   messages onto its discrete-event queue with modelled latency, NIC and
+//!   CPU delays,
 //! * the live backends (threaded cluster, TCP) share one: the driver in
-//!   [`crate::live`] keeps the deadlines in a per-node list checked against
-//!   the wall clock and sends messages through the backend's
-//!   [`crate::live::Link`].
+//!   [`crate::live`] checks the deadlines against the wall clock and sends
+//!   messages through the backend's [`crate::live::Link`]; both keep the
+//!   deadlines in one book, `Deadlines`, pruned after every step.
 //!
 //! The [`NodeHost`] is the common driver: it owns the replica, feeds inputs
 //! and the backend's `Transport` into it, and hands the backend the step's
@@ -68,6 +68,52 @@ pub enum ReplicaEvent {
     /// A previously armed sync timer fired (gap-detection debounce or a
     /// retry deadline for an outstanding state-transfer request).
     SyncTimer,
+}
+
+/// One replica's armed deadlines, as absolute times on the node's clock.
+#[derive(Default)]
+pub(crate) struct Deadlines {
+    pub timers: Vec<(View, SimTime)>,
+    pub proposals: Vec<(View, SimTime)>,
+    pub sync_timers: Vec<SimTime>,
+}
+
+impl Deadlines {
+    /// Earliest pending deadline of any kind.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        let views = self.timers.iter().chain(&self.proposals).map(|&(_, d)| d);
+        views.chain(self.sync_timers.iter().copied()).min()
+    }
+
+    /// Removes one deadline that has passed and returns the event it fires:
+    /// view timers first (they are what keeps a cluster moving when a leader
+    /// is silent), then delayed proposals, then sync timers.
+    pub fn pop_due(&mut self, now: SimTime) -> Option<ReplicaEvent> {
+        if let Some(index) = self.timers.iter().position(|&(_, d)| d <= now) {
+            let (view, _) = self.timers.swap_remove(index);
+            return Some(ReplicaEvent::TimerFired { view });
+        }
+        if let Some(index) = self.proposals.iter().position(|&(_, d)| d <= now) {
+            let (view, _) = self.proposals.swap_remove(index);
+            return Some(ReplicaEvent::ProposeNow { view });
+        }
+        let index = self.sync_timers.iter().position(|&d| d <= now)?;
+        self.sync_timers.swap_remove(index);
+        Some(ReplicaEvent::SyncTimer)
+    }
+
+    /// Drops timers and proposals for views the replica has already left, so
+    /// the lists stay bounded over long runs. Sync timers are view-less and
+    /// self-consume on firing.
+    pub fn prune_stale(&mut self, current_view: View) {
+        self.timers.retain(|&(view, _)| view >= current_view);
+        self.proposals.retain(|&(view, _)| view >= current_view);
+    }
+
+    /// Drops every armed deadline.
+    pub fn clear(&mut self) {
+        *self = Self::default();
+    }
 }
 
 /// Backend-provided effect sink for a single replica.
@@ -450,6 +496,43 @@ mod tests {
             .seed(1)
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn deadlines_fire_view_timers_before_proposals_before_sync_timers() {
+        let mut deadlines = Deadlines::default();
+        deadlines.sync_timers.push(SimTime(5));
+        deadlines.proposals.push((View(2), SimTime(7)));
+        deadlines.timers.push((View(3), SimTime(30)));
+        deadlines.timers.push((View(2), SimTime(9)));
+        assert_eq!(deadlines.next_deadline(), Some(SimTime(5)));
+        assert!(
+            deadlines.pop_due(SimTime(4)).is_none(),
+            "nothing is due yet"
+        );
+
+        let fired: Vec<ReplicaEvent> =
+            std::iter::from_fn(|| deadlines.pop_due(SimTime(10))).collect();
+        assert!(matches!(
+            fired[..],
+            [
+                ReplicaEvent::TimerFired { view: View(2) },
+                ReplicaEvent::ProposeNow { view: View(2) },
+                ReplicaEvent::SyncTimer
+            ]
+        ));
+        assert_eq!(deadlines.next_deadline(), Some(SimTime(30)));
+
+        deadlines.proposals.push((View(3), SimTime(40)));
+        deadlines.sync_timers.push(SimTime(50));
+        deadlines.prune_stale(View(4));
+        assert_eq!(
+            deadlines.next_deadline(),
+            Some(SimTime(50)),
+            "pruning drops left views but keeps view-less sync timers"
+        );
+        deadlines.clear();
+        assert_eq!(deadlines.next_deadline(), None);
     }
 
     #[test]

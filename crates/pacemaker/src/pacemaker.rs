@@ -60,7 +60,8 @@ impl Pacemaker {
 
     /// Handles a local timer expiration for `view`. If the replica is still in
     /// that view, it gives up and returns the timeout vote, carrying its
-    /// highest QC, to broadcast; stale and repeated timers return `None`.
+    /// highest QC, to sign and broadcast; a repeated timer returns `None`, as
+    /// would one for a left view, which no backend's deadline book fires.
     pub fn on_timer(
         &mut self,
         view: View,

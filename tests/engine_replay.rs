@@ -1,7 +1,7 @@
 //! Golden-replay determinism tests for the simulation engine.
 //!
-//! The fingerprints below were recorded from the plain event loop of PR 19
-//! and are the **second deliberate engine re-pin**. The first (PR 6) moved
+//! The fingerprints below are the **third deliberate engine re-pin** (last
+//! paragraph). The first moved
 //! latency draws to per-replica RNG streams (`derive(node)` of the run seed)
 //! and cut time into lookahead-wide ordering epochs; PR 18 dropped the
 //! sharded side of that engine without moving a pin. PR 19 removed the
@@ -18,6 +18,13 @@
 //! view, commit view, commit time and payload transaction id, across all four
 //! protocol kinds. Any divergence in event ordering, RNG call order or
 //! delivery timing changes the fingerprint and fails the test.
+//!
+//! The third deliberate re-pin gave the engine the live loop's deadline
+//! book (DESIGN.md §5): the book drops timers for views the replica has
+//! left, so they no longer fire and no longer bill a signature, and a
+//! crashed replica's deadlines follow the live rules — a resume keeps them,
+//! a restart drops them. The four n = 4 runs, the signed open-loop run and
+//! the forged-and-partitioned Streamlet run moved; the n = 16 run did not.
 //!
 //! To re-record after an *intentional* behaviour change, run:
 //! `GOLDEN_DUMP=1 cargo test --test engine_replay -- --nocapture`
@@ -42,7 +49,7 @@ fn run(protocol: ProtocolKind, nodes: usize, runtime_ms: u64, rate: f64, seed: u
 }
 
 /// `(protocol, nodes, runtime_ms, rate, seed, committed_txs, fingerprint)`
-/// recorded from the PR 19 plain event loop.
+/// recorded from the plain event loop with one deadline book.
 const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
     (
         ProtocolKind::HotStuff,
@@ -50,8 +57,8 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         300,
         3_000.0,
         7,
-        917,
-        "8b77b8f6022a22c2edcf098b94b3d0e4a6d34871a333b3fe50b7fa570c8e521b",
+        916,
+        "0182a80f8a15456f685746150fd1e3dbe1c7c50dac25853aa5dba71841e154e3",
     ),
     (
         ProtocolKind::TwoChainHotStuff,
@@ -60,7 +67,7 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         3_000.0,
         7,
         919,
-        "ceb220d30ad5a44f5f14e8d279508549d75ac19903bb899560c652a878bd7aa4",
+        "0a338122544e3a2f20886da15a9cf18fd9f4aa1ab381650473222a0431583252",
     ),
     (
         ProtocolKind::Streamlet,
@@ -68,8 +75,8 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         300,
         3_000.0,
         7,
-        920,
-        "b89cfef21d7cde33ac7544da16035f080be8c036962d4c7c4d108f79c2bf3790",
+        919,
+        "cc82f5da03ad8d394eb23f6a253e3740a933eca524bc6d0dbbf1579515eea6e8",
     ),
     (
         ProtocolKind::OriginalHotStuff,
@@ -77,8 +84,8 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         300,
         3_000.0,
         7,
-        917,
-        "8b77b8f6022a22c2edcf098b94b3d0e4a6d34871a333b3fe50b7fa570c8e521b",
+        916,
+        "0182a80f8a15456f685746150fd1e3dbe1c7c50dac25853aa5dba71841e154e3",
     ),
     // A broadcast-heavy mid-size run: covers the shared-envelope fan-out
     // and a deep event queue under real event pressure.
@@ -145,17 +152,17 @@ fn signed_open_loop(max_events: Option<u64>) -> RunReport {
 const SIGNED_GOLDEN: &[(Option<u64>, u64, u64, u64, &str)] = &[
     (
         None,
-        19_621,
-        180,
-        71_076,
-        "38b77e8125fd5d258e21db3bcfcebf89ed766bc0bd0483705be8797d3736f867",
+        19_617,
+        184,
+        52_305,
+        "721ee4ec6979d1ebce4ea094e9a031747e6394ae942f7012263e47e52db41d2f",
     ),
     (
         Some(23_692),
-        6_798,
-        179,
+        8_809,
+        206,
         23_693,
-        "1e110455fffd90373a2e24841704d06ba2803a43bffd727f5b84d478fc50fe0a",
+        "df9c76dfd5f720f8ae2295dd135973c9c59a69952072e05984d9a8aea6f37826",
     ),
 ];
 
@@ -227,13 +234,15 @@ fn forged_partitioned_streamlet() -> RunReport {
     SimRunner::new(config, ProtocolKind::Streamlet, options).run()
 }
 
-/// What [`forged_partitioned_streamlet`] produced on the engine that gave
-/// every recipient of a broadcast its own queue entry: the fingerprint, the
-/// rejections, and every counter a replay must reproduce.
+/// What [`forged_partitioned_streamlet`] produces: the fingerprint, the
+/// rejections, and every counter a replay must reproduce. A broadcast's
+/// recipients each had their own queue entry when it was first recorded, and
+/// the pin held when a broadcast became one entry; it moved with the
+/// deadline book.
 const FORGED_PARTITIONED_GOLDEN: (&str, u64, [u64; 8]) = (
-    "d0d6673e7d3018eac6e2ea65abd0103f040a078c4482bb165345cb5651452f56",
-    23_044,
-    [1_713, 276, 95_738, 96_040, 92_802, 16_058_984, 283, 377],
+    "a11a9b8f12ecec2ee63b2b601f7112bb093cdf3336839373e57c7ca634f6407a",
+    24_744,
+    [1_717, 296, 100_671, 100_735, 99_313, 16_878_952, 302, 271],
 );
 
 #[test]
@@ -267,8 +276,8 @@ fn forged_and_partitioned_streamlet_replays_its_pinned_golden() {
     let synced = RecoveryReport {
         sync_requests: 3,
         sync_responses: 3,
-        sync_bytes: 36_344,
-        blocks_synced: 16,
+        sync_bytes: 39_752,
+        blocks_synced: 17,
         ..RecoveryReport::default()
     };
     assert_eq!(report.recovery, synced);

@@ -14,6 +14,10 @@
 //! lifted (`tests/engine_replay.rs` and DESIGN.md §5 have the full record).
 //! `lan` and `crash_f` moved; the three `geo_wan` ledgers came out
 //! byte-identical and keep their PR 6 values.
+//! The third re-pin gave the engine the live loop's deadline book: `lan`
+//! HS/2CHS moved because a timer for a left view no longer fires, `crash_f`
+//! because a crashed replica's deadlines now follow the live rules; `lan`
+//! SL and `geo_wan` did not move.
 //! The same configurations are also driven through the live threaded
 //! cluster, which must stay safe on the heterogeneous-WAN workload too, and
 //! the repo benchmark's frozen workload files must keep parsing.
@@ -65,11 +69,11 @@ fn fingerprint(report: &ScenarioReport, protocol: ProtocolKind) -> &str {
 const LAN_PINS: [(ProtocolKind, &str); 3] = [
     (
         ProtocolKind::HotStuff,
-        "b3e466f139c90425c214d6a5bc08a16b6e0e1a02d95a1b2cb1e17b8ef63c45ee",
+        "08b10c0fa4944384cb34762bad3a934b623c0549b994bdb4fdc9fe08d0096d3b",
     ),
     (
         ProtocolKind::TwoChainHotStuff,
-        "a5120dcdbd60da4100958734c35c895309e3e269986b98c69ed1c81d6d7fa12a",
+        "399dbfef1cde5a78172f22afe59939cf94a442d725f5ac61ff67111f81276695",
     ),
     (
         ProtocolKind::Streamlet,
@@ -99,15 +103,16 @@ const GEO_WAN_PINS: [(ProtocolKind, &str); 3] = [
 // PR 19's event-order change (module docs), and a third time when the
 // HotStuff-family commit rule began to require adjacent views: only a run
 // that loses views (here to the crashed seats) has a chain with view gaps, so
-// `lan` and `geo_wan` did not move.
+// `lan` and `geo_wan` did not move. Re-pinned a fourth time when a crashed
+// replica's deadlines began to follow the live loop's rules (module docs).
 const CRASH_F_PINS: [(ProtocolKind, &str); 2] = [
     (
         ProtocolKind::HotStuff,
-        "79ce959d18f59953ba501c9546e79c20c13a011cc618661d806bddcad1214be7",
+        "28fb4d0f62ae49f10fa91ed702414bf00a3353c56dd55da0cf0a1cf5743cccc9",
     ),
     (
         ProtocolKind::TwoChainHotStuff,
-        "aacd939148a7154fbd0dc03aad58ac3d82666f5ba1c7aaedab71977fd7698c35",
+        "44140186a32da49f368e76a9276ecede7ea9ad1790d4e72d9e4c8446d2557115",
     ),
 ];
 
