@@ -12,14 +12,16 @@
 
 use bamboo_forest::{
     chunks, decode_committed_record, decode_qc_record, encode_committed_record, encode_qc_record,
-    BlockForest, Cut, ForestError, Ledger, Snapshot,
+    BlockForest, ForestError, Ledger, Snapshot,
 };
 use bamboo_protocols::{make_protocol, Safety};
 use bamboo_types::{Bytes, Config, ProtocolKind, QuorumCert, View};
 
 use crate::metrics::RecoveryStats;
 use crate::runtime::Step;
-use crate::storage::{self, RecordKind, ReplayResult, SegmentLog, StorageFault};
+use crate::storage::{
+    self, MemoryBackend, RecordKind, ReplayResult, SegmentBackend, SegmentLog, StorageFault,
+};
 
 /// One replica's persistent state.
 pub(crate) struct Disk {
@@ -27,9 +29,10 @@ pub(crate) struct Disk {
     /// in-memory backend; the live backends mount real files.
     log: Option<SegmentLog>,
     /// The checkpoint chunks of a replica *without* a log — the only state
-    /// that survives its restarts — as cuts, laid out only when read. With a
-    /// log mounted this stays empty: the backend holds the one copy.
-    chunks: Vec<Cut>,
+    /// that survives its restarts — kept as cuts by the same store a log's
+    /// backend is, laid out only when read. With a log mounted this stays
+    /// empty: the log's backend holds the one copy.
+    chunks: MemoryBackend,
     /// Committed ledger length the stored chunks cover; the next checkpoint
     /// encodes the entries above it. Zero means the next one re-bases.
     checkpoint_height: u64,
@@ -57,7 +60,7 @@ impl Disk {
             .then(|| SegmentLog::in_memory(config.segment_bytes, config.fsync_interval));
         Self {
             log,
-            chunks: Vec::new(),
+            chunks: MemoryBackend::new(),
             checkpoint_height: 0,
             restored_voted_view: None,
         }
@@ -143,7 +146,6 @@ impl Disk {
         if interval.is_none_or(|interval| len < self.checkpoint_height + interval) {
             return;
         }
-        let rebase = self.checkpoint_height == 0;
         let cut = Snapshot::cut(forest, ledger, self.checkpoint_height as usize);
         let bytes = cut.len() as u64;
         out.cpu += out.model.snapshot(cut.len());
@@ -157,10 +159,8 @@ impl Disk {
                 out.cpu += out.model.disk_io(written as usize);
             }
             None => {
-                if rebase {
-                    self.chunks.clear();
-                }
-                self.chunks.push(cut);
+                self.chunks.put_cut(len, cut);
+                self.chunks.sync();
             }
         }
     }
@@ -172,20 +172,14 @@ impl Disk {
     }
 
     /// The stored checkpoint image: read back from the log's backend when one
-    /// is mounted (its only holder), encoded from the in-memory cuts
-    /// otherwise. Empty when no checkpoint was taken. O(image) — restart and
-    /// serve only.
+    /// is mounted (its only holder), from the chunk store otherwise. Empty
+    /// when no checkpoint was taken. O(image) — restart and serve only.
     pub fn image(&self) -> Vec<u8> {
-        match &self.log {
-            Some(log) => log.checkpoint().map_or_else(Vec::new, |(_, image)| image),
-            None => {
-                let mut image = Vec::with_capacity(self.chunks.iter().map(Cut::len).sum());
-                for cut in &self.chunks {
-                    cut.encode_into(&mut image);
-                }
-                image
-            }
-        }
+        let image = match &self.log {
+            Some(log) => log.checkpoint(),
+            None => self.chunks.checkpoint(),
+        };
+        image.map_or_else(Vec::new, |(_, image)| image)
     }
 
     /// The stored checkpoint chunks that carry ledger entries at or above
@@ -237,13 +231,10 @@ impl Disk {
                 stats.log_replay_nanos += cost.as_nanos();
                 replay
             }
-            None => {
-                let image = self.image();
-                ReplayResult {
-                    checkpoint: (!image.is_empty()).then_some((self.checkpoint_height, image)),
-                    ..ReplayResult::default()
-                }
-            }
+            None => ReplayResult {
+                checkpoint: self.chunks.checkpoint(),
+                ..ReplayResult::default()
+            },
         };
         if let Some((_, image)) = &replay.checkpoint {
             out.cpu += out.model.snapshot(image.len());
@@ -618,7 +609,7 @@ mod tests {
             assert_eq!((stats.checkpoints_taken, disk.checkpoint_height()), (2, 8));
             assert!(out.cpu > SimDuration::ZERO, "cuts are charged to the step");
             // With a log mounted its backend holds the only copy.
-            assert_eq!(disk.chunks.is_empty(), durable_log);
+            assert_eq!(disk.chunks.checkpoint().is_none(), durable_log);
             let image = disk.image();
             let stored: Vec<_> = chunks(&image).map(Result::unwrap).collect();
             let spans: Vec<_> = stored.iter().map(|c| (c.from, c.to)).collect();

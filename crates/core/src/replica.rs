@@ -286,27 +286,28 @@ impl Replica {
         self.mempool.push_batch(txs);
     }
 
-    /// Handles one delivered message by reference, cloning only what the
-    /// replica keeps: a broadcast's recipients share one envelope.
+    /// Handles one message delivered from `from` by reference, cloning only
+    /// what the replica keeps: a broadcast's recipients share one envelope.
     pub(crate) fn receive(
         &mut self,
+        from: NodeId,
         message: &Message,
         now: SimTime,
         transport: &mut dyn Transport,
     ) -> StepReport {
         let mut step = Step::new(now, transport, self.cpu);
-        self.on_message(message, &mut step);
+        self.on_message(from, message, &mut step);
         step.finish()
     }
 
     // ---- internal handlers --------------------------------------------
 
-    fn on_message(&mut self, message: &Message, out: &mut Step<'_>) {
+    fn on_message(&mut self, from: NodeId, message: &Message, out: &mut Step<'_>) {
         match message {
-            Message::Proposal(block) => self.on_proposal(block, false, out),
-            Message::ProposalEcho(block) => self.on_proposal(block, true, out),
-            Message::Vote(vote) => self.on_vote(vote, false, out),
-            Message::VoteEcho(vote) => self.on_vote(vote, true, out),
+            // `from_author`: honest replicas send only their own proposals and
+            // votes, so one from anyone else is already a relay.
+            Message::Proposal(block) => self.on_proposal(block, from == block.proposer, out),
+            Message::Vote(vote) => self.on_vote(vote, from == vote.voter, out),
             Message::Timeout(tv) => {
                 // One signature for the timeout vote itself plus one per
                 // signer of the embedded high-QC: the ingress stage really
@@ -336,7 +337,7 @@ impl Replica {
         }
     }
 
-    fn on_proposal(&mut self, block: &SharedBlock, echoed: bool, out: &mut Step<'_>) {
+    fn on_proposal(&mut self, block: &SharedBlock, from_author: bool, out: &mut Step<'_>) {
         // Flat aggregate charge for the justify QC: the happy-path block
         // service time follows the paper's Eq. 4 (see
         // `CpuModel::process_proposal` for the rationale); pacemaker
@@ -350,11 +351,10 @@ impl Replica {
         let block_id = block.id;
         let block_view = block.view;
 
-        // Echo the proposal once (Streamlet's O(n^3) behaviour). The echo
-        // shares the same allocation as the stored block — a pointer bump.
-        if self.safety.echo_messages() && !echoed && !self.forest.contains(block_id) {
-            out.transport
-                .broadcast(Message::ProposalEcho(block.clone()));
+        // Relay a proposal from its author once (Streamlet's O(n^3)
+        // behaviour): the very message, sharing the block — a pointer bump.
+        if self.safety.echo_messages() && from_author && !self.forest.contains(block_id) {
+            out.transport.broadcast(Message::Proposal(block.clone()));
         }
 
         // Store the block (orphans are buffered inside the forest). Inserting
@@ -410,7 +410,7 @@ impl Replica {
                 }
             }
             if ours {
-                self.on_vote(&vote, true, out);
+                self.on_vote(&vote, false, out);
             }
         }
 
@@ -419,12 +419,12 @@ impl Replica {
         self.maybe_release_deferred(out);
     }
 
-    /// `already_local` is true when the vote is our own or an echo — those are
-    /// not echoed again.
-    fn on_vote(&mut self, vote: &Vote, already_local: bool, out: &mut Step<'_>) {
+    /// Only a vote `from_author` — neither a relay nor our own — may be
+    /// relayed.
+    fn on_vote(&mut self, vote: &Vote, from_author: bool, out: &mut Step<'_>) {
         out.cpu += self.cpu.verify(1);
-        if self.safety.echo_messages() && !already_local {
-            out.transport.broadcast(Message::VoteEcho(vote.clone()));
+        if self.safety.echo_messages() && from_author {
+            out.transport.broadcast(Message::Vote(vote.clone()));
         }
         if let Some(qc) = self.quorum.add_vote(vote) {
             // Assembling the QC from votes that were each already verified
@@ -559,7 +559,7 @@ impl Replica {
                 // broadcast clone and the local store below are pointer bumps.
                 let block = SharedBlock::new(block);
                 out.transport.broadcast(Message::Proposal(block.clone()));
-                self.on_proposal(&block, true, out);
+                self.on_proposal(&block, false, out);
             }
             None => {
                 // Silence attack (or no proposal possible): give the batch
@@ -732,11 +732,12 @@ mod tests {
             .collect()
     }
 
-    /// Moves what one step of `from` sent into the recipients' inboxes.
+    /// Moves what one step of `from` sent into the recipients' inboxes,
+    /// each entry `(from, to, message)`.
     fn deliver(
         from: NodeId,
         wire: &mut BufferedTransport,
-        inbox: &mut Vec<(NodeId, SharedMessage)>,
+        inbox: &mut Vec<(NodeId, NodeId, SharedMessage)>,
     ) {
         for (to, message) in wire.sends.drain(..) {
             let recipients = match to {
@@ -745,7 +746,7 @@ mod tests {
             };
             for node in recipients.map(NodeId) {
                 if to.is_some() || node != from {
-                    inbox.push((node, message.clone()));
+                    inbox.push((from, node, message.clone()));
                 }
             }
         }
@@ -757,7 +758,7 @@ mod tests {
         mut after_step: impl FnMut(&Replica),
     ) -> Vec<Replica> {
         let mut wire = BufferedTransport::new();
-        let mut inbox: Vec<(NodeId, SharedMessage)> = Vec::new();
+        let mut inbox: Vec<(NodeId, NodeId, SharedMessage)> = Vec::new();
         let mut now = SimTime::ZERO;
         for (i, replica) in replicas.iter_mut().enumerate() {
             // Seed every replica's mempool.
@@ -774,8 +775,8 @@ mod tests {
             }
             now += bamboo_types::SimDuration::from_micros(100);
             let batch = std::mem::take(&mut inbox);
-            for (to, message) in batch {
-                replicas[to.index()].receive(&message, now, &mut wire);
+            for (from, to, message) in batch {
+                replicas[to.index()].receive(from, &message, now, &mut wire);
                 after_step(&replicas[to.index()]);
                 deliver(to, &mut wire, &mut inbox);
             }
@@ -896,9 +897,9 @@ mod tests {
         let (mut asked, mut served) = (BufferedTransport::new(), BufferedTransport::new());
         lagging.send_sync_request(&mut Step::new(now, &mut asked, lagging.cpu));
         for (_, request) in std::mem::take(&mut asked.sends) {
-            server.receive(&request, now, &mut served);
+            server.receive(lagging.id, &request, now, &mut served);
             for (_, reply) in served.sends.drain(..) {
-                lagging.receive(&reply, now, &mut asked);
+                lagging.receive(server.id, &reply, now, &mut asked);
             }
         }
     }
@@ -983,6 +984,87 @@ mod tests {
         }
     }
 
+    fn replica(id: u64, protocol: ProtocolKind) -> Replica {
+        Replica::new(NodeId(id), protocol, config(4), ReplicaOptions::default())
+    }
+
+    /// Node 1's proposal for view 1.
+    fn first_proposal(protocol: ProtocolKind) -> Message {
+        let (mut leader, mut wire) = (replica(1, protocol), BufferedTransport::new());
+        leader.admit(txs(10, 7));
+        leader.start(SimTime::ZERO, &mut wire);
+        (wire.sends.iter())
+            .find(|(_, message)| matches!(**message, Message::Proposal(_)))
+            .map(|(_, message)| Message::clone(message))
+            .expect("node 1 leads view 1")
+    }
+
+    /// What `replica` sends, in order, when `message` arrives from `from`.
+    fn sends(
+        replica: &mut Replica,
+        from: u64,
+        message: &Message,
+    ) -> Vec<(Option<NodeId>, SharedMessage)> {
+        let mut wire = BufferedTransport::new();
+        replica.receive(NodeId(from), message, SimTime(1_000), &mut wire);
+        wire.sends
+    }
+
+    /// Whether a send of replica `id` passes on a message someone else wrote.
+    fn relays(id: u64) -> impl Fn(&(Option<NodeId>, SharedMessage)) -> bool {
+        move |(_, message)| match &**message {
+            Message::Proposal(block) => block.proposer != NodeId(id),
+            Message::Vote(vote) => vote.voter != NodeId(id),
+            _ => false,
+        }
+    }
+
+    /// A relay is the author's own message re-broadcast: a Streamlet replica
+    /// relays a proposal or a vote once, and only when it came from its
+    /// author.
+    #[test]
+    fn streamlet_relays_once_what_comes_from_its_author() {
+        let proposal = first_proposal(ProtocolKind::Streamlet);
+        let [mut follower, mut other, mut fresh] =
+            [2, 3, 0].map(|i| replica(i, ProtocolKind::Streamlet));
+
+        // From its proposer: one relay, the very proposal, as the first effect.
+        let sent = sends(&mut follower, 1, &proposal);
+        assert_eq!(sent[0], (None, SharedMessage::new(proposal.clone())));
+        assert_eq!(
+            sent.iter().filter(|send| relays(2)(send)).count(),
+            1,
+            "{sent:?}"
+        );
+        let vote = (sent.iter())
+            .find_map(|(_, message)| match &**message {
+                Message::Vote(vote) => Some(Message::Vote(vote.clone())),
+                _ => None,
+            })
+            .expect("the follower votes");
+        // The same proposal again, or from another sender: no relay.
+        assert!(!sends(&mut follower, 1, &proposal).iter().any(relays(2)));
+        assert!(!sends(&mut other, 2, &proposal).iter().any(relays(3)));
+
+        // A vote from its voter: one relay, the same vote; from another
+        // sender: none.
+        let relayed = sends(&mut other, 2, &vote);
+        assert_eq!(relayed, [(None, SharedMessage::new(vote.clone()))]);
+        assert!(sends(&mut fresh, 3, &vote).is_empty());
+    }
+
+    #[test]
+    fn hotstuff_never_relays() {
+        let proposal = first_proposal(ProtocolKind::HotStuff);
+        let Message::Proposal(block) = &proposal else {
+            unreachable!("a proposal")
+        };
+        let mut follower = replica(3, ProtocolKind::HotStuff);
+        assert!(!sends(&mut follower, 1, &proposal).iter().any(relays(3)));
+        let vote = Vote::new(block.id, block.view, NodeId(0), &KeyPair::from_seed(0));
+        assert!(sends(&mut follower, 0, &Message::Vote(vote)).is_empty());
+    }
+
     #[test]
     fn client_requests_land_in_mempool_and_blocks() {
         let cfg = config(4);
@@ -1041,7 +1123,7 @@ mod tests {
         for voter in 0..3 {
             let key = KeyPair::from_seed(voter);
             let vote = TimeoutVote::new(View(1), NodeId(voter), QuorumCert::genesis(), &key);
-            replica.receive(&Message::Timeout(vote), now, &mut wire);
+            replica.receive(NodeId(voter), &Message::Timeout(vote), now, &mut wire);
         }
         assert_eq!(replica.current_view(), View(2));
         assert_eq!(replica.timeout_view_changes(), 1);

@@ -334,19 +334,21 @@ impl NodeHost {
         }
     }
 
-    /// Feeds a verified message into the replica by reference — the only way
-    /// a message reaches it; the replica clones only what it keeps. Every
-    /// backend verifies before it calls this — the live backends' verify
-    /// pools, the simulator's verify-once broadcast fan-out — and the
-    /// [`VerifiedMessage`] token can only be minted by an [`Authenticator`],
-    /// so the no-unchecked-input invariant holds by construction.
+    /// Feeds a verified message into the replica by reference, with the
+    /// envelope's sender — the only way a message reaches it; the replica
+    /// clones only what it keeps. Every backend verifies before it calls
+    /// this — the live backends' verify pools, the simulator's verify-once
+    /// broadcast fan-out — and the [`VerifiedMessage`] token can only be
+    /// minted by an [`Authenticator`], so the no-unchecked-input invariant
+    /// holds by construction.
     pub fn deliver(
         &mut self,
         verified: &VerifiedMessage,
         now: SimTime,
         transport: &mut dyn Transport,
     ) -> StepReport {
-        self.replica.receive(verified.message(), now, transport)
+        self.replica
+            .receive(verified.sender(), verified.message(), now, transport)
     }
 
     /// [`NodeHost::deliver`] for a token the caller owns.
@@ -413,8 +415,8 @@ pub(crate) fn ledger_forks<'a>(config: &Config, hosts: impl Iterator<Item = &'a 
 /// messages only — the replica's own modeled costs cover accepted ones.
 fn verification_cost(cpu: &CpuModel, message: &Message) -> SimDuration {
     let signatures = match message {
-        Message::Proposal(_) | Message::ProposalEcho(_) => 2,
-        Message::Vote(_) | Message::VoteEcho(_) => 1,
+        Message::Proposal(_) => 2,
+        Message::Vote(_) => 1,
         Message::Timeout(tv) => 1 + tv.high_qc.signer_count(),
         Message::TimeoutCertMsg(tc) => tc.signer_count() + tc.high_qc.signer_count(),
         Message::SyncRequest(_) => 1,

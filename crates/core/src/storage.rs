@@ -180,6 +180,36 @@ fn read_header(rest: &[u8]) -> Option<(usize, u32, u8)> {
     Some((len as usize, crc, rest[8]))
 }
 
+/// One record frame of a segment: where it starts, its kind when the tag is
+/// known and the CRC holds, and its payload.
+struct Frame<'a> {
+    start: usize,
+    kind: Option<RecordKind>,
+    payload: &'a [u8],
+}
+
+/// Walks a segment's record frames from its start, as far as the length
+/// fields allow. A tail no header can frame (torn or truncated) is one
+/// `None`, which ends the walk.
+fn frames(bytes: &[u8]) -> impl Iterator<Item = Option<Frame<'_>>> {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        let start = pos;
+        (start < bytes.len()).then(|| {
+            let header = read_header(&bytes[start..]);
+            pos = header.map_or(bytes.len(), |(len, ..)| start + RECORD_HEADER_BYTES + len);
+            let (_, crc, tag) = header?;
+            let payload = &bytes[start + RECORD_HEADER_BYTES..pos];
+            let kind = RecordKind::from_tag(tag).filter(|_| crc_of(tag, payload) == crc);
+            Some(Frame {
+                start,
+                kind,
+                payload,
+            })
+        })
+    })
+}
+
 /// Decodes a segment byte stream into its longest valid prefix of records.
 /// Never panics: any framing, kind, or CRC violation ends the valid prefix,
 /// after which the walk continues (where framing allows) purely to count the
@@ -189,30 +219,18 @@ pub fn decode_records(bytes: &[u8]) -> DecodedStream {
         clean: true,
         ..DecodedStream::default()
     };
-    let mut pos = 0usize;
-    let mut broken = false;
-    while pos < bytes.len() {
-        let Some((len, crc, kind_tag)) = read_header(&bytes[pos..]) else {
-            // Unwalkable tail: a torn or truncated record of unknowable
-            // extent counts as one loss.
-            out.discarded += 1;
-            out.clean = false;
-            break;
-        };
-        let payload = &bytes[pos + RECORD_HEADER_BYTES..pos + RECORD_HEADER_BYTES + len];
-        let valid = RecordKind::from_tag(kind_tag).filter(|_| crc_of(kind_tag, payload) == crc);
-        match valid {
-            Some(kind) if !broken => out.records.push((kind, payload.to_vec())),
-            _ => {
-                if valid == Some(RecordKind::SafetyRecord) {
+    for frame in frames(bytes) {
+        // An unwalkable tail is a record of unknowable extent: one loss.
+        match frame.and_then(|frame| Some((frame.kind?, frame.payload))) {
+            Some((kind, payload)) if out.clean => out.records.push((kind, payload.to_vec())),
+            valid => {
+                if let Some((RecordKind::SafetyRecord, payload)) = valid {
                     out.stray_safety_records.push(payload.to_vec());
                 }
-                broken = true;
                 out.clean = false;
                 out.discarded += 1;
             }
         }
-        pos += RECORD_HEADER_BYTES + len;
     }
     out
 }
@@ -343,9 +361,9 @@ struct SegmentBuf {
     buffered: Vec<u8>,
 }
 
-/// Deterministic in-memory backend used by the simulator. The
-/// durable/buffered split makes fsync — and its injected failures —
-/// reproducible. A chunk handed over as a [`Cut`] is kept as one: the
+/// Deterministic in-memory backend used by the simulator, and the checkpoint
+/// store of a replica without a log. The durable/buffered split makes
+/// fsync — and its injected failures — reproducible. A chunk handed over as a [`Cut`] is kept as one: the
 /// blocks it names stay the ledger's shared handles, and its bytes exist
 /// only while [`SegmentBackend::checkpoint`] reads them.
 #[derive(Debug, Default)]
@@ -807,19 +825,10 @@ impl SegmentLog {
                 let Some((seg, mut bytes)) = self.last_segment() else {
                     return;
                 };
-                // Re-walk the frames to find where the final record starts,
-                // then cut partway into it — a write the crash interrupted.
-                let mut pos = 0usize;
-                let mut last_start = 0usize;
-                while pos + RECORD_HEADER_BYTES <= bytes.len() {
-                    let len = u32::from_be_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"))
-                        as usize;
-                    if pos + RECORD_HEADER_BYTES + len > bytes.len() {
-                        break;
-                    }
-                    last_start = pos;
-                    pos += RECORD_HEADER_BYTES + len;
-                }
+                // Find where the final record starts, then cut partway into
+                // it — a write the crash interrupted.
+                let last = frames(&bytes).map_while(|frame| frame).last();
+                let last_start = last.map_or(0, |frame| frame.start);
                 let torn = last_start + (bytes.len() - last_start).div_ceil(2).max(1);
                 bytes.truncate(torn.min(bytes.len().saturating_sub(1)));
                 self.backend.set_segment(seg, bytes);
@@ -847,14 +856,9 @@ impl SegmentLog {
                         target -= here;
                         continue;
                     }
-                    // Walk to the target record's frame and flip a CRC byte.
-                    let mut pos = 0usize;
-                    for _ in 0..target {
-                        let len =
-                            u32::from_be_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"))
-                                as usize;
-                        pos += RECORD_HEADER_BYTES + len;
-                    }
+                    // Flip a CRC byte of the target record's frame.
+                    let frame = frames(&bytes).map_while(|frame| frame).nth(target as usize);
+                    let pos = frame.expect("a valid record").start;
                     bytes[pos + 4] ^= 0xA5;
                     self.backend.set_segment(seg, bytes);
                     return;

@@ -306,8 +306,8 @@ impl Authenticator {
     /// malformed component found.
     pub fn verify_message(&mut self, message: &Message) -> Result<(), AuthError> {
         match message {
-            Message::Proposal(block) | Message::ProposalEcho(block) => self.verify_block(block),
-            Message::Vote(vote) | Message::VoteEcho(vote) => self.verify_vote(vote),
+            Message::Proposal(block) => self.verify_block(block),
+            Message::Vote(vote) => self.verify_vote(vote),
             Message::Timeout(tv) => self.verify_timeout_vote(tv),
             Message::TimeoutCertMsg(tc) => self.verify_timeout_cert(tc),
             Message::SyncRequest(req) => self.verify_sync_request(req),

@@ -189,10 +189,6 @@ pub enum Message {
     /// A vote sent to the next leader (HotStuff family) or broadcast
     /// (Streamlet).
     Vote(Vote),
-    /// An echoed vote (Streamlet echoes every message it receives).
-    VoteEcho(Vote),
-    /// An echoed proposal (Streamlet).
-    ProposalEcho(SharedBlock),
     /// A pacemaker timeout vote, broadcast when a replica's view timer fires.
     Timeout(TimeoutVote),
     /// A timeout certificate forwarded to the next leader.
@@ -210,8 +206,8 @@ impl Message {
         const ENVELOPE: usize = 16;
         ENVELOPE
             + match self {
-                Message::Proposal(b) | Message::ProposalEcho(b) => b.wire_size(),
-                Message::Vote(v) | Message::VoteEcho(v) => v.wire_size(),
+                Message::Proposal(b) => b.wire_size(),
+                Message::Vote(v) => v.wire_size(),
                 Message::Timeout(t) => t.wire_size(),
                 Message::TimeoutCertMsg(tc) => tc.wire_size(),
                 Message::SyncRequest(r) => r.wire_size(),
@@ -222,8 +218,8 @@ impl Message {
     /// The view the message pertains to, if any.
     pub fn view(&self) -> Option<View> {
         match self {
-            Message::Proposal(b) | Message::ProposalEcho(b) => Some(b.view),
-            Message::Vote(v) | Message::VoteEcho(v) => Some(v.view),
+            Message::Proposal(b) => Some(b.view),
+            Message::Vote(v) => Some(v.view),
             Message::Timeout(t) => Some(t.view),
             Message::TimeoutCertMsg(tc) => Some(tc.view),
             Message::SyncRequest(_) | Message::SyncResponse(_) => None,
@@ -234,9 +230,7 @@ impl Message {
     pub fn tag(&self) -> &'static str {
         match self {
             Message::Proposal(_) => "proposal",
-            Message::ProposalEcho(_) => "proposal-echo",
             Message::Vote(_) => "vote",
-            Message::VoteEcho(_) => "vote-echo",
             Message::Timeout(_) => "timeout",
             Message::TimeoutCertMsg(_) => "timeout-cert",
             Message::SyncRequest(_) => "sync-request",
@@ -291,9 +285,7 @@ mod tests {
         let block = SharedBlock::new(block);
         let messages = [
             Message::Proposal(block.clone()),
-            Message::ProposalEcho(block.clone()),
-            Message::Vote(vote.clone()),
-            Message::VoteEcho(vote),
+            Message::Vote(vote),
             Message::Timeout(timeout),
             Message::TimeoutCertMsg(tc),
             sync_request(),

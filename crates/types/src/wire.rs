@@ -540,8 +540,8 @@ fn decode_sync_response(cur: &mut WireCursor<'_>) -> Result<SyncResponse, WireEr
 
 const TAG_PROPOSAL: u8 = 1;
 const TAG_VOTE: u8 = 2;
-const TAG_VOTE_ECHO: u8 = 3;
-const TAG_PROPOSAL_ECHO: u8 = 4;
+// Tags 3 and 4 carried a relayed vote and proposal, which now travel as the
+// author's own `Vote` and `Proposal`; retired, not reused.
 const TAG_TIMEOUT: u8 = 5;
 const TAG_TIMEOUT_CERT: u8 = 6;
 // Tags 7–9 carried the standalone-QC and client request/response variants;
@@ -560,14 +560,6 @@ pub fn encode_message_into(out: &mut Vec<u8>, message: &Message) {
         Message::Vote(vote) => {
             out.push(TAG_VOTE);
             encode_vote(out, vote);
-        }
-        Message::VoteEcho(vote) => {
-            out.push(TAG_VOTE_ECHO);
-            encode_vote(out, vote);
-        }
-        Message::ProposalEcho(block) => {
-            out.push(TAG_PROPOSAL_ECHO);
-            encode_block(out, block);
         }
         Message::Timeout(tv) => {
             out.push(TAG_TIMEOUT);
@@ -608,8 +600,6 @@ pub fn decode_message(bytes: &[u8]) -> Result<Message, WireError> {
     let message = match cur.u8()? {
         TAG_PROPOSAL => Message::Proposal(SharedBlock::new(decode_block(&mut cur)?)),
         TAG_VOTE => Message::Vote(decode_vote(&mut cur)?),
-        TAG_VOTE_ECHO => Message::VoteEcho(decode_vote(&mut cur)?),
-        TAG_PROPOSAL_ECHO => Message::ProposalEcho(SharedBlock::new(decode_block(&mut cur)?)),
         TAG_TIMEOUT => Message::Timeout(decode_timeout_vote(&mut cur)?),
         TAG_TIMEOUT_CERT => Message::TimeoutCertMsg(decode_timeout_cert(&mut cur)?),
         TAG_SYNC_REQUEST => Message::SyncRequest(decode_sync_request(&mut cur)?),
@@ -657,9 +647,7 @@ mod tests {
         let tc = TimeoutCert::from_votes(View(9), std::slice::from_ref(&tv));
         vec![
             Message::Proposal(block.clone()),
-            Message::Vote(vote.clone()),
-            Message::VoteEcho(vote),
-            Message::ProposalEcho(block.clone()),
+            Message::Vote(vote),
             Message::Timeout(tv),
             Message::TimeoutCertMsg(tc),
             Message::SyncRequest(SyncRequest::new(
@@ -730,7 +718,7 @@ mod tests {
     fn retired_tags_are_unknown_whatever_follows() {
         let mut bodies: Vec<Vec<u8>> = every_message().iter().map(encode_message).collect();
         bodies.extend([vec![0], vec![0xff; 200]]);
-        for tag in [7u8, 8, 9] {
+        for tag in [3u8, 4, 7, 8, 9] {
             for body in &bodies {
                 let mut bytes = body.clone();
                 bytes[0] = tag;

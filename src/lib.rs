@@ -62,6 +62,15 @@
 //! }
 //! ```
 //!
+//! A relay is the author's own message re-broadcast, told apart by the
+//! envelope's sender; it has no variant of its own:
+//!
+//! ```compile_fail
+//! fn is_relay(message: &bamboo::types::Message) -> bool {
+//!     matches!(message, bamboo::types::Message::ProposalEcho(_))
+//! }
+//! ```
+//!
 //! The pacemaker says what it did, and the replica spells every effect as a
 //! `Transport` call; there is no second vocabulary of actions:
 //!
