@@ -9,9 +9,9 @@
 
 use bamboo_bench::harness::{bench, bench_with_setup, PASSES};
 use bamboo_bench::{banner, bench_rows, save_rows, Higher, RowFile, Wall};
-use bamboo_core::{Metrics, RecordKind, RunOptions, SegmentLog, SimRunner, VerifyPool};
+use bamboo_core::{Metrics, Record, RunOptions, SegmentLog, SimRunner, VerifyPool};
 use bamboo_crypto::{sha256, BatchVerifier, KeyPair, Sha256};
-use bamboo_forest::{BlockForest, Ledger, Snapshot};
+use bamboo_forest::{BlockForest, CommittedBlock, Ledger, Snapshot};
 use bamboo_mempool::Mempool;
 use bamboo_sim::{EventQueue, SimRng};
 use bamboo_types::{
@@ -341,18 +341,24 @@ fn bench_mempool(out: &mut RowFile) {
 
 /// The durable segment log: the write-ahead path every committed block and
 /// pre-vote safety record takes in durable-log mode, and the replay path a
-/// restarting replica walks. In-memory backend, so the micro times the
-/// framing/CRC/rotation machinery rather than the disk.
+/// restarting replica walks. In-memory backend, so the append micro times
+/// the log's sizing, batching and rotation (the backend keeps the record as
+/// handles) and the replay micro the layout, CRC and decode a restart pays.
 fn bench_storage(out: &mut RowFile) {
     const RECORDS: u64 = 1_024;
-    // Payload shaped like a small committed-block record.
-    let payload = vec![0xb7u8; 256];
+    // A small committed block: one 128-byte transaction, ~300 bytes framed.
+    let block = chain_blocks(1, 1).pop().expect("one block");
+    let record = Record::Committed(CommittedBlock {
+        block: SharedBlock::new(block),
+        committed_in_view: View(2),
+        committed_at: SimTime::ZERO,
+    });
     out.rows.push(bench_with_setup(
         "log_append_1k",
         || SegmentLog::in_memory(1 << 20, 8),
         |mut log| {
             for _ in 0..RECORDS {
-                log.append(RecordKind::CommittedBlock, &payload);
+                log.append(record.clone());
             }
             log.sync();
             log
@@ -363,7 +369,7 @@ fn bench_storage(out: &mut RowFile) {
     // rejoin), decoded across several rotated segments.
     let mut log = SegmentLog::in_memory(64 * 1024, 8);
     for _ in 0..1_000 {
-        log.append(RecordKind::CommittedBlock, &payload);
+        log.append(record.clone());
     }
     log.sync();
     out.rows.push(bench("log_replay_1k", || {

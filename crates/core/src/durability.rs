@@ -11,8 +11,7 @@
 //! they describe.
 
 use bamboo_forest::{
-    chunks, decode_committed_record, decode_qc_record, encode_committed_record, encode_qc_record,
-    BlockForest, ForestError, Ledger, Snapshot,
+    decode_committed_record, decode_qc_record, BlockForest, ForestError, Ledger, Snapshot,
 };
 use bamboo_protocols::{make_protocol, Safety};
 use bamboo_types::{Bytes, Config, ProtocolKind, QuorumCert, View};
@@ -20,7 +19,7 @@ use bamboo_types::{Bytes, Config, ProtocolKind, QuorumCert, View};
 use crate::metrics::RecoveryStats;
 use crate::runtime::Step;
 use crate::storage::{
-    self, MemoryBackend, RecordKind, ReplayResult, SegmentBackend, SegmentLog, StorageFault,
+    self, MemoryBackend, Record, RecordKind, ReplayResult, SegmentBackend, SegmentLog, StorageFault,
 };
 
 /// One replica's persistent state.
@@ -100,16 +99,15 @@ impl Disk {
             "vote at or below the restored voted-view watermark"
         );
         if let Some(log) = self.log.as_mut() {
-            let locked = (!high_qc.is_genesis()).then_some(high_qc);
-            let payload = storage::encode_safety_record(voted, locked);
-            let written = log.append_synced(RecordKind::SafetyRecord, &payload);
+            let locked = (!high_qc.is_genesis()).then(|| high_qc.clone());
+            let written = log.append_synced(Record::Safety(voted, locked));
             out.cpu += out.model.disk_io(written as usize);
         }
     }
 
     /// Logs the `newly` entries at the ledger's tail (with their commit
-    /// metadata) plus the QC state that drove them. Batched per
-    /// `fsync_interval`.
+    /// metadata) plus the QC state that drove them, as handles: the log
+    /// keeps the ledger's own blocks. Batched per `fsync_interval`.
     pub fn log_commits(
         &mut self,
         ledger: &Ledger,
@@ -122,9 +120,9 @@ impl Disk {
         };
         let mut written = 0u64;
         for entry in ledger.iter().skip(ledger.len() - newly) {
-            written += log.append(RecordKind::CommittedBlock, &encode_committed_record(entry));
+            written += log.append(Record::Committed(entry.clone()));
         }
-        written += log.append(RecordKind::Qc, &encode_qc_record(high_qc));
+        written += log.append(Record::Qc(high_qc.clone()));
         out.cpu += out.model.disk_io(written as usize);
     }
 
@@ -171,36 +169,17 @@ impl Disk {
         self.checkpoint_height = 0;
     }
 
-    /// The stored checkpoint image: read back from the log's backend when one
-    /// is mounted (its only holder), from the chunk store otherwise. Empty
-    /// when no checkpoint was taken. O(image) — restart and serve only.
-    pub fn image(&self) -> Vec<u8> {
-        let image = match &self.log {
-            Some(log) => log.checkpoint(),
-            None => self.chunks.checkpoint(),
-        };
-        image.map_or_else(Vec::new, |(_, image)| image)
-    }
-
     /// The stored checkpoint chunks that carry ledger entries at or above
     /// `start`, as one stream of whole chunks capped at `max_bytes` (at least
-    /// one chunk), with the ledger length it brings a reader to.
+    /// one chunk), with the ledger length it brings a reader to. Read from
+    /// the log's backend when one is mounted (its only holder), from the
+    /// chunk store otherwise; only the chunks returned are laid out.
     pub fn suffix(&self, start: u64, max_bytes: usize) -> Option<(Bytes, u64)> {
-        let image = self.image();
-        let mut stream = Vec::new();
-        let mut to = start;
-        for chunk in chunks(&image) {
-            let chunk = chunk.ok()?;
-            if chunk.to <= start {
-                continue;
-            }
-            if !stream.is_empty() && stream.len() + chunk.bytes.len() > max_bytes {
-                break;
-            }
-            stream.extend_from_slice(chunk.bytes);
-            to = chunk.to;
-        }
-        (!stream.is_empty()).then(|| (Bytes::from(stream), to))
+        let suffix = match &self.log {
+            Some(log) => log.checkpoint_suffix(start, max_bytes),
+            None => self.chunks.checkpoint_suffix(start, max_bytes),
+        };
+        suffix.map(|(stream, to)| (Bytes::from(stream), to))
     }
 
     /// A process death and the reboot after it, as the disk sees them. With
@@ -375,6 +354,19 @@ pub(crate) mod testutil {
     use bamboo_crypto::KeyPair;
     use bamboo_types::{Block, BlockId, Height, NodeId, SimTime, Transaction, Vote};
 
+    impl Disk {
+        /// The stored checkpoint image, laid out whole: read back from the
+        /// log's backend when one is mounted, from the chunk store
+        /// otherwise. Empty when no checkpoint was taken.
+        pub(crate) fn image(&self) -> Vec<u8> {
+            let image = match &self.log {
+                Some(log) => log.checkpoint(),
+                None => self.chunks.checkpoint(),
+            };
+            image.map_or_else(Vec::new, |(_, image)| image)
+        }
+    }
+
     /// Registers a three-of-four QC for stored block `id` in `view`.
     fn certify(forest: &mut BlockForest, id: BlockId, view: View) {
         let votes: Vec<Vote> = (0..3)
@@ -451,8 +443,10 @@ mod tests {
     use super::testutil::*;
     use super::*;
     use crate::runtime::BufferedTransport;
+    use bamboo_forest::{chunks, encode_committed_record, encode_qc_record};
     use bamboo_sim::CpuModel;
     use bamboo_types::{SimDuration, SimTime};
+    use std::sync::{Arc, Mutex};
 
     /// The records a replica logs while committing `ledger[from..]`: each
     /// commit followed by the QC state, with a vote watermark after every
@@ -617,6 +611,116 @@ mod tests {
             let (suffix, to) = disk.suffix(4, usize::MAX).expect("second chunk");
             assert_eq!((&suffix[..], to), (stored[1].bytes, 8));
             assert!(disk.suffix(8, usize::MAX).is_none());
+        }
+    }
+
+    /// The served-suffix walk over the whole laid-out image: the oracle for
+    /// [`Disk::suffix`].
+    fn suffix_of_image(image: &[u8], start: u64, max_bytes: usize) -> Option<(Bytes, u64)> {
+        let mut stream = Vec::new();
+        let mut to = start;
+        for chunk in chunks(image) {
+            let chunk = chunk.ok()?;
+            if chunk.to <= start {
+                continue;
+            }
+            if !stream.is_empty() && stream.len() + chunk.bytes.len() > max_bytes {
+                break;
+            }
+            stream.extend_from_slice(chunk.bytes);
+            to = chunk.to;
+        }
+        (!stream.is_empty()).then(|| (Bytes::from(stream), to))
+    }
+
+    #[test]
+    fn a_served_suffix_is_what_the_image_walk_finds() {
+        for durable_log in [false, true] {
+            let config = Config::builder()
+                .nodes(4)
+                .durable_log(durable_log)
+                .build()
+                .unwrap();
+            let mut disk = Disk::new(&config);
+            let (mut forest, mut ledger) = chain(0, 8);
+            let mut stats = RecoveryStats::default();
+            let mut wire = BufferedTransport::new();
+            let model = CpuModel::new(SimDuration::from_micros(10));
+            let mut out = Step::new(SimTime::ZERO, &mut wire, model);
+            for block in 1..=18usize {
+                grow(&mut forest, &mut ledger, 8 + block * 5);
+                disk.checkpoint(Some(4), &forest, &ledger, &mut stats, &mut out);
+                if block == 13 {
+                    disk.rebase(); // adopted a peer's state: the next cut re-bases
+                }
+                let image = disk.image();
+                let first = chunks(&image).next().and_then(Result::ok);
+                let one_chunk = first.map_or(1, |chunk| chunk.bytes.len());
+                for start in 0..=disk.checkpoint_height() {
+                    for max_bytes in [1, one_chunk, usize::MAX] {
+                        let at = format!("log {durable_log}, {block} blocks, {start}, {max_bytes}");
+                        let want = suffix_of_image(&image, start, max_bytes);
+                        assert_eq!(disk.suffix(start, max_bytes), want, "{at}");
+                    }
+                }
+            }
+            assert_eq!(stats.checkpoints_taken, 5, "log {durable_log}");
+        }
+    }
+
+    /// Keeps every record a log hands it, as handed.
+    struct Spy(Arc<Mutex<Vec<Record>>>);
+
+    impl SegmentBackend for Spy {
+        fn append(&mut self, _: u64, _: &[u8]) {}
+        fn sync(&mut self) {}
+        fn drop_buffered(&mut self) {}
+        fn crash(&mut self) {}
+        fn segments(&self) -> Vec<(u64, Vec<u8>)> {
+            Vec::new()
+        }
+        fn set_segment(&mut self, _: u64, _: Vec<u8>) {}
+        fn drop_below(&mut self, _: u64) {}
+        fn put_checkpoint(&mut self, _: u64, _: &[u8]) {}
+        fn checkpoint(&self) -> Option<(u64, Vec<u8>)> {
+            None
+        }
+        fn append_record(&mut self, _: u64, record: &Record) {
+            self.0.lock().expect("spy lock").push(record.clone());
+        }
+    }
+
+    #[test]
+    fn a_log_holds_the_ledgers_own_blocks() {
+        let held = Arc::new(Mutex::new(Vec::new()));
+        let config = Config::builder().nodes(4).build().unwrap();
+        let mut disk = Disk::new(&config);
+        disk.mount(SegmentLog::new(
+            Box::new(Spy(Arc::clone(&held))),
+            1 << 20,
+            8,
+        ));
+        let (forest, ledger) = chain(3, 8);
+        let mut wire = BufferedTransport::new();
+        let model = CpuModel::new(SimDuration::from_micros(10));
+        let mut out = Step::new(SimTime::ZERO, &mut wire, model);
+        disk.log_commits(&ledger, 3, forest.high_qc(), &mut out);
+        disk.log_vote(View(4), forest.high_qc(), &mut out);
+        assert!(out.cpu > SimDuration::ZERO, "the writes are charged");
+        let held = held.lock().expect("spy lock");
+        let kinds: Vec<_> = held.iter().map(Record::kind).collect();
+        let committed = RecordKind::CommittedBlock;
+        let logged = [committed, committed, committed, RecordKind::Qc];
+        assert_eq!(kinds, [&logged[..], &[RecordKind::SafetyRecord]].concat());
+        for (record, entry) in held.iter().zip(ledger.iter()) {
+            let Record::Committed(committed) = record else {
+                panic!("not a committed entry: {record:?}");
+            };
+            let height = entry.block.height;
+            assert!(
+                Arc::ptr_eq(&committed.block, &entry.block),
+                "{height:?} copied"
+            );
         }
     }
 }

@@ -83,7 +83,7 @@ pub use runner::{FaultTrigger, NodeFault, RunOptions, SimRunner};
 pub use runtime::{BufferedTransport, NodeHost, RecoverMode, ReplicaEvent, StepReport, Transport};
 pub use scenario::{Expectations, Scenario, ScenarioReport, ScenarioRun};
 pub use storage::{
-    DecodedStream, FileBackend, MemoryBackend, RecordKind, ReplayResult, SegmentBackend,
+    DecodedStream, FileBackend, MemoryBackend, Record, RecordKind, ReplayResult, SegmentBackend,
     SegmentLog, StorageFault,
 };
 pub use threaded::{ThreadedCluster, DEFAULT_VERIFY_WORKERS};

@@ -105,6 +105,11 @@ impl Cut {
         self.from
     }
 
+    /// Ledger length once the chunk is applied.
+    pub fn to(&self) -> u64 {
+        self.from + self.entries.len() as u64
+    }
+
     /// Exactly the bytes [`Cut::encode_into`] appends, header included.
     pub fn len(&self) -> usize {
         self.len
