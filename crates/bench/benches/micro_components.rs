@@ -16,7 +16,7 @@ use bamboo_mempool::Mempool;
 use bamboo_sim::{EventQueue, SimRng};
 use bamboo_types::{
     Authenticator, Block, BlockId, Config, Message, NodeId, ProtocolKind, QuorumCert, SharedBlock,
-    SimDuration, SimTime, Transaction, View, Vote,
+    SimDuration, SimTime, Transaction, TxId, View, Vote,
 };
 
 fn chain_blocks(len: u64, txs_per_block: u64) -> Vec<Block> {
@@ -52,6 +52,14 @@ fn bench_crypto(out: &mut RowFile) {
         hasher.update(&data);
         hasher.finalize()
     }));
+    // A transaction id stores no digest: block ids, fingerprints and client
+    // signatures hash it where they use it, one 16-byte SHA-256 each.
+    let id = TxId {
+        client: NodeId(1_000_042),
+        seq: 77,
+    };
+    out.rows
+        .push(bench("txid_digest", || std::hint::black_box(id).digest()));
 
     let kp = KeyPair::from_seed(1);
     out.rows.push(bench("sign", || kp.sign(&data)));

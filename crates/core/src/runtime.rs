@@ -625,7 +625,7 @@ mod tests {
         let verified = edge.verify_requests(client_requests(true));
         assert!(verified.signed() && verified.fell_back());
         assert_eq!((verified.offered(), verified.rejected()), (3, 1));
-        let seqs: Vec<u64> = verified.transactions().iter().map(|tx| tx.seq).collect();
+        let seqs: Vec<u64> = verified.transactions().iter().map(|tx| tx.id.seq).collect();
         assert_eq!(seqs, [0, 2], "the honest requests survive, in order");
         let report = host.admit(verified);
         assert_eq!(report.cpu, cpu.verify_batch(3) + cpu.verify(3));

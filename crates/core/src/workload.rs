@@ -19,7 +19,7 @@
 //!   `concurrency`), each with one outstanding request: a client issues its
 //!   next transaction only after the previous one commits.
 
-use bamboo_crypto::{DigestMap, KeyPair, Signature};
+use bamboo_crypto::{KeyPair, Signature};
 use bamboo_sim::SimRng;
 use bamboo_types::{Bytes, ClientRequest, NodeId, SimDuration, SimTime, Transaction, TxId};
 
@@ -179,8 +179,9 @@ pub struct ClosedLoopWorkload {
     /// Requests that became ready when their predecessor committed but have
     /// not been handed to the runner yet.
     ready: Vec<Arrival>,
-    /// Maps in-flight transaction ids to the issuing client slot.
-    in_flight: DigestMap<TxId, usize>,
+    /// The sequence number in flight per client slot; slot `i` is client
+    /// `2_000_000 + i`, so a committed id names its slot.
+    in_flight: Vec<u64>,
 }
 
 impl ClosedLoopWorkload {
@@ -193,19 +194,19 @@ impl ClosedLoopWorkload {
             next_seq: 0,
             started: false,
             ready: Vec::new(),
-            in_flight: DigestMap::default(),
+            in_flight: vec![0; concurrency],
         }
     }
 
-    fn issue(&mut self, slot: usize, at: SimTime, rng: &mut SimRng) -> Arrival {
+    /// Slot `slot`'s next request, issued at `at` to `replica`.
+    fn issue(&mut self, slot: usize, at: SimTime, replica: NodeId) -> Arrival {
         let client = NodeId(2_000_000 + slot as u64);
-        let tx = Transaction::new(client, self.next_seq, self.payload_size, at);
+        self.in_flight[slot] = self.next_seq;
         self.next_seq += 1;
-        self.in_flight.insert(tx.id, slot);
         Arrival {
             issued_at: at,
-            replica: NodeId(rng.choose_index(self.replicas) as u64),
-            transaction: tx,
+            replica,
+            transaction: Transaction::new(client, self.in_flight[slot], self.payload_size, at),
             signature: None,
         }
     }
@@ -216,7 +217,8 @@ impl Workload for ClosedLoopWorkload {
         if !self.started {
             self.started = true;
             for slot in 0..self.concurrency {
-                let arrival = self.issue(slot, from, rng);
+                let replica = NodeId(rng.choose_index(self.replicas) as u64);
+                let arrival = self.issue(slot, from, replica);
                 out.push(arrival);
             }
         }
@@ -229,17 +231,10 @@ impl Workload for ClosedLoopWorkload {
     }
 
     fn on_commit(&mut self, tx: TxId, at: SimTime) {
-        if let Some(slot) = self.in_flight.remove(&tx) {
-            let client = NodeId(2_000_000 + slot as u64);
-            let next = Transaction::new(client, self.next_seq, self.payload_size, at);
-            self.next_seq += 1;
-            self.in_flight.insert(next.id, slot);
-            self.ready.push(Arrival {
-                issued_at: at,
-                replica: NodeId(0),
-                transaction: next,
-                signature: None,
-            });
+        let slot = tx.client.as_u64().wrapping_sub(2_000_000) as usize;
+        if self.in_flight.get(slot) == Some(&tx.seq) {
+            let next = self.issue(slot, at, NodeId(0));
+            self.ready.push(next);
         }
     }
 
@@ -337,11 +332,11 @@ mod tests {
         }
         // A million-client population actually spreads issuers.
         let distinct: std::collections::HashSet<NodeId> =
-            full.iter().map(|a| a.transaction.client).collect();
+            full.iter().map(|a| a.transaction.id.client).collect();
         assert!(distinct.len() > full.len() / 2, "population not diverse");
         for a in &full {
-            assert!(a.transaction.client.as_u64() >= CLIENT_ID_BASE);
-            assert!(a.transaction.client.as_u64() < CLIENT_ID_BASE + 1_000_000);
+            assert!(a.transaction.id.client.as_u64() >= CLIENT_ID_BASE);
+            assert!(a.transaction.id.client.as_u64() < CLIENT_ID_BASE + 1_000_000);
         }
     }
 
@@ -360,7 +355,8 @@ mod tests {
         assert!(!arrivals.is_empty());
         for a in arrivals {
             let request = a.into_request();
-            let key = KeyPair::client_from_seed(request.transaction.client.as_u64()).public_key();
+            let key =
+                KeyPair::client_from_seed(request.transaction.id.client.as_u64()).public_key();
             assert!(request.verify(&key), "arrival must verify at the edge");
         }
     }

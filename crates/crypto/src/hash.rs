@@ -84,18 +84,17 @@ impl From<[u8; 32]> for Digest {
     }
 }
 
-/// A [`HashMap`] keyed by a digest (or a newtype around one).
+/// A [`HashMap`] keyed by a digest or a few words (a transaction id).
 pub type DigestMap<K, V> = HashMap<K, V, DigestBuildHasher>;
 
-/// A [`HashSet`] of digests (or newtypes around one).
+/// A [`HashSet`] of digests or of few-word keys (transaction ids).
 pub type DigestSet<K> = HashSet<K, DigestBuildHasher>;
 
-/// The table hasher for keys that are already SHA-256 digests: a keyed
-/// multiply-fold over all 32 bytes — four multiplies where the default
-/// hasher runs a SipHash pass over bytes that are uniform to begin with.
+/// The table hasher for digests and few-word keys: a keyed multiply-fold
+/// over every word — four multiplies for a digest, two for a transaction id.
 ///
-/// Keyed, and over every byte, because some digests in these tables are
-/// bytes a peer chose (the block id inside a vote or a certificate): each
+/// Keyed, and over every byte, because some keys are bytes a peer or client
+/// chose (a vote's block id, both words of a transaction id): each
 /// table draws its key from [`RandomState`] when it is built, so no byte
 /// sequence sent from outside can be aimed at one bucket, and two tables
 /// iterate the same keys in unrelated orders, exactly as with the default
@@ -171,6 +170,11 @@ impl Hasher for DigestHasher {
     /// `[u8; 32]` hashes as a length prefix and the bytes; the prefix of a
     /// fixed-size key says nothing, so it costs nothing.
     fn write_usize(&mut self, _: usize) {}
+
+    /// One fold per word, as [`Hasher::write`] of its native bytes folds it.
+    fn write_u64(&mut self, word: u64) {
+        self.fold(word.to_le());
+    }
 
     fn finish(&self) -> u64 {
         self.state
@@ -259,6 +263,18 @@ mod tests {
                     "key {key:#x}, {len} bytes"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_word_hashes_as_its_native_bytes() {
+        for word in [0, 1, 0x0123_4567_89ab_cdef, u64::MAX] {
+            let key = 0x9e37_79b9_7f4a_7c15;
+            let mut by_word = DigestHasher { state: key, key };
+            by_word.write_u64(word);
+            let mut by_bytes = DigestHasher { state: key, key };
+            by_bytes.write(&word.to_ne_bytes());
+            assert_eq!(by_word.finish(), by_bytes.finish(), "{word:#x}");
         }
     }
 

@@ -51,7 +51,7 @@ impl ChainFingerprint {
         self.0.update(block.id.0.as_bytes());
         self.0.update(&block.view.as_u64().to_be_bytes());
         for tx in &block.payload {
-            self.0.update(tx.id.0.as_bytes());
+            self.0.update(tx.id.digest().as_bytes());
         }
     }
 
@@ -178,7 +178,7 @@ impl Ledger {
             hasher.update(&committed.committed_in_view.as_u64().to_be_bytes());
             hasher.update(&committed.committed_at.as_nanos().to_be_bytes());
             for tx in &committed.block.payload {
-                hasher.update(tx.id.0.as_bytes());
+                hasher.update(tx.id.digest().as_bytes());
             }
         }
         Digest::from_bytes(hasher.finalize())

@@ -15,10 +15,10 @@
 //! # One queue and a count table
 //!
 //! The pool is one queue, one id set and one capacity. Beside them sits a
-//! table of 2,048 counters indexed by eleven bits of the transaction id
-//! (from bytes 8–9; the id is a digest, so any bits are uniform): how many
-//! queued ids fall in each slot. Every replica removes the transactions of
-//! every committed block from its pool, and most of those ids were never in
+//! table of 2,048 counters indexed by eleven bits mixed from both words of
+//! the transaction id: how many queued ids fall in each slot. Every replica
+//! removes the transactions of every committed block from its pool, and
+//! most of those ids were never in
 //! it — another replica's clients sent them. A zero counter proves an id
 //! absent without hashing it, so the removal sweep skips nearly all of them.
 
@@ -29,13 +29,15 @@ use std::collections::VecDeque;
 
 use bamboo_types::{DigestSet, Transaction, TxId};
 
-/// Slots in the count table; a power of two, so [`slot`] is a mask.
+/// Slots in the count table; a power of two, so [`slot`] is a shift.
 const COUNT_SLOTS: usize = 2048;
 
-/// The count-table slot of a transaction id: eleven bits of its bytes 8–9.
+/// The count-table slot of a transaction id: the top eleven bits of a
+/// Fibonacci-hash mix of both words, which spreads consecutive values.
 fn slot(id: &TxId) -> usize {
-    let bytes = id.0.as_bytes();
-    usize::from(u16::from_be_bytes([bytes[8], bytes[9]])) & (COUNT_SLOTS - 1)
+    let mixed = (id.client.as_u64().wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ id.seq)
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    (mixed >> (u64::BITS - COUNT_SLOTS.trailing_zeros())) as usize
 }
 
 /// Statistics about mempool activity, used by the benchmarker.
@@ -249,7 +251,7 @@ mod tests {
             assert!(pool.push(tx(seq)));
         }
         let batch = pool.next_batch(3);
-        let seqs: Vec<u64> = batch.iter().map(|t| t.seq).collect();
+        let seqs: Vec<u64> = batch.iter().map(|t| t.id.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
         assert_eq!(pool.len(), 2);
     }
@@ -283,7 +285,7 @@ mod tests {
         let forked = vec![tx(100), tx(101)];
         pool.requeue_front(forked);
         let batch = pool.next_batch(10);
-        let seqs: Vec<u64> = batch.iter().map(|t| t.seq).collect();
+        let seqs: Vec<u64> = batch.iter().map(|t| t.id.seq).collect();
         assert_eq!(seqs, vec![100, 101, 0, 1, 2]);
         assert_eq!(pool.stats().requeued, 2);
     }
@@ -320,7 +322,7 @@ mod tests {
         let victim_ids = [tx(1).id, tx(3).id, tx(77).id];
         let removed = pool.remove_committed(victim_ids.iter());
         assert_eq!(removed, 2);
-        let seqs: Vec<u64> = pool.next_batch(10).iter().map(|t| t.seq).collect();
+        let seqs: Vec<u64> = pool.next_batch(10).iter().map(|t| t.id.seq).collect();
         assert_eq!(seqs, vec![0, 2, 4]);
     }
 
@@ -346,12 +348,12 @@ mod tests {
             batched
                 .next_batch(16)
                 .iter()
-                .map(|t| t.seq)
+                .map(|t| t.id.seq)
                 .collect::<Vec<_>>(),
             one_by_one
                 .next_batch(16)
                 .iter()
-                .map(|t| t.seq)
+                .map(|t| t.id.seq)
                 .collect::<Vec<_>>()
         );
     }
@@ -374,7 +376,11 @@ mod tests {
                 assert!(!pool.push(tx(capacity as u64)), "capacity={capacity}");
                 assert_eq!(pool.stats().rejected, 1);
                 assert_eq!(pool.stats().accepted, capacity as u64);
-                let drained: Vec<u64> = pool.next_batch(usize::MAX).iter().map(|t| t.seq).collect();
+                let drained: Vec<u64> = pool
+                    .next_batch(usize::MAX)
+                    .iter()
+                    .map(|t| t.id.seq)
+                    .collect();
                 assert_eq!(drained, (0..capacity as u64).collect::<Vec<_>>());
             }
         }
@@ -402,7 +408,7 @@ mod tests {
             let mut pool = Mempool::with_shards(40, shards);
             let accepted = (0..160).filter(|&seq| pool.push(tx(seq))).count();
             assert_eq!(accepted, 40, "shards={shards}");
-            let drained: Vec<u64> = pool.next_batch(40).iter().map(|t| t.seq).collect();
+            let drained: Vec<u64> = pool.next_batch(40).iter().map(|t| t.id.seq).collect();
             assert_eq!(drained, (0..40).collect::<Vec<_>>(), "shards={shards}");
         }
     }
@@ -460,17 +466,37 @@ mod tests {
         }
     }
 
-    /// Transaction `key`, with its id forced into count slot 0x2cd when
-    /// `crowded` (bytes 8–9 overwritten), so one slot holds many ids and a
-    /// counter that drifted would skip a queued one.
-    fn keyed(key: u64, crowded: bool) -> Transaction {
-        let mut tx = tx(key);
-        if crowded {
-            let mut bytes = *tx.id.0.as_bytes();
-            bytes[8..10].copy_from_slice(&[0xaa, 0xcd]);
-            tx.id = TxId(bytes.into());
-        }
-        tx
+    /// The count slot that [`crowded_ids`] fill.
+    const CROWDED_SLOT: usize = 0x2cd;
+
+    /// The first `n` ids of client 2 that [`slot`] maps to
+    /// [`CROWDED_SLOT`], so one slot holds many ids and a counter that
+    /// drifted would skip a queued one.
+    fn crowded_ids(n: usize) -> Vec<TxId> {
+        (0..)
+            .map(|seq| TxId {
+                client: NodeId(2),
+                seq,
+            })
+            .filter(|id| slot(id) == CROWDED_SLOT)
+            .take(n)
+            .collect()
+    }
+
+    #[test]
+    fn slots_spread_consecutive_sequences_and_clients() {
+        let slots_used = |ids: Vec<TxId>| {
+            let mut hit = vec![false; COUNT_SLOTS];
+            ids.iter().for_each(|id| hit[slot(id)] = true);
+            hit.iter().filter(|&&h| h).count()
+        };
+        let id = |client, seq| TxId {
+            client: NodeId(client),
+            seq,
+        };
+        let n = COUNT_SLOTS as u64;
+        assert!(slots_used((0..n).map(|seq| id(7, seq)).collect()) > COUNT_SLOTS / 2);
+        assert!(slots_used((0..n).map(|c| id(1_000_000 + c, 7)).collect()) > COUNT_SLOTS / 2);
     }
 
     #[test]
@@ -482,7 +508,19 @@ mod tests {
             state ^= state << 17;
             state % bound
         };
-        let seqs = |batch: &[Transaction]| batch.iter().map(|t| t.seq).collect::<Vec<_>>();
+        let ids = |batch: &[Transaction]| batch.iter().map(|t| t.id).collect::<Vec<_>>();
+        let crowded = crowded_ids(2 * 64 + 8);
+        assert_eq!(crowded.len(), 2 * 64 + 8);
+        assert!(crowded.iter().all(|id| slot(id) == CROWDED_SLOT));
+        // Every third key is a crowded id, the others client 1's.
+        let keyed = |key: u64| {
+            if key.is_multiple_of(3) {
+                let id = crowded[key as usize];
+                Transaction::new(id.client, id.seq, 0, SimTime::ZERO)
+            } else {
+                tx(key)
+            }
+        };
         for capacity in 1..=64usize {
             let mut pool = Mempool::new(capacity);
             let mut reference = Reference {
@@ -492,10 +530,7 @@ mod tests {
             // Keys from a small universe, so duplicates, removals of queued
             // ids and removals of absent ids are all frequent.
             let universe = 2 * capacity as u64 + 8;
-            let pick = |next: &mut dyn FnMut(u64) -> u64| {
-                let key = next(universe);
-                keyed(key, key.is_multiple_of(3))
-            };
+            let pick = |next: &mut dyn FnMut(u64) -> u64| keyed(next(universe));
             for step in 0..400 {
                 let label = format!("capacity {capacity}, step {step}");
                 match next(5) {
@@ -520,7 +555,7 @@ mod tests {
                     3 => {
                         let max = next(capacity as u64 + 4) as usize;
                         let got = pool.next_batch(max);
-                        assert_eq!(seqs(&got), seqs(&reference.next_batch(max)), "{label}");
+                        assert_eq!(ids(&got), ids(&reference.next_batch(max)), "{label}");
                     }
                     _ => {
                         let ids: Vec<TxId> = (0..next(12)).map(|_| pick(&mut next).id).collect();
@@ -532,7 +567,7 @@ mod tests {
                 assert_eq!(pool.stats(), reference.stats(), "{label}");
             }
             let rest = pool.next_batch(usize::MAX);
-            assert_eq!(seqs(&rest), seqs(&reference.next_batch(usize::MAX)));
+            assert_eq!(ids(&rest), ids(&reference.next_batch(usize::MAX)));
             assert!(pool.counts.iter().all(|&c| c == 0), "capacity {capacity}");
         }
     }

@@ -323,7 +323,7 @@ impl Authenticator {
     /// [`AuthError::UnsignedClientRequest`] when the request carries no
     /// signature, [`AuthError::BadClientSignature`] when it does not verify.
     pub fn verify_client_request(&self, req: &ClientRequest) -> Result<(), AuthError> {
-        let client = req.transaction.client;
+        let client = req.transaction.id.client;
         if req.signature.is_none() {
             return Err(AuthError::UnsignedClientRequest(client));
         }
@@ -350,7 +350,7 @@ impl Authenticator {
                 all_signed = false;
                 break;
             };
-            let key = Self::client_key(req.transaction.client);
+            let key = Self::client_key(req.transaction.id.client);
             self.batch.push(
                 key,
                 &ClientRequest::signing_bytes(&req.transaction),

@@ -122,7 +122,7 @@ impl Block {
         hasher.update(justify.block.0.as_bytes());
         hasher.update(&justify.view.as_u64().to_be_bytes());
         for tx in payload {
-            hasher.update(tx.id.0.as_bytes());
+            hasher.update(tx.id.digest().as_bytes());
         }
         BlockId(Digest::from_bytes(hasher.finalize()))
     }

@@ -61,12 +61,13 @@ impl ClientRequest {
         }
     }
 
-    /// The canonical byte string a client request signs: the transaction id
-    /// (which already binds client, sequence number and payload) plus the
-    /// issue timestamp. Fixed-length by construction.
+    /// What a client request signs: [`TxId::digest`](crate::TxId::digest) ‖
+    /// `issued_at`; not the payload. A request never crosses the wire (there
+    /// is no request message), and blocks carry the bare transactions past
+    /// the edge check, bound by a block id the votes certify.
     pub fn signing_bytes(transaction: &Transaction) -> [u8; 40] {
         let mut buf = [0u8; 40];
-        buf[..32].copy_from_slice(transaction.id.0.as_bytes());
+        buf[..32].copy_from_slice(transaction.id.digest().as_bytes());
         buf[32..].copy_from_slice(&transaction.issued_at.0.to_be_bytes());
         buf
     }

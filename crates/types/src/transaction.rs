@@ -8,24 +8,31 @@ use crate::bytes::Bytes;
 use crate::ids::NodeId;
 use crate::time::SimTime;
 
-/// Unique identifier of a transaction (hash of its origin and sequence).
+/// Unique identifier of a transaction: the issuing client and its per-client
+/// sequence number. Its SHA-256, [`TxId::digest`], is computed where a block
+/// id, a fingerprint or a signature binds it, and stored nowhere.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-pub struct TxId(pub Digest);
+pub struct TxId {
+    /// Client that issued the transaction.
+    pub client: NodeId,
+    /// Per-client sequence number.
+    pub seq: u64,
+}
 
 impl TxId {
-    /// Derives a transaction id from the issuing client and a per-client
-    /// sequence number.
-    pub fn derive(client: NodeId, seq: u64) -> Self {
+    /// The SHA-256 of the big-endian `client ‖ seq`: what a block id, a ledger
+    /// fingerprint and a client signature bind for this transaction.
+    pub fn digest(&self) -> Digest {
         let mut buf = [0u8; 16];
-        buf[..8].copy_from_slice(&client.as_u64().to_be_bytes());
-        buf[8..].copy_from_slice(&seq.to_be_bytes());
-        TxId(Digest::of(&buf))
+        buf[..8].copy_from_slice(&self.client.as_u64().to_be_bytes());
+        buf[8..].copy_from_slice(&self.seq.to_be_bytes());
+        Digest::of(&buf)
     }
 }
 
 impl fmt::Display for TxId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "tx:{}", self.0.short_hex())
+        write!(f, "tx:{}", self.digest().short_hex())
     }
 }
 
@@ -34,12 +41,8 @@ impl fmt::Display for TxId {
 /// to protocol-level performance).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Transaction {
-    /// Unique id.
+    /// Issuing client and per-client sequence number.
     pub id: TxId,
-    /// Client that issued the transaction.
-    pub client: NodeId,
-    /// Per-client sequence number.
-    pub seq: u64,
     /// Opaque payload bytes (`psize` in Table I).
     pub payload: Bytes,
     /// Simulated time at which the client issued the transaction. Used by the
@@ -61,28 +64,21 @@ impl Transaction {
     /// assert_eq!(tx.wire_size(), 128 + Transaction::HEADER_BYTES);
     /// ```
     pub fn new(client: NodeId, seq: u64, payload_size: usize, issued_at: SimTime) -> Self {
-        Self {
-            id: TxId::derive(client, seq),
-            client,
-            seq,
-            payload: Bytes::zeroed(payload_size),
-            issued_at,
-        }
+        Self::with_payload(client, seq, Bytes::zeroed(payload_size), issued_at)
     }
 
     /// Creates a transaction carrying the given payload.
     pub fn with_payload(client: NodeId, seq: u64, payload: Bytes, issued_at: SimTime) -> Self {
         Self {
-            id: TxId::derive(client, seq),
-            client,
-            seq,
+            id: TxId { client, seq },
             payload,
             issued_at,
         }
     }
 
-    /// Fixed serialisation overhead of a transaction on the wire (id, client,
-    /// sequence number, timestamp), independent of the payload.
+    /// The per-transaction overhead the NIC model and `PerfModel` charge
+    /// beside the payload, as if a 32-byte id, client, sequence number and
+    /// timestamp were sent. The codec sends 28 (`wire::encode_transaction`).
     pub const HEADER_BYTES: usize = 32 + 8 + 8 + 8;
 
     /// Approximate wire size of the transaction in bytes.
@@ -97,12 +93,51 @@ mod tests {
 
     #[test]
     fn ids_are_unique_per_client_and_sequence() {
-        let a = TxId::derive(NodeId(1), 1);
-        let b = TxId::derive(NodeId(1), 2);
-        let c = TxId::derive(NodeId(2), 1);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, TxId::derive(NodeId(1), 1));
+        let id = |client, seq| TxId {
+            client: NodeId(client),
+            seq,
+        };
+        assert_ne!(id(1, 1), id(1, 2));
+        assert_ne!(id(1, 1), id(2, 1));
+        assert_ne!(id(1, 1).digest(), id(1, 2).digest());
+        assert_ne!(id(1, 1).digest(), id(2, 1).digest());
+        assert_eq!(id(1, 1).digest(), id(1, 1).digest());
+    }
+
+    /// The digests the id stored before it became the pair: every block id,
+    /// fingerprint and client signature depends on them staying put.
+    #[test]
+    fn digests_are_the_pinned_sha256_of_client_and_sequence() {
+        let pins = [
+            (
+                5,
+                77,
+                "55ba14e60a1b44cfd1ca21dd524d65877f82b82a36b7a74cd9dcbd04cc3afc8a",
+            ),
+            (
+                1_000_000,
+                0,
+                "3a620a4550780e07f48b9413422f1926196118b4489180e7cb353a1a9aaeeb44",
+            ),
+            (
+                u64::MAX,
+                u64::MAX,
+                "5ac6a5945f16500911219129984ba8b387a06f24fe383ce4e81a73294065461b",
+            ),
+        ];
+        for (client, seq, hex) in pins {
+            let id = TxId {
+                client: NodeId(client),
+                seq,
+            };
+            assert_eq!(id.digest().to_hex(), hex, "({client}, {seq})");
+        }
+    }
+
+    #[test]
+    fn the_id_and_the_transaction_stay_small() {
+        assert_eq!(std::mem::size_of::<TxId>(), 16);
+        assert_eq!(std::mem::size_of::<Transaction>(), 40);
     }
 
     #[test]
@@ -119,14 +154,21 @@ mod tests {
         let tx = Transaction::with_payload(NodeId(3), 9, payload.clone(), SimTime(42));
         assert_eq!(tx.payload, payload);
         assert_eq!(tx.issued_at, SimTime(42));
-        assert_eq!(tx.id, TxId::derive(NodeId(3), 9));
+        assert_eq!(
+            tx.id,
+            TxId {
+                client: NodeId(3),
+                seq: 9
+            }
+        );
     }
 
     #[test]
     fn display_of_txid_is_short() {
-        let id = TxId::derive(NodeId(5), 77);
-        let rendered = id.to_string();
-        assert!(rendered.starts_with("tx:"));
-        assert_eq!(rendered.len(), 3 + 8);
+        let id = TxId {
+            client: NodeId(5),
+            seq: 77,
+        };
+        assert_eq!(id.to_string(), "tx:55ba14e6");
     }
 }

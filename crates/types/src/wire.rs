@@ -274,17 +274,17 @@ pub fn decode_block(cur: &mut WireCursor<'_>) -> Result<Block, WireError> {
     Ok(block)
 }
 
-/// Encodes a transaction. The id is not emitted — it is derived from
-/// `(client, seq)` on decode, which is also the integrity check.
+/// Encodes a transaction: its id `(client, seq)`, issue time and payload.
+/// No digest is emitted; the block's id check recomputes each one.
 pub fn encode_transaction(out: &mut Vec<u8>, tx: &Transaction) {
-    put_u64(out, tx.client.as_u64());
-    put_u64(out, tx.seq);
+    put_u64(out, tx.id.client.as_u64());
+    put_u64(out, tx.id.seq);
     put_u64(out, tx.issued_at.as_nanos());
     put_u32(out, tx.payload.len() as u32);
     out.extend_from_slice(&tx.payload);
 }
 
-/// Decodes a transaction, re-deriving its id.
+/// Decodes a transaction.
 ///
 /// # Errors
 ///
