@@ -57,6 +57,7 @@ pub mod benchmark;
 mod durability;
 pub mod live;
 pub mod metrics;
+mod observe;
 pub mod parallel;
 pub mod quorum;
 pub mod replica;

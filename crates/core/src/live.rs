@@ -36,8 +36,9 @@ use bamboo_types::{
     View,
 };
 
+use crate::observe;
 use crate::replica::{Replica, ReplicaOptions};
-use crate::runtime::{ledger_forks, Deadlines, NodeHost, RecoverMode, Transport};
+use crate::runtime::{Deadlines, NodeHost, RecoverMode, Transport};
 use crate::storage::SegmentLog;
 
 /// The backend-specific send half of a live node.
@@ -316,7 +317,7 @@ pub fn cluster_report<'a>(
     let hosts: Vec<Option<&NodeHost>> = hosts.into_iter().collect();
     let live = || hosts.iter().flatten();
     let replicas: Vec<&Replica> = live().map(|h| h.replica()).collect();
-    let forks = ledger_forks(config, live().copied());
+    let audit = observe::audit(config, live().copied());
     let ledger_len = |h: &Option<&NodeHost>| h.map_or(0, |h| h.replica().ledger().len());
     ClusterReport {
         committed_blocks: hosts.iter().map(ledger_len).collect(),
@@ -330,11 +331,11 @@ pub fn cluster_report<'a>(
             .map(|r| r.current_view().as_u64())
             .max()
             .unwrap_or(0),
-        ledgers_consistent: forks == 0,
-        safety_violations: replicas.iter().map(|r| r.safety_violations()).sum::<u64>() + forks,
+        ledgers_consistent: audit.forks == 0,
+        safety_violations: audit.safety_violations,
         timeout_view_changes: replicas.iter().map(|r| r.timeout_view_changes()).sum(),
-        auth_rejections: live().map(|h| h.auth_rejections()).sum::<u64>() + pool_rejections,
-        client_auth_rejections: live().map(|h| h.client_auth_rejections()).sum(),
+        auth_rejections: audit.rejected_messages + pool_rejections,
+        client_auth_rejections: audit.client_auth_rejections,
     }
 }
 

@@ -6,7 +6,6 @@
 //! `t_L` term). Chain growth rate and block interval are the two micro-metrics
 //! introduced for the Byzantine experiments.
 
-use bamboo_mempool::MempoolStats;
 use bamboo_types::{Json, ProtocolKind, SimDuration, SimTime, ToJson};
 
 /// A latency distribution summary in milliseconds.
@@ -63,7 +62,7 @@ impl ToJson for MempoolTotals {
     }
 }
 
-/// Running metric accumulator owned by the runner.
+/// The commit-latency and throughput books of the observer replica.
 #[derive(Clone, Debug)]
 pub struct Metrics {
     /// End-to-end latencies (issue → confirmation).
@@ -71,15 +70,8 @@ pub struct Metrics {
     /// Client-observed submit→commit latencies (no response leg; see
     /// [`Metrics::record_commit`]).
     client_latency: Histogram,
-    committed_txs: u64,
     bucket: SimDuration,
     buckets: Vec<u64>,
-    /// Messages sent over the network, by coarse count.
-    messages_sent: u64,
-    /// Total bytes sent over the network.
-    bytes_sent: u64,
-    /// Mempool admission counters folded in at the end of a run.
-    mempool: MempoolTotals,
 }
 
 impl Metrics {
@@ -88,12 +80,8 @@ impl Metrics {
         Self {
             latency: Histogram::new(),
             client_latency: Histogram::new(),
-            committed_txs: 0,
             bucket,
             buckets: Vec::new(),
-            messages_sent: 0,
-            bytes_sent: 0,
-            mempool: MempoolTotals::default(),
         }
     }
 
@@ -112,7 +100,6 @@ impl Metrics {
         committed_at: SimTime,
         confirmed_at: SimTime,
     ) {
-        self.committed_txs += 1;
         self.latency.record(confirmed_at.since(issued_at));
         self.client_latency.record(committed_at.since(issued_at));
         let idx = (confirmed_at.as_nanos() / self.bucket.as_nanos().max(1)) as usize;
@@ -120,31 +107,6 @@ impl Metrics {
             self.buckets.resize(idx + 1, 0);
         }
         self.buckets[idx] += 1;
-    }
-
-    /// Folds one replica's mempool admission counters into the run totals
-    /// (called once per replica when the report is assembled).
-    pub fn record_mempool(&mut self, stats: &MempoolStats) {
-        self.mempool.accepted += stats.accepted;
-        self.mempool.rejected += stats.rejected;
-        self.mempool.requeued += stats.requeued;
-        self.mempool.dispatched += stats.dispatched;
-    }
-
-    /// The accumulated mempool admission counters.
-    pub fn mempool_totals(&self) -> MempoolTotals {
-        self.mempool
-    }
-
-    /// Records a message of `bytes` put on the wire.
-    pub fn record_message(&mut self, bytes: usize) {
-        self.messages_sent += 1;
-        self.bytes_sent += bytes as u64;
-    }
-
-    /// Number of committed transactions so far.
-    pub fn committed_txs(&self) -> u64 {
-        self.committed_txs
     }
 
     /// Summarises the end-to-end latency distribution (issue → confirmation).
@@ -168,11 +130,6 @@ impl Metrics {
                 tx_per_sec: *count as f64 / bucket_secs,
             })
             .collect()
-    }
-
-    /// Network counters: `(messages, bytes)`.
-    pub fn network_counters(&self) -> (u64, u64) {
-        (self.messages_sent, self.bytes_sent)
     }
 }
 
@@ -716,7 +673,7 @@ mod tests {
         let m = Metrics::new(SimDuration::from_secs(1));
         assert_eq!(m.latency(), LatencyStats::default());
         assert!(m.throughput_series().is_empty());
-        assert_eq!(m.committed_txs(), 0);
+        assert_eq!(m.client_latency().count, 0);
     }
 
     #[test]
@@ -738,14 +695,6 @@ mod tests {
         assert!((series[0].tx_per_sec - 10.0).abs() < 1e-9);
         assert!((series[1].tx_per_sec - 0.0).abs() < 1e-9);
         assert!((series[2].tx_per_sec - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn network_counters_accumulate() {
-        let mut m = Metrics::new(SimDuration::from_secs(1));
-        m.record_message(100);
-        m.record_message(250);
-        assert_eq!(m.network_counters(), (2, 350));
     }
 
     #[test]

@@ -3,66 +3,54 @@
 //!
 //! [`SimRunner`] wires `N` replicas (each behind a [`NodeHost`]), a workload
 //! generator, and the network / NIC / CPU models of `bamboo-sim` into one
-//! deterministic simulation. One run corresponds to one benchmark
-//! configuration in the paper (one point of a figure); the sweep logic lives
-//! in [`crate::Benchmarker`], and sweeps use every core by running whole
-//! simulations side by side ([`crate::parallel::run_ordered`]) — a single
-//! run has one event loop (DESIGN.md §5 records why).
+//! deterministic simulation of one benchmark configuration (one point of a
+//! figure); sweeps run whole simulations side by side
+//! ([`crate::parallel::run_ordered`], DESIGN.md §5). The runner only
+//! simulates: it shows every replica step to its `Observer`
+//! (`crate::observe`), which keeps the books and writes the [`RunReport`].
 //!
 //! # Client ticks
 //!
 //! The client side of a run (`Clients`) reads no loop state: a tick's
 //! arrivals, their client → replica delays and the edge check of their
 //! signatures are a function of the workload's own RNG stream and the request
-//! bytes. When the arrivals do not depend on commits either — an open-loop
-//! workload — and there are signatures to check, [`SimRunner::run`] moves
-//! the client side onto one producer thread that stays at most
-//! `TICKS_AHEAD` ticks ahead of the loop; otherwise each tick is generated
-//! inline when it falls due. Both paths run the same tick function and the
-//! loop schedules its output at the same point, so the run is the same.
+//! bytes. When the arrivals do not depend on commits either (an open-loop
+//! workload) and there are signatures to check, [`SimRunner::run`] moves the
+//! client side onto one producer thread at most `TICKS_AHEAD` ticks ahead of
+//! the loop; otherwise each tick is generated inline when it falls due. Both
+//! paths run the same tick function and the loop schedules its output at the
+//! same point, so the run is the same.
 //!
 //! # Event order
 //!
-//! [`SimRunner::run`] is the textbook loop: pop the earliest event, step the
-//! replica it addresses, schedule what the step produced. The queue's
-//! `(time, insertion)` order is the only order — same-instant events pop in
-//! the order they were scheduled — and three rules make a run a pure
-//! function of `(Config, RunOptions)`:
+//! Pop the earliest event, step the replica it addresses, schedule what the
+//! step produced: the queue's `(time, insertion)` order is the only order,
+//! and three rules make a run a pure function of `(Config, RunOptions)`:
 //!
 //! * **per-replica RNG streams** — replica `r` draws all of its latency
-//!   samples (including the observer's client-response delays) from
-//!   `SimRng::new(seed).derive(r)`, and the workload generator owns its own
-//!   stream, so a replica's randomness depends only on its own history;
+//!   samples (the observer's client-response delays included) from
+//!   `SimRng::new(seed).derive(r)`; the workload owns its own stream;
 //! * **ticks run at their own instant** — the workload tick of every
-//!   millisecond in `[0, runtime)` fires before any event queued for that
-//!   same instant;
+//!   millisecond in `[0, runtime)` fires before any event queued for it;
 //! * **view triggers fire where they say** — a view-triggered fault boundary
-//!   takes effect at the instant of the event that lifted the highest view
-//!   any replica has reached to its view, right after that event.
+//!   takes effect right after the event that lifted the highest view any
+//!   replica has reached to its view.
 //!
-//! The recorded golden ledgers (`tests/engine_replay.rs`,
-//! `tests/scenario_replay.rs`) pin exactly this order.
+//! The golden ledgers of `tests/engine_replay.rs` and
+//! `tests/scenario_replay.rs` pin exactly this order.
 //!
-//! The runner is a *backend* of the shared runtime layer
-//! ([`crate::runtime`]): replica effects are collected through a
-//! [`BufferedTransport`] and mapped onto the event queue with the paper's
-//! delay composition (§V) — normally distributed propagation delay, `2·m/b`
-//! NIC serialisation, and a constant CPU cost per crypto operation (modelled
-//! as a per-replica busy server, which is what produces the M/D/1-style
-//! queueing behaviour the analytical model assumes). Deadlines go into the
-//! live loop's book, `Deadlines`, fired by one wake-up per replica.
-//!
-//! The engine keeps allocation and crypto off its hot path. A broadcast is
-//! **one queue entry**: every recipient's delay is drawn at send time, and
-//! the [`EventQueue`] holds the envelope once, with the recipients ordered
-//! by their delivery keys, so a broadcast to n − 1 replicas costs one slab
-//! slot and one heap key, not n − 1 of each. Each unique envelope is
-//! cryptographically verified **at most once**, if anyone receives it, and
-//! every recipient reads the one [`VerifiedMessage`] token **by reference**
-//! (a forged envelope is delivered as a rejection so every recipient still
-//! books the modeled cost). One [`BufferedTransport`], the slab-backed
-//! queue with its recycled entries and the workload buckets are reused
-//! across events, so steady-state execution is allocation-light.
+//! Replica effects are collected through a [`BufferedTransport`] and mapped
+//! onto the event queue with the paper's delay composition (§V): normal
+//! propagation delay, `2·m/b` NIC serialisation and a constant CPU cost per
+//! crypto operation at a per-replica busy server (the M/D/1-style queueing
+//! the model assumes). Deadlines go into the live loop's book, `Deadlines`,
+//! fired by one wake-up per replica. A broadcast is **one queue entry**:
+//! every recipient's delay is drawn at send time and the [`EventQueue`] holds
+//! the envelope once. Each unique envelope is verified **at most once**, and
+//! every recipient reads the one [`VerifiedMessage`] token by reference (a
+//! forged envelope is delivered as a rejection, so every recipient still
+//! books the modeled cost). Buffers, queue entries and workload buckets are
+//! reused across events.
 
 use std::sync::mpsc;
 
@@ -74,10 +62,11 @@ use bamboo_types::{
     SimTime, VerifiedMessage, VerifiedRequests, View,
 };
 
-use crate::metrics::{Metrics, RecoveryReport, RunReport};
-use crate::replica::{Replica, ReplicaOptions};
+use crate::metrics::RunReport;
+use crate::observe::{Observer, StepView};
+use crate::replica::ReplicaOptions;
 use crate::runtime::{
-    ledger_forks, BufferedTransport, Deadlines, NodeHost, RecoverMode, ReplicaEvent, StepReport,
+    BufferedTransport, Deadlines, NodeHost, RecoverMode, ReplicaEvent, StepReport,
 };
 use crate::storage::StorageFault;
 use crate::workload::{Arrival, ClosedLoopWorkload, OpenLoopWorkload, Workload};
@@ -318,9 +307,13 @@ pub struct SimRunner {
     latency: LatencyModel,
     nic: NicModel,
     auth: Authenticator,
-    metrics: Metrics,
+    /// The run's books; every step is shown to it.
+    observer: Observer,
     /// Reused across every event (cleared, capacity kept).
     effects: BufferedTransport,
+    /// Reused across every step of the observer replica: the instant each
+    /// committed transaction's confirmation reaches its client.
+    confirmed: Vec<SimTime>,
     /// Reused across every send: the `(time, recipient)` of each delivery,
     /// in ascending node order.
     deliveries: Vec<(SimTime, u32)>,
@@ -452,8 +445,9 @@ impl SimRunner {
             latency,
             nic,
             auth,
-            metrics: Metrics::new(options.series_bucket),
+            observer: Observer::new(&config, options.observer, options.series_bucket),
             effects: BufferedTransport::new(),
+            confirmed: Vec::new(),
             deliveries: Vec::new(),
             clients: Some(clients),
             offered: 0,
@@ -463,13 +457,6 @@ impl SimRunner {
             options,
             config,
         }
-    }
-
-    /// The node whose ledger is reported.
-    fn observer(&self) -> NodeId {
-        self.options
-            .observer
-            .unwrap_or(NodeId(self.config.nodes as u64 - 1))
     }
 
     /// Runs the simulation to completion and produces the report.
@@ -512,7 +499,22 @@ impl SimRunner {
                 clients.tick(now)
             })
         };
-        self.report(ticks)
+        let (config, faults) = (&self.config, &self.options.node_faults);
+        let mut report = self
+            .observer
+            .finish(config, self.protocol, &self.hosts, faults);
+        // Issued is what the loop took, never what a producer generated
+        // ahead of it. An inline workload counts for itself: a closed loop
+        // also issues at commits, between ticks.
+        let issued = (self.clients.as_ref()).map_or(self.offered, |c| c.workload.total_issued());
+        report.pending_txs = issued.saturating_sub(report.committed_txs);
+        // Ticks never occupy a queue slot, but they count as engine events
+        // for continuity with the event-queued tick of earlier engines.
+        report.events_processed = self.processed + ticks;
+        report.events_scheduled = self.queue.total_scheduled() + ticks;
+        report.queue_peak_len = self.queue.live_high_water() as u64;
+        report.queue_heap_peak = self.queue.heap_high_water() as u64;
+        report
     }
 
     /// The event loop: pop the earliest event strictly before the next
@@ -684,8 +686,9 @@ impl SimRunner {
     }
 
     /// Maps one step's effects onto the simulated substrate: commits into
-    /// metrics and the workload, timers, proposals and outbound messages
-    /// onto the queue. The effect buffer is kept for the next step.
+    /// the workload, timers, proposals and outbound messages onto the
+    /// queue; then shows the step to the observer. The effect buffer is kept
+    /// for the next step.
     fn absorb(
         &mut self,
         node: NodeId,
@@ -699,30 +702,25 @@ impl SimRunner {
 
         // Track the view high-water mark; view-triggered fault boundaries
         // resolve from it once this event is done.
-        let view = self.hosts[index].replica().current_view();
+        let replica = self.hosts[index].replica();
+        let (view, timeouts) = (replica.current_view(), replica.timeout_view_changes());
         self.max_view = self.max_view.max(view);
 
-        // Commits: record metrics at the observer replica only, so every
-        // transaction is counted exactly once. The client-response delay is
-        // drawn from the observer's own stream. Closed-loop clients hear of
-        // the commit here; the workload is next consulted at its next tick.
-        // (An open-loop workload ignores commits, so one on the producer
-        // thread misses nothing.)
-        if node == self.observer() {
-            for block in &report.committed {
-                for tx in &block.payload {
-                    let response_delay = self
-                        .latency
-                        .sample(&mut self.rngs[index], node, NodeId(u64::MAX), finish)
-                        .unwrap_or(SimDuration::ZERO);
-                    let confirmed = finish + response_delay;
-                    // `finish` is the commit instant the client's
-                    // submit→commit latency is measured against; `confirmed`
-                    // adds the response leg (the paper's `t_L` term).
-                    self.metrics.record_commit(tx.issued_at, finish, confirmed);
-                    if let Some(clients) = &mut self.clients {
-                        clients.workload.on_commit(tx.id, confirmed);
-                    }
+        // Commits count at the observer replica only, so every transaction
+        // is counted exactly once. Each response leg is drawn from the
+        // observer's own stream, before any send's delay. Closed-loop
+        // clients hear of the commit here; the workload is next consulted at
+        // its next tick. (An open-loop workload ignores commits, so one on
+        // the producer thread misses nothing.)
+        self.confirmed.clear();
+        if node == self.observer.node {
+            for tx in report.committed.iter().flat_map(|block| &block.payload) {
+                let delay = (self.latency)
+                    .sample(&mut self.rngs[index], node, NodeId(u64::MAX), finish)
+                    .unwrap_or(SimDuration::ZERO);
+                self.confirmed.push(finish + delay);
+                if let Some(clients) = &mut self.clients {
+                    clients.workload.on_commit(tx.id, finish + delay);
                 }
             }
         }
@@ -745,6 +743,7 @@ impl SimRunner {
         // The envelope is verified once if anyone receives it, and a
         // broadcast becomes one queue entry whose deliveries take the
         // insertion numbers n − 1 separate schedules would have.
+        let (mut messages, mut bytes_sent) = (0, 0);
         for (dest, message) in effects.sends.drain(..) {
             let bytes = message.wire_size();
             let leaves = finish + self.nic.transfer(bytes);
@@ -758,7 +757,8 @@ impl SimRunner {
                 if dest.is_none() && to == node {
                     continue;
                 }
-                self.metrics.record_message(bytes);
+                messages += 1;
+                bytes_sent += bytes as u64;
                 if let Some(delay) = self.latency.sample(&mut self.rngs[index], node, to, finish) {
                     let to = u32::try_from(to.0).expect("replica ids fit in 32 bits");
                     self.deliveries.push((leaves + delay, to));
@@ -779,137 +779,17 @@ impl SimRunner {
             }
         }
         self.effects = effects;
-    }
-
-    fn report(&mut self, ticks: u64) -> RunReport {
-        // Fold the per-replica mempool admission counters into the run
-        // metrics so backpressure (pool-full rejections) is never silent.
-        for host in &self.hosts {
-            self.metrics.record_mempool(&host.replica().mempool_stats());
-        }
-        let (hosts, metrics) = (&self.hosts, &self.metrics);
-
-        let observer = hosts[self.observer().index()].replica();
-        let duration_secs = self.config.runtime.as_secs_f64();
-        let committed_txs = metrics.committed_txs();
-        let committed_blocks = observer.ledger().len() as u64;
-        let views_advanced = observer.current_view().as_u64().saturating_sub(1).max(1);
-        let latency = metrics.latency();
-        let (messages_sent, bytes_sent) = metrics.network_counters();
-
-        // Safety audit: per-replica conflicting commits plus pairwise ledger
-        // prefix consistency across honest replicas.
-        let safety_violations = hosts
-            .iter()
-            .map(|h| h.replica().safety_violations())
-            .sum::<u64>()
-            + ledger_forks(&self.config, hosts.iter());
-
-        RunReport {
-            protocol: self.protocol,
-            nodes: self.config.nodes,
-            byz_nodes: self.config.byz_nodes,
-            duration_secs,
-            throughput_tx_per_sec: committed_txs as f64 / duration_secs,
-            latency,
-            client_latency: metrics.client_latency(),
-            committed_txs,
-            committed_blocks,
-            views_advanced,
-            chain_growth_rate: committed_blocks as f64 / views_advanced as f64,
-            block_interval: observer.ledger().average_block_interval(),
-            timeout_view_changes: observer.timeout_view_changes(),
-            messages_sent,
-            bytes_sent,
-            throughput_series: metrics.throughput_series(),
-            safety_violations,
-            rejected_messages: hosts.iter().map(NodeHost::auth_rejections).sum(),
-            client_auth_rejections: hosts.iter().map(NodeHost::client_auth_rejections).sum(),
-            mempool: metrics.mempool_totals(),
-            // Issued is what the loop took, never what a producer generated
-            // ahead of it. An inline workload counts for itself: a closed
-            // loop also issues at commits, between ticks.
-            pending_txs: (self.clients.as_ref())
-                .map_or(self.offered, |clients| clients.workload.total_issued())
-                .saturating_sub(committed_txs),
-            // Ticks never occupy a queue slot, but they count as engine
-            // events for continuity with the event-queued tick of earlier
-            // engines.
-            events_processed: self.processed + ticks,
-            events_scheduled: self.queue.total_scheduled() + ticks,
-            queue_peak_len: self.queue.live_high_water() as u64,
-            queue_heap_peak: self.queue.heap_high_water() as u64,
-            ledger_fingerprint: observer.ledger().fingerprint().to_hex(),
-            recovery: self.recovery_report(),
-        }
-    }
-
-    /// Fold the per-replica recovery counters and audit catch-up: every
-    /// amnesia-recovered replica must end the run with a committed prefix
-    /// matching the chain the never-crashed honest majority agrees on.
-    fn recovery_report(&self) -> RecoveryReport {
-        let hosts = &self.hosts;
-        let mut recovery = RecoveryReport::default();
-        let crashed: Vec<NodeId> = self.options.node_faults.iter().map(|f| f.node).collect();
-        // The reference chain is the shortest committed ledger among honest
-        // replicas that never crashed — everything an amnesia-recovered node
-        // must have re-learned through checkpoints and state transfer.
-        let mut reference: Option<&Replica> = None;
-        for host in hosts {
-            let replica = host.replica();
-            let stats = replica.recovery_stats();
-            recovery.checkpoints_taken += stats.checkpoints_taken;
-            recovery.checkpoint_bytes_written += stats.checkpoint_bytes_written;
-            recovery.checkpoint_max_write_bytes =
-                (recovery.checkpoint_max_write_bytes).max(stats.checkpoint_max_write_bytes);
-            recovery.sync_requests += stats.sync_requests_sent;
-            recovery.sync_responses += stats.sync_responses_served;
-            recovery.sync_bytes += stats.sync_bytes_received;
-            recovery.snapshots_installed += stats.snapshots_installed;
-            recovery.blocks_synced += stats.blocks_synced;
-            recovery.orphans_evicted += replica.forest().stats().orphans_evicted;
-            if stats.restarted_at.is_some() {
-                recovery.amnesia_recoveries += 1;
-            }
-            recovery.durable_restarts += stats.durable_restarts;
-            recovery.records_replayed += stats.records_replayed;
-            recovery.corrupt_records_discarded += stats.corrupt_records_discarded;
-            let replay_ms = stats.log_replay_nanos as f64 / 1_000_000.0;
-            recovery.log_replay_ms = recovery.log_replay_ms.max(replay_ms);
-            if !self.config.is_byzantine(replica.id()) && !crashed.contains(&replica.id()) {
-                let shorter = reference
-                    .map(|r| replica.ledger().len() < r.ledger().len())
-                    .unwrap_or(true);
-                if shorter {
-                    reference = Some(replica);
-                }
-            }
-        }
-        let Some(reference) = reference else {
-            // Every honest node crashed at some point; there is no
-            // uninterrupted chain to audit against.
-            return recovery;
-        };
-        let target = reference.ledger();
-        for host in hosts {
-            let replica = host.replica();
-            let stats = replica.recovery_stats();
-            if stats.restarted_at.is_none() {
-                continue;
-            }
-            // Block ids bind each block's view and transactions, so equal ids
-            // over the reference's length are the same committed chain.
-            let caught_up =
-                replica.ledger().len() >= target.len() && replica.ledger().consistent_with(target);
-            if !caught_up {
-                recovery.recovered_caught_up = false;
-            }
-            if let (Some(restarted), Some(done)) = (stats.restarted_at, stats.caught_up_at) {
-                let millis = done.since(restarted).as_nanos() as f64 / 1_000_000.0;
-                recovery.recovery_time_ms = recovery.recovery_time_ms.max(millis);
-            }
-        }
-        recovery
+        self.observer.on_step(&StepView {
+            node,
+            start,
+            finish,
+            view,
+            timeout_view_changes: timeouts,
+            report: &report,
+            messages,
+            bytes: bytes_sent,
+            confirmed: &self.confirmed,
+        });
     }
 }
 
@@ -1109,7 +989,7 @@ mod tests {
             runner.set_crashed(node, false, mode, recover);
             if mode == RecoverMode::Resume {
                 assert_eq!(fire_next(&mut runner), recover, "fired at the recovery");
-                let (messages, _) = runner.metrics.network_counters();
+                let messages = runner.observer.messages;
                 assert_eq!(messages, 3, "the overdue timer broadcast a timeout vote");
             } else {
                 let alarm = &runner.alarms[3];

@@ -393,20 +393,6 @@ impl NodeHost {
     }
 }
 
-/// The honest-ledger audit every backend ends a run with: the number of
-/// adjacent honest hosts (in the order given) whose ledgers are not
-/// prefix-consistent. Byzantine seats are skipped; 0 means no fork.
-pub(crate) fn ledger_forks<'a>(config: &Config, hosts: impl Iterator<Item = &'a NodeHost>) -> u64 {
-    let honest: Vec<&Replica> = hosts
-        .map(NodeHost::replica)
-        .filter(|r| !config.is_byzantine(r.id()))
-        .collect();
-    honest
-        .windows(2)
-        .filter(|pair| !pair[0].ledger().consistent_with(pair[1].ledger()))
-        .count() as u64
-}
-
 /// The modeled `t_CPU` cost of the verification work that exposes a
 /// forgery, mirroring what the replica would have been charged had the
 /// message been accepted: proposals use the paper's flat aggregate-check
