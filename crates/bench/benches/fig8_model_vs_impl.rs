@@ -3,7 +3,10 @@
 //! Four configurations (nodes/block-size = 4/100, 8/100, 4/400, 8/400), three
 //! protocols each. For every offered load the bench reports the simulator's
 //! measured latency next to the model's Eq. (3) prediction, which is how the
-//! paper validates the implementation.
+//! paper validates the implementation, and where each point's views go: the
+//! busiest replica's CPU utilization (`u_max`), the mean duration of the
+//! observer's QC-ended views (`view_ms_qc`) and its timeout-ended views
+//! (`views_by_timeout`).
 
 use bamboo_bench::{
     banner, bench_rows, eval_config, evaluated_protocols, model_for, save_rows, Higher, Lower, Sim,
@@ -28,6 +31,10 @@ fn main() {
                 let rate = saturation * fraction;
                 let report = bench.run_at(rate);
                 let predicted_ms = model.latency(rate) * 1_000.0;
+                // Where the view's time goes: the busiest replica's CPU
+                // utilization, and how long the observer's QC-ended views last.
+                let load = report.utilization;
+                let timeouts = load.view_timeout.count as f64;
                 // Keyed by the share of the modelled saturation rate, which
                 // is what the ladder fixes; the rate itself is a model output.
                 let key = format!(
@@ -43,6 +50,9 @@ fn main() {
                         ("throughput", report.throughput_tx_per_sec, "tx/s", Higher),
                         ("latency", report.latency.mean_ms, "ms", Lower),
                         ("model_latency", predicted_ms, "ms", Lower),
+                        ("u_max", load.u_max, "ratio", Lower),
+                        ("view_ms_qc", load.view_qc.mean_ms, "ms", Lower),
+                        ("views_by_timeout", timeouts, "count", Lower),
                     ],
                 );
             }

@@ -20,7 +20,8 @@
 //! latencies `bench_diff` tracks are written next to it as
 //! `scenario.rows.json` (`<scenario>/<protocol>/recovery_time_ms` for runs
 //! that scheduled amnesia recoveries, `…/log_replay_ms` for durable
-//! restarts), under the tier the suite ran at.
+//! restarts), with each run's `…/u_max`, `…/view_ms_qc` and
+//! `…/views_by_timeout`, under the tier the suite ran at.
 //!
 //! The process exits non-zero on any failure: a safety violation or forked
 //! ledger, a mismatch between the paired runs, an unmet spec
@@ -166,6 +167,18 @@ fn main() -> ExitCode {
                 if run.deterministic { "ok" } else { "MISMATCH" },
                 &run.report.ledger_fingerprint[..16.min(run.report.ledger_fingerprint.len())],
             );
+            let key = format!("{}/{}", report.name, run.protocol.label());
+            let load = &run.report.utilization;
+            let timeouts = load.view_timeout.count as f64;
+            rows.point(
+                Sim,
+                &key,
+                &[
+                    ("u_max", load.u_max, "ratio", Lower),
+                    ("view_ms_qc", load.view_qc.mean_ms, "ms", Lower),
+                    ("views_by_timeout", timeouts, "count", Lower),
+                ],
+            );
             // Runs without a recovery have vacuous zeros; only the runs that
             // scheduled one contribute a row.
             let r = &run.report.recovery;
@@ -174,7 +187,6 @@ fn main() -> ExitCode {
                 (r.durable_restarts, "log_replay_ms", r.log_replay_ms),
             ] {
                 if restarts > 0 {
-                    let key = format!("{}/{}", report.name, run.protocol.label());
                     rows.point(Sim, &key, &[(metric, ms, "ms", Lower)]);
                 }
             }

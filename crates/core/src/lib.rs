@@ -75,7 +75,7 @@ pub use benchmark::{Benchmarker, CurvePoint, SweepOptions};
 pub use live::ClusterReport;
 pub use metrics::{
     LatencyStats, MempoolTotals, Metrics, RecoveryReport, RecoveryStats, RunReport,
-    ThroughputSample,
+    ThroughputSample, Utilization,
 };
 pub use parallel::run_ordered;
 pub use quorum::QuorumTracker;

@@ -6,7 +6,7 @@
 //! `t_L` term). Chain growth rate and block interval are the two micro-metrics
 //! introduced for the Byzantine experiments.
 
-use bamboo_types::{Json, ProtocolKind, SimDuration, SimTime, ToJson};
+use bamboo_types::{Json, NodeId, ProtocolKind, SimDuration, SimTime, ToJson};
 
 /// A latency distribution summary in milliseconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -147,7 +147,7 @@ const BUCKETS: usize = (64 - SUB_BITS as usize + 1) << SUB_BITS;
 /// exact; a percentile is the midpoint of the bucket that holds the exact
 /// order statistic (capped at the maximum), hence within 0.2 % of it.
 #[derive(Clone, Debug)]
-struct Histogram {
+pub(crate) struct Histogram {
     counts: Box<[u64]>,
     count: u64,
     sum_ns: u128,
@@ -155,7 +155,7 @@ struct Histogram {
 }
 
 impl Histogram {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             counts: vec![0; BUCKETS].into_boxed_slice(),
             count: 0,
@@ -177,7 +177,7 @@ impl Histogram {
         lowest + ((1u64 << shift) >> 1)
     }
 
-    fn record(&mut self, latency: SimDuration) {
+    pub(crate) fn record(&mut self, latency: SimDuration) {
         let ns = latency.as_nanos();
         self.counts[Self::bucket_of(ns)] += 1;
         self.count += 1;
@@ -199,7 +199,7 @@ impl Histogram {
         self.max_ns
     }
 
-    fn stats(&self) -> LatencyStats {
+    pub(crate) fn stats(&self) -> LatencyStats {
         if self.count == 0 {
             return LatencyStats::default();
         }
@@ -211,6 +211,36 @@ impl Histogram {
             p99_ms: ms(self.quantile_ns(0.99)),
             max_ms: ms(self.max_ns),
         }
+    }
+}
+
+/// Where the CPU time went and how views ended (DESIGN.md §5,
+/// "Observation"): the busiest replica's utilization and its share spent
+/// leading, and the observer replica's view durations, split by whether a
+/// QC or a timeout ended the view.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Utilization {
+    /// The replica with the highest utilization (the lowest id on a tie).
+    pub busiest: NodeId,
+    /// Its utilization U: CPU busy time inside the run over the runtime.
+    pub u_max: f64,
+    /// The share of its busy time spent in views it leads.
+    pub leader_share: f64,
+    /// Durations of the observer replica's views that a QC ended.
+    pub view_qc: LatencyStats,
+    /// Durations of the observer replica's views that a timeout ended.
+    pub view_timeout: LatencyStats,
+}
+
+impl ToJson for Utilization {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("busiest", Json::from(self.busiest.0)),
+            ("u_max", Json::from(self.u_max)),
+            ("leader_share", Json::from(self.leader_share)),
+            ("view_qc", self.view_qc.to_json()),
+            ("view_timeout", self.view_timeout.to_json()),
+        ])
     }
 }
 
@@ -431,6 +461,9 @@ pub struct RunReport {
     /// Checkpointing and crash-recovery metrics (all zero/vacuous in runs
     /// without checkpoints or amnesia faults).
     pub recovery: RecoveryReport,
+    /// CPU utilization and the observer's view clock. Not in the replay
+    /// key: it is derived from what the key already pins.
+    pub utilization: Utilization,
 }
 
 impl RunReport {
@@ -533,6 +566,7 @@ impl ToJson for RunReport {
                 Json::from(self.ledger_fingerprint.as_str()),
             ),
             ("recovery", self.recovery.to_json()),
+            ("utilization", self.utilization.to_json()),
         ])
     }
 }
@@ -727,6 +761,7 @@ mod tests {
             queue_heap_peak: 0,
             ledger_fingerprint: String::new(),
             recovery: RecoveryReport::default(),
+            utilization: Utilization::default(),
         };
         let s = report.summary();
         assert!(s.contains("HS"));

@@ -9,9 +9,10 @@
 //! fields are its subscribers, all known at compile time, so there is no
 //! trait (DESIGN.md §5, "Observation").
 
+use bamboo_pacemaker::LeaderElection;
 use bamboo_types::{Config, NodeId, ProtocolKind, SimDuration, SimTime, View};
 
-use crate::metrics::{MempoolTotals, Metrics, RecoveryReport, RunReport};
+use crate::metrics::{Histogram, MempoolTotals, Metrics, RecoveryReport, RunReport, Utilization};
 use crate::replica::Replica;
 use crate::runner::NodeFault;
 use crate::runtime::{NodeHost, StepReport};
@@ -46,6 +47,8 @@ pub(crate) struct Observer {
     /// Messages and bytes put on the wire by every replica.
     pub messages: u64,
     bytes: u64,
+    /// CPU utilization and the observer replica's view clock.
+    load: Load,
 }
 
 impl Observer {
@@ -56,6 +59,14 @@ impl Observer {
             metrics: Metrics::new(series),
             messages: 0,
             bytes: 0,
+            load: Load {
+                election: LeaderElection::new(config.nodes, config.leader_policy),
+                end: SimTime::ZERO + config.runtime,
+                busy: vec![Busy::default(); config.nodes],
+                view: None,
+                by_qc: Histogram::new(),
+                by_timeout: Histogram::new(),
+            },
         }
     }
 
@@ -73,6 +84,7 @@ impl Observer {
                 (self.metrics).record_commit(tx.issued_at, step.finish, confirmed);
             }
         }
+        self.load.on_step(step, self.node);
     }
 
     /// The run's report from the books and the hosts as the run left them.
@@ -128,6 +140,88 @@ impl Observer {
             queue_heap_peak: 0,
             ledger_fingerprint: observer.ledger().fingerprint().to_hex(),
             recovery: recovery(config, hosts, faults),
+            utilization: self.load.report(),
+        }
+    }
+}
+
+/// Where the CPU time goes and how long views last: per replica, the busy
+/// time inside the run and the part of it in views the replica leads; at
+/// the observer replica, each view's duration by how it ended. Every
+/// instant is cut at the end of the run, so U ≤ 1 and the views' durations
+/// sum to at most the runtime.
+struct Load {
+    election: LeaderElection,
+    end: SimTime,
+    busy: Vec<Busy>,
+    /// The observer replica's view, since when, and its timeout-driven view
+    /// changes then.
+    view: Option<(View, SimTime, u64)>,
+    by_qc: Histogram,
+    by_timeout: Histogram,
+}
+
+/// One replica's CPU account.
+#[derive(Clone, Copy, Default)]
+struct Busy {
+    total: SimDuration,
+    /// The part spent in views the replica leads.
+    led: SimDuration,
+    /// The last view the leader check ran for, and its answer: a hashed
+    /// election hashes once per view, not once per step.
+    leads: Option<(View, bool)>,
+}
+
+impl Load {
+    fn on_step(&mut self, step: &StepView, observer: NodeId) {
+        let (start, finish) = (step.start.min(self.end), step.finish.min(self.end));
+        let busy = &mut self.busy[step.node.index()];
+        let leads = match busy.leads {
+            Some((view, leads)) if view == step.view => leads,
+            _ => self.election.is_leader(step.node, step.view),
+        };
+        busy.leads = Some((step.view, leads));
+        busy.total += finish.since(start);
+        if leads {
+            busy.led += finish.since(start);
+        }
+        if step.node != observer {
+            return;
+        }
+        // A view ends when the step that leaves it is done. A timeout ended
+        // it iff the replica's timeout-driven view changes rose in that step.
+        if let Some((view, since, timeouts)) = self.view {
+            if view == step.view {
+                return;
+            }
+            let clock = if step.timeout_view_changes > timeouts {
+                &mut self.by_timeout
+            } else {
+                &mut self.by_qc
+            };
+            clock.record(finish.since(since));
+        }
+        self.view = Some((step.view, finish, step.timeout_view_changes));
+    }
+
+    fn report(&self) -> Utilization {
+        let runtime = self.end.since(SimTime::ZERO).as_nanos() as f64;
+        // `max_by_key` keeps the last of equals: walk backwards for the
+        // lowest id.
+        let (busiest, busy) = (self.busy.iter().enumerate().rev())
+            .max_by_key(|(_, busy)| busy.total)
+            .expect("a run has replicas");
+        let total = busy.total.as_nanos() as f64;
+        Utilization {
+            busiest: NodeId(busiest as u64),
+            u_max: total / runtime,
+            leader_share: if total > 0.0 {
+                busy.led.as_nanos() as f64 / total
+            } else {
+                0.0
+            },
+            view_qc: self.by_qc.stats(),
+            view_timeout: self.by_timeout.stats(),
         }
     }
 }
@@ -218,4 +312,53 @@ fn recovery(config: &Config, hosts: &[NodeHost], faults: &[NodeFault]) -> Recove
         }
     }
     recovery
+}
+
+#[cfg(test)]
+mod tests {
+    use bamboo_types::{ByzantineStrategy, SimDuration};
+
+    use super::*;
+    use crate::runner::{RunOptions, SimRunner};
+
+    /// The view clock and the CPU account obey the replica's own counters.
+    /// In a deterministic simulator these laws hold exactly, so a failure is
+    /// an instrumentation bug.
+    #[test]
+    fn the_view_clock_obeys_the_replicas_own_counters() {
+        for silenced in [false, true] {
+            let mut config = Config::builder()
+                .nodes(4)
+                .block_size(100)
+                .runtime(SimDuration::from_millis(400))
+                .arrival_rate(2_000.0)
+                .seed(11)
+                .build()
+                .unwrap();
+            if silenced {
+                config.byz_nodes = 1;
+                config.byzantine_strategy = ByzantineStrategy::Silence;
+                config.timeout = SimDuration::from_millis(20);
+            }
+            let runtime_ms = config.runtime.as_millis_f64();
+            let report =
+                SimRunner::new(config, ProtocolKind::HotStuff, RunOptions::default()).run();
+            let load = report.utilization;
+            // Busy time is never negative, so the largest U bounds them all.
+            assert!(load.u_max > 0.0 && load.u_max <= 1.0, "{load:?}");
+            assert!((0.0..=1.0).contains(&load.leader_share), "{load:?}");
+            let (by_qc, by_timeout) = (load.view_qc, load.view_timeout);
+            // The observer started in view 1 and walked every view up to
+            // its last, leaving each once.
+            assert_eq!(by_qc.count + by_timeout.count, report.views_advanced);
+            assert_eq!(by_timeout.count, report.timeout_view_changes);
+            assert_eq!(silenced, by_timeout.count > 0, "{load:?}");
+            // The sum comes back from two means: float rounding is the only
+            // slack.
+            let total_ms =
+                by_qc.mean_ms * by_qc.count as f64 + by_timeout.mean_ms * by_timeout.count as f64;
+            assert!(total_ms <= runtime_ms * (1.0 + 1e-12), "{total_ms} ms");
+            assert!(by_qc.count > 0 && by_qc.max_ms > 0.0, "{load:?}");
+        }
+    }
 }
