@@ -11,8 +11,9 @@
 //!   deterministic simulator and on the live backends.
 //! * [`QuorumTracker`] — the Quorum component (`voted()` / `certified()`).
 //! * [`SimRunner`] — the discrete-event simulation runner: network latency,
-//!   NIC and CPU models, workload generation, fault injection, metric
-//!   collection.
+//!   NIC and CPU models, workload generation, fault injection. It shows
+//!   every replica step to one observer, which keeps the run's books and
+//!   writes the [`RunReport`].
 //! * [`Benchmarker`] — saturation sweeps producing the latency/throughput
 //!   curves of the paper's figures; independent sweep points execute on a
 //!   bounded std-thread pool ([`parallel`]) with input-order results.
