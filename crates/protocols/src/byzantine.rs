@@ -155,11 +155,10 @@ impl Attack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hotstuff::HotStuffSafety;
+    use crate::hotstuff::ChainedSafety;
     use crate::make_protocol;
     use crate::safety::testutil::*;
     use crate::streamlet::StreamletSafety;
-    use crate::twochain::TwoChainHotStuffSafety;
     use bamboo_types::{BlockId, ProtocolKind, View};
 
     const STRATEGIES: [ByzantineStrategy; 5] = [
@@ -232,50 +231,50 @@ mod tests {
         }
     }
 
+    /// On a certified chain g <- a <- b <- c, a forker builds k − 1 blocks
+    /// below the tip — on a for HotStuff (overwriting b and c), on b for 2CHS
+    /// (overwriting only c) — and an honest replica still votes for it.
     #[test]
-    fn forking_hotstuff_builds_on_grandparent_and_honest_replicas_accept() {
-        let (mut forest, ids) = chain3();
-        let mut attack = Attack::new(ByzantineStrategy::Forking, 4);
-        let proposal = attack
-            .propose(&HotStuffSafety::new(), &input(4, 0), &forest)
-            .expect("proposal");
-        assert_eq!(proposal.parent, ids[0], "built on a, overwriting b and c");
-        assert_eq!(attack.forks_attempted, 1);
+    fn forking_builds_k_minus_one_below_the_tip_and_honest_replicas_accept() {
+        for k in [2, 3] {
+            let (mut forest, ids) = chain3();
+            let mut attack = Attack::new(ByzantineStrategy::Forking, 4);
+            let proposal = attack
+                .propose(&ChainedSafety::new(k), &input(4, 0), &forest)
+                .expect("proposal");
+            assert_eq!(proposal.parent, ids[3 - k], "k = {k}");
+            assert_eq!(attack.forks_attempted, 1, "k = {k}");
 
-        // An honest HotStuff replica has only seen QCs carried inside blocks:
-        // the newest QC it knows certifies `b` (it arrived inside `c`), so its
-        // lock is `a` — and it therefore still votes for the forking proposal
-        // built on `a`. That is exactly what makes the attack work (Fig. 5).
-        let mut honest = HotStuffSafety::new();
-        let qc_b = forest.qc_of(ids[1]).cloned().unwrap();
-        honest.update_state(&qc_b, &forest);
-        assert_eq!(honest.locked_block(), ids[0]);
-        forest.insert(proposal.clone()).unwrap();
-        assert!(honest.should_vote(&proposal, &forest));
+            // An honest replica has only seen QCs carried inside blocks: the
+            // newest QC it knows certifies b (it arrived inside c), so its
+            // lock is the fork target itself — and it therefore still votes
+            // for the forking proposal. That is what makes the attack work
+            // (Fig. 5).
+            let mut honest = ChainedSafety::new(k);
+            let qc_b = forest.qc_of(ids[1]).cloned().unwrap();
+            honest.update_state(&qc_b, &forest);
+            assert_eq!(honest.locked_block(), ids[3 - k], "k = {k}");
+            forest.insert(proposal.clone()).unwrap();
+            assert!(honest.should_vote(&proposal, &forest), "k = {k}");
+        }
     }
 
     #[test]
-    fn fork_target_follows_the_protocols_lock_depth() {
+    fn streamlet_leaves_no_room_to_fork() {
         let (forest, ids) = chain3();
         let mut attack = Attack::new(ByzantineStrategy::Forking, 4);
-        let two_chain = attack
-            .propose(&TwoChainHotStuffSafety::new(), &input(4, 0), &forest)
-            .expect("proposal");
-        assert_eq!(two_chain.parent, ids[1], "built on b, overwriting only c");
-        assert_eq!(attack.forks_attempted, 1);
-        // Streamlet leaves no room: the attacker proposes honestly.
         let streamlet = attack
             .propose(&StreamletSafety::new(), &input(4, 0), &forest)
             .expect("proposal");
         assert_eq!(streamlet.parent, ids[2], "no fork target exists");
-        assert_eq!(attack.forks_attempted, 1);
+        assert_eq!(attack.forks_attempted, 0);
     }
 
     #[test]
     fn silence_attacker_never_proposes() {
         let (forest, _) = chain3();
         let mut attack = Attack::new(ByzantineStrategy::Silence, 4);
-        let honest = HotStuffSafety::new();
+        let honest = ChainedSafety::new(3);
         assert!(attack.propose(&honest, &input(4, 0), &forest).is_none());
         assert!(attack.propose(&honest, &input(5, 0), &forest).is_none());
         assert_eq!(attack.withheld, 2);
@@ -315,7 +314,7 @@ mod tests {
     fn forged_qc_proposal_keeps_valid_id_but_fails_aggregate_verification() {
         let (forest, _ids) = chain3();
         let mut attack = Attack::new(ByzantineStrategy::ForgedQc, 4);
-        let honest = HotStuffSafety::new();
+        let honest = ChainedSafety::new(3);
         let proposal = attack
             .propose(&honest, &input(4, 0), &forest)
             .expect("proposal");
@@ -346,7 +345,7 @@ mod tests {
         let forest = BlockForest::new();
         let mut attack = Attack::new(ByzantineStrategy::ForgedQc, 4);
         let proposal = attack
-            .propose(&HotStuffSafety::new(), &input(1, 0), &forest)
+            .propose(&ChainedSafety::new(3), &input(1, 0), &forest)
             .expect("proposal");
         assert!(proposal.justify.is_genesis());
         assert_eq!(attack.forged, 0);

@@ -98,10 +98,6 @@ impl Safety for OhsSafety {
         self.vheight = self.vheight.max(Height(view.as_u64()));
     }
 
-    fn is_responsive(&self) -> bool {
-        true
-    }
-
     fn propose(&self, input: &ProposalInput, forest: &BlockForest) -> Option<Block> {
         let high_qc = forest.high_qc().clone();
         build_block(input, forest, high_qc.block, high_qc)
@@ -157,7 +153,7 @@ impl Safety for OhsSafety {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hotstuff::HotStuffSafety;
+    use crate::hotstuff::ChainedSafety;
     use crate::safety::testutil::*;
 
     #[test]
@@ -166,7 +162,7 @@ mod tests {
         // inputs — that is the whole point of the baseline.
         let mut forest = bamboo_forest::BlockForest::new();
         let mut ohs = OhsSafety::new();
-        let mut hs = HotStuffSafety::new();
+        let mut hs = ChainedSafety::new(3);
         let mut parent = BlockId::GENESIS;
         for view in 1..=6u64 {
             let (id, qc) = extend_certified(&mut forest, parent, view);

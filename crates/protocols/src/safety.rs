@@ -8,8 +8,7 @@
 //! longest-notarized-chain voting rule ([`extends_longest_notarized`]), the
 //! one-vote-per-view watermark ([`vote_once`]) and the `k`-chain commit rule
 //! ([`commit_head`], over [`BlockForest::certified_chain`]). A protocol file
-//! keeps only what differs: which block locks, `k`, where votes go, and
-//! whether the protocol is responsive.
+//! keeps only what differs: which block locks, `k`, and where votes go.
 
 use bamboo_forest::BlockForest;
 use bamboo_types::{Block, BlockId, NodeId, QuorumCert, Transaction, View};
@@ -48,14 +47,6 @@ pub trait Safety: Send {
     /// Whether the protocol echoes proposals and votes to all replicas
     /// (Streamlet does; this is what gives it cubic message complexity).
     fn echo_messages(&self) -> bool {
-        false
-    }
-
-    /// Whether the protocol is optimistically responsive, i.e. a correct
-    /// leader can make progress at network speed without waiting for the
-    /// maximum network delay after a view change (§II-B). Used by the
-    /// responsiveness experiment (Fig. 15).
-    fn is_responsive(&self) -> bool {
         false
     }
 

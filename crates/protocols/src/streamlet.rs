@@ -45,9 +45,6 @@ impl Safety for StreamletSafety {
         true
     }
 
-    // Not responsive (the trait default): Streamlet still relies on timeouts
-    // for liveness even though its commit rule is three-chain-shaped (§II-D).
-
     fn epoch_based(&self) -> bool {
         // Streamlet's rounds are synchronized epochs of fixed duration; a
         // deployment must provision them for the maximal network delay.
@@ -186,7 +183,6 @@ mod tests {
         let sl = StreamletSafety::new();
         assert_eq!(sl.vote_destination(), VoteDestination::Broadcast);
         assert!(sl.echo_messages());
-        assert!(!sl.is_responsive());
         assert!(sl.fork_parent(&bamboo_forest::BlockForest::new()).is_none());
     }
 }
