@@ -86,13 +86,10 @@ impl PerfModel {
     }
 
     /// Commit delay `t_commit` after the block is certified (§V-C3, §V-D):
-    /// two further certified blocks for HotStuff, one for 2CHS and Streamlet.
+    /// one block service time for each further certified block the commit
+    /// waits for — two for HotStuff, one for 2CHS and Streamlet.
     pub fn t_commit(&self) -> f64 {
-        let ts = self.params.t_s();
-        match self.protocol {
-            ProtocolKind::HotStuff | ProtocolKind::OriginalHotStuff => 2.0 * ts,
-            ProtocolKind::TwoChainHotStuff | ProtocolKind::Streamlet => ts,
-        }
+        (self.protocol.commit_depth() - 1) as f64 * self.params.t_s()
     }
 
     /// The M/D/1 waiting time `w_Q` at transaction arrival rate λ (Eq. 5).

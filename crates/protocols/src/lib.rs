@@ -42,11 +42,12 @@ pub use streamlet::StreamletSafety;
 use bamboo_types::ProtocolKind;
 
 /// Instantiates the [`Safety`] implementation for `kind`. HotStuff and 2CHS
-/// are one rule set at commit depth 3 and 2.
+/// are one rule set at the kind's [`ProtocolKind::commit_depth`].
 pub fn make_protocol(kind: ProtocolKind) -> Box<dyn Safety> {
     match kind {
-        ProtocolKind::HotStuff => Box::new(ChainedSafety::new(3)),
-        ProtocolKind::TwoChainHotStuff => Box::new(ChainedSafety::new(2)),
+        ProtocolKind::HotStuff | ProtocolKind::TwoChainHotStuff => {
+            Box::new(ChainedSafety::new(kind.commit_depth()))
+        }
         ProtocolKind::Streamlet => Box::new(StreamletSafety::new()),
         ProtocolKind::OriginalHotStuff => Box::new(OhsSafety::new()),
     }
@@ -59,7 +60,8 @@ mod tests {
 
     /// Each kind's metadata and commit depth on a certified chain
     /// g <- a <- b <- c: the three-chain protocols commit `a` on c's QC, the
-    /// two-chain ones (and Streamlet's "first two of three") commit `b`.
+    /// two-chain ones (and Streamlet's "first two of three") commit `b` —
+    /// the block [`ProtocolKind::commit_depth`] − 1 below the tip.
     #[test]
     fn factory_builds_the_protocol_it_names() {
         use VoteDestination::{Broadcast, NextLeader};
@@ -81,6 +83,7 @@ mod tests {
                 Some(commits),
                 "{kind:?}"
             );
+            assert_eq!(ids[3 - kind.commit_depth()], commits, "{kind:?}");
         }
     }
 }

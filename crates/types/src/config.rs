@@ -33,6 +33,18 @@ impl ProtocolKind {
         }
     }
 
+    /// How many certified blocks a commit waits for, the committed block
+    /// included: 3 for the three-chain protocols (HS, OHS), 2 for 2CHS and
+    /// Streamlet (whose three notarized blocks commit the middle one). It is
+    /// HotStuff's `k` in `bamboo_protocols::make_protocol` and the depth of
+    /// the analytical model's commit delay.
+    pub fn commit_depth(&self) -> usize {
+        match self {
+            ProtocolKind::HotStuff | ProtocolKind::OriginalHotStuff => 3,
+            ProtocolKind::TwoChainHotStuff | ProtocolKind::Streamlet => 2,
+        }
+    }
+
     /// The three protocols evaluated head-to-head in the paper.
     pub fn evaluated() -> [ProtocolKind; 3] {
         [
