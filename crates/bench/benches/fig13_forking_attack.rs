@@ -5,6 +5,11 @@
 //! forking); 2CHS outperforms HS because its attacker can only overwrite one
 //! block instead of two; block intervals start at 2 (2CHS) and 3 (HS); HS
 //! latency grows fastest because forked transactions are re-queued.
+//!
+//! Each point also counts the forking proposals its attackers produced:
+//! Streamlet's are 0 (its voting rule leaves no fork target, so its attackers
+//! propose honestly), while an HS or 2CHS attacker builds k − 1 blocks below
+//! the certified tip (k = 3 and 2).
 
 use bamboo_bench::{
     banner, bench_rows, eval_config, evaluated_protocols, save_rows, Higher, Lower, Sim,
@@ -28,6 +33,7 @@ fn main() {
             let report = Benchmarker::new(config, protocol, RunOptions::default()).run_at(20_000.0);
             assert_eq!(report.safety_violations, 0, "forking attack broke safety");
             let cgr = report.chain_growth_rate;
+            let forks = report.forks_attempted as f64;
             out.point(
                 Sim,
                 &format!("{}/byz{byz}", protocol.label()),
@@ -36,6 +42,7 @@ fn main() {
                     ("latency", report.latency.mean_ms, "ms", Lower),
                     ("chain_growth_rate", cgr, "ratio", Higher),
                     ("block_interval", report.block_interval, "views", Lower),
+                    ("forks_attempted", forks, "count", Lower),
                 ],
             );
         }

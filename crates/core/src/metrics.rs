@@ -464,6 +464,10 @@ pub struct RunReport {
     /// CPU utilization and the observer's view clock. Not in the replay
     /// key: it is derived from what the key already pins.
     pub utilization: Utilization,
+    /// Forking proposals the Byzantine replicas produced, summed (0 when the
+    /// protocol's voting rule leaves no room to fork). Not in the replay key:
+    /// the ledger it forks is.
+    pub forks_attempted: u64,
 }
 
 impl RunReport {
@@ -567,6 +571,7 @@ impl ToJson for RunReport {
             ),
             ("recovery", self.recovery.to_json()),
             ("utilization", self.utilization.to_json()),
+            ("forks_attempted", Json::from(self.forks_attempted)),
         ])
     }
 }
@@ -762,6 +767,7 @@ mod tests {
             ledger_fingerprint: String::new(),
             recovery: RecoveryReport::default(),
             utilization: Utilization::default(),
+            forks_attempted: 0,
         };
         let s = report.summary();
         assert!(s.contains("HS"));

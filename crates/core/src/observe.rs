@@ -141,6 +141,9 @@ impl Observer {
             ledger_fingerprint: observer.ledger().fingerprint().to_hex(),
             recovery: recovery(config, hosts, faults),
             utilization: self.load.report(),
+            forks_attempted: (hosts.iter())
+                .map(|host| host.replica().attack().forks_attempted)
+                .sum(),
         }
     }
 }

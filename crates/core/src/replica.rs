@@ -187,6 +187,12 @@ impl Replica {
         self.pacemaker.timeout_view_changes()
     }
 
+    /// The replica's Byzantine strategy and what it did (the identity for an
+    /// honest replica).
+    pub fn attack(&self) -> &Attack {
+        &self.attack
+    }
+
     /// Number of conflicting-commit events observed (0 in a correct run).
     pub fn safety_violations(&self) -> u64 {
         self.safety_violations
