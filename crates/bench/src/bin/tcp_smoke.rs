@@ -1,6 +1,6 @@
-//! Loopback TCP smoke benchmark: a multi-process [`ProcessCluster`] on
-//! 127.0.0.1 — one OS process per replica, the driver talking to every
-//! replica over real framed sockets.
+//! Loopback TCP smoke benchmark: a [`LiveCluster`] over the child-process
+//! link on 127.0.0.1 — one OS process per replica, the cluster talking to
+//! every replica over real framed sockets.
 //!
 //! Usage:
 //!
@@ -9,8 +9,9 @@
 //! ```
 //!
 //! The binary re-executes **itself** as the replica processes: a child
-//! launched with the replica spec in `BAMBOO_TCP_REPLICA_SPEC` short-circuits
-//! into [`bamboo_net::maybe_run_replica`] before any driver code runs.
+//! launched with its seat document in `BAMBOO_TCP_REPLICA_SPEC`
+//! short-circuits into [`bamboo_net::maybe_run_replica`] before any driver
+//! code runs.
 //!
 //! This measures plumbing, not consensus capacity: loopback TCP has no
 //! propagation delay, so the interesting numbers are the status-probe
@@ -25,21 +26,14 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use bamboo_bench::{banner, save_rows, stats, Higher, Lower, RowFile, Tier, Wall};
-use bamboo_net::{ClusterSpec, ProcessCluster};
-use bamboo_types::Json;
-use bamboo_types::ProtocolKind;
+use bamboo_core::LiveCluster;
+use bamboo_net::Processes;
+use bamboo_types::{Config, NodeId, ProtocolKind, SimDuration};
 
 /// Probe round-trips measured against replica 0 after the commit target,
 /// reported as [`RTT_SAMPLES`] consecutive sets of p50/p99.
 const RTT_PROBES: usize = 200;
 const RTT_SAMPLES: usize = 4;
-
-fn sum_report(reports: &[Json], key: &str) -> u64 {
-    reports
-        .iter()
-        .filter_map(|r| r.get(key).and_then(|v| v.as_f64()))
-        .sum::<f64>() as u64
-}
 
 fn run() -> Result<RowFile, String> {
     let mut quick = false;
@@ -68,17 +62,14 @@ fn run() -> Result<RowFile, String> {
     let target: u64 = if quick { 200 } else { 1000 };
     let window = Duration::from_secs(if quick { 30 } else { 120 });
     let spec_seed = 2024;
-    let spec = ClusterSpec {
-        nodes,
-        protocol,
-        block_size: 50,
-        payload_size: 16,
-        timeout_ms: 50,
-        seed: spec_seed,
-        verify_workers: 1,
-        checkpoint_interval: 0,
-        signed_requests: false,
-    };
+    let config = Config::builder()
+        .nodes(nodes)
+        .block_size(50)
+        .payload_size(16)
+        .timeout(SimDuration::from_millis(50))
+        .seed(spec_seed)
+        .build()
+        .map_err(|e| format!("invalid cluster config: {e}"))?;
     banner(&format!(
         "TCP loopback smoke — {} replica processes, {}, target {target} txs",
         nodes,
@@ -87,19 +78,15 @@ fn run() -> Result<RowFile, String> {
 
     let exe = std::env::current_exe().map_err(|e| format!("cannot find own executable: {e}"))?;
     let started = Instant::now();
-    let mut cluster =
-        ProcessCluster::launch(&exe, spec).map_err(|e| format!("cluster launch failed: {e}"))?;
-    cluster
-        .submit_round_robin(target * 4, 16)
-        .map_err(|e| format!("client submission failed: {e}"))?;
-    let reached = cluster
-        .run_until_committed(target, window)
-        .map_err(|e| format!("status polling failed: {e}"))?;
+    let cluster = LiveCluster::spawn_on(Processes::new(exe), config, protocol)
+        .map_err(|e| format!("cluster launch failed: {e}"))?;
+    cluster.submit_round_robin(target * 4, 16);
+    let reached = cluster.run_until_committed(target, window);
     let elapsed = started.elapsed();
     if !reached {
         return Err(format!(
             "cluster committed only {} of {target} txs within {:.0} s",
-            cluster.committed_txs_floor().unwrap_or(0),
+            cluster.committed_txs(),
             window.as_secs_f64()
         ));
     }
@@ -110,33 +97,28 @@ fn run() -> Result<RowFile, String> {
     for _ in 0..RTT_PROBES {
         let probe_started = Instant::now();
         cluster
-            .probe(0, 0)
+            .probe(NodeId(0), 0)
             .map_err(|e| format!("status probe failed: {e}"))?;
         rtts_us.push(probe_started.elapsed().as_secs_f64() * 1e6);
     }
 
     let agreed = cluster
         .check_prefix_agreement()
-        .map_err(|e| format!("prefix agreement check failed: {e}"))?;
+        .map_err(|seat| format!("replica {seat} disagrees on the committed prefix"))?;
     if agreed == 0 {
         return Err("no common committed prefix across replica processes".into());
     }
 
-    let reports = cluster
-        .shutdown()
-        .map_err(|e| format!("cluster shutdown failed: {e}"))?;
-    let safety = sum_report(&reports, "safety_violations");
-    if safety > 0 {
+    let report = cluster.shutdown();
+    if report.safety_violations > 0 {
+        let safety = report.safety_violations;
         return Err(format!("{safety} safety violation(s) over loopback TCP"));
     }
-    let committed = reports
-        .iter()
-        .filter_map(|r| r.get("committed_txs").and_then(|v| v.as_f64()))
-        .fold(0.0f64, f64::max) as u64;
+    let committed = report.committed_txs;
     let throughput = committed as f64 / elapsed.as_secs_f64();
-    let reconnects = sum_report(&reports, "reconnects");
-    let bytes_sent = sum_report(&reports, "bytes_sent");
-    let dropped = sum_report(&reports, "send_queue_dropped");
+    let reconnects = report.total_reconnects();
+    let bytes_sent = report.total_bytes_sent();
+    let dropped = report.total_dropped();
 
     println!(
         "  {:<5} n={nodes}  {committed} txs in {:.2} s ({throughput:.0} tx/s)  \

@@ -30,8 +30,9 @@
 //! * [`verify::VerifyPool`] — the threaded runtime's verification worker
 //!   pool: signature checking runs on dedicated threads and pipelines with
 //!   consensus instead of serialising onto it.
-//! * [`threaded::ThreadedCluster`] — a live, multi-threaded in-process cluster
-//!   used by the examples and the cross-runtime agreement tests.
+//! * [`live::LiveCluster`] — the one wall-clock cluster, over one of three
+//!   seat links: in-process channels ([`threaded::Channels`], aliased
+//!   [`ThreadedCluster`]), loopback sockets or child processes (`bamboo-net`).
 //!
 //! # Quickstart
 //!
@@ -73,7 +74,7 @@ pub mod workload;
 
 pub use bamboo_sim::{DelayDist, FluctuationWindow, LinkFault, Topology};
 pub use benchmark::{Benchmarker, CurvePoint, SweepOptions};
-pub use live::ClusterReport;
+pub use live::{ClusterReport, LiveCluster};
 pub use metrics::{
     LatencyStats, MempoolTotals, Metrics, RecoveryReport, RecoveryStats, RunReport,
     ThroughputSample, Utilization,

@@ -1,33 +1,23 @@
-//! The one live-node driver shared by every wall-clock backend.
+//! The one live cluster: every wall-clock backend is a [`LiveCluster`] over a
+//! [`SeatLink`] — in-process channels ([`crate::threaded::Channels`]),
+//! loopback sockets or child processes (`bamboo-net`).
 //!
-//! The threaded cluster ([`crate::threaded`]) and the TCP backend
-//! (`bamboo-net`) run the same replica on the same clock with the same
-//! timers; the only thing that differs is how an outbound message leaves the
-//! node. This module owns everything they have in common:
-//!
-//! * [`Link`] — the backend-specific send half (channel + verify pool, or
-//!   frame enqueue on a socket writer), plus the readiness/peer-table hook
-//!   that gates start-up on multi-process deployments;
-//! * [`LiveEvent`] — what the outside world can tell a running node;
-//! * [`run_live_node`] — the event loop: fire due deadlines (the runtime's
-//!   `Deadlines`), sleep to the next one, honour crash/recover, and book
-//!   every step into the node's [`LiveStatus`];
-//! * [`LiveStatus`] — commit progress plus the prefix-fingerprint history,
-//!   readable from any thread while the node runs (the status probe of the
-//!   TCP backend and the prefix oracle of both).
-//!
-//! Cluster-level plumbing that both backends also share lives here too: the
-//! per-cluster durable-log directory ([`ClusterStorage`]), the round-robin
-//! request generator ([`RoundRobinLoad`]), the commit poll behind both
-//! clusters' `run_until_committed` ([`poll_commits`]) and the assembly of the
-//! final [`ClusterReport`].
+//! Whatever the link, every seat runs [`run_live_node`] — one replica, clock,
+//! deadline book and commit accounting — and the cluster spells its verbs
+//! once: `submit`, `submit_round_robin`, `committed_txs` (the floor over the
+//! seats that are up), `run_until_committed`, `check_prefix_agreement`,
+//! `crash`, `recover`, `probe` and `shutdown[_with_hosts]`. A link says only
+//! how a seat boots and stops and how requests and probes reach it. A crash
+//! stops a seat; in-process links keep its host for the restart, a child
+//! process keeps only its files.
 
+use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
 use bamboo_crypto::KeyPair;
 use bamboo_forest::{ChainFingerprint, Ledger};
@@ -36,8 +26,7 @@ use bamboo_types::{
     View,
 };
 
-use crate::observe;
-use crate::replica::{Replica, ReplicaOptions};
+use crate::replica::ReplicaOptions;
 use crate::runtime::{Deadlines, NodeHost, RecoverMode, Transport};
 use crate::storage::SegmentLog;
 
@@ -49,15 +38,13 @@ pub trait Link {
     /// Deliver `message` to every replica except the sender.
     fn broadcast(&mut self, message: Message);
 
-    /// Whether every peer is reachable. The loop holds `NodeHost::start`
-    /// back until this is true (multi-process replicas boot before the
-    /// driver has collected all ports).
+    /// Whether every peer is reachable; the node boots once it is (a socket
+    /// seat first needs every peer's address).
     fn ready(&self) -> bool {
         true
     }
 
-    /// Applies a [`LiveEvent::Peers`] update. In-process links have no
-    /// addresses and ignore it.
+    /// Applies a [`LiveEvent::Peers`] update.
     fn set_peers(&mut self, _table: &[(u64, SocketAddr)]) {}
 }
 
@@ -68,13 +55,7 @@ pub enum LiveEvent {
     /// A batch of client requests; the host runs the edge verification stage
     /// before the transactions reach the mempool.
     Client(Vec<ClientRequest>),
-    /// Fault injection: the node stops processing everything (messages,
-    /// timers, client traffic) until a `Recover` arrives.
-    Crash,
-    /// Fault injection: a crashed node comes back.
-    Recover(RecoverMode),
-    /// Link control: peer listen addresses (from the multi-process driver, or
-    /// a cluster-side restart notification).
+    /// The peers' listen addresses.
     Peers(Vec<(u64, SocketAddr)>),
     /// Stop the loop and hand the host back.
     Shutdown,
@@ -109,84 +90,105 @@ impl Transport for LiveTransport<'_> {
     }
 }
 
-/// The running chain fingerprint plus its value after every block so far.
-struct PrefixHistory {
-    running: ChainFingerprint,
-    /// `prefixes[l]` is the chain fingerprint of the first `l` blocks.
-    prefixes: Vec<[u8; 32]>,
+/// One seat's progress and counters, as a probe reads them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SeatStatus {
+    /// Transactions in the seat's committed ledger.
+    pub committed_txs: u64,
+    /// Blocks in the seat's committed ledger.
+    pub committed_blocks: u64,
+    /// The seat's current view.
+    pub view: u64,
+    /// [`Ledger::chain_fingerprint_prefix`] of the probed prefix.
+    pub chain_fingerprint: [u8; 32],
+    /// Conflicting commits the seat observed.
+    pub safety_violations: u64,
+    /// Views the seat left by timeout.
+    pub timeout_view_changes: u64,
+    /// Messages the seat's host rejected as forged.
+    pub auth_rejections: u64,
+    /// Client requests rejected at the seat's edge as forged.
+    pub client_auth_rejections: u64,
+    /// Log records the seat replayed in its durable restarts.
+    pub records_replayed: u64,
 }
 
-/// One node's commit progress, written by its loop after every step and
-/// readable from any thread.
-pub struct LiveStatus {
-    committed_txs: AtomicU64,
-    committed_blocks: AtomicU64,
-    view: AtomicU64,
-    chain: Mutex<PrefixHistory>,
+/// One node's status, written by its loop after every step and readable
+/// from any thread.
+pub struct LiveStatus(Mutex<Published>);
+
+struct Published {
+    status: SeatStatus,
+    /// The running chain fingerprint; `prefixes[l]` is its value after the
+    /// first `l` blocks the node ever committed.
+    running: ChainFingerprint,
+    prefixes: Vec<[u8; 32]>,
 }
 
 impl Default for LiveStatus {
     fn default() -> Self {
         let running = ChainFingerprint::new();
         let prefixes = vec![*running.digest().as_bytes()];
-        Self {
-            committed_txs: AtomicU64::new(0),
-            committed_blocks: AtomicU64::new(0),
-            view: AtomicU64::new(0),
-            chain: Mutex::new(PrefixHistory { running, prefixes }),
-        }
+        let status = SeatStatus::default();
+        Self(Mutex::new(Published {
+            status,
+            running,
+            prefixes,
+        }))
     }
 }
 
 impl LiveStatus {
-    /// Transactions in the node's committed ledger.
-    pub fn committed_txs(&self) -> u64 {
-        self.committed_txs.load(Ordering::Acquire)
-    }
-
-    /// Blocks in the node's committed ledger.
-    pub fn committed_blocks(&self) -> u64 {
-        self.committed_blocks.load(Ordering::Acquire)
-    }
-
-    /// The node's current view.
-    pub fn view(&self) -> u64 {
-        self.view.load(Ordering::Acquire)
-    }
-
-    /// [`Ledger::chain_fingerprint_prefix`] of the first `len` blocks the
-    /// node ever committed, or `None` if it has not committed that many.
-    pub fn chain_prefix(&self, len: u64) -> Option<[u8; 32]> {
-        let chain = self.chain.lock().expect("fingerprint lock poisoned");
-        chain.prefixes.get(len as usize).copied()
-    }
-
-    /// The single accounting path: publishes the replica's view and ledger
-    /// after a step. The prefix history is extended by a running hash —
-    /// one clone-and-finalise per new block — and follows the ledger
-    /// wherever it jumps (a snapshot install, a durable replay). History is
-    /// never retracted: an amnesia restart re-commits the same prefix.
-    fn book(&self, view: View, ledger: &Ledger) {
-        self.view.store(view.as_u64(), Ordering::Release);
-        let len = ledger.len() as u64;
-        // Only the node's own loop writes, so it can read its last value
-        // back relaxed; transactions only change when blocks do.
-        if len == self.committed_blocks.load(Ordering::Relaxed) {
-            return;
+    /// The node's status, fingerprinting the first `prefix_len` blocks it
+    /// ever committed: 0 asks for its whole chain, and a prefix longer than
+    /// its history is clamped to it.
+    pub fn snapshot(&self, prefix_len: u64) -> SeatStatus {
+        let published = self.0.lock().expect("status lock poisoned");
+        let (status, prefixes) = (published.status, &published.prefixes);
+        let want = if prefix_len == 0 {
+            status.committed_blocks
+        } else {
+            prefix_len
+        };
+        let chain_fingerprint = prefixes[(want as usize).min(prefixes.len() - 1)];
+        SeatStatus {
+            chain_fingerprint,
+            ..status
         }
-        {
-            let mut chain = self.chain.lock().expect("fingerprint lock poisoned");
-            let PrefixHistory { running, prefixes } = &mut *chain;
-            for committed in ledger.iter().skip(prefixes.len() - 1) {
-                running.absorb(&committed.block);
-                prefixes.push(*running.digest().as_bytes());
-            }
+    }
+
+    /// The single accounting path, after every step: the host's counters,
+    /// view and ledger.
+    fn publish(&self, host: &NodeHost) {
+        let replica = host.replica();
+        self.book(replica.current_view(), replica.ledger(), |status| {
+            status.safety_violations = replica.safety_violations();
+            status.timeout_view_changes = replica.timeout_view_changes();
+            status.auth_rejections = host.auth_rejections();
+            status.client_auth_rejections = host.client_auth_rejections();
+            status.records_replayed = replica.recovery_stats().records_replayed;
+        });
+    }
+
+    /// Books view, ledger and `counters`. The prefix history is extended by
+    /// a running hash — one clone-and-finalise per new block — and follows
+    /// the ledger wherever it jumps (a snapshot install, a durable replay);
+    /// it is never retracted: a restart re-commits the same prefix.
+    fn book(&self, view: View, ledger: &Ledger, counters: impl FnOnce(&mut SeatStatus)) {
+        let mut published = self.0.lock().expect("status lock poisoned");
+        let Published {
+            status,
+            running,
+            prefixes,
+        } = &mut *published;
+        for committed in ledger.iter().skip(prefixes.len() - 1) {
+            running.absorb(&committed.block);
+            prefixes.push(*running.digest().as_bytes());
         }
-        // Released after the history grew: a reader that acquires a block
-        // count finds the prefix entry for it.
-        self.committed_txs
-            .store(ledger.committed_txs(), Ordering::Release);
-        self.committed_blocks.store(len, Ordering::Release);
+        status.committed_txs = ledger.committed_txs();
+        status.committed_blocks = ledger.len() as u64;
+        status.view = view.as_u64();
+        counters(status);
     }
 }
 
@@ -197,43 +199,37 @@ const IDLE_WAIT: Duration = Duration::from_millis(20);
 /// Runs `host` until [`LiveEvent::Shutdown`] (or every sender is gone) and
 /// hands it back. Time is nanoseconds since `clock`.
 ///
-/// The node boots once `link.ready()`: through `NodeHost::start`, or — when
-/// its mounted durable log already holds state, i.e. this is a process
-/// coming back — through a durable `NodeHost::restart`. While crashed it
-/// processes nothing: inbound traffic is dropped on the floor and armed
-/// deadlines do not fire.
+/// The node boots once `link.ready()`: through `NodeHost::start`, or — a seat
+/// coming back — through `NodeHost::restart` in mode `restart`. Until then
+/// it hears no peer and publishes nothing: its host may still be what a
+/// crash left behind.
 pub fn run_live_node(
     mut host: NodeHost,
     link: &mut dyn Link,
     events: &Receiver<LiveEvent>,
     clock: Instant,
     status: &LiveStatus,
+    mut restart: Option<RecoverMode>,
 ) -> NodeHost {
     let now = || SimTime(clock.elapsed().as_nanos() as u64);
     let deadlines = Deadlines::default();
     let mut transport = LiveTransport { deadlines, link };
-    let (mut started, mut crashed) = (false, false);
+    let mut started = false;
     loop {
         let current = now();
-        let active = started && !crashed;
-        let due = if active {
-            transport.deadlines.pop_due(current)
-        } else {
-            None
-        };
+        // Nothing is armed before the boot.
+        let due = transport.deadlines.pop_due(current);
         if !started && transport.link.ready() {
             started = true;
-            let log = host.replica().storage();
-            if log.is_some_and(|log| log.records_appended() > 0 || log.checkpoint().is_some()) {
-                host.restart(RecoverMode::Restart(None), current, &mut transport);
-            } else {
-                host.start(current, &mut transport);
-            }
+            match restart.take() {
+                Some(mode) => host.restart(mode, current, &mut transport),
+                None => host.start(current, &mut transport),
+            };
         } else if let Some(event) = due {
             host.handle(event, current, &mut transport);
         } else {
             // Block on the channel, but never sleep past the next deadline.
-            let until = transport.deadlines.next_deadline().filter(|_| active);
+            let until = transport.deadlines.next_deadline();
             let wait = until.map_or(IDLE_WAIT, |deadline| {
                 Duration::from_nanos(deadline.as_nanos().saturating_sub(current.as_nanos()))
                     .min(IDLE_WAIT)
@@ -242,19 +238,7 @@ pub fn run_live_node(
                 Ok(LiveEvent::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
                 Err(RecvTimeoutError::Timeout) => continue,
                 Ok(LiveEvent::Peers(table)) => transport.link.set_peers(&table),
-                Ok(LiveEvent::Crash) => crashed = true,
-                Ok(LiveEvent::Recover(mode)) if crashed => {
-                    crashed = false;
-                    // A restart invalidates deadlines armed for pre-crash
-                    // views; a resume keeps them.
-                    if mode != RecoverMode::Resume {
-                        transport.deadlines.clear();
-                        host.restart(mode, now(), &mut transport);
-                    }
-                }
-                // A crashed node hears nothing; a running one cannot recover.
-                Ok(_) if crashed => {}
-                Ok(LiveEvent::Recover(_)) => {}
+                Ok(LiveEvent::Verified(_)) if !started => {}
                 Ok(LiveEvent::Verified(verified)) => {
                     host.deliver(&verified, now(), &mut transport);
                 }
@@ -263,16 +247,19 @@ pub fn run_live_node(
                 }
             }
         }
-        let replica = host.replica();
-        status.book(replica.current_view(), replica.ledger());
-        transport.deadlines.prune_stale(replica.current_view());
+        if started {
+            status.publish(&host);
+        }
+        transport
+            .deadlines
+            .prune_stale(host.replica().current_view());
     }
     host
 }
 
 /// Polls `committed` every 10 ms until it reaches `min_txs` or `max_wait`
 /// elapses; returns whether it did.
-pub fn poll_commits(min_txs: u64, max_wait: Duration, committed: impl Fn() -> u64) -> bool {
+fn poll_commits(min_txs: u64, max_wait: Duration, committed: impl Fn() -> u64) -> bool {
     let deadline = Instant::now() + max_wait;
     loop {
         let reached = committed() >= min_txs;
@@ -283,104 +270,201 @@ pub fn poll_commits(min_txs: u64, max_wait: Duration, committed: impl Fn() -> u6
     }
 }
 
-/// Summary of one live run.
-#[derive(Clone, Debug)]
+/// Point-in-time snapshot of one outbound peer link's counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PeerStats {
+    /// Connection attempts (successful or not).
+    pub attempts: u64,
+    /// Connections successfully established.
+    pub connects: u64,
+    /// Re-establishments after the first connect (`connects - 1`, floored).
+    pub reconnects: u64,
+    /// Frames written to the socket.
+    pub frames_sent: u64,
+    /// Bytes written to the socket (framing included).
+    pub bytes_sent: u64,
+    /// Frames dropped — queue full, peer down, or write failed.
+    pub dropped: u64,
+}
+
+/// One socket seat's network counters: per outbound peer link, plus ingress.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct NodeNetStats {
+    /// The reporting seat.
+    pub node: u64,
+    /// Outbound link counters, one entry per remote peer.
+    pub peers: Vec<(u64, PeerStats)>,
+    /// Inbound connections accepted by the seat's listener.
+    pub accepted_connections: u64,
+    /// Inbound connections dropped because their hello claimed a replica id
+    /// without that replica's signature over the connection's challenge.
+    pub refused_hellos: u64,
+    /// Messages the seat's verify pool accepted.
+    pub verify_accepted: u64,
+    /// Messages the seat's verify pool rejected as forged or malformed.
+    pub verify_rejected: u64,
+}
+
+impl NodeNetStats {
+    fn total(&self, count: impl Fn(&PeerStats) -> u64) -> u64 {
+        self.peers.iter().map(|(_, link)| count(link)).sum()
+    }
+
+    /// Total outbound reconnects across all peer links.
+    pub fn reconnects(&self) -> u64 {
+        self.total(|link| link.reconnects)
+    }
+
+    /// Total bytes written across all peer links.
+    pub fn bytes_sent(&self) -> u64 {
+        self.total(|link| link.bytes_sent)
+    }
+
+    /// Total frames dropped across all peer links.
+    pub fn dropped(&self) -> u64 {
+        self.total(|link| link.dropped)
+    }
+}
+
+/// Summary of one live run, whatever the link.
+#[derive(Clone, Debug, Default)]
 pub struct ClusterReport {
-    /// Committed blocks per replica (indexed by node id; 0 for a replica
-    /// that was down at shutdown).
+    /// Committed blocks per seat (indexed by node id; 0 for a seat that was
+    /// down at shutdown).
     pub committed_blocks: Vec<usize>,
     /// Committed transactions in the longest ledger.
     pub committed_txs: u64,
-    /// Highest view reached across replicas.
+    /// Highest view reached across seats.
     pub max_view: u64,
-    /// Whether all honest ledgers were pairwise consistent at shutdown.
+    /// Whether every honest seat that was up held a prefix of the longest
+    /// honest chain at shutdown ([`LiveCluster::check_prefix_agreement`]).
     pub ledgers_consistent: bool,
-    /// Conflicting-commit events observed across all replicas (must be 0).
+    /// Conflicting-commit events observed across all seats, plus one for an
+    /// inconsistent cluster (must be 0).
     pub safety_violations: u64,
-    /// Timeout-driven view changes summed across replicas.
+    /// Timeout-driven view changes summed across seats.
     pub timeout_view_changes: u64,
     /// Messages rejected by the authentication stage as forged or malformed.
     pub auth_rejections: u64,
     /// Signed client requests rejected at the replica edge as forged
     /// (signed-client mode only; always 0 otherwise).
     pub client_auth_rejections: u64,
+    /// Network counters of every socket seat, a crashed one's frozen when it
+    /// went down; empty on the channel link.
+    pub nodes: Vec<NodeNetStats>,
 }
 
-/// Assembles the final report from the hosts the node loops handed back
-/// (`None` for a seat that was down at shutdown) and the forgeries the
-/// cluster's verify pool(s) rejected.
-pub fn cluster_report<'a>(
-    config: &Config,
-    hosts: impl IntoIterator<Item = Option<&'a NodeHost>>,
-    pool_rejections: u64,
-) -> ClusterReport {
-    let hosts: Vec<Option<&NodeHost>> = hosts.into_iter().collect();
-    let live = || hosts.iter().flatten();
-    let replicas: Vec<&Replica> = live().map(|h| h.replica()).collect();
-    let audit = observe::audit(config, live().copied());
-    let ledger_len = |h: &Option<&NodeHost>| h.map_or(0, |h| h.replica().ledger().len());
-    ClusterReport {
-        committed_blocks: hosts.iter().map(ledger_len).collect(),
-        committed_txs: replicas
-            .iter()
-            .map(|r| r.ledger().committed_txs())
-            .max()
-            .unwrap_or(0),
-        max_view: replicas
-            .iter()
-            .map(|r| r.current_view().as_u64())
-            .max()
-            .unwrap_or(0),
-        ledgers_consistent: audit.forks == 0,
-        safety_violations: audit.safety_violations,
-        timeout_view_changes: replicas.iter().map(|r| r.timeout_view_changes()).sum(),
-        auth_rejections: audit.rejected_messages + pool_rejections,
-        client_auth_rejections: audit.client_auth_rejections,
+impl ClusterReport {
+    /// Books one seat's final status (`None` for a seat that was down).
+    fn add_seat(&mut self, status: Option<SeatStatus>) {
+        let status = status.unwrap_or_default();
+        self.committed_blocks.push(status.committed_blocks as usize);
+        self.committed_txs = self.committed_txs.max(status.committed_txs);
+        self.max_view = self.max_view.max(status.view);
+        self.safety_violations += status.safety_violations;
+        self.timeout_view_changes += status.timeout_view_changes;
+        self.auth_rejections += status.auth_rejections;
+        self.client_auth_rejections += status.client_auth_rejections;
+    }
+
+    /// Books one socket seat's network counters; its verify pool's
+    /// rejections count as authentication rejections.
+    fn add_net(&mut self, net: NodeNetStats) {
+        self.auth_rejections += net.verify_rejected;
+        self.nodes.push(net);
+    }
+
+    /// Total outbound reconnects across the whole cluster.
+    pub fn total_reconnects(&self) -> u64 {
+        self.nodes.iter().map(NodeNetStats::reconnects).sum()
+    }
+
+    /// Total bytes written across the whole cluster.
+    pub fn total_bytes_sent(&self) -> u64 {
+        self.nodes.iter().map(NodeNetStats::bytes_sent).sum()
+    }
+
+    /// Total frames dropped at send queues across the whole cluster.
+    pub fn total_dropped(&self) -> u64 {
+        self.nodes.iter().map(NodeNetStats::dropped).sum()
     }
 }
 
-/// Distinguishes the storage roots of clusters spawned by the same process
-/// (tests spawn several), on top of the per-process component.
+/// Distinguishes the clusters one process spawns (tests spawn several).
 static CLUSTER_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// The durable-log directories of one in-process cluster: a unique temp root
-/// with one sub-directory of real segment files per node, mirroring a
-/// process with a local disk. Empty unless [`Config::durable_log`] is set;
-/// the root is removed when the cluster drops this.
-pub struct ClusterStorage {
+/// What sets one cluster's seats apart: a tag no other live cluster shares,
+/// and — under [`Config::durable_log`] — a temp root with one directory of
+/// real segment files per seat, outliving a crashed seat and removed when
+/// the cluster drops this.
+struct ClusterHome {
     root: Option<PathBuf>,
+    tag: u64,
 }
 
-impl ClusterStorage {
-    /// Picks the root for a cluster running `config`.
-    pub fn for_config(config: &Config) -> Self {
-        let root = config.durable_log.then(|| {
-            let seq = CLUSTER_SEQ.fetch_add(1, Ordering::Relaxed);
-            std::env::temp_dir().join(format!("bamboo-cluster-{}-{seq}", std::process::id()))
-        });
-        let storage = Self { root };
+impl ClusterHome {
+    fn for_config(config: &Config) -> Self {
+        let (pid, seq) = (
+            std::process::id(),
+            CLUSTER_SEQ.fetch_add(1, Ordering::Relaxed),
+        );
+        let root = std::env::temp_dir().join(format!("bamboo-cluster-{pid}-{seq}"));
         // A dead process with our pid may have left its logs behind.
-        storage.remove();
-        storage
+        let _ = std::fs::remove_dir_all(&root);
+        let since = SystemTime::now().duration_since(SystemTime::UNIX_EPOCH);
+        let nanos = since.map_or(0, |since| since.as_nanos() as u64);
+        // 48 bits, exact in a JSON number.
+        let tag = (nanos ^ u64::from(pid) << 32 ^ seq) & ((1 << 48) - 1);
+        let root = config.durable_log.then_some(root);
+        Self { root, tag }
     }
 
-    fn remove(&self) {
+    fn seat<'a>(&self, config: &'a Config, protocol: ProtocolKind, id: NodeId) -> SeatBoot<'a> {
+        let dir = (self.root.as_ref()).map(|root| root.join(format!("node-{}", id.as_u64())));
+        let cluster = self.tag;
+        SeatBoot {
+            id,
+            protocol,
+            config,
+            dir,
+            cluster,
+        }
+    }
+}
+
+impl Drop for ClusterHome {
+    fn drop(&mut self) {
         if let Some(root) = &self.root {
             let _ = std::fs::remove_dir_all(root);
         }
     }
+}
 
-    /// The shared boot path: a fresh host for seat `id`, with the default
-    /// in-memory log swapped for real files in the node's own directory. A
-    /// directory that already holds a log (the seat was killed and is being
-    /// restarted) resumes at its durable append position, and
-    /// [`run_live_node`] boots it through a durable restart.
-    pub fn boot_host(&self, id: NodeId, protocol: ProtocolKind, config: Config) -> NodeHost {
+/// What a link needs to boot one seat.
+pub struct SeatBoot<'a> {
+    /// The seat.
+    pub id: NodeId,
+    /// The protocol the cluster runs.
+    pub protocol: ProtocolKind,
+    /// The cluster's configuration.
+    pub config: &'a Config,
+    /// The seat's durable-log directory, under [`Config::durable_log`].
+    pub dir: Option<PathBuf>,
+    /// The cluster's tag: a socket seat accepts a peer's hello only if it
+    /// was signed for this tag.
+    pub cluster: u64,
+}
+
+impl SeatBoot<'_> {
+    /// A fresh host for the seat, its log in real files in its directory
+    /// when it has one. A directory that already holds a log (the seat's
+    /// process was killed) resumes at its durable append position.
+    pub fn host(&self) -> NodeHost {
+        let config = self.config.clone();
         let (segment_bytes, fsync_interval) = (config.segment_bytes, config.fsync_interval);
-        let mut host = NodeHost::new(id, protocol, config, ReplicaOptions::default());
-        if let Some(root) = &self.root {
-            let dir = root.join(format!("node-{}", id.as_u64()));
-            let log = SegmentLog::on_disk(&dir, segment_bytes, fsync_interval)
+        let mut host = NodeHost::new(self.id, self.protocol, config, ReplicaOptions::default());
+        if let Some(dir) = &self.dir {
+            let log = SegmentLog::on_disk(dir, segment_bytes, fsync_interval)
                 .expect("create durable-log directory");
             host.replica_mut().set_storage(log);
         }
@@ -388,15 +472,9 @@ impl ClusterStorage {
     }
 }
 
-impl Drop for ClusterStorage {
-    fn drop(&mut self) {
-        self.remove();
-    }
-}
-
-/// The round-robin request generator every live cluster driver submits
-/// through: one client whose sequence numbers continue across calls, so no
-/// two requests of a run share a transaction id.
+/// The round-robin request generator of a live cluster: one client whose
+/// sequence numbers continue across calls, so no two requests of a run
+/// share a transaction id.
 pub struct RoundRobinLoad {
     nodes: usize,
     /// The client's signing key in signed-client mode.
@@ -419,8 +497,7 @@ impl RoundRobinLoad {
 
     /// The next `count` requests of `payload` bytes, each paired with the
     /// seat it goes to: sequence number modulo cluster size, skewed to the
-    /// next seat for which `is_live` holds (requests are dropped while no
-    /// seat is live).
+    /// next seat for which `is_live` holds (dropped while no seat is live).
     pub fn next_requests(
         &self,
         count: u64,
@@ -442,6 +519,306 @@ impl RoundRobinLoad {
             Some((seat, request))
         });
         requests.collect()
+    }
+}
+
+/// What a link hands back for a seat it stopped.
+#[derive(Default)]
+pub struct SeatEnd {
+    /// The seat's final status, if it could still give one.
+    pub status: Option<SeatStatus>,
+    /// Its network counters, where it had sockets.
+    pub net: Option<NodeNetStats>,
+    /// Its host, where it lived in this process.
+    pub host: Option<NodeHost>,
+}
+
+/// How a [`LiveCluster`] reaches its seats.
+pub trait SeatLink: Sized {
+    /// A running seat.
+    type Seat;
+    /// What [`LiveCluster::shutdown_with_hosts`] hands back on this link:
+    /// the report and the final hosts, in the shape its callers read.
+    type Finished;
+
+    /// Boots a seat — from `host`, the one a crash left behind, when there
+    /// is one — and restarts it in mode `restart` when that is set.
+    ///
+    /// # Errors
+    /// Fails when the seat's listener, process or connection cannot be set
+    /// up, or with [`io::ErrorKind::Unsupported`] for a restart the link
+    /// cannot model.
+    fn boot(
+        &mut self,
+        seat: &SeatBoot<'_>,
+        host: Option<NodeHost>,
+        restart: Option<RecoverMode>,
+    ) -> io::Result<Self::Seat>;
+
+    /// Tells every running seat where the others listen.
+    ///
+    /// # Errors
+    /// Fails when a seat cannot be told.
+    fn announce(&mut self, _seats: &[Option<Self::Seat>]) -> io::Result<()> {
+        Ok(())
+    }
+
+    /// Hands a batch of client requests to a seat.
+    fn submit(&self, seat: &Self::Seat, requests: Vec<ClientRequest>);
+
+    /// Reads a seat's status ([`LiveStatus::snapshot`]).
+    ///
+    /// # Errors
+    /// Fails when the seat does not answer.
+    fn probe(&self, seat: &Self::Seat, prefix_len: u64) -> io::Result<SeatStatus>;
+
+    /// Stops a seat: gracefully at shutdown, or killed in a crash.
+    fn stop(&mut self, seat: Self::Seat, crash: bool) -> SeatEnd;
+
+    /// Books what the link itself counted, once every seat has stopped.
+    fn close(self, _report: &mut ClusterReport) {}
+
+    /// Shapes the final report and hosts (`None` where no host is in hand).
+    fn finished(report: ClusterReport, hosts: Vec<Option<NodeHost>>) -> Self::Finished;
+}
+
+/// An argument list [`LiveCluster::spawn`] accepts on link `L`, and what it
+/// returns there: each link implements the list its callers have always
+/// passed. [`LiveCluster::spawn_on`] is the one general constructor.
+pub trait SpawnArgs<L: SeatLink> {
+    /// The spawned cluster, or the error of a link whose boot can fail.
+    type Output;
+
+    /// Spawns the cluster.
+    fn spawn(self) -> Self::Output;
+}
+
+/// A running cluster of `config.nodes` seats over the link `L`.
+pub struct LiveCluster<L: SeatLink> {
+    config: Config,
+    protocol: ProtocolKind,
+    link: L,
+    /// `None` for a crashed seat.
+    seats: Vec<Option<L::Seat>>,
+    /// The host a crash left behind, per seat, for its restart.
+    kept: Vec<Option<NodeHost>>,
+    /// Network counters of seats a crash tore down.
+    retired: Vec<NodeNetStats>,
+    load: RoundRobinLoad,
+    started_at: Instant,
+    home: ClusterHome,
+}
+
+impl<L: SeatLink> LiveCluster<L> {
+    /// Boots one seat per replica over `link` and tells them where the
+    /// others listen, so consensus starts.
+    ///
+    /// # Errors
+    /// Fails if a seat cannot boot or be told its peers.
+    pub fn spawn_on(mut link: L, config: Config, protocol: ProtocolKind) -> io::Result<Self> {
+        let home = ClusterHome::for_config(&config);
+        let seats = (0..config.nodes as u64)
+            .map(|id| link.boot(&home.seat(&config, protocol, NodeId(id)), None, None))
+            .map(|seat| seat.map(Some))
+            .collect::<io::Result<Vec<_>>>()?;
+        link.announce(&seats)?;
+        Ok(Self {
+            load: RoundRobinLoad::new(config.nodes, config.signed_requests),
+            kept: (0..config.nodes).map(|_| None).collect(),
+            retired: Vec::new(),
+            config,
+            protocol,
+            link,
+            seats,
+            started_at: Instant::now(),
+            home,
+        })
+    }
+
+    /// Spawns a cluster over `L` with the default link from the argument
+    /// list the link accepts ([`SpawnArgs`]): `(config, protocol)` on the
+    /// channel link, `(protocol, config)` on the socket link.
+    pub fn spawn<A, B>(a: A, b: B) -> <(A, B) as SpawnArgs<L>>::Output
+    where
+        (A, B): SpawnArgs<L>,
+    {
+        (a, b).spawn()
+    }
+
+    fn up(&self, id: NodeId) -> Option<&L::Seat> {
+        self.seats.get(id.index()).and_then(Option::as_ref)
+    }
+
+    fn live(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (0..self.seats.len() as u64)
+            .map(NodeId)
+            .filter(|&id| self.up(id).is_some())
+    }
+
+    /// Hands a batch of client requests (signed or not) to seat `id`; they
+    /// are lost while it is down.
+    pub fn submit(&self, id: NodeId, requests: Vec<ClientRequest>) {
+        if let Some(seat) = self.up(id) {
+            self.link.submit(seat, requests);
+        }
+    }
+
+    /// [`LiveCluster::submit`] under the name the benchmark package calls.
+    pub fn submit_requests(&self, id: NodeId, requests: Vec<ClientRequest>) {
+        self.submit(id, requests);
+    }
+
+    /// Submits `count` transactions of `payload` bytes round-robin across the
+    /// seats that are up, continuing the sequence numbers of earlier calls;
+    /// in signed-client mode each request carries its client's signature.
+    pub fn submit_round_robin(&self, count: u64, payload: usize) {
+        let now = SimTime(self.started_at.elapsed().as_nanos() as u64);
+        let is_live = |seat: usize| self.up(NodeId(seat as u64)).is_some();
+        for (seat, request) in self.load.next_requests(count, payload, now, is_live) {
+            self.submit(NodeId(seat as u64), vec![request]);
+        }
+    }
+
+    /// Seat `id`'s status, fingerprinting its first `prefix_len` committed
+    /// blocks (0: its whole chain).
+    ///
+    /// # Errors
+    /// Fails if the seat is down or does not answer.
+    pub fn probe(&self, id: NodeId, prefix_len: u64) -> io::Result<SeatStatus> {
+        let down = || io::Error::new(io::ErrorKind::NotConnected, format!("seat {id} is down"));
+        self.link.probe(self.up(id).ok_or_else(down)?, prefix_len)
+    }
+
+    /// The smallest committed-transaction count across the seats that are up
+    /// (one that does not answer counts 0): the whole-cluster progress
+    /// floor, held down by a lagging or freshly restarted seat until it has
+    /// caught up.
+    pub fn committed_txs(&self) -> u64 {
+        let committed = |id| self.probe(id, 0).map_or(0, |status| status.committed_txs);
+        self.live().map(committed).min().unwrap_or(0)
+    }
+
+    /// [`LiveCluster::committed_txs`] under the name the benchmark package
+    /// calls.
+    pub fn committed_txs_floor(&self) -> u64 {
+        self.committed_txs()
+    }
+
+    /// Runs until every seat that is up has committed at least `min_txs`
+    /// transactions or `max_wait` elapses; returns whether the floor was
+    /// reached. A progress poll, not a fixed sleep: wall-clock progress
+    /// depends on scheduler pressure.
+    pub fn run_until_committed(&self, min_txs: u64, max_wait: Duration) -> bool {
+        poll_commits(min_txs, max_wait, || self.committed_txs())
+    }
+
+    /// The live prefix oracle, compared without stopping the cluster: every
+    /// honest seat that is up must hold a prefix of the longest chain among
+    /// them. Returns the shortest of those chains' lengths, or the first seat
+    /// that breaks the rule or does not answer.
+    pub fn check_prefix_agreement(&self) -> Result<u64, NodeId> {
+        let honest = self.live().filter(|&id| !self.config.is_byzantine(id));
+        let chains = honest
+            .map(|id| self.probe(id, 0).map(|status| (id, status)).map_err(|_| id))
+            .collect::<Result<Vec<_>, _>>()?;
+        let Some(&(longest, _)) = chains.iter().max_by_key(|(_, s)| s.committed_blocks) else {
+            return Ok(0);
+        };
+        for (id, status) in chains.iter().filter(|(_, s)| s.committed_blocks > 0) {
+            let reference = self.probe(longest, status.committed_blocks);
+            if reference.map_err(|_| longest)?.chain_fingerprint != status.chain_fingerprint {
+                return Err(*id);
+            }
+        }
+        Ok(chains
+            .iter()
+            .map(|(_, s)| s.committed_blocks)
+            .min()
+            .unwrap_or(0))
+    }
+
+    /// Crashes seat `id`: its threads, sockets and timers stop until
+    /// [`LiveCluster::recover`]. A seat that is already down stays down.
+    pub fn crash(&mut self, id: NodeId) {
+        if let Some(seat) = self.seats[id.index()].take() {
+            let end = self.link.stop(seat, true);
+            self.kept[id.index()] = end.host;
+            self.retired.extend(end.net);
+        }
+    }
+
+    /// Brings crashed seat `id` back, restarting from what its disk kept —
+    /// its own durable segment log under [`Config::durable_log`], its
+    /// checkpoint chunks otherwise — plus state transfer for the rest. A
+    /// seat that is up is left alone.
+    ///
+    /// # Errors
+    /// [`io::ErrorKind::Unsupported`] for [`RecoverMode::Resume`] — a crashed
+    /// seat has no threads or timers left to resume — or for a storage
+    /// fault on a killed process's files; else the seat's boot failure.
+    pub fn recover(&mut self, id: NodeId, mode: RecoverMode) -> io::Result<()> {
+        if self.seats[id.index()].is_some() {
+            return Ok(());
+        }
+        if mode == RecoverMode::Resume {
+            let why = "a crashed live seat can only restart";
+            return Err(io::Error::new(io::ErrorKind::Unsupported, why));
+        }
+        let boot = self.home.seat(&self.config, self.protocol, id);
+        let kept = self.kept[id.index()].take();
+        self.seats[id.index()] = Some(self.link.boot(&boot, kept, Some(mode))?);
+        self.link.announce(&self.seats)
+    }
+
+    /// Stops every seat and returns the final report.
+    pub fn shutdown(self) -> ClusterReport {
+        self.finish().0
+    }
+
+    /// Like [`LiveCluster::shutdown`], but also hands back the final hosts of
+    /// seats that live in this process, for inspection beyond the report.
+    pub fn shutdown_with_hosts(self) -> L::Finished {
+        let (report, hosts) = self.finish();
+        L::finished(report, hosts)
+    }
+
+    fn finish(self) -> (ClusterReport, Vec<Option<NodeHost>>) {
+        let consistent = self.check_prefix_agreement().is_ok();
+        let Self {
+            mut link,
+            seats,
+            kept,
+            retired,
+            home: _home,
+            ..
+        } = self;
+        let mut report = ClusterReport {
+            ledgers_consistent: consistent,
+            safety_violations: u64::from(!consistent),
+            ..ClusterReport::default()
+        };
+        let mut hosts = Vec::with_capacity(seats.len());
+        for (seat, kept) in seats.into_iter().zip(kept) {
+            let end = seat.map_or(
+                SeatEnd {
+                    host: kept,
+                    ..SeatEnd::default()
+                },
+                |seat| link.stop(seat, false),
+            );
+            report.add_seat(end.status);
+            if let Some(net) = end.net {
+                report.add_net(net);
+            }
+            hosts.push(end.host);
+        }
+        for net in retired {
+            report.add_net(net);
+        }
+        // Sampled after every seat stopped, so work still queued in a shared
+        // verify pool when the seats went down is counted too.
+        link.close(&mut report);
+        (report, hosts)
     }
 }
 
@@ -504,6 +881,30 @@ mod tests {
             .is_empty());
     }
 
+    #[test]
+    fn silenced_leader_cannot_hang_a_channel_cluster() {
+        // Seat 0 never proposes. Without real view timers the cluster would
+        // stall in every view seat 0 leads; with them, seats time out and
+        // keep committing, past view 4 — seat 0's first leadership slot.
+        let mut config = Config::builder()
+            .nodes(4)
+            .block_size(20)
+            .timeout(bamboo_types::SimDuration::from_millis(30))
+            .build()
+            .unwrap();
+        config.byzantine_strategy = bamboo_types::ByzantineStrategy::Silence;
+        config.byz_nodes = 1;
+        let cluster = crate::ThreadedCluster::spawn(config, ProtocolKind::HotStuff);
+        cluster.submit_round_robin(400, 16);
+        let committed = cluster.run_until_committed(100, Duration::from_secs(20));
+        assert!(committed, "committed {} txs", cluster.committed_txs());
+        let report = cluster.shutdown();
+        assert!(report.timeout_view_changes > 0, "views change by timeout");
+        assert!(report.max_view > 4, "stuck at view {}", report.max_view);
+        assert!(report.ledgers_consistent);
+        assert_eq!(report.safety_violations, 0);
+    }
+
     fn committed_chain(len: u64) -> Vec<CommittedBlock> {
         let mut parent = BlockId::GENESIS;
         (1..=len)
@@ -529,26 +930,32 @@ mod tests {
         let full = Ledger::restore(chain.clone());
         let status = LiveStatus::default();
         assert_eq!(
-            status.chain_prefix(0),
-            Some(*full.chain_fingerprint_prefix(0).as_bytes())
+            status.snapshot(0).chain_fingerprint,
+            *full.chain_fingerprint_prefix(0).as_bytes()
         );
         // Commits land in uneven steps; between 17 and 60 blocks the ledger
         // jumps the way a snapshot install replaces it; the dip to 40 is an
         // amnesia restart, which must not retract or re-hash history.
         for len in [1, 2, 5, 17, 60, 61, 40, 64, 80] {
             let ledger = Ledger::restore(chain[..len].to_vec());
-            status.book(View(len as u64 + 2), &ledger);
-            assert_eq!(status.committed_blocks(), len as u64);
-            assert_eq!(status.committed_txs(), ledger.committed_txs());
-            assert_eq!(status.view(), len as u64 + 2);
-        }
-        for len in 0..=80 {
+            status.book(View(len as u64 + 2), &ledger, |_| {});
+            let seat = status.snapshot(0);
+            assert_eq!(seat.committed_blocks, len as u64);
+            assert_eq!(seat.committed_txs, ledger.committed_txs());
+            assert_eq!(seat.view, len as u64 + 2);
             assert_eq!(
-                status.chain_prefix(len as u64),
-                Some(*full.chain_fingerprint_prefix(len).as_bytes()),
+                seat.chain_fingerprint,
+                *ledger.chain_fingerprint().as_bytes()
+            );
+        }
+        for len in 1..=80 {
+            assert_eq!(
+                status.snapshot(len as u64).chain_fingerprint,
+                *full.chain_fingerprint_prefix(len).as_bytes(),
                 "prefix {len} diverged from the from-genesis recompute"
             );
         }
-        assert_eq!(status.chain_prefix(81), None);
+        let clamped = status.snapshot(81).chain_fingerprint;
+        assert_eq!(clamped, *full.chain_fingerprint().as_bytes());
     }
 }

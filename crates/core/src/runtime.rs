@@ -146,7 +146,8 @@ pub trait Transport {
 
 /// How a crashed node comes back — the one spelling of the recovery mode
 /// shared by the simulator's fault schedule ([`crate::NodeFault`]), scenario
-/// specs and the live backends ([`crate::live::LiveEvent::Recover`]).
+/// specs and the live cluster ([`crate::live::LiveCluster::recover`], which
+/// restarts only: a crashed live seat has nothing left to resume).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecoverMode {
     /// Resume from the in-memory state the node crashed with: a network

@@ -150,6 +150,18 @@ impl VerifyPool {
         self.rejected.load(Ordering::Acquire)
     }
 
+    /// A reading of `(accepted, rejected)` that stays valid after the pool
+    /// is moved or shut down.
+    pub fn tally(&self) -> impl Fn() -> (u64, u64) + Send + Sync + 'static {
+        let (accepted, rejected) = (Arc::clone(&self.accepted), Arc::clone(&self.rejected));
+        move || {
+            (
+                accepted.load(Ordering::Acquire),
+                rejected.load(Ordering::Acquire),
+            )
+        }
+    }
+
     /// Total unique messages processed (accepted + rejected). Lets callers
     /// wait for a known amount of submitted work to drain.
     pub fn processed(&self) -> u64 {

@@ -17,6 +17,8 @@
 
 use std::fmt;
 
+use bamboo_core::live::{NodeNetStats, PeerStats, SeatStatus};
+use bamboo_crypto::{KeyPair, PublicKey, Signature};
 use bamboo_types::wire::{put_u16, put_u32, put_u64, WireCursor};
 use bamboo_types::{ClientRequest, WireError};
 
@@ -32,18 +34,19 @@ pub const MAX_FRAME_PAYLOAD: usize = 64 << 20;
 /// frame instead of misparsing consensus traffic.
 pub const HELLO_MAGIC: &[u8; 4] = b"BNET";
 /// Protocol version; bump for any framing or codec layout change.
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 
 /// The sender id a non-replica (driver or client) connection announces in
 /// its hello. Replica ids are dense from zero, so `u64::MAX` can never
-/// collide with a validator.
+/// collide with a validator; its hello carries no proof.
 pub const CLIENT_SENDER: u64 = u64::MAX;
 
 /// What a frame carries.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
 pub enum FrameKind {
-    /// First frame on every connection: magic, version and the sender's id.
+    /// The dialler's first frame: magic, version, the sender's id and its
+    /// signature over the connection's [`FrameKind::Challenge`].
     Hello = 1,
     /// A consensus message in the canonical [`bamboo_types::wire`] encoding.
     Msg = 2,
@@ -59,6 +62,9 @@ pub enum FrameKind {
     StatusReply = 6,
     /// Orderly shutdown request from the driver.
     Shutdown = 7,
+    /// The acceptor's first frame: a fresh 32-byte nonce the dialler's hello
+    /// must sign.
+    Challenge = 8,
 }
 
 impl FrameKind {
@@ -72,6 +78,7 @@ impl FrameKind {
             5 => Some(FrameKind::Status),
             6 => Some(FrameKind::StatusReply),
             7 => Some(FrameKind::Shutdown),
+            8 => Some(FrameKind::Challenge),
             _ => None,
         }
     }
@@ -188,23 +195,42 @@ impl FrameDecoder {
 
 // ---- control-frame payload codecs -------------------------------------------
 
-/// Encodes a hello payload: magic, version, sender id.
-pub fn encode_hello(sender: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(14);
+/// What a hello's proof signs: the connection's challenge, the claimed id
+/// and the tag of the cluster it claims a seat in, so a proof is good for
+/// one connection, one identity and one cluster only (seats of different
+/// clusters share keys, and a freed port can be reused by another cluster).
+fn hello_claim(challenge: &[u8; 32], sender: u64, cluster: u64) -> Vec<u8> {
+    let (sender, cluster) = (sender.to_be_bytes(), cluster.to_be_bytes());
+    [&b"bamboo-hello"[..], challenge, &sender, &cluster].concat()
+}
+
+/// Encodes a hello payload: magic, version, sender id, and the proof —
+/// replica `sender`'s signature over `challenge` and `cluster`
+/// ([`KeyPair::from_seed`] of its id, the key its consensus messages carry).
+/// A [`CLIENT_SENDER`] hello carries an all-zero proof.
+pub fn encode_hello(sender: u64, cluster: u64, challenge: &[u8; 32]) -> Vec<u8> {
+    let proof = if sender == CLIENT_SENDER {
+        Signature::from_bytes([0; 32])
+    } else {
+        KeyPair::from_seed(sender).sign(&hello_claim(challenge, sender, cluster))
+    };
+    let mut out = Vec::with_capacity(46);
     out.extend_from_slice(HELLO_MAGIC);
     put_u16(&mut out, WIRE_VERSION);
     put_u64(&mut out, sender);
+    out.extend_from_slice(proof.as_bytes());
     out
 }
 
-/// Decodes a hello payload, checking magic and version.
+/// Decodes a hello payload into the claimed sender id and its proof,
+/// checking magic and version.
 ///
 /// # Errors
 ///
 /// Returns [`WireError::BadMagic`] / [`WireError::UnsupportedVersion`] for
 /// incompatible peers and [`WireError::Truncated`] / [`WireError::Corrupt`]
 /// for malformed payloads.
-pub fn decode_hello(payload: &[u8]) -> Result<u64, WireError> {
+pub fn decode_hello(payload: &[u8]) -> Result<(u64, Signature), WireError> {
     let mut cur = WireCursor::new(payload);
     if cur.take(4)? != HELLO_MAGIC {
         return Err(WireError::BadMagic);
@@ -214,10 +240,64 @@ pub fn decode_hello(payload: &[u8]) -> Result<u64, WireError> {
         return Err(WireError::UnsupportedVersion(version));
     }
     let sender = cur.u64()?;
+    let proof = Signature::from_bytes(cur.digest32()?);
     if !cur.done() {
         return Err(WireError::Corrupt("trailing bytes after hello"));
     }
-    Ok(sender)
+    Ok((sender, proof))
+}
+
+/// Reads one whole frame from a blocking stream, with the decoder's checks.
+///
+/// # Errors
+///
+/// Fails on a read error or timeout, or with
+/// [`std::io::ErrorKind::InvalidData`] for a frame the decoder refuses.
+pub fn read_frame(stream: &mut impl std::io::Read) -> std::io::Result<Frame> {
+    let invalid = |e: FrameError| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
+    let mut header = [0u8; FRAME_HEADER_BYTES];
+    stream.read_exact(&mut header)?;
+    let mut decoder = FrameDecoder::new();
+    decoder.push(&header);
+    if let Some(frame) = decoder.next_frame().map_err(invalid)? {
+        return Ok(frame);
+    }
+    let len = u32::from_be_bytes(header[..4].try_into().expect("4 bytes"));
+    let mut payload = vec![0; len as usize];
+    stream.read_exact(&mut payload)?;
+    decoder.push(&payload);
+    Ok(decoder
+        .next_frame()
+        .map_err(invalid)?
+        .expect("a whole frame"))
+}
+
+/// Reads the acceptor's challenge: the first frame of every connection,
+/// one 32-byte nonce.
+///
+/// # Errors
+///
+/// Fails like [`read_frame`], or with [`std::io::ErrorKind::InvalidData`]
+/// when the first frame is anything else.
+pub fn read_challenge(stream: &mut impl std::io::Read) -> std::io::Result<[u8; 32]> {
+    let frame = read_frame(stream)?;
+    let nonce = (frame.kind == FrameKind::Challenge).then_some(frame.payload);
+    let not_a_challenge = || std::io::Error::from(std::io::ErrorKind::InvalidData);
+    nonce
+        .and_then(|nonce| nonce.try_into().ok())
+        .ok_or_else(not_a_challenge)
+}
+
+/// Whether `proof` is `key`'s signature over this connection's `challenge`,
+/// the claimed `sender` and the acceptor's own `cluster` tag.
+pub fn hello_proves(
+    key: &PublicKey,
+    challenge: &[u8; 32],
+    sender: u64,
+    cluster: u64,
+    proof: &Signature,
+) -> bool {
+    key.verify(&hello_claim(challenge, sender, cluster), proof)
 }
 
 /// Encodes a peer table: `(replica id, listen address)` entries. Addresses
@@ -292,19 +372,15 @@ pub fn decode_client_batch(payload: &[u8]) -> Result<Vec<ClientRequest>, WireErr
 }
 
 /// A replica's answer to a status probe.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct StatusReply {
     /// The probe token, echoed back (lets one connection carry overlapping
     /// probes and still match replies to requests).
     pub token: u64,
-    /// Transactions the replica has committed.
-    pub committed_txs: u64,
-    /// Blocks the replica has committed.
-    pub committed_blocks: u64,
-    /// The replica's current view.
-    pub view: u64,
-    /// The replica's committed-chain fingerprint (block-id chain hash).
-    pub chain_fingerprint: [u8; 32],
+    /// The replica's progress, counters and probed prefix fingerprint.
+    pub status: SeatStatus,
+    /// The replica's network counters.
+    pub net: NodeNetStats,
 }
 
 /// Encodes a status probe. `prefix_len` of 0 asks for the fingerprint of the
@@ -335,14 +411,38 @@ pub fn decode_status(payload: &[u8]) -> Result<(u64, u64), WireError> {
     Ok((token, prefix_len))
 }
 
-/// Encodes a status reply.
+/// Encodes a status reply: the token, the status's numbers in field order
+/// around its fingerprint, then the network counters with one entry per
+/// peer link.
 pub fn encode_status_reply(reply: &StatusReply) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    put_u64(&mut out, reply.token);
-    put_u64(&mut out, reply.committed_txs);
-    put_u64(&mut out, reply.committed_blocks);
-    put_u64(&mut out, reply.view);
-    out.extend_from_slice(&reply.chain_fingerprint);
+    let (s, net) = (&reply.status, &reply.net);
+    let mut out = Vec::with_capacity(160 + net.peers.len() * 56);
+    for word in [reply.token, s.committed_txs, s.committed_blocks, s.view] {
+        put_u64(&mut out, word);
+    }
+    out.extend_from_slice(&s.chain_fingerprint);
+    let counters = [
+        s.safety_violations,
+        s.timeout_view_changes,
+        s.auth_rejections,
+        s.client_auth_rejections,
+        s.records_replayed,
+        net.node,
+        net.accepted_connections,
+        net.refused_hellos,
+        net.verify_accepted,
+        net.verify_rejected,
+        net.peers.len() as u64,
+    ];
+    for word in counters {
+        put_u64(&mut out, word);
+    }
+    for (peer, p) in &net.peers {
+        let words = [*peer, p.attempts, p.connects, p.frames_sent, p.bytes_sent];
+        for word in words.into_iter().chain([p.dropped]) {
+            put_u64(&mut out, word);
+        }
+    }
     out
 }
 
@@ -354,13 +454,40 @@ pub fn encode_status_reply(reply: &StatusReply) -> Vec<u8> {
 /// reply.
 pub fn decode_status_reply(payload: &[u8]) -> Result<StatusReply, WireError> {
     let mut cur = WireCursor::new(payload);
-    let reply = StatusReply {
-        token: cur.u64()?,
+    let token = cur.u64()?;
+    let status = SeatStatus {
         committed_txs: cur.u64()?,
         committed_blocks: cur.u64()?,
         view: cur.u64()?,
         chain_fingerprint: cur.digest32()?,
+        safety_violations: cur.u64()?,
+        timeout_view_changes: cur.u64()?,
+        auth_rejections: cur.u64()?,
+        client_auth_rejections: cur.u64()?,
+        records_replayed: cur.u64()?,
     };
+    let mut net = NodeNetStats {
+        node: cur.u64()?,
+        accepted_connections: cur.u64()?,
+        refused_hellos: cur.u64()?,
+        verify_accepted: cur.u64()?,
+        verify_rejected: cur.u64()?,
+        peers: Vec::new(),
+    };
+    for _ in 0..cur.u64()? {
+        let peer = cur.u64()?;
+        let (attempts, connects) = (cur.u64()?, cur.u64()?);
+        let stats = PeerStats {
+            attempts,
+            connects,
+            reconnects: connects.saturating_sub(1),
+            frames_sent: cur.u64()?,
+            bytes_sent: cur.u64()?,
+            dropped: cur.u64()?,
+        };
+        net.peers.push((peer, stats));
+    }
+    let reply = StatusReply { token, status, net };
     if !cur.done() {
         return Err(WireError::Corrupt("trailing bytes after status reply"));
     }
@@ -374,14 +501,33 @@ mod tests {
     #[test]
     fn frames_round_trip_through_the_decoder() {
         let mut stream = Vec::new();
-        frame_into(&mut stream, FrameKind::Hello, &encode_hello(3));
+        frame_into(
+            &mut stream,
+            FrameKind::Hello,
+            &encode_hello(3, 11, &[7; 32]),
+        );
         frame_into(&mut stream, FrameKind::Msg, b"payload");
         frame_into(&mut stream, FrameKind::Shutdown, &[]);
         let mut decoder = FrameDecoder::new();
         decoder.push(&stream);
         let hello = decoder.next_frame().unwrap().unwrap();
         assert_eq!(hello.kind, FrameKind::Hello);
-        assert_eq!(decode_hello(&hello.payload), Ok(3));
+        let (sender, proof) = decode_hello(&hello.payload).unwrap();
+        assert_eq!(sender, 3);
+        let key = KeyPair::from_seed(3).public_key();
+        assert!(hello_proves(&key, &[7; 32], 3, 11, &proof));
+        assert!(
+            !hello_proves(&key, &[8; 32], 3, 11, &proof),
+            "another challenge"
+        );
+        assert!(
+            !hello_proves(&key, &[7; 32], 2, 11, &proof),
+            "another claim"
+        );
+        assert!(
+            !hello_proves(&key, &[7; 32], 3, 12, &proof),
+            "another cluster"
+        );
         let msg = decoder.next_frame().unwrap().unwrap();
         assert_eq!(msg.kind, FrameKind::Msg);
         assert_eq!(msg.payload, b"payload");
@@ -405,10 +551,10 @@ mod tests {
 
     #[test]
     fn hello_rejects_wrong_magic_and_version() {
-        let mut bad_magic = encode_hello(1);
+        let mut bad_magic = encode_hello(1, 0, &[0; 32]);
         bad_magic[0] = b'X';
         assert_eq!(decode_hello(&bad_magic), Err(WireError::BadMagic));
-        let mut bad_version = encode_hello(1);
+        let mut bad_version = encode_hello(1, 0, &[0; 32]);
         bad_version[5] = 99;
         assert_eq!(
             decode_hello(&bad_version),
@@ -431,17 +577,39 @@ mod tests {
 
     #[test]
     fn status_reply_round_trips() {
+        let link = PeerStats {
+            attempts: 3,
+            connects: 2,
+            reconnects: 1,
+            frames_sent: 40,
+            bytes_sent: 4000,
+            dropped: 5,
+        };
         let reply = StatusReply {
             token: 7,
-            committed_txs: 1234,
-            committed_blocks: 56,
-            view: 78,
-            chain_fingerprint: [9u8; 32],
+            status: SeatStatus {
+                committed_txs: 1234,
+                committed_blocks: 56,
+                view: 78,
+                chain_fingerprint: [9u8; 32],
+                safety_violations: 1,
+                timeout_view_changes: 2,
+                auth_rejections: 3,
+                client_auth_rejections: 4,
+                records_replayed: 5,
+            },
+            net: NodeNetStats {
+                node: 2,
+                peers: vec![(0, link), (1, PeerStats::default())],
+                accepted_connections: 6,
+                refused_hellos: 1,
+                verify_accepted: 900,
+                verify_rejected: 8,
+            },
         };
-        assert_eq!(
-            decode_status_reply(&encode_status_reply(&reply)).unwrap(),
-            reply
-        );
+        let bytes = encode_status_reply(&reply);
+        assert_eq!(decode_status_reply(&bytes).unwrap(), reply);
+        assert!(decode_status_reply(&bytes[..bytes.len() - 1]).is_err());
         assert_eq!(decode_status(&encode_status(99, 4)).unwrap(), (99, 4));
     }
 }

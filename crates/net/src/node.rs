@@ -5,20 +5,25 @@
 //! The thread model is a strict send/receive split so the consensus thread
 //! never blocks on a socket:
 //!
-//! * **readers** (one per accepted connection) block on `read`, feed a
-//!   [`FrameDecoder`], and hand decoded consensus messages to the node's
-//!   verify pool — signature checking happens off the consensus thread, and
-//!   the replica only ever receives [`bamboo_types::VerifiedMessage`] proof
-//!   tokens, exactly like the threaded backend;
+//! * **readers** (one per accepted connection) challenge the dialler, block
+//!   on `read`, feed a [`FrameDecoder`], and hand decoded consensus messages
+//!   to the node's verify pool — signature checking happens off the
+//!   consensus thread, and the replica only ever receives
+//!   [`bamboo_types::VerifiedMessage`] proof tokens, exactly like the channel
+//!   link;
 //! * **writers** (one per peer, owned by [`PeerSender`]) drain bounded
 //!   queues of pre-encoded frames and own all connect/reconnect logic;
-//! * the **consensus thread** runs [`run_live_node`], the one live driver it
-//!   shares with the threaded cluster — deadlines, crash/recover, start-up
-//!   gate and commit accounting included; the only code of its own is the
-//!   `SocketLink`, which realises sends as frame enqueues and knows which
-//!   peer addresses are still missing.
+//! * the **consensus thread** runs [`run_live_node`], the one live driver —
+//!   deadlines, crash/recover, start-up gate and commit accounting included;
+//!   the only code of its own is the `SocketLink`, which realises sends as
+//!   frame enqueues and knows which peer addresses are still missing.
 //!
-//! Unlike the in-process backends, verification here is per-*node*, not
+//! A connection is trusted with a replica id only on proof: the acceptor
+//! opens it with a fresh [`FrameKind::Challenge`], and a hello claiming
+//! replica `X` must carry `X`'s signature over that challenge. A claim
+//! without it is dropped and counted ([`NodeNetStats::refused_hellos`]).
+//!
+//! Unlike the channel link, verification here is per-*node*, not
 //! per-cluster: a broadcast is verified once per receiving replica (each
 //! replica trusts only its own ingress), which is the honest cost of a real
 //! deployment and exactly what the paper's testbed pays.
@@ -29,19 +34,19 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
-use bamboo_core::live::{run_live_node, Link, LiveEvent, LiveStatus};
-use bamboo_core::runtime::NodeHost;
+use bamboo_core::live::{run_live_node, Link, LiveEvent, LiveStatus, NodeNetStats, SeatStatus};
+use bamboo_core::runtime::{NodeHost, RecoverMode};
 use bamboo_core::verify::{VerifyHandle, VerifyPool};
 use bamboo_types::wire::encode_message;
-use bamboo_types::{ClientRequest, Message, NodeId};
+use bamboo_types::{Authenticator, ClientRequest, Message, NodeId};
 
 use crate::frame::{
     decode_client_batch, decode_hello, decode_peer_table, decode_status, encode_frame,
-    encode_status_reply, FrameDecoder, FrameKind, StatusReply, CLIENT_SENDER,
+    encode_status_reply, hello_proves, FrameDecoder, FrameKind, StatusReply, CLIENT_SENDER,
 };
-use crate::peer::{BackoffPolicy, PeerSender, PeerStats};
+use crate::peer::{BackoffPolicy, PeerSender};
 
 /// Verify workers per node. One per node keeps the thread count of an
 /// n-replica loopback cluster at roughly 4n (replica + acceptor + n−1
@@ -49,71 +54,21 @@ use crate::peer::{BackoffPolicy, PeerSender, PeerStats};
 /// thread.
 pub const DEFAULT_NODE_VERIFY_WORKERS: usize = 1;
 
-/// Per-node network counters, per peer link plus ingress totals.
-#[derive(Clone, Debug)]
-pub struct NodeNetStats {
-    /// The reporting replica.
-    pub node: u64,
-    /// Outbound link counters, one entry per remote peer.
-    pub peers: Vec<(u64, PeerStats)>,
-    /// Inbound connections accepted by this node's listener (initial
-    /// connects and peer reconnects alike).
-    pub accepted_connections: u64,
-    /// Messages this node's verify pool accepted.
-    pub verify_accepted: u64,
-    /// Messages this node's verify pool rejected as forged or malformed.
-    pub verify_rejected: u64,
-}
-
-impl NodeNetStats {
-    /// Total outbound reconnects across all peer links.
-    pub fn reconnects(&self) -> u64 {
-        self.peers.iter().map(|(_, s)| s.reconnects).sum()
-    }
-
-    /// Total bytes written across all peer links.
-    pub fn bytes_sent(&self) -> u64 {
-        self.peers.iter().map(|(_, s)| s.bytes_sent).sum()
-    }
-
-    /// Total frames dropped across all peer links.
-    pub fn dropped(&self) -> u64 {
-        self.peers.iter().map(|(_, s)| s.dropped).sum()
-    }
-}
-
 /// Everything a [`TcpNode`] hands back when it stops.
 pub struct TcpNodeReport {
     /// The final host (ledger, forest, recovery stats, rejection counters).
     pub host: NodeHost,
+    /// The node's final status.
+    pub status: SeatStatus,
     /// The node's network counters.
     pub stats: NodeNetStats,
-}
-
-/// Answers a status probe from the node's published progress. `prefix_len`
-/// of 0 means "the full chain as of now"; a longer prefix than the node has
-/// committed is clamped to its chain.
-fn status_reply(status: &LiveStatus, token: u64, prefix_len: u64) -> StatusReply {
-    let blocks = status.committed_blocks();
-    let want = if prefix_len == 0 {
-        blocks
-    } else {
-        prefix_len.min(blocks)
-    };
-    StatusReply {
-        token,
-        committed_txs: status.committed_txs(),
-        committed_blocks: blocks,
-        view: status.view(),
-        chain_fingerprint: status.chain_prefix(want).unwrap_or_default(),
-    }
 }
 
 /// The TCP backend's [`Link`]: sends become pre-encoded frames in the
 /// per-peer outbound queues, and the node is ready once every peer's listen
 /// address is known.
 struct SocketLink {
-    peers: Arc<Vec<Option<PeerSender>>>,
+    shared: Arc<Shared>,
     known: Vec<bool>,
 }
 
@@ -124,10 +79,8 @@ fn message_frame(message: &Message) -> Arc<[u8]> {
 impl Link for SocketLink {
     fn unicast(&mut self, to: NodeId, message: Message) {
         // Unicasts to non-replica destinations (client responses) have no
-        // socket here; a real deployment would route them to the client's
-        // connection, the loopback harness measures commits via status
-        // probes instead.
-        if let Some(Some(peer)) = self.peers.get(to.index()) {
+        // socket here; the cluster measures commits via status probes.
+        if let Some(Some(peer)) = self.shared.peers.get(to.index()) {
             peer.send(message_frame(&message));
         }
     }
@@ -136,7 +89,7 @@ impl Link for SocketLink {
         // Encode once; every peer queue gets a pointer bump of the same
         // frame allocation (this node's own slot is empty).
         let frame = message_frame(&message);
-        for peer in self.peers.iter().flatten() {
+        for peer in self.shared.peers.iter().flatten() {
             peer.send(Arc::clone(&frame));
         }
     }
@@ -147,7 +100,7 @@ impl Link for SocketLink {
 
     fn set_peers(&mut self, table: &[(u64, SocketAddr)]) {
         for &(peer, addr) in table {
-            if let Some(Some(link)) = self.peers.get(peer as usize) {
+            if let Some(Some(link)) = self.shared.peers.get(peer as usize) {
                 link.set_addr(addr);
                 self.known[peer as usize] = true;
             }
@@ -155,19 +108,54 @@ impl Link for SocketLink {
     }
 }
 
+/// What a node's threads share.
+struct Shared {
+    id: NodeId,
+    /// The cluster's tag, which a hello's proof must cover.
+    cluster: u64,
+    status: LiveStatus,
+    peers: Vec<Option<PeerSender>>,
+    /// The validator set's keys, which check a hello's proof.
+    keys: Authenticator,
+    accepted: AtomicU64,
+    refused: AtomicU64,
+    verify: Box<dyn Fn() -> (u64, u64) + Send + Sync>,
+    stop: AtomicBool,
+}
+
+impl Shared {
+    fn net_stats(&self) -> NodeNetStats {
+        let (verify_accepted, verify_rejected) = (self.verify)();
+        let peers = self.peers.iter().enumerate();
+        NodeNetStats {
+            node: self.id.as_u64(),
+            peers: peers
+                .filter_map(|(index, peer)| peer.as_ref().map(|p| (index as u64, p.stats())))
+                .collect(),
+            accepted_connections: self.accepted.load(Ordering::Acquire),
+            refused_hellos: self.refused.load(Ordering::Acquire),
+            verify_accepted,
+            verify_rejected,
+        }
+    }
+
+    /// A nonce no other connection of any node gets: the node, the
+    /// connection's number and the wall clock, hashed.
+    fn challenge(&self, connection: u64) -> [u8; 32] {
+        let since = SystemTime::now().duration_since(SystemTime::UNIX_EPOCH);
+        let seed = format!("{}-{connection}-{since:?}", self.id);
+        *bamboo_crypto::hash_two(b"bamboo-hello-challenge", seed.as_bytes()).as_bytes()
+    }
+}
+
 /// A running socket-backed replica.
 pub struct TcpNode {
-    id: NodeId,
-    local_addr: SocketAddr,
     events: Sender<LiveEvent>,
-    replica: Option<JoinHandle<NodeHost>>,
-    accept: Option<JoinHandle<()>>,
+    replica: JoinHandle<NodeHost>,
+    accept: JoinHandle<()>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    stop: Arc<AtomicBool>,
-    peers: Arc<Vec<Option<PeerSender>>>,
-    verify: Option<VerifyPool>,
-    status: Arc<LiveStatus>,
-    accepted: Arc<AtomicU64>,
+    shared: Arc<Shared>,
+    verify: VerifyPool,
 }
 
 /// Poll interval of the (non-blocking) accept loop and the readers' receive
@@ -175,187 +163,130 @@ pub struct TcpNode {
 const POLL_TICK: Duration = Duration::from_millis(20);
 
 impl TcpNode {
-    /// Spawns `host` as a replica on a pre-bound listener. `peer_addrs[i]` is
-    /// replica `i`'s listen address when already known (same-process
-    /// clusters know all of them upfront; multi-process replicas start with
-    /// none and learn them from the driver's peer table). Consensus starts
-    /// once every peer address is known.
+    /// Spawns `host` as a seat of the cluster tagged `cluster` on a
+    /// pre-bound listener. It knows none of its peers' addresses yet:
+    /// consensus starts once a peer table ([`TcpNode::set_peers`], or a
+    /// [`FrameKind::PeerTable`] frame) has named them all — through
+    /// `NodeHost::start`, or through `NodeHost::restart` in mode `restart`
+    /// when that is set.
     pub fn spawn(
         host: NodeHost,
         listener: TcpListener,
-        peer_addrs: Vec<Option<SocketAddr>>,
+        cluster: u64,
         verify_workers: usize,
         backoff: BackoffPolicy,
+        restart: Option<RecoverMode>,
     ) -> std::io::Result<Self> {
-        let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let id = host.replica().id();
         let nodes = host.replica().config().nodes;
-        assert_eq!(peer_addrs.len(), nodes, "one address slot per replica");
         let (events, receiver) = channel::<LiveEvent>();
-        let peers: Arc<Vec<Option<PeerSender>>> = Arc::new(
-            (0..nodes)
-                .map(|index| {
-                    (index != id.index())
-                        .then(|| PeerSender::spawn(id.as_u64(), peer_addrs[index], backoff))
-                })
-                .collect(),
-        );
-        let status = Arc::new(LiveStatus::default());
-        let stop = Arc::new(AtomicBool::new(false));
-        let accepted = Arc::new(AtomicU64::new(0));
-        let readers = Arc::new(Mutex::new(Vec::new()));
-
         let deliver_events = events.clone();
         let verify = VerifyPool::new(nodes, verify_workers.max(1), move |_to, verified| {
             // `_to` is always this node: readers submit unicast-to-self.
             let _ = deliver_events.send(LiveEvent::Verified(verified));
         });
-
-        let accept = {
-            let handle = verify.handle();
-            let events = events.clone();
-            let stop = Arc::clone(&stop);
-            let status = Arc::clone(&status);
-            let accepted = Arc::clone(&accepted);
-            let readers = Arc::clone(&readers);
-            std::thread::spawn(move || {
-                run_acceptor(listener, events, handle, stop, status, accepted, readers)
-            })
-        };
-
-        let replica = {
-            let known = (0..nodes)
-                .map(|index| index == id.index() || peer_addrs[index].is_some())
-                .collect();
-            let peers = Arc::clone(&peers);
-            let status = Arc::clone(&status);
-            std::thread::spawn(move || {
-                let mut link = SocketLink { peers, known };
-                run_live_node(host, &mut link, &receiver, Instant::now(), &status)
-            })
-        };
-
-        Ok(Self {
+        let peer = || PeerSender::spawn(id.as_u64(), cluster, None, backoff);
+        let shared = Arc::new(Shared {
             id,
-            local_addr,
+            cluster,
+            status: LiveStatus::default(),
+            peers: (0..nodes).map(|i| (i != id.index()).then(peer)).collect(),
+            keys: Authenticator::for_nodes(nodes),
+            accepted: AtomicU64::new(0),
+            refused: AtomicU64::new(0),
+            verify: Box::new(verify.tally()),
+            stop: AtomicBool::new(false),
+        });
+        let readers = Arc::new(Mutex::new(Vec::new()));
+        let accept = {
+            let (handle, events) = (verify.handle(), events.clone());
+            let (shared, readers) = (Arc::clone(&shared), Arc::clone(&readers));
+            std::thread::spawn(move || run_acceptor(listener, events, handle, shared, readers))
+        };
+        let replica = {
+            let known = (0..nodes).map(|index| index == id.index()).collect();
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let (clock, status) = (Instant::now(), &shared.status);
+                let mut link = SocketLink {
+                    shared: Arc::clone(&shared),
+                    known,
+                };
+                run_live_node(host, &mut link, &receiver, clock, status, restart)
+            })
+        };
+        Ok(Self {
             events,
-            replica: Some(replica),
-            accept: Some(accept),
+            replica,
+            accept,
             readers,
-            stop,
-            peers,
-            verify: Some(verify),
-            status,
-            accepted,
+            shared,
+            verify,
         })
     }
 
-    /// The replica's id.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// The address the node's listener is bound to.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Submits a batch of client requests directly (same-process path; the
-    /// multi-process driver sends [`FrameKind::ClientBatch`] frames instead).
+    /// Submits a batch of client requests directly (same-process path; a
+    /// driver in another process sends [`FrameKind::ClientBatch`] frames).
     pub fn submit(&self, requests: Vec<ClientRequest>) {
         let _ = self.events.send(LiveEvent::Client(requests));
     }
 
-    /// Transactions this replica has committed.
-    pub fn committed_txs(&self) -> u64 {
-        self.status.committed_txs()
+    /// The node's status ([`LiveStatus::snapshot`]).
+    pub fn status(&self, prefix_len: u64) -> SeatStatus {
+        self.shared.status.snapshot(prefix_len)
     }
 
-    /// Points this node's outbound link for `peer` at a new address (a
-    /// restarted replica binds a fresh port).
-    pub fn update_peer(&self, peer: NodeId, addr: SocketAddr) {
-        let _ = self
-            .events
-            .send(LiveEvent::Peers(vec![(peer.as_u64(), addr)]));
-    }
-
-    /// Asks the consensus loop to stop (idempotent; `join` also sends it).
-    pub fn request_shutdown(&self) {
-        let _ = self.events.send(LiveEvent::Shutdown);
+    /// Points the node's outbound links at its peers' listen addresses.
+    pub fn set_peers(&self, table: Vec<(u64, SocketAddr)>) {
+        let _ = self.events.send(LiveEvent::Peers(table));
     }
 
     /// Stops every thread (consensus, acceptor, readers, writers, verify
     /// workers) and returns the final host and counters.
     pub fn join(self) -> TcpNodeReport {
-        self.finish(true)
+        let _ = self.events.send(LiveEvent::Shutdown);
+        self.wait()
     }
 
     /// Blocks until something else stops the consensus loop — a
-    /// [`FrameKind::Shutdown`] frame from the driver in multi-process mode —
-    /// then tears down and reports, like [`TcpNode::join`] but without
-    /// initiating the shutdown itself.
+    /// [`FrameKind::Shutdown`] frame from the cluster's driver — then tears
+    /// down and reports, like [`TcpNode::join`].
     pub fn wait(self) -> TcpNodeReport {
-        self.finish(false)
-    }
-
-    fn finish(mut self, request_shutdown: bool) -> TcpNodeReport {
-        if request_shutdown {
-            let _ = self.events.send(LiveEvent::Shutdown);
-        }
-        let host = self
-            .replica
-            .take()
-            .expect("join called once")
-            .join()
-            .expect("consensus thread panicked");
-        self.stop.store(true, Ordering::Release);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
+        let host = self.replica.join().expect("consensus thread panicked");
+        self.shared.stop.store(true, Ordering::Release);
+        let _ = self.accept.join();
         let readers = std::mem::take(&mut *self.readers.lock().expect("readers lock poisoned"));
         for reader in readers {
             let _ = reader.join();
         }
-        let peer_stats: Vec<(u64, PeerStats)> = self
-            .peers
-            .iter()
-            .enumerate()
-            .filter_map(|(index, peer)| peer.as_ref().map(|p| (index as u64, p.stats())))
-            .collect();
-        let (verify_accepted, verify_rejected) =
-            self.verify.take().expect("join called once").shutdown();
-        let stats = NodeNetStats {
-            node: self.id.as_u64(),
-            peers: peer_stats,
-            accepted_connections: self.accepted.load(Ordering::Acquire),
-            verify_accepted,
-            verify_rejected,
-        };
-        TcpNodeReport { host, stats }
+        // Drained before the counters are read, so they are final.
+        self.verify.shutdown();
+        TcpNodeReport {
+            host,
+            status: self.shared.status.snapshot(0),
+            stats: self.shared.net_stats(),
+        }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_acceptor(
     listener: TcpListener,
     events: Sender<LiveEvent>,
     verify: VerifyHandle,
-    stop: Arc<AtomicBool>,
-    status: Arc<LiveStatus>,
-    accepted: Arc<AtomicU64>,
+    shared: Arc<Shared>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
-    while !stop.load(Ordering::Acquire) {
+    while !shared.stop.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _)) => {
-                accepted.fetch_add(1, Ordering::Release);
-                let events = events.clone();
-                let verify = verify.clone();
-                let stop = Arc::clone(&stop);
-                let status = Arc::clone(&status);
-                let reader =
-                    std::thread::spawn(move || run_reader(stream, events, verify, stop, status));
+                let connection = shared.accepted.fetch_add(1, Ordering::AcqRel);
+                let challenge = shared.challenge(connection);
+                let (events, verify) = (events.clone(), verify.clone());
+                let shared = Arc::clone(&shared);
+                let reader = std::thread::spawn(move || {
+                    run_reader(stream, challenge, &events, &verify, &shared)
+                });
                 readers.lock().expect("readers lock poisoned").push(reader);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -366,22 +297,29 @@ fn run_acceptor(
     }
 }
 
-/// One connection's receive loop: read, decode frames, dispatch. The first
-/// frame must be a hello; anything malformed drops the connection (the peer's
-/// writer reconnects on its backoff schedule).
+/// One connection's receive loop: challenge the dialler, then read, decode
+/// frames and dispatch. The first frame must be a hello that proves its
+/// claim; anything malformed drops the connection (the peer's writer
+/// reconnects on its backoff schedule).
 fn run_reader(
     mut stream: TcpStream,
-    events: Sender<LiveEvent>,
-    verify: VerifyHandle,
-    stop: Arc<AtomicBool>,
-    status: Arc<LiveStatus>,
+    challenge: [u8; 32],
+    events: &Sender<LiveEvent>,
+    verify: &VerifyHandle,
+    shared: &Shared,
 ) {
     let _ = stream.set_read_timeout(Some(POLL_TICK));
     let _ = stream.set_nodelay(true);
+    if stream
+        .write_all(&encode_frame(FrameKind::Challenge, &challenge))
+        .is_err()
+    {
+        return;
+    }
     let mut decoder = FrameDecoder::new();
     let mut buf = vec![0u8; 64 * 1024];
     let mut sender: Option<u64> = None;
-    'conn: while !stop.load(Ordering::Acquire) {
+    'conn: while !shared.stop.load(Ordering::Acquire) {
         match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => decoder.push(&buf[..n]),
@@ -400,17 +338,27 @@ fn run_reader(
                 Err(_) => break 'conn,
             };
             match (frame.kind, sender) {
-                (FrameKind::Hello, _) => match decode_hello(&frame.payload) {
-                    Ok(id) => sender = Some(id),
-                    Err(_) => break 'conn,
-                },
-                // Every other frame requires an established identity first.
-                (_, None) => break 'conn,
+                (FrameKind::Hello, None) => {
+                    let Ok((claim, proof)) = decode_hello(&frame.payload) else {
+                        break 'conn;
+                    };
+                    let key = shared.keys.key_of(NodeId(claim));
+                    let proven = key.is_some_and(|key| {
+                        hello_proves(&key, &challenge, claim, shared.cluster, &proof)
+                    });
+                    if claim != CLIENT_SENDER && !proven {
+                        shared.refused.fetch_add(1, Ordering::AcqRel);
+                        break 'conn;
+                    }
+                    sender = Some(claim);
+                }
+                // Every other frame requires an established identity first,
+                // and an identity is established once.
+                (_, None) | (FrameKind::Hello | FrameKind::Challenge, Some(_)) => break 'conn,
                 (FrameKind::Msg, Some(from)) => {
                     match bamboo_types::wire::decode_message(&frame.payload) {
-                        // The claimed sender is attached here and *proved* by
-                        // the verify pool: a forged identity fails the
-                        // signature check against that identity's key.
+                        // The proven sender is attached here; the verify pool
+                        // still checks every signature the message carries.
                         Ok(message) => verify.submit_unicast(NodeId(from), NodeId(from), message),
                         Err(_) => break 'conn,
                     }
@@ -435,10 +383,13 @@ fn run_reader(
                 }
                 (FrameKind::Status, Some(_)) => match decode_status(&frame.payload) {
                     Ok((token, prefix_len)) => {
-                        let reply = encode_frame(
-                            FrameKind::StatusReply,
-                            &encode_status_reply(&status_reply(&status, token, prefix_len)),
-                        );
+                        let reply = StatusReply {
+                            token,
+                            status: shared.status.snapshot(prefix_len),
+                            net: shared.net_stats(),
+                        };
+                        let reply =
+                            encode_frame(FrameKind::StatusReply, &encode_status_reply(&reply));
                         if stream.write_all(&reply).is_err() {
                             break 'conn;
                         }
@@ -453,5 +404,62 @@ fn run_reader(
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::{encode_hello, read_challenge};
+    use bamboo_core::ReplicaOptions;
+    use bamboo_types::{Config, ProtocolKind};
+
+    /// Dials `addr`, answers the challenge with `hello(challenge)` and a
+    /// status probe; returns whether the probe was answered.
+    fn answered(addr: SocketAddr, hello: impl Fn(&[u8; 32]) -> Vec<u8>) -> bool {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let challenge = read_challenge(&mut stream).unwrap();
+        let mut bytes = encode_frame(FrameKind::Hello, &hello(&challenge));
+        bytes.extend(encode_frame(
+            FrameKind::Status,
+            &crate::frame::encode_status(1, 0),
+        ));
+        stream.write_all(&bytes).unwrap();
+        let mut reply = [0u8; 5];
+        stream.read_exact(&mut reply).is_ok() && reply[4] == FrameKind::StatusReply as u8
+    }
+
+    #[test]
+    fn a_hello_claiming_another_replica_without_its_key_is_refused_and_counted() {
+        let config = Config::builder().nodes(4).build().unwrap();
+        let host = NodeHost::new(
+            NodeId(0),
+            ProtocolKind::HotStuff,
+            config,
+            ReplicaOptions::default(),
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let node = TcpNode::spawn(host, listener, 77, 1, BackoffPolicy::default(), None).unwrap();
+        // Replica 2's key signing a claim to be replica 1.
+        let forged = |challenge: &[u8; 32]| {
+            let mut hello = encode_hello(2, 77, challenge);
+            hello[6..14].copy_from_slice(&1u64.to_be_bytes());
+            hello
+        };
+        assert!(!answered(addr, forged));
+        // Replica 1's own proof, but for another cluster, or replayed from an
+        // earlier connection's challenge.
+        assert!(!answered(addr, |challenge| encode_hello(1, 78, challenge)));
+        assert!(!answered(addr, |_| encode_hello(1, 77, &[0; 32])));
+        // Honest connections, and an honest reconnect, still get in.
+        for _ in 0..2 {
+            assert!(answered(addr, |challenge| encode_hello(1, 77, challenge)));
+        }
+        let stats = node.join().stats;
+        assert_eq!((stats.refused_hellos, stats.accepted_connections), (3, 5));
     }
 }

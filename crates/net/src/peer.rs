@@ -25,7 +25,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::frame::{encode_frame, encode_hello, FrameKind};
+use bamboo_core::live::PeerStats;
+
+use crate::frame::{encode_frame, encode_hello, read_challenge, FrameKind};
 
 /// Exponential-backoff schedule for connection attempts: delays double from
 /// `initial` to `max` and reset to `initial` after a successful connect.
@@ -60,23 +62,6 @@ const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 const DRAIN_TICK: Duration = Duration::from_millis(10);
 /// Outbound frames a peer queue holds before sends start dropping.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
-
-/// Point-in-time snapshot of one peer link's counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PeerStats {
-    /// Connection attempts (successful or not).
-    pub attempts: u64,
-    /// Connections successfully established.
-    pub connects: u64,
-    /// Re-establishments after the first connect (`connects - 1`, floored).
-    pub reconnects: u64,
-    /// Frames written to the socket.
-    pub frames_sent: u64,
-    /// Bytes written to the socket (framing included).
-    pub bytes_sent: u64,
-    /// Frames dropped — queue full, peer down, or write failed.
-    pub dropped: u64,
-}
 
 #[derive(Default)]
 struct PeerCounters {
@@ -114,18 +99,25 @@ pub struct PeerSender {
 }
 
 impl PeerSender {
-    /// Spawns the writer thread for one peer. `self_id` is announced in the
-    /// hello frame that opens every connection; `addr` may start `None` (the
-    /// multi-process mode learns addresses from the driver's peer table) and
-    /// the writer waits until one is set.
-    pub fn spawn(self_id: u64, addr: Option<SocketAddr>, policy: BackoffPolicy) -> Self {
+    /// Spawns the writer thread for one peer. `self_id` is claimed in the
+    /// hello that answers every connection's challenge, with replica
+    /// `self_id`'s signature for the cluster tagged `cluster` as proof;
+    /// `addr` may start `None` (a seat learns its peers' addresses from the
+    /// cluster's peer table) and the writer waits until one is set.
+    pub fn spawn(
+        self_id: u64,
+        cluster: u64,
+        addr: Option<SocketAddr>,
+        policy: BackoffPolicy,
+    ) -> Self {
         let (queue, receiver) = sync_channel::<Arc<[u8]>>(DEFAULT_QUEUE_CAPACITY);
         let addr = Arc::new(Mutex::new(addr));
         let counters = Arc::new(PeerCounters::default());
         let writer_addr = Arc::clone(&addr);
         let writer_counters = Arc::clone(&counters);
         let writer = std::thread::spawn(move || {
-            run_writer(self_id, receiver, &writer_addr, &writer_counters, policy)
+            let claim = (self_id, cluster);
+            run_writer(claim, receiver, &writer_addr, &writer_counters, policy)
         });
         Self {
             queue,
@@ -182,26 +174,31 @@ impl Drop for PeerSender {
 }
 
 fn run_writer(
-    self_id: u64,
+    claim: (u64, u64),
     receiver: Receiver<Arc<[u8]>>,
     addr: &Mutex<Option<SocketAddr>>,
     counters: &PeerCounters,
     policy: BackoffPolicy,
 ) {
-    let hello = encode_frame(FrameKind::Hello, &encode_hello(self_id));
     let mut conn: Option<TcpStream> = None;
     let mut backoff = policy.initial;
     let mut next_attempt = Instant::now();
     loop {
+        let frame = match receiver.recv_timeout(DRAIN_TICK) {
+            Ok(frame) => Some(frame),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => return,
+        };
         // Connection establishment with retry/backoff. Attempted even while
         // the queue is idle, so a link is typically up before the first
         // frame wants out, and a dead peer is re-dialled on the backoff
-        // schedule rather than on traffic.
+        // schedule rather than on traffic; and attempted before a frame goes
+        // out, so a link whose address just arrived does not drop it.
         if conn.is_none() && Instant::now() >= next_attempt {
             let target = *addr.lock().expect("peer addr lock poisoned");
             if let Some(target) = target {
                 counters.attempts.fetch_add(1, Ordering::Release);
-                match try_connect(&target, &hello) {
+                match try_connect(&target, claim) {
                     Ok((stream, written)) => {
                         counters.connects.fetch_add(1, Ordering::Release);
                         counters.bytes_sent.fetch_add(written, Ordering::Release);
@@ -215,40 +212,46 @@ fn run_writer(
                 }
             }
         }
-
-        match receiver.recv_timeout(DRAIN_TICK) {
-            Ok(frame) => match conn.as_mut() {
-                Some(stream) => {
-                    if stream.write_all(&frame).is_ok() {
-                        counters.frames_sent.fetch_add(1, Ordering::Release);
-                        counters
-                            .bytes_sent
-                            .fetch_add(frame.len() as u64, Ordering::Release);
-                    } else {
-                        // The connection died mid-write; drop it (and this
-                        // frame — the stream offset is unknown, resending
-                        // could tear a frame) and fall back to the dialler.
-                        conn = None;
-                        counters.dropped.fetch_add(1, Ordering::Release);
-                        next_attempt = Instant::now() + backoff;
-                        backoff = policy.next(backoff);
-                    }
-                }
-                None => {
+        let Some(frame) = frame else {
+            continue;
+        };
+        match conn.as_mut() {
+            Some(stream) => {
+                if stream.write_all(&frame).is_ok() {
+                    counters.frames_sent.fetch_add(1, Ordering::Release);
+                    counters
+                        .bytes_sent
+                        .fetch_add(frame.len() as u64, Ordering::Release);
+                } else {
+                    // The connection died mid-write; drop it (and this
+                    // frame — the stream offset is unknown, resending
+                    // could tear a frame) and fall back to the dialler.
+                    conn = None;
                     counters.dropped.fetch_add(1, Ordering::Release);
+                    next_attempt = Instant::now() + backoff;
+                    backoff = policy.next(backoff);
                 }
-            },
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
+            }
+            None => {
+                counters.dropped.fetch_add(1, Ordering::Release);
+            }
         }
     }
 }
 
-fn try_connect(target: &SocketAddr, hello: &[u8]) -> std::io::Result<(TcpStream, u64)> {
+/// Dials `target`, reads its challenge and answers with a signed hello.
+fn try_connect(target: &SocketAddr, claim: (u64, u64)) -> std::io::Result<(TcpStream, u64)> {
     let mut stream = TcpStream::connect_timeout(target, CONNECT_TIMEOUT)?;
     // Consensus messages are small and latency-sensitive; never Nagle them.
     let _ = stream.set_nodelay(true);
-    stream.write_all(hello)?;
+    stream.set_read_timeout(Some(CONNECT_TIMEOUT))?;
+    let challenge = read_challenge(&mut stream)?;
+    let (self_id, cluster) = claim;
+    let hello = encode_frame(
+        FrameKind::Hello,
+        &encode_hello(self_id, cluster, &challenge),
+    );
+    stream.write_all(&hello)?;
     Ok((stream, hello.len() as u64))
 }
 
@@ -257,6 +260,17 @@ mod tests {
     use super::*;
     use std::io::Read;
     use std::net::TcpListener;
+
+    /// Accepts the writer's connection and challenges it, as a node does.
+    fn accept_challenged(listener: &TcpListener) -> TcpStream {
+        let (mut conn, _) = listener.accept().unwrap();
+        let challenge = encode_frame(FrameKind::Challenge, &[5; 32]);
+        conn.write_all(&challenge).unwrap();
+        conn
+    }
+
+    /// The bytes of a hello frame.
+    const HELLO_FRAME: usize = 51;
 
     fn read_exact_timeout(stream: &mut TcpStream, buf: &mut [u8]) {
         stream
@@ -269,16 +283,18 @@ mod tests {
     fn connects_sends_hello_then_frames() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let sender = PeerSender::spawn(7, Some(addr), BackoffPolicy::default());
-        let (mut conn, _) = listener.accept().unwrap();
+        let sender = PeerSender::spawn(7, 0, Some(addr), BackoffPolicy::default());
+        let mut conn = accept_challenged(&listener);
         sender.send(encode_frame(FrameKind::Msg, b"hi").into());
-        let mut bytes = vec![0u8; 19 + 7];
+        let mut bytes = vec![0u8; HELLO_FRAME + 7];
         read_exact_timeout(&mut conn, &mut bytes);
         let mut decoder = crate::frame::FrameDecoder::new();
         decoder.push(&bytes);
         let hello = decoder.next_frame().unwrap().unwrap();
         assert_eq!(hello.kind, FrameKind::Hello);
-        assert_eq!(crate::frame::decode_hello(&hello.payload), Ok(7));
+        let (claim, proof) = crate::frame::decode_hello(&hello.payload).unwrap();
+        let key = bamboo_crypto::KeyPair::from_seed(7).public_key();
+        assert!(claim == 7 && crate::frame::hello_proves(&key, &[5; 32], 7, 0, &proof));
         let msg = decoder.next_frame().unwrap().unwrap();
         assert_eq!(msg.payload, b"hi");
         // The bytes land on our socket before the writer thread bumps its
@@ -291,7 +307,7 @@ mod tests {
         assert_eq!(stats.connects, 1);
         assert_eq!(stats.reconnects, 0);
         assert_eq!(stats.frames_sent, 1);
-        assert!(stats.bytes_sent >= 19);
+        assert!(stats.bytes_sent >= HELLO_FRAME as u64);
         sender.shutdown();
     }
 
@@ -301,13 +317,14 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let sender = PeerSender::spawn(
             1,
+            0,
             Some(addr),
             BackoffPolicy {
                 initial: Duration::from_millis(5),
                 max: Duration::from_millis(50),
             },
         );
-        let (conn, _) = listener.accept().unwrap();
+        let conn = accept_challenged(&listener);
         // Kill the first connection *and* the listener: subsequent attempts
         // fail (counting attempts > connects) until a new listener appears
         // on a different port and the address is updated.
@@ -322,8 +339,8 @@ mod tests {
         assert!(sender.stats().dropped > 0, "dead socket noticed");
         let relocated = TcpListener::bind("127.0.0.1:0").unwrap();
         sender.set_addr(relocated.local_addr().unwrap());
-        let (mut conn, _) = relocated.accept().unwrap();
-        let mut hello = vec![0u8; 19];
+        let mut conn = accept_challenged(&relocated);
+        let mut hello = vec![0u8; HELLO_FRAME];
         read_exact_timeout(&mut conn, &mut hello);
         let stats = sender.stats();
         assert_eq!(stats.connects, 2);
@@ -337,7 +354,7 @@ mod tests {
 
     #[test]
     fn frames_drop_while_peer_is_down_instead_of_blocking() {
-        let sender = PeerSender::spawn(0, None, BackoffPolicy::default());
+        let sender = PeerSender::spawn(0, 0, None, BackoffPolicy::default());
         for _ in 0..10 {
             sender.send(encode_frame(FrameKind::Msg, b"void").into());
         }

@@ -16,8 +16,8 @@
 //! | [`pacemaker`] | `bamboo-pacemaker` | view synchronisation, leader election |
 //! | [`protocols`] | `bamboo-protocols` | Safety rules on one rule kit: HotStuff, 2CHS, Streamlet, …; the `Attack` type |
 //! | [`sim`] | `bamboo-sim` | discrete-event engine, latency/NIC/CPU models |
-//! | [`core`] | `bamboo-core` | replica, quorum, workload, runner, benchmarker, threaded cluster |
-//! | [`net`] | `bamboo-net` | TCP transport: framing, reconnecting peers, loopback clusters |
+//! | [`core`] | `bamboo-core` | replica, quorum, workload, runner, benchmarker, the one live cluster |
+//! | [`net`] | `bamboo-net` | TCP transport: framing, reconnecting peers, the socket and process links |
 //! | [`model`] | `bamboo-model` | analytical queuing model (§V of the paper) |
 //!
 //! # Example

@@ -9,8 +9,9 @@
 
 use std::time::Duration;
 
+use bamboo_core::threaded::Channels;
 use bamboo_core::{
-    BufferedTransport, NodeHost, ReplicaOptions, RunOptions, SimRunner, StepReport,
+    BufferedTransport, LiveCluster, NodeHost, ReplicaOptions, RunOptions, SimRunner, StepReport,
     ThreadedCluster, DEFAULT_VERIFY_WORKERS,
 };
 use bamboo_crypto::{AggregateSignature, KeyPair};
@@ -120,11 +121,9 @@ fn threaded_pool_rejects_forged_vote_flood() {
     // workers clamps to one (the same rule as the TCP backend's node pools)
     // instead of selecting a separate inline mode.
     for verify_workers in [DEFAULT_VERIFY_WORKERS, 0] {
-        let cluster = ThreadedCluster::spawn_with_verify_workers(
-            threaded_config(),
-            ProtocolKind::HotStuff,
-            verify_workers,
-        );
+        let link = Channels::new(4, verify_workers);
+        let cluster = LiveCluster::spawn_on(link, threaded_config(), ProtocolKind::HotStuff)
+            .expect("channel seats boot");
         cluster.submit_round_robin(400, 16);
         assert!(
             cluster.run_until_committed(40, Duration::from_secs(20)),

@@ -231,7 +231,7 @@ fn threaded_cluster_durable_restart_restores_the_vote_watermark() {
     // needs four consecutive live leaders (three proposals plus the collector
     // of the third QC) — round-robin over three live seats of four never has
     // them, so HS correctly stalls until the victim is back.
-    let cluster = ThreadedCluster::spawn(config, ProtocolKind::TwoChainHotStuff);
+    let mut cluster = ThreadedCluster::spawn(config, ProtocolKind::TwoChainHotStuff);
     cluster.submit_round_robin(600, 16);
     assert!(
         cluster.run_until_committed(50, Duration::from_secs(20)),
@@ -250,7 +250,8 @@ fn threaded_cluster_durable_restart_restores_the_vote_watermark() {
         cluster.committed_txs()
     );
 
-    cluster.recover(victim, RecoverMode::Restart(None));
+    let restart = cluster.recover(victim, RecoverMode::Restart(None));
+    restart.expect("a channel seat restarts in place");
     cluster.submit_round_robin(600, 16);
     let at_recovery = cluster.committed_txs();
     assert!(
@@ -259,7 +260,7 @@ fn threaded_cluster_durable_restart_restores_the_vote_watermark() {
         cluster.committed_txs()
     );
     // Wall-clock slack for the victim's final sync round-trips to land.
-    cluster.run_for(Duration::from_millis(500));
+    std::thread::sleep(Duration::from_millis(500));
 
     let (report, hosts) = cluster.shutdown_with_hosts();
     assert_eq!(report.safety_violations, 0);
@@ -321,7 +322,7 @@ fn threaded_durable_recovery_without_a_log_degrades_to_amnesia() {
     // needs four consecutive live leaders (three proposals plus the collector
     // of the third QC) — round-robin over three live seats of four never has
     // them, so HS correctly stalls until the victim is back.
-    let cluster = ThreadedCluster::spawn(config, ProtocolKind::TwoChainHotStuff);
+    let mut cluster = ThreadedCluster::spawn(config, ProtocolKind::TwoChainHotStuff);
     cluster.submit_round_robin(600, 16);
     assert!(
         cluster.run_until_committed(50, Duration::from_secs(20)),
@@ -336,7 +337,8 @@ fn threaded_durable_recovery_without_a_log_degrades_to_amnesia() {
         "survivors stalled after the crash ({} txs)",
         cluster.committed_txs()
     );
-    cluster.recover(victim, RecoverMode::Restart(None));
+    let restart = cluster.recover(victim, RecoverMode::Restart(None));
+    restart.expect("a channel seat restarts in place");
     cluster.submit_round_robin(600, 16);
     let at_recovery = cluster.committed_txs();
     assert!(
@@ -344,7 +346,7 @@ fn threaded_durable_recovery_without_a_log_degrades_to_amnesia() {
         "cluster stalled after the recovery ({} txs)",
         cluster.committed_txs()
     );
-    cluster.run_for(Duration::from_millis(500));
+    std::thread::sleep(Duration::from_millis(500));
 
     let (report, hosts) = cluster.shutdown_with_hosts();
     assert_eq!(report.safety_violations, 0);

@@ -199,7 +199,7 @@ fn threaded_cluster_amnesia_recovery_rejoins_with_a_matching_prefix() {
     // needs four consecutive live leaders (three proposals plus the collector
     // of the third QC) — round-robin over three live seats of four never has
     // them, so HS correctly stalls until the victim is back.
-    let cluster = ThreadedCluster::spawn(config, ProtocolKind::TwoChainHotStuff);
+    let mut cluster = ThreadedCluster::spawn(config, ProtocolKind::TwoChainHotStuff);
     cluster.submit_round_robin(600, 16);
     assert!(
         cluster.run_until_committed(50, Duration::from_secs(20)),
@@ -218,7 +218,8 @@ fn threaded_cluster_amnesia_recovery_rejoins_with_a_matching_prefix() {
         cluster.committed_txs()
     );
 
-    cluster.recover(victim, RecoverMode::Restart(None));
+    let restart = cluster.recover(victim, RecoverMode::Restart(None));
+    restart.expect("a channel seat restarts in place");
     cluster.submit_round_robin(600, 16);
     let at_recovery = cluster.committed_txs();
     assert!(
@@ -227,7 +228,7 @@ fn threaded_cluster_amnesia_recovery_rejoins_with_a_matching_prefix() {
         cluster.committed_txs()
     );
     // Wall-clock slack for the victim's final sync round-trips to land.
-    cluster.run_for(Duration::from_millis(500));
+    std::thread::sleep(Duration::from_millis(500));
 
     let (report, hosts) = cluster.shutdown_with_hosts();
     assert_eq!(report.safety_violations, 0);

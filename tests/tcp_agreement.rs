@@ -1,8 +1,9 @@
 //! Cross-runtime agreement over real sockets: the same configurations the
-//! simulator and the threaded cluster agree on (`cross_runtime_agreement.rs`)
+//! simulator and the channel link agree on (`cross_runtime_agreement.rs`)
 //! must also preserve safety when the replicas talk loopback TCP through the
-//! `bamboo-net` transport — framed streams, per-peer writer threads with
-//! reconnect, per-node verify pools.
+//! `bamboo-net` links — framed streams, per-peer writer threads with
+//! reconnect, per-node verify pools — and every link of the one live
+//! cluster passes the same conformance body.
 //!
 //! Prefix agreement is checked with the same ledger oracle the simulator
 //! uses ([`chain_fingerprint_prefix`]): all honest replicas must have
@@ -11,9 +12,12 @@
 //! on wall-clock arrival timing — which is exactly why the oracle hashes the
 //! chain-intrinsic prefix and not commit-time metadata.
 
+use std::io::ErrorKind;
 use std::time::Duration;
 
-use bamboo::net::{BackoffPolicy, ClusterSpec, ProcessCluster, TcpCluster};
+use bamboo::core::live::SeatLink;
+use bamboo::core::{LiveCluster, RecoverMode, ThreadedCluster};
+use bamboo::net::{BackoffPolicy, Processes, Sockets, TcpCluster};
 use bamboo::types::{Config, NodeId, ProtocolKind, SimDuration};
 
 const ALL_PROTOCOLS: [ProtocolKind; 4] = [
@@ -46,25 +50,25 @@ fn fast_backoff() -> BackoffPolicy {
 #[test]
 fn every_protocol_reaches_prefix_agreement_over_loopback_tcp() {
     for protocol in ALL_PROTOCOLS {
-        let mut cluster =
+        let cluster =
             TcpCluster::spawn(protocol, shared_config()).expect("cluster spawns on loopback");
         cluster.submit_round_robin(600, 16);
         assert!(
             cluster.run_until_committed(100, Duration::from_secs(30)),
             "{protocol} committed only {} txs cluster-wide before the deadline",
-            cluster.committed_txs_floor()
+            cluster.committed_txs()
         );
         let (report, hosts) = cluster.shutdown_with_hosts();
         assert_eq!(
-            report.cluster.safety_violations, 0,
+            report.safety_violations, 0,
             "{protocol} violated safety over TCP"
         );
         assert!(
-            report.cluster.ledgers_consistent,
+            report.ledgers_consistent,
             "{protocol} honest ledgers diverged over TCP"
         );
         assert!(
-            report.cluster.max_view > 1,
+            report.max_view > 1,
             "{protocol} made no view progress over TCP"
         );
 
@@ -95,8 +99,9 @@ fn killed_peer_reconnects_with_backoff_and_catches_up() {
     // of the third QC) — round-robin over three live seats of four never has
     // them, so HS correctly stalls until the victim is back.
     let protocol = ProtocolKind::TwoChainHotStuff;
-    let mut cluster = TcpCluster::spawn_with(protocol, shared_config(), 1, fast_backoff())
-        .expect("cluster spawns on loopback");
+    let link = Sockets::new(4, 1, fast_backoff());
+    let mut cluster =
+        LiveCluster::spawn_on(link, shared_config(), protocol).expect("cluster spawns on loopback");
     cluster.submit_round_robin(300, 16);
     assert!(
         cluster.run_until_committed(50, Duration::from_secs(30)),
@@ -107,28 +112,34 @@ fn killed_peer_reconnects_with_backoff_and_catches_up() {
     // cluster keeps committing while the dead node's peers dial its corpse
     // on their backoff schedule and drop its frames.
     let victim = NodeId(2);
-    cluster.kill(victim);
+    cluster.crash(victim);
     cluster.submit_round_robin(300, 16);
     assert!(
         cluster.run_until_committed(150, Duration::from_secs(30)),
         "survivors stopped committing after the kill"
     );
 
-    // Restart on a fresh port. The replacement starts from genesis and must
-    // catch up through the sync protocol; the floor-based poll only passes
-    // once the restarted replica has the target too.
-    cluster.restart(victim).expect("replacement spawns");
+    // A killed socket seat lost its timers: it can restart, not resume.
+    let resume = cluster.recover(victim, RecoverMode::Resume);
+    assert_eq!(resume.map_err(|e| e.kind()), Err(ErrorKind::Unsupported));
+    // Restart on a fresh port, with no checkpoint to restart from: the seat
+    // must catch up through the sync protocol; the floor-based poll only
+    // passes once the restarted replica has the target too.
+    let restart = RecoverMode::Restart(None);
+    cluster
+        .recover(victim, restart)
+        .expect("replacement spawns");
     cluster.submit_round_robin(300, 16);
     assert!(
         cluster.run_until_committed(250, Duration::from_secs(60)),
         "restarted replica never caught up (floor {})",
-        cluster.committed_txs_floor()
+        cluster.committed_txs()
     );
 
     let (report, hosts) = cluster.shutdown_with_hosts();
-    assert_eq!(report.cluster.safety_violations, 0, "safety violated");
+    assert_eq!(report.safety_violations, 0, "safety violated");
     assert!(
-        report.cluster.ledgers_consistent,
+        report.ledgers_consistent,
         "ledgers diverged after the restart"
     );
     let restarted = hosts[victim.index()]
@@ -161,7 +172,7 @@ fn killed_peer_reconnects_with_backoff_and_catches_up() {
     );
 }
 
-/// The payoff of sharing the live driver with the threaded cluster: under
+/// The payoff of sharing the live driver with the channel link: under
 /// `Config::durable_log` every TCP node writes real segment files, and a
 /// killed node's replacement boots from its own log instead of from genesis.
 #[test]
@@ -181,8 +192,9 @@ fn killed_peer_restarts_from_its_durable_log_over_tcp() {
     // 2CHS for the reason given in the test above: HS at n = 4 commits nothing
     // while a seat is down.
     let protocol = ProtocolKind::TwoChainHotStuff;
-    let mut cluster = TcpCluster::spawn_with(protocol, config, 1, fast_backoff())
-        .expect("cluster spawns on loopback");
+    let link = Sockets::new(4, 1, fast_backoff());
+    let mut cluster =
+        LiveCluster::spawn_on(link, config, protocol).expect("cluster spawns on loopback");
     cluster.submit_round_robin(300, 16);
     assert!(
         cluster.run_until_committed(50, Duration::from_secs(30)),
@@ -192,24 +204,27 @@ fn killed_peer_restarts_from_its_durable_log_over_tcp() {
     // The victim's threads and sockets go away; its segment files stay. The
     // survivors are a quorum, so its log is genuinely stale on restart.
     let victim = NodeId(2);
-    cluster.kill(victim);
+    cluster.crash(victim);
     cluster.submit_round_robin(300, 16);
     assert!(
         cluster.run_until_committed(150, Duration::from_secs(30)),
         "survivors stopped committing after the kill"
     );
 
-    cluster.restart(victim).expect("replacement spawns");
+    let restart = RecoverMode::Restart(None);
+    cluster
+        .recover(victim, restart)
+        .expect("replacement spawns");
     cluster.submit_round_robin(300, 16);
     assert!(
         cluster.run_until_committed(250, Duration::from_secs(60)),
         "restarted replica never caught up (floor {})",
-        cluster.committed_txs_floor()
+        cluster.committed_txs()
     );
 
     let (report, hosts) = cluster.shutdown_with_hosts();
-    assert_eq!(report.cluster.safety_violations, 0, "safety violated");
-    assert!(report.cluster.ledgers_consistent, "ledgers diverged");
+    assert_eq!(report.safety_violations, 0, "safety violated");
+    assert!(report.ledgers_consistent, "ledgers diverged");
 
     let recovered = hosts[victim.index()]
         .as_ref()
@@ -252,7 +267,7 @@ fn signed_clients_commit_over_tcp() {
         .signed_requests(true)
         .build()
         .expect("valid config");
-    let mut cluster =
+    let cluster =
         TcpCluster::spawn(ProtocolKind::HotStuff, config).expect("cluster spawns on loopback");
     cluster.submit_round_robin(400, 16);
     assert!(
@@ -260,54 +275,88 @@ fn signed_clients_commit_over_tcp() {
         "signed-client cluster never reached the target"
     );
     let report = cluster.shutdown();
-    assert_eq!(report.cluster.safety_violations, 0);
-    assert!(report.cluster.ledgers_consistent);
+    assert_eq!(report.safety_violations, 0);
+    assert!(report.ledgers_consistent);
     assert_eq!(
-        report.cluster.client_auth_rejections, 0,
+        report.client_auth_rejections, 0,
         "properly signed requests were rejected at the edge"
     );
 }
 
-#[test]
-fn multi_process_cluster_commits_and_prefix_agrees() {
-    let exe = std::path::Path::new(env!("CARGO_BIN_EXE_tcp_replica"));
-    let spec = ClusterSpec {
-        nodes: 4,
-        protocol: ProtocolKind::HotStuff,
-        block_size: 50,
-        payload_size: 16,
-        timeout_ms: 50,
-        seed: 2024,
-        verify_workers: 1,
-        checkpoint_interval: 0,
-        signed_requests: false,
-    };
-    let mut cluster = ProcessCluster::launch(exe, spec).expect("replica processes launch");
-    cluster
-        .submit_round_robin(400, 16)
-        .expect("client batches reach the replicas");
+/// The one conformance body every link runs: n = 4 HotStuff commits, seat 3
+/// crashes and restarts, and the cluster prefix-agrees with no violation.
+fn conform<L: SeatLink>(mut cluster: LiveCluster<L>, link: &str) {
+    cluster.submit_round_robin(400, 16);
+    let committed = cluster.run_until_committed(100, Duration::from_secs(30));
+    assert!(committed, "{link}: no commits before the crash");
+    cluster.crash(NodeId(3));
+    let restart = cluster.recover(NodeId(3), RecoverMode::Restart(None));
+    restart.unwrap_or_else(|e| panic!("{link}: seat 3 did not restart: {e}"));
+    cluster.submit_round_robin(400, 16);
+    let floor = cluster.run_until_committed(200, Duration::from_secs(60));
     assert!(
-        cluster
-            .run_until_committed(100, Duration::from_secs(30))
-            .expect("status probes answer"),
-        "replica processes never reached the commit target"
+        floor,
+        "{link}: seat 3 never caught up ({})",
+        cluster.committed_txs()
     );
-    let agreed = cluster
+    let agreed = cluster.check_prefix_agreement();
+    assert!(agreed.is_ok_and(|blocks| blocks > 0), "{link}: {agreed:?}");
+    let report = cluster.shutdown();
+    assert!(report.ledgers_consistent, "{link}: ledgers diverged");
+    assert_eq!(report.safety_violations, 0, "{link}: safety violated");
+}
+
+#[test]
+fn every_link_passes_the_one_conformance_body() {
+    let (config, hs) = (shared_config(), ProtocolKind::HotStuff);
+    conform(ThreadedCluster::spawn(config.clone(), hs), "channels");
+    conform(TcpCluster::spawn(hs, config.clone()).unwrap(), "sockets");
+    let processes = Processes::new(env!("CARGO_BIN_EXE_tcp_replica"));
+    conform(
+        LiveCluster::spawn_on(processes, config, hs).unwrap(),
+        "processes",
+    );
+}
+
+/// A killed seat process restarts from its own segment directory: a new
+/// process replays the log the old one wrote, then catches up and agrees.
+#[test]
+fn killed_seat_process_replays_its_own_log() {
+    let config = Config::builder()
+        .nodes(4)
+        .block_size(50)
+        .payload_size(16)
+        .timeout(SimDuration::from_millis(50))
+        .checkpoint_interval(4)
+        .durable_log(true)
+        .fsync_interval(4)
+        .seed(2026)
+        .build()
+        .expect("valid config");
+    // 2CHS: HS at n = 4 commits nothing while a seat is down.
+    let processes = Processes::new(env!("CARGO_BIN_EXE_tcp_replica"));
+    let mut cluster = LiveCluster::spawn_on(processes, config, ProtocolKind::TwoChainHotStuff)
+        .expect("seat processes launch");
+    cluster.submit_round_robin(300, 16);
+    assert!(cluster.run_until_committed(50, Duration::from_secs(30)));
+    let victim = NodeId(2);
+    cluster.crash(victim);
+    cluster.submit_round_robin(300, 16);
+    assert!(cluster.run_until_committed(150, Duration::from_secs(30)));
+    // A SIGKILLed process keeps nothing in memory to resume from.
+    let resume = cluster.recover(victim, RecoverMode::Resume);
+    assert_eq!(resume.map_err(|e| e.kind()), Err(ErrorKind::Unsupported));
+    let restart = RecoverMode::Restart(None);
+    cluster
+        .recover(victim, restart)
+        .expect("replacement launches");
+    cluster.submit_round_robin(300, 16);
+    let caught_up = cluster.run_until_committed(250, Duration::from_secs(60));
+    assert!(caught_up, "floor {}", cluster.committed_txs());
+    let replayed = cluster.probe(victim, 0).expect("the seat answers");
+    assert!(replayed.records_replayed > 0, "{replayed:?}");
+    assert!(cluster
         .check_prefix_agreement()
-        .expect("prefix fingerprints match across processes");
-    assert!(agreed > 0, "no common committed prefix across processes");
-    let reports = cluster.shutdown().expect("replicas report on shutdown");
-    assert_eq!(reports.len(), 4);
-    for report in &reports {
-        let safety = report
-            .get("safety_violations")
-            .and_then(|v| v.as_f64())
-            .expect("report carries safety_violations");
-        assert_eq!(safety, 0.0, "a replica process violated safety");
-        let committed = report
-            .get("committed_txs")
-            .and_then(|v| v.as_f64())
-            .expect("report carries committed_txs");
-        assert!(committed >= 100.0, "a replica process lagged: {committed}");
-    }
+        .is_ok_and(|blocks| blocks > 0));
+    assert_eq!(cluster.shutdown().safety_violations, 0);
 }
