@@ -200,9 +200,9 @@ const IDLE_WAIT: Duration = Duration::from_millis(20);
 /// hands it back. Time is nanoseconds since `clock`.
 ///
 /// The node boots once `link.ready()`: through `NodeHost::start`, or — a seat
-/// coming back — through `NodeHost::restart` in mode `restart`. Until then
-/// it hears no peer and publishes nothing: its host may still be what a
-/// crash left behind.
+/// coming back — through `NodeHost::restart` in mode `restart`. Messages
+/// that reach it before wait for the boot, and it publishes nothing until
+/// then: its host may still be what a crash left behind.
 pub fn run_live_node(
     mut host: NodeHost,
     link: &mut dyn Link,
@@ -214,7 +214,7 @@ pub fn run_live_node(
     let now = || SimTime(clock.elapsed().as_nanos() as u64);
     let deadlines = Deadlines::default();
     let mut transport = LiveTransport { deadlines, link };
-    let mut started = false;
+    let (mut started, mut early) = (false, Vec::new());
     loop {
         let current = now();
         // Nothing is armed before the boot.
@@ -225,6 +225,9 @@ pub fn run_live_node(
                 Some(mode) => host.restart(mode, current, &mut transport),
                 None => host.start(current, &mut transport),
             };
+            for verified in early.drain(..) {
+                host.deliver(&verified, now(), &mut transport);
+            }
         } else if let Some(event) = due {
             host.handle(event, current, &mut transport);
         } else {
@@ -238,7 +241,7 @@ pub fn run_live_node(
                 Ok(LiveEvent::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
                 Err(RecvTimeoutError::Timeout) => continue,
                 Ok(LiveEvent::Peers(table)) => transport.link.set_peers(&table),
-                Ok(LiveEvent::Verified(_)) if !started => {}
+                Ok(LiveEvent::Verified(verified)) if !started => early.push(verified),
                 Ok(LiveEvent::Verified(verified)) => {
                     host.deliver(&verified, now(), &mut transport);
                 }

@@ -150,6 +150,9 @@ impl Shared {
 
 /// A running socket-backed replica.
 pub struct TcpNode {
+    /// The listener's address, which the node dials once to wake its
+    /// acceptor at shutdown.
+    addr: SocketAddr,
     events: Sender<LiveEvent>,
     replica: JoinHandle<NodeHost>,
     accept: JoinHandle<()>,
@@ -158,8 +161,7 @@ pub struct TcpNode {
     verify: VerifyPool,
 }
 
-/// Poll interval of the (non-blocking) accept loop and the readers' receive
-/// timeout; bounds shutdown latency.
+/// The readers' receive timeout; bounds shutdown latency.
 const POLL_TICK: Duration = Duration::from_millis(20);
 
 impl TcpNode {
@@ -177,7 +179,7 @@ impl TcpNode {
         backoff: BackoffPolicy,
         restart: Option<RecoverMode>,
     ) -> std::io::Result<Self> {
-        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
         let id = host.replica().id();
         let nodes = host.replica().config().nodes;
         let (events, receiver) = channel::<LiveEvent>();
@@ -217,6 +219,7 @@ impl TcpNode {
             })
         };
         Ok(Self {
+            addr,
             events,
             replica,
             accept,
@@ -255,6 +258,7 @@ impl TcpNode {
     pub fn wait(self) -> TcpNodeReport {
         let host = self.replica.join().expect("consensus thread panicked");
         self.shared.stop.store(true, Ordering::Release);
+        let _ = TcpStream::connect(self.addr);
         let _ = self.accept.join();
         let readers = std::mem::take(&mut *self.readers.lock().expect("readers lock poisoned"));
         for reader in readers {
@@ -277,23 +281,19 @@ fn run_acceptor(
     shared: Arc<Shared>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let connection = shared.accepted.fetch_add(1, Ordering::AcqRel);
-                let challenge = shared.challenge(connection);
-                let (events, verify) = (events.clone(), verify.clone());
-                let shared = Arc::clone(&shared);
-                let reader = std::thread::spawn(move || {
-                    run_reader(stream, challenge, &events, &verify, &shared)
-                });
-                readers.lock().expect("readers lock poisoned").push(reader);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_TICK);
-            }
-            Err(_) => break,
-        }
+    // Blocking: a dialler is challenged at once. The node's own connection
+    // at shutdown wakes the loop to see `stop`.
+    for stream in listener.incoming() {
+        let Some(stream) = stream.ok().filter(|_| !shared.stop.load(Ordering::Acquire)) else {
+            break;
+        };
+        let connection = shared.accepted.fetch_add(1, Ordering::AcqRel);
+        let challenge = shared.challenge(connection);
+        let (events, verify) = (events.clone(), verify.clone());
+        let shared = Arc::clone(&shared);
+        let reader =
+            std::thread::spawn(move || run_reader(stream, challenge, &events, &verify, &shared));
+        readers.lock().expect("readers lock poisoned").push(reader);
     }
 }
 
