@@ -282,7 +282,8 @@ fn bench_quorum(out: &mut RowFile) {
 
 /// What a certificate and a commit sample cost to keep: a QC is cloned at
 /// least three times per delivered proposal (a reference-count bump at any
-/// quorum size), built once per view from unordered votes, and every
+/// quorum size), built once per view from unordered votes (one sort and the
+/// aggregate hash), verified at every recipient's ingress, and every
 /// committed transaction is recorded into the latency histograms.
 fn bench_bookkeeping(out: &mut RowFile) {
     let block = BlockId(bamboo_crypto::Digest::of(b"bench-qc"));
@@ -299,6 +300,23 @@ fn bench_bookkeeping(out: &mut RowFile) {
     out.rows.push(bench("qc_from_votes_667", || {
         QuorumCert::from_votes(block, View(7), &votes)
     }));
+    // Ingress: the threshold, the signer range, then every signer's
+    // signature recomputed into the one aggregate hash (22 of n = 32, and
+    // 667 of n = 1,000).
+    let in_32: Vec<Vote> = (votes.iter())
+        .filter(|vote| vote.voter.as_u64() < 32)
+        .take(22)
+        .cloned()
+        .collect();
+    let qc_22_of_32 = QuorumCert::from_votes(block, View(7), &in_32);
+    for (name, qc, nodes) in [
+        ("qc_verify_22_signers", &qc_22_of_32, 32),
+        ("qc_verify_667_signers", &qc_667, 1_000),
+    ] {
+        let mut auth = Authenticator::for_nodes(nodes);
+        assert_eq!(auth.verify_qc(qc), Ok(()));
+        out.rows.push(bench(name, || auth.verify_qc(qc).is_ok()));
+    }
 
     // Latencies spread over 1-50 ms, as in the tx-heavy benchmark run.
     let mut rng = SimRng::new(21);

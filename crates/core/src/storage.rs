@@ -1438,7 +1438,7 @@ mod tests {
     fn continuation_chunk(from: u64, filler: u8) -> Vec<u8> {
         let mut body = from.to_be_bytes().to_vec();
         body.extend_from_slice(&[0, 0, 0, 1, filler]);
-        let mut chunk = b"BSNP\x00\x02".to_vec();
+        let mut chunk = b"BSNP\x00\x03".to_vec();
         chunk.extend_from_slice(&(body.len() as u32).to_be_bytes());
         chunk.extend_from_slice(&crc32(&body).to_be_bytes());
         chunk.extend_from_slice(&body);

@@ -1,19 +1,28 @@
 //! Aggregation of per-replica signatures into quorum certificates.
 //!
 //! The paper's Quorum component exposes `voted()` and `certified()`; the
-//! cryptographic side of that component lives here: an
-//! [`AggregateSignature`] collects `(signer index, signature)` pairs over the
-//! same message and can be verified against a set of public keys.
+//! cryptographic side of that component lives here. An
+//! [`AggregateSignature`] is a certificate as chained BFT treats it: one
+//! compact value, the set of signers plus one 32-byte aggregate of their
+//! signatures over the same message. The aggregate is
+//! `SHA-256(tag ‖ sig_i …)` over the signers in ascending order, so it
+//! verifies exactly when every signer's own signature would (up to SHA-256
+//! collisions; DESIGN.md §1.3).
 
 use std::sync::Arc;
 
 use crate::keys::{PublicKey, Signature};
+use crate::sha256::Sha256;
 
-/// A multi-signature over a single message, keyed by signer index.
+const AGGREGATE_TAG: &[u8] = b"bamboo-sim-aggregate-v1";
+/// Words in front of the signer bitset that hold the aggregate.
+const AGGREGATE_WORDS: usize = 4;
+
+/// A multi-signature over a single message: a signer bitset and the
+/// aggregate of the signers' signatures.
 ///
-/// The entries are kept sorted by signer in one exact-size shared slice: a
-/// clone is a reference-count bump, and [`AggregateSignature::add`] copies
-/// the slice first, so it is never visible through another clone.
+/// Both live in one exact-size shared allocation (56 B with its reference
+/// counts for up to 64 signers), so a clone is a reference-count bump.
 ///
 /// # Example
 ///
@@ -22,103 +31,162 @@ use crate::keys::{PublicKey, Signature};
 ///
 /// let keys: Vec<KeyPair> = (0..4).map(KeyPair::from_seed).collect();
 /// let msg = b"certify block";
-/// let mut agg = AggregateSignature::new();
-/// for (i, kp) in keys.iter().enumerate().take(3) {
-///     agg.add(i as u64, kp.sign(msg));
-/// }
+/// let agg: AggregateSignature = (0..3).map(|i| (i, keys[i as usize].sign(msg))).collect();
 /// assert_eq!(agg.len(), 3);
 /// let pks: Vec<_> = keys.iter().map(|k| k.public_key()).collect();
 /// assert!(agg.verify(msg, |i| pks.get(i as usize).copied()));
+/// assert!(!agg.verify(b"another block", |i| pks.get(i as usize).copied()));
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AggregateSignature {
-    /// Strictly ascending by signer.
-    entries: Arc<[(u64, Signature)]>,
+    /// Empty for no signers; otherwise the aggregate's four words, then the
+    /// signer bitset (bit `i % 64` of word `i / 64`), whose last word is
+    /// non-zero.
+    words: Arc<[u64]>,
 }
 
-/// Collects `(signer, signature)` pairs with one sort into one exact-size
-/// allocation. Of several entries for one signer the first is kept, as with
-/// repeated [`AggregateSignature::add`].
+/// Sorts the `(signer, signature)` pairs, keeps the first entry of each
+/// signer, and folds the signatures into the aggregate.
+///
+/// # Panics
+///
+/// Panics on a signer index of [`AggregateSignature::MAX_WORDS`]` · 64` or
+/// above: validator ids are dense from zero and far below it.
 impl FromIterator<(u64, Signature)> for AggregateSignature {
     fn from_iter<I: IntoIterator<Item = (u64, Signature)>>(iter: I) -> Self {
         let mut entries: Vec<(u64, Signature)> = iter.into_iter().collect();
         // Stable, so a signer's first entry stays first; linear if sorted.
         entries.sort_by_key(|e| e.0);
         entries.dedup_by_key(|e| e.0);
-        Self {
-            entries: Arc::from(entries),
+        let Some(&(last, _)) = entries.last() else {
+            return Self::default();
+        };
+        assert!(
+            last < (Self::MAX_WORDS * 64) as u64,
+            "signer {last} out of range"
+        );
+        let mut words = vec![0u64; AGGREGATE_WORDS + last as usize / 64 + 1];
+        let mut hasher = Sha256::new();
+        hasher.update(AGGREGATE_TAG);
+        for (signer, signature) in &entries {
+            words[AGGREGATE_WORDS + *signer as usize / 64] |= 1 << (signer % 64);
+            hasher.update(signature.as_bytes());
         }
+        Self::with_aggregate(words, hasher.finalize())
     }
 }
 
 impl AggregateSignature {
+    /// Most signer-bitset words an aggregate holds: 65,536 signers.
+    pub const MAX_WORDS: usize = 1_024;
+
     /// Creates an empty aggregate.
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn position(&self, index: u64) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&index, |e| e.0)
+    fn with_aggregate(mut words: Vec<u64>, aggregate: [u8; 32]) -> Self {
+        for (word, bytes) in words.iter_mut().zip(aggregate.chunks_exact(8)) {
+            *word = u64::from_ne_bytes(bytes.try_into().expect("8-byte chunk"));
+        }
+        Self {
+            words: words.into(),
+        }
     }
 
-    /// Adds a signature from signer `index`. Returns `false` if the signer was
-    /// already present (the signature is not replaced).
+    /// Rebuilds an aggregate from [`AggregateSignature::bitset`] and
+    /// [`AggregateSignature::aggregate`] — the decoder's way in. Refuses a
+    /// pair no collection produces, so the encoding stays canonical.
     ///
-    /// Copies the entries (O(len)); build a whole certificate with
-    /// [`FromIterator`] instead.
-    pub fn add(&mut self, index: u64, signature: Signature) -> bool {
-        let Err(at) = self.position(index) else {
-            return false;
-        };
-        let mut entries = self.entries.to_vec();
-        entries.insert(at, (index, signature));
-        self.entries = Arc::from(entries);
-        true
+    /// # Errors
+    ///
+    /// Names the fault: more than [`AggregateSignature::MAX_WORDS`] words, a
+    /// zero last word, an empty set with a non-zero aggregate, or a
+    /// non-empty set with a zero one.
+    pub fn from_parts(bitset: &[u64], aggregate: [u8; 32]) -> Result<Self, &'static str> {
+        if bitset.len() > Self::MAX_WORDS {
+            return Err("signer bitset over 1,024 words");
+        }
+        match (bitset.last(), aggregate == [0; 32]) {
+            (Some(0), _) => Err("trailing zero signer word"),
+            (None, true) => Ok(Self::default()),
+            (None, false) => Err("empty signer set carries an aggregate"),
+            (Some(_), true) => Err("signer set without an aggregate"),
+            (Some(_), false) => {
+                let words = [[0; AGGREGATE_WORDS].as_slice(), bitset].concat();
+                Ok(Self::with_aggregate(words, aggregate))
+            }
+        }
+    }
+
+    /// The signer bitset: bit `i % 64` of word `i / 64` is signer `i`. Empty
+    /// for no signers, and never ends in a zero word.
+    pub fn bitset(&self) -> &[u64] {
+        self.words.get(AGGREGATE_WORDS..).unwrap_or_default()
+    }
+
+    /// The 32-byte aggregate; all zero for no signers.
+    pub fn aggregate(&self) -> [u8; 32] {
+        let mut bytes = [0; 32];
+        for (chunk, word) in bytes.chunks_exact_mut(8).zip(self.words.iter()) {
+            chunk.copy_from_slice(&word.to_ne_bytes());
+        }
+        bytes
     }
 
     /// Number of distinct signers.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.bitset().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Returns true if no signer has contributed yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.words.is_empty()
     }
 
     /// Returns true if signer `index` has contributed.
     pub fn contains(&self, index: u64) -> bool {
-        self.position(index).is_ok()
+        let word = usize::try_from(index / 64)
+            .ok()
+            .and_then(|at| self.bitset().get(at));
+        word.is_some_and(|w| w >> (index % 64) & 1 == 1)
     }
 
     /// Iterates over the signer indices in ascending order.
     pub fn signers(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.iter().map(|(index, _)| *index)
+        self.bitset().iter().enumerate().flat_map(|(at, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros() as u64)?;
+                rest &= rest - 1;
+                Some(at as u64 * 64 + bit)
+            })
+        })
     }
 
-    /// Iterates over `(signer index, signature)` pairs in ascending signer
-    /// order (used to stage certificates into a [`crate::BatchVerifier`]).
-    pub fn entries(&self) -> impl Iterator<Item = (u64, Signature)> + '_ {
-        self.entries.iter().copied()
-    }
-
-    /// Verifies every contained signature over `msg`, looking public keys up
-    /// via `key_of`. Returns `false` if any key is unknown or any signature is
-    /// invalid.
+    /// Verifies the aggregate over `msg`, looking public keys up via
+    /// `key_of`: recomputes every signer's signature, in signer order, into
+    /// one streaming hasher (no allocation) and compares the result. Returns
+    /// `false` if any key is unknown or any signer did not sign `msg`.
     pub fn verify<F>(&self, msg: &[u8], key_of: F) -> bool
     where
         F: Fn(u64) -> Option<PublicKey>,
     {
-        self.entries.iter().all(|(index, sig)| {
-            key_of(*index)
-                .map(|pk| pk.verify(msg, sig))
-                .unwrap_or(false)
-        })
+        let mut hasher = Sha256::new();
+        hasher.update(AGGREGATE_TAG);
+        for signer in self.signers() {
+            let Some(key) = key_of(signer) else {
+                return false;
+            };
+            hasher.update(Signature::create(&key, msg).as_bytes());
+        }
+        self.is_empty() || hasher.finalize() == self.aggregate()
     }
 
-    /// Approximate wire size in bytes (one signature plus index per signer).
+    /// Modeled wire size in bytes: one signature plus index per signer, the
+    /// cost model's `40 · quorum`, whatever the encoding carries.
     pub fn wire_size(&self) -> usize {
-        self.entries.len() * (32 + 8)
+        self.len() * (32 + 8)
     }
 }
 
@@ -131,131 +199,169 @@ mod tests {
         (0..n).map(KeyPair::from_seed).collect()
     }
 
-    #[test]
-    fn collects_distinct_signers() {
-        let kps = keys(4);
-        let mut agg = AggregateSignature::new();
-        for (i, kp) in kps.iter().enumerate() {
-            assert!(agg.add(i as u64, kp.sign(b"m")));
-        }
-        assert_eq!(agg.len(), 4);
-        assert!(agg.contains(0));
-        assert!(!agg.contains(7));
+    fn signed(kps: &[KeyPair], signers: impl IntoIterator<Item = u64>) -> AggregateSignature {
+        (signers.into_iter())
+            .map(|i| (i, kps[i as usize].sign(b"block")))
+            .collect()
     }
 
     #[test]
-    fn duplicate_signer_is_rejected() {
-        let kps = keys(2);
-        let mut agg = AggregateSignature::new();
-        assert!(agg.add(0, kps[0].sign(b"m")));
-        assert!(!agg.add(0, kps[0].sign(b"m")));
-        assert_eq!(agg.len(), 1);
+    fn collects_distinct_signers() {
+        let agg = signed(&keys(4), 0..4);
+        assert_eq!(agg.len(), 4);
+        assert!(agg.contains(0));
+        assert!(!agg.contains(7));
+        assert!(!agg.contains(u64::MAX));
     }
 
     #[test]
     fn verify_accepts_valid_set() {
         let kps = keys(4);
         let pks: Vec<_> = kps.iter().map(|k| k.public_key()).collect();
-        let mut agg = AggregateSignature::new();
-        for (i, kp) in kps.iter().enumerate() {
-            agg.add(i as u64, kp.sign(b"block"));
-        }
-        assert!(agg.verify(b"block", |i| pks.get(i as usize).copied()));
+        assert!(signed(&kps, 0..4).verify(b"block", |i| pks.get(i as usize).copied()));
+        assert!(AggregateSignature::new().verify(b"block", |_| None));
     }
 
     #[test]
     fn verify_rejects_wrong_message_or_missing_key() {
         let kps = keys(3);
         let pks: Vec<_> = kps.iter().map(|k| k.public_key()).collect();
-        let mut agg = AggregateSignature::new();
-        for (i, kp) in kps.iter().enumerate() {
-            agg.add(i as u64, kp.sign(b"block"));
-        }
+        let agg = signed(&kps, 0..3);
         assert!(!agg.verify(b"other", |i| pks.get(i as usize).copied()));
         assert!(!agg.verify(b"block", |_| None));
     }
 
     #[test]
-    fn wire_size_scales_with_signers() {
-        let kps = keys(5);
-        let mut agg = AggregateSignature::new();
-        assert_eq!(agg.wire_size(), 0);
-        for (i, kp) in kps.iter().enumerate() {
-            agg.add(i as u64, kp.sign(b"m"));
+    fn the_verdict_is_the_conjunction_of_the_per_signer_verdicts() {
+        // One signature at a time replaced by another key's, another
+        // message's, or left honest: the aggregate verifies exactly when
+        // every per-signer check passes.
+        let kps = keys(70);
+        let pks: Vec<_> = kps.iter().map(|k| k.public_key()).collect();
+        let signers = [0u64, 3, 63, 64, 65, 69];
+        for bad in std::iter::once(None).chain(signers.iter().copied().map(Some)) {
+            for forge in [0u8, 1] {
+                let entries: Vec<(u64, Signature)> = (signers.iter())
+                    .map(|&i| match (bad == Some(i), forge) {
+                        (false, _) => (i, kps[i as usize].sign(b"block")),
+                        (true, 0) => (i, kps[(i as usize + 1) % 70].sign(b"block")),
+                        (true, _) => (i, kps[i as usize].sign(b"other")),
+                    })
+                    .collect();
+                let per_signer =
+                    (entries.iter()).all(|(i, sig)| pks[*i as usize].verify(b"block", sig));
+                let agg: AggregateSignature = entries.into_iter().collect();
+                assert_eq!(per_signer, bad.is_none());
+                let verdict = agg.verify(b"block", |i| pks.get(i as usize).copied());
+                assert_eq!(verdict, per_signer, "bad {bad:?} forge {forge}");
+            }
         }
-        assert_eq!(agg.wire_size(), 5 * 40);
+    }
+
+    #[test]
+    fn a_signer_bit_added_or_removed_fails_verification() {
+        let kps = keys(40);
+        let pks: Vec<_> = kps.iter().map(|k| k.public_key()).collect();
+        let key_of = |i: u64| pks.get(i as usize).copied();
+        let agg = signed(&kps, (0..40).step_by(2));
+        assert!(agg.verify(b"block", key_of));
+        for flip in [0u64, 1, 17, 38, 39] {
+            let mut bitset = agg.bitset().to_vec();
+            bitset[0] ^= 1 << flip;
+            let mutated = AggregateSignature::from_parts(&bitset, agg.aggregate()).unwrap();
+            assert_eq!(mutated.len().abs_diff(agg.len()), 1);
+            assert!(!mutated.verify(b"block", key_of), "bit {flip}");
+        }
     }
 
     #[test]
     fn contents_are_independent_of_insertion_order() {
-        let kps = keys(22);
-        let entry = |i: u64| (i, kps[i as usize].sign(b"m"));
-        let sorted: AggregateSignature = (0..22).map(entry).collect();
+        let kps = keys(70);
+        let sorted = signed(&kps, 0..70);
         assert_eq!(
             sorted.signers().collect::<Vec<_>>(),
-            (0..22).collect::<Vec<_>>()
+            (0..70).collect::<Vec<_>>()
         );
-        assert_eq!(
-            sorted.entries().collect::<Vec<_>>(),
-            (0..22).map(entry).collect::<Vec<_>>()
-        );
-        for stride in [3u64, 5, 7, 13] {
-            let order = (0..22).map(|i| (i * stride + 1) % 22);
-            let collected: AggregateSignature = order.clone().map(entry).collect();
-            let mut added = AggregateSignature::new();
-            for i in order {
-                let (index, sig) = entry(i);
-                assert!(added.add(index, sig));
-            }
-            assert_eq!(collected, sorted, "stride {stride}");
-            assert_eq!(added, sorted, "stride {stride}");
-            assert_eq!(
-                added.entries().collect::<Vec<_>>(),
-                sorted.entries().collect::<Vec<_>>()
-            );
+        for stride in [3u64, 11, 13] {
+            let shuffled = signed(&kps, (0..70).map(|i| (i * stride + 1) % 70));
+            assert_eq!(shuffled, sorted, "stride {stride}");
         }
     }
 
     #[test]
     fn collecting_keeps_the_first_signature_of_a_signer() {
-        let kps = keys(2);
-        let first = kps[0].sign(b"first");
+        let kps = keys(5);
+        let first = kps[4].sign(b"block");
         let agg: AggregateSignature = [
             (4, first),
-            (1, kps[1].sign(b"m")),
+            (1, kps[1].sign(b"block")),
             (4, kps[0].sign(b"second")),
         ]
         .into_iter()
         .collect();
         assert_eq!(agg.len(), 2);
-        assert_eq!(agg.entries().last(), Some((4, first)));
+        assert_eq!(agg, signed(&kps, [1, 4]));
+        let pks: Vec<_> = kps.iter().map(|k| k.public_key()).collect();
+        assert!(agg.verify(b"block", |i| pks.get(i as usize).copied()));
     }
 
     #[test]
-    fn a_clone_shares_storage_until_add_and_add_is_copy_on_write() {
-        let kps = keys(4);
-        let original: AggregateSignature =
-            (0..3).map(|i| (i, kps[i as usize].sign(b"m"))).collect();
-        let mut clone = original.clone();
-        assert!(Arc::ptr_eq(&original.entries, &clone.entries));
-        // A rejected add writes nothing, so it does not unshare either.
-        assert!(!clone.add(1, kps[1].sign(b"m")));
-        assert!(Arc::ptr_eq(&original.entries, &clone.entries));
-        assert!(clone.add(3, kps[3].sign(b"m")));
-        assert!(!Arc::ptr_eq(&original.entries, &clone.entries));
-        assert_eq!(original.len(), 3);
-        assert!(!original.contains(3));
-        assert_eq!(clone.signers().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+    fn one_allocation_shared_by_clones_and_small_at_64_signers() {
+        let kps = keys(64);
+        let original = signed(&kps, 0..64);
+        let clone = original.clone();
+        assert!(Arc::ptr_eq(&original.words, &clone.words));
+        // Two reference counts plus the aggregate and one bitset word.
+        assert_eq!(16 + std::mem::size_of_val(&*original.words), 56);
+        assert_eq!(std::mem::size_of::<AggregateSignature>(), 16);
     }
 
     #[test]
-    fn signers_are_sorted() {
-        let kps = keys(5);
-        let mut agg = AggregateSignature::new();
-        for i in [4u64, 1, 3, 0, 2] {
-            agg.add(i, kps[i as usize].sign(b"m"));
+    fn parts_round_trip_and_refuse_non_canonical_pairs() {
+        let kps = keys(70);
+        for agg in [
+            AggregateSignature::new(),
+            signed(&kps, [5]),
+            signed(&kps, 0..70),
+        ] {
+            let rebuilt = AggregateSignature::from_parts(agg.bitset(), agg.aggregate());
+            assert_eq!(rebuilt.as_ref(), Ok(&agg));
+            assert_ne!(agg.bitset().last(), Some(&0));
         }
-        let order: Vec<u64> = agg.signers().collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
+        let aggregate = signed(&kps, [5]).aggregate();
+        let refuse =
+            |bitset: &[u64], aggregate| AggregateSignature::from_parts(bitset, aggregate).err();
+        assert_eq!(
+            refuse(&[1, 0], aggregate),
+            Some("trailing zero signer word")
+        );
+        assert_eq!(refuse(&[0], [0; 32]), Some("trailing zero signer word"));
+        assert_eq!(
+            refuse(&[], aggregate),
+            Some("empty signer set carries an aggregate")
+        );
+        assert_eq!(
+            refuse(&[1], [0; 32]),
+            Some("signer set without an aggregate")
+        );
+        assert_eq!(
+            refuse(&[1; 1_025], aggregate),
+            Some("signer bitset over 1,024 words")
+        );
+        assert!(refuse(&[1; 1_024], aggregate).is_none());
+    }
+
+    #[test]
+    fn wire_size_is_forty_bytes_per_signer() {
+        assert_eq!(AggregateSignature::new().wire_size(), 0);
+        assert_eq!(signed(&keys(5), 0..5).wire_size(), 5 * 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_signer_beyond_the_bitset_is_refused() {
+        let _: AggregateSignature = [(65_536, KeyPair::from_seed(0).sign(b"m"))]
+            .into_iter()
+            .collect();
     }
 }

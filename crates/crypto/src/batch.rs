@@ -1,17 +1,16 @@
 //! Batched signature verification.
 //!
-//! Verifying a quorum certificate means checking `2f + 1` signatures over the
-//! *same* message, and an ingress stage that authenticates every inbound
-//! message checks long runs of signatures back to back. [`BatchVerifier`]
-//! stages the tuples into one reusable arena and verifies them in a single
-//! pass of [`crate::PublicKey::verify`] calls, so a batch of `k` checks
-//! performs `k` hash evaluations and zero per-item allocations.
+//! An ingress stage that authenticates client arrival batches checks long
+//! runs of signatures back to back. [`BatchVerifier`] stages the tuples into
+//! one reusable arena and verifies them in a single pass of
+//! [`crate::PublicKey::verify`] calls, so a batch of `k` checks performs `k`
+//! hash evaluations and zero per-item allocations. (A quorum certificate is
+//! one value and verifies itself: [`crate::AggregateSignature::verify`].)
 //!
-//! The batch is *sound per item*: the simulated scheme has no aggregate
-//! shortcut, so `verify_all` fails exactly when at least one staged tuple is
-//! individually invalid (there are no false accepts introduced by batching).
+//! The batch is *sound per item*: `verify_all` fails exactly when at least
+//! one staged tuple is individually invalid (there are no false accepts
+//! introduced by batching).
 
-use crate::aggregate::AggregateSignature;
 use crate::keys::{PublicKey, Signature};
 
 /// Verifies many `(public key, message, signature)` tuples in one pass.
@@ -72,35 +71,6 @@ impl BatchVerifier {
         self.ends.push(self.arena.len());
     }
 
-    /// Stages every signature of an aggregate over `msg`, resolving public
-    /// keys through `key_of`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending signer index if `key_of` does not know one of the
-    /// signers; in that case none of the aggregate's signatures are staged.
-    pub fn push_aggregate<F>(
-        &mut self,
-        msg: &[u8],
-        aggregate: &AggregateSignature,
-        key_of: F,
-    ) -> Result<(), u64>
-    where
-        F: Fn(u64) -> Option<PublicKey>,
-    {
-        let staged = self.len();
-        for (index, sig) in aggregate.entries() {
-            match key_of(index) {
-                Some(key) => self.push(key, msg, sig),
-                None => {
-                    self.truncate(staged);
-                    return Err(index);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Number of staged tuples.
     pub fn len(&self) -> usize {
         self.keys.len()
@@ -113,7 +83,10 @@ impl BatchVerifier {
 
     /// Discards all staged tuples (allocations are kept for reuse).
     pub fn clear(&mut self) {
-        self.truncate(0);
+        self.keys.clear();
+        self.sigs.clear();
+        self.ends.clear();
+        self.arena.clear();
     }
 
     /// Verifies every staged tuple, then clears the batch. Returns `false`
@@ -132,14 +105,6 @@ impl BatchVerifier {
         });
         self.clear();
         ok
-    }
-
-    fn truncate(&mut self, items: usize) {
-        self.keys.truncate(items);
-        self.sigs.truncate(items);
-        self.arena
-            .truncate(self.ends.get(items.wrapping_sub(1)).copied().unwrap_or(0));
-        self.ends.truncate(items);
     }
 }
 
@@ -226,46 +191,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn push_aggregate_stages_every_signer() {
-        let kps = keys(4);
-        let mut agg = AggregateSignature::new();
-        for (i, kp) in kps.iter().enumerate() {
-            agg.add(i as u64, kp.sign(b"certify"));
-        }
-        let pks: Vec<PublicKey> = kps.iter().map(|k| k.public_key()).collect();
-        let mut batch = BatchVerifier::new();
-        batch
-            .push_aggregate(b"certify", &agg, |i| pks.get(i as usize).copied())
-            .expect("all signers known");
-        assert_eq!(batch.len(), 4);
-        assert!(batch.verify_all());
-    }
-
-    #[test]
-    fn push_aggregate_rejects_unknown_signer_and_unwinds() {
-        let kps = keys(4);
-        let mut agg = AggregateSignature::new();
-        for (i, kp) in kps.iter().enumerate() {
-            agg.add(i as u64, kp.sign(b"certify"));
-        }
-        let pks: Vec<PublicKey> = kps.iter().map(|k| k.public_key()).collect();
-        let mut batch = BatchVerifier::new();
-        batch.push(kps[0].public_key(), b"other", kps[0].sign(b"other"));
-        let err = batch
-            .push_aggregate(b"certify", &agg, |i| {
-                if i < 2 {
-                    pks.get(i as usize).copied()
-                } else {
-                    None
-                }
-            })
-            .expect_err("signer 2 unknown");
-        assert_eq!(err, 2);
-        // Only the pre-existing tuple remains staged.
-        assert_eq!(batch.len(), 1);
-        assert!(batch.verify_all());
     }
 }

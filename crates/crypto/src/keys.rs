@@ -76,8 +76,8 @@ impl Signature {
     }
 
     /// `H(SIGN_TAG || pk || msg)`, streamed into the hasher: no buffer. The
-    /// one construction behind every sign and verify.
-    fn create(pk: &PublicKey, msg: &[u8]) -> Self {
+    /// one construction behind every sign and verify, aggregates included.
+    pub(crate) fn create(pk: &PublicKey, msg: &[u8]) -> Self {
         let mut hasher = Sha256::new();
         hasher.update(SIGN_TAG);
         hasher.update(pk.as_bytes());

@@ -11,10 +11,11 @@
 //!   identical digests,
 //! * a deterministic, simulated signature scheme ([`KeyPair`], [`Signature`])
 //!   whose verification is honest-majority sound inside the simulation,
-//! * quorum aggregation helpers ([`AggregateSignature`]), and
+//! * the quorum certificate's aggregate ([`AggregateSignature`]): a signer
+//!   bitset plus one 32-byte aggregate, verified in one streaming pass, and
 //! * batched verification ([`BatchVerifier`]) that checks many
 //!   `(key, message, signature)` tuples in one allocation-free pass — the
-//!   primitive behind the authenticated message path's ingress stage.
+//!   primitive behind the client edge check.
 //!
 //! The simulated scheme binds a signature to `(public key, message)` via the
 //! hash function; it is **not** secure against a real adversary and must never

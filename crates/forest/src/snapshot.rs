@@ -54,7 +54,7 @@ use crate::ledger::{CommittedBlock, Ledger};
 /// Format magic + version. Bump the version for any layout change; decoders
 /// reject unknown versions instead of misparsing.
 const MAGIC: &[u8; 4] = b"BSNP";
-const VERSION: u16 = 2;
+const VERSION: u16 = 3;
 /// Bytes in front of a chunk body: magic, version, body length, CRC.
 const CHUNK_HEADER_BYTES: usize = 14;
 /// Lower bound on one encoded ledger entry; bounds what a declared entry
@@ -731,26 +731,35 @@ mod tests {
             Snapshot::decode(&bad_magic).err(),
             Some(SnapshotError::BadMagic)
         );
-        let mut bad_version = bytes;
+        let mut bad_version = bytes.clone();
         bad_version[5] = 9;
         assert!(matches!(
             Snapshot::decode(&bad_version),
             Err(SnapshotError::UnsupportedVersion(_))
         ));
+        // A chunk of the layout before the bitset certificates (version 2,
+        // per-signer QC entries) is refused by its header, not misparsed.
+        let mut parent_version = bytes;
+        parent_version[4..6].copy_from_slice(&2u16.to_be_bytes());
+        assert_eq!(
+            Snapshot::decode(&parent_version).err(),
+            Some(SnapshotError::UnsupportedVersion(2))
+        );
     }
 
     #[test]
     fn forged_entry_count_cannot_force_an_allocation() {
         // A chunk that checksums correctly but declares 2^32 - 1 entries in a
-        // few dozen bytes: the reservation is bounded by the body length, and
-        // decoding runs off the end of the body.
+        // couple of hundred bytes: the reservation is bounded by the body
+        // length, and the first "entry" (the head's bytes read as a block)
+        // fails its id check.
         let mut forged = Snapshot::encode(&BlockForest::new(), &Ledger::new());
         forged[22..26].copy_from_slice(&u32::MAX.to_be_bytes());
         let crc = crc32(&forged[CHUNK_HEADER_BYTES..]);
         forged[10..14].copy_from_slice(&crc.to_be_bytes());
         assert_eq!(
             Snapshot::decode(&forged).err(),
-            Some(SnapshotError::Truncated)
+            Some(SnapshotError::Corrupt("block id mismatch"))
         );
     }
 }

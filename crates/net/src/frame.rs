@@ -34,7 +34,7 @@ pub const MAX_FRAME_PAYLOAD: usize = 64 << 20;
 /// frame instead of misparsing consensus traffic.
 pub const HELLO_MAGIC: &[u8; 4] = b"BNET";
 /// Protocol version; bump for any framing or codec layout change.
-pub const WIRE_VERSION: u16 = 2;
+pub const WIRE_VERSION: u16 = 3;
 
 /// The sender id a non-replica (driver or client) connection announces in
 /// its hello. Replica ids are dense from zero, so `u64::MAX` can never
@@ -561,6 +561,11 @@ mod tests {
             Err(WireError::UnsupportedVersion(99))
         );
         assert_eq!(decode_hello(&[]), Err(WireError::Truncated));
+        // A build from before the bitset certificates (version 2, per-signer
+        // QC entries) is refused at its hello.
+        let mut parent = encode_hello(1, 0, &[0; 32]);
+        parent[4..6].copy_from_slice(&2u16.to_be_bytes());
+        assert_eq!(decode_hello(&parent), Err(WireError::UnsupportedVersion(2)));
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   fake quorum would certify instantly if any replica skipped verification,
 //! * **forged-qc** proposes blocks whose justify QC claims quorum
 //!   certification with fabricated signatures. The block id stays valid (it
-//!   binds the QC's block and view, not its signature bytes), so only
-//!   per-signer verification of the aggregate catches the forgery.
+//!   binds the QC's block and view, not its aggregate), so only verifying
+//!   the aggregate, which recomputes every signer's signature, catches it.
 //!
 //! An [`Attack`] has one entry point per surface an attacker controls:
 //! [`Attack::propose`] sees the honest protocol only through `&dyn Safety`
@@ -334,7 +334,7 @@ mod tests {
             !proposal
                 .justify
                 .verify(4, |i| keys.get(i as usize).map(|k| k.public_key())),
-            "forged justify must fail per-signer verification"
+            "forged justify must fail aggregate verification"
         );
     }
 

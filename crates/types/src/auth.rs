@@ -21,9 +21,10 @@
 //!
 //! Certificate checks are *signer-count aware*: the quorum threshold is
 //! checked before any signature work, so a sub-quorum certificate is rejected
-//! for free, and the per-signer checks go through one reused
-//! [`BatchVerifier`], amortising signing-bytes construction across the whole
-//! aggregate.
+//! for free. A certificate is one signer bitset plus one aggregate, so the
+//! rest is [`AggregateSignature::verify`]: every signer's signature
+//! recomputed into one streaming hasher, with the verdict the per-signer
+//! checks would give.
 //!
 //! Client requests are not messages: they arrive in batches at the edge
 //! check ([`Authenticator::verify_requests`]). By default they pass
@@ -33,12 +34,12 @@
 //! by [`crate::Config::signed_requests`]) changes that: each request must
 //! carry the issuing client's signature over a fixed 40-byte tuple, the
 //! client's public key is re-derived lazily from its id (no O(clients) key
-//! table), and whole arrival batches are checked through the same batched
-//! pass as quorum certificates ([`Authenticator::verify_client_batch`]).
+//! table), and whole arrival batches are checked in one batched pass
+//! ([`Authenticator::verify_client_batch`]).
 
 use std::fmt;
 
-use bamboo_crypto::{BatchVerifier, KeyPair, PublicKey};
+use bamboo_crypto::{AggregateSignature, BatchVerifier, KeyPair, PublicKey};
 
 use crate::block::Block;
 use crate::certificate::{QuorumCert, TimeoutCert, TimeoutVote, Vote};
@@ -188,9 +189,9 @@ impl VerifiedRequests {
 
 /// Verifies inbound messages against the validator set's public keys.
 ///
-/// The authenticator owns a reused [`BatchVerifier`], so repeated certificate
-/// checks are allocation-free in steady state; methods therefore take
-/// `&mut self`. Each thread of a deployment owns its own authenticator
+/// The authenticator owns a reused [`BatchVerifier`] for client batches, and
+/// a certificate check allocates nothing, so verification is
+/// allocation-free in steady state; the verifying methods take `&mut self`. Each thread of a deployment owns its own authenticator
 /// (they are cheap: `n` public keys plus buffers).
 ///
 /// # Example
@@ -420,18 +421,13 @@ impl Authenticator {
     }
 
     /// Verifies a quorum certificate: signer count against the quorum
-    /// threshold first (free), then every signature in one batched pass.
+    /// threshold first (free), then the aggregate in one streaming pass.
     pub fn verify_qc(&mut self, qc: &QuorumCert) -> Result<(), AuthError> {
         if qc.is_genesis() {
             return Ok(());
         }
-        self.check_threshold(qc.signer_count())?;
         let msg = Vote::signing_bytes(qc.block, qc.view);
-        let keys = &self.keys;
-        self.batch
-            .push_aggregate(&msg, &qc.signatures, |i| keys.get(i as usize).copied())
-            .map_err(|signer| AuthError::UnknownSigner(NodeId(signer)))?;
-        if !self.batch.verify_all() {
+        if !self.verify_aggregate(&qc.signatures, &msg)? {
             return Err(AuthError::BadQcSignature(qc.view));
         }
         Ok(())
@@ -449,16 +445,11 @@ impl Authenticator {
         self.verify_qc(&tv.high_qc)
     }
 
-    /// Verifies a timeout certificate: threshold, every timeout signature
-    /// (batched), and the embedded high-QC.
+    /// Verifies a timeout certificate: threshold, the aggregate of the
+    /// timeout signatures, and the embedded high-QC.
     pub fn verify_timeout_cert(&mut self, tc: &TimeoutCert) -> Result<(), AuthError> {
-        self.check_threshold(tc.signer_count())?;
         let msg = TimeoutVote::signing_bytes(tc.view);
-        let keys = &self.keys;
-        self.batch
-            .push_aggregate(&msg, &tc.signatures, |i| keys.get(i as usize).copied())
-            .map_err(|signer| AuthError::UnknownSigner(NodeId(signer)))?;
-        if !self.batch.verify_all() {
+        if !self.verify_aggregate(&tc.signatures, &msg)? {
             return Err(AuthError::BadTcSignature(tc.view));
         }
         self.verify_qc(&tc.high_qc)
@@ -486,12 +477,21 @@ impl Authenticator {
         self.verify_qc(&resp.high_qc)
     }
 
-    fn check_threshold(&self, got: usize) -> Result<(), AuthError> {
-        let need = quorum_threshold(self.keys.len());
+    /// A certificate's checks after its claim: the quorum threshold, every
+    /// signer in the validator set, then [`AggregateSignature::verify`].
+    fn verify_aggregate(
+        &self,
+        signatures: &AggregateSignature,
+        msg: &[u8],
+    ) -> Result<bool, AuthError> {
+        let (got, need) = (signatures.len(), quorum_threshold(self.keys.len()));
         if got < need {
             return Err(AuthError::SubQuorumCert { got, need });
         }
-        Ok(())
+        if let Some(signer) = signatures.signers().find(|&s| s >= self.keys.len() as u64) {
+            return Err(AuthError::UnknownSigner(NodeId(signer)));
+        }
+        Ok(signatures.verify(msg, |i| self.keys.get(i as usize).copied()))
     }
 }
 
@@ -502,7 +502,6 @@ mod tests {
     use crate::ids::Height;
     use crate::transaction::Transaction;
     use crate::SimTime;
-    use bamboo_crypto::AggregateSignature;
 
     fn keypairs(n: u64) -> Vec<KeyPair> {
         (0..n).map(KeyPair::from_seed).collect()
@@ -572,12 +571,9 @@ mod tests {
     fn qc_with_forged_signature_is_rejected() {
         let kps = keypairs(4);
         let mut auth = Authenticator::for_nodes(4);
-        let mut sigs = AggregateSignature::new();
         // All three "signatures" minted by replica 3's key under indices 0..2.
         let msg = Vote::signing_bytes(block_id(1), View(2));
-        for i in 0..3u64 {
-            sigs.add(i, kps[3].sign(&msg));
-        }
+        let sigs: AggregateSignature = (0..3u64).map(|i| (i, kps[3].sign(&msg))).collect();
         let forged = QuorumCert {
             block: block_id(1),
             view: View(2),
@@ -586,6 +582,47 @@ mod tests {
         assert_eq!(
             auth.verify_qc(&forged),
             Err(AuthError::BadQcSignature(View(2)))
+        );
+    }
+
+    #[test]
+    fn one_junk_key_signer_fails_a_qc_and_a_tc() {
+        let kps = keypairs(4);
+        let junk = KeyPair::from_seed(u64::MAX);
+        let mut auth = Authenticator::for_nodes(4);
+        let high_qc = quorum_qc(block_id(2), View(3), &kps);
+        for bad in 0..3u64 {
+            let sign =
+                |i: u64, msg: &[u8]| (i, if i == bad { &junk } else { &kps[i as usize] }.sign(msg));
+            let msg = Vote::signing_bytes(block_id(2), View(3));
+            let qc = QuorumCert {
+                signatures: (0..3).map(|i| sign(i, &msg)).collect(),
+                ..high_qc.clone()
+            };
+            assert_eq!(auth.verify_qc(&qc), Err(AuthError::BadQcSignature(View(3))));
+            let msg = TimeoutVote::signing_bytes(View(4));
+            let tc = TimeoutCert {
+                view: View(4),
+                signatures: (0..3).map(|i| sign(i, &msg)).collect(),
+                high_qc: high_qc.clone(),
+            };
+            assert_eq!(
+                auth.verify_timeout_cert(&tc),
+                Err(AuthError::BadTcSignature(View(4)))
+            );
+        }
+        // A signer outside the validator set is named, not just refused.
+        let msg = Vote::signing_bytes(block_id(2), View(3));
+        let qc = QuorumCert {
+            signatures: [0, 1, 2, 9]
+                .map(|i| (i, kps[0].sign(&msg)))
+                .into_iter()
+                .collect(),
+            ..high_qc
+        };
+        assert_eq!(
+            auth.verify_qc(&qc),
+            Err(AuthError::UnknownSigner(NodeId(9)))
         );
     }
 
@@ -602,10 +639,7 @@ mod tests {
         // Same timeout vote, but the embedded QC's signatures are corrupted.
         let mut bad_qc = high_qc.clone();
         let msg = Vote::signing_bytes(block_id(9), View(9));
-        let mut sigs = AggregateSignature::new();
-        for i in 0..3u64 {
-            sigs.add(i, kps[i as usize].sign(&msg));
-        }
+        let sigs: AggregateSignature = (0..3u64).map(|i| (i, kps[i as usize].sign(&msg))).collect();
         bad_qc.signatures = sigs;
         let bad_tv = TimeoutVote::new(View(4), NodeId(0), bad_qc, &kps[0]);
         assert!(auth.verify_timeout_vote(&bad_tv).is_err());
@@ -648,10 +682,7 @@ mod tests {
 
         let mut forged_justify = justify;
         let msg = Vote::signing_bytes(block_id(1), View(1));
-        let mut sigs = AggregateSignature::new();
-        for i in 0..3u64 {
-            sigs.add(i, kps[3].sign(&msg));
-        }
+        let sigs: AggregateSignature = (0..3u64).map(|i| (i, kps[3].sign(&msg))).collect();
         forged_justify.signatures = sigs;
         // Rebuilding keeps the id valid (the id binds the justify's block and
         // view, not its signature bytes), so the rejection must come from the
@@ -714,10 +745,7 @@ mod tests {
 
         // Corrupting the high-QC fails the response.
         let msg = Vote::signing_bytes(block_id(1), View(1));
-        let mut sigs = AggregateSignature::new();
-        for i in 0..3u64 {
-            sigs.add(i, kps[3].sign(&msg));
-        }
+        let sigs: AggregateSignature = (0..3u64).map(|i| (i, kps[3].sign(&msg))).collect();
         let mut bad_qc = justify;
         bad_qc.signatures = sigs;
         let bad = SyncResponse {

@@ -131,7 +131,8 @@ impl QuorumCert {
         Digest::from_bytes(hasher.finalize())
     }
 
-    /// Approximate wire size in bytes.
+    /// Modeled wire size in bytes (40 B per signer, see
+    /// [`AggregateSignature::wire_size`]).
     pub fn wire_size(&self) -> usize {
         32 + 8 + self.signatures.wire_size()
     }
@@ -349,6 +350,22 @@ mod tests {
             crate::wire::encode_qc(&mut bytes, &qc);
             assert_eq!(bytes, reference_bytes, "stride {stride}");
         }
+    }
+
+    #[test]
+    fn a_certificate_is_small_and_its_heap_is_one_small_allocation() {
+        assert_eq!(std::mem::size_of::<QuorumCert>(), 56);
+        let kps = keys(32);
+        let bid = block_id(5);
+        let votes: Vec<Vote> = (0..22)
+            .map(|i| Vote::new(bid, View(3), NodeId(i), &kps[i as usize]))
+            .collect();
+        let qc = QuorumCert::from_votes(bid, View(3), &votes);
+        // Two reference counts, the 32-byte aggregate and one bitset word.
+        let heap = 16 + 32 + 8 * qc.signatures.bitset().len();
+        assert!(heap <= 64, "{heap} B");
+        // The model still charges 40 B per signer on the wire.
+        assert_eq!(qc.wire_size(), 32 + 8 + 22 * 40);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::transaction::Transaction;
 ///
 /// The counterpart of [`SharedBlock`] one layer up: blocks made *proposal
 /// payloads* zero-copy, but votes, timeout votes and certificates carry
-/// signer vectors and aggregate signatures of their own, so cloning a
+/// signer sets and aggregate signatures of their own, so cloning a
 /// `Message` envelope per broadcast recipient still allocates O(n). Backends
 /// that fan one envelope out to many recipients therefore share one
 /// `SharedMessage`: the threaded runtime's channels and the verify pool's

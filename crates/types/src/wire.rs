@@ -300,11 +300,11 @@ pub fn decode_transaction(cur: &mut WireCursor<'_>) -> Result<Transaction, WireE
 
 /// Exactly the bytes [`encode_qc`] appends for `qc`.
 pub fn qc_encoded_len(qc: &QuorumCert) -> usize {
-    32 + 8 + 4 + qc.signatures.len() * (8 + 32)
+    32 + 8 + 2 + 8 * qc.signatures.bitset().len() + 32
 }
 
 /// Encodes a quorum certificate: block id, view, then the aggregate
-/// signature as `(signer, signature)` entries in signer order.
+/// signature (`encode_aggregate`).
 pub fn encode_qc(out: &mut Vec<u8>, qc: &QuorumCert) {
     out.extend_from_slice(qc.block.0.as_bytes());
     put_u64(out, qc.view.as_u64());
@@ -316,7 +316,7 @@ pub fn encode_qc(out: &mut Vec<u8>, qc: &QuorumCert) {
 /// # Errors
 ///
 /// Returns [`WireError::Truncated`] on short input and
-/// [`WireError::Corrupt`] on duplicate or unsorted signers.
+/// [`WireError::Corrupt`] on a non-canonical aggregate.
 pub fn decode_qc(cur: &mut WireCursor<'_>) -> Result<QuorumCert, WireError> {
     let block = BlockId(bamboo_crypto::Digest::from_bytes(cur.digest32()?));
     let view = View(cur.u64()?);
@@ -358,32 +358,27 @@ pub fn decode_opt_qc(cur: &mut WireCursor<'_>) -> Result<Option<QuorumCert>, Wir
     }
 }
 
+/// An aggregate as a `u16` word count, the signer-bitset words and the
+/// 32-byte aggregate (all zero for no signers).
 fn encode_aggregate(out: &mut Vec<u8>, signatures: &AggregateSignature) {
-    put_u32(out, signatures.len() as u32);
-    for (signer, signature) in signatures.entries() {
-        put_u64(out, signer);
-        out.extend_from_slice(signature.as_bytes());
+    put_u16(out, signatures.bitset().len() as u16);
+    for &word in signatures.bitset() {
+        put_u64(out, word);
     }
+    out.extend_from_slice(&signatures.aggregate());
 }
 
-/// Accepts only strictly ascending signers — the order `encode_aggregate`
-/// emits and part of the format — so a hostile frame costs one linear pass.
+/// Refuses a word count over [`AggregateSignature::MAX_WORDS`] before it
+/// allocates, and any layout `encode_aggregate` would not write.
 fn decode_aggregate(cur: &mut WireCursor<'_>) -> Result<AggregateSignature, WireError> {
-    const ENTRY_BYTES: usize = 8 + 32;
-    let signers = cur.u32()? as usize;
-    let mut entries = Vec::with_capacity(signers.min(cur.remaining() / ENTRY_BYTES));
-    let mut last = None;
-    for _ in 0..signers {
-        let signer = cur.u64()?;
-        if last >= Some(signer) {
-            return Err(WireError::Corrupt(
-                "aggregate signers not strictly ascending",
-            ));
-        }
-        last = Some(signer);
-        entries.push((signer, Signature::from_bytes(cur.digest32()?)));
+    let words = cur.u16()? as usize;
+    if words > AggregateSignature::MAX_WORDS {
+        return Err(WireError::Corrupt("signer bitset over 1,024 words"));
     }
-    Ok(entries.into_iter().collect())
+    let bitset: Vec<u64> = (cur.take(8 * words)?.chunks_exact(8))
+        .map(|word| u64::from_be_bytes(word.try_into().expect("8-byte chunk")))
+        .collect();
+    AggregateSignature::from_parts(&bitset, cur.digest32()?).map_err(WireError::Corrupt)
 }
 
 fn encode_vote(out: &mut Vec<u8>, vote: &Vote) {
@@ -766,19 +761,18 @@ mod tests {
         assert!(decode_message(&tampered).is_err());
     }
 
-    /// A QC frame for `sample_block(0)` carrying `signers` as given (any
-    /// order, any repeats) under a declared entry count of `declared`.
-    fn raw_qc(declared: u32, signers: impl IntoIterator<Item = u64>) -> Vec<u8> {
+    /// A QC for `sample_block(0)` whose aggregate is laid out as given: a
+    /// declared word count, the words, then the 32-byte aggregate.
+    fn raw_qc(declared: u16, words: &[u64], aggregate: [u8; 32]) -> Vec<u8> {
         let block = sample_block(0);
-        let signature = KeyPair::from_seed(0).sign(b"any");
         let mut bytes = Vec::new();
         bytes.extend_from_slice(block.id.0.as_bytes());
         put_u64(&mut bytes, block.view.as_u64());
-        put_u32(&mut bytes, declared);
-        for signer in signers {
-            put_u64(&mut bytes, signer);
-            bytes.extend_from_slice(signature.as_bytes());
+        put_u16(&mut bytes, declared);
+        for &word in words {
+            put_u64(&mut bytes, word);
         }
+        bytes.extend_from_slice(&aggregate);
         bytes
     }
 
@@ -795,7 +789,10 @@ mod tests {
             assert_eq!(qc.signer_count() as u64, signers);
             let mut bytes = Vec::new();
             encode_qc(&mut bytes, &qc);
-            assert_eq!(bytes.len(), qc.wire_size() + 4);
+            assert_eq!(
+                bytes.len(),
+                32 + 8 + 2 + 8 * signers.div_ceil(64) as usize + 32
+            );
             let mut cur = WireCursor::new(&bytes);
             assert_eq!(decode_qc(&mut cur).as_ref(), Ok(&qc), "{signers} signers");
             assert!(cur.done());
@@ -803,43 +800,107 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_signers_must_be_strictly_ascending() {
-        const UNSORTED: WireError = WireError::Corrupt("aggregate signers not strictly ascending");
+    fn the_qc_decoder_refuses_non_canonical_aggregates() {
         let decode = |bytes: &[u8]| decode_qc(&mut WireCursor::new(bytes)).err();
-        assert_eq!(decode(&raw_qc(3, [1, 2, 5])), None);
-        for bad in [
-            vec![1, 1],
-            vec![1, 2, 2],
-            vec![2, 1],
-            vec![1, 5, 3],
-            vec![0, 7, 0],
+        let aggregate = [7; 32];
+        assert_eq!(decode(&raw_qc(1, &[0b1011], aggregate)), None);
+        assert_eq!(decode(&raw_qc(0, &[], [0; 32])), None);
+        for (bytes, why) in [
+            (
+                raw_qc(2, &[0b1011, 0], aggregate),
+                "trailing zero signer word",
+            ),
+            (raw_qc(1, &[0], aggregate), "trailing zero signer word"),
+            (
+                raw_qc(0, &[], aggregate),
+                "empty signer set carries an aggregate",
+            ),
+            (
+                raw_qc(1, &[0b1011], [0; 32]),
+                "signer set without an aggregate",
+            ),
         ] {
-            assert_eq!(
-                decode(&raw_qc(bad.len() as u32, bad.iter().copied())),
-                Some(UNSORTED),
-                "{bad:?}"
-            );
+            assert_eq!(decode(&bytes), Some(WireError::Corrupt(why)));
         }
-        // A hostile 100k-entry descending list is refused at its second entry:
-        // the decoder never does more than one pass, and never sorts input.
-        let hostile = raw_qc(100_000, (0..100_000u64).rev());
-        let mut cur = WireCursor::new(&hostile);
-        assert_eq!(decode_qc(&mut cur).err(), Some(UNSORTED));
-        assert_eq!(hostile.len() - cur.remaining(), 44 + 40 + 8);
+        // A word count over the cap is refused right after it is read: no
+        // word is taken and nothing is allocated, whatever follows.
+        for declared in [1_025, u16::MAX] {
+            let hostile = raw_qc(declared, &vec![u64::MAX; 1_025], aggregate);
+            let mut cur = WireCursor::new(&hostile);
+            assert_eq!(
+                decode_qc(&mut cur).err(),
+                Some(WireError::Corrupt("signer bitset over 1,024 words"))
+            );
+            assert_eq!(hostile.len() - cur.remaining(), 32 + 8 + 2);
+        }
+        let full = raw_qc(1_024, &vec![u64::MAX; 1_024], aggregate);
+        let qc = decode_qc(&mut WireCursor::new(&full)).unwrap();
+        assert_eq!(qc.signer_count(), 65_536);
+        // A declared count the input cannot back is a truncation.
+        assert_eq!(
+            decode(&raw_qc(3, &[1, 2], aggregate)[..60]),
+            Some(WireError::Truncated)
+        );
+    }
+
+    /// Flips every byte of `bytes` to every other value, and cuts it at every
+    /// length: `decode` must fail or give back a value whose re-encoding is
+    /// exactly the bytes it read.
+    fn assert_mutations_fail_or_round_trip<T>(
+        bytes: &[u8],
+        decode: impl Fn(&mut WireCursor<'_>) -> Result<T, WireError>,
+        encode: impl Fn(&mut Vec<u8>, &T),
+    ) -> usize {
+        let mut accepted = 0;
+        let mut check = |input: &[u8]| {
+            let mut cur = WireCursor::new(input);
+            if let Ok(value) = decode(&mut cur) {
+                let mut out = Vec::new();
+                encode(&mut out, &value);
+                assert_eq!(out, &input[..input.len() - cur.remaining()]);
+                accepted += 1;
+            }
+        };
+        for at in 0..bytes.len() {
+            for flip in 1..=255u8 {
+                let mut mutated = bytes.to_vec();
+                mutated[at] ^= flip;
+                check(&mutated);
+            }
+        }
+        for cut in 0..bytes.len() {
+            let mut cur = WireCursor::new(&bytes[..cut]);
+            assert!(decode(&mut cur).is_err(), "prefix of {cut} bytes decoded");
+        }
+        accepted
     }
 
     #[test]
-    fn declared_aggregate_count_cannot_outrun_the_input() {
-        // Four billion declared entries over three present: the allocation is
-        // sized by the bytes that are there, and the fourth read falls short.
-        let bytes = raw_qc(u32::MAX, [1, 2, 3]);
-        assert_eq!(
-            decode_qc(&mut WireCursor::new(&bytes)).err(),
-            Some(WireError::Truncated)
-        );
-        assert_eq!(
-            decode_qc(&mut WireCursor::new(&raw_qc(u32::MAX, []))).err(),
-            Some(WireError::Truncated)
+    fn every_byte_flip_and_cut_of_a_certificate_fails_or_round_trips() {
+        let qc = sample_qc();
+        let mut bytes = Vec::new();
+        encode_qc(&mut bytes, &qc);
+        let accepted = assert_mutations_fail_or_round_trip(&bytes, decode_qc, encode_qc);
+        // Flips of the claim, the bitset and the aggregate decode (the
+        // authenticator judges them) except the one that zeroes the bitset's
+        // last word; no flip of the word count does.
+        assert_eq!(accepted, 255 * bytes.len() - 2 * 255 - 1);
+        for opt in [None, Some(&qc)] {
+            let mut bytes = Vec::new();
+            encode_opt_qc(&mut bytes, opt);
+            assert_mutations_fail_or_round_trip(&bytes, decode_opt_qc, |out, qc| {
+                encode_opt_qc(out, qc.as_ref())
+            });
+        }
+        let kps: Vec<KeyPair> = (0..4).map(KeyPair::from_seed).collect();
+        let votes: Vec<TimeoutVote> = (0..3)
+            .map(|i| TimeoutVote::new(View(9), NodeId(i), qc.clone(), &kps[i as usize]))
+            .collect();
+        let tc = Message::TimeoutCertMsg(TimeoutCert::from_votes(View(9), &votes));
+        assert_mutations_fail_or_round_trip(
+            &encode_message(&tc),
+            |cur| decode_message(cur.take(cur.remaining())?),
+            encode_message_into,
         );
     }
 

@@ -236,11 +236,8 @@ fn transport_level_forgeries_never_reach_the_replica() {
     // the validator set. If this were accepted the replica would jump to
     // view 6; it must stay in view 1.
     let junk = KeyPair::from_seed(u64::MAX);
-    let mut signatures = AggregateSignature::new();
     let msg = Vote::signing_bytes(block, View(5));
-    for i in 0..3u64 {
-        signatures.add(i, junk.sign(&msg));
-    }
+    let signatures: AggregateSignature = (0..3u64).map(|i| (i, junk.sign(&msg))).collect();
     let forged_qc = QuorumCert {
         block,
         view: View(5),
