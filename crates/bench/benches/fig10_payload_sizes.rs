@@ -7,16 +7,16 @@
 //! delay starts to dominate).
 
 use bamboo_bench::{
-    banner, bench_rows, default_sweep, eval_config, evaluated_protocols, record_curve, save_rows,
-    sweep,
+    banner, bench_rows, default_sweep, eval_config, record_curve, save_rows, sweep,
 };
+use bamboo_types::ProtocolKind;
 
 fn main() {
     banner("Figure 10: throughput vs latency, payload sizes 0/128/1024 B");
     let mut out = bench_rows("fig10_payload_sizes");
     for payload in [0usize, 128, 1024] {
         let config = eval_config(4, 400, payload, 500);
-        for protocol in evaluated_protocols() {
+        for protocol in ProtocolKind::evaluated() {
             let label = format!("{}-p{payload}", protocol.label());
             let points = sweep(protocol, &config, default_sweep());
             record_curve(&mut out, &label, &points);

@@ -6,11 +6,9 @@
 //! comparable to 2CHS because propagation delay dominates the cost of its
 //! message echoing.
 
-use bamboo_bench::{
-    banner, bench_rows, eval_config, evaluated_protocols, record_curve, save_rows, sweep,
-};
+use bamboo_bench::{banner, bench_rows, eval_config, record_curve, save_rows, sweep};
 use bamboo_core::SweepOptions;
-use bamboo_types::SimDuration;
+use bamboo_types::{ProtocolKind, SimDuration};
 
 fn main() {
     banner("Figure 11: throughput vs latency, added network delay 0/5/10 ms");
@@ -28,7 +26,7 @@ fn main() {
             saturation_gain: 0.05,
             latency_ceiling_ms: 600.0,
         };
-        for protocol in evaluated_protocols() {
+        for protocol in ProtocolKind::evaluated() {
             let label = format!("{}-d{delay_ms}", protocol.label());
             let points = sweep(protocol, &config, sweep_opts.clone());
             record_curve(&mut out, &label, &points);

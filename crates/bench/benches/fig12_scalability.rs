@@ -7,9 +7,7 @@
 //! cubic message complexity (the paper makes the same caveat for n > 64).
 
 use bamboo_bench::stats::mean_std;
-use bamboo_bench::{
-    banner, bench_rows, eval_config, evaluated_protocols, save_rows, Higher, Lower, Sim,
-};
+use bamboo_bench::{banner, bench_rows, eval_config, save_rows, Higher, Lower, Sim};
 use bamboo_core::{Benchmarker, RunOptions};
 use bamboo_types::ProtocolKind;
 
@@ -22,7 +20,7 @@ fn main() {
     // aggregation below is identical to the old sequential loop.
     let mut grid: Vec<(ProtocolKind, usize)> = Vec::new();
     let mut jobs = Vec::new();
-    for protocol in evaluated_protocols() {
+    for protocol in ProtocolKind::evaluated() {
         for &nodes in &sizes {
             // Streamlet's O(n^3) message complexity makes large-n runs very
             // slow (and, as the paper notes, not very meaningful); shorten the

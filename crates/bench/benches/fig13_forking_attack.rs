@@ -11,16 +11,14 @@
 //! propose honestly), while an HS or 2CHS attacker builds k − 1 blocks below
 //! the certified tip (k = 3 and 2).
 
-use bamboo_bench::{
-    banner, bench_rows, eval_config, evaluated_protocols, save_rows, Higher, Lower, Sim,
-};
+use bamboo_bench::{banner, bench_rows, eval_config, save_rows, Higher, Lower, Sim};
 use bamboo_core::{Benchmarker, RunOptions};
 use bamboo_types::{ByzantineStrategy, ProtocolKind};
 
 fn main() {
     banner("Figure 13: forking attack, 32 nodes, 0..10 Byzantine");
     let mut out = bench_rows("fig13_forking_attack");
-    for protocol in evaluated_protocols() {
+    for protocol in ProtocolKind::evaluated() {
         for byz in [0usize, 2, 4, 6, 8, 10] {
             let runtime_ms = if protocol == ProtocolKind::Streamlet {
                 200

@@ -6,16 +6,14 @@
 //! the last block); Streamlet's CGR stays at 1 (no forks) and it degrades
 //! gracefully; block intervals are higher than under the forking attack.
 
-use bamboo_bench::{
-    banner, bench_rows, eval_config, evaluated_protocols, save_rows, Higher, Lower, Sim,
-};
+use bamboo_bench::{banner, bench_rows, eval_config, save_rows, Higher, Lower, Sim};
 use bamboo_core::{Benchmarker, RunOptions};
 use bamboo_types::{ByzantineStrategy, ProtocolKind, SimDuration};
 
 fn main() {
     banner("Figure 14: silence attack, 32 nodes, 0..10 Byzantine, 50 ms timeout");
     let mut out = bench_rows("fig14_silence_attack");
-    for protocol in evaluated_protocols() {
+    for protocol in ProtocolKind::evaluated() {
         for byz in [0usize, 2, 4, 6, 8, 10] {
             let runtime_ms = if protocol == ProtocolKind::Streamlet {
                 250

@@ -27,11 +27,9 @@
 //! honest HS and 2CHS replicas commit conflicting blocks here, and the wedged
 //! replicas read as seeds that "did not recover".
 
-use bamboo_bench::{
-    banner, bench_rows, eval_config, evaluated_protocols, save_rows, Higher, Sim, EVAL_SEED,
-};
+use bamboo_bench::{banner, bench_rows, eval_config, save_rows, Higher, Sim, EVAL_SEED};
 use bamboo_core::{Benchmarker, FluctuationWindow, RunOptions, RunReport};
-use bamboo_types::{NodeId, SimDuration, SimTime};
+use bamboo_types::{NodeId, ProtocolKind, SimDuration, SimTime};
 
 /// Offered load of every run.
 const OFFERED_TX_PER_SEC: f64 = 30_000.0;
@@ -71,7 +69,7 @@ fn main() {
     // One batch on the sweep pool: per (timeout, protocol) the eight seeds.
     let settings: Vec<_> = [10u64, 100]
         .into_iter()
-        .flat_map(|timeout_ms| evaluated_protocols().map(|protocol| (timeout_ms, protocol)))
+        .flat_map(|timeout_ms| ProtocolKind::evaluated().map(|protocol| (timeout_ms, protocol)))
         .collect();
     let mut points = Vec::new();
     for &(timeout_ms, protocol) in &settings {

@@ -8,10 +8,9 @@
 //! observer's QC-ended views (`view_ms_qc`) and its timeout-ended views
 //! (`views_by_timeout`).
 
-use bamboo_bench::{
-    banner, bench_rows, eval_config, evaluated_protocols, model_for, save_rows, Higher, Lower, Sim,
-};
+use bamboo_bench::{banner, bench_rows, eval_config, model_for, save_rows, Higher, Lower, Sim};
 use bamboo_core::{Benchmarker, RunOptions};
+use bamboo_types::ProtocolKind;
 
 fn main() {
     banner("Figure 8: model vs implementation (HS, 2CHS, SL)");
@@ -21,7 +20,7 @@ fn main() {
     for (nodes, bsize) in configs {
         println!("\n--- configuration {nodes}/{bsize} (nodes/block size) ---");
         let config = eval_config(nodes, bsize, 0, 500);
-        for protocol in evaluated_protocols() {
+        for protocol in ProtocolKind::evaluated() {
             let model = model_for(protocol, &config);
             let saturation = model.saturation_rate();
             let bench = Benchmarker::new(config.clone(), protocol, RunOptions::default());

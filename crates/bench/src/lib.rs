@@ -145,11 +145,6 @@ pub fn record_curve(out: &mut RowFile, label: &str, points: &[CurvePoint]) {
     }
 }
 
-/// The three protocols compared throughout the evaluation.
-pub fn evaluated_protocols() -> [ProtocolKind; 3] {
-    ProtocolKind::evaluated()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

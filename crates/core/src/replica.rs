@@ -804,13 +804,6 @@ mod tests {
             .unwrap()
     }
 
-    const ALL_PROTOCOLS: [ProtocolKind; 4] = [
-        ProtocolKind::HotStuff,
-        ProtocolKind::TwoChainHotStuff,
-        ProtocolKind::Streamlet,
-        ProtocolKind::OriginalHotStuff,
-    ];
-
     /// The highest vote watermark the durable log would restore.
     fn durable_voted_view(replica: &Replica) -> View {
         use crate::storage::{decode_safety_record, RecordKind};
@@ -827,7 +820,7 @@ mod tests {
         // them; Streamlet commits from `on_vote`, so no vote follows in the
         // same step to rewrite it. Whatever the protocol, a crash right after
         // any cut must still restore the live watermark.
-        for protocol in ALL_PROTOCOLS {
+        for protocol in ProtocolKind::evaluated() {
             let mut cuts = [0u64; 4];
             let mut checked = 0;
             drive_with(checkpointing(2, true), protocol, 24, |replica| {
@@ -860,7 +853,7 @@ mod tests {
             .fsync_interval(4)
             .build()
             .unwrap();
-        for protocol in ALL_PROTOCOLS {
+        for protocol in ProtocolKind::evaluated() {
             for (label, hole, flip) in [
                 (
                     "early hole",

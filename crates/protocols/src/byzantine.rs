@@ -169,20 +169,16 @@ mod tests {
         ByzantineStrategy::ForgedQc,
     ];
 
-    const KINDS: [ProtocolKind; 4] = [
-        ProtocolKind::HotStuff,
-        ProtocolKind::TwoChainHotStuff,
-        ProtocolKind::Streamlet,
-        ProtocolKind::OriginalHotStuff,
-    ];
-
     /// Whatever the strategy, an attacker's voting, state-updating and commit
     /// decisions are the honest protocol's: over a generated forest — which
     /// the attacker's own proposals fork — a protocol instance paired with an
     /// [`Attack`] and one without take identical decisions at every step.
     #[test]
     fn every_attack_keeps_the_honest_voting_state_and_commit_rules() {
-        for (strategy, kind) in STRATEGIES.iter().flat_map(|s| KINDS.map(|k| (*s, k))) {
+        for (strategy, kind) in STRATEGIES
+            .iter()
+            .flat_map(|s| ProtocolKind::evaluated().map(|k| (*s, k)))
+        {
             let (mut votes, mut commits) = (0, 0);
             for seed in 0..8u64 {
                 let mut forest = BlockForest::new();

@@ -15,10 +15,7 @@
 //! * [`ChainedSafety`] — chained HotStuff at commit depth `k`: HotStuff is
 //!   `k` = 3 (the three-chain rule), two-chain HotStuff (2CHS) `k` = 2,
 //! * [`StreamletSafety`] — Streamlet with broadcast votes, message echoing and
-//!   the consecutive-view commit rule,
-//! * [`OhsSafety`] — an independent HotStuff implementation used as the
-//!   "original HotStuff" baseline of Fig. 9 (deliberately *not* built on the
-//!   kit: it is the reference the kit-built HotStuff is compared against).
+//!   the consecutive-view commit rule.
 //!
 //! Byzantine behaviour is not a fourth protocol: an [`Attack`] sits beside
 //! the honest rules and can replace only the proposal (forking and silence,
@@ -29,13 +26,11 @@
 
 pub mod byzantine;
 pub mod hotstuff;
-pub mod ohs;
 pub mod safety;
 pub mod streamlet;
 
 pub use byzantine::Attack;
 pub use hotstuff::ChainedSafety;
-pub use ohs::OhsSafety;
 pub use safety::{build_block, ProposalInput, Safety, VoteDestination};
 pub use streamlet::StreamletSafety;
 
@@ -49,7 +44,6 @@ pub fn make_protocol(kind: ProtocolKind) -> Box<dyn Safety> {
             Box::new(ChainedSafety::new(kind.commit_depth()))
         }
         ProtocolKind::Streamlet => Box::new(StreamletSafety::new()),
-        ProtocolKind::OriginalHotStuff => Box::new(OhsSafety::new()),
     }
 }
 
@@ -71,7 +65,6 @@ mod tests {
             (ProtocolKind::HotStuff, NextLeader, false, ids[0]),
             (ProtocolKind::TwoChainHotStuff, NextLeader, false, ids[1]),
             (ProtocolKind::Streamlet, Broadcast, true, ids[1]),
-            (ProtocolKind::OriginalHotStuff, NextLeader, false, ids[0]),
         ] {
             let mut protocol = make_protocol(kind);
             assert_eq!(protocol.vote_destination(), destination, "{kind:?}");

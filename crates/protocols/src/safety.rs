@@ -90,17 +90,15 @@ pub trait Safety: Send {
     }
 
     /// The protocol's durable vote watermark: the highest view this replica
-    /// has voted in (for height-voting protocols such as OHS, the height is
-    /// mapped into the view slot — the watermark semantics are identical).
-    /// The replica persists this in a `SafetyRecord` immediately before each
-    /// vote leaves the process, so a durable restart can restore it via
-    /// [`Safety::restore_voted_view`] and never double-vote.
+    /// has voted in. The replica persists this in a `SafetyRecord`
+    /// immediately before each vote leaves the process, so a durable restart
+    /// can restore it via [`Safety::restore_voted_view`] and never
+    /// double-vote.
     fn voted_view(&self) -> View;
 
     /// Restores the vote watermark after a durable restart: the replica must
-    /// never again vote at or below `view` (or the mapped height for
-    /// height-voting protocols). Implementations take the max with their
-    /// current watermark — restoring can only tighten the rule.
+    /// never again vote at or below `view`. Implementations take the max with
+    /// their current watermark — restoring can only tighten the rule.
     fn restore_voted_view(&mut self, view: View);
 }
 

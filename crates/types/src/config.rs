@@ -17,35 +17,32 @@ pub enum ProtocolKind {
     TwoChainHotStuff,
     /// Streamlet (longest notarized chain, broadcast votes, echoing).
     Streamlet,
-    /// The independent "original HotStuff" baseline used in Fig. 9.
-    OriginalHotStuff,
 }
 
 impl ProtocolKind {
     /// Short label used in benchmark output (matches the paper's figure
-    /// legends: HS, 2CHS, SL, OHS).
+    /// legends: HS, 2CHS, SL).
     pub fn label(&self) -> &'static str {
         match self {
             ProtocolKind::HotStuff => "HS",
             ProtocolKind::TwoChainHotStuff => "2CHS",
             ProtocolKind::Streamlet => "SL",
-            ProtocolKind::OriginalHotStuff => "OHS",
         }
     }
 
     /// How many certified blocks a commit waits for, the committed block
-    /// included: 3 for the three-chain protocols (HS, OHS), 2 for 2CHS and
+    /// included: 3 for three-chain HotStuff, 2 for 2CHS and
     /// Streamlet (whose three notarized blocks commit the middle one). It is
     /// HotStuff's `k` in `bamboo_protocols::make_protocol` and the depth of
     /// the analytical model's commit delay.
     pub fn commit_depth(&self) -> usize {
         match self {
-            ProtocolKind::HotStuff | ProtocolKind::OriginalHotStuff => 3,
+            ProtocolKind::HotStuff => 3,
             ProtocolKind::TwoChainHotStuff | ProtocolKind::Streamlet => 2,
         }
     }
 
-    /// The three protocols evaluated head-to-head in the paper.
+    /// Every protocol that ships: the three the paper evaluates head-to-head.
     pub fn evaluated() -> [ProtocolKind; 3] {
         [
             ProtocolKind::HotStuff,
@@ -61,7 +58,6 @@ impl ProtocolKind {
             "HS" => Some(ProtocolKind::HotStuff),
             "2CHS" => Some(ProtocolKind::TwoChainHotStuff),
             "SL" => Some(ProtocolKind::Streamlet),
-            "OHS" => Some(ProtocolKind::OriginalHotStuff),
             _ => None,
         }
     }
@@ -606,21 +602,16 @@ mod tests {
         assert_eq!(ProtocolKind::HotStuff.label(), "HS");
         assert_eq!(ProtocolKind::TwoChainHotStuff.label(), "2CHS");
         assert_eq!(ProtocolKind::Streamlet.label(), "SL");
-        assert_eq!(ProtocolKind::OriginalHotStuff.label(), "OHS");
         assert_eq!(ProtocolKind::evaluated().len(), 3);
     }
 
     #[test]
     fn labels_round_trip_through_from_label() {
-        for kind in [
-            ProtocolKind::HotStuff,
-            ProtocolKind::TwoChainHotStuff,
-            ProtocolKind::Streamlet,
-            ProtocolKind::OriginalHotStuff,
-        ] {
+        for kind in ProtocolKind::evaluated() {
             assert_eq!(ProtocolKind::from_label(kind.label()), Some(kind));
         }
         assert_eq!(ProtocolKind::from_label("nope"), None);
+        assert_eq!(ProtocolKind::from_label("OHS"), None);
         for strategy in [
             ByzantineStrategy::Honest,
             ByzantineStrategy::Forking,

@@ -16,13 +16,6 @@ use bamboo::types::{
     Transaction,
 };
 
-const ALL_PROTOCOLS: [ProtocolKind; 4] = [
-    ProtocolKind::HotStuff,
-    ProtocolKind::TwoChainHotStuff,
-    ProtocolKind::Streamlet,
-    ProtocolKind::OriginalHotStuff,
-];
-
 fn shared_config() -> Config {
     Config::builder()
         .nodes(4)
@@ -37,7 +30,7 @@ fn shared_config() -> Config {
 
 #[test]
 fn every_protocol_is_safe_on_the_simulator() {
-    for protocol in ALL_PROTOCOLS {
+    for protocol in ProtocolKind::evaluated() {
         let mut config = shared_config();
         config.arrival_rate = Some(3_000.0);
         let report = SimRunner::new(config, protocol, RunOptions::default()).run();
@@ -54,7 +47,7 @@ fn every_protocol_is_safe_on_the_simulator() {
 
 #[test]
 fn every_protocol_is_safe_on_the_threaded_cluster() {
-    for protocol in ALL_PROTOCOLS {
+    for protocol in ProtocolKind::evaluated() {
         let cluster = ThreadedCluster::spawn(shared_config(), protocol);
         cluster.submit_round_robin(600, 16);
         // Poll for observed commits rather than sleeping a fixed window so
@@ -112,7 +105,7 @@ fn large_payload_config() -> Config {
 
 #[test]
 fn large_payload_blocks_are_safe_on_the_simulator() {
-    for protocol in ALL_PROTOCOLS {
+    for protocol in ProtocolKind::evaluated() {
         let mut config = large_payload_config();
         config.arrival_rate = Some(20_000.0);
         let report = SimRunner::new(config, protocol, RunOptions::default()).run();
@@ -129,7 +122,7 @@ fn large_payload_blocks_are_safe_on_the_simulator() {
 
 #[test]
 fn large_payload_blocks_are_safe_on_the_threaded_cluster() {
-    for protocol in ALL_PROTOCOLS {
+    for protocol in ProtocolKind::evaluated() {
         let cluster = ThreadedCluster::spawn(large_payload_config(), protocol);
         cluster.submit_round_robin(4_000, 128);
         assert!(

@@ -15,16 +15,16 @@
 //! the lookahead positive). The run also stopped generating the phantom
 //! tick at `t = runtime`. Every further engine change must again commit
 //! **byte-identical ledgers** for the same seeds: every block id, proposal
-//! view, commit view, commit time and payload transaction id, across all four
-//! protocol kinds. Any divergence in event ordering, RNG call order or
+//! view, commit view, commit time and payload transaction id, across every
+//! protocol kind. Any divergence in event ordering, RNG call order or
 //! delivery timing changes the fingerprint and fails the test.
 //!
 //! The third deliberate re-pin gave the engine the live loop's deadline
 //! book (DESIGN.md §5): the book drops timers for views the replica has
 //! left, so they no longer fire and no longer bill a signature, and a
 //! crashed replica's deadlines follow the live rules — a resume keeps them,
-//! a restart drops them. The four n = 4 runs, the signed open-loop run and
-//! the forged-and-partitioned Streamlet run moved; the n = 16 run did not.
+//! a restart drops them. The n = 4 runs, the signed open-loop run and the
+//! forged-and-partitioned Streamlet run moved; the n = 16 run did not.
 //!
 //! To re-record after an *intentional* behaviour change, run:
 //! `GOLDEN_DUMP=1 cargo test --test engine_replay -- --nocapture`
@@ -77,15 +77,6 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         7,
         919,
         "cc82f5da03ad8d394eb23f6a253e3740a933eca524bc6d0dbbf1579515eea6e8",
-    ),
-    (
-        ProtocolKind::OriginalHotStuff,
-        4,
-        300,
-        3_000.0,
-        7,
-        916,
-        "0182a80f8a15456f685746150fd1e3dbe1c7c50dac25853aa5dba71841e154e3",
     ),
     // A broadcast-heavy mid-size run: covers the shared-envelope fan-out
     // and a deep event queue under real event pressure.

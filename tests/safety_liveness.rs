@@ -140,13 +140,6 @@ fn two_chain_is_more_forking_resilient_than_three_chain() {
     );
 }
 
-const ALL_PROTOCOLS: [ProtocolKind; 4] = [
-    ProtocolKind::HotStuff,
-    ProtocolKind::TwoChainHotStuff,
-    ProtocolKind::Streamlet,
-    ProtocolKind::OriginalHotStuff,
-];
-
 /// A view timeout below the link delay is not a deployment anyone wants, but
 /// it must cost liveness only: views then end before their proposal arrives,
 /// the certified chain is full of view gaps, and a commit rule that accepts a
@@ -155,7 +148,7 @@ const ALL_PROTOCOLS: [ProtocolKind; 4] = [
 /// so this is the only place the regime is exercised.
 #[test]
 fn a_timeout_below_the_link_delay_costs_liveness_never_safety() {
-    for protocol in ALL_PROTOCOLS {
+    for protocol in ProtocolKind::evaluated() {
         // The LAN link mean is 250 µs: three timeouts below it, one above.
         for timeout_us in [0, 50, 200, 500] {
             for seed in 1..=4 {
@@ -185,7 +178,7 @@ fn a_timeout_below_the_link_delay_costs_liveness_never_safety() {
 /// Streamlet need at most three and run at both sizes.
 #[test]
 fn a_crashed_seat_stalls_hotstuff_only_when_no_four_live_leaders_are_consecutive() {
-    for protocol in ALL_PROTOCOLS {
+    for protocol in ProtocolKind::evaluated() {
         for nodes in [4, 5] {
             let config = Config::builder()
                 .nodes(nodes)
@@ -208,16 +201,12 @@ fn a_crashed_seat_stalls_hotstuff_only_when_no_four_live_leaders_are_consecutive
             let report = SimRunner::new(config, protocol, options).run();
             assert_eq!(report.safety_violations, 0, "{protocol}, n = {nodes}");
             let stalls = protocol == ProtocolKind::HotStuff && nodes == 4;
-            // OHS (the Fig. 9 reference) votes once per height and stalls at
-            // either size once a view is lost: safety is all it is held to.
-            if protocol != ProtocolKind::OriginalHotStuff {
-                assert_eq!(
-                    report.committed_txs == 0,
-                    stalls,
-                    "{protocol}, n = {nodes}: {} txs committed",
-                    report.committed_txs
-                );
-            }
+            assert_eq!(
+                report.committed_txs == 0,
+                stalls,
+                "{protocol}, n = {nodes}: {} txs committed",
+                report.committed_txs
+            );
         }
     }
 }
@@ -247,7 +236,7 @@ fn lost_views_fork_the_chain_but_never_the_ledger() {
     const FIGURE: (u64, u64) = (4_000, 4_000);
     const COMPRESSED: (u64, u64) = (1_000, 2_000);
     let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
-    let grid = (ALL_PROTOCOLS.into_iter())
+    let grid = (ProtocolKind::evaluated().into_iter())
         .flat_map(|protocol| [30_000.0, 10_000.0].map(|rate| (protocol, rate)))
         .flat_map(|(protocol, rate)| (1..=3).map(move |seed| (protocol, rate, seed, COMPRESSED)));
     // The long run first, so the pool's workers finish close together.

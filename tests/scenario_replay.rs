@@ -27,6 +27,9 @@
 //! than HS (one chained round less), and heterogeneous delays degrade
 //! Streamlet — whose synchronous epochs must be provisioned for the worst
 //! link — more than (responsive) HotStuff.
+//!
+//! `one_seat_down` holds every shipped protocol to liveness across the view
+//! a crashed seat loses on each rotation.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -190,6 +193,39 @@ fn geo_wan_reproduces_the_expected_protocol_ordering() {
         sl_p99 > hs_p99,
         "SL p99 {sl_p99:.1} ms should exceed HS p99 {hs_p99:.1} ms in the WAN"
     );
+}
+
+/// One seat of seven down from the start loses a view on every rotation.
+/// Every shipped protocol must commit across those lost views: the spec's
+/// `expect` block (checked by `run_quick`) holds each to 1,500 tx/s and 2CHS
+/// to a lower mean commit latency than HS. A rule set that votes by height
+/// and re-proposes on its highest QC stalls here for good.
+#[test]
+fn one_seat_down_keeps_every_shipped_protocol_live() {
+    let report = run_quick("one_seat_down");
+    for protocol in ProtocolKind::evaluated() {
+        let run = report
+            .runs
+            .iter()
+            .find(|r| r.protocol == protocol)
+            .unwrap_or_else(|| panic!("one_seat_down does not run {protocol}"));
+        assert_eq!(run.report.safety_violations, 0, "{protocol}");
+        assert!(
+            run.report.throughput_tx_per_sec >= 1_500.0,
+            "{protocol} committed {:.0} tx/s with one seat down",
+            run.report.throughput_tx_per_sec
+        );
+    }
+}
+
+/// A spec that names a protocol the tree no longer ships fails to parse
+/// with the ordinary unknown-protocol error, not a silent fallback.
+#[test]
+fn a_spec_naming_a_removed_protocol_is_rejected() {
+    let spec = r#"{"name":"x","protocols":["HS","OHS"],"nodes":4,"runtime_ms":100,
+                   "workload":{"open_loop_tx_per_sec":1}}"#;
+    let err = Scenario::parse(spec).expect_err("OHS is not a shipped protocol");
+    assert!(err.contains("unknown protocol \"OHS\""), "{err}");
 }
 
 /// The repo benchmark's workload files are scenario documents frozen with

@@ -20,13 +20,6 @@ use bamboo::core::{LiveCluster, RecoverMode, ThreadedCluster};
 use bamboo::net::{BackoffPolicy, Processes, Sockets, TcpCluster};
 use bamboo::types::{Config, NodeId, ProtocolKind, SimDuration};
 
-const ALL_PROTOCOLS: [ProtocolKind; 4] = [
-    ProtocolKind::HotStuff,
-    ProtocolKind::TwoChainHotStuff,
-    ProtocolKind::Streamlet,
-    ProtocolKind::OriginalHotStuff,
-];
-
 fn shared_config() -> Config {
     Config::builder()
         .nodes(4)
@@ -49,7 +42,7 @@ fn fast_backoff() -> BackoffPolicy {
 
 #[test]
 fn every_protocol_reaches_prefix_agreement_over_loopback_tcp() {
-    for protocol in ALL_PROTOCOLS {
+    for protocol in ProtocolKind::evaluated() {
         let cluster =
             TcpCluster::spawn(protocol, shared_config()).expect("cluster spawns on loopback");
         cluster.submit_round_robin(600, 16);
