@@ -154,9 +154,11 @@ fn main() -> ExitCode {
         );
         for run in &report.runs {
             total_events += run.report.events_processed;
+            // Copies sent / kept / dropped (DESIGN.md §7.4).
+            let handoff = &run.report.mempool;
             println!(
                 "  {:<5} n={:<3} {:>9.0} tx/s   mean {:>8.2} ms   p99 {:>8.2} ms   CGR {:>5.2}   \
-                 rejects {:>4}   det {}   fp {}",
+                 rejects {:>4}   handoff {}/{}/{}   det {}   fp {}",
                 run.protocol.label(),
                 run.report.nodes,
                 run.report.throughput_tx_per_sec,
@@ -164,6 +166,9 @@ fn main() -> ExitCode {
                 run.report.latency.p99_ms,
                 run.report.chain_growth_rate,
                 run.report.rejected_messages,
+                handoff.handed_off,
+                handoff.handed_in,
+                handoff.handoff_dropped,
                 if run.deterministic { "ok" } else { "MISMATCH" },
                 &run.report.ledger_fingerprint[..16.min(run.report.ledger_fingerprint.len())],
             );

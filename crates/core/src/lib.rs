@@ -57,6 +57,7 @@
 
 pub mod benchmark;
 mod durability;
+mod handoff;
 pub mod live;
 pub mod metrics;
 mod observe;

@@ -111,6 +111,12 @@ pub struct SeatStatus {
     pub client_auth_rejections: u64,
     /// Log records the seat replayed in its durable restarts.
     pub records_replayed: u64,
+    /// Copies of admitted transactions the seat handed to a leader ahead.
+    pub handed_off: u64,
+    /// Handed-in copies the seat's mempool kept.
+    pub handed_in: u64,
+    /// Handed-in copies the seat dropped: already held, or no room.
+    pub handoff_dropped: u64,
 }
 
 /// One node's status, written by its loop after every step and readable
@@ -167,6 +173,10 @@ impl LiveStatus {
             status.auth_rejections = host.auth_rejections();
             status.client_auth_rejections = host.client_auth_rejections();
             status.records_replayed = replica.recovery_stats().records_replayed;
+            let pool = replica.mempool_stats();
+            status.handed_off = pool.handed_off;
+            status.handed_in = pool.handed_in;
+            status.handoff_dropped = pool.handoff_dropped;
         });
     }
 
@@ -352,6 +362,13 @@ pub struct ClusterReport {
     /// Signed client requests rejected at the replica edge as forged
     /// (signed-client mode only; always 0 otherwise).
     pub client_auth_rejections: u64,
+    /// Copies of admitted transactions handed to a leader ahead, summed
+    /// across seats (DESIGN.md §7.4).
+    pub handed_off: u64,
+    /// Handed-in copies the seats' mempools kept, summed.
+    pub handed_in: u64,
+    /// Handed-in copies dropped as already held or without room, summed.
+    pub handoff_dropped: u64,
     /// Network counters of every socket seat, a crashed one's frozen when it
     /// went down; empty on the channel link.
     pub nodes: Vec<NodeNetStats>,
@@ -368,6 +385,9 @@ impl ClusterReport {
         self.timeout_view_changes += status.timeout_view_changes;
         self.auth_rejections += status.auth_rejections;
         self.client_auth_rejections += status.client_auth_rejections;
+        self.handed_off += status.handed_off;
+        self.handed_in += status.handed_in;
+        self.handoff_dropped += status.handoff_dropped;
     }
 
     /// Books one socket seat's network counters; its verify pool's

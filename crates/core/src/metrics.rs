@@ -38,7 +38,8 @@ pub struct ThroughputSample {
 /// `rejected` is the admission-control backpressure signal of the client
 /// pipeline (DESIGN.md §7): transactions turned away because the mempool
 /// was full (or the id was a duplicate). Every offered transaction is either
-/// accepted or rejected — nothing is dropped silently.
+/// accepted or rejected — nothing is dropped silently. Handed-off copies
+/// (DESIGN.md §7.4) are counted apart and never as admissions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MempoolTotals {
     /// Transactions admitted into a mempool.
@@ -49,6 +50,25 @@ pub struct MempoolTotals {
     pub requeued: u64,
     /// Transactions handed out in proposal batches.
     pub dispatched: u64,
+    /// Copies of admitted transactions sent to a leader ahead.
+    pub handed_off: u64,
+    /// Handed-in copies a leader's mempool kept.
+    pub handed_in: u64,
+    /// Handed-in copies dropped: already held, or no room.
+    pub handoff_dropped: u64,
+}
+
+impl MempoolTotals {
+    /// Adds one replica's counters.
+    pub fn add(&mut self, stats: &bamboo_mempool::MempoolStats) {
+        self.accepted += stats.accepted;
+        self.rejected += stats.rejected;
+        self.requeued += stats.requeued;
+        self.dispatched += stats.dispatched;
+        self.handed_off += stats.handed_off;
+        self.handed_in += stats.handed_in;
+        self.handoff_dropped += stats.handoff_dropped;
+    }
 }
 
 impl ToJson for MempoolTotals {
@@ -58,6 +78,9 @@ impl ToJson for MempoolTotals {
             ("rejected", Json::from(self.rejected)),
             ("requeued", Json::from(self.requeued)),
             ("dispatched", Json::from(self.dispatched)),
+            ("handed_off", Json::from(self.handed_off)),
+            ("handed_in", Json::from(self.handed_in)),
+            ("handoff_dropped", Json::from(self.handoff_dropped)),
         ])
     }
 }

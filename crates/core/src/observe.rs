@@ -9,8 +9,9 @@
 //! fields are its subscribers, all known at compile time, so there is no
 //! trait (DESIGN.md §5, "Observation").
 
+use bamboo_forest::Ledger;
 use bamboo_pacemaker::LeaderElection;
-use bamboo_types::{Config, NodeId, ProtocolKind, SimDuration, SimTime, View};
+use bamboo_types::{Config, DigestSet, NodeId, ProtocolKind, SimDuration, SimTime, View};
 
 use crate::metrics::{Histogram, MempoolTotals, Metrics, RecoveryReport, RunReport, Utilization};
 use crate::replica::Replica;
@@ -106,11 +107,8 @@ impl Observer {
         let views_advanced = observer.current_view().as_u64().saturating_sub(1).max(1);
         let mut mempool = MempoolTotals::default();
         // Pool-full rejections are the backpressure signal: never silent.
-        for stats in hosts.iter().map(|host| host.replica().mempool_stats()) {
-            mempool.accepted += stats.accepted;
-            mempool.rejected += stats.rejected;
-            mempool.requeued += stats.requeued;
-            mempool.dispatched += stats.dispatched;
+        for host in hosts {
+            mempool.add(&host.replica().mempool_stats());
         }
         RunReport {
             protocol,
@@ -193,6 +191,8 @@ impl Load {
         }
         // A view ends when the step that leaves it is done. A timeout ended
         // it iff the replica's timeout-driven view changes rose in that step.
+        // A certificate for a later view skips the views between: the same
+        // step ended them, and they lasted no time.
         if let Some((view, since, timeouts)) = self.view {
             if view == step.view {
                 return;
@@ -203,6 +203,10 @@ impl Load {
                 &mut self.by_qc
             };
             clock.record(finish.since(since));
+            let skipped = step.view.as_u64().saturating_sub(view.as_u64() + 1);
+            for _ in 0..skipped {
+                clock.record(SimDuration::ZERO);
+            }
         }
         self.view = Some((step.view, finish, step.timeout_view_changes));
     }
@@ -260,7 +264,21 @@ pub(crate) fn audit<'a>(config: &Config, hosts: impl Iterator<Item = &'a NodeHos
         .filter(|pair| !pair[0].consistent_with(pair[1]))
         .count() as u64;
     audit.safety_violations += audit.forks;
+    // A batch has two holders, its origin and the leader it was handed to,
+    // and still commits once (DESIGN.md §7.4). Honest ledgers are prefixes
+    // of one another, so the longest speaks for all.
+    let longest = honest.iter().max_by_key(|ledger| ledger.len());
+    debug_assert!(
+        longest.is_none_or(|ledger| commits_each_once(ledger)),
+        "a transaction was committed twice"
+    );
     audit
+}
+
+/// Whether no transaction appears twice in `ledger`.
+fn commits_each_once(ledger: &Ledger) -> bool {
+    let mut seen = DigestSet::default();
+    (ledger.iter()).all(|committed| committed.block.payload.iter().all(|tx| seen.insert(tx.id)))
 }
 
 /// Folds the per-replica recovery counters and audits catch-up: every
@@ -351,8 +369,8 @@ mod tests {
             assert!(load.u_max > 0.0 && load.u_max <= 1.0, "{load:?}");
             assert!((0.0..=1.0).contains(&load.leader_share), "{load:?}");
             let (by_qc, by_timeout) = (load.view_qc, load.view_timeout);
-            // The observer started in view 1 and walked every view up to
-            // its last, leaving each once.
+            // The observer started in view 1 and left every view up to its
+            // last once, a skipped one included.
             assert_eq!(by_qc.count + by_timeout.count, report.views_advanced);
             assert_eq!(by_timeout.count, report.timeout_view_changes);
             assert_eq!(silenced, by_timeout.count > 0, "{load:?}");

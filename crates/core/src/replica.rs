@@ -27,6 +27,7 @@ use bamboo_types::{
 };
 
 use crate::durability::Disk;
+use crate::handoff;
 use crate::metrics::RecoveryStats;
 use crate::quorum::QuorumTracker;
 pub use crate::runtime::ReplicaEvent;
@@ -175,9 +176,8 @@ impl Replica {
         self.mempool.len()
     }
 
-    /// Mempool admission/flow counters (accepted, rejected, requeued,
-    /// dispatched, pending) — the run report folds these across replicas so
-    /// admission-control backpressure is never silent.
+    /// Mempool admission, handoff and flow counters; the run report folds
+    /// them across replicas, so backpressure is never silent.
     pub fn mempool_stats(&self) -> MempoolStats {
         self.mempool.stats()
     }
@@ -287,9 +287,11 @@ impl Replica {
     }
 
     /// Admits client transactions that passed the edge check into the
-    /// mempool; admitting writes no effect.
-    pub(crate) fn admit(&mut self, txs: Vec<Transaction>) {
-        self.mempool.push_batch(txs);
+    /// mempool, and hands a copy to a leader ahead (`handoff.rs`).
+    pub(crate) fn admit(&mut self, txs: Vec<Transaction>, transport: &mut dyn Transport) {
+        let (view, proposed) = (self.current_view(), self.proposed_in_view);
+        let ahead = handoff::target(&self.election, self.id, view, proposed);
+        handoff::admit(&mut self.mempool, ahead, txs, transport);
     }
 
     /// Handles one message delivered from `from` by reference, cloning only
@@ -340,6 +342,9 @@ impl Replica {
                 sync::answer(req, self.id, ledger, forest, &self.disk, stats, out);
             }
             Message::SyncResponse(resp) => self.on_sync_response(resp, out),
+            Message::Handoff(h) => {
+                handoff::receive(&mut self.mempool, self.pacemaker.current_view(), h)
+            }
         }
     }
 
@@ -551,7 +556,9 @@ impl Replica {
             }
         }
         self.proposed_in_view = view;
-        let payload = self.mempool.next_batch(self.config.block_size);
+        // A pending block may carry a copy of what we hold (`handoff.rs`).
+        let (skip, max) = (self.forest.uncommitted_tx_ids(), self.config.block_size);
+        let payload = self.mempool.next_batch_excluding(max, skip);
         let payload_len = payload.len();
         let input = ProposalInput {
             view,
@@ -590,22 +597,7 @@ impl Replica {
                         .remove_committed(block.payload.iter().map(|tx| &tx.id));
                 }
                 let forked = self.forest.prune_to_committed();
-                let recovered: Vec<Transaction> = forked
-                    .into_iter()
-                    .filter(|b| b.proposer == self.id)
-                    .flat_map(|b| match SharedBlock::try_unwrap(b) {
-                        // Sole owner (the common case once the forest dropped
-                        // its handle): move the transactions out.
-                        Ok(block) => block.payload,
-                        // Still aliased elsewhere (e.g. by a peer's forest in
-                        // the threaded runtime): fall back to a copy. Forked
-                        // blocks are rare — this is the attack path only.
-                        Err(shared) => shared.payload.clone(),
-                    })
-                    .collect();
-                if !recovered.is_empty() {
-                    self.mempool.requeue_front(recovered);
-                }
+                handoff::requeue_forked(&mut self.mempool, &self.ledger, self.id, forked);
                 let (forest, ledger, committed_len) = (&self.forest, &self.ledger, newly.len());
                 if out.committed.is_empty() {
                     out.committed = newly;
@@ -639,6 +631,7 @@ impl Replica {
     /// through the normal insert/QC path so commits fire through the
     /// protocol's own commit rule.
     fn on_sync_response(&mut self, resp: &SyncResponse, out: &mut Step<'_>) {
+        let before = self.ledger.len();
         let (forest, ledger, stats) = (&mut self.forest, &mut self.ledger, &mut self.recovery);
         match (self.sync).install(resp, forest, ledger, &mut self.disk, stats, out) {
             None => return,
@@ -646,6 +639,7 @@ impl Replica {
             Some(true) => {
                 self.pending_qcs.clear();
                 self.deferred_proposal = None;
+                handoff::forget_committed(&mut self.mempool, &self.ledger, before);
             }
         }
         for block in &resp.blocks {
@@ -768,7 +762,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         for (i, replica) in replicas.iter_mut().enumerate() {
             // Seed every replica's mempool.
-            replica.admit(txs(200, 100 + i as u64));
+            replica.admit(txs(200, 100 + i as u64), &mut wire);
         }
         for replica in replicas.iter_mut() {
             replica.start(now, &mut wire);
@@ -990,7 +984,7 @@ mod tests {
     /// Node 1's proposal for view 1.
     fn first_proposal(protocol: ProtocolKind) -> Message {
         let (mut leader, mut wire) = (replica(1, protocol), BufferedTransport::new());
-        leader.admit(txs(10, 7));
+        leader.admit(txs(10, 7), &mut wire);
         leader.start(SimTime::ZERO, &mut wire);
         (wire.sends.iter())
             .find(|(_, message)| matches!(**message, Message::Proposal(_)))
@@ -1074,7 +1068,7 @@ mod tests {
             ReplicaOptions::default(),
         );
         let mut wire = BufferedTransport::new();
-        replica.admit(txs(25, 7));
+        replica.admit(txs(25, 7), &mut wire);
         assert_eq!(replica.mempool_len(), 25);
         // Node 1 leads view 1: starting it proposes a block with 10 txs.
         replica.start(SimTime::ZERO, &mut wire);
@@ -1086,6 +1080,50 @@ mod tests {
             })
             .expect("leader proposed");
         assert_eq!(proposal.len(), 10);
+    }
+
+    /// A handed-in copy of what a pending block carries stays queued: the
+    /// next proposer leaves it out.
+    #[test]
+    fn a_proposer_leaves_out_what_a_pending_block_carries() {
+        let proposal = first_proposal(ProtocolKind::HotStuff);
+        let Message::Proposal(block) = &proposal else {
+            unreachable!("a proposal")
+        };
+        let (mut next, mut wire) = (replica(2, ProtocolKind::HotStuff), BufferedTransport::new());
+        let copy = bamboo_types::Handoff {
+            view: View(2),
+            txs: txs(10, 7),
+        };
+        next.receive(NodeId(1), &Message::Handoff(copy), SimTime::ZERO, &mut wire);
+        next.admit(txs(3, 8), &mut wire);
+        assert!(
+            wire.sends.is_empty(),
+            "node 2 leads view 2: it hands nothing off"
+        );
+        assert_eq!(next.mempool_len(), 13);
+        next.receive(NodeId(1), &proposal, SimTime(1), &mut wire);
+        for voter in [0, 3] {
+            let vote = Vote::new(
+                block.id,
+                block.view,
+                NodeId(voter),
+                &KeyPair::from_seed(voter),
+            );
+            next.receive(NodeId(voter), &Message::Vote(vote), SimTime(2), &mut wire);
+        }
+        assert_eq!(next.current_view(), View(2));
+        let own = (wire.sends.iter())
+            .find_map(|(_, message)| match &**message {
+                Message::Proposal(b) if b.view == View(2) => Some(b.clone()),
+                _ => None,
+            })
+            .expect("node 2 leads view 2");
+        let clients: Vec<NodeId> = own.payload.iter().map(|tx| tx.id.client).collect();
+        assert_eq!(clients, [NodeId(8); 3]);
+        assert_eq!(next.mempool_len(), 10, "the copies stay queued");
+        let stats = next.mempool_stats();
+        assert_eq!((stats.accepted, stats.handed_in), (3, 10));
     }
 
     #[test]
@@ -1189,7 +1227,7 @@ mod tests {
             },
         );
         let mut wire = BufferedTransport::new();
-        replica.admit(txs(25, 7));
+        replica.admit(txs(25, 7), &mut wire);
         replica.start(SimTime::ZERO, &mut wire);
         assert!(wire.sends.is_empty(), "silenced leader never proposes");
         assert_eq!(replica.mempool_len(), 25, "batch returned to the pool");

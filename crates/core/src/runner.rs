@@ -563,11 +563,12 @@ impl SimRunner {
                 envelope.hand_to(host, start, effects)
             }),
             // The batch was edge-checked when its tick was generated; the
-            // host charges the check (as `CpuModel::verify_batch` models it)
-            // and admits the stripped transactions to the mempool.
-            EventKind::ClientBatch(requests) => {
-                self.step(node, time, |host, _, _| host.admit(requests))
-            }
+            // host charges the check (as `CpuModel::verify_batch` models it),
+            // admits the stripped transactions to the mempool and may hand a
+            // copy to a leader ahead, a send like any other.
+            EventKind::ClientBatch(requests) => self.step(node, time, |host, start, effects| {
+                host.admit(requests, start, effects)
+            }),
             EventKind::Wake => self.wake(node, time),
             EventKind::SetCrashed { crashed, mode } => self.set_crashed(node, crashed, mode, time),
         }

@@ -33,7 +33,8 @@
 //!   [`NodeHost::reject_forged`] instead;
 //! * client transactions reach the mempool only as [`VerifiedRequests`],
 //!   through [`NodeHost::admit`] (or [`NodeHost::handle_client_batch`],
-//!   which runs the edge check first);
+//!   which runs the edge check first). A [`Message::Handoff`] carries a
+//!   copy of a batch another replica already admitted that way;
 //! * [`NodeHost::handle`] takes a [`ReplicaEvent`], which is nothing but a
 //!   local deadline coming due.
 //!
@@ -297,16 +298,15 @@ impl NodeHost {
 
     /// Feeds a batch of client requests through the edge verification stage
     /// ([`Authenticator::verify_requests`]) and into the replica's mempool
-    /// ([`NodeHost::admit`]). Admitting writes no effect, so `now` and
-    /// `transport` go unused; they keep the shape every entry point shares.
+    /// ([`NodeHost::admit`]).
     pub fn handle_client_batch(
         &mut self,
         requests: Vec<ClientRequest>,
-        _now: SimTime,
-        _transport: &mut dyn Transport,
+        now: SimTime,
+        transport: &mut dyn Transport,
     ) -> StepReport {
         let verified = self.authenticator.verify_requests(requests);
-        self.admit(verified)
+        self.admit(verified, now, transport)
     }
 
     /// Admits a client batch that passed the edge check — here or on another
@@ -318,8 +318,16 @@ impl NodeHost {
     /// ([`CpuModel::verify`]) when the all-or-nothing check failed and every
     /// request was checked on its own. The requests the check dropped are
     /// counted in [`NodeHost::client_auth_rejections`]. Admitting costs
-    /// nothing beyond the check and writes no effect.
-    pub fn admit(&mut self, requests: VerifiedRequests) -> StepReport {
+    /// nothing beyond the check. It writes at most one effect: a
+    /// [`Message::Handoff`] copy of the admitted batch to the leader three
+    /// views ahead, when this replica leads none of the next views (the rule
+    /// is `handoff.rs`'s; `now` keeps the shape every entry point shares).
+    pub fn admit(
+        &mut self,
+        requests: VerifiedRequests,
+        _now: SimTime,
+        transport: &mut dyn Transport,
+    ) -> StepReport {
         let mut cpu = SimDuration::ZERO;
         if requests.signed() {
             cpu = self.cpu.verify_batch(requests.offered());
@@ -328,7 +336,7 @@ impl NodeHost {
             }
         }
         self.client_auth_rejections += requests.rejected() as u64;
-        self.replica.admit(requests.into_transactions());
+        self.replica.admit(requests.into_transactions(), transport);
         StepReport {
             cpu,
             committed: Vec::new(),
@@ -410,6 +418,8 @@ fn verification_cost(cpu: &CpuModel, message: &Message) -> SimDuration {
         // Per-block id/justify checks plus the aggregate high-QC check — the
         // same work the replica is charged for an accepted response.
         Message::SyncResponse(resp) => 2 * resp.blocks.len() + resp.high_qc.signer_count().max(1),
+        // Carries no signature, so it is never forged.
+        Message::Handoff(_) => 0,
     };
     cpu.verify(signatures)
 }
@@ -553,7 +563,10 @@ mod tests {
             .collect();
         let mut transport = BufferedTransport::new();
         host.handle_client_batch(requests, SimTime::ZERO, &mut transport);
-        assert!(transport.sends.is_empty(), "admitting writes no effect");
+        assert!(
+            transport.sends.is_empty(),
+            "node 1 leads view 1: it hands nothing off"
+        );
         // Node 1 leads view 1.
         let report = host.start(SimTime::ZERO, &mut transport);
         assert!(report.cpu > SimDuration::ZERO, "proposing costs CPU");
@@ -600,7 +613,7 @@ mod tests {
         let verified = edge.verify_requests(client_requests(false));
         assert!(verified.signed() && !verified.fell_back());
         assert_eq!((verified.transactions().len(), verified.rejected()), (3, 0));
-        let report = host.admit(verified);
+        let report = host.admit(verified, SimTime::ZERO, &mut BufferedTransport::new());
         assert_eq!(report.cpu, cpu.verify_batch(3));
         assert_eq!(host.replica().mempool_len(), 3);
         assert_eq!(host.client_auth_rejections(), 0);
@@ -614,7 +627,7 @@ mod tests {
         assert_eq!((verified.offered(), verified.rejected()), (3, 1));
         let seqs: Vec<u64> = verified.transactions().iter().map(|tx| tx.id.seq).collect();
         assert_eq!(seqs, [0, 2], "the honest requests survive, in order");
-        let report = host.admit(verified);
+        let report = host.admit(verified, SimTime::ZERO, &mut BufferedTransport::new());
         assert_eq!(report.cpu, cpu.verify_batch(3) + cpu.verify(3));
         assert_eq!(host.replica().mempool_len(), 2);
         assert_eq!(host.client_auth_rejections(), 1);
@@ -635,7 +648,7 @@ mod tests {
         let verified = edge.verify_requests(client_requests(true));
         assert!(!verified.signed() && !verified.fell_back());
         assert_eq!((verified.transactions().len(), verified.rejected()), (3, 0));
-        let report = host.admit(verified);
+        let report = host.admit(verified, SimTime::ZERO, &mut BufferedTransport::new());
         assert!(report.cpu.is_zero());
         assert_eq!(host.replica().mempool_len(), 3);
         assert_eq!(host.client_auth_rejections(), 0);

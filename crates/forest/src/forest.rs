@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use bamboo_types::{Block, BlockId, DigestMap, Height, QuorumCert, SharedBlock};
+use bamboo_types::{Block, BlockId, DigestMap, Height, QuorumCert, SharedBlock, TxId};
 
 /// Errors returned by [`BlockForest`] operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -648,6 +648,15 @@ impl BlockForest {
         }
     }
 
+    /// The ids of every transaction a stored block above the committed head
+    /// carries, on any branch: proposed, not (yet) committed. A proposer
+    /// leaves them out of its batch.
+    pub fn uncommitted_tx_ids(&self) -> impl Iterator<Item = &TxId> {
+        let above = self.committed_head().height.as_u64() + 1;
+        let ids = self.by_height.range(above..).flat_map(|(_, ids)| ids);
+        ids.flat_map(|id| self.vertices[id].block.payload.iter().map(|tx| &tx.id))
+    }
+
     /// Iterates over all stored blocks (arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = &Block> {
         self.vertices.values().map(|v| &*v.block)
@@ -842,6 +851,32 @@ mod tests {
         );
         assert_eq!(forest.commit(c).unwrap(), Vec::<SharedBlock>::new());
         assert_eq!(forest.stats().committed_blocks, 3);
+    }
+
+    #[test]
+    fn uncommitted_tx_ids_cover_every_branch_above_the_committed_head() {
+        let mut forest = BlockForest::new();
+        let a = add_child(&mut forest, BlockId::GENESIS, 1);
+        let b = add_child(&mut forest, a, 2);
+        let fork = add_child(&mut forest, a, 3);
+        let c = add_child(&mut forest, b, 4);
+        let seqs = |forest: &BlockForest| {
+            let mut seqs: Vec<u64> = forest.uncommitted_tx_ids().map(|id| id.seq).collect();
+            seqs.sort_unstable();
+            seqs
+        };
+        assert_eq!(seqs(&forest), vec![1, 2, 3, 4]);
+        forest.commit(b).unwrap();
+        // The fork at b's height is not above the head; c is.
+        assert_eq!(seqs(&forest), vec![4]);
+        forest.prune_to_committed();
+        assert!(
+            forest.contains(fork),
+            "a sibling of the head outlives the prune"
+        );
+        assert_eq!(seqs(&forest), vec![4]);
+        forest.commit(c).unwrap();
+        assert_eq!(forest.uncommitted_tx_ids().count(), 0);
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! The paper describes the mempool as "a bidirectional queue in which new
 //! transactions are inserted from the back while old transactions (from
 //! forked blocks) are inserted from the front" (§III-E). Each replica keeps a
-//! local pool, so no cross-replica duplication check is needed.
+//! local pool. A batch a replica admits may also sit, as a handed-in copy,
+//! in the pool of the leader a few views ahead; the proposer's
+//! [`Mempool::next_batch_excluding`] passes over what a pending block
+//! already carries, and commit removes the rest.
 //!
 //! The pool enforces a capacity bound (`memsize` from Table I); when full it
 //! rejects new arrivals (back-pressure), which is how the open-loop saturation
@@ -54,6 +57,14 @@ pub struct MempoolStats {
     pub requeued: u64,
     /// Total handed out in batches.
     pub dispatched: u64,
+    /// Copies of accepted transactions handed to a leader ahead.
+    pub handed_off: u64,
+    /// Handed-in copies the pool kept. Not client admissions: they count in
+    /// neither `accepted` nor `rejected`.
+    pub handed_in: u64,
+    /// Handed-in copies dropped: the pool already held the id, had no room,
+    /// or the copy came after the view it was meant for.
+    pub handoff_dropped: u64,
 }
 
 /// A bounded, bidirectional transaction queue.
@@ -176,6 +187,45 @@ impl Mempool {
         txs.map(|tx| usize::from(self.push(tx))).sum()
     }
 
+    /// [`Mempool::push_batch`], returning a copy of every transaction the
+    /// pool accepted: the copy the caller hands to a leader ahead, counted
+    /// in [`MempoolStats::handed_off`].
+    pub fn push_batch_and_copy(&mut self, txs: Vec<Transaction>) -> Vec<Transaction> {
+        let room = txs.len().min(self.remaining_capacity());
+        self.queue.reserve(room);
+        self.in_queue.reserve(room);
+        let mut copy = Vec::with_capacity(room);
+        for tx in txs {
+            let kept = tx.clone();
+            if self.push(tx) {
+                copy.push(kept);
+            }
+        }
+        self.stats.handed_off += copy.len() as u64;
+        copy
+    }
+
+    /// Appends copies another replica handed in. They are not client
+    /// admissions: a copy the pool already holds, or has no room for, is
+    /// dropped and counted in [`MempoolStats::handoff_dropped`], never in
+    /// `rejected`.
+    pub fn push_handed_in<'a>(&mut self, txs: impl IntoIterator<Item = &'a Transaction>) {
+        for tx in txs {
+            if self.is_full() || !self.insert_id(tx.id) {
+                self.stats.handoff_dropped += 1;
+                continue;
+            }
+            self.queue.push_back(tx.clone());
+            self.stats.handed_in += 1;
+        }
+    }
+
+    /// Counts `count` handed-in copies dropped unseen: they came after the
+    /// view they were meant for.
+    pub fn drop_handed_in(&mut self, count: usize) {
+        self.stats.handoff_dropped += count as u64;
+    }
+
     /// Re-inserts transactions recovered from forked (overwritten) blocks at
     /// the *front* of the queue so they are re-proposed first, exactly as the
     /// paper describes. Re-queued transactions bypass the capacity bound:
@@ -204,6 +254,43 @@ impl Mempool {
         batch
     }
 
+    /// [`Mempool::next_batch`], passing over the ids in `skip` — the ones a
+    /// pending block already carries. What it passes over stays queued, in
+    /// order, at the front. Only the skipped ids the pool holds are hashed
+    /// into a set: the count table turns the others away first.
+    pub fn next_batch_excluding<'a>(
+        &mut self,
+        max: usize,
+        skip: impl IntoIterator<Item = &'a TxId>,
+    ) -> Vec<Transaction> {
+        let held = |id: &&TxId| self.counts.get(slot(id)).is_some_and(|&n| n != 0);
+        let skip: DigestSet<TxId> = (skip.into_iter().filter(held))
+            .filter(|id| self.in_queue.contains(id))
+            .copied()
+            .collect();
+        if skip.is_empty() {
+            return self.next_batch(max);
+        }
+        let mut batch = Vec::with_capacity(max.min(self.queue.len()));
+        let mut skipped = Vec::new();
+        while batch.len() < max {
+            let Some(tx) = self.queue.pop_front() else {
+                break;
+            };
+            if skip.contains(&tx.id) {
+                skipped.push(tx);
+            } else {
+                self.remove_id(&tx.id);
+                batch.push(tx);
+            }
+        }
+        for tx in skipped.into_iter().rev() {
+            self.queue.push_front(tx);
+        }
+        self.stats.dispatched += batch.len() as u64;
+        batch
+    }
+
     /// Removes transactions that have been committed elsewhere (e.g. observed
     /// in a committed block proposed by another replica), preventing
     /// re-proposal. Returns how many were removed.
@@ -219,7 +306,16 @@ impl Mempool {
                 removed += 1;
             }
         }
-        if removed > 0 {
+        // Committed ids are usually the oldest queued: pop them off the
+        // front, and sweep the queue only if some sat further back.
+        let mut popped = 0;
+        while popped < removed
+            && (self.queue.front()).is_some_and(|tx| !self.in_queue.contains(&tx.id))
+        {
+            self.queue.pop_front();
+            popped += 1;
+        }
+        if popped < removed {
             let in_queue = &self.in_queue;
             self.queue.retain(|tx| in_queue.contains(&tx.id));
         }
@@ -411,6 +507,53 @@ mod tests {
             let drained: Vec<u64> = pool.next_batch(40).iter().map(|t| t.id.seq).collect();
             assert_eq!(drained, (0..40).collect::<Vec<_>>(), "shards={shards}");
         }
+    }
+
+    #[test]
+    fn next_batch_excluding_keeps_skipped_transactions_queued_in_order() {
+        let mut pool = Mempool::new(20);
+        pool.push_batch((0..8).map(tx));
+        let skip: DigestSet<TxId> = [1, 2, 5].map(|seq| tx(seq).id).into_iter().collect();
+        let seqs = |batch: Vec<Transaction>| batch.iter().map(|t| t.id.seq).collect::<Vec<_>>();
+        assert_eq!(seqs(pool.next_batch_excluding(3, &skip)), vec![0, 3, 4]);
+        assert_eq!(pool.len(), 5);
+        assert_eq!(pool.stats().dispatched, 3);
+        assert_eq!(seqs(pool.next_batch_excluding(10, &skip)), vec![6, 7]);
+        // The skipped ones are still queued, in order, and still ids the
+        // pool holds: a copy of one is a duplicate.
+        assert!(!pool.push(tx(2)));
+        assert_eq!(seqs(pool.next_batch(10)), vec![1, 2, 5]);
+        assert!(pool.is_empty());
+        // An empty skip set is plain `next_batch`.
+        pool.push_batch((10..13).map(tx));
+        assert_eq!(
+            seqs(pool.next_batch_excluding(2, &DigestSet::default())),
+            vec![10, 11]
+        );
+    }
+
+    #[test]
+    fn handed_in_copies_are_not_admissions() {
+        let mut pool = Mempool::new(3);
+        let copy = pool.push_batch_and_copy(vec![tx(0), tx(1), tx(0)]);
+        assert_eq!(
+            copy.iter().map(|t| t.id.seq).collect::<Vec<_>>(),
+            vec![0, 1]
+        );
+        let before = pool.stats();
+        assert_eq!(
+            (before.accepted, before.rejected, before.handed_off),
+            (2, 1, 2)
+        );
+        // A duplicate and an overflow are dropped apart from admissions.
+        pool.push_handed_in(&[tx(1), tx(2), tx(3)]);
+        let after = pool.stats();
+        assert_eq!(
+            (after.accepted, after.rejected),
+            (before.accepted, before.rejected)
+        );
+        assert_eq!((after.handed_in, after.handoff_dropped), (1, 2));
+        assert_eq!(pool.len(), 3);
     }
 
     /// The pool under test beside a reference: one `VecDeque` searched

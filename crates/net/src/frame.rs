@@ -34,7 +34,7 @@ pub const MAX_FRAME_PAYLOAD: usize = 64 << 20;
 /// frame instead of misparsing consensus traffic.
 pub const HELLO_MAGIC: &[u8; 4] = b"BNET";
 /// Protocol version; bump for any framing or codec layout change.
-pub const WIRE_VERSION: u16 = 3;
+pub const WIRE_VERSION: u16 = 4;
 
 /// The sender id a non-replica (driver or client) connection announces in
 /// its hello. Replica ids are dense from zero, so `u64::MAX` can never
@@ -416,7 +416,7 @@ pub fn decode_status(payload: &[u8]) -> Result<(u64, u64), WireError> {
 /// peer link.
 pub fn encode_status_reply(reply: &StatusReply) -> Vec<u8> {
     let (s, net) = (&reply.status, &reply.net);
-    let mut out = Vec::with_capacity(160 + net.peers.len() * 56);
+    let mut out = Vec::with_capacity(184 + net.peers.len() * 56);
     for word in [reply.token, s.committed_txs, s.committed_blocks, s.view] {
         put_u64(&mut out, word);
     }
@@ -427,6 +427,9 @@ pub fn encode_status_reply(reply: &StatusReply) -> Vec<u8> {
         s.auth_rejections,
         s.client_auth_rejections,
         s.records_replayed,
+        s.handed_off,
+        s.handed_in,
+        s.handoff_dropped,
         net.node,
         net.accepted_connections,
         net.refused_hellos,
@@ -465,6 +468,9 @@ pub fn decode_status_reply(payload: &[u8]) -> Result<StatusReply, WireError> {
         auth_rejections: cur.u64()?,
         client_auth_rejections: cur.u64()?,
         records_replayed: cur.u64()?,
+        handed_off: cur.u64()?,
+        handed_in: cur.u64()?,
+        handoff_dropped: cur.u64()?,
     };
     let mut net = NodeNetStats {
         node: cur.u64()?,
@@ -602,6 +608,9 @@ mod tests {
                 auth_rejections: 3,
                 client_auth_rejections: 4,
                 records_replayed: 5,
+                handed_off: 10,
+                handed_in: 9,
+                handoff_dropped: 1,
             },
             net: NodeNetStats {
                 node: 2,

@@ -10,7 +10,9 @@
 //! * [`Authenticator`] holds the validator set's public keys and verifies
 //!   every message variant — proposals (block id + justify QC), votes,
 //!   timeout votes (signature + embedded high-QC), timeout certificates and
-//!   state transfer — rejecting forgeries with a typed [`AuthError`].
+//!   state transfer — rejecting forgeries with a typed [`AuthError`]. A
+//!   handoff of admitted transactions carries no signature and passes as it
+//!   is: its transactions passed the sender's edge check.
 //! * [`VerifiedMessage`] is the proof-of-verification token: it can only be
 //!   constructed by [`Authenticator::authenticate`], so any component whose
 //!   input type is `VerifiedMessage` is statically guaranteed to never see an
@@ -313,6 +315,9 @@ impl Authenticator {
             Message::TimeoutCertMsg(tc) => self.verify_timeout_cert(tc),
             Message::SyncRequest(req) => self.verify_sync_request(req),
             Message::SyncResponse(resp) => self.verify_sync_response(resp),
+            // Nothing to check: the copied transactions passed the sender's
+            // edge check, and the link authenticates the sender.
+            Message::Handoff(_) => Ok(()),
         }
     }
 

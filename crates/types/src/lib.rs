@@ -48,7 +48,7 @@ pub use config::{ByzantineStrategy, Config, ConfigBuilder, LeaderPolicy, Protoco
 pub use error::TypeError;
 pub use ids::{Height, NodeId, View};
 pub use json::{Json, ToJson};
-pub use message::{ClientRequest, Message, SharedMessage, SyncRequest, SyncResponse};
+pub use message::{ClientRequest, Handoff, Message, SharedMessage, SyncRequest, SyncResponse};
 pub use time::{SimDuration, SimTime};
 pub use transaction::{Transaction, TxId};
 pub use wire::{WireCursor, WireError};

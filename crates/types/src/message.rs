@@ -173,13 +173,37 @@ impl SyncResponse {
     }
 }
 
+/// A copy of a batch of transactions a replica admitted, for the leader of
+/// `view`: the sender hands it the batch so it can propose it before the
+/// sender's own turn to lead.
+///
+/// It carries no signature: the transactions passed the sender's edge check,
+/// and the link authenticates the sender. The receiver keeps the copy only
+/// while it has not passed `view` — a transaction committed since has been
+/// committed in a later view, so a late copy is never proposed again.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Handoff {
+    /// The view whose leader the copy is meant for.
+    pub view: View,
+    /// The copied transactions, in admission order.
+    pub txs: Vec<Transaction>,
+}
+
+impl Handoff {
+    /// Approximate wire size in bytes.
+    pub fn wire_size(&self) -> usize {
+        8 + 4 + self.txs.iter().map(Transaction::wire_size).sum::<usize>()
+    }
+}
+
 /// Every message type exchanged in the system.
 ///
 /// The enum mirrors Bamboo's message handlers: block proposals, votes, the
-/// pacemaker's timeout votes and timeout certificates, and state transfer.
-/// It holds only what a replica sends another replica; client transactions
-/// arrive through the edge check as a `VerifiedRequests` batch, never as a
-/// message.
+/// pacemaker's timeout votes and timeout certificates, state transfer, and
+/// the handoff of admitted transactions. It holds only what a replica sends
+/// another replica; client transactions arrive through the edge check as a
+/// `VerifiedRequests` batch, never as a message. A [`Message::Handoff`]
+/// carries transactions that already passed some replica's edge check.
 ///
 /// Proposals carry their block as a [`SharedBlock`], so cloning a `Message`
 /// for per-peer fan-out never copies the transaction payload.
@@ -198,6 +222,8 @@ pub enum Message {
     SyncRequest(SyncRequest),
     /// A state-transfer response: snapshot and/or block suffix.
     SyncResponse(SyncResponse),
+    /// A copy of a batch the sender admitted, for a leader a few views ahead.
+    Handoff(Handoff),
 }
 
 impl Message {
@@ -213,6 +239,7 @@ impl Message {
                 Message::TimeoutCertMsg(tc) => tc.wire_size(),
                 Message::SyncRequest(r) => r.wire_size(),
                 Message::SyncResponse(r) => r.wire_size(),
+                Message::Handoff(h) => h.wire_size(),
             }
     }
 
@@ -223,6 +250,7 @@ impl Message {
             Message::Vote(v) => Some(v.view),
             Message::Timeout(t) => Some(t.view),
             Message::TimeoutCertMsg(tc) => Some(tc.view),
+            Message::Handoff(h) => Some(h.view),
             Message::SyncRequest(_) | Message::SyncResponse(_) => None,
         }
     }
@@ -236,6 +264,7 @@ impl Message {
             Message::TimeoutCertMsg(_) => "timeout-cert",
             Message::SyncRequest(_) => "sync-request",
             Message::SyncResponse(_) => "sync-response",
+            Message::Handoff(_) => "handoff",
         }
     }
 }
@@ -295,6 +324,10 @@ mod tests {
                 snapshot: Some(Bytes::from(vec![1u8; 64])),
                 blocks: vec![block],
                 high_qc: QuorumCert::genesis(),
+            }),
+            Message::Handoff(Handoff {
+                view: View(5),
+                txs: vec![Transaction::new(NodeId(1), 0, 64, SimTime::ZERO)],
             }),
         ];
         let mut tags: Vec<&str> = messages.iter().map(Message::tag).collect();

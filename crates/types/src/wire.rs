@@ -22,7 +22,7 @@ use crate::block::{Block, BlockId, SharedBlock};
 use crate::bytes::Bytes;
 use crate::certificate::{QuorumCert, TimeoutCert, TimeoutVote, Vote};
 use crate::ids::{Height, NodeId, View};
-use crate::message::{ClientRequest, Message, SyncRequest, SyncResponse};
+use crate::message::{ClientRequest, Handoff, Message, SyncRequest, SyncResponse};
 use crate::time::SimTime;
 use crate::transaction::Transaction;
 
@@ -543,6 +543,34 @@ const TAG_TIMEOUT_CERT: u8 = 6;
 // they are retired, not reused, so an old frame is an unknown tag.
 const TAG_SYNC_REQUEST: u8 = 10;
 const TAG_SYNC_RESPONSE: u8 = 11;
+const TAG_HANDOFF: u8 = 12;
+
+/// The fewest bytes one encoded transaction takes: client, seq, issue time
+/// and an empty payload's length.
+const MIN_TRANSACTION_BYTES: usize = 8 + 8 + 8 + 4;
+
+fn encode_handoff(out: &mut Vec<u8>, handoff: &Handoff) {
+    put_u64(out, handoff.view.as_u64());
+    put_u32(out, handoff.txs.len() as u32);
+    for tx in &handoff.txs {
+        encode_transaction(out, tx);
+    }
+}
+
+/// Decodes a handoff. A transaction count the remaining bytes cannot hold
+/// is refused before anything is allocated.
+fn decode_handoff(cur: &mut WireCursor<'_>) -> Result<Handoff, WireError> {
+    let view = View(cur.u64()?);
+    let count = cur.u32()? as usize;
+    if count.saturating_mul(MIN_TRANSACTION_BYTES) > cur.remaining() {
+        return Err(WireError::Truncated);
+    }
+    let mut txs = Vec::with_capacity(count);
+    for _ in 0..count {
+        txs.push(decode_transaction(cur)?);
+    }
+    Ok(Handoff { view, txs })
+}
 
 /// Appends the canonical encoding of a message envelope: a one-byte variant
 /// tag followed by the variant body.
@@ -572,6 +600,10 @@ pub fn encode_message_into(out: &mut Vec<u8>, message: &Message) {
             out.push(TAG_SYNC_RESPONSE);
             encode_sync_response(out, response);
         }
+        Message::Handoff(handoff) => {
+            out.push(TAG_HANDOFF);
+            encode_handoff(out, handoff);
+        }
     }
 }
 
@@ -599,6 +631,7 @@ pub fn decode_message(bytes: &[u8]) -> Result<Message, WireError> {
         TAG_TIMEOUT_CERT => Message::TimeoutCertMsg(decode_timeout_cert(&mut cur)?),
         TAG_SYNC_REQUEST => Message::SyncRequest(decode_sync_request(&mut cur)?),
         TAG_SYNC_RESPONSE => Message::SyncResponse(decode_sync_response(&mut cur)?),
+        TAG_HANDOFF => Message::Handoff(decode_handoff(&mut cur)?),
         _ => return Err(WireError::Corrupt("unknown message tag")),
     };
     if !cur.done() {
@@ -634,6 +667,13 @@ mod tests {
         QuorumCert::from_votes(block.id, block.view, &votes)
     }
 
+    fn sample_handoff() -> Message {
+        Message::Handoff(Handoff {
+            view: View(12),
+            txs: sample_block(2).payload,
+        })
+    }
+
     fn every_message() -> Vec<Message> {
         let kp = KeyPair::from_seed(0);
         let block = SharedBlock::new(sample_block(3));
@@ -657,6 +697,7 @@ mod tests {
                 blocks: vec![block],
                 high_qc: sample_qc(),
             }),
+            sample_handoff(),
         ]
     }
 
@@ -902,6 +943,35 @@ mod tests {
             |cur| decode_message(cur.take(cur.remaining())?),
             encode_message_into,
         );
+    }
+
+    #[test]
+    fn every_byte_flip_and_cut_of_a_handoff_fails_or_round_trips() {
+        let accepted = assert_mutations_fail_or_round_trip(
+            &encode_message(&sample_handoff()),
+            |cur| decode_message(cur.take(cur.remaining())?),
+            encode_message_into,
+        );
+        assert!(accepted > 0);
+    }
+
+    #[test]
+    fn a_handoff_count_the_bytes_cannot_hold_is_refused_before_allocating() {
+        let handoff = |count: u32| {
+            let mut bytes = vec![TAG_HANDOFF];
+            put_u64(&mut bytes, 7);
+            put_u32(&mut bytes, count);
+            // Two empty transactions' worth of bytes.
+            bytes.extend_from_slice(&[0; 2 * MIN_TRANSACTION_BYTES]);
+            decode_message(&bytes)
+        };
+        for count in [3u32, 1 << 20, u32::MAX] {
+            assert_eq!(handoff(count).err(), Some(WireError::Truncated), "{count}");
+        }
+        let Ok(Message::Handoff(decoded)) = handoff(2) else {
+            panic!("two empty transactions decode");
+        };
+        assert_eq!((decoded.view, decoded.txs.len()), (View(7), 2));
     }
 
     /// The textbook bit-at-a-time CRC-32, the reference the table walk must

@@ -54,7 +54,9 @@
 //! ```
 //!
 //! A message carries only what one replica sends another; transactions
-//! enter through the edge check (`NodeHost::admit`), never the wire:
+//! enter through the edge check (`NodeHost::admit`), never the wire. The one
+//! message that carries transactions, `Message::Handoff`, copies a batch its
+//! sender already admitted there:
 //!
 //! ```compile_fail
 //! fn is_request(message: &bamboo::types::Message) -> bool {

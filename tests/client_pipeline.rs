@@ -250,3 +250,46 @@ fn forged_client_requests_die_at_the_threaded_edge() {
     assert!(report.ledgers_consistent);
     assert_eq!(report.safety_violations, 0);
 }
+
+/// A replica that leads none of its next views hands a copy of each batch it
+/// admits to the leader three views ahead. The live cluster's report folds
+/// every seat's handoff counters; copies still in flight at shutdown are
+/// neither kept nor dropped, so the two receiver counters sum to at most
+/// what was sent. The simulator's report carries the same three counters
+/// and keeps copies out of the admission counters.
+#[test]
+fn handoffs_are_counted_apart_from_admissions_on_both_backends() {
+    let config = Config::builder()
+        .nodes(8)
+        .block_size(20)
+        .timeout(SimDuration::from_millis(50))
+        .build()
+        .unwrap();
+    let cluster = ThreadedCluster::spawn(config, ProtocolKind::HotStuff);
+    cluster.submit_round_robin(400, 16);
+    assert!(
+        cluster.run_until_committed(200, Duration::from_secs(20)),
+        "cluster committed {} txs before the deadline",
+        cluster.committed_txs()
+    );
+    let report = cluster.shutdown();
+    assert!(report.handed_off > 0, "{report:?}");
+    assert!(report.handed_in + report.handoff_dropped <= report.handed_off);
+    assert!(report.ledgers_consistent);
+
+    let sim = run(pipeline_config(7), ProtocolKind::HotStuff);
+    let pool = sim.mempool;
+    assert!(pool.handed_off > 0 && pool.handed_in > 0, "{pool:?}");
+    assert!(pool.handed_in + pool.handoff_dropped <= pool.handed_off);
+    // Admissions never outnumber what the clients issued: a copy is neither
+    // accepted nor rejected (with copies counted, they would near double).
+    let issued = sim.committed_txs + sim.pending_txs;
+    assert!(
+        pool.accepted + pool.rejected <= issued,
+        "{pool:?} of {issued}"
+    );
+    assert!(
+        pool.handed_off * 2 > issued,
+        "most batches are handed off at n = 8"
+    );
+}
