@@ -6,9 +6,12 @@
 //! paper validates the implementation, and where each point's views go: the
 //! busiest replica's CPU utilization (`u_max`), the mean duration of the
 //! observer's QC-ended views (`view_ms_qc`) and its timeout-ended views
-//! (`views_by_timeout`).
+//! (`views_by_timeout`) — and where each point's transactions' time goes:
+//! the mean of each of the four commit stages (`stage_*_ms`).
 
-use bamboo_bench::{banner, bench_rows, eval_config, model_for, save_rows, Higher, Lower, Sim};
+use bamboo_bench::{
+    banner, bench_rows, eval_config, model_for, save_rows, stage_rows, Higher, Lower, Sim,
+};
 use bamboo_core::{Benchmarker, RunOptions};
 use bamboo_types::ProtocolKind;
 
@@ -54,6 +57,7 @@ fn main() {
                         ("views_by_timeout", timeouts, "count", Lower),
                     ],
                 );
+                out.point(Sim, &key, &stage_rows(&report.stages));
             }
         }
     }

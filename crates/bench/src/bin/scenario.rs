@@ -20,8 +20,9 @@
 //! latencies `bench_diff` tracks are written next to it as
 //! `scenario.rows.json` (`<scenario>/<protocol>/recovery_time_ms` for runs
 //! that scheduled amnesia recoveries, `…/log_replay_ms` for durable
-//! restarts), with each run's `…/u_max`, `…/view_ms_qc` and
-//! `…/views_by_timeout`, under the tier the suite ran at.
+//! restarts), with each run's `…/u_max`, `…/view_ms_qc`,
+//! `…/views_by_timeout` and four commit-stage means (`…/stage_*_ms`), under
+//! the tier the suite ran at.
 //!
 //! The process exits non-zero on any failure: a safety violation or forked
 //! ledger, a mismatch between the paired runs, an unmet spec
@@ -32,7 +33,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bamboo_bench::{banner, save_rows, write_artifact, Lower, RowFile, Sim, Tier};
+use bamboo_bench::{banner, save_rows, stage_rows, write_artifact, Lower, RowFile, Sim, Tier};
 use bamboo_core::parallel::{default_workers, run_ordered};
 use bamboo_core::{Scenario, ScenarioReport, ScenarioRun};
 use bamboo_types::{ProtocolKind, ToJson};
@@ -184,6 +185,7 @@ fn main() -> ExitCode {
                     ("views_by_timeout", timeouts, "count", Lower),
                 ],
             );
+            rows.point(Sim, &key, &stage_rows(&run.report.stages));
             // Runs without a recovery have vacuous zeros; only the runs that
             // scheduled one contribute a row.
             let r = &run.report.recovery;

@@ -14,10 +14,13 @@
 //! code runs.
 //!
 //! This measures plumbing, not consensus capacity: loopback TCP has no
-//! propagation delay, so the interesting numbers are the status-probe
-//! round-trip latency (a full driver→replica→driver socket round trip
-//! through the frame codec), reconnect counts (zero on a healthy run), and
-//! dropped outbound frames (startup races only). The rows
+//! propagation delay, so the interesting numbers are the time from spawn
+//! until the target is committed (`boot_to_target_ms`, a boot time, not a
+//! throughput), the status-probe round-trip latency (a full
+//! driver→replica→driver socket round trip through the frame codec),
+//! reconnect counts (zero on a healthy run), dropped outbound frames
+//! (startup races only), and the live view clock the seats' observers kept
+//! (`u_max`, `view_ms_qc`, `views_by_timeout`). The rows
 //! (`target/bamboo-bench/tcp_smoke.rows.json`, keyed `protocol/nN/process/…`)
 //! feed `bench_diff`; the round trips are emitted as four sample sets so a
 //! move in them can resolve against their own spread.
@@ -25,7 +28,7 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use bamboo_bench::{banner, save_rows, stats, Higher, Lower, RowFile, Tier, Wall};
+use bamboo_bench::{banner, save_rows, stats, Lower, RowFile, Tier, Wall};
 use bamboo_core::LiveCluster;
 use bamboo_net::Processes;
 use bamboo_types::{Config, NodeId, ProtocolKind, SimDuration};
@@ -114,23 +117,22 @@ fn run() -> Result<RowFile, String> {
         let safety = report.safety_violations;
         return Err(format!("{safety} safety violation(s) over loopback TCP"));
     }
-    let committed = report.committed_txs;
-    let throughput = committed as f64 / elapsed.as_secs_f64();
+    let boot_to_target_ms = elapsed.as_secs_f64() * 1e3;
     let reconnects = report.total_reconnects();
     let bytes_sent = report.total_bytes_sent();
     let dropped = report.total_dropped();
 
     println!(
-        "  {:<5} n={nodes}  {committed} txs in {:.2} s ({throughput:.0} tx/s)  \
+        "  {:<5} n={nodes}  {target} txs committed {boot_to_target_ms:.0} ms after spawn  \
          prefix agreement over {agreed} blocks",
         protocol.label(),
-        elapsed.as_secs_f64()
     );
     println!("  {bytes_sent} bytes sent");
 
     let mut out = RowFile::new("tcp_smoke", Tier::from_quick(quick), spec_seed);
     let key = format!("{}/n{nodes}/process", protocol.label());
-    out.point(Wall, &key, &[("throughput", throughput, "tx/s", Higher)]);
+    let boot = ("boot_to_target_ms", boot_to_target_ms, "ms", Lower);
+    out.point(Wall, &key, &[boot]);
     for set in rtts_us.chunks(RTT_PROBES / RTT_SAMPLES) {
         let rtt = |q| stats::percentile(set, q).expect("non-empty set");
         let (p50, p99) = (rtt(0.50), rtt(0.99));
@@ -149,6 +151,18 @@ fn run() -> Result<RowFile, String> {
         &[
             ("reconnects", reconnects as f64, "count", Lower),
             ("send_queue_dropped", dropped as f64, "count", Lower),
+        ],
+    );
+    // The busiest seat's U and the observer seat's view clock.
+    let load = report.utilization;
+    let timeouts = load.view_timeout.count as f64;
+    out.point(
+        Wall,
+        &key,
+        &[
+            ("u_max", load.u_max, "ratio", Lower),
+            ("view_ms_qc", load.view_qc.mean_ms, "ms", Lower),
+            ("views_by_timeout", timeouts, "count", Lower),
         ],
     );
     Ok(out)

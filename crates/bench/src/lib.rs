@@ -22,6 +22,7 @@ pub mod stats;
 use std::fs;
 use std::path::PathBuf;
 
+use bamboo_core::metrics::Stages;
 use bamboo_core::{Benchmarker, CurvePoint, RunOptions, SweepOptions};
 use bamboo_model::{ModelParams, PerfModel};
 use bamboo_types::{Block, Config, ProtocolKind, SimDuration, Transaction};
@@ -143,6 +144,22 @@ pub fn record_curve(out: &mut RowFile, label: &str, points: &[CurvePoint]) {
             ],
         );
     }
+}
+
+/// A run's four commit-stage means, as one point's metrics: where its
+/// transactions' time went (DESIGN.md §5, "Observation").
+pub fn stage_rows(stages: &Stages) -> [(&'static str, f64, &'static str, rows::Better); 4] {
+    [
+        (
+            "stage_dispatched_ms",
+            stages.dispatched.mean_ms,
+            "ms",
+            Lower,
+        ),
+        ("stage_certified_ms", stages.certified.mean_ms, "ms", Lower),
+        ("stage_committed_ms", stages.committed.mean_ms, "ms", Lower),
+        ("stage_confirmed_ms", stages.confirmed.mean_ms, "ms", Lower),
+    ]
 }
 
 #[cfg(test)]

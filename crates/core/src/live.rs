@@ -3,7 +3,7 @@
 //! loopback sockets or child processes (`bamboo-net`).
 //!
 //! Whatever the link, every seat runs [`run_live_node`] — one replica, clock,
-//! deadline book and commit accounting — and the cluster spells its verbs
+//! deadline book and observer — and the cluster spells its verbs
 //! once: `submit`, `submit_round_robin`, `committed_txs` (the floor over the
 //! seats that are up), `run_until_committed`, `check_prefix_agreement`,
 //! `crash`, `recover`, `probe` and `shutdown[_with_hosts]`. A link says only
@@ -11,12 +11,13 @@
 //! stops a seat; in-process links keep its host for the restart, a child
 //! process keeps only its files.
 
+use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
 use bamboo_crypto::KeyPair;
@@ -26,8 +27,11 @@ use bamboo_types::{
     View,
 };
 
+use crate::metrics::SeatBooks;
+pub use crate::metrics::{ClusterReport, NodeNetStats, PeerStats};
+use crate::observe::{fold_seats, SeatBook, StepView};
 use crate::replica::ReplicaOptions;
-use crate::runtime::{Deadlines, NodeHost, RecoverMode, Transport};
+use crate::runtime::{BufferedTransport, Deadlines, NodeHost, RecoverMode, ReplicaEvent};
 use crate::storage::SegmentLog;
 
 /// The backend-specific send half of a live node.
@@ -61,37 +65,8 @@ pub enum LiveEvent {
     Shutdown,
 }
 
-/// The live backends' [`Transport`]: deadlines stay with the loop, messages
-/// go out through the backend's link.
-struct LiveTransport<'a> {
-    deadlines: Deadlines,
-    link: &'a mut dyn Link,
-}
-
-impl Transport for LiveTransport<'_> {
-    fn unicast(&mut self, to: NodeId, message: Message) {
-        self.link.unicast(to, message);
-    }
-
-    fn broadcast(&mut self, message: Message) {
-        self.link.broadcast(message);
-    }
-
-    fn arm_timer(&mut self, view: View, deadline: SimTime) {
-        self.deadlines.timers.push((view, deadline));
-    }
-
-    fn schedule_proposal(&mut self, view: View, at: SimTime) {
-        self.deadlines.proposals.push((view, at));
-    }
-
-    fn arm_sync_timer(&mut self, deadline: SimTime) {
-        self.deadlines.sync_timers.push(deadline);
-    }
-}
-
-/// One seat's progress and counters, as a probe reads them.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// One seat's progress and books, as a probe reads them.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SeatStatus {
     /// Transactions in the seat's committed ledger.
     pub committed_txs: u64,
@@ -101,22 +76,8 @@ pub struct SeatStatus {
     pub view: u64,
     /// [`Ledger::chain_fingerprint_prefix`] of the probed prefix.
     pub chain_fingerprint: [u8; 32],
-    /// Conflicting commits the seat observed.
-    pub safety_violations: u64,
-    /// Views the seat left by timeout.
-    pub timeout_view_changes: u64,
-    /// Messages the seat's host rejected as forged.
-    pub auth_rejections: u64,
-    /// Client requests rejected at the seat's edge as forged.
-    pub client_auth_rejections: u64,
-    /// Log records the seat replayed in its durable restarts.
-    pub records_replayed: u64,
-    /// Copies of admitted transactions the seat handed to a leader ahead.
-    pub handed_off: u64,
-    /// Handed-in copies the seat's mempool kept.
-    pub handed_in: u64,
-    /// Handed-in copies the seat dropped: already held, or no room.
-    pub handoff_dropped: u64,
+    /// The seat's books since its boot.
+    pub books: SeatBooks,
 }
 
 /// One node's status, written by its loop after every step and readable
@@ -129,6 +90,8 @@ struct Published {
     /// first `l` blocks the node ever committed.
     running: ChainFingerprint,
     prefixes: Vec<[u8; 32]>,
+    /// From the boot on: the seat's books, and the epoch of its clock.
+    book: Option<(SeatBook, Instant)>,
 }
 
 impl Default for LiveStatus {
@@ -140,8 +103,14 @@ impl Default for LiveStatus {
             status,
             running,
             prefixes,
+            book: None,
         }))
     }
+}
+
+/// Wall time since `epoch`, as the replica's clock reads it.
+fn clock(epoch: Instant) -> SimTime {
+    SimTime(epoch.elapsed().as_nanos() as u64)
 }
 
 impl LiveStatus {
@@ -157,40 +126,45 @@ impl LiveStatus {
             prefix_len
         };
         let chain_fingerprint = prefixes[(want as usize).min(prefixes.len() - 1)];
+        let books = (published.book.as_ref()).map(|(book, epoch)| book.books(clock(*epoch)));
         SeatStatus {
             chain_fingerprint,
+            books: books.unwrap_or_default(),
             ..status
         }
     }
 
-    /// The single accounting path, after every step: the host's counters,
-    /// view and ledger.
-    fn publish(&self, host: &NodeHost) {
-        let replica = host.replica();
-        self.book(replica.current_view(), replica.ledger(), |status| {
-            status.safety_violations = replica.safety_violations();
-            status.timeout_view_changes = replica.timeout_view_changes();
-            status.auth_rejections = host.auth_rejections();
-            status.client_auth_rejections = host.client_auth_rejections();
-            status.records_replayed = replica.recovery_stats().records_replayed;
-            let pool = replica.mempool_stats();
-            status.handed_off = pool.handed_off;
-            status.handed_in = pool.handed_in;
-            status.handoff_dropped = pool.handoff_dropped;
-        });
+    /// Opens the seat's books at its boot, on the clock of `epoch`.
+    fn open(&self, book: SeatBook, epoch: Instant) {
+        self.0.lock().expect("status lock poisoned").book = Some((book, epoch));
     }
 
-    /// Books view, ledger and `counters`. The prefix history is extended by
-    /// a running hash — one clone-and-finalise per new block — and follows
-    /// the ledger wherever it jumps (a snapshot install, a durable replay);
-    /// it is never retracted: a restart re-commits the same prefix.
-    fn book(&self, view: View, ledger: &Ledger, counters: impl FnOnce(&mut SeatStatus)) {
+    /// The single accounting path, after every step: the step to the seat's
+    /// observer, then view and ledger. Nothing is published before the
+    /// books open: a restarting seat's host is still what the crash left.
+    fn publish(&self, host: &NodeHost, step: &StepView) {
         let mut published = self.0.lock().expect("status lock poisoned");
+        let Some((book, _)) = &mut published.book else {
+            return;
+        };
+        book.on_step(step, host);
+        let replica = host.replica();
+        published.book(replica.current_view(), replica.ledger());
+    }
+}
+
+impl Published {
+    /// Books view and ledger. The prefix history is extended by a running
+    /// hash — one clone-and-finalise per new block — and follows the ledger
+    /// wherever it jumps (a snapshot install, a durable replay); it is never
+    /// retracted: a restart re-commits the same prefix.
+    fn book(&mut self, view: View, ledger: &Ledger) {
         let Published {
             status,
             running,
             prefixes,
-        } = &mut *published;
+            ..
+        } = self;
         for committed in ledger.iter().skip(prefixes.len() - 1) {
             running.absorb(&committed.block);
             prefixes.push(*running.digest().as_bytes());
@@ -198,7 +172,6 @@ impl LiveStatus {
         status.committed_txs = ledger.committed_txs();
         status.committed_blocks = ledger.len() as u64;
         status.view = view.as_u64();
-        counters(status);
     }
 }
 
@@ -206,43 +179,50 @@ impl LiveStatus {
 /// shutdown latency bounded even if no timer is pending.
 const IDLE_WAIT: Duration = Duration::from_millis(20);
 
+/// What the loop hands its host next: one step each.
+enum Call {
+    Boot(Option<RecoverMode>),
+    Fire(ReplicaEvent),
+    Deliver(VerifiedMessage),
+    Admit(Vec<ClientRequest>),
+}
+
 /// Runs `host` until [`LiveEvent::Shutdown`] (or every sender is gone) and
-/// hands it back. Time is nanoseconds since `clock`.
+/// hands it back. Time is nanoseconds since `epoch`, the cluster's clock.
 ///
 /// The node boots once `link.ready()`: through `NodeHost::start`, or — a seat
 /// coming back — through `NodeHost::restart` in mode `restart`. Messages
 /// that reach it before wait for the boot, and it publishes nothing until
-/// then: its host may still be what a crash left behind.
+/// then: its host may still be what a crash left behind. From the boot on,
+/// every step is timed on the wall clock and shown to the seat's observer
+/// as the [`StepView`] the simulator would build.
 pub fn run_live_node(
     mut host: NodeHost,
     link: &mut dyn Link,
     events: &Receiver<LiveEvent>,
-    clock: Instant,
+    epoch: Instant,
     status: &LiveStatus,
     mut restart: Option<RecoverMode>,
 ) -> NodeHost {
-    let now = || SimTime(clock.elapsed().as_nanos() as u64);
-    let deadlines = Deadlines::default();
-    let mut transport = LiveTransport { deadlines, link };
-    let (mut started, mut early) = (false, Vec::new());
+    let peers = host.replica().config().nodes as u64 - 1;
+    let (mut out, mut deadlines) = (BufferedTransport::new(), Deadlines::default());
+    let (mut booted, mut early, mut confirmed) = (false, VecDeque::new(), Vec::new());
     loop {
-        let current = now();
-        // Nothing is armed before the boot.
-        let due = transport.deadlines.pop_due(current);
-        if !started && transport.link.ready() {
-            started = true;
-            match restart.take() {
-                Some(mode) => host.restart(mode, current, &mut transport),
-                None => host.start(current, &mut transport),
-            };
-            for verified in early.drain(..) {
-                host.deliver(&verified, now(), &mut transport);
-            }
-        } else if let Some(event) = due {
-            host.handle(event, current, &mut transport);
+        let current = clock(epoch);
+        let call = if !booted && link.ready() {
+            booted = true;
+            let replica = host.replica();
+            let book = SeatBook::new(replica.config(), replica.id(), current);
+            status.open(book, epoch);
+            Call::Boot(restart.take())
+        } else if let Some(verified) = booted.then(|| early.pop_front()).flatten() {
+            Call::Deliver(verified)
+        } else if let Some(event) = deadlines.pop_due(current) {
+            // Nothing is armed before the boot.
+            Call::Fire(event)
         } else {
             // Block on the channel, but never sleep past the next deadline.
-            let until = transport.deadlines.next_deadline();
+            let until = deadlines.next_deadline();
             let wait = until.map_or(IDLE_WAIT, |deadline| {
                 Duration::from_nanos(deadline.as_nanos().saturating_sub(current.as_nanos()))
                     .min(IDLE_WAIT)
@@ -250,22 +230,62 @@ pub fn run_live_node(
             match events.recv_timeout(wait) {
                 Ok(LiveEvent::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
                 Err(RecvTimeoutError::Timeout) => continue,
-                Ok(LiveEvent::Peers(table)) => transport.link.set_peers(&table),
-                Ok(LiveEvent::Verified(verified)) if !started => early.push(verified),
-                Ok(LiveEvent::Verified(verified)) => {
-                    host.deliver(&verified, now(), &mut transport);
+                Ok(LiveEvent::Peers(table)) => {
+                    link.set_peers(&table);
+                    continue;
                 }
-                Ok(LiveEvent::Client(requests)) => {
-                    host.handle_client_batch(requests, now(), &mut transport);
+                Ok(LiveEvent::Verified(verified)) if !booted => {
+                    early.push_back(verified);
+                    continue;
                 }
+                Ok(LiveEvent::Verified(verified)) => Call::Deliver(verified),
+                Ok(LiveEvent::Client(requests)) => Call::Admit(requests),
+            }
+        };
+        let start = clock(epoch);
+        let report = match call {
+            Call::Boot(Some(mode)) => host.restart(mode, start, &mut out),
+            Call::Boot(None) => host.start(start, &mut out),
+            Call::Fire(event) => host.handle(event, start, &mut out),
+            Call::Deliver(verified) => host.deliver(&verified, start, &mut out),
+            Call::Admit(requests) => host.handle_client_batch(requests, start, &mut out),
+        };
+        // The step's effects, as the simulator maps them: sends onto the
+        // link, counted one per recipient; deadlines into the book.
+        let (mut messages, mut bytes, mut proposed) = (0, 0, None);
+        for (to, message) in out.sends.drain(..) {
+            let recipients = to.map_or(peers, |_| 1);
+            messages += recipients;
+            bytes += recipients * message.wire_size() as u64;
+            if let Message::Proposal(block) = &*message {
+                proposed = Some(block.clone());
+            }
+            match (to, Arc::unwrap_or_clone(message)) {
+                (Some(to), message) => link.unicast(to, message),
+                (None, message) => link.broadcast(message),
             }
         }
-        if started {
-            status.publish(&host);
-        }
-        transport
-            .deadlines
-            .prune_stale(host.replica().current_view());
+        deadlines.absorb(&mut out);
+        let finish = clock(epoch);
+        // No response leg is modeled: a commit is confirmed as it happens.
+        let txs = report.committed.iter().map(|block| block.payload.len());
+        confirmed.clear();
+        confirmed.resize(txs.sum(), finish);
+        let replica = host.replica();
+        let step = StepView {
+            node: replica.id(),
+            start,
+            finish,
+            view: replica.current_view(),
+            timeout_view_changes: replica.timeout_view_changes(),
+            report: &report,
+            messages,
+            bytes,
+            proposed: proposed.as_deref(),
+            confirmed: &confirmed,
+        };
+        status.publish(&host, &step);
+        deadlines.prune_stale(replica.current_view());
     }
     host
 }
@@ -283,136 +303,6 @@ fn poll_commits(min_txs: u64, max_wait: Duration, committed: impl Fn() -> u64) -
     }
 }
 
-/// Point-in-time snapshot of one outbound peer link's counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PeerStats {
-    /// Connection attempts (successful or not).
-    pub attempts: u64,
-    /// Connections successfully established.
-    pub connects: u64,
-    /// Re-establishments after the first connect (`connects - 1`, floored).
-    pub reconnects: u64,
-    /// Frames written to the socket.
-    pub frames_sent: u64,
-    /// Bytes written to the socket (framing included).
-    pub bytes_sent: u64,
-    /// Frames dropped — queue full, peer down, or write failed.
-    pub dropped: u64,
-}
-
-/// One socket seat's network counters: per outbound peer link, plus ingress.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct NodeNetStats {
-    /// The reporting seat.
-    pub node: u64,
-    /// Outbound link counters, one entry per remote peer.
-    pub peers: Vec<(u64, PeerStats)>,
-    /// Inbound connections accepted by the seat's listener.
-    pub accepted_connections: u64,
-    /// Inbound connections dropped because their hello claimed a replica id
-    /// without that replica's signature over the connection's challenge.
-    pub refused_hellos: u64,
-    /// Messages the seat's verify pool accepted.
-    pub verify_accepted: u64,
-    /// Messages the seat's verify pool rejected as forged or malformed.
-    pub verify_rejected: u64,
-}
-
-impl NodeNetStats {
-    fn total(&self, count: impl Fn(&PeerStats) -> u64) -> u64 {
-        self.peers.iter().map(|(_, link)| count(link)).sum()
-    }
-
-    /// Total outbound reconnects across all peer links.
-    pub fn reconnects(&self) -> u64 {
-        self.total(|link| link.reconnects)
-    }
-
-    /// Total bytes written across all peer links.
-    pub fn bytes_sent(&self) -> u64 {
-        self.total(|link| link.bytes_sent)
-    }
-
-    /// Total frames dropped across all peer links.
-    pub fn dropped(&self) -> u64 {
-        self.total(|link| link.dropped)
-    }
-}
-
-/// Summary of one live run, whatever the link.
-#[derive(Clone, Debug, Default)]
-pub struct ClusterReport {
-    /// Committed blocks per seat (indexed by node id; 0 for a seat that was
-    /// down at shutdown).
-    pub committed_blocks: Vec<usize>,
-    /// Committed transactions in the longest ledger.
-    pub committed_txs: u64,
-    /// Highest view reached across seats.
-    pub max_view: u64,
-    /// Whether every honest seat that was up held a prefix of the longest
-    /// honest chain at shutdown ([`LiveCluster::check_prefix_agreement`]).
-    pub ledgers_consistent: bool,
-    /// Conflicting-commit events observed across all seats, plus one for an
-    /// inconsistent cluster (must be 0).
-    pub safety_violations: u64,
-    /// Timeout-driven view changes summed across seats.
-    pub timeout_view_changes: u64,
-    /// Messages rejected by the authentication stage as forged or malformed.
-    pub auth_rejections: u64,
-    /// Signed client requests rejected at the replica edge as forged
-    /// (signed-client mode only; always 0 otherwise).
-    pub client_auth_rejections: u64,
-    /// Copies of admitted transactions handed to a leader ahead, summed
-    /// across seats (DESIGN.md §7.4).
-    pub handed_off: u64,
-    /// Handed-in copies the seats' mempools kept, summed.
-    pub handed_in: u64,
-    /// Handed-in copies dropped as already held or without room, summed.
-    pub handoff_dropped: u64,
-    /// Network counters of every socket seat, a crashed one's frozen when it
-    /// went down; empty on the channel link.
-    pub nodes: Vec<NodeNetStats>,
-}
-
-impl ClusterReport {
-    /// Books one seat's final status (`None` for a seat that was down).
-    fn add_seat(&mut self, status: Option<SeatStatus>) {
-        let status = status.unwrap_or_default();
-        self.committed_blocks.push(status.committed_blocks as usize);
-        self.committed_txs = self.committed_txs.max(status.committed_txs);
-        self.max_view = self.max_view.max(status.view);
-        self.safety_violations += status.safety_violations;
-        self.timeout_view_changes += status.timeout_view_changes;
-        self.auth_rejections += status.auth_rejections;
-        self.client_auth_rejections += status.client_auth_rejections;
-        self.handed_off += status.handed_off;
-        self.handed_in += status.handed_in;
-        self.handoff_dropped += status.handoff_dropped;
-    }
-
-    /// Books one socket seat's network counters; its verify pool's
-    /// rejections count as authentication rejections.
-    fn add_net(&mut self, net: NodeNetStats) {
-        self.auth_rejections += net.verify_rejected;
-        self.nodes.push(net);
-    }
-
-    /// Total outbound reconnects across the whole cluster.
-    pub fn total_reconnects(&self) -> u64 {
-        self.nodes.iter().map(NodeNetStats::reconnects).sum()
-    }
-
-    /// Total bytes written across the whole cluster.
-    pub fn total_bytes_sent(&self) -> u64 {
-        self.nodes.iter().map(NodeNetStats::bytes_sent).sum()
-    }
-
-    /// Total frames dropped at send queues across the whole cluster.
-    pub fn total_dropped(&self) -> u64 {
-        self.nodes.iter().map(NodeNetStats::dropped).sum()
-    }
-}
-
 /// Distinguishes the clusters one process spawns (tests spawn several).
 static CLUSTER_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -423,6 +313,9 @@ static CLUSTER_SEQ: AtomicU64 = AtomicU64::new(0);
 struct ClusterHome {
     root: Option<PathBuf>,
     tag: u64,
+    /// The cluster's clock: its seats run on it and its requests are
+    /// stamped on it.
+    epoch: Instant,
 }
 
 impl ClusterHome {
@@ -439,18 +332,20 @@ impl ClusterHome {
         // 48 bits, exact in a JSON number.
         let tag = (nanos ^ u64::from(pid) << 32 ^ seq) & ((1 << 48) - 1);
         let root = config.durable_log.then_some(root);
-        Self { root, tag }
+        let epoch = Instant::now();
+        Self { root, tag, epoch }
     }
 
     fn seat<'a>(&self, config: &'a Config, protocol: ProtocolKind, id: NodeId) -> SeatBoot<'a> {
         let dir = (self.root.as_ref()).map(|root| root.join(format!("node-{}", id.as_u64())));
-        let cluster = self.tag;
+        let (cluster, epoch) = (self.tag, self.epoch);
         SeatBoot {
             id,
             protocol,
             config,
             dir,
             cluster,
+            epoch,
         }
     }
 }
@@ -476,6 +371,9 @@ pub struct SeatBoot<'a> {
     /// The cluster's tag: a socket seat accepts a peer's hello only if it
     /// was signed for this tag.
     pub cluster: u64,
+    /// The cluster's clock, which the seat runs on. A seat process runs on
+    /// a clock of its own (DESIGN.md §9.3).
+    pub epoch: Instant,
 }
 
 impl SeatBoot<'_> {
@@ -628,7 +526,6 @@ pub struct LiveCluster<L: SeatLink> {
     /// Network counters of seats a crash tore down.
     retired: Vec<NodeNetStats>,
     load: RoundRobinLoad,
-    started_at: Instant,
     home: ClusterHome,
 }
 
@@ -653,7 +550,6 @@ impl<L: SeatLink> LiveCluster<L> {
             protocol,
             link,
             seats,
-            started_at: Instant::now(),
             home,
         })
     }
@@ -695,7 +591,7 @@ impl<L: SeatLink> LiveCluster<L> {
     /// seats that are up, continuing the sequence numbers of earlier calls;
     /// in signed-client mode each request carries its client's signature.
     pub fn submit_round_robin(&self, count: u64, payload: usize) {
-        let now = SimTime(self.started_at.elapsed().as_nanos() as u64);
+        let now = clock(self.home.epoch);
         let is_live = |seat: usize| self.up(NodeId(seat as u64)).is_some();
         for (seat, request) in self.load.next_requests(count, payload, now, is_live) {
             self.submit(NodeId(seat as u64), vec![request]);
@@ -815,12 +711,7 @@ impl<L: SeatLink> LiveCluster<L> {
             home: _home,
             ..
         } = self;
-        let mut report = ClusterReport {
-            ledgers_consistent: consistent,
-            safety_violations: u64::from(!consistent),
-            ..ClusterReport::default()
-        };
-        let mut hosts = Vec::with_capacity(seats.len());
+        let (mut statuses, mut nets, mut hosts) = (Vec::new(), Vec::new(), Vec::new());
         for (seat, kept) in seats.into_iter().zip(kept) {
             let end = seat.map_or(
                 SeatEnd {
@@ -829,15 +720,12 @@ impl<L: SeatLink> LiveCluster<L> {
                 },
                 |seat| link.stop(seat, false),
             );
-            report.add_seat(end.status);
-            if let Some(net) = end.net {
-                report.add_net(net);
-            }
+            statuses.push(end.status);
+            nets.extend(end.net);
             hosts.push(end.host);
         }
-        for net in retired {
-            report.add_net(net);
-        }
+        nets.extend(retired);
+        let mut report = fold_seats(&statuses, nets, consistent);
         // Sampled after every seat stopped, so work still queued in a shared
         // verify pool when the seats went down is counted too.
         link.close(&mut report);
@@ -923,6 +811,10 @@ mod tests {
         assert!(committed, "committed {} txs", cluster.committed_txs());
         let report = cluster.shutdown();
         assert!(report.timeout_view_changes > 0, "views change by timeout");
+        // Seat 0 leads every fourth view: the observer seat's view clock
+        // files those under the timeout.
+        let clock = report.utilization;
+        assert!(clock.view_timeout.count > 0, "{clock:?}");
         assert!(report.max_view > 4, "stuck at view {}", report.max_view);
         assert!(report.ledgers_consistent);
         assert_eq!(report.safety_violations, 0);
@@ -961,7 +853,9 @@ mod tests {
         // amnesia restart, which must not retract or re-hash history.
         for len in [1, 2, 5, 17, 60, 61, 40, 64, 80] {
             let ledger = Ledger::restore(chain[..len].to_vec());
-            status.book(View(len as u64 + 2), &ledger, |_| {});
+            let mut published = status.0.lock().unwrap();
+            published.book(View(len as u64 + 2), &ledger);
+            drop(published);
             let seat = status.snapshot(0);
             assert_eq!(seat.committed_blocks, len as u64);
             assert_eq!(seat.committed_txs, ledger.committed_txs());

@@ -1,4 +1,6 @@
-//! Benchmark metrics: throughput, latency, chain growth rate, block interval.
+//! Benchmark metrics: throughput, latency, chain growth rate, block interval,
+//! and the reports they end in — a simulated run's [`RunReport`], a live
+//! cluster's [`ClusterReport`].
 //!
 //! These are the four metrics of §IV-B of the paper. Latency is measured from
 //! the moment the client issues a transaction until the commit confirmation
@@ -6,6 +8,7 @@
 //! `t_L` term). Chain growth rate and block interval are the two micro-metrics
 //! introduced for the Byzantine experiments.
 
+pub use bamboo_mempool::MempoolStats;
 use bamboo_types::{Json, NodeId, ProtocolKind, SimDuration, SimTime, ToJson};
 
 /// A latency distribution summary in milliseconds.
@@ -60,7 +63,7 @@ pub struct MempoolTotals {
 
 impl MempoolTotals {
     /// Adds one replica's counters.
-    pub fn add(&mut self, stats: &bamboo_mempool::MempoolStats) {
+    pub fn add(&mut self, stats: &MempoolStats) {
         self.accepted += stats.accepted;
         self.rejected += stats.rejected;
         self.requeued += stats.requeued;
@@ -83,6 +86,45 @@ impl ToJson for MempoolTotals {
             ("handoff_dropped", Json::from(self.handoff_dropped)),
         ])
     }
+}
+
+/// One host's counters, as every report folds them (DESIGN.md §5,
+/// "Observation"): its replica's own audit, pacemaker and recovery counters,
+/// its ingress stage's rejections and its mempool's flow.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HostCounters {
+    /// Conflicting commits the replica saw itself.
+    pub safety_violations: u64,
+    /// Messages the host's ingress stage rejected as forged or malformed.
+    pub rejected_messages: u64,
+    /// Signed client requests the host's edge rejected as forged.
+    pub client_auth_rejections: u64,
+    /// Views the replica left by timeout.
+    pub timeout_view_changes: u64,
+    /// Log records the replica replayed in its durable restarts.
+    pub records_replayed: u64,
+    /// The replica's mempool: what it holds and what flowed through it.
+    pub mempool: MempoolStats,
+}
+
+/// One live seat's books, as a probe reads them (DESIGN.md §10): its host's
+/// counters and what the seat's observer saw of the seat's own steps since
+/// its boot.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct SeatBooks {
+    /// The host's counters after the seat's last step.
+    pub counters: HostCounters,
+    /// Messages the seat put on the wire, one per recipient.
+    pub messages: u64,
+    /// Their modeled bytes ([`bamboo_types::Message::wire_size`]).
+    pub bytes: u64,
+    /// How long the books have run: from the seat's boot to the probe.
+    pub lifetime: SimDuration,
+    /// The seat's busy wall time over its lifetime, and its view clock.
+    pub utilization: Utilization,
+    /// Issue → commit at the seat, on the clock its cluster stamps requests
+    /// with; empty when read over a status frame (DESIGN.md §9.3).
+    pub latency: LatencyStats,
 }
 
 /// The commit-latency and throughput books of the observer replica.
@@ -160,7 +202,7 @@ impl Metrics {
 /// `1 / 2^9` (0.2 %) of the values it holds wide.
 const SUB_BITS: u32 = 9;
 /// One bucket per value below `2^(SUB_BITS + 1)`, then `2^SUB_BITS` per
-/// octave up to `u64::MAX`: 28,672 counters, 224 KiB.
+/// octave up to `u64::MAX`: 28,672 counters, 224 KiB at most.
 const BUCKETS: usize = (64 - SUB_BITS as usize + 1) << SUB_BITS;
 
 /// A log-linear histogram of durations in integer nanoseconds.
@@ -169,9 +211,13 @@ const BUCKETS: usize = (64 - SUB_BITS as usize + 1) << SUB_BITS;
 /// identical statistics. Count, maximum and mean (from the integer sum) are
 /// exact; a percentile is the midpoint of the bucket that holds the exact
 /// order statistic (capped at the maximum), hence within 0.2 % of it.
+/// The counters reach only as far as the highest bucket recorded, and
+/// per-octave totals let a percentile skip to its octave: a run keeps eight
+/// histograms, a live probe reads three summaries per seat.
 #[derive(Clone, Debug)]
 pub(crate) struct Histogram {
-    counts: Box<[u64]>,
+    counts: Vec<u64>,
+    octaves: [u64; BUCKETS >> SUB_BITS],
     count: u64,
     sum_ns: u128,
     max_ns: u64,
@@ -180,7 +226,8 @@ pub(crate) struct Histogram {
 impl Histogram {
     pub(crate) fn new() -> Self {
         Self {
-            counts: vec![0; BUCKETS].into_boxed_slice(),
+            counts: Vec::new(),
+            octaves: [0; BUCKETS >> SUB_BITS],
             count: 0,
             sum_ns: 0,
             max_ns: 0,
@@ -202,7 +249,12 @@ impl Histogram {
 
     pub(crate) fn record(&mut self, latency: SimDuration) {
         let ns = latency.as_nanos();
-        self.counts[Self::bucket_of(ns)] += 1;
+        let bucket = Self::bucket_of(ns);
+        if bucket >= self.counts.len() {
+            self.counts.resize(bucket + 1, 0);
+        }
+        self.counts[bucket] += 1;
+        self.octaves[bucket >> SUB_BITS] += 1;
         self.count += 1;
         self.sum_ns += u128::from(ns);
         self.max_ns = self.max_ns.max(ns);
@@ -213,10 +265,17 @@ impl Histogram {
     fn quantile_ns(&self, q: f64) -> u64 {
         let rank = ((self.count as f64 - 1.0) * q).round() as u64;
         let mut seen = 0u64;
-        for (bucket, &n) in self.counts.iter().enumerate() {
-            seen += n;
-            if seen > rank {
-                return Self::midpoint_of(bucket).min(self.max_ns);
+        for (octave, &total) in self.octaves.iter().enumerate() {
+            if seen + total <= rank {
+                seen += total;
+                continue;
+            }
+            let first = octave << SUB_BITS;
+            for (bucket, &n) in (first..).zip(self.counts[first..].iter().take(1 << SUB_BITS)) {
+                seen += n;
+                if seen > rank {
+                    return Self::midpoint_of(bucket).min(self.max_ns);
+                }
             }
         }
         self.max_ns
@@ -263,6 +322,35 @@ impl ToJson for Utilization {
             ("leader_share", Json::from(self.leader_share)),
             ("view_qc", self.view_qc.to_json()),
             ("view_timeout", self.view_timeout.to_json()),
+        ])
+    }
+}
+
+/// Where committed transactions' time went, at the observer replica
+/// (DESIGN.md §5, "Observation"): four stages between five instants that
+/// telescope to each transaction's end-to-end latency. Each stage is named
+/// for the instant that ends it.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Stages {
+    /// Issued → its block's proposal sent: the client leg and the wait for
+    /// a proposer.
+    pub dispatched: LatencyStats,
+    /// → the first proposal carrying the block's QC sent, or the commit if
+    /// that comes first.
+    pub certified: LatencyStats,
+    /// → committed at the observer replica.
+    pub committed: LatencyStats,
+    /// → the confirmation reaches the client: the response leg.
+    pub confirmed: LatencyStats,
+}
+
+impl ToJson for Stages {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("dispatched", self.dispatched.to_json()),
+            ("certified", self.certified.to_json()),
+            ("committed", self.committed.to_json()),
+            ("confirmed", self.confirmed.to_json()),
         ])
     }
 }
@@ -491,6 +579,9 @@ pub struct RunReport {
     /// protocol's voting rule leaves no room to fork). Not in the replay key:
     /// the ledger it forks is.
     pub forks_attempted: u64,
+    /// Where the committed transactions' time went. Not in the replay key,
+    /// like `utilization`.
+    pub stages: Stages,
 }
 
 impl RunReport {
@@ -595,7 +686,105 @@ impl ToJson for RunReport {
             ("recovery", self.recovery.to_json()),
             ("utilization", self.utilization.to_json()),
             ("forks_attempted", Json::from(self.forks_attempted)),
+            ("stages", self.stages.to_json()),
         ])
+    }
+}
+
+/// Point-in-time snapshot of one outbound peer link's counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PeerStats {
+    /// Connection attempts (successful or not).
+    pub attempts: u64,
+    /// Connections successfully established.
+    pub connects: u64,
+    /// Re-establishments after the first connect (`connects - 1`, floored).
+    pub reconnects: u64,
+    /// Frames written to the socket.
+    pub frames_sent: u64,
+    /// Bytes written to the socket (framing included).
+    pub bytes_sent: u64,
+    /// Frames dropped — queue full, peer down, or write failed.
+    pub dropped: u64,
+}
+
+/// One socket seat's network counters: per outbound peer link, plus ingress.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct NodeNetStats {
+    /// The reporting seat.
+    pub node: u64,
+    /// Outbound link counters, one entry per remote peer.
+    pub peers: Vec<(u64, PeerStats)>,
+    /// Inbound connections accepted by the seat's listener.
+    pub accepted_connections: u64,
+    /// Inbound connections dropped because their hello claimed a replica id
+    /// without that replica's signature over the connection's challenge.
+    pub refused_hellos: u64,
+    /// Messages the seat's verify pool accepted.
+    pub verify_accepted: u64,
+    /// Messages the seat's verify pool rejected as forged or malformed.
+    pub verify_rejected: u64,
+}
+
+/// Summary of one live run, whatever the link.
+#[derive(Clone, Debug, Default)]
+pub struct ClusterReport {
+    /// Committed blocks per seat (indexed by node id; 0 for a seat that was
+    /// down at shutdown).
+    pub committed_blocks: Vec<usize>,
+    /// Committed transactions in the longest ledger.
+    pub committed_txs: u64,
+    /// Highest view reached across seats.
+    pub max_view: u64,
+    /// Whether every honest seat that was up held a prefix of the longest
+    /// honest chain at shutdown ([`crate::LiveCluster::check_prefix_agreement`]).
+    pub ledgers_consistent: bool,
+    /// Conflicting-commit events observed across all seats, plus one for an
+    /// inconsistent cluster (must be 0).
+    pub safety_violations: u64,
+    /// Timeout-driven view changes summed across seats.
+    pub timeout_view_changes: u64,
+    /// Messages rejected by the authentication stage as forged or malformed.
+    pub auth_rejections: u64,
+    /// Signed client requests rejected at the replica edge as forged
+    /// (signed-client mode only; always 0 otherwise).
+    pub client_auth_rejections: u64,
+    /// Mempool admission and flow, summed across seats.
+    pub mempool: MempoolTotals,
+    /// Messages the seats put on the wire, one per recipient, and their
+    /// modeled bytes, summed as the simulator sums them
+    /// ([`ClusterReport::total_bytes_sent`] is what the sockets wrote).
+    pub messages_sent: u64,
+    /// See [`ClusterReport::messages_sent`].
+    pub bytes_sent: u64,
+    /// The busiest seat's utilization and the observer seat's view clock.
+    pub utilization: Utilization,
+    /// Issue → commit at the observer seat (none over the process link).
+    pub latency: LatencyStats,
+    /// Network counters of every socket seat, a crashed one's frozen when it
+    /// went down; empty on the channel link.
+    pub nodes: Vec<NodeNetStats>,
+}
+
+impl ClusterReport {
+    fn total(&self, count: impl Fn(&PeerStats) -> u64) -> u64 {
+        let links = self.nodes.iter().flat_map(|node| &node.peers);
+        links.map(|(_, link)| count(link)).sum()
+    }
+
+    /// Total outbound reconnects across the whole cluster.
+    pub fn total_reconnects(&self) -> u64 {
+        self.total(|link| link.reconnects)
+    }
+
+    /// Total bytes written across the whole cluster.
+    pub fn total_bytes_sent(&self) -> u64 {
+        self.total(|link| link.bytes_sent)
+    }
+
+    /// Total frames dropped at send queues across the whole cluster.
+    pub fn total_dropped(&self) -> u64 {
+        self.total(|link| link.dropped)
     }
 }
 
@@ -791,6 +980,7 @@ mod tests {
             recovery: RecoveryReport::default(),
             utilization: Utilization::default(),
             forks_attempted: 0,
+            stages: Stages::default(),
         };
         let s = report.summary();
         assert!(s.contains("HS"));

@@ -1,19 +1,28 @@
 //! Run accounting: every report a run ends with, built from one per-step
-//! view.
+//! view, on either clock.
 //!
 //! The simulator's engine ([`crate::runner`]) only simulates: after each
 //! replica step it hands one [`StepView`] to the [`Observer`] it owns, which
 //! writes the [`RunReport`] at the end and leaves the engine only its own
 //! counters to fill in. Random draws stay in the engine, in its event order;
-//! a commit's response leg reaches the observer as a value. The observer's
-//! fields are its subscribers, all known at compile time, so there is no
-//! trait (DESIGN.md §5, "Observation").
+//! a commit's response leg reaches the observer as a value. A live seat
+//! ([`crate::live::run_live_node`]) shows each of its own steps, timed on the
+//! wall clock, to an observer of its own ([`SeatBook`]), and the cluster
+//! folds the seats' books ([`fold_seats`]). The observer's fields are its
+//! subscribers, all known at compile time, so there is no trait (DESIGN.md
+//! §5, "Observation").
 
 use bamboo_forest::Ledger;
 use bamboo_pacemaker::LeaderElection;
-use bamboo_types::{Config, DigestSet, NodeId, ProtocolKind, SimDuration, SimTime, View};
+use bamboo_types::{
+    Block, BlockId, Config, DigestMap, DigestSet, NodeId, ProtocolKind, SimDuration, SimTime, View,
+};
 
-use crate::metrics::{Histogram, MempoolTotals, Metrics, RecoveryReport, RunReport, Utilization};
+use crate::live::SeatStatus;
+use crate::metrics::{
+    ClusterReport, Histogram, HostCounters, MempoolTotals, Metrics, NodeNetStats, RecoveryReport,
+    RunReport, SeatBooks, Stages, Utilization,
+};
 use crate::replica::Replica;
 use crate::runner::NodeFault;
 use crate::runtime::{NodeHost, StepReport};
@@ -34,6 +43,8 @@ pub(crate) struct StepView<'a> {
     /// behind a dropped link included), and their bytes.
     pub messages: u64,
     pub bytes: u64,
+    /// The last proposal the step sent, a relay included.
+    pub proposed: Option<&'a Block>,
     /// At the observer replica, the instant each committed transaction's
     /// confirmation reaches its client, in commit order; empty elsewhere.
     pub confirmed: &'a [SimTime],
@@ -50,23 +61,37 @@ pub(crate) struct Observer {
     bytes: u64,
     /// CPU utilization and the observer replica's view clock.
     load: Load,
+    /// Where the committed transactions' time went.
+    lifecycle: Lifecycle,
 }
 
 impl Observer {
     /// Empty books for a run of `config` reporting `observer`'s ledger.
     pub(crate) fn new(config: &Config, observer: Option<NodeId>, series: SimDuration) -> Self {
+        let node = observer.unwrap_or(NodeId(config.nodes as u64 - 1));
+        let span = (SimTime::ZERO, SimTime::ZERO + config.runtime);
+        Self::over(config, node, series, span)
+    }
+
+    /// Empty books reporting `node`'s commits, each instant cut to `span`.
+    fn over(config: &Config, node: NodeId, series: SimDuration, span: (SimTime, SimTime)) -> Self {
         Self {
-            node: observer.unwrap_or(NodeId(config.nodes as u64 - 1)),
+            node,
             metrics: Metrics::new(series),
             messages: 0,
             bytes: 0,
             load: Load {
                 election: LeaderElection::new(config.nodes, config.leader_policy),
-                end: SimTime::ZERO + config.runtime,
+                begin: span.0,
+                end: span.1,
                 busy: vec![Busy::default(); config.nodes],
                 view: None,
                 by_qc: Histogram::new(),
                 by_timeout: Histogram::new(),
+            },
+            lifecycle: Lifecycle {
+                blocks: DigestMap::default(),
+                stages: std::array::from_fn(|_| Histogram::new()),
             },
         }
     }
@@ -75,14 +100,22 @@ impl Observer {
     pub(crate) fn on_step(&mut self, step: &StepView) {
         self.messages += step.messages;
         self.bytes += step.bytes;
+        // A relay is not a dispatch: only the proposer's own send is.
+        if let Some(block) = step.proposed.filter(|block| block.proposer == step.node) {
+            self.lifecycle.on_proposal(block, step.finish);
+        }
         if step.node == self.node {
-            let blocks = &step.report.committed;
-            let txs = blocks.iter().flat_map(|block| &block.payload);
             // `finish` is the commit instant the client's submit→commit
             // latency is measured against; `confirmed` adds the response leg
             // (the paper's `t_L` term).
-            for (tx, &confirmed) in txs.zip(step.confirmed) {
-                (self.metrics).record_commit(tx.issued_at, step.finish, confirmed);
+            let mut confirmed = step.confirmed;
+            for block in &step.report.committed {
+                let (ours, rest) = confirmed.split_at(block.payload.len().min(confirmed.len()));
+                for (tx, &at) in block.payload.iter().zip(ours) {
+                    self.metrics.record_commit(tx.issued_at, step.finish, at);
+                }
+                self.lifecycle.on_commit(block, step.finish, ours);
+                confirmed = rest;
             }
         }
         self.load.on_step(step, self.node);
@@ -105,11 +138,10 @@ impl Observer {
         let committed_txs = latency.count;
         let committed_blocks = observer.ledger().len() as u64;
         let views_advanced = observer.current_view().as_u64().saturating_sub(1).max(1);
-        let mut mempool = MempoolTotals::default();
-        // Pool-full rejections are the backpressure signal: never silent.
-        for host in hosts {
-            mempool.add(&host.replica().mempool_stats());
-        }
+        let stages = self.lifecycle.report();
+        // Every replica's proposals are seen here, so every transaction the
+        // observer counts was staged (`observe::tests` checks the sums).
+        debug_assert_eq!(stages.dispatched.count, committed_txs, "an unstaged commit");
         RunReport {
             protocol,
             nodes: config.nodes,
@@ -130,7 +162,8 @@ impl Observer {
             safety_violations: audit.safety_violations,
             rejected_messages: audit.rejected_messages,
             client_auth_rejections: audit.client_auth_rejections,
-            mempool,
+            // Pool-full rejections are the backpressure signal: never silent.
+            mempool: audit.mempool,
             pending_txs: 0,
             events_processed: 0,
             events_scheduled: 0,
@@ -138,21 +171,109 @@ impl Observer {
             queue_heap_peak: 0,
             ledger_fingerprint: observer.ledger().fingerprint().to_hex(),
             recovery: recovery(config, hosts, faults),
-            utilization: self.load.report(),
+            utilization: self.load.report(self.load.end),
             forks_attempted: (hosts.iter())
                 .map(|host| host.replica().attack().forks_attempted)
                 .sum(),
+            stages,
         }
     }
 }
 
+/// A live seat's books: an observer of the seat's own steps from its boot,
+/// cut nowhere, and its host's counters as of its last step. A restarted
+/// seat opens new books.
+pub(crate) struct SeatBook {
+    observer: Observer,
+    counters: HostCounters,
+}
+
+impl SeatBook {
+    /// Empty books for `seat` of a cluster running `config`, booted at
+    /// `boot` on the cluster's clock.
+    pub(crate) fn new(config: &Config, seat: NodeId, boot: SimTime) -> Self {
+        let span = (boot, SimTime(u64::MAX));
+        Self {
+            observer: Observer::over(config, seat, SimDuration::from_secs(1), span),
+            counters: HostCounters::default(),
+        }
+    }
+
+    /// Books one step of the seat's `host`.
+    pub(crate) fn on_step(&mut self, step: &StepView, host: &NodeHost) {
+        self.observer.on_step(step);
+        self.counters = HostCounters::of(host);
+    }
+
+    /// The books as of `now`: utilization is busy time over the lifetime.
+    pub(crate) fn books(&self, now: SimTime) -> SeatBooks {
+        let observer = &self.observer;
+        SeatBooks {
+            counters: self.counters,
+            messages: observer.messages,
+            bytes: observer.bytes,
+            lifetime: now.since(observer.load.begin),
+            utilization: observer.load.report(now),
+            latency: observer.metrics.client_latency(),
+        }
+    }
+}
+
+/// A live cluster's report, folded from its seats' final statuses (`None`:
+/// down at shutdown) with the simulator's definitions, though each seat's
+/// observer saw only its own steps: counters, messages and bytes summed over
+/// seats; the busiest seat's utilization; the view clock and commit latency
+/// at the observer seat, the last, as in the simulator. The socket seats'
+/// network counters ride along (their verify pools' rejections count as
+/// authentication rejections), and an inconsistent cluster — the prefix
+/// oracle's verdict — counts one more safety violation.
+pub(crate) fn fold_seats(
+    seats: &[Option<SeatStatus>],
+    nets: Vec<NodeNetStats>,
+    consistent: bool,
+) -> ClusterReport {
+    let mut report = ClusterReport {
+        ledgers_consistent: consistent,
+        safety_violations: u64::from(!consistent),
+        auth_rejections: nets.iter().map(|net| net.verify_rejected).sum(),
+        nodes: nets,
+        ..ClusterReport::default()
+    };
+    for status in seats.iter().map(|status| status.unwrap_or_default()) {
+        let blocks = status.committed_blocks as usize;
+        report.committed_blocks.push(blocks);
+        report.committed_txs = report.committed_txs.max(status.committed_txs);
+        report.max_view = report.max_view.max(status.view);
+        let (books, counters) = (status.books, status.books.counters);
+        report.safety_violations += counters.safety_violations;
+        report.timeout_view_changes += counters.timeout_view_changes;
+        report.auth_rejections += counters.rejected_messages;
+        report.client_auth_rejections += counters.client_auth_rejections;
+        report.mempool.add(&counters.mempool);
+        report.messages_sent += books.messages;
+        report.bytes_sent += books.bytes;
+        // The first of equals stays: the lowest id, as in the simulator.
+        if books.utilization.u_max > report.utilization.u_max {
+            report.utilization = books.utilization;
+        }
+    }
+    let observer = seats.last().copied().flatten().unwrap_or_default().books;
+    report.utilization.view_qc = observer.utilization.view_qc;
+    report.utilization.view_timeout = observer.utilization.view_timeout;
+    report.latency = observer.latency;
+    report
+}
+
 /// Where the CPU time goes and how long views last: per replica, the busy
-/// time inside the run and the part of it in views the replica leads; at
-/// the observer replica, each view's duration by how it ended. Every
-/// instant is cut at the end of the run, so U ≤ 1 and the views' durations
-/// sum to at most the runtime.
+/// time inside the books' span and the part of it in views the replica
+/// leads; at the observer replica, each view's duration by how it ended.
+/// Every instant is cut to the span, so U ≤ 1 and the views' durations sum
+/// to at most its length.
 struct Load {
     election: LeaderElection,
+    /// The span: a simulated run's `[0, runtime]`; a live seat's from its
+    /// boot, with no end.
+    begin: SimTime,
     end: SimTime,
     busy: Vec<Busy>,
     /// The observer replica's view, since when, and its timeout-driven view
@@ -161,7 +282,6 @@ struct Load {
     by_qc: Histogram,
     by_timeout: Histogram,
 }
-
 /// One replica's CPU account.
 #[derive(Clone, Copy, Default)]
 struct Busy {
@@ -211,8 +331,10 @@ impl Load {
         self.view = Some((step.view, finish, step.timeout_view_changes));
     }
 
-    fn report(&self) -> Utilization {
-        let runtime = self.end.since(SimTime::ZERO).as_nanos() as f64;
+    /// The books up to `until`.
+    fn report(&self, until: SimTime) -> Utilization {
+        // A probe in the boot's nanosecond sees an empty span, not 0/0.
+        let runtime = until.min(self.end).since(self.begin).as_nanos().max(1) as f64;
         // `max_by_key` keeps the last of equals: walk backwards for the
         // lowest id.
         let (busiest, busy) = (self.busy.iter().enumerate().rev())
@@ -233,6 +355,61 @@ impl Load {
     }
 }
 
+/// Where each committed transaction's time goes: when its block was
+/// dispatched and certified, kept per block from its dispatch until the
+/// observer replica commits it, and the four stage histograms. A simulated
+/// run sees every replica's proposals, so it times every block; a live seat
+/// sees only its own.
+struct Lifecycle {
+    /// Per block dispatched and not yet committed at the observer: when its
+    /// proposal was sent, and when the first proposal carrying its QC was.
+    blocks: DigestMap<BlockId, (SimTime, Option<SimTime>)>,
+    /// issued → dispatched → certified → committed → confirmed.
+    stages: [Histogram; 4],
+}
+
+impl Lifecycle {
+    /// `block`'s proposer sent it at `at`: it is dispatched, and the block
+    /// its QC names is certified unless an earlier proposal certified it.
+    fn on_proposal(&mut self, block: &Block, at: SimTime) {
+        self.blocks.entry(block.id).or_insert((at, None));
+        if let Some((_, certified)) = self.blocks.get_mut(&block.justify.block) {
+            certified.get_or_insert(at);
+        }
+    }
+
+    /// The observer committed `block` at `committed`, and its transactions'
+    /// confirmations reach their clients at `confirmed`. A block committed
+    /// before its QC travelled (a Streamlet notarization) is certified at
+    /// the commit, so no stage the observer times runs backwards. The issue
+    /// stamp is the client's: a live client may stamp on another clock, and
+    /// a first stage that would be negative counts zero.
+    fn on_commit(&mut self, block: &Block, committed: SimTime, confirmed: &[SimTime]) {
+        let Some((dispatched, certified)) = self.blocks.remove(&block.id) else {
+            return;
+        };
+        let certified = certified.map_or(committed, |at| at.min(committed));
+        for (tx, &confirmed) in block.payload.iter().zip(confirmed) {
+            let instants = [tx.issued_at, dispatched, certified, committed, confirmed];
+            debug_assert!(instants[1..].is_sorted(), "{:?}: {instants:?}", tx.id);
+            for (stage, pair) in self.stages.iter_mut().zip(instants.windows(2)) {
+                stage.record(pair[1].since(pair[0]));
+            }
+        }
+    }
+
+    fn report(&self) -> Stages {
+        let [dispatched, certified, committed, confirmed] =
+            self.stages.each_ref().map(Histogram::stats);
+        Stages {
+            dispatched,
+            certified,
+            committed,
+            confirmed,
+        }
+    }
+}
+
 /// The audit every backend ends a run with, over the hosts it has.
 #[derive(Default)]
 pub(crate) struct Audit {
@@ -245,17 +422,35 @@ pub(crate) struct Audit {
     pub rejected_messages: u64,
     /// Signed client requests the hosts' edges rejected as forged.
     pub client_auth_rejections: u64,
+    /// The hosts' mempool flow.
+    pub mempool: MempoolTotals,
 }
 
-/// Audits `hosts`: safety (Byzantine seats skipped in the fork check) and
-/// the two rejection sums.
+impl HostCounters {
+    /// `host`'s counters: the one place a report reads them.
+    pub(crate) fn of(host: &NodeHost) -> Self {
+        let replica = host.replica();
+        Self {
+            safety_violations: replica.safety_violations(),
+            rejected_messages: host.auth_rejections(),
+            client_auth_rejections: host.client_auth_rejections(),
+            timeout_view_changes: replica.timeout_view_changes(),
+            records_replayed: replica.recovery_stats().records_replayed,
+            mempool: replica.mempool_stats(),
+        }
+    }
+}
+
+/// Audits `hosts`: safety (Byzantine seats skipped in the fork check), the
+/// two rejection sums and the mempool fold.
 pub(crate) fn audit<'a>(config: &Config, hosts: impl Iterator<Item = &'a NodeHost>) -> Audit {
     let (mut audit, mut honest) = (Audit::default(), Vec::new());
     for host in hosts {
-        let replica = host.replica();
-        audit.safety_violations += replica.safety_violations();
-        audit.rejected_messages += host.auth_rejections();
-        audit.client_auth_rejections += host.client_auth_rejections();
+        let (replica, counters) = (host.replica(), HostCounters::of(host));
+        audit.safety_violations += counters.safety_violations;
+        audit.rejected_messages += counters.rejected_messages;
+        audit.client_auth_rejections += counters.client_auth_rejections;
+        audit.mempool.add(&counters.mempool);
         if !config.is_byzantine(replica.id()) {
             honest.push(replica.ledger());
         }
@@ -337,10 +532,53 @@ fn recovery(config: &Config, hosts: &[NodeHost], faults: &[NodeFault]) -> Recove
 
 #[cfg(test)]
 mod tests {
-    use bamboo_types::{ByzantineStrategy, SimDuration};
+    use bamboo_types::ByzantineStrategy;
 
     use super::*;
+    use crate::metrics::LatencyStats;
     use crate::runner::{RunOptions, SimRunner};
+
+    /// The stage gate: the observer stages every transaction it counts, and
+    /// the stages telescope — their means sum to the end-to-end mean, and
+    /// the first three to the client-observed one. Debug builds also assert
+    /// each transaction's instants are ordered, so no stage runs backwards.
+    #[test]
+    fn every_counted_transaction_has_four_stages_that_sum_to_its_latency() {
+        for protocol in ProtocolKind::evaluated() {
+            let config = Config::builder()
+                .nodes(4)
+                .block_size(100)
+                .runtime(SimDuration::from_millis(400))
+                .arrival_rate(2_000.0)
+                .seed(11)
+                .build()
+                .unwrap();
+            let report = SimRunner::new(config, protocol, RunOptions::default()).run();
+            let (client, stages) = (report.client_latency, report.stages);
+            let parts = [
+                stages.dispatched,
+                stages.certified,
+                stages.committed,
+                stages.confirmed,
+            ];
+            assert!(client.count > 0, "{protocol}");
+            for part in parts {
+                assert_eq!(part.count, client.count, "{protocol}: {stages:?}");
+            }
+            let sum = |parts: &[LatencyStats]| parts.iter().map(|part| part.mean_ms).sum::<f64>();
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b;
+            let whole = report.latency.mean_ms;
+            assert!(
+                close(sum(&parts), whole),
+                "{protocol}: {stages:?} vs {whole}"
+            );
+            let to_commit = client.mean_ms;
+            assert!(
+                close(sum(&parts[..3]), to_commit),
+                "{protocol}: {to_commit}"
+            );
+        }
+    }
 
     /// The view clock and the CPU account obey the replica's own counters.
     /// In a deterministic simulator these laws hold exactly, so a failure is

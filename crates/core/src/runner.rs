@@ -58,8 +58,8 @@ use bamboo_sim::{
     EventQueue, FluctuationWindow, LatencyModel, LinkFault, NicModel, Popped, SimRng, Topology,
 };
 use bamboo_types::{
-    Authenticator, ClientRequest, Config, NodeId, ProtocolKind, SharedMessage, SimDuration,
-    SimTime, VerifiedMessage, VerifiedRequests, View,
+    Authenticator, ClientRequest, Config, Message, NodeId, ProtocolKind, SharedMessage,
+    SimDuration, SimTime, VerifiedMessage, VerifiedRequests, View,
 };
 
 use crate::metrics::RunReport;
@@ -730,9 +730,7 @@ impl SimRunner {
         let alarm = &mut self.alarms[index];
         let armed = effects.timers.len() + effects.proposals.len() + effects.sync_timers.len();
         if armed > 0 || view != alarm.view {
-            alarm.book.timers.append(&mut effects.timers);
-            alarm.book.proposals.append(&mut effects.proposals);
-            alarm.book.sync_timers.append(&mut effects.sync_timers);
+            alarm.book.absorb(&mut effects);
             alarm.book.prune_stale(view);
             alarm.view = view;
             self.arm_wake(node, start);
@@ -744,8 +742,11 @@ impl SimRunner {
         // The envelope is verified once if anyone receives it, and a
         // broadcast becomes one queue entry whose deliveries take the
         // insertion numbers n − 1 separate schedules would have.
-        let (mut messages, mut bytes_sent) = (0, 0);
+        let (mut messages, mut bytes_sent, mut proposed) = (0, 0, None);
         for (dest, message) in effects.sends.drain(..) {
+            if let Message::Proposal(block) = &*message {
+                proposed = Some(block.clone());
+            }
             let bytes = message.wire_size();
             let leaves = finish + self.nic.transfer(bytes);
             let recipients = match dest {
@@ -789,6 +790,7 @@ impl SimRunner {
             report: &report,
             messages,
             bytes: bytes_sent,
+            proposed: proposed.as_deref(),
             confirmed: &self.confirmed,
         });
     }

@@ -115,15 +115,22 @@ impl Deadlines {
     pub fn clear(&mut self) {
         *self = Self::default();
     }
+
+    /// Takes the deadlines a step armed into the book.
+    pub fn absorb(&mut self, effects: &mut BufferedTransport) {
+        self.timers.append(&mut effects.timers);
+        self.proposals.append(&mut effects.proposals);
+        self.sync_timers.append(&mut effects.sync_timers);
+    }
 }
 
 /// Backend-provided effect sink for a single replica.
 ///
 /// All methods are invoked while the replica handles one event; the backend
-/// decides delivery timing (immediate for live channels, modelled for the
-/// simulator). `deadline`/`at` are absolute times on the backend's clock —
-/// simulated time for the simulator, nanoseconds since start for the live
-/// backends.
+/// decides delivery timing (once the step is done: at once on the live
+/// links, modelled by the simulator). `deadline`/`at` are absolute times on
+/// the backend's clock — simulated time for the simulator, nanoseconds since
+/// the seat's epoch (`SeatBoot::epoch`) for the live backends.
 pub trait Transport {
     /// Deliver `message` to a single replica.
     fn unicast(&mut self, to: NodeId, message: Message);

@@ -14,7 +14,6 @@ use std::io;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use bamboo_types::{ClientRequest, Config, Message, NodeId, ProtocolKind};
 
@@ -56,7 +55,6 @@ pub struct Channels {
     /// Each seat's inbox while no thread holds it.
     inboxes: Vec<Option<Receiver<LiveEvent>>>,
     pool: VerifyPool,
-    clock: Instant,
 }
 
 impl Channels {
@@ -75,7 +73,6 @@ impl Channels {
             senders,
             inboxes: inboxes.into_iter().map(Some).collect(),
             pool,
-            clock: Instant::now(),
         }
     }
 }
@@ -106,12 +103,12 @@ impl SeatLink for Channels {
             while inbox.try_recv().is_ok() {}
         }
         let host = host.unwrap_or_else(|| seat.host());
-        let (verify, clock) = (self.pool.handle(), self.clock);
+        let (verify, epoch) = (self.pool.handle(), seat.epoch);
         let status = Arc::new(LiveStatus::default());
         let published = Arc::clone(&status);
         let thread = std::thread::spawn(move || {
             let mut link = PoolLink { id, verify };
-            let host = run_live_node(host, &mut link, &inbox, clock, &published, restart);
+            let host = run_live_node(host, &mut link, &inbox, epoch, &published, restart);
             (host, inbox)
         });
         Ok(ChannelSeat { id, thread, status })

@@ -47,7 +47,7 @@ fn slot(id: &TxId) -> usize {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MempoolStats {
     /// Transactions currently buffered.
-    pub pending: usize,
+    pub pending: u64,
     /// Total accepted since creation.
     pub accepted: u64,
     /// Total rejected because the pool was full or the transaction was a
@@ -325,7 +325,7 @@ impl Mempool {
     /// Returns a snapshot of activity counters.
     pub fn stats(&self) -> MempoolStats {
         MempoolStats {
-            pending: self.queue.len(),
+            pending: self.queue.len() as u64,
             ..self.stats
         }
     }
@@ -603,7 +603,7 @@ mod tests {
 
         fn stats(&self) -> MempoolStats {
             MempoolStats {
-                pending: self.queue.len(),
+                pending: self.queue.len() as u64,
                 ..self.stats
             }
         }

@@ -84,7 +84,7 @@ impl SeatLink for Sockets {
         };
         let host = host.unwrap_or_else(|| seat.host());
         let (workers, backoff) = (self.verify_workers, self.backoff);
-        let node = TcpNode::spawn(host, listener, seat.cluster, workers, backoff, restart)?;
+        let node = TcpNode::spawn(host, listener, seat, workers, backoff, restart)?;
         node.set_peers(self.table());
         Ok(node)
     }
@@ -105,12 +105,7 @@ impl SeatLink for Sockets {
     }
 
     fn stop(&mut self, node: TcpNode, _crash: bool) -> SeatEnd {
-        let report = node.join();
-        SeatEnd {
-            status: Some(report.status),
-            net: Some(report.stats),
-            host: Some(report.host),
-        }
+        node.join()
     }
 
     fn finished(report: ClusterReport, hosts: Vec<Option<NodeHost>>) -> Self::Finished {

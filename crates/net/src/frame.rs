@@ -372,12 +372,14 @@ pub fn decode_client_batch(payload: &[u8]) -> Result<Vec<ClientRequest>, WireErr
 }
 
 /// A replica's answer to a status probe.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StatusReply {
     /// The probe token, echoed back (lets one connection carry overlapping
     /// probes and still match replies to requests).
     pub token: u64,
-    /// The replica's progress, counters and probed prefix fingerprint.
+    /// The replica's progress, probed prefix fingerprint and books, less
+    /// its commit latency: that is on a clock no other process shares
+    /// (DESIGN.md §9.3).
     pub status: SeatStatus,
     /// The replica's network counters.
     pub net: NodeNetStats,
@@ -411,36 +413,65 @@ pub fn decode_status(payload: &[u8]) -> Result<(u64, u64), WireError> {
     Ok((token, prefix_len))
 }
 
-/// Encodes a status reply: the token, the status's numbers in field order
-/// around its fingerprint, then the network counters with one entry per
-/// peer link.
-pub fn encode_status_reply(reply: &StatusReply) -> Vec<u8> {
-    let (s, net) = (&reply.status, &reply.net);
-    let mut out = Vec::with_capacity(184 + net.peers.len() * 56);
-    for word in [reply.token, s.committed_txs, s.committed_blocks, s.view] {
-        put_u64(&mut out, word);
-    }
-    out.extend_from_slice(&s.chain_fingerprint);
-    let counters = [
-        s.safety_violations,
-        s.timeout_view_changes,
-        s.auth_rejections,
-        s.client_auth_rejections,
-        s.records_replayed,
-        s.handed_off,
-        s.handed_in,
-        s.handoff_dropped,
-        net.node,
-        net.accepted_connections,
-        net.refused_hellos,
-        net.verify_accepted,
-        net.verify_rejected,
-        net.peers.len() as u64,
+/// A status reply's fixed-width fields in wire order, whole words first,
+/// then floats as their bit patterns: the token, the seat's progress, each
+/// group of its books once (host counters, mempool, wire and lifetime,
+/// utilization with the two view clocks; not the commit latency), its
+/// network counters. Both halves of the codec walk these lists.
+fn words(reply: &mut StatusReply) -> (Vec<&mut u64>, Vec<&mut f64>) {
+    let (status, net) = (&mut reply.status, &mut reply.net);
+    let books = &mut status.books;
+    let (c, load) = (&mut books.counters, &mut books.utilization);
+    let mut ints = vec![
+        &mut reply.token,
+        &mut status.committed_txs,
+        &mut status.committed_blocks,
+        &mut status.view,
+        &mut c.safety_violations,
+        &mut c.rejected_messages,
+        &mut c.client_auth_rejections,
+        &mut c.timeout_view_changes,
+        &mut c.records_replayed,
+        &mut c.mempool.pending,
+        &mut c.mempool.accepted,
+        &mut c.mempool.rejected,
+        &mut c.mempool.requeued,
+        &mut c.mempool.dispatched,
+        &mut c.mempool.handed_off,
+        &mut c.mempool.handed_in,
+        &mut c.mempool.handoff_dropped,
+        &mut books.messages,
+        &mut books.bytes,
+        &mut books.lifetime.0,
+        &mut load.busiest.0,
+        &mut net.node,
+        &mut net.accepted_connections,
+        &mut net.refused_hellos,
+        &mut net.verify_accepted,
+        &mut net.verify_rejected,
     ];
-    for word in counters {
+    let mut floats = vec![&mut load.u_max, &mut load.leader_share];
+    for clock in [&mut load.view_qc, &mut load.view_timeout] {
+        ints.push(&mut clock.count);
+        floats.extend([&mut clock.mean_ms, &mut clock.p50_ms]);
+        floats.extend([&mut clock.p99_ms, &mut clock.max_ms]);
+    }
+    (ints, floats)
+}
+
+/// Encodes a status reply: its fixed-width fields ([`words`]), the probed
+/// prefix fingerprint, and one entry per peer link.
+pub fn encode_status_reply(reply: &StatusReply) -> Vec<u8> {
+    let mut reply = reply.clone();
+    let mut out = Vec::with_capacity(400 + reply.net.peers.len() * 48);
+    let (ints, floats) = words(&mut reply);
+    let bits = floats.into_iter().map(|float| float.to_bits());
+    for word in ints.into_iter().map(|int| *int).chain(bits) {
         put_u64(&mut out, word);
     }
-    for (peer, p) in &net.peers {
+    out.extend_from_slice(&reply.status.chain_fingerprint);
+    put_u64(&mut out, reply.net.peers.len() as u64);
+    for (peer, p) in &reply.net.peers {
         let words = [*peer, p.attempts, p.connects, p.frames_sent, p.bytes_sent];
         for word in words.into_iter().chain([p.dropped]) {
             put_u64(&mut out, word);
@@ -457,29 +488,15 @@ pub fn encode_status_reply(reply: &StatusReply) -> Vec<u8> {
 /// reply.
 pub fn decode_status_reply(payload: &[u8]) -> Result<StatusReply, WireError> {
     let mut cur = WireCursor::new(payload);
-    let token = cur.u64()?;
-    let status = SeatStatus {
-        committed_txs: cur.u64()?,
-        committed_blocks: cur.u64()?,
-        view: cur.u64()?,
-        chain_fingerprint: cur.digest32()?,
-        safety_violations: cur.u64()?,
-        timeout_view_changes: cur.u64()?,
-        auth_rejections: cur.u64()?,
-        client_auth_rejections: cur.u64()?,
-        records_replayed: cur.u64()?,
-        handed_off: cur.u64()?,
-        handed_in: cur.u64()?,
-        handoff_dropped: cur.u64()?,
-    };
-    let mut net = NodeNetStats {
-        node: cur.u64()?,
-        accepted_connections: cur.u64()?,
-        refused_hellos: cur.u64()?,
-        verify_accepted: cur.u64()?,
-        verify_rejected: cur.u64()?,
-        peers: Vec::new(),
-    };
+    let mut reply = StatusReply::default();
+    let (ints, floats) = words(&mut reply);
+    for int in ints {
+        *int = cur.u64()?;
+    }
+    for float in floats {
+        *float = f64::from_bits(cur.u64()?);
+    }
+    reply.status.chain_fingerprint = cur.digest32()?;
     for _ in 0..cur.u64()? {
         let peer = cur.u64()?;
         let (attempts, connects) = (cur.u64()?, cur.u64()?);
@@ -491,9 +508,8 @@ pub fn decode_status_reply(payload: &[u8]) -> Result<StatusReply, WireError> {
             bytes_sent: cur.u64()?,
             dropped: cur.u64()?,
         };
-        net.peers.push((peer, stats));
+        reply.net.peers.push((peer, stats));
     }
-    let reply = StatusReply { token, status, net };
     if !cur.done() {
         return Err(WireError::Corrupt("trailing bytes after status reply"));
     }
@@ -503,6 +519,8 @@ pub fn decode_status_reply(payload: &[u8]) -> Result<StatusReply, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bamboo_core::metrics::{HostCounters, LatencyStats, MempoolStats, SeatBooks, Utilization};
+    use bamboo_types::{NodeId, SimDuration};
 
     #[test]
     fn frames_round_trip_through_the_decoder() {
@@ -586,6 +604,16 @@ mod tests {
         assert!(decode_peer_table(&bytes[..bytes.len() - 1]).is_err());
     }
 
+    fn stats(count: u64, mean_ms: f64) -> LatencyStats {
+        LatencyStats {
+            count,
+            mean_ms,
+            p50_ms: mean_ms * 0.9,
+            p99_ms: mean_ms * 3.0,
+            max_ms: mean_ms * 4.0,
+        }
+    }
+
     #[test]
     fn status_reply_round_trips() {
         let link = PeerStats {
@@ -603,14 +631,37 @@ mod tests {
                 committed_blocks: 56,
                 view: 78,
                 chain_fingerprint: [9u8; 32],
-                safety_violations: 1,
-                timeout_view_changes: 2,
-                auth_rejections: 3,
-                client_auth_rejections: 4,
-                records_replayed: 5,
-                handed_off: 10,
-                handed_in: 9,
-                handoff_dropped: 1,
+                books: SeatBooks {
+                    counters: HostCounters {
+                        safety_violations: 1,
+                        rejected_messages: 3,
+                        client_auth_rejections: 4,
+                        timeout_view_changes: 2,
+                        records_replayed: 5,
+                        mempool: MempoolStats {
+                            pending: 11,
+                            accepted: 700,
+                            rejected: 12,
+                            requeued: 13,
+                            dispatched: 690,
+                            handed_off: 10,
+                            handed_in: 9,
+                            handoff_dropped: 1,
+                        },
+                    },
+                    messages: 300,
+                    bytes: 45_000,
+                    lifetime: SimDuration(2_500_000_000),
+                    utilization: Utilization {
+                        busiest: NodeId(2),
+                        u_max: 0.125,
+                        leader_share: 0.3,
+                        view_qc: stats(40, 1.5),
+                        view_timeout: stats(2, 50.25),
+                    },
+                    // On the seat's own clock: never on the frame.
+                    latency: LatencyStats::default(),
+                },
             },
             net: NodeNetStats {
                 node: 2,
@@ -624,6 +675,16 @@ mod tests {
         let bytes = encode_status_reply(&reply);
         assert_eq!(decode_status_reply(&bytes).unwrap(), reply);
         assert!(decode_status_reply(&bytes[..bytes.len() - 1]).is_err());
+        // Every group of the books is on the frame once, in its own words.
+        let mut moved = reply.clone();
+        moved.status.books.utilization.view_timeout.p99_ms += 1.0;
+        let moved = encode_status_reply(&moved);
+        assert_eq!(moved.len(), bytes.len());
+        assert_ne!(moved, bytes);
+        // The commit latency stays off the frame.
+        let mut timed = reply.clone();
+        timed.status.books.latency = stats(7, 3.0);
+        assert_eq!(encode_status_reply(&timed), bytes);
         assert_eq!(decode_status(&encode_status(99, 4)).unwrap(), (99, 4));
     }
 }

@@ -44,6 +44,6 @@ pub mod process;
 pub use bamboo_core::live::{NodeNetStats, PeerStats};
 pub use cluster::{Sockets, TcpCluster, TcpClusterReport};
 pub use frame::{Frame, FrameDecoder, FrameError, FrameKind, StatusReply, CLIENT_SENDER};
-pub use node::{TcpNode, TcpNodeReport, DEFAULT_NODE_VERIFY_WORKERS};
+pub use node::{TcpNode, DEFAULT_NODE_VERIFY_WORKERS};
 pub use peer::{BackoffPolicy, PeerSender};
 pub use process::{maybe_run_replica, Processes, REPLICA_ENV};

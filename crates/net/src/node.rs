@@ -34,9 +34,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, SystemTime};
 
-use bamboo_core::live::{run_live_node, Link, LiveEvent, LiveStatus, NodeNetStats, SeatStatus};
+use bamboo_core::live::{
+    run_live_node, Link, LiveEvent, LiveStatus, NodeNetStats, SeatBoot, SeatEnd, SeatStatus,
+};
 use bamboo_core::runtime::{NodeHost, RecoverMode};
 use bamboo_core::verify::{VerifyHandle, VerifyPool};
 use bamboo_types::wire::encode_message;
@@ -53,16 +55,6 @@ use crate::peer::{BackoffPolicy, PeerSender};
 /// writers + readers) while still moving signature checks off the consensus
 /// thread.
 pub const DEFAULT_NODE_VERIFY_WORKERS: usize = 1;
-
-/// Everything a [`TcpNode`] hands back when it stops.
-pub struct TcpNodeReport {
-    /// The final host (ledger, forest, recovery stats, rejection counters).
-    pub host: NodeHost,
-    /// The node's final status.
-    pub status: SeatStatus,
-    /// The node's network counters.
-    pub stats: NodeNetStats,
-}
 
 /// The TCP backend's [`Link`]: sends become pre-encoded frames in the
 /// per-peer outbound queues, and the node is ready once every peer's listen
@@ -165,21 +157,21 @@ pub struct TcpNode {
 const POLL_TICK: Duration = Duration::from_millis(20);
 
 impl TcpNode {
-    /// Spawns `host` as a seat of the cluster tagged `cluster` on a
-    /// pre-bound listener. It knows none of its peers' addresses yet:
-    /// consensus starts once a peer table ([`TcpNode::set_peers`], or a
-    /// [`FrameKind::PeerTable`] frame) has named them all — through
-    /// `NodeHost::start`, or through `NodeHost::restart` in mode `restart`
-    /// when that is set.
+    /// Spawns `host` as `seat` on a pre-bound listener: it accepts hellos
+    /// signed for the seat's cluster and runs on the seat's clock. It knows
+    /// none of its peers' addresses yet: consensus starts once a peer table
+    /// ([`TcpNode::set_peers`], or a [`FrameKind::PeerTable`] frame) has
+    /// named them all — through `NodeHost::start`, or through
+    /// `NodeHost::restart` in mode `restart` when that is set.
     pub fn spawn(
         host: NodeHost,
         listener: TcpListener,
-        cluster: u64,
+        seat: &SeatBoot<'_>,
         verify_workers: usize,
         backoff: BackoffPolicy,
         restart: Option<RecoverMode>,
     ) -> std::io::Result<Self> {
-        let addr = listener.local_addr()?;
+        let (addr, cluster, epoch) = (listener.local_addr()?, seat.cluster, seat.epoch);
         let id = host.replica().id();
         let nodes = host.replica().config().nodes;
         let (events, receiver) = channel::<LiveEvent>();
@@ -210,12 +202,11 @@ impl TcpNode {
             let known = (0..nodes).map(|index| index == id.index()).collect();
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
-                let (clock, status) = (Instant::now(), &shared.status);
                 let mut link = SocketLink {
                     shared: Arc::clone(&shared),
                     known,
                 };
-                run_live_node(host, &mut link, &receiver, clock, status, restart)
+                run_live_node(host, &mut link, &receiver, epoch, &shared.status, restart)
             })
         };
         Ok(Self {
@@ -246,8 +237,8 @@ impl TcpNode {
     }
 
     /// Stops every thread (consensus, acceptor, readers, writers, verify
-    /// workers) and returns the final host and counters.
-    pub fn join(self) -> TcpNodeReport {
+    /// workers) and returns the final host, status and network counters.
+    pub fn join(self) -> SeatEnd {
         let _ = self.events.send(LiveEvent::Shutdown);
         self.wait()
     }
@@ -255,7 +246,7 @@ impl TcpNode {
     /// Blocks until something else stops the consensus loop — a
     /// [`FrameKind::Shutdown`] frame from the cluster's driver — then tears
     /// down and reports, like [`TcpNode::join`].
-    pub fn wait(self) -> TcpNodeReport {
+    pub fn wait(self) -> SeatEnd {
         let host = self.replica.join().expect("consensus thread panicked");
         self.shared.stop.store(true, Ordering::Release);
         let _ = TcpStream::connect(self.addr);
@@ -266,10 +257,10 @@ impl TcpNode {
         }
         // Drained before the counters are read, so they are final.
         self.verify.shutdown();
-        TcpNodeReport {
-            host,
-            status: self.shared.status.snapshot(0),
-            stats: self.shared.net_stats(),
+        SeatEnd {
+            status: Some(self.shared.status.snapshot(0)),
+            net: Some(self.shared.net_stats()),
+            host: Some(host),
         }
     }
 }
@@ -411,8 +402,8 @@ fn run_reader(
 mod tests {
     use super::*;
     use crate::frame::{encode_hello, read_challenge};
-    use bamboo_core::ReplicaOptions;
     use bamboo_types::{Config, ProtocolKind};
+    use std::time::Instant;
 
     /// Dials `addr`, answers the challenge with `hello(challenge)` and a
     /// status probe; returns whether the probe was answered.
@@ -435,15 +426,18 @@ mod tests {
     #[test]
     fn a_hello_claiming_another_replica_without_its_key_is_refused_and_counted() {
         let config = Config::builder().nodes(4).build().unwrap();
-        let host = NodeHost::new(
-            NodeId(0),
-            ProtocolKind::HotStuff,
-            config,
-            ReplicaOptions::default(),
-        );
+        let seat = SeatBoot {
+            id: NodeId(0),
+            protocol: ProtocolKind::HotStuff,
+            config: &config,
+            dir: None,
+            cluster: 77,
+            epoch: Instant::now(),
+        };
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let node = TcpNode::spawn(host, listener, 77, 1, BackoffPolicy::default(), None).unwrap();
+        let backoff = BackoffPolicy::default();
+        let node = TcpNode::spawn(seat.host(), listener, &seat, 1, backoff, None).unwrap();
         // Replica 2's key signing a claim to be replica 1.
         let forged = |challenge: &[u8; 32]| {
             let mut hello = encode_hello(2, 77, challenge);
@@ -459,7 +453,7 @@ mod tests {
         for _ in 0..2 {
             assert!(answered(addr, |challenge| encode_hello(1, 77, challenge)));
         }
-        let stats = node.join().stats;
+        let stats = node.join().net.expect("a socket seat counts its links");
         assert_eq!((stats.refused_hellos, stats.accepted_connections), (3, 5));
     }
 }

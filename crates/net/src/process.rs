@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bamboo_core::live::{ClusterReport, SeatBoot, SeatEnd, SeatLink, SeatStatus};
 use bamboo_core::runtime::{NodeHost, RecoverMode};
@@ -126,6 +126,8 @@ fn run_seat(text: &str) -> Result<(), String> {
         config: &config,
         dir: doc.get("log_dir").and_then(Json::as_str).map(PathBuf::from),
         cluster: field("cluster")?,
+        // Another address space, another clock (DESIGN.md §9.3).
+        epoch: Instant::now(),
     };
     if boot.id.index() >= config.nodes {
         return Err(format!("no seat {} among {}", boot.id, config.nodes));
@@ -142,7 +144,7 @@ fn run_seat(text: &str) -> Result<(), String> {
     let kept = log.is_some_and(|log| log.records_appended() > 0 || log.checkpoint().is_some());
     let restart = kept.then_some(RecoverMode::Restart(None));
     let (workers, backoff) = (DEFAULT_NODE_VERIFY_WORKERS, BackoffPolicy::default());
-    TcpNode::spawn(host, listener, boot.cluster, workers, backoff, restart)
+    TcpNode::spawn(host, listener, &boot, workers, backoff, restart)
         .map_err(io)?
         .wait();
     Ok(())
@@ -343,6 +345,7 @@ mod tests {
             config: &config,
             dir,
             cluster: 1 << 47,
+            epoch: Instant::now(),
         };
         let doc = Json::parse(&seat_document(&boot)).unwrap();
         let (read, _) = Scenario::from_json(&doc).unwrap().build(false);

@@ -10,8 +10,8 @@
 use std::time::Duration;
 
 use bamboo_core::{
-    BufferedTransport, NodeHost, ReplicaOptions, RunOptions, RunReport, SimRunner, ThreadedCluster,
-    CLIENT_ID_BASE,
+    BufferedTransport, MempoolTotals, NodeHost, ReplicaOptions, RunOptions, RunReport, SimRunner,
+    ThreadedCluster, CLIENT_ID_BASE,
 };
 use bamboo_crypto::KeyPair;
 use bamboo_types::{
@@ -259,6 +259,13 @@ fn forged_client_requests_die_at_the_threaded_edge() {
 /// and keeps copies out of the admission counters.
 #[test]
 fn handoffs_are_counted_apart_from_admissions_on_both_backends() {
+    /// What either backend's mempool fold must show: copies were handed
+    /// off, and no more were kept or dropped than were sent.
+    fn copies_are_counted(pool: &MempoolTotals) {
+        assert!(pool.handed_off > 0, "{pool:?}");
+        assert!(pool.handed_in + pool.handoff_dropped <= pool.handed_off);
+    }
+
     let config = Config::builder()
         .nodes(8)
         .block_size(20)
@@ -273,14 +280,13 @@ fn handoffs_are_counted_apart_from_admissions_on_both_backends() {
         cluster.committed_txs()
     );
     let report = cluster.shutdown();
-    assert!(report.handed_off > 0, "{report:?}");
-    assert!(report.handed_in + report.handoff_dropped <= report.handed_off);
+    copies_are_counted(&report.mempool);
     assert!(report.ledgers_consistent);
 
     let sim = run(pipeline_config(7), ProtocolKind::HotStuff);
     let pool = sim.mempool;
-    assert!(pool.handed_off > 0 && pool.handed_in > 0, "{pool:?}");
-    assert!(pool.handed_in + pool.handoff_dropped <= pool.handed_off);
+    copies_are_counted(&pool);
+    assert!(pool.handed_in > 0, "{pool:?}");
     // Admissions never outnumber what the clients issued: a copy is neither
     // accepted nor rejected (with copies counted, they would near double).
     let issued = sim.committed_txs + sim.pending_txs;

@@ -16,6 +16,7 @@ use std::io::ErrorKind;
 use std::time::Duration;
 
 use bamboo::core::live::SeatLink;
+use bamboo::core::metrics::SeatBooks;
 use bamboo::core::{LiveCluster, RecoverMode, ThreadedCluster};
 use bamboo::net::{BackoffPolicy, Processes, Sockets, TcpCluster};
 use bamboo::types::{Config, NodeId, ProtocolKind, SimDuration};
@@ -276,8 +277,28 @@ fn signed_clients_commit_over_tcp() {
     );
 }
 
+/// The laws `observe::tests::the_view_clock_obeys_the_replicas_own_counters`
+/// holds the simulator's observer to, on a live seat's books: U ∈ (0, 1],
+/// some views ended by a QC, and the views' durations within the lifetime.
+fn obeys_the_view_clock_laws(books: &SeatBooks, link: &str) {
+    let load = books.utilization;
+    assert!(load.u_max > 0.0 && load.u_max <= 1.0, "{link}: {load:?}");
+    assert!(load.view_qc.count > 0, "{link}: {load:?}");
+    let (by_qc, by_timeout) = (load.view_qc, load.view_timeout);
+    let total_ms =
+        by_qc.mean_ms * by_qc.count as f64 + by_timeout.mean_ms * by_timeout.count as f64;
+    let lifetime_ms = books.lifetime.as_millis_f64();
+    assert!(
+        total_ms <= lifetime_ms * (1.0 + 1e-12),
+        "{link}: {total_ms} ms of views in {lifetime_ms} ms"
+    );
+}
+
 /// The one conformance body every link runs: n = 4 HotStuff commits, seat 3
-/// crashes and restarts, and the cluster prefix-agrees with no violation.
+/// crashes and restarts, and the cluster prefix-agrees with no violation. The
+/// books of seat 0, which never crashed, obey the view-clock laws, and the
+/// report carries utilization and — where the seats share the cluster's
+/// clock — commit latency.
 fn conform<L: SeatLink>(mut cluster: LiveCluster<L>, link: &str) {
     cluster.submit_round_robin(400, 16);
     let committed = cluster.run_until_committed(100, Duration::from_secs(30));
@@ -294,9 +315,17 @@ fn conform<L: SeatLink>(mut cluster: LiveCluster<L>, link: &str) {
     );
     let agreed = cluster.check_prefix_agreement();
     assert!(agreed.is_ok_and(|blocks| blocks > 0), "{link}: {agreed:?}");
+    let never_crashed = cluster.probe(NodeId(0), 0).expect("seat 0 answers");
+    obeys_the_view_clock_laws(&never_crashed.books, link);
     let report = cluster.shutdown();
     assert!(report.ledgers_consistent, "{link}: ledgers diverged");
     assert_eq!(report.safety_violations, 0, "{link}: safety violated");
+    let load = report.utilization;
+    assert!(load.u_max > 0.0 && load.u_max <= 1.0, "{link}: {load:?}");
+    assert!(load.view_qc.count > 0, "{link}: {load:?}");
+    // A seat process runs on its own clock and reports no latency.
+    let shares_clock = link != "processes";
+    assert_eq!(report.latency.count > 0, shares_clock, "{link}: {report:?}");
 }
 
 #[test]
@@ -347,7 +376,7 @@ fn killed_seat_process_replays_its_own_log() {
     let caught_up = cluster.run_until_committed(250, Duration::from_secs(60));
     assert!(caught_up, "floor {}", cluster.committed_txs());
     let replayed = cluster.probe(victim, 0).expect("the seat answers");
-    assert!(replayed.records_replayed > 0, "{replayed:?}");
+    assert!(replayed.books.counters.records_replayed > 0, "{replayed:?}");
     assert!(cluster
         .check_prefix_agreement()
         .is_ok_and(|blocks| blocks > 0));
