@@ -155,11 +155,12 @@ fn main() -> ExitCode {
         );
         for run in &report.runs {
             total_events += run.report.events_processed;
-            // Copies sent / kept / dropped (DESIGN.md §7.4).
+            // Copies sent / kept / dropped / handed on once more (DESIGN.md
+            // §7.4).
             let handoff = &run.report.mempool;
             println!(
                 "  {:<5} n={:<3} {:>9.0} tx/s   mean {:>8.2} ms   p99 {:>8.2} ms   CGR {:>5.2}   \
-                 rejects {:>4}   handoff {}/{}/{}   det {}   fp {}",
+                 rejects {:>4}   handoff {}/{}/{}/{}   det {}   fp {}",
                 run.protocol.label(),
                 run.report.nodes,
                 run.report.throughput_tx_per_sec,
@@ -170,6 +171,7 @@ fn main() -> ExitCode {
                 handoff.handed_off,
                 handoff.handed_in,
                 handoff.handoff_dropped,
+                handoff.rehanded,
                 if run.deterministic { "ok" } else { "MISMATCH" },
                 &run.report.ledger_fingerprint[..16.min(run.report.ledger_fingerprint.len())],
             );
@@ -183,6 +185,7 @@ fn main() -> ExitCode {
                     ("u_max", load.u_max, "ratio", Lower),
                     ("view_ms_qc", load.view_qc.mean_ms, "ms", Lower),
                     ("views_by_timeout", timeouts, "count", Lower),
+                    ("handoff_rehanded", handoff.rehanded as f64, "count", Lower),
                 ],
             );
             rows.point(Sim, &key, &stage_rows(&run.report.stages));

@@ -59,6 +59,8 @@ pub struct MempoolTotals {
     pub handed_in: u64,
     /// Handed-in copies dropped: already held, or no room.
     pub handoff_dropped: u64,
+    /// Copies handed on once more: their view's block came without them.
+    pub rehanded: u64,
 }
 
 impl MempoolTotals {
@@ -71,6 +73,7 @@ impl MempoolTotals {
         self.handed_off += stats.handed_off;
         self.handed_in += stats.handed_in;
         self.handoff_dropped += stats.handoff_dropped;
+        self.rehanded += stats.rehanded;
     }
 }
 
@@ -84,6 +87,7 @@ impl ToJson for MempoolTotals {
             ("handed_off", Json::from(self.handed_off)),
             ("handed_in", Json::from(self.handed_in)),
             ("handoff_dropped", Json::from(self.handoff_dropped)),
+            ("rehanded", Json::from(self.rehanded)),
         ])
     }
 }

@@ -69,6 +69,7 @@ pub struct Replica {
     election: LeaderElection,
     forest: BlockForest,
     mempool: Mempool,
+    outbox: handoff::Outbox,
     pacemaker: Pacemaker,
     /// The honest protocol rules — every replica runs them, attackers too.
     safety: Box<dyn Safety>,
@@ -122,6 +123,7 @@ impl Replica {
             election,
             forest: BlockForest::new(),
             mempool: Mempool::new(config.mempool_size),
+            outbox: handoff::Outbox::default(),
             pacemaker: Pacemaker::new(id, config.nodes, config.timeout),
             safety: make_protocol(protocol),
             attack: Attack::new(strategy, config.nodes),
@@ -289,9 +291,14 @@ impl Replica {
     /// Admits client transactions that passed the edge check into the
     /// mempool, and hands a copy to a leader ahead (`handoff.rs`).
     pub(crate) fn admit(&mut self, txs: Vec<Transaction>, transport: &mut dyn Transport) {
-        let (view, proposed) = (self.current_view(), self.proposed_in_view);
-        let ahead = handoff::target(&self.election, self.id, view, proposed);
-        handoff::admit(&mut self.mempool, ahead, txs, transport);
+        let ahead = self.handoff_target();
+        handoff::admit(&mut self.mempool, &mut self.outbox, ahead, txs, transport);
+    }
+
+    /// Where a copy goes from here (`handoff::target`).
+    fn handoff_target(&self) -> Option<(View, NodeId)> {
+        let (view, voted) = (self.current_view(), self.safety.voted_view());
+        handoff::target(&self.election, self.id, view, self.proposed_in_view, voted)
     }
 
     /// Handles one message delivered from `from` by reference, cloning only
@@ -370,7 +377,8 @@ impl Replica {
 
         // Store the block (orphans are buffered inside the forest). Inserting
         // the shared handle keeps the payload un-copied.
-        if self.forest.insert(block.clone()).is_ok() {
+        let stored = self.forest.insert(block.clone()).is_ok();
+        if stored {
             if let Some(qc) = self.pending_qcs.remove(&block_id) {
                 self.register_qc(&qc, out);
             }
@@ -428,6 +436,11 @@ impl Replica {
         // A proposal deferred on a pending QC can go out once the missing
         // block (usually this very proposal) has been stored.
         self.maybe_release_deferred(out);
+        // What a copy for this view missed goes on, after the vote (`handoff.rs`).
+        if stored && self.outbox.awaits(block_view) {
+            let (aim, pool, forest) = (self.handoff_target(), &mut self.mempool, &self.forest);
+            self.outbox.rehand(block, pool, forest, aim, out.transport);
+        }
     }
 
     /// Only a vote `from_author` — neither a relay nor our own — may be
@@ -592,10 +605,8 @@ impl Replica {
                     .append(newly.iter().cloned(), committed_in_view, out.now);
                 // Drop committed transactions we might still hold, and recover
                 // transactions from forked branches that lost.
-                for block in &newly {
-                    self.mempool
-                        .remove_committed(block.payload.iter().map(|tx| &tx.id));
-                }
+                let from = self.ledger.len() - newly.len();
+                handoff::forget_committed(&mut self.mempool, &self.ledger, from);
                 let forked = self.forest.prune_to_committed();
                 handoff::requeue_forked(&mut self.mempool, &self.ledger, self.id, forked);
                 let (forest, ledger, committed_len) = (&self.forest, &self.ledger, newly.len());

@@ -4,7 +4,8 @@
 //! transactions are inserted from the back while old transactions (from
 //! forked blocks) are inserted from the front" (§III-E). Each replica keeps a
 //! local pool. A batch a replica admits may also sit, as a handed-in copy,
-//! in the pool of the leader a few views ahead; the proposer's
+//! in the pool of a leader one or two views ahead, and once more in a
+//! second leader's when the first one's block missed it; the proposer's
 //! [`Mempool::next_batch_excluding`] passes over what a pending block
 //! already carries, and commit removes the rest.
 //!
@@ -65,6 +66,9 @@ pub struct MempoolStats {
     /// Handed-in copies dropped: the pool already held the id, had no room,
     /// or the copy came after the view it was meant for.
     pub handoff_dropped: u64,
+    /// Copies handed on once more, apart from `handed_off`: the block of
+    /// the view the first copy was meant for came without them.
+    pub rehanded: u64,
 }
 
 /// A bounded, bidirectional transaction queue.
@@ -135,6 +139,11 @@ impl Mempool {
     /// Fresh transactions the pool can still admit.
     pub fn remaining_capacity(&self) -> usize {
         self.capacity.saturating_sub(self.queue.len())
+    }
+
+    /// Returns true if `id` is queued.
+    pub fn holds(&self, id: &TxId) -> bool {
+        self.counts.get(slot(id)).is_some_and(|&n| n != 0) && self.in_queue.contains(id)
     }
 
     /// Records `id` as queued; false if it already was.
@@ -226,6 +235,20 @@ impl Mempool {
         self.stats.handoff_dropped += count as u64;
     }
 
+    /// Copies of the queued transactions `ids` names, in queue order, to
+    /// hand on once more, counted in [`MempoolStats::rehanded`]. `ids` is
+    /// sorted and every id in it queued: a replica's own admissions sit
+    /// at the back, so the queue is searched from there.
+    pub fn copy_rehanded(&mut self, ids: &[TxId]) -> Vec<Transaction> {
+        let found = (self.queue.iter().rev())
+            .filter(|tx| ids.binary_search(&tx.id).is_ok())
+            .take(ids.len());
+        let mut copy: Vec<Transaction> = found.cloned().collect();
+        copy.reverse();
+        self.stats.rehanded += copy.len() as u64;
+        copy
+    }
+
     /// Re-inserts transactions recovered from forked (overwritten) blocks at
     /// the *front* of the queue so they are re-proposed first, exactly as the
     /// paper describes. Re-queued transactions bypass the capacity bound:
@@ -263,9 +286,8 @@ impl Mempool {
         max: usize,
         skip: impl IntoIterator<Item = &'a TxId>,
     ) -> Vec<Transaction> {
-        let held = |id: &&TxId| self.counts.get(slot(id)).is_some_and(|&n| n != 0);
-        let skip: DigestSet<TxId> = (skip.into_iter().filter(held))
-            .filter(|id| self.in_queue.contains(id))
+        let skip: DigestSet<TxId> = (skip.into_iter())
+            .filter(|id| self.holds(id))
             .copied()
             .collect();
         if skip.is_empty() {
@@ -521,6 +543,7 @@ mod tests {
         assert_eq!(seqs(pool.next_batch_excluding(10, &skip)), vec![6, 7]);
         // The skipped ones are still queued, in order, and still ids the
         // pool holds: a copy of one is a duplicate.
+        assert!(pool.holds(&tx(2).id) && !pool.holds(&tx(3).id));
         assert!(!pool.push(tx(2)));
         assert_eq!(seqs(pool.next_batch(10)), vec![1, 2, 5]);
         assert!(pool.is_empty());

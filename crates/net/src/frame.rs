@@ -440,6 +440,7 @@ fn words(reply: &mut StatusReply) -> (Vec<&mut u64>, Vec<&mut f64>) {
         &mut c.mempool.handed_off,
         &mut c.mempool.handed_in,
         &mut c.mempool.handoff_dropped,
+        &mut c.mempool.rehanded,
         &mut books.messages,
         &mut books.bytes,
         &mut books.lifetime.0,
@@ -647,6 +648,7 @@ mod tests {
                             handed_off: 10,
                             handed_in: 9,
                             handoff_dropped: 1,
+                            rehanded: 3,
                         },
                     },
                     messages: 300,

@@ -342,6 +342,12 @@ mod tests {
         let mut conn = accept_challenged(&relocated);
         let mut hello = vec![0u8; HELLO_FRAME];
         read_exact_timeout(&mut conn, &mut hello);
+        // The hello lands on our socket before the writer thread bumps its
+        // counters; poll instead of asserting a single snapshot.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while sender.stats().connects < 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
         let stats = sender.stats();
         assert_eq!(stats.connects, 2);
         assert_eq!(stats.reconnects, 1);

@@ -26,11 +26,14 @@
 //! a restart drops them. The n = 4 runs, the signed open-loop run and the
 //! forged-and-partitioned Streamlet run moved; the n = 16 run did not.
 //!
-//! One further re-pin, not an engine change: a replica that leads none of
-//! the next views hands a copy of each batch it admits to the leader three
-//! views ahead (DESIGN.md §7.4). The copies are messages, so every run
-//! here moved, the n = 4 runs included (a seat that already proposed in its
-//! view hands off); CHANGES.md has the audit table.
+//! Two further re-pins, not engine changes: a replica that leads none of
+//! the next views hands a copy of each batch it admits to a leader ahead
+//! (DESIGN.md §7.4). The copies are messages, so every run here moved, the
+//! n = 4 runs included (a seat that already proposed in its view hands
+//! off). The first sent every copy three views ahead; the second aims it
+//! at the leader the sender's next vote helps wake and hands a copy its
+//! view's block missed on once more, and moved every run again.
+//! CHANGES.md has both audit tables.
 //!
 //! To re-record after an *intentional* behaviour change, run:
 //! `GOLDEN_DUMP=1 cargo test --test engine_replay -- --nocapture`
@@ -63,8 +66,8 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         300,
         3_000.0,
         7,
-        918,
-        "0d37d734b7b280a7656c63f5b09f5a8f93a382e0823c863189181c80ff392a0f",
+        920,
+        "3ce8bbcf1879a997ab9f705e88b8a073a14c40841939b4025924cfd9972dd8f4",
     ),
     (
         ProtocolKind::TwoChainHotStuff,
@@ -73,7 +76,7 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         3_000.0,
         7,
         920,
-        "1ea0bd18fff8b3ac17639d1e0d778fa449cc928273dd0e91299fdf79fc31411b",
+        "a105134948163c89862902a9445ae7f71ea867384b93e2235d000dcf4e8da904",
     ),
     (
         ProtocolKind::Streamlet,
@@ -82,7 +85,7 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         3_000.0,
         7,
         920,
-        "da1896f40f9d9205ad24e9a7ba2a2fa3d5ae921cce11154e7339928a8777cede",
+        "9553341dbaaeadd9ee5e16d9f596e7f8cd267bf5b0a1363914a447ba58a2b5c9",
     ),
     // A broadcast-heavy mid-size run: covers the shared-envelope fan-out
     // and a deep event queue under real event pressure.
@@ -92,8 +95,8 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         100,
         8_000.0,
         2021,
-        762,
-        "ef881f373dbd055d393be5395e8c11a2a69de2703ab2c34f091cb4b237f1da96",
+        771,
+        "a9e50566d565aa69198e630e115ec9bd34dc3ccbbda222aee4d08d2b1eb58bc4",
     ),
 ];
 
@@ -151,15 +154,15 @@ const SIGNED_GOLDEN: &[(Option<u64>, u64, u64, u64, &str)] = &[
         None,
         19_715,
         86,
-        61_907,
-        "6cf3ff9f5a516a05b3d30fe5522f4b986b4b2b9e1f9befb553c737fd130ca1ed",
+        62_703,
+        "3b799c28aae576e59fdbcaa9262ca90b3126c4e07cd1dbe6ad403daabe8fa54e",
     ),
     (
         Some(23_692),
-        7_489,
-        83,
+        7_399,
+        105,
         23_693,
-        "d7ca4e159788dfaad36901f631a66be1e2a76eb79b40eb11bc887371d8dd52c7",
+        "a6f5b7eab0767ae23541b871b3e14972953faa19d6e8397556697692ba0de870",
     ),
 ];
 
@@ -237,9 +240,9 @@ fn forged_partitioned_streamlet() -> RunReport {
 /// the pin held when a broadcast became one entry; it moved with the
 /// deadline book.
 const FORGED_PARTITIONED_GOLDEN: (&str, u64, [u64; 8]) = (
-    "0b7a840a2b448dadd43a61b0099c62694b4277d1d0d003848d7cade27012884b",
-    24_843,
-    [1_720, 297, 101_750, 101_915, 100_539, 17_020_068, 303, 262],
+    "7246ba963327212699c0dc6325d3646e3a7b5bbcd5e6835f1a8ddb4489619383",
+    24_721,
+    [1_720, 295, 101_687, 101_799, 100_389, 17_138_100, 302, 274],
 );
 
 #[test]
@@ -273,8 +276,8 @@ fn forged_and_partitioned_streamlet_replays_its_pinned_golden() {
     let synced = RecoveryReport {
         sync_requests: 3,
         sync_responses: 3,
-        sync_bytes: 41_488,
-        blocks_synced: 17,
+        sync_bytes: 20_400,
+        blocks_synced: 14,
         ..RecoveryReport::default()
     };
     assert_eq!(report.recovery, synced);
