@@ -8,7 +8,7 @@
 
 use bamboo_bench::stats::mean_std;
 use bamboo_bench::{banner, bench_rows, eval_config, save_rows, Higher, Lower, Sim};
-use bamboo_core::{Benchmarker, RunOptions};
+use bamboo_core::{run_all, RunOptions};
 use bamboo_types::ProtocolKind;
 
 fn main() {
@@ -43,7 +43,7 @@ fn main() {
             }
         }
     }
-    let reports = Benchmarker::run_all(jobs);
+    let reports = run_all(jobs);
 
     let mut out = bench_rows("fig12_scalability");
     for (index, (protocol, nodes)) in grid.into_iter().enumerate() {

@@ -12,12 +12,13 @@
 //! the certified tip (k = 3 and 2).
 
 use bamboo_bench::{banner, bench_rows, eval_config, save_rows, Higher, Lower, Sim};
-use bamboo_core::{Benchmarker, RunOptions};
+use bamboo_core::{run_all, RunOptions};
 use bamboo_types::{ByzantineStrategy, ProtocolKind};
 
 fn main() {
     banner("Figure 13: forking attack, 32 nodes, 0..10 Byzantine");
-    let mut out = bench_rows("fig13_forking_attack");
+    let mut grid = Vec::new();
+    let mut jobs = Vec::new();
     for protocol in ProtocolKind::evaluated() {
         for byz in [0usize, 2, 4, 6, 8, 10] {
             let runtime_ms = if protocol == ProtocolKind::Streamlet {
@@ -28,22 +29,29 @@ fn main() {
             let mut config = eval_config(32, 400, 128, runtime_ms);
             config.byzantine_strategy = ByzantineStrategy::Forking;
             config.byz_nodes = byz;
-            let report = Benchmarker::new(config, protocol, RunOptions::default()).run_at(20_000.0);
-            assert_eq!(report.safety_violations, 0, "forking attack broke safety");
-            let cgr = report.chain_growth_rate;
-            let forks = report.forks_attempted as f64;
-            out.point(
-                Sim,
-                &format!("{}/byz{byz}", protocol.label()),
-                &[
-                    ("throughput", report.throughput_tx_per_sec, "tx/s", Higher),
-                    ("latency", report.latency.mean_ms, "ms", Lower),
-                    ("chain_growth_rate", cgr, "ratio", Higher),
-                    ("block_interval", report.block_interval, "views", Lower),
-                    ("forks_attempted", forks, "count", Lower),
-                ],
-            );
+            config.arrival_rate = Some(20_000.0);
+            grid.push((protocol, byz));
+            jobs.push((config, protocol, RunOptions::default()));
         }
+    }
+    let reports = run_all(jobs);
+
+    let mut out = bench_rows("fig13_forking_attack");
+    for ((protocol, byz), report) in grid.into_iter().zip(reports) {
+        assert_eq!(report.safety_violations, 0, "forking attack broke safety");
+        let cgr = report.chain_growth_rate;
+        let forks = report.forks_attempted as f64;
+        out.point(
+            Sim,
+            &format!("{}/byz{byz}", protocol.label()),
+            &[
+                ("throughput", report.throughput_tx_per_sec, "tx/s", Higher),
+                ("latency", report.latency.mean_ms, "ms", Lower),
+                ("chain_growth_rate", cgr, "ratio", Higher),
+                ("block_interval", report.block_interval, "views", Lower),
+                ("forks_attempted", forks, "count", Lower),
+            ],
+        );
     }
     save_rows(&out);
     println!(

@@ -7,12 +7,13 @@
 //! gracefully; block intervals are higher than under the forking attack.
 
 use bamboo_bench::{banner, bench_rows, eval_config, save_rows, Higher, Lower, Sim};
-use bamboo_core::{Benchmarker, RunOptions};
+use bamboo_core::{run_all, RunOptions};
 use bamboo_types::{ByzantineStrategy, ProtocolKind, SimDuration};
 
 fn main() {
     banner("Figure 14: silence attack, 32 nodes, 0..10 Byzantine, 50 ms timeout");
-    let mut out = bench_rows("fig14_silence_attack");
+    let mut grid = Vec::new();
+    let mut jobs = Vec::new();
     for protocol in ProtocolKind::evaluated() {
         for byz in [0usize, 2, 4, 6, 8, 10] {
             let runtime_ms = if protocol == ProtocolKind::Streamlet {
@@ -24,21 +25,28 @@ fn main() {
             config.byzantine_strategy = ByzantineStrategy::Silence;
             config.byz_nodes = byz;
             config.timeout = SimDuration::from_millis(50);
-            let report = Benchmarker::new(config, protocol, RunOptions::default()).run_at(20_000.0);
-            assert_eq!(report.safety_violations, 0, "silence attack broke safety");
-            let (cgr, timeouts) = (report.chain_growth_rate, report.timeout_view_changes as f64);
-            out.point(
-                Sim,
-                &format!("{}/byz{byz}", protocol.label()),
-                &[
-                    ("throughput", report.throughput_tx_per_sec, "tx/s", Higher),
-                    ("latency", report.latency.mean_ms, "ms", Lower),
-                    ("chain_growth_rate", cgr, "ratio", Higher),
-                    ("block_interval", report.block_interval, "views", Lower),
-                    ("timeout_view_changes", timeouts, "count", Lower),
-                ],
-            );
+            config.arrival_rate = Some(20_000.0);
+            grid.push((protocol, byz));
+            jobs.push((config, protocol, RunOptions::default()));
         }
+    }
+    let reports = run_all(jobs);
+
+    let mut out = bench_rows("fig14_silence_attack");
+    for ((protocol, byz), report) in grid.into_iter().zip(reports) {
+        assert_eq!(report.safety_violations, 0, "silence attack broke safety");
+        let (cgr, timeouts) = (report.chain_growth_rate, report.timeout_view_changes as f64);
+        out.point(
+            Sim,
+            &format!("{}/byz{byz}", protocol.label()),
+            &[
+                ("throughput", report.throughput_tx_per_sec, "tx/s", Higher),
+                ("latency", report.latency.mean_ms, "ms", Lower),
+                ("chain_growth_rate", cgr, "ratio", Higher),
+                ("block_interval", report.block_interval, "views", Lower),
+                ("timeout_view_changes", timeouts, "count", Lower),
+            ],
+        );
     }
     save_rows(&out);
     println!(

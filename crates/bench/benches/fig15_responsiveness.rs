@@ -28,7 +28,7 @@
 //! replicas read as seeds that "did not recover".
 
 use bamboo_bench::{banner, bench_rows, eval_config, save_rows, Higher, Sim, EVAL_SEED};
-use bamboo_core::{Benchmarker, FluctuationWindow, RunOptions, RunReport};
+use bamboo_core::{run_all, FluctuationWindow, RunOptions, RunReport};
 use bamboo_types::{NodeId, ProtocolKind, SimDuration, SimTime};
 
 /// Offered load of every run.
@@ -95,7 +95,7 @@ fn main() {
             points.push((config, protocol, options));
         }
     }
-    let reports = Benchmarker::run_all(points);
+    let reports = run_all(points);
 
     let mut out = bench_rows("fig15_responsiveness");
     for (&(timeout_ms, protocol), grid) in settings.iter().zip(reports.chunks(SEEDS.len())) {

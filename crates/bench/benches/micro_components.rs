@@ -10,7 +10,7 @@
 use bamboo_bench::harness::{bench, bench_with_setup, PASSES};
 use bamboo_bench::{banner, bench_rows, save_rows, Higher, RowFile, Wall};
 use bamboo_core::{Metrics, Record, RunOptions, SegmentLog, SimRunner, VerifyPool};
-use bamboo_crypto::{sha256, BatchVerifier, KeyPair, Sha256};
+use bamboo_crypto::{sha256, KeyPair, Sha256};
 use bamboo_forest::{BlockForest, CommittedBlock, Ledger, Snapshot};
 use bamboo_mempool::Mempool;
 use bamboo_sim::{EventQueue, SimRng};
@@ -78,25 +78,14 @@ fn bench_crypto(out: &mut RowFile) {
     let pk = kp.public_key();
     out.rows.push(bench("verify_vote", || vote.verify(&pk)));
 
-    // Batched verification of 64 votes over one reused arena vs. 64
-    // individual checks (each of which allocates its signing-bytes buffer).
+    // 64 individual vote checks (each of which allocates its signing-bytes
+    // buffer).
     let keys: Vec<KeyPair> = (0..64).map(KeyPair::from_seed).collect();
     let votes: Vec<Vote> = keys
         .iter()
         .enumerate()
         .map(|(i, k)| Vote::new(block, View(7), NodeId(i as u64), k))
         .collect();
-    let mut batch = BatchVerifier::with_capacity(64);
-    out.rows.push(bench("batch_verify_64", || {
-        for (vote, key) in votes.iter().zip(&keys) {
-            batch.push(
-                key.public_key(),
-                &Vote::signing_bytes(vote.block, vote.view),
-                vote.signature,
-            );
-        }
-        batch.verify_all()
-    }));
     out.rows.push(bench("verify_64_individual", || {
         votes
             .iter()

@@ -1,7 +1,7 @@
 //! Large-n scalability sweep: HotStuff, 2CHS and Streamlet at
 //! n ∈ {16, 64, 128, 256} — the figure-class experiment the pre-PR-4 engine
 //! was too slow to run routinely. All points execute as one parallel batch
-//! on the bounded sweep pool (`Benchmarker::run_all`); results come back in
+//! on the bounded sweep pool (`run_all`); results come back in
 //! input order, so every simulator-clock row is stable across worker counts.
 //!
 //! Beyond throughput/latency, each point records the events it processed,
@@ -20,7 +20,7 @@
 use std::time::Instant;
 
 use bamboo_bench::{banner, bench_rows, eval_config, save_rows, Higher, Lower, Sim, Wall};
-use bamboo_core::{Benchmarker, RunOptions};
+use bamboo_core::{run_all, RunOptions};
 use bamboo_types::{Config, ProtocolKind};
 
 /// Measurement window per point. Streamlet's O(n^3) vote echoing means a
@@ -62,7 +62,7 @@ fn main() {
     }
 
     let started = Instant::now();
-    let reports = Benchmarker::run_all(points);
+    let reports = run_all(points);
     let wall = started.elapsed();
     let total_events: u64 = reports.iter().map(|r| r.events_processed).sum();
     let events_per_sec = total_events as f64 / wall.as_secs_f64();

@@ -8,13 +8,11 @@
 //! under test).
 
 use bamboo_bench::{banner, bench_rows, eval_config, save_rows, Higher, Lower, Sim};
-use bamboo_core::{Benchmarker, RunOptions};
+use bamboo_core::{run_all, RunOptions};
 use bamboo_types::ProtocolKind;
 
 fn main() {
     banner("Table II: arrival rate vs throughput (HotStuff, bsize=400, 4 replicas)");
-    let config = eval_config(4, 400, 0, 800);
-    let bench = Benchmarker::new(config, ProtocolKind::HotStuff, RunOptions::default());
 
     // The paper sweeps 20k..131k tx/s on its testbed; the simulated substrate
     // saturates at a different absolute rate, so the ladder covers the same
@@ -22,9 +20,18 @@ fn main() {
     let rates = [
         10_000.0, 20_000.0, 40_000.0, 60_000.0, 80_000.0, 100_000.0, 120_000.0,
     ];
+    let reports = run_all(
+        rates
+            .iter()
+            .map(|&rate| {
+                let mut config = eval_config(4, 400, 0, 800);
+                config.arrival_rate = Some(rate);
+                (config, ProtocolKind::HotStuff, RunOptions::default())
+            })
+            .collect(),
+    );
     let mut out = bench_rows("table2_arrival_vs_throughput");
-    for &rate in &rates {
-        let report = bench.run_at(rate);
+    for (&rate, report) in rates.iter().zip(&reports) {
         let error = 100.0 * (report.throughput_tx_per_sec - rate).abs() / rate;
         out.point(
             Sim,

@@ -9,9 +9,9 @@
 //! cap while client p99 latency explodes, the §V methodology of the paper
 //! applied to the simulated substrate.
 //!
-//! Points are independent simulations, so the sweep executes on the bounded
-//! std-thread pool (`run_ordered`) — wall time is governed by the slowest
-//! point, not the ladder length.
+//! Points are independent simulations, so every protocol's ladder runs in
+//! one `run_all` batch — wall time is governed by the slowest point, not the
+//! ladder length.
 //!
 //! Modes:
 //!
@@ -27,7 +27,7 @@
 //! clock: a run of the same tree reproduces the file byte for byte.
 
 use bamboo_bench::{banner, eval_config, save_rows, Higher, Lower, RowFile, Sim, Tier, EVAL_SEED};
-use bamboo_core::{run_ordered, RunOptions, RunReport, SimRunner};
+use bamboo_core::{run_all, RunOptions, RunReport};
 use bamboo_types::{Config, ProtocolKind};
 
 /// Clients in the simulated population; far above any per-run arrival count,
@@ -51,32 +51,21 @@ fn point_config(nodes: usize, runtime_ms: u64, rate: f64) -> Config {
     config
 }
 
-fn measure(protocol: ProtocolKind, nodes: usize, runtime_ms: u64, rate: f64) -> RunReport {
-    let config = point_config(nodes, runtime_ms, rate);
-    let report = SimRunner::new(config, protocol, RunOptions::default()).run();
-    assert_eq!(report.safety_violations, 0, "{protocol} @ {rate} tx/s");
-    report
-}
-
-/// Runs the ladder for one protocol, records every load point and the knee,
-/// and asserts the sweep is evidence of saturation.
-fn sweep(
+/// Records one protocol's ladder — every load point and the knee — and
+/// asserts the sweep is evidence of saturation.
+fn record(
     out: &mut RowFile,
     protocol: ProtocolKind,
     nodes: usize,
     runtime_ms: u64,
     ladder: &[f64],
-    workers: usize,
+    reports: &[RunReport],
 ) {
-    let jobs: Vec<_> = ladder
-        .iter()
-        .map(|&rate| move || measure(protocol, nodes, runtime_ms, rate))
-        .collect();
-    let reports = run_ordered(jobs, workers);
     let label = protocol.label();
     let key = format!("{label}/n{nodes}");
     let mut goodputs = Vec::new();
-    for (&offered, report) in ladder.iter().zip(&reports) {
+    for (&offered, report) in ladder.iter().zip(reports) {
+        assert_eq!(report.safety_violations, 0, "{protocol} @ {offered} tx/s");
         let goodput = report.committed_txs as f64 / (runtime_ms as f64 / 1_000.0);
         let (p50, p99) = (report.client_latency.p50_ms, report.client_latency.p99_ms);
         let rejected = report.mempool.rejected;
@@ -125,9 +114,6 @@ fn sweep(
 
 fn main() {
     let quick = std::env::args().any(|arg| arg == "--quick");
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
 
     let (nodes, runtime_ms, protocols, ladder): (usize, u64, Vec<ProtocolKind>, Vec<f64>) = if quick
     {
@@ -156,14 +142,24 @@ fn main() {
 
     banner(&format!(
         "Open-loop saturation: {} clients, signed requests, bounded mempool, n = {nodes} \
-         ({} mode, {workers} pool worker(s))",
+         ({} mode)",
         POPULATION,
         if quick { "quick" } else { "full" },
     ));
 
     let mut out = RowFile::new("saturation", Tier::from_quick(quick), EVAL_SEED);
-    for &protocol in &protocols {
-        sweep(&mut out, protocol, nodes, runtime_ms, &ladder, workers);
+    let points = protocols
+        .iter()
+        .flat_map(|&protocol| {
+            ladder.iter().map(move |&rate| {
+                let config = point_config(nodes, runtime_ms, rate);
+                (config, protocol, RunOptions::default())
+            })
+        })
+        .collect();
+    let reports = run_all(points);
+    for (&protocol, reports) in protocols.iter().zip(reports.chunks(ladder.len())) {
+        record(&mut out, protocol, nodes, runtime_ms, &ladder, reports);
     }
     save_rows(&out);
 }

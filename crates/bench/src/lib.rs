@@ -23,9 +23,9 @@ use std::fs;
 use std::path::PathBuf;
 
 use bamboo_core::metrics::Stages;
-use bamboo_core::{Benchmarker, CurvePoint, RunOptions, SweepOptions};
+use bamboo_core::{run_all, RunOptions};
 use bamboo_model::{ModelParams, PerfModel};
-use bamboo_types::{Block, Config, ProtocolKind, SimDuration, Transaction};
+use bamboo_types::{Config, ProtocolKind, SimDuration};
 
 pub use rows::Better::{Higher, Lower};
 pub use rows::Clock::{Sim, Wall};
@@ -91,58 +91,43 @@ pub fn eval_config(nodes: usize, block_size: usize, payload: usize, runtime_ms: 
         .expect("valid benchmark configuration")
 }
 
-/// Derives the analytical-model parameters that correspond to a simulator
-/// configuration, so Fig. 8 compares like with like.
-pub fn model_params(config: &Config) -> ModelParams {
-    let quorum = config.quorum();
-    ModelParams {
-        nodes: config.nodes,
-        block_size: config.block_size,
-        tx_bytes: Transaction::HEADER_BYTES + config.payload_size,
-        block_overhead_bytes: Block::HEADER_BYTES + 40 + 40 * quorum,
-        link_mean: config.link_latency_mean.as_secs_f64() + config.extra_delay.as_secs_f64(),
-        link_std: config.link_latency_std.as_secs_f64(),
-        client_rtt: 2.0 * config.link_latency_mean.as_secs_f64(),
-        t_cpu: config.cpu_delay.as_secs_f64(),
-        bandwidth: config.bandwidth_bytes_per_sec as f64,
-    }
-}
-
 /// Builds the analytical model for one protocol and configuration.
 pub fn model_for(protocol: ProtocolKind, config: &Config) -> PerfModel {
-    PerfModel::new(protocol, model_params(config))
+    PerfModel::new(protocol, ModelParams::from_config(config))
 }
 
-/// Runs a saturation sweep for `protocol` over `config` and returns the curve.
-pub fn sweep(protocol: ProtocolKind, config: &Config, sweep: SweepOptions) -> Vec<CurvePoint> {
-    Benchmarker::new(config.clone(), protocol, RunOptions::default())
-        .with_sweep(sweep)
-        .sweep()
+/// A figure's offered loads: `start`, doubled until there are `points`.
+pub fn doubling_ladder(start: f64, points: u32) -> Vec<f64> {
+    (0..points).map(|k| start * f64::from(1u32 << k)).collect()
 }
 
-/// Default sweep ladder used by the throughput/latency figures.
-pub fn default_sweep() -> SweepOptions {
-    SweepOptions {
-        start_rate: 10_000.0,
-        growth: 2.0,
-        max_points: 9,
-        saturation_gain: 0.05,
-        latency_ceiling_ms: 150.0,
-    }
-}
-
-/// Records (and prints) a latency/throughput curve: per offered load, the
-/// committed throughput and mean latency as `<label>/o<offered>/…` rows.
-pub fn record_curve(out: &mut RowFile, label: &str, points: &[CurvePoint]) {
-    for point in points {
-        out.point(
-            Sim,
-            &format!("{label}/o{:.0}", point.offered_tx_per_sec),
-            &[
-                ("throughput", point.throughput_tx_per_sec, "tx/s", Higher),
-                ("latency", point.latency_ms, "ms", Lower),
-            ],
-        );
+/// Runs every latency/throughput curve of a figure — each
+/// `(label, protocol, config)` at every load of `ladder` — as one
+/// [`run_all`] batch, and records (and prints) every point's committed
+/// throughput and mean latency as `<label>/o<offered>/…` rows.
+pub fn record_curves(out: &mut RowFile, curves: &[(String, ProtocolKind, Config)], ladder: &[f64]) {
+    let points = curves
+        .iter()
+        .flat_map(|(_, protocol, config)| {
+            ladder.iter().map(move |&rate| {
+                let mut config = config.clone();
+                config.arrival_rate = Some(rate);
+                (config, *protocol, RunOptions::default())
+            })
+        })
+        .collect();
+    let reports = run_all(points);
+    for ((label, _, _), runs) in curves.iter().zip(reports.chunks(ladder.len())) {
+        for (rate, report) in ladder.iter().zip(runs) {
+            out.point(
+                Sim,
+                &format!("{label}/o{rate:.0}"),
+                &[
+                    ("throughput", report.throughput_tx_per_sec, "tx/s", Higher),
+                    ("latency", report.latency.mean_ms, "ms", Lower),
+                ],
+            );
+        }
     }
 }
 
@@ -178,13 +163,15 @@ mod tests {
     #[test]
     fn model_params_follow_config() {
         let config = eval_config(8, 400, 128, 500);
-        let params = model_params(&config);
-        assert_eq!(params.nodes, 8);
-        assert_eq!(params.tx_bytes, Transaction::HEADER_BYTES + 128);
-        assert!(params.link_mean > 0.0);
-        assert!(params.bandwidth > 0.0);
         let model = model_for(ProtocolKind::HotStuff, &config);
+        assert_eq!(model.params, ModelParams::from_config(&config));
         assert!(model.saturation_rate() > 0.0);
+    }
+
+    #[test]
+    fn doubling_ladders_reach_the_figures_top_loads() {
+        assert_eq!(doubling_ladder(2_000.0, 3), [2_000.0, 4_000.0, 8_000.0]);
+        assert_eq!(doubling_ladder(10_000.0, 8)[7], 1_280_000.0);
     }
 
     #[test]

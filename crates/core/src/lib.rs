@@ -14,9 +14,9 @@
 //!   NIC and CPU models, workload generation, fault injection. It shows
 //!   every replica step to one observer, which keeps the run's books and
 //!   writes the [`RunReport`].
-//! * [`Benchmarker`] — saturation sweeps producing the latency/throughput
-//!   curves of the paper's figures; independent sweep points execute on a
-//!   bounded std-thread pool ([`parallel`]) with input-order results.
+//! * [`run_all`] — the one experiment runner: a batch of independent
+//!   simulations (a figure's offered-load ladders, a grid of sizes × seeds)
+//!   on a bounded std-thread pool ([`parallel`]), reports in input order.
 //! * [`Metrics`] / [`RunReport`] — throughput, latency, chain growth rate and
 //!   block interval (§IV-B).
 //! * [`Scenario`] — the scenario engine: declarative experiment specs (JSON)
@@ -55,7 +55,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod benchmark;
 mod durability;
 mod handoff;
 pub mod live;
@@ -74,13 +73,12 @@ pub mod verify;
 pub mod workload;
 
 pub use bamboo_sim::{DelayDist, FluctuationWindow, LinkFault, Topology};
-pub use benchmark::{Benchmarker, CurvePoint, SweepOptions};
 pub use live::{ClusterReport, LiveCluster};
 pub use metrics::{
     LatencyStats, MempoolTotals, Metrics, RecoveryReport, RecoveryStats, RunReport,
     ThroughputSample, Utilization,
 };
-pub use parallel::run_ordered;
+pub use parallel::{run_all, run_ordered};
 pub use quorum::QuorumTracker;
 pub use replica::{Replica, ReplicaOptions};
 pub use runner::{FaultTrigger, NodeFault, RunOptions, SimRunner};

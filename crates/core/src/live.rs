@@ -195,7 +195,7 @@ enum Call {
 /// that reach it before wait for the boot, and it publishes nothing until
 /// then: its host may still be what a crash left behind. From the boot on,
 /// every step is timed on the wall clock and shown to the seat's observer
-/// as the [`StepView`] the simulator would build.
+/// as the `StepView` the simulator would build.
 pub fn run_live_node(
     mut host: NodeHost,
     link: &mut dyn Link,

@@ -1,16 +1,24 @@
-//! A bounded std-thread pool for independent simulation jobs.
+//! The one experiment runner: a bounded std-thread pool for independent
+//! simulation jobs.
 //!
-//! Sweep points are embarrassingly parallel: each [`crate::SimRunner`] is
+//! Experiment points are embarrassingly parallel: each [`SimRunner`] is
 //! self-contained (own RNG, own replicas, own event queue) and deterministic,
 //! so running them concurrently changes nothing about any individual result.
-//! [`run_ordered`] executes a batch of closures on a bounded pool of plain
-//! `std::thread`s (the workspace takes no external dependencies) and returns
-//! the results **in input order**, so JSON artifacts assembled from a
-//! parallel sweep are byte-identical to a sequential one.
+//! [`run_all`] runs a batch of `(config, protocol, options)` simulations —
+//! a figure's offered-load ladders, a grid of cluster sizes × seeds — and
+//! [`run_ordered`] is the pool under it: a batch of closures on plain
+//! `std::thread`s (the workspace takes no external dependencies), results
+//! **in input order**, so JSON artifacts assembled from a parallel batch are
+//! byte-identical to a sequential one.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+use bamboo_types::{Config, ProtocolKind};
+
+use crate::metrics::RunReport;
+use crate::runner::{RunOptions, SimRunner};
 
 /// Number of worker threads [`run_ordered`] uses by default: the machine's
 /// available parallelism, leaving the caller's thread free to join.
@@ -18,6 +26,16 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
+}
+
+/// Runs every `(config, protocol, options)` simulation on the pool of
+/// [`default_workers`] threads and returns the reports in input order.
+pub fn run_all(points: Vec<(Config, ProtocolKind, RunOptions)>) -> Vec<RunReport> {
+    let jobs: Vec<_> = points
+        .into_iter()
+        .map(|(config, protocol, options)| move || SimRunner::new(config, protocol, options).run())
+        .collect();
+    run_ordered(jobs, default_workers())
 }
 
 /// Runs every job on a pool of at most `max_workers` threads and returns the
@@ -107,5 +125,35 @@ mod tests {
     #[test]
     fn default_workers_is_positive() {
         assert!(default_workers() >= 1);
+    }
+
+    #[test]
+    fn run_all_returns_each_report_in_input_order_equal_to_a_sequential_run() {
+        let points: Vec<(Config, ProtocolKind, RunOptions)> = ProtocolKind::evaluated()
+            .into_iter()
+            .zip([800.0, 1_600.0, 3_200.0])
+            .map(|(protocol, rate)| {
+                let config = Config::builder()
+                    .nodes(4)
+                    .block_size(50)
+                    .runtime(bamboo_types::SimDuration::from_millis(300))
+                    .arrival_rate(rate)
+                    .seed(5)
+                    .build()
+                    .unwrap();
+                (config, protocol, RunOptions::default())
+            })
+            .collect();
+        let reports = run_all(points.clone());
+        assert_eq!(reports.len(), points.len());
+        for ((config, protocol, options), report) in points.into_iter().zip(&reports) {
+            let sequential = SimRunner::new(config, protocol, options).run();
+            assert_eq!(report.protocol, protocol);
+            assert!(report.committed_blocks > 0, "{protocol}");
+            assert_eq!(report.safety_violations, 0);
+            assert_eq!(report.ledger_fingerprint, sequential.ledger_fingerprint);
+            assert_eq!(report.committed_txs, sequential.committed_txs);
+            assert_eq!(report.events_processed, sequential.events_processed);
+        }
     }
 }

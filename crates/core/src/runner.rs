@@ -4,8 +4,8 @@
 //! [`SimRunner`] wires `N` replicas (each behind a [`NodeHost`]), a workload
 //! generator, and the network / NIC / CPU models of `bamboo-sim` into one
 //! deterministic simulation of one benchmark configuration (one point of a
-//! figure); sweeps run whole simulations side by side
-//! ([`crate::parallel::run_ordered`], DESIGN.md §5). The runner only
+//! figure); experiments run whole simulations side by side
+//! ([`crate::parallel::run_all`], DESIGN.md §5). The runner only
 //! simulates: it shows every replica step to its `Observer`
 //! (`crate::observe`), which keeps the books and writes the [`RunReport`].
 //!

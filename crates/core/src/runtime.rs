@@ -322,8 +322,9 @@ impl NodeHost {
     /// The step is charged the check as if it had run at this replica's own
     /// busy server: in signed-client mode one batched pass
     /// ([`CpuModel::verify_batch`]), plus a second, sequential pass
-    /// ([`CpuModel::verify`]) when the all-or-nothing check failed and every
-    /// request was checked on its own. The requests the check dropped are
+    /// ([`CpuModel::verify`]) when the check dropped a request — the model
+    /// of an all-or-nothing batch check that falls back to checking every
+    /// request on its own. The requests the check dropped are
     /// counted in [`NodeHost::client_auth_rejections`]. Admitting costs
     /// nothing beyond the check. It writes at most one effect: a
     /// [`Message::Handoff`] copy of the admitted batch to the leader three
@@ -338,7 +339,7 @@ impl NodeHost {
         let mut cpu = SimDuration::ZERO;
         if requests.signed() {
             cpu = self.cpu.verify_batch(requests.offered());
-            if requests.fell_back() {
+            if requests.rejected() > 0 {
                 cpu += self.cpu.verify(requests.offered());
             }
         }
@@ -616,9 +617,9 @@ mod tests {
 
     #[test]
     fn verify_requests_admits_an_honest_batch_in_one_batched_pass() {
-        let (mut host, mut edge, cpu) = edge_host(true);
+        let (mut host, edge, cpu) = edge_host(true);
         let verified = edge.verify_requests(client_requests(false));
-        assert!(verified.signed() && !verified.fell_back());
+        assert!(verified.signed());
         assert_eq!((verified.transactions().len(), verified.rejected()), (3, 0));
         let report = host.admit(verified, SimTime::ZERO, &mut BufferedTransport::new());
         assert_eq!(report.cpu, cpu.verify_batch(3));
@@ -628,9 +629,9 @@ mod tests {
 
     #[test]
     fn verify_requests_isolates_one_forgery_of_three_and_both_passes_are_charged() {
-        let (mut host, mut edge, cpu) = edge_host(true);
+        let (mut host, edge, cpu) = edge_host(true);
         let verified = edge.verify_requests(client_requests(true));
-        assert!(verified.signed() && verified.fell_back());
+        assert!(verified.signed());
         assert_eq!((verified.offered(), verified.rejected()), (3, 1));
         let seqs: Vec<u64> = verified.transactions().iter().map(|tx| tx.id.seq).collect();
         assert_eq!(seqs, [0, 2], "the honest requests survive, in order");
@@ -651,9 +652,9 @@ mod tests {
 
     #[test]
     fn verify_requests_in_unsigned_mode_passes_everything_for_free() {
-        let (mut host, mut edge, _) = edge_host(false);
+        let (mut host, edge, _) = edge_host(false);
         let verified = edge.verify_requests(client_requests(true));
-        assert!(!verified.signed() && !verified.fell_back());
+        assert!(!verified.signed());
         assert_eq!((verified.transactions().len(), verified.rejected()), (3, 0));
         let report = host.admit(verified, SimTime::ZERO, &mut BufferedTransport::new());
         assert!(report.cpu.is_zero());

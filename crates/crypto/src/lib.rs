@@ -10,12 +10,9 @@
 //!   extensions where they exist and on portable rounds elsewhere, with
 //!   identical digests,
 //! * a deterministic, simulated signature scheme ([`KeyPair`], [`Signature`])
-//!   whose verification is honest-majority sound inside the simulation,
+//!   whose verification is honest-majority sound inside the simulation, and
 //! * the quorum certificate's aggregate ([`AggregateSignature`]): a signer
-//!   bitset plus one 32-byte aggregate, verified in one streaming pass, and
-//! * batched verification ([`BatchVerifier`]) that checks many
-//!   `(key, message, signature)` tuples in one allocation-free pass — the
-//!   primitive behind the client edge check.
+//!   bitset plus one 32-byte aggregate, verified in one streaming pass.
 //!
 //! The simulated scheme binds a signature to `(public key, message)` via the
 //! hash function; it is **not** secure against a real adversary and must never
@@ -40,13 +37,11 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
-pub mod batch;
 pub mod hash;
 pub mod keys;
 pub mod sha256;
 
 pub use aggregate::AggregateSignature;
-pub use batch::BatchVerifier;
 pub use hash::{hash_bytes, hash_two, Digest, DigestBuildHasher, DigestMap, DigestSet};
 pub use keys::{KeyPair, PublicKey, SecretKey, Signature};
 pub use sha256::{sha256, Sha256};

@@ -44,7 +44,7 @@ fn slot(id: &TxId) -> usize {
     (mixed >> (u64::BITS - COUNT_SLOTS.trailing_zeros())) as usize
 }
 
-/// Statistics about mempool activity, used by the benchmarker.
+/// Statistics about mempool activity, reported in a run's `RunReport`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MempoolStats {
     /// Transactions currently buffered.

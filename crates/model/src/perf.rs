@@ -1,6 +1,6 @@
 //! The per-protocol latency/throughput model (Eq. 3–5 and §V-D).
 
-use bamboo_types::ProtocolKind;
+use bamboo_types::{Block, Config, ProtocolKind, Transaction};
 
 use crate::order_stats::expected_order_statistic;
 use crate::queueing::md1_waiting_time;
@@ -30,6 +30,25 @@ pub struct ModelParams {
 }
 
 impl ModelParams {
+    /// The parameters of a simulator configuration, so model and simulator
+    /// are compared like with like (Fig. 8). The added network delay counts
+    /// into the link mean; a QC on the wire is 40 bytes per quorum signer
+    /// plus 40 of header.
+    pub fn from_config(config: &Config) -> Self {
+        let link_mean = config.link_latency_mean.as_secs_f64();
+        Self {
+            nodes: config.nodes,
+            block_size: config.block_size,
+            tx_bytes: Transaction::HEADER_BYTES + config.payload_size,
+            block_overhead_bytes: Block::HEADER_BYTES + 40 + 40 * config.quorum(),
+            link_mean: link_mean + config.extra_delay.as_secs_f64(),
+            link_std: config.link_latency_std.as_secs_f64(),
+            client_rtt: 2.0 * link_mean,
+            t_cpu: config.cpu_delay.as_secs_f64(),
+            bandwidth: config.bandwidth_bytes_per_sec as f64,
+        }
+    }
+
     /// Block size on the wire, `m`.
     pub fn block_bytes(&self) -> f64 {
         (self.block_overhead_bytes + self.block_size * self.tx_bytes) as f64
@@ -148,6 +167,23 @@ mod tests {
             t_cpu: 0.00002,
             bandwidth: 1.25e9,
         }
+    }
+
+    #[test]
+    fn from_config_counts_the_added_delay_into_the_link_mean() {
+        let mut config = Config::builder()
+            .nodes(8)
+            .payload_size(128)
+            .build()
+            .unwrap();
+        let plain = ModelParams::from_config(&config);
+        assert_eq!(plain.nodes, 8);
+        assert_eq!(plain.tx_bytes, Transaction::HEADER_BYTES + 128);
+        assert_eq!(plain.link_mean, config.link_latency_mean.as_secs_f64());
+        config.extra_delay = bamboo_types::SimDuration::from_millis(5);
+        let delayed = ModelParams::from_config(&config);
+        assert!((delayed.link_mean - plain.link_mean - 0.005).abs() < 1e-12);
+        assert_eq!(delayed.client_rtt, plain.client_rtt);
     }
 
     #[test]

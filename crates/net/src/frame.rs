@@ -460,7 +460,7 @@ fn words(reply: &mut StatusReply) -> (Vec<&mut u64>, Vec<&mut f64>) {
     (ints, floats)
 }
 
-/// Encodes a status reply: its fixed-width fields ([`words`]), the probed
+/// Encodes a status reply: its fixed-width fields (`words`), the probed
 /// prefix fingerprint, and one entry per peer link.
 pub fn encode_status_reply(reply: &StatusReply) -> Vec<u8> {
     let mut reply = reply.clone();

@@ -36,12 +36,12 @@
 //! by [`crate::Config::signed_requests`]) changes that: each request must
 //! carry the issuing client's signature over a fixed 40-byte tuple, the
 //! client's public key is re-derived lazily from its id (no O(clients) key
-//! table), and whole arrival batches are checked in one batched pass
-//! ([`Authenticator::verify_client_batch`]).
+//! table), and each request of an arrival batch is checked once
+//! ([`Authenticator::verify_client_request`]).
 
 use std::fmt;
 
-use bamboo_crypto::{AggregateSignature, BatchVerifier, KeyPair, PublicKey};
+use bamboo_crypto::{AggregateSignature, KeyPair, PublicKey};
 
 use crate::block::Block;
 use crate::certificate::{QuorumCert, TimeoutCert, TimeoutVote, Vote};
@@ -145,15 +145,14 @@ impl VerifiedMessage {
 /// `VerifiedRequests` *is* the proof that every transaction it carries was
 /// checked under its client's key (or that the authenticator runs in
 /// unsigned mode), just as [`VerifiedMessage`] is for replica traffic. The
-/// token also records what the check did — how many requests were offered,
-/// whether the per-item fallback ran — so the host that admits it can charge
-/// the modeled cost of work it did not do itself.
+/// token also records what the check saw — how many requests were offered
+/// and whether they were checked — so the host that admits it can charge the
+/// modeled cost of work it did not do itself.
 #[derive(Debug)]
 pub struct VerifiedRequests {
     transactions: Vec<Transaction>,
     offered: usize,
     signed: bool,
-    fell_back: bool,
 }
 
 impl VerifiedRequests {
@@ -181,20 +180,13 @@ impl VerifiedRequests {
     pub fn signed(&self) -> bool {
         self.signed
     }
-
-    /// Whether the all-or-nothing batch check failed, so every request was
-    /// checked again on its own.
-    pub fn fell_back(&self) -> bool {
-        self.fell_back
-    }
 }
 
 /// Verifies inbound messages against the validator set's public keys.
 ///
-/// The authenticator owns a reused [`BatchVerifier`] for client batches, and
-/// a certificate check allocates nothing, so verification is
-/// allocation-free in steady state; the verifying methods take `&mut self`. Each thread of a deployment owns its own authenticator
-/// (they are cheap: `n` public keys plus buffers).
+/// A check allocates nothing: a certificate is verified in one streaming
+/// pass and a client request under its lazily derived key. Each thread of a
+/// deployment owns its own authenticator (they are cheap: `n` public keys).
 ///
 /// # Example
 ///
@@ -216,7 +208,6 @@ impl VerifiedRequests {
 #[derive(Debug)]
 pub struct Authenticator {
     keys: Vec<PublicKey>,
-    batch: BatchVerifier,
     /// When true, client requests must carry a valid signature by the issuing
     /// client's (lazily derived) key; when false they pass unchecked.
     signed_clients: bool,
@@ -239,7 +230,6 @@ impl Authenticator {
     pub fn from_keys(keys: Vec<PublicKey>) -> Self {
         Self {
             keys,
-            batch: BatchVerifier::new(),
             signed_clients: false,
         }
     }
@@ -339,67 +329,36 @@ impl Authenticator {
         Ok(())
     }
 
-    /// Verifies a whole client arrival batch in one batched pass.
-    ///
-    /// Every request signs the same fixed-length 40-byte tuple; the staged
-    /// checks share one arena and cost one signature hash each. (The
-    /// modeled charge for the batch,
-    /// `CpuModel::verify_batch`, is a parameter of the simulated CPU, not a
-    /// description of this loop.) All-or-nothing: `true` iff
-    /// every request is signed and verifies. Callers that need to salvage the
-    /// honest majority of a failing batch fall back to
-    /// [`Authenticator::verify_client_request`] per item.
-    pub fn verify_client_batch(&mut self, requests: &[ClientRequest]) -> bool {
-        let mut all_signed = true;
-        for req in requests {
-            let Some(signature) = req.signature else {
-                all_signed = false;
-                break;
-            };
-            let key = Self::client_key(req.transaction.id.client);
-            self.batch.push(
-                key,
-                &ClientRequest::signing_bytes(&req.transaction),
-                signature,
-            );
-        }
-        if !all_signed {
-            self.batch.clear();
-            return false;
-        }
-        self.batch.verify_all()
+    /// `true` iff every request of `requests` is signed and verifies
+    /// ([`Authenticator::verify_client_request`] on each). The edge check is
+    /// [`Authenticator::verify_requests`]; this all-or-nothing form stays for
+    /// the stand-alone `benchmark/` package, which times it.
+    pub fn verify_client_batch(&self, requests: &[ClientRequest]) -> bool {
+        requests
+            .iter()
+            .all(|req| self.verify_client_request(req).is_ok())
     }
 
     /// The edge check of one client arrival batch, minting the
     /// [`VerifiedRequests`] token that admission takes.
     ///
-    /// In unsigned mode the requests pass as they are. In signed mode the
-    /// whole batch is checked in one batched pass
-    /// ([`Authenticator::verify_client_batch`]); if that all-or-nothing check
-    /// fails, every request is checked again on its own
-    /// ([`Authenticator::verify_client_request`]), so forgeries are isolated
-    /// and dropped while the honest remainder is kept. Either way the
-    /// signatures are stripped: blocks carry bare transactions.
-    pub fn verify_requests(&mut self, requests: Vec<ClientRequest>) -> VerifiedRequests {
+    /// In unsigned mode the requests pass as they are. In signed mode each
+    /// request is checked once ([`Authenticator::verify_client_request`]):
+    /// forgeries are dropped and the honest remainder is kept, in order.
+    /// Either way the signatures are stripped: blocks carry bare
+    /// transactions.
+    pub fn verify_requests(&self, requests: Vec<ClientRequest>) -> VerifiedRequests {
         let offered = requests.len();
         let signed = self.signed_clients;
-        let mut fell_back = false;
-        let mut transactions = Vec::with_capacity(offered);
-        if !signed || self.verify_client_batch(&requests) {
-            transactions.extend(requests.into_iter().map(|r| r.transaction));
-        } else {
-            fell_back = true;
-            for request in requests {
-                if self.verify_client_request(&request).is_ok() {
-                    transactions.push(request.transaction);
-                }
-            }
-        }
+        let transactions = requests
+            .into_iter()
+            .filter(|request| !signed || self.verify_client_request(request).is_ok())
+            .map(|request| request.transaction)
+            .collect();
         VerifiedRequests {
             transactions,
             offered,
             signed,
-            fell_back,
         }
     }
 
@@ -805,10 +764,8 @@ mod tests {
             })
             .collect();
         assert!(auth.verify_client_batch(&batch));
-        // The verifier is reusable after a pass.
-        assert!(auth.verify_client_batch(&batch));
         // One forged (or one unsigned) request fails the whole batch, and the
-        // per-item fallback isolates exactly the culprit.
+        // per-item check isolates exactly the culprit.
         batch[6].signature = Some(KeyPair::client_from_seed(999).sign(b"junk"));
         assert!(!auth.verify_client_batch(&batch));
         let bad: Vec<usize> = batch

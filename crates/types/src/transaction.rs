@@ -46,7 +46,7 @@ pub struct Transaction {
     /// Opaque payload bytes (`psize` in Table I).
     pub payload: Bytes,
     /// Simulated time at which the client issued the transaction. Used by the
-    /// benchmarker to compute end-to-end latency.
+    /// observer to compute end-to-end latency.
     pub issued_at: SimTime,
 }
 

@@ -6,7 +6,7 @@
 //! cargo run --release --example byzantine_attacks
 //! ```
 
-use bamboo::core::{Benchmarker, RunOptions};
+use bamboo::core::{RunOptions, SimRunner};
 use bamboo::types::{ByzantineStrategy, Config, ProtocolKind, SimDuration, TypeError};
 
 fn run(strategy: ByzantineStrategy, byz: usize, protocol: ProtocolKind) -> Result<(), TypeError> {
@@ -17,10 +17,11 @@ fn run(strategy: ByzantineStrategy, byz: usize, protocol: ProtocolKind) -> Resul
         .runtime(SimDuration::from_millis(600))
         .timeout(SimDuration::from_millis(50))
         .seed(11)
+        .arrival_rate(10_000.0)
         .build()?;
     config.byzantine_strategy = strategy;
     config.byz_nodes = byz;
-    let report = Benchmarker::new(config, protocol, RunOptions::default()).run_at(10_000.0);
+    let report = SimRunner::new(config, protocol, RunOptions::default()).run();
     println!(
         "  {:<5} byz={byz} ({strategy}): throughput {:>8.0} tx/s | CGR {:>4.2} | BI {:>4.2} | latency {:>7.2} ms | safety violations {}",
         protocol.label(),

@@ -5,8 +5,8 @@
 //! cargo run --release --example protocol_comparison
 //! ```
 
-use bamboo::core::{Benchmarker, RunOptions, SweepOptions};
-use bamboo::model::PerfModel;
+use bamboo::core::{run_all, RunOptions};
+use bamboo::model::{ModelParams, PerfModel};
 use bamboo::types::{Config, ProtocolKind, SimDuration, TypeError};
 
 fn main() -> Result<(), TypeError> {
@@ -18,33 +18,44 @@ fn main() -> Result<(), TypeError> {
         .seed(3)
         .build()?;
 
+    // Every protocol at offered loads doubling from 5k to 80k tx/s, run as
+    // one batch of independent simulations.
+    let rates = [5_000.0, 10_000.0, 20_000.0, 40_000.0, 80_000.0];
+    let mut points = Vec::new();
+    for protocol in ProtocolKind::evaluated() {
+        for rate in rates {
+            let mut point = config.clone();
+            point.arrival_rate = Some(rate);
+            points.push((point, protocol, RunOptions::default()));
+        }
+    }
+    let reports = run_all(points);
+
     println!("protocol | offered (tx/s) | throughput (ktx/s) | latency (ms) | p99 (ms)");
     println!("{:-<78}", "");
-    for protocol in ProtocolKind::evaluated() {
-        let bench = Benchmarker::new(config.clone(), protocol, RunOptions::default()).with_sweep(
-            SweepOptions {
-                start_rate: 5_000.0,
-                growth: 2.0,
-                max_points: 5,
-                ..Default::default()
-            },
-        );
-        let points = bench.sweep();
-        for point in &points {
+    for (protocol, curve) in ProtocolKind::evaluated()
+        .into_iter()
+        .zip(reports.chunks(rates.len()))
+    {
+        for (rate, report) in rates.iter().zip(curve) {
             println!(
                 "{:<8} | {:>14.0} | {:>18.1} | {:>12.2} | {:>8.2}",
                 protocol.label(),
-                point.offered_tx_per_sec,
-                point.throughput_tx_per_sec / 1_000.0,
-                point.latency_ms,
-                point.p99_latency_ms
+                rate,
+                report.throughput_tx_per_sec / 1_000.0,
+                report.latency.mean_ms,
+                report.latency.p99_ms
             );
         }
+        let peak = curve
+            .iter()
+            .map(|report| report.throughput_tx_per_sec)
+            .fold(0.0, f64::max);
         println!(
             "{:<8} | peak throughput {:.1} ktx/s, unloaded latency {:.2} ms",
             protocol.label(),
-            Benchmarker::peak_throughput(&points) / 1_000.0,
-            Benchmarker::base_latency(&points)
+            peak / 1_000.0,
+            curve[0].latency.mean_ms
         );
         println!("{:-<78}", "");
     }
@@ -52,8 +63,7 @@ fn main() -> Result<(), TypeError> {
     // The analytical model gives a back-of-the-envelope sanity check.
     println!("\nanalytical model (unloaded latency prediction):");
     for protocol in ProtocolKind::evaluated() {
-        let params = bamboo_bench_params(&config);
-        let model = PerfModel::new(protocol, params);
+        let model = PerfModel::new(protocol, ModelParams::from_config(&config));
         println!(
             "  {:<5} t_s = {:.3} ms, commit after {:.3} ms, predicted latency {:.3} ms",
             protocol.label(),
@@ -63,20 +73,4 @@ fn main() -> Result<(), TypeError> {
         );
     }
     Ok(())
-}
-
-/// Maps the simulator configuration onto model parameters (same mapping the
-/// benches use).
-fn bamboo_bench_params(config: &Config) -> bamboo::model::ModelParams {
-    bamboo::model::ModelParams {
-        nodes: config.nodes,
-        block_size: config.block_size,
-        tx_bytes: bamboo::types::Transaction::HEADER_BYTES + config.payload_size,
-        block_overhead_bytes: bamboo::types::Block::HEADER_BYTES + 40 + 40 * config.quorum(),
-        link_mean: config.link_latency_mean.as_secs_f64(),
-        link_std: config.link_latency_std.as_secs_f64(),
-        client_rtt: 2.0 * config.link_latency_mean.as_secs_f64(),
-        t_cpu: config.cpu_delay.as_secs_f64(),
-        bandwidth: config.bandwidth_bytes_per_sec as f64,
-    }
 }

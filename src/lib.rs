@@ -16,7 +16,7 @@
 //! | [`pacemaker`] | `bamboo-pacemaker` | view synchronisation, leader election |
 //! | [`protocols`] | `bamboo-protocols` | Safety rules on one rule kit: HotStuff, 2CHS, Streamlet, …; the `Attack` type |
 //! | [`sim`] | `bamboo-sim` | discrete-event engine, latency/NIC/CPU models |
-//! | [`core`] | `bamboo-core` | replica, quorum, workload, runner, benchmarker, the one live cluster |
+//! | [`core`] | `bamboo-core` | replica, quorum, workload, the simulation runner, `run_all` (the one experiment runner), the one live cluster |
 //! | [`net`] | `bamboo-net` | TCP transport: framing, reconnecting peers, the socket and process links |
 //! | [`model`] | `bamboo-model` | analytical queuing model (§V of the paper) |
 //!
@@ -120,7 +120,7 @@ pub mod sim {
     pub use bamboo_sim::*;
 }
 
-/// Replica, runner, workload generation and benchmarking facilities.
+/// Replica, simulation runner, workload generation and the experiment runner.
 pub mod core {
     pub use bamboo_core::*;
 }

@@ -1,9 +1,9 @@
 //! Cross-validation between the analytical model and the simulator — the
 //! repository-level version of the paper's Fig. 8 check.
 
-use bamboo::core::{Benchmarker, RunOptions};
+use bamboo::core::{run_all, RunOptions, SimRunner};
 use bamboo::model::{ModelParams, PerfModel};
-use bamboo::types::{Block, Config, ProtocolKind, SimDuration, Transaction};
+use bamboo::types::{Config, ProtocolKind, SimDuration};
 
 fn eval_config(nodes: usize, block_size: usize) -> Config {
     Config::builder()
@@ -16,18 +16,11 @@ fn eval_config(nodes: usize, block_size: usize) -> Config {
         .expect("valid config")
 }
 
-fn model_params(config: &Config) -> ModelParams {
-    ModelParams {
-        nodes: config.nodes,
-        block_size: config.block_size,
-        tx_bytes: Transaction::HEADER_BYTES + config.payload_size,
-        block_overhead_bytes: Block::HEADER_BYTES + 40 + 40 * config.quorum(),
-        link_mean: config.link_latency_mean.as_secs_f64(),
-        link_std: config.link_latency_std.as_secs_f64(),
-        client_rtt: 2.0 * config.link_latency_mean.as_secs_f64(),
-        t_cpu: config.cpu_delay.as_secs_f64(),
-        bandwidth: config.bandwidth_bytes_per_sec as f64,
-    }
+/// `config` at offered load `rate`, as one point of a `run_all` batch.
+fn point(config: &Config, protocol: ProtocolKind, rate: f64) -> (Config, ProtocolKind, RunOptions) {
+    let mut config = config.clone();
+    config.arrival_rate = Some(rate);
+    (config, protocol, RunOptions::default())
 }
 
 #[test]
@@ -37,10 +30,12 @@ fn model_and_simulation_agree_on_unloaded_latency_within_a_small_factor() {
     // the paper's claim is that the model gives a back-of-the-envelope
     // estimate, and the model ignores the wait for a transaction's replica to
     // rotate into leadership, which grows with N.
+    let mut grid = Vec::new();
+    let mut points = Vec::new();
     for (nodes, bsize) in [(4usize, 100usize), (4, 400), (8, 400)] {
         let config = eval_config(nodes, bsize);
         for protocol in ProtocolKind::evaluated() {
-            let model = PerfModel::new(protocol, model_params(&config));
+            let model = PerfModel::new(protocol, ModelParams::from_config(&config));
             // Streamlet's broadcast-and-echo traffic saturates the real system
             // far earlier than the model's happy-path service time predicts
             // (the paper absorbs this into re-measured parameters, §V-E), so
@@ -50,57 +45,53 @@ fn model_and_simulation_agree_on_unloaded_latency_within_a_small_factor() {
             } else {
                 model.saturation_rate() * 0.2
             };
-            let report =
-                Benchmarker::new(config.clone(), protocol, RunOptions::default()).run_at(rate);
-            let predicted_ms = model.latency(rate) * 1e3;
-            let measured_ms = report.latency.mean_ms;
-            // Streamlet's broadcast-and-echo traffic is only captured by the
-            // model through re-measured parameters (§V-E), so for SL we only
-            // require the model to be a sane lower bound.
-            let upper_factor = if protocol == ProtocolKind::Streamlet {
-                10.0
-            } else {
-                5.0
-            };
-            assert!(
-                measured_ms < predicted_ms * upper_factor && measured_ms > predicted_ms / 5.0,
-                "{protocol} {nodes}/{bsize}: measured {measured_ms:.2} ms vs model {predicted_ms:.2} ms"
-            );
+            grid.push((nodes, bsize, protocol, model.latency(rate) * 1e3));
+            points.push(point(&config, protocol, rate));
         }
+    }
+    for ((nodes, bsize, protocol, predicted_ms), report) in grid.into_iter().zip(run_all(points)) {
+        let measured_ms = report.latency.mean_ms;
+        // Streamlet's broadcast-and-echo traffic is only captured by the
+        // model through re-measured parameters (§V-E), so for SL we only
+        // require the model to be a sane lower bound.
+        let upper_factor = if protocol == ProtocolKind::Streamlet {
+            10.0
+        } else {
+            5.0
+        };
+        assert!(
+            measured_ms < predicted_ms * upper_factor && measured_ms > predicted_ms / 5.0,
+            "{protocol} {nodes}/{bsize}: measured {measured_ms:.2} ms vs model {predicted_ms:.2} ms"
+        );
     }
 }
 
 #[test]
 fn model_predicts_relative_latency_ordering_of_the_protocols() {
     let config = eval_config(4, 400);
-    let params = model_params(&config);
+    let params = ModelParams::from_config(&config);
     let hs = PerfModel::new(ProtocolKind::HotStuff, params);
     let two = PerfModel::new(ProtocolKind::TwoChainHotStuff, params);
     // The model predicts 2CHS is one service time faster than HS.
     assert!(two.latency(1_000.0) < hs.latency(1_000.0));
 
     // The simulator must show the same ordering.
-    let hs_report = Benchmarker::new(
-        config.clone(),
-        ProtocolKind::HotStuff,
-        RunOptions::default(),
-    )
-    .run_at(5_000.0);
-    let two_report = Benchmarker::new(
-        config,
-        ProtocolKind::TwoChainHotStuff,
-        RunOptions::default(),
-    )
-    .run_at(5_000.0);
-    assert!(two_report.latency.mean_ms < hs_report.latency.mean_ms);
+    let reports = run_all(vec![
+        point(&config, ProtocolKind::HotStuff, 5_000.0),
+        point(&config, ProtocolKind::TwoChainHotStuff, 5_000.0),
+    ]);
+    assert!(reports[1].latency.mean_ms < reports[0].latency.mean_ms);
 }
 
 #[test]
 fn throughput_tracks_arrival_rate_below_saturation_as_in_table_two() {
     let config = eval_config(4, 400);
-    let bench = Benchmarker::new(config, ProtocolKind::HotStuff, RunOptions::default());
-    for rate in [10_000.0, 30_000.0, 60_000.0] {
-        let report = bench.run_at(rate);
+    let rates = [10_000.0, 30_000.0, 60_000.0];
+    let points = rates
+        .iter()
+        .map(|&rate| point(&config, ProtocolKind::HotStuff, rate))
+        .collect();
+    for (rate, report) in rates.into_iter().zip(run_all(points)) {
         let error = (report.throughput_tx_per_sec - rate).abs() / rate;
         assert!(
             error < 0.15,
@@ -114,12 +105,12 @@ fn throughput_tracks_arrival_rate_below_saturation_as_in_table_two() {
 #[test]
 fn model_saturation_rate_brackets_simulated_peak_throughput() {
     let config = eval_config(4, 400);
-    let model = PerfModel::new(ProtocolKind::HotStuff, model_params(&config));
+    let model = PerfModel::new(ProtocolKind::HotStuff, ModelParams::from_config(&config));
     let saturation = model.saturation_rate();
-    let bench = Benchmarker::new(config, ProtocolKind::HotStuff, RunOptions::default());
     // Well above the modelled saturation point the simulator must commit fewer
     // transactions than offered (i.e. it has indeed saturated).
-    let report = bench.run_at(saturation * 3.0);
+    let (config, protocol, options) = point(&config, ProtocolKind::HotStuff, saturation * 3.0);
+    let report = SimRunner::new(config, protocol, options).run();
     assert!(
         report.throughput_tx_per_sec < saturation * 3.0 * 0.9,
         "simulator did not saturate: {} tx/s at offered {}",
