@@ -18,11 +18,13 @@
 //! `target/bamboo-bench/scenario_reports.json` — a byte-stable artifact:
 //! two invocations on the same tree produce identical bytes. The recovery
 //! latencies `bench_diff` tracks are written next to it as
-//! `scenario.rows.json` (`<scenario>/<protocol>/recovery_time_ms` for runs
-//! that scheduled amnesia recoveries, `…/log_replay_ms` for durable
-//! restarts), with each run's `…/u_max`, `…/view_ms_qc`,
-//! `…/views_by_timeout` and four commit-stage means (`…/stage_*_ms`), under
-//! the tier the suite ran at.
+//! `scenario.rows.json`: each run's end-to-end numbers
+//! (`<scenario>/<protocol>/throughput`, `…/latency_mean`, `…/latency_p99`,
+//! `…/cgr` and `…/duplicates_filtered`), its `…/u_max`, `…/view_ms_qc`,
+//! `…/views_by_timeout`, `…/handoff_rehanded` and four commit-stage means
+//! (`…/stage_*_ms`), and `…/recovery_time_ms` for runs that scheduled
+//! amnesia recoveries, `…/log_replay_ms` for durable restarts, under the
+//! tier the suite ran at.
 //!
 //! The process exits non-zero on any failure: a safety violation or forked
 //! ledger, a mismatch between the paired runs, an unmet spec
@@ -33,7 +35,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bamboo_bench::{banner, save_rows, stage_rows, write_artifact, Lower, RowFile, Sim, Tier};
+use bamboo_bench::{
+    banner, save_rows, stage_rows, write_artifact, Higher, Lower, RowFile, Sim, Tier,
+};
 use bamboo_core::parallel::{default_workers, run_ordered};
 use bamboo_core::{Scenario, ScenarioReport, ScenarioRun};
 use bamboo_types::{ProtocolKind, ToJson};
@@ -155,12 +159,12 @@ fn main() -> ExitCode {
         );
         for run in &report.runs {
             total_events += run.report.events_processed;
-            // Copies sent / kept / dropped / handed on once more (DESIGN.md
-            // §7.4).
+            // Copies sent / kept / dropped / handed on (DESIGN.md §7.4), and
+            // committed duplicates the ledger did not execute.
             let handoff = &run.report.mempool;
             println!(
                 "  {:<5} n={:<3} {:>9.0} tx/s   mean {:>8.2} ms   p99 {:>8.2} ms   CGR {:>5.2}   \
-                 rejects {:>4}   handoff {}/{}/{}/{}   det {}   fp {}",
+                 rejects {:>4}   handoff {}/{}/{}/{}   dups {}   det {}   fp {}",
                 run.protocol.label(),
                 run.report.nodes,
                 run.report.throughput_tx_per_sec,
@@ -172,10 +176,28 @@ fn main() -> ExitCode {
                 handoff.handed_in,
                 handoff.handoff_dropped,
                 handoff.rehanded,
+                run.report.duplicates_filtered,
                 if run.deterministic { "ok" } else { "MISMATCH" },
                 &run.report.ledger_fingerprint[..16.min(run.report.ledger_fingerprint.len())],
             );
             let key = format!("{}/{}", report.name, run.protocol.label());
+            let (r, latency) = (&run.report, &run.report.latency);
+            rows.point(
+                Sim,
+                &key,
+                &[
+                    ("throughput", r.throughput_tx_per_sec, "tx/s", Higher),
+                    ("latency_mean", latency.mean_ms, "ms", Lower),
+                    ("latency_p99", latency.p99_ms, "ms", Lower),
+                    ("cgr", r.chain_growth_rate, "ratio", Higher),
+                    (
+                        "duplicates_filtered",
+                        r.duplicates_filtered as f64,
+                        "count",
+                        Lower,
+                    ),
+                ],
+            );
             let load = &run.report.utilization;
             let timeouts = load.view_timeout.count as f64;
             rows.point(

@@ -1,6 +1,5 @@
 //! The handoff rule: where a replica sends a copy of each batch it admits,
-//! when it hands a copy on once more, and what keeps a transaction with two
-//! or three holders from committing twice.
+//! when it hands a copy on, and how long a copy lives.
 //!
 //! A client batch reaches one replica, and waits in that replica's mempool
 //! until the replica leads — n/2 views on average under rotation, forever
@@ -11,24 +10,23 @@
 //! anyway. Before the replica voted in its current view `v`, its next vote
 //! completes the QC that lets `v + 1` propose; after, the one for `v + 2`.
 //!
-//! A close target can miss: its leader proposes before the copy arrives.
-//! The sender sees that when the stamped view's block reaches it without
-//! the copy's transactions, and then hands what is still its own on to its
-//! current target, once ([`Outbox::rehand`]).
+//! A target can miss. Its leader may propose before the copy arrives: the
+//! sender sees that when the stamped view's block reaches it without the
+//! copy's transactions, and hands what is still its own on to its current
+//! target, once ([`Outbox::rehand`]). Or its leader is down: the sender
+//! sees the stamped view time out, and hands the copy on under a new stamp
+//! ([`Outbox::on_timeout`]) — again at the next timeout, for as long as
+//! the copy lives.
 //!
-//! With several holders, a transaction must still commit once:
+//! A transaction with several holders can be committed twice; the ledger
+//! executes it once ([`bamboo_forest::ExecWindow`], DESIGN.md §7.4) as long
+//! as its carriers are at most [`WINDOW`] blocks apart, which the bound on
+//! a copy's lifetime ([`COPY_LIFETIME`]) and the receiver's stamp check
+//! ([`receive`]) keep. The other rules here keep duplicates rare, not out:
 //!
 //! * a proposer leaves out what a pending block in its forest carries
 //!   (`Mempool::next_batch_excluding`), and commit removes committed ids
 //!   from every pool;
-//! * a copy is kept only while its receiver has not passed the view it is
-//!   meant for ([`receive`]). The sender leads none of the views up to that
-//!   one, so its original can only commit in a later view — a copy that
-//!   arrives after that commit arrives after its view, and is dropped;
-//! * a re-handed copy is stamped at most two views after the missed one:
-//!   the first copy's holder proposes again at the earliest one view after
-//!   it, and that block is known committed two views later still, after the
-//!   re-handed copy's view;
 //! * two holders can propose one transaction on two branches, so the loser
 //!   gives back only what the winner did not commit ([`requeue_forked`]);
 //! * a replica that adopts a snapshot drops what its blocks carry from the
@@ -37,7 +35,7 @@
 
 use std::collections::VecDeque;
 
-use bamboo_forest::{BlockForest, Ledger};
+use bamboo_forest::{BlockForest, Ledger, WINDOW};
 use bamboo_mempool::Mempool;
 use bamboo_pacemaker::LeaderElection;
 use bamboo_types::{
@@ -46,17 +44,10 @@ use bamboo_types::{
 
 use crate::runtime::Transport;
 
-/// How many of the newest committed blocks a forked block's transactions are
-/// checked against before they go back to the pool: the longest fork whose
-/// winner can carry one of them.
-const FORK_LOOKBACK: usize = 64;
-
-/// How many views after a missed view a re-handed copy may be stamped. The
-/// first copy's holder proposes again in a view after the missed one, and
-/// a block is known committed only two views after its own (commit depth
-/// two and up, and Streamlet), so every holder drops a re-handed copy once
-/// that commit can be known.
-const REHAND_SPAN: u64 = 2;
+/// How many views past the stamp it was first sent with a copy may still be
+/// handed on: half the execute-once window, so every carrier of a
+/// transaction stays within [`WINDOW`] blocks of the first (DESIGN.md §7.4).
+const COPY_LIFETIME: u64 = WINDOW as u64 / 2;
 
 /// The view `me` hands a batch to while at `view`, having last proposed in
 /// `proposed_in_view` and last voted in `voted`, and that view's leader:
@@ -82,39 +73,52 @@ pub fn target(
     Some((View(last), election.leader_of(View(last))))
 }
 
-/// The copies a replica handed off, by the view they are stamped with,
-/// until that view's block reaches it. Only ids are kept: what goes on is
-/// copied from the pool again. Re-handed copies are not kept: a copy is
-/// handed on at most once.
+/// One copy a replica handed off: the view it is stamped with now, the one
+/// it was first sent with, and its id. Only ids are kept: what goes on is
+/// copied from the pool again.
+#[derive(Clone, Copy, Debug)]
+struct Sent {
+    stamp: View,
+    first: View,
+    id: TxId,
+}
+
+/// The copies a replica handed off, until their stamped view's block
+/// reaches it or the view times out. A copy handed on because a block
+/// missed it is not kept: it goes on at most once that way.
 #[derive(Debug, Default)]
 pub struct Outbox {
-    /// `(stamp, id)` of every copy sent and not yet checked, in the order
-    /// sent. A sender's target never moves back, so neither do the stamps.
-    sent: VecDeque<(View, TxId)>,
+    /// Every copy sent and not yet settled, in stamp order: a sender's
+    /// target never moves back, and a copy handed on after a timeout goes
+    /// to the back under its new stamp, the sender's current target.
+    sent: VecDeque<Sent>,
 }
 
 impl Outbox {
     /// Records copies sent for `stamp`, forgetting those that can no longer
-    /// be handed on: no later target is within [`REHAND_SPAN`] of a stamp
-    /// more than that far behind this one.
+    /// be handed on: a copy stamped more than [`COPY_LIFETIME`] views
+    /// behind was first sent at least that far behind too.
     fn keep(&mut self, stamp: View, txs: &[Transaction]) {
-        let stale = |(sent, _): &(View, TxId)| sent.as_u64() + REHAND_SPAN < stamp.as_u64();
+        let stale = |sent: &Sent| sent.stamp.as_u64() + COPY_LIFETIME < stamp.as_u64();
         while self.sent.front().is_some_and(stale) {
             self.sent.pop_front();
         }
-        self.sent.extend(txs.iter().map(|tx| (stamp, tx.id)));
+        let sent = |tx: &Transaction| Sent {
+            stamp,
+            first: stamp,
+            id: tx.id,
+        };
+        self.sent.extend(txs.iter().map(sent));
     }
 
     /// Whether a copy stamped with `view` waits for its block.
     pub fn awaits(&self, view: View) -> bool {
-        self.sent.iter().any(|(stamp, _)| *stamp == view)
+        self.sent.iter().any(|sent| sent.stamp == view)
     }
 
     /// Once the first block of a view copies are stamped with is stored:
-    /// hands what that block does not carry, what `mempool` still holds and
-    /// what no block of `forest` above the committed head carries to
-    /// `target` — only if it is at most [`REHAND_SPAN`] views after the
-    /// block's. Counted in [`bamboo_mempool::MempoolStats::rehanded`].
+    /// hands what that block does not carry on to `target`, once ([`hand_on`]
+    /// says what goes). Counted in [`bamboo_mempool::MempoolStats::rehanded`].
     pub fn rehand(
         &mut self,
         block: &Block,
@@ -123,19 +127,13 @@ impl Outbox {
         target: Option<(View, NodeId)>,
         transport: &mut dyn Transport,
     ) {
-        let start = self.sent.partition_point(|(stamp, _)| *stamp < block.view);
-        let end = self.sent.partition_point(|(stamp, _)| *stamp <= block.view);
-        let mut missing: Vec<TxId> = self.sent.drain(start..end).map(|(_, id)| id).collect();
-        let Some((view, leader)) = target else {
-            return;
-        };
-        if missing.is_empty() || view.as_u64() > block.view.as_u64() + REHAND_SPAN {
-            return;
-        }
+        let start = self.sent.partition_point(|sent| sent.stamp < block.view);
+        let end = self.sent.partition_point(|sent| sent.stamp <= block.view);
+        let mut missing: Vec<Sent> = self.sent.drain(start..end).collect();
         // A copy is a few ids and a payload up to a block: the ids still
         // missing stay a sorted list, and the payload is walked from its end,
         // where its leader queued what was handed in last.
-        missing.sort_unstable();
+        missing.sort_unstable_by_key(|sent| sent.id);
         if block
             .payload
             .iter()
@@ -144,19 +142,64 @@ impl Outbox {
         {
             return;
         }
-        missing.retain(|id| mempool.holds(id));
-        let mut pending = forest.uncommitted_tx_ids();
-        if missing.is_empty() || pending.any(|id| strike(&mut missing, id)) {
+        hand_on(missing, mempool, forest, target, transport);
+    }
+
+    /// On entering a view through a TC for `timed_out`: hands every copy
+    /// stamped at or before it on to `target` ([`hand_on`] says what goes),
+    /// and keeps what went under the new stamp, so a second timeout moves
+    /// it on again. Counted in [`bamboo_mempool::MempoolStats::rehanded`].
+    pub fn on_timeout(
+        &mut self,
+        timed_out: View,
+        mempool: &mut Mempool,
+        forest: &BlockForest,
+        target: Option<(View, NodeId)>,
+        transport: &mut dyn Transport,
+    ) {
+        let due = self.sent.partition_point(|sent| sent.stamp <= timed_out);
+        if due == 0 {
             return;
         }
-        let txs = mempool.copy_rehanded(&missing);
-        transport.unicast(leader, Message::Handoff(Handoff { view, txs }));
+        let mut due: Vec<Sent> = self.sent.drain(..due).collect();
+        due.sort_unstable_by_key(|sent| sent.id);
+        let handed = hand_on(due, mempool, forest, target, transport);
+        if let Some((stamp, _)) = target {
+            self.sent
+                .extend(handed.into_iter().map(|sent| Sent { stamp, ..sent }));
+        }
     }
 }
 
-/// Strikes `id` from the sorted `missing`; true once none is left.
-fn strike(missing: &mut Vec<TxId>, id: &TxId) -> bool {
-    if let Ok(at) = missing.binary_search(id) {
+/// Hands `copies` (sorted by id) on to `target` as one copy: those still
+/// within their lifetime, that `mempool` still holds and that no block of
+/// `forest` above the committed head carries. Returns what went; nothing
+/// goes without a target (the sender leads one of the views up to it).
+fn hand_on(
+    mut copies: Vec<Sent>,
+    mempool: &mut Mempool,
+    forest: &BlockForest,
+    target: Option<(View, NodeId)>,
+    transport: &mut dyn Transport,
+) -> Vec<Sent> {
+    let Some((view, leader)) = target else {
+        return Vec::new();
+    };
+    let live = |sent: &Sent| sent.first.as_u64() + COPY_LIFETIME >= view.as_u64();
+    copies.retain(|sent| live(sent) && mempool.holds(&sent.id));
+    let mut pending = forest.uncommitted_tx_ids();
+    if copies.is_empty() || pending.any(|id| strike(&mut copies, id)) {
+        return Vec::new();
+    }
+    let ids: Vec<TxId> = copies.iter().map(|sent| sent.id).collect();
+    let txs = mempool.copy_rehanded(&ids);
+    transport.unicast(leader, Message::Handoff(Handoff { view, txs }));
+    copies
+}
+
+/// Strikes `id` from `missing`, sorted by id; true once none is left.
+fn strike(missing: &mut Vec<Sent>, id: &TxId) -> bool {
+    if let Ok(at) = missing.binary_search_by_key(id, |sent| sent.id) {
         missing.remove(at);
     }
     missing.is_empty()
@@ -216,7 +259,7 @@ pub fn requeue_forked(
     if recovered.is_empty() {
         return;
     }
-    let newest = ledger.len().saturating_sub(FORK_LOOKBACK)..ledger.len();
+    let newest = ledger.len().saturating_sub(WINDOW)..ledger.len();
     let committed: DigestSet<TxId> = (newest.filter_map(|index| ledger.get(index)))
         .flat_map(|committed| committed.block.payload.iter().map(|tx| tx.id))
         .collect();
@@ -421,27 +464,71 @@ mod tests {
     }
 
     #[test]
-    fn no_copy_is_handed_on_more_than_two_views_past_its_own() {
+    fn no_copy_is_handed_on_past_its_lifetime() {
         let block = block_on(&Block::genesis(), 7, Vec::new());
-        // A target three views past, or none (the sender leads one of the
-        // views up to it), hands nothing on.
-        for ahead in [Some((View(10), NodeId(2))), None] {
+        let far = View(7 + COPY_LIFETIME + 1);
+        // No target (the sender leads one of the views up to it), or one
+        // past the copy's lifetime, hands nothing on; three views past the
+        // missed one does.
+        for (ahead, handed) in [
+            (None, 0),
+            (Some((far, NodeId(2))), 0),
+            (Some((View(10), NodeId(2))), 6),
+        ] {
             let (mut pool, mut outbox, mut forest, mut transport) = sent_to_view_7();
             forest.insert(block.clone()).unwrap();
             outbox.rehand(&block, &mut pool, &forest, ahead, &mut transport);
-            assert!(transport.sends.is_empty(), "{ahead:?}");
-            assert_eq!(pool.stats().rehanded, 0);
+            assert_eq!(pool.stats().rehanded, handed, "{ahead:?}");
+            assert_eq!(transport.sends.len(), usize::from(handed > 0));
         }
-        // A sender whose target moved more than two views past the copy's
-        // forgets it: its target never moves back.
+        // A sender whose target moved more than a lifetime past the copy's
+        // stamp forgets it: its target never moves back.
         let (mut pool, mut outbox, mut forest, mut transport) = sent_to_view_7();
-        let ahead = Some((View(10), NodeId(2)));
-        admit(&mut pool, &mut outbox, ahead, txs(10..11), &mut transport);
+        admit(
+            &mut pool,
+            &mut outbox,
+            Some((far, NodeId(2))),
+            txs(10..11),
+            &mut transport,
+        );
         assert_eq!(outbox.sent.len(), 1);
         forest.insert(block.clone()).unwrap();
         let close = Some((View(9), NodeId(1)));
         outbox.rehand(&block, &mut pool, &forest, close, &mut transport);
         assert_eq!(pool.stats().rehanded, 0);
+    }
+
+    #[test]
+    fn a_copy_whose_view_times_out_goes_to_the_current_target_and_on_again() {
+        let (mut pool, mut outbox, mut forest, mut transport) = sent_to_view_7();
+        // Tx 5 left the sender's pool and a pending block carries tx 4.
+        pool.remove_committed([txs(5..6)[0].id].iter());
+        forest
+            .insert(block_on(&Block::genesis(), 6, txs(4..5)))
+            .unwrap();
+        // View 6 timing out leaves the copy for view 7 where it is.
+        let ahead = Some((View(8), NodeId(4)));
+        outbox.on_timeout(View(6), &mut pool, &forest, ahead, &mut transport);
+        assert!(transport.sends.is_empty() && outbox.awaits(View(7)));
+        // View 7 timing out hands what is still ours to the current target,
+        // and keeps it under the new stamp.
+        let ahead = Some((View(9), NodeId(5)));
+        outbox.on_timeout(View(7), &mut pool, &forest, ahead, &mut transport);
+        let first = vec![(NodeId(5), View(9), vec![0, 1, 2, 3])];
+        assert_eq!(handoffs(&transport), first);
+        assert!(outbox.awaits(View(9)) && !outbox.awaits(View(7)));
+        // Its view timing out too moves it on again.
+        let ahead = Some((View(11), NodeId(7)));
+        outbox.on_timeout(View(9), &mut pool, &forest, ahead, &mut transport);
+        let second = (NodeId(7), View(11), vec![0, 1, 2, 3]);
+        assert_eq!(handoffs(&transport)[1..], [second]);
+        assert_eq!(pool.stats().rehanded, 8);
+        assert_eq!(pool.stats().handed_off, 6, "counted apart");
+        // A timeout with no target (the sender leads one of the views up to
+        // it) settles the copy: the sender proposes it itself.
+        outbox.on_timeout(View(11), &mut pool, &forest, None, &mut transport);
+        assert!(outbox.sent.is_empty());
+        assert_eq!(transport.sends.len(), 2);
     }
 
     #[test]

@@ -279,6 +279,7 @@ pub fn run_live_node(
             view: replica.current_view(),
             timeout_view_changes: replica.timeout_view_changes(),
             report: &report,
+            ledger: replica.ledger(),
             messages,
             bytes,
             proposed: proposed.as_deref(),

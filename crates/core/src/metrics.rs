@@ -129,6 +129,9 @@ pub struct SeatBooks {
     /// Issue → commit at the seat, on the clock its cluster stamps requests
     /// with; empty when read over a status frame (DESIGN.md §9.3).
     pub latency: LatencyStats,
+    /// Committed transactions the seat's ledger did not execute: their id
+    /// was among the newest committed blocks' ([`bamboo_forest::ExecWindow`]).
+    pub duplicates_filtered: u64,
 }
 
 /// The commit-latency and throughput books of the observer replica.
@@ -517,8 +520,13 @@ pub struct RunReport {
     /// Client-observed submit→commit latency statistics (no response leg) —
     /// the distribution a saturation sweep watches collapse.
     pub client_latency: LatencyStats,
-    /// Total committed transactions.
+    /// Total committed transactions, each executed once: the observer's
+    /// ledger filters an id one of its newest committed blocks carried.
     pub committed_txs: u64,
+    /// Committed transactions the observer's ledger did not execute, as
+    /// duplicates ([`bamboo_forest::ExecWindow`]; DESIGN.md §7.4). Not in
+    /// the replay key: the ledger it filters is.
+    pub duplicates_filtered: u64,
     /// Total committed blocks.
     pub committed_blocks: u64,
     /// Highest view reached by the observer replica.
@@ -661,6 +669,7 @@ impl ToJson for RunReport {
             ("latency", self.latency.to_json()),
             ("client_latency", self.client_latency.to_json()),
             ("committed_txs", Json::from(self.committed_txs)),
+            ("duplicates_filtered", Json::from(self.duplicates_filtered)),
             ("committed_blocks", Json::from(self.committed_blocks)),
             ("views_advanced", Json::from(self.views_advanced)),
             ("chain_growth_rate", Json::from(self.chain_growth_rate)),
@@ -738,6 +747,9 @@ pub struct ClusterReport {
     pub committed_blocks: Vec<usize>,
     /// Committed transactions in the longest ledger.
     pub committed_txs: u64,
+    /// Committed transactions a seat's ledger did not execute as duplicates,
+    /// at the seat that filtered the most since its boot.
+    pub duplicates_filtered: u64,
     /// Highest view reached across seats.
     pub max_view: u64,
     /// Whether every honest seat that was up held a prefix of the longest
@@ -963,6 +975,7 @@ mod tests {
             latency: LatencyStats::default(),
             client_latency: LatencyStats::default(),
             committed_txs: 12340,
+            duplicates_filtered: 0,
             committed_blocks: 100,
             views_advanced: 120,
             chain_growth_rate: 0.83,

@@ -12,10 +12,11 @@
 //! subscribers, all known at compile time, so there is no trait (DESIGN.md
 //! §5, "Observation").
 
-use bamboo_forest::Ledger;
+use bamboo_forest::{ExecWindow, Ledger};
 use bamboo_pacemaker::LeaderElection;
 use bamboo_types::{
-    Block, BlockId, Config, DigestMap, DigestSet, NodeId, ProtocolKind, SimDuration, SimTime, View,
+    Block, BlockId, Config, DigestMap, NodeId, ProtocolKind, SimDuration, SimTime, Transaction,
+    View,
 };
 
 use crate::live::SeatStatus;
@@ -37,8 +38,10 @@ pub(crate) struct StepView<'a> {
     /// The replica's view and its timeout-driven view changes after the step.
     pub view: View,
     pub timeout_view_changes: u64,
-    /// The step's CPU bill and the blocks it committed.
+    /// The step's CPU bill and the blocks it committed, which end the
+    /// replica's `ledger` after the step.
     pub report: &'a StepReport,
+    pub ledger: &'a Ledger,
     /// Messages the step put on the wire, one per recipient (a recipient
     /// behind a dropped link included), and their bytes.
     pub messages: u64,
@@ -46,7 +49,8 @@ pub(crate) struct StepView<'a> {
     /// The last proposal the step sent, a relay included.
     pub proposed: Option<&'a Block>,
     /// At the observer replica, the instant each committed transaction's
-    /// confirmation reaches its client, in commit order; empty elsewhere.
+    /// confirmation would reach its client, in commit order (a duplicate's
+    /// is not booked); empty elsewhere.
     pub confirmed: &'a [SimTime],
 }
 
@@ -56,6 +60,11 @@ pub(crate) struct Observer {
     pub node: NodeId,
     /// Commit latencies and the throughput series, at the observer replica.
     metrics: Metrics,
+    /// The execute-once rule at the observer replica, its verdict on the
+    /// last block, and the transactions it filtered.
+    window: ExecWindow,
+    executes: Vec<bool>,
+    duplicates_filtered: u64,
     /// Messages and bytes put on the wire by every replica.
     pub messages: u64,
     bytes: u64,
@@ -78,6 +87,9 @@ impl Observer {
         Self {
             node,
             metrics: Metrics::new(series),
+            window: ExecWindow::default(),
+            executes: Vec::new(),
+            duplicates_filtered: 0,
             messages: 0,
             bytes: 0,
             load: Load {
@@ -107,15 +119,24 @@ impl Observer {
         if step.node == self.node {
             // `finish` is the commit instant the client's submit→commit
             // latency is measured against; `confirmed` adds the response leg
-            // (the paper's `t_L` term).
+            // (the paper's `t_L` term). Only what executes counts, once.
             let mut confirmed = step.confirmed;
-            for block in &step.report.committed {
+            let first = step.ledger.len() - step.report.committed.len();
+            for (at, block) in (first..).zip(&step.report.committed) {
+                debug_assert_eq!(step.ledger.get(at).map(|c| c.block.id), Some(block.id));
                 let (ours, rest) = confirmed.split_at(block.payload.len().min(confirmed.len()));
-                for (tx, &at) in block.payload.iter().zip(ours) {
+                confirmed = rest;
+                self.duplicates_filtered +=
+                    self.window.execute(step.ledger, at, &mut self.executes);
+                let executes = &self.executes;
+                let executed = || {
+                    (block.payload.iter().zip(ours).zip(executes))
+                        .filter_map(|(tx, &executes)| executes.then_some(tx))
+                };
+                for (tx, &at) in executed() {
                     self.metrics.record_commit(tx.issued_at, step.finish, at);
                 }
-                self.lifecycle.on_commit(block, step.finish, ours);
-                confirmed = rest;
+                self.lifecycle.on_commit(block, step.finish, executed());
             }
         }
         self.load.on_step(step, self.node);
@@ -151,6 +172,7 @@ impl Observer {
             latency,
             client_latency: self.metrics.client_latency(),
             committed_txs,
+            duplicates_filtered: self.duplicates_filtered,
             committed_blocks,
             views_advanced,
             chain_growth_rate: committed_blocks as f64 / views_advanced as f64,
@@ -215,6 +237,7 @@ impl SeatBook {
             lifetime: now.since(observer.load.begin),
             utilization: observer.load.report(now),
             latency: observer.metrics.client_latency(),
+            duplicates_filtered: observer.duplicates_filtered,
         }
     }
 }
@@ -240,11 +263,12 @@ pub(crate) fn fold_seats(
         ..ClusterReport::default()
     };
     for status in seats.iter().map(|status| status.unwrap_or_default()) {
+        let (books, counters) = (status.books, status.books.counters);
         let blocks = status.committed_blocks as usize;
         report.committed_blocks.push(blocks);
         report.committed_txs = report.committed_txs.max(status.committed_txs);
+        report.duplicates_filtered = (report.duplicates_filtered).max(books.duplicates_filtered);
         report.max_view = report.max_view.max(status.view);
-        let (books, counters) = (status.books, status.books.counters);
         report.safety_violations += counters.safety_violations;
         report.timeout_view_changes += counters.timeout_view_changes;
         report.auth_rejections += counters.rejected_messages;
@@ -378,18 +402,23 @@ impl Lifecycle {
         }
     }
 
-    /// The observer committed `block` at `committed`, and its transactions'
-    /// confirmations reach their clients at `confirmed`. A block committed
-    /// before its QC travelled (a Streamlet notarization) is certified at
+    /// The observer committed `block` at `committed`; `executed` pairs each
+    /// of its transactions that executed with the instant its confirmation
+    /// reaches its client. A block committed before its QC travelled (a Streamlet notarization) is certified at
     /// the commit, so no stage the observer times runs backwards. The issue
     /// stamp is the client's: a live client may stamp on another clock, and
     /// a first stage that would be negative counts zero.
-    fn on_commit(&mut self, block: &Block, committed: SimTime, confirmed: &[SimTime]) {
+    fn on_commit<'a>(
+        &mut self,
+        block: &Block,
+        committed: SimTime,
+        executed: impl Iterator<Item = (&'a Transaction, &'a SimTime)>,
+    ) {
         let Some((dispatched, certified)) = self.blocks.remove(&block.id) else {
             return;
         };
         let certified = certified.map_or(committed, |at| at.min(committed));
-        for (tx, &confirmed) in block.payload.iter().zip(confirmed) {
+        for (tx, &confirmed) in executed {
             let instants = [tx.issued_at, dispatched, certified, committed, confirmed];
             debug_assert!(instants[1..].is_sorted(), "{:?}: {instants:?}", tx.id);
             for (stage, pair) in self.stages.iter_mut().zip(instants.windows(2)) {
@@ -459,21 +488,7 @@ pub(crate) fn audit<'a>(config: &Config, hosts: impl Iterator<Item = &'a NodeHos
         .filter(|pair| !pair[0].consistent_with(pair[1]))
         .count() as u64;
     audit.safety_violations += audit.forks;
-    // A batch has two holders, its origin and the leader it was handed to,
-    // and still commits once (DESIGN.md §7.4). Honest ledgers are prefixes
-    // of one another, so the longest speaks for all.
-    let longest = honest.iter().max_by_key(|ledger| ledger.len());
-    debug_assert!(
-        longest.is_none_or(|ledger| commits_each_once(ledger)),
-        "a transaction was committed twice"
-    );
     audit
-}
-
-/// Whether no transaction appears twice in `ledger`.
-fn commits_each_once(ledger: &Ledger) -> bool {
-    let mut seen = DigestSet::default();
-    (ledger.iter()).all(|committed| committed.block.payload.iter().all(|tx| seen.insert(tx.id)))
 }
 
 /// Folds the per-replica recovery counters and audits catch-up: every

@@ -489,8 +489,10 @@ impl Replica {
     fn enter_view(&mut self, view: View, tc: Option<TimeoutCert>, out: &mut Step<'_>) {
         let via_timeout = tc.is_some();
         if let Some(tc) = tc {
-            // Forward the TC to the new leader so it can adopt the highest QC
-            // even if it did not form the TC itself.
+            // Copies for a view that timed out go on (`handoff.rs`).
+            let (aim, pool, forest) = (self.handoff_target(), &mut self.mempool, &self.forest);
+            (self.outbox).on_timeout(tc.view, pool, forest, aim, out.transport);
+            // Forward the TC to the new leader: it adopts the TC's high QC.
             let leader = self.election.leader_of(view);
             if leader != self.id {
                 out.transport.unicast(leader, Message::TimeoutCertMsg(tc));
@@ -512,9 +514,7 @@ impl Replica {
             }
         }
         // Keep the quorum tracker bounded.
-        if view.as_u64() > 64 {
-            self.quorum.prune_below(View(view.as_u64() - 64));
-        }
+        (self.quorum).prune_below(View(view.as_u64().saturating_sub(64)));
         out.transport
             .arm_timer(view, out.now + self.pacemaker.timeout());
     }

@@ -788,6 +788,7 @@ impl SimRunner {
             view,
             timeout_view_changes: timeouts,
             report: &report,
+            ledger: self.hosts[index].replica().ledger(),
             messages,
             bytes: bytes_sent,
             proposed: proposed.as_deref(),

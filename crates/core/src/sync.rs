@@ -241,7 +241,7 @@ mod tests {
     use crate::durability::testutil::{chain, grow};
     use crate::runtime::BufferedTransport;
     use bamboo_crypto::{Digest, KeyPair};
-    use bamboo_forest::chunks;
+    use bamboo_forest::{chunks, ExecWindow, WINDOW};
     use bamboo_sim::CpuModel;
     use bamboo_types::{BlockId, Config, Height};
     use std::collections::BTreeSet;
@@ -360,5 +360,69 @@ mod tests {
             "one chunk, never none"
         );
         assert_eq!(response.blocks[0].height, Height(4));
+    }
+
+    /// The execute-once window reads the newest [`WINDOW`] committed blocks
+    /// below a ledger's tip, so a replica that installs a snapshot must end
+    /// up holding them: the chunks decode onto the ledger the requester
+    /// kept, or replace it from genesis when it is off the chain. An
+    /// [`ExecWindow`] on the installed ledger then agrees with the server's
+    /// on every block from the tip on.
+    #[test]
+    fn an_installed_snapshot_carries_the_blocks_the_execute_once_window_reads() {
+        let (server_forest, server_ledger, disk) = server(300, 8, 8);
+        for height in [0, 5, 100, 250] {
+            for known_head in [true, false] {
+                let (mut forest, mut ledger) = chain(0, 8);
+                if known_head {
+                    let kept = server_ledger.iter().take(height).cloned();
+                    ledger = Ledger::restore(kept.collect());
+                } else {
+                    // Another chain of the same length.
+                    for _ in 0..height {
+                        grow(&mut forest, &mut ledger, 9);
+                    }
+                }
+                let req = request(&ledger, height, known_head);
+                let response = serve(&req, NodeId(1), &server_ledger, &server_forest, &disk);
+                let sync = SyncState {
+                    active: true,
+                    ..SyncState::default()
+                };
+                let mut requester_disk = Disk::new(&Config::default());
+                let mut stats = RecoveryStats::default();
+                let mut wire = BufferedTransport::new();
+                let mut out = Step::new(SimTime::ZERO, &mut wire, CpuModel::new(SimDuration::ZERO));
+                let installed = sync.install(
+                    &response,
+                    &mut forest,
+                    &mut ledger,
+                    &mut requester_disk,
+                    &mut stats,
+                    &mut out,
+                );
+                assert_eq!(installed, Some(true), "{height} {known_head}");
+                let tip = ledger.len();
+                assert_eq!(tip, 296, "{height} {known_head}: up to the checkpoint");
+                let ids = |ledger: &Ledger| -> Vec<BlockId> {
+                    (tip - WINDOW..tip)
+                        .map(|at| ledger.get(at).unwrap().block.id)
+                        .collect()
+                };
+                assert_eq!(ids(&ledger), ids(&server_ledger), "{height} {known_head}");
+                // The blocks the response carries above the snapshot go on
+                // the installed ledger as the server has them.
+                for block in response.blocks.iter().take(4) {
+                    ledger.append([block.clone()], block.view.next(), SimTime::ZERO);
+                }
+                let (mut ours, mut theirs) = (ExecWindow::default(), ExecWindow::default());
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                for at in tip..ledger.len() {
+                    ours.execute(&ledger, at, &mut a);
+                    theirs.execute(&server_ledger, at, &mut b);
+                    assert_eq!(a, b, "{height} {known_head} at {at}");
+                }
+            }
+        }
     }
 }

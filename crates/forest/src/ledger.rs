@@ -4,9 +4,18 @@
 //! garbage collection" (§II-A). The [`Ledger`] plays that role in the
 //! simulation: it records every committed block together with commit-time
 //! metadata needed by the chain-growth-rate and block-interval metrics.
+//! Which of a committed block's transactions *execute* is the
+//! [`ExecWindow`]'s rule.
+
+use std::collections::VecDeque;
 
 use bamboo_crypto::{Digest, Sha256};
-use bamboo_types::{Block, BlockId, SharedBlock, SimTime, View};
+use bamboo_types::{Block, BlockId, DigestMap, SharedBlock, SimTime, TxId, View};
+
+/// `W`: how many of the newest committed blocks a transaction's id is
+/// checked against — before it executes ([`ExecWindow`]), and before a
+/// forked block gives it back to its proposer's pool.
+pub const WINDOW: usize = 64;
 
 /// A committed block plus commit metadata.
 #[derive(Clone, Debug, PartialEq)]
@@ -227,6 +236,66 @@ impl Ledger {
     }
 }
 
+/// The execute-once rule: a committed transaction executes — is counted,
+/// confirmed and staged — only if neither the [`WINDOW`] blocks committed
+/// before its own nor an earlier transaction of its own block carries its
+/// id. The verdict is a function of the chain, so honest ledgers agree on
+/// it, and block ids and fingerprints do not depend on it. The window holds
+/// the ids of the newest `WINDOW` blocks it was shown, `O(WINDOW · block)`,
+/// never the whole ledger's.
+#[derive(Debug, Default)]
+pub struct ExecWindow {
+    /// The newest blocks shown, oldest first: at most [`WINDOW`].
+    blocks: VecDeque<SharedBlock>,
+    /// How many transactions of `blocks` carry each id.
+    ids: DigestMap<TxId, u32>,
+    /// The ledger index the window expects its next block at.
+    next: usize,
+}
+
+impl ExecWindow {
+    /// Executes `ledger`'s block at index `at`: sets `executes` to one flag
+    /// per transaction of the block, and returns how many were filtered as
+    /// duplicates. A block anywhere but right after the last one shown (a
+    /// snapshot install or a restart moved the ledger) first rebuilds the
+    /// window from the `WINDOW` blocks below `at`.
+    pub fn execute(&mut self, ledger: &Ledger, at: usize, executes: &mut Vec<bool>) -> u64 {
+        if at != self.next {
+            self.blocks.clear();
+            self.ids.clear();
+            for index in at.saturating_sub(WINDOW)..at {
+                self.push(&ledger.blocks[index].block, executes);
+            }
+        }
+        self.push(&ledger.blocks[at].block, executes);
+        if self.blocks.len() > WINDOW {
+            let oldest = self.blocks.pop_front().expect("the window is not empty");
+            for tx in &oldest.payload {
+                if let Some(count) = self.ids.get_mut(&tx.id) {
+                    *count -= 1;
+                    if *count == 0 {
+                        self.ids.remove(&tx.id);
+                    }
+                }
+            }
+        }
+        self.next = at + 1;
+        executes.iter().filter(|executes| !**executes).count() as u64
+    }
+
+    /// Appends `block`, each of its transactions executing iff no block in
+    /// the window and no earlier transaction of its own carries its id.
+    fn push(&mut self, block: &SharedBlock, executes: &mut Vec<bool>) {
+        executes.clear();
+        for tx in &block.payload {
+            let count = self.ids.entry(tx.id).or_insert(0);
+            executes.push(*count == 0);
+            *count += 1;
+        }
+        self.blocks.push_back(block.clone());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,5 +372,78 @@ mod tests {
         assert_eq!(ledger.head(), BlockId::GENESIS);
         assert_eq!(ledger.average_block_interval(), 0.0);
         assert!(ledger.verify_chain());
+    }
+
+    /// A chain of `len` blocks where block `i` (from 1) carries the ids
+    /// `carried(i)`.
+    fn carrying(len: u64, carried: impl Fn(u64) -> Vec<u64>) -> Ledger {
+        let (mut ledger, mut parent) = (Ledger::new(), BlockId::GENESIS);
+        for i in 1..=len {
+            let txs = (carried(i).into_iter())
+                .map(|seq| Transaction::new(NodeId(1), seq, 0, SimTime::ZERO))
+                .collect();
+            let block = Block::new(
+                View(i),
+                Height(i),
+                parent,
+                NodeId(0),
+                QuorumCert::genesis(),
+                txs,
+            );
+            parent = block.id;
+            ledger.append([block], View(i + 2), SimTime::ZERO);
+        }
+        ledger
+    }
+
+    #[test]
+    fn an_id_twice_within_the_window_executes_once_and_counts_once() {
+        // Block 1 carries tx 7 and block 1 + WINDOW, the last block whose
+        // window still holds block 1, carries it again with two copies of
+        // tx 9. Block 2 carries tx 8, and block 3 + WINDOW, one past its
+        // window, carries it again.
+        let w = WINDOW as u64;
+        let ledger = carrying(w + 3, |i| match i {
+            1 => vec![7],
+            2 => vec![8],
+            i if i == w + 1 => vec![7, 9, 9],
+            i if i == w + 3 => vec![8],
+            i => vec![1_000 + i],
+        });
+        let (mut window, mut executes) = (ExecWindow::default(), Vec::new());
+        let (mut filtered, mut executed) = (0, Vec::new());
+        for at in 0..ledger.len() {
+            filtered += window.execute(&ledger, at, &mut executes);
+            let payload = &ledger.get(at).unwrap().block.payload;
+            let ran = payload.iter().zip(&executes).filter(|(_, e)| **e);
+            executed.extend(ran.map(|(tx, _)| tx.id.seq));
+        }
+        let count = |seq| executed.iter().filter(|&&s| s == seq).count();
+        assert_eq!(filtered, 2);
+        assert_eq!((count(7), count(9), count(8)), (1, 1, 2));
+        assert_eq!(window.blocks.len(), WINDOW);
+    }
+
+    #[test]
+    fn a_window_that_jumps_rebuilds_from_the_ledger_to_the_same_verdict() {
+        let ledger = carrying(3 * WINDOW as u64, |i| vec![i % 40, 1_000 + i % 100]);
+        let mut walked = (ExecWindow::default(), Vec::new(), Vec::new());
+        for at in 0..ledger.len() {
+            walked.0.execute(&ledger, at, &mut walked.1);
+            walked.2.push(walked.1.clone());
+        }
+        // A window that first sees the chain at any index (an installed
+        // snapshot's tip, a restart's replay) agrees from there on.
+        for start in [1, WINDOW - 1, WINDOW, 2 * WINDOW + 3] {
+            let (mut window, mut executes) = (ExecWindow::default(), Vec::new());
+            for at in start..ledger.len() {
+                window.execute(&ledger, at, &mut executes);
+                assert_eq!(executes, walked.2[at], "from {start}, at {at}");
+            }
+        }
+        // An id carried 40 blocks back is filtered, one carried 100 back
+        // executes again.
+        assert_eq!(walked.2[10], [true, true]);
+        assert_eq!(walked.2[150], [false, true]);
     }
 }

@@ -23,7 +23,7 @@ pub mod ledger;
 pub mod snapshot;
 
 pub use forest::{BlockForest, ForestError, ForestStats};
-pub use ledger::{ChainFingerprint, CommittedBlock, Ledger};
+pub use ledger::{ChainFingerprint, CommittedBlock, ExecWindow, Ledger, WINDOW};
 pub use snapshot::{
     chunks, decode_committed_record, decode_qc_record, encode_committed_record, encode_qc_record,
     Chunk, Cut, Snapshot, SnapshotError,

@@ -416,7 +416,7 @@ pub fn decode_status(payload: &[u8]) -> Result<(u64, u64), WireError> {
 /// A status reply's fixed-width fields in wire order, whole words first,
 /// then floats as their bit patterns: the token, the seat's progress, each
 /// group of its books once (host counters, mempool, wire and lifetime,
-/// utilization with the two view clocks; not the commit latency), its
+/// duplicates filtered, utilization with the two view clocks; not the commit latency), its
 /// network counters. Both halves of the codec walk these lists.
 fn words(reply: &mut StatusReply) -> (Vec<&mut u64>, Vec<&mut f64>) {
     let (status, net) = (&mut reply.status, &mut reply.net);
@@ -444,6 +444,7 @@ fn words(reply: &mut StatusReply) -> (Vec<&mut u64>, Vec<&mut f64>) {
         &mut books.messages,
         &mut books.bytes,
         &mut books.lifetime.0,
+        &mut books.duplicates_filtered,
         &mut load.busiest.0,
         &mut net.node,
         &mut net.accepted_connections,
@@ -663,6 +664,7 @@ mod tests {
                     },
                     // On the seat's own clock: never on the frame.
                     latency: LatencyStats::default(),
+                    duplicates_filtered: 6,
                 },
             },
             net: NodeNetStats {

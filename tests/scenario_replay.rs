@@ -24,7 +24,9 @@
 //! turn. The fifth moved all three again: the copy goes to the leader the
 //! sender's next vote helps wake instead of three views ahead, and a copy
 //! its view's block missed is handed on once more. CHANGES.md has both
-//! audit tables.
+//! audit tables. The next moved `crash_f` alone: a copy whose view times
+//! out is handed on to the sender's current target, and the ledger executes
+//! each transaction once (DESIGN.md §7.4); CHANGES.md has its table too.
 //! The same configurations are also driven through the live threaded
 //! cluster, which must stay safe on the heterogeneous-WAN workload too, and
 //! the repo benchmark's frozen workload files must keep parsing.
@@ -117,15 +119,16 @@ const GEO_WAN_PINS: [(ProtocolKind, &str); 3] = [
 // replica's deadlines began to follow the live loop's rules (module docs),
 // a fifth time, with `lan` and `geo_wan`, by the handoff, and a sixth, with
 // them again, when the handoff's target began to follow the sender's vote
-// (module docs).
+// (module docs), and a seventh, alone, when a copy whose view times out
+// began to be handed on: its two crashed seats are adjacent.
 const CRASH_F_PINS: [(ProtocolKind, &str); 2] = [
     (
         ProtocolKind::HotStuff,
-        "eddc6e5e27b51b7615fc89f2b3bbfca598bc969d13d457d5cf350ee6de0d99f9",
+        "9c48f43798b538df0c94d56d4e4e3aba03b9a91aa220be137490a4306014ade8",
     ),
     (
         ProtocolKind::TwoChainHotStuff,
-        "03b9c3a54f94f58861ce92141d2fffbaf8521311f7668efb8be5f8df709ffa2f",
+        "db6b5422228da669a675351d03403a547831231cda209dc00f138f8197e574e6",
     ),
 ];
 
@@ -258,15 +261,18 @@ fn lan_commit_latency_is_the_commit_depth_plus_a_few_views() {
     }
 }
 
-/// A handed-off batch has two holders and still commits once: in a debug
-/// build the run audit fails on a transaction committed twice. These specs
-/// reached the two ways a copy once did: a restarted seat's forked block
-/// re-queueing what the winning branch committed (`durable_restart`,
-/// `rolling_restart`), and a copy delayed behind a CPU flood reaching its
-/// leader after the original committed (`forged_vote_flood`). `mixed`
-/// re-hands the most copies of the specs a debug build runs in seconds —
-/// about half of what it hands off — so a third holder is exercised too.
-#[cfg(debug_assertions)]
+/// A handed-off batch has two or more holders and each transaction still
+/// counts once: the observer's ledger executes an id one of its newest
+/// committed blocks carried as a duplicate (`RunReport::duplicates_filtered`,
+/// DESIGN.md §7.4), and every transaction it counts is staged once. These
+/// specs reached the ways a copy once committed twice: a restarted seat's
+/// forked block re-queueing what the winning branch committed
+/// (`durable_restart`, `rolling_restart`), a copy delayed behind a CPU flood
+/// reaching its leader after the original committed (`forged_vote_flood`),
+/// and, with copies handed on when their view times out, a holder taking
+/// a copy after it committed the first carrier (`crash_f`, whose adjacent
+/// crashed seats make it the one spec that commits duplicates). `mixed`
+/// hands on the most copies of the specs that run in seconds.
 #[test]
 fn no_transaction_commits_twice_across_restarts_and_floods() {
     for name in [
@@ -274,8 +280,21 @@ fn no_transaction_commits_twice_across_restarts_and_floods() {
         "rolling_restart",
         "forged_vote_flood",
         "mixed",
+        "crash_f",
     ] {
-        run_quick(name);
+        for run in run_quick(name).runs {
+            let (report, label) = (&run.report, run.protocol.label());
+            assert_eq!(
+                report.stages.dispatched.count, report.committed_txs,
+                "{name}/{label}"
+            );
+            let filtered = report.duplicates_filtered;
+            assert_eq!(
+                filtered > 0,
+                name == "crash_f",
+                "{name}/{label}: {filtered} filtered"
+            );
+        }
     }
 }
 
