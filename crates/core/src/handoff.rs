@@ -19,19 +19,17 @@
 //! the copy lives.
 //!
 //! A transaction with several holders can be committed twice; the ledger
-//! executes it once ([`bamboo_forest::ExecWindow`], DESIGN.md §7.4) as long
-//! as its carriers are at most [`WINDOW`] blocks apart, which the bound on
-//! a copy's lifetime ([`COPY_LIFETIME`]) and the receiver's stamp check
-//! ([`receive`]) keep. The other rules here keep duplicates rare, not out:
-//!
-//! * a proposer leaves out what a pending block in its forest carries
-//!   (`Mempool::next_batch_excluding`), and commit removes committed ids
-//!   from every pool;
-//! * two holders can propose one transaction on two branches, so the loser
-//!   gives back only what the winner did not commit ([`requeue_forked`]);
-//! * a replica that adopts a snapshot drops what its blocks carry from the
-//!   pool ([`forget_committed`]): they were committed without the commit
-//!   path that removes them.
+//! executes it once ([`bamboo_forest::ExecWindow`]) as long as its carriers
+//! are at most [`WINDOW`] blocks apart. DESIGN.md §7.4 argues that bound,
+//! and names its one open case. It rests on a copy's lifetime
+//! ([`COPY_LIFETIME`]), on the receiver's stamp check ([`receive`]) and on
+//! taking committed ids out of every pool: commit removes them, and a
+//! replica that adopts a snapshot drops what its blocks carry
+//! ([`forget_committed`]), as they were committed without the commit path.
+//! Two more rules only keep duplicates rare: a proposer leaves out what a
+//! pending block in its forest carries (`Mempool::next_batch_excluding`),
+//! and the loser of a fork gives back only what the winner did not commit
+//! ([`requeue_forked`]).
 
 use std::collections::VecDeque;
 
@@ -45,8 +43,9 @@ use bamboo_types::{
 use crate::runtime::Transport;
 
 /// How many views past the stamp it was first sent with a copy may still be
-/// handed on: half the execute-once window, so every carrier of a
-/// transaction stays within [`WINDOW`] blocks of the first (DESIGN.md §7.4).
+/// handed on: half the execute-once window, so a copy proposed at its stamp
+/// lands within [`WINDOW`] blocks of its transaction's first carrier
+/// (DESIGN.md §7.4).
 const COPY_LIFETIME: u64 = WINDOW as u64 / 2;
 
 /// The view `me` hands a batch to while at `view`, having last proposed in
