@@ -13,22 +13,21 @@
 //! A target can miss. Its leader may propose before the copy arrives: the
 //! sender sees that when the stamped view's block reaches it without the
 //! copy's transactions, and hands what is still its own on to its current
-//! target, once ([`Outbox::rehand`]). Or its leader is down: the sender
+//! target, once ([`Copies::rehand`]). Or its leader is down: the sender
 //! sees the stamped view time out, and hands the copy on under a new stamp
-//! ([`Outbox::on_timeout`]) — again at the next timeout, for as long as
+//! ([`Copies::on_timeout`]) — again at the next timeout, for as long as
 //! the copy lives.
 //!
 //! A transaction with several holders can be committed twice; the ledger
 //! executes it once ([`bamboo_forest::ExecWindow`]) as long as its carriers
-//! are at most [`WINDOW`] blocks apart. DESIGN.md §7.4 argues that bound,
-//! and names its one open case. It rests on a copy's lifetime
-//! ([`COPY_LIFETIME`]), on the receiver's stamp check ([`receive`]) and on
-//! taking committed ids out of every pool: commit removes them, and a
+//! are at most [`WINDOW`] blocks apart. DESIGN.md §7.4 argues that bound.
+//! It rests on the lifetime of a copy at its sender ([`COPY_LIFETIME`]) and
+//! at its holder ([`HELD_LIFETIME`]), and on what takes a transaction out of
+//! a pool or keeps it out: commit removes committed ids from every pool, a
 //! replica that adopts a snapshot drops what its blocks carry
-//! ([`forget_committed`]), as they were committed without the commit path.
-//! Two more rules only keep duplicates rare: a proposer leaves out what a
-//! pending block in its forest carries (`Mempool::next_batch_excluding`),
-//! and the loser of a fork gives back only what the winner did not commit
+//! ([`forget_committed`]), a proposer leaves out what a pending block in its
+//! forest carries ([`Copies::take_batch`]), and the loser of a fork gives
+//! back only what the newest committed blocks do not carry
 //! ([`requeue_forked`]).
 
 use std::collections::VecDeque;
@@ -43,10 +42,16 @@ use bamboo_types::{
 use crate::runtime::Transport;
 
 /// How many views past the stamp it was first sent with a copy may still be
-/// handed on: half the execute-once window, so a copy proposed at its stamp
-/// lands within [`WINDOW`] blocks of its transaction's first carrier
-/// (DESIGN.md §7.4).
-const COPY_LIFETIME: u64 = WINDOW as u64 / 2;
+/// handed on: a quarter of the execute-once window (DESIGN.md §7.4).
+const COPY_LIFETIME: u64 = WINDOW as u64 / 4;
+
+/// How many views past its stamp a holder may still propose a copy handed
+/// to it: what the execute-once window leaves after a copy's lifetime and
+/// the three views between its first stamp and its first carrier. A held
+/// copy still in the pool when its holder proposes later than that is
+/// dropped first, so every carrier of a copy is proposed within [`WINDOW`]
+/// views, and blocks, of its transaction's first carrier (DESIGN.md §7.4).
+const HELD_LIFETIME: u64 = WINDOW as u64 - COPY_LIFETIME - 3;
 
 /// The view `me` hands a batch to while at `view`, having last proposed in
 /// `proposed_in_view` and last voted in `voted`, and that view's leader:
@@ -83,17 +88,22 @@ struct Sent {
 }
 
 /// The copies a replica handed off, until their stamped view's block
-/// reaches it or the view times out. A copy handed on because a block
-/// missed it is not kept: it goes on at most once that way.
+/// reaches it or the view times out, and the copies handed to it that it
+/// still holds. A copy handed on because a block missed it is not kept: it
+/// goes on at most once that way.
 #[derive(Debug, Default)]
-pub struct Outbox {
+pub struct Copies {
     /// Every copy sent and not yet settled, in stamp order: a sender's
     /// target never moves back, and a copy handed on after a timeout goes
     /// to the back under its new stamp, the sender's current target.
     sent: VecDeque<Sent>,
+    /// Every handed-in copy the pool took, with its stamp, in stamp order,
+    /// until it leaves the pool or its holder passes [`HELD_LIFETIME`] views
+    /// past the stamp.
+    held: VecDeque<(View, TxId)>,
 }
 
-impl Outbox {
+impl Copies {
     /// Records copies sent for `stamp`, forgetting those that can no longer
     /// be handed on: a copy stamped more than [`COPY_LIFETIME`] views
     /// behind was first sent at least that far behind too.
@@ -113,6 +123,54 @@ impl Outbox {
     /// Whether a copy stamped with `view` waits for its block.
     pub fn awaits(&self, view: View) -> bool {
         self.sent.iter().any(|sent| sent.stamp == view)
+    }
+
+    /// Keeps a handed-in copy, unless the receiver, now at `view`, has passed
+    /// the view the copy was meant for, and holds what the pool took.
+    pub fn receive(&mut self, mempool: &mut Mempool, view: View, handoff: &Handoff) {
+        if view > handoff.view {
+            mempool.drop_handed_in(handoff.txs.len());
+            return;
+        }
+        self.expire(view, mempool);
+        // Copies come nearly in stamp order: what a holder takes sits at or
+        // near the back.
+        let mut at = self
+            .held
+            .partition_point(|(stamp, _)| *stamp <= handoff.view);
+        mempool.push_handed_in(&handoff.txs, |id| {
+            self.held.insert(at, (handoff.view, id));
+            at += 1;
+        });
+    }
+
+    /// Drops from `mempool` the held copies stamped more than
+    /// [`HELD_LIFETIME`] views before `view`, counted in
+    /// [`bamboo_mempool::MempoolStats::handoff_dropped`].
+    fn expire(&mut self, view: View, mempool: &mut Mempool) {
+        let live = |(stamp, _): &(View, TxId)| stamp.as_u64() + HELD_LIFETIME >= view.as_u64();
+        let stale = self.held.partition_point(|held| !live(held));
+        if stale > 0 {
+            let ids: Vec<TxId> = self.held.drain(..stale).map(|(_, id)| id).collect();
+            mempool.expire_handed_in(&ids);
+        }
+    }
+
+    /// The batch of at most `max` transactions `mempool` gives a proposal for
+    /// `view`: held copies past their lifetime go first, and what a pending
+    /// block of `forest` carries stays queued.
+    pub fn take_batch(
+        &mut self,
+        view: View,
+        mempool: &mut Mempool,
+        forest: &BlockForest,
+        max: usize,
+    ) -> Vec<Transaction> {
+        self.expire(view, mempool);
+        let batch = mempool.next_batch_excluding(max, forest.uncommitted_tx_ids());
+        // A copy that left the pool has nothing left to expire.
+        self.held.retain(|(_, id)| mempool.holds(id));
+        batch
     }
 
     /// Once the first block of a view copies are stamped with is stored:
@@ -206,10 +264,10 @@ fn strike(missing: &mut Vec<Sent>, id: &TxId) -> bool {
 
 /// Admits `txs` into `mempool` and, when there is a `target`, unicasts a
 /// copy of the accepted ones to its leader as one [`Message::Handoff`] and
-/// keeps it in `outbox`.
+/// keeps it in `copies`.
 pub fn admit(
     mempool: &mut Mempool,
-    outbox: &mut Outbox,
+    copies: &mut Copies,
     target: Option<(View, NodeId)>,
     txs: Vec<Transaction>,
     transport: &mut dyn Transport,
@@ -220,18 +278,8 @@ pub fn admit(
     };
     let txs = mempool.push_batch_and_copy(txs);
     if !txs.is_empty() {
-        outbox.keep(stamp, &txs);
+        copies.keep(stamp, &txs);
         transport.unicast(leader, Message::Handoff(Handoff { view: stamp, txs }));
-    }
-}
-
-/// Keeps a handed-in copy, unless the receiver, now at `view`, has passed
-/// the view the copy was meant for.
-pub fn receive(mempool: &mut Mempool, view: View, handoff: &Handoff) {
-    if view > handoff.view {
-        mempool.drop_handed_in(handoff.txs.len());
-    } else {
-        mempool.push_handed_in(&handoff.txs);
     }
 }
 
@@ -371,19 +419,19 @@ mod tests {
 
     #[test]
     fn admit_keeps_the_original_and_sends_one_copy_of_what_the_pool_took() {
-        let (mut pool, mut outbox) = (Mempool::new(4), Outbox::default());
+        let (mut pool, mut copies) = (Mempool::new(4), Copies::default());
         let mut transport = BufferedTransport::default();
         let ahead = Some((View(9), NodeId(3)));
-        admit(&mut pool, &mut outbox, None, txs(0..2), &mut transport);
+        admit(&mut pool, &mut copies, None, txs(0..2), &mut transport);
         assert!(transport.sends.is_empty());
-        admit(&mut pool, &mut outbox, ahead, txs(1..6), &mut transport);
+        admit(&mut pool, &mut copies, ahead, txs(1..6), &mut transport);
         assert_eq!(pool.len(), 4, "the originals stay");
         // Tx 1 was a duplicate and txs 4 and 5 found no room: only 2 and 3.
         assert_eq!(handoffs(&transport), vec![(NodeId(3), View(9), vec![2, 3])]);
         assert_eq!(pool.stats().handed_off, 2);
-        assert!(outbox.awaits(View(9)) && !outbox.awaits(View(8)));
+        assert!(copies.awaits(View(9)) && !copies.awaits(View(8)));
         // Nothing accepted, nothing sent.
-        admit(&mut pool, &mut outbox, ahead, txs(0..1), &mut transport);
+        admit(&mut pool, &mut copies, ahead, txs(0..1), &mut transport);
         assert_eq!(transport.sends.len(), 1);
     }
 
@@ -412,30 +460,30 @@ mod tests {
 
     /// A sender at view 5 that handed txs 0..6 to view 7's leader (seat 3),
     /// with a forest holding genesis.
-    fn sent_to_view_7() -> (Mempool, Outbox, BlockForest, BufferedTransport) {
-        let (mut pool, mut outbox) = (Mempool::new(20), Outbox::default());
+    fn sent_to_view_7() -> (Mempool, Copies, BlockForest, BufferedTransport) {
+        let (mut pool, mut copies) = (Mempool::new(20), Copies::default());
         let mut transport = BufferedTransport::default();
         let ahead = Some((View(7), NodeId(3)));
-        admit(&mut pool, &mut outbox, ahead, txs(0..6), &mut transport);
+        admit(&mut pool, &mut copies, ahead, txs(0..6), &mut transport);
         transport.sends.clear();
-        (pool, outbox, BlockForest::new(), transport)
+        (pool, copies, BlockForest::new(), transport)
     }
 
     #[test]
     fn a_copy_its_view_block_carried_is_not_handed_on() {
-        let (mut pool, mut outbox, mut forest, mut transport) = sent_to_view_7();
+        let (mut pool, mut copies, mut forest, mut transport) = sent_to_view_7();
         let block = block_on(&Block::genesis(), 7, txs(0..6));
         forest.insert(block.clone()).unwrap();
         let ahead = Some((View(9), NodeId(5)));
-        outbox.rehand(&block, &mut pool, &forest, ahead, &mut transport);
+        copies.rehand(&block, &mut pool, &forest, ahead, &mut transport);
         assert!(transport.sends.is_empty());
         assert_eq!(pool.stats().rehanded, 0);
-        assert!(outbox.sent.is_empty(), "checked once");
+        assert!(copies.sent.is_empty(), "checked once");
     }
 
     #[test]
     fn what_a_view_block_missed_is_handed_on_exactly_once() {
-        let (mut pool, mut outbox, mut forest, mut transport) = sent_to_view_7();
+        let (mut pool, mut copies, mut forest, mut transport) = sent_to_view_7();
         // Tx 5 left the sender's pool and a pending block carries tx 4: of
         // what view 7's block missed, only txs 2 and 3 are handed on.
         pool.remove_committed([txs(5..6)[0].id].iter());
@@ -444,7 +492,7 @@ mod tests {
         let block = block_on(&pending, 7, txs(0..2));
         forest.insert(block.clone()).unwrap();
         let ahead = Some((View(9), NodeId(5)));
-        outbox.rehand(&block, &mut pool, &forest, ahead, &mut transport);
+        copies.rehand(&block, &mut pool, &forest, ahead, &mut transport);
         assert_eq!(handoffs(&transport), vec![(NodeId(5), View(9), vec![2, 3])]);
         assert_eq!(pool.stats().rehanded, 2);
         assert_eq!(pool.stats().handed_off, 6, "counted apart");
@@ -456,7 +504,7 @@ mod tests {
         forest.insert(late.clone()).unwrap();
         for b in [&twin, &late] {
             let ahead = Some((View(b.view.as_u64() + 2), NodeId(1)));
-            outbox.rehand(b, &mut pool, &forest, ahead, &mut transport);
+            copies.rehand(b, &mut pool, &forest, ahead, &mut transport);
         }
         assert_eq!(transport.sends.len(), 1);
         assert_eq!(pool.stats().rehanded, 2);
@@ -474,32 +522,32 @@ mod tests {
             (Some((far, NodeId(2))), 0),
             (Some((View(10), NodeId(2))), 6),
         ] {
-            let (mut pool, mut outbox, mut forest, mut transport) = sent_to_view_7();
+            let (mut pool, mut copies, mut forest, mut transport) = sent_to_view_7();
             forest.insert(block.clone()).unwrap();
-            outbox.rehand(&block, &mut pool, &forest, ahead, &mut transport);
+            copies.rehand(&block, &mut pool, &forest, ahead, &mut transport);
             assert_eq!(pool.stats().rehanded, handed, "{ahead:?}");
             assert_eq!(transport.sends.len(), usize::from(handed > 0));
         }
         // A sender whose target moved more than a lifetime past the copy's
         // stamp forgets it: its target never moves back.
-        let (mut pool, mut outbox, mut forest, mut transport) = sent_to_view_7();
+        let (mut pool, mut copies, mut forest, mut transport) = sent_to_view_7();
         admit(
             &mut pool,
-            &mut outbox,
+            &mut copies,
             Some((far, NodeId(2))),
             txs(10..11),
             &mut transport,
         );
-        assert_eq!(outbox.sent.len(), 1);
+        assert_eq!(copies.sent.len(), 1);
         forest.insert(block.clone()).unwrap();
         let close = Some((View(9), NodeId(1)));
-        outbox.rehand(&block, &mut pool, &forest, close, &mut transport);
+        copies.rehand(&block, &mut pool, &forest, close, &mut transport);
         assert_eq!(pool.stats().rehanded, 0);
     }
 
     #[test]
     fn a_copy_whose_view_times_out_goes_to_the_current_target_and_on_again() {
-        let (mut pool, mut outbox, mut forest, mut transport) = sent_to_view_7();
+        let (mut pool, mut copies, mut forest, mut transport) = sent_to_view_7();
         // Tx 5 left the sender's pool and a pending block carries tx 4.
         pool.remove_committed([txs(5..6)[0].id].iter());
         forest
@@ -507,43 +555,81 @@ mod tests {
             .unwrap();
         // View 6 timing out leaves the copy for view 7 where it is.
         let ahead = Some((View(8), NodeId(4)));
-        outbox.on_timeout(View(6), &mut pool, &forest, ahead, &mut transport);
-        assert!(transport.sends.is_empty() && outbox.awaits(View(7)));
+        copies.on_timeout(View(6), &mut pool, &forest, ahead, &mut transport);
+        assert!(transport.sends.is_empty() && copies.awaits(View(7)));
         // View 7 timing out hands what is still ours to the current target,
         // and keeps it under the new stamp.
         let ahead = Some((View(9), NodeId(5)));
-        outbox.on_timeout(View(7), &mut pool, &forest, ahead, &mut transport);
+        copies.on_timeout(View(7), &mut pool, &forest, ahead, &mut transport);
         let first = vec![(NodeId(5), View(9), vec![0, 1, 2, 3])];
         assert_eq!(handoffs(&transport), first);
-        assert!(outbox.awaits(View(9)) && !outbox.awaits(View(7)));
+        assert!(copies.awaits(View(9)) && !copies.awaits(View(7)));
         // Its view timing out too moves it on again.
         let ahead = Some((View(11), NodeId(7)));
-        outbox.on_timeout(View(9), &mut pool, &forest, ahead, &mut transport);
+        copies.on_timeout(View(9), &mut pool, &forest, ahead, &mut transport);
         let second = (NodeId(7), View(11), vec![0, 1, 2, 3]);
         assert_eq!(handoffs(&transport)[1..], [second]);
         assert_eq!(pool.stats().rehanded, 8);
         assert_eq!(pool.stats().handed_off, 6, "counted apart");
         // A timeout with no target (the sender leads one of the views up to
         // it) settles the copy: the sender proposes it itself.
-        outbox.on_timeout(View(11), &mut pool, &forest, None, &mut transport);
-        assert!(outbox.sent.is_empty());
+        copies.on_timeout(View(11), &mut pool, &forest, None, &mut transport);
+        assert!(copies.sent.is_empty());
         assert_eq!(transport.sends.len(), 2);
     }
 
     #[test]
     fn a_copy_that_comes_after_its_view_is_dropped() {
-        let mut pool = Mempool::new(10);
+        let (mut pool, mut copies) = (Mempool::new(10), Copies::default());
         let handoff = Handoff {
             view: View(7),
             txs: txs(0..3),
         };
-        receive(&mut pool, View(8), &handoff);
+        copies.receive(&mut pool, View(8), &handoff);
         assert!(pool.is_empty());
-        receive(&mut pool, View(7), &handoff);
-        receive(&mut pool, View(5), &handoff);
+        copies.receive(&mut pool, View(7), &handoff);
+        copies.receive(&mut pool, View(5), &handoff);
         let stats = pool.stats();
         assert_eq!((stats.handed_in, stats.handoff_dropped), (3, 6));
         assert_eq!((stats.accepted, stats.rejected), (0, 0));
+        assert_eq!(copies.held.len(), 3, "only what the pool took is held");
+    }
+
+    #[test]
+    fn a_held_copy_is_proposed_at_most_its_lifetime_past_its_stamp() {
+        let (mut pool, mut copies) = (Mempool::new(20), Copies::default());
+        let forest = BlockForest::new();
+        // The holder's own admission, and copies for views 9 and 7 (out of
+        // stamp order), of which the pool already holds tx 0.
+        pool.push(txs(0..1).remove(0));
+        for (view, seqs) in [(9, 3..5), (7, 0..3)] {
+            let handoff = Handoff {
+                view: View(view),
+                txs: txs(seqs),
+            };
+            copies.receive(&mut pool, View(6), &handoff);
+        }
+        let stamps: Vec<u64> = copies.held.iter().map(|(v, _)| v.as_u64()).collect();
+        assert_eq!(stamps, vec![7, 7, 9, 9]);
+        // The holder missed views 7 and 9: at its proposal one view past
+        // view 7's lifetime, view 7's copies go and the rest is proposed.
+        let late = View(7 + HELD_LIFETIME + 1);
+        let batch = copies.take_batch(late, &mut pool, &forest, 10);
+        assert_eq!(seqs(&batch), vec![0, 3, 4]);
+        assert_eq!(pool.stats().handoff_dropped, 1 + 2);
+        // Within its lifetime a held copy is proposed like any other.
+        let (mut pool, mut copies) = (Mempool::new(20), Copies::default());
+        let handoff = Handoff {
+            view: View(7),
+            txs: txs(0..2),
+        };
+        copies.receive(&mut pool, View(7), &handoff);
+        let batch = copies.take_batch(View(7 + HELD_LIFETIME), &mut pool, &forest, 10);
+        assert_eq!(seqs(&batch), vec![0, 1]);
+        // A holder that proposed them drops nothing when they expire.
+        copies.take_batch(View(7 + HELD_LIFETIME + 1), &mut pool, &forest, 10);
+        assert!(copies.held.is_empty());
+        assert_eq!(pool.stats().handoff_dropped, 0);
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub struct Replica {
     election: LeaderElection,
     forest: BlockForest,
     mempool: Mempool,
-    outbox: handoff::Outbox,
+    copies: handoff::Copies,
     pacemaker: Pacemaker,
     /// The honest protocol rules — every replica runs them, attackers too.
     safety: Box<dyn Safety>,
@@ -123,7 +123,7 @@ impl Replica {
             election,
             forest: BlockForest::new(),
             mempool: Mempool::new(config.mempool_size),
-            outbox: handoff::Outbox::default(),
+            copies: handoff::Copies::default(),
             pacemaker: Pacemaker::new(id, config.nodes, config.timeout),
             safety: make_protocol(protocol),
             attack: Attack::new(strategy, config.nodes),
@@ -292,7 +292,7 @@ impl Replica {
     /// mempool, and hands a copy to a leader ahead (`handoff.rs`).
     pub(crate) fn admit(&mut self, txs: Vec<Transaction>, transport: &mut dyn Transport) {
         let ahead = self.handoff_target();
-        handoff::admit(&mut self.mempool, &mut self.outbox, ahead, txs, transport);
+        handoff::admit(&mut self.mempool, &mut self.copies, ahead, txs, transport);
     }
 
     /// Where a copy goes from here (`handoff::target`).
@@ -350,7 +350,7 @@ impl Replica {
             }
             Message::SyncResponse(resp) => self.on_sync_response(resp, out),
             Message::Handoff(h) => {
-                handoff::receive(&mut self.mempool, self.pacemaker.current_view(), h)
+                (self.copies).receive(&mut self.mempool, self.pacemaker.current_view(), h)
             }
         }
     }
@@ -437,9 +437,9 @@ impl Replica {
         // block (usually this very proposal) has been stored.
         self.maybe_release_deferred(out);
         // What a copy for this view missed goes on, after the vote (`handoff.rs`).
-        if stored && self.outbox.awaits(block_view) {
+        if stored && self.copies.awaits(block_view) {
             let (aim, pool, forest) = (self.handoff_target(), &mut self.mempool, &self.forest);
-            self.outbox.rehand(block, pool, forest, aim, out.transport);
+            self.copies.rehand(block, pool, forest, aim, out.transport);
         }
     }
 
@@ -491,7 +491,7 @@ impl Replica {
         if let Some(tc) = tc {
             // Copies for a view that timed out go on (`handoff.rs`).
             let (aim, pool, forest) = (self.handoff_target(), &mut self.mempool, &self.forest);
-            (self.outbox).on_timeout(tc.view, pool, forest, aim, out.transport);
+            (self.copies).on_timeout(tc.view, pool, forest, aim, out.transport);
             // Forward the TC to the new leader: it adopts the TC's high QC.
             let leader = self.election.leader_of(view);
             if leader != self.id {
@@ -569,9 +569,9 @@ impl Replica {
             }
         }
         self.proposed_in_view = view;
-        // A pending block may carry a copy of what we hold (`handoff.rs`).
-        let (skip, max) = (self.forest.uncommitted_tx_ids(), self.config.block_size);
-        let payload = self.mempool.next_batch_excluding(max, skip);
+        // Stale held copies go; what a pending block carries stays (`handoff.rs`).
+        let (pool, forest, max) = (&mut self.mempool, &self.forest, self.config.block_size);
+        let payload = self.copies.take_batch(view, pool, forest, max);
         let payload_len = payload.len();
         let input = ProposalInput {
             view,

@@ -7,15 +7,13 @@
 //! Which of a committed block's transactions *execute* is the
 //! [`ExecWindow`]'s rule.
 
-use std::collections::VecDeque;
-
 use bamboo_crypto::{Digest, Sha256};
-use bamboo_types::{Block, BlockId, DigestMap, SharedBlock, SimTime, TxId, View};
+use bamboo_types::{Block, BlockId, DigestMap, DigestSet, SharedBlock, SimTime, TxId, View};
 
 /// `W`: how many of the newest committed blocks a transaction's id is
 /// checked against — before it executes ([`ExecWindow`]), and before a
 /// forked block gives it back to its proposer's pool.
-pub const WINDOW: usize = 64;
+pub const WINDOW: usize = 128;
 
 /// A committed block plus commit metadata.
 #[derive(Clone, Debug, PartialEq)]
@@ -242,14 +240,18 @@ impl Ledger {
 /// id. The verdict is a function of the chain, so honest ledgers agree on
 /// it, and block ids and fingerprints do not depend on it. The window holds
 /// the ids of the newest `WINDOW` blocks it was shown, `O(WINDOW · block)`,
-/// never the whole ledger's.
+/// never the whole ledger's, and no block: what leaves it is read back from
+/// the ledger, whose committed prefix never changes.
 #[derive(Debug, Default)]
 pub struct ExecWindow {
-    /// The newest blocks shown, oldest first: at most [`WINDOW`].
-    blocks: VecDeque<SharedBlock>,
-    /// How many transactions of `blocks` carry each id.
-    ids: DigestMap<TxId, u32>,
-    /// The ledger index the window expects its next block at.
+    /// Every id a transaction of the window's blocks carries.
+    ids: DigestSet<TxId>,
+    /// How many more transactions of the window's blocks carry an id than
+    /// the first: duplicates are rare, so a count per id would mostly say 1.
+    again: DigestMap<TxId, u32>,
+    /// The window's blocks are the ledger's from index `first` up to `next`,
+    /// where it expects its next block.
+    first: usize,
     next: usize,
 }
 
@@ -261,38 +263,43 @@ impl ExecWindow {
     /// window from the `WINDOW` blocks below `at`.
     pub fn execute(&mut self, ledger: &Ledger, at: usize, executes: &mut Vec<bool>) -> u64 {
         if at != self.next {
-            self.blocks.clear();
             self.ids.clear();
-            for index in at.saturating_sub(WINDOW)..at {
+            self.again.clear();
+            self.first = at.saturating_sub(WINDOW);
+            for index in self.first..at {
                 self.push(&ledger.blocks[index].block, executes);
             }
         }
         self.push(&ledger.blocks[at].block, executes);
-        if self.blocks.len() > WINDOW {
-            let oldest = self.blocks.pop_front().expect("the window is not empty");
-            for tx in &oldest.payload {
-                if let Some(count) = self.ids.get_mut(&tx.id) {
-                    *count -= 1;
-                    if *count == 0 {
+        self.next = at + 1;
+        if self.next - self.first > WINDOW {
+            for tx in &ledger.blocks[self.first].block.payload {
+                match self.again.get_mut(&tx.id) {
+                    Some(1) => {
+                        self.again.remove(&tx.id);
+                    }
+                    Some(count) => *count -= 1,
+                    None => {
                         self.ids.remove(&tx.id);
                     }
                 }
             }
+            self.first += 1;
         }
-        self.next = at + 1;
         executes.iter().filter(|executes| !**executes).count() as u64
     }
 
-    /// Appends `block`, each of its transactions executing iff no block in
-    /// the window and no earlier transaction of its own carries its id.
-    fn push(&mut self, block: &SharedBlock, executes: &mut Vec<bool>) {
+    /// Adds `block`'s ids, each of its transactions executing iff no block
+    /// in the window and no earlier transaction of its own carries its id.
+    fn push(&mut self, block: &Block, executes: &mut Vec<bool>) {
         executes.clear();
         for tx in &block.payload {
-            let count = self.ids.entry(tx.id).or_insert(0);
-            executes.push(*count == 0);
-            *count += 1;
+            let first = self.ids.insert(tx.id);
+            if !first {
+                *self.again.entry(tx.id).or_insert(0) += 1;
+            }
+            executes.push(first);
         }
-        self.blocks.push_back(block.clone());
     }
 }
 
@@ -421,12 +428,13 @@ mod tests {
         let count = |seq| executed.iter().filter(|&&s| s == seq).count();
         assert_eq!(filtered, 2);
         assert_eq!((count(7), count(9), count(8)), (1, 1, 2));
-        assert_eq!(window.blocks.len(), WINDOW);
+        assert_eq!(window.next - window.first, WINDOW);
     }
 
     #[test]
     fn a_window_that_jumps_rebuilds_from_the_ledger_to_the_same_verdict() {
-        let ledger = carrying(3 * WINDOW as u64, |i| vec![i % 40, 1_000 + i % 100]);
+        let (w, half) = (WINDOW as u64, WINDOW as u64 / 2);
+        let ledger = carrying(3 * w, |i| vec![i % half, 1_000 + i % (w + half)]);
         let mut walked = (ExecWindow::default(), Vec::new(), Vec::new());
         for at in 0..ledger.len() {
             walked.0.execute(&ledger, at, &mut walked.1);
@@ -441,9 +449,9 @@ mod tests {
                 assert_eq!(executes, walked.2[at], "from {start}, at {at}");
             }
         }
-        // An id carried 40 blocks back is filtered, one carried 100 back
-        // executes again.
+        // An id carried half a window back is filtered, one carried a window
+        // and a half back executes again.
         assert_eq!(walked.2[10], [true, true]);
-        assert_eq!(walked.2[150], [false, true]);
+        assert_eq!(walked.2[2 * WINDOW + 3], [false, true]);
     }
 }

@@ -64,7 +64,8 @@ pub struct MempoolStats {
     /// neither `accepted` nor `rejected`.
     pub handed_in: u64,
     /// Handed-in copies dropped: the pool already held the id, had no room,
-    /// or the copy came after the view it was meant for.
+    /// the copy came after the view it was meant for, or its holder passed
+    /// the last view it may propose the copy in.
     pub handoff_dropped: u64,
     /// Copies handed on once more, apart from `handed_off`: the block of
     /// the view the first copy was meant for came without them.
@@ -214,11 +215,15 @@ impl Mempool {
         copy
     }
 
-    /// Appends copies another replica handed in. They are not client
-    /// admissions: a copy the pool already holds, or has no room for, is
-    /// dropped and counted in [`MempoolStats::handoff_dropped`], never in
-    /// `rejected`.
-    pub fn push_handed_in<'a>(&mut self, txs: impl IntoIterator<Item = &'a Transaction>) {
+    /// Appends copies another replica handed in, calling `kept` with the id
+    /// of each one the pool took. They are not client admissions: a copy the
+    /// pool already holds, or has no room for, is dropped and counted in
+    /// [`MempoolStats::handoff_dropped`], never in `rejected`.
+    pub fn push_handed_in<'a>(
+        &mut self,
+        txs: impl IntoIterator<Item = &'a Transaction>,
+        mut kept: impl FnMut(TxId),
+    ) {
         for tx in txs {
             if self.is_full() || !self.insert_id(tx.id) {
                 self.stats.handoff_dropped += 1;
@@ -226,7 +231,15 @@ impl Mempool {
             }
             self.queue.push_back(tx.clone());
             self.stats.handed_in += 1;
+            kept(tx.id);
         }
+    }
+
+    /// Removes the handed-in copies `ids` names that are still queued: their
+    /// holder passed the view it may propose them in. Counted in
+    /// [`MempoolStats::handoff_dropped`].
+    pub fn expire_handed_in(&mut self, ids: &[TxId]) {
+        self.stats.handoff_dropped += self.remove_committed(ids) as u64;
     }
 
     /// Counts `count` handed-in copies dropped unseen: they came after the
@@ -569,14 +582,20 @@ mod tests {
             (2, 1, 2)
         );
         // A duplicate and an overflow are dropped apart from admissions.
-        pool.push_handed_in(&[tx(1), tx(2), tx(3)]);
+        let mut kept = Vec::new();
+        pool.push_handed_in(&[tx(1), tx(2), tx(3)], |id| kept.push(id.seq));
         let after = pool.stats();
         assert_eq!(
             (after.accepted, after.rejected),
             (before.accepted, before.rejected)
         );
         assert_eq!((after.handed_in, after.handoff_dropped), (1, 2));
+        assert_eq!(kept, vec![2]);
         assert_eq!(pool.len(), 3);
+        // An expired copy leaves only if it is still queued.
+        pool.expire_handed_in(&[tx(2).id, tx(9).id]);
+        assert_eq!(pool.stats().handoff_dropped, 3);
+        assert_eq!(pool.len(), 2);
     }
 
     /// The pool under test beside a reference: one `VecDeque` searched
