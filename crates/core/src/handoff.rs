@@ -27,7 +27,7 @@
 //! replica that adopts a snapshot drops what its blocks carry
 //! ([`forget_committed`]), a proposer leaves out what a pending block in its
 //! forest carries ([`Copies::take_batch`]), and the loser of a fork gives
-//! back only what the newest committed blocks do not carry
+//! back only what no committed block from [`WINDOW`] below it on carries
 //! ([`requeue_forked`]).
 
 use std::collections::VecDeque;
@@ -284,16 +284,22 @@ pub fn admit(
 }
 
 /// Gives the transactions of the `forked` blocks `me` proposed back to the
-/// front of `mempool`, except those one of the newest committed blocks
-/// carries.
+/// front of `mempool`, except those a committed block carries from
+/// [`WINDOW`] blocks below the lowest of them (or below the ledger's end,
+/// if that is lower) on: a fork pruned long after its winner committed
+/// still finds the winner's carriers.
 pub fn requeue_forked(
     mempool: &mut Mempool,
     ledger: &Ledger,
     me: NodeId,
     forked: Vec<SharedBlock>,
 ) {
+    let mine = |b: &SharedBlock| b.proposer == me;
+    let Some(lowest) = forked.iter().filter(|b| mine(b)).map(|b| b.height).min() else {
+        return;
+    };
     let recovered: Vec<Transaction> = (forked.into_iter())
-        .filter(|b| b.proposer == me)
+        .filter(mine)
         .flat_map(|b| match SharedBlock::try_unwrap(b) {
             // Sole owner (the common case once the forest dropped its
             // handle): move the transactions out.
@@ -306,8 +312,10 @@ pub fn requeue_forked(
     if recovered.is_empty() {
         return;
     }
-    let newest = ledger.len().saturating_sub(WINDOW)..ledger.len();
-    let committed: DigestSet<TxId> = (newest.filter_map(|index| ledger.get(index)))
+    // Ledger index i holds height i + 1.
+    let anchor = ledger.len().min(lowest.as_u64().saturating_sub(1) as usize);
+    let from = anchor.saturating_sub(WINDOW);
+    let committed: DigestSet<TxId> = ((from..ledger.len()).filter_map(|index| ledger.get(index)))
         .flat_map(|committed| committed.block.payload.iter().map(|tx| tx.id))
         .collect();
     let lost = recovered
@@ -655,6 +663,38 @@ mod tests {
         requeue_forked(&mut pool, &ledger, NodeId(2), forked);
         assert_eq!(seqs(&pool.next_batch(10)), vec![2, 3, 9]);
         assert_eq!(pool.stats().requeued, 2);
+    }
+
+    /// The winner's carrier sits more than [`WINDOW`] blocks below the
+    /// ledger's end when its losing twin is pruned: the lookback starts
+    /// below the twin, not below the end, so the id does not come back.
+    #[test]
+    fn a_fork_pruned_long_after_its_winner_committed_gives_back_nothing_committed() {
+        let (mut ledger, mut parent) = (Ledger::new(), BlockId::GENESIS);
+        for height in 1..=WINDOW as u64 + 10 {
+            let payload = if height == 3 { txs(0..2) } else { vec![] };
+            let block = Block::new(
+                View(height),
+                Height(height),
+                parent,
+                NodeId(1),
+                QuorumCert::genesis(),
+                payload,
+            );
+            parent = block.id;
+            ledger.append([block], View(height + 2), SimTime::ZERO);
+        }
+        let twin = Block::new(
+            View(4),
+            Height(3),
+            ledger.get(1).unwrap().block.id,
+            NodeId(2),
+            QuorumCert::genesis(),
+            txs(1..3),
+        );
+        let mut pool = Mempool::new(10);
+        requeue_forked(&mut pool, &ledger, NodeId(2), vec![SharedBlock::new(twin)]);
+        assert_eq!(seqs(&pool.next_batch(10)), vec![2]);
     }
 
     #[test]

@@ -23,8 +23,8 @@ use std::time::{Duration, Instant, SystemTime};
 use bamboo_crypto::KeyPair;
 use bamboo_forest::{ChainFingerprint, Ledger};
 use bamboo_types::{
-    ClientRequest, Config, Message, NodeId, ProtocolKind, SimTime, Transaction, VerifiedMessage,
-    View,
+    wire, ClientRequest, Config, Message, NodeId, ProtocolKind, SimTime, Transaction,
+    VerifiedMessage, View,
 };
 
 use crate::metrics::SeatBooks;
@@ -256,7 +256,7 @@ pub fn run_live_node(
         for (to, message) in out.sends.drain(..) {
             let recipients = to.map_or(peers, |_| 1);
             messages += recipients;
-            bytes += recipients * message.wire_size() as u64;
+            bytes += recipients * wire::encoded_len(&message) as u64;
             if let Message::Proposal(block) = &*message {
                 proposed = Some(block.clone());
             }

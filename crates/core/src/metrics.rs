@@ -120,7 +120,7 @@ pub struct SeatBooks {
     pub counters: HostCounters,
     /// Messages the seat put on the wire, one per recipient.
     pub messages: u64,
-    /// Their modeled bytes ([`bamboo_types::Message::wire_size`]).
+    /// Their bytes as the codec writes them ([`bamboo_types::wire::encoded_len`]).
     pub bytes: u64,
     /// How long the books have run: from the seat's boot to the probe.
     pub lifetime: SimDuration,

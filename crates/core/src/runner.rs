@@ -58,7 +58,7 @@ use bamboo_sim::{
     EventQueue, FluctuationWindow, LatencyModel, LinkFault, NicModel, Popped, SimRng, Topology,
 };
 use bamboo_types::{
-    Authenticator, ClientRequest, Config, Message, NodeId, ProtocolKind, SharedMessage,
+    wire, Authenticator, ClientRequest, Config, Message, NodeId, ProtocolKind, SharedMessage,
     SimDuration, SimTime, VerifiedMessage, VerifiedRequests, View,
 };
 
@@ -752,7 +752,7 @@ impl SimRunner {
             if let Message::Proposal(block) = &*message {
                 proposed = Some(block.clone());
             }
-            let bytes = message.wire_size();
+            let bytes = wire::encoded_len(&message);
             let leaves = finish + self.nic.transfer(bytes);
             let recipients = match dest {
                 Some(to) => to.0..to.0 + 1,

@@ -7,7 +7,9 @@
 //! ([`SyncState::blocks_voting`]) and never reads its fields.
 
 use bamboo_forest::{BlockForest, Ledger, Snapshot};
-use bamboo_types::{Message, NodeId, SharedBlock, SimDuration, SimTime, SyncRequest, SyncResponse};
+use bamboo_types::{
+    wire, Message, NodeId, SharedBlock, SimDuration, SimTime, SyncRequest, SyncResponse,
+};
 
 use crate::durability::Disk;
 use crate::metrics::RecoveryStats;
@@ -114,7 +116,10 @@ impl SyncState {
         if !self.active {
             return None;
         }
-        stats.sync_bytes_received += response.wire_size() as u64;
+        // Measured as the message it came in; a response is rare, and the
+        // copy is of its block handles only.
+        let message = Message::SyncResponse(response.clone());
+        stats.sync_bytes_received += wire::encoded_len(&message) as u64;
         stats.blocks_synced += response.blocks.len() as u64;
         let Some(bytes) = &response.snapshot else {
             return Some(false);

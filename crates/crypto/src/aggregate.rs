@@ -182,12 +182,6 @@ impl AggregateSignature {
         }
         self.is_empty() || hasher.finalize() == self.aggregate()
     }
-
-    /// Modeled wire size in bytes: one signature plus index per signer, the
-    /// cost model's `40 · quorum`, whatever the encoding carries.
-    pub fn wire_size(&self) -> usize {
-        self.len() * (32 + 8)
-    }
 }
 
 #[cfg(test)]
@@ -349,12 +343,6 @@ mod tests {
             Some("signer bitset over 1,024 words")
         );
         assert!(refuse(&[1; 1_024], aggregate).is_none());
-    }
-
-    #[test]
-    fn wire_size_is_forty_bytes_per_signer() {
-        assert_eq!(AggregateSignature::new().wire_size(), 0);
-        assert_eq!(signed(&keys(5), 0..5).wire_size(), 5 * 40);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The per-protocol latency/throughput model (Eq. 3–5 and §V-D).
 
-use bamboo_types::{Block, Config, ProtocolKind, Transaction};
+use bamboo_types::{wire, Config, ProtocolKind, Transaction};
 
 use crate::order_stats::expected_order_statistic;
 use crate::queueing::md1_waiting_time;
@@ -32,15 +32,15 @@ pub struct ModelParams {
 impl ModelParams {
     /// The parameters of a simulator configuration, so model and simulator
     /// are compared like with like (Fig. 8). The added network delay counts
-    /// into the link mean; a QC on the wire is 40 bytes per quorum signer
-    /// plus 40 of header.
+    /// into the link mean; sizes are the codec's, as the simulator's NIC
+    /// charges them ([`wire::block_overhead_len`]).
     pub fn from_config(config: &Config) -> Self {
         let link_mean = config.link_latency_mean.as_secs_f64();
         Self {
             nodes: config.nodes,
             block_size: config.block_size,
             tx_bytes: Transaction::HEADER_BYTES + config.payload_size,
-            block_overhead_bytes: Block::HEADER_BYTES + 40 + 40 * config.quorum(),
+            block_overhead_bytes: wire::block_overhead_len(config.nodes),
             link_mean: link_mean + config.extra_delay.as_secs_f64(),
             link_std: config.link_latency_std.as_secs_f64(),
             client_rtt: 2.0 * link_mean,

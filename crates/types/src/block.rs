@@ -142,22 +142,6 @@ impl Block {
         self.payload.is_empty()
     }
 
-    /// Fixed serialisation overhead of a block header (id, view, height,
-    /// parent, proposer) excluding the justify QC and payload.
-    pub const HEADER_BYTES: usize = 32 + 8 + 8 + 32 + 8;
-
-    /// Approximate wire size of the block in bytes, used by the NIC/bandwidth
-    /// model to compute transmission delay.
-    pub fn wire_size(&self) -> usize {
-        Self::HEADER_BYTES
-            + self.justify.wire_size()
-            + self
-                .payload
-                .iter()
-                .map(Transaction::wire_size)
-                .sum::<usize>()
-    }
-
     /// Verifies that the stored id matches the header contents.
     pub fn verify_id(&self) -> bool {
         if self.is_genesis() {
@@ -253,31 +237,6 @@ mod tests {
         );
         b.payload.push(tx(2));
         assert!(!b.verify_id());
-    }
-
-    #[test]
-    fn wire_size_grows_with_payload() {
-        let empty = Block::new(
-            View(1),
-            Height(1),
-            BlockId::GENESIS,
-            NodeId(0),
-            QuorumCert::genesis(),
-            vec![],
-        );
-        let full = Block::new(
-            View(1),
-            Height(1),
-            BlockId::GENESIS,
-            NodeId(0),
-            QuorumCert::genesis(),
-            (0..10).map(tx).collect(),
-        );
-        assert!(full.wire_size() > empty.wire_size());
-        assert_eq!(
-            full.wire_size() - empty.wire_size(),
-            10 * (Transaction::HEADER_BYTES + 16)
-        );
     }
 
     #[test]

@@ -44,11 +44,6 @@ impl Vote {
     pub fn verify(&self, public_key: &PublicKey) -> bool {
         public_key.verify(&Self::signing_bytes(self.block, self.view), &self.signature)
     }
-
-    /// Approximate wire size in bytes.
-    pub fn wire_size(&self) -> usize {
-        32 + 8 + 8 + 32
-    }
 }
 
 impl fmt::Display for Vote {
@@ -130,12 +125,6 @@ impl QuorumCert {
         }
         Digest::from_bytes(hasher.finalize())
     }
-
-    /// Modeled wire size in bytes (40 B per signer, see
-    /// [`AggregateSignature::wire_size`]).
-    pub fn wire_size(&self) -> usize {
-        32 + 8 + self.signatures.wire_size()
-    }
 }
 
 impl fmt::Display for QuorumCert {
@@ -190,11 +179,6 @@ impl TimeoutVote {
     pub fn verify(&self, public_key: &PublicKey) -> bool {
         public_key.verify(&Self::signing_bytes(self.view), &self.signature)
     }
-
-    /// Approximate wire size in bytes.
-    pub fn wire_size(&self) -> usize {
-        8 + 8 + 32 + self.high_qc.wire_size()
-    }
 }
 
 /// A timeout certificate: proof that a quorum of replicas timed out in `view`.
@@ -244,11 +228,6 @@ impl TimeoutCert {
         }
         self.signatures
             .verify(&TimeoutVote::signing_bytes(self.view), key_of)
-    }
-
-    /// Approximate wire size in bytes.
-    pub fn wire_size(&self) -> usize {
-        8 + self.signatures.wire_size() + self.high_qc.wire_size()
     }
 }
 
@@ -364,8 +343,8 @@ mod tests {
         // Two reference counts, the 32-byte aggregate and one bitset word.
         let heap = 16 + 32 + 8 * qc.signatures.bitset().len();
         assert!(heap <= 64, "{heap} B");
-        // The model still charges 40 B per signer on the wire.
-        assert_eq!(qc.wire_size(), 32 + 8 + 22 * 40);
+        // On the wire it is the claim, one bitset word and the aggregate.
+        assert_eq!(crate::wire::qc_encoded_len(&qc), 32 + 8 + 2 + 8 + 32);
     }
 
     #[test]
@@ -406,22 +385,5 @@ mod tests {
         let mut forged = tv.clone();
         forged.view = View(4);
         assert!(!forged.verify(&kps[0].public_key()));
-    }
-
-    #[test]
-    fn wire_sizes_are_positive_and_monotone() {
-        let kps = keys(4);
-        let bid = block_id(1);
-        let one_vote =
-            QuorumCert::from_votes(bid, View(1), &[Vote::new(bid, View(1), NodeId(0), &kps[0])]);
-        let three_votes = QuorumCert::from_votes(
-            bid,
-            View(1),
-            &(0..3)
-                .map(|i| Vote::new(bid, View(1), NodeId(i), &kps[i as usize]))
-                .collect::<Vec<_>>(),
-        );
-        assert!(three_votes.wire_size() > one_vote.wire_size());
-        assert!(Vote::new(bid, View(1), NodeId(0), &kps[0]).wire_size() > 0);
     }
 }

@@ -82,11 +82,6 @@ impl ClientRequest {
             None => false,
         }
     }
-
-    /// Approximate wire size in bytes.
-    pub fn wire_size(&self) -> usize {
-        self.transaction.wire_size() + if self.signature.is_some() { 32 } else { 0 }
-    }
 }
 
 /// A state-transfer request: "my committed head is `head` at `height`; send
@@ -131,11 +126,6 @@ impl SyncRequest {
             &self.signature,
         )
     }
-
-    /// Approximate wire size in bytes.
-    pub fn wire_size(&self) -> usize {
-        8 + 32 + 8 + 32
-    }
 }
 
 /// A state-transfer response: an optional checkpoint snapshot (when the
@@ -164,15 +154,6 @@ pub struct SyncResponse {
     pub high_qc: QuorumCert,
 }
 
-impl SyncResponse {
-    /// Approximate wire size in bytes.
-    pub fn wire_size(&self) -> usize {
-        8 + self.snapshot.as_ref().map(|s| s.len()).unwrap_or(0)
-            + self.blocks.iter().map(|b| b.wire_size()).sum::<usize>()
-            + self.high_qc.wire_size()
-    }
-}
-
 /// A copy of a batch of transactions a replica admitted, for the leader of
 /// `view`: the sender hands it the batch so it can propose it before the
 /// sender's own turn to lead.
@@ -187,13 +168,6 @@ pub struct Handoff {
     pub view: View,
     /// The copied transactions, in admission order.
     pub txs: Vec<Transaction>,
-}
-
-impl Handoff {
-    /// Approximate wire size in bytes.
-    pub fn wire_size(&self) -> usize {
-        8 + 4 + self.txs.iter().map(Transaction::wire_size).sum::<usize>()
-    }
 }
 
 /// Every message type exchanged in the system.
@@ -227,22 +201,6 @@ pub enum Message {
 }
 
 impl Message {
-    /// Approximate wire size of the message in bytes. The NIC model charges
-    /// `2 * size / bandwidth` per hop, following the paper's model (§V-B1).
-    pub fn wire_size(&self) -> usize {
-        const ENVELOPE: usize = 16;
-        ENVELOPE
-            + match self {
-                Message::Proposal(b) => b.wire_size(),
-                Message::Vote(v) => v.wire_size(),
-                Message::Timeout(t) => t.wire_size(),
-                Message::TimeoutCertMsg(tc) => tc.wire_size(),
-                Message::SyncRequest(r) => r.wire_size(),
-                Message::SyncResponse(r) => r.wire_size(),
-                Message::Handoff(h) => h.wire_size(),
-            }
-    }
-
     /// The view the message pertains to, if any.
     pub fn view(&self) -> Option<View> {
         match self {
@@ -306,7 +264,7 @@ mod tests {
     }
 
     #[test]
-    fn every_variant_has_a_size_and_its_own_tag() {
+    fn every_variant_has_its_own_tag() {
         let kp = KeyPair::from_seed(0);
         let block = sample_block();
         let vote = Vote::new(block.id, block.view, NodeId(0), &kp);
@@ -334,36 +292,6 @@ mod tests {
         tags.sort_unstable();
         tags.dedup();
         assert_eq!(tags.len(), messages.len(), "{tags:?}");
-        assert!(messages.iter().all(|msg| msg.wire_size() > 0));
-    }
-
-    #[test]
-    fn proposal_wire_size_dominated_by_payload() {
-        let small = Message::Proposal(
-            Block::new(
-                View(1),
-                crate::ids::Height(1),
-                BlockId::GENESIS,
-                NodeId(0),
-                QuorumCert::genesis(),
-                vec![],
-            )
-            .into(),
-        );
-        let big = Message::Proposal(
-            Block::new(
-                View(1),
-                crate::ids::Height(1),
-                BlockId::GENESIS,
-                NodeId(0),
-                QuorumCert::genesis(),
-                (0..400)
-                    .map(|i| Transaction::new(NodeId(1), i, 128, SimTime::ZERO))
-                    .collect(),
-            )
-            .into(),
-        );
-        assert!(big.wire_size() > small.wire_size() + 400 * 128);
     }
 
     #[test]
@@ -380,16 +308,12 @@ mod tests {
         let req = ClientRequest::signed(tx.clone(), &client);
         assert!(req.verify(&client.public_key()));
         assert!(!req.verify(&KeyPair::client_from_seed(18).public_key()));
-        assert!(!ClientRequest::unsigned(tx.clone()).verify(&client.public_key()));
+        assert!(!ClientRequest::unsigned(tx).verify(&client.public_key()));
         let forged = ClientRequest {
             transaction: Transaction::new(NodeId(1_000_017), 6, 0, SimTime(42)),
             signature: req.signature,
         };
         assert!(!forged.verify(&client.public_key()));
-        assert_eq!(
-            req.wire_size(),
-            ClientRequest::unsigned(tx).wire_size() + 32
-        );
     }
 
     #[test]

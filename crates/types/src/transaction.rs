@@ -57,11 +57,12 @@ impl Transaction {
     /// # Example
     ///
     /// ```
-    /// use bamboo_types::{NodeId, SimTime, Transaction};
+    /// use bamboo_types::{wire, Handoff, Message, NodeId, SimTime, Transaction, View};
     ///
     /// let tx = Transaction::new(NodeId(1), 7, 128, SimTime::ZERO);
     /// assert_eq!(tx.payload.len(), 128);
-    /// assert_eq!(tx.wire_size(), 128 + Transaction::HEADER_BYTES);
+    /// let message = Message::Handoff(Handoff { view: View(1), txs: vec![tx] });
+    /// assert_eq!(wire::encoded_len(&message), 1 + 8 + 4 + Transaction::HEADER_BYTES + 128);
     /// ```
     pub fn new(client: NodeId, seq: u64, payload_size: usize, issued_at: SimTime) -> Self {
         Self::with_payload(client, seq, Bytes::zeroed(payload_size), issued_at)
@@ -74,16 +75,6 @@ impl Transaction {
             payload,
             issued_at,
         }
-    }
-
-    /// The per-transaction overhead the NIC model and `PerfModel` charge
-    /// beside the payload, as if a 32-byte id, client, sequence number and
-    /// timestamp were sent. The codec sends 28 (`wire::encode_transaction`).
-    pub const HEADER_BYTES: usize = 32 + 8 + 8 + 8;
-
-    /// Approximate wire size of the transaction in bytes.
-    pub fn wire_size(&self) -> usize {
-        Self::HEADER_BYTES + self.payload.len()
     }
 }
 
@@ -138,14 +129,6 @@ mod tests {
     fn the_id_and_the_transaction_stay_small() {
         assert_eq!(std::mem::size_of::<TxId>(), 16);
         assert_eq!(std::mem::size_of::<Transaction>(), 40);
-    }
-
-    #[test]
-    fn wire_size_includes_header_and_payload() {
-        let tx = Transaction::new(NodeId(0), 0, 0, SimTime::ZERO);
-        assert_eq!(tx.wire_size(), Transaction::HEADER_BYTES);
-        let tx = Transaction::new(NodeId(0), 0, 1024, SimTime::ZERO);
-        assert_eq!(tx.wire_size(), Transaction::HEADER_BYTES + 1024);
     }
 
     #[test]

@@ -223,15 +223,73 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc32_update(!0, bytes)
 }
 
-// ---- consensus structures ---------------------------------------------------
+// ---- sizes ------------------------------------------------------------------
+//
+// Every message size in the workspace is counted here, from the layout the
+// encoders below write: the simulator's NIC, the live seats' byte books, the
+// sync counter and the analytical model all charge these lengths.
+
+impl Block {
+    /// The bytes [`encode_block`] writes for a header: id, view, height,
+    /// parent and proposer, without the justify QC and payload.
+    pub const HEADER_BYTES: usize = 32 + 8 + 8 + 32 + 8;
+}
+
+impl Transaction {
+    /// The bytes [`encode_transaction`] writes beside the payload: client,
+    /// sequence number, issue time and the payload's length.
+    pub const HEADER_BYTES: usize = 8 + 8 + 8 + 4;
+}
+
+/// Exactly the bytes [`encode_message`] writes for `message`, counted
+/// without laying it out.
+pub fn encoded_len(message: &Message) -> usize {
+    let body = match message {
+        Message::Proposal(block) => block_encoded_len(block),
+        Message::Vote(_) => 32 + 8 + 8 + 32,
+        Message::Timeout(tv) => 8 + 8 + qc_encoded_len(&tv.high_qc) + 32,
+        Message::TimeoutCertMsg(tc) => {
+            8 + aggregate_encoded_len(tc.signatures.bitset().len()) + qc_encoded_len(&tc.high_qc)
+        }
+        Message::SyncRequest(_) => 8 + 32 + 8 + 32,
+        Message::SyncResponse(response) => {
+            let snapshot = response.snapshot.as_ref().map_or(0, |s| 4 + s.len());
+            let blocks: usize = response.blocks.iter().map(|b| block_encoded_len(b)).sum();
+            8 + 1 + snapshot + 4 + blocks + qc_encoded_len(&response.high_qc)
+        }
+        Message::Handoff(handoff) => 8 + 4 + transactions_encoded_len(&handoff.txs),
+    };
+    1 + body
+}
 
 /// Exactly the bytes [`encode_block`] appends for `block`.
 pub fn block_encoded_len(block: &Block) -> usize {
-    let txs: usize = (block.payload.iter())
-        .map(|tx| 8 + 8 + 8 + 4 + tx.payload.len())
-        .sum();
-    Block::HEADER_BYTES + qc_encoded_len(&block.justify) + 4 + txs
+    Block::HEADER_BYTES
+        + qc_encoded_len(&block.justify)
+        + 4
+        + transactions_encoded_len(&block.payload)
 }
+
+/// The bytes a block takes beside its transactions when its justify QC's
+/// signers are among `nodes` replicas: header, a certificate whose bitset
+/// has ⌈`nodes`/64⌉ words, and the transaction count.
+pub fn block_overhead_len(nodes: usize) -> usize {
+    Block::HEADER_BYTES + 32 + 8 + aggregate_encoded_len(nodes.div_ceil(64)) + 4
+}
+
+fn transactions_encoded_len(txs: &[Transaction]) -> usize {
+    (txs.iter())
+        .map(|tx| Transaction::HEADER_BYTES + tx.payload.len())
+        .sum()
+}
+
+/// A signer bitset of `words` words behind its `u16` count, then the
+/// 32-byte aggregate ([`encode_aggregate`]).
+fn aggregate_encoded_len(words: usize) -> usize {
+    2 + 8 * words + 32
+}
+
+// ---- consensus structures ---------------------------------------------------
 
 /// Encodes a block: id, header fields, justify QC, then the length-prefixed
 /// transaction payload.
@@ -300,7 +358,7 @@ pub fn decode_transaction(cur: &mut WireCursor<'_>) -> Result<Transaction, WireE
 
 /// Exactly the bytes [`encode_qc`] appends for `qc`.
 pub fn qc_encoded_len(qc: &QuorumCert) -> usize {
-    32 + 8 + 2 + 8 * qc.signatures.bitset().len() + 32
+    32 + 8 + aggregate_encoded_len(qc.signatures.bitset().len())
 }
 
 /// Encodes a quorum certificate: block id, view, then the aggregate
@@ -545,10 +603,6 @@ const TAG_SYNC_REQUEST: u8 = 10;
 const TAG_SYNC_RESPONSE: u8 = 11;
 const TAG_HANDOFF: u8 = 12;
 
-/// The fewest bytes one encoded transaction takes: client, seq, issue time
-/// and an empty payload's length.
-const MIN_TRANSACTION_BYTES: usize = 8 + 8 + 8 + 4;
-
 fn encode_handoff(out: &mut Vec<u8>, handoff: &Handoff) {
     put_u64(out, handoff.view.as_u64());
     put_u32(out, handoff.txs.len() as u32);
@@ -562,7 +616,7 @@ fn encode_handoff(out: &mut Vec<u8>, handoff: &Handoff) {
 fn decode_handoff(cur: &mut WireCursor<'_>) -> Result<Handoff, WireError> {
     let view = View(cur.u64()?);
     let count = cur.u32()? as usize;
-    if count.saturating_mul(MIN_TRANSACTION_BYTES) > cur.remaining() {
+    if count.saturating_mul(Transaction::HEADER_BYTES) > cur.remaining() {
         return Err(WireError::Truncated);
     }
     let mut txs = Vec::with_capacity(count);
@@ -607,10 +661,10 @@ pub fn encode_message_into(out: &mut Vec<u8>, message: &Message) {
     }
 }
 
-/// Encodes a message envelope into a fresh buffer sized from
-/// [`Message::wire_size`].
+/// Encodes a message envelope into a fresh buffer of exactly
+/// [`encoded_len`] bytes.
 pub fn encode_message(message: &Message) -> Vec<u8> {
-    let mut out = Vec::with_capacity(message.wire_size() + 1);
+    let mut out = Vec::with_capacity(encoded_len(message));
     encode_message_into(&mut out, message);
     out
 }
@@ -962,7 +1016,7 @@ mod tests {
             put_u64(&mut bytes, 7);
             put_u32(&mut bytes, count);
             // Two empty transactions' worth of bytes.
-            bytes.extend_from_slice(&[0; 2 * MIN_TRANSACTION_BYTES]);
+            bytes.extend_from_slice(&[0; 2 * Transaction::HEADER_BYTES]);
             decode_message(&bytes)
         };
         for count in [3u32, 1 << 20, u32::MAX] {
@@ -1019,8 +1073,35 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
+    /// `encoded_len` is the one message size: it must be what the codec
+    /// writes for every variant, a state transfer carrying checkpoint chunks
+    /// and blocks with multi-word certificates included, and so must the
+    /// part lengths it is built from.
     #[test]
-    fn encoded_lengths_are_exact() {
+    fn encoded_len_is_exact_for_every_message() {
+        let mut block = sample_block(5);
+        let votes: Vec<Vote> = (0..130)
+            .map(|i| Vote::new(block.id, block.view, NodeId(i), &KeyPair::from_seed(i)))
+            .collect();
+        block.justify = QuorumCert::from_votes(block.id, block.view, &votes);
+        let chunks: Vec<u8> = (0..3 * 4096).map(|i| (i % 251) as u8).collect();
+        let transfer = Message::SyncResponse(SyncResponse {
+            responder: NodeId(1),
+            snapshot: Some(Bytes::from(chunks)),
+            blocks: vec![
+                SharedBlock::new(block.clone()),
+                SharedBlock::new(sample_block(0)),
+            ],
+            high_qc: block.justify.clone(),
+        });
+        for msg in every_message().into_iter().chain([transfer]) {
+            assert_eq!(
+                encoded_len(&msg),
+                encode_message(&msg).len(),
+                "{}",
+                msg.tag()
+            );
+        }
         for txs in [0, 1, 5] {
             let mut block = sample_block(txs);
             block.justify = sample_qc();
@@ -1028,6 +1109,10 @@ mod tests {
             encode_block(&mut bytes, &block);
             assert_eq!(bytes.len(), block_encoded_len(&block), "{txs} txs");
         }
+        assert_eq!(
+            block_encoded_len(&block),
+            block_overhead_len(130) + 5 * (Transaction::HEADER_BYTES + 48)
+        );
         let qc = sample_qc();
         for opt in [None, Some(&qc)] {
             let mut bytes = Vec::new();

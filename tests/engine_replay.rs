@@ -33,7 +33,10 @@
 //! off). The first sent every copy three views ahead; the second aims it
 //! at the leader the sender's next vote helps wake and hands a copy its
 //! view's block missed on once more, and moved every run again.
-//! CHANGES.md has both audit tables.
+//! CHANGES.md has both audit tables. Another re-pin moved every run: the
+//! NIC charges a message what the codec writes (`wire::encoded_len`), not
+//! a hand-kept size model with 40 B per certificate signer (DESIGN.md
+//! §1.3); CHANGES.md has its audit table too.
 //!
 //! To re-record after an *intentional* behaviour change, run:
 //! `GOLDEN_DUMP=1 cargo test --test engine_replay -- --nocapture`
@@ -66,8 +69,8 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         300,
         3_000.0,
         7,
-        920,
-        "3ce8bbcf1879a997ab9f705e88b8a073a14c40841939b4025924cfd9972dd8f4",
+        919,
+        "41c6f19ee11f9fe2cfc2f70f2402fcaed855ce0388a79919c42168cdf917aa82",
     ),
     (
         ProtocolKind::TwoChainHotStuff,
@@ -76,7 +79,7 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         3_000.0,
         7,
         920,
-        "a105134948163c89862902a9445ae7f71ea867384b93e2235d000dcf4e8da904",
+        "596c4e3b1ebf578fe13b516deb55b4932e64cdd7397f9043b618f8d00e1ba363",
     ),
     (
         ProtocolKind::Streamlet,
@@ -85,7 +88,7 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         3_000.0,
         7,
         920,
-        "9553341dbaaeadd9ee5e16d9f596e7f8cd267bf5b0a1363914a447ba58a2b5c9",
+        "c3ac9be2909fdd0b6243dd0a3582a05ccef8de5a66ab5f9e234eb8044e9e8978",
     ),
     // A broadcast-heavy mid-size run: covers the shared-envelope fan-out
     // and a deep event queue under real event pressure.
@@ -96,7 +99,7 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         8_000.0,
         2021,
         771,
-        "a9e50566d565aa69198e630e115ec9bd34dc3ccbbda222aee4d08d2b1eb58bc4",
+        "b17690aa3b55d3c08c867a90c56a2b2e227a4fc53ebcfb4741ed42ebd369fe37",
     ),
 ];
 
@@ -152,17 +155,17 @@ fn signed_open_loop(max_events: Option<u64>) -> RunReport {
 const SIGNED_GOLDEN: &[(Option<u64>, u64, u64, u64, &str)] = &[
     (
         None,
-        19_715,
-        86,
-        62_703,
-        "3b799c28aae576e59fdbcaa9262ca90b3126c4e07cd1dbe6ad403daabe8fa54e",
+        19_711,
+        90,
+        62_793,
+        "43ba073ac15f6866387410111fc10835192f08684841e2044857cd681a940cd1",
     ),
     (
         Some(23_692),
-        7_399,
-        105,
+        7_378,
+        108,
         23_693,
-        "a6f5b7eab0767ae23541b871b3e14972953faa19d6e8397556697692ba0de870",
+        "4c706f3baf337427d7a872a95ad05e53795ccdf786ac0a15490239374b5e35a3",
     ),
 ];
 
@@ -238,12 +241,13 @@ fn forged_partitioned_streamlet() -> RunReport {
 /// rejections, and every counter a replay must reproduce. A broadcast's
 /// recipients each had their own queue entry when it was first recorded, and
 /// the pin held when a broadcast became one entry; it moved with the
-/// deadline book, and again when a copy whose view times out began to be
-/// handed on (the partitions time views out).
+/// deadline book, again when a copy whose view times out began to be
+/// handed on (the partitions time views out), and again when the NIC began
+/// to charge the codec's lengths.
 const FORGED_PARTITIONED_GOLDEN: (&str, u64, [u64; 8]) = (
-    "4b5026c6db3579f1f648309e8fe8cae4133b007693a79837d578d3e07852a5da",
-    24_752,
-    [1_724, 296, 101_858, 102_023, 100_697, 17_161_532, 303, 261],
+    "0f67d8c7288126c4cb30be7dd528ecfd555a1987511f53210d41d56b2ee69a27",
+    24_847,
+    [1_720, 296, 102_031, 102_182, 100_867, 11_478_420, 302, 262],
 );
 
 #[test]
@@ -277,8 +281,8 @@ fn forged_and_partitioned_streamlet_replays_its_pinned_golden() {
     let synced = RecoveryReport {
         sync_requests: 3,
         sync_responses: 3,
-        sync_bytes: 21_184,
-        blocks_synced: 14,
+        sync_bytes: 20_600,
+        blocks_synced: 16,
         ..RecoveryReport::default()
     };
     assert_eq!(report.recovery, synced);

@@ -65,6 +65,17 @@ fn every_protocol_reaches_prefix_agreement_over_loopback_tcp() {
             report.max_view > 1,
             "{protocol} made no view progress over TCP"
         );
+        // The seats book each message at the codec's length; the sockets
+        // wrote those bytes plus frame headers and hellos, unless a frame
+        // was dropped.
+        if report.total_dropped() == 0 {
+            assert!(
+                report.bytes_sent <= report.total_bytes_sent(),
+                "{protocol}: {} modeled bytes, {} on the sockets",
+                report.bytes_sent,
+                report.total_bytes_sent()
+            );
+        }
 
         // Explicit prefix-agreement via the ledger's cross-replica oracle.
         let ledgers: Vec<_> = hosts
