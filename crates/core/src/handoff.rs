@@ -9,6 +9,10 @@
 //! as the fallback: a lost copy costs only the wait it would have had
 //! anyway. Before the replica voted in its current view `v`, its next vote
 //! completes the QC that lets `v + 1` propose; after, the one for `v + 2`.
+//! Under synchronous epochs no vote wakes a proposal: the leader of `v + 1`
+//! proposes at its epoch boundary, half a view timeout after it entered
+//! `v + 1`, so a copy sent from `v` reaches it in time whether or not the
+//! sender voted in `v`, and a paced replica aims at `v + 1`.
 //!
 //! A target can miss. Its leader may propose before the copy arrives: the
 //! sender sees that when the stamped view's block reaches it without the
@@ -56,21 +60,28 @@ const HELD_LIFETIME: u64 = WINDOW as u64 - COPY_LIFETIME - 3;
 /// The view `me` hands a batch to while at `view`, having last proposed in
 /// `proposed_in_view` and last voted in `voted`, and that view's leader:
 /// `max(view, voted + 1) + 1`, the view whose proposal `me`'s next vote
-/// helps trigger, or `None` when `me` leads one of the views up to it —
-/// `view` itself only while it has not proposed in it.
+/// helps trigger — or `view + 1` when the protocol is `paced` by
+/// synchronous epochs, whose leader proposes at its epoch boundary, not on
+/// a vote. `None` when `me` leads one of the views up to it — `view` itself
+/// only while it has not proposed in it.
 pub fn target(
     election: &LeaderElection,
     me: NodeId,
     view: View,
     proposed_in_view: View,
     voted: View,
+    paced: bool,
 ) -> Option<(View, NodeId)> {
     let first = if proposed_in_view < view {
         view.as_u64()
     } else {
         view.as_u64() + 1
     };
-    let last = view.as_u64().max(voted.as_u64() + 1) + 1;
+    let last = if paced {
+        view.as_u64() + 1
+    } else {
+        view.as_u64().max(voted.as_u64() + 1) + 1
+    };
     if (first..=last).any(|v| election.is_leader(me, View(v))) {
         return None;
     }
@@ -351,42 +362,72 @@ mod tests {
     }
 
     /// Every leader policy's target, from the rule's own words: the view
-    /// after `max(view, voted + 1)`, none if `me` leads a view up to it.
+    /// after `max(view, voted + 1)`, or after `view` when paced, none if
+    /// `me` leads a view up to it.
     fn expected(
         election: &LeaderElection,
         me: NodeId,
         view: u64,
         proposed: u64,
         voted: u64,
+        paced: bool,
     ) -> Option<(View, NodeId)> {
-        let last = view.max(voted + 1) + 1;
+        let last = if paced { view } else { view.max(voted + 1) } + 1;
         let first = if proposed < view { view } else { view + 1 };
         let leads = (first..=last).any(|v| election.leader_of(View(v)) == me);
         (!leads).then(|| (View(last), election.leader_of(View(last))))
     }
 
+    /// `target` for seat `me` at view 10 of an eight-seat rotation.
+    fn at_10(me: u64, proposed: u64, voted: u64, paced: bool) -> Option<(View, NodeId)> {
+        let election = LeaderElection::new(8, LeaderPolicy::RoundRobin);
+        target(
+            &election,
+            NodeId(me),
+            View(10),
+            View(proposed),
+            View(voted),
+            paced,
+        )
+    }
+
     #[test]
     fn round_robin_hands_to_the_leader_the_next_vote_wakes() {
-        let election = LeaderElection::new(8, LeaderPolicy::RoundRobin);
-        let (unproposed, at) = (View(9), View(10));
         // Before seat 7 voted in view 10, its next vote wakes view 11's
         // leader; after, view 12's.
-        let before = target(&election, NodeId(7), at, unproposed, View(9));
-        assert_eq!(before, Some((View(11), NodeId(3))));
-        let after = target(&election, NodeId(7), at, unproposed, View(10));
+        assert_eq!(at_10(7, 9, 9, false), Some((View(11), NodeId(3))));
+        let after = at_10(7, 9, 10, false);
         assert_eq!(after, Some((View(12), NodeId(4))));
         // A seat that leads any view up to the target keeps the batch.
         for me in [2, 3] {
-            assert_eq!(target(&election, NodeId(me), at, unproposed, View(9)), None);
+            assert_eq!(at_10(me, 9, 9, false), None);
         }
-        assert_eq!(target(&election, NodeId(4), at, unproposed, View(10)), None);
-        assert!(target(&election, NodeId(4), at, unproposed, View(9)).is_some());
+        assert_eq!(at_10(4, 9, 10, false), None);
+        assert!(at_10(4, 9, 9, false).is_some());
         // Once seat 2 proposed in view 10, view 10 no longer counts.
-        assert_eq!(target(&election, NodeId(2), at, at, View(10)), after);
+        assert_eq!(at_10(2, 10, 10, false), after);
         // A vote watermark ahead of the view (a restored one) moves the
         // target with it.
-        let restored = target(&election, NodeId(1), at, unproposed, View(13));
-        assert_eq!(restored, Some((View(15), NodeId(7))));
+        assert_eq!(at_10(1, 9, 13, false), Some((View(15), NodeId(7))));
+    }
+
+    #[test]
+    fn under_synchronous_epochs_the_copy_goes_to_the_next_view_voted_or_not() {
+        // View 11's leader proposes at its epoch boundary, not on seat 7's
+        // vote: the copy aims at it before and after seat 7 voted in 10.
+        for voted in [9, 10, 13] {
+            assert_eq!(at_10(7, 9, voted, true), Some((View(11), NodeId(3))));
+        }
+        for voted in [9, 10] {
+            // View 11's leader keeps its batch, and so does view 10's while
+            // it has not proposed; view 12's now hands off.
+            assert_eq!(at_10(3, 9, voted, true), None);
+            assert_eq!(at_10(2, 9, voted, true), None);
+            assert_eq!(at_10(4, 9, voted, true), Some((View(11), NodeId(3))));
+        }
+        assert_eq!(at_10(2, 10, 10, true), Some((View(11), NodeId(3))));
+        // The responsive rule is unchanged: after voting in view 10, view 12.
+        assert_eq!(at_10(7, 9, 10, false), Some((View(12), NodeId(4))));
     }
 
     #[test]
@@ -397,12 +438,14 @@ mod tests {
             LeaderPolicy::Static(NodeId(2)),
         ] {
             let election = LeaderElection::new(16, policy);
-            for view in 1..120u64 {
+            let views = (1..120u64).flat_map(|view| [(view, false), (view, true)]);
+            for (view, paced) in views {
                 for (proposed, voted) in [(view - 1, view - 1), (view, view), (view - 1, view)] {
+                    let (at, proposed_in) = (View(view), View(proposed));
                     for me in (0..16).map(NodeId) {
-                        let got = target(&election, me, View(view), View(proposed), View(voted));
-                        let want = expected(&election, me, view, proposed, voted);
-                        assert_eq!(got, want, "{policy:?} {me} view {view} voted {voted}");
+                        let got = target(&election, me, at, proposed_in, View(voted), paced);
+                        let want = expected(&election, me, view, proposed, voted, paced);
+                        assert_eq!(got, want, "{policy:?} {me} {view} {voted} {paced}");
                     }
                 }
             }
@@ -414,13 +457,14 @@ mod tests {
         let election = LeaderElection::new(4, LeaderPolicy::Static(NodeId(2)));
         for view in 1..20 {
             for voted in [view - 1, view] {
-                for me in [0, 1, 3].map(NodeId) {
-                    let (_, leader) =
-                        target(&election, me, View(view), View(view), View(voted)).unwrap();
-                    assert_eq!(leader, NodeId(2));
+                for paced in [false, true] {
+                    let aim =
+                        |me| target(&election, me, View(view), View(view), View(voted), paced);
+                    for me in [0, 1, 3].map(NodeId) {
+                        assert_eq!(aim(me).unwrap().1, NodeId(2));
+                    }
+                    assert_eq!(aim(NodeId(2)), None);
                 }
-                let own = target(&election, NodeId(2), View(view), View(view), View(voted));
-                assert_eq!(own, None);
             }
         }
     }

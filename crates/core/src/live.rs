@@ -494,7 +494,14 @@ pub trait SeatLink: Sized {
     /// Fails when the seat does not answer.
     fn probe(&self, seat: &Self::Seat, prefix_len: u64) -> io::Result<SeatStatus>;
 
-    /// Stops a seat: gracefully at shutdown, or killed in a crash.
+    /// Quiets a seat at shutdown, before any seat stops: its loop has sent
+    /// its last frame, or its counters are read now. A seat still running
+    /// while a peer stops counts every frame to that peer as dropped. A link
+    /// that books no loss need not halt.
+    fn halt(&self, _seat: &mut Self::Seat) {}
+
+    /// Stops a seat: gracefully at shutdown, once every seat is halted, or
+    /// killed in a crash.
     fn stop(&mut self, seat: Self::Seat, crash: bool) -> SeatEnd;
 
     /// Books what the link itself counted, once every seat has stopped.
@@ -706,12 +713,17 @@ impl<L: SeatLink> LiveCluster<L> {
         let consistent = self.check_prefix_agreement().is_ok();
         let Self {
             mut link,
-            seats,
+            mut seats,
             kept,
             retired,
             home: _home,
             ..
         } = self;
+        // Every seat goes quiet before the first one stops, so shutdown
+        // books no loss.
+        for seat in seats.iter_mut().flatten() {
+            link.halt(seat);
+        }
         let (mut statuses, mut nets, mut hosts) = (Vec::new(), Vec::new(), Vec::new());
         for (seat, kept) in seats.into_iter().zip(kept) {
             let end = seat.map_or(

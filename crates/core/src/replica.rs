@@ -49,13 +49,12 @@ pub struct ReplicaOptions {
     /// the scenario engine's heterogeneous-CPU knob: a cluster can mix fast
     /// and slow machines while every node still shares one [`Config`].
     pub cpu_delay_override: Option<SimDuration>,
-    /// Model synchronous epochs faithfully for epoch-based protocols
-    /// (Streamlet): a leader entering an epoch proposes only half a view
-    /// timeout after entry (the epoch length `2Δ̂`, with the timeout playing
-    /// `4Δ̂`), instead of as soon as the previous epoch certifies. Off by
-    /// default — the responsive approximation the rest of the benchmarks
-    /// use; WAN scenarios switch it on to expose the synchrony cost of
-    /// heterogeneous delays.
+    /// Model synchronous epochs for epoch-based protocols (Streamlet): a
+    /// leader proposes half a view timeout after entering an epoch (the
+    /// epoch `2Δ̂`, the timeout `4Δ̂`), not as soon as the previous epoch
+    /// certifies. Off by default (the responsive approximation); WAN
+    /// scenarios switch it on to expose the synchrony cost of heterogeneous
+    /// delays.
     pub synchronous_epochs: bool,
 }
 
@@ -298,7 +297,13 @@ impl Replica {
     /// Where a copy goes from here (`handoff::target`).
     fn handoff_target(&self) -> Option<(View, NodeId)> {
         let (view, voted) = (self.current_view(), self.safety.voted_view());
-        handoff::target(&self.election, self.id, view, self.proposed_in_view, voted)
+        let (me, proposed, paced) = (self.id, self.proposed_in_view, self.epoch_paced());
+        handoff::target(&self.election, me, view, proposed, voted, paced)
+    }
+
+    /// Whether a leader proposes at its epoch boundary, not on a QC (DESIGN.md §4.4).
+    fn epoch_paced(&self) -> bool {
+        self.options.synchronous_epochs && self.safety.epoch_based()
     }
 
     /// Handles one message delivered from `from` by reference, cloning only
@@ -356,11 +361,9 @@ impl Replica {
     }
 
     fn on_proposal(&mut self, block: &SharedBlock, from_author: bool, out: &mut Step<'_>) {
-        // Flat aggregate charge for the justify QC: the happy-path block
-        // service time follows the paper's Eq. 4 (see
-        // `CpuModel::process_proposal` for the rationale); pacemaker
-        // certificates below are charged per signer because Eq. 4 does not
-        // cover them.
+        // Flat aggregate charge for the justify QC (the paper's Eq. 4, see
+        // `CpuModel::process_proposal`); the pacemaker's certificates are
+        // charged per signer, as Eq. 4 does not cover them.
         out.cpu += self.cpu.process_proposal(block.len());
         // Id integrity is enforced at ingress (NodeHost / the verify pool)
         // before any block reaches this point; re-hashing the full payload
@@ -454,7 +457,6 @@ impl Replica {
             // Assembling the QC from votes that were each already verified
             // (and charged) on arrival is pure aggregation — no additional
             // signature check happens, so no additional `t_CPU` is charged.
-            // The seed double-charged here.
             self.register_qc(&qc, out);
         }
     }
@@ -502,11 +504,9 @@ impl Replica {
             if via_timeout && self.options.wait_for_timeout_on_view_change {
                 let at = out.now + self.pacemaker.timeout();
                 out.transport.schedule_proposal(view, at);
-            } else if self.options.synchronous_epochs && self.safety.epoch_based() {
-                // Synchronous epochs: the proposal goes out at the epoch
-                // boundary (half the view timeout, so the liveness timer at
-                // the full timeout still backstops a lost proposal), not as
-                // soon as the previous epoch certifies.
+            } else if self.epoch_paced() {
+                // The liveness timer at the full timeout still backstops a
+                // proposal lost at the epoch boundary.
                 let at = out.now + self.pacemaker.timeout() / 2;
                 out.transport.schedule_proposal(view, at);
             } else {
@@ -1135,6 +1135,41 @@ mod tests {
         assert_eq!(next.mempool_len(), 10, "the copies stay queued");
         let stats = next.mempool_stats();
         assert_eq!((stats.accepted, stats.handed_in), (3, 10));
+    }
+
+    /// The seats and views that `options`' Streamlet replica 0, having voted
+    /// for node 1's view-1 proposal, sends and stamps its copies to.
+    fn copies_after_voting(options: ReplicaOptions) -> Vec<(NodeId, View)> {
+        let proposal = first_proposal(ProtocolKind::Streamlet);
+        let mut voter = Replica::new(NodeId(0), ProtocolKind::Streamlet, config(4), options);
+        let sent = sends(&mut voter, 1, &proposal);
+        assert!(sent.iter().any(|(_, m)| matches!(**m, Message::Vote(_))));
+        assert_eq!(
+            (voter.current_view(), voter.safety.voted_view()),
+            (View(1), View(1))
+        );
+        let mut wire = BufferedTransport::new();
+        voter.admit(txs(5, 9), &mut wire);
+        (wire.sends.iter())
+            .filter_map(|(to, message)| match &**message {
+                Message::Handoff(copy) => Some((to.expect("a unicast"), copy.view)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Under synchronous epochs view 2's leader proposes at its epoch
+    /// boundary, not on a vote: a replica that voted in view 1 still hands
+    /// its copy to view 2, where the responsive rule skips to view 3.
+    #[test]
+    fn a_paced_replica_that_voted_hands_its_copy_one_view_ahead() {
+        let paced = ReplicaOptions {
+            synchronous_epochs: true,
+            ..ReplicaOptions::default()
+        };
+        assert_eq!(copies_after_voting(paced), [(NodeId(2), View(2))]);
+        let responsive = ReplicaOptions::default();
+        assert_eq!(copies_after_voting(responsive), [(NodeId(3), View(3))]);
     }
 
     #[test]

@@ -327,9 +327,12 @@ impl NodeHost {
     /// request on its own. The requests the check dropped are
     /// counted in [`NodeHost::client_auth_rejections`]. Admitting costs
     /// nothing beyond the check. It writes at most one effect: a
-    /// [`Message::Handoff`] copy of the admitted batch to the leader three
-    /// views ahead, when this replica leads none of the next views (the rule
-    /// is `handoff.rs`'s; `now` keeps the shape every entry point shares).
+    /// [`Message::Handoff`] copy of the admitted batch to the leader of the
+    /// view `handoff::target` names — the one this replica's next vote helps
+    /// wake, or the next view when synchronous epochs pace the protocol —
+    /// when this replica leads none of the views up to it. The target is read
+    /// off the replica's view and vote, not the clock, and the backend sends
+    /// the copy at the step's own instant, so `_now` goes unused.
     pub fn admit(
         &mut self,
         requests: VerifiedRequests,

@@ -104,6 +104,10 @@ impl SeatLink for Sockets {
         Ok(node.status(prefix_len))
     }
 
+    fn halt(&self, node: &mut TcpNode) {
+        node.halt();
+    }
+
     fn stop(&mut self, node: TcpNode, _crash: bool) -> SeatEnd {
         node.join()
     }

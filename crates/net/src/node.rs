@@ -236,6 +236,16 @@ impl TcpNode {
         let _ = self.events.send(LiveEvent::Peers(table));
     }
 
+    /// Stops the consensus loop and waits until it has sent its last frame.
+    /// The sockets stay up until [`TcpNode::join`], so a peer still running
+    /// loses nothing to this node meanwhile.
+    pub fn halt(&self) {
+        let _ = self.events.send(LiveEvent::Shutdown);
+        while !self.replica.is_finished() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     /// Stops every thread (consensus, acceptor, readers, writers, verify
     /// workers) and returns the final host, status and network counters.
     pub fn join(self) -> SeatEnd {

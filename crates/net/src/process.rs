@@ -194,6 +194,8 @@ pub struct ProcessSeat {
     child: Child,
     conn: Mutex<DriverConn>,
     addr: SocketAddr,
+    /// The last probe's reply, taken when the seat is halted at shutdown.
+    last: Option<StatusReply>,
 }
 
 impl ProcessSeat {
@@ -265,6 +267,7 @@ impl SeatLink for Processes {
                 child,
                 conn: Mutex::new(conn),
                 addr,
+                last: None,
             }),
             Err(e) => {
                 let _ = child.kill();
@@ -293,13 +296,19 @@ impl SeatLink for Processes {
         Ok(self.probe_reply(seat, prefix_len)?.status)
     }
 
-    /// A crash drops the seat, which kills it; a shutdown probes it one last
-    /// time — that reply is its part of the report — and asks it to exit.
+    /// A child's loop runs until it exits, so halting a seat probes it one
+    /// last time: that reply is its part of the report.
+    fn halt(&self, seat: &mut ProcessSeat) {
+        seat.last = self.probe_reply(seat, 0).ok();
+    }
+
+    /// A crash drops the seat, which kills it; a shutdown asks it to exit,
+    /// reporting what it answered when halted.
     fn stop(&mut self, mut seat: ProcessSeat, crash: bool) -> SeatEnd {
         if crash {
             return SeatEnd::default();
         }
-        let last = self.probe_reply(&seat, 0).ok();
+        let last = seat.last.take();
         if seat.conn().send(FrameKind::Shutdown, &[]).is_ok() {
             let _ = seat.child.wait();
         }

@@ -27,9 +27,13 @@
 //! audit tables. The next moved `crash_f` alone: a copy whose view times
 //! out is handed on to the sender's current target, and the ledger executes
 //! each transaction once (DESIGN.md §7.4); CHANGES.md has its table too.
-//! The latest moved all three: the NIC charges a message what the codec
+//! The next moved all three: the NIC charges a message what the codec
 //! writes (`wire::encoded_len`) instead of a hand-kept size model
 //! (DESIGN.md §1.3); CHANGES.md has its table.
+//! The latest moved only the Streamlet pins of `lan` and `geo_wan`, the
+//! two specs with synchronous epochs: there a copy goes to the next view's
+//! leader, which proposes at its epoch boundary rather than on a vote
+//! (DESIGN.md §7.4); CHANGES.md has its table.
 //! The same configurations are also driven through the live threaded
 //! cluster, which must stay safe on the heterogeneous-WAN workload too, and
 //! the repo benchmark's frozen workload files must keep parsing.
@@ -92,7 +96,7 @@ const LAN_PINS: [(ProtocolKind, &str); 3] = [
     ),
     (
         ProtocolKind::Streamlet,
-        "68b442ee2224d1cc718b19a5bffd36e16affcbf034b2427391e8b563e3fa40e2",
+        "0dcbd9789d38d13457d154ece2e66cadff3464c435f67a89a52faf05b231ee56",
     ),
 ];
 
@@ -107,7 +111,7 @@ const GEO_WAN_PINS: [(ProtocolKind, &str); 3] = [
     ),
     (
         ProtocolKind::Streamlet,
-        "133ce9b93be310339e431a2f8cd013b8a2f944134aa426d83b2dff9597acf612",
+        "29db2a0eb548c4e355b3e273d7f1f5657272b4a3a08c9d106f0e8c22733d5831",
     ),
 ];
 
