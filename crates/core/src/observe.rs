@@ -527,22 +527,31 @@ fn recovery(config: &Config, hosts: &[NodeHost], faults: &[NodeFault]) -> Recove
     let Some(target) = reference.min_by_key(|ledger| ledger.len()) else {
         return recovery;
     };
+    // A block committed in the run's last view may still be on its way to a
+    // replica that caught up long ago.
+    let settled_by = SimTime::ZERO + config.runtime.saturating_sub(config.timeout);
     for replica in replicas() {
         let stats = replica.recovery_stats();
         let Some(restarted) = stats.restarted_at else {
             continue;
         };
-        // Block ids bind each block's view and transactions, so equal ids
-        // over the reference's length are the same committed chain.
-        let ledger = replica.ledger();
-        recovery.recovered_caught_up &=
-            ledger.len() >= target.len() && ledger.consistent_with(target);
+        recovery.recovered_caught_up &= caught_up(replica.ledger(), target, settled_by);
         if let Some(done) = stats.caught_up_at {
             let millis = done.since(restarted).as_nanos() as f64 / 1_000_000.0;
             recovery.recovery_time_ms = recovery.recovery_time_ms.max(millis);
         }
     }
     recovery
+}
+
+/// Whether `ledger` agrees with `reference` and holds every block the
+/// reference had committed by `settled_by`. Block ids bind each block's view
+/// and transactions, so equal ids are the same committed chain.
+fn caught_up(ledger: &Ledger, reference: &Ledger, settled_by: SimTime) -> bool {
+    let settled = (reference.iter())
+        .take_while(|committed| committed.committed_at <= settled_by)
+        .count();
+    ledger.len() >= settled && ledger.consistent_with(reference)
 }
 
 #[cfg(test)]
@@ -593,6 +602,37 @@ mod tests {
                 "{protocol}: {to_commit}"
             );
         }
+    }
+
+    /// The catch-up audit forgives a restarted replica the blocks committed
+    /// in the run's last view, and nothing else: a replica that never
+    /// re-learned the chain, or learned another one, still fails it.
+    #[test]
+    fn the_catch_up_audit_waits_out_the_last_commit_and_only_it() {
+        use crate::durability::testutil::grow;
+        use bamboo_forest::BlockForest;
+        // Each block of a grown chain commits at its height in microseconds.
+        let grown = |blocks: usize| {
+            let (mut forest, mut ledger) = (BlockForest::new(), Ledger::new());
+            for _ in 0..blocks {
+                grow(&mut forest, &mut ledger, 16);
+            }
+            ledger
+        };
+        let reference = grown(10);
+        let (end, settled_by) = (SimTime(10_000), SimTime(8_000));
+        // Two blocks short at the end: still in flight, so caught up...
+        for len in [8, 9, 10, 12] {
+            assert!(caught_up(&grown(len), &reference, settled_by), "{len}");
+        }
+        // ...though the audit at the last instant called it behind.
+        assert!(!caught_up(&grown(9), &reference, end));
+        // The positive controls: a replica that never synced stays where
+        // its restart left it, and one on another chain agrees on nothing.
+        assert!(!caught_up(&grown(3), &reference, settled_by));
+        assert!(!caught_up(&Ledger::new(), &reference, settled_by));
+        let shifted = Ledger::restore(reference.iter().skip(1).cloned().collect());
+        assert!(!caught_up(&shifted, &reference, settled_by));
     }
 
     /// The view clock and the CPU account obey the replica's own counters.

@@ -447,16 +447,16 @@ impl Replica {
     }
 
     /// Only a vote `from_author` — neither a relay nor our own — may be
-    /// relayed.
+    /// relayed. A vote is checked where its quorum forms: the QC's votes in
+    /// one batched pass (`CpuModel::verify_batch`), before the proposal it
+    /// releases; a vote that cannot count (a second copy, a certified block)
+    /// is dropped unchecked.
     fn on_vote(&mut self, vote: &Vote, from_author: bool, out: &mut Step<'_>) {
-        out.cpu += self.cpu.verify(1);
         if self.safety.echo_messages() && from_author {
             out.transport.broadcast(Message::Vote(vote.clone()));
         }
         if let Some(qc) = self.quorum.add_vote(vote) {
-            // Assembling the QC from votes that were each already verified
-            // (and charged) on arrival is pure aggregation — no additional
-            // signature check happens, so no additional `t_CPU` is charged.
+            out.cpu += self.cpu.verify_batch(qc.signer_count());
             self.register_qc(&qc, out);
         }
     }
@@ -1067,6 +1067,48 @@ mod tests {
         assert!(!sends(&mut follower, 1, &proposal).iter().any(relays(3)));
         let vote = Vote::new(block.id, block.view, NodeId(0), &KeyPair::from_seed(0));
         assert!(sends(&mut follower, 0, &Message::Vote(vote)).is_empty());
+    }
+
+    /// A vote is checked where its quorum forms: the vote that completes it
+    /// pays one batched pass over the certificate's votes, every earlier one
+    /// nothing, and a vote that cannot count — a second copy of a counted
+    /// one, a vote for a certified block — nothing. What comes from its
+    /// author is relayed once all the same (Streamlet).
+    #[test]
+    fn a_quorum_is_checked_in_one_batched_pass_where_it_forms() {
+        for protocol in ProtocolKind::evaluated() {
+            let Message::Proposal(block) = first_proposal(protocol) else {
+                unreachable!("a proposal")
+            };
+            // Node 3 leads neither view 1 nor view 2: the QC is all it does.
+            let mut tally = replica(3, protocol);
+            let (cpu, echoes) = (tally.cpu_model(), tally.safety.echo_messages());
+            let mut step = |from: u64, voter: u64| {
+                let key = KeyPair::from_seed(voter);
+                let vote = Message::Vote(Vote::new(block.id, block.view, NodeId(voter), &key));
+                let mut wire = BufferedTransport::new();
+                let cpu = tally
+                    .receive(NodeId(from), &vote, SimTime(1_000), &mut wire)
+                    .cpu;
+                let relayed = wire.sends == [(None, SharedMessage::new(vote))];
+                assert_eq!(
+                    relayed,
+                    echoes && from == voter,
+                    "{protocol:?}: {from} {voter}"
+                );
+                assert_eq!(wire.sends.len(), usize::from(relayed), "{protocol:?}");
+                cpu
+            };
+            let free = SimDuration::ZERO;
+            assert_eq!(step(0, 0), free, "{protocol:?}: a first vote");
+            assert_eq!(step(1, 0), free, "{protocol:?}: a relayed copy");
+            assert_eq!(step(1, 1), free, "{protocol:?}: a second vote");
+            assert_eq!(step(0, 1), free, "{protocol:?}: a relayed copy");
+            assert_eq!(step(2, 2), cpu.verify_batch(3), "{protocol:?}: the quorum");
+            assert_eq!(step(2, 3), free, "{protocol:?}: a vote after the QC");
+            assert_eq!(step(3, 3), free, "{protocol:?}: a vote after the QC");
+            assert_eq!(step(0, 0), free, "{protocol:?}: a counted vote again");
+        }
     }
 
     #[test]

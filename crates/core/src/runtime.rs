@@ -42,8 +42,8 @@
 
 use bamboo_sim::CpuModel;
 use bamboo_types::{
-    Authenticator, ClientRequest, Config, Message, NodeId, ProtocolKind, SharedBlock,
-    SharedMessage, SimDuration, SimTime, VerifiedMessage, VerifiedRequests, View,
+    ids::quorum_threshold, Authenticator, ClientRequest, Config, Message, NodeId, ProtocolKind,
+    SharedBlock, SharedMessage, SimDuration, SimTime, VerifiedMessage, VerifiedRequests, View,
 };
 
 use crate::replica::{Replica, ReplicaOptions};
@@ -236,6 +236,8 @@ pub struct NodeHost {
     /// Client requests dropped at ingress because their client signature
     /// failed verification (signed-client mode only).
     client_auth_rejections: u64,
+    /// Per validator, whether a vote forged in its name was caught here.
+    caught: Vec<bool>,
 }
 
 impl NodeHost {
@@ -256,13 +258,14 @@ impl NodeHost {
         authenticator.set_signed_clients(config.signed_requests);
         // Share the replica's model so per-replica CPU overrides (the
         // heterogeneous-CPU scenario knob) also price rejected messages.
-        let cpu = replica.cpu_model();
+        let (cpu, caught) = (replica.cpu_model(), vec![false; config.nodes]);
         Self {
             replica,
             authenticator,
             cpu,
             auth_rejections: 0,
             client_auth_rejections: 0,
+            caught,
         }
     }
 
@@ -404,10 +407,25 @@ impl NodeHost {
     /// that exposed the forgery, exactly as if the check had run here (a
     /// flood of forgeries is not free to fend off — it consumes the target's
     /// CPU budget, which is exactly how the paper's model would account it).
+    ///
+    /// A quorum's votes are checked in one batched pass, so the first vote
+    /// forged in a validator's name fails a batch and pays its fallback, one
+    /// check per vote of a quorum; the optimistic verifier then checks that
+    /// validator's votes one at a time, and each later forgery pays one.
     pub fn reject_forged(&mut self, message: &Message) -> StepReport {
         self.auth_rejections += 1;
+        let first = match message {
+            Message::Vote(vote) => (self.caught.get_mut(vote.voter.index()))
+                .is_some_and(|caught| !std::mem::replace(caught, true)),
+            _ => false,
+        };
+        let cpu = if first {
+            self.cpu.verify(quorum_threshold(self.caught.len()))
+        } else {
+            verification_cost(&self.cpu, message)
+        };
         StepReport {
-            cpu: verification_cost(&self.cpu, message),
+            cpu,
             committed: Vec::new(),
         }
     }
@@ -422,6 +440,8 @@ impl NodeHost {
 fn verification_cost(cpu: &CpuModel, message: &Message) -> SimDuration {
     let signatures = match message {
         Message::Proposal(_) => 2,
+        // A vote in the name of a validator already caught forging, checked
+        // on its own (`NodeHost::reject_forged` prices the first).
         Message::Vote(_) => 1,
         Message::Timeout(tv) => 1 + tv.high_qc.signer_count(),
         Message::TimeoutCertMsg(tc) => tc.signer_count() + tc.high_qc.signer_count(),
@@ -663,6 +683,26 @@ mod tests {
         assert!(report.cpu.is_zero());
         assert_eq!(host.replica().mempool_len(), 3);
         assert_eq!(host.client_auth_rejections(), 0);
+    }
+
+    #[test]
+    fn a_voters_first_forged_vote_fails_a_quorum_batch_and_later_ones_cost_one_check() {
+        let (mut host, _, cpu) = edge_host(false);
+        let forged = |voter: u64| {
+            let key = bamboo_crypto::KeyPair::from_seed(voter + 1);
+            let block = bamboo_types::BlockId(bamboo_crypto::Digest::of(b"forged"));
+            Message::Vote(bamboo_types::Vote::new(block, View(2), NodeId(voter), &key))
+        };
+        let mut charged = |voter: u64| host.reject_forged(&forged(voter)).cpu;
+        // n = 4: a quorum is three votes.
+        assert_eq!(charged(0), cpu.verify(3));
+        assert_eq!(charged(0), cpu.verify(1));
+        assert_eq!(charged(1), cpu.verify(3));
+        assert_eq!(charged(0), cpu.verify(1));
+        assert_eq!(charged(1), cpu.verify(1));
+        // A name outside the validator set has no batch to fail.
+        assert_eq!(charged(64), cpu.verify(1));
+        assert_eq!(host.auth_rejections(), 6);
     }
 
     #[test]

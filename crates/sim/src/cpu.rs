@@ -63,12 +63,15 @@ impl CpuModel {
         self.verify(2) + SimDuration::from_nanos(self.per_tx.as_nanos() * txs as u64)
     }
 
-    /// Cost of verifying a batch of `signatures` client-request signatures at
-    /// the replica edge: `⌈n/4⌉ · t_CPU`, one crypto op per four requests.
-    /// This is a model — the modelled replica verifies same-length client
-    /// tuples four to a pass, which is what makes authenticated ingress
-    /// affordable at millions of arrivals — and a part of every pinned
-    /// number; it does not describe how the host checks the batch.
+    /// Cost of verifying a batch of `signatures` signatures in one pass:
+    /// `⌈n/4⌉ · t_CPU`, one crypto op per four. Two batches are charged so:
+    /// the client requests a replica admits at its edge, and the votes a QC
+    /// carries, checked once in the step where the quorum forms (a vote
+    /// costs nothing on arrival). This is a model — the modelled replica
+    /// verifies same-length tuples four to a pass, which is what makes
+    /// authenticated ingress affordable at millions of arrivals — and a part
+    /// of every pinned number; it does not describe how the host checks
+    /// the batch.
     pub fn verify_batch(&self, signatures: usize) -> SimDuration {
         let passes = (signatures as u64).div_ceil(4);
         SimDuration::from_nanos(self.crypto_op.as_nanos() * passes)
