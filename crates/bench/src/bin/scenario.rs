@@ -20,7 +20,10 @@
 //! latencies `bench_diff` tracks are written next to it as
 //! `scenario.rows.json`: each run's end-to-end numbers
 //! (`<scenario>/<protocol>/throughput`, `…/latency_mean`, `…/latency_p99`,
-//! `…/cgr` and `…/duplicates_filtered`), its `…/u_max`, `…/view_ms_qc`,
+//! `…/latency_max`, `…/cgr` and `…/duplicates_filtered`), the transactions
+//! still uncommitted at its end (`…/pending_txs`: latency rows count only
+//! committed ones, so a run that commits its stragglers can read worse at
+//! p99), its `…/u_max`, `…/view_ms_qc`,
 //! `…/views_by_timeout`, `…/handoff_rehanded` and four commit-stage means
 //! (`…/stage_*_ms`), and `…/recovery_time_ms` for runs that scheduled
 //! amnesia recoveries, `…/log_replay_ms` for durable restarts, under the
@@ -189,6 +192,8 @@ fn main() -> ExitCode {
                     ("throughput", r.throughput_tx_per_sec, "tx/s", Higher),
                     ("latency_mean", latency.mean_ms, "ms", Lower),
                     ("latency_p99", latency.p99_ms, "ms", Lower),
+                    ("latency_max", latency.max_ms, "ms", Lower),
+                    ("pending_txs", r.pending_txs as f64, "tx", Lower),
                     ("cgr", r.chain_growth_rate, "ratio", Higher),
                     (
                         "duplicates_filtered",

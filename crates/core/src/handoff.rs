@@ -14,13 +14,13 @@
 //! `v + 1`, so a copy sent from `v` reaches it in time whether or not the
 //! sender voted in `v`, and a paced replica aims at `v + 1`.
 //!
-//! A target can miss. Its leader may propose before the copy arrives: the
-//! sender sees that when the stamped view's block reaches it without the
-//! copy's transactions, and hands what is still its own on to its current
-//! target, once ([`Copies::rehand`]). Or its leader is down: the sender
-//! sees the stamped view time out, and hands the copy on under a new stamp
-//! ([`Copies::on_timeout`]) — again at the next timeout, for as long as
-//! the copy lives.
+//! A target can miss. Its leader may propose before the copy arrives, or be
+//! down. The sender sees either when the stamped view is over for it: the
+//! view's first block reaches it without the copy's transactions, or it
+//! enters the next view through the view's TC. Then it hands what is still
+//! its own on to its current target under a new stamp ([`Copies::settle`]),
+//! and again each time the new stamp's view is over without carrying it,
+//! for as long as the copy lives.
 //!
 //! A transaction with several holders can be committed twice; the ledger
 //! executes it once ([`bamboo_forest::ExecWindow`]) as long as its carriers
@@ -39,9 +39,7 @@ use std::collections::VecDeque;
 use bamboo_forest::{BlockForest, Ledger, WINDOW};
 use bamboo_mempool::Mempool;
 use bamboo_pacemaker::LeaderElection;
-use bamboo_types::{
-    Block, DigestSet, Handoff, Message, NodeId, SharedBlock, Transaction, TxId, View,
-};
+use bamboo_types::{DigestSet, Handoff, Message, NodeId, SharedBlock, Transaction, TxId, View};
 
 use crate::runtime::Transport;
 
@@ -98,15 +96,14 @@ struct Sent {
     id: TxId,
 }
 
-/// The copies a replica handed off, until their stamped view's block
-/// reaches it or the view times out, and the copies handed to it that it
-/// still holds. A copy handed on because a block missed it is not kept: it
-/// goes on at most once that way.
+/// The copies a replica handed off, until a view they are stamped with
+/// carries them or they need not go on, and the copies handed to it that
+/// it still holds.
 #[derive(Debug, Default)]
 pub struct Copies {
     /// Every copy sent and not yet settled, in stamp order: a sender's
-    /// target never moves back, and a copy handed on after a timeout goes
-    /// to the back under its new stamp, the sender's current target.
+    /// target never moves back, and a copy handed on goes to the back under
+    /// its new stamp, the sender's current target.
     sent: VecDeque<Sent>,
     /// Every handed-in copy the pool took, with its stamp, in stamp order,
     /// until it leaves the pool or its holder passes [`HELD_LIFETIME`] views
@@ -131,9 +128,9 @@ impl Copies {
         self.sent.extend(txs.iter().map(sent));
     }
 
-    /// Whether a copy stamped with `view` waits for its block.
+    /// Whether a copy stamped with `view` or earlier waits to be settled.
     pub fn awaits(&self, view: View) -> bool {
-        self.sent.iter().any(|sent| sent.stamp == view)
+        self.sent.front().is_some_and(|sent| sent.stamp <= view)
     }
 
     /// Keeps a handed-in copy, unless the receiver, now at `view`, has passed
@@ -184,57 +181,33 @@ impl Copies {
         batch
     }
 
-    /// Once the first block of a view copies are stamped with is stored:
-    /// hands what that block does not carry on to `target`, once ([`hand_on`]
-    /// says what goes). Counted in [`bamboo_mempool::MempoolStats::rehanded`].
-    pub fn rehand(
+    /// Once `view` is over at the sender — its first block is stored, with
+    /// payload `carried`, or its TC is entered, which carries nothing —
+    /// hands every copy stamped at or before `view` that `carried` lacks on
+    /// to `target` ([`hand_on`] says what goes) and keeps what went under
+    /// the new stamp, so the next view that misses it moves it on again.
+    /// Counted in [`bamboo_mempool::MempoolStats::rehanded`].
+    pub fn settle(
         &mut self,
-        block: &Block,
+        view: View,
+        carried: &[Transaction],
         mempool: &mut Mempool,
         forest: &BlockForest,
         target: Option<(View, NodeId)>,
         transport: &mut dyn Transport,
     ) {
-        let start = self.sent.partition_point(|sent| sent.stamp < block.view);
-        let end = self.sent.partition_point(|sent| sent.stamp <= block.view);
-        let mut missing: Vec<Sent> = self.sent.drain(start..end).collect();
-        // A copy is a few ids and a payload up to a block: the ids still
-        // missing stay a sorted list, and the payload is walked from its end,
-        // where its leader queued what was handed in last.
-        missing.sort_unstable_by_key(|sent| sent.id);
-        if block
-            .payload
-            .iter()
-            .rev()
-            .any(|tx| strike(&mut missing, &tx.id))
-        {
-            return;
-        }
-        hand_on(missing, mempool, forest, target, transport);
-    }
-
-    /// On entering a view through a TC for `timed_out`: hands every copy
-    /// stamped at or before it on to `target` ([`hand_on`] says what goes),
-    /// and keeps what went under the new stamp, so a second timeout moves
-    /// it on again. Counted in [`bamboo_mempool::MempoolStats::rehanded`].
-    pub fn on_timeout(
-        &mut self,
-        timed_out: View,
-        mempool: &mut Mempool,
-        forest: &BlockForest,
-        target: Option<(View, NodeId)>,
-        transport: &mut dyn Transport,
-    ) {
-        let due = self.sent.partition_point(|sent| sent.stamp <= timed_out);
-        if due == 0 {
-            return;
-        }
+        let due = self.sent.partition_point(|sent| sent.stamp <= view);
         let mut due: Vec<Sent> = self.sent.drain(..due).collect();
+        // A copy is a few ids and a payload up to a block: the ids still due
+        // stay a sorted list, and the payload is walked from its end, where
+        // its leader queued what was handed in last.
         due.sort_unstable_by_key(|sent| sent.id);
+        if due.is_empty() || carried.iter().rev().any(|tx| strike(&mut due, &tx.id)) {
+            return;
+        }
         let handed = hand_on(due, mempool, forest, target, transport);
         if let Some((stamp, _)) = target {
-            self.sent
-                .extend(handed.into_iter().map(|sent| Sent { stamp, ..sent }));
+            (self.sent).extend(handed.into_iter().map(|sent| Sent { stamp, ..sent }));
         }
     }
 }
@@ -350,7 +323,7 @@ mod tests {
     use super::*;
     use crate::runtime::BufferedTransport;
     use bamboo_types::config::LeaderPolicy;
-    use bamboo_types::{BlockId, Height, QuorumCert, SimTime};
+    use bamboo_types::{Block, BlockId, Height, QuorumCert, SimTime};
 
     fn txs(seqs: std::ops::Range<u64>) -> Vec<Transaction> {
         seqs.map(|seq| Transaction::new(NodeId(100), seq, 0, SimTime::ZERO))
@@ -510,56 +483,102 @@ mod tests {
         )
     }
 
-    /// A sender at view 5 that handed txs 0..6 to view 7's leader (seat 3),
-    /// with a forest holding genesis.
-    fn sent_to_view_7() -> (Mempool, Copies, BlockForest, BufferedTransport) {
-        let (mut pool, mut copies) = (Mempool::new(20), Copies::default());
-        let mut transport = BufferedTransport::default();
-        let ahead = Some((View(7), NodeId(3)));
-        admit(&mut pool, &mut copies, ahead, txs(0..6), &mut transport);
-        transport.sends.clear();
-        (pool, copies, BlockForest::new(), transport)
+    /// A sender's pool, copies, forest and outbox.
+    struct Sender {
+        pool: Mempool,
+        copies: Copies,
+        forest: BlockForest,
+        transport: BufferedTransport,
+    }
+
+    impl Sender {
+        /// A sender at view 5 that handed txs 0..6 to view 7's leader (seat
+        /// 3), with a forest holding genesis.
+        fn sent_to_view_7() -> Self {
+            let (mut pool, mut copies) = (Mempool::new(20), Copies::default());
+            let mut transport = BufferedTransport::default();
+            let ahead = Some((View(7), NodeId(3)));
+            admit(&mut pool, &mut copies, ahead, txs(0..6), &mut transport);
+            transport.sends.clear();
+            let forest = BlockForest::new();
+            Sender {
+                pool,
+                copies,
+                forest,
+                transport,
+            }
+        }
+
+        /// Stores `block` and settles its view, aiming at `target`.
+        fn stores(&mut self, block: &Block, target: Option<(View, NodeId)>) {
+            self.forest.insert(block.clone()).unwrap();
+            self.settle(block.view.as_u64(), &block.payload, target);
+        }
+
+        /// Settles `view`, which carried `carried`, aiming at `target`.
+        fn settle(&mut self, view: u64, carried: &[Transaction], target: Option<(View, NodeId)>) {
+            let Self {
+                pool,
+                copies,
+                forest,
+                transport,
+            } = self;
+            copies.settle(View(view), carried, pool, forest, target, transport);
+        }
+
+        /// Every copy kept as sent: stamp, first stamp, sequence number.
+        fn kept(&self) -> Vec<(u64, u64, u64)> {
+            (self.copies.sent.iter())
+                .map(|sent| (sent.stamp.as_u64(), sent.first.as_u64(), sent.id.seq))
+                .collect()
+        }
     }
 
     #[test]
     fn a_copy_its_view_block_carried_is_not_handed_on() {
-        let (mut pool, mut copies, mut forest, mut transport) = sent_to_view_7();
+        let mut sender = Sender::sent_to_view_7();
         let block = block_on(&Block::genesis(), 7, txs(0..6));
-        forest.insert(block.clone()).unwrap();
-        let ahead = Some((View(9), NodeId(5)));
-        copies.rehand(&block, &mut pool, &forest, ahead, &mut transport);
-        assert!(transport.sends.is_empty());
-        assert_eq!(pool.stats().rehanded, 0);
-        assert!(copies.sent.is_empty(), "checked once");
+        sender.stores(&block, Some((View(9), NodeId(5))));
+        assert!(sender.transport.sends.is_empty());
+        assert_eq!(sender.pool.stats().rehanded, 0);
+        assert!(sender.copies.sent.is_empty(), "checked once");
     }
 
     #[test]
-    fn what_a_view_block_missed_is_handed_on_exactly_once() {
-        let (mut pool, mut copies, mut forest, mut transport) = sent_to_view_7();
+    fn a_copy_moves_on_each_time_a_view_it_is_stamped_with_misses_it() {
+        let mut sender = Sender::sent_to_view_7();
         // Tx 5 left the sender's pool and a pending block carries tx 4: of
         // what view 7's block missed, only txs 2 and 3 are handed on.
-        pool.remove_committed([txs(5..6)[0].id].iter());
+        sender.pool.remove_committed([txs(5..6)[0].id].iter());
         let pending = block_on(&Block::genesis(), 6, txs(4..5));
-        forest.insert(pending.clone()).unwrap();
+        sender.forest.insert(pending.clone()).unwrap();
         let block = block_on(&pending, 7, txs(0..2));
-        forest.insert(block.clone()).unwrap();
-        let ahead = Some((View(9), NodeId(5)));
-        copies.rehand(&block, &mut pool, &forest, ahead, &mut transport);
-        assert_eq!(handoffs(&transport), vec![(NodeId(5), View(9), vec![2, 3])]);
-        assert_eq!(pool.stats().rehanded, 2);
-        assert_eq!(pool.stats().handed_off, 6, "counted apart");
-        // A second block of view 7, and the block of the re-handed copy's
-        // own view 9, hand nothing on: a copy goes on at most once.
-        let twin = block_on(&pending, 7, Vec::new());
-        forest.insert(twin.clone()).unwrap();
-        let late = block_on(&block, 9, Vec::new());
-        forest.insert(late.clone()).unwrap();
-        for b in [&twin, &late] {
-            let ahead = Some((View(b.view.as_u64() + 2), NodeId(1)));
-            copies.rehand(b, &mut pool, &forest, ahead, &mut transport);
-        }
-        assert_eq!(transport.sends.len(), 1);
-        assert_eq!(pool.stats().rehanded, 2);
+        sender.stores(&block, Some((View(9), NodeId(5))));
+        let first = (NodeId(5), View(9), vec![2, 3]);
+        assert_eq!(handoffs(&sender.transport), [first]);
+        assert_eq!(sender.pool.stats().rehanded, 2);
+        assert_eq!(sender.pool.stats().handed_off, 6, "counted apart");
+        // What went is kept under its new stamp; its lifetime still counts
+        // from its first.
+        assert_eq!(sender.kept(), [(9, 7, 2), (9, 7, 3)]);
+        assert!(sender.copies.awaits(View(9)) && !sender.copies.awaits(View(8)));
+        // A second block of view 7 finds nothing left to settle.
+        sender.stores(
+            &block_on(&pending, 7, Vec::new()),
+            Some((View(10), NodeId(6))),
+        );
+        assert_eq!(sender.transport.sends.len(), 1);
+        // View 9's block carries tx 2 and misses tx 3: tx 3 moves on again.
+        sender.stores(&block_on(&block, 9, txs(2..3)), Some((View(11), NodeId(7))));
+        let second = (NodeId(7), View(11), vec![3]);
+        assert_eq!(handoffs(&sender.transport)[1..], [second]);
+        assert_eq!(sender.kept(), [(11, 7, 3)]);
+        // View 11 timing out moves it on once more.
+        sender.settle(11, &[], Some((View(13), NodeId(1))));
+        let third = (NodeId(1), View(13), vec![3]);
+        assert_eq!(handoffs(&sender.transport)[2..], [third]);
+        assert_eq!(sender.kept(), [(13, 7, 3)]);
+        assert_eq!(sender.pool.stats().rehanded, 4);
     }
 
     #[test]
@@ -574,60 +593,53 @@ mod tests {
             (Some((far, NodeId(2))), 0),
             (Some((View(10), NodeId(2))), 6),
         ] {
-            let (mut pool, mut copies, mut forest, mut transport) = sent_to_view_7();
-            forest.insert(block.clone()).unwrap();
-            copies.rehand(&block, &mut pool, &forest, ahead, &mut transport);
-            assert_eq!(pool.stats().rehanded, handed, "{ahead:?}");
-            assert_eq!(transport.sends.len(), usize::from(handed > 0));
+            let mut sender = Sender::sent_to_view_7();
+            sender.stores(&block, ahead);
+            assert_eq!(sender.pool.stats().rehanded, handed, "{ahead:?}");
+            assert_eq!(sender.transport.sends.len(), usize::from(handed > 0));
         }
         // A sender whose target moved more than a lifetime past the copy's
         // stamp forgets it: its target never moves back.
-        let (mut pool, mut copies, mut forest, mut transport) = sent_to_view_7();
-        admit(
-            &mut pool,
-            &mut copies,
-            Some((far, NodeId(2))),
-            txs(10..11),
-            &mut transport,
-        );
-        assert_eq!(copies.sent.len(), 1);
-        forest.insert(block.clone()).unwrap();
-        let close = Some((View(9), NodeId(1)));
-        copies.rehand(&block, &mut pool, &forest, close, &mut transport);
-        assert_eq!(pool.stats().rehanded, 0);
+        let mut sender = Sender::sent_to_view_7();
+        let Sender {
+            pool,
+            copies,
+            transport,
+            ..
+        } = &mut sender;
+        admit(pool, copies, Some((far, NodeId(2))), txs(10..11), transport);
+        assert_eq!(sender.copies.sent.len(), 1);
+        sender.stores(&block, Some((View(9), NodeId(1))));
+        assert_eq!(sender.pool.stats().rehanded, 0);
     }
 
     #[test]
     fn a_copy_whose_view_times_out_goes_to_the_current_target_and_on_again() {
-        let (mut pool, mut copies, mut forest, mut transport) = sent_to_view_7();
+        let mut sender = Sender::sent_to_view_7();
         // Tx 5 left the sender's pool and a pending block carries tx 4.
-        pool.remove_committed([txs(5..6)[0].id].iter());
-        forest
-            .insert(block_on(&Block::genesis(), 6, txs(4..5)))
-            .unwrap();
+        sender.pool.remove_committed([txs(5..6)[0].id].iter());
+        let pending = block_on(&Block::genesis(), 6, txs(4..5));
+        sender.forest.insert(pending).unwrap();
         // View 6 timing out leaves the copy for view 7 where it is.
-        let ahead = Some((View(8), NodeId(4)));
-        copies.on_timeout(View(6), &mut pool, &forest, ahead, &mut transport);
-        assert!(transport.sends.is_empty() && copies.awaits(View(7)));
+        sender.settle(6, &[], Some((View(8), NodeId(4))));
+        assert!(sender.transport.sends.is_empty() && sender.copies.awaits(View(7)));
         // View 7 timing out hands what is still ours to the current target,
         // and keeps it under the new stamp.
-        let ahead = Some((View(9), NodeId(5)));
-        copies.on_timeout(View(7), &mut pool, &forest, ahead, &mut transport);
+        sender.settle(7, &[], Some((View(9), NodeId(5))));
         let first = vec![(NodeId(5), View(9), vec![0, 1, 2, 3])];
-        assert_eq!(handoffs(&transport), first);
-        assert!(copies.awaits(View(9)) && !copies.awaits(View(7)));
+        assert_eq!(handoffs(&sender.transport), first);
+        assert!(sender.copies.awaits(View(9)) && !sender.copies.awaits(View(8)));
         // Its view timing out too moves it on again.
-        let ahead = Some((View(11), NodeId(7)));
-        copies.on_timeout(View(9), &mut pool, &forest, ahead, &mut transport);
+        sender.settle(9, &[], Some((View(11), NodeId(7))));
         let second = (NodeId(7), View(11), vec![0, 1, 2, 3]);
-        assert_eq!(handoffs(&transport)[1..], [second]);
-        assert_eq!(pool.stats().rehanded, 8);
-        assert_eq!(pool.stats().handed_off, 6, "counted apart");
+        assert_eq!(handoffs(&sender.transport)[1..], [second]);
+        assert_eq!(sender.pool.stats().rehanded, 8);
+        assert_eq!(sender.pool.stats().handed_off, 6, "counted apart");
         // A timeout with no target (the sender leads one of the views up to
         // it) settles the copy: the sender proposes it itself.
-        copies.on_timeout(View(11), &mut pool, &forest, None, &mut transport);
-        assert!(copies.sent.is_empty());
-        assert_eq!(transport.sends.len(), 2);
+        sender.settle(11, &[], None);
+        assert!(sender.copies.sent.is_empty());
+        assert_eq!(sender.transport.sends.len(), 2);
     }
 
     #[test]

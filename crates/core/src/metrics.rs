@@ -59,7 +59,8 @@ pub struct MempoolTotals {
     pub handed_in: u64,
     /// Handed-in copies dropped: already held, or no room.
     pub handoff_dropped: u64,
-    /// Copies handed on once more: their view's block came without them.
+    /// Copies handed on again: a view they were stamped with was over, by
+    /// its block or its timeout, without carrying them.
     pub rehanded: u64,
 }
 

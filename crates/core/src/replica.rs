@@ -442,7 +442,7 @@ impl Replica {
         // What a copy for this view missed goes on, after the vote (`handoff.rs`).
         if stored && self.copies.awaits(block_view) {
             let (aim, pool, forest) = (self.handoff_target(), &mut self.mempool, &self.forest);
-            self.copies.rehand(block, pool, forest, aim, out.transport);
+            (self.copies).settle(block_view, &block.payload, pool, forest, aim, out.transport);
         }
     }
 
@@ -493,7 +493,7 @@ impl Replica {
         if let Some(tc) = tc {
             // Copies for a view that timed out go on (`handoff.rs`).
             let (aim, pool, forest) = (self.handoff_target(), &mut self.mempool, &self.forest);
-            (self.copies).on_timeout(tc.view, pool, forest, aim, out.transport);
+            (self.copies).settle(tc.view, &[], pool, forest, aim, out.transport);
             // Forward the TC to the new leader: it adopts the TC's high QC.
             let leader = self.election.leader_of(view);
             if leader != self.id {

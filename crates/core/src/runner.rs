@@ -812,9 +812,9 @@ mod tests {
     /// The execute-once window checked against a whole ledger: in every
     /// spec whose transactions find several holders (restarts, floods, a
     /// late joiner, crashed leaders, adjacent ones in `crash_f`, a 64-seat
-    /// rotation), no transaction the window lets execute is carried by an
-    /// earlier block of the longest honest ledger, and every one it filters
-    /// is. A whole-ledger id set is what the window replaces outside tests
+    /// rotation, a WAN whose copies miss their views and move on), no
+    /// transaction the window lets execute is carried by an earlier block
+    /// of the longest honest ledger, and every one it filters is. A whole-ledger id set is what the window replaces outside tests
     /// (DESIGN.md §7.4).
     #[test]
     fn the_window_executes_what_a_whole_ledger_executes() {
@@ -822,6 +822,7 @@ mod tests {
             include_str!("../../../scenarios/crash_f.json"),
             include_str!("../../../scenarios/durable_restart.json"),
             include_str!("../../../scenarios/forged_vote_flood.json"),
+            include_str!("../../../scenarios/geo_wan.json"),
             include_str!("../../../scenarios/late_joiner.json"),
             include_str!("../../../scenarios/mixed.json"),
             include_str!("../../../scenarios/one_seat_down.json"),

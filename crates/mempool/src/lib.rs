@@ -4,8 +4,8 @@
 //! transactions are inserted from the back while old transactions (from
 //! forked blocks) are inserted from the front" (§III-E). Each replica keeps a
 //! local pool. A batch a replica admits may also sit, as a handed-in copy,
-//! in the pool of a leader one or two views ahead, and once more in a
-//! second leader's when the first one's block missed it; the proposer's
+//! in the pool of a leader one or two views ahead, and in the pool of each
+//! later leader it is handed on to when a view missed it; the proposer's
 //! [`Mempool::next_batch_excluding`] passes over what a pending block
 //! already carries, and commit removes the rest.
 //!
@@ -67,8 +67,9 @@ pub struct MempoolStats {
     /// the copy came after the view it was meant for, or its holder passed
     /// the last view it may propose the copy in.
     pub handoff_dropped: u64,
-    /// Copies handed on once more, apart from `handed_off`: the block of
-    /// the view the first copy was meant for came without them.
+    /// Copies handed on again, apart from `handed_off`: a view a copy was
+    /// stamped with was over at its sender, by its block or its timeout,
+    /// without carrying it. A copy counts each time it goes on.
     pub rehanded: u64,
 }
 
@@ -249,7 +250,7 @@ impl Mempool {
     }
 
     /// Copies of the queued transactions `ids` names, in queue order, to
-    /// hand on once more, counted in [`MempoolStats::rehanded`]. `ids` is
+    /// hand on again, counted in [`MempoolStats::rehanded`]. `ids` is
     /// sorted and every id in it queued: a replica's own admissions sit
     /// at the back, so the queue is searched from there.
     pub fn copy_rehanded(&mut self, ids: &[TxId]) -> Vec<Transaction> {

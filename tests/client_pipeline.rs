@@ -252,8 +252,8 @@ fn forged_client_requests_die_at_the_threaded_edge() {
 }
 
 /// A replica that leads none of its next views hands a copy of each batch it
-/// admits to the leader its next vote helps wake, and hands on once more
-/// what that leader's block missed. The live cluster's report folds every
+/// admits to the leader its next vote helps wake, and hands on again what
+/// that leader's view missed. The live cluster's report folds every
 /// seat's handoff counters; copies still in flight at shutdown are neither
 /// kept nor dropped, so the two receiver counters sum to at most what was
 /// sent, first copies and re-handed ones. The simulator's report carries
