@@ -523,16 +523,16 @@ fn bench_event_queue(out: &mut RowFile) {
 /// reported as simulation events per wall-clock second (the engine's
 /// headline speed metric; higher is better).
 fn bench_sim_engine(out: &mut RowFile) {
-    let config = Config::builder()
-        .nodes(64)
-        .block_size(400)
-        .payload_size(128)
-        .runtime(SimDuration::from_millis(100))
-        .arrival_rate(30_000.0)
-        .timeout(SimDuration::from_millis(100))
-        .seed(bamboo_bench::EVAL_SEED)
-        .build()
-        .expect("valid benchmark configuration");
+    let config = Config {
+        nodes: 64,
+        block_size: 400,
+        payload_size: 128,
+        runtime: SimDuration::from_millis(100),
+        arrival_rate: Some(30_000.0),
+        timeout: SimDuration::from_millis(100),
+        seed: bamboo_bench::EVAL_SEED,
+        ..Config::default()
+    };
     let run = || {
         SimRunner::new(
             config.clone(),

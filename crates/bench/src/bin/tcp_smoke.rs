@@ -65,14 +65,14 @@ fn run() -> Result<RowFile, String> {
     let target: u64 = if quick { 200 } else { 1000 };
     let window = Duration::from_secs(if quick { 30 } else { 120 });
     let spec_seed = 2024;
-    let config = Config::builder()
-        .nodes(nodes)
-        .block_size(50)
-        .payload_size(16)
-        .timeout(SimDuration::from_millis(50))
-        .seed(spec_seed)
-        .build()
-        .map_err(|e| format!("invalid cluster config: {e}"))?;
+    let config = Config {
+        nodes,
+        block_size: 50,
+        payload_size: 16,
+        timeout: SimDuration::from_millis(50),
+        seed: spec_seed,
+        ..Config::default()
+    };
     banner(&format!(
         "TCP loopback smoke — {} replica processes, {}, target {target} txs",
         nodes,

@@ -80,15 +80,15 @@ pub fn bench_rows(bench: &str) -> RowFile {
 /// defaults on the simulated data-centre substrate, with the measurement
 /// window shortened so the whole suite runs in minutes.
 pub fn eval_config(nodes: usize, block_size: usize, payload: usize, runtime_ms: u64) -> Config {
-    Config::builder()
-        .nodes(nodes)
-        .block_size(block_size)
-        .payload_size(payload)
-        .runtime(SimDuration::from_millis(runtime_ms))
-        .timeout(SimDuration::from_millis(100))
-        .seed(EVAL_SEED)
-        .build()
-        .expect("valid benchmark configuration")
+    Config {
+        nodes,
+        block_size,
+        payload_size: payload,
+        runtime: SimDuration::from_millis(runtime_ms),
+        timeout: SimDuration::from_millis(100),
+        seed: EVAL_SEED,
+        ..Config::default()
+    }
 }
 
 /// Builds the analytical model for one protocol and configuration.

@@ -585,11 +585,11 @@ mod tests {
     #[test]
     fn a_checkpoint_lives_in_the_log_when_one_is_mounted() {
         for durable_log in [false, true] {
-            let config = Config::builder()
-                .nodes(4)
-                .durable_log(durable_log)
-                .build()
-                .unwrap();
+            let config = Config {
+                nodes: 4,
+                durable_log,
+                ..Config::default()
+            };
             let mut disk = Disk::new(&config);
             let (mut forest, mut ledger) = chain(0, 8);
             let mut stats = RecoveryStats::default();
@@ -636,11 +636,11 @@ mod tests {
     #[test]
     fn a_served_suffix_is_what_the_image_walk_finds() {
         for durable_log in [false, true] {
-            let config = Config::builder()
-                .nodes(4)
-                .durable_log(durable_log)
-                .build()
-                .unwrap();
+            let config = Config {
+                nodes: 4,
+                durable_log,
+                ..Config::default()
+            };
             let mut disk = Disk::new(&config);
             let (mut forest, mut ledger) = chain(0, 8);
             let mut stats = RecoveryStats::default();
@@ -693,7 +693,10 @@ mod tests {
     #[test]
     fn a_log_holds_the_ledgers_own_blocks() {
         let held = Arc::new(Mutex::new(Vec::new()));
-        let config = Config::builder().nodes(4).build().unwrap();
+        let config = Config {
+            nodes: 4,
+            ..Config::default()
+        };
         let mut disk = Disk::new(&config);
         disk.mount(SegmentLog::new(
             Box::new(Spy(Arc::clone(&held))),

@@ -40,13 +40,13 @@
 //! use bamboo_core::{RunOptions, SimRunner};
 //! use bamboo_types::{Config, ProtocolKind, SimDuration};
 //!
-//! let config = Config::builder()
-//!     .nodes(4)
-//!     .block_size(100)
-//!     .runtime(SimDuration::from_millis(200))
-//!     .arrival_rate(5_000.0)
-//!     .build()
-//!     .expect("valid config");
+//! let config = Config {
+//!     nodes: 4,
+//!     block_size: 100,
+//!     runtime: SimDuration::from_millis(200),
+//!     arrival_rate: Some(5_000.0),
+//!     ..Config::default()
+//! };
 //! let report = SimRunner::new(config, ProtocolKind::HotStuff, RunOptions::default()).run();
 //! assert!(report.committed_blocks > 0);
 //! assert_eq!(report.safety_violations, 0);
@@ -75,7 +75,7 @@ pub mod workload;
 pub use bamboo_sim::{DelayDist, FluctuationWindow, LinkFault, Topology};
 pub use live::{ClusterReport, LiveCluster};
 pub use metrics::{
-    LatencyStats, MempoolTotals, Metrics, RecoveryReport, RecoveryStats, RunReport,
+    LatencyStats, MempoolStats, Metrics, RecoveryReport, RecoveryStats, RunReport,
     ThroughputSample, Utilization,
 };
 pub use parallel::{run_all, run_ordered};

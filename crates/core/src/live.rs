@@ -542,8 +542,11 @@ impl<L: SeatLink> LiveCluster<L> {
     /// others listen, so consensus starts.
     ///
     /// # Errors
-    /// Fails if a seat cannot boot or be told its peers.
+    /// Fails with [`io::ErrorKind::InvalidInput`] before any seat boots if
+    /// [`Config::validate`] refuses `config`, and otherwise if a seat cannot
+    /// boot or be told its peers.
     pub fn spawn_on(mut link: L, config: Config, protocol: ProtocolKind) -> io::Result<Self> {
+        (config.validate()).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let home = ClusterHome::for_config(&config);
         let seats = (0..config.nodes as u64)
             .map(|id| link.boot(&home.seat(&config, protocol, NodeId(id)), None, None))
@@ -810,14 +813,14 @@ mod tests {
         // Seat 0 never proposes. Without real view timers the cluster would
         // stall in every view seat 0 leads; with them, seats time out and
         // keep committing, past view 4 — seat 0's first leadership slot.
-        let mut config = Config::builder()
-            .nodes(4)
-            .block_size(20)
-            .timeout(bamboo_types::SimDuration::from_millis(30))
-            .build()
-            .unwrap();
-        config.byzantine_strategy = bamboo_types::ByzantineStrategy::Silence;
-        config.byz_nodes = 1;
+        let config = Config {
+            nodes: 4,
+            block_size: 20,
+            timeout: bamboo_types::SimDuration::from_millis(30),
+            byzantine_strategy: bamboo_types::ByzantineStrategy::Silence,
+            byz_nodes: 1,
+            ..Config::default()
+        };
         let cluster = crate::ThreadedCluster::spawn(config, ProtocolKind::HotStuff);
         cluster.submit_round_robin(400, 16);
         let committed = cluster.run_until_committed(100, Duration::from_secs(20));
@@ -831,6 +834,59 @@ mod tests {
         assert!(report.max_view > 4, "stuck at view {}", report.max_view);
         assert!(report.ledgers_consistent);
         assert_eq!(report.safety_violations, 0);
+    }
+
+    /// A link that counts the seats it boots, over another link.
+    struct Counted<L>(L, Arc<AtomicU64>);
+
+    impl<L: SeatLink> SeatLink for Counted<L> {
+        type Seat = L::Seat;
+        type Finished = L::Finished;
+
+        fn boot(
+            &mut self,
+            seat: &SeatBoot<'_>,
+            host: Option<NodeHost>,
+            restart: Option<RecoverMode>,
+        ) -> io::Result<L::Seat> {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.boot(seat, host, restart)
+        }
+        fn submit(&self, seat: &L::Seat, requests: Vec<ClientRequest>) {
+            self.0.submit(seat, requests)
+        }
+        fn probe(&self, seat: &L::Seat, prefix_len: u64) -> io::Result<SeatStatus> {
+            self.0.probe(seat, prefix_len)
+        }
+        fn stop(&mut self, seat: L::Seat, crash: bool) -> SeatEnd {
+            self.0.stop(seat, crash)
+        }
+        fn finished(report: ClusterReport, hosts: Vec<Option<NodeHost>>) -> L::Finished {
+            L::finished(report, hosts)
+        }
+    }
+
+    #[test]
+    fn an_invalid_config_is_refused_before_any_seat_boots() {
+        let too_many_faulty = Config {
+            byzantine_strategy: bamboo_types::ByzantineStrategy::Silence,
+            byz_nodes: 2,
+            ..Config::default()
+        };
+        let no_seats = Config {
+            nodes: 0,
+            ..Config::default()
+        };
+        for config in [too_many_faulty, no_seats] {
+            let boots = Arc::new(AtomicU64::new(0));
+            let link = Counted(crate::threaded::Channels::new(4, 1), boots.clone());
+            let refused = LiveCluster::spawn_on(link, config.clone(), ProtocolKind::HotStuff);
+            let error = refused.err().expect("an invalid config spawns no cluster");
+            assert_eq!(error.kind(), io::ErrorKind::InvalidInput, "{config:?}");
+            let reason = config.validate().unwrap_err().to_string();
+            assert_eq!(error.to_string(), reason);
+            assert_eq!(boots.load(Ordering::Relaxed), 0, "{reason}: a seat booted");
+        }
     }
 
     fn committed_chain(len: u64) -> Vec<CommittedBlock> {

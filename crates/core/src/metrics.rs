@@ -36,63 +36,6 @@ pub struct ThroughputSample {
     pub tx_per_sec: f64,
 }
 
-/// Mempool admission/flow counters of one run, summed across all replicas.
-///
-/// `rejected` is the admission-control backpressure signal of the client
-/// pipeline (DESIGN.md §7): transactions turned away because the mempool
-/// was full (or the id was a duplicate). Every offered transaction is either
-/// accepted or rejected — nothing is dropped silently. Handed-off copies
-/// (DESIGN.md §7.4) are counted apart and never as admissions.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MempoolTotals {
-    /// Transactions admitted into a mempool.
-    pub accepted: u64,
-    /// Transactions rejected at admission (pool full or duplicate).
-    pub rejected: u64,
-    /// Transactions re-queued from forked blocks.
-    pub requeued: u64,
-    /// Transactions handed out in proposal batches.
-    pub dispatched: u64,
-    /// Copies of admitted transactions sent to a leader ahead.
-    pub handed_off: u64,
-    /// Handed-in copies a leader's mempool kept.
-    pub handed_in: u64,
-    /// Handed-in copies dropped: already held, or no room.
-    pub handoff_dropped: u64,
-    /// Copies handed on again: a view they were stamped with was over, by
-    /// its block or its timeout, without carrying them.
-    pub rehanded: u64,
-}
-
-impl MempoolTotals {
-    /// Adds one replica's counters.
-    pub fn add(&mut self, stats: &MempoolStats) {
-        self.accepted += stats.accepted;
-        self.rejected += stats.rejected;
-        self.requeued += stats.requeued;
-        self.dispatched += stats.dispatched;
-        self.handed_off += stats.handed_off;
-        self.handed_in += stats.handed_in;
-        self.handoff_dropped += stats.handoff_dropped;
-        self.rehanded += stats.rehanded;
-    }
-}
-
-impl ToJson for MempoolTotals {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("accepted", Json::from(self.accepted)),
-            ("rejected", Json::from(self.rejected)),
-            ("requeued", Json::from(self.requeued)),
-            ("dispatched", Json::from(self.dispatched)),
-            ("handed_off", Json::from(self.handed_off)),
-            ("handed_in", Json::from(self.handed_in)),
-            ("handoff_dropped", Json::from(self.handoff_dropped)),
-            ("rehanded", Json::from(self.rehanded)),
-        ])
-    }
-}
-
 /// One host's counters, as every report folds them (DESIGN.md §5,
 /// "Observation"): its replica's own audit, pacemaker and recovery counters,
 /// its ingress stage's rejections and its mempool's flow.
@@ -556,7 +499,7 @@ pub struct RunReport {
     /// Mempool admission counters summed across all replicas. The `rejected`
     /// field is the admission-control backpressure counter: transactions
     /// turned away because the mempool was full.
-    pub mempool: MempoolTotals,
+    pub mempool: MempoolStats,
     /// Transactions still waiting (not committed) at the end of the run.
     pub pending_txs: u64,
     /// Simulation events processed by the engine loop (the denominator of
@@ -767,7 +710,7 @@ pub struct ClusterReport {
     /// (signed-client mode only; always 0 otherwise).
     pub client_auth_rejections: u64,
     /// Mempool admission and flow, summed across seats.
-    pub mempool: MempoolTotals,
+    pub mempool: MempoolStats,
     /// Messages the seats put on the wire, one per recipient, and their
     /// modeled bytes, summed as the simulator sums them
     /// ([`ClusterReport::total_bytes_sent`] is what the sockets wrote).
@@ -988,7 +931,7 @@ mod tests {
             safety_violations: 0,
             rejected_messages: 0,
             client_auth_rejections: 0,
-            mempool: MempoolTotals::default(),
+            mempool: MempoolStats::default(),
             pending_txs: 0,
             events_processed: 0,
             events_scheduled: 0,

@@ -21,8 +21,8 @@ use bamboo_types::{
 
 use crate::live::SeatStatus;
 use crate::metrics::{
-    ClusterReport, Histogram, HostCounters, MempoolTotals, Metrics, NodeNetStats, RecoveryReport,
-    RunReport, SeatBooks, Stages, Utilization,
+    ClusterReport, Histogram, HostCounters, Metrics, NodeNetStats, RecoveryReport, RunReport,
+    SeatBooks, Stages, Utilization,
 };
 use crate::replica::Replica;
 use crate::runner::NodeFault;
@@ -153,7 +153,7 @@ impl Observer {
         faults: &[NodeFault],
     ) -> RunReport {
         let observer = hosts[self.node.index()].replica();
-        let audit = audit(config, hosts.iter());
+        let audit = audit(config, hosts);
         let duration_secs = config.runtime.as_secs_f64();
         let latency = self.metrics.latency();
         let committed_txs = latency.count;
@@ -255,25 +255,14 @@ pub(crate) fn fold_seats(
     nets: Vec<NodeNetStats>,
     consistent: bool,
 ) -> ClusterReport {
-    let mut report = ClusterReport {
-        ledgers_consistent: consistent,
-        safety_violations: u64::from(!consistent),
-        auth_rejections: nets.iter().map(|net| net.verify_rejected).sum(),
-        nodes: nets,
-        ..ClusterReport::default()
-    };
+    let (mut sum, mut report) = (HostCounters::default(), ClusterReport::default());
     for status in seats.iter().map(|status| status.unwrap_or_default()) {
-        let (books, counters) = (status.books, status.books.counters);
-        let blocks = status.committed_blocks as usize;
+        let (books, blocks) = (status.books, status.committed_blocks as usize);
+        sum.add(&books.counters);
         report.committed_blocks.push(blocks);
         report.committed_txs = report.committed_txs.max(status.committed_txs);
         report.duplicates_filtered = (report.duplicates_filtered).max(books.duplicates_filtered);
         report.max_view = report.max_view.max(status.view);
-        report.safety_violations += counters.safety_violations;
-        report.timeout_view_changes += counters.timeout_view_changes;
-        report.auth_rejections += counters.rejected_messages;
-        report.client_auth_rejections += counters.client_auth_rejections;
-        report.mempool.add(&counters.mempool);
         report.messages_sent += books.messages;
         report.bytes_sent += books.bytes;
         // The first of equals stays: the lowest id, as in the simulator.
@@ -284,8 +273,18 @@ pub(crate) fn fold_seats(
     let observer = seats.last().copied().flatten().unwrap_or_default().books;
     report.utilization.view_qc = observer.utilization.view_qc;
     report.utilization.view_timeout = observer.utilization.view_timeout;
-    report.latency = observer.latency;
-    report
+    let verify_rejected: u64 = nets.iter().map(|net| net.verify_rejected).sum();
+    ClusterReport {
+        ledgers_consistent: consistent,
+        safety_violations: sum.safety_violations + u64::from(!consistent),
+        timeout_view_changes: sum.timeout_view_changes,
+        auth_rejections: sum.rejected_messages + verify_rejected,
+        client_auth_rejections: sum.client_auth_rejections,
+        mempool: sum.mempool,
+        latency: observer.latency,
+        nodes: nets,
+        ..report
+    }
 }
 
 /// Where the CPU time goes and how long views last: per replica, the busy
@@ -439,22 +438,6 @@ impl Lifecycle {
     }
 }
 
-/// The audit every backend ends a run with, over the hosts it has.
-#[derive(Default)]
-pub(crate) struct Audit {
-    /// Adjacent honest hosts (in the order given) whose ledgers are not
-    /// prefix-consistent; 0 means no fork.
-    pub forks: u64,
-    /// Conflicting commits the replicas saw themselves, plus `forks`.
-    pub safety_violations: u64,
-    /// Messages the hosts' ingress stages rejected as forged or malformed.
-    pub rejected_messages: u64,
-    /// Signed client requests the hosts' edges rejected as forged.
-    pub client_auth_rejections: u64,
-    /// The hosts' mempool flow.
-    pub mempool: MempoolTotals,
-}
-
 impl HostCounters {
     /// `host`'s counters: the one place a report reads them.
     pub(crate) fn of(host: &NodeHost) -> Self {
@@ -468,27 +451,33 @@ impl HostCounters {
             mempool: replica.mempool_stats(),
         }
     }
+
+    /// Adds another host's counters: the one fold of every report, on
+    /// either clock.
+    pub(crate) fn add(&mut self, other: &HostCounters) {
+        self.safety_violations += other.safety_violations;
+        self.rejected_messages += other.rejected_messages;
+        self.client_auth_rejections += other.client_auth_rejections;
+        self.timeout_view_changes += other.timeout_view_changes;
+        self.records_replayed += other.records_replayed;
+        self.mempool.add(&other.mempool);
+    }
 }
 
-/// Audits `hosts`: safety (Byzantine seats skipped in the fork check), the
-/// two rejection sums and the mempool fold.
-pub(crate) fn audit<'a>(config: &Config, hosts: impl Iterator<Item = &'a NodeHost>) -> Audit {
-    let (mut audit, mut honest) = (Audit::default(), Vec::new());
+/// The hosts' counters summed, with one more safety violation per adjacent
+/// pair of honest hosts (Byzantine seats skipped, in the order given) whose
+/// ledgers are not prefix-consistent.
+fn audit(config: &Config, hosts: &[NodeHost]) -> HostCounters {
+    let (mut sum, mut honest) = (HostCounters::default(), Vec::new());
     for host in hosts {
-        let (replica, counters) = (host.replica(), HostCounters::of(host));
-        audit.safety_violations += counters.safety_violations;
-        audit.rejected_messages += counters.rejected_messages;
-        audit.client_auth_rejections += counters.client_auth_rejections;
-        audit.mempool.add(&counters.mempool);
-        if !config.is_byzantine(replica.id()) {
-            honest.push(replica.ledger());
+        sum.add(&HostCounters::of(host));
+        if !config.is_byzantine(host.replica().id()) {
+            honest.push(host.replica().ledger());
         }
     }
-    audit.forks = (honest.windows(2))
-        .filter(|pair| !pair[0].consistent_with(pair[1]))
-        .count() as u64;
-    audit.safety_violations += audit.forks;
-    audit
+    let forks = (honest.windows(2)).filter(|pair| !pair[0].consistent_with(pair[1]));
+    sum.safety_violations += forks.count() as u64;
+    sum
 }
 
 /// Folds the per-replica recovery counters and audits catch-up: every
@@ -569,14 +558,14 @@ mod tests {
     #[test]
     fn every_counted_transaction_has_four_stages_that_sum_to_its_latency() {
         for protocol in ProtocolKind::evaluated() {
-            let config = Config::builder()
-                .nodes(4)
-                .block_size(100)
-                .runtime(SimDuration::from_millis(400))
-                .arrival_rate(2_000.0)
-                .seed(11)
-                .build()
-                .unwrap();
+            let config = Config {
+                nodes: 4,
+                block_size: 100,
+                runtime: SimDuration::from_millis(400),
+                arrival_rate: Some(2_000.0),
+                seed: 11,
+                ..Config::default()
+            };
             let report = SimRunner::new(config, protocol, RunOptions::default()).run();
             let (client, stages) = (report.client_latency, report.stages);
             let parts = [
@@ -602,6 +591,50 @@ mod tests {
                 "{protocol}: {to_commit}"
             );
         }
+    }
+
+    /// One fold on both clocks: a simulated run's hosts, each shown to
+    /// [`fold_seats`] as a live seat's status, fold to the counters the
+    /// run's own report sums.
+    #[test]
+    fn the_live_fold_of_simulated_hosts_sums_what_the_run_report_sums() {
+        let config = Config {
+            nodes: 7,
+            block_size: 50,
+            runtime: SimDuration::from_millis(400),
+            arrival_rate: Some(3_000.0),
+            timeout: SimDuration::from_millis(20),
+            byzantine_strategy: ByzantineStrategy::ForgedVote,
+            byz_nodes: 2,
+            client_population: Some(1_000),
+            signed_requests: true,
+            seed: 2030,
+            ..Config::default()
+        };
+        let mut runner = SimRunner::new(config, ProtocolKind::HotStuff, RunOptions::default());
+        let report = runner.run_to_end();
+        let seats: Vec<Option<SeatStatus>> = (runner.hosts.iter())
+            .map(|host| {
+                let books = SeatBooks {
+                    counters: HostCounters::of(host),
+                    ..SeatBooks::default()
+                };
+                Some(SeatStatus {
+                    books,
+                    ..SeatStatus::default()
+                })
+            })
+            .collect();
+        let cluster = fold_seats(&seats, Vec::new(), true);
+        assert!(report.rejected_messages > 0, "forged votes are rejected");
+        assert!(report.mempool.accepted > 0 && report.mempool.handed_off > 0);
+        assert_eq!(cluster.safety_violations, report.safety_violations);
+        assert_eq!(cluster.auth_rejections, report.rejected_messages);
+        assert_eq!(
+            cluster.client_auth_rejections,
+            report.client_auth_rejections
+        );
+        assert_eq!(cluster.mempool, report.mempool);
     }
 
     /// The catch-up audit forgives a restarted replica the blocks committed
@@ -641,14 +674,14 @@ mod tests {
     #[test]
     fn the_view_clock_obeys_the_replicas_own_counters() {
         for silenced in [false, true] {
-            let mut config = Config::builder()
-                .nodes(4)
-                .block_size(100)
-                .runtime(SimDuration::from_millis(400))
-                .arrival_rate(2_000.0)
-                .seed(11)
-                .build()
-                .unwrap();
+            let mut config = Config {
+                nodes: 4,
+                block_size: 100,
+                runtime: SimDuration::from_millis(400),
+                arrival_rate: Some(2_000.0),
+                seed: 11,
+                ..Config::default()
+            };
             if silenced {
                 config.byz_nodes = 1;
                 config.byzantine_strategy = ByzantineStrategy::Silence;

@@ -133,14 +133,14 @@ mod tests {
             .into_iter()
             .zip([800.0, 1_600.0, 3_200.0])
             .map(|(protocol, rate)| {
-                let config = Config::builder()
-                    .nodes(4)
-                    .block_size(50)
-                    .runtime(bamboo_types::SimDuration::from_millis(300))
-                    .arrival_rate(rate)
-                    .seed(5)
-                    .build()
-                    .unwrap();
+                let config = Config {
+                    nodes: 4,
+                    block_size: 50,
+                    runtime: bamboo_types::SimDuration::from_millis(300),
+                    arrival_rate: Some(rate),
+                    seed: 5,
+                    ..Config::default()
+                };
                 (config, protocol, RunOptions::default())
             })
             .collect();

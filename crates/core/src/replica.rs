@@ -172,11 +172,6 @@ impl Replica {
         &self.forest
     }
 
-    /// Number of transactions waiting in the mempool.
-    pub fn mempool_len(&self) -> usize {
-        self.mempool.len()
-    }
-
     /// Mempool admission, handoff and flow counters; the run report folds
     /// them across replicas, so backpressure is never silent.
     pub fn mempool_stats(&self) -> MempoolStats {
@@ -706,12 +701,12 @@ mod tests {
     use bamboo_types::{SharedMessage, TimeoutVote};
 
     fn config(nodes: usize) -> Config {
-        Config::builder()
-            .nodes(nodes)
-            .block_size(10)
-            .seed(1)
-            .build()
-            .unwrap()
+        Config {
+            nodes,
+            block_size: 10,
+            seed: 1,
+            ..Config::default()
+        }
     }
 
     fn txs(n: u64, client: u64) -> Vec<Transaction> {
@@ -799,14 +794,14 @@ mod tests {
     }
 
     fn checkpointing(interval: u64, durable_log: bool) -> Config {
-        Config::builder()
-            .nodes(4)
-            .block_size(10)
-            .seed(1)
-            .checkpoint_interval(interval)
-            .durable_log(durable_log)
-            .build()
-            .unwrap()
+        Config {
+            nodes: 4,
+            block_size: 10,
+            seed: 1,
+            checkpoint_interval: Some(interval),
+            durable_log,
+            ..Config::default()
+        }
     }
 
     /// The highest vote watermark the durable log would restore.
@@ -850,14 +845,14 @@ mod tests {
     /// down the log, must still be the watermark the restart restores.
     #[test]
     fn restart_restores_the_newest_intact_watermark_past_a_break() {
-        let cfg = Config::builder()
-            .nodes(4)
-            .block_size(10)
-            .seed(1)
-            .durable_log(true)
-            .fsync_interval(4)
-            .build()
-            .unwrap();
+        let cfg = Config {
+            nodes: 4,
+            block_size: 10,
+            seed: 1,
+            durable_log: true,
+            fsync_interval: 4,
+            ..Config::default()
+        };
         for protocol in ProtocolKind::evaluated() {
             for (label, hole, flip) in [
                 (
@@ -1122,10 +1117,10 @@ mod tests {
         );
         let mut wire = BufferedTransport::new();
         replica.admit(txs(25, 7), &mut wire);
-        assert_eq!(replica.mempool_len(), 25);
+        assert_eq!(replica.mempool_stats().pending, 25);
         // Node 1 leads view 1: starting it proposes a block with 10 txs.
         replica.start(SimTime::ZERO, &mut wire);
-        assert_eq!(replica.mempool_len(), 15);
+        assert_eq!(replica.mempool_stats().pending, 15);
         let proposal = (wire.sends.iter())
             .find_map(|(_, message)| match &**message {
                 Message::Proposal(b) => Some(b.clone()),
@@ -1154,7 +1149,7 @@ mod tests {
             wire.sends.is_empty(),
             "node 2 leads view 2: it hands nothing off"
         );
-        assert_eq!(next.mempool_len(), 13);
+        assert_eq!(next.mempool_stats().pending, 13);
         next.receive(NodeId(1), &proposal, SimTime(1), &mut wire);
         for voter in [0, 3] {
             let vote = Vote::new(
@@ -1174,7 +1169,7 @@ mod tests {
             .expect("node 2 leads view 2");
         let clients: Vec<NodeId> = own.payload.iter().map(|tx| tx.id.client).collect();
         assert_eq!(clients, [NodeId(8); 3]);
-        assert_eq!(next.mempool_len(), 10, "the copies stay queued");
+        assert_eq!(next.mempool_stats().pending, 10, "the copies stay queued");
         let stats = next.mempool_stats();
         assert_eq!((stats.accepted, stats.handed_in), (3, 10));
     }
@@ -1318,6 +1313,10 @@ mod tests {
         replica.admit(txs(25, 7), &mut wire);
         replica.start(SimTime::ZERO, &mut wire);
         assert!(wire.sends.is_empty(), "silenced leader never proposes");
-        assert_eq!(replica.mempool_len(), 25, "batch returned to the pool");
+        assert_eq!(
+            replica.mempool_stats().pending,
+            25,
+            "batch returned to the pool"
+        );
     }
 }

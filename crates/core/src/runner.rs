@@ -297,7 +297,7 @@ pub struct SimRunner {
     config: Config,
     protocol: ProtocolKind,
     options: RunOptions,
-    hosts: Vec<NodeHost>,
+    pub(crate) hosts: Vec<NodeHost>,
     /// Per-replica latency RNG streams (`derive(node)` of the run seed).
     rngs: Vec<SimRng>,
     busy_until: Vec<SimTime>,
@@ -336,8 +336,7 @@ impl SimRunner {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (use [`Config::validate`] /
-    /// the builder to construct valid configurations).
+    /// Panics if [`Config::validate`] refuses the configuration.
     pub fn new(config: Config, protocol: ProtocolKind, options: RunOptions) -> Self {
         config.validate().expect("invalid configuration");
         let topology = options.topology.clone().unwrap_or_else(|| {
@@ -470,7 +469,7 @@ impl SimRunner {
     }
 
     /// [`SimRunner::run`], keeping the runner and its replicas.
-    fn run_to_end(&mut self) -> RunReport {
+    pub(crate) fn run_to_end(&mut self) -> RunReport {
         let end = SimTime::ZERO + self.config.runtime;
         for node in 0..self.config.nodes as u64 {
             self.step(NodeId(node), SimTime::ZERO, |host, start, effects| {
@@ -855,14 +854,14 @@ mod tests {
     }
 
     fn base_config(nodes: usize, rate: f64) -> Config {
-        Config::builder()
-            .nodes(nodes)
-            .block_size(100)
-            .runtime(SimDuration::from_millis(400))
-            .arrival_rate(rate)
-            .seed(11)
-            .build()
-            .unwrap()
+        Config {
+            nodes,
+            block_size: 100,
+            runtime: SimDuration::from_millis(400),
+            arrival_rate: Some(rate),
+            seed: 11,
+            ..Config::default()
+        }
     }
 
     #[test]

@@ -520,12 +520,12 @@ mod tests {
     use bamboo_types::Transaction;
 
     fn config(nodes: usize) -> Config {
-        Config::builder()
-            .nodes(nodes)
-            .block_size(10)
-            .seed(1)
-            .build()
-            .unwrap()
+        Config {
+            nodes,
+            block_size: 10,
+            seed: 1,
+            ..Config::default()
+        }
     }
 
     #[test]
@@ -646,7 +646,7 @@ mod tests {
         assert_eq!((verified.transactions().len(), verified.rejected()), (3, 0));
         let report = host.admit(verified, SimTime::ZERO, &mut BufferedTransport::new());
         assert_eq!(report.cpu, cpu.verify_batch(3));
-        assert_eq!(host.replica().mempool_len(), 3);
+        assert_eq!(host.replica().mempool_stats().pending, 3);
         assert_eq!(host.client_auth_rejections(), 0);
     }
 
@@ -660,7 +660,7 @@ mod tests {
         assert_eq!(seqs, [0, 2], "the honest requests survive, in order");
         let report = host.admit(verified, SimTime::ZERO, &mut BufferedTransport::new());
         assert_eq!(report.cpu, cpu.verify_batch(3) + cpu.verify(3));
-        assert_eq!(host.replica().mempool_len(), 2);
+        assert_eq!(host.replica().mempool_stats().pending, 2);
         assert_eq!(host.client_auth_rejections(), 1);
         // The all-in-one path charges and counts the same.
         let (mut inline, _, _) = edge_host(true);
@@ -681,7 +681,7 @@ mod tests {
         assert_eq!((verified.transactions().len(), verified.rejected()), (3, 0));
         let report = host.admit(verified, SimTime::ZERO, &mut BufferedTransport::new());
         assert!(report.cpu.is_zero());
-        assert_eq!(host.replica().mempool_len(), 3);
+        assert_eq!(host.replica().mempool_stats().pending, 3);
         assert_eq!(host.client_auth_rejections(), 0);
     }
 

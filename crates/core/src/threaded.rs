@@ -152,9 +152,11 @@ impl SpawnArgs<Channels> for (Config, ProtocolKind) {
 
     /// Spawns `config.nodes` replica threads running `protocol`, with the
     /// default verification pool ([`DEFAULT_VERIFY_WORKERS`] crypto workers).
+    /// Panics if [`Config::validate`] refuses `config`.
     fn spawn(self) -> ThreadedCluster {
         let (config, protocol) = self;
         let link = Channels::new(config.nodes, DEFAULT_VERIFY_WORKERS);
-        LiveCluster::spawn_on(link, config, protocol).expect("channel seats boot without I/O")
+        LiveCluster::spawn_on(link, config, protocol)
+            .expect("channel seats fail to boot only on an invalid config")
     }
 }

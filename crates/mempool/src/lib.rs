@@ -31,7 +31,7 @@
 
 use std::collections::VecDeque;
 
-use bamboo_types::{DigestSet, Transaction, TxId};
+use bamboo_types::{DigestSet, Json, ToJson, Transaction, TxId};
 
 /// Slots in the count table; a power of two, so [`slot`] is a shift.
 const COUNT_SLOTS: usize = 2048;
@@ -44,10 +44,16 @@ fn slot(id: &TxId) -> usize {
     (mixed >> (u64::BITS - COUNT_SLOTS.trailing_zeros())) as usize
 }
 
-/// Statistics about mempool activity, reported in a run's `RunReport`.
+/// Statistics about mempool activity: one pool's, or a report's sum over
+/// replicas ([`MempoolStats::add`]).
+///
+/// Every offered transaction is either accepted or rejected — nothing is
+/// dropped silently. Handed-off copies (DESIGN.md §7.4) are counted apart
+/// and never as admissions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MempoolStats {
-    /// Transactions currently buffered.
+    /// Transactions currently buffered. Not in the JSON form, which
+    /// reports flow.
     pub pending: u64,
     /// Total accepted since creation.
     pub accepted: u64,
@@ -71,6 +77,36 @@ pub struct MempoolStats {
     /// stamped with was over at its sender, by its block or its timeout,
     /// without carrying it. A copy counts each time it goes on.
     pub rehanded: u64,
+}
+
+impl MempoolStats {
+    /// Adds another pool's counters.
+    pub fn add(&mut self, other: &MempoolStats) {
+        self.pending += other.pending;
+        self.accepted += other.accepted;
+        self.rejected += other.rejected;
+        self.requeued += other.requeued;
+        self.dispatched += other.dispatched;
+        self.handed_off += other.handed_off;
+        self.handed_in += other.handed_in;
+        self.handoff_dropped += other.handoff_dropped;
+        self.rehanded += other.rehanded;
+    }
+}
+
+impl ToJson for MempoolStats {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("accepted", Json::from(self.accepted)),
+            ("rejected", Json::from(self.rejected)),
+            ("requeued", Json::from(self.requeued)),
+            ("dispatched", Json::from(self.dispatched)),
+            ("handed_off", Json::from(self.handed_off)),
+            ("handed_in", Json::from(self.handed_in)),
+            ("handoff_dropped", Json::from(self.handoff_dropped)),
+            ("rehanded", Json::from(self.rehanded)),
+        ])
+    }
 }
 
 /// A bounded, bidirectional transaction queue.

@@ -171,11 +171,11 @@ mod tests {
 
     #[test]
     fn from_config_counts_the_added_delay_into_the_link_mean() {
-        let mut config = Config::builder()
-            .nodes(8)
-            .payload_size(128)
-            .build()
-            .unwrap();
+        let mut config = Config {
+            nodes: 8,
+            payload_size: 128,
+            ..Config::default()
+        };
         let plain = ModelParams::from_config(&config);
         assert_eq!(plain.nodes, 8);
         assert_eq!(plain.tx_bytes, Transaction::HEADER_BYTES + 128);

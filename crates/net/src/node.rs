@@ -435,7 +435,10 @@ mod tests {
 
     #[test]
     fn a_hello_claiming_another_replica_without_its_key_is_refused_and_counted() {
-        let config = Config::builder().nodes(4).build().unwrap();
+        let config = Config {
+            nodes: 4,
+            ..Config::default()
+        };
         let seat = SeatBoot {
             id: NodeId(0),
             protocol: ProtocolKind::HotStuff,

@@ -331,21 +331,22 @@ mod tests {
 
     #[test]
     fn a_seat_document_carries_the_whole_config_through_the_scenario_schema() {
-        let config = Config::builder()
-            .nodes(7)
-            .byzantine(ByzantineStrategy::Silence, 2)
-            .leader_policy(LeaderPolicy::Static(NodeId(3)))
-            .block_size(50)
-            .payload_size(16)
-            .timeout(SimDuration::from_nanos(50_000_123))
-            .cpu_delay(SimDuration::from_nanos(20_001))
-            .checkpoint_interval(4)
-            .durable_log(true)
-            .fsync_interval(3)
-            .signed_requests(true)
-            .seed(2026)
-            .build()
-            .unwrap();
+        let config = Config {
+            nodes: 7,
+            byzantine_strategy: ByzantineStrategy::Silence,
+            byz_nodes: 2,
+            leader_policy: LeaderPolicy::Static(NodeId(3)),
+            block_size: 50,
+            payload_size: 16,
+            timeout: SimDuration::from_nanos(50_000_123),
+            cpu_delay: SimDuration::from_nanos(20_001),
+            checkpoint_interval: Some(4),
+            durable_log: true,
+            fsync_interval: 3,
+            signed_requests: true,
+            seed: 2026,
+            ..Config::default()
+        };
         let dir = Some(PathBuf::from("/tmp/seat-5"));
         let (id, protocol) = (NodeId(5), ProtocolKind::Streamlet);
         let boot = SeatBoot {

@@ -2,8 +2,23 @@
 //! parameters of the simulated deployment substrate.
 //!
 //! A [`Config`] is fixed for one run and shared (conceptually, as a JSON file)
-//! by every node, exactly as in Bamboo. The [`ConfigBuilder`] provides the
-//! ergonomic construction path used by examples and benches.
+//! by every node, exactly as in Bamboo. It is written as a struct update over
+//! the Table-I defaults and checked by [`Config::validate`] where a run
+//! starts:
+//!
+//! ```
+//! use bamboo_types::{Config, SimDuration};
+//!
+//! let config = Config {
+//!     nodes: 8,
+//!     payload_size: 128,
+//!     timeout: SimDuration::from_millis(50),
+//!     seed: 7,
+//!     ..Config::default()
+//! };
+//! config.validate().expect("valid config");
+//! assert_eq!(config.quorum(), 6);
+//! ```
 
 use crate::ids::NodeId;
 use crate::time::SimDuration;
@@ -207,7 +222,7 @@ pub struct Config {
     pub signed_requests: bool,
     /// Ignored: each replica's mempool is one queue bounded by
     /// `mempool_size`. The field is kept for callers that still set it; no
-    /// spec key, builder method or check reads it.
+    /// spec key or check reads it.
     pub mempool_shards: usize,
 
     // ---- Durable storage (DESIGN.md §8) ---------------------------------
@@ -259,11 +274,6 @@ impl Default for Config {
 }
 
 impl Config {
-    /// Creates a builder pre-populated with the Table-I defaults.
-    pub fn builder() -> ConfigBuilder {
-        ConfigBuilder::default()
-    }
-
     /// Quorum threshold (`2f + 1`) for this configuration.
     pub fn quorum(&self) -> usize {
         crate::ids::quorum_threshold(self.nodes)
@@ -329,163 +339,6 @@ impl Config {
     }
 }
 
-/// Builder for [`Config`].
-///
-/// # Example
-///
-/// ```
-/// use bamboo_types::{Config, SimDuration};
-///
-/// let config = Config::builder()
-///     .nodes(8)
-///     .block_size(400)
-///     .payload_size(128)
-///     .timeout(SimDuration::from_millis(50))
-///     .seed(7)
-///     .build()
-///     .expect("valid config");
-/// assert_eq!(config.quorum(), 6);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct ConfigBuilder {
-    config: Config,
-}
-
-impl ConfigBuilder {
-    /// Sets the number of replicas.
-    pub fn nodes(mut self, nodes: usize) -> Self {
-        self.config.nodes = nodes;
-        self
-    }
-
-    /// Sets the leader election policy.
-    pub fn leader_policy(mut self, policy: LeaderPolicy) -> Self {
-        self.config.leader_policy = policy;
-        self
-    }
-
-    /// Sets the Byzantine strategy and the number of Byzantine nodes.
-    pub fn byzantine(mut self, strategy: ByzantineStrategy, count: usize) -> Self {
-        self.config.byzantine_strategy = strategy;
-        self.config.byz_nodes = count;
-        self
-    }
-
-    /// Sets the block size (transactions per block).
-    pub fn block_size(mut self, bsize: usize) -> Self {
-        self.config.block_size = bsize;
-        self
-    }
-
-    /// Sets the mempool capacity.
-    pub fn mempool_size(mut self, memsize: usize) -> Self {
-        self.config.mempool_size = memsize;
-        self
-    }
-
-    /// Sets the transaction payload size in bytes.
-    pub fn payload_size(mut self, psize: usize) -> Self {
-        self.config.payload_size = psize;
-        self
-    }
-
-    /// Sets the additional per-message network delay and jitter.
-    pub fn extra_delay(mut self, delay: SimDuration, jitter: SimDuration) -> Self {
-        self.config.extra_delay = delay;
-        self.config.extra_delay_jitter = jitter;
-        self
-    }
-
-    /// Sets the view-change timeout.
-    pub fn timeout(mut self, timeout: SimDuration) -> Self {
-        self.config.timeout = timeout;
-        self
-    }
-
-    /// Sets the benchmark runtime.
-    pub fn runtime(mut self, runtime: SimDuration) -> Self {
-        self.config.runtime = runtime;
-        self
-    }
-
-    /// Sets the closed-loop client concurrency.
-    pub fn concurrency(mut self, concurrency: usize) -> Self {
-        self.config.concurrency = concurrency;
-        self
-    }
-
-    /// Sets the NIC bandwidth in bytes per second.
-    pub fn bandwidth(mut self, bytes_per_sec: u64) -> Self {
-        self.config.bandwidth_bytes_per_sec = bytes_per_sec;
-        self
-    }
-
-    /// Sets the CPU delay charged per crypto operation.
-    pub fn cpu_delay(mut self, delay: SimDuration) -> Self {
-        self.config.cpu_delay = delay;
-        self
-    }
-
-    /// Switches the workload to open-loop Poisson arrivals at `tx_per_sec`.
-    pub fn arrival_rate(mut self, tx_per_sec: f64) -> Self {
-        self.config.arrival_rate = Some(tx_per_sec);
-        self
-    }
-
-    /// Sets the deterministic RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Enables checkpointing: a snapshot every `blocks` committed blocks.
-    pub fn checkpoint_interval(mut self, blocks: u64) -> Self {
-        self.config.checkpoint_interval = Some(blocks);
-        self
-    }
-
-    /// Spreads open-loop arrivals over a population of `clients` distinct
-    /// simulated clients.
-    pub fn client_population(mut self, clients: u64) -> Self {
-        self.config.client_population = Some(clients);
-        self
-    }
-
-    /// Enables per-client request signatures verified at the replica edge.
-    pub fn signed_requests(mut self, signed: bool) -> Self {
-        self.config.signed_requests = signed;
-        self
-    }
-
-    /// Enables the durable segment log and persisted checkpoint images.
-    pub fn durable_log(mut self, durable: bool) -> Self {
-        self.config.durable_log = durable;
-        self
-    }
-
-    /// Sets the fsync batching interval (records per flush).
-    pub fn fsync_interval(mut self, records: usize) -> Self {
-        self.config.fsync_interval = records;
-        self
-    }
-
-    /// Sets the segment rotation threshold in bytes.
-    pub fn segment_bytes(mut self, bytes: usize) -> Self {
-        self.config.segment_bytes = bytes;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the validation errors of [`Config::validate`].
-    pub fn build(self) -> Result<Config, crate::TypeError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,90 +359,81 @@ mod tests {
             "master=0 means rotating"
         );
         assert_eq!(c.extra_delay, SimDuration::ZERO, "delay default");
-    }
-
-    #[test]
-    fn builder_round_trips_fields() {
-        let c = Config::builder()
-            .nodes(32)
-            .byzantine(ByzantineStrategy::Forking, 4)
-            .block_size(100)
-            .payload_size(1024)
-            .timeout(SimDuration::from_millis(50))
-            .concurrency(20)
-            .arrival_rate(50_000.0)
-            .seed(99)
-            .build()
-            .unwrap();
-        assert_eq!(c.nodes, 32);
-        assert_eq!(c.byz_nodes, 4);
-        assert_eq!(c.byzantine_strategy, ByzantineStrategy::Forking);
-        assert_eq!(c.block_size, 100);
-        assert_eq!(c.payload_size, 1024);
-        assert_eq!(c.arrival_rate, Some(50_000.0));
-        assert_eq!(c.seed, 99);
-        assert_eq!(c.quorum(), 22);
-    }
-
-    #[test]
-    fn validation_rejects_bad_configs() {
-        assert!(Config::builder().nodes(0).build().is_err());
-        assert!(Config::builder()
-            .nodes(4)
-            .byzantine(ByzantineStrategy::Silence, 2)
-            .build()
-            .is_err());
-        assert!(Config::builder().block_size(0).build().is_err());
-        assert!(Config::builder()
-            .runtime(SimDuration::ZERO)
-            .build()
-            .is_err());
-        assert!(Config::builder().client_population(0).build().is_err());
-    }
-
-    #[test]
-    fn client_pipeline_defaults_preserve_legacy_behaviour() {
-        let c = Config::default();
+        // The client pipeline and durable storage are opt-in.
         assert_eq!(c.client_population, None);
         assert!(!c.signed_requests);
-        let tuned = Config::builder()
-            .client_population(1_000_000)
-            .signed_requests(true)
-            .build()
-            .unwrap();
-        assert_eq!(tuned.client_population, Some(1_000_000));
-        assert!(tuned.signed_requests);
-    }
-
-    #[test]
-    fn durable_storage_defaults_preserve_legacy_behaviour() {
-        let c = Config::default();
         assert!(
             !c.durable_log,
             "durability is opt-in: old fingerprints hold"
         );
         assert_eq!(c.fsync_interval, 8);
         assert_eq!(c.segment_bytes, 1 << 20);
-        let tuned = Config::builder()
-            .durable_log(true)
-            .fsync_interval(1)
-            .segment_bytes(64 * 1024)
-            .build()
-            .unwrap();
-        assert!(tuned.durable_log);
-        assert_eq!(tuned.fsync_interval, 1);
-        assert_eq!(tuned.segment_bytes, 64 * 1024);
-        assert!(Config::builder().fsync_interval(0).build().is_err());
-        assert!(Config::builder().segment_bytes(100).build().is_err());
+        assert_eq!(c.checkpoint_interval, None);
+        assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_bad_configs() {
+        let bad = [
+            Config {
+                nodes: 0,
+                ..Config::default()
+            },
+            Config {
+                nodes: 4,
+                byzantine_strategy: ByzantineStrategy::Silence,
+                byz_nodes: 2,
+                ..Config::default()
+            },
+            Config {
+                block_size: 0,
+                ..Config::default()
+            },
+            Config {
+                runtime: SimDuration::ZERO,
+                ..Config::default()
+            },
+            Config {
+                checkpoint_interval: Some(0),
+                ..Config::default()
+            },
+            Config {
+                client_population: Some(0),
+                ..Config::default()
+            },
+            Config {
+                fsync_interval: 0,
+                ..Config::default()
+            },
+            Config {
+                segment_bytes: 100,
+                ..Config::default()
+            },
+        ];
+        for config in bad {
+            assert!(config.validate().is_err(), "{config:?}");
+        }
+        // The bounds themselves are valid: f faulty seats, a 4096-byte
+        // segment, a one-block checkpoint cadence.
+        let edge = Config {
+            nodes: 4,
+            byzantine_strategy: ByzantineStrategy::Silence,
+            byz_nodes: 1,
+            checkpoint_interval: Some(1),
+            segment_bytes: 4096,
+            ..Config::default()
+        };
+        assert!(edge.validate().is_ok());
     }
 
     #[test]
     fn byzantine_membership_uses_low_ids() {
-        let c = Config::builder()
-            .nodes(32)
-            .byzantine(ByzantineStrategy::Silence, 3)
-            .build()
-            .unwrap();
+        let c = Config {
+            nodes: 32,
+            byzantine_strategy: ByzantineStrategy::Silence,
+            byz_nodes: 3,
+            ..Config::default()
+        };
         assert!(c.is_byzantine(NodeId(0)));
         assert!(c.is_byzantine(NodeId(2)));
         assert!(!c.is_byzantine(NodeId(3)));
@@ -629,7 +473,11 @@ mod tests {
 
     #[test]
     fn configs_are_cloneable_and_comparable() {
-        let c = Config::builder().nodes(8).seed(3).build().unwrap();
+        let c = Config {
+            nodes: 8,
+            seed: 3,
+            ..Config::default()
+        };
         let copy = c.clone();
         assert_eq!(c, copy);
         let mut other = c.clone();

@@ -7,16 +7,17 @@
 
 use bamboo::core::{run_all, RunOptions};
 use bamboo::model::{ModelParams, PerfModel};
-use bamboo::types::{Config, ProtocolKind, SimDuration, TypeError};
+use bamboo::types::{Config, ProtocolKind, SimDuration};
 
-fn main() -> Result<(), TypeError> {
-    let config = Config::builder()
-        .nodes(4)
-        .block_size(400)
-        .payload_size(128)
-        .runtime(SimDuration::from_millis(800))
-        .seed(3)
-        .build()?;
+fn main() {
+    let config = Config {
+        nodes: 4,
+        block_size: 400,
+        payload_size: 128,
+        runtime: SimDuration::from_millis(800),
+        seed: 3,
+        ..Config::default()
+    };
 
     // Every protocol at offered loads doubling from 5k to 80k tx/s, run as
     // one batch of independent simulations.
@@ -72,5 +73,4 @@ fn main() -> Result<(), TypeError> {
             model.latency(5_000.0) * 1e3
         );
     }
-    Ok(())
 }

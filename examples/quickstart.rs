@@ -6,19 +6,20 @@
 //! ```
 
 use bamboo::core::{RunOptions, SimRunner};
-use bamboo::types::{Config, ProtocolKind, SimDuration, TypeError};
+use bamboo::types::{Config, ProtocolKind, SimDuration};
 
-fn main() -> Result<(), TypeError> {
+fn main() {
     // A 4-replica deployment with the paper's Table-I defaults: block size
     // 400, 100 ms view timeout, open-loop clients at 20k tx/s.
-    let config = Config::builder()
-        .nodes(4)
-        .block_size(400)
-        .payload_size(128)
-        .runtime(SimDuration::from_secs(2))
-        .arrival_rate(20_000.0)
-        .seed(7)
-        .build()?;
+    let config = Config {
+        nodes: 4,
+        block_size: 400,
+        payload_size: 128,
+        runtime: SimDuration::from_secs(2),
+        arrival_rate: Some(20_000.0),
+        seed: 7,
+        ..Config::default()
+    };
 
     println!("running chained HotStuff on {} replicas...", config.nodes);
     let report = SimRunner::new(config, ProtocolKind::HotStuff, RunOptions::default()).run();
@@ -38,5 +39,4 @@ fn main() -> Result<(), TypeError> {
     println!("messages sent         : {}", report.messages_sent);
     println!("safety violations     : {}", report.safety_violations);
     assert_eq!(report.safety_violations, 0);
-    Ok(())
 }

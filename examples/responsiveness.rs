@@ -8,9 +8,9 @@
 //! ```
 
 use bamboo::core::{FluctuationWindow, RunOptions, SimRunner};
-use bamboo::types::{Config, NodeId, ProtocolKind, SimDuration, SimTime, TypeError};
+use bamboo::types::{Config, NodeId, ProtocolKind, SimDuration, SimTime};
 
-fn main() -> Result<(), TypeError> {
+fn main() {
     let fluctuation = FluctuationWindow {
         start: SimTime::ZERO + SimDuration::from_secs(2),
         end: SimTime::ZERO + SimDuration::from_secs(4),
@@ -20,15 +20,16 @@ fn main() -> Result<(), TypeError> {
     let crash_at = SimTime::ZERO + SimDuration::from_secs(5);
 
     for protocol in [ProtocolKind::HotStuff, ProtocolKind::TwoChainHotStuff] {
-        let config = Config::builder()
-            .nodes(4)
-            .block_size(400)
-            .payload_size(128)
-            .runtime(SimDuration::from_secs(7))
-            .timeout(SimDuration::from_millis(10))
-            .arrival_rate(20_000.0)
-            .seed(9)
-            .build()?;
+        let config = Config {
+            nodes: 4,
+            block_size: 400,
+            payload_size: 128,
+            runtime: SimDuration::from_secs(7),
+            timeout: SimDuration::from_millis(10),
+            arrival_rate: Some(20_000.0),
+            seed: 9,
+            ..Config::default()
+        };
         let options = RunOptions {
             fluctuations: vec![fluctuation],
             silence_node_from: Some((NodeId(0), crash_at)),
@@ -55,5 +56,4 @@ fn main() -> Result<(), TypeError> {
     println!(
         "\ntakeaway (matches the paper): with a tight timeout both protocols stall during\nthe fluctuation; the responsive protocol recovers at network speed as soon as the\nnetwork settles, while the non-responsive one needs its timeouts to line up."
     );
-    Ok(())
 }

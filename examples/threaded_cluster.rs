@@ -9,14 +9,15 @@
 use std::time::Duration;
 
 use bamboo::core::threaded::ThreadedCluster;
-use bamboo::types::{Config, ProtocolKind, SimDuration, TypeError};
+use bamboo::types::{Config, ProtocolKind, SimDuration};
 
-fn main() -> Result<(), TypeError> {
-    let config = Config::builder()
-        .nodes(4)
-        .block_size(100)
-        .timeout(SimDuration::from_millis(50))
-        .build()?;
+fn main() {
+    let config = Config {
+        nodes: 4,
+        block_size: 100,
+        timeout: SimDuration::from_millis(50),
+        ..Config::default()
+    };
 
     println!("spawning a 4-thread two-chain HotStuff cluster...");
     let cluster = ThreadedCluster::spawn(config, ProtocolKind::TwoChainHotStuff);
@@ -42,5 +43,4 @@ fn main() -> Result<(), TypeError> {
         report.ledgers_consistent
     );
     assert!(report.ledgers_consistent);
-    Ok(())
 }

@@ -29,16 +29,16 @@
 //! use bamboo::core::{RunOptions, SimRunner};
 //! use bamboo::types::{Config, ProtocolKind, SimDuration};
 //!
-//! let config = Config::builder()
-//!     .nodes(4)
-//!     .block_size(100)
-//!     .runtime(SimDuration::from_millis(200))
-//!     .arrival_rate(5_000.0)
-//!     .build()?;
+//! let config = Config {
+//!     nodes: 4,
+//!     block_size: 100,
+//!     runtime: SimDuration::from_millis(200),
+//!     arrival_rate: Some(5_000.0),
+//!     ..Config::default()
+//! };
 //! let report = SimRunner::new(config, ProtocolKind::HotStuff, RunOptions::default()).run();
 //! assert!(report.committed_txs > 0);
 //! assert_eq!(report.safety_violations, 0);
-//! # Ok::<(), bamboo::types::TypeError>(())
 //! ```
 //!
 //! # The replica boundary, by type

@@ -21,18 +21,17 @@ use bamboo_types::{
 };
 
 fn sim_config(strategy: ByzantineStrategy, byz: usize) -> Config {
-    let mut config = Config::builder()
-        .nodes(4)
-        .block_size(100)
-        .runtime(SimDuration::from_millis(400))
-        .arrival_rate(2_000.0)
-        .timeout(SimDuration::from_millis(20))
-        .seed(11)
-        .build()
-        .unwrap();
-    config.byzantine_strategy = strategy;
-    config.byz_nodes = byz;
-    config
+    Config {
+        nodes: 4,
+        block_size: 100,
+        runtime: SimDuration::from_millis(400),
+        arrival_rate: Some(2_000.0),
+        timeout: SimDuration::from_millis(20),
+        seed: 11,
+        byzantine_strategy: strategy,
+        byz_nodes: byz,
+        ..Config::default()
+    }
 }
 
 #[test]
@@ -104,15 +103,14 @@ fn sim_streamlet_rejects_forged_vote_broadcasts() {
 }
 
 fn threaded_config() -> Config {
-    let mut config = Config::builder()
-        .nodes(4)
-        .block_size(20)
-        .timeout(SimDuration::from_millis(50))
-        .build()
-        .unwrap();
-    config.byzantine_strategy = ByzantineStrategy::ForgedVote;
-    config.byz_nodes = 1;
-    config
+    Config {
+        nodes: 4,
+        block_size: 20,
+        timeout: SimDuration::from_millis(50),
+        byzantine_strategy: ByzantineStrategy::ForgedVote,
+        byz_nodes: 1,
+        ..Config::default()
+    }
 }
 
 #[test]
@@ -142,12 +140,12 @@ fn threaded_pool_rejects_forged_vote_flood() {
 
 #[test]
 fn threaded_honest_cluster_rejects_nothing() {
-    let config = Config::builder()
-        .nodes(4)
-        .block_size(20)
-        .timeout(SimDuration::from_millis(50))
-        .build()
-        .unwrap();
+    let config = Config {
+        nodes: 4,
+        block_size: 20,
+        timeout: SimDuration::from_millis(50),
+        ..Config::default()
+    };
     let cluster = ThreadedCluster::spawn(config, ProtocolKind::HotStuff);
     cluster.submit_round_robin(200, 16);
     assert!(cluster.run_until_committed(40, Duration::from_secs(20)));
@@ -177,7 +175,11 @@ fn ingress(
 /// `NodeHost`; the host books it instead.
 #[test]
 fn transport_level_forgeries_never_reach_the_replica() {
-    let config = Config::builder().nodes(4).block_size(10).build().unwrap();
+    let config = Config {
+        nodes: 4,
+        block_size: 10,
+        ..Config::default()
+    };
     // Node 3 is a follower in view 1.
     let mut host = NodeHost::new(
         NodeId(3),

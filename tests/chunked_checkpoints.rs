@@ -12,18 +12,18 @@ use bamboo::types::{Config, NodeId, ProtocolKind, SimDuration, SimTime};
 const INTERVAL: u64 = 8;
 
 fn run(nodes: usize, runtime_ms: u64, durable_log: bool, faults: Vec<NodeFault>) -> RunReport {
-    let config = Config::builder()
-        .nodes(nodes)
-        .block_size(20)
-        .runtime(SimDuration::from_millis(runtime_ms))
-        .arrival_rate(4_000.0)
-        .timeout(SimDuration::from_millis(20))
-        .checkpoint_interval(INTERVAL)
-        .durable_log(durable_log)
-        .fsync_interval(4)
-        .seed(11)
-        .build()
-        .expect("valid config");
+    let config = Config {
+        nodes,
+        block_size: 20,
+        runtime: SimDuration::from_millis(runtime_ms),
+        arrival_rate: Some(4_000.0),
+        timeout: SimDuration::from_millis(20),
+        checkpoint_interval: Some(INTERVAL),
+        durable_log,
+        fsync_interval: 4,
+        seed: 11,
+        ..Config::default()
+    };
     let options = RunOptions {
         node_faults: faults,
         ..RunOptions::default()

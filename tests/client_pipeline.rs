@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use bamboo_core::{
-    BufferedTransport, MempoolTotals, NodeHost, ReplicaOptions, RunOptions, RunReport, SimRunner,
+    BufferedTransport, MempoolStats, NodeHost, ReplicaOptions, RunOptions, RunReport, SimRunner,
     ThreadedCluster, CLIENT_ID_BASE,
 };
 use bamboo_crypto::KeyPair;
@@ -23,16 +23,16 @@ const SEEDS: [u64; 3] = [7, 42, 2021];
 /// A full-pipeline config: a million-client population issuing signed
 /// requests into each replica's mempool.
 fn pipeline_config(seed: u64) -> Config {
-    Config::builder()
-        .nodes(8)
-        .block_size(50)
-        .runtime(SimDuration::from_millis(100))
-        .arrival_rate(4_000.0)
-        .client_population(1_000_000)
-        .signed_requests(true)
-        .seed(seed)
-        .build()
-        .expect("valid config")
+    Config {
+        nodes: 8,
+        block_size: 50,
+        runtime: SimDuration::from_millis(100),
+        arrival_rate: Some(4_000.0),
+        client_population: Some(1_000_000),
+        signed_requests: true,
+        seed,
+        ..Config::default()
+    }
 }
 
 fn run(config: Config, protocol: ProtocolKind) -> RunReport {
@@ -145,12 +145,12 @@ fn client_latency_is_reported_and_excludes_the_response_leg() {
 /// counted, while honest requests in the same batch are salvaged.
 #[test]
 fn forged_client_requests_die_at_the_sim_edge() {
-    let config = Config::builder()
-        .nodes(4)
-        .block_size(10)
-        .signed_requests(true)
-        .build()
-        .unwrap();
+    let config = Config {
+        nodes: 4,
+        block_size: 10,
+        signed_requests: true,
+        ..Config::default()
+    };
     let mut host = NodeHost::new(
         NodeId(3),
         ProtocolKind::HotStuff,
@@ -179,7 +179,7 @@ fn forged_client_requests_die_at_the_sim_edge() {
     );
     assert_eq!(host.client_auth_rejections(), 2);
     assert_eq!(
-        host.replica().mempool_len(),
+        host.replica().mempool_stats().pending,
         1,
         "only the genuine request is admitted"
     );
@@ -199,7 +199,7 @@ fn forged_client_requests_die_at_the_sim_edge() {
         .collect();
     host.handle_client_batch(clean, SimTime(4_000), &mut transport);
     assert_eq!(host.client_auth_rejections(), 2, "no new rejections");
-    assert_eq!(host.replica().mempool_len(), 9);
+    assert_eq!(host.replica().mempool_stats().pending, 9);
 }
 
 /// The same forgery dies at the threaded-backend edge: both runtimes route
@@ -207,13 +207,13 @@ fn forged_client_requests_die_at_the_sim_edge() {
 /// and the counter are identical.
 #[test]
 fn forged_client_requests_die_at_the_threaded_edge() {
-    let config = Config::builder()
-        .nodes(4)
-        .block_size(20)
-        .timeout(SimDuration::from_millis(50))
-        .signed_requests(true)
-        .build()
-        .unwrap();
+    let config = Config {
+        nodes: 4,
+        block_size: 20,
+        timeout: SimDuration::from_millis(50),
+        signed_requests: true,
+        ..Config::default()
+    };
     let cluster = ThreadedCluster::spawn(config, ProtocolKind::HotStuff);
 
     let client = NodeId(CLIENT_ID_BASE);
@@ -262,18 +262,18 @@ fn forged_client_requests_die_at_the_threaded_edge() {
 fn handoffs_are_counted_apart_from_admissions_on_both_backends() {
     /// What either backend's mempool fold must show: copies were handed
     /// off, and no more were kept or dropped than were sent.
-    fn copies_are_counted(pool: &MempoolTotals) {
+    fn copies_are_counted(pool: &MempoolStats) {
         assert!(pool.handed_off > 0, "{pool:?}");
         let sent = pool.handed_off + pool.rehanded;
         assert!(pool.handed_in + pool.handoff_dropped <= sent, "{pool:?}");
     }
 
-    let config = Config::builder()
-        .nodes(8)
-        .block_size(20)
-        .timeout(SimDuration::from_millis(50))
-        .build()
-        .unwrap();
+    let config = Config {
+        nodes: 8,
+        block_size: 20,
+        timeout: SimDuration::from_millis(50),
+        ..Config::default()
+    };
     let cluster = ThreadedCluster::spawn(config, ProtocolKind::HotStuff);
     cluster.submit_round_robin(400, 16);
     assert!(

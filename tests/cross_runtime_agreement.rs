@@ -17,15 +17,15 @@ use bamboo::types::{
 };
 
 fn shared_config() -> Config {
-    Config::builder()
-        .nodes(4)
-        .block_size(50)
-        .payload_size(16)
-        .timeout(SimDuration::from_millis(50))
-        .runtime(SimDuration::from_millis(300))
-        .seed(2024)
-        .build()
-        .expect("valid config")
+    Config {
+        nodes: 4,
+        block_size: 50,
+        payload_size: 16,
+        timeout: SimDuration::from_millis(50),
+        runtime: SimDuration::from_millis(300),
+        seed: 2024,
+        ..Config::default()
+    }
 }
 
 #[test]
@@ -92,15 +92,15 @@ fn every_protocol_is_safe_on_the_threaded_cluster() {
 /// truncation or aliasing bug in that path shows up here as a safety
 /// violation, a ledger divergence, or missing transactions.
 fn large_payload_config() -> Config {
-    Config::builder()
-        .nodes(4)
-        .block_size(400)
-        .payload_size(128)
-        .timeout(SimDuration::from_millis(50))
-        .runtime(SimDuration::from_millis(300))
-        .seed(77)
-        .build()
-        .expect("valid config")
+    Config {
+        nodes: 4,
+        block_size: 400,
+        payload_size: 128,
+        timeout: SimDuration::from_millis(50),
+        runtime: SimDuration::from_millis(300),
+        seed: 77,
+        ..Config::default()
+    }
 }
 
 #[test]

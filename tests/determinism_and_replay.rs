@@ -5,14 +5,14 @@ use bamboo::core::{RunOptions, SimRunner};
 use bamboo::types::{ByzantineStrategy, Config, ProtocolKind, SimDuration};
 
 fn run(seed: u64, protocol: ProtocolKind, rate: f64) -> bamboo::core::RunReport {
-    let config = Config::builder()
-        .nodes(4)
-        .block_size(50)
-        .runtime(SimDuration::from_millis(300))
-        .arrival_rate(rate)
-        .seed(seed)
-        .build()
-        .expect("valid config");
+    let config = Config {
+        nodes: 4,
+        block_size: 50,
+        runtime: SimDuration::from_millis(300),
+        arrival_rate: Some(rate),
+        seed,
+        ..Config::default()
+    };
     SimRunner::new(config, protocol, RunOptions::default()).run()
 }
 
@@ -59,17 +59,17 @@ fn safety_holds_for_randomised_configurations() {
             _ => ByzantineStrategy::Silence,
         };
         let byz = (case as usize % 3).min((nodes - 1) / 3);
-        let mut config = Config::builder()
-            .nodes(nodes)
-            .block_size(block_size)
-            .runtime(SimDuration::from_millis(200))
-            .arrival_rate(2_000.0)
-            .timeout(SimDuration::from_millis(20))
-            .seed(seed)
-            .build()
-            .expect("valid config");
-        config.byzantine_strategy = strategy;
-        config.byz_nodes = byz;
+        let config = Config {
+            nodes,
+            block_size,
+            runtime: SimDuration::from_millis(200),
+            arrival_rate: Some(2_000.0),
+            timeout: SimDuration::from_millis(20),
+            seed,
+            byzantine_strategy: strategy,
+            byz_nodes: byz,
+            ..Config::default()
+        };
         for protocol in [ProtocolKind::HotStuff, ProtocolKind::TwoChainHotStuff] {
             let report = SimRunner::new(config.clone(), protocol, RunOptions::default()).run();
             assert_eq!(

@@ -35,19 +35,19 @@ use bamboo::types::{Config, NodeId, ProtocolKind, SimDuration, SimTime};
 /// 4-record fsync batch so a 200 ms run exercises rotation, batching, and a
 /// genuinely unsynced tail at the crash point.
 fn config(seed: u64) -> Config {
-    Config::builder()
-        .nodes(8)
-        .block_size(50)
-        .runtime(SimDuration::from_millis(200))
-        .arrival_rate(4_000.0)
-        .timeout(SimDuration::from_millis(20))
-        .checkpoint_interval(8)
-        .durable_log(true)
-        .fsync_interval(4)
-        .segment_bytes(4096)
-        .seed(seed)
-        .build()
-        .expect("valid config")
+    Config {
+        nodes: 8,
+        block_size: 50,
+        runtime: SimDuration::from_millis(200),
+        arrival_rate: Some(4_000.0),
+        timeout: SimDuration::from_millis(20),
+        checkpoint_interval: Some(8),
+        durable_log: true,
+        fsync_interval: 4,
+        segment_bytes: 4096,
+        seed,
+        ..Config::default()
+    }
 }
 
 fn durable_fault(
@@ -212,18 +212,18 @@ fn durable_recovery_is_deterministic_at_every_thread_count() {
 /// re-joins with a matching prefix and a restored vote watermark.
 #[test]
 fn threaded_cluster_durable_restart_restores_the_vote_watermark() {
-    let config = Config::builder()
-        .nodes(4)
-        .block_size(50)
-        .payload_size(16)
-        .timeout(SimDuration::from_millis(50))
-        .runtime(SimDuration::from_millis(300))
-        .checkpoint_interval(4)
-        .durable_log(true)
-        .fsync_interval(4)
-        .seed(2026)
-        .build()
-        .expect("valid config");
+    let config = Config {
+        nodes: 4,
+        block_size: 50,
+        payload_size: 16,
+        timeout: SimDuration::from_millis(50),
+        runtime: SimDuration::from_millis(300),
+        checkpoint_interval: Some(4),
+        durable_log: true,
+        fsync_interval: 4,
+        seed: 2026,
+        ..Config::default()
+    };
     let victim = NodeId(2);
 
     // Two-chain HotStuff, not chained HotStuff: with one of four seats down the
@@ -305,16 +305,16 @@ fn threaded_cluster_durable_restart_restores_the_vote_watermark() {
 /// transfer — exactly as its doc comment promises.
 #[test]
 fn threaded_durable_recovery_without_a_log_degrades_to_amnesia() {
-    let config = Config::builder()
-        .nodes(4)
-        .block_size(50)
-        .payload_size(16)
-        .timeout(SimDuration::from_millis(50))
-        .runtime(SimDuration::from_millis(300))
-        .checkpoint_interval(4)
-        .seed(2027)
-        .build()
-        .expect("valid config");
+    let config = Config {
+        nodes: 4,
+        block_size: 50,
+        payload_size: 16,
+        timeout: SimDuration::from_millis(50),
+        runtime: SimDuration::from_millis(300),
+        checkpoint_interval: Some(4),
+        seed: 2027,
+        ..Config::default()
+    };
     let victim = NodeId(2);
 
     // Two-chain HotStuff, not chained HotStuff: with one of four seats down the

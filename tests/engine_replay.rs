@@ -53,14 +53,14 @@ use bamboo::core::{
 use bamboo::types::{ByzantineStrategy, Config, NodeId, ProtocolKind, SimDuration, SimTime};
 
 fn run(protocol: ProtocolKind, nodes: usize, runtime_ms: u64, rate: f64, seed: u64) -> RunReport {
-    let config = Config::builder()
-        .nodes(nodes)
-        .block_size(50)
-        .runtime(SimDuration::from_millis(runtime_ms))
-        .arrival_rate(rate)
-        .seed(seed)
-        .build()
-        .expect("valid config");
+    let config = Config {
+        nodes,
+        block_size: 50,
+        runtime: SimDuration::from_millis(runtime_ms),
+        arrival_rate: Some(rate),
+        seed,
+        ..Config::default()
+    };
     SimRunner::new(config, protocol, RunOptions::default()).run()
 }
 
@@ -135,16 +135,16 @@ fn engine_replays_the_pinned_golden_ledgers_byte_for_byte() {
 /// signed at generation and checked at the edge — the run whose client ticks
 /// are generated on a producer thread ahead of the event loop.
 fn signed_open_loop(max_events: Option<u64>) -> RunReport {
-    let config = Config::builder()
-        .nodes(16)
-        .block_size(400)
-        .runtime(SimDuration::from_millis(1_000))
-        .arrival_rate(20_000.0)
-        .client_population(1_000_000)
-        .signed_requests(true)
-        .seed(2027)
-        .build()
-        .expect("valid config");
+    let config = Config {
+        nodes: 16,
+        block_size: 400,
+        runtime: SimDuration::from_millis(1_000),
+        arrival_rate: Some(20_000.0),
+        client_population: Some(1_000_000),
+        signed_requests: true,
+        seed: 2027,
+        ..Config::default()
+    };
     let mut options = RunOptions::default();
     if let Some(cap) = max_events {
         options.max_events = cap;
@@ -205,16 +205,17 @@ fn a_signed_open_loop_run_replays_its_pinned_golden_whole_and_cut() {
 /// partition (some recipients of a broadcast are dropped, their delays still
 /// drawn), and one replica crashed and resumed (deliveries to it are lost).
 fn forged_partitioned_streamlet() -> RunReport {
-    let config = Config::builder()
-        .nodes(7)
-        .block_size(50)
-        .runtime(SimDuration::from_millis(600))
-        .arrival_rate(3_000.0)
-        .byzantine(ByzantineStrategy::ForgedVote, 2)
-        .timeout(SimDuration::from_millis(20))
-        .seed(2030)
-        .build()
-        .expect("valid config");
+    let config = Config {
+        nodes: 7,
+        block_size: 50,
+        runtime: SimDuration::from_millis(600),
+        arrival_rate: Some(3_000.0),
+        byzantine_strategy: ByzantineStrategy::ForgedVote,
+        byz_nodes: 2,
+        timeout: SimDuration::from_millis(20),
+        seed: 2030,
+        ..Config::default()
+    };
     let ms = |ms: u64| SimTime(ms * 1_000_000);
     let options = RunOptions {
         link_faults: vec![

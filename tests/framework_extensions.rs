@@ -6,14 +6,14 @@ use bamboo::types::config::LeaderPolicy;
 use bamboo::types::{Config, NodeId, ProtocolKind, SimDuration};
 
 fn config(nodes: usize) -> Config {
-    Config::builder()
-        .nodes(nodes)
-        .block_size(100)
-        .runtime(SimDuration::from_millis(400))
-        .arrival_rate(4_000.0)
-        .seed(5)
-        .build()
-        .expect("valid config")
+    Config {
+        nodes,
+        block_size: 100,
+        runtime: SimDuration::from_millis(400),
+        arrival_rate: Some(4_000.0),
+        seed: 5,
+        ..Config::default()
+    }
 }
 
 #[test]
@@ -37,14 +37,14 @@ fn static_leader_is_supported() {
 #[test]
 fn closed_loop_workload_drives_the_system() {
     // No arrival rate -> closed-loop clients with Table-I concurrency.
-    let cfg = Config::builder()
-        .nodes(4)
-        .block_size(20)
-        .concurrency(40)
-        .runtime(SimDuration::from_millis(400))
-        .seed(13)
-        .build()
-        .expect("valid config");
+    let cfg = Config {
+        nodes: 4,
+        block_size: 20,
+        concurrency: 40,
+        runtime: SimDuration::from_millis(400),
+        seed: 13,
+        ..Config::default()
+    };
     let report = SimRunner::new(cfg, ProtocolKind::HotStuff, RunOptions::default()).run();
     assert_eq!(report.safety_violations, 0);
     assert!(

@@ -6,14 +6,14 @@ use bamboo::model::{ModelParams, PerfModel};
 use bamboo::types::{Config, ProtocolKind, SimDuration};
 
 fn eval_config(nodes: usize, block_size: usize) -> Config {
-    Config::builder()
-        .nodes(nodes)
-        .block_size(block_size)
-        .payload_size(0)
-        .runtime(SimDuration::from_millis(400))
-        .seed(42)
-        .build()
-        .expect("valid config")
+    Config {
+        nodes,
+        block_size,
+        payload_size: 0,
+        runtime: SimDuration::from_millis(400),
+        seed: 42,
+        ..Config::default()
+    }
 }
 
 /// `config` at offered load `rate`, as one point of a `run_all` batch.

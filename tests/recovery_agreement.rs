@@ -26,16 +26,16 @@ use bamboo::types::{Config, NodeId, ProtocolKind, SimDuration, SimTime, View};
 /// An 8-node cluster with checkpointing every 8 blocks — small enough that a
 /// mid-run crash leaves the victim several checkpoints behind.
 fn config(seed: u64) -> Config {
-    Config::builder()
-        .nodes(8)
-        .block_size(50)
-        .runtime(SimDuration::from_millis(200))
-        .arrival_rate(4_000.0)
-        .timeout(SimDuration::from_millis(20))
-        .checkpoint_interval(8)
-        .seed(seed)
-        .build()
-        .expect("valid config")
+    Config {
+        nodes: 8,
+        block_size: 50,
+        runtime: SimDuration::from_millis(200),
+        arrival_rate: Some(4_000.0),
+        timeout: SimDuration::from_millis(20),
+        checkpoint_interval: Some(8),
+        seed,
+        ..Config::default()
+    }
 }
 
 fn amnesia_fault(node: u64, crash_ms: u64, recover_ms: u64) -> NodeFault {
@@ -182,16 +182,16 @@ fn healthy_runs_never_invoke_state_transfer() {
 /// and check it re-joins through state transfer with a matching prefix.
 #[test]
 fn threaded_cluster_amnesia_recovery_rejoins_with_a_matching_prefix() {
-    let config = Config::builder()
-        .nodes(4)
-        .block_size(50)
-        .payload_size(16)
-        .timeout(SimDuration::from_millis(50))
-        .runtime(SimDuration::from_millis(300))
-        .checkpoint_interval(4)
-        .seed(2024)
-        .build()
-        .expect("valid config");
+    let config = Config {
+        nodes: 4,
+        block_size: 50,
+        payload_size: 16,
+        timeout: SimDuration::from_millis(50),
+        runtime: SimDuration::from_millis(300),
+        checkpoint_interval: Some(4),
+        seed: 2024,
+        ..Config::default()
+    };
     let victim = NodeId(2);
 
     // Two-chain HotStuff, not chained HotStuff: with one of four seats down the

@@ -8,15 +8,15 @@ use bamboo::core::{
 use bamboo::types::{ByzantineStrategy, Config, NodeId, ProtocolKind, SimDuration, SimTime};
 
 fn config(nodes: usize) -> Config {
-    Config::builder()
-        .nodes(nodes)
-        .block_size(100)
-        .payload_size(32)
-        .runtime(SimDuration::from_millis(500))
-        .arrival_rate(5_000.0)
-        .seed(77)
-        .build()
-        .expect("valid config")
+    Config {
+        nodes,
+        block_size: 100,
+        payload_size: 32,
+        runtime: SimDuration::from_millis(500),
+        arrival_rate: Some(5_000.0),
+        seed: 77,
+        ..Config::default()
+    }
 }
 
 #[test]
@@ -152,15 +152,15 @@ fn a_timeout_below_the_link_delay_costs_liveness_never_safety() {
         // The LAN link mean is 250 µs: three timeouts below it, one above.
         for timeout_us in [0, 50, 200, 500] {
             for seed in 1..=4 {
-                let mut config = Config::builder()
-                    .nodes(4)
-                    .block_size(100)
-                    .runtime(SimDuration::from_millis(200))
-                    .arrival_rate(1_000.0)
-                    .seed(seed)
-                    .build()
-                    .expect("valid config");
-                config.timeout = SimDuration::from_micros(timeout_us);
+                let config = Config {
+                    nodes: 4,
+                    block_size: 100,
+                    runtime: SimDuration::from_millis(200),
+                    arrival_rate: Some(1_000.0),
+                    seed,
+                    timeout: SimDuration::from_micros(timeout_us),
+                    ..Config::default()
+                };
                 let report = SimRunner::new(config, protocol, RunOptions::default()).run();
                 assert_eq!(
                     report.safety_violations, 0,
@@ -180,15 +180,15 @@ fn a_timeout_below_the_link_delay_costs_liveness_never_safety() {
 fn a_crashed_seat_stalls_hotstuff_only_when_no_four_live_leaders_are_consecutive() {
     for protocol in ProtocolKind::evaluated() {
         for nodes in [4, 5] {
-            let config = Config::builder()
-                .nodes(nodes)
-                .block_size(100)
-                .runtime(SimDuration::from_millis(1_000))
-                .timeout(SimDuration::from_millis(20))
-                .arrival_rate(2_000.0)
-                .seed(7)
-                .build()
-                .expect("valid config");
+            let config = Config {
+                nodes,
+                block_size: 100,
+                runtime: SimDuration::from_millis(1_000),
+                timeout: SimDuration::from_millis(20),
+                arrival_rate: Some(2_000.0),
+                seed: 7,
+                ..Config::default()
+            };
             let options = RunOptions {
                 node_faults: vec![NodeFault {
                     node: NodeId(0),
@@ -246,16 +246,16 @@ fn lost_views_fork_the_chain_but_never_the_ledger() {
         .iter()
         .map(|&(protocol, rate, seed, (normal, fluctuating))| {
             move || {
-                let config = Config::builder()
-                    .nodes(4)
-                    .block_size(400)
-                    .payload_size(128)
-                    .runtime(SimDuration::from_millis(normal + fluctuating + 200))
-                    .timeout(SimDuration::from_millis(10))
-                    .arrival_rate(rate)
-                    .seed(seed)
-                    .build()
-                    .expect("valid config");
+                let config = Config {
+                    nodes: 4,
+                    block_size: 400,
+                    payload_size: 128,
+                    runtime: SimDuration::from_millis(normal + fluctuating + 200),
+                    timeout: SimDuration::from_millis(10),
+                    arrival_rate: Some(rate),
+                    seed,
+                    ..Config::default()
+                };
                 let options = RunOptions {
                     fluctuations: vec![FluctuationWindow {
                         start: at(normal),

@@ -22,15 +22,15 @@ use bamboo::net::{BackoffPolicy, Processes, Sockets, TcpCluster};
 use bamboo::types::{Config, NodeId, ProtocolKind, SimDuration};
 
 fn shared_config() -> Config {
-    Config::builder()
-        .nodes(4)
-        .block_size(50)
-        .payload_size(16)
-        .timeout(SimDuration::from_millis(50))
-        .runtime(SimDuration::from_millis(300))
-        .seed(2024)
-        .build()
-        .expect("valid config")
+    Config {
+        nodes: 4,
+        block_size: 50,
+        payload_size: 16,
+        timeout: SimDuration::from_millis(50),
+        runtime: SimDuration::from_millis(300),
+        seed: 2024,
+        ..Config::default()
+    }
 }
 
 /// A backoff small enough that reconnect storms resolve within test budgets.
@@ -182,18 +182,18 @@ fn killed_peer_reconnects_with_backoff_and_catches_up() {
 /// killed node's replacement boots from its own log instead of from genesis.
 #[test]
 fn killed_peer_restarts_from_its_durable_log_over_tcp() {
-    let config = Config::builder()
-        .nodes(4)
-        .block_size(50)
-        .payload_size(16)
-        .timeout(SimDuration::from_millis(50))
-        .runtime(SimDuration::from_millis(300))
-        .checkpoint_interval(4)
-        .durable_log(true)
-        .fsync_interval(4)
-        .seed(2026)
-        .build()
-        .expect("valid config");
+    let config = Config {
+        nodes: 4,
+        block_size: 50,
+        payload_size: 16,
+        timeout: SimDuration::from_millis(50),
+        runtime: SimDuration::from_millis(300),
+        checkpoint_interval: Some(4),
+        durable_log: true,
+        fsync_interval: 4,
+        seed: 2026,
+        ..Config::default()
+    };
     // 2CHS for the reason given in the test above: HS at n = 4 commits nothing
     // while a seat is down.
     let protocol = ProtocolKind::TwoChainHotStuff;
@@ -262,16 +262,16 @@ fn killed_peer_restarts_from_its_durable_log_over_tcp() {
 
 #[test]
 fn signed_clients_commit_over_tcp() {
-    let config = Config::builder()
-        .nodes(4)
-        .block_size(50)
-        .payload_size(16)
-        .timeout(SimDuration::from_millis(50))
-        .runtime(SimDuration::from_millis(300))
-        .seed(2024)
-        .signed_requests(true)
-        .build()
-        .expect("valid config");
+    let config = Config {
+        nodes: 4,
+        block_size: 50,
+        payload_size: 16,
+        timeout: SimDuration::from_millis(50),
+        runtime: SimDuration::from_millis(300),
+        seed: 2024,
+        signed_requests: true,
+        ..Config::default()
+    };
     let cluster =
         TcpCluster::spawn(ProtocolKind::HotStuff, config).expect("cluster spawns on loopback");
     cluster.submit_round_robin(400, 16);
@@ -355,17 +355,17 @@ fn every_link_passes_the_one_conformance_body() {
 /// process replays the log the old one wrote, then catches up and agrees.
 #[test]
 fn killed_seat_process_replays_its_own_log() {
-    let config = Config::builder()
-        .nodes(4)
-        .block_size(50)
-        .payload_size(16)
-        .timeout(SimDuration::from_millis(50))
-        .checkpoint_interval(4)
-        .durable_log(true)
-        .fsync_interval(4)
-        .seed(2026)
-        .build()
-        .expect("valid config");
+    let config = Config {
+        nodes: 4,
+        block_size: 50,
+        payload_size: 16,
+        timeout: SimDuration::from_millis(50),
+        checkpoint_interval: Some(4),
+        durable_log: true,
+        fsync_interval: 4,
+        seed: 2026,
+        ..Config::default()
+    };
     // 2CHS: HS at n = 4 commits nothing while a seat is down.
     let processes = Processes::new(env!("CARGO_BIN_EXE_tcp_replica"));
     let mut cluster = LiveCluster::spawn_on(processes, config, ProtocolKind::TwoChainHotStuff)
