@@ -1163,24 +1163,6 @@ mod tests {
         }
     }
 
-    /// Random kinds over random payloads: input for the stream decoder.
-    fn random_frames(seed: u64, count: usize) -> Vec<(RecordKind, Vec<u8>)> {
-        let mut rng = Rng(seed | 1);
-        (0..count)
-            .map(|_| {
-                let kind = match rng.next() % 4 {
-                    0 => RecordKind::CommittedBlock,
-                    1 => RecordKind::Qc,
-                    2 => RecordKind::CheckpointMarker,
-                    _ => RecordKind::SafetyRecord,
-                };
-                let len = (rng.next() % 200) as usize;
-                let payload: Vec<u8> = (0..len).map(|_| (rng.next() & 0xFF) as u8).collect();
-                (kind, payload)
-            })
-            .collect()
-    }
-
     /// Random records over a short chain of varied block sizes: entries,
     /// QCs, markers, and safety records with and without a lock.
     fn random_records(seed: u64, count: usize) -> Vec<Record> {
@@ -1217,14 +1199,6 @@ mod tests {
         for record in records {
             log.append(record.clone());
         }
-    }
-
-    fn stream_of(records: &[(RecordKind, Vec<u8>)]) -> Vec<u8> {
-        let mut out = Vec::new();
-        for (kind, payload) in records {
-            frame_into(&mut out, *kind, payload);
-        }
-        out
     }
 
     #[test]
@@ -1268,55 +1242,6 @@ mod tests {
         let mut synced = SegmentLog::in_memory(1 << 20, 4);
         synced.append_synced(Record::Safety(View(3), None));
         assert_eq!(synced.syncs(), 1, "safety records flush immediately");
-    }
-
-    #[test]
-    fn torn_tail_recovers_longest_valid_prefix_at_every_cut() {
-        let records = random_frames(11, 20);
-        let stream = stream_of(&records);
-        for cut in 0..stream.len() {
-            let decoded = decode_records(&stream[..cut]);
-            assert!(
-                decoded.records.len() <= records.len(),
-                "cut {cut} produced extra records"
-            );
-            for (got, want) in decoded.records.iter().zip(records.iter()) {
-                assert_eq!(got, want, "cut {cut} diverged");
-            }
-            if cut < stream.len() {
-                assert!(!decoded.clean || decoded.records.len() < records.len());
-            }
-        }
-        assert!(decode_records(&stream).clean);
-    }
-
-    #[test]
-    fn corrupt_byte_at_every_offset_never_panics() {
-        let records = random_frames(13, 8);
-        let stream = stream_of(&records);
-        for offset in 0..stream.len() {
-            let mut mauled = stream.clone();
-            mauled[offset] ^= 0xFF;
-            let decoded = decode_records(&mauled);
-            for (got, want) in decoded.records.iter().zip(records.iter()) {
-                if got != want {
-                    // A flipped byte may still frame correctly only within
-                    // the record it hit; all earlier records must match.
-                    break;
-                }
-            }
-            assert!(decoded.records.len() <= records.len());
-        }
-    }
-
-    #[test]
-    fn garbage_suffix_is_discarded() {
-        let records = random_frames(17, 6);
-        let mut stream = stream_of(&records);
-        stream.extend_from_slice(&[0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03]);
-        let decoded = decode_records(&stream);
-        assert_eq!(decoded.records, records);
-        assert!(!decoded.clean);
     }
 
     #[test]

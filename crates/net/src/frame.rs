@@ -16,11 +16,12 @@
 //! record.
 
 use std::fmt;
+use std::io::Read;
 
 use bamboo_core::live::{NodeNetStats, PeerStats, SeatStatus};
 use bamboo_crypto::{KeyPair, PublicKey, Signature};
 use bamboo_types::wire::{put_u16, put_u32, put_u64, WireCursor};
-use bamboo_types::{ClientRequest, WireError};
+use bamboo_types::{ClientRequest, Transaction, WireError};
 
 /// Bytes of framing overhead before the payload: 4-byte length + kind tag.
 pub const FRAME_HEADER_BYTES: usize = 5;
@@ -251,25 +252,21 @@ pub fn decode_hello(payload: &[u8]) -> Result<(u64, Signature), WireError> {
 ///
 /// # Errors
 ///
-/// Fails on a read error or timeout, or with
-/// [`std::io::ErrorKind::InvalidData`] for a frame the decoder refuses.
-pub fn read_frame(stream: &mut impl std::io::Read) -> std::io::Result<Frame> {
+/// Fails on a read error, a timeout or a stream that ends inside the frame
+/// (`UnexpectedEof`), or with `InvalidData` for a frame the decoder refuses.
+pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Frame> {
     let invalid = |e: FrameError| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
-    let mut header = [0u8; FRAME_HEADER_BYTES];
-    stream.read_exact(&mut header)?;
     let mut decoder = FrameDecoder::new();
-    decoder.push(&header);
+    decoder.buf.resize(FRAME_HEADER_BYTES, 0);
+    stream.read_exact(&mut decoder.buf)?;
     if let Some(frame) = decoder.next_frame().map_err(invalid)? {
         return Ok(frame);
     }
-    let len = u32::from_be_bytes(header[..4].try_into().expect("4 bytes"));
-    let mut payload = vec![0; len as usize];
-    stream.read_exact(&mut payload)?;
-    decoder.push(&payload);
-    Ok(decoder
-        .next_frame()
-        .map_err(invalid)?
-        .expect("a whole frame"))
+    // The payload is buffered as it arrives, never at the length claimed.
+    let len = u32::from_be_bytes(decoder.buf[..4].try_into().expect("4 bytes"));
+    stream.take(len.into()).read_to_end(&mut decoder.buf)?;
+    let torn = || std::io::Error::from(std::io::ErrorKind::UnexpectedEof);
+    decoder.next_frame().map_err(invalid)?.ok_or_else(torn)
 }
 
 /// Reads the acceptor's challenge: the first frame of every connection,
@@ -279,7 +276,7 @@ pub fn read_frame(stream: &mut impl std::io::Read) -> std::io::Result<Frame> {
 ///
 /// Fails like [`read_frame`], or with [`std::io::ErrorKind::InvalidData`]
 /// when the first frame is anything else.
-pub fn read_challenge(stream: &mut impl std::io::Read) -> std::io::Result<[u8; 32]> {
+pub fn read_challenge(stream: &mut impl Read) -> std::io::Result<[u8; 32]> {
     let frame = read_frame(stream)?;
     let nonce = (frame.kind == FrameKind::Challenge).then_some(frame.payload);
     let not_a_challenge = || std::io::Error::from(std::io::ErrorKind::InvalidData);
@@ -324,16 +321,16 @@ pub fn encode_peer_table(peers: &[(u64, std::net::SocketAddr)]) -> Vec<u8> {
 /// table.
 pub fn decode_peer_table(payload: &[u8]) -> Result<Vec<(u64, std::net::SocketAddr)>, WireError> {
     let mut cur = WireCursor::new(payload);
-    let count = cur.u32()? as usize;
-    let mut peers = Vec::with_capacity(count.min(65_536));
+    let count = cur.u32()?;
+    let mut peers = Vec::with_capacity(cur.count(count.into(), 8 + 2)?);
     for _ in 0..count {
         let id = cur.u64()?;
         let len = cur.u16()? as usize;
         let text = std::str::from_utf8(cur.take(len)?)
             .map_err(|_| WireError::Corrupt("peer address is not UTF-8"))?;
-        let addr = text
-            .parse()
-            .map_err(|_| WireError::Corrupt("peer address failed to parse"))?;
+        let addr: std::net::SocketAddr = (text.parse().ok())
+            .filter(|addr: &std::net::SocketAddr| addr.to_string() == text)
+            .ok_or(WireError::Corrupt("peer address is not in display form"))?;
         peers.push((id, addr));
     }
     if !cur.done() {
@@ -360,8 +357,8 @@ pub fn encode_client_batch(requests: &[ClientRequest]) -> Vec<u8> {
 /// [`WireError::Corrupt`] on malformed requests or trailing bytes.
 pub fn decode_client_batch(payload: &[u8]) -> Result<Vec<ClientRequest>, WireError> {
     let mut cur = WireCursor::new(payload);
-    let count = cur.u32()? as usize;
-    let mut requests = Vec::with_capacity(count.min(65_536));
+    let count = cur.u32()?;
+    let mut requests = Vec::with_capacity(cur.count(count.into(), Transaction::HEADER_BYTES + 1)?);
     for _ in 0..count {
         requests.push(bamboo_types::wire::decode_client_request(&mut cur)?);
     }
@@ -499,7 +496,9 @@ pub fn decode_status_reply(payload: &[u8]) -> Result<StatusReply, WireError> {
         *float = f64::from_bits(cur.u64()?);
     }
     reply.status.chain_fingerprint = cur.digest32()?;
-    for _ in 0..cur.u64()? {
+    let count = cur.u64()?;
+    reply.net.peers.reserve(cur.count(count, 6 * 8)?);
+    for _ in 0..count {
         let peer = cur.u64()?;
         let (attempts, connects) = (cur.u64()?, cur.u64()?);
         let stats = PeerStats {
@@ -565,14 +564,55 @@ mod tests {
     }
 
     #[test]
-    fn unknown_kind_and_oversized_length_poison_the_stream() {
-        let mut decoder = FrameDecoder::new();
-        decoder.push(&[0, 0, 0, 1, 0xee, 42]);
-        assert_eq!(decoder.next_frame(), Err(FrameError::UnknownKind(0xee)));
-        let mut decoder = FrameDecoder::new();
-        decoder.push(&u32::MAX.to_be_bytes());
-        decoder.push(&[FrameKind::Msg as u8]);
-        assert_eq!(decoder.next_frame(), Err(FrameError::Oversized(u32::MAX)));
+    fn read_frame_buffers_what_arrives_not_what_the_header_claims() {
+        let mut claims_the_bound = (MAX_FRAME_PAYLOAD as u32).to_be_bytes().to_vec();
+        claims_the_bound.push(FrameKind::Challenge as u8);
+        claims_the_bound.extend_from_slice(&[7; 32]);
+        let short = read_challenge(&mut &claims_the_bound[..]).unwrap_err();
+        assert_eq!(short.kind(), std::io::ErrorKind::UnexpectedEof);
+        let challenge = encode_frame(FrameKind::Challenge, &[7; 32]);
+        assert_eq!(read_challenge(&mut &challenge[..]).unwrap(), [7; 32]);
+        let empty = encode_frame(FrameKind::Shutdown, &[]);
+        assert_eq!(
+            read_frame(&mut &empty[..]).unwrap().kind,
+            FrameKind::Shutdown
+        );
+    }
+
+    /// Every counted field of a control payload refuses a count its bytes
+    /// cannot hold with `Truncated`; a count that exactly fits decodes.
+    #[test]
+    fn every_counted_field_refuses_a_count_its_bytes_cannot_hold() {
+        let tx =
+            |seq| bamboo_types::Transaction::new(NodeId(1_000_000), seq, 0, Default::default());
+        let requests: Vec<ClientRequest> =
+            (0..2).map(|seq| ClientRequest::unsigned(tx(seq))).collect();
+        let batch = encode_client_batch(&requests);
+        assert_eq!(
+            batch.len(),
+            4 + 2 * (Transaction::HEADER_BYTES + 1),
+            "exactly fits"
+        );
+        assert_eq!(decode_client_batch(&batch).unwrap(), requests);
+        let peers = encode_peer_table(&[(0, "127.0.0.1:4000".parse().unwrap())]);
+        // The status reply's peer count is a u64: its low word is forged.
+        let reply = encode_status_reply(&StatusReply::default());
+        let forge = |bytes: &[u8], at: usize, count: u32| {
+            let mut forged = bytes.to_vec();
+            forged[at..at + 4].copy_from_slice(&count.to_be_bytes());
+            forged
+        };
+        let truncated = Some(WireError::Truncated);
+        for count in [1 << 20, u32::MAX] {
+            assert_eq!(
+                decode_client_batch(&forge(&batch, 0, count)).err(),
+                truncated
+            );
+            assert_eq!(decode_peer_table(&forge(&peers, 0, count)).err(), truncated);
+            let reply = forge(&reply, reply.len() - 4, count);
+            assert_eq!(decode_status_reply(&reply).err(), truncated);
+        }
+        assert_eq!(decode_client_batch(&forge(&batch, 0, 3)).err(), truncated);
     }
 
     #[test]
@@ -604,6 +644,15 @@ mod tests {
         let bytes = encode_peer_table(&peers);
         assert_eq!(decode_peer_table(&bytes).unwrap(), peers);
         assert!(decode_peer_table(&bytes[..bytes.len() - 1]).is_err());
+        // An address that parses but is not in display form is refused, so
+        // a table re-encodes to exactly the bytes it came from.
+        let at = 4 + 8 + 2 + "127.0.0.1:".len();
+        let mut padded = bytes.clone();
+        padded[at..at + 4].copy_from_slice(b"0400");
+        assert_eq!(
+            decode_peer_table(&padded).err(),
+            Some(WireError::Corrupt("peer address is not in display form"))
+        );
     }
 
     fn stats(count: u64, mean_ms: f64) -> LatencyStats {
