@@ -41,7 +41,7 @@ use bamboo_mempool::Mempool;
 use bamboo_pacemaker::LeaderElection;
 use bamboo_types::{DigestSet, Handoff, Message, NodeId, SharedBlock, Transaction, TxId, View};
 
-use crate::runtime::Transport;
+use crate::runtime::BufferedTransport;
 
 /// How many views past the stamp it was first sent with a copy may still be
 /// handed on: a quarter of the execute-once window (DESIGN.md §7.4).
@@ -194,7 +194,7 @@ impl Copies {
         mempool: &mut Mempool,
         forest: &BlockForest,
         target: Option<(View, NodeId)>,
-        transport: &mut dyn Transport,
+        transport: &mut BufferedTransport,
     ) {
         let due = self.sent.partition_point(|sent| sent.stamp <= view);
         let mut due: Vec<Sent> = self.sent.drain(..due).collect();
@@ -221,7 +221,7 @@ fn hand_on(
     mempool: &mut Mempool,
     forest: &BlockForest,
     target: Option<(View, NodeId)>,
-    transport: &mut dyn Transport,
+    transport: &mut BufferedTransport,
 ) -> Vec<Sent> {
     let Some((view, leader)) = target else {
         return Vec::new();
@@ -254,7 +254,7 @@ pub fn admit(
     copies: &mut Copies,
     target: Option<(View, NodeId)>,
     txs: Vec<Transaction>,
-    transport: &mut dyn Transport,
+    transport: &mut BufferedTransport,
 ) {
     let Some((stamp, leader)) = target else {
         mempool.push_batch(txs);

@@ -6,9 +6,9 @@
 //!
 //! * [`Replica`] — the event-driven replica node: a pure state machine that
 //!   consumes verified messages, admitted transactions and local deadlines
-//!   ([`ReplicaEvent`]), writes its effects into the host's [`Transport`]
-//!   and returns CPU-cost accounting, so the same code runs on the
-//!   deterministic simulator and on the live backends.
+//!   ([`ReplicaEvent`]), writes its effects into the host's
+//!   [`BufferedTransport`] and returns CPU-cost accounting, so the same code
+//!   runs on the deterministic simulator and on the live backends.
 //! * [`QuorumTracker`] — the Quorum component (`voted()` / `certified()`).
 //! * [`SimRunner`] — the discrete-event simulation runner: network latency,
 //!   NIC and CPU models, workload generation, fault injection. It shows
@@ -22,11 +22,13 @@
 //! * [`Scenario`] — the scenario engine: declarative experiment specs (JSON)
 //!   describing topology, workload, Byzantine strategy and a fault schedule,
 //!   compiled into simulator runs and audited into [`ScenarioReport`]s.
-//! * [`runtime`] — the shared runtime spine: the [`Transport`] trait and the
-//!   [`NodeHost`] driver both deployment backends are built on. The host is
-//!   also the authenticated ingress stage: a message reaches the replica
-//!   only with a `VerifiedMessage` proof token, and a client transaction
-//!   only inside a `VerifiedRequests` token.
+//! * [`runtime`] — the shared runtime spine: the one effect sink,
+//!   [`BufferedTransport`], and the [`NodeHost`] driver both deployment
+//!   backends are built on; every host step, on either clock, ends by
+//!   tallying the buffer's sends and handing its deadlines to one book. The
+//!   host is also the authenticated ingress stage: a message reaches the
+//!   replica only with a `VerifiedMessage` proof token, and a client
+//!   transaction only inside a `VerifiedRequests` token.
 //! * [`verify::VerifyPool`] — the threaded runtime's verification worker
 //!   pool: signature checking runs on dedicated threads and pipelines with
 //!   consensus instead of serialising onto it.
@@ -82,7 +84,7 @@ pub use parallel::{run_all, run_ordered};
 pub use quorum::QuorumTracker;
 pub use replica::{Replica, ReplicaOptions};
 pub use runner::{FaultTrigger, NodeFault, RunOptions, SimRunner};
-pub use runtime::{BufferedTransport, NodeHost, RecoverMode, ReplicaEvent, StepReport, Transport};
+pub use runtime::{BufferedTransport, NodeHost, RecoverMode, ReplicaEvent, StepReport};
 pub use scenario::{Expectations, Scenario, ScenarioReport, ScenarioRun};
 pub use storage::{
     DecodedStream, FileBackend, MemoryBackend, Record, RecordKind, ReplayResult, SegmentBackend,

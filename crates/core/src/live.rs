@@ -23,8 +23,8 @@ use std::time::{Duration, Instant, SystemTime};
 use bamboo_crypto::KeyPair;
 use bamboo_forest::{ChainFingerprint, Ledger};
 use bamboo_types::{
-    wire, ClientRequest, Config, Message, NodeId, ProtocolKind, SimTime, Transaction,
-    VerifiedMessage, View,
+    ClientRequest, Config, Message, NodeId, ProtocolKind, SimTime, Transaction, VerifiedMessage,
+    View,
 };
 
 use crate::metrics::SeatBooks;
@@ -204,7 +204,7 @@ pub fn run_live_node(
     status: &LiveStatus,
     mut restart: Option<RecoverMode>,
 ) -> NodeHost {
-    let peers = host.replica().config().nodes as u64 - 1;
+    let nodes = host.replica().config().nodes;
     let (mut out, mut deadlines) = (BufferedTransport::new(), Deadlines::default());
     let (mut booted, mut early, mut confirmed) = (false, VecDeque::new(), Vec::new());
     loop {
@@ -250,43 +250,29 @@ pub fn run_live_node(
             Call::Deliver(verified) => host.deliver(&verified, start, &mut out),
             Call::Admit(requests) => host.handle_client_batch(requests, start, &mut out),
         };
-        // The step's effects, as the simulator maps them: sends onto the
-        // link, counted one per recipient; deadlines into the book.
-        let (mut messages, mut bytes, mut proposed) = (0, 0, None);
-        for (to, message) in out.sends.drain(..) {
-            let recipients = to.map_or(peers, |_| 1);
-            messages += recipients;
-            bytes += recipients * wire::encoded_len(&message) as u64;
-            if let Message::Proposal(block) = &*message {
-                proposed = Some(block.clone());
-            }
+        // The step's effects, as the simulator ends a step: sends onto the
+        // link, deadlines into the book.
+        let sends = out.tally_sends(nodes, |to, message, _| {
             match (to, Arc::unwrap_or_clone(message)) {
                 (Some(to), message) => link.unicast(to, message),
                 (None, message) => link.broadcast(message),
             }
-        }
-        deadlines.absorb(&mut out);
+        });
+        deadlines.absorb(&mut out, host.replica().current_view());
         let finish = clock(epoch);
         // No response leg is modeled: a commit is confirmed as it happens.
         let txs = report.committed.iter().map(|block| block.payload.len());
         confirmed.clear();
         confirmed.resize(txs.sum(), finish);
-        let replica = host.replica();
         let step = StepView {
-            node: replica.id(),
+            replica: host.replica(),
             start,
             finish,
-            view: replica.current_view(),
-            timeout_view_changes: replica.timeout_view_changes(),
             report: &report,
-            ledger: replica.ledger(),
-            messages,
-            bytes,
-            proposed: proposed.as_deref(),
+            sends,
             confirmed: &confirmed,
         };
         status.publish(&host, &step);
-        deadlines.prune_stale(replica.current_view());
     }
     host
 }

@@ -26,28 +26,21 @@ use crate::metrics::{
 };
 use crate::replica::Replica;
 use crate::runner::NodeFault;
-use crate::runtime::{NodeHost, StepReport};
+use crate::runtime::{NodeHost, SendTally, StepReport};
 
 /// What one replica step did, as the engine saw it.
 pub(crate) struct StepView<'a> {
-    /// The replica that stepped, and when its CPU took the event and was
-    /// done with it.
-    pub node: NodeId,
+    /// The replica that stepped, as the step left it: its id, view,
+    /// timeout-driven view changes and ledger.
+    pub replica: &'a Replica,
+    /// When the replica's CPU took the event and was done with it.
     pub start: SimTime,
     pub finish: SimTime,
-    /// The replica's view and its timeout-driven view changes after the step.
-    pub view: View,
-    pub timeout_view_changes: u64,
     /// The step's CPU bill and the blocks it committed, which end the
-    /// replica's `ledger` after the step.
+    /// replica's ledger.
     pub report: &'a StepReport,
-    pub ledger: &'a Ledger,
-    /// Messages the step put on the wire, one per recipient (a recipient
-    /// behind a dropped link included), and their bytes.
-    pub messages: u64,
-    pub bytes: u64,
-    /// The last proposal the step sent, a relay included.
-    pub proposed: Option<&'a Block>,
+    /// What the step put on the wire.
+    pub sends: SendTally,
     /// At the observer replica, the instant each committed transaction's
     /// confirmation would reach its client, in commit order (a duplicate's
     /// is not booked); empty elsewhere.
@@ -110,24 +103,25 @@ impl Observer {
 
     /// Books one step.
     pub(crate) fn on_step(&mut self, step: &StepView) {
-        self.messages += step.messages;
-        self.bytes += step.bytes;
+        let (node, ledger) = (step.replica.id(), step.replica.ledger());
+        self.messages += step.sends.messages;
+        self.bytes += step.sends.bytes;
         // A relay is not a dispatch: only the proposer's own send is.
-        if let Some(block) = step.proposed.filter(|block| block.proposer == step.node) {
+        let proposed = step.sends.proposed.as_deref();
+        if let Some(block) = proposed.filter(|block| block.proposer == node) {
             self.lifecycle.on_proposal(block, step.finish);
         }
-        if step.node == self.node {
+        if node == self.node {
             // `finish` is the commit instant the client's submit→commit
             // latency is measured against; `confirmed` adds the response leg
             // (the paper's `t_L` term). Only what executes counts, once.
             let mut confirmed = step.confirmed;
-            let first = step.ledger.len() - step.report.committed.len();
+            let first = ledger.len() - step.report.committed.len();
             for (at, block) in (first..).zip(&step.report.committed) {
-                debug_assert_eq!(step.ledger.get(at).map(|c| c.block.id), Some(block.id));
+                debug_assert_eq!(ledger.get(at).map(|c| c.block.id), Some(block.id));
                 let (ours, rest) = confirmed.split_at(block.payload.len().min(confirmed.len()));
                 confirmed = rest;
-                self.duplicates_filtered +=
-                    self.window.execute(step.ledger, at, &mut self.executes);
+                self.duplicates_filtered += self.window.execute(ledger, at, &mut self.executes);
                 let executes = &self.executes;
                 let executed = || {
                     (block.payload.iter().zip(ours).zip(executes))
@@ -319,39 +313,41 @@ struct Busy {
 impl Load {
     fn on_step(&mut self, step: &StepView, observer: NodeId) {
         let (start, finish) = (step.start.min(self.end), step.finish.min(self.end));
-        let busy = &mut self.busy[step.node.index()];
+        let (node, current) = (step.replica.id(), step.replica.current_view());
+        let busy = &mut self.busy[node.index()];
         let leads = match busy.leads {
-            Some((view, leads)) if view == step.view => leads,
-            _ => self.election.is_leader(step.node, step.view),
+            Some((view, leads)) if view == current => leads,
+            _ => self.election.is_leader(node, current),
         };
-        busy.leads = Some((step.view, leads));
+        busy.leads = Some((current, leads));
         busy.total += finish.since(start);
         if leads {
             busy.led += finish.since(start);
         }
-        if step.node != observer {
+        if node != observer {
             return;
         }
+        let timeouts_now = step.replica.timeout_view_changes();
         // A view ends when the step that leaves it is done. A timeout ended
         // it iff the replica's timeout-driven view changes rose in that step.
         // A certificate for a later view skips the views between: the same
         // step ended them, and they lasted no time.
         if let Some((view, since, timeouts)) = self.view {
-            if view == step.view {
+            if view == current {
                 return;
             }
-            let clock = if step.timeout_view_changes > timeouts {
+            let clock = if timeouts_now > timeouts {
                 &mut self.by_timeout
             } else {
                 &mut self.by_qc
             };
             clock.record(finish.since(since));
-            let skipped = step.view.as_u64().saturating_sub(view.as_u64() + 1);
+            let skipped = current.as_u64().saturating_sub(view.as_u64() + 1);
             for _ in 0..skipped {
                 clock.record(SimDuration::ZERO);
             }
         }
-        self.view = Some((step.view, finish, step.timeout_view_changes));
+        self.view = Some((current, finish, timeouts_now));
     }
 
     /// The books up to `until`.

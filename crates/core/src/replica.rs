@@ -4,8 +4,8 @@
 //! admitted client transactions — both only through its
 //! [`crate::NodeHost`], which holds the proof tokens — and the local
 //! deadlines of [`ReplicaEvent`], writes what should happen next — messages
-//! to send, timers to arm — into the [`Transport`] its host hands it, and
-//! returns a [`StepReport`]: CPU time consumed and blocks that became
+//! to send, timers to arm — into the [`BufferedTransport`] its host hands
+//! it, and returns a [`StepReport`]: CPU time consumed and blocks that became
 //! committed. All time, networking and randomness live in the runner, which
 //! is what makes the same replica code usable both on the deterministic
 //! simulator and on the live backends.
@@ -31,7 +31,7 @@ use crate::handoff;
 use crate::metrics::RecoveryStats;
 use crate::quorum::QuorumTracker;
 pub use crate::runtime::ReplicaEvent;
-use crate::runtime::{Step, StepReport, Transport};
+use crate::runtime::{BufferedTransport, Step, StepReport};
 use crate::storage::{SegmentLog, StorageFault};
 use crate::sync::{self, SyncState};
 
@@ -227,7 +227,7 @@ impl Replica {
 
     /// Starts the replica: arms the first view timer and, if it leads view 1,
     /// proposes the first block.
-    pub fn start(&mut self, now: SimTime, transport: &mut dyn Transport) -> StepReport {
+    pub fn start(&mut self, now: SimTime, transport: &mut BufferedTransport) -> StepReport {
         let mut out = Step::new(now, transport, self.cpu);
         self.boot(&mut out);
         out.finish()
@@ -247,7 +247,7 @@ impl Replica {
         &mut self,
         event: ReplicaEvent,
         now: SimTime,
-        transport: &mut dyn Transport,
+        transport: &mut BufferedTransport,
     ) -> StepReport {
         let mut step = Step::new(now, transport, self.cpu);
         let out = &mut step;
@@ -284,7 +284,7 @@ impl Replica {
 
     /// Admits client transactions that passed the edge check into the
     /// mempool, and hands a copy to a leader ahead (`handoff.rs`).
-    pub(crate) fn admit(&mut self, txs: Vec<Transaction>, transport: &mut dyn Transport) {
+    pub(crate) fn admit(&mut self, txs: Vec<Transaction>, transport: &mut BufferedTransport) {
         let ahead = self.handoff_target();
         handoff::admit(&mut self.mempool, &mut self.copies, ahead, txs, transport);
     }
@@ -308,7 +308,7 @@ impl Replica {
         from: NodeId,
         message: &Message,
         now: SimTime,
-        transport: &mut dyn Transport,
+        transport: &mut BufferedTransport,
     ) -> StepReport {
         let mut step = Step::new(now, transport, self.cpu);
         self.on_message(from, message, &mut step);
@@ -671,7 +671,7 @@ impl Replica {
         &mut self,
         now: SimTime,
         fault: Option<StorageFault>,
-        transport: &mut dyn Transport,
+        transport: &mut BufferedTransport,
     ) -> StepReport {
         let mut out = Step::new(now, transport, self.cpu);
         let (protocol, stats) = (self.protocol, &mut self.recovery);
@@ -696,7 +696,6 @@ impl Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::BufferedTransport;
     use bamboo_forest::{chunks, Snapshot};
     use bamboo_types::{SharedMessage, TimeoutVote};
 

@@ -58,8 +58,8 @@ use bamboo_sim::{
     EventQueue, FluctuationWindow, LatencyModel, LinkFault, NicModel, Popped, SimRng, Topology,
 };
 use bamboo_types::{
-    wire, Authenticator, ClientRequest, Config, Message, NodeId, ProtocolKind, SharedMessage,
-    SimDuration, SimTime, VerifiedMessage, VerifiedRequests, View,
+    Authenticator, ClientRequest, Config, NodeId, ProtocolKind, SharedMessage, SimDuration,
+    SimTime, VerifiedMessage, VerifiedRequests, View,
 };
 
 use crate::metrics::RunReport;
@@ -283,11 +283,10 @@ impl Clients {
     }
 }
 
-/// A replica's deadline book, the view it was pruned at, its queued wake-up.
+/// A replica's deadline book and its queued wake-up.
 #[derive(Default)]
 struct Alarm {
     book: Deadlines,
-    view: View,
     wake: Option<SimTime>,
 }
 
@@ -707,8 +706,7 @@ impl SimRunner {
 
         // Track the view high-water mark; view-triggered fault boundaries
         // resolve from it once this event is done.
-        let replica = self.hosts[index].replica();
-        let (view, timeouts) = (replica.current_view(), replica.timeout_view_changes());
+        let view = self.hosts[index].replica().current_view();
         self.max_view = self.max_view.max(view);
 
         // Commits count at the observer replica only, so every transaction
@@ -730,32 +728,23 @@ impl SimRunner {
             }
         }
 
-        // The book takes the step's deadlines and prunes, unless it armed none in the same view.
-        let alarm = &mut self.alarms[index];
-        let armed = effects.timers.len() + effects.proposals.len() + effects.sync_timers.len();
-        if armed > 0 || view != alarm.view {
-            alarm.book.absorb(&mut effects);
-            alarm.book.prune_stale(view);
-            alarm.view = view;
+        // A book the step left alone keeps its queued wake-up.
+        if self.alarms[index].book.absorb(&mut effects, view) {
             self.arm_wake(node, start);
         }
 
         // Outbound messages leave the sender once its CPU is done. Every
-        // recipient is booked and its delay drawn now, in ascending node
-        // order; one dropped by a partition or a dead link gets no delivery.
-        // The envelope is verified once if anyone receives it, and a
-        // broadcast becomes one queue entry whose deliveries take the
-        // insertion numbers n − 1 separate schedules would have.
-        let (mut messages, mut bytes_sent, mut proposed) = (0, 0, None);
-        for (dest, message) in effects.sends.drain(..) {
-            if let Message::Proposal(block) = &*message {
-                proposed = Some(block.clone());
-            }
-            let bytes = wire::encoded_len(&message);
+        // recipient's delay is drawn now, in ascending node order; one
+        // dropped by a partition or a dead link gets no delivery. The
+        // envelope is verified once if anyone receives it, and a broadcast
+        // becomes one queue entry whose deliveries take the insertion numbers
+        // n − 1 separate schedules would have.
+        let nodes = self.config.nodes;
+        let tally = effects.tally_sends(nodes, |dest, message, bytes| {
             let leaves = finish + self.nic.transfer(bytes);
             let recipients = match dest {
                 Some(to) => to.0..to.0 + 1,
-                None => 0..self.config.nodes as u64,
+                None => 0..nodes as u64,
             };
             self.deliveries.clear();
             for to in recipients.map(NodeId) {
@@ -763,15 +752,13 @@ impl SimRunner {
                 if dest.is_none() && to == node {
                     continue;
                 }
-                messages += 1;
-                bytes_sent += bytes as u64;
                 if let Some(delay) = self.latency.sample(&mut self.rngs[index], node, to, finish) {
                     let to = u32::try_from(to.0).expect("replica ids fit in 32 bits");
                     self.deliveries.push((leaves + delay, to));
                 }
             }
             let Some(&(at, to)) = self.deliveries.first() else {
-                continue;
+                return;
             };
             let envelope = match self.auth.authenticate_shared(node, message.clone()) {
                 Ok(token) => Envelope::Verified(token),
@@ -783,19 +770,14 @@ impl SimRunner {
                 Some(_) => self.schedule(start, at, NodeId(to.into()), kind),
                 None => (self.queue).schedule_fanout(SimEvent { node, kind }, &self.deliveries),
             }
-        }
+        });
         self.effects = effects;
         self.observer.on_step(&StepView {
-            node,
+            replica: self.hosts[index].replica(),
             start,
             finish,
-            view,
-            timeout_view_changes: timeouts,
             report: &report,
-            ledger: self.hosts[index].replica().ledger(),
-            messages,
-            bytes: bytes_sent,
-            proposed: proposed.as_deref(),
+            sends: tally,
             confirmed: &self.confirmed,
         });
     }

@@ -3,22 +3,24 @@
 //! A [`crate::Replica`] is a pure state machine: it consumes verified
 //! messages, admitted transactions and [`ReplicaEvent`]s (local deadlines),
 //! and writes each effect — a message to send, a timer to arm, a delayed
-//! proposal to schedule — into the [`Transport`] its host hands it, the
-//! moment it decides on it. Everything that differs between the
-//! deterministic simulator and the live backends is *how* those effects are
-//! realised — which is exactly what the trait captures. There are two
-//! implementations:
+//! proposal to schedule — into the [`BufferedTransport`] its host hands it,
+//! the moment it decides on it. The buffer is the one effect sink, on either
+//! clock; what differs between the deterministic simulator and the live
+//! backends is only how a step's buffered effects are realised, and every
+//! host step ends through the same epilogue:
 //!
-//! * the simulator buffers the effects (via [`BufferedTransport`]) and maps
-//!   messages onto its discrete-event queue with modelled latency, NIC and
-//!   CPU delays,
-//! * the live backends (threaded cluster, TCP) share one: the driver in
-//!   [`crate::live`] checks the deadlines against the wall clock and sends
-//!   messages through the backend's [`crate::live::Link`]; both keep the
-//!   deadlines in one book, `Deadlines`, pruned after every step.
+//! * the sends go through `BufferedTransport::tally_sends`, which hands
+//!   each to the backend's delivery code in emission order — the simulator
+//!   maps it onto its discrete-event queue with modelled latency, NIC and
+//!   CPU delays, the live driver in [`crate::live`] onto the backend's
+//!   [`crate::live::Link`] — and counts them the one way every report does;
+//! * the deadlines go into the replica's one book, `Deadlines`, whose
+//!   `absorb` also prunes it to the replica's view; the simulator fires it
+//!   through one wake-up per replica, the live driver against the wall
+//!   clock.
 //!
 //! The [`NodeHost`] is the common driver: it owns the replica, feeds inputs
-//! and the backend's `Transport` into it, and hands the backend the step's
+//! and the backend's buffer into it, and hands the backend the step's
 //! [`StepReport`] (CPU time consumed plus newly committed blocks) for
 //! accounting.
 //!
@@ -42,15 +44,16 @@
 
 use bamboo_sim::CpuModel;
 use bamboo_types::{
-    ids::quorum_threshold, Authenticator, ClientRequest, Config, Message, NodeId, ProtocolKind,
-    SharedBlock, SharedMessage, SimDuration, SimTime, VerifiedMessage, VerifiedRequests, View,
+    ids::quorum_threshold, wire, Authenticator, ClientRequest, Config, Message, NodeId,
+    ProtocolKind, SharedBlock, SharedMessage, SimDuration, SimTime, VerifiedMessage,
+    VerifiedRequests, View,
 };
 
 use crate::replica::{Replica, ReplicaOptions};
 use crate::storage::StorageFault;
 
-/// The local deadlines a replica consumes: the effects it armed through
-/// [`Transport`] coming due. Messages and client transactions are not events;
+/// The local deadlines a replica consumes: the effects it armed in its
+/// [`BufferedTransport`] coming due. Messages and client transactions are not events;
 /// they reach the replica only with a proof token, through
 /// [`NodeHost::deliver`] and [`NodeHost::admit`].
 #[derive(Clone, Debug)]
@@ -71,12 +74,14 @@ pub enum ReplicaEvent {
     SyncTimer,
 }
 
-/// One replica's armed deadlines, as absolute times on the node's clock.
+/// One replica's armed deadlines, as absolute times on the node's clock, and
+/// the view the book was last pruned to.
 #[derive(Default)]
 pub(crate) struct Deadlines {
     pub timers: Vec<(View, SimTime)>,
     pub proposals: Vec<(View, SimTime)>,
     pub sync_timers: Vec<SimTime>,
+    view: View,
 }
 
 impl Deadlines {
@@ -103,53 +108,30 @@ impl Deadlines {
         Some(ReplicaEvent::SyncTimer)
     }
 
-    /// Drops timers and proposals for views the replica has already left, so
-    /// the lists stay bounded over long runs. Sync timers are view-less and
-    /// self-consume on firing.
-    pub fn prune_stale(&mut self, current_view: View) {
-        self.timers.retain(|&(view, _)| view >= current_view);
-        self.proposals.retain(|&(view, _)| view >= current_view);
-    }
-
     /// Drops every armed deadline.
     pub fn clear(&mut self) {
         *self = Self::default();
     }
 
-    /// Takes the deadlines a step armed into the book.
-    pub fn absorb(&mut self, effects: &mut BufferedTransport) {
+    /// Ends a step on the book: takes the deadlines the step armed, then
+    /// drops the timers and proposals of views before `view` — the replica's
+    /// view after the step — so the book stays bounded over long runs (sync
+    /// timers are view-less and consume themselves on firing). A step that
+    /// armed nothing in the view the book was last pruned to would change
+    /// nothing, and is skipped. Returns whether the book took the step.
+    pub fn absorb(&mut self, effects: &mut BufferedTransport, view: View) -> bool {
+        let armed = effects.timers.len() + effects.proposals.len() + effects.sync_timers.len();
+        if armed == 0 && view == self.view {
+            return false;
+        }
         self.timers.append(&mut effects.timers);
         self.proposals.append(&mut effects.proposals);
         self.sync_timers.append(&mut effects.sync_timers);
+        self.timers.retain(|&(armed, _)| armed >= view);
+        self.proposals.retain(|&(armed, _)| armed >= view);
+        self.view = view;
+        true
     }
-}
-
-/// Backend-provided effect sink for a single replica.
-///
-/// All methods are invoked while the replica handles one event; the backend
-/// decides delivery timing (once the step is done: at once on the live
-/// links, modelled by the simulator). `deadline`/`at` are absolute times on
-/// the backend's clock — simulated time for the simulator, nanoseconds since
-/// the seat's epoch (`SeatBoot::epoch`) for the live backends.
-pub trait Transport {
-    /// Deliver `message` to a single replica.
-    fn unicast(&mut self, to: NodeId, message: Message);
-
-    /// Deliver `message` to every replica except the sender.
-    fn broadcast(&mut self, message: Message);
-
-    /// Arm a view timer that must fire at `deadline` unless the view has
-    /// advanced past `view` by then.
-    fn arm_timer(&mut self, view: View, deadline: SimTime);
-
-    /// Schedule a delayed proposal slot for `view` at time `at` (used by the
-    /// non-responsive wait-for-timeout deployment of Fig. 15).
-    fn schedule_proposal(&mut self, view: View, at: SimTime);
-
-    /// Arm a sync timer (state-transfer debounce/retry) for `deadline`.
-    /// Unlike view timers these carry no view: the replica decides on firing
-    /// whether anything is still missing.
-    fn arm_sync_timer(&mut self, deadline: SimTime);
 }
 
 /// How a crashed node comes back — the one spelling of the recovery mode
@@ -175,7 +157,7 @@ pub enum RecoverMode {
 }
 
 /// What one event step produced, beside the effects it wrote into the
-/// backend's [`Transport`].
+/// host's [`BufferedTransport`].
 #[derive(Debug, Default)]
 pub struct StepReport {
     /// CPU time the replica consumed handling the event.
@@ -185,12 +167,12 @@ pub struct StepReport {
     pub committed: Vec<SharedBlock>,
 }
 
-/// One step in progress: the instant it runs at, the effect sink the host
+/// One step in progress: the instant it runs at, the effect buffer the host
 /// handed in, and the account the host gets back. Every replica handler takes
-/// one, so an effect has exactly one spelling — a [`Transport`] call.
+/// one, so an effect has exactly one spelling — a [`BufferedTransport`] call.
 pub(crate) struct Step<'a> {
     pub now: SimTime,
-    pub transport: &'a mut dyn Transport,
+    pub transport: &'a mut BufferedTransport,
     /// What the replica's work costs; `cpu` is the bill so far.
     pub model: CpuModel,
     pub cpu: SimDuration,
@@ -198,7 +180,7 @@ pub(crate) struct Step<'a> {
 }
 
 impl<'a> Step<'a> {
-    pub fn new(now: SimTime, transport: &'a mut dyn Transport, model: CpuModel) -> Self {
+    pub fn new(now: SimTime, transport: &'a mut BufferedTransport, model: CpuModel) -> Self {
         Self {
             now,
             transport,
@@ -292,7 +274,7 @@ impl NodeHost {
 
     /// Boots the replica: arms the first view timer and, if it leads the
     /// first view, proposes.
-    pub fn start(&mut self, now: SimTime, transport: &mut dyn Transport) -> StepReport {
+    pub fn start(&mut self, now: SimTime, transport: &mut BufferedTransport) -> StepReport {
         self.replica.start(now, transport)
     }
 
@@ -301,7 +283,7 @@ impl NodeHost {
         &mut self,
         event: ReplicaEvent,
         now: SimTime,
-        transport: &mut dyn Transport,
+        transport: &mut BufferedTransport,
     ) -> StepReport {
         self.replica.handle(event, now, transport)
     }
@@ -313,7 +295,7 @@ impl NodeHost {
         &mut self,
         requests: Vec<ClientRequest>,
         now: SimTime,
-        transport: &mut dyn Transport,
+        transport: &mut BufferedTransport,
     ) -> StepReport {
         let verified = self.authenticator.verify_requests(requests);
         self.admit(verified, now, transport)
@@ -340,7 +322,7 @@ impl NodeHost {
         &mut self,
         requests: VerifiedRequests,
         _now: SimTime,
-        transport: &mut dyn Transport,
+        transport: &mut BufferedTransport,
     ) -> StepReport {
         let mut cpu = SimDuration::ZERO;
         if requests.signed() {
@@ -368,7 +350,7 @@ impl NodeHost {
         &mut self,
         verified: &VerifiedMessage,
         now: SimTime,
-        transport: &mut dyn Transport,
+        transport: &mut BufferedTransport,
     ) -> StepReport {
         self.replica
             .receive(verified.sender(), verified.message(), now, transport)
@@ -379,7 +361,7 @@ impl NodeHost {
         &mut self,
         verified: VerifiedMessage,
         now: SimTime,
-        transport: &mut dyn Transport,
+        transport: &mut BufferedTransport,
     ) -> StepReport {
         self.deliver(&verified, now, transport)
     }
@@ -393,7 +375,7 @@ impl NodeHost {
         &mut self,
         mode: RecoverMode,
         now: SimTime,
-        transport: &mut dyn Transport,
+        transport: &mut BufferedTransport,
     ) -> StepReport {
         match mode {
             RecoverMode::Resume => StepReport::default(),
@@ -455,14 +437,17 @@ fn verification_cost(cpu: &CpuModel, message: &Message) -> SimDuration {
     cpu.verify(signatures)
 }
 
-/// A [`Transport`] that simply records every effect, in order.
+/// The one effect sink: every effect a replica decides on, recorded in
+/// order, on either clock.
 ///
-/// Backends whose delivery timing depends on the *total* CPU cost of the step
-/// (the simulator charges outbound messages only once the sender's CPU is
-/// free) buffer effects here and map them onto their event queue afterwards.
-/// Each message is wrapped into its [`SharedMessage`] envelope exactly once
-/// here, so a backend fanning a broadcast out to `n − 1` recipients shares
-/// one envelope instead of copying it. Also convenient in tests.
+/// A host realises the effects once the step is done, when its total CPU
+/// cost is known (the simulator charges outbound messages only once the
+/// sender's CPU is free). `deadline`/`at` are absolute times on the
+/// backend's clock — simulated time for the simulator, nanoseconds since the
+/// seat's epoch (`SeatBoot::epoch`) for the live backends. Each message is
+/// wrapped into its [`SharedMessage`] envelope exactly once here, so a
+/// backend fanning a broadcast out to `n − 1` recipients shares one envelope
+/// instead of copying it.
 #[derive(Debug, Default)]
 pub struct BufferedTransport {
     /// Buffered sends; `None` destination means broadcast.
@@ -473,6 +458,18 @@ pub struct BufferedTransport {
     pub proposals: Vec<(View, SimTime)>,
     /// Buffered sync-timer arms.
     pub sync_timers: Vec<SimTime>,
+}
+
+/// What a step put on the wire, as every report books it.
+#[derive(Debug, Default)]
+pub(crate) struct SendTally {
+    /// Messages, one per recipient (a recipient behind a dropped link
+    /// included): a broadcast counts `n − 1`, a unicast one.
+    pub messages: u64,
+    /// Their bytes, each message's encoded length once per recipient.
+    pub bytes: u64,
+    /// The last proposal the step sent, a relay included.
+    pub proposed: Option<SharedBlock>,
 }
 
 impl BufferedTransport {
@@ -490,34 +487,63 @@ impl BufferedTransport {
         self.proposals.clear();
         self.sync_timers.clear();
     }
-}
 
-impl Transport for BufferedTransport {
-    fn unicast(&mut self, to: NodeId, message: Message) {
+    /// Deliver `message` to a single replica.
+    pub fn unicast(&mut self, to: NodeId, message: Message) {
         self.sends.push((Some(to), SharedMessage::new(message)));
     }
 
-    fn broadcast(&mut self, message: Message) {
+    /// Deliver `message` to every replica except the sender.
+    pub fn broadcast(&mut self, message: Message) {
         self.sends.push((None, SharedMessage::new(message)));
     }
 
-    fn arm_timer(&mut self, view: View, deadline: SimTime) {
+    /// Arm a view timer that must fire at `deadline` unless the view has
+    /// advanced past `view` by then.
+    pub fn arm_timer(&mut self, view: View, deadline: SimTime) {
         self.timers.push((view, deadline));
     }
 
-    fn schedule_proposal(&mut self, view: View, at: SimTime) {
+    /// Schedule a delayed proposal slot for `view` at time `at` (used by the
+    /// non-responsive wait-for-timeout deployment of Fig. 15).
+    pub fn schedule_proposal(&mut self, view: View, at: SimTime) {
         self.proposals.push((view, at));
     }
 
-    fn arm_sync_timer(&mut self, deadline: SimTime) {
+    /// Arm a sync timer (state-transfer debounce/retry) for `deadline`.
+    /// Unlike view timers these carry no view: the replica decides on firing
+    /// whether anything is still missing.
+    pub fn arm_sync_timer(&mut self, deadline: SimTime) {
         self.sync_timers.push(deadline);
+    }
+
+    /// Drains the step's sends in emission order into the backend's
+    /// delivery code, `send(to, message, encoded_len)` (`to` is `None` for a
+    /// broadcast), and tallies them for a cluster of `nodes` replicas.
+    pub(crate) fn tally_sends(
+        &mut self,
+        nodes: usize,
+        mut send: impl FnMut(Option<NodeId>, SharedMessage, usize),
+    ) -> SendTally {
+        let mut tally = SendTally::default();
+        for (to, message) in self.sends.drain(..) {
+            let bytes = wire::encoded_len(&message);
+            let recipients = to.map_or(nodes as u64 - 1, |_| 1);
+            tally.messages += recipients;
+            tally.bytes += recipients * bytes as u64;
+            if let Message::Proposal(block) = &*message {
+                tally.proposed = Some(block.clone());
+            }
+            send(to, message, bytes);
+        }
+        tally
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bamboo_types::Transaction;
+    use bamboo_types::{Block, BlockId, Height, QuorumCert, Transaction};
 
     fn config(nodes: usize) -> Config {
         Config {
@@ -530,11 +556,14 @@ mod tests {
 
     #[test]
     fn deadlines_fire_view_timers_before_proposals_before_sync_timers() {
-        let mut deadlines = Deadlines::default();
-        deadlines.sync_timers.push(SimTime(5));
-        deadlines.proposals.push((View(2), SimTime(7)));
-        deadlines.timers.push((View(3), SimTime(30)));
-        deadlines.timers.push((View(2), SimTime(9)));
+        let (mut deadlines, mut step) = (Deadlines::default(), BufferedTransport::new());
+        step.arm_sync_timer(SimTime(5));
+        step.schedule_proposal(View(2), SimTime(7));
+        step.arm_timer(View(3), SimTime(30));
+        step.arm_timer(View(2), SimTime(9));
+        assert!(deadlines.absorb(&mut step, View(2)));
+        let left = step.timers.len() + step.proposals.len() + step.sync_timers.len();
+        assert_eq!(left, 0, "the book takes every deadline the step armed");
         assert_eq!(deadlines.next_deadline(), Some(SimTime(5)));
         assert!(
             deadlines.pop_due(SimTime(4)).is_none(),
@@ -553,16 +582,71 @@ mod tests {
         ));
         assert_eq!(deadlines.next_deadline(), Some(SimTime(30)));
 
-        deadlines.proposals.push((View(3), SimTime(40)));
-        deadlines.sync_timers.push(SimTime(50));
-        deadlines.prune_stale(View(4));
+        step.schedule_proposal(View(3), SimTime(40));
+        step.arm_sync_timer(SimTime(50));
+        assert!(deadlines.absorb(&mut step, View(3)));
+        // A timer of a view the replica has left, planted by hand: a step
+        // that arms nothing in the view the book was pruned to neither takes
+        // nor prunes, so it stays.
+        deadlines.timers.push((View(2), SimTime(20)));
+        assert!(!deadlines.absorb(&mut BufferedTransport::new(), View(3)));
+        assert_eq!(
+            deadlines.timers,
+            [(View(3), SimTime(30)), (View(2), SimTime(20))]
+        );
+        assert_eq!(deadlines.proposals, [(View(3), SimTime(40))]);
+        assert_eq!(deadlines.sync_timers, [SimTime(50)]);
+
+        assert!(deadlines.absorb(&mut BufferedTransport::new(), View(4)));
         assert_eq!(
             deadlines.next_deadline(),
             Some(SimTime(50)),
-            "pruning drops left views but keeps view-less sync timers"
+            "a view change drops left views but keeps view-less sync timers"
         );
         deadlines.clear();
         assert_eq!(deadlines.next_deadline(), None);
+    }
+
+    #[test]
+    fn the_tally_counts_each_recipient_and_keeps_the_last_proposal() {
+        let block = |proposer| {
+            let (parent, qc) = (BlockId::GENESIS, QuorumCert::genesis());
+            let block = Block::new(View(1), Height(1), parent, NodeId(proposer), qc, Vec::new());
+            Message::Proposal(SharedBlock::new(block))
+        };
+        let (own, relayed) = (block(1), block(2));
+        let key = bamboo_crypto::KeyPair::from_seed(2);
+        let vote = Message::Vote(bamboo_types::Vote::new(
+            BlockId::GENESIS,
+            View(1),
+            NodeId(1),
+            &key,
+        ));
+        // Node 1 of four: its own proposal to every peer, another
+        // proposer's to itself (a relay), a vote to node 2.
+        let mut out = BufferedTransport::new();
+        out.broadcast(own.clone());
+        out.unicast(NodeId(1), relayed.clone());
+        out.unicast(NodeId(2), vote.clone());
+        let mut seen = Vec::new();
+        let tally = out.tally_sends(4, |to, message, bytes| {
+            seen.push((to, Message::clone(&message), bytes));
+        });
+        let len = |message: &Message| wire::encoded_len(message);
+        let expected = [
+            (None, own.clone(), len(&own)),
+            (Some(NodeId(1)), relayed.clone(), len(&relayed)),
+            (Some(NodeId(2)), vote.clone(), len(&vote)),
+        ];
+        assert_eq!(seen, expected, "every send, in emission order");
+        assert!(out.sends.is_empty());
+        assert_eq!(tally.messages, 3 + 1 + 1);
+        let bytes = 3 * len(&own) + len(&relayed) + len(&vote);
+        assert_eq!(tally.bytes, bytes as u64);
+        let Message::Proposal(last) = &relayed else {
+            unreachable!()
+        };
+        assert_eq!(tally.proposed.as_ref(), Some(last));
     }
 
     #[test]

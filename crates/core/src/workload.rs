@@ -116,11 +116,6 @@ impl OpenLoopWorkload {
         self.signing = signing;
         self
     }
-
-    /// The configured arrival rate.
-    pub fn rate(&self) -> f64 {
-        self.rate_tx_per_sec
-    }
 }
 
 impl Workload for OpenLoopWorkload {

@@ -33,11 +33,6 @@ impl CpuModel {
         self
     }
 
-    /// The cost of one cryptographic operation.
-    pub fn crypto_op(&self) -> SimDuration {
-        self.crypto_op
-    }
-
     /// Cost of signing a single message (vote, proposal, timeout).
     pub fn sign(&self) -> SimDuration {
         self.crypto_op

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use bamboo_crypto::{AggregateSignature, Digest, KeyPair, PublicKey, Sha256, Signature};
+use bamboo_crypto::{AggregateSignature, KeyPair, PublicKey, Signature};
 
 use crate::block::BlockId;
 use crate::ids::{NodeId, View};
@@ -112,18 +112,6 @@ impl QuorumCert {
         }
         self.signatures
             .verify(&Vote::signing_bytes(self.block, self.view), key_of)
-    }
-
-    /// A digest uniquely identifying the certificate contents.
-    pub fn digest(&self) -> Digest {
-        let mut hasher = Sha256::new();
-        hasher.update(b"bamboo-qc-v1");
-        hasher.update(self.block.0.as_bytes());
-        hasher.update(&self.view.as_u64().to_be_bytes());
-        for signer in self.signatures.signers() {
-            hasher.update(&signer.to_be_bytes());
-        }
-        Digest::from_bytes(hasher.finalize())
     }
 }
 
@@ -240,6 +228,7 @@ impl fmt::Display for TimeoutCert {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bamboo_crypto::Digest;
 
     fn keys(n: u64) -> Vec<KeyPair> {
         (0..n).map(KeyPair::from_seed).collect()
@@ -296,22 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn qc_digest_distinguishes_blocks_and_signers() {
-        let kps = keys(4);
-        let votes_a: Vec<Vote> = (0..3)
-            .map(|i| Vote::new(block_id(1), View(2), NodeId(i), &kps[i as usize]))
-            .collect();
-        let votes_b: Vec<Vote> = (0..3)
-            .map(|i| Vote::new(block_id(2), View(2), NodeId(i), &kps[i as usize]))
-            .collect();
-        let qc_a = QuorumCert::from_votes(block_id(1), View(2), &votes_a);
-        let qc_b = QuorumCert::from_votes(block_id(2), View(2), &votes_b);
-        assert_ne!(qc_a.digest(), qc_b.digest());
-        let qc_a_fewer = QuorumCert::from_votes(block_id(1), View(2), &votes_a[..2]);
-        assert_ne!(qc_a.digest(), qc_a_fewer.digest());
-    }
-
-    #[test]
     fn a_certificate_is_independent_of_vote_arrival_order() {
         let kps = keys(22);
         let bid = block_id(3);
@@ -324,7 +297,6 @@ mod tests {
             let shuffled: Vec<Vote> = (0..22).map(|i| vote((i * stride + 1) % 22)).collect();
             let qc = QuorumCert::from_votes(bid, View(4), &shuffled);
             assert_eq!(qc, reference, "stride {stride}");
-            assert_eq!(qc.digest(), reference.digest(), "stride {stride}");
             let mut bytes = Vec::new();
             crate::wire::encode_qc(&mut bytes, &qc);
             assert_eq!(bytes, reference_bytes, "stride {stride}");

@@ -74,7 +74,8 @@
 //! ```
 //!
 //! The pacemaker says what it did, and the replica spells every effect as a
-//! `Transport` call; there is no second vocabulary of actions:
+//! call on the host's one `BufferedTransport`; there is no second vocabulary
+//! of actions:
 //!
 //! ```compile_fail
 //! fn pending() -> Vec<bamboo::pacemaker::PacemakerAction> {

@@ -3,8 +3,9 @@
 //! cluster — must preserve safety for every protocol kind.
 //!
 //! Both backends drive the identical `Replica` state machine through the
-//! shared `runtime`/`Transport` layer, so any divergence here points at a
-//! backend bug, not a protocol bug.
+//! shared `runtime` layer — one effect buffer, `BufferedTransport`, and one
+//! step epilogue that tallies the sends and books the deadlines — so any
+//! divergence here points at a backend bug, not a protocol bug.
 
 use std::time::Duration;
 
