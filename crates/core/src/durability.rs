@@ -10,16 +10,14 @@
 //! [`rebuild`], a plain function from the records the disk kept to the state
 //! they describe.
 
-use bamboo_forest::{
-    decode_committed_record, decode_qc_record, BlockForest, ForestError, Ledger, Snapshot,
-};
+use bamboo_forest::{BlockForest, CommittedBlock, ForestError, Ledger, Snapshot};
 use bamboo_protocols::{make_protocol, Safety};
 use bamboo_types::{Bytes, Config, ProtocolKind, QuorumCert, View};
 
 use crate::metrics::RecoveryStats;
 use crate::runtime::Step;
 use crate::storage::{
-    self, MemoryBackend, Record, RecordKind, ReplayResult, SegmentBackend, SegmentLog, StorageFault,
+    MemoryBackend, Record, RecordKind, ReplayResult, SegmentBackend, SegmentLog, StorageFault,
 };
 
 /// One replica's persistent state.
@@ -255,27 +253,28 @@ pub(crate) fn rebuild(
 
     let mut voted = View::GENESIS;
     let mut locked_qc: Option<QuorumCert> = None;
-    let mut restore = |payload: &[u8]| match storage::decode_safety_record(payload) {
-        Ok((view, qc)) => {
-            voted = voted.max(view);
-            if qc.is_some() {
-                locked_qc = qc;
-            }
-            true
+    let mut restore = |view: View, qc: Option<QuorumCert>| {
+        voted = voted.max(view);
+        if qc.is_some() {
+            locked_qc = qc;
         }
-        Err(_) => false,
     };
     stats.corrupt_records_discarded += replay.corrupt_records_discarded;
     let mut broken = false;
     for (kind, payload) in &replay.records {
-        let applied = match kind {
-            RecordKind::SafetyRecord => restore(payload),
+        let applied = match Record::decode(*kind, payload) {
+            Ok(Record::Safety(view, qc)) => {
+                restore(view, qc);
+                true
+            }
             _ if broken => false,
-            RecordKind::CommittedBlock => replay_committed(&mut state, payload),
-            RecordKind::Qc => decode_qc_record(payload)
-                .map(|qc| replay_qc(&mut state, qc))
-                .is_ok(),
-            RecordKind::CheckpointMarker => storage::decode_checkpoint_marker(payload).is_ok(),
+            Ok(Record::Committed(committed)) => replay_committed(&mut state, committed),
+            Ok(Record::Qc(qc)) => {
+                replay_qc(&mut state, qc);
+                true
+            }
+            Ok(Record::Marker(_)) => true,
+            Err(_) => false,
         };
         broken |= !applied;
         if broken {
@@ -285,7 +284,9 @@ pub(crate) fn rebuild(
         }
     }
     for payload in &replay.stray_safety_records {
-        restore(payload);
+        if let Ok(Record::Safety(view, qc)) = Record::decode(RecordKind::SafetyRecord, payload) {
+            restore(view, qc);
+        }
     }
 
     // Restore the safety-critical state: re-derive the lock through the
@@ -299,10 +300,7 @@ pub(crate) fn rebuild(
 
 /// Re-applies one durable committed-block record. Returns false when the
 /// record does not extend the recovered chain — the replay-ending signal.
-fn replay_committed(state: &mut Rebuilt, payload: &[u8]) -> bool {
-    let Ok(committed) = decode_committed_record(payload) else {
-        return false;
-    };
+fn replay_committed(state: &mut Rebuilt, committed: CommittedBlock) -> bool {
     let height = committed.block.height.as_u64();
     if height <= state.ledger.len() as u64 {
         // Already covered by the checkpoint image: the image subsumes every
@@ -365,6 +363,13 @@ pub(crate) mod testutil {
             };
             image.map_or_else(Vec::new, |(_, image)| image)
         }
+    }
+
+    /// A record as a replay reads it back: its kind and its payload.
+    pub(crate) fn as_read(record: &Record) -> (RecordKind, Vec<u8>) {
+        let mut payload = Vec::new();
+        record.encode_payload(&mut payload);
+        (record.kind(), payload)
     }
 
     /// Registers a three-of-four QC for stored block `id` in `view`.
@@ -443,7 +448,7 @@ mod tests {
     use super::testutil::*;
     use super::*;
     use crate::runtime::BufferedTransport;
-    use bamboo_forest::{chunks, encode_committed_record, encode_qc_record};
+    use bamboo_forest::chunks;
     use bamboo_sim::CpuModel;
     use bamboo_types::{SimDuration, SimTime};
     use std::sync::{Arc, Mutex};
@@ -455,10 +460,9 @@ mod tests {
         let mut records = Vec::new();
         for entry in ledger.iter().skip(from) {
             let qc = &entry.block.justify;
-            records.push((RecordKind::CommittedBlock, encode_committed_record(entry)));
-            records.push((RecordKind::Qc, encode_qc_record(qc)));
-            let voted = storage::encode_safety_record(entry.block.view, None);
-            records.push((RecordKind::SafetyRecord, voted));
+            records.push(as_read(&Record::Committed(entry.clone())));
+            records.push(as_read(&Record::Qc(qc.clone())));
+            records.push(as_read(&Record::Safety(entry.block.view, None)));
         }
         records
     }
@@ -518,9 +522,9 @@ mod tests {
         let replay = ReplayResult {
             records: records(&ledger, 0),
             stray_safety_records: vec![
-                storage::encode_safety_record(View(12), None),
+                as_read(&Record::Safety(View(12), None)).1,
                 b"not a safety record".to_vec(),
-                storage::encode_safety_record(View(7), None),
+                as_read(&Record::Safety(View(7), None)).1,
             ],
             corrupt_records_discarded: 3,
             ..ReplayResult::default()

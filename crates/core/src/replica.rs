@@ -805,12 +805,13 @@ mod tests {
 
     /// The highest vote watermark the durable log would restore.
     fn durable_voted_view(replica: &Replica) -> View {
-        use crate::storage::{decode_safety_record, RecordKind};
+        use crate::storage::Record;
         let replay = replica.storage().expect("durable log").replay();
-        (replay.records.iter())
-            .filter(|(kind, _)| *kind == RecordKind::SafetyRecord)
-            .map(|(_, payload)| decode_safety_record(payload).unwrap().0)
-            .fold(View::GENESIS, View::max)
+        let voted = |(kind, payload): &(_, Vec<u8>)| match Record::decode(*kind, payload) {
+            Ok(Record::Safety(view, _)) => Some(view),
+            _ => None,
+        };
+        (replay.records.iter().filter_map(voted)).fold(View::GENESIS, View::max)
     }
 
     #[test]

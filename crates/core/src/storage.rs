@@ -41,13 +41,12 @@ use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 use bamboo_forest::{
-    chunks, decode_qc_record, encode_committed_record, encode_qc_record, CommittedBlock, Cut,
-    SnapshotError,
+    chunks, decode_committed, encode_committed, CommittedBlock, Cut, SnapshotError,
 };
 use bamboo_types::wire::{
-    block_encoded_len, crc32_update, encode_opt_qc, opt_qc_encoded_len, qc_encoded_len,
+    crc32_update, decode_opt_qc, decode_qc, encode_opt_qc, encode_qc, put_u64, Count, Sink,
 };
-use bamboo_types::{QuorumCert, View};
+use bamboo_types::{QuorumCert, View, WireCursor};
 
 /// Frame overhead per record: `[u32 len][u32 crc][u8 kind]`.
 pub const RECORD_HEADER_BYTES: usize = 9;
@@ -68,10 +67,10 @@ fn crc_of(kind: u8, payload: &[u8]) -> u32 {
 /// What a log record carries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecordKind {
-    /// A committed ledger entry (block + commit metadata), encoded with
-    /// [`bamboo_forest::encode_committed_record`].
+    /// A committed ledger entry (block + commit metadata), written by
+    /// [`bamboo_forest::encode_committed`].
     CommittedBlock,
-    /// A quorum certificate, encoded with [`bamboo_forest::encode_qc_record`].
+    /// A quorum certificate, written by [`bamboo_types::wire::encode_qc`].
     Qc,
     /// Marks that the checkpoint image at the recorded height subsumes every
     /// earlier segment. Always the first record of a fresh segment.
@@ -102,18 +101,24 @@ impl RecordKind {
     }
 }
 
-fn frame_into(out: &mut Vec<u8>, kind: RecordKind, payload: &[u8]) {
-    out.reserve(RECORD_HEADER_BYTES + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc_of(kind.tag(), payload).to_be_bytes());
-    out.push(kind.tag());
-    out.extend_from_slice(payload);
+/// Frames what `write` puts as one record of `kind`: the header goes in
+/// first and its length and CRC are patched in once the payload is written.
+fn frame_into(out: &mut Vec<u8>, kind: RecordKind, write: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; RECORD_HEADER_BYTES]);
+    write(out);
+    let payload = &out[start + RECORD_HEADER_BYTES..];
+    let (len, crc) = (payload.len() as u32, crc_of(kind.tag(), payload));
+    out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_be_bytes());
+    out[start + 8] = kind.tag();
 }
 
 /// One log record, held as the values its payload encodes — for blocks and
-/// QCs, the shared handles the replica already owns. Its framed length is
-/// exact without laying it out; [`Record::encode_into`] frames the payload
-/// the record codecs produce, the one layout.
+/// QCs, the shared handles the replica already owns. Each kind's payload has
+/// one writer, [`Record::encode_payload`], and one reader,
+/// [`Record::decode`]; the framed length is the header plus that writer's
+/// count, so it is known without laying the record out.
 #[derive(Clone, Debug)]
 pub enum Record {
     /// A committed ledger entry ([`RecordKind::CommittedBlock`]).
@@ -122,7 +127,8 @@ pub enum Record {
     Qc(QuorumCert),
     /// The height of the checkpoint image ([`RecordKind::CheckpointMarker`]).
     Marker(u64),
-    /// The voted view and locked QC ([`RecordKind::SafetyRecord`]).
+    /// The voted view and locked QC ([`RecordKind::SafetyRecord`]):
+    /// `[u64 voted_view][optional QC]`.
     Safety(View, Option<QuorumCert>),
 }
 
@@ -137,77 +143,50 @@ impl Record {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
+    /// Writes the payload, without the frame.
+    pub fn encode_payload(&self, out: &mut impl Sink) {
         match self {
-            Record::Committed(committed) => encode_committed_record(committed),
-            Record::Qc(qc) => encode_qc_record(qc),
-            Record::Marker(height) => encode_checkpoint_marker(*height),
-            Record::Safety(view, locked) => encode_safety_record(*view, locked.as_ref()),
+            Record::Committed(committed) => encode_committed(out, committed),
+            Record::Qc(qc) => encode_qc(out, qc),
+            Record::Marker(height) => put_u64(out, *height),
+            Record::Safety(view, locked) => {
+                put_u64(out, view.as_u64());
+                encode_opt_qc(out, locked.as_ref());
+            }
         }
     }
 
-    /// Exactly the bytes [`Record::encode_into`] appends, header included.
+    /// Reads a payload of `kind` back. Trailing bytes are an integrity
+    /// violation, not slack: log records are exact.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`SnapshotError`] describing the first structural or
+    /// integrity violation.
+    pub fn decode(kind: RecordKind, payload: &[u8]) -> Result<Record, SnapshotError> {
+        let mut cur = WireCursor::new(payload);
+        let record = match kind {
+            RecordKind::CommittedBlock => Record::Committed(decode_committed(&mut cur)?),
+            RecordKind::Qc => Record::Qc(decode_qc(&mut cur)?),
+            RecordKind::CheckpointMarker => Record::Marker(cur.u64()?),
+            RecordKind::SafetyRecord => Record::Safety(View(cur.u64()?), decode_opt_qc(&mut cur)?),
+        };
+        if !cur.done() {
+            return Err(SnapshotError::Corrupt("trailing bytes after record"));
+        }
+        Ok(record)
+    }
+
+    /// The bytes [`Record::encode_into`] appends: the header plus the count
+    /// of [`Record::encode_payload`].
     pub fn framed_len(&self) -> usize {
-        RECORD_HEADER_BYTES
-            + match self {
-                Record::Committed(committed) => block_encoded_len(&committed.block) + 8 + 8,
-                Record::Qc(qc) => qc_encoded_len(qc),
-                Record::Marker(_) => 8,
-                Record::Safety(_, locked) => 8 + opt_qc_encoded_len(locked.as_ref()),
-            }
+        RECORD_HEADER_BYTES + Count::of(|out| self.encode_payload(out))
     }
 
     /// Lays the framed record out at the end of `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        frame_into(out, self.kind(), &self.payload());
-        debug_assert_eq!(
-            out.len() - start,
-            self.framed_len(),
-            "record length is exact"
-        );
+        frame_into(out, self.kind(), |out| self.encode_payload(out));
     }
-}
-
-/// Encodes the pre-vote safety state: `[u64 voted_view][u8 tag][qc…]`.
-pub fn encode_safety_record(voted_view: View, locked_qc: Option<&QuorumCert>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + opt_qc_encoded_len(locked_qc));
-    out.extend_from_slice(&voted_view.as_u64().to_be_bytes());
-    encode_opt_qc(&mut out, locked_qc);
-    out
-}
-
-/// Decodes a payload produced by [`encode_safety_record`].
-///
-/// # Errors
-///
-/// Returns the [`SnapshotError`] describing the first structural violation.
-pub fn decode_safety_record(bytes: &[u8]) -> Result<(View, Option<QuorumCert>), SnapshotError> {
-    if bytes.len() < 9 {
-        return Err(SnapshotError::Truncated);
-    }
-    let view = View(u64::from_be_bytes(bytes[..8].try_into().expect("8 bytes")));
-    match bytes[8] {
-        0 if bytes.len() == 9 => Ok((view, None)),
-        0 => Err(SnapshotError::Corrupt("trailing bytes after record")),
-        1 => Ok((view, Some(decode_qc_record(&bytes[9..])?))),
-        _ => Err(SnapshotError::Corrupt("invalid option tag")),
-    }
-}
-
-/// Encodes a checkpoint marker payload: the committed height of the image.
-pub fn encode_checkpoint_marker(height: u64) -> Vec<u8> {
-    height.to_be_bytes().to_vec()
-}
-
-/// Decodes a payload produced by [`encode_checkpoint_marker`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::Truncated`] unless the payload is exactly 8 bytes.
-pub fn decode_checkpoint_marker(bytes: &[u8]) -> Result<u64, SnapshotError> {
-    let arr: [u8; 8] = bytes.try_into().map_err(|_| SnapshotError::Truncated)?;
-    Ok(u64::from_be_bytes(arr))
 }
 
 // ---- stream decoding ---------------------------------------------------------
@@ -1083,7 +1062,9 @@ impl SegmentLog {
         }
         self.watermark = watermark.map(|payload| {
             let mut framed = Vec::new();
-            frame_into(&mut framed, RecordKind::SafetyRecord, &payload);
+            frame_into(&mut framed, RecordKind::SafetyRecord, |out| {
+                out.put(&payload)
+            });
             StoredRecord::Bytes(framed)
         });
         match segments.last() {
@@ -1146,7 +1127,7 @@ impl SegmentLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durability::testutil::{chain, grow, sprout};
+    use crate::durability::testutil::{as_read, chain, grow, sprout};
     use std::sync::Arc;
 
     /// Deterministic xorshift — the tests must not depend on external RNGs.
@@ -1192,7 +1173,7 @@ mod tests {
 
     /// What a replay reads back for `records`.
     fn read_back(records: &[Record]) -> Vec<(RecordKind, Vec<u8>)> {
-        records.iter().map(|r| (r.kind(), r.payload())).collect()
+        records.iter().map(as_read).collect()
     }
 
     fn append_all(log: &mut SegmentLog, records: &[Record]) {
@@ -1221,6 +1202,13 @@ mod tests {
             assert_eq!(replay.records, read_back(&records), "seed {seed}");
             assert_eq!(replay.corrupt_records_discarded, 0);
             assert!(replay.bytes_read > 0);
+            // Each record's counted length is the bytes it lays out.
+            let mut bytes = vec![0xA5; 3];
+            for record in &records {
+                let start = bytes.len();
+                record.encode_into(&mut bytes);
+                assert_eq!(bytes.len() - start, record.framed_len(), "seed {seed}");
+            }
         }
     }
 
@@ -1346,7 +1334,7 @@ mod tests {
         assert_eq!(replay.checkpoint, Some((30, image)));
         // Everything before the cut is pruned except the newest safety
         // record, re-appended right behind the marker.
-        let mut expected = vec![(RecordKind::CheckpointMarker, encode_checkpoint_marker(30))];
+        let mut expected = vec![as_read(&Record::Marker(30))];
         expected.extend(watermark_of(&read_back(&pre)));
         assert_eq!(expected.len(), 2, "the seed logs a safety record");
         expected.extend(read_back(&post));
@@ -1556,17 +1544,22 @@ mod tests {
 
     #[test]
     fn safety_record_codec_round_trips() {
-        let (view, qc) = decode_safety_record(&encode_safety_record(View(17), None)).unwrap();
-        assert_eq!(view, View(17));
-        assert!(qc.is_none());
+        let decode = |kind, payload: &[u8]| Record::decode(kind, payload);
         let genesis = QuorumCert::genesis();
-        let (view, qc) =
-            decode_safety_record(&encode_safety_record(View(99), Some(&genesis))).unwrap();
-        assert_eq!(view, View(99));
-        assert_eq!(qc, Some(genesis));
-        assert!(decode_safety_record(&[1, 2, 3]).is_err());
-        assert!(decode_checkpoint_marker(&encode_checkpoint_marker(7)).unwrap() == 7);
-        assert!(decode_checkpoint_marker(&[0; 7]).is_err());
+        for locked in [None, Some(genesis)] {
+            let (kind, payload) = as_read(&Record::Safety(View(17), locked.clone()));
+            let Ok(Record::Safety(view, qc)) = decode(kind, &payload) else {
+                panic!("a safety record reads back as one");
+            };
+            assert_eq!((view, qc), (View(17), locked));
+            let trailing = [&payload[..], &[0]].concat();
+            let refused = Some(SnapshotError::Corrupt("trailing bytes after record"));
+            assert_eq!(decode(kind, &trailing).err(), refused);
+        }
+        assert!(decode(RecordKind::SafetyRecord, &[1, 2, 3]).is_err());
+        let (kind, payload) = as_read(&Record::Marker(7));
+        assert!(matches!(decode(kind, &payload), Ok(Record::Marker(7))));
+        assert!(decode(RecordKind::CheckpointMarker, &[0; 7]).is_err());
     }
 
     #[test]

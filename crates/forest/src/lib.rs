@@ -25,6 +25,5 @@ pub mod snapshot;
 pub use forest::{BlockForest, ForestError, ForestStats};
 pub use ledger::{ChainFingerprint, CommittedBlock, ExecWindow, Ledger, WINDOW};
 pub use snapshot::{
-    chunks, decode_committed_record, decode_qc_record, encode_committed_record, encode_qc_record,
-    Chunk, Cut, Snapshot, SnapshotError,
+    chunks, decode_committed, encode_committed, Chunk, Cut, Snapshot, SnapshotError,
 };

@@ -15,9 +15,15 @@
 //! Taking a checkpoint and laying it out are two steps. [`Snapshot::cut`]
 //! captures a chunk's contents as shared handles — the ledger entries are
 //! the ledger's own `Arc`s, the head a pre-order list of the forest's — plus
-//! the exact length the chunk will encode to, without writing a byte.
-//! [`Cut::encode_into`] is the one place a chunk is laid out; a holder that
-//! keeps the cut pays for the bytes only when someone reads them.
+//! the length the chunk will encode to, without writing a byte: the body
+//! writer [`Cut::encode_into`] lays out is run once into a
+//! [`bamboo_types::wire::Count`]. A holder that keeps the cut pays for the
+//! bytes only when someone reads them.
+//!
+//! A committed ledger entry has one layout, written by [`encode_committed`]
+//! and read by [`decode_committed`]: a chunk body carries a run of them, and
+//! the durable segment log (`bamboo-core`'s storage module) frames one per
+//! record.
 //!
 //! ```text
 //! chunk := "BSNP" | u16 version | u32 body_len | u32 crc32(body) | body
@@ -43,8 +49,8 @@
 //! decoding instead of poisoning the forest.
 
 use bamboo_types::wire::{
-    block_encoded_len, crc32, decode_block, decode_opt_qc, decode_qc, encode_block, encode_opt_qc,
-    encode_qc, opt_qc_encoded_len, put_u16, put_u32, put_u64, qc_encoded_len,
+    crc32, decode_block, decode_opt_qc, decode_qc, encode_block, encode_opt_qc, encode_qc, put_u16,
+    put_u32, put_u64, Count, Sink,
 };
 use bamboo_types::{Block, BlockId, Height, QuorumCert, SharedBlock, SimTime, View, WireCursor};
 
@@ -107,7 +113,8 @@ impl Cut {
         self.from + self.entries.len() as u64
     }
 
-    /// Exactly the bytes [`Cut::encode_into`] appends, header included.
+    /// The bytes [`Cut::encode_into`] appends: the header plus the body
+    /// writer's count, taken when the chunk was cut.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -120,13 +127,18 @@ impl Cut {
         put_u16(out, VERSION);
         put_u32(out, (self.len - CHUNK_HEADER_BYTES) as u32);
         out.extend_from_slice(&[0; 4]); // CRC, patched below
+        self.encode_body(out);
+        let crc = crc32(&out[start + CHUNK_HEADER_BYTES..]);
+        out[start + 10..start + CHUNK_HEADER_BYTES].copy_from_slice(&crc.to_be_bytes());
+    }
 
+    /// The chunk body: the one writer both [`Cut::encode_into`] and the
+    /// length count run.
+    fn encode_body(&self, out: &mut impl Sink) {
         put_u64(out, self.from);
         put_u32(out, self.entries.len() as u32);
         for committed in &self.entries {
-            encode_block(out, &committed.block);
-            put_u64(out, committed.committed_in_view.as_u64());
-            put_u64(out, committed.committed_at.as_nanos());
+            encode_committed(out, committed);
         }
         put_u64(out, self.committed_blocks);
         put_u64(out, self.forked_blocks);
@@ -139,10 +151,6 @@ impl Cut {
             put_u32(out, *children);
         }
         encode_qc(out, &self.high_qc);
-
-        let crc = crc32(&out[start + CHUNK_HEADER_BYTES..]);
-        out[start + 10..start + CHUNK_HEADER_BYTES].copy_from_slice(&crc.to_be_bytes());
-        debug_assert_eq!(out.len() - start, self.len, "cut length is exact");
     }
 
     /// The chunk's bytes.
@@ -244,37 +252,19 @@ impl Snapshot {
             ));
             stack.extend(children.iter().rev());
         }
-        let root_qc = forest.qc_of(root).cloned();
-        let high_qc = forest.high_qc().clone();
-
-        let entry_bytes: usize = (entries.iter())
-            .map(|committed| block_encoded_len(&committed.block) + 8 + 8)
-            .sum();
-        let head_bytes: usize = (head.iter())
-            .map(|(block, qc, _)| block_encoded_len(block) + opt_qc_encoded_len(qc.as_ref()) + 4)
-            .sum();
-        let len = CHUNK_HEADER_BYTES
-            + 8
-            + 4
-            + entry_bytes
-            + 8
-            + 8
-            + opt_qc_encoded_len(root_qc.as_ref())
-            + 4
-            + 4
-            + head_bytes
-            + qc_encoded_len(&high_qc);
-        Cut {
+        let mut cut = Cut {
             from: from as u64,
             entries,
             committed_blocks: stats.committed_blocks,
             forked_blocks: stats.forked_blocks,
-            root_qc,
+            root_qc: forest.qc_of(root).cloned(),
             root_children: forest.children(root).len() as u32,
             head,
-            high_qc,
-            len,
-        }
+            high_qc: forest.high_qc().clone(),
+            len: 0,
+        };
+        cut.len = CHUNK_HEADER_BYTES + Count::of(|out| cut.encode_body(out));
+        cut
     }
 
     /// Decodes an image: one or more consecutive chunks starting at
@@ -319,14 +309,7 @@ impl Snapshot {
             let mut cur = WireCursor::new(&body[12..]);
             committed.reserve(cur.count(chunk.to - chunk.from, Block::HEADER_BYTES + 8 + 8)?);
             for _ in chunk.from..chunk.to {
-                let block = SharedBlock::new(decode_block(&mut cur)?);
-                let committed_in_view = View(cur.u64()?);
-                let committed_at = SimTime(cur.u64()?);
-                committed.push(CommittedBlock {
-                    block,
-                    committed_in_view,
-                    committed_at,
-                });
+                committed.push(decode_committed(&mut cur)?);
             }
             // Only the newest head counts; older ones are skipped unparsed.
             head = Some(cur);
@@ -396,66 +379,28 @@ impl Snapshot {
     }
 }
 
-// ---- log record codecs ------------------------------------------------------
-//
-// The durable segment log (`bamboo-core`'s `storage` module) frames opaque
-// payloads; these functions give it the exact encoding the snapshot uses for
-// its own blocks and QCs, so one canonical byte layout serves both the
-// checkpoint image and the per-record log that extends it.
+// ---- committed entries --------------------------------------------------------
 
-/// Encodes one committed-ledger entry (block + commit metadata) as a
-/// standalone log-record payload.
-pub fn encode_committed_record(committed: &CommittedBlock) -> Vec<u8> {
-    let mut out = Vec::with_capacity(block_encoded_len(&committed.block) + 8 + 8);
-    encode_block(&mut out, &committed.block);
-    put_u64(&mut out, committed.committed_in_view.as_u64());
-    put_u64(&mut out, committed.committed_at.as_nanos());
-    out
+/// Writes one committed ledger entry: the block, then its commit view and
+/// commit time. A chunk body carries a run of these, and a log record one.
+pub fn encode_committed(out: &mut impl Sink, committed: &CommittedBlock) {
+    encode_block(out, &committed.block);
+    put_u64(out, committed.committed_in_view.as_u64());
+    put_u64(out, committed.committed_at.as_nanos());
 }
 
-/// Decodes a payload produced by [`encode_committed_record`]. Trailing bytes
-/// are an integrity violation, not slack: log records are exact.
+/// Reads one entry [`encode_committed`] wrote.
 ///
 /// # Errors
 ///
 /// Returns the [`SnapshotError`] describing the first structural or
 /// integrity violation.
-pub fn decode_committed_record(bytes: &[u8]) -> Result<CommittedBlock, SnapshotError> {
-    let mut cur = WireCursor::new(bytes);
-    let block = SharedBlock::new(decode_block(&mut cur)?);
-    let committed_in_view = View(cur.u64()?);
-    let committed_at = SimTime(cur.u64()?);
-    if !cur.done() {
-        return Err(SnapshotError::Corrupt("trailing bytes after record"));
-    }
+pub fn decode_committed(cur: &mut WireCursor<'_>) -> Result<CommittedBlock, SnapshotError> {
     Ok(CommittedBlock {
-        block,
-        committed_in_view,
-        committed_at,
+        block: SharedBlock::new(decode_block(cur)?),
+        committed_in_view: View(cur.u64()?),
+        committed_at: SimTime(cur.u64()?),
     })
-}
-
-/// Encodes a quorum certificate as a standalone log-record payload.
-pub fn encode_qc_record(qc: &QuorumCert) -> Vec<u8> {
-    let mut out = Vec::with_capacity(qc_encoded_len(qc));
-    encode_qc(&mut out, qc);
-    out
-}
-
-/// Decodes a payload produced by [`encode_qc_record`], rejecting trailing
-/// bytes.
-///
-/// # Errors
-///
-/// Returns the [`SnapshotError`] describing the first structural or
-/// integrity violation.
-pub fn decode_qc_record(bytes: &[u8]) -> Result<QuorumCert, SnapshotError> {
-    let mut cur = WireCursor::new(bytes);
-    let qc = decode_qc(&mut cur)?;
-    if !cur.done() {
-        return Err(SnapshotError::Corrupt("trailing bytes after record"));
-    }
-    Ok(qc)
 }
 
 #[cfg(test)]
@@ -659,6 +604,12 @@ mod tests {
                 Snapshot::encode(&chunked.forest, &chunked.ledger),
                 Snapshot::encode(&whole.forest, &whole.ledger)
             );
+            // A cut's length is what it lays out, re-basing or continuing.
+            for from in [0, ledger.len() / 2] {
+                let cut = Snapshot::cut(&forest, &ledger, from);
+                assert_eq!(cut.from() == 0, from == 0);
+                assert_eq!(cut.len(), cut.encode().len(), "trial {trial} from {from}");
+            }
         }
     }
 

@@ -115,10 +115,16 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
+/// Appends the header of a frame whose payload is `payload_len` bytes: the
+/// length, then the kind.
+pub(crate) fn put_frame_header(out: &mut Vec<u8>, kind: FrameKind, payload_len: usize) {
+    put_u32(out, payload_len as u32);
+    out.push(kind as u8);
+}
+
 /// Appends one framed payload to `out`.
 pub fn frame_into(out: &mut Vec<u8>, kind: FrameKind, payload: &[u8]) {
-    put_u32(out, payload.len() as u32);
-    out.push(kind as u8);
+    put_frame_header(out, kind, payload.len());
     out.extend_from_slice(payload);
 }
 

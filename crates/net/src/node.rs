@@ -41,12 +41,13 @@ use bamboo_core::live::{
 };
 use bamboo_core::runtime::{NodeHost, RecoverMode};
 use bamboo_core::verify::{VerifyHandle, VerifyPool};
-use bamboo_types::wire::encode_message;
+use bamboo_types::wire::{encode_message_into, encoded_len};
 use bamboo_types::{Authenticator, ClientRequest, Message, NodeId};
 
 use crate::frame::{
     decode_client_batch, decode_hello, decode_peer_table, decode_status, encode_frame,
-    encode_status_reply, hello_proves, FrameDecoder, FrameKind, StatusReply, CLIENT_SENDER,
+    encode_status_reply, hello_proves, put_frame_header, FrameDecoder, FrameKind, StatusReply,
+    CLIENT_SENDER, FRAME_HEADER_BYTES,
 };
 use crate::peer::{BackoffPolicy, PeerSender};
 
@@ -64,8 +65,14 @@ struct SocketLink {
     known: Vec<bool>,
 }
 
+/// A consensus message as a frame, written once: the header, then the
+/// message straight behind it in the same buffer.
 fn message_frame(message: &Message) -> Arc<[u8]> {
-    encode_frame(FrameKind::Msg, &encode_message(message)).into()
+    let len = encoded_len(message);
+    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + len);
+    put_frame_header(&mut frame, FrameKind::Msg, len);
+    encode_message_into(&mut frame, message);
+    frame.into()
 }
 
 impl Link for SocketLink {
@@ -412,8 +419,58 @@ fn run_reader(
 mod tests {
     use super::*;
     use crate::frame::{encode_hello, read_challenge};
-    use bamboo_types::{Config, ProtocolKind};
+    use bamboo_crypto::KeyPair;
+    use bamboo_types::wire::encode_message;
+    use bamboo_types::{
+        Block, BlockId, Bytes, Config, Handoff, Height, ProtocolKind, QuorumCert, SimTime,
+        SyncRequest, SyncResponse, TimeoutCert, TimeoutVote, Transaction, View, Vote,
+    };
     use std::time::Instant;
+
+    #[test]
+    fn a_message_frame_is_the_frame_of_its_encoding() {
+        let kp = KeyPair::from_seed(0);
+        let txs: Vec<Transaction> = (0..3)
+            .map(|i| Transaction::new(NodeId(1_000_000 + i), i, 16, SimTime(i)))
+            .collect();
+        let block = Block::new(
+            View(3),
+            Height(1),
+            BlockId::GENESIS,
+            NodeId(2),
+            QuorumCert::genesis(),
+            txs.clone(),
+        );
+        let vote = Vote::new(block.id, block.view, NodeId(1), &kp);
+        let high_qc = QuorumCert::from_votes(block.id, block.view, std::slice::from_ref(&vote));
+        let tv = TimeoutVote::new(View(9), NodeId(2), high_qc.clone(), &kp);
+        let messages = [
+            Message::Proposal(block.clone().into()),
+            Message::Vote(vote),
+            Message::Timeout(tv.clone()),
+            Message::TimeoutCertMsg(TimeoutCert::from_votes(View(9), &[tv])),
+            Message::SyncRequest(SyncRequest::new(NodeId(3), block.id, block.height, &kp)),
+            Message::SyncResponse(SyncResponse {
+                responder: NodeId(0),
+                snapshot: Some(Bytes::from(&b"chunk bytes"[..])),
+                blocks: vec![block.into()],
+                high_qc,
+            }),
+            Message::Handoff(Handoff {
+                view: View(12),
+                txs,
+            }),
+        ];
+        for message in &messages {
+            let expected = encode_frame(FrameKind::Msg, &encode_message(message));
+            assert_eq!(
+                &message_frame(message)[..],
+                &expected[..],
+                "{}",
+                message.tag()
+            );
+        }
+    }
 
     /// Dials `addr`, answers the challenge with `hello(challenge)` and a
     /// status probe; returns whether the probe was answered.

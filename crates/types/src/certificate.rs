@@ -316,7 +316,8 @@ mod tests {
         let heap = 16 + 32 + 8 * qc.signatures.bitset().len();
         assert!(heap <= 64, "{heap} B");
         // On the wire it is the claim, one bitset word and the aggregate.
-        assert_eq!(crate::wire::qc_encoded_len(&qc), 32 + 8 + 2 + 8 + 32);
+        let len = crate::wire::Count::of(|out| crate::wire::encode_qc(out, &qc));
+        assert_eq!(len, 32 + 8 + 2 + 8 + 32);
     }
 
     #[test]

@@ -159,12 +159,13 @@ fn every_canonical_codec_fails_or_round_trips() {
         assert!(!accepted.is_empty(), "{}", m.tag());
     }
     let qc = committed().block.justify.clone();
-    let accepted = assert_mutations_fail_or_round_trip(&qc, fresh(encode_qc), decode_qc);
+    let encode = fresh(encode_qc);
+    let accepted = assert_mutations_fail_or_round_trip(&qc, &encode, decode_qc);
     // Every value of the claim, the bitset and the aggregate decodes (the
     // authenticator judges it) except the one that zeroes the bitset's last
     // word; no other value of the word count does.
     let sets = accepted.iter().filter(|span| span.len() == 1).count();
-    assert_eq!(sets, 255 * qc_encoded_len(&qc) - 2 * 255 - 1);
+    assert_eq!(sets, 255 * encode(&qc).len() - 2 * 255 - 1);
     let opt = |out: &mut Vec<u8>, qc: &Option<QuorumCert>| encode_opt_qc(out, qc.as_ref());
     for qc in [None, Some(qc)] {
         assert_mutations_fail_or_round_trip(&qc, fresh(opt), decode_opt_qc);
@@ -200,17 +201,20 @@ fn every_canonical_codec_fails_or_round_trips() {
     let mut reply = StatusReply::default();
     reply.net.peers = vec![(0, PeerStats::default()), (1, PeerStats::default())];
     assert_mutations_fail_or_round_trip(&reply, encode_status_reply, whole(decode_status_reply));
-    // The segment log's record payloads.
-    let (committed, decode) = (committed(), whole(decode_committed_record));
-    assert_mutations_fail_or_round_trip(&committed, encode_committed_record, decode);
+    // The segment log's record payloads, each read back by its kind.
+    let committed = committed();
     let qc = committed.block.justify.clone();
-    assert_mutations_fail_or_round_trip(&qc, encode_qc_record, whole(decode_qc_record));
-    let marker = |height: &u64| encode_checkpoint_marker(*height);
-    assert_mutations_fail_or_round_trip(&2, marker, whole(decode_checkpoint_marker));
-    let safety = |(view, qc): &(View, Option<QuorumCert>)| encode_safety_record(*view, qc.as_ref());
-    let decode = whole(decode_safety_record);
-    for locked in [None, Some(qc)] {
-        assert_mutations_fail_or_round_trip(&(View(4), locked), safety, &decode);
+    let payload = fresh(|out: &mut Vec<u8>, record: &Record| record.encode_payload(out));
+    for record in [
+        Record::Committed(committed),
+        Record::Qc(qc.clone()),
+        Record::Marker(2),
+        Record::Safety(View(4), None),
+        Record::Safety(View(4), Some(qc)),
+    ] {
+        let kind = record.kind();
+        let decode = |cur: &mut WireCursor| Record::decode(kind, cur.take(cur.remaining())?);
+        assert_mutations_fail_or_round_trip(&record, &payload, decode);
     }
 }
 
