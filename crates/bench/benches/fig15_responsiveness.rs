@@ -28,7 +28,7 @@
 //! replicas read as seeds that "did not recover".
 
 use bamboo_bench::{banner, bench_rows, eval_config, save_rows, Higher, Sim, EVAL_SEED};
-use bamboo_core::{run_all, FluctuationWindow, RunOptions, RunReport};
+use bamboo_core::{run_all, LinkFault, RunOptions, RunReport};
 use bamboo_types::{NodeId, ProtocolKind, SimDuration, SimTime};
 
 /// Offered load of every run.
@@ -56,11 +56,12 @@ fn main() {
     //   4-8 s    : network fluctuation, one-way delays 10..100 ms
     //   10 s onw.: node 0 crashes (silence)
     let total = SimDuration::from_secs(14);
-    let fluctuation = FluctuationWindow {
-        start: SimTime::ZERO + SimDuration::from_secs(4),
-        end: SimTime::ZERO + SimDuration::from_secs(8),
+    let fluctuation_end = SimTime::ZERO + SimDuration::from_secs(8);
+    let fluctuation = LinkFault::Fluctuation {
         min_extra: SimDuration::from_millis(10),
         max_extra: SimDuration::from_millis(100),
+        start: SimTime::ZERO + SimDuration::from_secs(4),
+        end: fluctuation_end,
     };
     let crash_at = SimTime::ZERO + SimDuration::from_secs(10);
 
@@ -80,7 +81,7 @@ fn main() {
             config.timeout = SimDuration::from_millis(timeout_ms);
             config.arrival_rate = Some(OFFERED_TX_PER_SEC);
             let options = RunOptions {
-                fluctuations: vec![fluctuation],
+                link_faults: vec![fluctuation],
                 silence_node_from: Some((NodeId(0), crash_at)),
                 // In the t100 setting the paper makes every protocol wait for
                 // the timeout after a view change; in the t10 setting all
@@ -123,7 +124,7 @@ fn main() {
         let committed = report.committed_txs as f64;
         let flushed = grid
             .iter()
-            .filter(|report| recovered(report, fluctuation.end, bucket))
+            .filter(|report| recovered(report, fluctuation_end, bucket))
             .count();
         let share = flushed as f64 / SEEDS.len() as f64;
         out.point(

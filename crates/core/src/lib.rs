@@ -74,7 +74,7 @@ pub mod threaded;
 pub mod verify;
 pub mod workload;
 
-pub use bamboo_sim::{DelayDist, FluctuationWindow, LinkFault, Topology};
+pub use bamboo_sim::{DelayDist, LinkFault, Topology};
 pub use live::{ClusterReport, LiveCluster};
 pub use metrics::{
     LatencyStats, MempoolStats, Metrics, RecoveryReport, RecoveryStats, RunReport,

@@ -54,9 +54,7 @@
 
 use std::sync::mpsc;
 
-use bamboo_sim::{
-    EventQueue, FluctuationWindow, LatencyModel, LinkFault, NicModel, Popped, SimRng, Topology,
-};
+use bamboo_sim::{EventQueue, LatencyModel, LinkFault, NicModel, Popped, SimRng, Topology};
 use bamboo_types::{
     Authenticator, ClientRequest, Config, NodeId, ProtocolKind, SharedMessage, SimDuration,
     SimTime, VerifiedMessage, VerifiedRequests, View,
@@ -121,9 +119,9 @@ pub struct RunOptions {
     /// Crash (silence) one node from a given time onwards — used by the
     /// responsiveness experiment.
     pub silence_node_from: Option<(NodeId, SimTime)>,
-    /// Network-fluctuation windows injected into the latency model.
-    pub fluctuations: Vec<FluctuationWindow>,
-    /// Additional link faults (partitions, group partitions, slow nodes).
+    /// Link faults injected into the latency model (partitions, group
+    /// partitions, slow nodes, fluctuation windows); fluctuations draw their
+    /// extra delays in this list's order.
     pub link_faults: Vec<LinkFault>,
     /// Scheduled node crashes/recoveries (time- or view-triggered).
     pub node_faults: Vec<NodeFault>,
@@ -152,7 +150,6 @@ impl Default for RunOptions {
         Self {
             replica: ReplicaOptions::default(),
             silence_node_from: None,
-            fluctuations: Vec::new(),
             link_faults: Vec::new(),
             node_faults: Vec::new(),
             topology: None,
@@ -161,6 +158,29 @@ impl Default for RunOptions {
             observer: None,
             max_events: 200_000_000,
             threads: 1,
+        }
+    }
+}
+
+impl RunOptions {
+    /// Fits a fault schedule written for a run of `runtime` into a run of
+    /// `new_runtime`: every [`FaultTrigger::At`] and every link-fault window
+    /// is multiplied by `new_runtime / runtime`, so the schedule keeps its
+    /// shape. View triggers and the faults' extra delays are not scaled.
+    pub fn scale_fault_times(&mut self, runtime: SimDuration, new_runtime: SimDuration) {
+        let scale = new_runtime.as_nanos() as f64 / runtime.as_nanos() as f64;
+        let scaled = |at: &mut SimTime| at.0 = (at.0 as f64 * scale) as u64;
+        for fault in &mut self.node_faults {
+            for trigger in std::iter::once(&mut fault.crash).chain(&mut fault.recover) {
+                if let FaultTrigger::At(at) = trigger {
+                    scaled(at);
+                }
+            }
+        }
+        for fault in &mut self.link_faults {
+            let (start, end) = fault.window_mut();
+            scaled(start);
+            scaled(end);
         }
     }
 }
@@ -343,9 +363,6 @@ impl SimRunner {
         });
         let mut latency = LatencyModel::with_topology(topology)
             .with_extra_delay(config.extra_delay, config.extra_delay_jitter);
-        for window in &options.fluctuations {
-            latency.add_fluctuation(*window);
-        }
         for fault in &options.link_faults {
             latency.add_fault(*fault);
         }

@@ -15,8 +15,8 @@
 //!   fluctuation windows, slow nodes, heterogeneous per-node CPU,
 //! * the run length, seed and a set of declarative **expectations**.
 //!
-//! Executing a scenario compiles the spec into `(Config, RunOptions)` pairs
-//! — one per protocol — runs them through [`SimRunner`] (twice, to prove the
+//! Executing a scenario builds the spec's `(Config, RunOptions)` pair for a
+//! tier, runs it for every protocol through [`SimRunner`] (twice, to prove the
 //! replay is deterministic), and produces a [`ScenarioReport`]: throughput,
 //! latency percentiles, chain growth, auth rejections and the ledger
 //! fingerprint per protocol, plus a list of failures (safety violations,
@@ -27,21 +27,22 @@
 //! Scenarios carry two measurement windows: the full `runtime_ms` used by
 //! the nightly sweep and a shorter `quick_runtime_ms` used by the gating
 //! `--quick` tier. In quick mode every *time-based* fault window is scaled
-//! by `quick_runtime / runtime`, so the schedule keeps its shape;
-//! view-triggered boundaries are left untouched.
+//! by `quick_runtime / runtime` ([`RunOptions::scale_fault_times`]), so the
+//! schedule keeps its shape; view-triggered boundaries are left untouched.
 //!
-//! The engine is three steps, one file each: `spec` reads the JSON into a
-//! [`Scenario`], `schedule` compiles its fault list for a tier, `expect`
-//! audits the finished runs.
+//! The engine is two files: `spec` reads the JSON into a [`Scenario`] —
+//! its faults straight into the runner's own [`NodeFault`]s and
+//! [`LinkFault`]s at the full tier — and `expect` audits the finished runs.
+//!
+//! [`NodeFault`]: crate::runner::NodeFault
+//! [`LinkFault`]: bamboo_sim::LinkFault
 
 mod expect;
-mod schedule;
 mod spec;
 
 use bamboo_types::{Config, Json, ProtocolKind, SimDuration, ToJson};
 
 pub use self::expect::Expectations;
-use self::schedule::FaultSpec;
 use crate::metrics::RunReport;
 use crate::runner::{RunOptions, SimRunner};
 
@@ -58,10 +59,9 @@ pub struct Scenario {
     pub expect: Expectations,
     base: Config,
     quick_runtime: SimDuration,
-    /// Everything of the run options no tier changes: topology, per-node CPU,
-    /// replica switches. [`Scenario::build`] adds the compiled faults.
+    /// The run options of the full tier, fault schedule and observer
+    /// included; [`Scenario::build`] scales the faults for the quick tier.
     options: RunOptions,
-    faults: Vec<FaultSpec>,
 }
 
 /// One protocol's result within a scenario.
@@ -127,12 +127,16 @@ impl Scenario {
         self.base.nodes
     }
 
-    /// Compiles the spec into the `(Config, RunOptions)` pair one protocol
-    /// run executes. In quick mode, time-based fault windows are scaled by
-    /// `quick_runtime / runtime` so the schedule keeps its shape inside the
-    /// shorter window.
+    /// The `(Config, RunOptions)` pair one protocol run executes. In quick
+    /// mode the run is `quick_runtime` long and its time-based fault windows
+    /// are scaled to fit ([`RunOptions::scale_fault_times`]).
     pub fn build(&self, quick: bool) -> (Config, RunOptions) {
-        schedule::compile(self, quick)
+        let (mut config, mut options) = (self.base.clone(), self.options.clone());
+        if quick {
+            config.runtime = self.quick_runtime;
+            options.scale_fault_times(self.base.runtime, self.quick_runtime);
+        }
+        (config, options)
     }
 
     /// Runs one protocol of the scenario twice and returns the first run;
@@ -264,6 +268,55 @@ mod tests {
                           "workload":{"open_loop_tx_per_sec":1},
                           "byzantine":{"strategy":"silence","count":2}}"#;
         assert!(Scenario::parse(bad_byz).is_err(), "f bound enforced");
+        let no_nodes = r#"{"name":"x","protocols":["HS"],"nodes":0,"runtime_ms":100,
+                           "workload":{"open_loop_tx_per_sec":1},
+                           "faults":[{"kind":"rolling_leader","from_ms":0,"until_ms":9,
+                                      "period_ms":1}]}"#;
+        assert!(Scenario::parse(no_nodes).is_err(), "empty cluster");
+
+        // A value of the wrong type is an error naming the field, never a
+        // switch turned off or a list read as empty.
+        let spec = |extra: &str| {
+            format!(
+                r#"{{"name":"x","protocols":["HS"],"nodes":4,"runtime_ms":100,
+                    "workload":{{"open_loop_tx_per_sec":1}},{extra}}}"#
+            )
+        };
+        for (field, bad) in [
+            ("durable_log", spec(r#""durable_log":"true""#)),
+            ("signed_requests", spec(r#""signed_requests":1"#)),
+            ("synchronous_epochs", spec(r#""synchronous_epochs":"yes""#)),
+            (
+                "amnesia",
+                spec(
+                    r#""faults":[{"kind":"crash","node":0,"at_ms":1,"recover_at_ms":2,"amnesia":1}]"#,
+                ),
+            ),
+            (
+                "asymmetric",
+                spec(r#""topology":{"links":[{"from":0,"to":1,"mean_ms":1,"asymmetric":"no"}]}"#),
+            ),
+            (
+                "faults",
+                spec(r#""faults":{"kind":"crash","node":0,"at_ms":1}"#),
+            ),
+            (
+                "cpu_overrides",
+                spec(r#""cpu_overrides":{"node":0,"cpu_us":5}"#),
+            ),
+            (
+                "commit_latency_ordering",
+                spec(r#""expect":{"commit_latency_ordering":"HS"}"#),
+            ),
+            ("expect", spec(r#""expect":[{"max_p99_latency_ms":1}]"#)),
+            (
+                "topology",
+                spec(r#""topology":[{"default":{"mean_ms":1}}]"#),
+            ),
+        ] {
+            let err = Scenario::parse(&bad).expect_err(field);
+            assert!(err.contains(field), "{field}: {err}");
+        }
     }
 
     #[test]
@@ -421,6 +474,18 @@ mod tests {
                 fault(&format!(
                     r#""kind":"slow_node","node":0,{window},"extra_ms":-1"#
                 )),
+            ),
+            (
+                "max_p99_latency_ms",
+                spec(r#","expect":{"max_p99_latency_ms":"312"}"#, "1"),
+            ),
+            (
+                "min_throughput_tx_per_sec",
+                spec(r#","expect":{"min_throughput_tx_per_sec":-1}"#, "1"),
+            ),
+            (
+                "min_chain_growth_rate",
+                spec(r#","expect":{"min_chain_growth_rate":1e999}"#, "1"),
             ),
             ("quick_runtime_ms", spec(r#","quick_runtime_ms":-1"#, "1")),
             ("quick_runtime_ms", spec(r#","quick_runtime_ms":0"#, "1")),
@@ -590,7 +655,13 @@ mod tests {
             "workload": {"open_loop_tx_per_sec": 1000},
             "faults": [
                 {"kind": "crash", "node": 0, "at_ms": 500, "recover_at_ms": 800},
-                {"kind": "crash", "node": 1, "at_view": 20}
+                {"kind": "crash", "node": 1, "at_view": 20},
+                {"kind": "partition", "group": [0, 1], "from_ms": 100, "until_ms": 300},
+                {"kind": "oscillating_partition", "group": [2],
+                 "from_ms": 400, "until_ms": 700, "period_ms": 100},
+                {"kind": "slow_node", "node": 2, "extra_ms": 7, "from_ms": 200, "until_ms": 900},
+                {"kind": "fluctuation", "from_ms": 300, "until_ms": 600,
+                 "min_extra_ms": 5, "max_extra_ms": 50}
             ]
         }"#;
         let scenario = Scenario::parse(spec).unwrap();
@@ -611,12 +682,41 @@ mod tests {
             FaultTrigger::AtView(View(20)),
             "view triggers are not scaled"
         );
+        // Every window scales; no extra delay does.
+        let link_faults = |tenths: u64| {
+            let at = |ms: u64| SimTime(ms * 1_000_000 / tenths);
+            let ms = SimDuration::from_millis;
+            let cut = |members, from, until| LinkFault::GroupPartition {
+                members,
+                start: at(from),
+                end: at(until),
+            };
+            vec![
+                cut(0b11, 100, 300),
+                cut(0b100, 400, 500),
+                cut(0b100, 600, 700),
+                LinkFault::SlowNode {
+                    node: NodeId(2),
+                    extra: ms(7),
+                    start: at(200),
+                    end: at(900),
+                },
+                LinkFault::Fluctuation {
+                    min_extra: ms(5),
+                    max_extra: ms(50),
+                    start: at(300),
+                    end: at(600),
+                },
+            ]
+        };
+        assert_eq!(options.link_faults, link_faults(10));
         let (config, options) = scenario.build(false);
         assert_eq!(config.runtime, SimDuration::from_millis(1000));
         assert_eq!(
             options.node_faults[0].crash,
             FaultTrigger::At(SimTime(500_000_000))
         );
+        assert_eq!(options.link_faults, link_faults(1));
     }
 
     #[test]

@@ -4,13 +4,12 @@
 
 use bamboo_sim::{DelayDist, LinkFault, Topology};
 use bamboo_types::{
-    ByzantineStrategy, Config, Json, LeaderPolicy, NodeId, ProtocolKind, SimDuration, View,
+    ByzantineStrategy, Config, Json, LeaderPolicy, NodeId, ProtocolKind, SimDuration, SimTime, View,
 };
 
 use super::expect::Expectations;
-use super::schedule::{FaultSpec, TriggerSpec};
 use super::Scenario;
-use crate::runner::RunOptions;
+use crate::runner::{FaultTrigger, NodeFault, RunOptions};
 use crate::runtime::RecoverMode;
 use crate::storage::StorageFault;
 
@@ -69,9 +68,36 @@ fn positive_ms(obj: &Json, key: &str, context: &str) -> Result<SimDuration, Stri
     missing(opt_duration(obj, key, context, MS, true)?, key, context)
 }
 
-/// An opt-in switch: on only for a literal `true`.
-fn flag(obj: &Json, key: &str) -> bool {
-    matches!(obj.get(key), Some(Json::Bool(true)))
+/// An opt-in switch: off when absent; anything but `true` or `false` is an
+/// error (`"true"` or `1` used to read as off).
+fn flag(obj: &Json, key: &str, context: &str) -> Result<bool, String> {
+    match obj.get(key) {
+        None => Ok(false),
+        Some(Json::Bool(on)) => Ok(*on),
+        Some(_) => Err(format!("{context}: {key:?} must be true or false")),
+    }
+}
+
+/// An optional object: anything but an object is an error (an array in its
+/// place used to read as an object with no keys).
+fn section<'j>(obj: &'j Json, key: &str, context: &str) -> Result<Option<&'j Json>, String> {
+    match obj.get(key) {
+        Some(value) if !matches!(value, Json::Obj(_)) => {
+            Err(format!("{context}: {key:?} must be an object"))
+        }
+        value => Ok(value),
+    }
+}
+
+/// An optional list: empty when absent; anything but an array is an error
+/// (an object in its place used to read as no entries).
+fn list<'j>(obj: &'j Json, key: &str, context: &str) -> Result<&'j [Json], String> {
+    match obj.get(key) {
+        None => Ok(&[]),
+        Some(value) => value
+            .as_array()
+            .ok_or_else(|| format!("{context}: {key:?} must be an array")),
+    }
 }
 
 /// Overwrites a default only where the spec names a value.
@@ -117,13 +143,26 @@ fn field_node(obj: &Json, key: &str, context: &str, cluster: u64) -> Result<Node
 }
 
 /// `[from_ms, until_ms)` window shared by several fault kinds.
-fn window(obj: &Json, context: &str) -> Result<(SimDuration, SimDuration), String> {
+fn window(obj: &Json, context: &str) -> Result<(SimTime, SimTime), String> {
     let from = field_ms(obj, "from_ms", context)?;
     let until = field_ms(obj, "until_ms", context)?;
     if until <= from {
         return Err(format!("{context}: until_ms must exceed from_ms"));
     }
-    Ok((from, until))
+    Ok((SimTime::ZERO + from, SimTime::ZERO + until))
+}
+
+/// The `period`-wide windows that tile `[from, until)`, in order; the last
+/// one is clipped at `until`.
+fn windows(
+    from: SimTime,
+    until: SimTime,
+    period: SimDuration,
+) -> impl Iterator<Item = (SimTime, SimTime)> {
+    (0u64..)
+        .map(move |index| from + SimDuration::from_nanos(period.as_nanos() * index))
+        .take_while(move |start| *start < until)
+        .map(move |start| (start, until.min(start + period)))
 }
 
 fn group_mask(obj: &Json, context: &str, cluster: u64) -> Result<u64, String> {
@@ -169,69 +208,63 @@ fn parse_topology(spec: &Json, name: &str, cluster: u64) -> Result<Topology, Str
         ),
     };
     let mut topology = Topology::new(default);
-    if let Some(regions) = spec.get("regions").and_then(Json::as_array) {
-        for region in regions {
-            let region_name = field_str(region, "name", &context)?;
-            // Members come as an explicit id array or, for large clusters,
-            // a half-open `{"range": [start, end]}` — n = 1000 specs list
-            // four ranges instead of a thousand ids.
-            let nodes = region
-                .get("nodes")
-                .ok_or_else(|| format!("{context}: region {region_name:?} missing nodes"))?;
-            let ids: Vec<u64> = if let Some(entries) = nodes.as_array() {
-                entries
-                    .iter()
-                    .map(|n| uint(n, "a region node id", &context).and_then(&check))
-                    .collect::<Result<_, _>>()?
-            } else if let Some(range) = nodes.get("range").and_then(Json::as_array) {
-                let bound = |i: usize| match range.get(i) {
-                    Some(bound) => uint(bound, "a range bound", &context),
-                    None => Err(format!("{context}: range needs [start, end]")),
-                };
-                let (start, end) = (bound(0)?, bound(1)?);
-                if start >= end {
-                    return Err(format!(
-                        "{context}: empty node range [{start}, {end}) in region {region_name:?}"
-                    ));
-                }
-                (start..end).map(&check).collect::<Result<_, _>>()?
-            } else {
-                return Err(format!(
-                    "{context}: region {region_name:?} nodes must be an id array or \
-                     {{\"range\": [start, end]}}"
-                ));
+    for region in list(spec, "regions", &context)? {
+        let region_name = field_str(region, "name", &context)?;
+        // Members come as an explicit id array or, for large clusters,
+        // a half-open `{"range": [start, end]}` — n = 1000 specs list
+        // four ranges instead of a thousand ids.
+        let nodes = region
+            .get("nodes")
+            .ok_or_else(|| format!("{context}: region {region_name:?} missing nodes"))?;
+        let ids: Vec<u64> = if let Some(entries) = nodes.as_array() {
+            entries
+                .iter()
+                .map(|n| uint(n, "a region node id", &context).and_then(&check))
+                .collect::<Result<_, _>>()?
+        } else if let Some(range) = nodes.get("range").and_then(Json::as_array) {
+            let bound = |i: usize| match range.get(i) {
+                Some(bound) => uint(bound, "a range bound", &context),
+                None => Err(format!("{context}: range needs [start, end]")),
             };
-            let intra = parse_dist(region, &context)?;
-            topology.add_region(region_name, ids, intra);
-        }
+            let (start, end) = (bound(0)?, bound(1)?);
+            if start >= end {
+                return Err(format!(
+                    "{context}: empty node range [{start}, {end}) in region {region_name:?}"
+                ));
+            }
+            (start..end).map(&check).collect::<Result<_, _>>()?
+        } else {
+            return Err(format!(
+                "{context}: region {region_name:?} nodes must be an id array or \
+                 {{\"range\": [start, end]}}"
+            ));
+        };
+        let intra = parse_dist(region, &context)?;
+        topology.add_region(region_name, ids, intra);
     }
-    if let Some(inters) = spec.get("inter").and_then(Json::as_array) {
-        for inter in inters {
-            let from = field_str(inter, "from", &context)?;
-            let to = field_str(inter, "to", &context)?;
-            let from_id = topology
-                .region_id(from)
-                .ok_or_else(|| format!("{context}: unknown region {from:?}"))?;
-            let to_id = topology
-                .region_id(to)
-                .ok_or_else(|| format!("{context}: unknown region {to:?}"))?;
-            topology.set_inter(from_id, to_id, parse_dist(inter, &context)?);
-        }
+    for inter in list(spec, "inter", &context)? {
+        let from = field_str(inter, "from", &context)?;
+        let to = field_str(inter, "to", &context)?;
+        let from_id = topology
+            .region_id(from)
+            .ok_or_else(|| format!("{context}: unknown region {from:?}"))?;
+        let to_id = topology
+            .region_id(to)
+            .ok_or_else(|| format!("{context}: unknown region {to:?}"))?;
+        topology.set_inter(from_id, to_id, parse_dist(inter, &context)?);
     }
     // Symmetric by default: one "inter" entry describes both directions
     // unless the reverse direction appears explicitly.
     topology.symmetrize();
-    if let Some(links) = spec.get("links").and_then(Json::as_array) {
-        for link in links {
-            let from = field_node(link, "from", &context, cluster)?;
-            let to = field_node(link, "to", &context, cluster)?;
-            let dist = parse_dist(link, &context)?;
-            topology.override_link(from, to, dist);
-            // Per-link overrides follow the same symmetric-by-default rule;
-            // `"asymmetric": true` keeps the override one-directional.
-            if !flag(link, "asymmetric") {
-                topology.override_link(to, from, dist);
-            }
+    for link in list(spec, "links", &context)? {
+        let from = field_node(link, "from", &context, cluster)?;
+        let to = field_node(link, "to", &context, cluster)?;
+        let dist = parse_dist(link, &context)?;
+        topology.override_link(from, to, dist);
+        // Per-link overrides follow the same symmetric-by-default rule;
+        // `"asymmetric": true` keeps the override one-directional.
+        if !flag(link, "asymmetric", &context)? {
+            topology.override_link(to, from, dist);
         }
     }
     Ok(topology)
@@ -242,14 +275,14 @@ fn parse_trigger(
     at_key: &str,
     view_key: &str,
     context: &str,
-) -> Result<Option<TriggerSpec>, String> {
+) -> Result<Option<FaultTrigger>, String> {
     let at = opt_duration(obj, at_key, context, MS, false)?;
     match (at, opt_uint(obj, view_key, context)?) {
         (Some(_), Some(_)) => Err(format!(
             "{context}: {at_key:?} and {view_key:?} are mutually exclusive"
         )),
-        (Some(offset), None) => Ok(Some(TriggerSpec::At(offset))),
-        (None, Some(view)) => Ok(Some(TriggerSpec::AtView(View(view)))),
+        (Some(offset), None) => Ok(Some(FaultTrigger::At(SimTime::ZERO + offset))),
+        (None, Some(view)) => Ok(Some(FaultTrigger::AtView(View(view)))),
         (None, None) => Ok(None),
     }
 }
@@ -267,20 +300,20 @@ fn parse_crash_core(
     obj: &Json,
     context: &str,
     cluster: u64,
-) -> Result<(NodeId, TriggerSpec, Option<TriggerSpec>), String> {
+) -> Result<(NodeId, FaultTrigger, Option<FaultTrigger>), String> {
     let node = field_node(obj, "node", context, cluster)?;
     let at = parse_trigger(obj, "at_ms", "at_view", context)?
         .ok_or_else(|| format!("{context}: crash needs at_ms or at_view"))?;
     let recover = parse_trigger(obj, "recover_at_ms", "recover_at_view", context)?;
     match (at, recover) {
-        (TriggerSpec::At(crash), Some(TriggerSpec::At(rec))) if rec <= crash => {
+        (FaultTrigger::At(crash), Some(FaultTrigger::At(rec))) if rec <= crash => {
             return Err(format!("{context}: recover_at_ms must exceed at_ms"));
         }
-        (TriggerSpec::AtView(crash), Some(TriggerSpec::AtView(rec))) if rec <= crash => {
+        (FaultTrigger::AtView(crash), Some(FaultTrigger::AtView(rec))) if rec <= crash => {
             return Err(format!("{context}: recover_at_view must exceed at_view"));
         }
-        (TriggerSpec::At(_), Some(TriggerSpec::AtView(_)))
-        | (TriggerSpec::AtView(_), Some(TriggerSpec::At(_))) => {
+        (FaultTrigger::At(_), Some(FaultTrigger::AtView(_)))
+        | (FaultTrigger::AtView(_), Some(FaultTrigger::At(_))) => {
             return Err(format!(
                 "{context}: crash and recovery must use one trigger axis (_ms or _view) for both"
             ));
@@ -321,21 +354,26 @@ fn parse_storage_fault(
     }
 }
 
+/// Parses one entry of the `"faults"` array into the run's own fault values,
+/// at the full tier ([`super::Scenario::build`] scales them for the quick
+/// one). The two schedules a spec names by their shape are expanded here:
+/// `rolling_leader` into crashes, `oscillating_partition` into cuts.
 fn parse_fault(
     obj: &Json,
     name: &str,
     durable_log: bool,
     cluster: u64,
-) -> Result<FaultSpec, String> {
+    options: &mut RunOptions,
+) -> Result<(), String> {
     let context = format!("{name}/faults");
     let kind = field_str(obj, "kind", &context)?;
     match kind {
         "crash" | "durable_restart" | "torn_log" => {
-            let (node, at, recover) = parse_crash_core(obj, &context, cluster)?;
+            let (node, crash, recover) = parse_crash_core(obj, &context, cluster)?;
             // `"amnesia": true` on a crash and the two durable kinds all
             // restart the node from what its disk kept.
             let what = if kind == "crash" { "amnesia" } else { kind };
-            let restart = kind != "crash" || flag(obj, "amnesia");
+            let restart = kind != "crash" || flag(obj, "amnesia", &context)?;
             if restart && recover.is_none() {
                 return Err(format!(
                     "{context}: {what} without a recovery trigger never restarts the node"
@@ -350,58 +388,71 @@ fn parse_fault(
                 true => RecoverMode::Restart(parse_storage_fault(obj, kind, &context)?),
                 false => RecoverMode::Resume,
             };
-            Ok(FaultSpec::Crash {
+            options.node_faults.push(NodeFault {
                 node,
-                at,
+                crash,
                 recover,
                 mode,
-            })
+            });
         }
         "rolling_leader" => {
+            // Crash replica `i mod nodes` during the `i`-th window: under
+            // round-robin election this tracks the leader rotation, so some
+            // window always hits a (past or incoming) leader.
             let (from, until) = window(obj, &context)?;
-            Ok(FaultSpec::RollingLeader {
-                from,
-                until,
-                period: positive_ms(obj, "period_ms", &context)?,
-            })
+            let period = positive_ms(obj, "period_ms", &context)?;
+            for (index, (start, end)) in windows(from, until, period).enumerate() {
+                options.node_faults.push(NodeFault {
+                    node: NodeId(index as u64 % cluster),
+                    crash: FaultTrigger::At(start),
+                    recover: Some(FaultTrigger::At(end)),
+                    mode: RecoverMode::Resume,
+                });
+            }
         }
         "partition" => {
-            let (from, until) = window(obj, &context)?;
-            Ok(FaultSpec::Partition {
-                members: group_mask(obj, &context, cluster)?,
-                from,
-                until,
-            })
+            let (start, end) = window(obj, &context)?;
+            let members = group_mask(obj, &context, cluster)?;
+            options.link_faults.push(LinkFault::GroupPartition {
+                members,
+                start,
+                end,
+            });
         }
         "oscillating_partition" => {
             let (from, until) = window(obj, &context)?;
-            Ok(FaultSpec::Oscillating {
-                members: group_mask(obj, &context, cluster)?,
-                from,
-                until,
-                period: positive_ms(obj, "period_ms", &context)?,
-            })
+            let members = group_mask(obj, &context, cluster)?;
+            let period = positive_ms(obj, "period_ms", &context)?;
+            // The cut is active during every other window, starting active.
+            for (start, end) in windows(from, until, period).step_by(2) {
+                options.link_faults.push(LinkFault::GroupPartition {
+                    members,
+                    start,
+                    end,
+                });
+            }
         }
         "fluctuation" => {
-            let (from, until) = window(obj, &context)?;
-            Ok(FaultSpec::Fluctuation {
-                from,
-                until,
+            let (start, end) = window(obj, &context)?;
+            options.link_faults.push(LinkFault::Fluctuation {
                 min_extra: field_ms(obj, "min_extra_ms", &context)?,
                 max_extra: field_ms(obj, "max_extra_ms", &context)?,
-            })
+                start,
+                end,
+            });
         }
         "slow_node" => {
-            let (from, until) = window(obj, &context)?;
-            Ok(FaultSpec::SlowNode {
+            let (start, end) = window(obj, &context)?;
+            options.link_faults.push(LinkFault::SlowNode {
                 node: field_node(obj, "node", &context, cluster)?,
                 extra: field_ms(obj, "extra_ms", &context)?,
-                from,
-                until,
-            })
+                start,
+                end,
+            });
         }
-        other => Err(format!("{context}: unknown fault kind {other:?}")),
+        other => return Err(format!("{context}: unknown fault kind {other:?}")),
     }
+    Ok(())
 }
 
 fn protocol(label: &Json, context: &str) -> Result<ProtocolKind, String> {
@@ -413,30 +464,29 @@ fn protocol(label: &Json, context: &str) -> Result<ProtocolKind, String> {
 
 fn parse_expectations(spec: &Json, name: &str) -> Result<Expectations, String> {
     let context = format!("{name}/expect");
-    let Some(obj) = spec.get("expect") else {
+    let Some(obj) = section(spec, "expect", name)? else {
         return Ok(Expectations::default());
     };
-    let bound = |key: &str| obj.get(key).and_then(Json::as_f64);
+    // A bound that is not a number is an error, not an absent gate.
+    let bound = |key: &str| amount(obj, key, &context, false);
     let mut expect = Expectations {
-        min_throughput_tx_per_sec: bound("min_throughput_tx_per_sec"),
-        max_p99_latency_ms: bound("max_p99_latency_ms"),
-        min_chain_growth_rate: bound("min_chain_growth_rate"),
+        min_throughput_tx_per_sec: bound("min_throughput_tx_per_sec")?,
+        max_p99_latency_ms: bound("max_p99_latency_ms")?,
+        min_chain_growth_rate: bound("min_chain_growth_rate")?,
         min_auth_rejections: opt_uint(obj, "min_auth_rejections", &context)?,
         min_admission_rejections: opt_uint(obj, "min_admission_rejections", &context)?,
         commit_latency_ordering: Vec::new(),
     };
-    if let Some(pairs) = obj.get("commit_latency_ordering").and_then(Json::as_array) {
-        for pair in pairs {
-            let items = pair
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| format!("{context}: ordering entries are [faster, slower]"))?;
-            let pair = (
-                protocol(&items[0], &context)?,
-                protocol(&items[1], &context)?,
-            );
-            expect.commit_latency_ordering.push(pair);
-        }
+    for pair in list(obj, "commit_latency_ordering", &context)? {
+        let items = pair
+            .as_array()
+            .filter(|p| p.len() == 2)
+            .ok_or_else(|| format!("{context}: ordering entries are [faster, slower]"))?;
+        let pair = (
+            protocol(&items[0], &context)?,
+            protocol(&items[1], &context)?,
+        );
+        expect.commit_latency_ordering.push(pair);
     }
     Ok(expect)
 }
@@ -490,8 +540,8 @@ pub(super) fn scenario(doc: &Json) -> Result<Scenario, String> {
     );
     base.client_population = count("client_population")?;
     base.checkpoint_interval = count("checkpoint_interval_blocks")?;
-    base.signed_requests = flag(doc, "signed_requests");
-    base.durable_log = flag(doc, "durable_log");
+    base.signed_requests = flag(doc, "signed_requests", &name)?;
+    base.durable_log = flag(doc, "durable_log", &name)?;
     match doc.get("leader") {
         None => {}
         Some(Json::Str(policy)) if policy == "round_robin" => {
@@ -533,7 +583,7 @@ pub(super) fn scenario(doc: &Json) -> Result<Scenario, String> {
     }
 
     let cluster = base.nodes as u64;
-    let topology = match doc.get("topology") {
+    let topology = match section(doc, "topology", &name)? {
         Some(spec) => {
             let topology = parse_topology(spec, &name, cluster)?;
             // Keep the scalar Config fields coherent with the topology's
@@ -545,40 +595,41 @@ pub(super) fn scenario(doc: &Json) -> Result<Scenario, String> {
         None => None,
     };
 
-    let mut faults = Vec::new();
-    for entry in doc
-        .get("faults")
-        .and_then(Json::as_array)
-        .into_iter()
-        .flatten()
-    {
-        faults.push(parse_fault(entry, &name, base.durable_log, cluster)?);
-    }
+    // Checked before the faults are read: a rolling leader takes its node
+    // modulo the cluster size.
+    base.validate().map_err(|e| format!("{name}: {e}"))?;
 
-    let mut cpu_overrides = Vec::new();
-    for entry in doc
-        .get("cpu_overrides")
-        .and_then(Json::as_array)
-        .into_iter()
-        .flatten()
-    {
+    let mut options = RunOptions {
+        topology,
+        ..RunOptions::default()
+    };
+    for entry in list(doc, "faults", &name)? {
+        parse_fault(entry, &name, base.durable_log, cluster, &mut options)?;
+    }
+    for entry in list(doc, "cpu_overrides", &name)? {
         let node = field_node(entry, "node", &name, cluster)?;
         let cpu = opt_duration(entry, "cpu_us", &name, US, false)?;
-        cpu_overrides.push((node, missing(cpu, "cpu_us", &name)?));
+        options
+            .cpu_overrides
+            .push((node, missing(cpu, "cpu_us", &name)?));
     }
 
     let quick_runtime = opt_duration(doc, "quick_runtime_ms", &name, MS, true)?
         .unwrap_or_else(|| base.runtime.min(SimDuration::from_millis(500)));
 
-    base.validate().map_err(|e| format!("{name}: {e}"))?;
-
-    let mut options = RunOptions {
-        topology,
-        cpu_overrides,
-        ..RunOptions::default()
-    };
-    options.replica.wait_for_timeout_on_view_change = flag(doc, "wait_for_timeout_on_view_change");
-    options.replica.synchronous_epochs = flag(doc, "synchronous_epochs");
+    options.replica.wait_for_timeout_on_view_change =
+        flag(doc, "wait_for_timeout_on_view_change", &name)?;
+    options.replica.synchronous_epochs = flag(doc, "synchronous_epochs", &name)?;
+    // Metrics are recorded at the observer replica only; crashing it would
+    // blind (or badly distort) every number the expectations are evaluated
+    // against. Observe from the highest-id honest replica no node fault ever
+    // touches; when the schedule covers everyone (e.g. a long rolling-leader
+    // sweep), fall back to the default observer. Both tiers share the choice:
+    // scaling moves a fault in time, never to another node.
+    options.observer = (0..cluster)
+        .rev()
+        .map(NodeId)
+        .find(|id| !base.is_byzantine(*id) && options.node_faults.iter().all(|f| f.node != *id));
     Ok(Scenario {
         expect: parse_expectations(doc, &name)?,
         name,
@@ -587,6 +638,5 @@ pub(super) fn scenario(doc: &Json) -> Result<Scenario, String> {
         base,
         quick_runtime,
         options,
-        faults,
     })
 }

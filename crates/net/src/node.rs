@@ -66,13 +66,14 @@ struct SocketLink {
 }
 
 /// A consensus message as a frame, written once: the header, then the
-/// message straight behind it in the same buffer.
-fn message_frame(message: &Message) -> Arc<[u8]> {
+/// message straight behind it in the same buffer, which the peer queues
+/// share as it is.
+fn message_frame(message: &Message) -> Arc<Vec<u8>> {
     let len = encoded_len(message);
     let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + len);
     put_frame_header(&mut frame, FrameKind::Msg, len);
     encode_message_into(&mut frame, message);
-    frame.into()
+    Arc::new(frame)
 }
 
 impl Link for SocketLink {

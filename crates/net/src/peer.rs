@@ -6,10 +6,11 @@
 //! enqueue pre-encoded frames ([`PeerSender::send`] is a bounded `try_send`
 //! plus an atomic bump — it never blocks and never touches a socket), and the
 //! writer thread owns all the slow, fallible work: connecting with
-//! exponential backoff, writing, and noticing death. A broadcast encodes the
-//! frame once into an `Arc<[u8]>` and every peer queue gets a pointer bump,
-//! extending the workspace's encode-once discipline across the socket
-//! boundary.
+//! exponential backoff, writing, and noticing death. A broadcast writes the
+//! frame once into one buffer, shared as an `Arc<Vec<u8>>` so the buffer the
+//! encoder wrote is the one the writers send (no second copy), and every
+//! peer queue gets a pointer bump, extending the workspace's encode-once
+//! discipline across the socket boundary.
 //!
 //! While a peer is down, frames addressed to it are dropped and counted
 //! rather than buffered without bound: chained-BFT tolerates message loss by
@@ -92,7 +93,7 @@ impl PeerCounters {
 /// queue sender (via [`PeerSender::shutdown`] or dropping the whole struct)
 /// is what tells the writer thread to exit.
 pub struct PeerSender {
-    queue: SyncSender<Arc<[u8]>>,
+    queue: SyncSender<Arc<Vec<u8>>>,
     addr: Arc<Mutex<Option<SocketAddr>>>,
     counters: Arc<PeerCounters>,
     writer: Option<JoinHandle<()>>,
@@ -110,7 +111,7 @@ impl PeerSender {
         addr: Option<SocketAddr>,
         policy: BackoffPolicy,
     ) -> Self {
-        let (queue, receiver) = sync_channel::<Arc<[u8]>>(DEFAULT_QUEUE_CAPACITY);
+        let (queue, receiver) = sync_channel::<Arc<Vec<u8>>>(DEFAULT_QUEUE_CAPACITY);
         let addr = Arc::new(Mutex::new(addr));
         let counters = Arc::new(PeerCounters::default());
         let writer_addr = Arc::clone(&addr);
@@ -129,7 +130,7 @@ impl PeerSender {
 
     /// Enqueues one pre-encoded frame. Never blocks: a full queue (slow or
     /// dead peer) drops the frame and bumps the drop counter.
-    pub fn send(&self, frame: Arc<[u8]>) {
+    pub fn send(&self, frame: Arc<Vec<u8>>) {
         match self.queue.try_send(frame) {
             Ok(()) => {}
             Err(TrySendError::Full(_)) => {
@@ -175,7 +176,7 @@ impl Drop for PeerSender {
 
 fn run_writer(
     claim: (u64, u64),
-    receiver: Receiver<Arc<[u8]>>,
+    receiver: Receiver<Arc<Vec<u8>>>,
     addr: &Mutex<Option<SocketAddr>>,
     counters: &PeerCounters,
     policy: BackoffPolicy,

@@ -3,7 +3,7 @@
 //! One-way message delay from `from` to `to` is sampled as
 //!
 //! ```text
-//! delay = max(1 µs, Normal(link.mean, link.std)) + extra ± jitter + fluctuation(t) + slow(node)
+//! delay = max(1 µs, Normal(link.mean, link.std)) + extra ± jitter + Σ active delay faults
 //! ```
 //!
 //! where the 1 µs clamp is the causality floor (no message arrives before it
@@ -14,39 +14,20 @@
 //! topology reduces to the paper's assumption that the RTT between any two
 //! nodes follows one normal distribution (§V-A2) and consumes the RNG
 //! identically to the pre-topology scalar model. On top of the base draw sit
-//! the Table-I `delay` knob, the run-time "slow" command, and the network
-//! fluctuation window used in the responsiveness experiment (Fig. 15).
-//! Partitions — pairwise or group-based — drop messages entirely.
+//! the Table-I `delay` knob and the model's one list of [`LinkFault`]s:
+//! partitions — pairwise or group-based — drop a message before anything is
+//! drawn; otherwise the list is walked once, in order, after the base and
+//! jitter draws, and each active fault adds its delay: a network fluctuation
+//! (the responsiveness experiment, Fig. 15) draws a uniform extra, a slow
+//! sender (the run-time "slow" command) adds a fixed one and draws nothing.
 
 use bamboo_types::{NodeId, SimDuration, SimTime};
 
 use crate::rng::SimRng;
 use crate::topology::Topology;
 
-/// A time window during which every link experiences additional, uniformly
-/// distributed delay in `[min_extra, max_extra]` — the paper's "network
-/// fluctuation" injection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FluctuationWindow {
-    /// Window start (inclusive).
-    pub start: SimTime,
-    /// Window end (exclusive).
-    pub end: SimTime,
-    /// Minimum extra one-way delay during the window.
-    pub min_extra: SimDuration,
-    /// Maximum extra one-way delay during the window.
-    pub max_extra: SimDuration,
-}
-
-impl FluctuationWindow {
-    /// Returns true if `t` falls inside the window.
-    pub fn contains(&self, t: SimTime) -> bool {
-        t >= self.start && t < self.end
-    }
-}
-
-/// A link-level fault: either a partition (messages dropped) or a slow link
-/// (extra delay), active during a time window.
+/// A link-level fault, active during the time window `[start, end)`: a
+/// partition drops messages, a slow node or a fluctuation adds delay.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LinkFault {
     /// Drop every message from `from` to `to` during the window.
@@ -90,6 +71,19 @@ pub enum LinkFault {
         /// Window end.
         end: SimTime,
     },
+    /// Network fluctuation (the paper's Fig. 15 injection): every message
+    /// sent during the window gains an extra delay drawn uniformly from
+    /// `[min_extra, max_extra]`.
+    Fluctuation {
+        /// Minimum extra one-way delay.
+        min_extra: SimDuration,
+        /// Maximum extra one-way delay.
+        max_extra: SimDuration,
+        /// Window start.
+        start: SimTime,
+        /// Window end.
+        end: SimTime,
+    },
 }
 
 impl LinkFault {
@@ -108,6 +102,26 @@ impl LinkFault {
         }
         mask
     }
+
+    /// The fault's window, `[start, end)`, for a caller that moves it.
+    pub fn window_mut(&mut self) -> (&mut SimTime, &mut SimTime) {
+        match self {
+            LinkFault::Partition { start, end, .. }
+            | LinkFault::SlowNode { start, end, .. }
+            | LinkFault::GroupPartition { start, end, .. }
+            | LinkFault::Fluctuation { start, end, .. } => (start, end),
+        }
+    }
+
+    /// Whether the fault is in force at `now`.
+    fn active(&self, now: SimTime) -> bool {
+        match *self {
+            LinkFault::Partition { start, end, .. }
+            | LinkFault::SlowNode { start, end, .. }
+            | LinkFault::GroupPartition { start, end, .. }
+            | LinkFault::Fluctuation { start, end, .. } => now >= start && now < end,
+        }
+    }
 }
 
 /// The minimum possible one-way delay: the causality floor of the base draw
@@ -120,7 +134,6 @@ pub struct LatencyModel {
     topology: Topology,
     extra: SimDuration,
     extra_jitter: SimDuration,
-    fluctuations: Vec<FluctuationWindow>,
     faults: Vec<LinkFault>,
 }
 
@@ -138,7 +151,6 @@ impl LatencyModel {
             topology,
             extra: SimDuration::ZERO,
             extra_jitter: SimDuration::ZERO,
-            fluctuations: Vec::new(),
             faults: Vec::new(),
         }
     }
@@ -150,12 +162,7 @@ impl LatencyModel {
         self
     }
 
-    /// Registers a network-fluctuation window.
-    pub fn add_fluctuation(&mut self, window: FluctuationWindow) {
-        self.fluctuations.push(window);
-    }
-
-    /// Registers a link fault (partition or slow node).
+    /// Registers a link fault: a partition, a slow node or a fluctuation.
     pub fn add_fault(&mut self, fault: LinkFault) {
         self.faults.push(fault);
     }
@@ -179,38 +186,21 @@ impl LatencyModel {
         to: NodeId,
         now: SimTime,
     ) -> Option<SimDuration> {
-        // Partitions first.
+        // Partitions first: a dropped message draws nothing.
         for fault in &self.faults {
-            match fault {
-                LinkFault::Partition {
-                    from: f,
-                    to: t,
-                    start,
-                    end,
-                } => {
-                    let from_matches = f.map(|n| n == from).unwrap_or(true);
-                    let to_matches = t.map(|n| n == to).unwrap_or(true);
-                    if from_matches && to_matches && now >= *start && now < *end {
-                        return None;
-                    }
+            let cut = match *fault {
+                LinkFault::Partition { from: f, to: t, .. } => {
+                    f.map(|n| n == from).unwrap_or(true) && t.map(|n| n == to).unwrap_or(true)
                 }
-                LinkFault::GroupPartition {
-                    members,
-                    start,
-                    end,
-                } => {
-                    // Only replica-to-replica traffic with representable ids
-                    // can cross the cut; clients (NodeId::MAX) never do.
-                    if from.0 < 64
-                        && to.0 < 64
-                        && ((members >> from.0) & 1) != ((members >> to.0) & 1)
-                        && now >= *start
-                        && now < *end
-                    {
-                        return None;
-                    }
+                // Only replica-to-replica traffic with representable ids can
+                // cross the cut; clients (NodeId::MAX) never do.
+                LinkFault::GroupPartition { members, .. } => {
+                    from.0 < 64 && to.0 < 64 && ((members >> from.0) & 1) != ((members >> to.0) & 1)
                 }
-                LinkFault::SlowNode { .. } => {}
+                LinkFault::SlowNode { .. } | LinkFault::Fluctuation { .. } => false,
+            };
+            if cut && fault.active(now) {
+                return None;
             }
         }
 
@@ -234,27 +224,23 @@ impl LatencyModel {
             total += SimDuration::from_nanos(extra_ns);
         }
 
-        // Fluctuation windows.
-        for window in &self.fluctuations {
-            if window.contains(now) {
-                let lo = window.min_extra.as_nanos();
-                let hi = window.max_extra.as_nanos().max(lo + 1);
-                total += SimDuration::from_nanos(rng.uniform_range(lo, hi));
-            }
-        }
-
-        // Slow-node faults on the sender.
+        // Delays, in list order: an active fluctuation draws its extra, a
+        // slow sender adds its fixed one and draws nothing.
         for fault in &self.faults {
-            if let LinkFault::SlowNode {
-                node,
-                extra,
-                start,
-                end,
-            } = fault
-            {
-                if *node == from && now >= *start && now < *end {
-                    total += *extra;
+            match *fault {
+                LinkFault::Fluctuation {
+                    min_extra,
+                    max_extra,
+                    ..
+                } if fault.active(now) => {
+                    let lo = min_extra.as_nanos();
+                    let hi = max_extra.as_nanos().max(lo + 1);
+                    total += SimDuration::from_nanos(rng.uniform_range(lo, hi));
                 }
+                LinkFault::SlowNode { node, extra, .. } if node == from && fault.active(now) => {
+                    total += extra;
+                }
+                _ => {}
             }
         }
 
@@ -309,11 +295,11 @@ mod tests {
     #[test]
     fn fluctuation_applies_only_inside_window() {
         let mut model = LatencyModel::new(ms(1), SimDuration::ZERO);
-        model.add_fluctuation(FluctuationWindow {
-            start: SimTime(1_000_000_000),
-            end: SimTime(2_000_000_000),
+        model.add_fault(LinkFault::Fluctuation {
             min_extra: ms(10),
             max_extra: ms(100),
+            start: SimTime(1_000_000_000),
+            end: SimTime(2_000_000_000),
         });
         let mut rng = SimRng::new(4);
         let before = model
@@ -328,6 +314,40 @@ mod tests {
         assert!(before < ms(5));
         assert!(during >= ms(10));
         assert!(after < ms(5));
+    }
+
+    /// One walk of the fault list: a slow node before a fluctuation and an
+    /// inactive partition after it change nothing of the draws but add the
+    /// slow extra, so the RNG stream is the fluctuation-only model's.
+    #[test]
+    fn delay_faults_draw_in_list_order() {
+        let fluctuation = LinkFault::Fluctuation {
+            min_extra: ms(10),
+            max_extra: ms(100),
+            start: SimTime::ZERO,
+            end: SimTime(u64::MAX),
+        };
+        let mut alone =
+            LatencyModel::new(ms(1), SimDuration::from_micros(200)).with_extra_delay(ms(2), ms(1));
+        let mut mixed = alone.clone();
+        alone.add_fault(fluctuation);
+        mixed.add_fault(LinkFault::SlowNode {
+            node: NodeId(0),
+            extra: ms(20),
+            start: SimTime::ZERO,
+            end: SimTime(u64::MAX),
+        });
+        mixed.add_fault(fluctuation);
+        mixed.add_fault(LinkFault::GroupPartition {
+            members: LinkFault::group_mask([0]),
+            start: SimTime(1),
+            end: SimTime(2),
+        });
+        let slowed: Vec<SimDuration> = draws(&alone, 12, 1_000)
+            .into_iter()
+            .map(|d| d + ms(20))
+            .collect();
+        assert_eq!(draws(&mixed, 12, 1_000), slowed);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * a network latency model with normally distributed one-way delays drawn
 //!   per link from a heterogeneous [`Topology`] (regions + per-link
 //!   overrides; a uniform topology reproduces the paper's §V-A2 network),
-//!   configurable added delay (the Table-I `delay` knob), run-time network
-//!   fluctuation windows and partitions ([`LatencyModel`]),
+//!   configurable added delay (the Table-I `delay` knob) and one list of
+//!   link faults — partitions, slow nodes, network fluctuation windows
+//!   ([`LatencyModel`], [`LinkFault`]),
 //! * a NIC/bandwidth model charging `2·m/b` per message ([`NicModel`]),
 //! * a CPU model charging a constant `t_CPU` per cryptographic operation
 //!   ([`CpuModel`]),
@@ -30,7 +31,7 @@ pub mod rng;
 pub mod topology;
 
 pub use cpu::CpuModel;
-pub use latency::{FluctuationWindow, LatencyModel, LinkFault};
+pub use latency::{LatencyModel, LinkFault};
 pub use nic::NicModel;
 pub use queue::{EventQueue, Popped};
 pub use rng::SimRng;

@@ -7,15 +7,15 @@
 //! cargo run --release --example responsiveness
 //! ```
 
-use bamboo::core::{FluctuationWindow, RunOptions, SimRunner};
+use bamboo::core::{LinkFault, RunOptions, SimRunner};
 use bamboo::types::{Config, NodeId, ProtocolKind, SimDuration, SimTime};
 
 fn main() {
-    let fluctuation = FluctuationWindow {
-        start: SimTime::ZERO + SimDuration::from_secs(2),
-        end: SimTime::ZERO + SimDuration::from_secs(4),
+    let fluctuation = LinkFault::Fluctuation {
         min_extra: SimDuration::from_millis(10),
         max_extra: SimDuration::from_millis(100),
+        start: SimTime::ZERO + SimDuration::from_secs(2),
+        end: SimTime::ZERO + SimDuration::from_secs(4),
     };
     let crash_at = SimTime::ZERO + SimDuration::from_secs(5);
 
@@ -31,7 +31,7 @@ fn main() {
             ..Config::default()
         };
         let options = RunOptions {
-            fluctuations: vec![fluctuation],
+            link_faults: vec![fluctuation],
             silence_node_from: Some((NodeId(0), crash_at)),
             series_bucket: SimDuration::from_millis(500),
             ..Default::default()

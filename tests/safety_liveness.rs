@@ -3,7 +3,7 @@
 
 use bamboo::core::parallel::default_workers;
 use bamboo::core::{
-    run_ordered, FaultTrigger, FluctuationWindow, NodeFault, RecoverMode, RunOptions, SimRunner,
+    run_ordered, FaultTrigger, LinkFault, NodeFault, RecoverMode, RunOptions, SimRunner,
 };
 use bamboo::types::{ByzantineStrategy, Config, NodeId, ProtocolKind, SimDuration, SimTime};
 
@@ -257,11 +257,11 @@ fn lost_views_fork_the_chain_but_never_the_ledger() {
                     ..Config::default()
                 };
                 let options = RunOptions {
-                    fluctuations: vec![FluctuationWindow {
-                        start: at(normal),
-                        end: at(normal + fluctuating),
+                    link_faults: vec![LinkFault::Fluctuation {
                         min_extra: SimDuration::from_millis(10),
                         max_extra: SimDuration::from_millis(100),
+                        start: at(normal),
+                        end: at(normal + fluctuating),
                     }],
                     ..RunOptions::default()
                 };
