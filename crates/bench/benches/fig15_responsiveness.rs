@@ -2,8 +2,9 @@
 //!
 //! Paper setting: 4 nodes, high request rate, two timeout settings (10 ms and
 //! 100 ms). A 10-second window of network fluctuation (delays between 10 and
-//! 100 ms) is injected, after which one node crashes (performs a silence
-//! attack). The output is the committed-throughput time series.
+//! 100 ms) is injected, after which one node crashes by performing a silence
+//! attack: node 0 runs `ByzantineStrategy::Silence` from 10 s. The output is
+//! the committed-throughput time series.
 //!
 //! Expected shape: with t=10 ms every protocol stalls during the fluctuation;
 //! the responsive protocol (HotStuff) resumes at network speed immediately
@@ -28,8 +29,8 @@
 //! replicas read as seeds that "did not recover".
 
 use bamboo_bench::{banner, bench_rows, eval_config, save_rows, Higher, Sim, EVAL_SEED};
-use bamboo_core::{run_all, LinkFault, RunOptions, RunReport};
-use bamboo_types::{NodeId, ProtocolKind, SimDuration, SimTime};
+use bamboo_core::{run_all, LinkFault, RunOptions, RunReport, SeatAttack};
+use bamboo_types::{ByzantineStrategy, NodeId, ProtocolKind, SimDuration, SimTime};
 
 /// Offered load of every run.
 const OFFERED_TX_PER_SEC: f64 = 30_000.0;
@@ -54,7 +55,7 @@ fn main() {
     // Timeline (compressed relative to the paper's 40 s wall-clock run):
     //   0-4 s    : normal operation
     //   4-8 s    : network fluctuation, one-way delays 10..100 ms
-    //   10 s onw.: node 0 crashes (silence)
+    //   10 s onw.: node 0 runs the Silence attack
     let total = SimDuration::from_secs(14);
     let fluctuation_end = SimTime::ZERO + SimDuration::from_secs(8);
     let fluctuation = LinkFault::Fluctuation {
@@ -63,7 +64,11 @@ fn main() {
         start: SimTime::ZERO + SimDuration::from_secs(4),
         end: fluctuation_end,
     };
-    let crash_at = SimTime::ZERO + SimDuration::from_secs(10);
+    let silence = SeatAttack {
+        node: NodeId(0),
+        strategy: ByzantineStrategy::Silence,
+        from: SimTime::ZERO + SimDuration::from_secs(10),
+    };
 
     let bucket = SimDuration::from_millis(500);
 
@@ -82,7 +87,7 @@ fn main() {
             config.arrival_rate = Some(OFFERED_TX_PER_SEC);
             let options = RunOptions {
                 link_faults: vec![fluctuation],
-                silence_node_from: Some((NodeId(0), crash_at)),
+                attacks: vec![silence],
                 // In the t100 setting the paper makes every protocol wait for
                 // the timeout after a view change; in the t10 setting all
                 // protocols propose as soon as a quorum of messages arrives.

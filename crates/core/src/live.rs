@@ -31,6 +31,7 @@ use crate::metrics::SeatBooks;
 pub use crate::metrics::{ClusterReport, NodeNetStats, PeerStats};
 use crate::observe::{fold_seats, SeatBook, StepView};
 use crate::replica::ReplicaOptions;
+use crate::runner::seat_attack;
 use crate::runtime::{BufferedTransport, Deadlines, NodeHost, RecoverMode, ReplicaEvent};
 use crate::storage::SegmentLog;
 
@@ -633,7 +634,7 @@ impl<L: SeatLink> LiveCluster<L> {
     /// them. Returns the shortest of those chains' lengths, or the first seat
     /// that breaks the rule or does not answer.
     pub fn check_prefix_agreement(&self) -> Result<u64, NodeId> {
-        let honest = self.live().filter(|&id| !self.config.is_byzantine(id));
+        let honest = (self.live()).filter(|&id| seat_attack(&self.config, &[], id).is_none());
         let chains = honest
             .map(|id| self.probe(id, 0).map(|status| (id, status)).map_err(|_| id))
             .collect::<Result<Vec<_>, _>>()?;

@@ -25,7 +25,7 @@ use crate::metrics::{
     SeatBooks, Stages, Utilization,
 };
 use crate::replica::Replica;
-use crate::runner::NodeFault;
+use crate::runner::{seat_attack, RunOptions};
 use crate::runtime::{NodeHost, SendTally, StepReport};
 
 /// What one replica step did, as the engine saw it.
@@ -144,10 +144,11 @@ impl Observer {
         config: &Config,
         protocol: ProtocolKind,
         hosts: &[NodeHost],
-        faults: &[NodeFault],
+        options: &RunOptions,
     ) -> RunReport {
         let observer = hosts[self.node.index()].replica();
-        let audit = audit(config, hosts);
+        let honest = |id| seat_attack(config, &options.attacks, id).is_none();
+        let audit = audit(hosts, honest);
         let duration_secs = config.runtime.as_secs_f64();
         let latency = self.metrics.latency();
         let committed_txs = latency.count;
@@ -160,7 +161,7 @@ impl Observer {
         RunReport {
             protocol,
             nodes: config.nodes,
-            byz_nodes: config.byz_nodes,
+            byz_nodes: hosts.iter().filter(|h| !honest(h.replica().id())).count(),
             duration_secs,
             throughput_tx_per_sec: committed_txs as f64 / duration_secs,
             latency,
@@ -186,7 +187,7 @@ impl Observer {
             queue_peak_len: 0,
             queue_heap_peak: 0,
             ledger_fingerprint: observer.ledger().fingerprint().to_hex(),
-            recovery: recovery(config, hosts, faults),
+            recovery: recovery(config, hosts, options),
             utilization: self.load.report(self.load.end),
             forks_attempted: (hosts.iter())
                 .map(|host| host.replica().attack().forks_attempted)
@@ -463,15 +464,15 @@ impl HostCounters {
 /// The hosts' counters summed, with one more safety violation per adjacent
 /// pair of honest hosts (Byzantine seats skipped, in the order given) whose
 /// ledgers are not prefix-consistent.
-fn audit(config: &Config, hosts: &[NodeHost]) -> HostCounters {
-    let (mut sum, mut honest) = (HostCounters::default(), Vec::new());
+fn audit(hosts: &[NodeHost], honest: impl Fn(NodeId) -> bool) -> HostCounters {
+    let (mut sum, mut ledgers) = (HostCounters::default(), Vec::new());
     for host in hosts {
         sum.add(&HostCounters::of(host));
-        if !config.is_byzantine(host.replica().id()) {
-            honest.push(host.replica().ledger());
+        if honest(host.replica().id()) {
+            ledgers.push(host.replica().ledger());
         }
     }
-    let forks = (honest.windows(2)).filter(|pair| !pair[0].consistent_with(pair[1]));
+    let forks = (ledgers.windows(2)).filter(|pair| !pair[0].consistent_with(pair[1]));
     sum.safety_violations += forks.count() as u64;
     sum
 }
@@ -479,7 +480,7 @@ fn audit(config: &Config, hosts: &[NodeHost]) -> HostCounters {
 /// Folds the per-replica recovery counters and audits catch-up: every
 /// restarted replica must end the run with a committed prefix matching the
 /// chain the never-crashed honest replicas agree on.
-fn recovery(config: &Config, hosts: &[NodeHost], faults: &[NodeFault]) -> RecoveryReport {
+fn recovery(config: &Config, hosts: &[NodeHost], options: &RunOptions) -> RecoveryReport {
     let replicas = || hosts.iter().map(NodeHost::replica);
     let mut recovery = RecoveryReport::default();
     for replica in replicas() {
@@ -506,7 +507,8 @@ fn recovery(config: &Config, hosts: &[NodeHost], faults: &[NodeFault]) -> Recove
     // re-learned. With every honest node crashed at some point there is no
     // uninterrupted chain to audit against.
     let never_crashed = |r: &&Replica| {
-        !config.is_byzantine(r.id()) && faults.iter().all(|fault| fault.node != r.id())
+        let crashed = (options.node_faults.iter()).any(|fault| fault.node == r.id());
+        !crashed && seat_attack(config, &options.attacks, r.id()).is_none()
     };
     let reference = replicas().filter(never_crashed).map(Replica::ledger);
     let Some(target) = reference.min_by_key(|ledger| ledger.len()) else {

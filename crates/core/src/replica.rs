@@ -22,14 +22,16 @@ use bamboo_pacemaker::{LeaderElection, Pacemaker};
 use bamboo_protocols::{make_protocol, Attack, ProposalInput, Safety, VoteDestination};
 use bamboo_sim::CpuModel;
 use bamboo_types::{
-    BlockId, Config, Height, Message, NodeId, ProtocolKind, QuorumCert, SharedBlock, SimDuration,
-    SimTime, SyncRequest, SyncResponse, TimeoutCert, Transaction, View, Vote,
+    BlockId, ByzantineStrategy, Config, Height, Message, NodeId, ProtocolKind, QuorumCert,
+    SharedBlock, SimDuration, SimTime, SyncRequest, SyncResponse, TimeoutCert, Transaction, View,
+    Vote,
 };
 
 use crate::durability::Disk;
 use crate::handoff;
 use crate::metrics::RecoveryStats;
 use crate::quorum::QuorumTracker;
+use crate::runner::{seat_attack, SeatAttack};
 pub use crate::runtime::ReplicaEvent;
 use crate::runtime::{BufferedTransport, Step, StepReport};
 use crate::storage::{SegmentLog, StorageFault};
@@ -42,9 +44,6 @@ pub struct ReplicaOptions {
     /// proposing instead of proposing as soon as the TC arrives. This models
     /// the non-responsive deployment of Fig. 15 ("t100" setting).
     pub wait_for_timeout_on_view_change: bool,
-    /// From this simulated time on, the replica withholds every proposal (used
-    /// to crash a node mid-run in the responsiveness experiment).
-    pub silence_from: Option<SimTime>,
     /// Overrides the shared `t_CPU` (`Config::cpu_delay`) for this replica —
     /// the scenario engine's heterogeneous-CPU knob: a cluster can mix fast
     /// and slow machines while every node still shares one [`Config`].
@@ -98,24 +97,19 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// Creates a replica. Byzantine behaviour is selected from the config: if
-    /// `config.is_byzantine(id)` the configured strategy attacks beside the
-    /// protocol.
+    /// Creates a replica in the role Table I's short form gives its seat
+    /// ([`seat_attack`] with no entries); a simulated run recasts it from its
+    /// own entries.
     pub fn new(
         id: NodeId,
         protocol: ProtocolKind,
         config: Config,
         options: ReplicaOptions,
     ) -> Self {
-        let strategy = if config.is_byzantine(id) {
-            config.byzantine_strategy
-        } else {
-            bamboo_types::ByzantineStrategy::Honest
-        };
         let election = LeaderElection::new(config.nodes, config.leader_policy);
         let cpu_delay = options.cpu_delay_override.unwrap_or(config.cpu_delay);
         let cpu = CpuModel::new(cpu_delay).with_per_tx(SimDuration::from_nanos(400));
-        Self {
+        let mut replica = Self {
             id,
             protocol,
             keypair: KeyPair::from_seed(id.as_u64()),
@@ -125,7 +119,7 @@ impl Replica {
             copies: handoff::Copies::default(),
             pacemaker: Pacemaker::new(id, config.nodes, config.timeout),
             safety: make_protocol(protocol),
-            attack: Attack::new(strategy, config.nodes),
+            attack: Attack::new(ByzantineStrategy::Honest, config.nodes, SimTime::ZERO),
             quorum: QuorumTracker::new(config.nodes),
             ledger: Ledger::new(),
             cpu,
@@ -138,7 +132,17 @@ impl Replica {
             recovery: RecoveryStats::default(),
             config,
             options,
-        }
+        };
+        replica.set_attack(seat_attack(&replica.config, &[], id));
+        replica
+    }
+
+    /// Casts this seat in `role` (`None`: honest), as [`seat_attack`]
+    /// decides it; the attack's counters start at zero.
+    pub(crate) fn set_attack(&mut self, role: Option<SeatAttack>) {
+        let honest = (ByzantineStrategy::Honest, SimTime::ZERO);
+        let (strategy, from) = role.map_or(honest, |role| (role.strategy, role.from));
+        self.attack = Attack::new(strategy, self.config.nodes, from);
     }
 
     /// The replica's id.
@@ -419,7 +423,7 @@ impl Replica {
             // on the wire — where the receivers' ingress verification catches
             // it.
             if to != Some(self.id) {
-                for wire in self.attack.wire_votes(&vote) {
+                for wire in self.attack.wire_votes(out.now, &vote) {
                     match to {
                         Some(leader) => out.transport.unicast(leader, Message::Vote(wire)),
                         None => out.transport.broadcast(Message::Vote(wire)),
@@ -558,11 +562,6 @@ impl Replica {
             // view timer moves leadership on without it.
             return;
         }
-        if let Some(from) = self.options.silence_from {
-            if out.now >= from {
-                return;
-            }
-        }
         self.proposed_in_view = view;
         // Stale held copies go; what a pending block carries stays (`handoff.rs`).
         let (pool, forest, max) = (&mut self.mempool, &self.forest, self.config.block_size);
@@ -573,7 +572,7 @@ impl Replica {
             proposer: self.id,
             payload,
         };
-        match self.attack.propose(&*self.safety, &input, &self.forest) {
+        match (self.attack).propose(out.now, &*self.safety, &input, &self.forest) {
             Some(block) => {
                 out.cpu += self.cpu.assemble_block(payload_len);
                 // Wrap the block in its shared handle exactly once; the
@@ -1297,26 +1296,33 @@ mod tests {
         assert!(wire.proposals.is_empty() && wire.sync_timers.is_empty());
     }
 
+    /// A silence entry changes nothing before its start; from it on, the
+    /// seat withholds its proposal and gives the batch back to its pool.
     #[test]
-    fn silence_from_option_mutes_proposals() {
-        let cfg = config(4);
-        let mut replica = Replica::new(
-            NodeId(1),
-            ProtocolKind::HotStuff,
-            cfg,
-            ReplicaOptions {
-                silence_from: Some(SimTime::ZERO),
-                ..Default::default()
-            },
-        );
-        let mut wire = BufferedTransport::new();
-        replica.admit(txs(25, 7), &mut wire);
-        replica.start(SimTime::ZERO, &mut wire);
-        assert!(wire.sends.is_empty(), "silenced leader never proposes");
-        assert_eq!(
-            replica.mempool_stats().pending,
-            25,
-            "batch returned to the pool"
-        );
+    fn a_silence_entry_mutes_proposals_from_its_start() {
+        let from = SimTime::ZERO + SimDuration::from_secs(1);
+        let lead_at = |now: SimTime| {
+            let options = ReplicaOptions::default();
+            let mut replica = Replica::new(NodeId(1), ProtocolKind::HotStuff, config(4), options);
+            let strategy = ByzantineStrategy::Silence;
+            replica.set_attack(Some(SeatAttack {
+                node: NodeId(1),
+                strategy,
+                from,
+            }));
+            let mut wire = BufferedTransport::new();
+            replica.admit(txs(25, 7), &mut wire);
+            replica.start(now, &mut wire);
+            let proposed = (wire.sends.iter()).any(|(_, m)| matches!(&**m, Message::Proposal(_)));
+            (
+                proposed,
+                replica.mempool_stats().pending,
+                replica.attack().withheld,
+            )
+        };
+        assert_eq!(lead_at(SimTime(from.0 - 1)), (true, 15, 0), "honest before");
+        for now in [from, from + SimDuration::from_secs(1)] {
+            assert_eq!(lead_at(now), (false, 25, 1), "silent at {now:?}");
+        }
     }
 }

@@ -56,13 +56,13 @@ use std::sync::mpsc;
 
 use bamboo_sim::{EventQueue, LatencyModel, LinkFault, NicModel, Popped, SimRng, Topology};
 use bamboo_types::{
-    Authenticator, ClientRequest, Config, NodeId, ProtocolKind, SharedMessage, SimDuration,
-    SimTime, VerifiedMessage, VerifiedRequests, View,
+    Authenticator, ByzantineStrategy, ClientRequest, Config, NodeId, ProtocolKind, SharedMessage,
+    SimDuration, SimTime, VerifiedMessage, VerifiedRequests, View,
 };
 
 use crate::metrics::RunReport;
 use crate::observe::{Observer, StepView};
-use crate::replica::ReplicaOptions;
+use crate::replica::{Replica, ReplicaOptions};
 use crate::runtime::{
     BufferedTransport, Deadlines, NodeHost, RecoverMode, ReplicaEvent, StepReport,
 };
@@ -111,14 +111,38 @@ pub struct NodeFault {
     pub mode: RecoverMode,
 }
 
+/// A Byzantine seat: `node` runs `strategy` from `from` on (DESIGN.md §2.4).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SeatAttack {
+    /// The attacking seat.
+    pub node: NodeId,
+    /// What it does from `from` on.
+    pub strategy: ByzantineStrategy,
+    /// When the attack starts.
+    pub from: SimTime,
+}
+
+/// The role of seat `node`, `None` if honest: its entry in `attacks`, else
+/// Table I's short form (seats `0..byz_nodes` attack from time zero).
+pub fn seat_attack(config: &Config, attacks: &[SeatAttack], node: NodeId) -> Option<SeatAttack> {
+    let short = SeatAttack {
+        node,
+        strategy: config.byzantine_strategy,
+        from: SimTime::ZERO,
+    };
+    let entry = attacks.iter().find(|attack| attack.node == node).copied();
+    (entry.or_else(|| config.is_byzantine(node).then_some(short)))
+        .filter(|attack| attack.strategy != ByzantineStrategy::Honest)
+}
+
 /// Run-level options that are not part of the shared Table-I [`Config`].
 #[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Behavioural options applied to every replica.
     pub replica: ReplicaOptions,
-    /// Crash (silence) one node from a given time onwards — used by the
-    /// responsiveness experiment.
-    pub silence_node_from: Option<(NodeId, SimTime)>,
+    /// Byzantine seats beyond Table I's short form (at most one per node;
+    /// a seat's entry overrides the short form, [`seat_attack`]).
+    pub attacks: Vec<SeatAttack>,
     /// Link faults injected into the latency model (partitions, group
     /// partitions, slow nodes, fluctuation windows); fluctuations draw their
     /// extra delays in this list's order.
@@ -149,7 +173,7 @@ impl Default for RunOptions {
     fn default() -> Self {
         Self {
             replica: ReplicaOptions::default(),
-            silence_node_from: None,
+            attacks: Vec::new(),
             link_faults: Vec::new(),
             node_faults: Vec::new(),
             topology: None,
@@ -164,9 +188,10 @@ impl Default for RunOptions {
 
 impl RunOptions {
     /// Fits a fault schedule written for a run of `runtime` into a run of
-    /// `new_runtime`: every [`FaultTrigger::At`] and every link-fault window
-    /// is multiplied by `new_runtime / runtime`, so the schedule keeps its
-    /// shape. View triggers and the faults' extra delays are not scaled.
+    /// `new_runtime`: every [`FaultTrigger::At`], every attack's start and
+    /// every link-fault window is multiplied by `new_runtime / runtime`, so
+    /// the schedule keeps its shape. View triggers and the faults' extra
+    /// delays are not scaled.
     pub fn scale_fault_times(&mut self, runtime: SimDuration, new_runtime: SimDuration) {
         let scale = new_runtime.as_nanos() as f64 / runtime.as_nanos() as f64;
         let scaled = |at: &mut SimTime| at.0 = (at.0 as f64 * scale) as u64;
@@ -176,6 +201,9 @@ impl RunOptions {
                     scaled(at);
                 }
             }
+        }
+        for attack in &mut self.attacks {
+            scaled(&mut attack.from);
         }
         for fault in &mut self.link_faults {
             let (start, end) = fault.window_mut();
@@ -370,20 +398,15 @@ impl SimRunner {
 
         let mut hosts: Vec<NodeHost> = (0..config.nodes as u64)
             .map(|i| {
-                let mut replica_options = options.replica;
-                if let Some((node, from)) = options.silence_node_from {
-                    if node == NodeId(i) {
-                        replica_options.silence_from = Some(from);
-                    }
-                }
-                if let Some(&(_, delay)) = options
-                    .cpu_overrides
-                    .iter()
-                    .find(|(node, _)| *node == NodeId(i))
+                let (id, mut replica_options) = (NodeId(i), options.replica);
+                if let Some(&(_, delay)) =
+                    options.cpu_overrides.iter().find(|(node, _)| *node == id)
                 {
                     replica_options.cpu_delay_override = Some(delay);
                 }
-                NodeHost::new(NodeId(i), protocol, config.clone(), replica_options)
+                let mut replica = Replica::new(id, protocol, config.clone(), replica_options);
+                replica.set_attack(seat_attack(&config, &options.attacks, id));
+                NodeHost::from_replica(replica)
             })
             .collect();
 
@@ -519,10 +542,10 @@ impl SimRunner {
                 clients.tick(now)
             })
         };
-        let (config, faults) = (&self.config, &self.options.node_faults);
+        let (config, options) = (&self.config, &self.options);
         let mut report = self
             .observer
-            .finish(config, self.protocol, &self.hosts, faults);
+            .finish(config, self.protocol, &self.hosts, options);
         // Issued is what the loop took, never what a producer generated
         // ahead of it. An inline workload counts for itself: a closed loop
         // also issues at commits, between ticks.
@@ -1092,6 +1115,72 @@ mod tests {
         assert_eq!(attacked.safety_violations, 0);
         assert!(attacked.chain_growth_rate < honest.chain_growth_rate);
         assert!(attacked.timeout_view_changes > 0);
+    }
+
+    /// A leader silent from mid-run strands none of its clients' requests:
+    /// the attack withholds its proposal after the view counts as proposed,
+    /// so the leader's handoff target lies past its own view and what it
+    /// admits while that view times out is copied on to leaders that propose.
+    #[test]
+    fn a_seat_silent_from_mid_run_strands_none_of_its_requests() {
+        let mut cfg = base_config(4, 4_000.0);
+        (cfg.runtime, cfg.timeout) = (SimDuration::from_secs(8), SimDuration::from_millis(20));
+        let from = SimTime::ZERO + SimDuration::from_secs(1);
+        let until = SimTime::ZERO + cfg.runtime.saturating_sub(cfg.timeout * 5);
+        let bucket = SimDuration::from_millis(100);
+        let committed = |attacks| {
+            let options = RunOptions {
+                attacks,
+                series_bucket: bucket,
+                ..RunOptions::default()
+            };
+            let report = SimRunner::new(cfg.clone(), ProtocolKind::HotStuff, options).run();
+            assert_eq!(report.safety_violations, 0);
+            let window = (report.throughput_series.iter()).filter(|s| s.at >= from && s.at < until);
+            window
+                .map(|s| s.tx_per_sec * bucket.as_secs_f64())
+                .sum::<f64>()
+        };
+        // The workload draws from its own stream, so both runs see the same
+        // arrivals, and the honest one commits them within milliseconds:
+        // its commits over the window are the offered load.
+        let offered = committed(Vec::new());
+        let strategy = ByzantineStrategy::Silence;
+        let silent = committed(vec![SeatAttack {
+            node: NodeId(0),
+            strategy,
+            from,
+        }]);
+        assert!(silent >= 0.97 * offered, "{silent} of {offered} committed");
+    }
+
+    #[test]
+    fn scale_fault_times_moves_attack_starts_with_time_triggers_only() {
+        let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        let strategy = ByzantineStrategy::Silence;
+        let mut options = RunOptions {
+            attacks: vec![SeatAttack {
+                node: NodeId(2),
+                strategy,
+                from: at(600),
+            }],
+            node_faults: vec![NodeFault {
+                node: NodeId(1),
+                crash: FaultTrigger::At(at(400)),
+                recover: Some(FaultTrigger::AtView(View(9))),
+                mode: RecoverMode::Resume,
+            }],
+            ..RunOptions::default()
+        };
+        options.scale_fault_times(SimDuration::from_secs(2), SimDuration::from_millis(500));
+        assert_eq!(options.attacks[0].from, at(150));
+        let fault = options.node_faults[0];
+        assert_eq!(fault.crash, FaultTrigger::At(at(100)));
+        assert_eq!(
+            fault.recover,
+            Some(FaultTrigger::AtView(View(9))),
+            "view triggers stay"
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ use bamboo_types::{
 
 use super::expect::Expectations;
 use super::Scenario;
-use crate::runner::{FaultTrigger, NodeFault, RunOptions};
+use crate::runner::{seat_attack, FaultTrigger, NodeFault, RunOptions};
 use crate::runtime::RecoverMode;
 use crate::storage::StorageFault;
 
@@ -626,10 +626,10 @@ pub(super) fn scenario(doc: &Json) -> Result<Scenario, String> {
     // touches; when the schedule covers everyone (e.g. a long rolling-leader
     // sweep), fall back to the default observer. Both tiers share the choice:
     // scaling moves a fault in time, never to another node.
-    options.observer = (0..cluster)
-        .rev()
-        .map(NodeId)
-        .find(|id| !base.is_byzantine(*id) && options.node_faults.iter().all(|f| f.node != *id));
+    options.observer = (0..cluster).rev().map(NodeId).find(|&id| {
+        seat_attack(&base, &options.attacks, id).is_none()
+            && options.node_faults.iter().all(|f| f.node != id)
+    });
     Ok(Scenario {
         expect: parse_expectations(doc, &name)?,
         name,

@@ -28,11 +28,12 @@
 //! [`Attack::propose`] sees the honest protocol only through `&dyn Safety`
 //! (whose voting, state-updating and commit rules all need `&mut`), and
 //! [`Attack::wire_votes`] only the vote about to leave. "Attackers keep the
-//! honest voting, state and commit rules" is a property of the type.
+//! honest voting, state and commit rules" is a property of the type. Before
+//! its start instant an attack passes both surfaces through unchanged.
 
 use bamboo_crypto::KeyPair;
 use bamboo_forest::BlockForest;
-use bamboo_types::{Block, ByzantineStrategy, NodeId, QuorumCert, Vote};
+use bamboo_types::{Block, ByzantineStrategy, NodeId, QuorumCert, SimTime, Vote};
 
 use crate::safety::{propose_on_certified, ProposalInput, Safety};
 
@@ -41,6 +42,8 @@ use crate::safety::{propose_on_certified, ProposalInput, Safety};
 #[derive(Clone, Debug)]
 pub struct Attack {
     strategy: ByzantineStrategy,
+    /// Before this instant the replica plays honestly.
+    from: SimTime,
     nodes: usize,
     /// A key outside the validator set (ids are < nodes), so nothing it signs
     /// can verify under any validator's public key.
@@ -54,11 +57,12 @@ pub struct Attack {
 }
 
 impl Attack {
-    /// The attack a replica running `strategy` mounts in a system of `nodes`
-    /// replicas (the vote forger mints one vote in every replica's name).
-    pub fn new(strategy: ByzantineStrategy, nodes: usize) -> Self {
+    /// The attack a replica mounts with `strategy` from `from` on, among
+    /// `nodes` replicas (the vote forger mints one in every replica's name).
+    pub fn new(strategy: ByzantineStrategy, nodes: usize, from: SimTime) -> Self {
         Self {
             strategy,
+            from,
             nodes,
             junk: KeyPair::from_seed(u64::MAX),
             forks_attempted: 0,
@@ -67,16 +71,18 @@ impl Attack {
         }
     }
 
-    /// The Proposing rule as the attacker plays it; `None` withholds the
-    /// proposal. Everything but forking, silence and QC forgery proposes
+    /// The Proposing rule as the attacker plays it at `now`; `None` withholds
+    /// the proposal. Everything but forking, silence and QC forgery proposes
     /// honestly.
     pub fn propose(
         &mut self,
+        now: SimTime,
         honest: &dyn Safety,
         input: &ProposalInput,
         forest: &BlockForest,
     ) -> Option<Block> {
         match self.strategy {
+            _ if now < self.from => honest.propose(input, forest),
             ByzantineStrategy::Forking => {
                 // Ask the honest protocol how deep a fork its own voting rule
                 // would still accept; fall back to honest proposing when
@@ -130,20 +136,25 @@ impl Attack {
         )
     }
 
-    /// The votes that leave the process in place of the honest `vote` (which
-    /// the replica still counts locally). The vote forger sends one per
-    /// replica, minted in its name with the junk key: a replica that skipped
+    /// The votes that leave at `now` in place of the honest `vote` (which the
+    /// replica still counts locally). The vote forger sends one per replica,
+    /// minted in its name with the junk key: a replica that skipped
     /// verification would see an instant quorum; with authenticated ingress
     /// they all die at the door and the attacker merely withheld its vote.
-    pub fn wire_votes<'a>(&mut self, vote: &'a Vote) -> impl Iterator<Item = Vote> + 'a {
+    pub fn wire_votes<'a>(
+        &mut self,
+        now: SimTime,
+        vote: &'a Vote,
+    ) -> impl Iterator<Item = Vote> + 'a {
         let own = vote.voter.as_u64();
-        let (voters, signature) = if self.strategy == ByzantineStrategy::ForgedVote {
-            self.forged += self.nodes as u64;
-            let junk = self.junk.sign(&Vote::signing_bytes(vote.block, vote.view));
-            (0..self.nodes as u64, junk)
-        } else {
-            (own..own + 1, vote.signature)
-        };
+        let (voters, signature) =
+            if self.strategy == ByzantineStrategy::ForgedVote && now >= self.from {
+                self.forged += self.nodes as u64;
+                let junk = self.junk.sign(&Vote::signing_bytes(vote.block, vote.view));
+                (0..self.nodes as u64, junk)
+            } else {
+                (own..own + 1, vote.signature)
+            };
         voters.map(move |voter| Vote {
             voter: NodeId(voter),
             signature,
@@ -183,14 +194,14 @@ mod tests {
             for seed in 0..8u64 {
                 let mut forest = BlockForest::new();
                 let (mut honest, mut attacker) = (make_protocol(kind), make_protocol(kind));
-                let mut attack = Attack::new(strategy, 4);
+                let mut attack = Attack::new(strategy, 4, SimTime::ZERO);
                 for view in 1..=40u64 {
                     let label = format!("{strategy} {kind:?} seed {seed} view {view}");
                     let draw = roll(seed, view);
                     let inp = input(view, view % 4);
                     // The attacker leads roughly every third view.
                     let proposal = if draw.is_multiple_of(3) {
-                        attack.propose(&*attacker, &inp, &forest)
+                        attack.propose(SimTime::ZERO, &*attacker, &inp, &forest)
                     } else {
                         honest.propose(&inp, &forest)
                     };
@@ -234,9 +245,9 @@ mod tests {
     fn forking_builds_k_minus_one_below_the_tip_and_honest_replicas_accept() {
         for k in [2, 3] {
             let (mut forest, ids) = chain3();
-            let mut attack = Attack::new(ByzantineStrategy::Forking, 4);
+            let mut attack = Attack::new(ByzantineStrategy::Forking, 4, SimTime::ZERO);
             let proposal = attack
-                .propose(&ChainedSafety::new(k), &input(4, 0), &forest)
+                .propose(SimTime::ZERO, &ChainedSafety::new(k), &input(4, 0), &forest)
                 .expect("proposal");
             assert_eq!(proposal.parent, ids[3 - k], "k = {k}");
             assert_eq!(attack.forks_attempted, 1, "k = {k}");
@@ -258,9 +269,14 @@ mod tests {
     #[test]
     fn streamlet_leaves_no_room_to_fork() {
         let (forest, ids) = chain3();
-        let mut attack = Attack::new(ByzantineStrategy::Forking, 4);
+        let mut attack = Attack::new(ByzantineStrategy::Forking, 4, SimTime::ZERO);
         let streamlet = attack
-            .propose(&StreamletSafety::new(), &input(4, 0), &forest)
+            .propose(
+                SimTime::ZERO,
+                &StreamletSafety::new(),
+                &input(4, 0),
+                &forest,
+            )
             .expect("proposal");
         assert_eq!(streamlet.parent, ids[2], "no fork target exists");
         assert_eq!(attack.forks_attempted, 0);
@@ -269,18 +285,42 @@ mod tests {
     #[test]
     fn silence_attacker_never_proposes() {
         let (forest, _) = chain3();
-        let mut attack = Attack::new(ByzantineStrategy::Silence, 4);
+        let mut attack = Attack::new(ByzantineStrategy::Silence, 4, SimTime::ZERO);
         let honest = ChainedSafety::new(3);
-        assert!(attack.propose(&honest, &input(4, 0), &forest).is_none());
-        assert!(attack.propose(&honest, &input(5, 0), &forest).is_none());
+        assert!(attack
+            .propose(SimTime::ZERO, &honest, &input(4, 0), &forest)
+            .is_none());
+        assert!(attack
+            .propose(SimTime::ZERO, &honest, &input(5, 0), &forest)
+            .is_none());
         assert_eq!(attack.withheld, 2);
+    }
+
+    /// Before its start an attack is the identity on both surfaces.
+    #[test]
+    fn an_attack_passes_proposals_and_votes_through_before_it_starts() {
+        let (forest, _) = chain3();
+        let (honest, from, before) = (ChainedSafety::new(3), SimTime(1_000), SimTime(999));
+        let vote = Vote::new(BlockId::GENESIS, View(3), NodeId(0), &KeyPair::from_seed(0));
+        let mut silent = Attack::new(ByzantineStrategy::Silence, 4, from);
+        let mut forger = Attack::new(ByzantineStrategy::ForgedVote, 4, from);
+        let proposal = silent.propose(before, &honest, &input(4, 0), &forest);
+        let expected = honest.propose(&input(4, 0), &forest);
+        assert_eq!(proposal.map(|b| b.id), expected.map(|b| b.id));
+        assert_eq!(forger.wire_votes(before, &vote).count(), 1);
+        assert_eq!((silent.withheld, forger.forged), (0, 0));
+        assert!(silent
+            .propose(from, &honest, &input(5, 0), &forest)
+            .is_none());
+        assert_eq!(forger.wire_votes(from, &vote).count(), 4);
+        assert_eq!((silent.withheld, forger.forged), (1, 4));
     }
 
     #[test]
     fn forged_vote_flood_covers_every_replica_and_never_verifies() {
         let vote = Vote::new(BlockId::GENESIS, View(3), NodeId(0), &KeyPair::from_seed(0));
-        let mut attack = Attack::new(ByzantineStrategy::ForgedVote, 4);
-        let flood: Vec<Vote> = attack.wire_votes(&vote).collect();
+        let mut attack = Attack::new(ByzantineStrategy::ForgedVote, 4, SimTime::ZERO);
+        let flood: Vec<Vote> = attack.wire_votes(SimTime::ZERO, &vote).collect();
         assert_eq!(flood.len(), 4, "one forged vote per replica");
         assert_eq!(attack.forged, 4);
         for forged in &flood {
@@ -295,9 +335,9 @@ mod tests {
         // Every other strategy puts exactly the honest vote on the wire.
         for strategy in STRATEGIES {
             if strategy != ByzantineStrategy::ForgedVote {
-                let mut attack = Attack::new(strategy, 4);
+                let mut attack = Attack::new(strategy, 4, SimTime::ZERO);
                 assert_eq!(
-                    attack.wire_votes(&vote).collect::<Vec<_>>(),
+                    attack.wire_votes(SimTime::ZERO, &vote).collect::<Vec<_>>(),
                     std::slice::from_ref(&vote),
                     "{strategy}"
                 );
@@ -309,10 +349,10 @@ mod tests {
     #[test]
     fn forged_qc_proposal_keeps_valid_id_but_fails_aggregate_verification() {
         let (forest, _ids) = chain3();
-        let mut attack = Attack::new(ByzantineStrategy::ForgedQc, 4);
+        let mut attack = Attack::new(ByzantineStrategy::ForgedQc, 4, SimTime::ZERO);
         let honest = ChainedSafety::new(3);
         let proposal = attack
-            .propose(&honest, &input(4, 0), &forest)
+            .propose(SimTime::ZERO, &honest, &input(4, 0), &forest)
             .expect("proposal");
         assert_eq!(attack.forged, 1);
         assert!(
@@ -339,9 +379,9 @@ mod tests {
         // Only genesis exists: the honest protocol justifies with the genesis
         // QC, which cannot be meaningfully forged.
         let forest = BlockForest::new();
-        let mut attack = Attack::new(ByzantineStrategy::ForgedQc, 4);
+        let mut attack = Attack::new(ByzantineStrategy::ForgedQc, 4, SimTime::ZERO);
         let proposal = attack
-            .propose(&ChainedSafety::new(3), &input(1, 0), &forest)
+            .propose(SimTime::ZERO, &ChainedSafety::new(3), &input(1, 0), &forest)
             .expect("proposal");
         assert!(proposal.justify.is_genesis());
         assert_eq!(attack.forged, 0);

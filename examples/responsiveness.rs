@@ -1,5 +1,5 @@
 //! Reproduce (a compressed version of) the paper's responsiveness experiment
-//! interactively: inject a network-fluctuation window, crash a node, and watch
+//! interactively: inject a network-fluctuation window, silence a node, and watch
 //! how a responsive protocol (HotStuff) and a non-responsive one (2CHS) behave
 //! with an aggressive 10 ms timeout.
 //!
@@ -7,8 +7,8 @@
 //! cargo run --release --example responsiveness
 //! ```
 
-use bamboo::core::{LinkFault, RunOptions, SimRunner};
-use bamboo::types::{Config, NodeId, ProtocolKind, SimDuration, SimTime};
+use bamboo::core::{LinkFault, RunOptions, SeatAttack, SimRunner};
+use bamboo::types::{ByzantineStrategy, Config, NodeId, ProtocolKind, SimDuration, SimTime};
 
 fn main() {
     let fluctuation = LinkFault::Fluctuation {
@@ -17,7 +17,11 @@ fn main() {
         start: SimTime::ZERO + SimDuration::from_secs(2),
         end: SimTime::ZERO + SimDuration::from_secs(4),
     };
-    let crash_at = SimTime::ZERO + SimDuration::from_secs(5);
+    let silence = SeatAttack {
+        node: NodeId(0),
+        strategy: ByzantineStrategy::Silence,
+        from: SimTime::ZERO + SimDuration::from_secs(5),
+    };
 
     for protocol in [ProtocolKind::HotStuff, ProtocolKind::TwoChainHotStuff] {
         let config = Config {
@@ -32,7 +36,7 @@ fn main() {
         };
         let options = RunOptions {
             link_faults: vec![fluctuation],
-            silence_node_from: Some((NodeId(0), crash_at)),
+            attacks: vec![silence],
             series_bucket: SimDuration::from_millis(500),
             ..Default::default()
         };
@@ -50,7 +54,7 @@ fn main() {
             print!("{:>5.0}", sample.tx_per_sec / 1_000.0);
         }
         println!();
-        println!("  (fluctuation at 2–4 s, node 0 crashes at 5 s)");
+        println!("  (fluctuation at 2–4 s, node 0 turns silent at 5 s)");
     }
 
     println!(
