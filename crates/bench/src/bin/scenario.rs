@@ -10,15 +10,17 @@
 //!   runs at the full tier;
 //! * `--quick` switches to the shortened gating tier: each scenario's
 //!   `quick_runtime_ms` window with proportionally scaled fault schedules;
-//! * explicit `FILE` arguments replace the directory scan.
+//! * explicit `FILE` arguments replace the directory scan;
+//! * a spec with a `grid` is a [`Figure`] (`--dir figures`): its points run
+//!   as a batch of their own and write `<figure>.rows.json`.
 //!
 //! Every `(scenario, protocol)` pair executes twice on the parallel sweep
 //! pool (the second run must reproduce the first's fingerprint, counters
 //! and recovery report) and the assembled [`ScenarioReport`]s are written to
-//! `target/bamboo-bench/scenario_reports.json` — a byte-stable artifact:
+//! `target/bamboo-bench/<stem>_reports.json` ([`artifact_stem`]) — a byte-stable artifact:
 //! two invocations on the same tree produce identical bytes. The recovery
 //! latencies `bench_diff` tracks are written next to it as
-//! `scenario.rows.json`: each run's end-to-end numbers
+//! `<stem>.rows.json`: each grid-less run's end-to-end numbers
 //! (`<scenario>/<protocol>/throughput`, `…/latency_mean`, `…/latency_p99`,
 //! `…/latency_max`, `…/cgr` and `…/duplicates_filtered`), the transactions
 //! still uncommitted at its end (`…/pending_txs`: latency rows count only
@@ -34,16 +36,17 @@
 //! expectation, or an unparsable spec. This is the CI gate for the scenario
 //! suite.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bamboo_bench::{
-    banner, save_rows, stage_rows, write_artifact, Higher, Lower, RowFile, Sim, Tier,
+    banner, record_figure, save_rows, stage_rows, write_artifact, Higher, Lower, RowFile, Sim,
+    Tier, Wall,
 };
 use bamboo_core::parallel::{default_workers, run_ordered};
-use bamboo_core::{Scenario, ScenarioReport, ScenarioRun};
-use bamboo_types::{ProtocolKind, ToJson};
+use bamboo_core::{Figure, Scenario, ScenarioReport};
+use bamboo_types::{Json, ToJson};
 
 /// The shipped scenario library: `scenarios/` at the workspace root.
 fn default_dir() -> PathBuf {
@@ -65,6 +68,27 @@ fn spec_files(dir: &PathBuf) -> Vec<PathBuf> {
         .unwrap_or_default();
     files.sort();
     files
+}
+
+/// The stem of the suite's artifacts, `<stem>_reports.json` and
+/// `<stem>.rows.json`: the name of the directory the specs are in, except
+/// that `scenarios/` keeps `scenario`, the name its rows have in the
+/// committed snapshots.
+fn artifact_stem(dir: &Path) -> String {
+    match dir.file_name().and_then(|name| name.to_str()) {
+        Some("scenarios") | None => "scenario".to_string(),
+        Some(name) => name.to_string(),
+    }
+}
+
+/// Runs every spec on the sweep pool, one job each ([`Scenario::run`]);
+/// returns the reports in spec order and the batch's wall time.
+fn run_batch(specs: &[Scenario], quick: bool) -> (Vec<ScenarioReport>, Duration) {
+    let started = Instant::now();
+    let jobs: Vec<_> = (specs.iter().cloned())
+        .map(|s| move || s.run(quick))
+        .collect();
+    (run_ordered(jobs, default_workers()), started.elapsed())
 }
 
 fn main() -> ExitCode {
@@ -102,7 +126,7 @@ fn main() -> ExitCode {
     }
 
     // Parse every spec up front; a broken spec fails the suite.
-    let mut scenarios: Vec<Scenario> = Vec::new();
+    let (mut scenarios, mut figures) = (Vec::new(), Vec::new());
     let mut parse_failures = 0usize;
     for file in &files {
         let text = match std::fs::read_to_string(file) {
@@ -113,47 +137,21 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        match Scenario::parse(&text) {
-            Ok(scenario) => scenarios.push(scenario),
-            Err(err) => {
-                eprintln!("error: {}: {err}", file.display());
-                parse_failures += 1;
-            }
+        let parsed = Json::parse(&text).and_then(|doc| match doc.get("grid") {
+            Some(_) => Figure::from_json(&doc).map(|figure| figures.push(figure)),
+            None => Scenario::from_json(&doc).map(|scenario| scenarios.push(scenario)),
+        });
+        if let Err(err) = parsed {
+            eprintln!("error: {}: {err}", file.display());
+            parse_failures += 1;
         }
     }
 
-    // Fan every (scenario, protocol) pair out on the sweep pool; each job
-    // runs the pair twice (determinism proof) via `run_protocol`.
-    let pairs: Vec<(usize, ProtocolKind)> = scenarios
-        .iter()
-        .enumerate()
-        .flat_map(|(index, s)| s.protocols.iter().map(move |&p| (index, p)))
-        .collect();
-    let started = Instant::now();
-    let jobs: Vec<_> = pairs
-        .iter()
-        .map(|&(index, protocol)| {
-            let scenario = scenarios[index].clone();
-            move || scenario.run_protocol(protocol, quick)
-        })
-        .collect();
-    let runs = run_ordered(jobs, default_workers());
-    let wall = started.elapsed();
-
-    // Reassemble per-scenario reports in spec order.
-    let mut grouped: Vec<Vec<ScenarioRun>> = scenarios.iter().map(|_| Vec::new()).collect();
-    for (&(index, _), run) in pairs.iter().zip(runs) {
-        grouped[index].push(run);
-    }
-    let reports: Vec<ScenarioReport> = scenarios
-        .iter()
-        .zip(grouped)
-        .map(|(scenario, runs)| scenario.evaluate(quick, runs))
-        .collect();
-
+    let (mut reports, mut wall) = run_batch(&scenarios, quick);
     let mut failures = parse_failures;
     let mut total_events: u64 = 0;
-    let mut rows = RowFile::new("scenario", Tier::from_quick(quick), 0);
+    let stem = artifact_stem(files[0].parent().unwrap_or(&dir));
+    let mut rows = RowFile::new(&stem, Tier::from_quick(quick), 0);
     for report in &reports {
         println!(
             "\n{} — {}",
@@ -161,7 +159,9 @@ fn main() -> ExitCode {
             if report.passed() { "PASS" } else { "FAIL" }
         );
         for run in &report.runs {
-            total_events += run.report.events_processed;
+            // Both runs of the pair: the replay reproduced this count, or
+            // the pair failed.
+            total_events += 2 * run.report.events_processed;
             // Copies sent / kept / dropped / handed on (DESIGN.md §7.4), and
             // committed duplicates the ledger did not execute.
             let handoff = &run.report.mempool;
@@ -234,13 +234,49 @@ fn main() -> ExitCode {
         }
     }
 
-    write_artifact("scenario_reports.json", &reports.to_json().render_pretty());
-    save_rows(&rows);
+    // Each figure is a batch of its own, so its wall time is its own.
+    for figure in &figures {
+        banner(&format!("Figure {}", figure.name));
+        let (points, batch_wall) = run_batch(&figure.points, quick);
+        let (mut runs, mut batch_events) = (Vec::new(), 0);
+        for ((scenario, tags), report) in figure.points.iter().zip(&figure.tags).zip(&points) {
+            let config = scenario.build(quick).0;
+            for run in &report.runs {
+                let values = figure.rows.iter().map(|m| m.3(&run.report, &config));
+                runs.push((run.protocol.label(), tags.as_str(), values.collect()));
+                batch_events += 2 * run.report.events_processed;
+            }
+            for failure in &report.failures {
+                println!("  FAIL ({tags}): {failure}");
+                failures += 1;
+            }
+        }
+        let seed = figure.points[0].build(quick).0.seed;
+        let mut out = RowFile::new(&figure.name, Tier::from_quick(quick), seed);
+        record_figure(&mut out, &figure.rows, runs);
+        // A figure that counts its points' events also records the engine's
+        // rate over its batch: the one wall-clock row of the figures.
+        if figure.rows.iter().any(|metric| metric.0 == "events") {
+            let rate = batch_events as f64 / batch_wall.as_secs_f64();
+            let rate = ("events_per_sec", rate, "events/s", Higher);
+            out.point(Wall, "engine", &[rate]);
+        }
+        save_rows(&out);
+        (total_events, wall) = (total_events + batch_events, wall + batch_wall);
+        reports.extend(points);
+    }
+
+    let json = reports.to_json().render_pretty();
+    write_artifact(&format!("{stem}_reports.json"), &json);
+    if !scenarios.is_empty() {
+        save_rows(&rows);
+    }
     println!(
-        "\n{} scenario(s), {} run pair(s), {total_events} simulation events in {:.1} s wall",
+        "\n{} scenario(s) and figure point(s), {total_events} simulation events in {:.1} s wall \
+         ({:.0} events/s)",
         reports.len(),
-        pairs.len(),
-        wall.as_secs_f64()
+        wall.as_secs_f64(),
+        total_events as f64 / wall.as_secs_f64()
     );
     if failures > 0 {
         println!("scenario suite FAILED: {failures} failure(s)");
@@ -248,5 +284,19 @@ fn main() -> ExitCode {
     } else {
         println!("scenario suite passed");
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn artifacts_are_named_after_the_spec_directory() {
+        assert_eq!(artifact_stem(&default_dir()), "scenario");
+        assert_eq!(artifact_stem(Path::new("scenarios/")), "scenario");
+        assert_eq!(artifact_stem(Path::new("scenarios/nightly")), "nightly");
+        assert_eq!(artifact_stem(Path::new("./figures")), "figures");
+        assert_eq!(artifact_stem(Path::new("")), "scenario");
     }
 }

@@ -1,9 +1,10 @@
 //! Shared harness code for the experiment benches.
 //!
-//! Every bench target in `benches/` regenerates one table or figure of
-//! *Dissecting the Performance of Chained-BFT*: it prints the same rows /
-//! series the paper reports and records every number as a
-//! `{name, value, unit, better, clock}` row in
+//! The tables and figures of *Dissecting the Performance of Chained-BFT*
+//! are `figures/*.json` specs the `scenario` bin runs ([`record_figure`]
+//! writes their rows), except fig8 and fig15, which are bench targets in
+//! `benches/`. Each prints the rows or series the paper reports and records
+//! every number as a `{name, value, unit, better, clock}` row in
 //! `target/bamboo-bench/<bench>.rows.json`. [`rows`] is the only owner of
 //! that format; [`compare`] is the one comparison `bench_diff` runs over it.
 //!
@@ -23,7 +24,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use bamboo_core::metrics::Stages;
-use bamboo_core::{run_all, RunOptions};
+use bamboo_core::scenario::Metric;
 use bamboo_model::{ModelParams, PerfModel};
 use bamboo_types::{Config, ProtocolKind, SimDuration};
 
@@ -96,38 +97,35 @@ pub fn model_for(protocol: ProtocolKind, config: &Config) -> PerfModel {
     PerfModel::new(protocol, ModelParams::from_config(config))
 }
 
-/// A figure's offered loads: `start`, doubled until there are `points`.
-pub fn doubling_ladder(start: f64, points: u32) -> Vec<f64> {
-    (0..points).map(|k| start * f64::from(1u32 << k)).collect()
-}
-
-/// Runs every latency/throughput curve of a figure — each
-/// `(label, protocol, config)` at every load of `ladder` — as one
-/// [`run_all`] batch, and records (and prints) every point's committed
-/// throughput and mean latency as `<label>/o<offered>/…` rows.
-pub fn record_curves(out: &mut RowFile, curves: &[(String, ProtocolKind, Config)], ladder: &[f64]) {
-    let points = curves
-        .iter()
-        .flat_map(|(_, protocol, config)| {
-            ladder.iter().map(move |&rate| {
-                let mut config = config.clone();
-                config.arrival_rate = Some(rate);
-                (config, *protocol, RunOptions::default())
-            })
-        })
-        .collect();
-    let reports = run_all(points);
-    for ((label, _, _), runs) in curves.iter().zip(reports.chunks(ladder.len())) {
-        for (rate, report) in ladder.iter().zip(runs) {
-            out.point(
-                Sim,
-                &format!("{label}/o{rate:.0}"),
-                &[
-                    ("throughput", report.throughput_tx_per_sec, "tx/s", Higher),
-                    ("latency", report.latency.mean_ms, "ms", Lower),
-                ],
-            );
+/// Records a figure's runs, `(protocol label, tags, values of metrics)` in
+/// run order, as `<label><tags>/<metric>` rows; runs that share a key fold
+/// to `<metric>_mean` and `<metric>_std`, in the order the keys first came.
+pub fn record_figure(out: &mut RowFile, metrics: &[Metric], runs: Vec<(&str, &str, Vec<f64>)>) {
+    let mut points: Vec<(String, Vec<Vec<f64>>)> = Vec::new();
+    for (label, tags, values) in runs {
+        let key = format!("{label}{tags}");
+        match points.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, samples)) => samples.push(values),
+            None => points.push((key, vec![values])),
         }
+    }
+    for (key, samples) in points {
+        let mut cells = Vec::new();
+        for (at, &(name, unit, higher, _)) in metrics.iter().enumerate() {
+            let better = if higher { Higher } else { Lower };
+            let values: Vec<f64> = samples.iter().map(|values| values[at]).collect();
+            if let [value] = values[..] {
+                cells.push((name.to_string(), value, unit, better));
+            } else {
+                let (mean, std) = stats::mean_std(&values);
+                cells.push((format!("{name}_mean"), mean, unit, better));
+                cells.push((format!("{name}_std"), std, unit, Lower));
+            }
+        }
+        let cells: Vec<_> = (cells.iter())
+            .map(|(n, v, u, b)| (n.as_str(), *v, *u, *b))
+            .collect();
+        out.point(Sim, &key, &cells);
     }
 }
 
@@ -169,9 +167,14 @@ mod tests {
     }
 
     #[test]
-    fn doubling_ladders_reach_the_figures_top_loads() {
-        assert_eq!(doubling_ladder(2_000.0, 3), [2_000.0, 4_000.0, 8_000.0]);
-        assert_eq!(doubling_ladder(10_000.0, 8)[7], 1_280_000.0);
+    fn a_key_is_the_label_then_the_tags_and_runs_sharing_it_fold_to_mean_and_std() {
+        let mut out = RowFile::new("fold", Tier::Full, 0);
+        let runs = [("HS", 1.0), ("SL", 2.0), ("HS", 3.0)].map(|(p, v)| (p, "/n4", vec![v]));
+        record_figure(&mut out, &bamboo_core::scenario::METRICS[..1], runs.into());
+        let rows = (out.rows.iter()).map(|r| format!("{} {} {:?}", r.name, r.value, r.better));
+        let expected = "HS/n4/throughput_mean 2 Higher, HS/n4/throughput_std 1 Lower, \
+                        SL/n4/throughput 2 Higher";
+        assert_eq!(rows.collect::<Vec<_>>().join(", "), expected);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The bench artifact format, and the only module that knows it.
 //!
-//! Every producer under `crates/bench` — the twelve benches and the
-//! `scenario`, `saturation` and `tcp_smoke` bins — records its numbers as
+//! Every producer under `crates/bench` — the four benches and the
+//! `scenario` (figures included), `saturation` and `tcp_smoke` bins — records its numbers as
 //! [`Row`]s in one [`RowFile`] and writes it with [`save_rows`] to
 //! `target/bamboo-bench/<bench>.rows.json`. An artifact is a JSON array of
 //! row files, one line per row:

@@ -85,7 +85,7 @@ pub use quorum::QuorumTracker;
 pub use replica::{Replica, ReplicaOptions};
 pub use runner::{FaultTrigger, NodeFault, RunOptions, SeatAttack, SimRunner};
 pub use runtime::{BufferedTransport, NodeHost, RecoverMode, ReplicaEvent, StepReport};
-pub use scenario::{Expectations, Scenario, ScenarioReport, ScenarioRun};
+pub use scenario::{Expectations, Figure, Scenario, ScenarioReport, ScenarioRun};
 pub use storage::{
     DecodedStream, FileBackend, MemoryBackend, Record, RecordKind, ReplayResult, SegmentBackend,
     SegmentLog, StorageFault,

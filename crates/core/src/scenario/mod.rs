@@ -30,19 +30,22 @@
 //! by `quick_runtime / runtime` ([`RunOptions::scale_fault_times`]), so the
 //! schedule keeps its shape; view-triggered boundaries are left untouched.
 //!
-//! The engine is two files: `spec` reads the JSON into a [`Scenario`] —
+//! The engine is three files: `spec` reads the JSON into a [`Scenario`] —
 //! its faults straight into the runner's own [`NodeFault`]s and
-//! [`LinkFault`]s at the full tier — and `expect` audits the finished runs.
+//! [`LinkFault`]s at the full tier — `expect` audits the finished runs, and
+//! `grid` sweeps one spec over a grid of partial specs into a [`Figure`].
 //!
 //! [`NodeFault`]: crate::runner::NodeFault
 //! [`LinkFault`]: bamboo_sim::LinkFault
 
 mod expect;
+mod grid;
 mod spec;
 
 use bamboo_types::{Config, Json, ProtocolKind, SimDuration, ToJson};
 
 pub use self::expect::Expectations;
+pub use self::grid::{Figure, Metric, METRICS};
 use crate::metrics::RunReport;
 use crate::runner::{RunOptions, SimRunner};
 
@@ -139,36 +142,24 @@ impl Scenario {
         (config, options)
     }
 
-    /// Runs one protocol of the scenario twice and returns the first run;
-    /// [`ScenarioRun::deterministic`] says whether the second execution
-    /// reproduced it.
-    pub fn run_protocol(&self, protocol: ProtocolKind, quick: bool) -> ScenarioRun {
-        let (config, options) = self.build(quick);
-        let report = SimRunner::new(config.clone(), protocol, options.clone()).run();
-        let replay = SimRunner::new(config, protocol, options).run();
-        ScenarioRun {
-            protocol,
-            deterministic: replay.replay_key() == report.replay_key(),
-            report,
-        }
-    }
-
-    /// Runs every protocol of the scenario sequentially and evaluates the
-    /// expectations. The `scenario` binary parallelises over
-    /// `(scenario, protocol)` pairs instead; it reassembles reports through
-    /// [`Scenario::evaluate`].
+    /// Runs every protocol of the scenario twice — [`ScenarioRun::deterministic`]
+    /// says whether the second run reproduced the first — and audits the
+    /// runs against the scenario's invariants and expectations. The
+    /// `scenario` binary runs one such job per spec on the sweep pool.
     pub fn run(&self, quick: bool) -> ScenarioReport {
-        let runs = self
-            .protocols
-            .iter()
-            .map(|&protocol| self.run_protocol(protocol, quick))
+        let (config, options) = self.build(quick);
+        let run = |protocol| SimRunner::new(config.clone(), protocol, options.clone()).run();
+        let runs: Vec<ScenarioRun> = (self.protocols.iter())
+            .map(|&protocol| {
+                let report = run(protocol);
+                let deterministic = run(protocol).replay_key() == report.replay_key();
+                ScenarioRun {
+                    protocol,
+                    report,
+                    deterministic,
+                }
+            })
             .collect();
-        self.evaluate(quick, runs)
-    }
-
-    /// Audits completed runs against the scenario's invariants and
-    /// expectations, producing the final report.
-    pub fn evaluate(&self, quick: bool, runs: Vec<ScenarioRun>) -> ScenarioReport {
         ScenarioReport {
             name: self.name.clone(),
             description: self.description.clone(),

@@ -538,6 +538,12 @@ pub(super) fn scenario(doc: &Json) -> Result<Scenario, String> {
         &mut base.cpu_delay,
         opt_duration(doc, "cpu_us", &name, US, false)?,
     );
+    let delay = |key: &str| opt_duration(doc, key, &name, MS, false);
+    set(&mut base.extra_delay, delay("extra_delay_ms")?);
+    set(
+        &mut base.extra_delay_jitter,
+        delay("extra_delay_jitter_ms")?,
+    );
     base.client_population = count("client_population")?;
     base.checkpoint_interval = count("checkpoint_interval_blocks")?;
     base.signed_requests = flag(doc, "signed_requests", &name)?;
