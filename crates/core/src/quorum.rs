@@ -4,9 +4,12 @@
 //! (via the interface voted()) and generate QCs (via certified())" (§III-E).
 //! [`QuorumTracker`] is that component: it keeps one tally per block,
 //! deduplicates voters, and emits a [`QuorumCert`] exactly once when the
-//! threshold is reached.
+//! threshold is reached. It also keeps the schedule on which a tally's votes
+//! are checked: four to a pass as they arrive, and the rest with the vote
+//! that completes the quorum ([`Counted::pass`]).
 
 use bamboo_crypto::Signature;
+use bamboo_sim::CpuModel;
 use bamboo_types::{ids::quorum_threshold, BlockId, DigestMap, QuorumCert, View, Vote};
 
 /// One block's votes.
@@ -27,6 +30,21 @@ struct Open {
     voted: Vec<u64>,
     /// `(voter, signature)` in arrival order, handed to the QC when it forms.
     signatures: Vec<(u64, Signature)>,
+    /// How many of `signatures` (the oldest) a pass has checked.
+    checked: usize,
+}
+
+/// What [`QuorumTracker::add_vote`] made of a vote.
+#[derive(Debug, Default)]
+pub struct Counted {
+    /// The votes checked in the pass this vote completes: [`CpuModel::PASS`]
+    /// when it fills a pass, the 1–4 still unchecked when it completes the
+    /// quorum, and 0 for every other vote — one that does not count
+    /// included. A certificate's passes sum to its `q` votes.
+    pub pass: usize,
+    /// The certificate, the moment the block reaches the threshold (and
+    /// never again for the same block).
+    pub qc: Option<QuorumCert>,
 }
 
 /// Collects votes and forms quorum certificates.
@@ -57,10 +75,9 @@ impl QuorumTracker {
         quorum_threshold(self.nodes)
     }
 
-    /// `voted()`: registers a vote, copying its signature only if it counts.
-    /// Returns `Some(qc)` the moment the block reaches the threshold (and
-    /// never again for the same block).
-    pub fn add_vote(&mut self, vote: &Vote) -> Option<QuorumCert> {
+    /// `voted()`: registers a vote, copying its signature only if it counts,
+    /// and reports the pass it completes and the QC it forms.
+    pub fn add_vote(&mut self, vote: &Vote) -> Counted {
         let threshold = quorum_threshold(self.nodes);
         let words = self.nodes.div_ceil(64);
         let tally = self.tallies.entry(vote.block).or_insert_with(|| Tally {
@@ -68,6 +85,7 @@ impl QuorumTracker {
             open: Some(Box::new(Open {
                 voted: vec![0; words],
                 signatures: Vec::with_capacity(threshold),
+                checked: 0,
             })),
         });
         let (word, bit) = (vote.voter.index() / 64, 1u64 << (vote.voter.index() % 64));
@@ -76,23 +94,34 @@ impl QuorumTracker {
             Some(open) if open.voted.get(word).is_some_and(|w| w & bit == 0) => open,
             _ => {
                 self.dropped += 1;
-                return None;
+                return Counted::default();
             }
         };
         open.voted[word] |= bit;
         open.signatures.push((vote.voter.as_u64(), vote.signature));
         self.accepted += 1;
+        let unchecked = open.signatures.len() - open.checked;
         if open.signatures.len() < threshold {
-            return None;
+            if unchecked < CpuModel::PASS {
+                return Counted::default();
+            }
+            open.checked += unchecked;
+            return Counted {
+                pass: unchecked,
+                qc: None,
+            };
         }
         let signatures = std::mem::take(&mut open.signatures);
         tally.open = None;
-        Some(QuorumCert {
-            block: vote.block,
-            view: vote.view,
-            // The aggregate sorts by signer, so arrival order does not matter.
-            signatures: signatures.into_iter().collect(),
-        })
+        Counted {
+            pass: unchecked,
+            qc: Some(QuorumCert {
+                block: vote.block,
+                view: vote.view,
+                // The aggregate sorts by signer, so arrival order does not matter.
+                signatures: signatures.into_iter().collect(),
+            }),
+        }
     }
 
     /// `certified()`: returns true if a QC has been produced for `block`.
@@ -134,9 +163,11 @@ mod tests {
     fn qc_forms_exactly_at_threshold() {
         let mut q = QuorumTracker::new(4);
         assert_eq!(q.threshold(), 3);
-        assert!(q.add_vote(&vote(1, 2, 0)).is_none());
-        assert!(q.add_vote(&vote(1, 2, 1)).is_none());
-        let qc = q.add_vote(&vote(1, 2, 2)).expect("third vote certifies");
+        assert!(q.add_vote(&vote(1, 2, 0)).qc.is_none());
+        assert!(q.add_vote(&vote(1, 2, 1)).qc.is_none());
+        let counted = q.add_vote(&vote(1, 2, 2));
+        assert_eq!(counted.pass, 3, "one pass checks the whole quorum");
+        let qc = counted.qc.expect("third vote certifies");
         assert_eq!(qc.signer_count(), 3);
         assert_eq!(qc.view, View(2));
         assert!(q.is_certified(BlockId(Digest::of(&[1]))));
@@ -147,7 +178,7 @@ mod tests {
         let mut q = QuorumTracker::new(7);
         let votes: Vec<Vote> = [5, 0, 3, 6, 1].map(|voter| vote(1, 4, voter)).into();
         let qc = (votes.iter())
-            .find_map(|v| q.add_vote(v))
+            .find_map(|v| q.add_vote(v).qc)
             .expect("five of seven");
         assert_eq!(qc, QuorumCert::from_votes(votes[0].block, View(4), &votes));
     }
@@ -155,9 +186,9 @@ mod tests {
     #[test]
     fn duplicate_voters_do_not_count() {
         let mut q = QuorumTracker::new(4);
-        assert!(q.add_vote(&vote(1, 2, 0)).is_none());
-        assert!(q.add_vote(&vote(1, 2, 0)).is_none());
-        assert!(q.add_vote(&vote(1, 2, 0)).is_none());
+        assert!(q.add_vote(&vote(1, 2, 0)).qc.is_none());
+        assert!(q.add_vote(&vote(1, 2, 0)).qc.is_none());
+        assert!(q.add_vote(&vote(1, 2, 0)).qc.is_none());
         assert!(!q.is_certified(BlockId(Digest::of(&[1]))));
         assert_eq!(q.counters(), (1, 2));
     }
@@ -165,9 +196,9 @@ mod tests {
     #[test]
     fn voters_outside_the_validator_set_do_not_count() {
         let mut q = QuorumTracker::new(4);
-        assert!(q.add_vote(&vote(1, 2, 0)).is_none());
-        assert!(q.add_vote(&vote(1, 2, 1)).is_none());
-        assert!(q.add_vote(&vote(1, 2, 64)).is_none());
+        assert!(q.add_vote(&vote(1, 2, 0)).qc.is_none());
+        assert!(q.add_vote(&vote(1, 2, 1)).qc.is_none());
+        assert!(q.add_vote(&vote(1, 2, 64)).qc.is_none());
         assert!(!q.is_certified(BlockId(Digest::of(&[1]))));
         assert_eq!(q.counters(), (2, 1));
     }
@@ -177,9 +208,9 @@ mod tests {
         let mut q = QuorumTracker::new(4);
         q.add_vote(&vote(1, 2, 0));
         q.add_vote(&vote(1, 2, 1));
-        assert!(q.add_vote(&vote(1, 2, 2)).is_some());
+        assert!(q.add_vote(&vote(1, 2, 2)).qc.is_some());
         assert!(
-            q.add_vote(&vote(1, 2, 3)).is_none(),
+            q.add_vote(&vote(1, 2, 3)).qc.is_none(),
             "late vote produces no second QC"
         );
     }
@@ -188,10 +219,10 @@ mod tests {
     fn separate_blocks_are_tracked_independently() {
         let mut q = QuorumTracker::new(4);
         for voter in 0..2 {
-            assert!(q.add_vote(&vote(1, 2, voter)).is_none());
-            assert!(q.add_vote(&vote(2, 2, voter)).is_none());
+            assert!(q.add_vote(&vote(1, 2, voter)).qc.is_none());
+            assert!(q.add_vote(&vote(2, 2, voter)).qc.is_none());
         }
-        assert!(q.add_vote(&vote(1, 2, 2)).is_some());
+        assert!(q.add_vote(&vote(1, 2, 2)).qc.is_some());
         assert!(!q.is_certified(BlockId(Digest::of(&[2]))));
     }
 
@@ -204,11 +235,23 @@ mod tests {
         // Block 2 kept voter 0, so four more votes certify it; block 1 lost
         // it and needs a fifth.
         for voter in 1..5 {
-            let certified = q.add_vote(&vote(2, 9, voter)).is_some();
+            let certified = q.add_vote(&vote(2, 9, voter)).qc.is_some();
             assert_eq!(certified, voter == 4);
-            assert!(q.add_vote(&vote(1, 2, voter)).is_none());
+            assert!(q.add_vote(&vote(1, 2, voter)).qc.is_none());
         }
-        assert!(q.add_vote(&vote(1, 2, 5)).is_some());
+        assert!(q.add_vote(&vote(1, 2, 5)).qc.is_some());
+    }
+
+    #[test]
+    fn a_tally_that_never_certifies_pays_only_its_full_passes() {
+        let mut q = QuorumTracker::new(32);
+        let charged: Vec<usize> = ((0..21).chain(0..21))
+            .map(|voter| q.add_vote(&vote(1, 1, voter)).pass)
+            .collect();
+        assert_eq!(charged.iter().sum::<usize>(), 20, "vote 21 stays unchecked");
+        assert_eq!(charged.iter().filter(|&&pass| pass > 0).count(), 5);
+        assert!(!q.is_certified(BlockId(Digest::of(&[1]))));
+        assert_eq!(q.counters(), (21, 21));
     }
 
     #[test]
@@ -216,8 +259,16 @@ mod tests {
         let mut q = QuorumTracker::new(32);
         assert_eq!(q.threshold(), 22);
         for voter in 0..21 {
-            assert!(q.add_vote(&vote(1, 1, voter)).is_none());
+            let counted = q.add_vote(&vote(1, 1, voter));
+            assert!(counted.qc.is_none());
+            // Votes 4, 8, …, 20 each fill a pass of four.
+            assert_eq!(counted.pass, if voter % 4 == 3 { 4 } else { 0 });
         }
-        assert!(q.add_vote(&vote(1, 1, 21)).is_some());
+        // The quorum vote checks the last two with the QC.
+        let last = q.add_vote(&vote(1, 1, 21));
+        assert_eq!(
+            (last.pass, last.qc.map(|qc| qc.signer_count())),
+            (2, Some(22))
+        );
     }
 }

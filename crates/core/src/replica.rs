@@ -446,16 +446,18 @@ impl Replica {
     }
 
     /// Only a vote `from_author` — neither a relay nor our own — may be
-    /// relayed. A vote is checked where its quorum forms: the QC's votes in
-    /// one batched pass (`CpuModel::verify_batch`), before the proposal it
-    /// releases; a vote that cannot count (a second copy, a certified block)
-    /// is dropped unchecked.
+    /// relayed. A quorum's votes are checked four to a pass as they arrive
+    /// (`CpuModel::verify_batch`): the vote that fills a pass pays for it,
+    /// the vote that completes the quorum pays for the 1–4 still unchecked,
+    /// before the proposal its QC releases, and any other vote — a second
+    /// copy, a vote for a certified block — is dropped unchecked.
     fn on_vote(&mut self, vote: &Vote, from_author: bool, out: &mut Step<'_>) {
         if self.safety.echo_messages() && from_author {
             out.transport.broadcast(Message::Vote(vote.clone()));
         }
-        if let Some(qc) = self.quorum.add_vote(vote) {
-            out.cpu += self.cpu.verify_batch(qc.signer_count());
+        let counted = self.quorum.add_vote(vote);
+        out.cpu += self.cpu.verify_batch(counted.pass);
+        if let Some(qc) = counted.qc {
             self.register_qc(&qc, out);
         }
     }
@@ -696,7 +698,7 @@ impl Replica {
 mod tests {
     use super::*;
     use bamboo_forest::{chunks, Snapshot};
-    use bamboo_types::{SharedMessage, TimeoutVote};
+    use bamboo_types::{ids::quorum_threshold, SharedMessage, TimeoutVote};
 
     fn config(nodes: usize) -> Config {
         Config {
@@ -1063,45 +1065,56 @@ mod tests {
         assert!(sends(&mut follower, 0, &Message::Vote(vote)).is_empty());
     }
 
-    /// A vote is checked where its quorum forms: the vote that completes it
-    /// pays one batched pass over the certificate's votes, every earlier one
-    /// nothing, and a vote that cannot count — a second copy of a counted
-    /// one, a vote for a certified block — nothing. What comes from its
-    /// author is relayed once all the same (Streamlet).
+    /// A quorum's votes are checked four to a pass as they arrive: the vote
+    /// that fills a pass pays one, the vote that completes the quorum pays
+    /// one for the 1–4 still unchecked, and every other vote nothing — a
+    /// relayed copy, a second copy of a counted vote, a vote after the QC.
+    /// The passes sum to one batched check of the certificate. What comes
+    /// from its author is relayed once all the same (Streamlet).
     #[test]
-    fn a_quorum_is_checked_in_one_batched_pass_where_it_forms() {
+    fn a_quorum_is_checked_four_to_a_pass_as_its_votes_arrive() {
         for protocol in ProtocolKind::evaluated() {
             let Message::Proposal(block) = first_proposal(protocol) else {
                 unreachable!("a proposal")
             };
-            // Node 3 leads neither view 1 nor view 2: the QC is all it does.
-            let mut tally = replica(3, protocol);
-            let (cpu, echoes) = (tally.cpu_model(), tally.safety.echo_messages());
-            let mut step = |from: u64, voter: u64| {
-                let key = KeyPair::from_seed(voter);
-                let vote = Message::Vote(Vote::new(block.id, block.view, NodeId(voter), &key));
-                let mut wire = BufferedTransport::new();
-                let cpu = tally
-                    .receive(NodeId(from), &vote, SimTime(1_000), &mut wire)
-                    .cpu;
-                let relayed = wire.sends == [(None, SharedMessage::new(vote))];
-                assert_eq!(
-                    relayed,
-                    echoes && from == voter,
-                    "{protocol:?}: {from} {voter}"
-                );
-                assert_eq!(wire.sends.len(), usize::from(relayed), "{protocol:?}");
-                cpu
-            };
-            let free = SimDuration::ZERO;
-            assert_eq!(step(0, 0), free, "{protocol:?}: a first vote");
-            assert_eq!(step(1, 0), free, "{protocol:?}: a relayed copy");
-            assert_eq!(step(1, 1), free, "{protocol:?}: a second vote");
-            assert_eq!(step(0, 1), free, "{protocol:?}: a relayed copy");
-            assert_eq!(step(2, 2), cpu.verify_batch(3), "{protocol:?}: the quorum");
-            assert_eq!(step(2, 3), free, "{protocol:?}: a vote after the QC");
-            assert_eq!(step(3, 3), free, "{protocol:?}: a vote after the QC");
-            assert_eq!(step(0, 0), free, "{protocol:?}: a counted vote again");
+            // The votes that pay a pass: at n = 4 only the quorum's.
+            for (n, paying) in [(4, &[3][..]), (32, &[4, 8, 12, 16, 20, 22])] {
+                // Node 3 leads neither view 1 nor view 2: the QC is all it does.
+                let options = ReplicaOptions::default();
+                let mut tally = Replica::new(NodeId(3), protocol, config(n), options);
+                let (cpu, echoes) = (tally.cpu_model(), tally.safety.echo_messages());
+                let mut step = |from: u64, voter: u64| {
+                    let key = KeyPair::from_seed(voter);
+                    let vote = Message::Vote(Vote::new(block.id, block.view, NodeId(voter), &key));
+                    let mut wire = BufferedTransport::new();
+                    let cpu = tally
+                        .receive(NodeId(from), &vote, SimTime(1_000), &mut wire)
+                        .cpu;
+                    let relayed = wire.sends == [(None, SharedMessage::new(vote))];
+                    assert_eq!(
+                        relayed,
+                        echoes && from == voter,
+                        "{protocol:?}: {from} {voter}"
+                    );
+                    assert_eq!(wire.sends.len(), usize::from(relayed), "{protocol:?}");
+                    cpu
+                };
+                let (free, pass) = (SimDuration::ZERO, cpu.verify_batch(CpuModel::PASS));
+                let q = quorum_threshold(n) as u64;
+                let mut total = free;
+                for voter in 0..q {
+                    let paid = step(voter, voter);
+                    let pays = paying.contains(&(voter + 1));
+                    let want = if pays { pass } else { free };
+                    assert_eq!(paid, want, "{protocol:?} n = {n}: vote {}", voter + 1);
+                    total += paid;
+                    assert_eq!(step(voter + 1, voter), free, "{protocol:?}: a relayed copy");
+                }
+                assert_eq!(total, cpu.verify_batch(q as usize), "{protocol:?} n = {n}");
+                assert_eq!(step(q, q), free, "{protocol:?}: a vote after the QC");
+                assert_eq!(step(q + 1, q), free, "{protocol:?}: a vote after the QC");
+                assert_eq!(step(0, 0), free, "{protocol:?}: a counted vote again");
+            }
         }
     }
 

@@ -390,10 +390,11 @@ impl NodeHost {
     /// flood of forgeries is not free to fend off — it consumes the target's
     /// CPU budget, which is exactly how the paper's model would account it).
     ///
-    /// A quorum's votes are checked in one batched pass, so the first vote
-    /// forged in a validator's name fails a batch and pays its fallback, one
-    /// check per vote of a quorum; the optimistic verifier then checks that
-    /// validator's votes one at a time, and each later forgery pays one.
+    /// A quorum's votes are checked four to a pass as they arrive, so the
+    /// first vote forged in a validator's name fails a pass and pays its
+    /// fallback, one check per vote of the pass — `min(4, q)` of them; the
+    /// optimistic verifier then checks that validator's votes one at a
+    /// time, and each later forgery pays one.
     pub fn reject_forged(&mut self, message: &Message) -> StepReport {
         self.auth_rejections += 1;
         let first = match message {
@@ -402,7 +403,8 @@ impl NodeHost {
             _ => false,
         };
         let cpu = if first {
-            self.cpu.verify(quorum_threshold(self.caught.len()))
+            self.cpu
+                .verify(CpuModel::PASS.min(quorum_threshold(self.caught.len())))
         } else {
             verification_cost(&self.cpu, message)
         };
@@ -769,16 +771,17 @@ mod tests {
         assert_eq!(host.client_auth_rejections(), 0);
     }
 
+    fn forged(voter: u64) -> Message {
+        let key = bamboo_crypto::KeyPair::from_seed(voter + 1);
+        let block = bamboo_types::BlockId(bamboo_crypto::Digest::of(b"forged"));
+        Message::Vote(bamboo_types::Vote::new(block, View(2), NodeId(voter), &key))
+    }
+
     #[test]
-    fn a_voters_first_forged_vote_fails_a_quorum_batch_and_later_ones_cost_one_check() {
+    fn a_voters_first_forged_vote_fails_a_pass_and_later_ones_cost_one_check() {
         let (mut host, _, cpu) = edge_host(false);
-        let forged = |voter: u64| {
-            let key = bamboo_crypto::KeyPair::from_seed(voter + 1);
-            let block = bamboo_types::BlockId(bamboo_crypto::Digest::of(b"forged"));
-            Message::Vote(bamboo_types::Vote::new(block, View(2), NodeId(voter), &key))
-        };
         let mut charged = |voter: u64| host.reject_forged(&forged(voter)).cpu;
-        // n = 4: a quorum is three votes.
+        // n = 4: a quorum is three votes, all in its one pass.
         assert_eq!(charged(0), cpu.verify(3));
         assert_eq!(charged(0), cpu.verify(1));
         assert_eq!(charged(1), cpu.verify(3));
@@ -787,6 +790,15 @@ mod tests {
         // A name outside the validator set has no batch to fail.
         assert_eq!(charged(64), cpu.verify(1));
         assert_eq!(host.auth_rejections(), 6);
+        // n = 32: a quorum is 22 votes, but a pass checks four.
+        let mut host = NodeHost::new(
+            NodeId(3),
+            ProtocolKind::HotStuff,
+            config(32),
+            Default::default(),
+        );
+        assert_eq!(host.reject_forged(&forged(5)).cpu, cpu.verify(4));
+        assert_eq!(host.reject_forged(&forged(5)).cpu, cpu.verify(1));
     }
 
     #[test]

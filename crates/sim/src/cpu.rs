@@ -18,6 +18,9 @@ pub struct CpuModel {
 }
 
 impl CpuModel {
+    /// Signatures checked in one batched pass (see [`CpuModel::verify_batch`]).
+    pub const PASS: usize = 4;
+
     /// Creates a CPU model with the given per-crypto-operation cost and no
     /// per-transaction cost.
     pub fn new(crypto_op: SimDuration) -> Self {
@@ -58,17 +61,20 @@ impl CpuModel {
         self.verify(2) + SimDuration::from_nanos(self.per_tx.as_nanos() * txs as u64)
     }
 
-    /// Cost of verifying a batch of `signatures` signatures in one pass:
-    /// `⌈n/4⌉ · t_CPU`, one crypto op per four. Two batches are charged so:
-    /// the client requests a replica admits at its edge, and the votes a QC
-    /// carries, checked once in the step where the quorum forms (a vote
-    /// costs nothing on arrival). This is a model — the modelled replica
-    /// verifies same-length tuples four to a pass, which is what makes
-    /// authenticated ingress affordable at millions of arrivals — and a part
-    /// of every pinned number; it does not describe how the host checks
-    /// the batch.
+    /// Cost of verifying a batch of `signatures` signatures:
+    /// `⌈n/4⌉ · t_CPU`, one crypto op per pass of [`CpuModel::PASS`]. Two
+    /// batches are charged so: the client requests a replica admits at its
+    /// edge, in one step, and a quorum's votes, one pass at a time as they
+    /// arrive — the vote that fills a pass of four pays for it, the vote
+    /// that completes the quorum pays for the 1–4 still unchecked, so a
+    /// certificate costs `verify_batch(q)` in all and only its last pass
+    /// sits between the quorum and the proposal it releases. This is a
+    /// model — the modelled replica verifies same-length tuples four to a
+    /// pass, which is what makes authenticated ingress affordable at
+    /// millions of arrivals — and a part of every pinned number; it does
+    /// not describe how the host checks the batch.
     pub fn verify_batch(&self, signatures: usize) -> SimDuration {
-        let passes = (signatures as u64).div_ceil(4);
+        let passes = signatures.div_ceil(Self::PASS) as u64;
         SimDuration::from_nanos(self.crypto_op.as_nanos() * passes)
     }
 

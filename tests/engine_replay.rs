@@ -36,11 +36,17 @@
 //! CHANGES.md has both audit tables. Another re-pin moved every run: the
 //! NIC charges a message what the codec writes (`wire::encoded_len`), not
 //! a hand-kept size model with 40 B per certificate signer (DESIGN.md
-//! §1.3); CHANGES.md has its audit table too. The latest moved every run
+//! §1.3); CHANGES.md has its audit table too. The next moved every run
 //! again: a quorum's votes are checked in one batched pass where the QC
 //! forms, `⌈q/4⌉·t_CPU`, instead of one `t_CPU` per vote on arrival, and a
 //! relayed copy of a counted vote is not checked at all (DESIGN.md §3);
-//! CHANGES.md has its table.
+//! CHANGES.md has its table. The latest moved the three runs with n > 5
+//! (the n = 16 run, the signed open-loop run and the n = 7 forged Streamlet
+//! run) and left the n = 4 runs byte-identical: those `⌈q/4⌉` passes are
+//! paid as the votes arrive — the vote that fills a pass of four pays one,
+//! the vote that completes the quorum pays one for the rest — and a first
+//! forgery fails a pass of `min(4, q)` votes, not the whole quorum
+//! (DESIGN.md §2.2, §3); CHANGES.md has its table.
 //!
 //! To re-record after an *intentional* behaviour change, run:
 //! `GOLDEN_DUMP=1 cargo test --test engine_replay -- --nocapture`
@@ -102,8 +108,8 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         100,
         8_000.0,
         2021,
-        769,
-        "d6f27ac8b3117c591b9cb84e353cb000a9dae9cacb6e82d921741af57a570a7e",
+        773,
+        "2152e9d81c82c9b6e0767b6a70231dde28f33ee247e284aefce21f931f9bcbf6",
     ),
 ];
 
@@ -159,17 +165,17 @@ fn signed_open_loop(max_events: Option<u64>) -> RunReport {
 const SIGNED_GOLDEN: &[(Option<u64>, u64, u64, u64, &str)] = &[
     (
         None,
-        19_710,
-        91,
-        63_487,
-        "d70a54d98e4e1f153e9ddf4307d00d3246e241010f640387eabce6f0b43c119d",
+        19_724,
+        77,
+        65_800,
+        "49dcdb17c7119ac460dac1ab980f7284596c5847a91687d7e4b98b500ed6250a",
     ),
     (
         Some(23_692),
-        7_301,
-        73,
+        7_053,
+        76,
         23_693,
-        "7032936a57935061d0e3355dd1f986ddc57cbe9477593966fd43cf3093831b5c",
+        "7cb13ec81f0cd5774f593d7184f1e9df0539a7261163a8e3b03696254ec86cb2",
     ),
 ];
 
@@ -248,14 +254,17 @@ fn forged_partitioned_streamlet() -> RunReport {
 /// the pin held when a broadcast became one entry; it moved with the
 /// deadline book, again when a copy whose view times out began to be
 /// handed on (the partitions time views out), again when the NIC began
-/// to charge the codec's lengths, and again when a quorum's votes began to
+/// to charge the codec's lengths, again when a quorum's votes began to
 /// be checked in one batched pass where the QC forms: a view's relayed vote
-/// copies no longer cost a check each, so the run gets through 441 views,
-/// not 302, and its forgers send more.
+/// copies no longer cost a check each, so the run got through 441 views,
+/// not 302, and its forgers sent more; and again when those passes began
+/// to be paid as the votes arrive, four to a pass (q = 5 here: vote 4 pays
+/// one, vote 5 the other), and a first forgery to fail a pass of four, not
+/// a quorum of five: 418 views.
 const FORGED_PARTITIONED_GOLDEN: (&str, u64, [u64; 8]) = (
-    "d00e3b98056f35f762c380bcbbc932c5b48d80e8faa9cac3a6d06ef9fb09e827",
-    36_484,
-    [1_726, 436, 148_244, 148_451, 147_225, 15_676_558, 441, 283],
+    "0e692c373fc778f825c64296afda1b0cd9d794aa5a200f41928aacb2981a313b",
+    34_475,
+    [1_725, 412, 140_266, 140_388, 139_221, 14_921_764, 418, 284],
 );
 
 #[test]
@@ -289,8 +298,8 @@ fn forged_and_partitioned_streamlet_replays_its_pinned_golden() {
     let synced = RecoveryReport {
         sync_requests: 3,
         sync_responses: 3,
-        sync_bytes: 11_432,
-        blocks_synced: 14,
+        sync_bytes: 14_042,
+        blocks_synced: 15,
         ..RecoveryReport::default()
     };
     assert_eq!(report.recovery, synced);

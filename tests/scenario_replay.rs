@@ -37,10 +37,14 @@
 //! The next moved all three: a quorum's votes are checked in one batched
 //! pass where the QC forms, not one `t_CPU` each on arrival (DESIGN.md §3);
 //! CHANGES.md has its table.
-//! The latest moved only the HS and 2CHS pins of `geo_wan`: a copy is
+//! The next moved only the HS and 2CHS pins of `geo_wan`: a copy is
 //! handed on each time a view it is stamped with is over without carrying
 //! it, by its block or by its timeout, where a copy a block missed used to
 //! go on only once (DESIGN.md §7.4); CHANGES.md has its table.
+//! The latest moved all three (each runs n > 5): a quorum's votes are
+//! checked four to a pass as they arrive, so only the last pass sits
+//! between the quorum and the proposal it releases (DESIGN.md §3);
+//! CHANGES.md has its table.
 //! The same configurations are also driven through the live threaded
 //! cluster, which must stay safe on the heterogeneous-WAN workload too, and
 //! the repo benchmark's frozen workload files must keep parsing.
@@ -97,30 +101,30 @@ fn fingerprint(report: &ScenarioReport, protocol: ProtocolKind) -> &str {
 const LAN_PINS: [(ProtocolKind, &str); 3] = [
     (
         ProtocolKind::HotStuff,
-        "6679576f12166bdd2034da81da3488f555af8890ba985946676f1252812a32a3",
+        "37c245d1afc71cec82174df955b13dd9e34d3882d178a20013a6d0ca6dfa86d4",
     ),
     (
         ProtocolKind::TwoChainHotStuff,
-        "48af2c3ee828d0a07e7504943f5153979479d916c53fd17b86e70ac9a6b38d1d",
+        "eeaabd626c2d051db10226ee264b5774df73bccdf2a30026abe13faa96d706a9",
     ),
     (
         ProtocolKind::Streamlet,
-        "7f14ec9966e7806b2c3d6240b7b7c38395ca0897e9ae8b3db60d6ba9dec97fb3",
+        "ee00be596358dcdc42dec9d0acc7c0337b3613ad59b5c2e13bb1df6c9452cba6",
     ),
 ];
 
 const GEO_WAN_PINS: [(ProtocolKind, &str); 3] = [
     (
         ProtocolKind::HotStuff,
-        "aeed74d46479659c6e885cc772c4dd55fdf2f196fed695b2f2df659b7c2e6de8",
+        "1c0cd28b6a279ee16310da6023ad358ad73f4b97ea00c8811ac3012ae43a2662",
     ),
     (
         ProtocolKind::TwoChainHotStuff,
-        "23c21f7657d29ed7b0151639f186dde3ac68a53a5dc3bef6f27df2bd03d6cf3e",
+        "f3187da1d1d74bc5b32992e44a8a3937a715d3e2763854630a145a822f3984af",
     ),
     (
         ProtocolKind::Streamlet,
-        "00581986768244358176d1c91cfa8f76016d0d28c551f505c377d08db9e8c775",
+        "d02120a768ed4d37060152c883987f79aee20031802caf6b4880ba28400f699b",
     ),
 ];
 
@@ -136,16 +140,18 @@ const GEO_WAN_PINS: [(ProtocolKind, &str); 3] = [
 // a fifth time, with `lan` and `geo_wan`, by the handoff, and a sixth, with
 // them again, when the handoff's target began to follow the sender's vote
 // (module docs), a seventh, alone, when a copy whose view times out
-// began to be handed on: its two crashed seats are adjacent, and an eighth,
-// with them, when a quorum's votes began to be checked where the QC forms.
+// began to be handed on: its two crashed seats are adjacent, an eighth,
+// with them, when a quorum's votes began to be checked where the QC forms,
+// and a ninth, with them, when those votes began to be checked four to a
+// pass as they arrive.
 const CRASH_F_PINS: [(ProtocolKind, &str); 2] = [
     (
         ProtocolKind::HotStuff,
-        "cdad297eaf9bf27230ff85a550ed5fc2dc4f23172f5e215a291138cce3beb10d",
+        "6bb75d051e63bc1233962d9bab15a23d468b0315130003dd8ff7c7d14d69fc78",
     ),
     (
         ProtocolKind::TwoChainHotStuff,
-        "b53e74156ef2117c0744bcbcdbed834996c5f2d32fe45a8bb8e8a612c85285c9",
+        "166b69eb7095f897df97d9a17c0aee9d8d4d4d0004da67a65b8132ee3f896953",
     ),
 ];
 
