@@ -29,8 +29,8 @@
 //! replicas read as seeds that "did not recover".
 
 use bamboo_bench::{banner, bench_rows, eval_config, save_rows, Higher, Sim, EVAL_SEED};
-use bamboo_core::{run_all, LinkFault, RunOptions, RunReport, SeatAttack};
-use bamboo_types::{ByzantineStrategy, NodeId, ProtocolKind, SimDuration, SimTime};
+use bamboo_core::{run_all, LinkFault, RunOptions, RunReport};
+use bamboo_types::{ByzantineStrategy, NodeId, ProtocolKind, SeatAttack, SimDuration, SimTime};
 
 /// Offered load of every run.
 const OFFERED_TX_PER_SEC: f64 = 30_000.0;
@@ -85,9 +85,9 @@ fn main() {
             config.runtime = total;
             config.timeout = SimDuration::from_millis(timeout_ms);
             config.arrival_rate = Some(OFFERED_TX_PER_SEC);
+            config.attacks = vec![silence];
             let options = RunOptions {
                 link_faults: vec![fluctuation],
-                attacks: vec![silence],
                 // In the t100 setting the paper makes every protocol wait for
                 // the timeout after a view change; in the t10 setting all
                 // protocols propose as soon as a quorum of messages arrives.

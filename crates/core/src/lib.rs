@@ -83,7 +83,7 @@ pub use metrics::{
 pub use parallel::{run_all, run_ordered};
 pub use quorum::QuorumTracker;
 pub use replica::{Replica, ReplicaOptions};
-pub use runner::{FaultTrigger, NodeFault, RunOptions, SeatAttack, SimRunner};
+pub use runner::{FaultTrigger, NodeFault, RunOptions, SimRunner};
 pub use runtime::{BufferedTransport, NodeHost, RecoverMode, ReplicaEvent, StepReport};
 pub use scenario::{Expectations, Figure, Scenario, ScenarioReport, ScenarioRun};
 pub use storage::{

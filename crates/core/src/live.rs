@@ -31,7 +31,6 @@ use crate::metrics::SeatBooks;
 pub use crate::metrics::{ClusterReport, NodeNetStats, PeerStats};
 use crate::observe::{fold_seats, SeatBook, StepView};
 use crate::replica::ReplicaOptions;
-use crate::runner::seat_attack;
 use crate::runtime::{BufferedTransport, Deadlines, NodeHost, RecoverMode, ReplicaEvent};
 use crate::storage::SegmentLog;
 
@@ -634,7 +633,7 @@ impl<L: SeatLink> LiveCluster<L> {
     /// them. Returns the shortest of those chains' lengths, or the first seat
     /// that breaks the rule or does not answer.
     pub fn check_prefix_agreement(&self) -> Result<u64, NodeId> {
-        let honest = (self.live()).filter(|&id| seat_attack(&self.config, &[], id).is_none());
+        let honest = (self.live()).filter(|&id| self.config.attacks.iter().all(|a| a.node != id));
         let chains = honest
             .map(|id| self.probe(id, 0).map(|status| (id, status)).map_err(|_| id))
             .collect::<Result<Vec<_>, _>>()?;
@@ -740,7 +739,9 @@ impl<L: SeatLink> LiveCluster<L> {
 mod tests {
     use super::*;
     use bamboo_forest::CommittedBlock;
-    use bamboo_types::{Block, BlockId, Height, QuorumCert, SharedBlock, TxId};
+    use bamboo_types::{
+        Block, BlockId, ByzantineStrategy, Height, QuorumCert, SeatAttack, SharedBlock, TxId,
+    };
     use std::collections::HashSet;
 
     #[test]
@@ -804,8 +805,7 @@ mod tests {
             nodes: 4,
             block_size: 20,
             timeout: bamboo_types::SimDuration::from_millis(30),
-            byzantine_strategy: bamboo_types::ByzantineStrategy::Silence,
-            byz_nodes: 1,
+            attacks: SeatAttack::first_seats(1, ByzantineStrategy::Silence),
             ..Config::default()
         };
         let cluster = crate::ThreadedCluster::spawn(config, ProtocolKind::HotStuff);
@@ -856,8 +856,7 @@ mod tests {
     #[test]
     fn an_invalid_config_is_refused_before_any_seat_boots() {
         let too_many_faulty = Config {
-            byzantine_strategy: bamboo_types::ByzantineStrategy::Silence,
-            byz_nodes: 2,
+            attacks: SeatAttack::first_seats(2, ByzantineStrategy::Silence),
             ..Config::default()
         };
         let no_seats = Config {

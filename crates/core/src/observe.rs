@@ -25,7 +25,7 @@ use crate::metrics::{
     SeatBooks, Stages, Utilization,
 };
 use crate::replica::Replica;
-use crate::runner::{seat_attack, RunOptions};
+use crate::runner::RunOptions;
 use crate::runtime::{NodeHost, SendTally, StepReport};
 
 /// What one replica step did, as the engine saw it.
@@ -68,9 +68,12 @@ pub(crate) struct Observer {
 }
 
 impl Observer {
-    /// Empty books for a run of `config` reporting `observer`'s ledger.
+    /// Empty books for a run of `config` reporting `observer`'s ledger, or
+    /// the highest honest seat's.
     pub(crate) fn new(config: &Config, observer: Option<NodeId>, series: SimDuration) -> Self {
-        let node = observer.unwrap_or(NodeId(config.nodes as u64 - 1));
+        let honest = |id: &NodeId| config.attacks.iter().all(|attack| attack.node != *id);
+        let highest = (0..config.nodes as u64).rev().map(NodeId).find(honest);
+        let node = observer.or(highest).expect("at most f < n seats attack");
         let span = (SimTime::ZERO, SimTime::ZERO + config.runtime);
         Self::over(config, node, series, span)
     }
@@ -147,7 +150,7 @@ impl Observer {
         options: &RunOptions,
     ) -> RunReport {
         let observer = hosts[self.node.index()].replica();
-        let honest = |id| seat_attack(config, &options.attacks, id).is_none();
+        let honest = |id| config.attacks.iter().all(|attack| attack.node != id);
         let audit = audit(hosts, honest);
         let duration_secs = config.runtime.as_secs_f64();
         let latency = self.metrics.latency();
@@ -161,7 +164,7 @@ impl Observer {
         RunReport {
             protocol,
             nodes: config.nodes,
-            byz_nodes: hosts.iter().filter(|h| !honest(h.replica().id())).count(),
+            byz_nodes: config.attacks.len(),
             duration_secs,
             throughput_tx_per_sec: committed_txs as f64 / duration_secs,
             latency,
@@ -508,7 +511,7 @@ fn recovery(config: &Config, hosts: &[NodeHost], options: &RunOptions) -> Recove
     // uninterrupted chain to audit against.
     let never_crashed = |r: &&Replica| {
         let crashed = (options.node_faults.iter()).any(|fault| fault.node == r.id());
-        !crashed && seat_attack(config, &options.attacks, r.id()).is_none()
+        !crashed && config.attacks.iter().all(|attack| attack.node != r.id())
     };
     let reference = replicas().filter(never_crashed).map(Replica::ledger);
     let Some(target) = reference.min_by_key(|ledger| ledger.len()) else {
@@ -543,7 +546,7 @@ fn caught_up(ledger: &Ledger, reference: &Ledger, settled_by: SimTime) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use bamboo_types::ByzantineStrategy;
+    use bamboo_types::{ByzantineStrategy, SeatAttack};
 
     use super::*;
     use crate::metrics::LatencyStats;
@@ -602,8 +605,7 @@ mod tests {
             runtime: SimDuration::from_millis(400),
             arrival_rate: Some(3_000.0),
             timeout: SimDuration::from_millis(20),
-            byzantine_strategy: ByzantineStrategy::ForgedVote,
-            byz_nodes: 2,
+            attacks: SeatAttack::first_seats(2, ByzantineStrategy::ForgedVote),
             client_population: Some(1_000),
             signed_requests: true,
             seed: 2030,
@@ -666,6 +668,31 @@ mod tests {
         assert!(!caught_up(&shifted, &reference, settled_by));
     }
 
+    /// The default observer is the highest seat that does not attack, so a
+    /// run reports an honest ledger wherever its attackers sit.
+    #[test]
+    fn the_default_observer_is_the_highest_honest_seat() {
+        let last = SeatAttack {
+            node: NodeId(3),
+            strategy: ByzantineStrategy::Silence,
+            from: SimTime::ZERO,
+        };
+        let config = Config {
+            attacks: vec![last],
+            ..Config::default()
+        };
+        let bucket = SimDuration::from_millis(500);
+        assert_eq!(Observer::new(&config, None, bucket).node, NodeId(2));
+        assert_eq!(
+            Observer::new(&Config::default(), None, bucket).node,
+            NodeId(3)
+        );
+        assert_eq!(
+            Observer::new(&config, Some(NodeId(3)), bucket).node,
+            NodeId(3)
+        );
+    }
+
     /// The view clock and the CPU account obey the replica's own counters.
     /// In a deterministic simulator these laws hold exactly, so a failure is
     /// an instrumentation bug.
@@ -681,8 +708,7 @@ mod tests {
                 ..Config::default()
             };
             if silenced {
-                config.byz_nodes = 1;
-                config.byzantine_strategy = ByzantineStrategy::Silence;
+                config.attacks = SeatAttack::first_seats(1, ByzantineStrategy::Silence);
                 config.timeout = SimDuration::from_millis(20);
             }
             let runtime_ms = config.runtime.as_millis_f64();

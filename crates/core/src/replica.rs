@@ -31,7 +31,6 @@ use crate::durability::Disk;
 use crate::handoff;
 use crate::metrics::RecoveryStats;
 use crate::quorum::QuorumTracker;
-use crate::runner::{seat_attack, SeatAttack};
 pub use crate::runtime::ReplicaEvent;
 use crate::runtime::{BufferedTransport, Step, StepReport};
 use crate::storage::{SegmentLog, StorageFault};
@@ -44,10 +43,6 @@ pub struct ReplicaOptions {
     /// proposing instead of proposing as soon as the TC arrives. This models
     /// the non-responsive deployment of Fig. 15 ("t100" setting).
     pub wait_for_timeout_on_view_change: bool,
-    /// Overrides the shared `t_CPU` (`Config::cpu_delay`) for this replica —
-    /// the scenario engine's heterogeneous-CPU knob: a cluster can mix fast
-    /// and slow machines while every node still shares one [`Config`].
-    pub cpu_delay_override: Option<SimDuration>,
     /// Model synchronous epochs for epoch-based protocols (Streamlet): a
     /// leader proposes half a view timeout after entering an epoch (the
     /// epoch `2Δ̂`, the timeout `4Δ̂`), not as soon as the previous epoch
@@ -97,9 +92,9 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// Creates a replica in the role Table I's short form gives its seat
-    /// ([`seat_attack`] with no entries); a simulated run recasts it from its
-    /// own entries.
+    /// Creates replica `id` in the role its seat's entry in
+    /// [`Config::attacks`] gives it (honest without one), charging its work
+    /// at `config.cpu_delay`.
     pub fn new(
         id: NodeId,
         protocol: ProtocolKind,
@@ -107,9 +102,11 @@ impl Replica {
         options: ReplicaOptions,
     ) -> Self {
         let election = LeaderElection::new(config.nodes, config.leader_policy);
-        let cpu_delay = options.cpu_delay_override.unwrap_or(config.cpu_delay);
-        let cpu = CpuModel::new(cpu_delay).with_per_tx(SimDuration::from_nanos(400));
-        let mut replica = Self {
+        let cpu = CpuModel::new(config.cpu_delay).with_per_tx(SimDuration::from_nanos(400));
+        let role = config.attacks.iter().find(|attack| attack.node == id);
+        let strategy = role.map_or(ByzantineStrategy::Honest, |role| role.strategy);
+        let from = role.map_or(SimTime::ZERO, |role| role.from);
+        Self {
             id,
             protocol,
             keypair: KeyPair::from_seed(id.as_u64()),
@@ -119,7 +116,7 @@ impl Replica {
             copies: handoff::Copies::default(),
             pacemaker: Pacemaker::new(id, config.nodes, config.timeout),
             safety: make_protocol(protocol),
-            attack: Attack::new(ByzantineStrategy::Honest, config.nodes, SimTime::ZERO),
+            attack: Attack::new(strategy, config.nodes, from),
             quorum: QuorumTracker::new(config.nodes),
             ledger: Ledger::new(),
             cpu,
@@ -132,17 +129,7 @@ impl Replica {
             recovery: RecoveryStats::default(),
             config,
             options,
-        };
-        replica.set_attack(seat_attack(&replica.config, &[], id));
-        replica
-    }
-
-    /// Casts this seat in `role` (`None`: honest), as [`seat_attack`]
-    /// decides it; the attack's counters start at zero.
-    pub(crate) fn set_attack(&mut self, role: Option<SeatAttack>) {
-        let honest = (ByzantineStrategy::Honest, SimTime::ZERO);
-        let (strategy, from) = role.map_or(honest, |role| (role.strategy, role.from));
-        self.attack = Attack::new(strategy, self.config.nodes, from);
+        }
     }
 
     /// The replica's id.
@@ -155,8 +142,8 @@ impl Replica {
         &self.config
     }
 
-    /// The CPU cost model this replica charges its work against (the shared
-    /// `t_CPU` unless [`ReplicaOptions::cpu_delay_override`] replaced it).
+    /// The CPU cost model this replica charges its work against (its
+    /// config's `t_CPU`).
     pub fn cpu_model(&self) -> CpuModel {
         self.cpu
     }
@@ -698,7 +685,7 @@ impl Replica {
 mod tests {
     use super::*;
     use bamboo_forest::{chunks, Snapshot};
-    use bamboo_types::{ids::quorum_threshold, SharedMessage, TimeoutVote};
+    use bamboo_types::{ids::quorum_threshold, SeatAttack, SharedMessage, TimeoutVote};
 
     fn config(nodes: usize) -> Config {
         Config {
@@ -1316,13 +1303,16 @@ mod tests {
         let from = SimTime::ZERO + SimDuration::from_secs(1);
         let lead_at = |now: SimTime| {
             let options = ReplicaOptions::default();
-            let mut replica = Replica::new(NodeId(1), ProtocolKind::HotStuff, config(4), options);
             let strategy = ByzantineStrategy::Silence;
-            replica.set_attack(Some(SeatAttack {
-                node: NodeId(1),
-                strategy,
-                from,
-            }));
+            let config = Config {
+                attacks: vec![SeatAttack {
+                    node: NodeId(1),
+                    strategy,
+                    from,
+                }],
+                ..config(4)
+            };
+            let mut replica = Replica::new(NodeId(1), ProtocolKind::HotStuff, config, options);
             let mut wire = BufferedTransport::new();
             replica.admit(txs(25, 7), &mut wire);
             replica.start(now, &mut wire);

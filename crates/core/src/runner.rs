@@ -56,13 +56,13 @@ use std::sync::mpsc;
 
 use bamboo_sim::{EventQueue, LatencyModel, LinkFault, NicModel, Popped, SimRng, Topology};
 use bamboo_types::{
-    Authenticator, ByzantineStrategy, ClientRequest, Config, NodeId, ProtocolKind, SharedMessage,
-    SimDuration, SimTime, VerifiedMessage, VerifiedRequests, View,
+    Authenticator, ClientRequest, Config, NodeId, ProtocolKind, SharedMessage, SimDuration,
+    SimTime, VerifiedMessage, VerifiedRequests, View,
 };
 
 use crate::metrics::RunReport;
 use crate::observe::{Observer, StepView};
-use crate::replica::{Replica, ReplicaOptions};
+use crate::replica::ReplicaOptions;
 use crate::runtime::{
     BufferedTransport, Deadlines, NodeHost, RecoverMode, ReplicaEvent, StepReport,
 };
@@ -111,38 +111,11 @@ pub struct NodeFault {
     pub mode: RecoverMode,
 }
 
-/// A Byzantine seat: `node` runs `strategy` from `from` on (DESIGN.md §2.4).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SeatAttack {
-    /// The attacking seat.
-    pub node: NodeId,
-    /// What it does from `from` on.
-    pub strategy: ByzantineStrategy,
-    /// When the attack starts.
-    pub from: SimTime,
-}
-
-/// The role of seat `node`, `None` if honest: its entry in `attacks`, else
-/// Table I's short form (seats `0..byz_nodes` attack from time zero).
-pub fn seat_attack(config: &Config, attacks: &[SeatAttack], node: NodeId) -> Option<SeatAttack> {
-    let short = SeatAttack {
-        node,
-        strategy: config.byzantine_strategy,
-        from: SimTime::ZERO,
-    };
-    let entry = attacks.iter().find(|attack| attack.node == node).copied();
-    (entry.or_else(|| config.is_byzantine(node).then_some(short)))
-        .filter(|attack| attack.strategy != ByzantineStrategy::Honest)
-}
-
 /// Run-level options that are not part of the shared Table-I [`Config`].
 #[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Behavioural options applied to every replica.
     pub replica: ReplicaOptions,
-    /// Byzantine seats beyond Table I's short form (at most one per node;
-    /// a seat's entry overrides the short form, [`seat_attack`]).
-    pub attacks: Vec<SeatAttack>,
     /// Link faults injected into the latency model (partitions, group
     /// partitions, slow nodes, fluctuation windows); fluctuations draw their
     /// extra delays in this list's order.
@@ -157,7 +130,7 @@ pub struct RunOptions {
     /// Bucket width of the committed-throughput time series.
     pub series_bucket: SimDuration,
     /// The replica whose ledger is used for reporting; defaults to the
-    /// highest-id (always honest) replica.
+    /// highest-id seat without an entry in [`Config::attacks`].
     pub observer: Option<NodeId>,
     /// Safety cap on the number of simulation events processed (workload
     /// ticks included), checked before every event.
@@ -173,7 +146,6 @@ impl Default for RunOptions {
     fn default() -> Self {
         Self {
             replica: ReplicaOptions::default(),
-            attacks: Vec::new(),
             link_faults: Vec::new(),
             node_faults: Vec::new(),
             topology: None,
@@ -187,13 +159,15 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Fits a fault schedule written for a run of `runtime` into a run of
-    /// `new_runtime`: every [`FaultTrigger::At`], every attack's start and
-    /// every link-fault window is multiplied by `new_runtime / runtime`, so
-    /// the schedule keeps its shape. View triggers and the faults' extra
-    /// delays are not scaled.
-    pub fn scale_fault_times(&mut self, runtime: SimDuration, new_runtime: SimDuration) {
-        let scale = new_runtime.as_nanos() as f64 / runtime.as_nanos() as f64;
+    /// Fits `config` and this fault schedule, written for a run of
+    /// `config.runtime`, to a run of `new_runtime`: the runtime becomes
+    /// `new_runtime`, and every [`FaultTrigger::At`], every attack's start
+    /// ([`Config::attacks`]) and every link-fault window is multiplied by
+    /// `new_runtime / runtime`, so the schedule keeps its shape. View
+    /// triggers and the faults' extra delays are not scaled.
+    pub fn scale_fault_times(&mut self, config: &mut Config, new_runtime: SimDuration) {
+        let scale = new_runtime.as_nanos() as f64 / config.runtime.as_nanos() as f64;
+        config.runtime = new_runtime;
         let scaled = |at: &mut SimTime| at.0 = (at.0 as f64 * scale) as u64;
         for fault in &mut self.node_faults {
             for trigger in std::iter::once(&mut fault.crash).chain(&mut fault.recover) {
@@ -202,7 +176,7 @@ impl RunOptions {
                 }
             }
         }
-        for attack in &mut self.attacks {
+        for attack in &mut config.attacks {
             scaled(&mut attack.from);
         }
         for fault in &mut self.link_faults {
@@ -398,15 +372,15 @@ impl SimRunner {
 
         let mut hosts: Vec<NodeHost> = (0..config.nodes as u64)
             .map(|i| {
-                let (id, mut replica_options) = (NodeId(i), options.replica);
-                if let Some(&(_, delay)) =
-                    options.cpu_overrides.iter().find(|(node, _)| *node == id)
-                {
-                    replica_options.cpu_delay_override = Some(delay);
-                }
-                let mut replica = Replica::new(id, protocol, config.clone(), replica_options);
-                replica.set_attack(seat_attack(&config, &options.attacks, id));
-                NodeHost::from_replica(replica)
+                let id = NodeId(i);
+                // A heterogeneous-CPU seat runs on its own machine's `t_CPU`.
+                let cpu = options.cpu_overrides.iter().find(|(node, _)| *node == id);
+                let cpu_delay = cpu.map_or(config.cpu_delay, |&(_, delay)| delay);
+                let config = Config {
+                    cpu_delay,
+                    ..config.clone()
+                };
+                NodeHost::new(id, protocol, config, options.replica)
             })
             .collect();
 
@@ -828,7 +802,7 @@ mod tests {
     use super::*;
     use crate::scenario::Scenario;
     use bamboo_forest::ExecWindow;
-    use bamboo_types::{ByzantineStrategy, DigestSet};
+    use bamboo_types::{ByzantineStrategy, DigestSet, SeatAttack};
 
     /// The execute-once window checked against a whole ledger: in every
     /// spec whose transactions find several holders (restarts, floods, a
@@ -858,7 +832,7 @@ mod tests {
                 let mut runner = SimRunner::new(config.clone(), protocol, options);
                 runner.run_to_end();
                 let honest = (runner.hosts.iter().map(NodeHost::replica))
-                    .filter(|replica| !config.is_byzantine(replica.id()));
+                    .filter(|replica| config.attacks.iter().all(|a| a.node != replica.id()));
                 let ledger = honest.map(|r| r.ledger()).max_by_key(|l| l.len()).unwrap();
                 let (mut window, mut executes) = (ExecWindow::default(), Vec::new());
                 let mut seen = DigestSet::default();
@@ -1108,8 +1082,7 @@ mod tests {
         )
         .run();
         let mut cfg = base_config(4, 2_000.0);
-        cfg.byz_nodes = 1;
-        cfg.byzantine_strategy = ByzantineStrategy::Silence;
+        cfg.attacks = SeatAttack::first_seats(1, ByzantineStrategy::Silence);
         cfg.timeout = SimDuration::from_millis(20);
         let attacked = SimRunner::new(cfg, ProtocolKind::HotStuff, RunOptions::default()).run();
         assert_eq!(attacked.safety_violations, 0);
@@ -1130,11 +1103,14 @@ mod tests {
         let bucket = SimDuration::from_millis(100);
         let committed = |attacks| {
             let options = RunOptions {
-                attacks,
                 series_bucket: bucket,
                 ..RunOptions::default()
             };
-            let report = SimRunner::new(cfg.clone(), ProtocolKind::HotStuff, options).run();
+            let cfg = Config {
+                attacks,
+                ..cfg.clone()
+            };
+            let report = SimRunner::new(cfg, ProtocolKind::HotStuff, options).run();
             assert_eq!(report.safety_violations, 0);
             let window = (report.throughput_series.iter()).filter(|s| s.at >= from && s.at < until);
             window
@@ -1158,12 +1134,16 @@ mod tests {
     fn scale_fault_times_moves_attack_starts_with_time_triggers_only() {
         let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
         let strategy = ByzantineStrategy::Silence;
-        let mut options = RunOptions {
+        let mut config = Config {
+            runtime: SimDuration::from_secs(2),
             attacks: vec![SeatAttack {
                 node: NodeId(2),
                 strategy,
                 from: at(600),
             }],
+            ..Config::default()
+        };
+        let mut options = RunOptions {
             node_faults: vec![NodeFault {
                 node: NodeId(1),
                 crash: FaultTrigger::At(at(400)),
@@ -1172,8 +1152,9 @@ mod tests {
             }],
             ..RunOptions::default()
         };
-        options.scale_fault_times(SimDuration::from_secs(2), SimDuration::from_millis(500));
-        assert_eq!(options.attacks[0].from, at(150));
+        options.scale_fault_times(&mut config, SimDuration::from_millis(500));
+        assert_eq!(config.runtime, SimDuration::from_millis(500));
+        assert_eq!(config.attacks[0].from, at(150));
         let fault = options.node_faults[0];
         assert_eq!(fault.crash, FaultTrigger::At(at(100)));
         assert_eq!(
@@ -1246,8 +1227,7 @@ mod tests {
     #[test]
     fn forking_attack_is_harmless_to_streamlet_but_not_to_hotstuff() {
         let mut cfg = base_config(4, 2_000.0);
-        cfg.byz_nodes = 1;
-        cfg.byzantine_strategy = ByzantineStrategy::Forking;
+        cfg.attacks = SeatAttack::first_seats(1, ByzantineStrategy::Forking);
         let hs = SimRunner::new(cfg.clone(), ProtocolKind::HotStuff, RunOptions::default()).run();
         let sl = SimRunner::new(cfg, ProtocolKind::Streamlet, RunOptions::default()).run();
         assert_eq!(hs.safety_violations, 0);

@@ -230,17 +230,13 @@ impl NodeHost {
         config: Config,
         options: ReplicaOptions,
     ) -> Self {
-        Self::from_replica(Replica::new(id, protocol, config, options))
-    }
-
-    /// Wraps an already-constructed replica.
-    pub fn from_replica(replica: Replica) -> Self {
-        let config = replica.config();
         let mut authenticator = Authenticator::for_nodes(config.nodes);
         authenticator.set_signed_clients(config.signed_requests);
-        // Share the replica's model so per-replica CPU overrides (the
-        // heterogeneous-CPU scenario knob) also price rejected messages.
-        let (cpu, caught) = (replica.cpu_model(), vec![false; config.nodes]);
+        let caught = vec![false; config.nodes];
+        let replica = Replica::new(id, protocol, config, options);
+        // Rejected messages are priced on the replica's own `t_CPU` (a
+        // heterogeneous-CPU seat's included).
+        let cpu = replica.cpu_model();
         Self {
             replica,
             authenticator,

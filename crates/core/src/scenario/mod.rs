@@ -26,9 +26,10 @@
 //!
 //! Scenarios carry two measurement windows: the full `runtime_ms` used by
 //! the nightly sweep and a shorter `quick_runtime_ms` used by the gating
-//! `--quick` tier. In quick mode every *time-based* fault window is scaled
-//! by `quick_runtime / runtime` ([`RunOptions::scale_fault_times`]), so the
-//! schedule keeps its shape; view-triggered boundaries are left untouched.
+//! `--quick` tier. In quick mode every *time-based* fault window and attack
+//! start is scaled by `quick_runtime / runtime`
+//! ([`RunOptions::scale_fault_times`]), so the schedule keeps its shape;
+//! view-triggered boundaries are left untouched.
 //!
 //! The engine is three files: `spec` reads the JSON into a [`Scenario`] —
 //! its faults straight into the runner's own [`NodeFault`]s and
@@ -132,12 +133,11 @@ impl Scenario {
 
     /// The `(Config, RunOptions)` pair one protocol run executes. In quick
     /// mode the run is `quick_runtime` long and its time-based fault windows
-    /// are scaled to fit ([`RunOptions::scale_fault_times`]).
+    /// and attack starts are scaled to fit ([`RunOptions::scale_fault_times`]).
     pub fn build(&self, quick: bool) -> (Config, RunOptions) {
         let (mut config, mut options) = (self.base.clone(), self.options.clone());
         if quick {
-            config.runtime = self.quick_runtime;
-            options.scale_fault_times(self.base.runtime, self.quick_runtime);
+            options.scale_fault_times(&mut config, self.quick_runtime);
         }
         (config, options)
     }
@@ -203,7 +203,7 @@ mod tests {
     use crate::runtime::RecoverMode;
     use crate::storage::StorageFault;
     use bamboo_sim::LinkFault;
-    use bamboo_types::{NodeId, SimTime, View};
+    use bamboo_types::{ByzantineStrategy, NodeId, SimTime, View};
 
     fn minimal_spec() -> String {
         r#"{
@@ -633,6 +633,36 @@ mod tests {
                         "workload":{"open_loop_tx_per_sec":1}}"#;
         let (_, options) = Scenario::parse(clean).unwrap().build(false);
         assert_eq!(options.observer, Some(NodeId(3)));
+    }
+
+    /// Table I's `byzNo`/`strategy` read as `Config::attacks`: seats
+    /// `0..count`, one strategy, from time zero, at both tiers.
+    #[test]
+    fn the_byzantine_object_reads_as_the_first_seats_from_zero() {
+        let spec = |count: u64| {
+            format!(
+                r#"{{"name":"x","protocols":["HS"],"nodes":7,"runtime_ms":100,
+                    "workload":{{"open_loop_tx_per_sec":1}},
+                    "byzantine":{{"strategy":"forking","count":{count}}}}}"#
+            )
+        };
+        for count in [0, 1, 2] {
+            let scenario = Scenario::parse(&spec(count)).unwrap();
+            for quick in [false, true] {
+                let (config, options) = scenario.build(quick);
+                let seats: Vec<u64> = config.attacks.iter().map(|a| a.node.0).collect();
+                assert_eq!(seats, (0..count).collect::<Vec<_>>());
+                for attack in &config.attacks {
+                    assert_eq!(attack.strategy, ByzantineStrategy::Forking);
+                    assert_eq!(attack.from, SimTime::ZERO);
+                }
+                assert_eq!(options.observer, Some(NodeId(6)));
+            }
+        }
+        // Past f, or past the cluster, the spec is refused.
+        for count in [3, 8, u64::MAX] {
+            assert!(Scenario::parse(&spec(count)).is_err(), "{count}");
+        }
     }
 
     #[test]

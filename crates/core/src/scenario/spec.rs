@@ -4,12 +4,13 @@
 
 use bamboo_sim::{DelayDist, LinkFault, Topology};
 use bamboo_types::{
-    ByzantineStrategy, Config, Json, LeaderPolicy, NodeId, ProtocolKind, SimDuration, SimTime, View,
+    ByzantineStrategy, Config, Json, LeaderPolicy, NodeId, ProtocolKind, SeatAttack, SimDuration,
+    SimTime, View,
 };
 
 use super::expect::Expectations;
 use super::Scenario;
-use crate::runner::{seat_attack, FaultTrigger, NodeFault, RunOptions};
+use crate::runner::{FaultTrigger, NodeFault, RunOptions};
 use crate::runtime::RecoverMode;
 use crate::storage::StorageFault;
 
@@ -581,14 +582,19 @@ pub(super) fn scenario(doc: &Json) -> Result<Scenario, String> {
         ));
     }
 
+    let cluster = base.nodes as u64;
+    // Table I's `byzNo`/`strategy`: seats `0..count` attack from time zero.
     if let Some(byz) = doc.get("byzantine") {
         let strategy = field_str(byz, "strategy", &name)?;
-        base.byzantine_strategy = ByzantineStrategy::from_label(strategy)
+        let strategy = ByzantineStrategy::from_label(strategy)
             .ok_or_else(|| format!("{name}: unknown byzantine strategy {strategy:?}"))?;
-        base.byz_nodes = field_uint(byz, "count", &name)? as usize;
+        let count = field_uint(byz, "count", &name)?;
+        if count > cluster {
+            return Err(format!("{name}: {count} byzantine seats among {cluster}"));
+        }
+        base.attacks = SeatAttack::first_seats(count as usize, strategy);
     }
 
-    let cluster = base.nodes as u64;
     let topology = match section(doc, "topology", &name)? {
         Some(spec) => {
             let topology = parse_topology(spec, &name, cluster)?;
@@ -633,7 +639,7 @@ pub(super) fn scenario(doc: &Json) -> Result<Scenario, String> {
     // sweep), fall back to the default observer. Both tiers share the choice:
     // scaling moves a fault in time, never to another node.
     options.observer = (0..cluster).rev().map(NodeId).find(|&id| {
-        seat_attack(&base, &options.attacks, id).is_none()
+        base.attacks.iter().all(|attack| attack.node != id)
             && options.node_faults.iter().all(|f| f.node != id)
     });
     Ok(Scenario {

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use bamboo_core::live::{ClusterReport, SeatBoot, SeatEnd, SeatLink, SeatStatus};
 use bamboo_core::runtime::{NodeHost, RecoverMode};
 use bamboo_core::Scenario;
-use bamboo_types::{ClientRequest, Json, LeaderPolicy, NodeId, SimDuration};
+use bamboo_types::{ClientRequest, Json, LeaderPolicy, NodeId, SeatAttack, SimDuration};
 
 use crate::frame::{
     decode_status_reply, encode_client_batch, encode_frame, encode_hello, encode_peer_table,
@@ -39,8 +39,10 @@ pub const REPLICA_ENV: &str = "BAMBOO_TCP_REPLICA_SPEC";
 const PROBE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Renders seat `boot` as a scenario document: the keys of the scenario
-/// schema a live replica reads, plus `seat`, `cluster` and `log_dir`.
-fn seat_document(boot: &SeatBoot<'_>) -> String {
+/// schema a live replica reads, plus `seat`, `cluster` and `log_dir`. Its
+/// `byzantine` object says seats `0..count`, one strategy, from time zero;
+/// any other list of attacks is [`io::ErrorKind::Unsupported`].
+fn seat_document(boot: &SeatBoot<'_>) -> io::Result<String> {
     let config = boot.config;
     let num = |value: u64| Json::Num(value as f64);
     let size = |value: usize| Json::Num(value as f64);
@@ -55,8 +57,14 @@ fn seat_document(boot: &SeatBoot<'_>) -> String {
         LeaderPolicy::Hashed => text("hashed".into()),
         LeaderPolicy::Static(id) => Json::obj([("static", num(id.as_u64()))]),
     };
-    let strategy = text(config.byzantine_strategy.to_string());
-    let byzantine = Json::obj([("strategy", strategy), ("count", size(config.byz_nodes))]);
+    let (attacks, count) = (&config.attacks, config.attacks.len());
+    let strategy = attacks.first().map_or(Default::default(), |a| a.strategy);
+    if *attacks != SeatAttack::first_seats(count, strategy) {
+        let why = "a seat process's attacks are seats 0..k with one strategy from time zero";
+        return Err(io::Error::new(io::ErrorKind::Unsupported, why));
+    }
+    let strategy = text(strategy.to_string());
+    let byzantine = Json::obj([("strategy", strategy), ("count", size(count))]);
     let mut fields = vec![
         ("name", text(format!("seat-{}", boot.id))),
         ("protocols", Json::arr([text(boot.protocol.label().into())])),
@@ -94,7 +102,7 @@ fn seat_document(boot: &SeatBoot<'_>) -> String {
     // The pretty renderer is the only public one; no value holds a newline,
     // so joining its lines keeps the document intact.
     let doc = Json::obj(fields).render_pretty();
-    doc.lines().map(str::trim).collect()
+    Ok(doc.lines().map(str::trim).collect())
 }
 
 /// If [`REPLICA_ENV`] is set, runs this process as the seat it names until
@@ -252,7 +260,7 @@ impl SeatLink for Processes {
             return Err(io::Error::new(io::ErrorKind::Unsupported, why));
         }
         let mut child = Command::new(&self.exe)
-            .env(REPLICA_ENV, seat_document(boot))
+            .env(REPLICA_ENV, seat_document(boot)?)
             .stdout(Stdio::piped())
             .stdin(Stdio::null())
             .spawn()?;
@@ -327,14 +335,24 @@ impl SeatLink for Processes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bamboo_types::{ByzantineStrategy, Config, ProtocolKind};
+    use bamboo_types::{ByzantineStrategy, Config, ProtocolKind, SimTime};
+
+    fn boot(config: &Config) -> SeatBoot<'_> {
+        SeatBoot {
+            id: NodeId(5),
+            protocol: ProtocolKind::Streamlet,
+            config,
+            dir: Some(PathBuf::from("/tmp/seat-5")),
+            cluster: 1 << 47,
+            epoch: Instant::now(),
+        }
+    }
 
     #[test]
     fn a_seat_document_carries_the_whole_config_through_the_scenario_schema() {
         let config = Config {
             nodes: 7,
-            byzantine_strategy: ByzantineStrategy::Silence,
-            byz_nodes: 2,
+            attacks: SeatAttack::first_seats(2, ByzantineStrategy::Silence),
             leader_policy: LeaderPolicy::Static(NodeId(3)),
             block_size: 50,
             payload_size: 16,
@@ -347,17 +365,7 @@ mod tests {
             seed: 2026,
             ..Config::default()
         };
-        let dir = Some(PathBuf::from("/tmp/seat-5"));
-        let (id, protocol) = (NodeId(5), ProtocolKind::Streamlet);
-        let boot = SeatBoot {
-            id,
-            protocol,
-            config: &config,
-            dir,
-            cluster: 1 << 47,
-            epoch: Instant::now(),
-        };
-        let doc = Json::parse(&seat_document(&boot)).unwrap();
+        let doc = Json::parse(&seat_document(&boot(&config)).unwrap()).unwrap();
         let (read, _) = Scenario::from_json(&doc).unwrap().build(false);
         assert_eq!(read, config);
         assert_eq!(doc.get("seat").and_then(Json::as_uint), Some(5));
@@ -366,5 +374,29 @@ mod tests {
             doc.get("log_dir").and_then(Json::as_str),
             Some("/tmp/seat-5")
         );
+    }
+
+    /// The schema says Table I's form only; any other list is refused at
+    /// boot, before a process starts.
+    #[test]
+    fn a_seat_document_refuses_attacks_the_schema_cannot_say() {
+        let (silence, forking) = (ByzantineStrategy::Silence, ByzantineStrategy::Forking);
+        let late = SeatAttack {
+            from: SimTime(1),
+            ..SeatAttack::first_seats(1, silence)[0]
+        };
+        let mut mixed = SeatAttack::first_seats(2, silence);
+        mixed[1].strategy = forking;
+        let mut skipped = SeatAttack::first_seats(2, silence);
+        skipped[1].node = NodeId(2);
+        for attacks in [vec![late], mixed, skipped] {
+            let config = Config {
+                nodes: 7,
+                attacks,
+                ..Config::default()
+            };
+            let refused = seat_document(&boot(&config)).unwrap_err();
+            assert_eq!(refused.kind(), io::ErrorKind::Unsupported, "{config:?}");
+        }
     }
 }

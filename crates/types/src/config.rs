@@ -21,7 +21,7 @@
 //! ```
 
 use crate::ids::NodeId;
-use crate::time::SimDuration;
+use crate::time::{SimDuration, SimTime};
 
 /// Which chained-BFT protocol a replica runs.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -132,6 +132,31 @@ impl std::fmt::Display for ByzantineStrategy {
     }
 }
 
+/// A Byzantine seat: `node` runs `strategy` from `from` on (DESIGN.md §2.4),
+/// an entry of [`Config::attacks`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SeatAttack {
+    /// The attacking seat.
+    pub node: NodeId,
+    /// What it does from `from` on.
+    pub strategy: ByzantineStrategy,
+    /// When the attack starts.
+    pub from: SimTime,
+}
+
+impl SeatAttack {
+    /// Table I's `byzNo`/`strategy` pair as a list: seats `0..count` run
+    /// `strategy` from time zero.
+    pub fn first_seats(count: usize, strategy: ByzantineStrategy) -> Vec<SeatAttack> {
+        let seat = |node| SeatAttack {
+            node: NodeId(node as u64),
+            strategy,
+            from: SimTime::ZERO,
+        };
+        (0..count).map(seat).collect()
+    }
+}
+
 /// Leader election policy.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum LeaderPolicy {
@@ -157,11 +182,10 @@ pub struct Config {
     pub nodes: usize,
     /// Leader election policy (`master`).
     pub leader_policy: LeaderPolicy,
-    /// Byzantine strategy for faulty nodes (`strategy`).
-    pub byzantine_strategy: ByzantineStrategy,
-    /// Number of Byzantine nodes (`byzNo`). Byzantine ids are `0..byz_nodes`
-    /// unless overridden by the runner.
-    pub byz_nodes: usize,
+    /// Which seats attack, how, and from when (`byzNo` and `strategy`, as
+    /// [`SeatAttack::first_seats`]): at most one entry per seat, at most f in
+    /// all, and a seat without one is honest. Empty by default.
+    pub attacks: Vec<SeatAttack>,
     /// Maximum number of transactions per block (`bsize`, default 400).
     pub block_size: usize,
     /// Admission bound of the memory pool (`memsize`): the most transactions
@@ -246,8 +270,7 @@ impl Default for Config {
         Self {
             nodes: 4,
             leader_policy: LeaderPolicy::RoundRobin,
-            byzantine_strategy: ByzantineStrategy::Honest,
-            byz_nodes: 0,
+            attacks: Vec::new(),
             block_size: 400,
             mempool_size: 100_000,
             payload_size: 0,
@@ -279,61 +302,52 @@ impl Config {
         crate::ids::quorum_threshold(self.nodes)
     }
 
-    /// Returns true if `node` is configured to be Byzantine.
-    pub fn is_byzantine(&self, node: NodeId) -> bool {
-        self.byzantine_strategy != ByzantineStrategy::Honest && (node.index()) < self.byz_nodes
-    }
-
     /// Validates internal consistency of the configuration.
     ///
     /// # Errors
     ///
     /// Returns a [`crate::TypeError::InvalidConfig`] describing the first
-    /// violated constraint (zero nodes, too many Byzantine nodes, zero block
-    /// size, or an empty runtime).
+    /// violated constraint: zero nodes; an attack on a seat outside the
+    /// cluster, a second attack on one seat, an `Honest` attack or more than
+    /// f of them; zero block size; an empty runtime; and so on.
     pub fn validate(&self) -> Result<(), crate::TypeError> {
+        let invalid = |why: String| Err(crate::TypeError::InvalidConfig(why));
         if self.nodes == 0 {
-            return Err(crate::TypeError::InvalidConfig(
-                "nodes must be positive".into(),
-            ));
+            return invalid("nodes must be positive".into());
         }
-        if self.byz_nodes > crate::ids::max_faults(self.nodes) {
-            return Err(crate::TypeError::InvalidConfig(format!(
-                "{} byzantine nodes exceed the f = {} bound for n = {}",
-                self.byz_nodes,
-                crate::ids::max_faults(self.nodes),
-                self.nodes
-            )));
+        let (n, f) = (self.nodes, crate::ids::max_faults(self.nodes));
+        for (at, attack) in self.attacks.iter().enumerate() {
+            let why = if attack.node.index() >= n {
+                "outside the cluster"
+            } else if self.attacks[..at].iter().any(|a| a.node == attack.node) {
+                "a second one on the seat"
+            } else if attack.strategy == ByzantineStrategy::Honest {
+                "honest"
+            } else if at >= f {
+                "more than f byzantine seats"
+            } else {
+                continue;
+            };
+            let seat = attack.node;
+            return invalid(format!("attack on {seat}: {why} (n = {n}, f = {f})"));
         }
         if self.block_size == 0 {
-            return Err(crate::TypeError::InvalidConfig(
-                "block size must be positive".into(),
-            ));
+            return invalid("block size must be positive".into());
         }
         if self.runtime.is_zero() {
-            return Err(crate::TypeError::InvalidConfig(
-                "runtime must be positive".into(),
-            ));
+            return invalid("runtime must be positive".into());
         }
         if self.checkpoint_interval == Some(0) {
-            return Err(crate::TypeError::InvalidConfig(
-                "checkpoint interval must be positive when set".into(),
-            ));
+            return invalid("checkpoint interval must be positive when set".into());
         }
         if self.client_population == Some(0) {
-            return Err(crate::TypeError::InvalidConfig(
-                "client population must be positive when set".into(),
-            ));
+            return invalid("client population must be positive when set".into());
         }
         if self.fsync_interval == 0 {
-            return Err(crate::TypeError::InvalidConfig(
-                "fsync interval must be positive".into(),
-            ));
+            return invalid("fsync interval must be positive".into());
         }
         if self.segment_bytes < 4096 {
-            return Err(crate::TypeError::InvalidConfig(
-                "segment size must be at least 4096 bytes".into(),
-            ));
+            return invalid("segment size must be at least 4096 bytes".into());
         }
         Ok(())
     }
@@ -351,8 +365,7 @@ mod tests {
         assert_eq!(c.timeout, SimDuration::from_millis(100), "timeout default");
         assert_eq!(c.runtime, SimDuration::from_secs(30), "runtime default");
         assert_eq!(c.concurrency, 10, "concurrency default");
-        assert_eq!(c.byz_nodes, 0, "byzNo default");
-        assert_eq!(c.byzantine_strategy, ByzantineStrategy::Honest);
+        assert!(c.attacks.is_empty(), "byzNo default");
         assert_eq!(
             c.leader_policy,
             LeaderPolicy::RoundRobin,
@@ -381,8 +394,25 @@ mod tests {
             },
             Config {
                 nodes: 4,
-                byzantine_strategy: ByzantineStrategy::Silence,
-                byz_nodes: 2,
+                attacks: SeatAttack::first_seats(2, ByzantineStrategy::Silence),
+                ..Config::default()
+            },
+            // A seat outside the cluster, a seat attacked twice, an honest
+            // attack.
+            Config {
+                attacks: vec![attack(4, ByzantineStrategy::Silence)],
+                ..Config::default()
+            },
+            Config {
+                nodes: 7,
+                attacks: vec![
+                    attack(3, ByzantineStrategy::Silence),
+                    attack(3, ByzantineStrategy::Forking),
+                ],
+                ..Config::default()
+            },
+            Config {
+                attacks: vec![attack(1, ByzantineStrategy::Honest)],
                 ..Config::default()
             },
             Config {
@@ -413,32 +443,41 @@ mod tests {
         for config in bad {
             assert!(config.validate().is_err(), "{config:?}");
         }
-        // The bounds themselves are valid: f faulty seats, a 4096-byte
-        // segment, a one-block checkpoint cadence.
+        // The bounds themselves are valid: f faulty seats (the last seat,
+        // starting late, among them), a 4096-byte segment, a one-block
+        // checkpoint cadence — and no attack at all.
+        let late = SeatAttack {
+            from: SimTime::ZERO + SimDuration::from_secs(10),
+            ..attack(6, ByzantineStrategy::Forking)
+        };
         let edge = Config {
-            nodes: 4,
-            byzantine_strategy: ByzantineStrategy::Silence,
-            byz_nodes: 1,
+            nodes: 7,
+            attacks: vec![attack(0, ByzantineStrategy::Silence), late],
             checkpoint_interval: Some(1),
             segment_bytes: 4096,
             ..Config::default()
         };
         assert!(edge.validate().is_ok());
+        assert!(Config::default().validate().is_ok());
+    }
+
+    fn attack(node: u64, strategy: ByzantineStrategy) -> SeatAttack {
+        SeatAttack {
+            node: NodeId(node),
+            strategy,
+            from: SimTime::ZERO,
+        }
     }
 
     #[test]
     fn byzantine_membership_uses_low_ids() {
-        let c = Config {
-            nodes: 32,
-            byzantine_strategy: ByzantineStrategy::Silence,
-            byz_nodes: 3,
-            ..Config::default()
-        };
-        assert!(c.is_byzantine(NodeId(0)));
-        assert!(c.is_byzantine(NodeId(2)));
-        assert!(!c.is_byzantine(NodeId(3)));
-        let honest = Config::default();
-        assert!(!honest.is_byzantine(NodeId(0)));
+        let attacks = SeatAttack::first_seats(3, ByzantineStrategy::Silence);
+        let seats: Vec<NodeId> = attacks.iter().map(|a| a.node).collect();
+        assert_eq!(seats, [NodeId(0), NodeId(1), NodeId(2)]);
+        assert!(attacks
+            .iter()
+            .all(|a| *a == attack(a.node.0, ByzantineStrategy::Silence)));
+        assert!(SeatAttack::first_seats(0, ByzantineStrategy::Forking).is_empty());
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use bamboo_crypto::{DigestBuildHasher, DigestMap, DigestSet};
 pub use block::{Block, BlockId, SharedBlock};
 pub use bytes::Bytes;
 pub use certificate::{QuorumCert, TimeoutCert, TimeoutVote, Vote};
-pub use config::{ByzantineStrategy, Config, LeaderPolicy, ProtocolKind};
+pub use config::{ByzantineStrategy, Config, LeaderPolicy, ProtocolKind, SeatAttack};
 pub use error::TypeError;
 pub use ids::{Height, NodeId, View};
 pub use json::{Json, ToJson};

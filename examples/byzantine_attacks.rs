@@ -7,7 +7,7 @@
 //! ```
 
 use bamboo::core::{RunOptions, SimRunner};
-use bamboo::types::{ByzantineStrategy, Config, ProtocolKind, SimDuration};
+use bamboo::types::{ByzantineStrategy, Config, ProtocolKind, SeatAttack, SimDuration};
 
 fn run(strategy: ByzantineStrategy, byz: usize, protocol: ProtocolKind) {
     let config = Config {
@@ -18,8 +18,7 @@ fn run(strategy: ByzantineStrategy, byz: usize, protocol: ProtocolKind) {
         timeout: SimDuration::from_millis(50),
         seed: 11,
         arrival_rate: Some(10_000.0),
-        byzantine_strategy: strategy,
-        byz_nodes: byz,
+        attacks: SeatAttack::first_seats(byz, strategy),
         ..Config::default()
     };
     let report = SimRunner::new(config, protocol, RunOptions::default()).run();

@@ -7,8 +7,10 @@
 //! cargo run --release --example responsiveness
 //! ```
 
-use bamboo::core::{LinkFault, RunOptions, SeatAttack, SimRunner};
-use bamboo::types::{ByzantineStrategy, Config, NodeId, ProtocolKind, SimDuration, SimTime};
+use bamboo::core::{LinkFault, RunOptions, SimRunner};
+use bamboo::types::{
+    ByzantineStrategy, Config, NodeId, ProtocolKind, SeatAttack, SimDuration, SimTime,
+};
 
 fn main() {
     let fluctuation = LinkFault::Fluctuation {
@@ -32,11 +34,11 @@ fn main() {
             timeout: SimDuration::from_millis(10),
             arrival_rate: Some(20_000.0),
             seed: 9,
+            attacks: vec![silence],
             ..Config::default()
         };
         let options = RunOptions {
             link_faults: vec![fluctuation],
-            attacks: vec![silence],
             series_bucket: SimDuration::from_millis(500),
             ..Default::default()
         };

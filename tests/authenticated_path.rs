@@ -17,7 +17,7 @@ use bamboo_core::{
 use bamboo_crypto::{AggregateSignature, KeyPair};
 use bamboo_types::{
     Authenticator, BlockId, ByzantineStrategy, Config, Message, NodeId, ProtocolKind, QuorumCert,
-    SimDuration, SimTime, TimeoutVote, View, Vote,
+    SeatAttack, SimDuration, SimTime, TimeoutVote, View, Vote,
 };
 
 fn sim_config(strategy: ByzantineStrategy, byz: usize) -> Config {
@@ -28,8 +28,7 @@ fn sim_config(strategy: ByzantineStrategy, byz: usize) -> Config {
         arrival_rate: Some(2_000.0),
         timeout: SimDuration::from_millis(20),
         seed: 11,
-        byzantine_strategy: strategy,
-        byz_nodes: byz,
+        attacks: SeatAttack::first_seats(byz, strategy),
         ..Config::default()
     }
 }
@@ -107,8 +106,7 @@ fn threaded_config() -> Config {
         nodes: 4,
         block_size: 20,
         timeout: SimDuration::from_millis(50),
-        byzantine_strategy: ByzantineStrategy::ForgedVote,
-        byz_nodes: 1,
+        attacks: SeatAttack::first_seats(1, ByzantineStrategy::ForgedVote),
         ..Config::default()
     }
 }

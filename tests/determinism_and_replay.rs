@@ -2,7 +2,7 @@
 //! randomised end-to-end checks over a grid of configurations.
 
 use bamboo::core::{RunOptions, SimRunner};
-use bamboo::types::{ByzantineStrategy, Config, ProtocolKind, SimDuration};
+use bamboo::types::{ByzantineStrategy, Config, ProtocolKind, SeatAttack, SimDuration};
 
 fn run(seed: u64, protocol: ProtocolKind, rate: f64) -> bamboo::core::RunReport {
     let config = Config {
@@ -66,8 +66,7 @@ fn safety_holds_for_randomised_configurations() {
             arrival_rate: Some(2_000.0),
             timeout: SimDuration::from_millis(20),
             seed,
-            byzantine_strategy: strategy,
-            byz_nodes: byz,
+            attacks: SeatAttack::first_seats(byz, strategy),
             ..Config::default()
         };
         for protocol in [ProtocolKind::HotStuff, ProtocolKind::TwoChainHotStuff] {

@@ -56,7 +56,9 @@ use bamboo::core::{
     FaultTrigger, LinkFault, NodeFault, RecoverMode, RecoveryReport, RunOptions, RunReport,
     SimRunner,
 };
-use bamboo::types::{ByzantineStrategy, Config, NodeId, ProtocolKind, SimDuration, SimTime};
+use bamboo::types::{
+    ByzantineStrategy, Config, NodeId, ProtocolKind, SeatAttack, SimDuration, SimTime,
+};
 
 fn run(protocol: ProtocolKind, nodes: usize, runtime_ms: u64, rate: f64, seed: u64) -> RunReport {
     let config = Config {
@@ -216,8 +218,7 @@ fn forged_partitioned_streamlet() -> RunReport {
         block_size: 50,
         runtime: SimDuration::from_millis(600),
         arrival_rate: Some(3_000.0),
-        byzantine_strategy: ByzantineStrategy::ForgedVote,
-        byz_nodes: 2,
+        attacks: SeatAttack::first_seats(2, ByzantineStrategy::ForgedVote),
         timeout: SimDuration::from_millis(20),
         seed: 2030,
         ..Config::default()

@@ -5,7 +5,9 @@ use bamboo::core::parallel::default_workers;
 use bamboo::core::{
     run_ordered, FaultTrigger, LinkFault, NodeFault, RecoverMode, RunOptions, SimRunner,
 };
-use bamboo::types::{ByzantineStrategy, Config, NodeId, ProtocolKind, SimDuration, SimTime};
+use bamboo::types::{
+    ByzantineStrategy, Config, NodeId, ProtocolKind, SeatAttack, SimDuration, SimTime,
+};
 
 fn config(nodes: usize) -> Config {
     Config {
@@ -73,8 +75,7 @@ fn commit_latency_ordering_matches_commit_rules() {
 fn liveness_is_retained_under_silence_attack_with_adequate_timeouts() {
     for protocol in ProtocolKind::evaluated() {
         let mut cfg = config(8);
-        cfg.byzantine_strategy = ByzantineStrategy::Silence;
-        cfg.byz_nodes = 2;
+        cfg.attacks = SeatAttack::first_seats(2, ByzantineStrategy::Silence);
         cfg.timeout = SimDuration::from_millis(20);
         cfg.runtime = SimDuration::from_millis(800);
         let report = SimRunner::new(cfg, protocol, RunOptions::default()).run();
@@ -95,8 +96,7 @@ fn liveness_is_retained_under_silence_attack_with_adequate_timeouts() {
 fn forking_attack_never_causes_conflicting_commits() {
     for protocol in ProtocolKind::evaluated() {
         let mut cfg = config(8);
-        cfg.byzantine_strategy = ByzantineStrategy::Forking;
-        cfg.byz_nodes = 2;
+        cfg.attacks = SeatAttack::first_seats(2, ByzantineStrategy::Forking);
         let report = SimRunner::new(cfg, protocol, RunOptions::default()).run();
         assert_eq!(report.safety_violations, 0, "{protocol}");
         assert!(report.committed_blocks > 0, "{protocol}");
@@ -106,8 +106,7 @@ fn forking_attack_never_causes_conflicting_commits() {
 #[test]
 fn streamlet_is_immune_to_forking_while_hotstuff_is_not() {
     let mut cfg = config(8);
-    cfg.byzantine_strategy = ByzantineStrategy::Forking;
-    cfg.byz_nodes = 2;
+    cfg.attacks = SeatAttack::first_seats(2, ByzantineStrategy::Forking);
     cfg.runtime = SimDuration::from_millis(800);
     let hs = SimRunner::new(cfg.clone(), ProtocolKind::HotStuff, RunOptions::default()).run();
     let sl = SimRunner::new(cfg, ProtocolKind::Streamlet, RunOptions::default()).run();
@@ -127,8 +126,7 @@ fn streamlet_is_immune_to_forking_while_hotstuff_is_not() {
 #[test]
 fn two_chain_is_more_forking_resilient_than_three_chain() {
     let mut cfg = config(8);
-    cfg.byzantine_strategy = ByzantineStrategy::Forking;
-    cfg.byz_nodes = 2;
+    cfg.attacks = SeatAttack::first_seats(2, ByzantineStrategy::Forking);
     cfg.runtime = SimDuration::from_millis(800);
     let hs = SimRunner::new(cfg.clone(), ProtocolKind::HotStuff, RunOptions::default()).run();
     let two = SimRunner::new(cfg, ProtocolKind::TwoChainHotStuff, RunOptions::default()).run();
