@@ -9,11 +9,24 @@
 //! (`views_by_timeout`) — and where each point's transactions' time goes:
 //! the mean of each of the four commit stages (`stage_*_ms`).
 
-use bamboo_bench::{
-    banner, bench_rows, eval_config, model_for, save_rows, stage_rows, Higher, Lower, Sim,
-};
+use bamboo_bench::{banner, bench_rows, eval_config, model_for, record_figure, save_rows};
+use bamboo_core::scenario::{metric, Metric};
 use bamboo_core::{run_all, RunOptions};
 use bamboo_types::ProtocolKind;
+
+/// Eq. (3)'s latency at the point's offered load, in ms: the one reading of
+/// this figure that is not a run's.
+const MODEL_LATENCY: Metric = ("model_latency", "ms", false, |report, config| {
+    let rate = config.arrival_rate.unwrap_or(0.0);
+    model_for(report.protocol, config).latency(rate) * 1_000.0
+});
+
+/// What every point records, in order.
+#[rustfmt::skip]
+const ROWS: [&str; 11] = [
+    "offered", "throughput", "latency", "model_latency", "u_max", "view_ms_qc", "views_by_timeout",
+    "stage_dispatched_ms", "stage_certified_ms", "stage_committed_ms", "stage_confirmed_ms",
+];
 
 fn main() {
     banner("Figure 8: model vs implementation (HS, 2CHS, SL)");
@@ -22,55 +35,37 @@ fn main() {
 
     // Sample each curve at fractions of the modelled saturation rate so model
     // and implementation are probed at the same offered loads; the whole grid
-    // runs as one batch.
-    let mut grid = Vec::new();
-    let mut jobs = Vec::new();
+    // runs as one batch. A point is keyed by the share of the modelled
+    // saturation rate, which is what the ladder fixes; the rate itself is a
+    // model output.
+    let (mut points, mut keys) = (Vec::new(), Vec::new());
     for (nodes, bsize) in configs {
         let config = eval_config(nodes, bsize, 0, 500);
         for protocol in ProtocolKind::evaluated() {
             let model = model_for(protocol, &config);
             for fraction in fractions {
-                let rate = model.saturation_rate() * fraction;
                 let mut point = config.clone();
-                point.arrival_rate = Some(rate);
-                grid.push((nodes, bsize, protocol, fraction, rate, model.latency(rate)));
-                jobs.push((point, protocol, RunOptions::default()));
+                point.arrival_rate = Some(model.saturation_rate() * fraction);
+                points.push((point, protocol, RunOptions::default()));
+                let share = fraction * 100.0;
+                keys.push(format!(
+                    "{}/n{nodes}/b{bsize}/f{share:.0}",
+                    protocol.label()
+                ));
             }
         }
     }
-    let reports = run_all(jobs);
+    let reports = run_all(points.clone());
 
+    let metrics = ROWS.map(|name| match name {
+        "model_latency" => MODEL_LATENCY,
+        name => metric(name).expect("a METRICS entry"),
+    });
+    let runs = (keys.into_iter().zip(&reports).zip(&points))
+        .map(|((key, report), (config, _, _))| (key, report, config))
+        .collect();
     let mut out = bench_rows("fig8_model_vs_impl");
-    for ((nodes, bsize, protocol, fraction, rate, predicted), report) in
-        grid.into_iter().zip(reports)
-    {
-        let predicted_ms = predicted * 1_000.0;
-        // Where the view's time goes: the busiest replica's CPU
-        // utilization, and how long the observer's QC-ended views last.
-        let load = report.utilization;
-        let timeouts = load.view_timeout.count as f64;
-        // Keyed by the share of the modelled saturation rate, which
-        // is what the ladder fixes; the rate itself is a model output.
-        let key = format!(
-            "{}/n{nodes}/b{bsize}/f{:.0}",
-            protocol.label(),
-            fraction * 100.0
-        );
-        out.point(
-            Sim,
-            &key,
-            &[
-                ("offered", rate, "tx/s", Higher),
-                ("throughput", report.throughput_tx_per_sec, "tx/s", Higher),
-                ("latency", report.latency.mean_ms, "ms", Lower),
-                ("model_latency", predicted_ms, "ms", Lower),
-                ("u_max", load.u_max, "ratio", Lower),
-                ("view_ms_qc", load.view_qc.mean_ms, "ms", Lower),
-                ("views_by_timeout", timeouts, "count", Lower),
-            ],
-        );
-        out.point(Sim, &key, &stage_rows(&report.stages));
-    }
+    record_figure(&mut out, &metrics, runs);
     save_rows(&out);
     println!(
         "\nExpected shape (paper): model and implementation curves track each other;\n2CHS sits below HS in latency, Streamlet saturates earlier."

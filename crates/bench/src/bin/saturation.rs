@@ -23,10 +23,14 @@
 //!
 //! Rows: `target/bamboo-bench/saturation.rows.json`, one `protocol/nN/oRATE/…`
 //! group per load point (offered loads are different names, so `bench_diff`
-//! never cross-compares them) plus the knee per protocol. All simulator
-//! clock: a run of the same tree reproduces the file byte for byte.
+//! never cross-compares them; `throughput` is the goodput) plus the knee
+//! per protocol. All simulator clock: a run of the same tree reproduces the
+//! file byte for byte.
 
-use bamboo_bench::{banner, eval_config, save_rows, Higher, Lower, RowFile, Sim, Tier, EVAL_SEED};
+use bamboo_bench::{
+    banner, eval_config, record_figure, save_rows, Higher, RowFile, Sim, Tier, EVAL_SEED,
+};
+use bamboo_core::scenario::metric;
 use bamboo_core::{run_all, RunOptions, RunReport};
 use bamboo_types::{Config, ProtocolKind};
 
@@ -51,36 +55,29 @@ fn point_config(nodes: usize, runtime_ms: u64, rate: f64) -> Config {
     config
 }
 
+/// What every load point records, in order.
+#[rustfmt::skip]
+const POINT_ROWS: [&str; 4] = ["throughput", "client_p50", "client_p99", "admission_rejected"];
+
 /// Records one protocol's ladder — every load point and the knee — and
 /// asserts the sweep is evidence of saturation.
 fn record(
     out: &mut RowFile,
     protocol: ProtocolKind,
     nodes: usize,
-    runtime_ms: u64,
     ladder: &[f64],
+    configs: &[Config],
     reports: &[RunReport],
 ) {
     let label = protocol.label();
     let key = format!("{label}/n{nodes}");
-    let mut goodputs = Vec::new();
-    for (&offered, report) in ladder.iter().zip(reports) {
-        assert_eq!(report.safety_violations, 0, "{protocol} @ {offered} tx/s");
-        let goodput = report.committed_txs as f64 / (runtime_ms as f64 / 1_000.0);
-        let (p50, p99) = (report.client_latency.p50_ms, report.client_latency.p99_ms);
-        let rejected = report.mempool.rejected;
-        out.point(
-            Sim,
-            &format!("{key}/o{offered:.0}"),
-            &[
-                ("goodput", goodput, "tx/s", Higher),
-                ("client_p50", p50, "ms", Lower),
-                ("client_p99", p99, "ms", Lower),
-                ("admission_rejected", rejected as f64, "tx", Lower),
-            ],
-        );
-        goodputs.push(goodput);
-    }
+    let safe = reports.iter().all(|r| r.safety_violations == 0);
+    assert!(safe, "{label}: conflicting commits");
+    let points = (ladder.iter().zip(configs).zip(reports))
+        .map(|((rate, config), report)| (format!("{key}/o{rate:.0}"), report, config));
+    let metrics = POINT_ROWS.map(|name| metric(name).expect("a METRICS entry"));
+    record_figure(out, &metrics, points.collect());
+    let goodputs: Vec<f64> = reports.iter().map(|r| r.throughput_tx_per_sec).collect();
 
     // A sweep flattens into collapse when doubling the offered load stops
     // buying goodput (< 5% gain) — from that knee on, extra load only queues.
@@ -148,18 +145,18 @@ fn main() {
     ));
 
     let mut out = RowFile::new("saturation", Tier::from_quick(quick), EVAL_SEED);
+    let configs: Vec<Config> = (ladder.iter())
+        .map(|&rate| point_config(nodes, runtime_ms, rate))
+        .collect();
     let points = protocols
         .iter()
         .flat_map(|&protocol| {
-            ladder.iter().map(move |&rate| {
-                let config = point_config(nodes, runtime_ms, rate);
-                (config, protocol, RunOptions::default())
-            })
+            (configs.iter()).map(move |config| (config.clone(), protocol, RunOptions::default()))
         })
         .collect();
     let reports = run_all(points);
     for (&protocol, reports) in protocols.iter().zip(reports.chunks(ladder.len())) {
-        record(&mut out, protocol, nodes, runtime_ms, &ladder, reports);
+        record(&mut out, protocol, nodes, &ladder, &configs, reports);
     }
     save_rows(&out);
 }

@@ -18,18 +18,18 @@
 //! pool (the second run must reproduce the first's fingerprint, counters
 //! and recovery report) and the assembled [`ScenarioReport`]s are written to
 //! `target/bamboo-bench/<stem>_reports.json` ([`artifact_stem`]) — a byte-stable artifact:
-//! two invocations on the same tree produce identical bytes. The recovery
-//! latencies `bench_diff` tracks are written next to it as
-//! `<stem>.rows.json`: each grid-less run's end-to-end numbers
-//! (`<scenario>/<protocol>/throughput`, `…/latency_mean`, `…/latency_p99`,
-//! `…/latency_max`, `…/cgr` and `…/duplicates_filtered`), the transactions
-//! still uncommitted at its end (`…/pending_txs`: latency rows count only
-//! committed ones, so a run that commits its stragglers can read worse at
-//! p99), its `…/u_max`, `…/view_ms_qc`,
-//! `…/views_by_timeout`, `…/handoff_rehanded` and four commit-stage means
-//! (`…/stage_*_ms`), and `…/recovery_time_ms` for runs that scheduled
-//! amnesia recoveries, `…/log_replay_ms` for durable restarts, under the
-//! tier the suite ran at.
+//! two invocations on the same tree produce identical bytes. Each grid-less
+//! run's readings are written next to it as `<stem>.rows.json`, through
+//! [`record_figure`] under their `scenario::METRICS` names, keyed
+//! `<scenario>/<protocol>`: [`SUITE_ROWS`] — `throughput`, `latency`,
+//! `latency_p99`, `latency_max`, `pending_txs` (latency rows count only
+//! committed transactions, so a run that commits its stragglers can read
+//! worse at p99), `chain_growth_rate`, `duplicates_filtered`, `u_max`,
+//! `view_ms_qc`, `views_by_timeout`, `handoff_rehanded` and the four
+//! `stage_*_ms` commit-stage means — then `recovery_time_ms` for runs that
+//! scheduled amnesia recoveries and `log_replay_ms` for durable restarts,
+//! under the tier the suite ran at. Two spec files with one `name` are
+//! refused, naming both, before anything runs.
 //!
 //! The process exits non-zero on any failure: a safety violation or forked
 //! ledger, a mismatch between the paired runs, an unmet spec
@@ -40,11 +40,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use bamboo_bench::{
-    banner, record_figure, save_rows, stage_rows, write_artifact, Higher, Lower, RowFile, Sim,
-    Tier, Wall,
-};
+use bamboo_bench::{banner, record_figure, save_rows, write_artifact, Higher, RowFile, Tier, Wall};
 use bamboo_core::parallel::{default_workers, run_ordered};
+use bamboo_core::scenario::{metric, Metric, SUITE_ROWS};
 use bamboo_core::{Figure, Scenario, ScenarioReport};
 use bamboo_types::{Json, ToJson};
 
@@ -79,6 +77,20 @@ fn artifact_stem(dir: &Path) -> String {
         Some("scenarios") | None => "scenario".to_string(),
         Some(name) => name.to_string(),
     }
+}
+
+/// Every later file whose spec takes a name an earlier one has, as an error
+/// naming both: the two would write one `<name>.rows.json`, or fold into one
+/// set of `_mean`/`_std` rows.
+fn shared_names(named: &[(String, &Path)]) -> Vec<String> {
+    let mut shared = Vec::new();
+    for (at, (name, file)) in named.iter().enumerate() {
+        if let Some((_, first)) = named[..at].iter().find(|(other, _)| other == name) {
+            let (first, file) = (first.display(), file.display());
+            shared.push(format!("{first} and {file} both name the spec {name:?}"));
+        }
+    }
+    shared
 }
 
 /// Runs every spec on the sweep pool, one job each ([`Scenario::run`]);
@@ -126,7 +138,7 @@ fn main() -> ExitCode {
     }
 
     // Parse every spec up front; a broken spec fails the suite.
-    let (mut scenarios, mut figures) = (Vec::new(), Vec::new());
+    let (mut scenarios, mut figures, mut named) = (Vec::new(), Vec::new(), Vec::new());
     let mut parse_failures = 0usize;
     for file in &files {
         let text = match std::fs::read_to_string(file) {
@@ -137,14 +149,24 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        let parsed = Json::parse(&text).and_then(|doc| match doc.get("grid") {
-            Some(_) => Figure::from_json(&doc).map(|figure| figures.push(figure)),
-            None => Scenario::from_json(&doc).map(|scenario| scenarios.push(scenario)),
+        let parsed = Json::parse(&text).and_then(|doc| {
+            match doc.get("grid") {
+                Some(_) => figures.push(Figure::from_json(&doc)?),
+                None => scenarios.push(Scenario::from_json(&doc)?),
+            }
+            let name = doc.get("name").and_then(Json::as_str).unwrap_or_default();
+            named.push((name.to_string(), file.as_path()));
+            Ok(())
         });
         if let Err(err) = parsed {
             eprintln!("error: {}: {err}", file.display());
             parse_failures += 1;
         }
+    }
+    let shared = shared_names(&named);
+    if !shared.is_empty() {
+        shared.iter().for_each(|pair| eprintln!("error: {pair}"));
+        return ExitCode::FAILURE;
     }
 
     let (mut reports, mut wall) = run_batch(&scenarios, quick);
@@ -152,7 +174,8 @@ fn main() -> ExitCode {
     let mut total_events: u64 = 0;
     let stem = artifact_stem(files[0].parent().unwrap_or(&dir));
     let mut rows = RowFile::new(&stem, Tier::from_quick(quick), 0);
-    for report in &reports {
+    for (scenario, report) in scenarios.iter().zip(&reports) {
+        let config = scenario.build(quick).0;
         println!(
             "\n{} — {}",
             report.name,
@@ -183,50 +206,15 @@ fn main() -> ExitCode {
                 if run.deterministic { "ok" } else { "MISMATCH" },
                 &run.report.ledger_fingerprint[..16.min(run.report.ledger_fingerprint.len())],
             );
-            let key = format!("{}/{}", report.name, run.protocol.label());
-            let (r, latency) = (&run.report, &run.report.latency);
-            rows.point(
-                Sim,
-                &key,
-                &[
-                    ("throughput", r.throughput_tx_per_sec, "tx/s", Higher),
-                    ("latency_mean", latency.mean_ms, "ms", Lower),
-                    ("latency_p99", latency.p99_ms, "ms", Lower),
-                    ("latency_max", latency.max_ms, "ms", Lower),
-                    ("pending_txs", r.pending_txs as f64, "tx", Lower),
-                    ("cgr", r.chain_growth_rate, "ratio", Higher),
-                    (
-                        "duplicates_filtered",
-                        r.duplicates_filtered as f64,
-                        "count",
-                        Lower,
-                    ),
-                ],
-            );
-            let load = &run.report.utilization;
-            let timeouts = load.view_timeout.count as f64;
-            rows.point(
-                Sim,
-                &key,
-                &[
-                    ("u_max", load.u_max, "ratio", Lower),
-                    ("view_ms_qc", load.view_qc.mean_ms, "ms", Lower),
-                    ("views_by_timeout", timeouts, "count", Lower),
-                    ("handoff_rehanded", handoff.rehanded as f64, "count", Lower),
-                ],
-            );
-            rows.point(Sim, &key, &stage_rows(&run.report.stages));
             // Runs without a recovery have vacuous zeros; only the runs that
-            // scheduled one contribute a row.
+            // scheduled one record it.
             let r = &run.report.recovery;
-            for (restarts, metric, ms) in [
-                (r.amnesia_recoveries, "recovery_time_ms", r.recovery_time_ms),
-                (r.durable_restarts, "log_replay_ms", r.log_replay_ms),
-            ] {
-                if restarts > 0 {
-                    rows.point(Sim, &key, &[(metric, ms, "ms", Lower)]);
-                }
-            }
+            let recovered = (r.amnesia_recoveries > 0).then_some("recovery_time_ms");
+            let replayed = (r.durable_restarts > 0).then_some("log_replay_ms");
+            let names = SUITE_ROWS.into_iter().chain(recovered).chain(replayed);
+            let metrics: Vec<Metric> = names.map(|n| metric(n).expect("a METRICS entry")).collect();
+            let key = format!("{}/{}", report.name, run.protocol.label());
+            record_figure(&mut rows, &metrics, vec![(key, &run.report, &config)]);
         }
         for failure in &report.failures {
             println!("  FAIL: {failure}");
@@ -238,12 +226,12 @@ fn main() -> ExitCode {
     for figure in &figures {
         banner(&format!("Figure {}", figure.name));
         let (points, batch_wall) = run_batch(&figure.points, quick);
+        let configs: Vec<_> = figure.points.iter().map(|s| s.build(quick).0).collect();
         let (mut runs, mut batch_events) = (Vec::new(), 0);
-        for ((scenario, tags), report) in figure.points.iter().zip(&figure.tags).zip(&points) {
-            let config = scenario.build(quick).0;
+        for ((config, tags), report) in configs.iter().zip(&figure.tags).zip(&points) {
             for run in &report.runs {
-                let values = figure.rows.iter().map(|m| m.3(&run.report, &config));
-                runs.push((run.protocol.label(), tags.as_str(), values.collect()));
+                let key = format!("{}{tags}", run.protocol.label());
+                runs.push((key, &run.report, config));
                 batch_events += 2 * run.report.events_processed;
             }
             for failure in &report.failures {
@@ -251,7 +239,7 @@ fn main() -> ExitCode {
                 failures += 1;
             }
         }
-        let seed = figure.points[0].build(quick).0.seed;
+        let seed = configs[0].seed;
         let mut out = RowFile::new(&figure.name, Tier::from_quick(quick), seed);
         record_figure(&mut out, &figure.rows, runs);
         // A figure that counts its points' events also records the engine's
@@ -298,5 +286,23 @@ mod tests {
         assert_eq!(artifact_stem(Path::new("scenarios/nightly")), "nightly");
         assert_eq!(artifact_stem(Path::new("./figures")), "figures");
         assert_eq!(artifact_stem(Path::new("")), "scenario");
+    }
+
+    #[test]
+    fn two_specs_with_one_name_are_refused_naming_both_files() {
+        let (lan, geo, copy) = (
+            Path::new("a/lan.json"),
+            Path::new("a/geo.json"),
+            Path::new("b/lan.json"),
+        );
+        let named = |names: [&str; 3]| {
+            let files = names.into_iter().map(String::from).zip([lan, geo, copy]);
+            shared_names(&files.collect::<Vec<_>>())
+        };
+        assert!(named(["lan", "geo", "fig"]).is_empty());
+        assert_eq!(
+            named(["lan", "geo", "lan"]),
+            ["a/lan.json and b/lan.json both name the spec \"lan\""]
+        );
     }
 }

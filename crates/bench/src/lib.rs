@@ -23,8 +23,8 @@ pub mod stats;
 use std::fs;
 use std::path::PathBuf;
 
-use bamboo_core::metrics::Stages;
 use bamboo_core::scenario::Metric;
+use bamboo_core::RunReport;
 use bamboo_model::{ModelParams, PerfModel};
 use bamboo_types::{Config, ProtocolKind, SimDuration};
 
@@ -97,13 +97,16 @@ pub fn model_for(protocol: ProtocolKind, config: &Config) -> PerfModel {
     PerfModel::new(protocol, ModelParams::from_config(config))
 }
 
-/// Records a figure's runs, `(protocol label, tags, values of metrics)` in
-/// run order, as `<label><tags>/<metric>` rows; runs that share a key fold
-/// to `<metric>_mean` and `<metric>_std`, in the order the keys first came.
-pub fn record_figure(out: &mut RowFile, metrics: &[Metric], runs: Vec<(&str, &str, Vec<f64>)>) {
+/// One run a figure records: its row key, its report and the config it ran.
+pub type Run<'a> = (String, &'a RunReport, &'a Config);
+
+/// Records runs in run order as `<key>/<metric>` rows of what `metrics` read
+/// off each report and config; runs that share a key fold to
+/// `<metric>_mean` and `<metric>_std`, in the order the keys first came.
+pub fn record_figure(out: &mut RowFile, metrics: &[Metric], runs: Vec<Run>) {
     let mut points: Vec<(String, Vec<Vec<f64>>)> = Vec::new();
-    for (label, tags, values) in runs {
-        let key = format!("{label}{tags}");
+    for (key, report, config) in runs {
+        let values = metrics.iter().map(|m| m.3(report, config)).collect();
         match points.iter_mut().find(|(k, _)| *k == key) {
             Some((_, samples)) => samples.push(values),
             None => points.push((key, vec![values])),
@@ -129,25 +132,10 @@ pub fn record_figure(out: &mut RowFile, metrics: &[Metric], runs: Vec<(&str, &st
     }
 }
 
-/// A run's four commit-stage means, as one point's metrics: where its
-/// transactions' time went (DESIGN.md §5, "Observation").
-pub fn stage_rows(stages: &Stages) -> [(&'static str, f64, &'static str, rows::Better); 4] {
-    [
-        (
-            "stage_dispatched_ms",
-            stages.dispatched.mean_ms,
-            "ms",
-            Lower,
-        ),
-        ("stage_certified_ms", stages.certified.mean_ms, "ms", Lower),
-        ("stage_committed_ms", stages.committed.mean_ms, "ms", Lower),
-        ("stage_confirmed_ms", stages.confirmed.mean_ms, "ms", Lower),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bamboo_core::{RunOptions, SimRunner};
 
     #[test]
     fn eval_config_matches_table_one_defaults() {
@@ -167,13 +155,21 @@ mod tests {
     }
 
     #[test]
-    fn a_key_is_the_label_then_the_tags_and_runs_sharing_it_fold_to_mean_and_std() {
+    fn runs_sharing_a_key_fold_to_mean_and_std() {
+        let config = |seed| Config {
+            seed,
+            ..eval_config(4, 10, 0, 10)
+        };
+        let (one, two, three) = (config(1), config(2), config(3));
+        let report =
+            SimRunner::new(one.clone(), ProtocolKind::HotStuff, RunOptions::default()).run();
+        let seed: Metric = ("seed", "count", true, |_, config| config.seed as f64);
         let mut out = RowFile::new("fold", Tier::Full, 0);
-        let runs = [("HS", 1.0), ("SL", 2.0), ("HS", 3.0)].map(|(p, v)| (p, "/n4", vec![v]));
-        record_figure(&mut out, &bamboo_core::scenario::METRICS[..1], runs.into());
+        let runs = [("HS/n4", &one), ("SL/n4", &two), ("HS/n4", &three)];
+        let runs = runs.map(|(key, config)| (key.to_string(), &report, config));
+        record_figure(&mut out, &[seed], runs.into());
         let rows = (out.rows.iter()).map(|r| format!("{} {} {:?}", r.name, r.value, r.better));
-        let expected = "HS/n4/throughput_mean 2 Higher, HS/n4/throughput_std 1 Lower, \
-                        SL/n4/throughput 2 Higher";
+        let expected = "HS/n4/seed_mean 2 Higher, HS/n4/seed_std 1 Lower, SL/n4/seed 2 Higher";
         assert_eq!(rows.collect::<Vec<_>>().join(", "), expected);
     }
 

@@ -91,7 +91,7 @@ impl Tier {
 #[derive(Clone, Debug, PartialEq)]
 pub struct Row {
     /// What was measured, formatted by the producer that owns the fields it
-    /// is made of (`HS/n32/o40000/goodput`). Stable across PRs.
+    /// is made of (`HS/n32/o40000/throughput`). Stable across PRs.
     pub name: String,
     /// The measurement; always finite.
     pub value: f64,

@@ -17,16 +17,35 @@ pub type Read = fn(&RunReport, &Config) -> f64;
 /// A recorded quantity: name, unit, whether higher is better, and its reading.
 pub type Metric = (&'static str, &'static str, bool, Read);
 
-/// Every metric a figure's `rows` may name. `tracking_error` is how far
-/// committed throughput strays from the offered load, in %.
+/// Every reading of a run a row or an `expect` bound (`min_<name>`,
+/// `max_<name>`) may name, one name per reading ([`metric`]).
+/// `tracking_error` is how far throughput strays from the `offered` load, in %.
 #[rustfmt::skip]
-pub const METRICS: [Metric; 11] = [
+pub const METRICS: &[Metric] = &[
     ("throughput", "tx/s", true, |r, _| r.throughput_tx_per_sec),
     ("latency", "ms", false, |r, _| r.latency.mean_ms),
+    ("latency_p99", "ms", false, |r, _| r.latency.p99_ms),
+    ("latency_max", "ms", false, |r, _| r.latency.max_ms),
+    ("client_p50", "ms", false, |r, _| r.client_latency.p50_ms),
+    ("client_p99", "ms", false, |r, _| r.client_latency.p99_ms),
+    ("pending_txs", "tx", false, |r, _| r.pending_txs as f64),
+    ("admission_rejected", "tx", false, |r, _| r.mempool.rejected as f64),
+    ("auth_rejections", "count", false, |r, _| r.rejected_messages as f64),
+    ("duplicates_filtered", "count", false, |r, _| r.duplicates_filtered as f64),
+    ("handoff_rehanded", "count", false, |r, _| r.mempool.rehanded as f64),
     ("chain_growth_rate", "ratio", true, |r, _| r.chain_growth_rate),
     ("block_interval", "views", false, |r, _| r.block_interval),
     ("forks_attempted", "count", false, |r, _| r.forks_attempted as f64),
-    ("timeout_view_changes", "count", false, |r, _| r.timeout_view_changes as f64),
+    ("views_by_timeout", "count", false, |r, _| r.timeout_view_changes as f64),
+    ("u_max", "ratio", false, |r, _| r.utilization.u_max),
+    ("view_ms_qc", "ms", false, |r, _| r.utilization.view_qc.mean_ms),
+    ("stage_dispatched_ms", "ms", false, |r, _| r.stages.dispatched.mean_ms),
+    ("stage_certified_ms", "ms", false, |r, _| r.stages.certified.mean_ms),
+    ("stage_committed_ms", "ms", false, |r, _| r.stages.committed.mean_ms),
+    ("stage_confirmed_ms", "ms", false, |r, _| r.stages.confirmed.mean_ms),
+    ("recovery_time_ms", "ms", false, |r, _| r.recovery.recovery_time_ms),
+    ("log_replay_ms", "ms", false, |r, _| r.recovery.log_replay_ms),
+    ("offered", "tx/s", true, |_, c| c.arrival_rate.unwrap_or(0.0)),
     ("tracking_error", "%", false, |r, c| {
         let rate = c.arrival_rate.unwrap_or(0.0);
         100.0 * (r.throughput_tx_per_sec - rate).abs() / rate
@@ -36,6 +55,21 @@ pub const METRICS: [Metric; 11] = [
     ("queue_peak", "count", false, |r, _| r.queue_peak_len as f64),
     ("heap_peak", "count", false, |r, _| r.queue_heap_peak as f64),
 ];
+
+/// What the `scenario` bin records for every run of a grid-less spec, in
+/// order; a run that restarted a replica adds `recovery_time_ms` (amnesia) or
+/// `log_replay_ms` (durable restart).
+#[rustfmt::skip]
+pub const SUITE_ROWS: [&str; 15] = [
+    "throughput", "latency", "latency_p99", "latency_max", "pending_txs", "chain_growth_rate",
+    "duplicates_filtered", "u_max", "view_ms_qc", "views_by_timeout", "handoff_rehanded",
+    "stage_dispatched_ms", "stage_certified_ms", "stage_committed_ms", "stage_confirmed_ms",
+];
+
+/// The [`METRICS`] entry named `name`.
+pub fn metric(name: &str) -> Option<Metric> {
+    METRICS.iter().copied().find(|m| m.0 == name)
+}
 
 /// A parsed figure: its points in grid order and what each run records.
 #[derive(Clone, Debug)]
@@ -65,7 +99,7 @@ impl Figure {
             .ok_or_else(|| bad("\"grid\" must be an array of axes"))?;
         let listed = doc.get("rows").and_then(Json::as_array).unwrap_or_default();
         let rows = (listed.iter())
-            .map(|row| METRICS.into_iter().find(|m| Some(m.0) == row.as_str()))
+            .map(|row| row.as_str().and_then(metric))
             .collect::<Option<Vec<_>>>()
             .filter(|rows| !rows.is_empty())
             .ok_or_else(|| bad("\"rows\" must list known metrics"))?;
@@ -139,6 +173,25 @@ mod tests {
             (config.extra_delay, config.extra_delay_jitter),
             (ms(5), ms(1))
         );
+    }
+
+    /// One reading has one name: no name is listed twice, and every row the
+    /// `scenario` bin writes for a grid-less spec names an entry.
+    #[test]
+    fn every_table_name_is_unique_and_every_suite_row_resolves() {
+        for (at, entry) in METRICS.iter().enumerate() {
+            assert!(METRICS[..at].iter().all(|m| m.0 != entry.0), "{}", entry.0);
+            assert_eq!(metric(entry.0).map(|m| m.1), Some(entry.1));
+        }
+        for name in SUITE_ROWS
+            .iter()
+            .chain(&["recovery_time_ms", "log_replay_ms"])
+        {
+            assert!(metric(name).is_some(), "{name}");
+        }
+        for twin in ["latency_mean", "cgr", "goodput", "timeout_view_changes"] {
+            assert!(metric(twin).is_none(), "{twin}");
+        }
     }
 
     #[test]

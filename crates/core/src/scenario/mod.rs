@@ -45,8 +45,8 @@ mod spec;
 
 use bamboo_types::{Config, Json, ProtocolKind, SimDuration, ToJson};
 
-pub use self::expect::Expectations;
-pub use self::grid::{Figure, Metric, METRICS};
+pub use self::expect::{Expectations, Side};
+pub use self::grid::{metric, Figure, Metric, METRICS, SUITE_ROWS};
 use crate::metrics::RunReport;
 use crate::runner::{RunOptions, SimRunner};
 
@@ -164,7 +164,7 @@ impl Scenario {
             name: self.name.clone(),
             description: self.description.clone(),
             quick,
-            failures: expect::failures(self, &runs),
+            failures: expect::failures(self, &config, &runs),
             runs,
         }
     }
@@ -299,7 +299,7 @@ mod tests {
                 "commit_latency_ordering",
                 spec(r#""expect":{"commit_latency_ordering":"HS"}"#),
             ),
-            ("expect", spec(r#""expect":[{"max_p99_latency_ms":1}]"#)),
+            ("expect", spec(r#""expect":[{"max_latency_p99":1}]"#)),
             (
                 "topology",
                 spec(r#""topology":[{"default":{"mean_ms":1}}]"#),
@@ -467,12 +467,12 @@ mod tests {
                 )),
             ),
             (
-                "max_p99_latency_ms",
-                spec(r#","expect":{"max_p99_latency_ms":"312"}"#, "1"),
+                "max_latency_p99",
+                spec(r#","expect":{"max_latency_p99":"312"}"#, "1"),
             ),
             (
-                "min_throughput_tx_per_sec",
-                spec(r#","expect":{"min_throughput_tx_per_sec":-1}"#, "1"),
+                "min_throughput",
+                spec(r#","expect":{"min_throughput":-1}"#, "1"),
             ),
             (
                 "min_chain_growth_rate",
@@ -829,13 +829,62 @@ mod tests {
         assert!(rendered.contains("\"passed\": true"));
     }
 
+    /// A missed `min_` bound and a missed `max_` bound each fail every run,
+    /// each with its reading's name.
     #[test]
     fn evaluate_flags_unmet_expectations() {
-        let mut scenario = Scenario::parse(&minimal_spec()).unwrap();
-        scenario.expect.min_throughput_tx_per_sec = Some(f64::MAX);
-        let report = scenario.run(true);
-        assert!(!report.passed());
-        assert!(report.failures.iter().any(|f| f.contains("throughput")));
+        let spec = minimal_spec().replace(
+            r#""min_chain_growth_rate": 0.3,"#,
+            r#""min_throughput": 1e12, "max_latency_p99": 0.001,"#,
+        );
+        let report = Scenario::parse(&spec).unwrap().run(true);
+        for (reading, side) in [("throughput", "below"), ("latency_p99", "above")] {
+            for label in ["HS", "2CHS"] {
+                let prefix = format!("mini/{label}: {reading} ");
+                assert!(
+                    (report.failures.iter()).any(|f| f.starts_with(&prefix) && f.contains(side)),
+                    "{prefix}: {:?}",
+                    report.failures
+                );
+            }
+        }
+    }
+
+    /// An `expect` key is `min_<metric>`, `max_<metric>` or
+    /// `commit_latency_ordering`; anything else is refused by name, never
+    /// read as no gate.
+    #[test]
+    fn an_unknown_expect_key_is_refused_by_name() {
+        for key in [
+            "min_admission_rejections",
+            "max_latency_mean",
+            "min_cgr",
+            "min_goodput",
+            "max_nonsense",
+            "throughput",
+            "min_",
+        ] {
+            let spec = minimal_spec().replace(
+                r#""min_chain_growth_rate": 0.3,"#,
+                &format!(r#""{key}": 1,"#),
+            );
+            let err = Scenario::parse(&spec).expect_err(key);
+            assert!(err.contains(&format!("{key:?}")), "{key}: {err}");
+        }
+        let every = (METRICS.iter()).flat_map(|m| {
+            [
+                format!(r#""min_{}":0"#, m.0),
+                format!(r#""max_{}":1e9"#, m.0),
+            ]
+        });
+        let spec = minimal_spec().replace(
+            r#""min_chain_growth_rate": 0.3,"#,
+            &format!("{},", every.collect::<Vec<_>>().join(",")),
+        );
+        assert_eq!(
+            Scenario::parse(&spec).unwrap().expect.bounds.len(),
+            2 * METRICS.len()
+        );
     }
 
     #[test]

@@ -8,7 +8,8 @@ use bamboo_types::{
     SimTime, View,
 };
 
-use super::expect::Expectations;
+use super::expect::{Expectations, Side};
+use super::grid::metric;
 use super::Scenario;
 use crate::runner::{FaultTrigger, NodeFault, RunOptions};
 use crate::runtime::RecoverMode;
@@ -463,21 +464,25 @@ fn protocol(label: &Json, context: &str) -> Result<ProtocolKind, String> {
     ProtocolKind::from_label(label).ok_or_else(|| format!("{context}: unknown protocol {label:?}"))
 }
 
+/// Reads `commit_latency_ordering` and `min_<metric>`/`max_<metric>` bounds;
+/// any other key is an error, since a misspelt bound would gate nothing.
 fn parse_expectations(spec: &Json, name: &str) -> Result<Expectations, String> {
     let context = format!("{name}/expect");
-    let Some(obj) = section(spec, "expect", name)? else {
-        return Ok(Expectations::default());
+    let mut expect = Expectations::default();
+    let Some(obj @ Json::Obj(fields)) = section(spec, "expect", name)? else {
+        return Ok(expect);
     };
-    // A bound that is not a number is an error, not an absent gate.
-    let bound = |key: &str| amount(obj, key, &context, false);
-    let mut expect = Expectations {
-        min_throughput_tx_per_sec: bound("min_throughput_tx_per_sec")?,
-        max_p99_latency_ms: bound("max_p99_latency_ms")?,
-        min_chain_growth_rate: bound("min_chain_growth_rate")?,
-        min_auth_rejections: opt_uint(obj, "min_auth_rejections", &context)?,
-        min_admission_rejections: opt_uint(obj, "min_admission_rejections", &context)?,
-        commit_latency_ordering: Vec::new(),
-    };
+    for (key, _) in fields {
+        let named = match key.split_once('_') {
+            _ if key == "commit_latency_ordering" => continue,
+            Some(("min", reading)) => metric(reading).zip(Some(Side::Min)),
+            Some(("max", reading)) => metric(reading).zip(Some(Side::Max)),
+            _ => None,
+        };
+        let (metric, side) = named.ok_or_else(|| format!("{context}: unknown key {key:?}"))?;
+        let bound = amount(obj, key, &context, false)?.unwrap_or_default();
+        expect.bounds.push((metric, bound, side));
+    }
     for pair in list(obj, "commit_latency_ordering", &context)? {
         let items = pair
             .as_array()

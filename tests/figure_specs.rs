@@ -1,10 +1,36 @@
-//! The paper's figures are data: every `figures/*.json` spec parses, and
-//! each grid expands to the runs its figure makes (no run is executed).
+//! The paper's figures and the scenario library are data: every
+//! `figures/*.json` spec parses, and each grid expands to the runs its figure
+//! makes; every `scenarios/*.json` and `scenarios/nightly/*.json` spec
+//! parses under a name no other spec in its directory has (no run is
+//! executed).
 
 use std::path::Path;
 
-use bamboo_core::Figure;
+use bamboo_core::{Figure, Scenario};
 use bamboo_types::Json;
+
+#[test]
+fn every_shipped_scenario_spec_parses_under_a_name_unique_in_its_directory() {
+    for dir in ["scenarios", "scenarios/nightly"] {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("the spec directory exists")
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+            .map(|path| {
+                let text = std::fs::read_to_string(&path).unwrap();
+                let spec = Scenario::parse(&text);
+                spec.unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+                    .name
+            })
+            .collect();
+        assert!(names.len() >= 3, "{}: {names:?}", dir.display());
+        let count = names.len();
+        names.sort();
+        names.dedup();
+        assert_eq!(names.len(), count, "{}: a name is shared", dir.display());
+    }
+}
 
 #[test]
 fn every_figure_spec_parses_into_its_run_count() {
