@@ -57,7 +57,8 @@ fn point_config(nodes: usize, runtime_ms: u64, rate: f64) -> Config {
 
 /// What every load point records, in order.
 #[rustfmt::skip]
-const POINT_ROWS: [&str; 4] = ["throughput", "client_p50", "client_p99", "admission_rejected"];
+const POINT_ROWS: [&str; 5] =
+    ["throughput", "client_p50", "client_p99", "admission_rejected", "requests_per_admission"];
 
 /// Records one protocol's ladder — every load point and the knee — and
 /// asserts the sweep is evidence of saturation.

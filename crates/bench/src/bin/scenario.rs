@@ -25,8 +25,8 @@
 //! `latency_p99`, `latency_max`, `pending_txs` (latency rows count only
 //! committed transactions, so a run that commits its stragglers can read
 //! worse at p99), `chain_growth_rate`, `duplicates_filtered`, `u_max`,
-//! `view_ms_qc`, `views_by_timeout`, `handoff_rehanded` and the four
-//! `stage_*_ms` commit-stage means — then `recovery_time_ms` for runs that
+//! `view_ms_qc`, `views_by_timeout`, `handoff_rehanded`, the four
+//! `stage_*_ms` commit-stage means and `requests_per_admission` — then `recovery_time_ms` for runs that
 //! scheduled amnesia recoveries and `log_replay_ms` for durable restarts,
 //! under the tier the suite ran at. Two spec files with one `name` are
 //! refused, naming both, before anything runs.

@@ -51,6 +51,10 @@ pub struct HostCounters {
     pub timeout_view_changes: u64,
     /// Log records the replica replayed in its durable restarts.
     pub records_replayed: u64,
+    /// Admission steps: client batches the host admitted, each in one step.
+    pub admissions: u64,
+    /// The client requests those steps took, the edge's rejections included.
+    pub admitted_requests: u64,
     /// The replica's mempool: what it holds and what flowed through it.
     pub mempool: MempoolStats,
 }
@@ -79,7 +83,7 @@ pub struct SeatBooks {
 }
 
 /// The commit-latency and throughput books of the observer replica.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Metrics {
     /// End-to-end latencies (issue → confirmation).
     latency: Histogram,
@@ -165,7 +169,7 @@ const BUCKETS: usize = (64 - SUB_BITS as usize + 1) << SUB_BITS;
 /// The counters reach only as far as the highest bucket recorded, and
 /// per-octave totals let a percentile skip to its octave: a run keeps eight
 /// histograms, a live probe reads three summaries per seat.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Histogram {
     counts: Vec<u64>,
     octaves: [u64; BUCKETS >> SUB_BITS],
@@ -496,6 +500,13 @@ pub struct RunReport {
     /// Client requests rejected at the replica edge because their signature
     /// failed to verify (signed-client mode only; zero otherwise).
     pub client_auth_rejections: u64,
+    /// Admission steps summed across all replicas: each admitted one client
+    /// batch, of every request that reached an idle replica alone or of
+    /// every request that waited at a busy one (DESIGN.md §5). Not in the
+    /// replay key: the ledger and the engine's event counts are.
+    pub admissions: u64,
+    /// The client requests those steps took, the edge's rejections included.
+    pub admitted_requests: u64,
     /// Mempool admission counters summed across all replicas. The `rejected`
     /// field is the admission-control backpressure counter: transactions
     /// turned away because the mempool was full.
@@ -510,7 +521,7 @@ pub struct RunReport {
     /// Highest number of simultaneously pending events in the engine's queue
     /// — its memory high-water mark, so sweep memory use is observable per
     /// run. An in-flight delivery counts from the instant it is sent;
-    /// workload ticks occupy no queue slot.
+    /// client windows occupy no queue slot.
     pub queue_peak_len: u64,
     /// Highest number of entries in the engine's queue heap at once — its
     /// depth, which sets the cost of a pop. A broadcast is one entry however
@@ -631,6 +642,8 @@ impl ToJson for RunReport {
                 "client_auth_rejections",
                 Json::from(self.client_auth_rejections),
             ),
+            ("admissions", Json::from(self.admissions)),
+            ("admitted_requests", Json::from(self.admitted_requests)),
             ("mempool", self.mempool.to_json()),
             ("pending_txs", Json::from(self.pending_txs)),
             ("events_processed", Json::from(self.events_processed)),
@@ -709,6 +722,10 @@ pub struct ClusterReport {
     /// Signed client requests rejected at the replica edge as forged
     /// (signed-client mode only; always 0 otherwise).
     pub client_auth_rejections: u64,
+    /// Admission steps summed across seats: one per submitted batch.
+    pub admissions: u64,
+    /// The client requests those steps took, the edge's rejections included.
+    pub admitted_requests: u64,
     /// Mempool admission and flow, summed across seats.
     pub mempool: MempoolStats,
     /// Messages the seats put on the wire, one per recipient, and their
@@ -931,6 +948,8 @@ mod tests {
             safety_violations: 0,
             rejected_messages: 0,
             client_auth_rejections: 0,
+            admissions: 0,
+            admitted_requests: 0,
             mempool: MempoolStats::default(),
             pending_txs: 0,
             events_processed: 0,

@@ -52,7 +52,7 @@ pub(crate) struct Observer {
     /// The replica whose ledger and commits are reported.
     pub node: NodeId,
     /// Commit latencies and the throughput series, at the observer replica.
-    metrics: Metrics,
+    pub(crate) metrics: Metrics,
     /// The execute-once rule at the observer replica, its verdict on the
     /// last block, and the transactions it filtered.
     window: ExecWindow,
@@ -182,6 +182,8 @@ impl Observer {
             safety_violations: audit.safety_violations,
             rejected_messages: audit.rejected_messages,
             client_auth_rejections: audit.client_auth_rejections,
+            admissions: audit.admissions,
+            admitted_requests: audit.admitted_requests,
             // Pool-full rejections are the backpressure signal: never silent.
             mempool: audit.mempool,
             pending_txs: 0,
@@ -278,6 +280,8 @@ pub(crate) fn fold_seats(
         timeout_view_changes: sum.timeout_view_changes,
         auth_rejections: sum.rejected_messages + verify_rejected,
         client_auth_rejections: sum.client_auth_rejections,
+        admissions: sum.admissions,
+        admitted_requests: sum.admitted_requests,
         mempool: sum.mempool,
         latency: observer.latency,
         nodes: nets,
@@ -448,6 +452,8 @@ impl HostCounters {
             client_auth_rejections: host.client_auth_rejections(),
             timeout_view_changes: replica.timeout_view_changes(),
             records_replayed: replica.recovery_stats().records_replayed,
+            admissions: host.admissions().0,
+            admitted_requests: host.admissions().1,
             mempool: replica.mempool_stats(),
         }
     }
@@ -460,6 +466,8 @@ impl HostCounters {
         self.client_auth_rejections += other.client_auth_rejections;
         self.timeout_view_changes += other.timeout_view_changes;
         self.records_replayed += other.records_replayed;
+        self.admissions += other.admissions;
+        self.admitted_requests += other.admitted_requests;
         self.mempool.add(&other.mempool);
     }
 }
@@ -634,6 +642,8 @@ mod tests {
             cluster.client_auth_rejections,
             report.client_auth_rejections
         );
+        assert_eq!(cluster.admissions, report.admissions);
+        assert_eq!(cluster.admitted_requests, report.admitted_requests);
         assert_eq!(cluster.mempool, report.mempool);
     }
 

@@ -9,17 +9,30 @@
 //! simulates: it shows every replica step to its `Observer`
 //! (`crate::observe`), which keeps the books and writes the [`RunReport`].
 //!
-//! # Client ticks
+//! # Clients
 //!
-//! The client side of a run (`Clients`) reads no loop state: a tick's
-//! arrivals, their client → replica delays and the edge check of their
-//! signatures are a function of the workload's own RNG stream and the request
-//! bytes. When the arrivals do not depend on commits either (an open-loop
-//! workload) and there are signatures to check, [`SimRunner::run`] moves the
-//! client side onto one producer thread at most `TICKS_AHEAD` ticks ahead of
-//! the loop; otherwise each tick is generated inline when it falls due. Both
-//! paths run the same tick function and the loop schedules its output at the
-//! same point, so the run is the same.
+//! The client side of a run (`Clients`) reads no loop state: its requests,
+//! their client → replica delays and the edge check of their signatures are
+//! a function of the workload's own RNG stream, the delays' own stream and
+//! the request bytes. Each request leaves its client at its own issue instant
+//! and is its own event; the generation window (`WORKLOAD_TICK`) only sets
+//! how far ahead requests are made, never when one leaves. When the arrivals
+//! do not depend on commits (an open-loop workload) and there are signatures
+//! to check, [`SimRunner::run`] moves the client side onto one producer
+//! thread at most `TICKS_AHEAD` windows ahead of the loop; otherwise each
+//! window is generated inline when it falls due, and a closed-loop follow-up
+//! is sent from the step that confirms its predecessor. Both paths run the
+//! same window function and the loop schedules its output at the same
+//! point, so the run is the same.
+//!
+//! # Admission
+//!
+//! A replica is one busy server, and a request that finds it idle is
+//! admitted at its arrival instant. One that finds it busy waits in the
+//! replica's inbox, and the whole inbox is admitted in one step (one checked
+//! batch, `CpuModel::verify_batch`) at the first instant the CPU is free
+//! with no consensus message queued: a message that arrives while the
+//! replica is busy is served first.
 //!
 //! # Event order
 //!
@@ -29,9 +42,12 @@
 //!
 //! * **per-replica RNG streams** — replica `r` draws all of its latency
 //!   samples (the observer's client-response delays included) from
-//!   `SimRng::new(seed).derive(r)`; the workload owns its own stream;
-//! * **ticks run at their own instant** — the workload tick of every
-//!   millisecond in `[0, runtime)` fires before any event queued for it;
+//!   `SimRng::new(seed).derive(r)`; the workload and the client → replica
+//!   delays own a stream each;
+//! * **windows run at their own instant** — the client window of every
+//!   millisecond in `[0, runtime)` is generated before any event queued
+//!   for it, and each of its requests arrives at its issue instant plus a
+//!   delay drawn from the delays' own stream, in issue order;
 //! * **view triggers fire where they say** — a view-triggered fault boundary
 //!   takes effect right after the event that lifted the highest view any
 //!   replica has reached to its view.
@@ -49,15 +65,15 @@
 //! the envelope once. Each unique envelope is verified **at most once**, and
 //! every recipient reads the one [`VerifiedMessage`] token by reference (a
 //! forged envelope is delivered as a rejection, so every recipient still
-//! books the modeled cost). Buffers, queue entries and workload buckets are
-//! reused across events.
+//! books the modeled cost). Buffers and queue entries are reused across
+//! events.
 
 use std::sync::mpsc;
 
 use bamboo_sim::{EventQueue, LatencyModel, LinkFault, NicModel, Popped, SimRng, Topology};
 use bamboo_types::{
-    Authenticator, ClientRequest, Config, NodeId, ProtocolKind, SharedMessage, SimDuration,
-    SimTime, VerifiedMessage, VerifiedRequests, View,
+    Authenticator, Config, NodeId, ProtocolKind, SharedMessage, SimDuration, SimTime,
+    VerifiedMessage, VerifiedRequests, View,
 };
 
 use crate::metrics::RunReport;
@@ -74,12 +90,17 @@ use crate::workload::{Arrival, ClosedLoopWorkload, OpenLoopWorkload, Workload};
 /// a replica stream.
 const WORKLOAD_STREAM: u64 = u64::MAX;
 
-/// Width of one workload generation tick: 1 ms.
+/// RNG stream label of the client → replica delays, one drawn per request
+/// in issue order, so a run does not depend on where a window ends.
+const CLIENT_DELAY_STREAM: u64 = u64::MAX - 1;
+
+/// Width of one client generation window: 1 ms. It sets how far ahead
+/// requests are generated, not when one leaves its client.
 const WORKLOAD_TICK: SimDuration = SimDuration(1_000_000);
 
-/// How many generated ticks the client producer may hold that the loop has
-/// not taken yet. A few suffice to keep the producer busy; each buffered
-/// tick holds its batches' memory.
+/// How many generated windows the client producer may hold that the loop
+/// has not taken yet. A few suffice to keep the producer busy; each
+/// buffered window holds its requests' memory.
 const TICKS_AHEAD: usize = 16;
 
 /// When a scheduled node fault begins or ends: at an absolute simulated time,
@@ -132,8 +153,8 @@ pub struct RunOptions {
     /// The replica whose ledger is used for reporting; defaults to the
     /// highest-id seat without an entry in [`Config::attacks`].
     pub observer: Option<NodeId>,
-    /// Safety cap on the number of simulation events processed (workload
-    /// ticks included), checked before every event.
+    /// Safety cap on the number of simulation events processed (client
+    /// windows included), checked before every event.
     pub max_events: u64,
     /// Ignored: the engine is sequential and never reads this field. It is
     /// kept only because the frozen `benchmark/` package assigns it
@@ -201,11 +222,13 @@ enum EventKind {
     Deliver(Envelope),
     /// The replica's wake-up: its earliest deadline is due.
     Wake,
-    /// A batch of client requests arriving at the replica's edge, already
-    /// edge-checked when its tick was generated. The host charges the
-    /// modeled cost of the check and admits the transactions into the
-    /// mempool.
+    /// One client request arriving at the replica's edge, already
+    /// edge-checked when its window was generated: admitted at once by an
+    /// idle replica, put in the inbox of a busy one.
     ClientBatch(VerifiedRequests),
+    /// The replica's inbox admission: the requests that arrived while it
+    /// was busy, admitted in one step if the CPU is free by now.
+    Admit,
     /// A time-triggered node fault boundary: crash the node, or bring it
     /// back in `mode` (which applies to recoveries only). View-triggered
     /// boundaries never enter the queue; they fire right after the event
@@ -247,62 +270,60 @@ impl Envelope {
     }
 }
 
-/// One client batch of a workload tick: the replica it goes to, the instant
-/// it arrives there, and its edge-checked requests.
+/// One client request on its way: the replica it goes to, the instant it
+/// arrives there, and its edge-checked token.
 type ClientBatch = (NodeId, SimTime, VerifiedRequests);
 
-/// The client side of a run: everything a workload tick is made from, and
-/// nothing the event loop writes.
+/// The client side of a run: everything a request is made from, and nothing
+/// the event loop writes.
 struct Clients {
     workload: Box<dyn Workload + Send>,
     /// The workload generator's own RNG stream, independent of every
     /// replica's.
     rng: SimRng,
+    /// The client → replica delays' own stream, drawn per request in issue
+    /// order.
+    delays: SimRng,
     /// A copy of the runner's latency model (it is immutable once the
     /// runner is built), for the client → replica delays.
     latency: LatencyModel,
     /// The edge check of client signatures; it needs no validator keys.
     edge: Authenticator,
-    /// Reusable arrival buffer handed to the workload each tick (cleared,
+    /// Reusable arrival buffer handed to the workload each window (cleared,
     /// capacity kept — arrival generation allocates nothing in steady state).
     arrivals: Vec<Arrival>,
-    /// Reusable per-replica buckets (indexed by node id): the arrivals of
-    /// one tick are grouped here without allocating per-tick maps.
-    buckets: Vec<Vec<ClientRequest>>,
 }
 
 impl Clients {
-    /// Generates the client arrivals of the tick at `now`, grouped into
-    /// per-replica batches, each with its delivery instant, edge-checked.
-    fn tick(&mut self, now: SimTime) -> Vec<ClientBatch> {
+    /// Appends the requests the workload issues in `[from, to)` to `out`,
+    /// each sent on its own at its issue instant, in issue order.
+    fn issue(&mut self, from: SimTime, to: SimTime, out: &mut Vec<ClientBatch>) {
         self.arrivals.clear();
-        (self.workload).arrivals(now, now + WORKLOAD_TICK, &mut self.rng, &mut self.arrivals);
-        // Group arrivals per replica to keep the event count manageable.
-        // The buckets are visited in ascending node order, so the workload
-        // stream is consumed in a deterministic order.
+        (self.workload).arrivals(from, to, &mut self.rng, &mut self.arrivals);
         for arrival in self.arrivals.drain(..) {
-            self.buckets[arrival.replica.index()].push(arrival.into_request());
-        }
-        let mut batches = Vec::new();
-        for (index, bucket) in self.buckets.iter_mut().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let replica = NodeId(index as u64);
-            // Client -> replica one-way delay, from the workload's stream.
+            let (replica, leaves) = (arrival.replica, arrival.issued_at);
             let delay = (self.latency)
-                .sample(&mut self.rng, NodeId(u64::MAX), replica, now)
+                .sample(&mut self.delays, NodeId(u64::MAX), replica, leaves)
                 .unwrap_or(SimDuration::ZERO);
-            let batch = std::mem::take(bucket);
-            // A batch leaves its client when its last request is issued, and
-            // never before the tick: a closed-loop follow-up is stamped with
-            // its predecessor's confirmation time, which lies before the
-            // tick that hands it over.
-            let leaves = (batch.iter().map(|r| r.transaction.issued_at)).fold(now, SimTime::max);
-            batches.push((replica, leaves + delay, self.edge.verify_requests(batch)));
+            let request = self.edge.verify_requests(vec![arrival.into_request()]);
+            out.push((replica, leaves + delay, request));
         }
-        batches
     }
+
+    /// The requests of the window of `width` at `now`.
+    fn window(&mut self, now: SimTime, width: SimDuration) -> Vec<ClientBatch> {
+        let mut requests = Vec::new();
+        self.issue(now, now + width, &mut requests);
+        requests
+    }
+}
+
+/// A replica's client requests that arrived while it was busy, and the
+/// instant of its queued [`EventKind::Admit`].
+#[derive(Default)]
+struct Inbox {
+    waiting: Option<VerifiedRequests>,
+    admit: Option<SimTime>,
 }
 
 /// A replica's deadline book and its queued wake-up.
@@ -324,6 +345,7 @@ pub struct SimRunner {
     busy_until: Vec<SimTime>,
     crashed: Vec<bool>,
     alarms: Vec<Alarm>,
+    inboxes: Vec<Inbox>,
     queue: EventQueue<SimEvent>,
     latency: LatencyModel,
     nic: NicModel,
@@ -341,7 +363,10 @@ pub struct SimRunner {
     /// The client side; `None` while (and after) it runs on the producer
     /// thread.
     clients: Option<Clients>,
-    /// Client requests in the ticks the loop has taken so far.
+    /// Reused across every step that confirms a closed-loop request: the
+    /// follow-ups it sends.
+    follow_ups: Vec<ClientBatch>,
+    /// Client requests in the windows the loop has taken so far.
     offered: u64,
     /// Unresolved view-triggered fault boundaries:
     /// `(node, view, crash?, recover mode)`.
@@ -439,10 +464,10 @@ impl SimRunner {
         let clients = Clients {
             workload,
             rng: seed_rng.derive(WORKLOAD_STREAM),
+            delays: seed_rng.derive(CLIENT_DELAY_STREAM),
             latency: latency.clone(),
             edge,
             arrivals: Vec::new(),
-            buckets: vec![Vec::new(); nodes],
         };
         Self {
             protocol,
@@ -453,6 +478,7 @@ impl SimRunner {
             busy_until: vec![SimTime::ZERO; nodes],
             crashed: vec![false; nodes],
             alarms: (0..nodes).map(|_| Alarm::default()).collect(),
+            inboxes: (0..nodes).map(|_| Inbox::default()).collect(),
             queue,
             latency,
             nic,
@@ -462,6 +488,7 @@ impl SimRunner {
             confirmed: Vec::new(),
             deliveries: Vec::new(),
             clients: Some(clients),
+            follow_ups: Vec::new(),
             offered: 0,
             view_triggers,
             max_view: View::GENESIS,
@@ -474,15 +501,20 @@ impl SimRunner {
     /// Runs the simulation to completion and produces the report.
     ///
     /// Boots every replica at time zero, then runs the event loop. A signed
-    /// open-loop run generates its client ticks on a producer thread that
+    /// open-loop run generates its client windows on a producer thread that
     /// runs ahead of the loop (the module docs say why that changes nothing);
-    /// every other run generates each tick inline when it falls due.
+    /// every other run generates each window inline when it falls due.
     pub fn run(mut self) -> RunReport {
         self.run_to_end()
     }
 
     /// [`SimRunner::run`], keeping the runner and its replicas.
     pub(crate) fn run_to_end(&mut self) -> RunReport {
+        self.run_with_client_window(WORKLOAD_TICK)
+    }
+
+    /// [`SimRunner::run_to_end`] with client windows of `width`.
+    fn run_with_client_window(&mut self, width: SimDuration) -> RunReport {
         let end = SimTime::ZERO + self.config.runtime;
         for node in 0..self.config.nodes as u64 {
             self.step(NodeId(node), SimTime::ZERO, |host, start, effects| {
@@ -493,65 +525,73 @@ impl SimRunner {
         // unsigned run has no edge check worth moving, and timed on the
         // producer it ran slower (DESIGN §5, "One stage runs ahead").
         let ahead = self.config.arrival_rate.is_some() && self.config.signed_requests;
-        let ticks = if ahead {
+        let windows = if ahead {
             let mut clients = self.clients.take().expect("a run starts with its clients");
             std::thread::scope(|scope| {
-                let (ticks, taken) = mpsc::sync_channel(TICKS_AHEAD);
+                let (windows, taken) = mpsc::sync_channel(TICKS_AHEAD);
                 scope.spawn(move || {
                     let mut now = SimTime::ZERO;
                     // A send fails once the loop has stopped and dropped its
                     // end: the producer exits with it.
-                    while now < end && ticks.send(clients.tick(now)).is_ok() {
-                        now += WORKLOAD_TICK;
+                    while now < end && windows.send(clients.window(now, width)).is_ok() {
+                        now += width;
                     }
                 });
-                self.drive(end, |_, _| taken.recv().expect("the client producer died"))
+                self.drive(end, width, |_, _| {
+                    taken.recv().expect("the client producer died")
+                })
             })
         } else {
-            self.drive(end, |runner, now| {
+            self.drive(end, width, |runner, now| {
                 let clients = runner
                     .clients
                     .as_mut()
                     .expect("an inline run keeps its clients");
-                clients.tick(now)
+                clients.window(now, width)
             })
         };
+        self.report(windows)
+    }
+
+    /// The run's report once the loop has taken `windows` client windows.
+    fn report(&self, windows: u64) -> RunReport {
         let (config, options) = (&self.config, &self.options);
         let mut report = self
             .observer
             .finish(config, self.protocol, &self.hosts, options);
         // Issued is what the loop took, never what a producer generated
         // ahead of it. An inline workload counts for itself: a closed loop
-        // also issues at commits, between ticks.
+        // also issues at commits, between windows.
         let issued = (self.clients.as_ref()).map_or(self.offered, |c| c.workload.total_issued());
         report.pending_txs = issued.saturating_sub(report.committed_txs);
-        // Ticks never occupy a queue slot, but they count as engine events
+        // Windows never occupy a queue slot, but they count as engine events
         // for continuity with the event-queued tick of earlier engines.
-        report.events_processed = self.processed + ticks;
-        report.events_scheduled = self.queue.total_scheduled() + ticks;
+        report.events_processed = self.processed + windows;
+        report.events_scheduled = self.queue.total_scheduled() + windows;
         report.queue_peak_len = self.queue.live_high_water() as u64;
         report.queue_heap_peak = self.queue.heap_high_water() as u64;
         report
     }
 
     /// The event loop: pop the earliest event strictly before the next
-    /// workload tick (before the instant after the run's last once ticks are
-    /// exhausted), else take the tick's client batches from `next_tick` and
-    /// schedule them, else stop. Returns the number of ticks taken.
+    /// client window (before the instant after the run's last once windows
+    /// are exhausted), else take the window's requests from `next_window`
+    /// and schedule them, else stop. Returns the number of windows taken.
     fn drive(
         &mut self,
         end: SimTime,
-        mut next_tick: impl FnMut(&mut Self, SimTime) -> Vec<ClientBatch>,
+        width: SimDuration,
+        mut next_window: impl FnMut(&mut Self, SimTime) -> Vec<ClientBatch>,
     ) -> u64 {
         // Events at or beyond the instant after the run's last stay queued.
         let stop = end + SimDuration::from_nanos(1);
-        let mut ticks: u64 = 0;
-        // Ticks cover `[0, runtime)`: one at `runtime` would issue a
-        // millisecond of arrivals the run never simulates.
-        let mut tick_at = SimTime::ZERO;
-        while self.processed + ticks <= self.options.max_events {
-            let tick_due = tick_at < end;
-            let limit = if tick_due { tick_at } else { stop };
+        let mut windows: u64 = 0;
+        // Windows cover `[0, runtime)`: one at `runtime` would issue
+        // arrivals the run never simulates.
+        let mut window_at = SimTime::ZERO;
+        while self.processed + windows <= self.options.max_events {
+            let window_due = window_at < end;
+            let limit = if window_due { window_at } else { stop };
             if let Some((time, popped)) = self.queue.pop_if_before(limit) {
                 self.processed += 1;
                 match popped {
@@ -559,18 +599,24 @@ impl SimRunner {
                     Popped::Delivery { to, slot } => self.deliver(time, NodeId(to.into()), slot),
                 }
                 self.fire_view_triggers(time);
-            } else if tick_due {
-                for (replica, at, requests) in next_tick(self, tick_at) {
-                    self.offered += requests.offered() as u64;
-                    self.schedule(tick_at, at, replica, EventKind::ClientBatch(requests));
-                }
-                ticks += 1;
-                tick_at += WORKLOAD_TICK;
+            } else if window_due {
+                let requests = next_window(self, window_at);
+                self.send_requests(window_at, requests);
+                windows += 1;
+                window_at += width;
             } else {
                 break;
             }
         }
-        ticks
+        windows
+    }
+
+    /// Puts client requests on their way at `now`, each as its own event.
+    fn send_requests(&mut self, now: SimTime, requests: impl IntoIterator<Item = ClientBatch>) {
+        for (replica, at, request) in requests {
+            self.offered += request.offered() as u64;
+            self.schedule(now, at, replica, EventKind::ClientBatch(request));
+        }
     }
 
     /// Hands one popped event to the replica it addresses.
@@ -579,16 +625,69 @@ impl SimRunner {
             EventKind::Deliver(envelope) => self.step(node, time, |host, start, effects| {
                 envelope.hand_to(host, start, effects)
             }),
-            // The batch was edge-checked when its tick was generated; the
-            // host charges the check (as `CpuModel::verify_batch` models it),
-            // admits the stripped transactions to the mempool and may hand a
-            // copy to a leader ahead, a send like any other.
-            EventKind::ClientBatch(requests) => self.step(node, time, |host, start, effects| {
-                host.admit(requests, start, effects)
-            }),
+            EventKind::ClientBatch(request) => self.arrive(node, time, request),
+            EventKind::Admit => self.admit_waiting(node, time),
             EventKind::Wake => self.wake(node, time),
             EventKind::SetCrashed { crashed, mode } => self.set_crashed(node, crashed, mode, time),
         }
+    }
+
+    /// A client request reaches `node` at `time`. An idle replica with an
+    /// empty inbox admits it at once; otherwise it joins the inbox, and the
+    /// inbox's admission is queued for the instant the CPU frees up.
+    fn arrive(&mut self, node: NodeId, time: SimTime, request: VerifiedRequests) {
+        let index = node.index();
+        // A crashed node hears nothing.
+        if self.crashed[index] {
+            return;
+        }
+        let (busy, inbox) = (self.busy_until[index], &mut self.inboxes[index]);
+        if busy <= time && inbox.waiting.is_none() {
+            self.admit(node, time, request);
+            return;
+        }
+        match &mut inbox.waiting {
+            Some(waiting) => waiting.append(request),
+            None => inbox.waiting = Some(request),
+        }
+        if inbox.admit.is_none() {
+            let at = busy.max(time);
+            inbox.admit = Some(at);
+            self.schedule(time, at, node, EventKind::Admit);
+        }
+    }
+
+    /// `node`'s queued inbox admission falls due at `time`. A consensus
+    /// message that arrived meanwhile was served first and kept the CPU
+    /// busy: the admission then waits for that step to finish. A crash
+    /// emptied the inbox and superseded the admission.
+    fn admit_waiting(&mut self, node: NodeId, time: SimTime) {
+        let index = node.index();
+        let (busy, inbox) = (self.busy_until[index], &mut self.inboxes[index]);
+        if inbox.admit != Some(time) {
+            return;
+        }
+        if busy > time {
+            inbox.admit = Some(busy);
+            self.schedule(time, busy, node, EventKind::Admit);
+        } else {
+            inbox.admit = None;
+            let waiting = inbox
+                .waiting
+                .take()
+                .expect("a queued admission has requests");
+            self.admit(node, time, waiting);
+        }
+    }
+
+    /// One admission step of `node`: the host charges the batch's edge check
+    /// (one `CpuModel::verify_batch` of its requests), admits the stripped
+    /// transactions to the mempool and may hand a copy to a leader ahead, a
+    /// send like any other.
+    fn admit(&mut self, node: NodeId, time: SimTime, requests: VerifiedRequests) {
+        self.step(node, time, |host, start, effects| {
+            host.admit(requests, start, effects)
+        });
     }
 
     /// Fires, at `time`, every view-triggered fault boundary whose view the
@@ -673,7 +772,9 @@ impl SimRunner {
     /// cleared effect buffer it writes into; `None` if the node is crashed
     /// (a crashed node hears nothing). The replica is a single busy server:
     /// processing starts when both the event has arrived and the CPU is
-    /// free.
+    /// free. Client input reaches it only where the CPU is free already
+    /// (`arrive`, `admit_waiting`), so an admission step starts at its
+    /// event's own instant.
     fn begin(&mut self, node: NodeId, time: SimTime) -> Option<(SimTime, BufferedTransport)> {
         if self.crashed[node.index()] {
             return None;
@@ -690,9 +791,12 @@ impl SimRunner {
     /// immediate state-transfer request) flow through absorb like any step's.
     fn set_crashed(&mut self, node: NodeId, crashed: bool, mode: RecoverMode, time: SimTime) {
         let was = std::mem::replace(&mut self.crashed[node.index()], crashed);
-        if was && !crashed && mode == RecoverMode::Resume {
+        if crashed {
+            // The requests that waited die with the process.
+            self.inboxes[node.index()] = Inbox::default();
+        } else if was && mode == RecoverMode::Resume {
             self.arm_wake(node, time);
-        } else if was && !crashed {
+        } else if was {
             // A rebooted process starts with an idle CPU; whatever the busy
             // server was doing pre-crash died with it.
             self.busy_until[node.index()] = time;
@@ -726,11 +830,12 @@ impl SimRunner {
         // Commits count at the observer replica only, so every transaction
         // is counted exactly once. Each response leg is drawn from the
         // observer's own stream, before any send's delay. Closed-loop
-        // clients hear of the commit here; the workload is next consulted at
-        // its next tick. (An open-loop workload ignores commits, so one on
-        // the producer thread misses nothing.)
+        // clients hear of the commit here and send each follow-up now, to
+        // leave at its predecessor's confirmation instant. (An open-loop
+        // workload ignores commits, so one on the producer thread misses
+        // nothing.)
         self.confirmed.clear();
-        if node == self.observer.node {
+        if node == self.observer.node && !report.committed.is_empty() {
             for tx in report.committed.iter().flat_map(|block| &block.payload) {
                 let delay = (self.latency)
                     .sample(&mut self.rngs[index], node, NodeId(u64::MAX), finish)
@@ -739,6 +844,14 @@ impl SimRunner {
                 if let Some(clients) = &mut self.clients {
                     clients.workload.on_commit(tx.id, finish + delay);
                 }
+            }
+            if let Some(clients) =
+                (self.clients.as_mut()).filter(|_| self.config.arrival_rate.is_none())
+            {
+                let mut follow_ups = std::mem::take(&mut self.follow_ups);
+                clients.issue(finish, finish, &mut follow_ups);
+                self.send_requests(start, follow_ups.drain(..));
+                self.follow_ups = follow_ups;
             }
         }
 
@@ -956,34 +1069,212 @@ mod tests {
     }
 
     /// "Offered = committed + pending": the run issues exactly the arrivals
-    /// of `[0, runtime)`, none for a tick at `runtime` it never simulates.
+    /// of `[0, runtime)`, none for a window at `runtime` it never simulates.
     #[test]
     fn an_open_loop_run_offers_exactly_the_arrivals_of_its_runtime() {
         let (config, options) = (base_config(4, 3_000.0), RunOptions::default());
         let report = SimRunner::new(config.clone(), ProtocolKind::HotStuff, options).run();
         // Replay the workload's own stream the way the engine consumes it:
-        // per tick, the arrivals, then one client → replica delay per
-        // replica that received any, in ascending node order.
+        // the arrivals alone, window by window (the client → replica delays
+        // draw from a stream of their own).
         let mut rng = SimRng::new(config.seed).derive(WORKLOAD_STREAM);
         let mut workload = OpenLoopWorkload::new(3_000.0, config.payload_size, config.nodes);
-        let latency = LatencyModel::new(config.link_latency_mean, config.link_latency_std);
         let mut arrivals = Vec::new();
-        let mut offered = 0;
-        let mut tick = SimTime::ZERO;
-        while tick < SimTime::ZERO + config.runtime {
-            arrivals.clear();
-            workload.arrivals(tick, tick + WORKLOAD_TICK, &mut rng, &mut arrivals);
-            offered += arrivals.len() as u64;
-            let mut replicas: Vec<NodeId> = arrivals.iter().map(|a| a.replica).collect();
-            replicas.sort_unstable();
-            replicas.dedup();
-            for replica in replicas {
-                latency.sample(&mut rng, NodeId(u64::MAX), replica, tick);
-            }
-            tick += WORKLOAD_TICK;
+        let mut window = SimTime::ZERO;
+        while window < SimTime::ZERO + config.runtime {
+            workload.arrivals(window, window + WORKLOAD_TICK, &mut rng, &mut arrivals);
+            window += WORKLOAD_TICK;
         }
         assert!(report.pending_txs > 0, "the comparison would be vacuous");
-        assert_eq!(report.committed_txs + report.pending_txs, offered);
+        assert_eq!(
+            report.committed_txs + report.pending_txs,
+            arrivals.len() as u64
+        );
+    }
+
+    /// A request leaves its client at its own issue instant with its own
+    /// delay, so where a generation window ends changes nothing: a signed
+    /// open-loop run with 1 ms windows and one with 0.25 ms windows commit
+    /// the same ledger with the same latencies.
+    #[test]
+    fn a_run_does_not_depend_on_its_generation_window() {
+        let config = Config {
+            signed_requests: true,
+            client_population: Some(1_000),
+            ..base_config(4, 20_000.0)
+        };
+        let run = |width| {
+            let options = RunOptions::default();
+            let mut runner = SimRunner::new(config.clone(), ProtocolKind::HotStuff, options);
+            let report = runner.run_with_client_window(width);
+            (report, runner.observer.metrics)
+        };
+        let (whole, whole_books) = run(WORKLOAD_TICK);
+        let (quarter, quarter_books) = run(SimDuration::from_micros(250));
+        assert!(
+            whole.committed_txs > 1_000,
+            "the comparison would be vacuous"
+        );
+        assert!(
+            whole.admissions < whole.admitted_requests,
+            "no request waited"
+        );
+        assert_eq!(whole.ledger_fingerprint, quarter.ledger_fingerprint);
+        assert!(
+            whole_books == quarter_books,
+            "the latency histograms differ"
+        );
+        assert_eq!(whole.stages, quarter.stages);
+        assert_eq!(whole.pending_txs, quarter.pending_txs);
+    }
+
+    /// A runner over signed clients whose replicas have not booted, so its
+    /// queue holds only what a test puts there, and `k` edge-checked
+    /// requests of its clients.
+    fn unbooted_with_requests(k: usize) -> (SimRunner, Vec<VerifiedRequests>) {
+        let config = Config {
+            signed_requests: true,
+            ..base_config(4, 100_000.0)
+        };
+        let mut runner = SimRunner::new(config, ProtocolKind::HotStuff, RunOptions::default());
+        let clients = runner.clients.as_mut().unwrap();
+        let mut requests = Vec::new();
+        let mut at = SimTime::ZERO;
+        while requests.len() < k {
+            let window = clients.window(at, WORKLOAD_TICK);
+            requests.extend(window.into_iter().map(|(_, _, request)| request));
+            at += WORKLOAD_TICK;
+        }
+        requests.truncate(k);
+        (runner, requests)
+    }
+
+    /// The node the admission tests drive, its `t_CPU`, and the instant
+    /// until which it is busy.
+    const SEAT: NodeId = NodeId(3);
+    const T_CPU: SimDuration = SimDuration(20_000);
+    const BUSY: SimTime = SimTime(5_000_000);
+
+    fn at_us(us: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_micros(us)
+    }
+
+    /// A vote forged in node 0's name, on its way to `SEAT`.
+    fn forged_vote() -> EventKind {
+        let keys = bamboo_crypto::KeyPair::from_seed(99);
+        let vote =
+            bamboo_types::Vote::new(bamboo_types::BlockId::GENESIS, View(1), NodeId(0), &keys);
+        let message = SharedMessage::new(bamboo_types::Message::Vote(vote));
+        EventKind::Deliver(Envelope::Forged(message))
+    }
+
+    fn admitted(runner: &SimRunner) -> (u64, u64) {
+        let host = &runner.hosts[SEAT.index()];
+        (host.admissions().0, host.replica().mempool_stats().accepted)
+    }
+
+    /// A request that reaches an idle replica is admitted in its own step,
+    /// at its arrival instant, before anything else pops.
+    #[test]
+    fn a_request_at_an_idle_replica_is_admitted_at_its_arrival() {
+        let (mut runner, mut requests) = unbooted_with_requests(1);
+        let arrival = at_us(1_000);
+        runner.arrive(SEAT, arrival, requests.pop().unwrap());
+        assert_eq!(admitted(&runner), (1, 1));
+        assert_eq!(
+            runner.busy_until[SEAT.index()],
+            arrival + T_CPU,
+            "one pass, from the arrival"
+        );
+        assert!(runner.inboxes[SEAT.index()].admit.is_none());
+    }
+
+    /// k requests that reach a busy replica wait, and are admitted in one
+    /// step when it frees up, charged ⌈k/4⌉ passes.
+    #[test]
+    fn requests_at_a_busy_replica_are_admitted_in_one_step_of_ceil_k_over_4_passes() {
+        let k = 7;
+        let (mut runner, requests) = unbooted_with_requests(k);
+        runner.busy_until[SEAT.index()] = BUSY;
+        for (i, request) in requests.into_iter().enumerate() {
+            runner.arrive(SEAT, at_us(1_000 + 100 * i as u64), request);
+        }
+        assert_eq!(admitted(&runner), (0, 0), "they wait");
+        assert_eq!(fire_next(&mut runner), BUSY);
+        assert_eq!(admitted(&runner), (1, k as u64));
+        assert_eq!(runner.busy_until[SEAT.index()], BUSY + T_CPU * 2);
+        assert!(runner.inboxes[SEAT.index()].waiting.is_none());
+    }
+
+    /// A vote that reaches a busy replica after a request is served first:
+    /// its step starts when the CPU frees up, and the waiting request is
+    /// admitted once that step is done.
+    #[test]
+    fn a_vote_at_a_busy_replica_is_served_before_the_waiting_requests() {
+        let (mut runner, mut requests) = unbooted_with_requests(1);
+        runner.busy_until[SEAT.index()] = BUSY;
+        runner.arrive(SEAT, at_us(1_000), requests.pop().unwrap());
+        let vote = SimEvent {
+            node: SEAT,
+            kind: forged_vote(),
+        };
+        runner.fire(at_us(2_000), vote);
+        // The forgery costs three checks (a pass of q = 3), run from `BUSY`.
+        let vote_done = BUSY + T_CPU * 3;
+        assert_eq!(runner.hosts[SEAT.index()].auth_rejections(), 1);
+        assert_eq!(runner.busy_until[SEAT.index()], vote_done);
+        assert_eq!(admitted(&runner), (0, 0), "the request still waits");
+        // The admission queued for `BUSY` finds the CPU busy and moves on.
+        assert_eq!(fire_next(&mut runner), BUSY);
+        assert_eq!(admitted(&runner), (0, 0));
+        assert_eq!(fire_next(&mut runner), vote_done);
+        assert_eq!(admitted(&runner), (1, 1));
+        assert_eq!(runner.busy_until[SEAT.index()], vote_done + T_CPU);
+    }
+
+    /// An admission waits for nothing past the first instant the CPU is
+    /// free with no consensus message queued: a message that arrives after
+    /// that instant waits for the admission instead.
+    #[test]
+    fn an_admission_never_waits_past_the_first_free_instant() {
+        let (mut runner, mut requests) = unbooted_with_requests(2);
+        runner.busy_until[SEAT.index()] = BUSY;
+        runner.arrive(SEAT, at_us(1_000), requests.pop().unwrap());
+        runner.arrive(SEAT, at_us(4_999), requests.pop().unwrap());
+        let later = BUSY + T_CPU / 2;
+        let vote = forged_vote();
+        runner.schedule(at_us(4_999), later, SEAT, vote);
+        assert_eq!(fire_next(&mut runner), BUSY);
+        assert_eq!(admitted(&runner), (1, 2));
+        assert_eq!(runner.busy_until[SEAT.index()], BUSY + T_CPU);
+        assert_eq!(fire_next(&mut runner), later);
+        assert_eq!(
+            runner.busy_until[SEAT.index()],
+            BUSY + T_CPU * 4,
+            "the vote went second"
+        );
+    }
+
+    /// A crash empties the inbox: the admission it had queued admits
+    /// nothing after a restart, and the requests it dropped are never
+    /// committed, so they count as pending.
+    #[test]
+    fn a_crash_empties_the_inbox_and_its_requests_stay_pending() {
+        let (mut runner, requests) = unbooted_with_requests(5);
+        runner.busy_until[SEAT.index()] = BUSY;
+        for request in requests {
+            runner.arrive(SEAT, at_us(1_000), request);
+        }
+        runner.set_crashed(SEAT, true, RecoverMode::Resume, at_us(2_000));
+        runner.set_crashed(SEAT, false, RecoverMode::Restart(None), at_us(3_000));
+        let end = SimTime::ZERO + runner.config.runtime;
+        let windows = runner.drive(end, WORKLOAD_TICK, |_, _| Vec::new());
+        let report = runner.report(windows);
+        assert_eq!(admitted(&runner), (0, 0));
+        assert_eq!((report.admissions, report.committed_txs), (0, 0));
+        let issued = runner.clients.as_ref().unwrap().workload.total_issued();
+        assert!(issued >= 5);
+        assert_eq!(report.pending_txs, issued);
     }
 
     /// A replica keeps one wake-up queued for its deadlines, not one event

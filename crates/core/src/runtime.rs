@@ -218,6 +218,10 @@ pub struct NodeHost {
     /// Client requests dropped at ingress because their client signature
     /// failed verification (signed-client mode only).
     client_auth_rejections: u64,
+    /// Admission steps ([`NodeHost::admit`] calls), and the client requests
+    /// they took.
+    admissions: u64,
+    admitted_requests: u64,
     /// Per validator, whether a vote forged in its name was caught here.
     caught: Vec<bool>,
 }
@@ -243,6 +247,8 @@ impl NodeHost {
             cpu,
             auth_rejections: 0,
             client_auth_rejections: 0,
+            admissions: 0,
+            admitted_requests: 0,
             caught,
         }
     }
@@ -266,6 +272,13 @@ impl NodeHost {
     /// Client requests dropped at the edge for a bad signature so far.
     pub fn client_auth_rejections(&self) -> u64 {
         self.client_auth_rejections
+    }
+
+    /// Admission steps so far, one per [`NodeHost::admit`] call, and the
+    /// client requests they took ([`VerifiedRequests::offered`]: a request
+    /// the edge rejected counts).
+    pub fn admissions(&self) -> (u64, u64) {
+        (self.admissions, self.admitted_requests)
     }
 
     /// Boots the replica: arms the first view timer and, if it leads the
@@ -298,7 +311,7 @@ impl NodeHost {
     }
 
     /// Admits a client batch that passed the edge check — here or on another
-    /// thread, the simulator's tick producer — into the replica's mempool.
+    /// thread, the simulator's client producer — into the replica's mempool.
     ///
     /// The step is charged the check as if it had run at this replica's own
     /// busy server: in signed-client mode one batched pass
@@ -328,6 +341,8 @@ impl NodeHost {
             }
         }
         self.client_auth_rejections += requests.rejected() as u64;
+        self.admissions += 1;
+        self.admitted_requests += requests.offered() as u64;
         self.replica.admit(requests.into_transactions(), transport);
         StepReport {
             cpu,

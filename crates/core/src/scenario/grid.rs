@@ -19,7 +19,10 @@ pub type Metric = (&'static str, &'static str, bool, Read);
 
 /// Every reading of a run a row or an `expect` bound (`min_<name>`,
 /// `max_<name>`) may name, one name per reading ([`metric`]).
-/// `tracking_error` is how far throughput strays from the `offered` load, in %.
+/// `tracking_error` is how far throughput strays from the `offered` load, in %;
+/// `requests_per_admission` is how many client requests an admission step
+/// took on average (DESIGN.md §5: one alone at an idle replica, the inbox
+/// at a busy one).
 #[rustfmt::skip]
 pub const METRICS: &[Metric] = &[
     ("throughput", "tx/s", true, |r, _| r.throughput_tx_per_sec),
@@ -33,6 +36,9 @@ pub const METRICS: &[Metric] = &[
     ("auth_rejections", "count", false, |r, _| r.rejected_messages as f64),
     ("duplicates_filtered", "count", false, |r, _| r.duplicates_filtered as f64),
     ("handoff_rehanded", "count", false, |r, _| r.mempool.rehanded as f64),
+    ("requests_per_admission", "tx", true, |r, _| {
+        r.admitted_requests as f64 / r.admissions.max(1) as f64
+    }),
     ("chain_growth_rate", "ratio", true, |r, _| r.chain_growth_rate),
     ("block_interval", "views", false, |r, _| r.block_interval),
     ("forks_attempted", "count", false, |r, _| r.forks_attempted as f64),
@@ -60,10 +66,11 @@ pub const METRICS: &[Metric] = &[
 /// order; a run that restarted a replica adds `recovery_time_ms` (amnesia) or
 /// `log_replay_ms` (durable restart).
 #[rustfmt::skip]
-pub const SUITE_ROWS: [&str; 15] = [
+pub const SUITE_ROWS: [&str; 16] = [
     "throughput", "latency", "latency_p99", "latency_max", "pending_txs", "chain_growth_rate",
     "duplicates_filtered", "u_max", "view_ms_qc", "views_by_timeout", "handoff_rehanded",
     "stage_dispatched_ms", "stage_certified_ms", "stage_committed_ms", "stage_confirmed_ms",
+    "requests_per_admission",
 ];
 
 /// The [`METRICS`] entry named `name`.

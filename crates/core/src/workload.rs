@@ -59,7 +59,8 @@ pub trait Workload {
     fn arrivals(&mut self, from: SimTime, to: SimTime, rng: &mut SimRng, out: &mut Vec<Arrival>);
 
     /// Notifies the workload that `tx` committed at `at` (used by closed-loop
-    /// clients to issue their next request).
+    /// clients to issue their next request, issued at `at`: the simulator
+    /// collects it with an `arrivals` call right after the commit).
     fn on_commit(&mut self, tx: TxId, at: SimTime);
 
     /// Total transactions issued so far.

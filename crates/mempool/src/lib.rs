@@ -223,9 +223,9 @@ impl Mempool {
 
     /// Appends a batch of fresh transactions, reserving queue and id-set
     /// capacity from the batch size up front — the client-ingest hot path
-    /// (replicas receive workload arrivals in per-tick batches). Returns how
-    /// many were accepted; duplicates and overflow are rejected exactly as
-    /// by [`Mempool::push`].
+    /// (a replica admits a lone request, or what waited while it was busy,
+    /// as one batch). Returns how many were accepted; duplicates and
+    /// overflow are rejected exactly as by [`Mempool::push`].
     pub fn push_batch(&mut self, txs: impl IntoIterator<Item = Transaction>) -> usize {
         let txs = txs.into_iter();
         let room = txs.size_hint().0.min(self.remaining_capacity());

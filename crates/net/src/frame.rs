@@ -435,6 +435,8 @@ fn words(reply: &mut StatusReply) -> (Vec<&mut u64>, Vec<&mut f64>) {
         &mut c.client_auth_rejections,
         &mut c.timeout_view_changes,
         &mut c.records_replayed,
+        &mut c.admissions,
+        &mut c.admitted_requests,
         &mut c.mempool.pending,
         &mut c.mempool.accepted,
         &mut c.mempool.rejected,
@@ -695,6 +697,8 @@ mod tests {
                         client_auth_rejections: 4,
                         timeout_view_changes: 2,
                         records_replayed: 5,
+                        admissions: 6,
+                        admitted_requests: 8,
                         mempool: MempoolStats {
                             pending: 11,
                             accepted: 700,

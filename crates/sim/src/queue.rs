@@ -234,7 +234,7 @@ impl<E> EventQueue<E> {
     /// `None`.
     ///
     /// This is the only pop the engine uses: it drains the queue up to the
-    /// next workload tick (or the end of the run) without a separate peek.
+    /// next client window (or the end of the run) without a separate peek.
     pub fn pop_if_before(&mut self, limit: SimTime) -> Option<(SimTime, Popped<E>)> {
         self.heap
             .peek()

@@ -180,6 +180,15 @@ impl VerifiedRequests {
     pub fn signed(&self) -> bool {
         self.signed
     }
+
+    /// Appends a later token of the same edge: one batch that carries both
+    /// tokens' transactions, in order, and counts both tokens' offers. Every
+    /// transaction was checked before, so the proof holds for the whole.
+    pub fn append(&mut self, later: VerifiedRequests) {
+        debug_assert_eq!(self.signed, later.signed, "two edges' tokens");
+        self.transactions.extend(later.transactions);
+        self.offered += later.offered;
+    }
 }
 
 /// Verifies inbound messages against the validator set's public keys.

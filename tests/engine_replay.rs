@@ -46,7 +46,15 @@
 //! paid as the votes arrive — the vote that fills a pass of four pays one,
 //! the vote that completes the quorum pays one for the rest — and a first
 //! forgery fails a pass of `min(4, q)` votes, not the whole quorum
-//! (DESIGN.md §2.2, §3); CHANGES.md has its table.
+//! (DESIGN.md §2.2, §3); CHANGES.md has its table. The next moved every
+//! run: a client request leaves its client at its own issue instant with
+//! its own delay (drawn from a stream of its own), not with the last
+//! request of its 1 ms tick bound for the same replica, and a busy replica
+//! admits the requests that waited in one checked batch when its CPU frees
+//! up (DESIGN.md §5). More admissions mean more handoff copies, so the
+//! message counts rose with the commits; the signed run's cut at 23,692
+//! events now ends earlier in simulated time, since each request is an
+//! event. CHANGES.md has its table.
 //!
 //! To re-record after an *intentional* behaviour change, run:
 //! `GOLDEN_DUMP=1 cargo test --test engine_replay -- --nocapture`
@@ -81,8 +89,8 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         300,
         3_000.0,
         7,
-        920,
-        "ee6b88118dcb9491d5ba4f3a5e9676d99ff9f5182fb792b41fac3f8cc729f44e",
+        933,
+        "05337030c6cdfc0a661e83ad0c5c25e498bf088c4d5893a59fcc690bef957611",
     ),
     (
         ProtocolKind::TwoChainHotStuff,
@@ -90,8 +98,8 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         300,
         3_000.0,
         7,
-        920,
-        "18e99c83f88e5fdd76117cb7c66312a04f660fa2abfb39b6d8f07cc445bb31ac",
+        937,
+        "c22393101f052ef5a7b9b630c01ecfdefb5793bb93ccf2e023d2d02f29b8826e",
     ),
     (
         ProtocolKind::Streamlet,
@@ -99,8 +107,8 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         300,
         3_000.0,
         7,
-        921,
-        "8c7646fdfdaeabbbd06519f07f6f567b2076416a8028e9c1f5aace50c1d6d6e3",
+        935,
+        "75fd011729eb5825b7efba4a48b448f7b198e1ca55bc246a696ee30dcdfaca74",
     ),
     // A broadcast-heavy mid-size run: covers the shared-envelope fan-out
     // and a deep event queue under real event pressure.
@@ -110,8 +118,8 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         100,
         8_000.0,
         2021,
-        773,
-        "2152e9d81c82c9b6e0767b6a70231dde28f33ee247e284aefce21f931f9bcbf6",
+        765,
+        "35d1f0c73b7a878614d2098470a7800a5a1b0af929b8398476a4d86a5a8cf7c6",
     ),
 ];
 
@@ -140,8 +148,8 @@ fn engine_replays_the_pinned_golden_ledgers_byte_for_byte() {
 }
 
 /// A signed open-loop run: a million-client population whose requests are
-/// signed at generation and checked at the edge — the run whose client ticks
-/// are generated on a producer thread ahead of the event loop.
+/// signed at generation and checked at the edge — the run whose client
+/// windows are generated on a producer thread ahead of the event loop.
 fn signed_open_loop(max_events: Option<u64>) -> RunReport {
     let config = Config {
         nodes: 16,
@@ -162,22 +170,23 @@ fn signed_open_loop(max_events: Option<u64>) -> RunReport {
 
 /// `(max_events, committed_txs, pending_txs, events_processed, fingerprint)`
 /// of [`signed_open_loop`], recorded from the engine that generated every
-/// tick inline: the whole run, and one cut by the event cap a third of the
-/// way in, while the producer still has ticks in hand the loop never takes.
+/// window inline: the whole run, and one cut by the event cap about a
+/// quarter of the way in, while the producer still has windows in hand the
+/// loop never takes.
 const SIGNED_GOLDEN: &[(Option<u64>, u64, u64, u64, &str)] = &[
     (
         None,
-        19_724,
-        77,
-        65_800,
-        "49dcdb17c7119ac460dac1ab980f7284596c5847a91687d7e4b98b500ed6250a",
+        19_929,
+        72,
+        84_936,
+        "94b408c167a7c908a42f6829d3fb43b586c9875028c487505bc0917b6237a30d",
     ),
     (
         Some(23_692),
-        7_053,
-        76,
+        5_558,
+        94,
         23_693,
-        "7cb13ec81f0cd5774f593d7184f1e9df0539a7261163a8e3b03696254ec86cb2",
+        "c6698291c7c2e8ab75afd56886ce2c45498b46933a0f435deace60d0e3c41c5b",
     ),
 ];
 
@@ -261,11 +270,13 @@ fn forged_partitioned_streamlet() -> RunReport {
 /// not 302, and its forgers sent more; and again when those passes began
 /// to be paid as the votes arrive, four to a pass (q = 5 here: vote 4 pays
 /// one, vote 5 the other), and a first forgery to fail a pass of four, not
-/// a quorum of five: 418 views.
+/// a quorum of five: 418 views; and again when each client request began to
+/// leave at its own issue instant and a busy replica to admit what waited
+/// in one batch: 437 views.
 const FORGED_PARTITIONED_GOLDEN: (&str, u64, [u64; 8]) = (
-    "0e692c373fc778f825c64296afda1b0cd9d794aa5a200f41928aacb2981a313b",
-    34_475,
-    [1_725, 412, 140_266, 140_388, 139_221, 14_921_764, 418, 284],
+    "1579f70b8052070b8b244e575ba05bdb7d907f4dbcb942b15a2c5fda3bb71f0f",
+    36_097,
+    [1_728, 432, 148_670, 148_831, 145_981, 15_610_190, 437, 273],
 );
 
 #[test]
@@ -299,8 +310,8 @@ fn forged_and_partitioned_streamlet_replays_its_pinned_golden() {
     let synced = RecoveryReport {
         sync_requests: 3,
         sync_responses: 3,
-        sync_bytes: 14_042,
-        blocks_synced: 15,
+        sync_bytes: 9_932,
+        blocks_synced: 16,
         ..RecoveryReport::default()
     };
     assert_eq!(report.recovery, synced);

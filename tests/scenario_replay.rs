@@ -41,10 +41,14 @@
 //! handed on each time a view it is stamped with is over without carrying
 //! it, by its block or by its timeout, where a copy a block missed used to
 //! go on only once (DESIGN.md §7.4); CHANGES.md has its table.
-//! The latest moved all three (each runs n > 5): a quorum's votes are
+//! The next moved all three (each runs n > 5): a quorum's votes are
 //! checked four to a pass as they arrive, so only the last pass sits
 //! between the quorum and the proposal it releases (DESIGN.md §3);
 //! CHANGES.md has its table.
+//! The latest moved all three: a client request leaves its client at its
+//! own issue instant instead of with the last request of its 1 ms tick
+//! bound for the same replica, and a busy replica admits the requests that
+//! waited in one checked batch (DESIGN.md §5); CHANGES.md has its table.
 //! The same configurations are also driven through the live threaded
 //! cluster, which must stay safe on the heterogeneous-WAN workload too, and
 //! the repo benchmark's frozen workload files must keep parsing.
@@ -101,30 +105,30 @@ fn fingerprint(report: &ScenarioReport, protocol: ProtocolKind) -> &str {
 const LAN_PINS: [(ProtocolKind, &str); 3] = [
     (
         ProtocolKind::HotStuff,
-        "37c245d1afc71cec82174df955b13dd9e34d3882d178a20013a6d0ca6dfa86d4",
+        "bb82a4800d1c92641eccb8d034362cd3431f0c9b51981080a37f8f37cdb46483",
     ),
     (
         ProtocolKind::TwoChainHotStuff,
-        "eeaabd626c2d051db10226ee264b5774df73bccdf2a30026abe13faa96d706a9",
+        "9eb680e25106e59838d3fb902ae0a2b61d760d5a49723fa6e5963506c5c7a47d",
     ),
     (
         ProtocolKind::Streamlet,
-        "ee00be596358dcdc42dec9d0acc7c0337b3613ad59b5c2e13bb1df6c9452cba6",
+        "31e56d6e081b685903d9c29da3224ba1a4e0ddbda67f4b198c2c00c1f5390169",
     ),
 ];
 
 const GEO_WAN_PINS: [(ProtocolKind, &str); 3] = [
     (
         ProtocolKind::HotStuff,
-        "1c0cd28b6a279ee16310da6023ad358ad73f4b97ea00c8811ac3012ae43a2662",
+        "102610992a11506a2aa8f794f1bf266f7e4240fdb08d1c45777b3f1e413e1028",
     ),
     (
         ProtocolKind::TwoChainHotStuff,
-        "f3187da1d1d74bc5b32992e44a8a3937a715d3e2763854630a145a822f3984af",
+        "9bcf4bbceef6484f6e46d82819f16c39776337a7cfdec85cdd9c520c722c265c",
     ),
     (
         ProtocolKind::Streamlet,
-        "d02120a768ed4d37060152c883987f79aee20031802caf6b4880ba28400f699b",
+        "06a9b65d3b2ace46468a908b3da956ed809bcd46c7a8ae9b2eabbc61ea6e2c5b",
     ),
 ];
 
@@ -142,16 +146,17 @@ const GEO_WAN_PINS: [(ProtocolKind, &str); 3] = [
 // (module docs), a seventh, alone, when a copy whose view times out
 // began to be handed on: its two crashed seats are adjacent, an eighth,
 // with them, when a quorum's votes began to be checked where the QC forms,
-// and a ninth, with them, when those votes began to be checked four to a
-// pass as they arrive.
+// a ninth, with them, when those votes began to be checked four to a
+// pass as they arrive, and a tenth, with them, when each client request
+// began to leave at its own issue instant.
 const CRASH_F_PINS: [(ProtocolKind, &str); 2] = [
     (
         ProtocolKind::HotStuff,
-        "6bb75d051e63bc1233962d9bab15a23d468b0315130003dd8ff7c7d14d69fc78",
+        "c8ec45cbfb41da25a9a6f80ad53b297443c96df25a3ef8bf6ca04131a2bf6c63",
     ),
     (
         ProtocolKind::TwoChainHotStuff,
-        "166b69eb7095f897df97d9a17c0aee9d8d4d4d0004da67a65b8132ee3f896953",
+        "e2e1b02b31794375c324304f9079e77dc8e1140fd592793b5d11e1cf13af7842",
     ),
 ];
 
