@@ -41,7 +41,7 @@ use bamboo_mempool::Mempool;
 use bamboo_pacemaker::LeaderElection;
 use bamboo_types::{DigestSet, Handoff, Message, NodeId, SharedBlock, Transaction, TxId, View};
 
-use crate::runtime::BufferedTransport;
+use crate::runtime::Step;
 
 /// How many views past the stamp it was first sent with a copy may still be
 /// handed on: a quarter of the execute-once window (DESIGN.md §7.4).
@@ -194,7 +194,7 @@ impl Copies {
         mempool: &mut Mempool,
         forest: &BlockForest,
         target: Option<(View, NodeId)>,
-        transport: &mut BufferedTransport,
+        out: &mut Step<'_>,
     ) {
         let due = self.sent.partition_point(|sent| sent.stamp <= view);
         let mut due: Vec<Sent> = self.sent.drain(..due).collect();
@@ -205,7 +205,7 @@ impl Copies {
         if due.is_empty() || carried.iter().rev().any(|tx| strike(&mut due, &tx.id)) {
             return;
         }
-        let handed = hand_on(due, mempool, forest, target, transport);
+        let handed = hand_on(due, mempool, forest, target, out);
         if let Some((stamp, _)) = target {
             (self.sent).extend(handed.into_iter().map(|sent| Sent { stamp, ..sent }));
         }
@@ -221,7 +221,7 @@ fn hand_on(
     mempool: &mut Mempool,
     forest: &BlockForest,
     target: Option<(View, NodeId)>,
-    transport: &mut BufferedTransport,
+    out: &mut Step<'_>,
 ) -> Vec<Sent> {
     let Some((view, leader)) = target else {
         return Vec::new();
@@ -234,7 +234,7 @@ fn hand_on(
     }
     let ids: Vec<TxId> = copies.iter().map(|sent| sent.id).collect();
     let txs = mempool.copy_rehanded(&ids);
-    transport.unicast(leader, Message::Handoff(Handoff { view, txs }));
+    out.unicast(leader, Message::Handoff(Handoff { view, txs }));
     copies
 }
 
@@ -254,7 +254,7 @@ pub fn admit(
     copies: &mut Copies,
     target: Option<(View, NodeId)>,
     txs: Vec<Transaction>,
-    transport: &mut BufferedTransport,
+    out: &mut Step<'_>,
 ) {
     let Some((stamp, leader)) = target else {
         mempool.push_batch(txs);
@@ -263,7 +263,7 @@ pub fn admit(
     let txs = mempool.push_batch_and_copy(txs);
     if !txs.is_empty() {
         copies.keep(stamp, &txs);
-        transport.unicast(leader, Message::Handoff(Handoff { view: stamp, txs }));
+        out.unicast(leader, Message::Handoff(Handoff { view: stamp, txs }));
     }
 }
 
@@ -322,8 +322,25 @@ pub fn forget_committed(mempool: &mut Mempool, ledger: &Ledger, from: usize) {
 mod tests {
     use super::*;
     use crate::runtime::BufferedTransport;
+    use bamboo_sim::CpuModel;
     use bamboo_types::config::LeaderPolicy;
-    use bamboo_types::{Block, BlockId, Height, QuorumCert, SimTime};
+    use bamboo_types::{Block, BlockId, Height, QuorumCert, SimDuration, SimTime};
+
+    /// A free step writing into `transport`.
+    fn step(transport: &mut BufferedTransport) -> Step<'_> {
+        Step::new(SimTime::ZERO, transport, CpuModel::new(SimDuration::ZERO))
+    }
+
+    /// [`admit`] in a free step writing into `transport`.
+    fn admit_into(
+        pool: &mut Mempool,
+        copies: &mut Copies,
+        target: Option<(View, NodeId)>,
+        txs: Vec<Transaction>,
+        transport: &mut BufferedTransport,
+    ) {
+        admit(pool, copies, target, txs, &mut step(transport));
+    }
 
     fn txs(seqs: std::ops::Range<u64>) -> Vec<Transaction> {
         seqs.map(|seq| Transaction::new(NodeId(100), seq, 0, SimTime::ZERO))
@@ -447,16 +464,16 @@ mod tests {
         let (mut pool, mut copies) = (Mempool::new(4), Copies::default());
         let mut transport = BufferedTransport::default();
         let ahead = Some((View(9), NodeId(3)));
-        admit(&mut pool, &mut copies, None, txs(0..2), &mut transport);
+        admit_into(&mut pool, &mut copies, None, txs(0..2), &mut transport);
         assert!(transport.sends.is_empty());
-        admit(&mut pool, &mut copies, ahead, txs(1..6), &mut transport);
+        admit_into(&mut pool, &mut copies, ahead, txs(1..6), &mut transport);
         assert_eq!(pool.len(), 4, "the originals stay");
         // Tx 1 was a duplicate and txs 4 and 5 found no room: only 2 and 3.
         assert_eq!(handoffs(&transport), vec![(NodeId(3), View(9), vec![2, 3])]);
         assert_eq!(pool.stats().handed_off, 2);
         assert!(copies.awaits(View(9)) && !copies.awaits(View(8)));
         // Nothing accepted, nothing sent.
-        admit(&mut pool, &mut copies, ahead, txs(0..1), &mut transport);
+        admit_into(&mut pool, &mut copies, ahead, txs(0..1), &mut transport);
         assert_eq!(transport.sends.len(), 1);
     }
 
@@ -498,7 +515,7 @@ mod tests {
             let (mut pool, mut copies) = (Mempool::new(20), Copies::default());
             let mut transport = BufferedTransport::default();
             let ahead = Some((View(7), NodeId(3)));
-            admit(&mut pool, &mut copies, ahead, txs(0..6), &mut transport);
+            admit_into(&mut pool, &mut copies, ahead, txs(0..6), &mut transport);
             transport.sends.clear();
             let forest = BlockForest::new();
             Sender {
@@ -523,7 +540,14 @@ mod tests {
                 forest,
                 transport,
             } = self;
-            copies.settle(View(view), carried, pool, forest, target, transport);
+            copies.settle(
+                View(view),
+                carried,
+                pool,
+                forest,
+                target,
+                &mut step(transport),
+            );
         }
 
         /// Every copy kept as sent: stamp, first stamp, sequence number.
@@ -607,7 +631,7 @@ mod tests {
             transport,
             ..
         } = &mut sender;
-        admit(pool, copies, Some((far, NodeId(2))), txs(10..11), transport);
+        admit_into(pool, copies, Some((far, NodeId(2))), txs(10..11), transport);
         assert_eq!(sender.copies.sent.len(), 1);
         sender.stores(&block, Some((View(9), NodeId(1))));
         assert_eq!(sender.pool.stats().rehanded, 0);

@@ -251,12 +251,14 @@ pub fn run_live_node(
             Call::Admit(requests) => host.handle_client_batch(requests, start, &mut out),
         };
         // The step's effects, as the simulator ends a step: sends onto the
-        // link, deadlines into the book.
-        let sends = out.tally_sends(nodes, |to, message, _| {
+        // link (at once: a live step's CPU is the wall clock's, so a mark
+        // has passed), deadlines into the book.
+        let sends = out.tally_sends(nodes, |to, message, _, _| {
             match (to, Arc::unwrap_or_clone(message)) {
                 (Some(to), message) => link.unicast(to, message),
                 (None, message) => link.broadcast(message),
             }
+            clock(epoch)
         });
         deadlines.absorb(&mut out, host.replica().current_view());
         let finish = clock(epoch);

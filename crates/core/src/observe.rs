@@ -109,10 +109,12 @@ impl Observer {
         let (node, ledger) = (step.replica.id(), step.replica.ledger());
         self.messages += step.sends.messages;
         self.bytes += step.sends.bytes;
-        // A relay is not a dispatch: only the proposer's own send is.
-        let proposed = step.sends.proposed.as_deref();
-        if let Some(block) = proposed.filter(|block| block.proposer == node) {
-            self.lifecycle.on_proposal(block, step.finish);
+        // A relay is not a dispatch: only the proposer's own send is, at
+        // the instant it left.
+        if let Some((block, sent)) =
+            (step.sends.proposed.as_ref()).filter(|(block, _)| block.proposer == node)
+        {
+            self.lifecycle.on_proposal(block, *sent);
         }
         if node == self.node {
             // `finish` is the commit instant the client's submit→commit
@@ -645,6 +647,34 @@ mod tests {
         assert_eq!(cluster.admissions, report.admissions);
         assert_eq!(cluster.admitted_requests, report.admitted_requests);
         assert_eq!(cluster.mempool, report.mempool);
+    }
+
+    /// A proposal is dispatched when it leaves its proposer, once the CPU
+    /// has assembled the block (the simulator's departure rule), not when
+    /// the step ends: the proposer signs its own vote after the send.
+    #[test]
+    fn a_proposal_is_dispatched_when_it_leaves_not_when_its_step_ends() {
+        let config = Config::default();
+        let mut observer = Observer::new(&config, None, SimDuration::from_millis(100));
+        let (leader, options) = (NodeId(1), Default::default());
+        let mut host = NodeHost::new(leader, ProtocolKind::HotStuff, config.clone(), options);
+        let (mut out, start) = (crate::BufferedTransport::new(), SimTime(1_000));
+        let report = host.start(start, &mut out);
+        let sends = out.tally_sends(config.nodes, |_, _, _, mark| start + mark);
+        let (block, _) = sends.proposed.clone().expect("node 1 leads view 1");
+        let finish = start + report.cpu;
+        observer.on_step(&StepView {
+            replica: host.replica(),
+            start,
+            finish,
+            report: &report,
+            sends,
+            confirmed: &[],
+        });
+        let cpu = host.replica().cpu_model();
+        let dispatched = observer.lifecycle.blocks.get(&block.id).map(|&(at, _)| at);
+        assert_eq!(dispatched, Some(start + cpu.assemble_block(0)));
+        assert_eq!(finish, start + cpu.assemble_block(0) + cpu.sign());
     }
 
     /// The catch-up audit forgives a restarted replica the blocks committed

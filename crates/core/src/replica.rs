@@ -251,7 +251,7 @@ impl Replica {
                     out.cpu += self.cpu.sign();
                     // Our own timeout vote counts towards our own TC.
                     let tc = self.pacemaker.on_timeout_vote(&vote);
-                    out.transport.broadcast(Message::Timeout(vote));
+                    out.broadcast(Message::Timeout(vote));
                     if let Some(tc) = tc {
                         self.enter_view(tc.view.next(), Some(tc), out);
                     }
@@ -275,9 +275,9 @@ impl Replica {
 
     /// Admits client transactions that passed the edge check into the
     /// mempool, and hands a copy to a leader ahead (`handoff.rs`).
-    pub(crate) fn admit(&mut self, txs: Vec<Transaction>, transport: &mut BufferedTransport) {
+    pub(crate) fn admit(&mut self, txs: Vec<Transaction>, out: &mut Step<'_>) {
         let ahead = self.handoff_target();
-        handoff::admit(&mut self.mempool, &mut self.copies, ahead, txs, transport);
+        handoff::admit(&mut self.mempool, &mut self.copies, ahead, txs, out);
     }
 
     /// Where a copy goes from here (`handoff::target`).
@@ -346,23 +346,30 @@ impl Replica {
         }
     }
 
+    /// A received proposal: checked (the flat aggregate charge of the
+    /// paper's Eq. 4, see `CpuModel::process_proposal`; the pacemaker's
+    /// certificates are charged per signer, as Eq. 4 does not cover them),
+    /// relayed when the protocol echoes, then adopted.
     fn on_proposal(&mut self, block: &SharedBlock, from_author: bool, out: &mut Step<'_>) {
-        // Flat aggregate charge for the justify QC (the paper's Eq. 4, see
-        // `CpuModel::process_proposal`); the pacemaker's certificates are
-        // charged per signer, as Eq. 4 does not cover them.
         out.cpu += self.cpu.process_proposal(block.len());
         // Id integrity is enforced at ingress (NodeHost / the verify pool)
         // before any block reaches this point; re-hashing the full payload
         // here would double the real cost of every delivery.
         debug_assert!(block.verify_id(), "unverified block reached the replica");
-        let block_id = block.id;
-        let block_view = block.view;
 
         // Relay a proposal from its author once (Streamlet's O(n^3)
         // behaviour): the very message, sharing the block — a pointer bump.
-        if self.safety.echo_messages() && from_author && !self.forest.contains(block_id) {
-            out.transport.broadcast(Message::Proposal(block.clone()));
+        if self.safety.echo_messages() && from_author && !self.forest.contains(block.id) {
+            out.broadcast(Message::Proposal(block.clone()));
         }
+        self.adopt(block, out);
+    }
+
+    /// Stores a proposal — a received one, or our own, which has nothing
+    /// to check — registers the QC it carries and votes on it.
+    fn adopt(&mut self, block: &SharedBlock, out: &mut Step<'_>) {
+        let block_id = block.id;
+        let block_view = block.view;
 
         // Store the block (orphans are buffered inside the forest). Inserting
         // the shared handle keeps the payload un-copied.
@@ -412,8 +419,8 @@ impl Replica {
             if to != Some(self.id) {
                 for wire in self.attack.wire_votes(out.now, &vote) {
                     match to {
-                        Some(leader) => out.transport.unicast(leader, Message::Vote(wire)),
-                        None => out.transport.broadcast(Message::Vote(wire)),
+                        Some(leader) => out.unicast(leader, Message::Vote(wire)),
+                        None => out.broadcast(Message::Vote(wire)),
                     }
                 }
             }
@@ -428,7 +435,7 @@ impl Replica {
         // What a copy for this view missed goes on, after the vote (`handoff.rs`).
         if stored && self.copies.awaits(block_view) {
             let (aim, pool, forest) = (self.handoff_target(), &mut self.mempool, &self.forest);
-            (self.copies).settle(block_view, &block.payload, pool, forest, aim, out.transport);
+            (self.copies).settle(block_view, &block.payload, pool, forest, aim, out);
         }
     }
 
@@ -440,7 +447,7 @@ impl Replica {
     /// copy, a vote for a certified block — is dropped unchecked.
     fn on_vote(&mut self, vote: &Vote, from_author: bool, out: &mut Step<'_>) {
         if self.safety.echo_messages() && from_author {
-            out.transport.broadcast(Message::Vote(vote.clone()));
+            out.broadcast(Message::Vote(vote.clone()));
         }
         let counted = self.quorum.add_vote(vote);
         out.cpu += self.cpu.verify_batch(counted.pass);
@@ -481,11 +488,11 @@ impl Replica {
         if let Some(tc) = tc {
             // Copies for a view that timed out go on (`handoff.rs`).
             let (aim, pool, forest) = (self.handoff_target(), &mut self.mempool, &self.forest);
-            (self.copies).settle(tc.view, &[], pool, forest, aim, out.transport);
+            (self.copies).settle(tc.view, &[], pool, forest, aim, out);
             // Forward the TC to the new leader: it adopts the TC's high QC.
             let leader = self.election.leader_of(view);
             if leader != self.id {
-                out.transport.unicast(leader, Message::TimeoutCertMsg(tc));
+                out.unicast(leader, Message::TimeoutCertMsg(tc));
             }
         }
         if self.election.is_leader(self.id, view) && self.proposed_in_view < view {
@@ -566,9 +573,11 @@ impl Replica {
                 out.cpu += self.cpu.assemble_block(payload_len);
                 // Wrap the block in its shared handle exactly once; the
                 // broadcast clone and the local store below are pointer bumps.
+                // The proposer built the block and the QC it carries from
+                // checked votes: it stores it and votes without checking it.
                 let block = SharedBlock::new(block);
-                out.transport.broadcast(Message::Proposal(block.clone()));
-                self.on_proposal(&block, false, out);
+                out.broadcast(Message::Proposal(block.clone()));
+                self.adopt(&block, out);
             }
             None => {
                 // Silence attack (or no proposal possible): give the batch
@@ -755,7 +764,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         for (i, replica) in replicas.iter_mut().enumerate() {
             // Seed every replica's mempool.
-            replica.admit(txs(200, 100 + i as u64), &mut wire);
+            admit(replica, txs(200, 100 + i as u64), &mut wire);
         }
         for replica in replicas.iter_mut() {
             replica.start(now, &mut wire);
@@ -975,10 +984,55 @@ mod tests {
         Replica::new(NodeId(id), protocol, config(4), ReplicaOptions::default())
     }
 
+    /// Admits `txs` at `replica` in a step of its own, writing into `wire`.
+    fn admit(replica: &mut Replica, txs: Vec<Transaction>, wire: &mut BufferedTransport) {
+        let cpu = replica.cpu;
+        replica.admit(txs, &mut Step::new(SimTime::ZERO, wire, cpu));
+    }
+
+    /// The proposer built its block, and the QC the block carries from
+    /// votes it checked: proposing costs assembling the block and signing
+    /// the proposer's own vote, nothing for checking either. A follower pays
+    /// `process_proposal` for the same block, and its vote's signature.
+    #[test]
+    fn a_proposer_pays_nothing_to_check_its_own_block() {
+        for protocol in ProtocolKind::evaluated() {
+            let (mut leader, mut wire) = (replica(1, protocol), BufferedTransport::new());
+            admit(&mut leader, txs(10, 7), &mut wire);
+            let proposing = leader.start(SimTime::ZERO, &mut wire).cpu;
+            let cpu = leader.cpu;
+            assert_eq!(
+                proposing,
+                cpu.assemble_block(10) + cpu.sign(),
+                "{protocol:?}"
+            );
+            assert_eq!(
+                leader.safety.voted_view(),
+                View(1),
+                "{protocol:?}: it voted"
+            );
+
+            let proposal = first_proposal(protocol);
+            let mut follower = replica(2, protocol);
+            let mut wire = BufferedTransport::new();
+            let checking = (follower.receive(NodeId(1), &proposal, SimTime(1), &mut wire)).cpu;
+            assert_eq!(
+                checking,
+                cpu.process_proposal(10) + cpu.sign(),
+                "{protocol:?}"
+            );
+            assert_eq!(
+                follower.safety.voted_view(),
+                View(1),
+                "{protocol:?}: it voted"
+            );
+        }
+    }
+
     /// Node 1's proposal for view 1.
     fn first_proposal(protocol: ProtocolKind) -> Message {
         let (mut leader, mut wire) = (replica(1, protocol), BufferedTransport::new());
-        leader.admit(txs(10, 7), &mut wire);
+        admit(&mut leader, txs(10, 7), &mut wire);
         leader.start(SimTime::ZERO, &mut wire);
         (wire.sends.iter())
             .find(|(_, message)| matches!(**message, Message::Proposal(_)))
@@ -1115,7 +1169,7 @@ mod tests {
             ReplicaOptions::default(),
         );
         let mut wire = BufferedTransport::new();
-        replica.admit(txs(25, 7), &mut wire);
+        admit(&mut replica, txs(25, 7), &mut wire);
         assert_eq!(replica.mempool_stats().pending, 25);
         // Node 1 leads view 1: starting it proposes a block with 10 txs.
         replica.start(SimTime::ZERO, &mut wire);
@@ -1143,7 +1197,7 @@ mod tests {
             txs: txs(10, 7),
         };
         next.receive(NodeId(1), &Message::Handoff(copy), SimTime::ZERO, &mut wire);
-        next.admit(txs(3, 8), &mut wire);
+        admit(&mut next, txs(3, 8), &mut wire);
         assert!(
             wire.sends.is_empty(),
             "node 2 leads view 2: it hands nothing off"
@@ -1185,7 +1239,7 @@ mod tests {
             (View(1), View(1))
         );
         let mut wire = BufferedTransport::new();
-        voter.admit(txs(5, 9), &mut wire);
+        admit(&mut voter, txs(5, 9), &mut wire);
         (wire.sends.iter())
             .filter_map(|(to, message)| match &**message {
                 Message::Handoff(copy) => Some((to.expect("a unicast"), copy.view)),
@@ -1314,7 +1368,7 @@ mod tests {
             };
             let mut replica = Replica::new(NodeId(1), ProtocolKind::HotStuff, config, options);
             let mut wire = BufferedTransport::new();
-            replica.admit(txs(25, 7), &mut wire);
+            admit(&mut replica, txs(25, 7), &mut wire);
             replica.start(now, &mut wire);
             let proposed = (wire.sends.iter()).any(|(_, m)| matches!(&**m, Message::Proposal(_)));
             (

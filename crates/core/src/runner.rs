@@ -860,15 +860,18 @@ impl SimRunner {
             self.arm_wake(node, start);
         }
 
-        // Outbound messages leave the sender once its CPU is done. Every
-        // recipient's delay is drawn now, in ascending node order; one
-        // dropped by a partition or a dead link gets no delivery. The
-        // envelope is verified once if anyone receives it, and a broadcast
-        // becomes one queue entry whose deliveries take the insertion numbers
-        // n − 1 separate schedules would have.
+        // An outbound message leaves the sender once its CPU reaches it: at
+        // `start` plus the step's bill when it was buffered, its mark (the
+        // CPU stays busy until `finish`). Every recipient's delay is drawn
+        // now, in ascending node order; one dropped by a partition or a dead
+        // link gets no delivery. The envelope is verified once if anyone
+        // receives it, and a broadcast becomes one queue entry whose
+        // deliveries take the insertion numbers n − 1 separate schedules
+        // would have.
         let nodes = self.config.nodes;
-        let tally = effects.tally_sends(nodes, |dest, message, bytes| {
-            let leaves = finish + self.nic.transfer(bytes);
+        let tally = effects.tally_sends(nodes, |dest, message, bytes, mark| {
+            let sent = start + mark;
+            let leaves = sent + self.nic.transfer(bytes);
             let recipients = match dest {
                 Some(to) => to.0..to.0 + 1,
                 None => 0..nodes as u64,
@@ -879,13 +882,13 @@ impl SimRunner {
                 if dest.is_none() && to == node {
                     continue;
                 }
-                if let Some(delay) = self.latency.sample(&mut self.rngs[index], node, to, finish) {
+                if let Some(delay) = self.latency.sample(&mut self.rngs[index], node, to, sent) {
                     let to = u32::try_from(to.0).expect("replica ids fit in 32 bits");
                     self.deliveries.push((leaves + delay, to));
                 }
             }
             let Some(&(at, to)) = self.deliveries.first() else {
-                return;
+                return sent;
             };
             let envelope = match self.auth.authenticate_shared(node, message.clone()) {
                 Ok(token) => Envelope::Verified(token),
@@ -897,6 +900,7 @@ impl SimRunner {
                 Some(_) => self.schedule(start, at, NodeId(to.into()), kind),
                 None => (self.queue).schedule_fanout(SimEvent { node, kind }, &self.deliveries),
             }
+            sent
         });
         self.effects = effects;
         self.observer.on_step(&StepView {
@@ -1132,9 +1136,14 @@ mod tests {
     /// queue holds only what a test puts there, and `k` edge-checked
     /// requests of its clients.
     fn unbooted_with_requests(k: usize) -> (SimRunner, Vec<VerifiedRequests>) {
+        unbooted_over(base_config(4, 100_000.0), k)
+    }
+
+    /// [`unbooted_with_requests`] over `config`'s cluster and links.
+    fn unbooted_over(config: Config, k: usize) -> (SimRunner, Vec<VerifiedRequests>) {
         let config = Config {
             signed_requests: true,
-            ..base_config(4, 100_000.0)
+            ..config
         };
         let mut runner = SimRunner::new(config, ProtocolKind::HotStuff, RunOptions::default());
         let clients = runner.clients.as_mut().unwrap();
@@ -1302,6 +1311,128 @@ mod tests {
         };
         runner.fire(time, event);
         time
+    }
+
+    /// Four replicas over links that add only the 1 µs causality floor to
+    /// the NIC's `2·m/b`, so a message is due right after it leaves.
+    fn instant_links() -> Config {
+        Config {
+            link_latency_mean: SimDuration::ZERO,
+            link_latency_std: SimDuration::ZERO,
+            ..base_config(4, 1_000.0)
+        }
+    }
+
+    /// The message an event delivers, if it delivers one.
+    fn delivered(kind: &EventKind) -> Option<bamboo_types::Message> {
+        match kind {
+            EventKind::Deliver(Envelope::Verified(token)) => Some(token.message().clone()),
+            EventKind::Deliver(Envelope::Forged(message)) => Some((**message).clone()),
+            _ => None,
+        }
+    }
+
+    /// Pops everything queued at `runner`, firing nothing, and returns each
+    /// delivery's instant, recipient and message in pop order.
+    fn queued_deliveries(runner: &mut SimRunner) -> Vec<(SimTime, NodeId, bamboo_types::Message)> {
+        let mut found = Vec::new();
+        while let Some((at, popped)) = runner.queue.pop() {
+            let (to, message) = match popped {
+                Popped::Event(event) => (event.node, delivered(&event.kind)),
+                Popped::Delivery { to, slot } => (
+                    NodeId(to.into()),
+                    delivered(&runner.queue.shared(slot).kind),
+                ),
+            };
+            found.extend(message.map(|message| (at, to, message)));
+        }
+        found
+    }
+
+    /// A message leaves its sender when the CPU reaches it: the leader's
+    /// proposal goes out once the block is assembled, so over near-instant
+    /// links it is due before the step ends — the leader still signs its
+    /// own vote after the send.
+    #[test]
+    fn a_proposal_is_due_before_its_proposing_step_ends() {
+        let leader = NodeId(1);
+        let mut runner =
+            SimRunner::new(instant_links(), ProtocolKind::HotStuff, Default::default());
+        runner.step(leader, SimTime::ZERO, |host, start, effects| {
+            host.start(start, effects)
+        });
+        // An empty block: assembling it is one signature, and so is the vote.
+        let (assembled, finish) = (SimTime::ZERO + T_CPU, runner.busy_until[leader.index()]);
+        assert_eq!(finish, assembled + T_CPU);
+        let due: Vec<SimTime> = (queued_deliveries(&mut runner).into_iter())
+            .filter(|(_, _, message)| matches!(message, bamboo_types::Message::Proposal(_)))
+            .map(|(at, _, _)| at)
+            .collect();
+        assert_eq!(due.len(), 3, "to every peer");
+        for at in due {
+            assert!(
+                assembled < at && at < finish,
+                "due at {at:?}, step {finish:?}"
+            );
+        }
+    }
+
+    /// An admission's handoff copy leaves once the edge check it follows
+    /// is done, never before.
+    #[test]
+    fn a_handoff_copy_never_leaves_before_its_edge_check() {
+        let (mut runner, mut requests) = unbooted_over(instant_links(), 1);
+        let arrival = at_us(1_000);
+        runner.arrive(SEAT, arrival, requests.pop().unwrap());
+        let checked = arrival + T_CPU;
+        assert_eq!(runner.busy_until[SEAT.index()], checked);
+        let copies = queued_deliveries(&mut runner);
+        let [(at, to, bamboo_types::Message::Handoff(_))] = &copies[..] else {
+            panic!("one copy: {copies:?}");
+        };
+        assert_eq!(*to, NodeId(2), "to view 2's leader");
+        assert!(*at > checked, "due at {at:?}, checked at {checked:?}");
+    }
+
+    /// With a durable log a vote goes to disk before it goes anywhere, on
+    /// the simulated clock too: it leaves after the step's log write.
+    #[test]
+    fn under_a_durable_log_a_vote_leaves_after_its_log_write() {
+        let config = Config {
+            durable_log: true,
+            ..instant_links()
+        };
+        let mut runner = SimRunner::new(config, ProtocolKind::HotStuff, Default::default());
+        runner.step(NodeId(1), SimTime::ZERO, |host, start, effects| {
+            host.start(start, effects)
+        });
+        // Node 3 takes node 1's proposal and votes to view 2's leader.
+        let voter = NodeId(3);
+        let start = loop {
+            match runner.queue.pop().expect("the proposal reaches node 3") {
+                (at, Popped::Delivery { to, slot }) if NodeId(to.into()) == voter => {
+                    runner.deliver(at, voter, slot);
+                    break at;
+                }
+                _ => continue,
+            }
+        };
+        let finish = runner.busy_until[voter.index()];
+        // Checking the block (two signatures) and signing the vote is three.
+        assert!(finish - start > T_CPU * 3, "the vote was logged first");
+        let votes: Vec<SimTime> = (queued_deliveries(&mut runner).into_iter())
+            .filter(|(_, to, message)| {
+                let ours = matches!(message, bamboo_types::Message::Vote(v) if v.voter == voter);
+                *to == NodeId(2) && ours
+            })
+            .map(|(at, _, _)| at)
+            .collect();
+        assert_eq!(votes.len(), 1);
+        assert!(
+            votes[0] > finish,
+            "due at {:?}, logged by {finish:?}",
+            votes[0]
+        );
     }
 
     /// The live loop's crash rules: a resumed replica fires the deadline

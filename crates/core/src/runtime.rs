@@ -169,7 +169,8 @@ pub struct StepReport {
 
 /// One step in progress: the instant it runs at, the effect buffer the host
 /// handed in, and the account the host gets back. Every replica handler takes
-/// one, so an effect has exactly one spelling — a [`BufferedTransport`] call.
+/// one, so an effect has exactly one spelling — a [`BufferedTransport`] call,
+/// or, for a send, a call here, which stamps it with the bill so far.
 pub(crate) struct Step<'a> {
     pub now: SimTime,
     pub transport: &'a mut BufferedTransport,
@@ -188,6 +189,18 @@ impl<'a> Step<'a> {
             cpu: SimDuration::ZERO,
             committed: Vec::new(),
         }
+    }
+
+    /// Sends `message` to a single replica once the CPU has done the work
+    /// billed so far.
+    pub fn unicast(&mut self, to: NodeId, message: Message) {
+        self.transport.send(Some(to), message, self.cpu);
+    }
+
+    /// Sends `message` to every replica except the sender once the CPU has
+    /// done the work billed so far.
+    pub fn broadcast(&mut self, message: Message) {
+        self.transport.send(None, message, self.cpu);
     }
 
     pub fn finish(self) -> StepReport {
@@ -325,29 +338,26 @@ impl NodeHost {
     /// view `handoff::target` names — the one this replica's next vote helps
     /// wake, or the next view when synchronous epochs pace the protocol —
     /// when this replica leads none of the views up to it. The target is read
-    /// off the replica's view and vote, not the clock, and the backend sends
-    /// the copy at the step's own instant, so `_now` goes unused.
+    /// off the replica's view and vote, not the clock; the copy leaves once
+    /// the check is done.
     pub fn admit(
         &mut self,
         requests: VerifiedRequests,
-        _now: SimTime,
+        now: SimTime,
         transport: &mut BufferedTransport,
     ) -> StepReport {
-        let mut cpu = SimDuration::ZERO;
+        let mut out = Step::new(now, transport, self.cpu);
         if requests.signed() {
-            cpu = self.cpu.verify_batch(requests.offered());
+            out.cpu += self.cpu.verify_batch(requests.offered());
             if requests.rejected() > 0 {
-                cpu += self.cpu.verify(requests.offered());
+                out.cpu += self.cpu.verify(requests.offered());
             }
         }
         self.client_auth_rejections += requests.rejected() as u64;
         self.admissions += 1;
         self.admitted_requests += requests.offered() as u64;
-        self.replica.admit(requests.into_transactions(), transport);
-        StepReport {
-            cpu,
-            committed: Vec::new(),
-        }
+        self.replica.admit(requests.into_transactions(), &mut out);
+        out.finish()
     }
 
     /// Feeds a verified message into the replica by reference, with the
@@ -453,18 +463,22 @@ fn verification_cost(cpu: &CpuModel, message: &Message) -> SimDuration {
 /// The one effect sink: every effect a replica decides on, recorded in
 /// order, on either clock.
 ///
-/// A host realises the effects once the step is done, when its total CPU
-/// cost is known (the simulator charges outbound messages only once the
-/// sender's CPU is free). `deadline`/`at` are absolute times on the
-/// backend's clock — simulated time for the simulator, nanoseconds since the
-/// seat's epoch (`SeatBoot::epoch`) for the live backends. Each message is
-/// wrapped into its [`SharedMessage`] envelope exactly once here, so a
-/// backend fanning a broadcast out to `n − 1` recipients shares one envelope
-/// instead of copying it.
+/// A host realises the effects once the step is done. Each send carries its
+/// *mark*: the step's CPU bill when the replica buffered it, so the
+/// simulator puts it on the wire the moment the sender's CPU reaches it
+/// (`start + mark`), not at the step's end; the live backends send at once.
+/// `deadline`/`at` are absolute times on the backend's clock — simulated
+/// time for the simulator, nanoseconds since the seat's epoch
+/// (`SeatBoot::epoch`) for the live backends. Each message is wrapped into
+/// its [`SharedMessage`] envelope exactly once here, so a backend fanning a
+/// broadcast out to `n − 1` recipients shares one envelope instead of
+/// copying it.
 #[derive(Debug, Default)]
 pub struct BufferedTransport {
     /// Buffered sends; `None` destination means broadcast.
     pub sends: Vec<(Option<NodeId>, SharedMessage)>,
+    /// Each buffered send's mark, in the same order.
+    marks: Vec<SimDuration>,
     /// Buffered timer arms.
     pub timers: Vec<(View, SimTime)>,
     /// Buffered delayed proposals.
@@ -481,8 +495,9 @@ pub(crate) struct SendTally {
     pub messages: u64,
     /// Their bytes, each message's encoded length once per recipient.
     pub bytes: u64,
-    /// The last proposal the step sent, a relay included.
-    pub proposed: Option<SharedBlock>,
+    /// The last proposal the step sent, a relay included, and the instant
+    /// it left.
+    pub proposed: Option<(SharedBlock, SimTime)>,
 }
 
 impl BufferedTransport {
@@ -496,19 +511,20 @@ impl BufferedTransport {
     /// between events instead of reallocating.
     pub fn clear(&mut self) {
         self.sends.clear();
+        self.marks.clear();
         self.timers.clear();
         self.proposals.clear();
         self.sync_timers.clear();
     }
 
-    /// Deliver `message` to a single replica.
-    pub fn unicast(&mut self, to: NodeId, message: Message) {
-        self.sends.push((Some(to), SharedMessage::new(message)));
-    }
-
-    /// Deliver `message` to every replica except the sender.
-    pub fn broadcast(&mut self, message: Message) {
-        self.sends.push((None, SharedMessage::new(message)));
+    /// Buffers `message` for `to` (`None`: every replica but the sender),
+    /// to leave once the step's CPU has done `mark` of work ([`Step::unicast`]
+    /// and [`Step::broadcast`] stamp the bill so far).
+    pub(crate) fn send(&mut self, to: Option<NodeId>, message: Message, mark: SimDuration) {
+        // A host that drains `sends` itself leaves their marks behind.
+        self.marks.truncate(self.sends.len());
+        self.sends.push((to, SharedMessage::new(message)));
+        self.marks.push(mark);
     }
 
     /// Arm a view timer that must fire at `deadline` unless the view has
@@ -531,23 +547,28 @@ impl BufferedTransport {
     }
 
     /// Drains the step's sends in emission order into the backend's
-    /// delivery code, `send(to, message, encoded_len)` (`to` is `None` for a
-    /// broadcast), and tallies them for a cluster of `nodes` replicas.
+    /// delivery code, `send(to, message, encoded_len, mark)` (`to` is `None`
+    /// for a broadcast), which returns the instant the message left, and
+    /// tallies them for a cluster of `nodes` replicas.
     pub(crate) fn tally_sends(
         &mut self,
         nodes: usize,
-        mut send: impl FnMut(Option<NodeId>, SharedMessage, usize),
+        mut send: impl FnMut(Option<NodeId>, SharedMessage, usize, SimDuration) -> SimTime,
     ) -> SendTally {
         let mut tally = SendTally::default();
-        for (to, message) in self.sends.drain(..) {
+        for ((to, message), mark) in self.sends.drain(..).zip(self.marks.drain(..)) {
             let bytes = wire::encoded_len(&message);
             let recipients = to.map_or(nodes as u64 - 1, |_| 1);
             tally.messages += recipients;
             tally.bytes += recipients * bytes as u64;
-            if let Message::Proposal(block) = &*message {
-                tally.proposed = Some(block.clone());
+            let block = match &*message {
+                Message::Proposal(block) => Some(block.clone()),
+                _ => None,
+            };
+            let sent = send(to, message, bytes, mark);
+            if let Some(block) = block {
+                tally.proposed = Some((block, sent));
             }
-            send(to, message, bytes);
         }
         tally
     }
@@ -636,22 +657,33 @@ mod tests {
             &key,
         ));
         // Node 1 of four: its own proposal to every peer, another
-        // proposer's to itself (a relay), a vote to node 2.
+        // proposer's to itself (a relay), a vote to node 2, each after 10 µs
+        // more work.
         let mut out = BufferedTransport::new();
-        out.broadcast(own.clone());
-        out.unicast(NodeId(1), relayed.clone());
-        out.unicast(NodeId(2), vote.clone());
+        let mut step = Step::new(SimTime(5), &mut out, CpuModel::new(SimDuration::ZERO));
+        let us = SimDuration::from_micros;
+        step.cpu = us(10);
+        step.broadcast(own.clone());
+        step.cpu = us(20);
+        step.unicast(NodeId(1), relayed.clone());
+        step.cpu = us(30);
+        step.unicast(NodeId(2), vote.clone());
+        assert_eq!(step.finish().cpu, us(30));
         let mut seen = Vec::new();
-        let tally = out.tally_sends(4, |to, message, bytes| {
-            seen.push((to, Message::clone(&message), bytes));
+        let tally = out.tally_sends(4, |to, message, bytes, mark| {
+            seen.push((to, Message::clone(&message), bytes, mark));
+            SimTime(5) + mark
         });
         let len = |message: &Message| wire::encoded_len(message);
         let expected = [
-            (None, own.clone(), len(&own)),
-            (Some(NodeId(1)), relayed.clone(), len(&relayed)),
-            (Some(NodeId(2)), vote.clone(), len(&vote)),
+            (None, own.clone(), len(&own), us(10)),
+            (Some(NodeId(1)), relayed.clone(), len(&relayed), us(20)),
+            (Some(NodeId(2)), vote.clone(), len(&vote), us(30)),
         ];
-        assert_eq!(seen, expected, "every send, in emission order");
+        assert_eq!(
+            seen, expected,
+            "every send, in emission order, with its mark"
+        );
         assert!(out.sends.is_empty());
         assert_eq!(tally.messages, 3 + 1 + 1);
         let bytes = 3 * len(&own) + len(&relayed) + len(&vote);
@@ -659,7 +691,7 @@ mod tests {
         let Message::Proposal(last) = &relayed else {
             unreachable!()
         };
-        assert_eq!(tally.proposed.as_ref(), Some(last));
+        assert_eq!(tally.proposed, Some((last.clone(), SimTime(5) + us(20))));
     }
 
     #[test]

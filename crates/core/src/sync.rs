@@ -92,7 +92,7 @@ impl SyncState {
         self.attempts += 1;
         stats.sync_requests_sent += 1;
         out.cpu += out.model.sign();
-        out.transport.unicast(peer, Message::SyncRequest(request));
+        out.unicast(peer, Message::SyncRequest(request));
         let backoff = SimDuration::from_nanos(timeout.as_nanos() * self.attempts.min(8));
         self.timer_armed = true;
         out.transport.arm_sync_timer(out.now + backoff);
@@ -236,8 +236,7 @@ pub(crate) fn answer(
     if let Some(bytes) = &response.snapshot {
         out.cpu += out.model.snapshot(bytes.len());
     }
-    out.transport
-        .unicast(request.requester, Message::SyncResponse(response));
+    out.unicast(request.requester, Message::SyncResponse(response));
 }
 
 #[cfg(test)]

@@ -46,9 +46,12 @@ impl CpuModel {
         SimDuration::from_nanos(self.crypto_op.as_nanos() * signatures as u64)
     }
 
-    /// Cost of processing a proposal carrying `txs` transactions: one
-    /// signature verification for the proposer, one for the embedded QC
-    /// treated as a single aggregate check, plus per-transaction work.
+    /// Cost of processing a received proposal carrying `txs` transactions:
+    /// one signature verification for the proposer, one for the embedded
+    /// QC treated as a single aggregate check, plus per-transaction work.
+    /// Only a replica that receives the proposal pays it: the proposer
+    /// assembled the block ([`CpuModel::assemble_block`]) and built the QC
+    /// from votes it checked as they arrived, so it checks neither.
     ///
     /// The flat aggregate charge is deliberate: the paper's block service
     /// time (Eq. 4, `t_s = 3·t_CPU + …`) models happy-path crypto as a
@@ -56,7 +59,8 @@ impl CpuModel {
     /// pins the simulator to that equation. The real per-signer cost of the
     /// ingress check is measured by the `verify_*` micro-benches instead,
     /// and off-happy-path pacemaker certificates (timeouts, TCs), which
-    /// Eq. 4 does not model, *are* charged per signer in `Replica::handle`.
+    /// Eq. 4 does not model, *are* charged per signer where a replica
+    /// receives them.
     pub fn process_proposal(&self, txs: usize) -> SimDuration {
         self.verify(2) + SimDuration::from_nanos(self.per_tx.as_nanos() * txs as u64)
     }

@@ -54,7 +54,12 @@
 //! up (DESIGN.md §5). More admissions mean more handoff copies, so the
 //! message counts rose with the commits; the signed run's cut at 23,692
 //! events now ends earlier in simulated time, since each request is an
-//! event. CHANGES.md has its table.
+//! event. CHANGES.md has its table. The latest moved every run: a proposer
+//! stores its own block and votes on it without checking it (no
+//! `process_proposal` charge), and a send leaves its sender when the step's
+//! CPU reaches it, not when the step ends (DESIGN.md §3, §5). A view is
+//! shorter by up to `3·t_CPU`, so views and handoff copies go faster and
+//! the signed run's cut ends with fewer commits. CHANGES.md has its table.
 //!
 //! To re-record after an *intentional* behaviour change, run:
 //! `GOLDEN_DUMP=1 cargo test --test engine_replay -- --nocapture`
@@ -89,8 +94,8 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         300,
         3_000.0,
         7,
-        933,
-        "05337030c6cdfc0a661e83ad0c5c25e498bf088c4d5893a59fcc690bef957611",
+        936,
+        "3c9960481547952ba4705292e6b5d97c35c5116e8329ccb1742b7a82eb0b580d",
     ),
     (
         ProtocolKind::TwoChainHotStuff,
@@ -98,8 +103,8 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         300,
         3_000.0,
         7,
-        937,
-        "c22393101f052ef5a7b9b630c01ecfdefb5793bb93ccf2e023d2d02f29b8826e",
+        936,
+        "63455556ad3958f1a7becba8ace45fd16d3a9204bff42ced02594457a3b9fcaa",
     ),
     (
         ProtocolKind::Streamlet,
@@ -107,8 +112,8 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         300,
         3_000.0,
         7,
-        935,
-        "75fd011729eb5825b7efba4a48b448f7b198e1ca55bc246a696ee30dcdfaca74",
+        937,
+        "07a7264dc302e72e86ee6700c91665aa3351703d1f219812c8747004c8d68692",
     ),
     // A broadcast-heavy mid-size run: covers the shared-envelope fan-out
     // and a deep event queue under real event pressure.
@@ -118,8 +123,8 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         100,
         8_000.0,
         2021,
-        765,
-        "35d1f0c73b7a878614d2098470a7800a5a1b0af929b8398476a4d86a5a8cf7c6",
+        768,
+        "bba27b850e58ac8a456666fda495aa37e9b5f851bace4890fda4a0ec5cd77aab",
     ),
 ];
 
@@ -176,17 +181,17 @@ fn signed_open_loop(max_events: Option<u64>) -> RunReport {
 const SIGNED_GOLDEN: &[(Option<u64>, u64, u64, u64, &str)] = &[
     (
         None,
-        19_929,
-        72,
-        84_936,
-        "94b408c167a7c908a42f6829d3fb43b586c9875028c487505bc0917b6237a30d",
+        19_928,
+        73,
+        89_439,
+        "e0e0f8cda6c2cefa29220e24d3cbf5f144a948e316a14754725fb100c9e4e72a",
     ),
     (
         Some(23_692),
-        5_558,
-        94,
+        5_276,
+        88,
         23_693,
-        "c6698291c7c2e8ab75afd56886ce2c45498b46933a0f435deace60d0e3c41c5b",
+        "c6ce47d5ebf29fa9aa36e80dc57bf01a0948a60169f4c0481cd103658843215d",
     ),
 ];
 
@@ -272,11 +277,13 @@ fn forged_partitioned_streamlet() -> RunReport {
 /// one, vote 5 the other), and a first forgery to fail a pass of four, not
 /// a quorum of five: 418 views; and again when each client request began to
 /// leave at its own issue instant and a busy replica to admit what waited
-/// in one batch: 437 views.
+/// in one batch: 437 views; and again when a proposer stopped checking its
+/// own block and a send began to leave when its step's CPU reaches it:
+/// 446 views.
 const FORGED_PARTITIONED_GOLDEN: (&str, u64, [u64; 8]) = (
-    "1579f70b8052070b8b244e575ba05bdb7d907f4dbcb942b15a2c5fda3bb71f0f",
-    36_097,
-    [1_728, 432, 148_670, 148_831, 145_981, 15_610_190, 437, 273],
+    "de49410587b78658dd7b2bfdecf04f409ba5f70b1815144d03ef68ffebddd157",
+    36_843,
+    [1_727, 440, 151_623, 151_785, 148_885, 15_882_144, 446, 275],
 );
 
 #[test]
@@ -310,8 +317,8 @@ fn forged_and_partitioned_streamlet_replays_its_pinned_golden() {
     let synced = RecoveryReport {
         sync_requests: 3,
         sync_responses: 3,
-        sync_bytes: 9_932,
-        blocks_synced: 16,
+        sync_bytes: 10_082,
+        blocks_synced: 13,
         ..RecoveryReport::default()
     };
     assert_eq!(report.recovery, synced);

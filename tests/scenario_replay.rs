@@ -45,10 +45,13 @@
 //! checked four to a pass as they arrive, so only the last pass sits
 //! between the quorum and the proposal it releases (DESIGN.md §3);
 //! CHANGES.md has its table.
-//! The latest moved all three: a client request leaves its client at its
+//! The next moved all three: a client request leaves its client at its
 //! own issue instant instead of with the last request of its 1 ms tick
 //! bound for the same replica, and a busy replica admits the requests that
 //! waited in one checked batch (DESIGN.md §5); CHANGES.md has its table.
+//! The latest moved all three: a proposer does not check its own block,
+//! and a send leaves when its step's CPU reaches it rather than when the
+//! step ends (DESIGN.md §3, §5); CHANGES.md has its table.
 //! The same configurations are also driven through the live threaded
 //! cluster, which must stay safe on the heterogeneous-WAN workload too, and
 //! the repo benchmark's frozen workload files must keep parsing.
@@ -105,30 +108,30 @@ fn fingerprint(report: &ScenarioReport, protocol: ProtocolKind) -> &str {
 const LAN_PINS: [(ProtocolKind, &str); 3] = [
     (
         ProtocolKind::HotStuff,
-        "bb82a4800d1c92641eccb8d034362cd3431f0c9b51981080a37f8f37cdb46483",
+        "ec780fdac4ec9002aec6b37e54f8c9921900001f767966c9f03e32b2e001dadd",
     ),
     (
         ProtocolKind::TwoChainHotStuff,
-        "9eb680e25106e59838d3fb902ae0a2b61d760d5a49723fa6e5963506c5c7a47d",
+        "18ea2f8bb91bf6db77a971a1b6b2f99aa3fb3da0d68bcbd368c5276cf8218887",
     ),
     (
         ProtocolKind::Streamlet,
-        "31e56d6e081b685903d9c29da3224ba1a4e0ddbda67f4b198c2c00c1f5390169",
+        "16598aa7e35378ea20327a1c51cd0dc1ca63f1798469befe8b8fc796ff09c019",
     ),
 ];
 
 const GEO_WAN_PINS: [(ProtocolKind, &str); 3] = [
     (
         ProtocolKind::HotStuff,
-        "102610992a11506a2aa8f794f1bf266f7e4240fdb08d1c45777b3f1e413e1028",
+        "0b591a72c2836556e5354c62f7293f29b538a91c3ff3d1e245cd9197d1174a38",
     ),
     (
         ProtocolKind::TwoChainHotStuff,
-        "9bcf4bbceef6484f6e46d82819f16c39776337a7cfdec85cdd9c520c722c265c",
+        "f199aab56e86841c9d1d6cc9262311b243479570ed38b06a1b1ec884662376e4",
     ),
     (
         ProtocolKind::Streamlet,
-        "06a9b65d3b2ace46468a908b3da956ed809bcd46c7a8ae9b2eabbc61ea6e2c5b",
+        "5a4c41208d2376b105190400271dac4262a69bc0f5c2ff6347e2aaf0658451cf",
     ),
 ];
 
@@ -147,16 +150,18 @@ const GEO_WAN_PINS: [(ProtocolKind, &str); 3] = [
 // began to be handed on: its two crashed seats are adjacent, an eighth,
 // with them, when a quorum's votes began to be checked where the QC forms,
 // a ninth, with them, when those votes began to be checked four to a
-// pass as they arrive, and a tenth, with them, when each client request
-// began to leave at its own issue instant.
+// pass as they arrive, a tenth, with them, when each client request
+// began to leave at its own issue instant, and an eleventh, with them, when
+// a proposer stopped checking its own block and a send began to leave when
+// its step's CPU reaches it.
 const CRASH_F_PINS: [(ProtocolKind, &str); 2] = [
     (
         ProtocolKind::HotStuff,
-        "c8ec45cbfb41da25a9a6f80ad53b297443c96df25a3ef8bf6ca04131a2bf6c63",
+        "53d084b16e7a1102326dbfc60166f9e16cb394d917ea4a284c177def94f05fa1",
     ),
     (
         ProtocolKind::TwoChainHotStuff,
-        "e2e1b02b31794375c324304f9079e77dc8e1140fd592793b5d11e1cf13af7842",
+        "6843d7254e77628bf009f9ef92af04b8a36969461cecba1398e9b1d2394373c0",
     ),
 ];
 
