@@ -262,7 +262,7 @@ fn bench_quorum(out: &mut RowFile) {
         || bamboo_core::QuorumTracker::new(32),
         |mut tracker| {
             for vote in &votes {
-                let _ = tracker.add_vote(vote);
+                let _ = tracker.add_vote(vote, false);
             }
             tracker
         },

@@ -270,6 +270,7 @@ pub fn run_live_node(
             replica: host.replica(),
             start,
             finish,
+            committed: finish,
             report: &report,
             sends,
             confirmed: &confirmed,

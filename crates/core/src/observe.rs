@@ -36,6 +36,10 @@ pub(crate) struct StepView<'a> {
     /// When the replica's CPU took the event and was done with it.
     pub start: SimTime,
     pub finish: SimTime,
+    /// The instant the step's commits count as made: on the simulated
+    /// clock when the last commit record was written (`start` plus
+    /// [`StepReport::commit_mark`]), on the live clock the step's end.
+    pub committed: SimTime,
     /// The step's CPU bill and the blocks it committed, which end the
     /// replica's ledger.
     pub report: &'a StepReport,
@@ -117,7 +121,7 @@ impl Observer {
             self.lifecycle.on_proposal(block, *sent);
         }
         if node == self.node {
-            // `finish` is the commit instant the client's submit→commit
+            // `committed` is the commit instant the client's submit→commit
             // latency is measured against; `confirmed` adds the response leg
             // (the paper's `t_L` term). Only what executes counts, once.
             let mut confirmed = step.confirmed;
@@ -133,9 +137,9 @@ impl Observer {
                         .filter_map(|(tx, &executes)| executes.then_some(tx))
                 };
                 for (tx, &at) in executed() {
-                    self.metrics.record_commit(tx.issued_at, step.finish, at);
+                    self.metrics.record_commit(tx.issued_at, step.committed, at);
                 }
-                self.lifecycle.on_commit(block, step.finish, executed());
+                self.lifecycle.on_commit(block, step.committed, executed());
             }
         }
         self.load.on_step(step, self.node);
@@ -667,6 +671,7 @@ mod tests {
             replica: host.replica(),
             start,
             finish,
+            committed: finish,
             report: &report,
             sends,
             confirmed: &[],

@@ -440,16 +440,18 @@ impl Replica {
     }
 
     /// Only a vote `from_author` — neither a relay nor our own — may be
-    /// relayed. A quorum's votes are checked four to a pass as they arrive
-    /// (`CpuModel::verify_batch`): the vote that fills a pass pays for it,
-    /// the vote that completes the quorum pays for the 1–4 still unchecked,
-    /// before the proposal its QC releases, and any other vote — a second
-    /// copy, a vote for a certified block — is dropped unchecked.
+    /// relayed. A quorum's votes are checked in passes of up to four as
+    /// they arrive (`CpuModel::verify_batch`, `quorum::Counted`): a vote
+    /// pays for the pass it closes — the short pass first, so the vote that
+    /// completes the quorum pays for a full one before the proposal its QC
+    /// releases — and any other vote — a second copy, a vote for a
+    /// certified block — is dropped unchecked. Our own vote, signed here, is
+    /// never checked.
     fn on_vote(&mut self, vote: &Vote, from_author: bool, out: &mut Step<'_>) {
         if self.safety.echo_messages() && from_author {
             out.broadcast(Message::Vote(vote.clone()));
         }
-        let counted = self.quorum.add_vote(vote);
+        let counted = self.quorum.add_vote(vote, vote.voter == self.id);
         out.cpu += self.cpu.verify_batch(counted.pass);
         if let Some(qc) = counted.qc {
             self.register_qc(&qc, out);
@@ -609,6 +611,9 @@ impl Replica {
                 }
                 let (disk, stats) = (&mut self.disk, &mut self.recovery);
                 disk.log_commits(ledger, committed_len, forest.high_qc(), out);
+                // The commit is confirmed once it is logged; a checkpoint
+                // cut is housekeeping behind it.
+                out.commit_mark = out.cpu;
                 disk.checkpoint(self.config.checkpoint_interval, forest, ledger, stats, out);
             }
             Err(ForestError::ConflictingCommit { .. }) => {
@@ -1106,20 +1111,24 @@ mod tests {
         assert!(sends(&mut follower, 0, &Message::Vote(vote)).is_empty());
     }
 
-    /// A quorum's votes are checked four to a pass as they arrive: the vote
-    /// that fills a pass pays one, the vote that completes the quorum pays
-    /// one for the 1–4 still unchecked, and every other vote nothing — a
-    /// relayed copy, a second copy of a counted vote, a vote after the QC.
-    /// The passes sum to one batched check of the certificate. What comes
-    /// from its author is relayed once all the same (Streamlet).
+    /// A quorum's votes are checked in passes of up to four as they arrive,
+    /// the short pass first: a vote that closes a pass pays one, the vote
+    /// that completes the quorum closes a full one, and every other vote
+    /// pays nothing — a relayed copy, a second copy of a counted vote, a
+    /// vote after the QC, the collector's own. The passes sum to one batched
+    /// check of the certificate less its own vote. What comes from its
+    /// author is relayed once all the same (Streamlet).
     #[test]
     fn a_quorum_is_checked_four_to_a_pass_as_its_votes_arrive() {
         for protocol in ProtocolKind::evaluated() {
             let Message::Proposal(block) = first_proposal(protocol) else {
                 unreachable!("a proposal")
             };
-            // The votes that pay a pass: at n = 4 only the quorum's.
-            for (n, paying) in [(4, &[3][..]), (32, &[4, 8, 12, 16, 20, 22])] {
+            // The votes that pay a pass: at n = 4 only the quorum's; at
+            // n = 32 (q = 22) vote 2 closes the short pass and every fourth
+            // vote after it a full one. Vote 4 is node 3's own: it needs no
+            // check.
+            for (n, paying) in [(4, &[3][..]), (32, &[2, 6, 10, 14, 18, 22])] {
                 // Node 3 leads neither view 1 nor view 2: the QC is all it does.
                 let options = ReplicaOptions::default();
                 let mut tally = Replica::new(NodeId(3), protocol, config(n), options);
@@ -1151,7 +1160,10 @@ mod tests {
                     total += paid;
                     assert_eq!(step(voter + 1, voter), free, "{protocol:?}: a relayed copy");
                 }
-                assert_eq!(total, cpu.verify_batch(q as usize), "{protocol:?} n = {n}");
+                // Node 3's own vote is among the quorum's when q > 3.
+                let own = usize::from(q > 3);
+                let checked = cpu.verify_batch(q as usize - own);
+                assert_eq!(total, checked, "{protocol:?} n = {n}");
                 assert_eq!(step(q, q), free, "{protocol:?}: a vote after the QC");
                 assert_eq!(step(q + 1, q), free, "{protocol:?}: a vote after the QC");
                 assert_eq!(step(0, 0), free, "{protocol:?}: a counted vote again");

@@ -828,28 +828,31 @@ impl SimRunner {
         self.max_view = self.max_view.max(view);
 
         // Commits count at the observer replica only, so every transaction
-        // is counted exactly once. Each response leg is drawn from the
+        // is counted exactly once. A reply leaves when its commit is
+        // logged — at `start` plus the step's commit mark, ahead of the vote
+        // the step signs next — and each response leg is drawn from the
         // observer's own stream, before any send's delay. Closed-loop
         // clients hear of the commit here and send each follow-up now, to
         // leave at its predecessor's confirmation instant. (An open-loop
         // workload ignores commits, so one on the producer thread misses
         // nothing.)
+        let committed = start + report.commit_mark;
         self.confirmed.clear();
         if node == self.observer.node && !report.committed.is_empty() {
             for tx in report.committed.iter().flat_map(|block| &block.payload) {
                 let delay = (self.latency)
-                    .sample(&mut self.rngs[index], node, NodeId(u64::MAX), finish)
+                    .sample(&mut self.rngs[index], node, NodeId(u64::MAX), committed)
                     .unwrap_or(SimDuration::ZERO);
-                self.confirmed.push(finish + delay);
+                self.confirmed.push(committed + delay);
                 if let Some(clients) = &mut self.clients {
-                    clients.workload.on_commit(tx.id, finish + delay);
+                    clients.workload.on_commit(tx.id, committed + delay);
                 }
             }
             if let Some(clients) =
                 (self.clients.as_mut()).filter(|_| self.config.arrival_rate.is_none())
             {
                 let mut follow_ups = std::mem::take(&mut self.follow_ups);
-                clients.issue(finish, finish, &mut follow_ups);
+                clients.issue(committed, committed, &mut follow_ups);
                 self.send_requests(start, follow_ups.drain(..));
                 self.follow_ups = follow_ups;
             }
@@ -907,6 +910,7 @@ impl SimRunner {
             replica: self.hosts[index].replica(),
             start,
             finish,
+            committed,
             report: &report,
             sends: tally,
             confirmed: &self.confirmed,
@@ -919,7 +923,7 @@ mod tests {
     use super::*;
     use crate::scenario::Scenario;
     use bamboo_forest::ExecWindow;
-    use bamboo_types::{ByzantineStrategy, DigestSet, SeatAttack};
+    use bamboo_types::{ByzantineStrategy, DigestSet, SeatAttack, SharedBlock};
 
     /// The execute-once window checked against a whole ledger: in every
     /// spec whose transactions find several holders (restarts, floods, a
@@ -1433,6 +1437,91 @@ mod tests {
             "due at {:?}, logged by {finish:?}",
             votes[0]
         );
+    }
+
+    /// The first step at which the observer replica of a run over `config`
+    /// commits transactions: its start, the proposal it took, its finish,
+    /// and the instants the replies reach their clients. Eight requests go
+    /// to view 1's leader before the replicas boot; the queue is then fired
+    /// event by event, with no client windows.
+    fn first_confirming_step(config: Config) -> (SimTime, SharedBlock, SimTime, Vec<SimTime>) {
+        let (mut runner, requests) = unbooted_over(config, 8);
+        for request in requests {
+            runner.arrive(NodeId(1), SimTime::ZERO, request);
+        }
+        for node in 0..runner.config.nodes as u64 {
+            runner.step(NodeId(node), SimTime::ZERO, |host, start, effects| {
+                host.start(start, effects)
+            });
+        }
+        let observer = runner.observer.node;
+        loop {
+            let (at, popped) = runner.queue.pop().expect("the observer commits");
+            let (to, message) = match &popped {
+                Popped::Event(event) => (event.node, delivered(&event.kind)),
+                Popped::Delivery { to, slot } => (
+                    NodeId((*to).into()),
+                    delivered(&runner.queue.shared(*slot).kind),
+                ),
+            };
+            let start = at.max(runner.busy_until[to.index()]);
+            match popped {
+                Popped::Event(event) => runner.fire(at, event),
+                Popped::Delivery { to, slot } => runner.deliver(at, NodeId(to.into()), slot),
+            }
+            if to == observer && !runner.confirmed.is_empty() {
+                let Some(bamboo_types::Message::Proposal(block)) = message else {
+                    panic!("a commit comes with a proposal's QC: {message:?}");
+                };
+                let finish = runner.busy_until[to.index()];
+                return (start, block, finish, runner.confirmed.clone());
+            }
+        }
+    }
+
+    /// The response leg over links with mean and std 0: the causality
+    /// floor alone.
+    const FLOOR: SimDuration = SimDuration(1_000);
+
+    /// A reply leaves when its commit is made: the observer commits once it
+    /// has checked the proposal whose QC completes the chain, and the vote
+    /// it signs after that does not hold the replies back.
+    #[test]
+    fn a_reply_leaves_when_its_commit_is_made_not_when_its_step_ends() {
+        let (start, block, finish, confirmed) = first_confirming_step(instant_links());
+        let checked = start + T_CPU * 2;
+        assert_eq!(block.len(), 0, "the proposal carries the chain's QC only");
+        assert!(
+            finish >= checked + T_CPU,
+            "the step goes on to sign its vote"
+        );
+        for at in confirmed {
+            assert_eq!(at, checked + FLOOR, "step {start:?}–{finish:?}");
+        }
+    }
+
+    /// Under a durable log a reply leaves once its commit records are
+    /// written, and before the checkpoint the same commit makes due: the
+    /// cut's image and write, like the vote's log write and signature,
+    /// come after it.
+    #[test]
+    fn under_a_durable_log_a_reply_leaves_after_its_commit_record_and_before_a_checkpoint() {
+        let config = Config {
+            durable_log: true,
+            checkpoint_interval: Some(1),
+            ..instant_links()
+        };
+        let (start, _, finish, confirmed) = first_confirming_step(config);
+        // Checking the proposal is two signatures, its commit records one
+        // small write.
+        let logged = start + T_CPU * 3;
+        assert!(!confirmed.is_empty());
+        for at in confirmed {
+            assert_eq!(at, logged + FLOOR, "step {start:?}–{finish:?}");
+        }
+        // The checkpoint's image and write, the vote's log write and its
+        // signature.
+        assert_eq!(finish, logged + T_CPU * 4);
     }
 
     /// The live loop's crash rules: a resumed replica fires the deadline

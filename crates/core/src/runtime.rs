@@ -165,6 +165,11 @@ pub struct StepReport {
     /// Blocks that became committed during the step (oldest first), as
     /// shared handles into the replica's forest/ledger storage.
     pub committed: Vec<SharedBlock>,
+    /// The bill when the step's last commit record was written — after its
+    /// log write, before any checkpoint it cut and the vote that follows —
+    /// so the simulator confirms the commits at `start + commit_mark`, not
+    /// at the step's end. Zero when the step committed nothing.
+    pub commit_mark: SimDuration,
 }
 
 /// One step in progress: the instant it runs at, the effect buffer the host
@@ -178,6 +183,9 @@ pub(crate) struct Step<'a> {
     pub model: CpuModel,
     pub cpu: SimDuration,
     pub committed: Vec<SharedBlock>,
+    /// The bill when the last commit record was written
+    /// ([`StepReport::commit_mark`]).
+    pub commit_mark: SimDuration,
 }
 
 impl<'a> Step<'a> {
@@ -188,6 +196,7 @@ impl<'a> Step<'a> {
             model,
             cpu: SimDuration::ZERO,
             committed: Vec::new(),
+            commit_mark: SimDuration::ZERO,
         }
     }
 
@@ -207,6 +216,7 @@ impl<'a> Step<'a> {
         StepReport {
             cpu: self.cpu,
             committed: self.committed,
+            commit_mark: self.commit_mark,
         }
     }
 }
@@ -411,8 +421,8 @@ impl NodeHost {
     /// flood of forgeries is not free to fend off — it consumes the target's
     /// CPU budget, which is exactly how the paper's model would account it).
     ///
-    /// A quorum's votes are checked four to a pass as they arrive, so the
-    /// first vote forged in a validator's name fails a pass and pays its
+    /// A quorum's votes are checked in passes of up to four as they
+    /// arrive, so the first vote forged in a validator's name fails a pass and pays its
     /// fallback, one check per vote of the pass — `min(4, q)` of them; the
     /// optimistic verifier then checks that validator's votes one at a
     /// time, and each later forgery pays one.
@@ -431,7 +441,7 @@ impl NodeHost {
         };
         StepReport {
             cpu,
-            committed: Vec::new(),
+            ..StepReport::default()
         }
     }
 }

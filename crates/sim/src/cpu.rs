@@ -51,7 +51,9 @@ impl CpuModel {
     /// QC treated as a single aggregate check, plus per-transaction work.
     /// Only a replica that receives the proposal pays it: the proposer
     /// assembled the block ([`CpuModel::assemble_block`]) and built the QC
-    /// from votes it checked as they arrived, so it checks neither.
+    /// from the votes it received, checked as they arrived, and its own,
+    /// which it signed — so it checks neither. No replica checks its own
+    /// signature.
     ///
     /// The flat aggregate charge is deliberate: the paper's block service
     /// time (Eq. 4, `t_s = 3·t_CPU + …`) models happy-path crypto as a
@@ -69,10 +71,15 @@ impl CpuModel {
     /// `⌈n/4⌉ · t_CPU`, one crypto op per pass of [`CpuModel::PASS`]. Two
     /// batches are charged so: the client requests a replica admits at its
     /// edge, in one step, and a quorum's votes, one pass at a time as they
-    /// arrive — the vote that fills a pass of four pays for it, the vote
-    /// that completes the quorum pays for the 1–4 still unchecked, so a
-    /// certificate costs `verify_batch(q)` in all and only its last pass
-    /// sits between the quorum and the proposal it releases. This is a
+    /// arrive. A vote pays for the pass it closes, and the short pass goes
+    /// first: a pass runs when the votes still missing from the quorum
+    /// would fill whole passes, so the vote that completes the quorum
+    /// closes a full one with nothing queued ahead of it. The collector's
+    /// own vote is never checked, so a certificate costs
+    /// `verify_batch(q − own)` in all — one pass more only when
+    /// `q ≡ 1 (mod 4)` and the own vote comes after the first pass, which
+    /// no figure size has — and only its last pass sits between the quorum
+    /// and the proposal it releases. This is a
     /// model — the modelled replica verifies same-length tuples four to a
     /// pass, which is what makes authenticated ingress affordable at
     /// millions of arrivals — and a part of every pinned number; it does

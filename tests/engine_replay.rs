@@ -40,7 +40,7 @@
 //! again: a quorum's votes are checked in one batched pass where the QC
 //! forms, `⌈q/4⌉·t_CPU`, instead of one `t_CPU` per vote on arrival, and a
 //! relayed copy of a counted vote is not checked at all (DESIGN.md §3);
-//! CHANGES.md has its table. The latest moved the three runs with n > 5
+//! CHANGES.md has its table. The next moved the three runs with n > 5
 //! (the n = 16 run, the signed open-loop run and the n = 7 forged Streamlet
 //! run) and left the n = 4 runs byte-identical: those `⌈q/4⌉` passes are
 //! paid as the votes arrive — the vote that fills a pass of four pays one,
@@ -54,12 +54,19 @@
 //! up (DESIGN.md §5). More admissions mean more handoff copies, so the
 //! message counts rose with the commits; the signed run's cut at 23,692
 //! events now ends earlier in simulated time, since each request is an
-//! event. CHANGES.md has its table. The latest moved every run: a proposer
+//! event. CHANGES.md has its table. The next moved every run: a proposer
 //! stores its own block and votes on it without checking it (no
 //! `process_proposal` charge), and a send leaves its sender when the step's
 //! CPU reaches it, not when the step ends (DESIGN.md §3, §5). A view is
 //! shorter by up to `3·t_CPU`, so views and handoff copies go faster and
 //! the signed run's cut ends with fewer commits. CHANGES.md has its table.
+//! The latest moved the three runs with n > 5 and left the n = 4 ledgers
+//! byte-identical: a collector counts its own vote as checked, and a
+//! quorum's passes run short pass first, so the vote that completes the
+//! quorum closes a full pass (DESIGN.md §3). A commit's replies also leave
+//! when its records are logged, before the step's vote is signed
+//! (DESIGN.md §5); the ledger's commit instant is the step's start, so that
+//! moves no fingerprint. CHANGES.md has its table.
 //!
 //! To re-record after an *intentional* behaviour change, run:
 //! `GOLDEN_DUMP=1 cargo test --test engine_replay -- --nocapture`
@@ -123,8 +130,8 @@ const GOLDEN: &[(ProtocolKind, usize, u64, f64, u64, u64, &str)] = &[
         100,
         8_000.0,
         2021,
-        768,
-        "bba27b850e58ac8a456666fda495aa37e9b5f851bace4890fda4a0ec5cd77aab",
+        767,
+        "d64e2d76f6d72e43d37effb8f09a216e9bfff8a1f81244383ff353ebe276babe",
     ),
 ];
 
@@ -181,17 +188,17 @@ fn signed_open_loop(max_events: Option<u64>) -> RunReport {
 const SIGNED_GOLDEN: &[(Option<u64>, u64, u64, u64, &str)] = &[
     (
         None,
-        19_928,
-        73,
-        89_439,
-        "e0e0f8cda6c2cefa29220e24d3cbf5f144a948e316a14754725fb100c9e4e72a",
+        19_934,
+        67,
+        89_397,
+        "e7d2ebb5355567c1259fa3aa5cdb5349c9b5a9c01ef425a443a9bd0823cf3ee7",
     ),
     (
         Some(23_692),
-        5_276,
-        88,
+        5_288,
+        76,
         23_693,
-        "c6ce47d5ebf29fa9aa36e80dc57bf01a0948a60169f4c0481cd103658843215d",
+        "a4020d23e708f87bca24ca2033a8322b072f22658c00d903da7993589657ef81",
     ),
 ];
 
@@ -279,11 +286,12 @@ fn forged_partitioned_streamlet() -> RunReport {
 /// leave at its own issue instant and a busy replica to admit what waited
 /// in one batch: 437 views; and again when a proposer stopped checking its
 /// own block and a send began to leave when its step's CPU reaches it:
-/// 446 views.
+/// 446 views; and again when a collector stopped checking its own vote and
+/// began its passes with the short one: 453 views.
 const FORGED_PARTITIONED_GOLDEN: (&str, u64, [u64; 8]) = (
-    "de49410587b78658dd7b2bfdecf04f409ba5f70b1815144d03ef68ffebddd157",
-    36_843,
-    [1_727, 440, 151_623, 151_785, 148_885, 15_882_144, 446, 275],
+    "13557298b6f46d2a99574f3e9416c391ea5b2c5928f61d5a1234ac2e17d02718",
+    37_380,
+    [1_726, 447, 153_894, 153_944, 151_134, 16_149_365, 453, 279],
 );
 
 #[test]
@@ -317,8 +325,8 @@ fn forged_and_partitioned_streamlet_replays_its_pinned_golden() {
     let synced = RecoveryReport {
         sync_requests: 3,
         sync_responses: 3,
-        sync_bytes: 10_082,
-        blocks_synced: 13,
+        sync_bytes: 11_254,
+        blocks_synced: 17,
         ..RecoveryReport::default()
     };
     assert_eq!(report.recovery, synced);

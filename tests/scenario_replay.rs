@@ -49,9 +49,14 @@
 //! own issue instant instead of with the last request of its 1 ms tick
 //! bound for the same replica, and a busy replica admits the requests that
 //! waited in one checked batch (DESIGN.md §5); CHANGES.md has its table.
-//! The latest moved all three: a proposer does not check its own block,
+//! The next moved all three: a proposer does not check its own block,
 //! and a send leaves when its step's CPU reaches it rather than when the
 //! step ends (DESIGN.md §3, §5); CHANGES.md has its table.
+//! The latest moved `lan` and `crash_f` and left `geo_wan` byte-identical:
+//! a collector does not check its own vote, and a quorum's passes run short
+//! pass first (DESIGN.md §3). A commit's replies now leave when its records
+//! are logged (DESIGN.md §5), which moves no open-loop ledger; CHANGES.md
+//! has its table.
 //! The same configurations are also driven through the live threaded
 //! cluster, which must stay safe on the heterogeneous-WAN workload too, and
 //! the repo benchmark's frozen workload files must keep parsing.
@@ -108,15 +113,15 @@ fn fingerprint(report: &ScenarioReport, protocol: ProtocolKind) -> &str {
 const LAN_PINS: [(ProtocolKind, &str); 3] = [
     (
         ProtocolKind::HotStuff,
-        "ec780fdac4ec9002aec6b37e54f8c9921900001f767966c9f03e32b2e001dadd",
+        "e22440eea0c3a64ab3cfeb8939ca5607226850223ce33f07b5760906c69522db",
     ),
     (
         ProtocolKind::TwoChainHotStuff,
-        "18ea2f8bb91bf6db77a971a1b6b2f99aa3fb3da0d68bcbd368c5276cf8218887",
+        "1d08a86e52e7a84515e3de870a222a849842b5133a62f5dcf94c3e86cbb291d4",
     ),
     (
         ProtocolKind::Streamlet,
-        "16598aa7e35378ea20327a1c51cd0dc1ca63f1798469befe8b8fc796ff09c019",
+        "41b3c9c61c3406246e0cff21dd2556994c9423f4bf36f51c60b5e3b3c3e8a991",
     ),
 ];
 
@@ -153,15 +158,17 @@ const GEO_WAN_PINS: [(ProtocolKind, &str); 3] = [
 // pass as they arrive, a tenth, with them, when each client request
 // began to leave at its own issue instant, and an eleventh, with them, when
 // a proposer stopped checking its own block and a send began to leave when
-// its step's CPU reaches it.
+// its step's CPU reaches it, and a twelfth, with `lan`, when a collector
+// stopped checking its own vote and a commit's replies began to leave when
+// its records are logged.
 const CRASH_F_PINS: [(ProtocolKind, &str); 2] = [
     (
         ProtocolKind::HotStuff,
-        "53d084b16e7a1102326dbfc60166f9e16cb394d917ea4a284c177def94f05fa1",
+        "b773647ff39230b77fea256de054fb3ca0f963345962f86d8d0e2efcd860ab52",
     ),
     (
         ProtocolKind::TwoChainHotStuff,
-        "6843d7254e77628bf009f9ef92af04b8a36969461cecba1398e9b1d2394373c0",
+        "7e54d91ce648e0e43664b872850ccc6eca3c490580258816f855edb5934a39a9",
     ),
 ];
 
