@@ -111,7 +111,7 @@ impl QuorumTracker {
         open.checked += usize::from(own);
         self.accepted += 1;
         let missing = threshold - open.signatures.len();
-        let pass = if missing % CpuModel::PASS == 0 {
+        let pass = if missing.is_multiple_of(CpuModel::PASS) {
             open.signatures.len() - open.checked
         } else {
             0

@@ -22,9 +22,8 @@ use bamboo_pacemaker::{LeaderElection, Pacemaker};
 use bamboo_protocols::{make_protocol, Attack, ProposalInput, Safety, VoteDestination};
 use bamboo_sim::CpuModel;
 use bamboo_types::{
-    BlockId, ByzantineStrategy, Config, Height, Message, NodeId, ProtocolKind, QuorumCert,
-    SharedBlock, SimDuration, SimTime, SyncRequest, SyncResponse, TimeoutCert, Transaction, View,
-    Vote,
+    Block, BlockId, ByzantineStrategy, Config, Message, NodeId, ProtocolKind, QuorumCert,
+    SharedBlock, SimDuration, SimTime, TimeoutCert, Transaction, VerifiedMessage, View, Vote,
 };
 
 use crate::durability::Disk;
@@ -35,6 +34,11 @@ pub use crate::runtime::ReplicaEvent;
 use crate::runtime::{BufferedTransport, Step, StepReport};
 use crate::storage::{SegmentLog, StorageFault};
 use crate::sync::{self, SyncState};
+
+mod recovery;
+
+/// The id check of a received proposal's block (`VerifiedMessage::block_checked`).
+type BlockCheck<'a> = &'a dyn Fn(&Block) -> bool;
 
 /// Per-replica behavioural options that are not part of the shared [`Config`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -292,27 +296,36 @@ impl Replica {
         self.options.synchronous_epochs && self.safety.epoch_based()
     }
 
-    /// Handles one message delivered from `from` by reference, cloning only
-    /// what the replica keeps: a broadcast's recipients share one envelope.
-    pub(crate) fn receive(
+    /// Handles one verified message by reference, cloning only what the
+    /// replica keeps: a broadcast's recipients share one envelope, and the
+    /// one id check of a proposal's block (`VerifiedMessage::block_checked`).
+    pub(crate) fn deliver(
         &mut self,
-        from: NodeId,
-        message: &Message,
+        verified: &VerifiedMessage,
         now: SimTime,
         transport: &mut BufferedTransport,
     ) -> StepReport {
         let mut step = Step::new(now, transport, self.cpu);
-        self.on_message(from, message, &mut step);
+        let (from, message) = (verified.sender(), verified.message());
+        self.on_message(from, message, &|_| verified.block_checked(), &mut step);
         step.finish()
     }
 
     // ---- internal handlers --------------------------------------------
 
-    fn on_message(&mut self, from: NodeId, message: &Message, out: &mut Step<'_>) {
+    fn on_message(
+        &mut self,
+        from: NodeId,
+        message: &Message,
+        block_checked: BlockCheck<'_>,
+        out: &mut Step<'_>,
+    ) {
         match message {
             // `from_author`: honest replicas send only their own proposals and
             // votes, so one from anyone else is already a relay.
-            Message::Proposal(block) => self.on_proposal(block, from == block.proposer, out),
+            Message::Proposal(block) => {
+                self.on_proposal(block, from == block.proposer, block_checked, out)
+            }
             Message::Vote(vote) => self.on_vote(vote, from == vote.voter, out),
             Message::Timeout(tv) => {
                 // One signature for the timeout vote itself plus one per
@@ -346,45 +359,68 @@ impl Replica {
         }
     }
 
-    /// A received proposal: checked (the flat aggregate charge of the
-    /// paper's Eq. 4, see `CpuModel::process_proposal`; the pacemaker's
-    /// certificates are charged per signer, as Eq. 4 does not cover them),
-    /// relayed when the protocol echoes, then adopted.
-    fn on_proposal(&mut self, block: &SharedBlock, from_author: bool, out: &mut Step<'_>) {
-        out.cpu += self.cpu.process_proposal(block.len());
-        // Id integrity is enforced at ingress (NodeHost / the verify pool)
-        // before any block reaches this point; re-hashing the full payload
-        // here would double the real cost of every delivery.
-        debug_assert!(block.verify_id(), "unverified block reached the replica");
-
+    /// A received proposal, checked in the two halves of Eq. 4's flat charge
+    /// (`CpuModel::process_proposal`). The ingress checked its QC; the
+    /// commit that QC completes needs nothing else of the block, so it is
+    /// made before the block's id — the proposer's binding and every
+    /// transaction — is checked. Two steps keep the whole check first: one
+    /// that relays the block (the relay goes to every other replica as soon
+    /// as the block is checked, ahead of any commit records), and one whose
+    /// block's own QC is already waiting (that QC commits further once the
+    /// block is stored). The pacemaker moves on the QC after the check, so
+    /// every send leaves where it would after the whole check.
+    fn on_proposal(
+        &mut self,
+        block: &SharedBlock,
+        from_author: bool,
+        block_checked: BlockCheck<'_>,
+        out: &mut Step<'_>,
+    ) {
         // Relay a proposal from its author once (Streamlet's O(n^3)
-        // behaviour): the very message, sharing the block — a pointer bump.
-        if self.safety.echo_messages() && from_author && !self.forest.contains(block.id) {
+        // behaviour), if new: the very message, a pointer bump.
+        let relay = self.safety.echo_messages() && from_author && !self.forest.contains(block.id);
+        let early = !relay && !self.pending_qcs.contains_key(&block.id);
+        out.cpu += self.cpu.proposal_qc();
+        let committed = early && self.certify(&block.justify, false, out);
+        out.cpu += self.cpu.proposal_block(block.len());
+        if !block_checked(block) {
+            // A block whose id does not bind goes no further; a QC already
+            // acted on, which was checked, stands.
+            if early {
+                self.settle(&block.justify, committed, out);
+            }
+            return;
+        }
+        if relay {
             out.broadcast(Message::Proposal(block.clone()));
         }
-        self.adopt(block, out);
+        let stored = self.store(block, out);
+        if early {
+            self.settle(&block.justify, committed, out);
+        } else {
+            self.register_qc(&block.justify, out);
+        }
+        self.adopt(block, stored, out);
     }
 
-    /// Stores a proposal — a received one, or our own, which has nothing
-    /// to check — registers the QC it carries and votes on it.
-    fn adopt(&mut self, block: &SharedBlock, out: &mut Step<'_>) {
-        let block_id = block.id;
-        let block_view = block.view;
-
+    /// Stores a proposal and registers a QC that waited for it: true if it
+    /// is attached.
+    fn store(&mut self, block: &SharedBlock, out: &mut Step<'_>) -> bool {
         // Store the block (orphans are buffered inside the forest). Inserting
         // the shared handle keeps the payload un-copied.
         let stored = self.forest.insert(block.clone()).is_ok();
         if stored {
-            if let Some(qc) = self.pending_qcs.remove(&block_id) {
+            if let Some(qc) = self.pending_qcs.remove(&block.id) {
                 self.register_qc(&qc, out);
             }
         }
+        stored
+    }
 
-        // The QC carried by the proposal is new information — also when the
-        // block itself was a duplicate, an orphan or stale: the pacemaker
-        // keeps moving.
-        self.register_qc(&block.justify, out);
-
+    /// Acts on a stored proposal, checked or our own (nothing to check):
+    /// watches for a gap in its ancestry, votes, and passes on what waited.
+    fn adopt(&mut self, block: &SharedBlock, stored: bool, out: &mut Step<'_>) {
+        let (block_id, block_view) = (block.id, block.view);
         // A proposal whose ancestry we cannot resolve now sits in the orphan
         // buffer: let state transfer watch the gap.
         let debounce = self.pacemaker.timeout() / 4;
@@ -461,8 +497,17 @@ impl Replica {
     /// Registers a QC everywhere it matters: forest, safety state, commit
     /// rule, pacemaker.
     fn register_qc(&mut self, qc: &QuorumCert, out: &mut Step<'_>) {
+        self.certify(qc, true, out);
+        self.advance(qc, out);
+    }
+
+    /// A QC's first half: the forest, the safety state and the commit rule;
+    /// true if it committed. A commit cuts the checkpoint it makes due only
+    /// if `cut`; otherwise the caller cuts it (`Replica::disk_checkpoint`)
+    /// once the step's block is stored, so the image holds what it would.
+    fn certify(&mut self, qc: &QuorumCert, cut: bool, out: &mut Step<'_>) -> bool {
         if qc.is_genesis() {
-            return;
+            return false;
         }
         if let Err(ForestError::UnknownBlock(_)) = self.forest.register_qc(qc.clone()) {
             self.pending_qcs.insert(qc.block, qc.clone());
@@ -474,12 +519,30 @@ impl Replica {
             // (that is when the QC reaches the replicas), which is the
             // convention behind the paper's block-interval metric.
             let learned_in = qc.view.next().max(self.current_view());
-            self.commit(commit_id, learned_in, out);
+            if self.commit(commit_id, learned_in, out) {
+                if cut {
+                    self.disk_checkpoint(out);
+                }
+                return true;
+            }
         }
+        false
+    }
 
-        if self.pacemaker.on_qc(qc) {
+    /// A QC's second half: the pacemaker.
+    fn advance(&mut self, qc: &QuorumCert, out: &mut Step<'_>) {
+        if !qc.is_genesis() && self.pacemaker.on_qc(qc) {
             self.enter_view(qc.view.next(), None, out);
         }
+    }
+
+    /// Ends what `certify(qc, false, ..)` began: the checkpoint its commit
+    /// made due, then the pacemaker.
+    fn settle(&mut self, qc: &QuorumCert, committed: bool, out: &mut Step<'_>) {
+        if committed {
+            self.disk_checkpoint(out);
+        }
+        self.advance(qc, out);
     }
 
     /// Acts on the pacemaker having just entered `view` (through `tc`, or a
@@ -573,13 +636,14 @@ impl Replica {
         match (self.attack).propose(out.now, &*self.safety, &input, &self.forest) {
             Some(block) => {
                 out.cpu += self.cpu.assemble_block(payload_len);
-                // Wrap the block in its shared handle exactly once; the
-                // broadcast clone and the local store below are pointer bumps.
-                // The proposer built the block and the QC it carries from
-                // checked votes: it stores it and votes without checking it.
+                // One shared handle: the broadcast and the store are pointer
+                // bumps. The proposer built the block and its QC from checked
+                // votes, so it stores the block and votes without checking.
                 let block = SharedBlock::new(block);
                 out.broadcast(Message::Proposal(block.clone()));
-                self.adopt(&block, out);
+                let stored = self.store(&block, out);
+                self.register_qc(&block.justify, out);
+                self.adopt(&block, stored, out);
             }
             None => {
                 // Silence attack (or no proposal possible): give the batch
@@ -589,11 +653,12 @@ impl Replica {
         }
     }
 
-    fn commit(&mut self, id: BlockId, committed_in_view: View, out: &mut Step<'_>) {
+    /// Commits `id` and what it extends: true if anything was new.
+    fn commit(&mut self, id: BlockId, committed_in_view: View, out: &mut Step<'_>) -> bool {
         match self.forest.commit(id) {
             Ok(newly) => {
                 if newly.is_empty() {
-                    return;
+                    return false;
                 }
                 self.ledger
                     .append(newly.iter().cloned(), committed_in_view, out.now);
@@ -609,89 +674,25 @@ impl Replica {
                 } else {
                     out.committed.extend(newly);
                 }
-                let (disk, stats) = (&mut self.disk, &mut self.recovery);
+                let disk = &mut self.disk;
                 disk.log_commits(ledger, committed_len, forest.high_qc(), out);
                 // The commit is confirmed once it is logged; a checkpoint
-                // cut is housekeeping behind it.
+                // cut is housekeeping behind it (`Replica::certify`).
                 out.commit_mark = out.cpu;
-                disk.checkpoint(self.config.checkpoint_interval, forest, ledger, stats, out);
+                true
             }
             Err(ForestError::ConflictingCommit { .. }) => {
                 self.safety_violations += 1;
+                false
             }
-            Err(_) => {}
+            Err(_) => false,
         }
     }
 
-    // ---- state transfer and restart ------------------------------------
-
-    /// Starts (or retries) a catch-up episode for the suffix our ledger lacks.
-    fn send_sync_request(&mut self, out: &mut Step<'_>) {
-        let height = Height(self.ledger.len() as u64);
-        let request = SyncRequest::new(self.id, self.ledger.head(), height, &self.keypair);
-        let (nodes, timeout) = (self.config.nodes, self.pacemaker.timeout());
-        let (sync, forest, stats) = (&mut self.sync, &self.forest, &mut self.recovery);
-        sync.request(request, nodes, forest, timeout, stats, out);
-    }
-
-    /// Installs a state-transfer response: adopt the snapshot chunks if they
-    /// take us ahead of everything we have, then replay the block suffix
-    /// through the normal insert/QC path so commits fire through the
-    /// protocol's own commit rule.
-    fn on_sync_response(&mut self, resp: &SyncResponse, out: &mut Step<'_>) {
-        let before = self.ledger.len();
-        let (forest, ledger, stats) = (&mut self.forest, &mut self.ledger, &mut self.recovery);
-        match (self.sync).install(resp, forest, ledger, &mut self.disk, stats, out) {
-            None => return,
-            Some(false) => {}
-            Some(true) => {
-                self.pending_qcs.clear();
-                self.deferred_proposal = None;
-                handoff::forget_committed(&mut self.mempool, &self.ledger, before);
-            }
-        }
-        for block in &resp.blocks {
-            out.cpu += self.cpu.process_proposal(block.len());
-            // Duplicates and orphans are handled inside the forest; either
-            // way the carried QC is registered below.
-            let _ = self.forest.insert(block.clone());
-            self.register_qc(&block.justify, out);
-        }
-        self.register_qc(&resp.high_qc, out);
-        self.sync.settle(&self.forest, out.now, &mut self.recovery);
-    }
-
-    /// Restarts this replica after a process death: every in-memory structure
-    /// is discarded and rebuilt from what the disk kept — with
-    /// [`Config::durable_log`] the checkpoint image plus the log's longest
-    /// valid record prefix, after the optional crash-point `fault` mauled it;
-    /// without a log the checkpoint chunks alone (none: genesis). The replica
-    /// then asks the network for the history its disk did not cover —
-    /// *before* arming the view timer, so the running sync episode suppresses
-    /// proposing from stale state.
-    pub fn restart(
-        &mut self,
-        now: SimTime,
-        fault: Option<StorageFault>,
-        transport: &mut BufferedTransport,
-    ) -> StepReport {
-        let mut out = Step::new(now, transport, self.cpu);
-        let (protocol, stats) = (self.protocol, &mut self.recovery);
-        let rebuilt = self.disk.crash_and_replay(fault, protocol, stats, &mut out);
-        // Everything else starts afresh, except what is not process state:
-        // the disk, the recovery audit, and the counters of what went wrong
-        // or what an attacker did so far.
-        let fresh = Self::new(self.id, self.protocol, self.config.clone(), self.options);
-        let dead = std::mem::replace(self, fresh);
-        (self.disk, self.recovery, self.attack) = (dead.disk, dead.recovery, dead.attack);
-        self.safety_violations = dead.safety_violations;
-        (self.forest, self.ledger, self.safety) = (rebuilt.forest, rebuilt.ledger, rebuilt.safety);
-        self.recovery.restarted_at = Some(now);
-        self.recovery.caught_up_at = None;
-
-        self.send_sync_request(&mut out);
-        self.boot(&mut out);
-        out.finish()
+    /// Cuts a checkpoint if the commits since the last one make it due.
+    fn disk_checkpoint(&mut self, out: &mut Step<'_>) {
+        let (interval, stats) = (self.config.checkpoint_interval, &mut self.recovery);
+        (self.disk).checkpoint(interval, &self.forest, &self.ledger, stats, out);
     }
 }
 
@@ -700,6 +701,22 @@ mod tests {
     use super::*;
     use bamboo_forest::{chunks, Snapshot};
     use bamboo_types::{ids::quorum_threshold, SeatAttack, SharedMessage, TimeoutVote};
+
+    impl Replica {
+        /// [`Replica::deliver`] for a bare message: a proposal's block id is
+        /// hashed here.
+        fn receive(
+            &mut self,
+            from: NodeId,
+            message: &Message,
+            now: SimTime,
+            transport: &mut BufferedTransport,
+        ) -> StepReport {
+            let mut step = Step::new(now, transport, self.cpu);
+            self.on_message(from, message, &Block::verify_id, &mut step);
+            step.finish()
+        }
+    }
 
     fn config(nodes: usize) -> Config {
         Config {
@@ -740,13 +757,15 @@ mod tests {
     }
 
     /// Moves what one step of `from` sent into the recipients' inboxes,
-    /// each entry `(from, to, message)`.
+    /// each entry `(from, to, message)`, and returns each send with its
+    /// mark.
     fn deliver(
         from: NodeId,
         wire: &mut BufferedTransport,
         inbox: &mut Vec<(NodeId, NodeId, SharedMessage)>,
-    ) {
-        for (to, message) in wire.sends.drain(..) {
+    ) -> Vec<(SharedMessage, SimDuration)> {
+        let mut marked = Vec::new();
+        wire.tally_sends(4, |to, message, _, mark| {
             let recipients = match to {
                 Some(to) => to.0..to.0 + 1,
                 None => 0..4,
@@ -756,7 +775,10 @@ mod tests {
                     inbox.push((from, node, message.clone()));
                 }
             }
-        }
+            marked.push((message, mark));
+            SimTime::ZERO
+        });
+        marked
     }
 
     fn drive_cluster(
@@ -1031,6 +1053,141 @@ mod tests {
                 View(1),
                 "{protocol:?}: it voted"
             );
+        }
+    }
+
+    /// A replica commits on a received proposal once it has checked the QC
+    /// the proposal carries, one aggregate: the rest of the block — the
+    /// proposer's signature, the transactions — is checked after the
+    /// commit (and, under a durable log, after its records are written).
+    /// A Streamlet relay leaves once the whole block is checked, ahead of
+    /// any commit records; a vote leaves once the whole block is checked and
+    /// the commit and the vote are logged.
+    #[test]
+    fn a_commit_on_a_proposal_waits_for_its_qc_not_for_the_rest_of_the_block() {
+        for (cfg, logged) in [(config(4), false), (checkpointing(2, true), true)] {
+            for protocol in ProtocolKind::evaluated() {
+                let seen = commits_on_proposals(cfg.clone(), protocol, logged);
+                let (commits, votes, relays) = seen;
+                assert!(votes > 0, "{protocol:?}");
+                if protocol == ProtocolKind::Streamlet {
+                    // Relays in steps that commit: node 3 learns QCs from
+                    // proposals first.
+                    assert!(relays > 0, "{protocol:?} logged {logged}");
+                } else {
+                    assert!(commits > 0, "{protocol:?} logged {logged}");
+                }
+            }
+        }
+    }
+
+    /// Drives a 4-seat cluster and checks the marks of every step on a
+    /// proposal from its author: `(commits, votes, relays)` checked, the
+    /// relays counted only in steps that commit. Under Streamlet every vote
+    /// reaches node 3 two rounds late, so it commits on the QCs proposals
+    /// carry.
+    fn commits_on_proposals(cfg: Config, protocol: ProtocolKind, logged: bool) -> (u32, u32, u32) {
+        let mut replicas = cluster(cfg, protocol);
+        let cpu = replicas[0].cpu;
+        let mut wire = BufferedTransport::new();
+        let mut inbox: Vec<(NodeId, NodeId, SharedMessage)> = Vec::new();
+        for replica in replicas.iter_mut() {
+            admit(replica, txs(200, 100 + replica.id().0), &mut wire);
+        }
+        for replica in replicas.iter_mut() {
+            replica.start(SimTime::ZERO, &mut wire);
+            deliver(replica.id(), &mut wire, &mut inbox);
+        }
+        let (mut commits, mut votes, mut relays) = (0, 0, 0);
+        let mut held = Vec::new();
+        for round in 1..=40 {
+            let now = SimTime(round * 100_000);
+            let mut batch: Vec<_> = std::mem::take(&mut inbox)
+                .into_iter()
+                .map(|e| (true, e))
+                .collect();
+            let (due, later) = held.into_iter().partition(|(at, _)| *at <= round);
+            held = later;
+            // `fresh`: not held yet; a vote is held once.
+            batch.extend(due.into_iter().map(|(_, entry)| (false, entry)));
+            for (fresh, (from, to, message)) in batch {
+                let late = protocol == ProtocolKind::Streamlet && to == NodeId(3);
+                if fresh && late && matches!(*message, Message::Vote(_)) {
+                    held.push((round + 2, (from, to, message)));
+                    continue;
+                }
+                let replica = &mut replicas[to.index()];
+                let report = replica.receive(from, &message, now, &mut wire);
+                let sent = deliver(to, &mut wire, &mut inbox);
+                let Message::Proposal(block) = &*message else {
+                    continue;
+                };
+                if block.proposer != from {
+                    continue;
+                }
+                let checked = cpu.process_proposal(block.len());
+                let mut voted = None;
+                for (sent, mark) in &sent {
+                    match &**sent {
+                        Message::Proposal(relayed) if relayed.proposer != to => {
+                            assert_eq!(*mark, checked, "{protocol:?}: a relay");
+                            relays += u32::from(!report.committed.is_empty());
+                        }
+                        Message::Vote(vote) if vote.block == block.id => {
+                            // Unlogged, nothing comes between the check and
+                            // the signature.
+                            assert!(*mark >= checked + cpu.sign(), "{protocol:?}");
+                            assert!(logged || *mark == checked + cpu.sign(), "{protocol:?}");
+                            voted = Some(*mark);
+                            votes += 1;
+                        }
+                        _ => {}
+                    }
+                }
+                // A vote counted here may complete a certificate and commit
+                // after it: only a replica that sends its vote away commits
+                // on the proposal's QC alone.
+                let sends_vote_away = replica.safety.vote_destination()
+                    == VoteDestination::NextLeader
+                    && replica.election.leader_of(block.view.next()) != to;
+                if sends_vote_away && !report.committed.is_empty() {
+                    let mark = report.commit_mark;
+                    if logged {
+                        // The commit's records follow the QC; the rest of
+                        // the block and the vote follow them.
+                        assert!(mark > cpu.proposal_qc(), "{protocol:?}");
+                        let vote = voted.expect("a vote after the commit");
+                        let rest = cpu.proposal_block(block.len()) + cpu.sign();
+                        assert!(mark + rest < vote, "{protocol:?}");
+                    } else {
+                        assert_eq!(mark, cpu.proposal_qc(), "{protocol:?}");
+                    }
+                    commits += 1;
+                }
+            }
+        }
+        (commits, votes, relays)
+    }
+
+    /// A block whose id does not bind is dropped once the replica has acted
+    /// on its QC: the whole check is paid, nothing is stored or sent.
+    #[test]
+    fn a_block_that_does_not_bind_is_checked_and_dropped() {
+        for protocol in ProtocolKind::evaluated() {
+            let Message::Proposal(block) = first_proposal(protocol) else {
+                unreachable!("a proposal")
+            };
+            let mut tampered = Block::clone(&block);
+            tampered.payload.pop();
+            let mut follower = replica(2, protocol);
+            let mut wire = BufferedTransport::new();
+            let proposal = Message::Proposal(SharedBlock::new(tampered));
+            let report = follower.receive(NodeId(1), &proposal, SimTime(1), &mut wire);
+            let cpu = follower.cpu;
+            assert_eq!(report.cpu, cpu.process_proposal(9), "{protocol:?}");
+            assert!(wire.sends.is_empty(), "{protocol:?}");
+            assert!(!follower.forest.contains(block.id), "{protocol:?}");
+            assert_eq!(follower.safety.voted_view(), View(0), "{protocol:?}");
         }
     }
 

@@ -1484,16 +1484,17 @@ mod tests {
     const FLOOR: SimDuration = SimDuration(1_000);
 
     /// A reply leaves when its commit is made: the observer commits once it
-    /// has checked the proposal whose QC completes the chain, and the vote
-    /// it signs after that does not hold the replies back.
+    /// has checked the QC of the proposal that completes the chain, and
+    /// neither the rest of the proposal's check nor the vote it signs after
+    /// that holds the replies back.
     #[test]
     fn a_reply_leaves_when_its_commit_is_made_not_when_its_step_ends() {
         let (start, block, finish, confirmed) = first_confirming_step(instant_links());
-        let checked = start + T_CPU * 2;
+        let checked = start + T_CPU;
         assert_eq!(block.len(), 0, "the proposal carries the chain's QC only");
         assert!(
-            finish >= checked + T_CPU,
-            "the step goes on to sign its vote"
+            finish >= checked + T_CPU * 2,
+            "the step goes on to check the proposer's signature and sign its vote"
         );
         for at in confirmed {
             assert_eq!(at, checked + FLOOR, "step {start:?}–{finish:?}");
@@ -1502,8 +1503,8 @@ mod tests {
 
     /// Under a durable log a reply leaves once its commit records are
     /// written, and before the checkpoint the same commit makes due: the
-    /// cut's image and write, like the vote's log write and signature,
-    /// come after it.
+    /// cut's image and write, like the rest of the proposal's check and the
+    /// vote's log write and signature, come after it.
     #[test]
     fn under_a_durable_log_a_reply_leaves_after_its_commit_record_and_before_a_checkpoint() {
         let config = Config {
@@ -1512,16 +1513,16 @@ mod tests {
             ..instant_links()
         };
         let (start, _, finish, confirmed) = first_confirming_step(config);
-        // Checking the proposal is two signatures, its commit records one
-        // small write.
-        let logged = start + T_CPU * 3;
+        // Checking the proposal's QC is one aggregate, its commit records
+        // one small write.
+        let logged = start + T_CPU * 2;
         assert!(!confirmed.is_empty());
         for at in confirmed {
             assert_eq!(at, logged + FLOOR, "step {start:?}–{finish:?}");
         }
-        // The checkpoint's image and write, the vote's log write and its
-        // signature.
-        assert_eq!(finish, logged + T_CPU * 4);
+        // The checkpoint's image and write, the proposer's signature, the
+        // vote's log write and its signature.
+        assert_eq!(finish, logged + T_CPU * 5);
     }
 
     /// The live loop's crash rules: a resumed replica fires the deadline

@@ -168,7 +168,9 @@ pub struct StepReport {
     /// The bill when the step's last commit record was written — after its
     /// log write, before any checkpoint it cut and the vote that follows —
     /// so the simulator confirms the commits at `start + commit_mark`, not
-    /// at the step's end. Zero when the step committed nothing.
+    /// at the step's end. A commit on a received proposal's QC comes once
+    /// that QC is checked, before the block is hashed
+    /// (`CpuModel::proposal_qc`). Zero when the step committed nothing.
     pub commit_mark: SimDuration,
 }
 
@@ -376,15 +378,19 @@ impl NodeHost {
     /// this — the live backends' verify pools, the simulator's verify-once
     /// broadcast fan-out — and the [`VerifiedMessage`] token can only be
     /// minted by an [`Authenticator`], so the no-unchecked-input invariant
-    /// holds by construction.
+    /// holds by construction. A proposal's block id is the one check the
+    /// token leaves open ([`VerifiedMessage::block_checked`]): the replica
+    /// makes it after it has acted on the proposal's QC, and a block that
+    /// fails it is booked here as a rejection.
     pub fn deliver(
         &mut self,
         verified: &VerifiedMessage,
         now: SimTime,
         transport: &mut BufferedTransport,
     ) -> StepReport {
-        self.replica
-            .receive(verified.sender(), verified.message(), now, transport)
+        let report = self.replica.deliver(verified, now, transport);
+        self.auth_rejections += u64::from(!verified.block_checked());
+        report
     }
 
     /// [`NodeHost::deliver`] for a token the caller owns.
@@ -448,13 +454,13 @@ impl NodeHost {
 
 /// The modeled `t_CPU` cost of the verification work that exposes a
 /// forgery, mirroring what the replica would have been charged had the
-/// message been accepted: proposals use the paper's flat aggregate-check
-/// charge (Eq. 4, see `CpuModel::process_proposal` for the rationale),
+/// message been accepted: a proposal fails on its QC, the first half of the
+/// paper's flat aggregate-check charge (Eq. 4, `CpuModel::proposal_qc`),
 /// pacemaker certificates are charged per signer. Used for rejected
 /// messages only — the replica's own modeled costs cover accepted ones.
 fn verification_cost(cpu: &CpuModel, message: &Message) -> SimDuration {
     let signatures = match message {
-        Message::Proposal(_) => 2,
+        Message::Proposal(_) => 1,
         // A vote in the name of a validator already caught forging, checked
         // on its own (`NodeHost::reject_forged` prices the first).
         Message::Vote(_) => 1,

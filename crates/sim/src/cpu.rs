@@ -47,9 +47,12 @@ impl CpuModel {
     }
 
     /// Cost of processing a received proposal carrying `txs` transactions:
-    /// one signature verification for the proposer, one for the embedded
-    /// QC treated as a single aggregate check, plus per-transaction work.
-    /// Only a replica that receives the proposal pays it: the proposer
+    /// one check for the embedded QC treated as a single aggregate
+    /// ([`CpuModel::proposal_qc`]), then one for the proposer's signature
+    /// plus per-transaction work ([`CpuModel::proposal_block`]). A replica
+    /// pays the halves in that order and, unless it relays the block, acts
+    /// on the QC between them, before it hashes the block: the commit the
+    /// QC completes needs nothing of the block that carries it. Only a replica that receives the proposal pays it: the proposer
     /// assembled the block ([`CpuModel::assemble_block`]) and built the QC
     /// from the votes it received, checked as they arrived, and its own,
     /// which it signed — so it checks neither. No replica checks its own
@@ -64,7 +67,19 @@ impl CpuModel {
     /// Eq. 4 does not model, *are* charged per signer where a replica
     /// receives them.
     pub fn process_proposal(&self, txs: usize) -> SimDuration {
-        self.verify(2) + SimDuration::from_nanos(self.per_tx.as_nanos() * txs as u64)
+        self.proposal_qc() + self.proposal_block(txs)
+    }
+
+    /// The first half of [`CpuModel::process_proposal`]: the embedded QC,
+    /// one aggregate check.
+    pub fn proposal_qc(&self) -> SimDuration {
+        self.verify(1)
+    }
+
+    /// The second half of [`CpuModel::process_proposal`]: the proposer's
+    /// signature and the work on the `txs` transactions the block carries.
+    pub fn proposal_block(&self, txs: usize) -> SimDuration {
+        self.verify(1) + SimDuration::from_nanos(self.per_tx.as_nanos() * txs as u64)
     }
 
     /// Cost of verifying a batch of `signatures` signatures:
@@ -143,6 +158,12 @@ mod tests {
             "difference is purely per-tx work"
         );
         assert!(cpu.assemble_block(400) > cpu.sign());
+        assert_eq!(cpu.proposal_qc(), cpu.verify(1), "the QC is one aggregate");
+        assert_eq!(
+            cpu.proposal_qc() + cpu.proposal_block(1_000),
+            large,
+            "the halves add up to the whole check"
+        );
     }
 
     #[test]

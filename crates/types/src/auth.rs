@@ -8,15 +8,18 @@
 //! the chokepoint that enforces it:
 //!
 //! * [`Authenticator`] holds the validator set's public keys and verifies
-//!   every message variant — proposals (block id + justify QC), votes,
-//!   timeout votes (signature + embedded high-QC), timeout certificates and
-//!   state transfer — rejecting forgeries with a typed [`AuthError`]. A
-//!   handoff of admitted transactions carries no signature and passes as it
-//!   is: its transactions passed the sender's edge check.
+//!   every message variant — proposals (justify QC), votes, timeout votes
+//!   (signature + embedded high-QC), timeout certificates and state
+//!   transfer (block ids + justify QCs) — rejecting forgeries with a typed
+//!   [`AuthError`]. A handoff of admitted transactions carries no signature
+//!   and passes as it is: its transactions passed the sender's edge check.
 //! * [`VerifiedMessage`] is the proof-of-verification token: it can only be
 //!   constructed by [`Authenticator::authenticate`], so any component whose
 //!   input type is `VerifiedMessage` is statically guaranteed to never see an
-//!   unchecked signature.
+//!   unchecked signature. A proposal's block id — the hash of its payload —
+//!   is the one check the token leaves to its holder
+//!   ([`VerifiedMessage::block_checked`]), so a replica can act on the
+//!   proposal's QC before it pays for the payload.
 //! * [`VerifiedRequests`] is its client-side twin: a client arrival batch
 //!   that passed the edge check ([`Authenticator::verify_requests`]), so no
 //!   unchecked client signature reaches a mempool either.
@@ -40,6 +43,7 @@
 //! ([`Authenticator::verify_client_request`]).
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use bamboo_crypto::{AggregateSignature, KeyPair, PublicKey};
 
@@ -124,6 +128,10 @@ impl std::error::Error for AuthError {}
 pub struct VerifiedMessage {
     from: NodeId,
     message: SharedMessage,
+    /// A proposal's block id check ([`VerifiedMessage::block_checked`]):
+    /// made by the first holder that asks, and shared by every clone, so a
+    /// broadcast's payload is hashed once however many recipients it has.
+    block_id: Option<Arc<OnceLock<bool>>>,
 }
 
 impl VerifiedMessage {
@@ -135,6 +143,18 @@ impl VerifiedMessage {
     /// The verified message.
     pub fn message(&self) -> &Message {
         &self.message
+    }
+
+    /// Whether a proposal's block id binds its header and payload
+    /// ([`Block::verify_id`]); `true` for any other message. Authentication
+    /// checks a proposal's justify QC only, so a replica acts on the QC —
+    /// commits what it completes — before it asks this, the hash of every
+    /// transaction the block carries. A block that fails is dropped there.
+    pub fn block_checked(&self) -> bool {
+        match (&*self.message, &self.block_id) {
+            (Message::Proposal(block), Some(check)) => *check.get_or_init(|| block.verify_id()),
+            _ => true,
+        }
     }
 }
 
@@ -296,7 +316,12 @@ impl Authenticator {
         message: SharedMessage,
     ) -> Result<VerifiedMessage, AuthError> {
         self.verify_message(&message)?;
-        Ok(VerifiedMessage { from, message })
+        let block_id = matches!(*message, Message::Proposal(_)).then(Arc::default);
+        Ok(VerifiedMessage {
+            from,
+            message,
+            block_id,
+        })
     }
 
     /// Runs the per-variant checks of [`Authenticator::authenticate`] without
@@ -308,7 +333,9 @@ impl Authenticator {
     /// malformed component found.
     pub fn verify_message(&mut self, message: &Message) -> Result<(), AuthError> {
         match message {
-            Message::Proposal(block) => self.verify_block(block),
+            // The justify QC only: the block id is the token holder's check
+            // (`VerifiedMessage::block_checked`).
+            Message::Proposal(block) => self.verify_qc(&block.justify),
             Message::Vote(vote) => self.verify_vote(vote),
             Message::Timeout(tv) => self.verify_timeout_vote(tv),
             Message::TimeoutCertMsg(tc) => self.verify_timeout_cert(tc),
@@ -371,10 +398,13 @@ impl Authenticator {
         }
     }
 
-    /// Verifies a proposal: the block id must bind the header and payload,
-    /// and the justify QC must be a valid quorum certificate. The proposer's
-    /// authorship is bound through the id (the header includes the proposer),
-    /// mirroring how the simulated scheme folds identity into the hash.
+    /// Verifies a whole block: the block id must bind the header and
+    /// payload, and the justify QC must be a valid quorum certificate. The
+    /// proposer's authorship is bound through the id (the header includes
+    /// the proposer), mirroring how the simulated scheme folds identity into
+    /// the hash. A state-transfer response's blocks are checked this way; a
+    /// proposal's token leaves the id to its holder
+    /// ([`VerifiedMessage::block_checked`]).
     pub fn verify_block(&mut self, block: &Block) -> Result<(), AuthError> {
         if !block.verify_id() {
             return Err(AuthError::BadBlockId(block.view));
@@ -471,7 +501,7 @@ impl Authenticator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockId;
+    use crate::block::{BlockId, SharedBlock};
     use crate::ids::Height;
     use crate::transaction::Transaction;
     use crate::SimTime;
@@ -671,6 +701,52 @@ mod tests {
         assert!(forged.verify_id());
         assert_eq!(
             auth.verify_block(&forged),
+            Err(AuthError::BadQcSignature(View(1)))
+        );
+    }
+
+    /// A proposal's token proves its QC; the block id is checked when the
+    /// holder asks, once for every clone of the token.
+    #[test]
+    fn a_proposal_token_checks_the_qc_and_leaves_the_block_id_to_its_holder() {
+        let kps = keypairs(4);
+        let mut auth = Authenticator::for_nodes(4);
+        let justify = quorum_qc(block_id(1), View(1), &kps);
+        let good = Block::new(
+            View(2),
+            Height(2),
+            block_id(1),
+            NodeId(2),
+            justify,
+            vec![Transaction::new(NodeId(9), 0, 16, SimTime::ZERO)],
+        );
+        let mut tampered = good.clone();
+        tampered
+            .payload
+            .push(Transaction::new(NodeId(9), 1, 16, SimTime::ZERO));
+        for (block, binds) in [(good, true), (tampered, false)] {
+            let token = auth
+                .authenticate(NodeId(2), Message::Proposal(SharedBlock::new(block)))
+                .expect("the QC is valid");
+            let fanned = token.clone();
+            assert_eq!(token.block_checked(), binds);
+            assert_eq!(fanned.block_id.as_ref().and_then(|c| c.get()), Some(&binds));
+        }
+
+        let mut forged_justify = quorum_qc(block_id(1), View(1), &kps);
+        let msg = Vote::signing_bytes(block_id(1), View(1));
+        forged_justify.signatures = (0..3u64).map(|i| (i, kps[3].sign(&msg))).collect();
+        let forged = Block::new(
+            View(2),
+            Height(2),
+            block_id(1),
+            NodeId(2),
+            forged_justify,
+            vec![],
+        );
+        assert_eq!(
+            auth.authenticate(NodeId(2), Message::Proposal(SharedBlock::new(forged)))
+                .map(|_| ()),
             Err(AuthError::BadQcSignature(View(1)))
         );
     }

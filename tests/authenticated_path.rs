@@ -16,8 +16,9 @@ use bamboo_core::{
 };
 use bamboo_crypto::{AggregateSignature, KeyPair};
 use bamboo_types::{
-    Authenticator, BlockId, ByzantineStrategy, Config, Message, NodeId, ProtocolKind, QuorumCert,
-    SeatAttack, SimDuration, SimTime, TimeoutVote, View, Vote,
+    Authenticator, Block, BlockId, ByzantineStrategy, Config, Height, Message, NodeId,
+    ProtocolKind, QuorumCert, SeatAttack, SharedBlock, SimDuration, SimTime, TimeoutVote,
+    Transaction, View, Vote,
 };
 
 fn sim_config(strategy: ByzantineStrategy, byz: usize) -> Config {
@@ -267,6 +268,36 @@ fn transport_level_forgeries_never_reach_the_replica() {
         &mut transport,
     );
     assert_eq!(host.auth_rejections(), 3, "honest traffic is not rejected");
+
+    // 5. A proposal whose payload changed after its id was made: its QC
+    // passes ingress, so the replica acts on that; the block id, checked
+    // after it, does not bind, so nothing is stored or voted and the host
+    // books the rejection.
+    let mut tampered = Block::new(
+        View(1),
+        Height(1),
+        BlockId::GENESIS,
+        NodeId(1),
+        QuorumCert::genesis(),
+        Vec::new(),
+    );
+    (tampered.payload).push(Transaction::new(NodeId(9), 0, 16, SimTime::ZERO));
+    let id = tampered.id;
+    let mut wire = BufferedTransport::new();
+    let report = ingress(
+        &mut host,
+        &mut auth,
+        Message::Proposal(SharedBlock::new(tampered)),
+        SimTime(5_000),
+        &mut wire,
+    );
+    assert_eq!(host.auth_rejections(), 4);
+    assert!(
+        wire.sends.is_empty(),
+        "no vote on a block that does not bind"
+    );
+    assert!(!host.replica().forest().contains(id));
+    assert_eq!(report.cpu, host.replica().cpu_model().process_proposal(1));
 }
 
 /// The deterministic simulator with inline verification stays deterministic:

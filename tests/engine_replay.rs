@@ -60,13 +60,20 @@
 //! CPU reaches it, not when the step ends (DESIGN.md §3, §5). A view is
 //! shorter by up to `3·t_CPU`, so views and handoff copies go faster and
 //! the signed run's cut ends with fewer commits. CHANGES.md has its table.
-//! The latest moved the three runs with n > 5 and left the n = 4 ledgers
+//! The next moved the three runs with n > 5 and left the n = 4 ledgers
 //! byte-identical: a collector counts its own vote as checked, and a
 //! quorum's passes run short pass first, so the vote that completes the
 //! quorum closes a full pass (DESIGN.md §3). A commit's replies also leave
 //! when its records are logged, before the step's vote is signed
 //! (DESIGN.md §5); the ledger's commit instant is the step's start, so that
-//! moves no fingerprint. CHANGES.md has its table.
+//! moves no fingerprint. CHANGES.md has its table. The latest moved no
+//! pin: a replica commits on a received proposal's QC once that QC is
+//! checked, before it hashes the block (DESIGN.md §3). That moves commit
+//! instants and replies only: the CPU a proposal costs is the same, the
+//! pacemaker moves after the whole check, and a step that relays the block
+//! checks it whole first, so every send — vote, relay, proposal, sync
+//! request — leaves at the mark it had, and these open-loop ledgers and
+//! counters stay as they were.
 //!
 //! To re-record after an *intentional* behaviour change, run:
 //! `GOLDEN_DUMP=1 cargo test --test engine_replay -- --nocapture`

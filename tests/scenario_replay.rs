@@ -52,11 +52,14 @@
 //! The next moved all three: a proposer does not check its own block,
 //! and a send leaves when its step's CPU reaches it rather than when the
 //! step ends (DESIGN.md §3, §5); CHANGES.md has its table.
-//! The latest moved `lan` and `crash_f` and left `geo_wan` byte-identical:
+//! The next moved `lan` and `crash_f` and left `geo_wan` byte-identical:
 //! a collector does not check its own vote, and a quorum's passes run short
 //! pass first (DESIGN.md §3). A commit's replies now leave when its records
 //! are logged (DESIGN.md §5), which moves no open-loop ledger; CHANGES.md
 //! has its table.
+//! The latest moved no pin: a replica commits on a received proposal's QC
+//! once that QC is checked, before it hashes the block (DESIGN.md §3),
+//! which moves commit instants and replies but no send and no ledger.
 //! The same configurations are also driven through the live threaded
 //! cluster, which must stay safe on the heterogeneous-WAN workload too, and
 //! the repo benchmark's frozen workload files must keep parsing.
