@@ -9,7 +9,7 @@
 //! (`views_by_timeout`) — and where each point's transactions' time goes:
 //! the mean of each of the four commit stages (`stage_*_ms`).
 
-use bamboo_bench::{banner, bench_rows, eval_config, model_for, record_figure, save_rows};
+use bamboo_bench::{banner, bench_rows, eval_config, model_for, record_figure, save_rows, Sim};
 use bamboo_core::scenario::{metric, Metric};
 use bamboo_core::{run_all, RunOptions};
 use bamboo_types::ProtocolKind;
@@ -65,7 +65,7 @@ fn main() {
         .map(|((key, report), (config, _, _))| (key, report, config))
         .collect();
     let mut out = bench_rows("fig8_model_vs_impl");
-    record_figure(&mut out, &metrics, runs);
+    record_figure(&mut out, Sim, &metrics, runs);
     save_rows(&out);
     println!(
         "\nExpected shape (paper): model and implementation curves track each other;\n2CHS sits below HS in latency, Streamlet saturates earlier."

@@ -77,7 +77,7 @@ fn record(
     let points = (ladder.iter().zip(configs).zip(reports))
         .map(|((rate, config), report)| (format!("{key}/o{rate:.0}"), report, config));
     let metrics = POINT_ROWS.map(|name| metric(name).expect("a METRICS entry"));
-    record_figure(out, &metrics, points.collect());
+    record_figure(out, Sim, &metrics, points.collect());
     let goodputs: Vec<f64> = reports.iter().map(|r| r.throughput_tx_per_sec).collect();
 
     // A sweep flattens into collapse when doubling the offered load stops

@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use bamboo_bench::{banner, record_figure, save_rows, write_artifact, Higher, RowFile, Tier, Wall};
+use bamboo_bench::{banner, record_figure, save_rows, write_artifact, Higher, RowFile, Sim, Tier};
 use bamboo_core::parallel::{default_workers, run_ordered};
 use bamboo_core::scenario::{metric, Metric, SUITE_ROWS};
 use bamboo_core::{Figure, Scenario, ScenarioReport};
@@ -214,7 +214,7 @@ fn main() -> ExitCode {
             let names = SUITE_ROWS.into_iter().chain(recovered).chain(replayed);
             let metrics: Vec<Metric> = names.map(|n| metric(n).expect("a METRICS entry")).collect();
             let key = format!("{}/{}", report.name, run.protocol.label());
-            record_figure(&mut rows, &metrics, vec![(key, &run.report, &config)]);
+            record_figure(&mut rows, Sim, &metrics, vec![(key, &run.report, &config)]);
         }
         for failure in &report.failures {
             println!("  FAIL: {failure}");
@@ -241,13 +241,13 @@ fn main() -> ExitCode {
         }
         let seed = configs[0].seed;
         let mut out = RowFile::new(&figure.name, Tier::from_quick(quick), seed);
-        record_figure(&mut out, &figure.rows, runs);
+        record_figure(&mut out, Sim, &figure.rows, runs);
         // A figure that counts its points' events also records the engine's
         // rate over its batch: the one wall-clock row of the figures.
         if figure.rows.iter().any(|metric| metric.0 == "events") {
             let rate = batch_events as f64 / batch_wall.as_secs_f64();
             let rate = ("events_per_sec", rate, "events/s", Higher);
-            out.point(Wall, "engine", &[rate]);
+            out.point(bamboo_bench::Wall, "engine", &[rate]);
         }
         save_rows(&out);
         (total_events, wall) = (total_events + batch_events, wall + batch_wall);

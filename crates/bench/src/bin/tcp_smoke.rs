@@ -20,7 +20,8 @@
 //! driver→replica→driver socket round trip through the frame codec),
 //! reconnect counts (zero on a healthy run), dropped outbound frames
 //! (startup races only), and the live view clock the seats' observers kept
-//! (`u_max`, `view_ms_qc`, `views_by_timeout`). The rows
+//! (`u_max`, `view_ms_qc`, `views_by_timeout`, read off the run's
+//! `RunReport` through their `scenario::METRICS` names). The rows
 //! (`target/bamboo-bench/tcp_smoke.rows.json`, keyed `protocol/nN/process/…`)
 //! feed `bench_diff`; the round trips are emitted as four sample sets so a
 //! move in them can resolve against their own spread.
@@ -28,7 +29,8 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use bamboo_bench::{banner, save_rows, stats, Lower, RowFile, Tier, Wall};
+use bamboo_bench::{banner, record_figure, save_rows, stats, Lower, RowFile, Tier, Wall};
+use bamboo_core::scenario::metric;
 use bamboo_core::LiveCluster;
 use bamboo_net::Processes;
 use bamboo_types::{Config, NodeId, ProtocolKind, SimDuration};
@@ -81,7 +83,7 @@ fn run() -> Result<RowFile, String> {
 
     let exe = std::env::current_exe().map_err(|e| format!("cannot find own executable: {e}"))?;
     let started = Instant::now();
-    let cluster = LiveCluster::spawn_on(Processes::new(exe), config, protocol)
+    let cluster = LiveCluster::spawn_on(Processes::new(exe), config.clone(), protocol)
         .map_err(|e| format!("cluster launch failed: {e}"))?;
     cluster.submit_round_robin(target * 4, 16);
     let reached = cluster.run_until_committed(target, window);
@@ -113,8 +115,8 @@ fn run() -> Result<RowFile, String> {
     }
 
     let report = cluster.shutdown();
-    if report.safety_violations > 0 {
-        let safety = report.safety_violations;
+    if report.run.safety_violations > 0 {
+        let safety = report.run.safety_violations;
         return Err(format!("{safety} safety violation(s) over loopback TCP"));
     }
     let boot_to_target_ms = elapsed.as_secs_f64() * 1e3;
@@ -154,17 +156,9 @@ fn run() -> Result<RowFile, String> {
         ],
     );
     // The busiest seat's U and the observer seat's view clock.
-    let load = report.utilization;
-    let timeouts = load.view_timeout.count as f64;
-    out.point(
-        Wall,
-        &key,
-        &[
-            ("u_max", load.u_max, "ratio", Lower),
-            ("view_ms_qc", load.view_qc.mean_ms, "ms", Lower),
-            ("views_by_timeout", timeouts, "count", Lower),
-        ],
-    );
+    let names = ["u_max", "view_ms_qc", "views_by_timeout"];
+    let metrics = names.map(|name| metric(name).expect("a METRICS entry"));
+    record_figure(&mut out, Wall, &metrics, vec![(key, &report.run, &config)]);
     Ok(out)
 }
 

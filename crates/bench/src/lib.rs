@@ -29,7 +29,7 @@ use bamboo_model::{ModelParams, PerfModel};
 use bamboo_types::{Config, ProtocolKind, SimDuration};
 
 pub use rows::Better::{Higher, Lower};
-pub use rows::Clock::{Sim, Wall};
+pub use rows::Clock::{self, Sim, Wall};
 pub use rows::{save_rows, RowFile, Tier};
 
 /// Directory where benches drop their JSON artifacts: the workspace
@@ -100,10 +100,10 @@ pub fn model_for(protocol: ProtocolKind, config: &Config) -> PerfModel {
 /// One run a figure records: its row key, its report and the config it ran.
 pub type Run<'a> = (String, &'a RunReport, &'a Config);
 
-/// Records runs in run order as `<key>/<metric>` rows of what `metrics` read
-/// off each report and config; runs that share a key fold to
+/// Records runs in run order as `<key>/<metric>` rows on `clock` of what
+/// `metrics` read off each report and config; runs that share a key fold to
 /// `<metric>_mean` and `<metric>_std`, in the order the keys first came.
-pub fn record_figure(out: &mut RowFile, metrics: &[Metric], runs: Vec<Run>) {
+pub fn record_figure(out: &mut RowFile, clock: Clock, metrics: &[Metric], runs: Vec<Run>) {
     let mut points: Vec<(String, Vec<Vec<f64>>)> = Vec::new();
     for (key, report, config) in runs {
         let values = metrics.iter().map(|m| m.3(report, config)).collect();
@@ -128,7 +128,7 @@ pub fn record_figure(out: &mut RowFile, metrics: &[Metric], runs: Vec<Run>) {
         let cells: Vec<_> = (cells.iter())
             .map(|(n, v, u, b)| (n.as_str(), *v, *u, *b))
             .collect();
-        out.point(Sim, &key, &cells);
+        out.point(clock, &key, &cells);
     }
 }
 
@@ -167,7 +167,7 @@ mod tests {
         let mut out = RowFile::new("fold", Tier::Full, 0);
         let runs = [("HS/n4", &one), ("SL/n4", &two), ("HS/n4", &three)];
         let runs = runs.map(|(key, config)| (key.to_string(), &report, config));
-        record_figure(&mut out, &[seed], runs.into());
+        record_figure(&mut out, Sim, &[seed], runs.into());
         let rows = (out.rows.iter()).map(|r| format!("{} {} {:?}", r.name, r.value, r.better));
         let expected = "HS/n4/seed_mean 2 Higher, HS/n4/seed_std 1 Lower, SL/n4/seed 2 Higher";
         assert_eq!(rows.collect::<Vec<_>>().join(", "), expected);

@@ -27,9 +27,9 @@ use bamboo_types::{
     View,
 };
 
-use crate::metrics::SeatBooks;
 pub use crate::metrics::{ClusterReport, NodeNetStats, PeerStats};
-use crate::observe::{fold_seats, SeatBook, StepView};
+use crate::metrics::{HostCounters, SeatBooks};
+use crate::observe::{fold_seats, Observer, StepView};
 use crate::replica::ReplicaOptions;
 use crate::runtime::{BufferedTransport, Deadlines, NodeHost, RecoverMode, ReplicaEvent};
 use crate::storage::SegmentLog;
@@ -90,8 +90,8 @@ struct Published {
     /// first `l` blocks the node ever committed.
     running: ChainFingerprint,
     prefixes: Vec<[u8; 32]>,
-    /// From the boot on: the seat's books, and the epoch of its clock.
-    book: Option<(SeatBook, Instant)>,
+    /// From the boot on: the seat's observer, host counters and clock epoch.
+    book: Option<(Observer, HostCounters, Instant)>,
 }
 
 impl Default for LiveStatus {
@@ -126,7 +126,8 @@ impl LiveStatus {
             prefix_len
         };
         let chain_fingerprint = prefixes[(want as usize).min(prefixes.len() - 1)];
-        let books = (published.book.as_ref()).map(|(book, epoch)| book.books(clock(*epoch)));
+        let books = (published.book.as_ref())
+            .map(|(observer, counters, epoch)| observer.books(*counters, clock(*epoch)));
         SeatStatus {
             chain_fingerprint,
             books: books.unwrap_or_default(),
@@ -135,8 +136,9 @@ impl LiveStatus {
     }
 
     /// Opens the seat's books at its boot, on the clock of `epoch`.
-    fn open(&self, book: SeatBook, epoch: Instant) {
-        self.0.lock().expect("status lock poisoned").book = Some((book, epoch));
+    fn open(&self, observer: Observer, epoch: Instant) {
+        let book = Some((observer, HostCounters::default(), epoch));
+        self.0.lock().expect("status lock poisoned").book = book;
     }
 
     /// The single accounting path, after every step: the step to the seat's
@@ -144,10 +146,11 @@ impl LiveStatus {
     /// books open: a restarting seat's host is still what the crash left.
     fn publish(&self, host: &NodeHost, step: &StepView) {
         let mut published = self.0.lock().expect("status lock poisoned");
-        let Some((book, _)) = &mut published.book else {
+        let Some((observer, counters, _)) = &mut published.book else {
             return;
         };
-        book.on_step(step, host);
+        observer.on_step(step);
+        *counters = HostCounters::of(host);
         let replica = host.replica();
         published.book(replica.current_view(), replica.ledger());
     }
@@ -212,8 +215,8 @@ pub fn run_live_node(
         let call = if !booted && link.ready() {
             booted = true;
             let replica = host.replica();
-            let book = SeatBook::new(replica.config(), replica.id(), current);
-            status.open(book, epoch);
+            let observer = Observer::seat(replica.config(), replica.id(), current);
+            status.open(observer, epoch);
             Call::Boot(restart.take())
         } else if let Some(verified) = booted.then(|| early.pop_front()).flatten() {
             Call::Deliver(verified)
@@ -704,6 +707,8 @@ impl<L: SeatLink> LiveCluster<L> {
     fn finish(self) -> (ClusterReport, Vec<Option<NodeHost>>) {
         let consistent = self.check_prefix_agreement().is_ok();
         let Self {
+            config,
+            protocol,
             mut link,
             mut seats,
             kept,
@@ -730,7 +735,7 @@ impl<L: SeatLink> LiveCluster<L> {
             hosts.push(end.host);
         }
         nets.extend(retired);
-        let mut report = fold_seats(&statuses, nets, consistent);
+        let mut report = fold_seats(&config, protocol, &statuses, nets, consistent);
         // Sampled after every seat stopped, so work still queued in a shared
         // verify pool when the seats went down is counted too.
         link.close(&mut report);
@@ -819,7 +824,7 @@ mod tests {
         assert!(report.timeout_view_changes > 0, "views change by timeout");
         // Seat 0 leads every fourth view: the observer seat's view clock
         // files those under the timeout.
-        let clock = report.utilization;
+        let clock = report.run.utilization;
         assert!(clock.view_timeout.count > 0, "{clock:?}");
         assert!(report.max_view > 4, "stuck at view {}", report.max_view);
         assert!(report.ledgers_consistent);

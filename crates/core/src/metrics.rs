@@ -1,6 +1,6 @@
 //! Benchmark metrics: throughput, latency, chain growth rate, block interval,
-//! and the reports they end in — a simulated run's [`RunReport`], a live
-//! cluster's [`ClusterReport`].
+//! and the report they end in on either clock, [`RunReport`] — a live
+//! cluster's [`ClusterReport`] carries one beside what only seats have.
 //!
 //! These are the four metrics of §IV-B of the paper. Latency is measured from
 //! the moment the client issues a transaction until the commit confirmation
@@ -59,9 +59,9 @@ pub struct HostCounters {
     pub mempool: MempoolStats,
 }
 
-/// One live seat's books, as a probe reads them (DESIGN.md §10): its host's
-/// counters and what the seat's observer saw of the seat's own steps since
-/// its boot.
+/// One observer's books: a live seat's as a probe reads them (DESIGN.md
+/// §10), its host's counters and what its observer saw of its own steps
+/// since its boot, or a whole run's, which a [`RunReport`] is built from.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SeatBooks {
     /// The host's counters after the seat's last step.
@@ -450,7 +450,11 @@ impl ToJson for RecoveryReport {
     }
 }
 
-/// The final report of one simulation run.
+/// The final report of one run, simulated or live ([`ClusterReport::run`]).
+/// A live run's lasts the observer seat's lifetime, both its latencies are
+/// that seat's issue → commit time, and what no seat status carries is empty:
+/// `block_interval`, `stages`, `recovery`, `forks_attempted`, the fingerprint,
+/// the engine's counters, `throughput_series` and `pending_txs`.
 #[derive(Clone, Debug)]
 pub struct RunReport {
     /// Protocol under test.
@@ -696,48 +700,30 @@ pub struct NodeNetStats {
     pub verify_rejected: u64,
 }
 
-/// Summary of one live run, whatever the link.
-#[derive(Clone, Debug, Default)]
+/// Summary of one live run, whatever the link: the run's [`RunReport`], and
+/// what only a cluster of seats has.
+#[derive(Clone, Debug)]
 pub struct ClusterReport {
+    /// The run as the seats' books fold into it ([`crate::LiveCluster::shutdown`]).
+    pub run: RunReport,
     /// Committed blocks per seat (indexed by node id; 0 for a seat that was
     /// down at shutdown).
     pub committed_blocks: Vec<usize>,
-    /// Committed transactions in the longest ledger.
-    pub committed_txs: u64,
-    /// Committed transactions a seat's ledger did not execute as duplicates,
-    /// at the seat that filtered the most since its boot.
-    pub duplicates_filtered: u64,
     /// Highest view reached across seats.
     pub max_view: u64,
     /// Whether every honest seat that was up held a prefix of the longest
     /// honest chain at shutdown ([`crate::LiveCluster::check_prefix_agreement`]).
     pub ledgers_consistent: bool,
-    /// Conflicting-commit events observed across all seats, plus one for an
-    /// inconsistent cluster (must be 0).
+    /// Twin of `run.committed_txs` for `benchmark/`; goes with ROADMAP item 11.
+    pub committed_txs: u64,
+    /// Twin of `run.safety_violations` for `benchmark/`; goes with ROADMAP item 11.
     pub safety_violations: u64,
-    /// Timeout-driven view changes summed across seats.
+    /// Twin of `run.timeout_view_changes` for `benchmark/`; goes with ROADMAP item 11.
     pub timeout_view_changes: u64,
-    /// Messages rejected by the authentication stage as forged or malformed.
+    /// Twin of `run.rejected_messages` for `benchmark/`; goes with ROADMAP item 11.
     pub auth_rejections: u64,
-    /// Signed client requests rejected at the replica edge as forged
-    /// (signed-client mode only; always 0 otherwise).
+    /// Twin of `run.client_auth_rejections` for `benchmark/`; goes with ROADMAP item 11.
     pub client_auth_rejections: u64,
-    /// Admission steps summed across seats: one per submitted batch.
-    pub admissions: u64,
-    /// The client requests those steps took, the edge's rejections included.
-    pub admitted_requests: u64,
-    /// Mempool admission and flow, summed across seats.
-    pub mempool: MempoolStats,
-    /// Messages the seats put on the wire, one per recipient, and their
-    /// modeled bytes, summed as the simulator sums them
-    /// ([`ClusterReport::total_bytes_sent`] is what the sockets wrote).
-    pub messages_sent: u64,
-    /// See [`ClusterReport::messages_sent`].
-    pub bytes_sent: u64,
-    /// The busiest seat's utilization and the observer seat's view clock.
-    pub utilization: Utilization,
-    /// Issue → commit at the observer seat (none over the process link).
-    pub latency: LatencyStats,
     /// Network counters of every socket seat, a crashed one's frozen when it
     /// went down; empty on the channel link.
     pub nodes: Vec<NodeNetStats>,

@@ -7,7 +7,7 @@
 //! counters to fill in. Random draws stay in the engine, in its event order;
 //! a commit's response leg reaches the observer as a value. A live seat
 //! ([`crate::live::run_live_node`]) shows each of its own steps, timed on the
-//! wall clock, to an observer of its own ([`SeatBook`]), and the cluster
+//! wall clock, to an observer of its own ([`Observer::seat`]), and the cluster
 //! folds the seats' books ([`fold_seats`]). The observer's fields are its
 //! subscribers, all known at compile time, so there is no trait (DESIGN.md
 //! §5, "Observation").
@@ -21,8 +21,8 @@ use bamboo_types::{
 
 use crate::live::SeatStatus;
 use crate::metrics::{
-    ClusterReport, Histogram, HostCounters, Metrics, NodeNetStats, RecoveryReport, RunReport,
-    SeatBooks, Stages, Utilization,
+    ClusterReport, Histogram, HostCounters, LatencyStats, Metrics, NodeNetStats, RecoveryReport,
+    RunReport, SeatBooks, Stages, Utilization,
 };
 use crate::replica::Replica;
 use crate::runner::RunOptions;
@@ -80,6 +80,13 @@ impl Observer {
         let node = observer.or(highest).expect("at most f < n seats attack");
         let span = (SimTime::ZERO, SimTime::ZERO + config.runtime);
         Self::over(config, node, series, span)
+    }
+
+    /// Empty books for `seat` of a live cluster running `config`, booted at
+    /// `boot` and cut nowhere: a restarted seat opens new books.
+    pub(crate) fn seat(config: &Config, seat: NodeId, boot: SimTime) -> Self {
+        let span = (boot, SimTime(u64::MAX));
+        Self::over(config, seat, SimDuration::from_secs(1), span)
     }
 
     /// Empty books reporting `node`'s commits, each instant cut to `span`.
@@ -145,9 +152,8 @@ impl Observer {
         self.load.on_step(step, self.node);
     }
 
-    /// The run's report from the books and the hosts as the run left them.
-    /// The engine's own counters (`events_*`, `queue_*`, `pending_txs`) are
-    /// left at zero for the engine to fill in.
+    /// The run's report from the books and the hosts as the run left them,
+    /// but for the engine's own counters (`events_*`, `queue_*`, `pending_txs`).
     pub(crate) fn finish(
         &self,
         config: &Config,
@@ -155,143 +161,143 @@ impl Observer {
         hosts: &[NodeHost],
         options: &RunOptions,
     ) -> RunReport {
-        let observer = hosts[self.node.index()].replica();
+        let (host, end) = (&hosts[self.node.index()], self.load.end);
+        let (observer, latency) = (host.replica(), self.metrics.latency());
+        let status = SeatStatus {
+            committed_txs: latency.count,
+            committed_blocks: observer.ledger().len() as u64,
+            view: observer.current_view().as_u64(),
+            books: self.books(HostCounters::of(host), end),
+            ..SeatStatus::default()
+        };
         let honest = |id| config.attacks.iter().all(|attack| attack.node != id);
-        let audit = audit(hosts, honest);
-        let duration_secs = config.runtime.as_secs_f64();
-        let latency = self.metrics.latency();
-        let committed_txs = latency.count;
-        let committed_blocks = observer.ledger().len() as u64;
-        let views_advanced = observer.current_view().as_u64().saturating_sub(1).max(1);
-        let stages = self.lifecycle.report();
+        let run = self.books(audit(hosts, honest), end);
+        let mut report = RunReport::new(config, protocol, &status, run, latency);
+        report.block_interval = observer.ledger().average_block_interval();
+        report.throughput_series = self.metrics.throughput_series();
+        report.ledger_fingerprint = observer.ledger().fingerprint().to_hex();
+        report.recovery = recovery(config, hosts, options);
+        let forks = hosts.iter().map(|h| h.replica().attack().forks_attempted);
+        report.forks_attempted = forks.sum();
+        report.stages = self.lifecycle.report();
         // Every replica's proposals are seen here, so every transaction the
         // observer counts was staged (`observe::tests` checks the sums).
-        debug_assert_eq!(stages.dispatched.count, committed_txs, "an unstaged commit");
+        let staged = report.stages.dispatched.count;
+        debug_assert_eq!(staged, report.committed_txs, "an unstaged commit");
+        report
+    }
+
+    /// The books as of `now`, with the hosts' `counters`.
+    pub(crate) fn books(&self, counters: HostCounters, now: SimTime) -> SeatBooks {
+        SeatBooks {
+            counters,
+            messages: self.messages,
+            bytes: self.bytes,
+            lifetime: now.since(self.load.begin),
+            utilization: self.load.report(now),
+            latency: self.metrics.client_latency(),
+            duplicates_filtered: self.duplicates_filtered,
+        }
+    }
+}
+
+impl RunReport {
+    /// The one constructor, on either clock (DESIGN.md §5): the `observer`
+    /// replica's progress and books over its lifetime, its end-to-end
+    /// `latency`, and the `run`'s books (every host's counters and sends).
+    /// What no seat status carries starts empty, for the simulator to fill.
+    pub(crate) fn new(
+        config: &Config,
+        protocol: ProtocolKind,
+        observer: &SeatStatus,
+        run: SeatBooks,
+        latency: LatencyStats,
+    ) -> Self {
+        let (own, counters) = (observer.books, run.counters);
+        // A seat down at shutdown has no lifetime: one nanosecond, not 0/0.
+        let duration_secs = own.lifetime.max(SimDuration::from_nanos(1)).as_secs_f64();
+        let views_advanced = observer.view.saturating_sub(1).max(1);
         RunReport {
             protocol,
             nodes: config.nodes,
             byz_nodes: config.attacks.len(),
             duration_secs,
-            throughput_tx_per_sec: committed_txs as f64 / duration_secs,
+            throughput_tx_per_sec: observer.committed_txs as f64 / duration_secs,
             latency,
-            client_latency: self.metrics.client_latency(),
-            committed_txs,
-            duplicates_filtered: self.duplicates_filtered,
-            committed_blocks,
+            client_latency: own.latency,
+            committed_txs: observer.committed_txs,
+            duplicates_filtered: own.duplicates_filtered,
+            committed_blocks: observer.committed_blocks,
             views_advanced,
-            chain_growth_rate: committed_blocks as f64 / views_advanced as f64,
-            block_interval: observer.ledger().average_block_interval(),
-            timeout_view_changes: observer.timeout_view_changes(),
-            messages_sent: self.messages,
-            bytes_sent: self.bytes,
-            throughput_series: self.metrics.throughput_series(),
-            safety_violations: audit.safety_violations,
-            rejected_messages: audit.rejected_messages,
-            client_auth_rejections: audit.client_auth_rejections,
-            admissions: audit.admissions,
-            admitted_requests: audit.admitted_requests,
+            chain_growth_rate: observer.committed_blocks as f64 / views_advanced as f64,
+            block_interval: 0.0,
+            timeout_view_changes: own.counters.timeout_view_changes,
+            messages_sent: run.messages,
+            bytes_sent: run.bytes,
+            throughput_series: Vec::new(),
+            safety_violations: counters.safety_violations,
+            rejected_messages: counters.rejected_messages,
+            client_auth_rejections: counters.client_auth_rejections,
+            admissions: counters.admissions,
+            admitted_requests: counters.admitted_requests,
             // Pool-full rejections are the backpressure signal: never silent.
-            mempool: audit.mempool,
+            mempool: counters.mempool,
             pending_txs: 0,
             events_processed: 0,
             events_scheduled: 0,
             queue_peak_len: 0,
             queue_heap_peak: 0,
-            ledger_fingerprint: observer.ledger().fingerprint().to_hex(),
-            recovery: recovery(config, hosts, options),
-            utilization: self.load.report(self.load.end),
-            forks_attempted: (hosts.iter())
-                .map(|host| host.replica().attack().forks_attempted)
-                .sum(),
-            stages,
+            ledger_fingerprint: String::new(),
+            recovery: RecoveryReport::default(),
+            utilization: run.utilization,
+            forks_attempted: 0,
+            stages: Stages::default(),
         }
     }
 }
 
-/// A live seat's books: an observer of the seat's own steps from its boot,
-/// cut nowhere, and its host's counters as of its last step. A restarted
-/// seat opens new books.
-pub(crate) struct SeatBook {
-    observer: Observer,
-    counters: HostCounters,
-}
-
-impl SeatBook {
-    /// Empty books for `seat` of a cluster running `config`, booted at
-    /// `boot` on the cluster's clock.
-    pub(crate) fn new(config: &Config, seat: NodeId, boot: SimTime) -> Self {
-        let span = (boot, SimTime(u64::MAX));
-        Self {
-            observer: Observer::over(config, seat, SimDuration::from_secs(1), span),
-            counters: HostCounters::default(),
-        }
-    }
-
-    /// Books one step of the seat's `host`.
-    pub(crate) fn on_step(&mut self, step: &StepView, host: &NodeHost) {
-        self.observer.on_step(step);
-        self.counters = HostCounters::of(host);
-    }
-
-    /// The books as of `now`: utilization is busy time over the lifetime.
-    pub(crate) fn books(&self, now: SimTime) -> SeatBooks {
-        let observer = &self.observer;
-        SeatBooks {
-            counters: self.counters,
-            messages: observer.messages,
-            bytes: observer.bytes,
-            lifetime: now.since(observer.load.begin),
-            utilization: observer.load.report(now),
-            latency: observer.metrics.client_latency(),
-            duplicates_filtered: observer.duplicates_filtered,
-        }
-    }
-}
-
-/// A live cluster's report, folded from its seats' final statuses (`None`:
-/// down at shutdown) with the simulator's definitions, though each seat's
-/// observer saw only its own steps: counters, messages and bytes summed over
-/// seats; the busiest seat's utilization; the view clock and commit latency
-/// at the observer seat, the last, as in the simulator. The socket seats'
-/// network counters ride along (their verify pools' rejections count as
-/// authentication rejections), and an inconsistent cluster — the prefix
-/// oracle's verdict — counts one more safety violation.
+/// A live cluster's report: its seats' final statuses (`None`: down at
+/// shutdown) folded into a [`RunReport`] as the simulator folds its hosts —
+/// counters and sends summed, the busiest seat's utilization, the rest at the
+/// observer seat, the last. Socket seats' verify pools' rejections count as
+/// rejected messages, an inconsistent cluster as one more safety violation.
 pub(crate) fn fold_seats(
+    config: &Config,
+    protocol: ProtocolKind,
     seats: &[Option<SeatStatus>],
     nets: Vec<NodeNetStats>,
     consistent: bool,
 ) -> ClusterReport {
-    let (mut sum, mut report) = (HostCounters::default(), ClusterReport::default());
+    let (mut run, mut committed_blocks, mut max_view) = (SeatBooks::default(), Vec::new(), 0);
     for status in seats.iter().map(|status| status.unwrap_or_default()) {
-        let (books, blocks) = (status.books, status.committed_blocks as usize);
-        sum.add(&books.counters);
-        report.committed_blocks.push(blocks);
-        report.committed_txs = report.committed_txs.max(status.committed_txs);
-        report.duplicates_filtered = (report.duplicates_filtered).max(books.duplicates_filtered);
-        report.max_view = report.max_view.max(status.view);
-        report.messages_sent += books.messages;
-        report.bytes_sent += books.bytes;
+        let books = status.books;
+        run.counters.add(&books.counters);
+        run.messages += books.messages;
+        run.bytes += books.bytes;
         // The first of equals stays: the lowest id, as in the simulator.
-        if books.utilization.u_max > report.utilization.u_max {
-            report.utilization = books.utilization;
+        if books.utilization.u_max > run.utilization.u_max {
+            run.utilization = books.utilization;
         }
+        committed_blocks.push(status.committed_blocks as usize);
+        max_view = max_view.max(status.view);
     }
-    let observer = seats.last().copied().flatten().unwrap_or_default().books;
-    report.utilization.view_qc = observer.utilization.view_qc;
-    report.utilization.view_timeout = observer.utilization.view_timeout;
-    let verify_rejected: u64 = nets.iter().map(|net| net.verify_rejected).sum();
+    run.counters.safety_violations += u64::from(!consistent);
+    run.counters.rejected_messages += nets.iter().map(|net| net.verify_rejected).sum::<u64>();
+    let observer = seats.last().copied().flatten().unwrap_or_default();
+    run.utilization.view_qc = observer.books.utilization.view_qc;
+    run.utilization.view_timeout = observer.books.utilization.view_timeout;
+    let run = RunReport::new(config, protocol, &observer, run, observer.books.latency);
     ClusterReport {
+        committed_txs: run.committed_txs,
+        safety_violations: run.safety_violations,
+        timeout_view_changes: run.timeout_view_changes,
+        auth_rejections: run.rejected_messages,
+        client_auth_rejections: run.client_auth_rejections,
+        run,
+        committed_blocks,
+        max_view,
         ledgers_consistent: consistent,
-        safety_violations: sum.safety_violations + u64::from(!consistent),
-        timeout_view_changes: sum.timeout_view_changes,
-        auth_rejections: sum.rejected_messages + verify_rejected,
-        client_auth_rejections: sum.client_auth_rejections,
-        admissions: sum.admissions,
-        admitted_requests: sum.admitted_requests,
-        mempool: sum.mempool,
-        latency: observer.latency,
         nodes: nets,
-        ..report
     }
 }
 
@@ -563,7 +569,6 @@ mod tests {
     use bamboo_types::{ByzantineStrategy, SeatAttack};
 
     use super::*;
-    use crate::metrics::LatencyStats;
     use crate::runner::{RunOptions, SimRunner};
 
     /// The stage gate: the observer stages every transaction it counts, and
@@ -610,22 +615,26 @@ mod tests {
 
     /// One fold on both clocks: a simulated run's hosts, each shown to
     /// [`fold_seats`] as a live seat's status, fold to the counters the
-    /// run's own report sums.
+    /// run's own report sums, and the last seat's timeouts are the observer
+    /// replica's.
     #[test]
     fn the_live_fold_of_simulated_hosts_sums_what_the_run_report_sums() {
+        let mut attacks = SeatAttack::first_seats(2, ByzantineStrategy::ForgedVote);
+        attacks[1].strategy = ByzantineStrategy::Silence;
         let config = Config {
             nodes: 7,
             block_size: 50,
             runtime: SimDuration::from_millis(400),
             arrival_rate: Some(3_000.0),
             timeout: SimDuration::from_millis(20),
-            attacks: SeatAttack::first_seats(2, ByzantineStrategy::ForgedVote),
+            attacks,
             client_population: Some(1_000),
             signed_requests: true,
             seed: 2030,
             ..Config::default()
         };
-        let mut runner = SimRunner::new(config, ProtocolKind::HotStuff, RunOptions::default());
+        let protocol = ProtocolKind::HotStuff;
+        let mut runner = SimRunner::new(config.clone(), protocol, RunOptions::default());
         let report = runner.run_to_end();
         let seats: Vec<Option<SeatStatus>> = (runner.hosts.iter())
             .map(|host| {
@@ -639,18 +648,23 @@ mod tests {
                 })
             })
             .collect();
-        let cluster = fold_seats(&seats, Vec::new(), true);
+        let cluster = fold_seats(&config, protocol, &seats, Vec::new(), true);
         assert!(report.rejected_messages > 0, "forged votes are rejected");
         assert!(report.mempool.accepted > 0 && report.mempool.handed_off > 0);
-        assert_eq!(cluster.safety_violations, report.safety_violations);
-        assert_eq!(cluster.auth_rejections, report.rejected_messages);
-        assert_eq!(
-            cluster.client_auth_rejections,
-            report.client_auth_rejections
+        assert!(
+            report.timeout_view_changes > 0,
+            "the silent seat's views time out"
         );
-        assert_eq!(cluster.admissions, report.admissions);
-        assert_eq!(cluster.admitted_requests, report.admitted_requests);
-        assert_eq!(cluster.mempool, report.mempool);
+        let counters = |r: &RunReport| {
+            let sums = [
+                r.safety_violations,
+                r.rejected_messages,
+                r.client_auth_rejections,
+            ];
+            let more = [r.admissions, r.admitted_requests, r.timeout_view_changes];
+            (sums, more, r.mempool)
+        };
+        assert_eq!(counters(&cluster.run), counters(&report));
     }
 
     /// A proposal is dispatched when it leaves its proposer, once the CPU

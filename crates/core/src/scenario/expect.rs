@@ -48,6 +48,7 @@ pub(super) fn failures(scenario: &Scenario, config: &Config, runs: &[ScenarioRun
         for &((metric, unit, _, read), bound, side) in &expect.bounds {
             let measured = read(report, config);
             let missed = match side {
+                _ if !measured.is_finite() => Some("is not finite, so it misses the bound"),
                 Side::Min => (measured < bound).then_some("below the minimum"),
                 Side::Max => (measured > bound).then_some("above the maximum"),
             };

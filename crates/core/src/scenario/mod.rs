@@ -850,6 +850,31 @@ mod tests {
         }
     }
 
+    /// A reading that is not a number keeps no bound: a closed-loop spec
+    /// offers no rate, so its tracking error is NaN or infinite, and a bound
+    /// on it fails every run by name.
+    #[test]
+    fn a_reading_that_is_not_finite_fails_its_bound() {
+        let spec = minimal_spec()
+            .replace(
+                r#""open_loop_tx_per_sec": 3000"#,
+                r#""closed_loop_clients": 8"#,
+            )
+            .replace(
+                r#""min_chain_growth_rate": 0.3,"#,
+                r#""min_tracking_error": 0,"#,
+            );
+        let report = Scenario::parse(&spec).unwrap().run(true);
+        for label in ["HS", "2CHS"] {
+            let prefix = format!("mini/{label}: tracking_error ");
+            assert!(
+                (report.failures.iter()).any(|f| f.starts_with(&prefix) && f.contains("finite")),
+                "{prefix}: {:?}",
+                report.failures
+            );
+        }
+    }
+
     /// An `expect` key is `min_<metric>`, `max_<metric>` or
     /// `commit_latency_ordering`; anything else is refused by name, never
     /// read as no gate.

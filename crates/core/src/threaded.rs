@@ -136,7 +136,9 @@ impl SeatLink for Channels {
     fn close(self, report: &mut ClusterReport) {
         // Every seat thread is gone, so every pool handle is dropped and the
         // workers drain and exit: forgeries still queued are counted too.
-        report.auth_rejections += self.pool.shutdown().1;
+        let rejected = self.pool.shutdown().1;
+        report.run.rejected_messages += rejected;
+        report.auth_rejections += rejected;
     }
 
     fn finished(report: ClusterReport, hosts: Vec<Option<NodeHost>>) -> Self::Finished {

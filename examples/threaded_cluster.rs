@@ -42,5 +42,8 @@ fn main() {
         "ledgers pairwise consistent : {}",
         report.ledgers_consistent
     );
+    // The same report a simulated run ends in, at the observer seat.
+    println!("run                         : {}", report.run.summary());
     assert!(report.ledgers_consistent);
+    assert_eq!(report.run.safety_violations, 0);
 }

@@ -282,7 +282,7 @@ fn handoffs_are_counted_apart_from_admissions_on_both_backends() {
         cluster.committed_txs()
     );
     let report = cluster.shutdown();
-    copies_are_counted(&report.mempool);
+    copies_are_counted(&report.run.mempool);
     assert!(report.ledgers_consistent);
 
     let sim = run(pipeline_config(7), ProtocolKind::HotStuff);

@@ -17,6 +17,7 @@ use std::time::Duration;
 
 use bamboo::core::live::SeatLink;
 use bamboo::core::metrics::SeatBooks;
+use bamboo::core::scenario::metric;
 use bamboo::core::{LiveCluster, RecoverMode, ThreadedCluster};
 use bamboo::net::{BackoffPolicy, Processes, Sockets, TcpCluster};
 use bamboo::types::{Config, NodeId, ProtocolKind, SimDuration};
@@ -70,9 +71,9 @@ fn every_protocol_reaches_prefix_agreement_over_loopback_tcp() {
         // was dropped.
         if report.total_dropped() == 0 {
             assert!(
-                report.bytes_sent <= report.total_bytes_sent(),
+                report.run.bytes_sent <= report.total_bytes_sent(),
                 "{protocol}: {} modeled bytes, {} on the sockets",
-                report.bytes_sent,
+                report.run.bytes_sent,
                 report.total_bytes_sent()
             );
         }
@@ -331,12 +332,25 @@ fn conform<L: SeatLink>(mut cluster: LiveCluster<L>, link: &str) {
     let report = cluster.shutdown();
     assert!(report.ledgers_consistent, "{link}: ledgers diverged");
     assert_eq!(report.safety_violations, 0, "{link}: safety violated");
-    let load = report.utilization;
+    let (run, config) = (&report.run, shared_config());
+    let load = run.utilization;
     assert!(load.u_max > 0.0 && load.u_max <= 1.0, "{link}: {load:?}");
     assert!(load.view_qc.count > 0, "{link}: {load:?}");
     // A seat process runs on its own clock and reports no latency.
     let shares_clock = link != "processes";
-    assert_eq!(report.latency.count > 0, shares_clock, "{link}: {report:?}");
+    assert_eq!(run.latency.count > 0, shares_clock, "{link}: {report:?}");
+    // A live run reads through the simulator's names.
+    let fields = [
+        ("throughput", run.throughput_tx_per_sec),
+        ("u_max", load.u_max),
+        ("view_ms_qc", load.view_qc.mean_ms),
+        ("views_by_timeout", run.timeout_view_changes as f64),
+    ];
+    for (name, field) in fields {
+        let reading = metric(name).expect("a METRICS entry").3(run, &config);
+        assert!(reading.is_finite(), "{link}: {name} reads {reading}");
+        assert_eq!(reading, field, "{link}: {name}");
+    }
 }
 
 #[test]
